@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test bench verify verify-faults verify-net verify-adv verify-scale verify-wire verify-crash verify-engines verify-async bench-json
+.PHONY: build test bench verify verify-faults verify-net verify-adv verify-scale verify-wire verify-crash verify-engines verify-async verify-bench bench-json bench-workload
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,7 @@ bench:
 verify:
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	$(MAKE) verify-faults
 	$(MAKE) verify-net
 	$(MAKE) verify-adv
 	$(MAKE) verify-scale
@@ -28,6 +29,18 @@ verify:
 	$(MAKE) verify-crash
 	$(MAKE) verify-engines
 	$(MAKE) verify-async
+	$(MAKE) verify-bench
+
+# verify-bench vets the repository benchmark (bench/, a module of its own
+# that the root module's ./... does not reach) and runs its smoke-scale
+# tests: every workload end to end with its reference checks, < 5 s.
+verify-bench:
+	cd bench && $(GO) vet . && $(GO) test ./...
+
+# bench-workload runs one BENCHMARK.json workload once, untraced, at the
+# benchmark's run length: make bench-workload W=vfl-secure
+bench-workload:
+	bash bench/run.sh --workload $(W) --seed 1 --seconds 10 --trace 0
 
 # verify-faults runs the fault-injection suite: the determinism gate
 # (TestFaultScheduleDeterministic runs the full dropout/straggler/crash/

@@ -255,7 +255,10 @@ func TestRoundLongPollShutdownReleasesWaiters(t *testing.T) {
 			t.Errorf("waiter %d: got state %q, want %q", i, s, StateDone)
 		}
 	}
-	// The handler goroutines must drain; allow the runtime a moment.
+	// The handler goroutines must drain; allow the runtime a moment. The
+	// client's idle keep-alive connections are not handlers: drop them, or
+	// their read/write loops are counted as a leak.
+	http.DefaultClient.CloseIdleConnections()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		if runtime.NumGoroutine() <= before+2 {

@@ -93,3 +93,70 @@ func BenchmarkDecryptVec(b *testing.B) {
 		})
 	}
 }
+
+var benchCt *Ciphertext
+
+// BenchmarkMulPlain times one float scalar multiplication at the paper's key
+// size. Before the signed short exponents a negative scalar cost a
+// full-length exponentiation, 11× a positive one; the two must now agree to
+// within the one modular inverse.
+func BenchmarkMulPlain(b *testing.B) {
+	sk := benchKey(b, 1024)
+	pk := &sk.PublicKey
+	ct, err := pk.EncryptFloat(rand.Reader, 0.25)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, cfg := range []struct {
+		name string
+		v    float64
+	}{
+		{"pos", 0.731},
+		{"neg", -0.731},
+	} {
+		b.Run(cfg.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchCt = pk.MulPlainFloat(ct, cfg.v)
+			}
+		})
+	}
+}
+
+// BenchmarkDotPlain times the secure epoch's inner kernel at its training
+// shape: 77 encrypted residuals against one feature column.
+func BenchmarkDotPlain(b *testing.B) {
+	sk := benchKey(b, 1024)
+	pk := &sk.PublicKey
+	vs := benchVec(77)
+	for i := range vs {
+		vs[i] *= 0.004 // ≈ (2/m)·x_ij
+	}
+	cts, err := pk.EncryptVec(rand.Reader, vs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("77", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchCt = pk.DotPlainFloat(cts, vs)
+		}
+	})
+}
+
+// BenchmarkDecrypt times one CRT decryption (two half-size exponentiations
+// to half-size exponents).
+func BenchmarkDecrypt(b *testing.B) {
+	sk := benchKey(b, 1024)
+	ct, err := sk.EncryptFloat(rand.Reader, 0.25)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sk.Decrypt(ct); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

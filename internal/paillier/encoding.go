@@ -1,8 +1,10 @@
 package paillier
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/big"
 	"sync"
 
@@ -10,17 +12,73 @@ import (
 )
 
 // Scale is the default fixed-point scale: floats are encoded as
-// round(v·Scale) before encryption. 2^40 keeps ~12 decimal digits while
-// leaving ample headroom in a ≥256-bit modulus for the sums the VFL
-// protocol accumulates.
-const Scale = 1 << 40
+// trunc(v·Scale) — truncated toward zero, not rounded — before encryption.
+// 2^40 keeps ~12 decimal digits while leaving ample headroom in a ≥256-bit
+// modulus for the sums the VFL protocol accumulates.
+const Scale = 1 << scaleBits
+
+const scaleBits = 40
+
+// ErrNotEncodable is the sentinel wrapped by CheckEncodable's errors; match
+// it with errors.Is.
+var ErrNotEncodable = errors.New("paillier: value not encodable")
+
+// CheckEncodable reports whether the fixed-point encoding can carry v at
+// scale Scale^level: v·Scale must be a finite float64 and |v|·Scale^level
+// must stay below n/2, the bound past which the signed encoding wraps.
+// EncryptFloat checks for itself; callers of Encode, EncodeAtScale,
+// AddPlainFloat, MulPlainFloat and DotPlainFloat, which have no error to
+// return, check values they cannot vouch for first.
+func (pk *PublicKey) CheckEncodable(v float64, level int) error {
+	if s := v * Scale; math.IsNaN(s) || math.IsInf(s, 0) {
+		return fmt.Errorf("%w: %v", ErrNotEncodable, v)
+	}
+	shift := scaleBits * level
+	// |v| < 2^exp, so exp+shift ≤ bitlen(n)−2 puts |v|·Scale^level below
+	// 2^(bitlen(n)−2) ≤ n/2 — all but astronomically large values stop here.
+	if _, exp := math.Frexp(v); exp+shift <= pk.N.BitLen()-2 {
+		return nil
+	}
+	scaled := big.NewFloat(math.Abs(v))
+	scaled.SetMantExp(scaled, shift)
+	half := new(big.Float).SetInt(new(big.Int).Rsh(pk.N, 1)) // (n−1)/2, exactly
+	if scaled.Cmp(half) > 0 {
+		return fmt.Errorf("%w: |%v|·2^%d exceeds n/2", ErrNotEncodable, v, shift)
+	}
+	return nil
+}
+
+// setScaled sets z = trunc(|v|·Scale) and reports whether v is negative.
+// It panics on a value whose product with Scale is not finite: a caller
+// that skipped CheckEncodable has a bug, and there is no error to return.
+func setScaled(z *big.Int, v float64) (neg bool) {
+	a := math.Abs(v * Scale)
+	switch {
+	case a < 1<<63:
+		z.SetUint64(uint64(a)) // the common case, without a big.Float
+	case a <= math.MaxFloat64:
+		big.NewFloat(a).Int(z)
+	default:
+		panic(fmt.Sprintf("paillier: %v is not encodable", v))
+	}
+	return v < 0
+}
 
 // Encode maps a float64 to a field element: non-negative values map to
-// round(v·Scale), negative values wrap to n − round(|v|·Scale).
-func (pk *PublicKey) Encode(v float64) *big.Int {
-	scaled := new(big.Int)
-	big.NewFloat(v * Scale).Int(scaled)
-	return scaled.Mod(scaled, pk.N)
+// trunc(v·Scale), negative values wrap to n − trunc(|v|·Scale).
+func (pk *PublicKey) Encode(v float64) *big.Int { return pk.EncodeAtScale(v, 1) }
+
+// EncodeAtScale encodes v at fixed-point scale Scale^level with Encode's
+// resolution — Encode(v)·Scale^(level−1) mod n — the level of a ciphertext
+// that went through level−1 float multiplications.
+func (pk *PublicKey) EncodeAtScale(v float64, level int) *big.Int {
+	z := new(big.Int)
+	neg := setScaled(z, v)
+	z.Lsh(z, uint(scaleBits*(level-1)))
+	if neg {
+		z.Neg(z)
+	}
+	return z.Mod(z, pk.N)
 }
 
 // Decode inverts Encode: values above n/2 are interpreted as negative.
@@ -34,8 +92,12 @@ func (pk *PublicKey) Decode(m *big.Int) float64 {
 	return f / Scale
 }
 
-// EncryptFloat encrypts a float64 under the fixed-point encoding.
+// EncryptFloat encrypts a float64 under the fixed-point encoding. A value
+// the encoding cannot carry (see CheckEncodable) is an error.
 func (pk *PublicKey) EncryptFloat(rnd io.Reader, v float64) (*Ciphertext, error) {
+	if err := pk.CheckEncodable(v, 1); err != nil {
+		return nil, err
+	}
 	return pk.Encrypt(rnd, pk.Encode(v))
 }
 
@@ -147,7 +209,22 @@ func (pk *PublicKey) AddPlainFloat(a *Ciphertext, v float64) *Ciphertext {
 // inside the result is at fixed-point scale Scale² (one extra Scale factor
 // per float multiplication) — decrypt it with DecryptFloatAtScale(ct, 2).
 func (pk *PublicKey) MulPlainFloat(a *Ciphertext, v float64) *Ciphertext {
-	return pk.MulPlain(a, pk.Encode(v))
+	return pk.DotPlainFloat([]*Ciphertext{a}, []float64{v})
+}
+
+// DotPlainFloat returns the encryption of Σ vᵢ·aᵢ at fixed-point scale
+// Scale² — DotPlain over the encoded vᵢ, whose signs and short magnitudes
+// go to the kernel directly instead of through a wrap mod n.
+func (pk *PublicKey) DotPlainFloat(cts []*Ciphertext, vs []float64) *Ciphertext {
+	if len(cts) != len(vs) {
+		panic(fmt.Sprintf("paillier: DotPlainFloat length mismatch %d vs %d", len(cts), len(vs)))
+	}
+	s := getDotScratch(len(vs))
+	defer dotPool.Put(s)
+	for i, v := range vs {
+		s.neg[i] = setScaled(&s.mags[i], v)
+	}
+	return pk.dot(cts, s)
 }
 
 // DecryptFloatAtScale decrypts a ciphertext whose plaintext is at

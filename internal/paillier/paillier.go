@@ -18,7 +18,7 @@ import (
 var one = big.NewInt(1)
 
 // intPool recycles big.Int scratch values across the hot arithmetic paths
-// (CRT decryption, encryption randomness, plaintext scalar reduction).
+// (CRT decryption, encryption randomness, plaintext reduction).
 // Only pure intermediates go back to the pool — a value that escapes into
 // a Ciphertext or a returned plaintext is never Put, because the caller
 // owns it. Pooled values keep their grown backing arrays, so steady-state
@@ -34,16 +34,16 @@ type PublicKey struct {
 	N2 *big.Int // n²
 }
 
-// PrivateKey holds the decryption parameters. Decryption uses the CRT
-// split (exponentiation mod p² and q² instead of n²), the standard ~3–4×
-// speedup for Paillier.
+// PrivateKey holds the decryption parameters. Decryption uses Paillier's
+// CRT form: one exponentiation mod p² to the half-size exponent p−1 and
+// one mod q² to q−1, instead of a full-size λ mod n².
 type PrivateKey struct {
 	PublicKey
-	lambda *big.Int // lcm(p−1, q−1)
-	mu     *big.Int // (L(g^λ mod n²))⁻¹ mod n
-	p, q   *big.Int
-	p2, q2 *big.Int // p², q²
-	q2inv  *big.Int // (q²)⁻¹ mod p², for CRT recombination
+	p, q     *big.Int
+	p2, q2   *big.Int // p², q²
+	pm1, qm1 *big.Int // p−1, q−1
+	hp, hq   *big.Int // L_p(g^{p−1} mod p²)⁻¹ mod p, and the same for q
+	qinv     *big.Int // q⁻¹ mod p, for CRT recombination
 }
 
 // Ciphertext is an element of Z*_{n²}.
@@ -69,51 +69,32 @@ func GenerateKey(rnd io.Reader, bits int) (*PrivateKey, error) {
 			continue
 		}
 		n := new(big.Int).Mul(p, q)
-		n2 := new(big.Int).Mul(n, n)
-		pm1 := new(big.Int).Sub(p, one)
-		qm1 := new(big.Int).Sub(q, one)
-		gcd := new(big.Int).GCD(nil, nil, pm1, qm1)
-		lambda := new(big.Int).Div(new(big.Int).Mul(pm1, qm1), gcd)
-		// With g = n+1: L(g^λ mod n²) = λ mod n, so μ = λ⁻¹ mod n.
-		mu := new(big.Int).ModInverse(new(big.Int).Mod(lambda, n), n)
-		if mu == nil {
-			continue
-		}
-		p2 := new(big.Int).Mul(p, p)
-		q2 := new(big.Int).Mul(q, q)
-		q2inv := new(big.Int).ModInverse(q2, p2)
-		if q2inv == nil {
-			continue
-		}
-		return &PrivateKey{
-			PublicKey: PublicKey{N: n, N2: n2},
-			lambda:    lambda,
-			mu:        mu,
+		sk := &PrivateKey{
+			PublicKey: PublicKey{N: n, N2: new(big.Int).Mul(n, n)},
 			p:         p, q: q,
-			p2: p2, q2: q2,
-			q2inv: q2inv,
-		}, nil
+			p2: new(big.Int).Mul(p, p), q2: new(big.Int).Mul(q, q),
+			pm1: new(big.Int).Sub(p, one), qm1: new(big.Int).Sub(q, one),
+		}
+		g := new(big.Int).Add(n, one)
+		sk.hp = new(big.Int).ModInverse(lHalf(new(big.Int), g, sk.pm1, p, sk.p2), p)
+		sk.hq = new(big.Int).ModInverse(lHalf(new(big.Int), g, sk.qm1, q, sk.q2), q)
+		sk.qinv = new(big.Int).ModInverse(q, p)
+		// All three inverses exist for distinct primes; rand.Prime only
+		// promises probable ones.
+		if sk.hp == nil || sk.hq == nil || sk.qinv == nil {
+			continue
+		}
+		return sk, nil
 	}
 }
 
-// expN2 computes c^λ mod n² via the CRT: two half-size exponentiations mod
-// p² and q² recombined with Garner's formula.
-func (sk *PrivateKey) expN2(c *big.Int) *big.Int {
-	red := getInt()
-	cp := getInt().Exp(red.Mod(c, sk.p2), sk.lambda, sk.p2)
-	cq := getInt().Exp(red.Mod(c, sk.q2), sk.lambda, sk.q2)
-	putInt(red)
-	// x = cq + q²·((cp − cq)·(q²)⁻¹ mod p²). cp doubles as the diff scratch
-	// and x is a fresh value the caller owns, so only cp/cq are recycled.
-	diff := cp.Sub(cp, cq)
-	diff.Mul(diff, sk.q2inv)
-	diff.Mod(diff, sk.p2)
-	x := new(big.Int).Mul(diff, sk.q2)
-	x.Add(x, cq)
-	x.Mod(x, sk.N2)
-	putInt(cp)
-	putInt(cq)
-	return x
+// lHalf sets z = L_p(c^{p−1} mod p²) = (c^{p−1} mod p² − 1)/p, the half-size
+// analogue of Paillier's L function, given pm1 = p−1 and p2 = p².
+func lHalf(z, c, pm1, p, p2 *big.Int) *big.Int {
+	z.Mod(c, p2)
+	z.Exp(z, pm1, p2)
+	z.Sub(z, one)
+	return z.Div(z, p)
 }
 
 // Encrypt encrypts m ∈ [0, n) with fresh randomness from rnd.
@@ -147,18 +128,28 @@ func (pk *PublicKey) Encrypt(rnd io.Reader, m *big.Int) (*Ciphertext, error) {
 	return &Ciphertext{C: c}, nil
 }
 
-// Decrypt recovers the plaintext in [0, n).
+// Decrypt recovers the plaintext in [0, n): m_p = L_p(c^{p−1} mod p²)·h_p
+// mod p, likewise m_q, recombined mod n with Garner's formula.
 func (sk *PrivateKey) Decrypt(ct *Ciphertext) (*big.Int, error) {
 	if ct == nil || ct.C == nil || ct.C.Sign() <= 0 || ct.C.Cmp(sk.N2) >= 0 {
 		return nil, errors.New("paillier: ciphertext out of range")
 	}
-	u := sk.expN2(ct.C)
-	// L(u) = (u−1)/n
-	u.Sub(u, one)
-	u.Div(u, sk.N)
-	u.Mul(u, sk.mu)
-	u.Mod(u, sk.N)
-	return u, nil
+	mp := lHalf(getInt(), ct.C, sk.pm1, sk.p, sk.p2)
+	mp.Mul(mp, sk.hp)
+	mp.Mod(mp, sk.p)
+	mq := lHalf(getInt(), ct.C, sk.qm1, sk.q, sk.q2)
+	mq.Mul(mq, sk.hq)
+	mq.Mod(mq, sk.q)
+	// m = m_q + q·((m_p − m_q)·q⁻¹ mod p). mp doubles as the diff scratch
+	// and m is a fresh value the caller owns, so only mp/mq are recycled.
+	mp.Sub(mp, mq)
+	mp.Mul(mp, sk.qinv)
+	mp.Mod(mp, sk.p)
+	m := new(big.Int).Mul(mp, sk.q)
+	m.Add(m, mq)
+	putInt(mp)
+	putInt(mq)
+	return m, nil
 }
 
 // Add returns the encryption of a+b given encryptions of a and b.
@@ -182,12 +173,9 @@ func (pk *PublicKey) AddPlain(a *Ciphertext, m *big.Int) *Ciphertext {
 }
 
 // MulPlain returns the encryption of k·a given an encryption of a and a
-// plaintext scalar k.
+// plaintext scalar k: the one-term DotPlain.
 func (pk *PublicKey) MulPlain(a *Ciphertext, k *big.Int) *Ciphertext {
-	kk := getInt().Mod(k, pk.N)
-	c := new(big.Int).Exp(a.C, kk, pk.N2)
-	putInt(kk)
-	return &Ciphertext{C: c}
+	return pk.DotPlain([]*Ciphertext{a}, []*big.Int{k})
 }
 
 // Bytes returns the serialized size of a ciphertext in bytes, used by the

@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"math"
 	"math/big"
+	mrand "math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -219,45 +220,44 @@ func TestAddVecLengthMismatchPanics(t *testing.T) {
 	sk.AddVec(a, b)
 }
 
-// CRT decryption must agree with the textbook single-exponentiation path.
+// CRT decryption must agree with the textbook single-exponentiation path,
+// on fresh encryptions and on ciphertexts the homomorphic operations made.
 func TestCRTMatchesNaiveDecryption(t *testing.T) {
 	sk := testKey(t)
+	pk := &sk.PublicKey
+	// λ = lcm(p−1, q−1) and, with g = n+1, μ = λ⁻¹ mod n.
+	lambda := new(big.Int).Mul(sk.pm1, sk.qm1)
+	lambda.Div(lambda, new(big.Int).GCD(nil, nil, sk.pm1, sk.qm1))
+	mu := new(big.Int).ModInverse(lambda, sk.N)
+	naive := func(ct *Ciphertext) *big.Int {
+		// u = c^λ mod n², m = L(u)·μ mod n.
+		u := new(big.Int).Exp(ct.C, lambda, sk.N2)
+		u.Sub(u, big.NewInt(1))
+		u.Div(u, sk.N)
+		u.Mul(u, mu)
+		return u.Mod(u, sk.N)
+	}
+	rng := mrand.New(mrand.NewSource(17))
+	var cts []*Ciphertext
 	for i := int64(0); i < 20; i++ {
 		m := big.NewInt(1000003 * (i + 1))
 		ct, err := sk.Encrypt(rand.Reader, m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Naive path: u = c^λ mod n², m = L(u)·μ mod n.
-		u := new(big.Int).Exp(ct.C, sk.lambda, sk.N2)
-		u.Sub(u, big.NewInt(1))
-		u.Div(u, sk.N)
-		u.Mul(u, sk.mu)
-		u.Mod(u, sk.N)
-
-		got, err := sk.Decrypt(ct)
-		if err != nil {
-			t.Fatal(err)
+		if got := mustDecrypt(t, sk, ct); got.Cmp(m) != 0 {
+			t.Fatalf("CRT %v vs plaintext %v", got, m)
 		}
-		if got.Cmp(u) != 0 || got.Cmp(m) != 0 {
-			t.Fatalf("CRT %v vs naive %v vs plaintext %v", got, u, m)
-		}
+		cts = append(cts, ct)
 	}
-}
-
-func BenchmarkDecryptCRT(b *testing.B) {
-	sk, err := GenerateKey(rand.Reader, 1024)
-	if err != nil {
-		b.Fatal(err)
+	for i := 0; i < 20; i++ {
+		a := encryptInts(t, pk, rng, 3)
+		ks := []*big.Int{new(big.Int).Rand(rng, sk.N), big.NewInt(-rng.Int63()), big.NewInt(rng.Int63())}
+		cts = append(cts, pk.Add(a[0], a[1]), pk.DotPlain(a, ks))
 	}
-	ct, err := sk.Encrypt(rand.Reader, big.NewInt(123456789))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sk.Decrypt(ct); err != nil {
-			b.Fatal(err)
+	for i, ct := range cts {
+		if got, want := mustDecrypt(t, sk, ct), naive(ct); got.Cmp(want) != 0 {
+			t.Fatalf("ciphertext %d: CRT %v vs naive %v", i, got, want)
 		}
 	}
 }

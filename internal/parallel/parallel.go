@@ -10,10 +10,8 @@
 //
 // Determinism contract: For and Map schedule iterations dynamically but each
 // iteration writes only its own slot, so outputs never depend on worker
-// count or interleaving. MapReduce additionally fixes the reduction
-// association — serial within fixed-size chunks, chunk partials combined in
-// ascending chunk order — so its result depends only on (n, chunk), never on
-// workers or scheduling.
+// count or interleaving; any reduction over those slots is the caller's,
+// in index order.
 package parallel
 
 import (
@@ -94,44 +92,4 @@ func Map[T any](n, workers int, fn func(i int) T) []T {
 	out := make([]T, n)
 	For(n, workers, func(i int) { out[i] = fn(i) })
 	return out
-}
-
-// DefaultChunk is the MapReduce chunk size used when chunk ≤ 0: large
-// enough to amortize scheduling, small enough to load-balance across a
-// typical worker budget.
-const DefaultChunk = 64
-
-// MapReduce computes fn(0) ⊕ fn(1) ⊕ … ⊕ fn(n−1) on the bounded pool with a
-// fixed association: [0, n) is split into contiguous chunks of the given
-// size (DefaultChunk when chunk ≤ 0), each chunk is reduced serially in
-// index order, and the chunk partials are combined serially in ascending
-// chunk order. Because the chunking depends only on n and chunk — never on
-// workers — the result is deterministic for any worker count, and for an
-// associative ⊕ it equals the serial left fold. n must be at least 1.
-func MapReduce[T any](n, workers, chunk int, fn func(i int) T, combine func(a, b T) T) T {
-	if n <= 0 {
-		panic("parallel: MapReduce needs n >= 1")
-	}
-	if chunk <= 0 {
-		chunk = DefaultChunk
-	}
-	chunks := (n + chunk - 1) / chunk
-	partials := make([]T, chunks)
-	For(chunks, workers, func(c int) {
-		lo := c * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		acc := fn(lo)
-		for i := lo + 1; i < hi; i++ {
-			acc = combine(acc, fn(i))
-		}
-		partials[c] = acc
-	})
-	acc := partials[0]
-	for c := 1; c < chunks; c++ {
-		acc = combine(acc, partials[c])
-	}
-	return acc
 }

@@ -90,43 +90,3 @@ func TestMapDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// MapReduce must give the same bits for every worker count, because the
-// chunked reduction order is fixed by (n, chunk) alone. Floating-point
-// addition is non-associative, so this fails for any scheme that reduces in
-// completion order.
-func TestMapReduceDeterministicAcrossWorkers(t *testing.T) {
-	fn := func(i int) float64 { return 1.0 / float64(i+1) }
-	sum := func(a, b float64) float64 { return a + b }
-	for _, n := range []int{1, 63, 64, 65, 1000} {
-		want := MapReduce(n, 1, 0, fn, sum)
-		for _, workers := range []int{2, 3, 8, 32} {
-			if got := MapReduce(n, workers, 0, fn, sum); got != want {
-				t.Fatalf("n=%d workers=%d: %v != %v", n, workers, got, want)
-			}
-		}
-	}
-}
-
-// With chunk = 1 every element is its own partial, so the fixed reduction
-// order reproduces the serial left fold exactly even for non-associative ⊕.
-func TestMapReduceChunk1MatchesSerialFold(t *testing.T) {
-	fn := func(i int) float64 { return 1.0 / float64(i+1) }
-	var serial float64
-	for i := 0; i < 500; i++ {
-		serial += fn(i)
-	}
-	got := MapReduce(500, 8, 1, fn, func(a, b float64) float64 { return a + b })
-	if got != serial {
-		t.Fatalf("chunk-1 MapReduce %v != serial fold %v", got, serial)
-	}
-}
-
-func TestMapReducePanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for n = 0")
-		}
-	}()
-	MapReduce(0, 4, 0, func(i int) int { return i }, func(a, b int) int { return a + b })
-}

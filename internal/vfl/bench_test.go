@@ -9,11 +9,12 @@ import (
 )
 
 // BenchmarkSecureEpoch measures the full encrypted protocol (Algorithm 3)
-// serial vs. on the bounded pool: vector encryption, ring folds, per-feature
-// ciphertext accumulation, and decryption are all Paillier-bound, so this is
-// the protocol's wall-clock ceiling. The third-party key is provisioned once
-// so the benchmark times the protocol, not key generation; parallel outputs
-// are asserted bit-identical to serial before timing.
+// serial vs. on the bounded pool: vector encryption, ring folds, the
+// per-feature fused dot products, and decryption are all Paillier-bound, so
+// this is the protocol's wall-clock ceiling. The third-party key is
+// provisioned once so the benchmark times the protocol, not key generation;
+// parallel θ, φ and communication cost are asserted bit-identical to serial
+// before timing.
 func BenchmarkSecureEpoch(b *testing.B) {
 	prob := twoPartyProblem(97, 64, 8)
 	sk, err := paillier.GenerateKey(rand.Reader, 1024)
@@ -40,11 +41,11 @@ func BenchmarkSecureEpoch(b *testing.B) {
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			got := run(cfg.workers)
-			for j := range serial.Theta {
-				if got.Theta[j] != serial.Theta[j] {
-					b.Fatalf("workers=%d diverged from serial at θ[%d]", cfg.workers, j)
-				}
+			if !sameVec(got.Theta, serial.Theta) || !sameVec(got.PerEpoch[0], serial.PerEpoch[0]) ||
+				got.CommBytes != serial.CommBytes {
+				b.Fatalf("workers=%d diverged from serial", cfg.workers)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				run(cfg.workers)

@@ -5,6 +5,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"digfl/internal/obs"
+	"digfl/internal/paillier"
 )
 
 // nanWeights poisons one party's block weight.
@@ -78,6 +81,24 @@ func TestFailNonFiniteBitIdentityWhenHealthy(t *testing.T) {
 	for k := range a.ValLossCurve {
 		if a.ValLossCurve[k] != b.ValLossCurve[k] {
 			t.Fatalf("loss curve differs at %d", k)
+		}
+	}
+}
+
+// A diverging learning rate on the encrypted path must surface as
+// ErrNonFinite before a value the fixed-point encoding cannot carry is
+// encoded — not as a panic on a pool goroutine, and not as a silent wrap.
+func TestSecureDivergenceReturnsErrNonFinite(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		_, err := RunSecureN(twoPartyProblem(7, 40, 4), SecureConfig{
+			Epochs: 100, LR: 1e4, KeyBits: 256, MaskSeed: 3,
+			Runtime: obs.Runtime{Workers: workers},
+		})
+		if !errors.Is(err, ErrNonFinite) || !errors.Is(err, paillier.ErrNotEncodable) {
+			t.Fatalf("workers=%d: err = %v, want ErrNonFinite wrapping paillier.ErrNotEncodable", workers, err)
+		}
+		if !strings.Contains(err.Error(), "epoch ") {
+			t.Errorf("error does not name the epoch: %v", err)
 		}
 	}
 }

@@ -3,7 +3,7 @@ package vfl
 import (
 	"crypto/rand"
 	"fmt"
-	"math/big"
+	"math"
 	"sync"
 	"time"
 
@@ -33,12 +33,13 @@ type SecureConfig struct {
 	// Runtime is the unified worker-budget-plus-observability surface.
 	// Runtime.Workers bounds the pool used for the per-element Paillier
 	// operations (vector encryption, the ring folds, the per-feature
-	// ciphertext accumulations, and decryption); 1 forces the serial path
+	// encrypted dot products, and decryption); 1 forces the serial path
 	// and 0 or negative selects GOMAXPROCS (the protocol's historical
 	// default — Paillier is compute-bound, so serial-by-default would
-	// only hide cores). Every decrypted result is bit-identical for any
-	// worker count — modular arithmetic is exact, so the accumulation
-	// order cannot perturb the plaintexts.
+	// only hide cores). Every decrypted result — and every accumulated
+	// ciphertext, given the same [[d]] — is bit-identical for any worker
+	// count: modular arithmetic is exact, so how the products are split
+	// cannot perturb them.
 	//
 	// Runtime.Sink receives exact PaillierOp counter events (Enc, Dec,
 	// Add, MulPlain) alongside the protocol's pool batches, so the paper's
@@ -300,7 +301,11 @@ func RunSecureN(prob *Problem, cfg SecureConfig) (*SecureNResult, error) {
 // its exact homomorphic-operation count to the sink: per call with m
 // samples, n parties and D total features that is m encryptions,
 // m·(n−1) + D·m additions (ring folds, accumulation combines, masks),
-// m·D plaintext multiplications and D decryptions.
+// m·D plaintext multiplications and D decryptions. The counts are
+// Algorithm 3's logical operations, whatever the fused kernel spends on
+// them. A value the fixed-point encoding cannot carry — a diverged run's
+// NaN, ±Inf or overflow, in an operand or in what a sum of products can
+// reach — fails the call with ErrNonFinite before it is encoded.
 func secureGradientN(sk *paillier.PrivateKey, parties []*secureParty, y []float64, useVal bool, spec residualSpec, maskRNG *tensor.RNG, workers int, sink obs.Sink) (grads [][]float64, ciphertexts int64, err error) {
 	pk := &sk.PublicKey
 	feats := func(p *secureParty) *tensor.Matrix {
@@ -320,6 +325,12 @@ func secureGradientN(sk *paillier.PrivateKey, parties []*secureParty, y []float6
 	for i := range e {
 		e[i] = spec.p1Res(u1[i], y[i])
 	}
+	if err := checkEncodable(pk, "residual", 1, e); err != nil {
+		return nil, 0, err
+	}
+	// dBound ≥ max_i |d_i|: every party's largest share, summed. Step 4
+	// sizes its accumulated sums against it.
+	dBound := tensor.NormInf(e)
 	encD, err := pk.EncryptVecN(rand.Reader, e, workers)
 	if err != nil {
 		return nil, 0, err
@@ -330,9 +341,14 @@ func secureGradientN(sk *paillier.PrivateKey, parties []*secureParty, y []float6
 	// Step 3 (ring): every other party folds in its local result; the
 	// completed [[d]] is then broadcast to all n parties.
 	for _, p := range parties[1:] {
-		u := tensor.MatVec(feats(p), p.theta)
+		share := tensor.MatVec(feats(p), p.theta)
+		tensor.Scale(spec.u2Coeff, share)
+		if err := checkEncodable(pk, "ring share", 1, share); err != nil {
+			return nil, 0, err
+		}
+		dBound += tensor.NormInf(share)
 		parallel.ForObs(m, workers, sink, func(i int) {
-			encD[i] = pk.AddPlainFloat(encD[i], spec.u2Coeff*u[i])
+			encD[i] = pk.AddPlainFloat(encD[i], share[i])
 		})
 		obs.Emit(sink, obs.Event{Kind: obs.KindPaillierAdd, N: int64(m)})
 		ciphertexts += int64(m) // forwarding [[d]] along the ring
@@ -346,27 +362,29 @@ func secureGradientN(sk *paillier.PrivateKey, parties []*secureParty, y []float6
 		x := feats(p)
 		d := x.Cols
 		masks := maskRNG.NormalVec(d, 0, 10)
-		enc := make([]*paillier.Ciphertext, d)
+		// The party's plaintext multipliers k_ij = scale·x_ij, one
+		// contiguous column per feature, and what each feature's masked
+		// sum can reach: |Σ_i d_i·k_ij + M_j| ≤ dBound·Σ_i|k_ij| + |M_j|
+		// has to fit scale Scale², or the plaintext wraps mod n unseen.
 		scale := spec.scale(m)
-		// Each feature's accumulation Σ_i [[d_i]]·scale·x_ij is a modular
-		// product, so any association yields the same ciphertext bits.
-		// Parallelize across features when there are enough of them to
-		// feed the pool; otherwise chunk the sample dimension with the
-		// shared map/reduce (a wide-but-short gradient block).
-		accumulate := func(j, innerWorkers int) *paillier.Ciphertext {
-			return parallel.MapReduce(m, innerWorkers, 0, func(i int) *paillier.Ciphertext {
-				return pk.MulPlainFloat(encD[i], scale*x.At(i, j))
-			}, pk.Add)
-		}
-		if d >= workers {
-			parallel.ForObs(d, workers, sink, func(j int) {
-				enc[j] = pk.AddPlain(accumulate(j, 1), encodeAtScale2(pk, masks[j]))
-			})
-		} else {
-			for j := 0; j < d; j++ {
-				enc[j] = pk.AddPlain(accumulate(j, workers), encodeAtScale2(pk, masks[j]))
+		cols := make([]float64, d*m)
+		sumBound := make([]float64, d)
+		for j := 0; j < d; j++ {
+			var k1 float64
+			for i := 0; i < m; i++ {
+				k := scale * x.At(i, j)
+				cols[j*m+i] = k
+				k1 += math.Abs(k)
 			}
+			sumBound[j] = dBound*k1 + math.Abs(masks[j])
 		}
+		if err := checkEncodable(pk, "scaled feature", 1, cols); err != nil {
+			return nil, 0, err
+		}
+		if err := checkEncodable(pk, "masked gradient bound", 2, sumBound); err != nil {
+			return nil, 0, err
+		}
+		enc := maskedGradient(pk, encD, cols, masks, workers, sink)
 		// Per feature: m plaintext multiplications, m−1 accumulation
 		// combines, one masking addition — batched into exact counters.
 		obs.Emit(sink, obs.Event{Kind: obs.KindPaillierMulPlain, N: int64(m) * int64(d)})
@@ -397,11 +415,44 @@ func secureGradientN(sk *paillier.PrivateKey, parties []*secureParty, y []float6
 	return grads, ciphertexts, nil
 }
 
-// encodeAtScale2 encodes a float at fixed-point scale Scale², the level of a
-// ciphertext that went through one MulPlainFloat.
-func encodeAtScale2(pk *paillier.PublicKey, v float64) *big.Int {
-	s := new(big.Int)
-	big.NewFloat(v * paillier.Scale).Int(s)
-	s.Mul(s, big.NewInt(paillier.Scale))
-	return s.Mod(s, pk.N)
+// maskedGradient is Algorithm 3 step 4 for one party: for each of its
+// len(masks) features j, the masked encrypted dot product
+// Σ_i [[d_i]]·cols[j·m+i] ⊕ [[M_j]], each sum one fused DotPlainFloat. With
+// fewer features than workers the rows are cut into chunks, one kernel call
+// per chunk, and the chunk products multiplied together: Π_c P_c·Q_c⁻¹ is
+// the same residue as P·Q⁻¹, so the ciphertext bits do not depend on the
+// worker count.
+func maskedGradient(pk *paillier.PublicKey, encD []*paillier.Ciphertext, cols, masks []float64, workers int, sink obs.Sink) []*paillier.Ciphertext {
+	m, d := len(encD), len(masks)
+	chunk := m
+	if d < workers {
+		chunk = (m*d + workers - 1) / workers
+	}
+	chunks := (m + chunk - 1) / chunk
+	parts := make([]*paillier.Ciphertext, d*chunks)
+	parallel.ForObs(len(parts), workers, sink, func(t int) {
+		j, lo := t/chunks, t%chunks*chunk
+		hi := min(lo+chunk, m)
+		parts[t] = pk.DotPlainFloat(encD[lo:hi], cols[j*m+lo:j*m+hi])
+	})
+	enc := make([]*paillier.Ciphertext, d)
+	for j := range enc {
+		acc := parts[j*chunks]
+		for _, part := range parts[j*chunks+1 : (j+1)*chunks] {
+			acc = pk.Add(acc, part)
+		}
+		enc[j] = pk.AddPlain(acc, pk.EncodeAtScale(masks[j], 2))
+	}
+	return enc
+}
+
+// checkEncodable fails with ErrNonFinite, naming the first offender, when
+// the fixed-point encoding at scale Scale^level cannot carry every value.
+func checkEncodable(pk *paillier.PublicKey, what string, level int, vs []float64) error {
+	for i, v := range vs {
+		if err := pk.CheckEncodable(v, level); err != nil {
+			return fmt.Errorf("%s %d: %w: %w", what, i, ErrNonFinite, err)
+		}
+	}
+	return nil
 }
