@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test bench verify verify-faults verify-net verify-adv verify-scale verify-wire verify-crash verify-engines verify-async verify-bench bench-json bench-workload
+.PHONY: build test bench verify verify-faults verify-net verify-adv verify-scale verify-wire verify-crash verify-engines verify-async verify-bench bench-json bench-workload bench-kernels
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,16 @@ verify-bench:
 bench-workload:
 	bash bench/run.sh --workload $(W) --seed 1 --seconds 10 --trace 0
 
+# bench-kernels runs the hot-path kernel microbenchmarks of the streamed
+# round once each with -benchmem — cohort draw, estimator observe, the
+# fold's dot/axpy/fused pass, update ingest and round poll through
+# Handler() — at the reference cell's shapes (100k population, cohort 64,
+# d=2000). Each benchmark checks its results against a term-by-term
+# reference kept in its test file.
+bench-kernels:
+	$(GO) test -run '^$$' -benchmem -bench 'Cohort100k|ObserveDots100k|Dot2000|AXPY2000|DotAdd2000|IngestUpdateV2|RoundPollV2' \
+		./internal/sampling/ ./internal/core/ ./internal/tensor/ ./internal/fednet/
+
 # verify-faults runs the fault-injection suite: the determinism gate
 # (TestFaultScheduleDeterministic runs the full dropout/straggler/crash/
 # checkpoint/resume lifecycle twice over 3 fixed seeds and fails on any
@@ -70,11 +80,14 @@ verify-net:
 # (in-process streamed == flat-streamed loopback == two-level cohort tree,
 # bit for bit across 3 seeds), the delta-retention release tests, and the
 # bounded-memory gate (a 100k-participant streamed round must complete with
-# total allocations bounded by the cohort, not the population). -count=1
-# defeats the test cache so the memory measurement re-executes.
+# total allocations bounded by the cohort, not the population; a TotalsOnly
+# Observe of a 64-of-100k epoch and a 100k cohort draw must allocate nothing
+# population-sized), the golden cohort sequence, and the wake-once round
+# close. -count=1 defeats the test cache so the memory measurement
+# re-executes.
 verify-scale:
-	$(GO) vet ./internal/sampling/ ./internal/hfl/ ./internal/fednet/
-	$(GO) test -count=1 -run 'Sample|Sampled|Cohort|Stream|MeanFold|Scale100k|Retain|Tree|TotalsOnly|LongPoll' \
+	$(GO) vet ./internal/sampling/ ./internal/hfl/ ./internal/core/ ./internal/fednet/
+	$(GO) test -count=1 -run 'Sample|Sampled|Cohort|Stream|MeanFold|Scale100k|Retain|Tree|TotalsOnly|LongPoll|RoundCloses' \
 		./internal/sampling/ ./internal/hfl/ ./internal/core/ ./internal/fednet/ ./internal/vfl/
 
 # verify-wire runs the binary-wire gate: the frame round-trip tests, the
@@ -83,12 +96,14 @@ verify-scale:
 # seeds), the malformed-frame rejection tests (truncated/oversized/NaN
 # binary payloads answer 422, never a panic), a fuzz smoke pass over the
 # three binary frame decoders, the pooled-buffer steady-state allocation
-# test, and the bytes+allocs gate (binary must at least halve bytes on wire
-# and allocations per round vs JSON on the streamed sampled benchmark).
+# test, the bytes+allocs gate (binary must at least halve bytes on wire
+# and allocations per round vs JSON on the streamed sampled benchmark), and
+# the same-bits pins of the ingest kernels (shared round frame ≡
+# encodeRoundFrame, finiteVec's exponent-mask table, DotAdd ≡ Dot + AXPY).
 # -count=1 defeats the test cache so the gate re-executes.
 verify-wire:
 	$(GO) vet ./internal/fednet/ ./internal/tensor/ ./internal/experiments/
-	$(GO) test -count=1 -run 'Codec|Frame|Pool|SizeClass|WireCodec|WireDeterministic' \
+	$(GO) test -count=1 -run 'Codec|Frame|Pool|SizeClass|WireCodec|WireDeterministic|FiniteVec|DotAdd' \
 		./internal/fednet/ ./internal/tensor/ ./internal/experiments/
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzDecodeUpdateFrame -fuzztime 5s ./internal/fednet/
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzDecodePartialFrame -fuzztime 5s ./internal/fednet/

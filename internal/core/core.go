@@ -60,11 +60,20 @@ func newAttribution(n int) *Attribution {
 	return &Attribution{Totals: make([]float64, n)}
 }
 
-func (a *Attribution) record(phi []float64) {
+// record accumulates one epoch's φ row. reporters, when non-nil, lists the
+// only indices where phi can be non-zero; the totals are then updated there
+// alone (everyone else would add an exact 0).
+func (a *Attribution) record(phi []float64, reporters []int) {
 	if !a.totalsOnly {
 		a.PerEpoch = append(a.PerEpoch, phi)
 	}
 	a.Epochs++
+	if reporters != nil {
+		for _, i := range reporters {
+			a.Totals[i] += phi[i]
+		}
+		return
+	}
 	for i, v := range phi {
 		a.Totals[i] += v
 	}

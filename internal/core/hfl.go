@@ -67,6 +67,17 @@ type HFLEstimator struct {
 	// Attribution.Epochs counts the rounds. Set it before the first
 	// Observe.
 	TotalsOnly bool
+
+	// Scratch for epochs that name their reporters (a mapping or
+	// Epoch.Reported), so that observing one costs O(reporters) rather than
+	// O(n) — Lemma 3 scores everyone else exactly 0. stamp[i] holds the last
+	// epoch that mapped participant i (the duplicate check); under
+	// TotalsOnly, row is the φ row handed back by the previous observation
+	// and touched lists its non-zero candidates, re-zeroed before reuse.
+	// All three are allocated on first use and dropped by SetState.
+	stamp   []int
+	row     []float64
+	touched []int
 }
 
 // NewHFLEstimator creates an estimator for n participants and p model
@@ -125,6 +136,12 @@ func epochUpdates(ep *hfl.Epoch) int {
 // rejoin. The first-term weight is 1/|S|, matching the trainer's uniform
 // coalition average.
 //
+// Under TotalsOnly an epoch that names its reporters returns an
+// estimator-owned row, valid until the next Observe or ObserveMapped call:
+// still indexable by global participant index, zero outside the reporters,
+// but reused — copy it to keep it. Every other observation returns a fresh
+// row (the one retained in Attribution.PerEpoch, when that is kept).
+//
 // Degraded epochs carry their own mapping: when ep.Reported is non-nil it
 // names exactly the survivors that produced ep.Deltas and overrides idx
 // (the per-epoch record is more precise than the run-level subset). A
@@ -151,16 +168,7 @@ func (e *HFLEstimator) ObserveMapped(ep *hfl.Epoch, idx []int) []float64 {
 		checkDim("updates", m, e.n)
 	} else {
 		checkDim("participant mapping", len(idx), m)
-		seen := make([]bool, e.n)
-		for _, i := range idx {
-			if i < 0 || i >= e.n {
-				panic(fmt.Sprintf("core: mapped participant %d out of range [0,%d)", i, e.n))
-			}
-			if seen[i] {
-				panic(fmt.Sprintf("core: participant %d mapped twice", i))
-			}
-			seen[i] = true
-		}
+		e.stampReporters(idx, ep.T)
 	}
 	e.lastEpoch = ep.T
 	checkDim("valGrad", len(ep.ValGrad), e.p)
@@ -168,7 +176,7 @@ func (e *HFLEstimator) ObserveMapped(ep *hfl.Epoch, idx []int) []float64 {
 	sink := e.Runtime.Sink
 	roundStart := obs.Start(sink)
 	e.attr.totalsOnly = e.TotalsOnly
-	phi := make([]float64, e.n)
+	phi := e.phiRow(idx)
 	inv := 1 / float64(m)
 	parallel.ForObs(m, e.workers(), sink, func(k int) {
 		i := k
@@ -198,8 +206,54 @@ func (e *HFLEstimator) ObserveMapped(ep *hfl.Epoch, idx []int) []float64 {
 	})
 	obs.Emit(sink, obs.Event{Kind: obs.KindEstimatorRound, T: ep.T,
 		N: int64(m), Dur: obs.Since(sink, roundStart)})
-	e.attr.record(phi)
+	e.attr.record(phi, idx)
 	return phi
+}
+
+// stampReporters panics unless idx names distinct participants in [0, n).
+// Epochs arrive in increasing order from 1, so a stamp equal to t can only
+// have been written by this call: the check costs O(len(idx)), with no
+// per-epoch clearing.
+func (e *HFLEstimator) stampReporters(idx []int, t int) {
+	if e.stamp == nil {
+		e.stamp = make([]int, e.n)
+	}
+	for k, i := range idx {
+		var msg string
+		switch {
+		case i < 0 || i >= e.n:
+			msg = fmt.Sprintf("core: mapped participant %d out of range [0,%d)", i, e.n)
+		case e.stamp[i] == t:
+			msg = fmt.Sprintf("core: participant %d mapped twice", i)
+		default:
+			e.stamp[i] = t
+			continue
+		}
+		// A rejected mapping leaves no trace: epoch t was not observed, and
+		// a caller that recovers may observe it again.
+		for _, j := range idx[:k] {
+			e.stamp[j] = 0
+		}
+		panic(msg)
+	}
+}
+
+// phiRow returns the zeroed length-n row the epoch's φ is written into: a
+// fresh one when it is retained in PerEpoch or every participant reports,
+// the estimator's own — with the previous epoch's reporters re-zeroed —
+// when a TotalsOnly epoch names its reporters idx.
+func (e *HFLEstimator) phiRow(idx []int) []float64 {
+	if !e.TotalsOnly || idx == nil {
+		return make([]float64, e.n)
+	}
+	if e.row == nil {
+		e.row = make([]float64, e.n)
+	}
+	for _, i := range e.touched {
+		e.row[i] = 0
+	}
+	e.touched = append(e.touched[:0], idx...)
+	return e.row
 }
 
 // Attribution returns the accumulated estimate. The returned value is live;

@@ -91,8 +91,8 @@ func TestVFLUtilityConcurrencySafe(t *testing.T) {
 // Attribution bookkeeping: per-epoch rows accumulate into totals exactly.
 func TestAttributionAccumulation(t *testing.T) {
 	a := newAttribution(3)
-	a.record([]float64{1, 2, 3})
-	a.record([]float64{-1, 0.5, 0})
+	a.record([]float64{1, 2, 3}, nil)
+	a.record([]float64{-1, 0.5, 0}, nil)
 	if len(a.PerEpoch) != 2 {
 		t.Fatalf("PerEpoch rows = %d", len(a.PerEpoch))
 	}

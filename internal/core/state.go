@@ -45,8 +45,10 @@ func estimatorState(lastEpoch int, attr *Attribution, deltaGSum [][]float64) *Es
 	}
 }
 
-// validateState checks a state snapshot against an estimator shape.
-func validateState(s *EstimatorState, n, p int, interactive bool) error {
+// validateState checks a state snapshot against an estimator shape. A
+// totals-only estimator never retained per-epoch rows, so its snapshots
+// carry none.
+func validateState(s *EstimatorState, n, p int, interactive, totalsOnly bool) error {
 	if s == nil {
 		return fmt.Errorf("core: nil estimator state")
 	}
@@ -56,7 +58,10 @@ func validateState(s *EstimatorState, n, p int, interactive bool) error {
 	if len(s.Totals) != n {
 		return fmt.Errorf("core: estimator state totals have length %d, want %d", len(s.Totals), n)
 	}
-	if len(s.PerEpoch) != s.LastEpoch {
+	if totalsOnly && len(s.PerEpoch) != 0 {
+		return fmt.Errorf("core: totals-only estimator state carries %d per-epoch rows", len(s.PerEpoch))
+	}
+	if !totalsOnly && len(s.PerEpoch) != s.LastEpoch {
 		return fmt.Errorf("core: estimator state has %d per-epoch rows for epoch %d", len(s.PerEpoch), s.LastEpoch)
 	}
 	for t, row := range s.PerEpoch {
@@ -88,15 +93,20 @@ func (e *HFLEstimator) State() *EstimatorState {
 }
 
 // SetState reinstalls a snapshot captured by State, validating its shape
-// against the estimator; subsequent epochs observe from s.LastEpoch+1 with
-// results bit-identical to an estimator that never stopped.
+// against the estimator (set TotalsOnly first: a totals-only snapshot has no
+// per-epoch rows); subsequent epochs observe from s.LastEpoch+1 with results
+// bit-identical to an estimator that never stopped. The observation scratch
+// is dropped with the old state — its duplicate stamps and φ row may describe
+// epochs past the snapshot, which will be observed again.
 func (e *HFLEstimator) SetState(s *EstimatorState) error {
-	if err := validateState(s, e.n, e.p, e.mode == Interactive); err != nil {
+	if err := validateState(s, e.n, e.p, e.mode == Interactive, e.TotalsOnly); err != nil {
 		return err
 	}
 	e.lastEpoch = s.LastEpoch
-	e.attr = &Attribution{PerEpoch: copyMatrix(s.PerEpoch), Totals: tensor.Clone(s.Totals)}
+	e.attr = &Attribution{PerEpoch: copyMatrix(s.PerEpoch), Totals: tensor.Clone(s.Totals),
+		Epochs: s.LastEpoch, totalsOnly: e.TotalsOnly}
 	e.deltaGSum = copyMatrix(s.DeltaGSum)
+	e.stamp, e.row, e.touched = nil, nil, nil
 	return nil
 }
 
@@ -108,7 +118,7 @@ func (e *VFLEstimator) State() *EstimatorState {
 // SetState reinstalls a snapshot captured by State; see
 // HFLEstimator.SetState.
 func (e *VFLEstimator) SetState(s *EstimatorState) error {
-	if err := validateState(s, len(e.blocks), e.p, e.mode == Interactive); err != nil {
+	if err := validateState(s, len(e.blocks), e.p, e.mode == Interactive, false); err != nil {
 		return err
 	}
 	e.lastEpoch = s.LastEpoch

@@ -141,7 +141,7 @@ func (e *VFLEstimator) Observe(ep *vfl.Epoch) []float64 {
 	})
 	obs.Emit(sink, obs.Event{Kind: obs.KindEstimatorRound, T: ep.T,
 		N: int64(len(e.blocks)), Dur: obs.Since(sink, roundStart)})
-	e.attr.record(phi)
+	e.attr.record(phi, nil)
 	return phi
 }
 

@@ -189,11 +189,29 @@ func Domains() map[string]uint64 {
 // exported Domain registry above so two consumers sharing a seed never
 // collide; the registry's collision-guard test enforces uniqueness.
 func Uniform(seed int64, domain, a, b, c uint64) float64 {
+	return NewStream(seed, domain, a, c).At(b)
+}
+
+// Stream is Uniform with every coordinate but b bound: the XOR of the
+// (seed, domain, a, c) terms, which a loop over b computes once instead of
+// once per draw. Stream.At(b) is Uniform(seed, domain, a, b, c) bit for bit —
+// the coordinate terms combine by XOR, so the order they enter in is
+// immaterial — and it is the only definition of the mix.
+type Stream uint64
+
+// NewStream binds Uniform's loop-invariant coordinates.
+func NewStream(seed int64, domain, a, c uint64) Stream {
 	x := uint64(seed)
 	x ^= (domain + 1) * 0x9e3779b97f4a7c15
 	x ^= (a + 1) * 0xbf58476d1ce4e5b9
-	x ^= (b + 1) * 0x94d049bb133111eb
 	x ^= (c + 1) * 0xd6e8feb86659fd93
+	return Stream(x)
+}
+
+// At returns the stream's variate at coordinate b. It is small enough to
+// inline, so a scan over b pays for the finalizer alone.
+func (s Stream) At(b uint64) float64 {
+	x := uint64(s) ^ (b+1)*0x94d049bb133111eb
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27

@@ -173,6 +173,9 @@ func (binCodec) EncodePartial(t, edge int, indices []int, sum, dots []float64) (
 
 const roundHdrLen = 4 + 4 + 8 + 8 + 4 + 4 // magic, t, lr, deadline, flags, d
 
+// roundDeadlineOff is the deadline field's offset in the round header.
+const roundDeadlineOff = 4 + 4 + 8
+
 // encodeRoundFrame builds the binary open-round broadcast. theta and
 // valGrad are each optional (header-only polls omit theta; only streaming
 // rounds carry a validation gradient) but must agree on d when both
@@ -205,7 +208,7 @@ func encodeRoundFrame(t int, lr float64, deadlineMS int64, theta, valGrad []floa
 	copy(buf, magicRound[:])
 	binary.LittleEndian.PutUint32(buf[4:], uint32(t))
 	binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(lr))
-	binary.LittleEndian.PutUint64(buf[16:], uint64(deadlineMS))
+	binary.LittleEndian.PutUint64(buf[roundDeadlineOff:], uint64(deadlineMS))
 	binary.LittleEndian.PutUint32(buf[24:], uint32(flags))
 	binary.LittleEndian.PutUint32(buf[28:], uint32(d))
 	off := roundHdrLen
@@ -227,10 +230,21 @@ func encodeRoundFrame(t int, lr float64, deadlineMS int64, theta, valGrad []floa
 // roundAsyncExtLen is the async extension's size: u32 quorum, u32 maxStale.
 const roundAsyncExtLen = 4 + 4
 
-// putFrameVec writes v's IEEE-754 bits little-endian into buf.
+// putFrameVec writes v's IEEE-754 bits little-endian into buf, four floats
+// per length check (a check per float costs more than the store it guards).
 func putFrameVec(buf []byte, v []float64) {
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(x))
+	buf = buf[:8*len(v)]
+	for len(v) >= 4 && len(buf) >= 32 {
+		b, x := buf[:32], v[:4]
+		binary.LittleEndian.PutUint64(b[0:8], math.Float64bits(x[0]))
+		binary.LittleEndian.PutUint64(b[8:16], math.Float64bits(x[1]))
+		binary.LittleEndian.PutUint64(b[16:24], math.Float64bits(x[2]))
+		binary.LittleEndian.PutUint64(b[24:32], math.Float64bits(x[3]))
+		buf, v = buf[32:], v[4:]
+	}
+	for len(v) > 0 && len(buf) >= 8 {
+		binary.LittleEndian.PutUint64(buf, math.Float64bits(v[0]))
+		buf, v = buf[8:], v[1:]
 	}
 }
 
@@ -319,7 +333,7 @@ func decodeRoundFrame(b []byte) (*roundReply, error) {
 	r := &roundReply{State: StateOpen, binary: true}
 	r.T = int(binary.LittleEndian.Uint32(b[4:]))
 	r.LR = jsonf.F64(math.Float64frombits(binary.LittleEndian.Uint64(b[8:])))
-	r.DeadlineMS = int64(binary.LittleEndian.Uint64(b[16:]))
+	r.DeadlineMS = int64(binary.LittleEndian.Uint64(b[roundDeadlineOff:]))
 	flags := int(binary.LittleEndian.Uint32(b[24:]))
 	d := int(binary.LittleEndian.Uint32(b[28:]))
 	if flags&^(roundFlagTheta|roundFlagValGrad|roundFlagAsync) != 0 {
@@ -360,9 +374,19 @@ func decodeRoundFrame(b []byte) (*roundReply, error) {
 // decodeFrameVec reads d little-endian float64s from b into a pooled
 // vector the caller owns (and may PutVec once its floats are consumed).
 func decodeFrameVec(b []byte, d int) []float64 {
-	v := tensor.GetVec(d)
-	for i := range v {
-		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	out := tensor.GetVec(d)
+	b, v := b[:8*d], out
+	for len(v) >= 4 && len(b) >= 32 { // four floats per length check, as in putFrameVec
+		c, x := b[:32], v[:4]
+		x[0] = math.Float64frombits(binary.LittleEndian.Uint64(c[0:8]))
+		x[1] = math.Float64frombits(binary.LittleEndian.Uint64(c[8:16]))
+		x[2] = math.Float64frombits(binary.LittleEndian.Uint64(c[16:24]))
+		x[3] = math.Float64frombits(binary.LittleEndian.Uint64(c[24:32]))
+		b, v = b[32:], v[4:]
 	}
-	return v
+	for len(v) > 0 && len(b) >= 8 {
+		v[0] = math.Float64frombits(binary.LittleEndian.Uint64(b))
+		b, v = b[8:], v[1:]
+	}
+	return out
 }

@@ -190,6 +190,12 @@ type openRound struct {
 	got      int
 	closed   bool
 
+	// bcast is the round's digfl-fednet/2 broadcast frame (theta, no
+	// validation gradient, zero deadline), encoded by the first binary poll
+	// that wants it and shared, immutable, by every later one. A poll may
+	// still be writing it after the round closed, so it is never recycled.
+	bcast []byte
+
 	// Streaming-round state (Coordinator.Stream): the fold replaces the
 	// deltas buffer, folded tracks which slots committed, valGrad is the
 	// round's ∇loss^v(θ_{t-1}) (served to edges via ?vg=1), and norms
@@ -241,6 +247,19 @@ func (c *Coordinator) initLocked() {
 func (c *Coordinator) bcastLocked() {
 	close(c.changed)
 	c.changed = make(chan struct{})
+}
+
+// arrivedLocked counts n more of round r's slots as reported and wakes the
+// round loop if that completes the round. Round acts on no other arrival —
+// it re-checks only r.got == len(r.order) — so waking it per update would buy
+// one goroutine switch each and nothing else; deadline expiry, cancellation
+// and a poisoned journal reach it through their own channels and broadcasts.
+// Callers hold mu.
+func (c *Coordinator) arrivedLocked(r *openRound, n int) {
+	r.got += n
+	if r.got == len(r.order) {
+		c.bcastLocked()
+	}
 }
 
 // Run waits for all N participants to join, trains Cfg.Epochs rounds over
@@ -1175,6 +1194,26 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, req *http.Request) {
 // pending reply.
 const longPollWait = 10 * time.Second
 
+// longPollTimer is a handler's longPollWait clock, started by the first
+// wait rather than on entry: most polls find their answer ready and never
+// block, and those should not pay for a timer. The zero value is ready;
+// defer stop.
+type longPollTimer struct{ t *time.Timer }
+
+// expired returns the channel that fires longPollWait after the first call.
+func (l *longPollTimer) expired() <-chan time.Time {
+	if l.t == nil {
+		l.t = time.NewTimer(longPollWait)
+	}
+	return l.t.C
+}
+
+func (l *longPollTimer) stop() {
+	if l.t != nil {
+		l.t.Stop()
+	}
+}
+
 func (c *Coordinator) handleRound(w http.ResponseWriter, req *http.Request) {
 	q := req.URL.Query()
 	t, err := strconv.Atoi(q.Get("t"))
@@ -1200,8 +1239,8 @@ func (c *Coordinator) handleRound(w http.ResponseWriter, req *http.Request) {
 	// under LegacyJSON needs no other signal.
 	wantV2 := q.Get("c") == "2" && !c.LegacyJSON
 	sink := c.Cfg.Runtime.Sink
-	timer := time.NewTimer(longPollWait)
-	defer timer.Stop()
+	var wait longPollTimer
+	defer wait.stop()
 	for {
 		c.mu.Lock()
 		c.initLocked()
@@ -1250,6 +1289,19 @@ func (c *Coordinator) handleRound(w http.ResponseWriter, req *http.Request) {
 					reply.DeadlineMS = rem.Milliseconds()
 				}
 			}
+			if wantV2 && reply.Theta != nil && reply.ValGrad == nil {
+				// The participants' poll: every cohort member downloads the
+				// same frame but for the deadline field, so the round encodes
+				// it once and each poll patches its own header.
+				if r.bcast == nil {
+					r.bcast = encodeRoundFrame(r.t, r.lr, 0, r.theta, nil, reply.Quorum, reply.MaxStale)
+				}
+				frame := r.bcast
+				c.mu.Unlock()
+				obs.Emit(sink, obs.Event{Kind: obs.KindCodecV2Frame, T: reply.T, N: 1})
+				writeRoundBroadcast(w, frame, reply.DeadlineMS)
+				return
+			}
 			c.mu.Unlock()
 			if bulk := reply.Theta != nil || reply.ValGrad != nil; bulk && wantV2 {
 				frame := encodeRoundFrame(reply.T, float64(reply.LR), reply.DeadlineMS,
@@ -1289,7 +1341,7 @@ func (c *Coordinator) handleRound(w http.ResponseWriter, req *http.Request) {
 		case <-ch:
 		case <-graceCh:
 			// Re-evaluate: the slot may have folded in the meantime.
-		case <-timer.C:
+		case <-wait.expired():
 			if graceTimer != nil {
 				graceTimer.Stop()
 			}
@@ -1432,9 +1484,8 @@ func (c *Coordinator) ingestUpdate(w http.ResponseWriter, t, index int, frameKin
 		r.direct[k] = delta
 		r.directDots[k] = tensor.Dot(r.valGrad, delta)
 		r.folded[k] = true
-		r.got++
 		obs.Emit(sink, obs.Event{Kind: obs.KindEdgeFailover, T: t, Part: index})
-		c.bcastLocked()
+		c.arrivedLocked(r, 1)
 		writeJSON(w, http.StatusOK, updateReply{Accepted: true})
 	case r.fold != nil:
 		// Journal before the fold consumes the delta: an update the
@@ -1470,8 +1521,7 @@ func (c *Coordinator) ingestUpdate(w http.ResponseWriter, t, index int, frameKin
 			tensor.PutVec(delta)
 		}
 		r.folded[k] = true
-		r.got++
-		c.bcastLocked()
+		c.arrivedLocked(r, 1)
 		writeJSON(w, http.StatusOK, updateReply{Accepted: true})
 	default:
 		// Buffered round (including async arrivals): the epoch retains the
@@ -1483,8 +1533,7 @@ func (c *Coordinator) ingestUpdate(w http.ResponseWriter, t, index int, frameKin
 			panic(http.ErrAbortHandler)
 		}
 		r.deltas[k] = delta
-		r.got++
-		c.bcastLocked()
+		c.arrivedLocked(r, 1)
 		c.ackUpdateLocked(w, r, index)
 	}
 }
@@ -1703,15 +1752,16 @@ func (c *Coordinator) ingestPartial(w http.ResponseWriter, t, edge int, indices 
 	} else {
 		reject()
 	}
-	r.got += len(slots)
-	c.bcastLocked()
+	c.arrivedLocked(r, len(slots))
 	writeJSON(w, http.StatusOK, updateReply{Accepted: true})
 }
 
-// finiteVec reports whether every coordinate is finite.
+// finiteVec reports whether every coordinate is finite: NaN and ±Inf are
+// exactly the values whose eleven exponent bits are all set.
 func finiteVec(v []float64) bool {
+	const expMask = 0x7ff << 52
 	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
+		if math.Float64bits(x)&expMask == expMask {
 			return false
 		}
 	}
@@ -1724,8 +1774,8 @@ func (c *Coordinator) handleAggregate(w http.ResponseWriter, req *http.Request) 
 		writeError(w, http.StatusBadRequest, "bad round number %q", req.URL.Query().Get("t"))
 		return
 	}
-	timer := time.NewTimer(longPollWait)
-	defer timer.Stop()
+	var wait longPollTimer
+	defer wait.stop()
 	for {
 		c.mu.Lock()
 		c.initLocked()
@@ -1752,7 +1802,7 @@ func (c *Coordinator) handleAggregate(w http.ResponseWriter, req *http.Request) 
 		c.mu.Unlock()
 		select {
 		case <-ch:
-		case <-timer.C:
+		case <-wait.expired():
 			writeJSON(w, http.StatusOK, aggregateReply{State: StatePending})
 			return
 		case <-req.Context().Done():

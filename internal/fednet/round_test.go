@@ -1,0 +1,448 @@
+package fednet
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"sync"
+	"testing"
+	"time"
+
+	"digfl/internal/hfl"
+	"digfl/internal/tensor"
+)
+
+// TestFiniteVecTable: the exponent-mask test rejects exactly NaN (any
+// payload, quiet or signalling, either sign) and ±Inf.
+func TestFiniteVecTable(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		bits   uint64
+		finite bool
+	}{
+		{"zero", 0, true},
+		{"negative zero", 1 << 63, true},
+		{"one", math.Float64bits(1), true},
+		{"smallest subnormal", 1, true},
+		{"largest subnormal", 0x000fffffffffffff, true},
+		{"negative subnormal", 1<<63 | 0x0000000000000abc, true},
+		{"max float", math.Float64bits(math.MaxFloat64), true},
+		{"negative max float", math.Float64bits(-math.MaxFloat64), true},
+		{"+Inf", 0x7ff0000000000000, false},
+		{"-Inf", 0xfff0000000000000, false},
+		{"quiet NaN", 0x7ff8000000000000, false},
+		{"quiet NaN with payload", 0x7ff8000000beef00, false},
+		{"signalling NaN", 0x7ff0000000000001, false},
+		{"signalling NaN, full payload", 0x7ff7ffffffffffff, false},
+		{"negative quiet NaN", 0xfff8000000000001, false},
+		{"negative signalling NaN", 0xfff0000000000abc, false},
+	} {
+		x := math.Float64frombits(c.bits)
+		if want := !math.IsNaN(x) && !math.IsInf(x, 0); want != c.finite {
+			t.Fatalf("%s: table says finite=%v, math says %v", c.name, c.finite, want)
+		}
+		for pos := 0; pos < 3; pos++ {
+			v := []float64{0.5, -2, 3e300}
+			v[pos] = x
+			if got := finiteVec(v); got != c.finite {
+				t.Errorf("%s at %d: finiteVec = %v, want %v", c.name, pos, got, c.finite)
+			}
+		}
+	}
+	if !finiteVec(nil) {
+		t.Error("empty vector reported non-finite")
+	}
+}
+
+// openTestRound installs a hand-built open round, as the handler tests in
+// adversary_test.go do.
+func openTestRound(c *Coordinator, r *openRound) {
+	r.slots = make(map[int]int, len(r.order))
+	for k, i := range r.order {
+		r.slots[i] = k
+	}
+	c.mu.Lock()
+	c.initLocked()
+	c.round = r
+	c.mu.Unlock()
+}
+
+func pollRound(c *Coordinator, query string) *httptest.ResponseRecorder {
+	w := httptest.NewRecorder()
+	c.handleRound(w, httptest.NewRequest(http.MethodGet, "/v1/round?"+query, nil))
+	return w
+}
+
+// TestRoundFrameEncodedOnce: every binary poll of a round is answered
+// from one shared frame, and what reaches the wire is byte for byte what
+// encodeRoundFrame produces for that poll — without a deadline, with one
+// (each poll's own remaining time patched into its own header copy), and
+// with the async extension. Validation-gradient and header-only polls still
+// encode their own reply.
+func TestRoundFrameEncodedOnce(t *testing.T) {
+	rng := tensor.NewRNG(4)
+	theta, valGrad := rng.NormalVec(37, 0, 1), rng.NormalVec(37, 0, 1)
+	theta[3], theta[4] = math.Copysign(0, -1), 5e-324
+	for _, tc := range []struct {
+		name     string
+		deadline time.Duration
+		async    *hfl.AsyncConfig
+	}{
+		{name: "no deadline"},
+		{name: "deadline", deadline: time.Hour},
+		{name: "async", async: &hfl.AsyncConfig{Quorum: 5, MaxStaleness: 2}},
+		{name: "async with deadline", deadline: time.Hour, async: &hfl.AsyncConfig{Quorum: 3, MaxStaleness: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := &Coordinator{N: 8, Cfg: testConfig(), Async: tc.async}
+			r := &openRound{t: 7, lr: 0.125, theta: theta, valGrad: valGrad, order: []int{1, 4, 6}}
+			if tc.deadline > 0 {
+				r.deadline = time.Now().Add(tc.deadline)
+			}
+			openTestRound(c, r)
+			quorum, maxStale := 0, 0
+			if tc.async != nil {
+				quorum, maxStale = tc.async.Quorum, tc.async.MaxStaleness
+			}
+			var shared []byte
+			for poll, i := range []int{1, 6, 4, 1} {
+				w := pollRound(c, fmt.Sprintf("t=7&i=%d&c=2", i))
+				if w.Code != http.StatusOK || w.Header().Get("Content-Type") != contentTypeBinary {
+					t.Fatalf("poll %d: status %d, content type %q", poll, w.Code, w.Header().Get("Content-Type"))
+				}
+				got := w.Body.Bytes()
+				dec, err := decodeRoundFrame(got)
+				if err != nil {
+					t.Fatalf("poll %d: %v", poll, err)
+				}
+				if (dec.DeadlineMS > 0) != (tc.deadline > 0) || dec.DeadlineMS > tc.deadline.Milliseconds() {
+					t.Fatalf("poll %d: deadline_ms %d for a %v deadline", poll, dec.DeadlineMS, tc.deadline)
+				}
+				want := encodeRoundFrame(7, 0.125, dec.DeadlineMS, theta, nil, quorum, maxStale)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("poll %d: reply differs from encodeRoundFrame's bytes", poll)
+				}
+				c.mu.Lock()
+				frame := c.round.bcast
+				c.mu.Unlock()
+				if poll == 0 {
+					shared = frame
+				} else if &frame[0] != &shared[0] {
+					t.Fatalf("poll %d re-encoded the broadcast", poll)
+				}
+				if zero := encodeRoundFrame(7, 0.125, 0, theta, nil, quorum, maxStale); !bytes.Equal(frame, zero) {
+					t.Fatalf("poll %d modified the shared frame", poll)
+				}
+			}
+
+			// An excluded participant still gets the JSON header.
+			if w := pollRound(c, "t=7&i=2&c=2"); w.Header().Get("Content-Type") != contentTypeJSON ||
+				!bytes.Contains(w.Body.Bytes(), []byte(`"excluded":true`)) {
+				t.Errorf("excluded poll: %q %s", w.Header().Get("Content-Type"), w.Body)
+			}
+			// Validation-gradient polls (edge sub-aggregators) carry their own
+			// payload: theta+valGrad, or valGrad alone when header-only.
+			for query, vecs := range map[string][2][]float64{
+				"t=7&i=4&c=2&vg=1":     {theta, valGrad},
+				"t=7&i=4&c=2&vg=1&h=1": {nil, valGrad},
+			} {
+				got := pollRound(c, query).Body.Bytes()
+				dec, err := decodeRoundFrame(got)
+				if err != nil {
+					t.Fatalf("%s: %v", query, err)
+				}
+				if want := encodeRoundFrame(7, 0.125, dec.DeadlineMS, vecs[0], vecs[1], quorum, maxStale); !bytes.Equal(got, want) {
+					t.Errorf("%s: reply differs from encodeRoundFrame's bytes", query)
+				}
+			}
+			// A header-only poll carries no vectors and stays JSON.
+			if w := pollRound(c, "t=7&i=4&c=2&h=1"); w.Header().Get("Content-Type") != contentTypeJSON ||
+				bytes.Contains(w.Body.Bytes(), []byte(`"theta"`)) {
+				t.Errorf("header-only poll: %q %s", w.Header().Get("Content-Type"), w.Body)
+			}
+			// A JSON poll of the same round is untouched by the cached frame.
+			if w := pollRound(c, "t=7&i=4"); w.Header().Get("Content-Type") != contentTypeJSON ||
+				!bytes.Contains(w.Body.Bytes(), []byte(`"theta":[`)) {
+				t.Errorf("JSON poll: %q", w.Header().Get("Content-Type"))
+			}
+		})
+	}
+}
+
+// TestRoundFrameConcurrentPolls: the shared frame is read by many handlers
+// at once, each patching only its own header copy — run under -race.
+func TestRoundFrameConcurrentPolls(t *testing.T) {
+	theta := tensor.NewRNG(9).NormalVec(300, 0, 1)
+	c := &Coordinator{N: 8, Cfg: testConfig()}
+	openTestRound(c, &openRound{t: 2, lr: 0.5, theta: theta, order: []int{0, 3, 5},
+		deadline: time.Now().Add(time.Hour)})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for n := 0; n < 20; n++ {
+				got := pollRound(c, fmt.Sprintf("t=2&i=%d&c=2", i)).Body.Bytes()
+				dec, err := decodeRoundFrame(got)
+				if err != nil {
+					t.Errorf("participant %d: %v", i, err)
+					return
+				}
+				if want := encodeRoundFrame(2, 0.5, dec.DeadlineMS, theta, nil, 0, 0); !bytes.Equal(got, want) {
+					t.Errorf("participant %d: reply differs from encodeRoundFrame's bytes", i)
+					return
+				}
+			}
+		}([]int{0, 3, 5}[g%3])
+	}
+	wg.Wait()
+}
+
+// TestRoundClosesOnLastArrival: an accepted update does not wake the round
+// loop unless it completes the round, and the one that does must — whichever
+// slot it fills, and however many idempotent retries and not-active posts
+// came before it. Checked on a streamed (fold) and a buffered round.
+func TestRoundClosesOnLastArrival(t *testing.T) {
+	const p = 5
+	active := []int{2, 5, 7}
+	rng := tensor.NewRNG(12)
+	deltas := map[int][]float64{}
+	for _, i := range active {
+		deltas[i] = rng.NormalVec(p, 0, 1)
+	}
+	valGrad := rng.NormalVec(p, 0, 1)
+	for _, streamed := range []bool{true, false} {
+		t.Run(fmt.Sprintf("streamed=%v", streamed), func(t *testing.T) {
+			c := &Coordinator{N: 10, Cfg: testConfig()}
+			spec := &hfl.RoundSpec{T: 1, LR: 0.1, Theta: make([]float64, p), Active: active}
+			if streamed {
+				c.Stream = hfl.MeanStream{}
+				spec.ValGrad = valGrad
+			}
+			type out struct {
+				res *hfl.RoundResult
+				err error
+			}
+			done := make(chan out, 1)
+			go func() {
+				res, err := c.Round(context.Background(), spec)
+				done <- out{res, err}
+			}()
+			if w := pollRound(c, "t=1&i=2"); w.Code != http.StatusOK { // blocks until the round is open
+				t.Fatalf("poll: status %d", w.Code)
+			}
+			c.mu.Lock()
+			wake := c.changed
+			c.mu.Unlock()
+
+			post := func(i int, d []float64) string {
+				body, err := CodecV2.EncodeUpdate(1, i, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				req := httptest.NewRequest(http.MethodPost, "/v1/update", bytes.NewReader(body))
+				req.Header.Set("Content-Type", contentTypeBinary)
+				w := httptest.NewRecorder()
+				c.handleUpdate(w, req)
+				if w.Code != http.StatusOK {
+					t.Fatalf("update from %d: status %d %s", i, w.Code, w.Body)
+				}
+				return w.Body.String()
+			}
+			if got := post(3, deltas[2]); !bytes.Contains([]byte(got), []byte("not-active")) {
+				t.Fatalf("not-active post answered %s", got)
+			}
+			post(7, deltas[7]) // last slot first: parks behind its predecessors
+			post(7, deltas[7]) // retry, acknowledged without a second commit
+			post(5, deltas[5])
+			post(9, deltas[5]) // not active
+			post(5, deltas[5])
+			c.mu.Lock()
+			got, woke := c.round.got, c.changed != wake
+			c.mu.Unlock()
+			if got != 2 || woke {
+				t.Fatalf("before the last arrival: %d committed (want 2), round loop woken: %v", got, woke)
+			}
+			select {
+			case o := <-done:
+				t.Fatalf("round closed early: %+v %v", o.res, o.err)
+			default:
+			}
+			post(2, deltas[2]) // slot 0 arrives last and completes the round
+
+			var o out
+			select {
+			case o = <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("round did not close on its last arrival")
+			}
+			if o.err != nil || o.res.Reported != nil {
+				t.Fatalf("round result: reported %v, err %v", o.res.Reported, o.err)
+			}
+			if !streamed {
+				for k, i := range active {
+					if !sameVec(o.res.Deltas[k], deltas[i]) {
+						t.Fatalf("buffered slot %d holds the wrong delta", k)
+					}
+				}
+				return
+			}
+			ref := hfl.MeanStream{}.NewFold(p, len(active), valGrad)
+			for k, i := range active {
+				if err := ref.Add(k, deltas[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := ref.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameVec(o.res.Agg, want.Sum) || !sameVec(o.res.Dots, want.Dots) {
+				t.Fatal("streamed aggregate differs from the in-order fold")
+			}
+		})
+	}
+}
+
+// benchRW is a reusable http.ResponseWriter, so the handler benchmarks
+// count the coordinator's allocations and not a recorder's.
+type benchRW struct {
+	header http.Header
+	status int
+	body   []byte
+}
+
+func (w *benchRW) Header() http.Header  { return w.header }
+func (w *benchRW) WriteHeader(code int) { w.status = code }
+func (w *benchRW) Write(p []byte) (int, error) {
+	w.body = append(w.body, p...)
+	return len(p), nil
+}
+
+func (w *benchRW) reset() {
+	clear(w.header)
+	w.status, w.body = 0, w.body[:0]
+}
+
+type benchBody struct{ bytes.Reader }
+
+func (*benchBody) Close() error { return nil }
+
+// Reference-cell shape for the handler benchmarks.
+const (
+	benchDim    = 2000
+	benchCohort = 64
+)
+
+// BenchmarkIngestUpdateV2 times POST /v1/update through Handler() on a
+// streamed round of the reference cell (64 binary updates of d=2000 per
+// round: decode, vet, fold, ack). Every completed round's fold is closed
+// and checked against a term-by-term mean and dot product.
+func BenchmarkIngestUpdateV2(b *testing.B) {
+	rng := tensor.NewRNG(6)
+	valGrad := rng.NormalVec(benchDim, 0, 1)
+	order := make([]int, benchCohort)
+	bodies := make([][]byte, benchCohort)
+	wantSum, wantDots := make([]float64, benchDim), make([]float64, benchCohort)
+	for k := range order {
+		order[k] = 1000*k + 7
+		delta := rng.NormalVec(benchDim, 0, 1e-3)
+		for j, v := range delta {
+			wantSum[j] += v
+			wantDots[k] += valGrad[j] * v
+		}
+		body, err := CodecV2.EncodeUpdate(1, order[k], delta)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies[k] = append([]byte(nil), body...)
+	}
+	for j := range wantSum {
+		wantSum[j] *= 1 / float64(benchCohort)
+	}
+
+	c := &Coordinator{N: 100_000, Cfg: testConfig(), Stream: hfl.MeanStream{}}
+	h := c.Handler()
+	theta := make([]float64, benchDim)
+	var r *openRound
+	open := func() {
+		r = &openRound{t: 1, theta: theta, valGrad: valGrad, order: order,
+			folded: make([]bool, benchCohort),
+			fold:   c.Stream.NewFold(benchDim, benchCohort, valGrad)}
+		openTestRound(c, r)
+	}
+	check := func() {
+		fr, err := r.fold.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if r.got != benchCohort || !sameVec(fr.Sum, wantSum) || !sameVec(fr.Dots, wantDots) {
+			b.Fatalf("round folded %d updates; aggregate or dots differ from the reference", r.got)
+		}
+	}
+
+	rw := &benchRW{header: http.Header{}}
+	body := &benchBody{}
+	req := &http.Request{Method: http.MethodPost, URL: &url.URL{Path: "/v1/update"},
+		Header: http.Header{"Content-Type": {contentTypeBinary}}, Body: body}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % benchCohort
+		if k == 0 {
+			b.StopTimer()
+			if r != nil {
+				check()
+			}
+			open()
+			b.StartTimer()
+		}
+		body.Reset(bodies[k])
+		req.ContentLength = int64(len(bodies[k]))
+		rw.reset()
+		h.ServeHTTP(rw, req)
+		if rw.status != http.StatusOK {
+			b.Fatalf("update %d: status %d %s", i, rw.status, rw.body)
+		}
+	}
+	b.StopTimer()
+	if r.got == benchCohort {
+		check()
+	}
+}
+
+// BenchmarkRoundPollV2 times GET /v1/round?c=2 through Handler() for the
+// members of an open reference-cell round: the 16 KB theta broadcast every
+// cohort member downloads. The first and last replies are compared with
+// encodeRoundFrame's bytes.
+func BenchmarkRoundPollV2(b *testing.B) {
+	theta := tensor.NewRNG(8).NormalVec(benchDim, 0, 1)
+	order := make([]int, benchCohort)
+	queries := make([]string, benchCohort)
+	for k := range order {
+		order[k] = 1000*k + 7
+		queries[k] = fmt.Sprintf("t=3&i=%d&c=2", order[k])
+	}
+	c := &Coordinator{N: 100_000, Cfg: testConfig(), Stream: hfl.MeanStream{}}
+	h := c.Handler()
+	openTestRound(c, &openRound{t: 3, lr: 0.05, theta: theta, order: order})
+	want := encodeRoundFrame(3, 0.05, 0, theta, nil, 0, 0)
+
+	rw := &benchRW{header: http.Header{}}
+	u := &url.URL{Path: "/v1/round"}
+	req := &http.Request{Method: http.MethodGet, URL: u, Header: http.Header{}, Body: http.NoBody}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		u.RawQuery = queries[i%benchCohort]
+		rw.reset()
+		h.ServeHTTP(rw, req)
+		if len(rw.body) != len(want) || ((i == 0 || i == b.N-1) && !bytes.Equal(rw.body, want)) {
+			b.Fatalf("poll %d: reply differs from encodeRoundFrame's bytes", i)
+		}
+	}
+}

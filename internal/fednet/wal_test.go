@@ -15,6 +15,7 @@ import (
 
 	"digfl/internal/core"
 	"digfl/internal/hfl"
+	"digfl/internal/sampling"
 )
 
 // walFront is the test's stand-in for a process boundary: a swappable inner
@@ -113,20 +114,46 @@ func (w *tearAtBinary) Write(p []byte) (int, error) {
 // releases each delta immediately, so only the journal can rebuild the
 // partial round.
 func TestStreamedWALMidRoundRecovery(t *testing.T) {
-	const seed = 5
-	want, wantAttr := localStreamRun(t, seed, testN, 0, nil)
+	streamedCrashRecovery(t, testN, nil, false)
+}
 
-	model, parts, val := problemN(seed, testN)
+// TestSampledStreamedWALRecoveryTotalsOnly is the same kill on the
+// large-population configuration: a sampled cohort and a TotalsOnly
+// estimator. Recover reinstalls a snapshot that carries no per-epoch rows,
+// and the estimator's observation scratch restarts clean, so the recovered
+// φ totals are those of the uninterrupted run.
+func TestSampledStreamedWALRecoveryTotalsOnly(t *testing.T) {
+	streamedCrashRecovery(t, treeN, sampling.MustNew(sampling.Config{Seed: 11, Size: 4}), true)
+}
+
+// streamedCrashRecovery runs n participants against a journaled streamed
+// coordinator (sampled when smp is set — a sampler holds no mutable state,
+// so every incarnation and the reference share it), tears the journal at
+// the second update of round 2, recovers, and checks the finished run
+// against the in-process streamed trainer.
+func streamedCrashRecovery(t *testing.T, n int, smp *sampling.Sampler, totalsOnly bool) {
+	const seed = 5
+	cohort := n
+	if smp != nil {
+		cohort = smp.Size()
+	}
+	want, wantAttr := localStreamRun(t, seed, n, 0, smp)
+
+	model, parts, val := problemN(seed, n)
 	journal := &bytes.Buffer{}
 	front := &walFront{}
-	// Round 1 journals testN update frames; tearing the second frame of
-	// round 2 leaves a round with some committed updates and some missing.
-	writer := &tearAtBinary{buf: journal, left: testN + 2, onTear: front.kill}
+	// Round 1 journals one update frame per cohort member; tearing the
+	// second frame of round 2 leaves a round with some committed updates
+	// and some missing.
+	writer := &tearAtBinary{buf: journal, left: cohort + 2, onTear: front.kill}
 
 	newCoord := func() (*Coordinator, *core.HFLEstimator) {
-		est := core.NewHFLEstimator(testN, model.NumParams(), core.ResourceSaving, nil)
+		est := core.NewHFLEstimator(n, model.NumParams(), core.ResourceSaving, nil)
+		est.TotalsOnly = totalsOnly
+		cfg := testConfig()
+		cfg.Sample = smp
 		c := &Coordinator{
-			N: testN, Model: model, Val: val, Cfg: testConfig(),
+			N: n, Model: model, Val: val, Cfg: cfg,
 			Estimator: est,
 			Stream:    hfl.MeanStream{},
 			Journal:   writer,
@@ -146,9 +173,9 @@ func TestStreamedWALMidRoundRecovery(t *testing.T) {
 	front.install(coord.Handler())
 
 	ctx := context.Background()
-	perrs := make([]error, testN)
+	perrs := make([]error, n)
 	var wg sync.WaitGroup
-	for i := 0; i < testN; i++ {
+	for i := 0; i < n; i++ {
 		p := &Participant{
 			Index: i, Model: model, Data: parts[i],
 			BaseURL: "http://" + ln.Addr().String(),

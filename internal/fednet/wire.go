@@ -23,6 +23,7 @@
 package fednet
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -355,6 +356,24 @@ func writeBinary(w http.ResponseWriter, frame []byte) {
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(frame)
 	tensor.PutBytes(frame)
+}
+
+// writeRoundBroadcast answers a binary round poll from the round's shared
+// broadcast frame, which was encoded with a zero deadline: a poll with time
+// remaining sends its own copy of the fixed header with the deadline field
+// patched, then the shared payload. The bytes on the wire are those of
+// encodeRoundFrame with that deadline. frame is not modified.
+func writeRoundBroadcast(w http.ResponseWriter, frame []byte, deadlineMS int64) {
+	w.Header().Set("Content-Type", contentTypeBinary)
+	w.WriteHeader(http.StatusOK)
+	if deadlineMS != 0 {
+		var hdr [roundHdrLen]byte
+		copy(hdr[:], frame)
+		binary.LittleEndian.PutUint64(hdr[roundDeadlineOff:], uint64(deadlineMS))
+		_, _ = w.Write(hdr[:])
+		frame = frame[roundHdrLen:]
+	}
+	_, _ = w.Write(frame)
 }
 
 // decodeReply decodes a 200 response body into out, dispatching on the

@@ -163,13 +163,14 @@ func (f *meanFold) commit(slot int, delta []float64) {
 	if f.segAcc == nil {
 		f.segAcc = make([]float64, f.p)
 	}
-	tensor.AXPY(1, delta, f.segAcc)
+	if f.valGrad != nil {
+		f.dots = append(f.dots, tensor.DotAdd(f.valGrad, delta, f.segAcc))
+	} else {
+		tensor.AXPY(1, delta, f.segAcc)
+	}
 	f.segCount++
 	f.count++
 	f.slots = append(f.slots, slot)
-	if f.valGrad != nil {
-		f.dots = append(f.dots, tensor.Dot(f.valGrad, delta))
-	}
 	f.next = slot + 1
 }
 

@@ -14,9 +14,11 @@
 // compose with the fault injector (which hashes disjoint domains off the
 // same primitive), so sampled+faulty runs stay bit-identical across reruns.
 //
-// Selection runs in O(population·log Size) time and O(Size) extra memory (a
-// bounded max-heap of the current winners), so the sampler itself never
-// materializes population-scale scratch state.
+// Selection is one scan of the population — an inlined hash finalizer and a
+// compare against the current worst winner per candidate, a heap update only
+// for the expected O(Size·log(population/Size)) candidates that displace one — in
+// O(Size) extra memory (a bounded max-heap of the current winners), so the
+// sampler itself never materializes population-scale scratch state.
 package sampling
 
 import (
@@ -101,20 +103,15 @@ func (s *Sampler) Size() int {
 	return s.cfg.Size
 }
 
-// key maps (seed, epoch, participant) to the participant's selection key for
-// the epoch; the Size smallest keys win. Uniform sampling uses the raw
-// variate; weighted sampling uses the Efraimidis–Spirakis exponential form
-// −ln(1−u)/w, an Exp(w) variate, whose k smallest order statistics realize
-// weighted sampling without replacement. A zero weight maps to +Inf — never
-// selected while a positively weighted candidate remains.
-func (s *Sampler) key(epoch, part int) float64 {
-	u := faults.Uniform(s.cfg.Seed, Domain, uint64(epoch), uint64(part), 0)
-	if s.cfg.Weights == nil {
-		return u
-	}
+// weightedKey turns participant part's uniform variate u into its
+// Efraimidis–Spirakis selection key −ln(1−u)/w, an Exp(w) variate, whose k
+// smallest order statistics realize weighted sampling without replacement.
+// A zero (or unlisted) weight maps to +Inf — never selected while a
+// positively weighted candidate remains.
+func weightedKey(u float64, weights []float64, part int) float64 {
 	var w float64
-	if part < len(s.cfg.Weights) {
-		w = s.cfg.Weights[part]
+	if part < len(weights) {
+		w = weights[part]
 	}
 	if w == 0 {
 		return math.Inf(1)
@@ -194,8 +191,19 @@ func (s *Sampler) Cohort(epoch int, population []int) []int {
 		parts: make([]int, 0, k),
 		pos:   make([]int, 0, k),
 	}
+	// Participant i's key is a pure function of (seed, epoch, i): the raw
+	// variate faults.Uniform(seed, Domain, epoch, i, 0) under uniform
+	// sampling, its weightedKey otherwise; the Size smallest keys win. The
+	// (seed, domain, epoch) part of the hash is the same for every candidate,
+	// so it is mixed once and the scan pays for the per-candidate finalizer
+	// alone.
+	keys := faults.NewStream(s.cfg.Seed, Domain, uint64(epoch), 0)
+	weights := s.cfg.Weights
 	for p, i := range population {
-		key := s.key(epoch, i)
+		key := keys.At(uint64(i))
+		if weights != nil {
+			key = weightedKey(key, weights, i)
+		}
 		if len(h.keys) < k {
 			h.keys = append(h.keys, key)
 			h.parts = append(h.parts, i)

@@ -1,0 +1,143 @@
+package tensor
+
+import (
+	"math"
+	"testing"
+)
+
+// kernelInputs returns three length-n vectors of full-precision values
+// with the given special values planted at different indices of each (as
+// far as n allows).
+func kernelInputs(n int, special ...float64) (a, x, y []float64) {
+	rng := NewRNG(int64(n) + 17)
+	a, x, y = rng.NormalVec(n, 0, 1), rng.NormalVec(n, 0, 1e-3), rng.NormalVec(n, 0, 10)
+	for k, v := range special {
+		if 3*k+2 < n {
+			a[3*k], x[3*k+1], y[3*k+2] = v, v, v
+		}
+	}
+	if len(special) > 0 && n > 0 {
+		x[n-1], y[n-1] = special[0], special[0] // both operands of the same add
+	}
+	return a, x, y
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDotAddMatchesDotAndAXPY: the fused pass returns the bits of Dot and
+// leaves the bits of AXPY(1, ·, ·) — including through NaN, ±Inf, −0 and
+// subnormal operands — so the streamed fold's aggregate and φ dots do not
+// move. Each case plants one kind of special value: which of two different
+// NaN payloads survives an addition is the instruction's operand order, a
+// register-allocation accident that no caller can rely on from Dot either.
+func TestDotAddMatchesDotAndAXPY(t *testing.T) {
+	neg0 := math.Copysign(0, -1)
+	for name, special := range map[string][]float64{
+		"finite":         nil,
+		"quiet NaN":      {math.NaN()},
+		"signalling NaN": {math.Float64frombits(0x7ff0000000000abc)},
+		"+Inf":           {math.Inf(1)},
+		"-Inf":           {math.Inf(-1)},
+		"Inf-Inf":        {math.Inf(1), math.Inf(-1)},
+		"-0":             {neg0, 0, neg0},
+		"subnormal":      {5e-324, -2.2e-308, 1e-310},
+	} {
+		for _, n := range []int{0, 1, 7, 2000} {
+			a, x, y := kernelInputs(n, special...)
+			wantY := Clone(y)
+			wantDot := Dot(a, x)
+			AXPY(1, x, wantY)
+			gotDot := DotAdd(a, x, y)
+			if math.Float64bits(gotDot) != math.Float64bits(wantDot) {
+				t.Errorf("%s n=%d: DotAdd returned %v (%#x), Dot %v (%#x)", name, n,
+					gotDot, math.Float64bits(gotDot), wantDot, math.Float64bits(wantDot))
+			}
+			if !sameBits(y, wantY) {
+				t.Errorf("%s n=%d: DotAdd's accumulator differs from AXPY(1)", name, n)
+			}
+		}
+	}
+}
+
+func TestDotAddLengthMismatchPanics(t *testing.T) {
+	for _, lens := range [][3]int{{2, 3, 3}, {3, 3, 2}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("DotAdd accepted lengths %v", lens)
+				}
+			}()
+			DotAdd(make([]float64, lens[0]), make([]float64, lens[1]), make([]float64, lens[2]))
+		}()
+	}
+}
+
+// The kernel benchmarks run at the reference cell's model size and check
+// every result against a term-by-term loop kept here.
+
+var benchSink float64
+
+func refDot(a, b []float64) float64 {
+	var s float64
+	for i := range a {
+		s += a[i] * b[i]
+	}
+	return s
+}
+
+func BenchmarkDot2000(b *testing.B) {
+	a, x, _ := kernelInputs(2000)
+	want := refDot(a, x)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = Dot(a, x)
+	}
+	if math.Float64bits(benchSink) != math.Float64bits(want) {
+		b.Fatalf("Dot = %v, reference %v", benchSink, want)
+	}
+}
+
+func BenchmarkAXPY2000(b *testing.B) {
+	_, x, y := kernelInputs(2000)
+	want := Clone(y)
+	for j, v := range x {
+		want[j] += v
+	}
+	got := Clone(y)
+	if AXPY(1, x, got); !sameBits(got, want) {
+		b.Fatal("AXPY accumulator differs from the reference")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		AXPY(1, x, y)
+	}
+}
+
+func BenchmarkDotAdd2000(b *testing.B) {
+	a, x, y := kernelInputs(2000)
+	want := Clone(y)
+	for j, v := range x {
+		want[j] += v
+	}
+	got := Clone(y)
+	if dot := DotAdd(a, x, got); math.Float64bits(dot) != math.Float64bits(refDot(a, x)) || !sameBits(got, want) {
+		b.Fatal("DotAdd differs from the reference")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = DotAdd(a, x, y)
+	}
+}

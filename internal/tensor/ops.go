@@ -30,6 +30,23 @@ func AXPY(alpha float64, x, y []float64) {
 	}
 }
 
+// DotAdd returns the inner product a·x and computes y += x in place, in one
+// pass over x — the streaming fold's per-update step, which would otherwise
+// read each delta twice. The two results carry exactly the bits of Dot(a, x)
+// and AXPY(1, x, y): the sum accumulates in index order, and 1·v is v.
+func DotAdd(a, x, y []float64) float64 {
+	if len(a) != len(x) || len(y) != len(x) {
+		panic(fmt.Sprintf("tensor: DotAdd length mismatch %d, %d, %d", len(a), len(x), len(y)))
+	}
+	a, y = a[:len(x)], y[:len(x)]
+	var s float64
+	for i, v := range x {
+		s += a[i] * v
+		y[i] += v
+	}
+	return s
+}
+
 // Scale multiplies x by alpha in place.
 func Scale(alpha float64, x []float64) {
 	for i := range x {
