@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test bench verify verify-faults verify-net verify-adv verify-scale verify-wire verify-crash verify-engines verify-async verify-bench bench-json bench-workload bench-kernels
+.PHONY: build test bench loc verify verify-faults verify-net verify-adv verify-scale verify-wire verify-crash verify-engines verify-async verify-bench bench-json bench-workload bench-kernels
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,18 @@ test:
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
+
+# loc prints non-test and test Go lines (wc -l, comments and blanks
+# included) per package directory and in total, bench/ excluded (the
+# repository benchmark is frozen between PRs). The LOC deltas quoted in
+# CHANGES.md are this target run on the parent commit and on the change.
+loc:
+	@for d in $$(find . -name '*.go' -not -path './bench/*' -not -path './.bench_build/*' -exec dirname {} \; | sort -u); do \
+		printf '%-32s %8d %8d\n' $$d \
+			$$(cat /dev/null $$(ls $$d/*.go | grep -v _test.go) | wc -l) \
+			$$(cat /dev/null $$(ls $$d/*_test.go 2>/dev/null) | wc -l); \
+	done | awk 'BEGIN { printf "%-32s %8s %8s\n", "package", "non-test", "test" } \
+		{ print; s += $$2; t += $$3 } END { printf "%-32s %8d %8d\n", "total", s, t }'
 
 # verify is the full pre-submit recipe referenced by README.md: vet every
 # package and exercise every concurrent path under the race detector.
@@ -91,19 +103,21 @@ verify-scale:
 		./internal/sampling/ ./internal/hfl/ ./internal/core/ ./internal/fednet/ ./internal/vfl/
 
 # verify-wire runs the binary-wire gate: the frame round-trip tests, the
-# cross-codec equivalence matrix (v1 clients x v2 coordinator and vice
-# versa, plus tree roots, bit-identical to the in-process trainer across 3
-# seeds), the malformed-frame rejection tests (truncated/oversized/NaN
-# binary payloads answer 422, never a panic), a fuzz smoke pass over the
-# three binary frame decoders, the pooled-buffer steady-state allocation
-# test, the bytes+allocs gate (binary must at least halve bytes on wire
-# and allocations per round vs JSON on the streamed sampled benchmark), and
-# the same-bits pins of the ingest kernels (shared round frame ≡
-# encodeRoundFrame, finiteVec's exponent-mask table, DotAdd ≡ Dot + AXPY).
-# -count=1 defeats the test cache so the gate re-executes.
+# non-frame refusal table (any Content-Type but the frame type answers 415
+# on all three ingest handlers before the body is read), the malformed-frame
+# rejection tests (truncated/oversized/NaN binary payloads answer 422, never
+# a panic), the request-shape pin of what the frozen bench/ driver sends, a
+# fuzz smoke pass over the three binary frame decoders, the pooled-buffer
+# steady-state allocation test, the bytes+allocs gate (the streamed sampled
+# benchmark over the wire is bit-identical to the in-process trainer, puts
+# the closed-form frame bytes on the wire and stays under an absolute
+# allocations-per-round ceiling), and the same-bits pins of the ingest
+# kernels (shared round frame ≡ encodeRoundFrame, finiteVec's exponent-mask
+# table, DotAdd ≡ Dot + AXPY). -count=1 defeats the test cache so the gate
+# re-executes.
 verify-wire:
 	$(GO) vet ./internal/fednet/ ./internal/tensor/ ./internal/experiments/
-	$(GO) test -count=1 -run 'Codec|Frame|Pool|SizeClass|WireCodec|WireDeterministic|FiniteVec|DotAdd' \
+	$(GO) test -count=1 -run 'Codec|Frame|BenchDriverRequestShapes|Pool|SizeClass|WireCodec|WireDeterministic|FiniteVec|DotAdd' \
 		./internal/fednet/ ./internal/tensor/ ./internal/experiments/
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzDecodeUpdateFrame -fuzztime 5s ./internal/fednet/
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzDecodePartialFrame -fuzztime 5s ./internal/fednet/
@@ -126,7 +140,7 @@ verify-async:
 		./internal/hfl/ ./internal/fednet/ ./internal/experiments/ ./internal/robust/
 
 # bench-json regenerates the perf-trajectory file for this revision: the
-# wire benchmark (bytes on wire, allocs per round, per codec) plus the
+# wire benchmark (bytes on wire, allocs per round) plus the
 # networked-runtime timings, APPENDED to $(BENCH_JSON) (entries from prior
 # revisions are preserved), then diffed against the committed copy so the
 # delta is visible before it lands.

@@ -9,7 +9,7 @@
 //	digfl-bench -exp faults -faults dropout=0.4,crash=8  # fault-tolerance check
 //	digfl-bench -exp net -json out.json   # networked-runtime check + timings
 //	digfl-bench -exp adversarial -attacks kind=sign_flip,frac=0.3  # defense check
-//	digfl-bench -exp wire -json BENCH.json  # binary vs JSON wire benchmark
+//	digfl-bench -exp wire -json BENCH.json  # binary-wire gate: bytes, allocs, bit-identity
 //	digfl-bench -exp load -load clients=2000,delay=20ms  # concurrent-client load test
 //	digfl-bench -list               # list experiment ids
 //
@@ -36,9 +36,10 @@
 // it reproduces the in-process trainer bit for bit; the extra "adversarial"
 // id attacks a federation per the -attacks spec and reports how the defense
 // stack (update screening + contribution-guided quarantine) held up against
-// the undefended run; the extra "wire" id benchmarks the digfl-fednet/2
-// binary codec against v1 JSON on a streamed sampled-cohort run (bytes on
-// wire, allocs per round, bit-identity); the extra "load" id hammers a live
+// the undefended run; the extra "wire" id runs a streamed sampled-cohort
+// federation over the digfl-fednet/2 binary wire against the in-process
+// streamed trainer (bytes on wire, allocs per round, bit-identity); the
+// extra "load" id hammers a live
 // coordinator with concurrent /v1/score readers and long-poll round
 // watchers per the -load spec; the extra "engines" id replays one training
 // log through every registered contribution engine (exact, TMC, GT, GTG,
@@ -172,13 +173,14 @@ func netRunner() runner {
 	}
 }
 
-// wireRunner benchmarks the digfl-fednet/2 binary wire against v1 JSON on
-// the streamed sampled-cohort run. Outside the paper's artifact set, so
-// -exp all does not include it.
+// wireRunner runs the streamed sampled-cohort federation once over the
+// digfl-fednet/2 binary wire and checks it against the in-process streamed
+// trainer. Outside the paper's artifact set, so -exp all does not include
+// it.
 func wireRunner() runner {
 	return runner{
 		ids:  []string{"wire"},
-		desc: "wire codecs: binary vs JSON bytes/allocs + bit-identity (not in 'all')",
+		desc: "binary wire: bytes/allocs per round + bit-identity vs in-process (not in 'all')",
 		run: func(o experiments.Opts) []result {
 			r := experiments.Wire(o)
 			return []result{{render: func(w *os.File) { r.Render(w) }, tables: r.Tables(), bench: r.Bench()}}

@@ -129,15 +129,11 @@
 // backoff, invisibly to the result.
 //
 // Bulk payloads (round broadcasts, updates, edge partials) travel in one
-// of two negotiated encodings: NetProtocol, the v1 JSON wire, or
-// NetProtocolV2, a raw little-endian binary framing that cuts bytes on
-// wire by >2x and, with the runtime's buffer pooling, makes a streamed
-// round allocate near-zero transient memory. Clients offer v2 at join and
-// the coordinator picks; either side pins itself to v1 with its LegacyJSON
-// field, and ingest always accepts both encodings, so mixed fleets and
-// rollbacks need no coordination. Both encodings carry float64 values bit
-// exactly, so the determinism contract holds across any mix (DESIGN.md
-// §11 specifies the frames and the negotiation).
+// encoding, NetProtocolV2: a raw little-endian binary framing that, with
+// the runtime's buffer pooling, makes a streamed round allocate near-zero
+// transient memory and carries float64 values bit exactly. JSON is the
+// control plane only (join, acks, round markers, errors, scores); there is
+// nothing to negotiate or pin (DESIGN.md §11 specifies the frames).
 //
 // # Adversarial robustness
 //
@@ -474,28 +470,18 @@ const (
 	VFLReleaseAfterObserve = vfl.ReleaseAfterObserve
 )
 
-// NetProtocol is the wire-protocol version string; both sides refuse to
-// talk across a version mismatch.
+// NetProtocol is the wire-protocol version string, checked at join; both
+// sides refuse to talk across a version mismatch.
 const NetProtocol = fednet.Protocol
 
-// NetProtocolV2 names the binary bulk-payload encoding negotiated at join
-// time (the protocol itself stays NetProtocol; v2 only re-encodes round
-// broadcasts, updates, and edge partials as raw little-endian frames).
-// Coordinators pick it whenever a client offers it; set LegacyJSON on
-// either side to pin the v1 JSON wire.
+// NetProtocolV2 names the binary bulk-payload encoding: round broadcasts,
+// updates, and edge partials are raw little-endian frames, always (the
+// protocol itself stays NetProtocol).
 const NetProtocolV2 = fednet.ProtocolV2
 
-// NetCodec encodes bulk wire payloads; NetCodecV1 (JSON) and NetCodecV2
-// (binary) are the two implementations, chosen by join negotiation.
-type NetCodec = fednet.Codec
-
-// The negotiable wire codecs.
-var (
-	// NetCodecV1 is the digfl-fednet/1 JSON encoding.
-	NetCodecV1 = fednet.CodecV1
-	// NetCodecV2 is the digfl-fednet/2 binary encoding.
-	NetCodecV2 = fednet.CodecV2
-)
+// NetCodecV2 builds the digfl-fednet/2 upload frames (EncodeUpdate,
+// EncodePartial) and names their Content-Type.
+var NetCodecV2 = fednet.CodecV2
 
 // WireError is a typed wire-protocol rejection (any non-2xx reply); match
 // with errors.As and inspect Code.
@@ -693,16 +679,6 @@ type (
 	// HFLAggregator is the aggregation plugin interface: it returns the
 	// round's global update or an error that fails the run.
 	HFLAggregator = hfl.Aggregator
-	// HFLAggregatorE is the historical name of the error-returning
-	// aggregation interface, which is now the only one.
-	//
-	// Deprecated: use HFLAggregator.
-	HFLAggregatorE = hfl.AggregatorE
-	// HFLAggregatorFunc adapts the legacy panicking aggregate function
-	// shape to the error-returning interface.
-	//
-	// Deprecated: implement HFLAggregator directly.
-	HFLAggregatorFunc = hfl.AggregatorFunc
 	// HFLScreener vets a round's collected updates before aggregation,
 	// returning the positions to drop.
 	HFLScreener = hfl.Screener

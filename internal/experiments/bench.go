@@ -31,8 +31,9 @@ type BenchEntry struct {
 	RoundP50MS float64 `json:"round_p50_ms"`
 	RoundP99MS float64 `json:"round_p99_ms"`
 	Rounds     int     `json:"rounds"`
-	// Codec names the wire encoding a wire-benchmark entry measured
-	// (digfl-fednet/1 or /2).
+	// Codec names the wire encoding a wire-benchmark entry measured:
+	// digfl-fednet/2 today; BENCH_7…10 also hold digfl-fednet/1 (JSON bulk
+	// path, since deleted) entries.
 	Codec string `json:"codec,omitempty"`
 	// BytesOnWire totals request+response bytes over the measured rounds.
 	BytesOnWire int64 `json:"bytes_on_wire,omitempty"`

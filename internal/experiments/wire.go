@@ -22,15 +22,16 @@ import (
 	"digfl/internal/tensor"
 )
 
-// WireCodecStats measures one codec's run of the streamed large-population
-// benchmark.
-type WireCodecStats struct {
-	Codec string
+// WireResult is the wire gate's one run: the streamed large-population
+// benchmark driven over the digfl-fednet/2 wire and compared with the
+// in-process streamed trainer.
+type WireResult struct {
+	Population, Cohort, Epochs, Dim int
 	// Bytes totals request+response bytes over the round phase (join
-	// traffic, identical across codecs, is excluded).
-	Bytes int64
-	// Frames counts the bulk payloads (broadcasts + updates) encoded in
-	// this codec.
+	// traffic is excluded); ControlBytes is the share of it carried by JSON
+	// control replies (update acks), the rest being frames.
+	Bytes, ControlBytes int64
+	// Frames counts the bulk payloads (broadcasts + updates).
 	Frames int64
 	// AllocsPerRound is the heap-allocation count per round across driver
 	// and coordinator, pools warm after round one.
@@ -39,31 +40,21 @@ type WireCodecStats struct {
 	// wall time.
 	RoundP50, RoundP99 time.Duration
 	WallMS             float64
-}
-
-// WireResult compares the digfl-fednet/1 JSON wire against the /2 binary
-// wire on the same streamed sampled-cohort run.
-type WireResult struct {
-	Population, Cohort, Epochs, Dim int
-	V1, V2                          WireCodecStats
-	// BytesRatio is V1.Bytes / V2.Bytes — the acceptance gate wants ≥ 2.
-	BytesRatio float64
-	// BitIdentical: the v1 run, the v2 run, and the in-process streamed
-	// trainer produced the same model bits and loss curve.
+	// BitIdentical: the networked run and the in-process streamed trainer
+	// produced the same model bits and loss curve.
 	BitIdentical bool
 }
 
 // wireDelta is the synthetic local update the wire driver submits for
-// participant gi: deterministic, cheap, and full-precision (so the JSON
-// encoding pays realistic float lengths, not short decimals).
+// participant gi: deterministic, cheap, and full-precision.
 func wireDelta(gi, j int) float64 {
 	return math.Sin(float64(gi*7919+j)) * 1e-4
 }
 
 // wireRoundSource is the in-process reference for the wire benchmark: the
 // same synthetic deltas folded in the same arrival order the driver posts
-// them, so the networked runs have a trainer-only baseline to match bit
-// for bit.
+// them, so the networked run has a trainer-only baseline to match bit for
+// bit.
 type wireRoundSource struct{ p int }
 
 func (s *wireRoundSource) Round(_ context.Context, spec *hfl.RoundSpec) (*hfl.RoundResult, error) {
@@ -106,26 +97,19 @@ func (w wireProblem) cfg() hfl.Config {
 	}
 }
 
-// runWire drives one codec's federation without touching TCP: the driver
-// plays every sampled participant against the coordinator's Handler via
-// direct ServeHTTP calls, so the measured bytes and allocations are the
-// protocol's own, not the socket stack's.
-func runWire(w wireProblem, legacy bool, sink obs.Sink) (*hfl.Result, WireCodecStats, error) {
-	stats := WireCodecStats{Codec: fednet.ProtocolV2}
-	codec := fednet.CodecV2
-	if legacy {
-		stats.Codec = fednet.Protocol
-		codec = fednet.CodecV1
-	}
+// runWire drives the federation without touching TCP: the driver plays
+// every sampled participant against the coordinator's Handler via direct
+// ServeHTTP calls, so the measured bytes and allocations are the protocol's
+// own, not the socket stack's. It fills r's measurements.
+func runWire(w wireProblem, sink obs.Sink, r *WireResult) (*hfl.Result, error) {
 	collector := &obs.Collector{}
 	lat := &netLatSink{next: sink}
 	coord := &fednet.Coordinator{
-		N:          w.pop,
-		Model:      nn.NewLinearRegression(w.dim, false),
-		Val:        w.val(),
-		Cfg:        w.cfg(),
-		Stream:     hfl.MeanStream{},
-		LegacyJSON: legacy,
+		N:      w.pop,
+		Model:  nn.NewLinearRegression(w.dim, false),
+		Val:    w.val(),
+		Cfg:    w.cfg(),
+		Stream: hfl.MeanStream{},
 	}
 	coord.Cfg.Runtime.Sink = obs.Tee(collector, lat)
 	h := coord.Handler()
@@ -140,7 +124,7 @@ func runWire(w wireProblem, legacy bool, sink obs.Sink) (*hfl.Result, WireCodecS
 		outCh <- runOut{res, err}
 	}()
 
-	do := func(method, target, contentType string, body []byte) (*httptest.ResponseRecorder, error) {
+	do := func(method, target, contentType string, body []byte) error {
 		var req *http.Request
 		if body != nil {
 			req = httptest.NewRequest(method, target, bytes.NewReader(body))
@@ -151,29 +135,23 @@ func runWire(w wireProblem, legacy bool, sink obs.Sink) (*hfl.Result, WireCodecS
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
-			return rec, fmt.Errorf("%s %s: status %d: %s", method, target, rec.Code, rec.Body.String())
+			return fmt.Errorf("%s %s: status %d: %s", method, target, rec.Code, rec.Body.String())
 		}
-		return rec, nil
+		if rec.Header().Get("Content-Type") == "application/json" {
+			r.ControlBytes += int64(rec.Body.Len())
+		}
+		return nil
 	}
 
-	// Join the full population. A v2-capable client offers the codec at
-	// join; the driver mirrors Participant.Run's negotiation.
-	accept := `,"accept":["` + fednet.ProtocolV2 + `"]`
-	if legacy {
-		accept = ""
-	}
 	for i := 0; i < w.pop; i++ {
-		body := fmt.Sprintf(`{"protocol":%q,"index":%d%s}`, fednet.Protocol, i, accept)
-		if _, err := do("POST", "/v1/join", "application/json", []byte(body)); err != nil {
-			return nil, stats, err
+		body := fmt.Sprintf(`{"protocol":%q,"index":%d}`, fednet.Protocol, i)
+		if err := do("POST", "/v1/join", "application/json", []byte(body)); err != nil {
+			return nil, err
 		}
 	}
 	joins := collector.Snapshot()
+	r.ControlBytes = 0
 
-	pollSuffix := ""
-	if !legacy {
-		pollSuffix = "&c=2"
-	}
 	population := make([]int, w.pop)
 	for i := range population {
 		population[i] = i
@@ -188,50 +166,46 @@ func runWire(w wireProblem, legacy bool, sink obs.Sink) (*hfl.Result, WireCodecS
 	for t := 1; t <= w.epochs; t++ {
 		for _, gi := range smp.Cohort(t, population) {
 			// Each cohort member downloads the broadcast (the poll blocks
-			// until the round opens) and submits its update through the
-			// negotiated codec — encode once, recycle after the post.
-			if _, err := do("GET", fmt.Sprintf("/v1/round?t=%d&i=%d%s", t, gi, pollSuffix), "", nil); err != nil {
-				return nil, stats, err
+			// until the round opens) and submits its update — encode once,
+			// recycle after the post.
+			if err := do("GET", fmt.Sprintf("/v1/round?t=%d&i=%d", t, gi), "", nil); err != nil {
+				return nil, err
 			}
 			for j := range delta {
 				delta[j] = wireDelta(gi, j)
 			}
-			body, err := codec.EncodeUpdate(t, gi, delta)
+			body, err := fednet.CodecV2.EncodeUpdate(t, gi, delta)
 			if err != nil {
-				return nil, stats, err
+				return nil, err
 			}
-			_, err = do("POST", "/v1/update", codec.ContentType(), body)
+			err = do("POST", "/v1/update", fednet.CodecV2.ContentType(), body)
 			tensor.PutBytes(body)
 			if err != nil {
-				return nil, stats, err
+				return nil, err
 			}
 		}
 	}
 	tensor.PutVec(delta)
 	out := <-outCh
 	if out.err != nil {
-		return nil, stats, out.err
+		return nil, out.err
 	}
 	runtime.ReadMemStats(&m1)
 
 	end := collector.Snapshot()
-	stats.Bytes = (end.NetBytesRx + end.NetBytesTx) - (joins.NetBytesRx + joins.NetBytesTx)
-	if legacy {
-		stats.Frames = end.CodecV1Frames
-	} else {
-		stats.Frames = end.CodecV2Frames
-	}
-	stats.AllocsPerRound = float64(m1.Mallocs-m0.Mallocs) / float64(w.epochs)
+	r.Bytes = (end.NetBytesRx + end.NetBytesTx) - (joins.NetBytesRx + joins.NetBytesTx)
+	r.Frames = end.CodecV2Frames
+	r.AllocsPerRound = float64(m1.Mallocs-m0.Mallocs) / float64(w.epochs)
 	lq := Quantiles(lat.durs, 0.50, 0.99)
-	stats.RoundP50, stats.RoundP99 = lq[0], lq[1]
-	stats.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
-	return out.res, stats, nil
+	r.RoundP50, r.RoundP99 = lq[0], lq[1]
+	r.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
+	return out.res, nil
 }
 
-// Wire benchmarks the binary wire against JSON on the 100k-participant
-// streamed benchmark: same population, same sampled cohorts, same synthetic
-// updates — once over digfl-fednet/1, once over /2 — and verifies both runs
-// match the in-process streamed trainer bit for bit.
+// Wire is the wire gate on the 100k-participant streamed benchmark: sampled
+// cohorts posting synthetic updates over digfl-fednet/2, measured (bytes,
+// frames, allocations, round latency) and verified against the in-process
+// streamed trainer bit for bit.
 func Wire(o Opts) *WireResult {
 	o.validate()
 	w := wireProblem{
@@ -262,78 +236,53 @@ func Wire(o Opts) *WireResult {
 		panic(fmt.Sprintf("experiments: wire reference run: %v", err))
 	}
 
-	v1Res, v1, err := runWire(w, true, o.Sink)
+	r := &WireResult{Population: w.pop, Cohort: w.cohort, Epochs: w.epochs, Dim: w.dim}
+	got, err := runWire(w, o.Sink, r)
 	if err != nil {
-		panic(fmt.Sprintf("experiments: wire v1 run: %v", err))
+		panic(fmt.Sprintf("experiments: wire run: %v", err))
 	}
-	v2Res, v2, err := runWire(w, false, o.Sink)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: wire v2 run: %v", err))
-	}
-
-	r := &WireResult{
-		Population: w.pop, Cohort: w.cohort, Epochs: w.epochs, Dim: w.dim,
-		V1: v1, V2: v2,
-		BitIdentical: reflect.DeepEqual(want.Model.Params(), v1Res.Model.Params()) &&
-			reflect.DeepEqual(want.Model.Params(), v2Res.Model.Params()) &&
-			reflect.DeepEqual(want.ValLossCurve, v1Res.ValLossCurve) &&
-			reflect.DeepEqual(want.ValLossCurve, v2Res.ValLossCurve),
-	}
-	if v2.Bytes > 0 {
-		r.BytesRatio = float64(v1.Bytes) / float64(v2.Bytes)
-	}
+	r.BitIdentical = reflect.DeepEqual(want.Model.Params(), got.Model.Params()) &&
+		reflect.DeepEqual(want.ValLossCurve, got.ValLossCurve)
 	return r
 }
 
 // Render writes the wire-benchmark summary.
 func (r *WireResult) Render(w io.Writer) {
-	writeHeader(w, "Wire codecs — digfl-fednet/2 binary vs /1 JSON, streamed sampled run")
+	writeHeader(w, "Wire — digfl-fednet/2 binary frames, streamed sampled run")
 	fmt.Fprintf(w, "%d participants, cohort %d, %d rounds, %d params\n",
 		r.Population, r.Cohort, r.Epochs, r.Dim)
-	for _, s := range []WireCodecStats{r.V1, r.V2} {
-		fmt.Fprintf(w, "%-16s %10d bytes on wire, %6.0f allocs/round, %4d frames, p50=%v p99=%v, wall %.0fms\n",
-			s.Codec, s.Bytes, s.AllocsPerRound, s.Frames, s.RoundP50, s.RoundP99, s.WallMS)
-	}
-	fmt.Fprintf(w, "bytes ratio v1/v2: %.2fx\n", r.BytesRatio)
-	fmt.Fprintf(w, "bit-identical to in-process streamed trainer (both codecs): %v\n", r.BitIdentical)
+	fmt.Fprintf(w, "%-16s %10d bytes on wire (%d control), %6.0f allocs/round, %4d frames, p50=%v p99=%v, wall %.0fms\n",
+		fednet.ProtocolV2, r.Bytes, r.ControlBytes, r.AllocsPerRound, r.Frames, r.RoundP50, r.RoundP99, r.WallMS)
+	fmt.Fprintf(w, "bit-identical to in-process streamed trainer: %v\n", r.BitIdentical)
 }
 
 // Tables returns the CSV rendering.
 func (r *WireResult) Tables() map[string][][]string {
 	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	rows := [][]string{
-		{"codec", "bytes_on_wire", "allocs_per_round", "frames", "round_p50_ms", "round_p99_ms", "wall_ms"},
-	}
-	for _, s := range []WireCodecStats{r.V1, r.V2} {
-		rows = append(rows, []string{
-			s.Codec, strconv.FormatInt(s.Bytes, 10), f(s.AllocsPerRound),
-			strconv.FormatInt(s.Frames, 10),
-			f(float64(s.RoundP50) / float64(time.Millisecond)),
-			f(float64(s.RoundP99) / float64(time.Millisecond)),
-			f(s.WallMS),
-		})
-	}
-	rows = append(rows,
-		[]string{"bytes_ratio_v1_over_v2", f(r.BytesRatio), "", "", "", "", ""},
-		[]string{"bit_identical", strconv.FormatBool(r.BitIdentical), "", "", "", "", ""})
-	return map[string][][]string{"wire": rows}
+	return map[string][][]string{"wire": {
+		{"codec", "bytes_on_wire", "control_bytes", "allocs_per_round", "frames", "round_p50_ms", "round_p99_ms", "wall_ms"},
+		{
+			fednet.ProtocolV2, strconv.FormatInt(r.Bytes, 10), strconv.FormatInt(r.ControlBytes, 10),
+			f(r.AllocsPerRound), strconv.FormatInt(r.Frames, 10),
+			f(float64(r.RoundP50) / float64(time.Millisecond)),
+			f(float64(r.RoundP99) / float64(time.Millisecond)),
+			f(r.WallMS),
+		},
+		{"bit_identical", strconv.FormatBool(r.BitIdentical), "", "", "", "", "", ""},
+	}}
 }
 
-// Bench returns the per-codec machine-readable entries for -json output.
+// Bench returns the machine-readable entry for -json output.
 func (r *WireResult) Bench() []BenchEntry {
-	entries := make([]BenchEntry, 0, 2)
-	for _, s := range []WireCodecStats{r.V1, r.V2} {
-		entries = append(entries, BenchEntry{
-			Exp:            "wire",
-			Codec:          s.Codec,
-			WallMS:         s.WallMS,
-			Epochs:         int64(r.Epochs),
-			Rounds:         r.Epochs,
-			RoundP50MS:     float64(s.RoundP50) / float64(time.Millisecond),
-			RoundP99MS:     float64(s.RoundP99) / float64(time.Millisecond),
-			BytesOnWire:    s.Bytes,
-			AllocsPerRound: s.AllocsPerRound,
-		})
-	}
-	return entries
+	return []BenchEntry{{
+		Exp:            "wire",
+		Codec:          fednet.ProtocolV2,
+		WallMS:         r.WallMS,
+		Epochs:         int64(r.Epochs),
+		Rounds:         r.Epochs,
+		RoundP50MS:     float64(r.RoundP50) / float64(time.Millisecond),
+		RoundP99MS:     float64(r.RoundP99) / float64(time.Millisecond),
+		BytesOnWire:    r.Bytes,
+		AllocsPerRound: r.AllocsPerRound,
+	}}
 }

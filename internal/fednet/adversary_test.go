@@ -76,9 +76,9 @@ func TestUpdateHandlerRejections(t *testing.T) {
 	}
 	c.mu.Unlock()
 
-	post := func(ur updateRequest) (*httptest.ResponseRecorder, errorReply) {
-		b, _ := json.Marshal(ur)
-		req := httptest.NewRequest(http.MethodPost, "/v1/update", bytes.NewReader(b))
+	post := func(tt int, delta []float64) (*httptest.ResponseRecorder, errorReply) {
+		req := httptest.NewRequest(http.MethodPost, "/v1/update", bytes.NewReader(updateFrame(t, tt, 0, delta)))
+		req.Header.Set("Content-Type", contentTypeBinary)
 		w := httptest.NewRecorder()
 		c.handleUpdate(w, req)
 		var er errorReply
@@ -86,16 +86,16 @@ func TestUpdateHandlerRejections(t *testing.T) {
 		return w, er
 	}
 
-	if w, er := post(updateRequest{Protocol: Protocol, T: 1, Index: 0, Delta: []float64{1, 2}}); w.Code != http.StatusUnprocessableEntity || er.Code != CodeBadShape {
+	if w, er := post(1, []float64{1, 2}); w.Code != http.StatusUnprocessableEntity || er.Code != CodeBadShape {
 		t.Errorf("short delta: status %d code %q", w.Code, er.Code)
 	}
-	if w, er := post(updateRequest{Protocol: Protocol, T: 1, Index: 0, Delta: []float64{1, math.Inf(1), 3}}); w.Code != http.StatusUnprocessableEntity || er.Code != CodeNonFinite {
+	if w, er := post(1, []float64{1, math.Inf(1), 3}); w.Code != http.StatusUnprocessableEntity || er.Code != CodeNonFinite {
 		t.Errorf("inf delta: status %d code %q", w.Code, er.Code)
 	}
-	if w, er := post(updateRequest{Protocol: Protocol, T: 99, Index: 0, Delta: []float64{1, 2, 3}}); w.Code != http.StatusConflict || er.Code != CodeStaleRound {
+	if w, er := post(99, []float64{1, 2, 3}); w.Code != http.StatusConflict || er.Code != CodeStaleRound {
 		t.Errorf("future round: status %d code %q", w.Code, er.Code)
 	}
-	if w, _ := post(updateRequest{Protocol: Protocol, T: 1, Index: 0, Delta: []float64{1, 2, 3}}); w.Code != http.StatusOK {
+	if w, _ := post(1, []float64{1, 2, 3}); w.Code != http.StatusOK {
 		t.Errorf("valid update: status %d body %s", w.Code, w.Body.String())
 	}
 	// The rejected payloads must not have claimed the participant's slot.

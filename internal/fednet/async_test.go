@@ -171,9 +171,8 @@ func TestAsyncWireBufferedAndTooStale(t *testing.T) {
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 
-	post := func(body any) (int, string) {
-		b, _ := json.Marshal(body)
-		resp, err := http.Post(srv.URL+"/v1/update", "application/json", bytes.NewReader(b))
+	post := func(tt int, delta []float64) (int, string) {
+		resp, err := http.Post(srv.URL+"/v1/update", contentTypeBinary, bytes.NewReader(updateFrame(t, tt, 0, delta)))
 		if err != nil {
 			t.Fatalf("POST /v1/update: %v", err)
 		}
@@ -201,7 +200,7 @@ func TestAsyncWireBufferedAndTooStale(t *testing.T) {
 		}
 		defer resp.Body.Close()
 		var rr roundReply
-		if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
+		if err := decodeReply(resp, &rr); err != nil {
 			t.Fatalf("round %d decode: %v", tt, err)
 		}
 		if rr.State != StateOpen {
@@ -219,7 +218,7 @@ func TestAsyncWireBufferedAndTooStale(t *testing.T) {
 	for j := range delta {
 		delta[j] = 0.001
 	}
-	if code, body := post(updateRequest{Protocol: Protocol, T: 1, Index: 0, Delta: delta}); code != http.StatusOK {
+	if code, body := post(1, delta); code != http.StatusOK {
 		t.Fatalf("fresh round-1 update: %d %s", code, body)
 	}
 
@@ -227,7 +226,7 @@ func TestAsyncWireBufferedAndTooStale(t *testing.T) {
 	// Round-1 update arriving during round 2: staleness 1 ≤ window 1 →
 	// buffered, and the retry is idempotent.
 	for k := 0; k < 2; k++ {
-		code, body := post(updateRequest{Protocol: Protocol, T: 1, Index: 0, Delta: delta})
+		code, body := post(1, delta)
 		if code != http.StatusAccepted {
 			t.Fatalf("late admissible update (attempt %d): %d %s", k, code, body)
 		}
@@ -236,18 +235,18 @@ func TestAsyncWireBufferedAndTooStale(t *testing.T) {
 			t.Fatalf("late admissible update reply (attempt %d): %s", k, body)
 		}
 	}
-	if code, body := post(updateRequest{Protocol: Protocol, T: 2, Index: 0, Delta: delta}); code != http.StatusOK {
+	if code, body := post(2, delta); code != http.StatusOK {
 		t.Fatalf("fresh round-2 update: %d %s", code, body)
 	}
 
 	getRound(3)
 	// Round-1 update arriving during round 3: staleness 2 > window 1 →
 	// typed too_stale conflict.
-	code, body := post(updateRequest{Protocol: Protocol, T: 1, Index: 0, Delta: delta})
+	code, body := post(1, delta)
 	if code != http.StatusConflict || !bytes.Contains([]byte(body), []byte(CodeTooStale)) {
 		t.Fatalf("beyond-window update: %d %s, want %d %s", code, body, http.StatusConflict, CodeTooStale)
 	}
-	if code, body := post(updateRequest{Protocol: Protocol, T: 3, Index: 0, Delta: delta}); code != http.StatusOK {
+	if code, body := post(3, delta); code != http.StatusOK {
 		t.Fatalf("fresh round-3 update: %d %s", code, body)
 	}
 
@@ -344,7 +343,7 @@ func TestAsyncShutdownMidQuorumReleasesWaiters(t *testing.T) {
 		t.Fatalf("round poll: %v", err)
 	}
 	var rr roundReply
-	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
+	if err := decodeReply(resp, &rr); err != nil {
 		t.Fatalf("round decode: %v", err)
 	}
 	resp.Body.Close()
@@ -352,8 +351,7 @@ func TestAsyncShutdownMidQuorumReleasesWaiters(t *testing.T) {
 		t.Fatalf("round state %q", rr.State)
 	}
 	delta := make([]float64, len(rr.Theta))
-	b, _ := json.Marshal(updateRequest{Protocol: Protocol, T: 1, Index: 0, Delta: delta})
-	uresp, err := client.Post(srv.URL+"/v1/update", "application/json", bytes.NewReader(b))
+	uresp, err := client.Post(srv.URL+"/v1/update", contentTypeBinary, bytes.NewReader(updateFrame(t, 1, 0, delta)))
 	if err != nil {
 		t.Fatalf("update: %v", err)
 	}

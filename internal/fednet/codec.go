@@ -2,7 +2,6 @@ package fednet
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -10,24 +9,18 @@ import (
 	"digfl/internal/tensor"
 )
 
-// digfl-fednet/2 is the negotiated binary bulk encoding: the run still
-// handshakes over digfl-fednet/1 JSON (join, acks, errors, pending/done
-// markers — all small), but the three payloads that carry O(d) floats every
-// round (update submissions, edge partials, and the open-round broadcast)
-// switch to raw little-endian float64 segments behind a fixed header. The
-// encoding is exact: a float64's bits cross the wire verbatim, so a v2 run
-// is bit-identical to a v1 run — JSON round-trips Go float64 exactly too —
-// and the two may be mixed freely within one federation.
+// digfl-fednet/2 is the bulk encoding: the three payloads that carry O(d)
+// floats every round (update submissions, edge partials, and the open-round
+// broadcast) are raw little-endian float64 segments behind a fixed header,
+// and nothing else carries them. JSON is the control plane only — join,
+// acks, excluded/pending/done/resubmit markers, errors, /v1/score — all
+// small. The encoding is exact: a float64's bits cross the wire verbatim.
 //
-// Negotiation: a client lists the protocols it accepts in join.Accept; the
-// coordinator answers with the one codec the client must use for its bulk
-// uploads (joinReply.Codec), preferring v2 unless Coordinator.LegacyJSON
-// pins the reply to v1. Ingest is never negotiated — every server decodes
-// both encodings on every round, dispatching on the request Content-Type —
-// so a mixed fleet (v1 participants behind v2 edges, or the reverse) works
-// without coordination. Downloads negotiate per poll: ?c=2 on /v1/round
-// asks for a binary broadcast, and the server's response Content-Type tells
-// the client which encoding came back.
+// There is nothing to negotiate. /v1/update and /v1/partial refuse any body
+// whose Content-Type is not contentTypeBinary (415, before the body is
+// read); a /v1/round poll that carries a vector always answers a frame, and
+// the response Content-Type tells the client whether it got a frame or a
+// JSON marker.
 //
 // Frame layouts (all integers little-endian, all floats IEEE-754 bits):
 //
@@ -40,12 +33,12 @@ import (
 // Every frame's length is implied by its header; a frame whose byte length
 // does not match exactly is rejected with CodeBadFrame (422) before any
 // float is touched. Non-finite floats decode fine and are then rejected by
-// the same finiteness screen the JSON path uses (CodeNonFinite).
+// the finiteness screen (CodeNonFinite).
 
-// ProtocolV2 names the binary bulk encoding in join negotiation.
+// ProtocolV2 names the binary bulk encoding.
 const ProtocolV2 = "digfl-fednet/2"
 
-// Content types distinguishing the two encodings on the wire.
+// Content types: JSON for control-plane bodies, binary for frames.
 const (
 	contentTypeJSON   = "application/json"
 	contentTypeBinary = "application/x-digfl-fednet2"
@@ -70,57 +63,19 @@ const (
 	roundFlagAsync = 1 << 2
 )
 
-// Codec encodes a client's bulk uploads in one of the negotiated wire
-// encodings. Both encoders build the complete request body once, so a
-// retry loop re-sends the same bytes instead of re-marshaling.
-type Codec interface {
-	// Name is the codec's protocol name ("digfl-fednet/1" or "/2").
-	Name() string
-	// ContentType is the request Content-Type servers dispatch on.
-	ContentType() string
-	// EncodeUpdate builds the /v1/update body for one local update.
-	EncodeUpdate(t, index int, delta []float64) ([]byte, error)
-	// EncodePartial builds the /v1/partial body for one edge partial.
-	EncodePartial(t, edge int, indices []int, sum, dots []float64) ([]byte, error)
-}
-
-// CodecV1 is the digfl-fednet/1 JSON encoding; CodecV2 is the
-// digfl-fednet/2 binary encoding. Both are stateless and shareable.
-var (
-	CodecV1 Codec = jsonCodec{}
-	CodecV2 Codec = binCodec{}
-)
-
-// codecByName maps a negotiated joinReply.Codec to its encoder; unknown or
-// empty names (an old coordinator) fall back to v1.
-func codecByName(name string) Codec {
-	if name == ProtocolV2 {
-		return CodecV2
-	}
-	return CodecV1
-}
-
-type jsonCodec struct{}
-
-func (jsonCodec) Name() string        { return Protocol }
-func (jsonCodec) ContentType() string { return contentTypeJSON }
-
-func (jsonCodec) EncodeUpdate(t, index int, delta []float64) ([]byte, error) {
-	return json.Marshal(updateRequest{Protocol: Protocol, T: t, Index: index, Delta: delta})
-}
-
-func (jsonCodec) EncodePartial(t, edge int, indices []int, sum, dots []float64) ([]byte, error) {
-	return json.Marshal(partialRequest{Protocol: Protocol, T: t, Edge: edge,
-		Indices: indices, Sum: sum, Dots: dots})
-}
+// CodecV2 builds the digfl-fednet/2 upload frames. Each encoder builds the
+// complete request body once, so a retry loop re-sends the same bytes
+// instead of re-encoding. Stateless and shareable.
+var CodecV2 binCodec
 
 type binCodec struct{}
 
-func (binCodec) Name() string        { return ProtocolV2 }
+// ContentType is the request Content-Type the ingest handlers require.
 func (binCodec) ContentType() string { return contentTypeBinary }
 
 const updateHdrLen = 4 + 4 + 4 + 4 // magic, t, index, d
 
+// EncodeUpdate builds the /v1/update body for one local update.
 func (binCodec) EncodeUpdate(t, index int, delta []float64) ([]byte, error) {
 	if t < 0 || index < 0 {
 		return nil, fmt.Errorf("fednet: negative round or index in update frame")
@@ -136,6 +91,15 @@ func (binCodec) EncodeUpdate(t, index int, delta []float64) ([]byte, error) {
 
 const partialHdrLen = 4 + 4 + 4 + 4 + 4 // magic, t, edge, k, d
 
+// EncodePartial builds the /v1/partial body for one edge sub-aggregator's
+// cohort partial on a streaming round: the unscaled sum of its members'
+// updates (in member order) plus their validation dot products,
+// dots[k] = ∇loss^v(θ_{t-1})·δ for indices[k]. indices lists the global
+// participant indices the partial folds, in round-active order; edge e must
+// own a contiguous earlier slot range than edge e+1. The root merges
+// partials in edge order and applies the single 1/m scale, so a tree run
+// reduces in exactly the canonical segmented order (hfl.MeanStream) and
+// stays bit-identical to a flat streamed run with Seg = edge width.
 func (binCodec) EncodePartial(t, edge int, indices []int, sum, dots []float64) ([]byte, error) {
 	if t < 0 || edge < 0 {
 		return nil, fmt.Errorf("fednet: negative round or edge in partial frame")
@@ -148,7 +112,7 @@ func (binCodec) EncodePartial(t, edge int, indices []int, sum, dots []float64) (
 	if k == 0 {
 		// An empty partial (every member dropped) carries no sum: the
 		// frame invariant is k=0 ⇒ d=0, and the server ignores the sum of
-		// a memberless partial in either encoding.
+		// a memberless partial.
 		sum, d = nil, 0
 	}
 	buf := tensor.GetBytes(partialHdrLen + 4*k + 8*d + 8*k)
@@ -321,7 +285,7 @@ func decodePartialVecs(b []byte, k, d int) (sum, dots []float64) {
 }
 
 // decodeRoundFrame parses a binary open-round broadcast into the reply
-// shape the JSON path produces; theta/valGrad are pooled vectors owned by
+// shape the JSON markers share; theta/valGrad are pooled vectors owned by
 // the caller.
 func decodeRoundFrame(b []byte) (*roundReply, error) {
 	if len(b) < roundHdrLen {
@@ -330,7 +294,7 @@ func decodeRoundFrame(b []byte) (*roundReply, error) {
 	if [4]byte(b[:4]) != magicRound {
 		return nil, badFrame("round frame has wrong magic %q", b[:4])
 	}
-	r := &roundReply{State: StateOpen, binary: true}
+	r := &roundReply{State: StateOpen}
 	r.T = int(binary.LittleEndian.Uint32(b[4:]))
 	r.LR = jsonf.F64(math.Float64frombits(binary.LittleEndian.Uint64(b[8:])))
 	r.DeadlineMS = int64(binary.LittleEndian.Uint64(b[roundDeadlineOff:]))

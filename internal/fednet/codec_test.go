@@ -2,14 +2,13 @@ package fednet
 
 import (
 	"bytes"
-	"context"
-	"fmt"
+	"encoding/json"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
-	"digfl/internal/core"
-	"digfl/internal/hfl"
+	"digfl/internal/obs"
 )
 
 // TestUpdateFrameRoundTrip pins the binary update encoding: every float64
@@ -104,9 +103,6 @@ func TestRoundFrameRoundTrip(t *testing.T) {
 			if rr.State != StateOpen || rr.T != 9 || float64(rr.LR) != 0.3 || rr.DeadlineMS != 1500 {
 				t.Fatalf("reply = %+v, want open t=9 lr=0.3 deadline=1500", rr)
 			}
-			if !rr.binary {
-				t.Error("decoded reply not marked binary")
-			}
 			switch {
 			case c.theta == nil && rr.Theta != nil, c.theta != nil && !sameVec(rr.Theta, c.theta):
 				t.Error("theta differs after round trip")
@@ -121,106 +117,6 @@ func TestRoundFrameRoundTrip(t *testing.T) {
 			}
 		})
 	}
-}
-
-// netRunCodecs runs a fault-free loopback federation with the given codec
-// pins and returns its result and attribution. partLegacy(i) pins
-// participant i to v1 JSON.
-func netRunCodecs(t *testing.T, seed int64, coordLegacy bool, partLegacy func(i int) bool) (*hfl.Result, *core.Attribution) {
-	t.Helper()
-	model, parts, val := problem(seed)
-	est := core.NewHFLEstimator(testN, model.NumParams(), core.ResourceSaving, nil)
-	coord := &Coordinator{
-		N: testN, Model: model, Val: val, Cfg: testConfig(),
-		Estimator: est, LegacyJSON: coordLegacy,
-	}
-	res, perrs, err := Loopback(context.Background(), coord, func(i int) *Participant {
-		return &Participant{Index: i, Model: model, Data: parts[i], Retries: 2,
-			LegacyJSON: partLegacy(i)}
-	})
-	if err != nil {
-		t.Fatalf("loopback (seed %d, coordLegacy %v): %v", seed, coordLegacy, err)
-	}
-	for i, perr := range perrs {
-		if perr != nil {
-			t.Fatalf("participant %d: %v", i, perr)
-		}
-	}
-	return res, est.Attribution()
-}
-
-// TestCrossCodecEquivalenceMatrix is the negotiation gate: every mix of v1
-// and v2 speakers — v2 clients against a LegacyJSON coordinator, v1-pinned
-// clients against a v2 coordinator, and a half-and-half fleet — must
-// produce the model, loss curve, and φ of the in-process trainer, bit for
-// bit, across 3 seeds. (The all-v2 run is the default and is covered by
-// TestLoopbackBitIdenticalToLocal.)
-func TestCrossCodecEquivalenceMatrix(t *testing.T) {
-	mixes := []struct {
-		name        string
-		coordLegacy bool
-		partLegacy  func(i int) bool
-	}{
-		{"v2-clients_v1-coordinator", true, func(int) bool { return false }},
-		{"v1-clients_v2-coordinator", false, func(int) bool { return true }},
-		{"mixed-fleet_v2-coordinator", false, func(i int) bool { return i%2 == 0 }},
-	}
-	for _, seed := range []int64{1, 2, 3} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			t.Parallel()
-			want, wantAttr := localRun(t, seed, testConfig())
-			for _, mix := range mixes {
-				got, gotAttr := netRunCodecs(t, seed, mix.coordLegacy, mix.partLegacy)
-				if !sameVec(got.Model.Params(), want.Model.Params()) {
-					t.Errorf("%s: model differs from in-process run", mix.name)
-				}
-				if !sameVec(got.ValLossCurve, want.ValLossCurve) {
-					t.Errorf("%s: loss curve differs", mix.name)
-				}
-				if !sameVec(gotAttr.Totals, wantAttr.Totals) {
-					t.Errorf("%s: φ totals differ", mix.name)
-				}
-			}
-		})
-	}
-}
-
-// TestTreeCrossCodecEquivalence pins the tree's per-round codec inference:
-// a cohort tree whose root is pinned to v1 JSON (edges detect the JSON
-// broadcast and fall back for their partials) must match the default
-// all-v2 tree and the in-process streamed trainer bit for bit.
-func TestTreeCrossCodecEquivalence(t *testing.T) {
-	const edges = 3
-	width := (treeN + edges - 1) / edges
-	seed := int64(1)
-	local, localAttr := localStreamRun(t, seed, treeN, width, nil)
-
-	run := func(coordLegacy bool) (*hfl.Result, *core.Attribution) {
-		model, parts, val := problemN(seed, treeN)
-		est := core.NewHFLEstimator(treeN, model.NumParams(), core.ResourceSaving, nil)
-		coord := &Coordinator{
-			N: treeN, Model: model, Val: val, Cfg: testConfig(),
-			Estimator: est, Stream: hfl.MeanStream{Seg: width}, Edges: edges,
-			LegacyJSON: coordLegacy,
-		}
-		res, perrs, err := TreeLoopback(context.Background(), coord, func(i int) *Participant {
-			return &Participant{Index: i, Model: model, Data: parts[i], Retries: 2}
-		})
-		if err != nil {
-			t.Fatalf("tree loopback (legacy %v): %v", coordLegacy, err)
-		}
-		for i, perr := range perrs {
-			if perr != nil {
-				t.Fatalf("worker %d (legacy %v): %v", i, coordLegacy, perr)
-			}
-		}
-		return res, est.Attribution()
-	}
-	v2, v2Attr := run(false)
-	v1, v1Attr := run(true)
-	checkSameRun(t, "v2 tree vs local", v2, local, v2Attr, localAttr)
-	checkSameRun(t, "v1-root tree vs local", v1, local, v1Attr, localAttr)
 }
 
 // TestBinaryFrameRejection drives malformed digfl-fednet/2 payloads at the
@@ -298,6 +194,95 @@ func TestBinaryFrameRejection(t *testing.T) {
 				t.Errorf("coordinator status = %d, want 422", cresp.StatusCode)
 			}
 		})
+	}
+}
+
+// TestNonFrameBodyRefused: the three ingest handlers read a body as a
+// digfl-fednet/2 frame or not at all. A JSON body, a frame with no
+// Content-Type, and a frame whose binary type carries parameters all answer
+// 415/bad_frame without panicking, without touching the open round (or the
+// edge's park), and without counting a frame; the same bytes under the
+// exact type are then accepted, so the refusal was the type's alone.
+func TestNonFrameBodyRefused(t *testing.T) {
+	const p = 3
+	update := updateFrame(t, 1, 0, []float64{1, 2, 3})
+	partial, err := CodecV2.EncodePartial(1, 0, []int{1}, []float64{1, 2, 3}, []float64{0.5})
+	if err != nil {
+		t.Fatalf("EncodePartial: %v", err)
+	}
+	sink := &obs.Collector{}
+	cfg := testConfig()
+	cfg.Runtime.Sink = sink
+	coord := &Coordinator{N: 2, Cfg: cfg, Edges: 1}
+	round := &openRound{t: 1, theta: make([]float64, p), valGrad: make([]float64, p),
+		order: []int{0, 1}, folded: make([]bool, 2),
+		parts: make([][]float64, 1), partIdx: make([][]int, 1), partDots: make([][]float64, 1)}
+	openTestRound(coord, round)
+	edge := &EdgeAggregator{Root: "http://unused", Edge: 0, Members: []int{0}, Sink: sink}
+
+	untouched := func() bool {
+		coord.mu.Lock()
+		defer coord.mu.Unlock()
+		edge.mu.Lock()
+		defer edge.mu.Unlock()
+		return round.got == 0 && !round.folded[0] && !round.folded[1] &&
+			round.partIdx[0] == nil && len(round.direct) == 0 && len(edge.parked) == 0
+	}
+	handlers := []struct {
+		name    string
+		handler http.Handler
+		path    string
+		frame   []byte
+	}{
+		{"root-update", coord.Handler(), "/v1/update", update},
+		{"root-partial", coord.Handler(), "/v1/partial", partial},
+		{"edge-update", edge.Handler(), "/v1/update", update},
+	}
+	for _, h := range handlers {
+		post := func(contentType string, body []byte) (*httptest.ResponseRecorder, errorReply) {
+			req := httptest.NewRequest(http.MethodPost, h.path, bytes.NewReader(body))
+			if contentType != "" {
+				req.Header.Set("Content-Type", contentType)
+			}
+			w := httptest.NewRecorder()
+			h.handler.ServeHTTP(w, req)
+			var er errorReply
+			_ = json.Unmarshal(w.Body.Bytes(), &er)
+			return w, er
+		}
+		for _, c := range []struct {
+			name, contentType string
+			body              []byte
+		}{
+			{"json", contentTypeJSON, []byte(`{"protocol":"digfl-fednet/1","t":1,"index":0,"delta":[1,2,3]}`)},
+			{"no-type", "", h.frame},
+			{"type-with-params", contentTypeBinary + "; charset=utf-8", h.frame},
+		} {
+			t.Run(h.name+"/"+c.name, func(t *testing.T) {
+				w, er := post(c.contentType, c.body)
+				if w.Code != http.StatusUnsupportedMediaType || er.Code != CodeBadFrame {
+					t.Errorf("status %d code %q, want 415 %s", w.Code, er.Code, CodeBadFrame)
+				}
+				if !untouched() {
+					t.Error("a refused body reached the round")
+				}
+				if n := sink.Snapshot().CodecV2Frames; n != 0 {
+					t.Errorf("%d frames counted for refused bodies", n)
+				}
+			})
+		}
+	}
+	for _, h := range handlers {
+		req := httptest.NewRequest(http.MethodPost, h.path, bytes.NewReader(h.frame))
+		req.Header.Set("Content-Type", contentTypeBinary)
+		w := httptest.NewRecorder()
+		h.handler.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			t.Errorf("%s: the same frame under the exact type: status %d %s", h.name, w.Code, w.Body)
+		}
+	}
+	if untouched() {
+		t.Error("accepted frames left the round untouched")
 	}
 }
 

@@ -3,7 +3,6 @@ package fednet
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -101,12 +100,6 @@ type Coordinator struct {
 	// (robust.UpdateScreen.ClipNow). Wire-level shape and finiteness
 	// rejections still happen first.
 	IngestScreen *robust.UpdateScreen
-	// LegacyJSON pins the coordinator to the digfl-fednet/1 JSON wire: join
-	// negotiation never advertises the v2 binary codec and ?c=2 round polls
-	// get JSON broadcasts. Ingest still accepts both encodings — a v2
-	// client behind an upgraded edge keeps working. For rollbacks and
-	// cross-version tests; leave false to let clients negotiate v2.
-	LegacyJSON bool
 	// Edges, when positive (requires Stream), switches streaming rounds
 	// from per-participant /v1/update ingest to /v1/partial ingest from
 	// this many edge sub-aggregators (EdgeAggregator): each edge folds its
@@ -157,8 +150,6 @@ type Coordinator struct {
 	nJoined int
 	started bool
 	round   *openRound
-	aggs    map[int]*aggregateReply
-	lastRes *hfl.RoundResult
 	done    bool
 	runErr  error
 
@@ -191,8 +182,8 @@ type openRound struct {
 	closed   bool
 
 	// bcast is the round's digfl-fednet/2 broadcast frame (theta, no
-	// validation gradient, zero deadline), encoded by the first binary poll
-	// that wants it and shared, immutable, by every later one. A poll may
+	// validation gradient, zero deadline), encoded by the first poll that
+	// wants it and shared, immutable, by every later one. A poll may
 	// still be writing it after the round closed, so it is never recycled.
 	bcast []byte
 
@@ -236,7 +227,6 @@ func (c *Coordinator) initLocked() {
 	if c.changed == nil {
 		c.changed = make(chan struct{})
 		c.joined = make([]bool, c.N)
-		c.aggs = make(map[int]*aggregateReply)
 		if c.instance == 0 {
 			c.instance = 1
 		}
@@ -292,14 +282,6 @@ func (c *Coordinator) Run(ctx context.Context) (*hfl.Result, error) {
 	c.mu.Lock()
 	c.done = true
 	c.runErr = err
-	if err == nil && c.Cfg.Epochs > 0 {
-		agg := &aggregateReply{State: StateClosed, T: c.Cfg.Epochs,
-			Theta: tensor.Clone(res.Model.Params()), Final: true}
-		if c.lastRes != nil && c.lastRes.Reported != nil {
-			agg.Reported = c.lastRes.Reported
-		}
-		c.aggs[c.Cfg.Epochs] = agg
-	}
 	c.bcastLocked()
 	c.mu.Unlock()
 	return res, err
@@ -633,9 +615,8 @@ func (c *Coordinator) journalClose(ck *hfl.Checkpoint) error {
 }
 
 // journalUpdate appends one accepted update as its canonical
-// digfl-fednet/2 frame (JSON arrivals are re-encoded, so replay needs one
-// decoder). Callers hold mu and must not acknowledge the update if the
-// append fails.
+// digfl-fednet/2 frame. Callers hold mu and must not acknowledge the update
+// if the append fails.
 func (c *Coordinator) journalUpdate(t, index int, delta []float64) error {
 	if c.wal == nil {
 		return nil
@@ -759,15 +740,6 @@ func (c *Coordinator) Round(ctx context.Context, spec *hfl.RoundSpec) (*hfl.Roun
 	// Recovery complete: the rejoin barrier refilled and the round is
 	// republishing, so stop 503ing round traffic.
 	c.recovering = false
-	// Publish the previous round's aggregate: this round's broadcast theta
-	// IS the post-aggregation model of round t-1.
-	if spec.T > 1 {
-		agg := &aggregateReply{State: StateClosed, T: spec.T - 1, Theta: tensor.Clone(spec.Theta)}
-		if c.lastRes != nil && c.lastRes.Reported != nil {
-			agg.Reported = c.lastRes.Reported
-		}
-		c.aggs[spec.T-1] = agg
-	}
 	c.round = r
 	c.bcastLocked()
 	c.mu.Unlock()
@@ -934,7 +906,6 @@ func (c *Coordinator) Round(ctx context.Context, spec *hfl.RoundSpec) (*hfl.Roun
 		res.Deltas, res.Reported = deltas, reported
 		nAgg = r.got
 	}
-	c.lastRes = res
 	c.bcastLocked()
 	c.mu.Unlock()
 	for _, i := range missed {
@@ -1093,7 +1064,6 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/round", c.handleRound)
 	mux.HandleFunc("POST /v1/update", c.handleUpdate)
 	mux.HandleFunc("POST /v1/partial", c.handlePartial)
-	mux.HandleFunc("GET /v1/aggregate", c.handleAggregate)
 	mux.HandleFunc("GET /v1/score", c.handleScore)
 	sink := c.Cfg.Runtime.Sink
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
@@ -1173,20 +1143,9 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, req *http.Request) {
 	if steps < 1 {
 		steps = 1
 	}
-	// Codec negotiation: pick the newest encoding the client accepts, v1
-	// JSON when it offered nothing (or LegacyJSON pins the run to v1).
-	codec := Protocol
-	if !c.LegacyJSON {
-		for _, a := range jr.Accept {
-			if a == ProtocolV2 {
-				codec = ProtocolV2
-				break
-			}
-		}
-	}
 	writeJSON(w, http.StatusOK, joinReply{
 		Protocol: Protocol, N: c.N, Epochs: c.Cfg.Epochs, LocalSteps: steps,
-		Codec: codec, Instance: inst, Prox: c.Cfg.Prox,
+		Instance: inst, Prox: c.Cfg.Prox,
 	})
 }
 
@@ -1234,10 +1193,6 @@ func (c *Coordinator) handleRound(w http.ResponseWriter, req *http.Request) {
 	}
 	wantVG := q.Get("vg") == "1"
 	headerOnly := q.Get("h") == "1"
-	// ?c=2 asks for the broadcast as a digfl-fednet/2 binary frame; the
-	// response Content-Type tells the client what it got, so the pin to v1
-	// under LegacyJSON needs no other signal.
-	wantV2 := q.Get("c") == "2" && !c.LegacyJSON
 	sink := c.Cfg.Runtime.Sink
 	var wait longPollTimer
 	defer wait.stop()
@@ -1279,8 +1234,7 @@ func (c *Coordinator) handleRound(w http.ResponseWriter, req *http.Request) {
 			}
 			// A header-only poll can still carry the validation gradient:
 			// edges need ∇loss^v but not theta, so ?h=1&vg=1 skips the
-			// model download entirely. Additive — old clients never combine
-			// the two.
+			// model download entirely.
 			if wantVG && r.valGrad != nil {
 				reply.ValGrad = r.valGrad
 			}
@@ -1289,7 +1243,7 @@ func (c *Coordinator) handleRound(w http.ResponseWriter, req *http.Request) {
 					reply.DeadlineMS = rem.Milliseconds()
 				}
 			}
-			if wantV2 && reply.Theta != nil && reply.ValGrad == nil {
+			if reply.Theta != nil && reply.ValGrad == nil {
 				// The participants' poll: every cohort member downloads the
 				// same frame but for the deadline field, so the round encodes
 				// it once and each poll patches its own header.
@@ -1303,14 +1257,14 @@ func (c *Coordinator) handleRound(w http.ResponseWriter, req *http.Request) {
 				return
 			}
 			c.mu.Unlock()
-			if bulk := reply.Theta != nil || reply.ValGrad != nil; bulk && wantV2 {
+			if reply.ValGrad != nil {
+				// A vector always travels as a frame; JSON is left with the
+				// header-only open reply.
 				frame := encodeRoundFrame(reply.T, float64(reply.LR), reply.DeadlineMS,
 					reply.Theta, reply.ValGrad, reply.Quorum, reply.MaxStale)
 				obs.Emit(sink, obs.Event{Kind: obs.KindCodecV2Frame, T: reply.T, N: 1})
 				writeBinary(w, frame)
 				return
-			} else if bulk {
-				obs.Emit(sink, obs.Event{Kind: obs.KindCodecV1Frame, T: reply.T, N: 1})
 			}
 			writeJSON(w, http.StatusOK, reply)
 			return
@@ -1360,52 +1314,27 @@ func (c *Coordinator) handleRound(w http.ResponseWriter, req *http.Request) {
 }
 
 func (c *Coordinator) handleUpdate(w http.ResponseWriter, req *http.Request) {
-	// Two-phase decode in both encodings: the header (round, index) decodes
-	// first with the delta left raw, so stale, inactive, and duplicate
-	// payloads are rejected before any float parse — a straggler's late
-	// megabyte costs a JSON skip (or a header peek), not a parsed buffer the
-	// 409 branch then drops on the floor.
-	if isBinaryRequest(req) {
-		body, err := readBodyPooled(req.Body, req.ContentLength)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		defer tensor.PutBytes(body)
-		t, index, d, err := decodeUpdateHeader(body)
-		if err != nil {
-			writeCodedError(w, http.StatusUnprocessableEntity, CodeBadFrame, "%v", err)
-			return
-		}
-		c.ingestUpdate(w, t, index, obs.KindCodecV2Frame, func() ([]float64, error) {
-			return decodeFrameVec(body[updateHdrLen:], d), nil
-		})
+	body, ok := readFrame(w, req)
+	if !ok {
 		return
 	}
-	var ui updateIngest
-	if err := readJSON(req.Body, &ui); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	defer tensor.PutBytes(body)
+	t, index, d, err := decodeUpdateHeader(body)
+	if err != nil {
+		writeCodedError(w, http.StatusUnprocessableEntity, CodeBadFrame, "%v", err)
 		return
 	}
-	if ui.Protocol != Protocol {
-		writeError(w, http.StatusBadRequest, "protocol %q, want %q", ui.Protocol, Protocol)
-		return
-	}
-	c.ingestUpdate(w, ui.T, ui.Index, obs.KindCodecV1Frame, func() ([]float64, error) {
-		var delta jsonf.Vec
-		if err := json.Unmarshal(ui.Delta, &delta); err != nil {
-			return nil, err
-		}
-		return delta, nil
-	})
+	c.ingestUpdate(w, body, t, index, d)
 }
 
-// ingestUpdate runs the codec-independent acceptance pipeline for one
-// update: slot and duplicate checks from the header alone, then the bulk
+// ingestUpdate runs the acceptance pipeline for one update frame whose
+// header (t, index, d) already decoded: slot and duplicate checks from the
+// header alone — a straggler's late megabyte costs a header peek, not a
+// parsed buffer the 409 branch then drops on the floor — then the delta
 // decode (only once the update is known to be wanted), then the shape and
-// finiteness screens, then the streaming fold or round-buffer commit.
+// finiteness screen, then the streaming fold or round-buffer commit.
 // Vectors the round does not retain go back to the tensor pool.
-func (c *Coordinator) ingestUpdate(w http.ResponseWriter, t, index int, frameKind obs.Kind, decode func() ([]float64, error)) {
+func (c *Coordinator) ingestUpdate(w http.ResponseWriter, body []byte, t, index, d int) {
 	sink := c.Cfg.Runtime.Sink
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1423,7 +1352,7 @@ func (c *Coordinator) ingestUpdate(w http.ResponseWriter, t, index int, frameKin
 		// later one. Within the staleness window it is admitted into the
 		// planner's buffer (202 buffered) and folds at a discount when due;
 		// beyond the window it is refused as too stale.
-		c.ingestLateLocked(w, r, t, index, decode)
+		c.ingestLateLocked(w, r, body, t, index, d)
 		return
 	}
 	if r == nil || r.t != t || r.closed {
@@ -1448,25 +1377,12 @@ func (c *Coordinator) ingestUpdate(w http.ResponseWriter, t, index int, frameKin
 		c.ackUpdateLocked(w, r, index)
 		return
 	}
-	delta, err := decode()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "decoding delta: %v", err)
+	delta := decodeFrameVec(body[updateHdrLen:], d)
+	obs.Emit(sink, obs.Event{Kind: obs.KindCodecV2Frame, T: t, N: 1})
+	if !vetDelta(w, sink, t, index, delta, len(r.theta)) {
 		return
 	}
-	obs.Emit(sink, obs.Event{Kind: frameKind, T: t, N: 1})
 	switch {
-	case len(delta) != len(r.theta):
-		// An honest client can never produce a wrong-length delta from
-		// this round's broadcast; refuse it outright.
-		tensor.PutVec(delta)
-		obs.Emit(sink, obs.Event{Kind: obs.KindUpdateRejected, T: t, Part: index})
-		writeCodedError(w, http.StatusUnprocessableEntity, CodeBadShape,
-			"delta has %d params, model has %d", len(delta), len(r.theta))
-	case !finiteVec(delta):
-		tensor.PutVec(delta)
-		obs.Emit(sink, obs.Event{Kind: obs.KindUpdateRejected, T: t, Part: index})
-		writeCodedError(w, http.StatusUnprocessableEntity, CodeNonFinite,
-			"delta carries non-finite values")
 	case r.parts != nil:
 		// Edge-mode direct submission: the member's edge died, so it fell
 		// back to the root (transport failure, or the re-solicitation
@@ -1554,7 +1470,7 @@ func (c *Coordinator) ackUpdateLocked(w http.ResponseWriter, r *openRound, index
 // open. The delta is journaled as a D2UP frame at t = r.t followed by a
 // stale_admit control record, so replay can tell it apart from the open
 // round's fresh arrivals. Callers hold mu.
-func (c *Coordinator) ingestLateLocked(w http.ResponseWriter, r *openRound, origin, index int, decode func() ([]float64, error)) {
+func (c *Coordinator) ingestLateLocked(w http.ResponseWriter, r *openRound, body []byte, origin, index, d int) {
 	sink := c.Cfg.Runtime.Sink
 	if s := r.t - origin; s > c.Async.MaxStaleness {
 		obs.Emit(sink, obs.Event{Kind: obs.KindStaleReject, T: r.t, Part: index, N: int64(s)})
@@ -1569,23 +1485,8 @@ func (c *Coordinator) ingestLateLocked(w http.ResponseWriter, r *openRound, orig
 		writeJSON(w, http.StatusAccepted, updateReply{Accepted: true, Reason: "buffered"})
 		return
 	}
-	delta, err := decode()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "decoding delta: %v", err)
-		return
-	}
-	switch {
-	case len(delta) != len(r.theta):
-		tensor.PutVec(delta)
-		obs.Emit(sink, obs.Event{Kind: obs.KindUpdateRejected, T: r.t, Part: index})
-		writeCodedError(w, http.StatusUnprocessableEntity, CodeBadShape,
-			"delta has %d params, model has %d", len(delta), len(r.theta))
-		return
-	case !finiteVec(delta):
-		tensor.PutVec(delta)
-		obs.Emit(sink, obs.Event{Kind: obs.KindUpdateRejected, T: r.t, Part: index})
-		writeCodedError(w, http.StatusUnprocessableEntity, CodeNonFinite,
-			"delta carries non-finite values")
+	delta := decodeFrameVec(body[updateHdrLen:], d)
+	if !vetDelta(w, sink, r.t, index, delta, len(r.theta)) {
 		return
 	}
 	if err := c.journalUpdate(r.t, index, delta); err != nil {
@@ -1605,55 +1506,28 @@ func (c *Coordinator) ingestLateLocked(w http.ResponseWriter, r *openRound, orig
 }
 
 // handlePartial ingests one edge sub-aggregator's cohort partial on an
-// edge-mode streaming round (Coordinator.Edges > 0). Same two-phase decode
-// discipline as /v1/update: stale and duplicate partials are rejected from
-// the header before the bulk vectors are parsed.
+// edge-mode streaming round (Coordinator.Edges > 0).
 func (c *Coordinator) handlePartial(w http.ResponseWriter, req *http.Request) {
-	if isBinaryRequest(req) {
-		body, err := readBodyPooled(req.Body, req.ContentLength)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		defer tensor.PutBytes(body)
-		t, edge, indices, d, err := decodePartialHeader(body)
-		if err != nil {
-			writeCodedError(w, http.StatusUnprocessableEntity, CodeBadFrame, "%v", err)
-			return
-		}
-		c.ingestPartial(w, t, edge, indices, obs.KindCodecV2Frame, func() (sum, dots []float64, err error) {
-			sum, dots = decodePartialVecs(body, len(indices), d)
-			return sum, dots, nil
-		})
+	body, ok := readFrame(w, req)
+	if !ok {
 		return
 	}
-	var pi partialIngest
-	if err := readJSON(req.Body, &pi); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	defer tensor.PutBytes(body)
+	t, edge, indices, d, err := decodePartialHeader(body)
+	if err != nil {
+		writeCodedError(w, http.StatusUnprocessableEntity, CodeBadFrame, "%v", err)
 		return
 	}
-	if pi.Protocol != Protocol {
-		writeError(w, http.StatusBadRequest, "protocol %q, want %q", pi.Protocol, Protocol)
-		return
-	}
-	c.ingestPartial(w, pi.T, pi.Edge, pi.Indices, obs.KindCodecV1Frame, func() (sum, dots []float64, err error) {
-		var s, d jsonf.Vec
-		if err := json.Unmarshal(pi.Sum, &s); err != nil {
-			return nil, nil, fmt.Errorf("decoding sum: %w", err)
-		}
-		if err := json.Unmarshal(pi.Dots, &d); err != nil {
-			return nil, nil, fmt.Errorf("decoding dots: %w", err)
-		}
-		return s, d, nil
-	})
+	c.ingestPartial(w, body, t, edge, indices, d)
 }
 
-// ingestPartial runs the codec-independent acceptance pipeline for one edge
-// partial: slot membership and ordering are validated from the header's
-// indices before the bulk vectors decode. Accepted sums and dots are
-// retained until the round closes (Round recycles them after the merge);
-// rejected ones go straight back to the pool.
-func (c *Coordinator) ingestPartial(w http.ResponseWriter, t, edge int, indices []int, frameKind obs.Kind, decode func() (sum, dots []float64, err error)) {
+// ingestPartial runs the acceptance pipeline for one edge partial frame
+// whose header already decoded — the same two-phase discipline as
+// ingestUpdate: staleness, slot membership and ordering are validated from
+// the header's indices before the bulk vectors decode. Accepted sums and
+// dots are retained until the round closes (Round recycles them after the
+// merge); rejected ones go straight back to the pool.
+func (c *Coordinator) ingestPartial(w http.ResponseWriter, body []byte, t, edge int, indices []int, d int) {
 	sink := c.Cfg.Runtime.Sink
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1710,12 +1584,8 @@ func (c *Coordinator) ingestPartial(w http.ResponseWriter, t, edge int, indices 
 		}
 		slots[j] = k
 	}
-	sum, dots, err := decode()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	obs.Emit(sink, obs.Event{Kind: frameKind, T: t, N: 1})
+	sum, dots := decodePartialVecs(body, len(indices), d)
+	obs.Emit(sink, obs.Event{Kind: obs.KindCodecV2Frame, T: t, N: 1})
 	reject := func() {
 		tensor.PutVec(sum)
 		tensor.PutVec(dots)
@@ -1768,47 +1638,27 @@ func finiteVec(v []float64) bool {
 	return true
 }
 
-func (c *Coordinator) handleAggregate(w http.ResponseWriter, req *http.Request) {
-	t, err := strconv.Atoi(req.URL.Query().Get("t"))
-	if err != nil || t < 1 {
-		writeError(w, http.StatusBadRequest, "bad round number %q", req.URL.Query().Get("t"))
-		return
+// vetDelta is the shape and finiteness screen every decoded update passes,
+// on the root and on the edges: want is the model dimension (an honest
+// client can never produce a wrong-length delta from its round's
+// broadcast). A refused delta is recycled, counted as KindUpdateRejected
+// against round t, and answered 422; vetDelta then returns false.
+func vetDelta(w http.ResponseWriter, sink obs.Sink, t, index int, delta []float64, want int) bool {
+	shapeOK := len(delta) == want
+	if shapeOK && finiteVec(delta) {
+		return true
 	}
-	var wait longPollTimer
-	defer wait.stop()
-	for {
-		c.mu.Lock()
-		c.initLocked()
-		if agg, ok := c.aggs[t]; ok {
-			c.mu.Unlock()
-			writeJSON(w, http.StatusOK, *agg)
-			return
-		}
-		if c.done {
-			c.mu.Unlock()
-			writeError(w, http.StatusNotFound, "round %d has no aggregate (run ended)", t)
-			return
-		}
-		if c.recovering {
-			// A recovered coordinator does not republish pre-crash
-			// aggregates (the next round's broadcast theta carries the
-			// model forward); waiting here would hang past recovery.
-			c.mu.Unlock()
-			writeCodedError(w, http.StatusServiceUnavailable, CodeRecovering,
-				"coordinator is recovering; re-join and retry")
-			return
-		}
-		ch := c.changed
-		c.mu.Unlock()
-		select {
-		case <-ch:
-		case <-wait.expired():
-			writeJSON(w, http.StatusOK, aggregateReply{State: StatePending})
-			return
-		case <-req.Context().Done():
-			return
-		}
+	n := len(delta)
+	tensor.PutVec(delta)
+	obs.Emit(sink, obs.Event{Kind: obs.KindUpdateRejected, T: t, Part: index})
+	if !shapeOK {
+		writeCodedError(w, http.StatusUnprocessableEntity, CodeBadShape,
+			"delta has %d params, model has %d", n, want)
+	} else {
+		writeCodedError(w, http.StatusUnprocessableEntity, CodeNonFinite,
+			"delta carries non-finite values")
 	}
+	return false
 }
 
 func (c *Coordinator) handleScore(w http.ResponseWriter, req *http.Request) {

@@ -3,7 +3,6 @@ package fednet
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"digfl/internal/faults"
-	"digfl/internal/jsonf"
 	"digfl/internal/obs"
 	"digfl/internal/tensor"
 )
@@ -119,51 +117,26 @@ func (e *EdgeAggregator) Handler() http.Handler {
 }
 
 func (e *EdgeAggregator) handleUpdate(w http.ResponseWriter, req *http.Request) {
-	// Same two-phase decode as the root, in both encodings: header first,
-	// floats only once the submission is known to be wanted.
-	if isBinaryRequest(req) {
-		body, err := readBodyPooled(req.Body, req.ContentLength)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		defer tensor.PutBytes(body)
-		t, index, d, err := decodeUpdateHeader(body)
-		if err != nil {
-			writeCodedError(w, http.StatusUnprocessableEntity, CodeBadFrame, "%v", err)
-			return
-		}
-		e.ingestUpdate(w, t, index, func() ([]float64, func(http.ResponseWriter)) {
-			return e.vetDelta(decodeFrameVec(body[updateHdrLen:], d))
-		})
+	body, ok := readFrame(w, req)
+	if !ok {
 		return
 	}
-	var ui updateIngest
-	if err := readJSON(req.Body, &ui); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	defer tensor.PutBytes(body)
+	t, index, d, err := decodeUpdateHeader(body)
+	if err != nil {
+		writeCodedError(w, http.StatusUnprocessableEntity, CodeBadFrame, "%v", err)
 		return
 	}
-	if ui.Protocol != Protocol {
-		writeError(w, http.StatusBadRequest, "protocol %q, want %q", ui.Protocol, Protocol)
-		return
-	}
-	e.ingestUpdate(w, ui.T, ui.Index, func() ([]float64, func(http.ResponseWriter)) {
-		var delta jsonf.Vec
-		if err := json.Unmarshal(ui.Delta, &delta); err != nil {
-			return nil, func(w http.ResponseWriter) {
-				writeError(w, http.StatusBadRequest, "decoding delta: %v", err)
-			}
-		}
-		return e.vetDelta(delta)
-	})
+	e.ingestUpdate(w, body, t, index, d)
 }
 
-// ingestUpdate runs the codec-independent member-update pipeline: slot and
-// duplicate checks from the header alone, the bulk decode only once the
-// update is wanted, then the in-order fold (or the park, for an update
-// that beat the edge to the root's broadcast — parked updates are
+// ingestUpdate runs the member-update pipeline for one update frame whose
+// header already decoded — the same two-phase discipline as the root: slot
+// and duplicate checks from the header alone, the delta decode and vet only
+// once the update is wanted, then the in-order fold (or the park, for an
+// update that beat the edge to the root's broadcast — parked updates are
 // cohort-bounded).
-func (e *EdgeAggregator) ingestUpdate(w http.ResponseWriter, t, index int, decode func() ([]float64, func(http.ResponseWriter))) {
+func (e *EdgeAggregator) ingestUpdate(w http.ResponseWriter, body []byte, t, index, d int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.initLocked()
@@ -176,58 +149,42 @@ func (e *EdgeAggregator) ingestUpdate(w http.ResponseWriter, t, index int, decod
 			"edge %d already closed round %d", e.Edge, t)
 		return
 	}
-	if r := e.cur; r != nil && r.t == t {
-		pos, active := r.pos[index]
-		switch {
-		case !active:
+	r, pos := e.cur, 0
+	if r != nil && r.t != t {
+		r = nil // a round the edge has not learned yet: the update parks
+	}
+	if r != nil {
+		var active bool
+		if pos, active = r.pos[index]; !active {
 			writeJSON(w, http.StatusOK, updateReply{Reason: "not-active"})
-		case r.folded[pos]:
+			return
+		}
+		if r.folded[pos] {
 			// Idempotent retry of an update whose ack was lost.
 			writeJSON(w, http.StatusOK, updateReply{Accepted: true})
-		default:
-			delta, errReply := decode()
-			if errReply != nil {
-				errReply(w)
-				return
-			}
-			e.fold(r, pos, delta)
-			e.bcastLocked()
-			writeJSON(w, http.StatusOK, updateReply{Accepted: true})
+			return
 		}
+	}
+	// Until the first round teaches the edge the model dimension, the frame's
+	// own d is all there is to check against.
+	want := e.p
+	if want == 0 {
+		want = d
+	}
+	delta := decodeFrameVec(body[updateHdrLen:], d)
+	if !vetDelta(w, nil, t, index, delta, want) {
 		return
 	}
-	delta, errReply := decode()
-	if errReply != nil {
-		errReply(w)
-		return
+	if r != nil {
+		e.fold(r, pos, delta)
+		e.bcastLocked()
+	} else {
+		if e.parked[t] == nil {
+			e.parked[t] = make(map[int][]float64)
+		}
+		e.parked[t][index] = delta
 	}
-	if e.parked[t] == nil {
-		e.parked[t] = make(map[int][]float64)
-	}
-	e.parked[t][index] = delta
 	writeJSON(w, http.StatusOK, updateReply{Accepted: true})
-}
-
-// vetDelta validates a decoded delta's shape and finiteness; on failure it
-// recycles the vector and returns a writer for the rejection. Callers
-// hold mu.
-func (e *EdgeAggregator) vetDelta(delta []float64) ([]float64, func(http.ResponseWriter)) {
-	if e.p != 0 && len(delta) != e.p {
-		n := len(delta)
-		tensor.PutVec(delta)
-		return nil, func(w http.ResponseWriter) {
-			writeCodedError(w, http.StatusUnprocessableEntity, CodeBadShape,
-				"delta has %d params, model has %d", n, e.p)
-		}
-	}
-	if !finiteVec(delta) {
-		tensor.PutVec(delta)
-		return nil, func(w http.ResponseWriter) {
-			writeCodedError(w, http.StatusUnprocessableEntity, CodeNonFinite,
-				"delta carries non-finite values")
-		}
-	}
-	return delta, nil
 }
 
 // fold commits one member update in position order, parking out-of-order
@@ -273,13 +230,10 @@ func (e *EdgeAggregator) Run(ctx context.Context) error {
 	next := 1
 	for {
 		// Learn the next round (long-poll). ?vg=1 asks for the validation
-		// gradient the dot products need, ?h=1 skips the theta download the
-		// edge never uses (the model dimension comes from the gradient), and
-		// ?c=2 requests the binary broadcast — whether it comes back binary
-		// tells the edge which codec the root speaks, so the uplink codec
-		// negotiates itself per round with no join handshake.
+		// gradient the dot products need and ?h=1 skips the theta download the
+		// edge never uses (the model dimension comes from the gradient).
 		var round roundReply
-		if err := e.get(ctx, next, fmt.Sprintf("/v1/round?t=%d&vg=1&h=1&c=2", next), &round); err != nil {
+		if err := e.get(ctx, next, fmt.Sprintf("/v1/round?t=%d&vg=1&h=1", next), &round); err != nil {
 			return fmt.Errorf("fednet: edge %d round %d: %w", e.Edge, next, err)
 		}
 		switch round.State {
@@ -296,10 +250,6 @@ func (e *EdgeAggregator) Run(ctx context.Context) error {
 		}
 		if round.ValGrad == nil {
 			return fmt.Errorf("fednet: edge %d round %d: root is not streaming (Coordinator.Stream with Edges required)", e.Edge, round.T)
-		}
-		upCodec := CodecV1
-		if round.binary {
-			upCodec = CodecV2
 		}
 
 		// Discover which members are in the round's cohort (header-only
@@ -393,15 +343,14 @@ func (e *EdgeAggregator) Run(ctx context.Context) error {
 		e.bcastLocked()
 		e.mu.Unlock()
 
-		// Encode once through the round's negotiated codec and re-send the
-		// same bytes across retries; every buffer the round owned is
-		// recycled once the partial is on the wire.
-		body, err := upCodec.EncodePartial(round.T, e.Edge, indices, sum, dots)
+		// Encode once and re-send the same bytes across retries; every
+		// buffer the round owned is recycled once the partial is on the wire.
+		body, err := CodecV2.EncodePartial(round.T, e.Edge, indices, sum, dots)
 		if err != nil {
 			return fmt.Errorf("fednet: edge %d partial %d: %w", e.Edge, round.T, err)
 		}
 		var ack updateReply
-		err = e.postBytes(ctx, round.T, "/v1/partial", body, upCodec.ContentType(), &ack)
+		err = e.postFrame(ctx, round.T, "/v1/partial", body, &ack)
 		tensor.PutBytes(body)
 		tensor.PutVec(sum)
 		tensor.PutVec(dots)
@@ -486,15 +435,15 @@ func (e *EdgeAggregator) get(ctx context.Context, round int, path string, out an
 	}, out)
 }
 
-// postBytes submits a pre-encoded body: built once by the codec, re-sent
+// postFrame submits a pre-encoded digfl-fednet/2 frame: built once, re-sent
 // verbatim on every backoff attempt.
-func (e *EdgeAggregator) postBytes(ctx context.Context, round int, path string, body []byte, contentType string, out any) error {
+func (e *EdgeAggregator) postFrame(ctx context.Context, round int, path string, body []byte, out any) error {
 	return e.do(ctx, round, func() (*http.Request, error) {
 		req, err := http.NewRequest(http.MethodPost, e.Root+path, bytes.NewReader(body))
 		if err != nil {
 			return nil, err
 		}
-		req.Header.Set("Content-Type", contentType)
+		req.Header.Set("Content-Type", contentTypeBinary)
 		return req, nil
 	}, out)
 }

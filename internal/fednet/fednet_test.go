@@ -316,6 +316,17 @@ func TestCoordinatorCancellation(t *testing.T) {
 	})
 }
 
+// updateFrame encodes a hand-built update as the digfl-fednet/2 frame a
+// client posts to /v1/update.
+func updateFrame(tb testing.TB, t, index int, delta []float64) []byte {
+	tb.Helper()
+	b, err := CodecV2.EncodeUpdate(t, index, delta)
+	if err != nil {
+		tb.Fatalf("EncodeUpdate: %v", err)
+	}
+	return b
+}
+
 // TestWireValidation drives the handler directly: protocol and shape
 // errors must be rejected with JSON errors, and the score endpoint must be
 // gated on an attached estimator.
@@ -337,6 +348,7 @@ func TestWireValidation(t *testing.T) {
 		return resp, buf.String()
 	}
 
+	// Protocol is checked at join, the one request that names it.
 	if resp, body := post("/v1/join", joinRequest{Protocol: "digfl-fednet/999", Index: 0}); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("version-mismatch join: status %d body %s", resp.StatusCode, body)
 	}
@@ -352,12 +364,15 @@ func TestWireValidation(t *testing.T) {
 	}
 	// An update with no open round is a typed stale-round conflict — benign
 	// for a well-behaved participant, but no longer a silent 200.
-	resp, body := post("/v1/update", updateRequest{Protocol: Protocol, T: 1, Index: 0, Delta: []float64{1}})
-	if resp.StatusCode != http.StatusConflict || !strings.Contains(body, CodeStaleRound) {
-		t.Errorf("update with no round: status %d body %s", resp.StatusCode, body)
+	uresp, err := http.Post(srv.URL+"/v1/update", contentTypeBinary, bytes.NewReader(updateFrame(t, 1, 0, []float64{1})))
+	if err != nil {
+		t.Fatalf("POST /v1/update: %v", err)
 	}
-	if resp, body := post("/v1/update", updateRequest{Protocol: "nope", T: 1, Index: 0}); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("version-mismatch update: status %d body %s", resp.StatusCode, body)
+	var ubody bytes.Buffer
+	_, _ = ubody.ReadFrom(uresp.Body)
+	uresp.Body.Close()
+	if uresp.StatusCode != http.StatusConflict || !strings.Contains(ubody.String(), CodeStaleRound) {
+		t.Errorf("update with no round: status %d body %s", uresp.StatusCode, ubody.String())
 	}
 
 	get := func(path string) (*http.Response, string) {
@@ -379,7 +394,9 @@ func TestWireValidation(t *testing.T) {
 }
 
 // TestScoreAndAggregateEndpoints runs a full loopback training and then
-// reads φ and the final model back over the wire.
+// reads φ back over the wire. The model has one way across the wire — the
+// round broadcast — so the last round's frame is compared with the run's
+// own log, and the retired /v1/aggregate route must answer 404.
 func TestScoreAndAggregateEndpoints(t *testing.T) {
 	model, parts, val := problem(13)
 	est := core.NewHFLEstimator(testN, model.NumParams(), core.ResourceSaving, nil)
@@ -387,9 +404,30 @@ func TestScoreAndAggregateEndpoints(t *testing.T) {
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 
+	// Participant 0 re-polls the last round before answering it: the round
+	// cannot close without its update, so the poll sees that round's frame.
+	var lastTheta []float64
 	done := make(chan error, testN)
 	for i := 0; i < testN; i++ {
 		p := &Participant{Index: i, BaseURL: srv.URL, Model: model, Data: parts[i], Retries: 2}
+		if i == 0 {
+			p.Delay = func(tt int) {
+				if tt != testEpochs {
+					return
+				}
+				resp, err := http.Get(fmt.Sprintf("%s/v1/round?t=%d", srv.URL, tt))
+				if err != nil {
+					t.Errorf("last-round poll: %v", err)
+					return
+				}
+				defer resp.Body.Close()
+				var rr roundReply
+				if err := decodeReply(resp, &rr); err != nil || rr.T != tt {
+					t.Errorf("last-round poll: t=%d err=%v", rr.T, err)
+				}
+				lastTheta = rr.Theta
+			}
+		}
 		go func() { done <- p.Run(context.Background()) }()
 	}
 	res, err := coord.Run(context.Background())
@@ -411,13 +449,16 @@ func TestScoreAndAggregateEndpoints(t *testing.T) {
 		t.Errorf("wire φ = %v, want %v", score.Totals, est.Attribution().Totals)
 	}
 
-	var agg aggregateReply
-	getJSON(t, fmt.Sprintf("%s/v1/aggregate?t=%d", srv.URL, testEpochs), &agg)
-	if agg.State != StateClosed || !agg.Final {
-		t.Errorf("final aggregate state=%q final=%v", agg.State, agg.Final)
+	if !sameVec(lastTheta, res.Log[testEpochs-1].Theta) {
+		t.Error("last round's broadcast theta differs from the run's logged model")
 	}
-	if !sameVec(agg.Theta, res.Model.Params()) {
-		t.Error("final aggregate theta differs from trained model")
+	resp, err := http.Get(fmt.Sprintf("%s/v1/aggregate?t=%d", srv.URL, testEpochs))
+	if err != nil {
+		t.Fatalf("GET /v1/aggregate: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/v1/aggregate: status %d, want 404", resp.StatusCode)
 	}
 }
 

@@ -54,10 +54,6 @@ type Participant struct {
 	// honest computation and before submission — the wire-level adversary
 	// hook the defense tests drive malformed and poisoned payloads through.
 	Tamper func(t int, delta []float64)
-	// LegacyJSON keeps this participant on the digfl-fednet/1 JSON wire:
-	// join negotiation offers no v2 codec and round polls never ask for
-	// binary broadcasts. For rollbacks and cross-version tests.
-	LegacyJSON bool
 	// Sink receives a KindNetRequest per attempted request and a KindRetry
 	// per retried one.
 	Sink obs.Sink
@@ -172,11 +168,7 @@ func (p *Participant) do(ctx context.Context, round, retries int, build func() (
 // here until recovery completes. Not routed through do (no nested retries,
 // and join must go out even while other requests are being refused).
 func (p *Participant) rejoin(ctx context.Context) {
-	jr := joinRequest{Protocol: Protocol, Index: p.Index}
-	if !p.LegacyJSON {
-		jr.Accept = []string{ProtocolV2}
-	}
-	body, err := json.Marshal(jr)
+	body, err := json.Marshal(joinRequest{Protocol: Protocol, Index: p.Index})
 	if err != nil {
 		return
 	}
@@ -233,24 +225,13 @@ func (p *Participant) Run(ctx context.Context) error {
 	if p.Model == nil {
 		return errors.New("fednet: participant needs a model prototype")
 	}
-	jr := joinRequest{Protocol: Protocol, Index: p.Index}
-	if !p.LegacyJSON {
-		jr.Accept = []string{ProtocolV2}
-	}
 	var join joinReply
-	err := p.post(ctx, 0, "/v1/join", jr, &join)
+	err := p.post(ctx, 0, "/v1/join", joinRequest{Protocol: Protocol, Index: p.Index}, &join)
 	if err != nil {
 		return fmt.Errorf("fednet: participant %d join: %w", p.Index, err)
 	}
 	if join.Protocol != Protocol {
 		return fmt.Errorf("fednet: participant %d: coordinator speaks %q, want %q", p.Index, join.Protocol, Protocol)
-	}
-	// The negotiated codec covers this participant's bulk uploads; binary
-	// round broadcasts are requested per poll (?c=2) when it is v2.
-	codec := codecByName(join.Codec)
-	pollSuffix := ""
-	if codec == CodecV2 {
-		pollSuffix = "&c=2"
 	}
 
 	next := 1
@@ -265,7 +246,7 @@ func (p *Participant) Run(ctx context.Context) error {
 		// Polling with ?i= lets the coordinator answer Excluded when this
 		// participant is outside the round's sampled cohort, skipping the
 		// theta download and the local computation entirely.
-		if err := p.get(ctx, next, fmt.Sprintf("/v1/round?t=%d&i=%d%s", next, p.Index, pollSuffix), &round); err != nil {
+		if err := p.get(ctx, next, fmt.Sprintf("/v1/round?t=%d&i=%d", next, p.Index), &round); err != nil {
 			return fmt.Errorf("fednet: participant %d round %d: %w", p.Index, next, err)
 		}
 		switch round.State {
@@ -283,7 +264,7 @@ func (p *Participant) Run(ctx context.Context) error {
 			// to the root. Checked before the stale-skip: a Resubmit reply
 			// names the still-open previous round.
 			var ack updateReply
-			err := p.postBytes(ctx, heldT, p.Retries, p.BaseURL, "/v1/update", heldBody, codec.ContentType(), &ack)
+			err := p.postBytes(ctx, heldT, p.Retries, p.BaseURL, "/v1/update", heldBody, contentTypeBinary, &ack)
 			if err != nil {
 				var we *WireError
 				if !errors.As(err, &we) || we.Code != CodeStaleRound {
@@ -317,15 +298,15 @@ func (p *Participant) Run(ctx context.Context) error {
 			upBase = p.UpdateURL
 			retries = min(2, p.Retries)
 		}
-		// Encode once through the negotiated codec; the retry loop re-sends
-		// the same bytes. The body buffer is recycled after the last attempt
-		// (edge mode holds it one round for a possible resubmission).
-		body, err := codec.EncodeUpdate(round.T, p.Index, delta)
+		// Encode once; the retry loop re-sends the same bytes. The body
+		// buffer is recycled after the last attempt (edge mode holds it one
+		// round for a possible resubmission).
+		body, err := CodecV2.EncodeUpdate(round.T, p.Index, delta)
 		if err != nil {
 			return fmt.Errorf("fednet: participant %d update %d: %w", p.Index, round.T, err)
 		}
 		var ack updateReply
-		err = p.postBytes(ctx, round.T, retries, upBase, "/v1/update", body, codec.ContentType(), &ack)
+		err = p.postBytes(ctx, round.T, retries, upBase, "/v1/update", body, contentTypeBinary, &ack)
 		if err != nil && upBase != p.BaseURL {
 			var we *WireError
 			if !errors.As(err, &we) {
@@ -333,7 +314,7 @@ func (p *Participant) Run(ctx context.Context) error {
 				// protocol rejection): fall back to submitting directly
 				// to the root, which accepts the orphaned member.
 				obs.Emit(p.Sink, obs.Event{Kind: obs.KindEdgeFailover, T: round.T, Part: p.Index})
-				err = p.postBytes(ctx, round.T, p.Retries, p.BaseURL, "/v1/update", body, codec.ContentType(), &ack)
+				err = p.postBytes(ctx, round.T, p.Retries, p.BaseURL, "/v1/update", body, contentTypeBinary, &ack)
 			}
 		}
 		if err == nil && p.UpdateURL != "" {

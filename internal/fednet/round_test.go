@@ -3,6 +3,7 @@ package fednet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -77,12 +78,13 @@ func pollRound(c *Coordinator, query string) *httptest.ResponseRecorder {
 	return w
 }
 
-// TestRoundFrameEncodedOnce: every binary poll of a round is answered
-// from one shared frame, and what reaches the wire is byte for byte what
-// encodeRoundFrame produces for that poll — without a deadline, with one
-// (each poll's own remaining time patched into its own header copy), and
-// with the async extension. Validation-gradient and header-only polls still
-// encode their own reply.
+// TestRoundFrameEncodedOnce: every theta poll of a round — with the ?c=2
+// the repository benchmark's driver still sends, or without it — is
+// answered from one shared frame, and what reaches the wire is byte for
+// byte what encodeRoundFrame produces for that poll — without a deadline,
+// with one (each poll's own remaining time patched into its own header
+// copy), and with the async extension. Validation-gradient and header-only
+// polls still encode their own reply.
 func TestRoundFrameEncodedOnce(t *testing.T) {
 	rng := tensor.NewRNG(4)
 	theta, valGrad := rng.NormalVec(37, 0, 1), rng.NormalVec(37, 0, 1)
@@ -110,7 +112,11 @@ func TestRoundFrameEncodedOnce(t *testing.T) {
 			}
 			var shared []byte
 			for poll, i := range []int{1, 6, 4, 1} {
-				w := pollRound(c, fmt.Sprintf("t=7&i=%d&c=2", i))
+				query := fmt.Sprintf("t=7&i=%d", i)
+				if poll%2 == 0 {
+					query += "&c=2" // ignored, not rejected
+				}
+				w := pollRound(c, query)
 				if w.Code != http.StatusOK || w.Header().Get("Content-Type") != contentTypeBinary {
 					t.Fatalf("poll %d: status %d, content type %q", poll, w.Code, w.Header().Get("Content-Type"))
 				}
@@ -147,8 +153,8 @@ func TestRoundFrameEncodedOnce(t *testing.T) {
 			// Validation-gradient polls (edge sub-aggregators) carry their own
 			// payload: theta+valGrad, or valGrad alone when header-only.
 			for query, vecs := range map[string][2][]float64{
-				"t=7&i=4&c=2&vg=1":     {theta, valGrad},
-				"t=7&i=4&c=2&vg=1&h=1": {nil, valGrad},
+				"t=7&i=4&c=2&vg=1": {theta, valGrad},
+				"t=7&i=4&vg=1&h=1": {nil, valGrad},
 			} {
 				got := pollRound(c, query).Body.Bytes()
 				dec, err := decodeRoundFrame(got)
@@ -164,12 +170,76 @@ func TestRoundFrameEncodedOnce(t *testing.T) {
 				bytes.Contains(w.Body.Bytes(), []byte(`"theta"`)) {
 				t.Errorf("header-only poll: %q %s", w.Header().Get("Content-Type"), w.Body)
 			}
-			// A JSON poll of the same round is untouched by the cached frame.
-			if w := pollRound(c, "t=7&i=4"); w.Header().Get("Content-Type") != contentTypeJSON ||
-				!bytes.Contains(w.Body.Bytes(), []byte(`"theta":[`)) {
-				t.Errorf("JSON poll: %q", w.Header().Get("Content-Type"))
-			}
 		})
+	}
+}
+
+// TestBenchDriverRequestShapes pins the request shapes bench/driver.go sends
+// — the repository benchmark is frozen between PRs and still speaks the
+// negotiation-era dialect — and the reply shapes it parses.
+func TestBenchDriverRequestShapes(t *testing.T) {
+	theta := tensor.NewRNG(5).NormalVec(11, 0, 1)
+	c := &Coordinator{N: 8, Cfg: testConfig()}
+	h := c.Handler()
+	do := func(method, target, contentType string, body []byte) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(method, target, bytes.NewReader(body))
+		if contentType != "" {
+			req.Header.Set("Content-Type", contentType)
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		return w
+	}
+	// The driver's poll parser: these field names are the contract.
+	marker := func(w *httptest.ResponseRecorder) (rr struct {
+		State    string `json:"state"`
+		T        int    `json:"t"`
+		Excluded bool   `json:"excluded"`
+	}) {
+		t.Helper()
+		if w.Code != http.StatusOK || w.Header().Get("Content-Type") != contentTypeJSON {
+			t.Fatalf("marker reply: status %d, content type %q", w.Code, w.Header().Get("Content-Type"))
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &rr); err != nil {
+			t.Fatalf("marker reply %s: %v", w.Body, err)
+		}
+		return rr
+	}
+
+	// A join that still offers a codec: the unknown field is ignored.
+	join := `{"protocol":"` + Protocol + `","index":4,"accept":["` + ProtocolV2 + `"]}`
+	if w := do("POST", "/v1/join", contentTypeJSON, []byte(join)); w.Code != http.StatusOK {
+		t.Fatalf("join with accept: status %d %s", w.Code, w.Body)
+	}
+
+	// An async round with participant 4 scheduled to lag and 6 on time.
+	r := &openRound{t: 3, lr: 0.25, theta: theta, order: []int{4, 6}, deltas: make([][]float64, 2),
+		async: &hfl.AsyncSchedule{Fresh: []int{4, 6}, Lag: map[int]int{4: 2, 6: 0}}}
+	openTestRound(c, r)
+	w := do("GET", "/v1/round?t=3&i=4&c=2", "", nil)
+	if w.Code != http.StatusOK || w.Header().Get("Content-Type") != CodecV2.ContentType() ||
+		!bytes.Equal(w.Body.Bytes(), encodeRoundFrame(3, 0.25, 0, theta, nil, 0, 0)) {
+		t.Fatalf("c=2 poll: status %d, content type %q, or not encodeRoundFrame's bytes", w.Code, w.Header().Get("Content-Type"))
+	}
+	if rr := marker(do("GET", "/v1/round?t=2&i=5&c=2", "", nil)); rr.State != StateOpen || rr.T != 3 || !rr.Excluded {
+		t.Errorf("excluded poll: %+v", rr)
+	}
+	for i, want := range map[int]int{4: http.StatusAccepted, 6: http.StatusOK} {
+		if w := do("POST", "/v1/update", CodecV2.ContentType(), updateFrame(t, 3, i, theta)); w.Code != want {
+			t.Errorf("update from %d: status %d, want %d: %s", i, w.Code, want, w.Body)
+		}
+	}
+
+	// The pending marker needs a 10 s long-poll leg to observe live; pin the
+	// bytes the handler writes for it instead.
+	if b, _ := json.Marshal(roundReply{State: StatePending}); string(b) != `{"state":"pending"}` {
+		t.Errorf("pending marker: %s", b)
+	}
+	c.mu.Lock()
+	c.done = true
+	c.mu.Unlock()
+	if rr := marker(do("GET", "/v1/round?t=4&i=4&c=2", "", nil)); rr.State != StateDone {
+		t.Errorf("done poll: %+v", rr)
 	}
 }
 

@@ -35,9 +35,8 @@ import (
 //     (model, curve, estimator, quarantine) through the same jsonf
 //     non-finite-safe encoding the archive uses.
 //   - digfl-fednet/2 binary frames (D2UP update, D2PA edge partial): the
-//     bulk per-round commits, journaled as the exact canonical frame bytes
-//     (JSON arrivals are re-encoded), so the journal costs the same 8d
-//     bytes per update as the wire.
+//     bulk per-round commits, journaled as the exact canonical frame
+//     bytes, so the journal costs the same 8d bytes per update as the wire.
 //
 // Determinism: a round's aggregate is a pure function of the SET of
 // committed (slot, update) pairs — the streaming fold is segmented by slot

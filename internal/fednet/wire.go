@@ -2,7 +2,7 @@
 // coordinator/participant pair that runs HFL training and DIG-FL
 // contribution estimation over a real HTTP boundary instead of an
 // in-process loop. The Coordinator serves a versioned wire protocol
-// (join / round / update / aggregate / score) and drives internal/hfl
+// (join / round / update / partial / score) and drives internal/hfl
 // epochs through the trainer's RoundSource seam; the Participant is the
 // matching client wrapping one local dataset shard.
 //
@@ -10,16 +10,14 @@
 // reports every round) produces the same model bits, validation-loss
 // curve, training log, and per-participant contributions φ as the
 // in-process hfl.Trainer on the same seed. The wire cannot perturb floats
-// — theta and delta vectors cross it as JSON (Go's float64 JSON encoding
-// is exact round-trip; non-finite values use the internal/jsonf sentinels)
-// or as raw IEEE-754 bits in the negotiated digfl-fednet/2 binary encoding
-// (see codec.go), both lossless — and cannot perturb order: deltas are
-// slotted by participant
-// index into the round's active order, so aggregation order never depends
-// on arrival order. A participant that misses a round deadline degrades
-// that epoch to the survivors with exactly the Epoch.Reported semantics of
-// injected dropout, so contribution scores survive real network failures
-// the way Lemma 3 promises.
+// — theta and delta vectors cross it as raw IEEE-754 bits in digfl-fednet/2
+// binary frames (see codec.go), the only encoding of an O(d) payload; JSON
+// carries the control plane only — and cannot perturb order: deltas are
+// slotted by participant index into the round's active order, so
+// aggregation order never depends on arrival order. A participant that
+// misses a round deadline degrades that epoch to the survivors with exactly
+// the Epoch.Reported semantics of injected dropout, so contribution scores
+// survive real network failures the way Lemma 3 promises.
 package fednet
 
 import (
@@ -33,32 +31,27 @@ import (
 	"digfl/internal/tensor"
 )
 
-// Protocol is the wire-protocol version string; both sides refuse to talk
-// across a version mismatch.
+// Protocol is the wire-protocol version string, checked at join; both sides
+// refuse to talk across a version mismatch.
 const Protocol = "digfl-fednet/1"
 
-// Round states returned by the /v1/round and /v1/aggregate endpoints.
+// Round states returned by the /v1/round endpoint.
 const (
 	// StatePending means the requested object does not exist yet; poll
 	// again.
 	StatePending = "pending"
 	// StateOpen means the returned round is accepting updates.
 	StateOpen = "open"
-	// StateClosed means the returned aggregate is final for its round.
-	StateClosed = "closed"
 	// StateDone means training has finished (or aborted); no more rounds.
 	StateDone = "done"
 )
 
 // joinRequest claims a participant slot. Participants declare their index —
 // identity maps to a dataset shard, so the server must not assign it.
+// Unknown fields are ignored, not rejected.
 type joinRequest struct {
 	Protocol string `json:"protocol"`
 	Index    int    `json:"index"`
-	// Accept lists additional wire encodings the participant can speak
-	// (ProtocolV2); absent means v1 JSON only. Additive: old coordinators
-	// ignore it and old clients never send it.
-	Accept []string `json:"accept,omitempty"`
 }
 
 // joinReply confirms the slot and carries the run's static configuration.
@@ -67,10 +60,6 @@ type joinReply struct {
 	N          int    `json:"n"`
 	Epochs     int    `json:"epochs"`
 	LocalSteps int    `json:"local_steps"`
-	// Codec is the negotiated bulk encoding the participant must use for
-	// its uploads — the coordinator's pick from the request's Accept list.
-	// Empty (an old coordinator) means v1 JSON.
-	Codec string `json:"codec,omitempty"`
 	// Instance is the coordinator incarnation number (1 for a fresh run,
 	// +1 per crash recovery). A participant that sees the incarnation
 	// change — here or in the X-Digfl-Instance response header — re-joins
@@ -83,13 +72,16 @@ type joinReply struct {
 	Prox float64 `json:"prox,omitempty"`
 }
 
-// roundReply is the /v1/round long-poll response: the open round's
-// broadcast, or a pending/done marker.
+// roundReply is the /v1/round long-poll response. On the wire it is JSON
+// only when it carries no vector — an excluded/pending/done/resubmit marker
+// or a header-only open reply; an open round's broadcast travels as a
+// digfl-fednet/2 round frame, which the client decodes into this same shape
+// (Theta and ValGrad are filled from frames alone).
 type roundReply struct {
 	State string    `json:"state"`
 	T     int       `json:"t,omitempty"`
 	LR    jsonf.F64 `json:"lr,omitempty"`
-	Theta jsonf.Vec `json:"theta,omitempty"`
+	Theta []float64 `json:"-"`
 	// DeadlineMS is the remaining round deadline in milliseconds at the
 	// moment the reply was built; 0 means the round has no deadline.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
@@ -102,8 +94,8 @@ type roundReply struct {
 	// ValGrad is ∇loss^v(θ_{T-1}), served only when the poll asked for it
 	// (?vg=1) on a streaming round — edge sub-aggregators need it to
 	// compute the per-update validation dot products the estimator consumes
-	// after the poll's round. Additive.
-	ValGrad jsonf.Vec `json:"val_grad,omitempty"`
+	// after the poll's round.
+	ValGrad []float64 `json:"-"`
 	// Resubmit asks a participant polling for round T+1 to re-send its
 	// round-T update directly to the root: its edge aggregator died before
 	// folding the cohort partial, so the root never saw the update the
@@ -118,81 +110,12 @@ type roundReply struct {
 	// origin round is more than MaxStale behind the open round is rejected
 	// with CodeTooStale. Served only on async rounds. Additive.
 	MaxStale int `json:"max_stale,omitempty"`
-
-	// binary records, client-side only, that this reply arrived as a
-	// digfl-fednet/2 frame — the signal an edge uses to pick its uplink
-	// codec. Never serialized.
-	binary bool
-}
-
-// updateRequest submits one local update δ_{t,i}.
-type updateRequest struct {
-	Protocol string    `json:"protocol"`
-	T        int       `json:"t"`
-	Index    int       `json:"index"`
-	Delta    jsonf.Vec `json:"delta"`
-}
-
-// updateIngest is the server-side decode view of updateRequest: the delta
-// stays raw so stale, inactive, and duplicate submissions are rejected from
-// the small header alone — a late 64MB payload costs a JSON skip, not a
-// float parse plus a retained buffer.
-type updateIngest struct {
-	Protocol string          `json:"protocol"`
-	T        int             `json:"t"`
-	Index    int             `json:"index"`
-	Delta    json.RawMessage `json:"delta"`
-}
-
-// partialRequest submits one edge sub-aggregator's cohort partial for a
-// streaming round: the unscaled sum of its members' updates (in member
-// order) plus their validation dot products. The root merges partials in
-// edge order and applies the single 1/m scale, so a tree run reduces in
-// exactly the canonical segmented order (hfl.MeanStream) and stays
-// bit-identical to a flat streamed run with Seg = edge width.
-type partialRequest struct {
-	Protocol string `json:"protocol"`
-	T        int    `json:"t"`
-	// Edge is the sub-aggregator's index; edge e must own a contiguous
-	// earlier slot range than edge e+1.
-	Edge int `json:"edge"`
-	// Indices lists the global participant indices whose updates the
-	// partial folds, in round-active order.
-	Indices []int `json:"indices"`
-	// Sum is Σ δ over Indices, unscaled, in active order.
-	Sum jsonf.Vec `json:"sum"`
-	// Dots[k] = ∇loss^v(θ_{t-1})·δ for Indices[k].
-	Dots jsonf.Vec `json:"dots"`
-}
-
-// partialIngest is the server-side decode view of partialRequest (header
-// first, bulk vectors only on acceptance).
-type partialIngest struct {
-	Protocol string          `json:"protocol"`
-	T        int             `json:"t"`
-	Edge     int             `json:"edge"`
-	Indices  []int           `json:"indices"`
-	Sum      json.RawMessage `json:"sum"`
-	Dots     json.RawMessage `json:"dots"`
 }
 
 // updateReply acknowledges (or rejects) a submitted update.
 type updateReply struct {
 	Accepted bool   `json:"accepted"`
 	Reason   string `json:"reason,omitempty"`
-}
-
-// aggregateReply is the /v1/aggregate long-poll response: the global model
-// after the requested round closed, with the round's survivor list.
-type aggregateReply struct {
-	State string    `json:"state"`
-	T     int       `json:"t,omitempty"`
-	Theta jsonf.Vec `json:"theta,omitempty"`
-	// Reported lists the participants whose updates the round aggregated;
-	// nil means full participation.
-	Reported []int `json:"reported,omitempty"`
-	// Final marks the last round of the run.
-	Final bool `json:"final,omitempty"`
 }
 
 // scoreReply is the /v1/score response: the estimator's live attribution,
@@ -233,9 +156,11 @@ const (
 	// CodeNonFinite rejects an update carrying NaN or ±Inf coordinates.
 	// Fatal for the client.
 	CodeNonFinite = "non_finite"
-	// CodeBadFrame rejects a digfl-fednet/2 binary frame whose envelope is
-	// malformed — truncated, oversized, wrong magic, or a byte length that
-	// contradicts the header. Fatal for the client.
+	// CodeBadFrame rejects an upload that is not a well-formed
+	// digfl-fednet/2 frame: a body whose Content-Type is not the frame type
+	// (415), or a frame whose envelope is malformed — truncated, oversized,
+	// wrong magic, or a byte length that contradicts the header (422). Fatal
+	// for the client.
 	CodeBadFrame = "bad_frame"
 	// CodeRecovering (503) tells a client the coordinator is replaying its
 	// write-ahead log after a restart and is not yet serving rounds.
@@ -303,9 +228,22 @@ func readJSON(r io.Reader, v any) error {
 // vectors, small enough to shrug off garbage.
 const maxBodyBytes = 64 << 20
 
-// isBinaryRequest reports whether a request carries a digfl-fednet/2 frame.
-func isBinaryRequest(req *http.Request) bool {
-	return req.Header.Get("Content-Type") == contentTypeBinary
+// readFrame reads the body of an upload, which must declare itself a
+// digfl-fednet/2 frame: any other Content-Type is refused with 415 before a
+// byte of the body is read as anything. On success the caller owns the
+// pooled body (PutBytes when done); on failure the rejection is written.
+func readFrame(w http.ResponseWriter, req *http.Request) ([]byte, bool) {
+	if ct := req.Header.Get("Content-Type"); ct != contentTypeBinary {
+		writeCodedError(w, http.StatusUnsupportedMediaType, CodeBadFrame,
+			"Content-Type %q, want %q", ct, contentTypeBinary)
+		return nil, false
+	}
+	body, err := readBodyPooled(req.Body, req.ContentLength)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return nil, false
+	}
+	return body, true
 }
 
 // readBodyPooled reads a bounded request/response body into a pooled byte
@@ -376,9 +314,9 @@ func writeRoundBroadcast(w http.ResponseWriter, frame []byte, deadlineMS int64) 
 	_, _ = w.Write(frame)
 }
 
-// decodeReply decodes a 200 response body into out, dispatching on the
-// response Content-Type: a binary round broadcast lands in a *roundReply
-// exactly as its JSON twin would; everything else is JSON.
+// decodeReply decodes a 2xx response body into out, dispatching on the
+// response Content-Type: a round frame lands in a *roundReply; everything
+// else is control-plane JSON.
 func decodeReply(resp *http.Response, out any) error {
 	if resp.Header.Get("Content-Type") != contentTypeBinary {
 		return readJSON(resp.Body, out)

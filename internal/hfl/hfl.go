@@ -230,26 +230,10 @@ type Reweighter interface {
 // mean) plug into. It receives the epoch record after Weights are fixed and
 // returns the global update G_t the server subtracts from θ_{t-1}; an error
 // fails the run through the RunContext contract instead of panicking
-// mid-epoch. (This is the former AggregatorE shape — the panicking variant
-// is gone; wrap legacy panicking rules with AggregatorFunc.)
+// mid-epoch.
 type Aggregator interface {
 	Aggregate(ep *Epoch) ([]float64, error)
 }
-
-// AggregatorE is the historical name of the error-returning aggregation
-// interface, which is now the only one.
-//
-// Deprecated: use Aggregator.
-type AggregatorE = Aggregator
-
-// AggregatorFunc adapts the legacy panicking aggregate function shape to
-// the error-returning Aggregator interface.
-//
-// Deprecated: implement Aggregator directly; panics inside f still escape.
-type AggregatorFunc func(ep *Epoch) []float64
-
-// Aggregate implements Aggregator.
-func (f AggregatorFunc) Aggregate(ep *Epoch) ([]float64, error) { return f(ep), nil }
 
 // ContributionEngine is the trainer-facing slice of a contribution engine
 // (internal/shapley.Engine): a name for reporting plus per-epoch

@@ -90,28 +90,11 @@ type errAgg struct{}
 func (errAgg) Aggregate(*Epoch) ([]float64, error) { return nil, errors.New("agg boom") }
 
 // TestAggregatorErrorSurfaced checks the error-returning aggregator
-// contract, and that the deprecated AggregatorFunc adapter still plugs the
-// legacy panicking function shape into the same seam.
+// contract.
 func TestAggregatorErrorSurfaced(t *testing.T) {
 	tr, _ := setup(t, 6)
 	tr.Aggregator = errAgg{}
 	if _, err := tr.RunE(); err == nil || !strings.Contains(err.Error(), "agg boom") {
 		t.Fatalf("Aggregate error not surfaced: %v", err)
-	}
-	tr2, _ := setup(t, 6)
-	called := false
-	tr2.Aggregator = AggregatorFunc(func(ep *Epoch) []float64 {
-		called = true
-		out := make([]float64, len(ep.Theta))
-		inv := 1 / float64(len(ep.Deltas))
-		for _, d := range ep.Deltas {
-			for j, v := range d {
-				out[j] += inv * v
-			}
-		}
-		return out
-	})
-	if _, err := tr2.RunE(); err != nil || !called {
-		t.Fatalf("AggregatorFunc adapter run: err=%v called=%v", err, called)
 	}
 }

@@ -108,11 +108,8 @@ const (
 	// KindNetBytesTx counts N response-body bytes written by a wire-protocol
 	// server. Rx+Tx is the run's bytes-on-wire as the server saw them.
 	KindNetBytesTx
-	// KindCodecV1Frame counts a bulk payload (update, partial, or round
-	// broadcast) carried in the digfl-fednet/1 JSON encoding.
-	KindCodecV1Frame
-	// KindCodecV2Frame counts a bulk payload carried in the digfl-fednet/2
-	// binary encoding.
+	// KindCodecV2Frame counts a bulk payload (update, partial, or round
+	// broadcast) carried as a digfl-fednet/2 binary frame.
 	KindCodecV2Frame
 	// KindWALAppend counts one record appended to the coordinator's
 	// write-ahead journal; N is the record's size in bytes (header
@@ -171,7 +168,6 @@ var kindNames = [numKinds]string{
 	KindSample:           "sample",
 	KindNetBytesRx:       "net_bytes_rx",
 	KindNetBytesTx:       "net_bytes_tx",
-	KindCodecV1Frame:     "codec_v1_frame",
 	KindCodecV2Frame:     "codec_v2_frame",
 	KindWALAppend:        "wal_append",
 	KindRecover:          "recover",

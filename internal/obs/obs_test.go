@@ -247,8 +247,8 @@ func TestKindString(t *testing.T) {
 		KindUpdateClipped: "update_clipped", KindQuarantine: "quarantine",
 		KindSample:     "sample",
 		KindNetBytesRx: "net_bytes_rx", KindNetBytesTx: "net_bytes_tx",
-		KindCodecV1Frame: "codec_v1_frame", KindCodecV2Frame: "codec_v2_frame",
-		KindWALAppend: "wal_append", KindRecover: "recover",
+		KindCodecV2Frame: "codec_v2_frame",
+		KindWALAppend:    "wal_append", KindRecover: "recover",
 		KindRejoin: "rejoin", KindEdgeFailover: "edge_failover",
 		KindAsyncCommit: "async_commit", KindStaleFold: "stale_fold",
 		KindStaleReject: "stale_reject",

@@ -45,11 +45,10 @@ type Snapshot struct {
 	NetRoundTime                        time.Duration
 	// NetBytesRx and NetBytesTx are the request-body bytes received and
 	// response-body bytes written by wire-protocol servers; their sum is the
-	// run's bytes-on-wire. CodecV1Frames and CodecV2Frames count bulk
-	// payloads (updates, partials, round broadcasts) carried in the JSON and
-	// binary encodings respectively.
-	NetBytesRx, NetBytesTx       int64
-	CodecV1Frames, CodecV2Frames int64
+	// run's bytes-on-wire. CodecV2Frames counts bulk payloads (updates,
+	// partials, round broadcasts) carried as digfl-fednet/2 binary frames.
+	NetBytesRx, NetBytesTx int64
+	CodecV2Frames          int64
 	// WALAppends and WALBytes count coordinator journal records and their
 	// total size; Recoveries, Rejoins and EdgeFailovers count crash-safety
 	// events: coordinator WAL replays, participant re-joins after a
@@ -101,9 +100,9 @@ func (s Snapshot) String() string {
 		out += fmt.Sprintf(" net[rounds=%d (%.3fs) reqs=%d timeouts=%d]",
 			s.NetRounds, s.NetRoundTime.Seconds(), s.NetRequests, s.NetTimeouts)
 	}
-	if s.NetBytesRx+s.NetBytesTx+s.CodecV1Frames+s.CodecV2Frames > 0 {
-		out += fmt.Sprintf(" wire[rx=%dB tx=%dB v1=%d v2=%d]",
-			s.NetBytesRx, s.NetBytesTx, s.CodecV1Frames, s.CodecV2Frames)
+	if s.NetBytesRx+s.NetBytesTx+s.CodecV2Frames > 0 {
+		out += fmt.Sprintf(" wire[rx=%dB tx=%dB v2=%d]",
+			s.NetBytesRx, s.NetBytesTx, s.CodecV2Frames)
 	}
 	if s.WALAppends+s.Recoveries+s.Rejoins+s.EdgeFailovers > 0 {
 		out += fmt.Sprintf(" crash[wal=%d (%dB) recover=%d rejoin=%d failover=%d]",
@@ -135,7 +134,7 @@ type Collector struct {
 	attacksInjected, updatesRejected                        atomic.Int64
 	updatesClipped, quarantines                             atomic.Int64
 	netBytesRx, netBytesTx                                  atomic.Int64
-	codecV1Frames, codecV2Frames                            atomic.Int64
+	codecV2Frames                                           atomic.Int64
 	walAppends, walBytes                                    atomic.Int64
 	recoveries, rejoins, edgeFailovers                      atomic.Int64
 	asyncCommits, staleFolds, staleRejects                  atomic.Int64
@@ -208,8 +207,6 @@ func (c *Collector) Emit(e Event) {
 		c.netBytesRx.Add(e.N)
 	case KindNetBytesTx:
 		c.netBytesTx.Add(e.N)
-	case KindCodecV1Frame:
-		c.codecV1Frames.Add(e.N)
 	case KindCodecV2Frame:
 		c.codecV2Frames.Add(e.N)
 	case KindWALAppend:
@@ -258,7 +255,6 @@ func (c *Collector) Snapshot() Snapshot {
 		NetRoundTime:     time.Duration(c.netRoundNanos.Load()),
 		NetBytesRx:       c.netBytesRx.Load(),
 		NetBytesTx:       c.netBytesTx.Load(),
-		CodecV1Frames:    c.codecV1Frames.Load(),
 		CodecV2Frames:    c.codecV2Frames.Load(),
 		WALAppends:       c.walAppends.Load(),
 		WALBytes:         c.walBytes.Load(),
