@@ -79,12 +79,14 @@ verify-faults:
 # bit-identity test (3 participants over real HTTP vs the in-process
 # trainer, across 3 fixed seeds, model/curve/archive/phi compared bit for
 # bit), the straggler-deadline survivor equivalence, retry transparency
-# under injected request loss, and cancellation promptness — plus go vet on
-# the package. -count=1 defeats the test cache so the wire is actually
-# exercised.
+# under injected request loss, cancellation promptness, and the composition
+# table (every row refused before the journal opens or a participant joins,
+# README matrix in step with it, mode-only endpoints refused elsewhere) —
+# plus go vet on the package. -count=1 defeats the test cache so the wire is
+# actually exercised.
 verify-net:
 	$(GO) vet ./internal/fednet/
-	$(GO) test -count=1 -run 'Loopback|LocalSource|Straggler|Retry|Cancel|Wire|Score' ./internal/fednet/
+	$(GO) test -count=1 -run 'Loopback|LocalSource|Straggler|Retry|Cancel|Wire|Score|Composition|ModeOnly' ./internal/fednet/
 
 # verify-scale runs the 100k-participant scaling gate: deterministic cohort
 # sampling (3 seeds x rerun and crash/resume bit-identity, sampling composed

@@ -68,12 +68,7 @@ func TestUpdateHandlerRejections(t *testing.T) {
 	c := &Coordinator{N: 2, Cfg: testConfig()}
 	c.mu.Lock()
 	c.initLocked()
-	c.round = &openRound{
-		t: 1, theta: make([]float64, 3),
-		slots:  map[int]int{0: 0, 1: 1},
-		order:  []int{0, 1},
-		deltas: make([][]float64, 2),
-	}
+	c.round = c.newRoundLocked(&hfl.RoundSpec{T: 1, Theta: make([]float64, 3), Active: []int{0, 1}})
 	c.mu.Unlock()
 
 	post := func(tt int, delta []float64) (*httptest.ResponseRecorder, errorReply) {

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"digfl/internal/hfl"
 	"digfl/internal/obs"
 )
 
@@ -213,10 +214,10 @@ func TestNonFrameBodyRefused(t *testing.T) {
 	sink := &obs.Collector{}
 	cfg := testConfig()
 	cfg.Runtime.Sink = sink
-	coord := &Coordinator{N: 2, Cfg: cfg, Edges: 1}
-	round := &openRound{t: 1, theta: make([]float64, p), valGrad: make([]float64, p),
-		order: []int{0, 1}, folded: make([]bool, 2),
-		parts: make([][]float64, 1), partIdx: make([][]int, 1), partDots: make([][]float64, 1)}
+	coord := &Coordinator{N: 2, Cfg: cfg, Stream: hfl.MeanStream{}, Edges: 1}
+	round := coord.newRoundLocked(&hfl.RoundSpec{T: 1, Theta: make([]float64, p), ValGrad: make([]float64, p),
+		Active: []int{0, 1}})
+	tree := round.mode.(*treeMode)
 	openTestRound(coord, round)
 	edge := &EdgeAggregator{Root: "http://unused", Edge: 0, Members: []int{0}, Sink: sink}
 
@@ -225,8 +226,8 @@ func TestNonFrameBodyRefused(t *testing.T) {
 		defer coord.mu.Unlock()
 		edge.mu.Lock()
 		defer edge.mu.Unlock()
-		return round.got == 0 && !round.folded[0] && !round.folded[1] &&
-			round.partIdx[0] == nil && len(round.direct) == 0 && len(edge.parked) == 0
+		return round.got == 0 && !round.have[0] && !round.have[1] &&
+			tree.parts[0].slots == nil && tree.direct[0] == nil && len(edge.parked) == 0
 	}
 	handlers := []struct {
 		name    string

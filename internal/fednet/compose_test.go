@@ -1,0 +1,198 @@
+package fednet
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"digfl/internal/hfl"
+	"digfl/internal/robust"
+	"digfl/internal/shapley"
+)
+
+type unitWeights struct{}
+
+func (unitWeights) Weights(ep *hfl.Epoch) []float64 { return nil }
+
+// TestCompositionRefusedBeforeJoin: every row of the composition table is
+// refused by Run with no participant joined — within a second, with that
+// row's error, not a byte in the journal and no goroutine left behind. Rows
+// that used to sit behind the join barrier (Stream × Aggregator / Reweighter
+// / Quarantine / Screen / Archive, Edges without Stream, Reweighter with
+// Quarantine) blocked forever here, after writing run_open.
+func TestCompositionRefusedBeforeJoin(t *testing.T) {
+	model, _, val := problem(5)
+	engine := func() shapley.Engine {
+		eng, err := shapley.NewEngine("exact", shapley.EngineSpec{N: testN, Loss: engineLoss(model, val)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	async := func() *hfl.AsyncConfig { ac := asyncPolicy(); return &ac }
+	screen := robust.MustNewUpdateScreen(robust.ScreenConfig{})
+	// One misconfiguration per table row, in table order. Every case also
+	// gets a Journal (so "no byte written" means something) unless that
+	// would trip an earlier row.
+	cases := []struct {
+		row       string
+		set       func(c *Coordinator)
+		noJournal bool
+	}{
+		{"Cfg.Engine requires a shapley.Engine", func(c *Coordinator) { c.Cfg.Engine = bogusEngine{} }, false},
+		{"Engine or Cfg.Engine", func(c *Coordinator) { c.Engine, c.Cfg.Engine = engine(), engine() }, false},
+		{"Engine cannot compose with Stream", func(c *Coordinator) { c.Engine, c.Stream = engine(), hfl.MeanStream{} }, false},
+		{"Engine cannot compose with Journal or Recover", func(c *Coordinator) { c.Engine = engine() }, false},
+		{"Async requires Stream", func(c *Coordinator) { c.Async = async() }, false},
+		{"Async cannot compose with Edges", func(c *Coordinator) { c.Stream, c.Async, c.Edges = hfl.MeanStream{}, async(), 2 }, false},
+		{"Async cannot compose with a buffered-only Aggregator", func(c *Coordinator) {
+			c.Stream, c.Async, c.Aggregator = hfl.MeanStream{}, async(), robust.Median{}
+		}, false},
+		{"Journal cannot compose with Screen", func(c *Coordinator) { c.Screen = screen }, false},
+		{"Journal cannot compose with Cfg.Resume", func(c *Coordinator) { c.Cfg.Resume = &hfl.Checkpoint{} }, false},
+		{"Stream cannot compose with Aggregator", func(c *Coordinator) { c.Stream, c.Aggregator = hfl.MeanStream{}, robust.Median{} }, false},
+		{"Stream cannot compose with Reweighter", func(c *Coordinator) { c.Stream, c.Reweighter = hfl.MeanStream{}, unitWeights{} }, false},
+		{"Stream cannot compose with Quarantine", func(c *Coordinator) {
+			c.Stream, c.Quarantine = hfl.MeanStream{}, robust.MustNewQuarantine(robust.Quarantine{})
+		}, false},
+		{"Stream cannot compose with Screen", func(c *Coordinator) { c.Stream, c.Screen = hfl.MeanStream{}, screen }, true},
+		{"Stream cannot compose with Archive", func(c *Coordinator) { c.Stream, c.Archive = hfl.MeanStream{}, &bytes.Buffer{} }, false},
+		{"Edges requires Stream", func(c *Coordinator) { c.Edges = 2 }, false},
+		{"Reweighter or Quarantine", func(c *Coordinator) {
+			c.Reweighter, c.Quarantine = unitWeights{}, robust.MustNewQuarantine(robust.Quarantine{})
+		}, false},
+	}
+	if len(cases) != len(composition) {
+		t.Fatalf("%d cases for %d composition rows", len(cases), len(composition))
+	}
+	for i, tc := range cases {
+		rule := &composition[i]
+		if got := rule.a + " " + rule.rel + " " + rule.b; got != tc.row {
+			t.Fatalf("row %d is %q, case is %q", i, got, tc.row)
+		}
+		t.Run(tc.row, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			journal := &bytes.Buffer{}
+			c := &Coordinator{N: testN, Model: model, Val: val, Cfg: testConfig()}
+			if !tc.noJournal {
+				c.Journal = journal
+			}
+			tc.set(c)
+			done := make(chan error, 1)
+			go func() {
+				_, err := c.Run(context.Background())
+				done <- err
+			}()
+			var err error
+			select {
+			case err = <-done:
+			case <-time.After(time.Second):
+				t.Fatalf("Run still waiting after 1 s with no participant joined (journal holds %d bytes)", journal.Len())
+			}
+			var bre *hfl.BufferedRuleError
+			switch {
+			case err == nil:
+				t.Fatal("Run accepted the configuration")
+			case rule.typed != nil:
+				if !errors.As(err, &bre) || bre.Path != "Async" {
+					t.Errorf("error %v, want the typed BufferedRuleError", err)
+				}
+			case err.Error() != rule.Error():
+				t.Errorf("error %q, want row %d's %q", err, i, rule.Error())
+			}
+			if journal.Len() != 0 {
+				t.Errorf("refused run wrote %d journal bytes", journal.Len())
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Errorf("goroutines: %d before, %d after", before, after)
+			}
+		})
+	}
+}
+
+// TestCompositionMatrixInREADME: the README's "What composes with what"
+// matrix is the composition table, row for row.
+func TestCompositionMatrixInREADME(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const begin, end = "<!-- composition:begin -->\n", "<!-- composition:end -->"
+	_, rest, ok := strings.Cut(string(readme), begin)
+	got, _, ok2 := strings.Cut(rest, end)
+	if !ok || !ok2 {
+		t.Fatalf("README.md has no %s… %s block", strings.TrimSpace(begin), end)
+	}
+	var want strings.Builder
+	want.WriteString("| Setting | | With | Because |\n|---|---|---|---|\n")
+	for _, r := range composition {
+		rel := r.rel
+		if rel == relEither {
+			rel = "or (not both)"
+		}
+		fmt.Fprintf(&want, "| `%s` | %s | `%s` | %s |\n", r.a, rel, r.b, r.why)
+	}
+	if got != want.String() {
+		t.Errorf("README composition matrix differs from compose.go's table; it should read:\n%s", want.String())
+	}
+}
+
+// TestModeOnlyEndpointsRefused: the two ingest paths only one mode serves
+// stay refused on the others — an edge partial on a round that is not a tree
+// round answers 400, and an update for an older round on a round that is not
+// async answers 409 stale_round, not the async late path's 202.
+func TestModeOnlyEndpointsRefused(t *testing.T) {
+	const p = 3
+	partial, err := CodecV2.EncodePartial(2, 0, []int{0}, []float64{1, 2, 3}, []float64{0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		stream hfl.StreamAggregator
+		mode   roundMode
+	}{
+		{"buffered", nil, &bufferedMode{}},
+		{"streamed", hfl.MeanStream{}, &streamedMode{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := &Coordinator{N: 2, Cfg: testConfig(), Stream: tc.stream}
+			spec := &hfl.RoundSpec{T: 2, Theta: make([]float64, p), Active: []int{0, 1}}
+			if tc.stream != nil {
+				spec.ValGrad = make([]float64, p)
+			}
+			r := c.newRoundLocked(spec)
+			if fmt.Sprintf("%T", r.mode) != fmt.Sprintf("%T", tc.mode) {
+				t.Fatalf("round mode %T, want %T", r.mode, tc.mode)
+			}
+			openTestRound(c, r)
+			post := func(path string, frame []byte) (*httptest.ResponseRecorder, errorReply) {
+				req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(frame))
+				req.Header.Set("Content-Type", contentTypeBinary)
+				w := httptest.NewRecorder()
+				c.Handler().ServeHTTP(w, req)
+				var er errorReply
+				_ = json.Unmarshal(w.Body.Bytes(), &er)
+				return w, er
+			}
+			if w, er := post("/v1/partial", partial); w.Code != http.StatusBadRequest || er.Code != "" {
+				t.Errorf("partial: status %d code %q, want a plain 400: %s", w.Code, er.Code, w.Body)
+			}
+			if w, er := post("/v1/update", updateFrame(t, 1, 0, []float64{1, 2, 3})); w.Code != http.StatusConflict || er.Code != CodeStaleRound {
+				t.Errorf("update for round 1 on open round 2: status %d code %q, want 409 %s", w.Code, er.Code, CodeStaleRound)
+			}
+			if r.got != 0 {
+				t.Errorf("a refused request committed %d slots", r.got)
+			}
+		})
+	}
+}

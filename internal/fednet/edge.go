@@ -1,7 +1,6 @@
 package fednet
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -9,7 +8,7 @@ import (
 	"sync"
 	"time"
 
-	"digfl/internal/faults"
+	"digfl/internal/hfl"
 	"digfl/internal/obs"
 	"digfl/internal/tensor"
 )
@@ -70,25 +69,24 @@ type EdgeAggregator struct {
 	p      int // model dimension, learned at the first round
 }
 
-// edgeRound is the edge's in-flight round state.
+// edgeRound is the edge's in-flight round state. The partial is one segment
+// of the canonical reduction order (hfl.SegmentFold over the active members'
+// positions), so its float bits never depend on arrival order and equal the
+// flat fold's over the same segment.
 type edgeRound struct {
-	t       int
-	valGrad []float64
-	active  []int       // active members in member (= slot) order
-	pos     map[int]int // member index -> position in active
-	sum     []float64
-	dots    []float64
-	folded  []bool
-	next    int // smallest position not yet committed
-	pending map[int][]float64
-	got     int
+	t      int
+	active []int       // active members in member (= slot) order
+	pos    map[int]int // member index -> position in active
+	fold   *hfl.SegmentFold
+	folded []bool
+	got    int
 }
 
-func (e *EdgeAggregator) client() *http.Client {
-	if e.Client != nil {
-		return e.Client
-	}
-	return http.DefaultClient
+// add folds one member update at its position. Callers hold mu.
+func (r *edgeRound) add(pos int, delta []float64) {
+	r.folded[pos] = true
+	r.got++
+	r.fold.Add(pos, delta)
 }
 
 func (e *EdgeAggregator) initLocked() {
@@ -176,7 +174,7 @@ func (e *EdgeAggregator) ingestUpdate(w http.ResponseWriter, body []byte, t, ind
 		return
 	}
 	if r != nil {
-		e.fold(r, pos, delta)
+		r.add(pos, delta)
 		e.bcastLocked()
 	} else {
 		if e.parked[t] == nil {
@@ -187,53 +185,20 @@ func (e *EdgeAggregator) ingestUpdate(w http.ResponseWriter, body []byte, t, ind
 	writeJSON(w, http.StatusOK, updateReply{Accepted: true})
 }
 
-// fold commits one member update in position order, parking out-of-order
-// arrivals — the edge-local mirror of hfl.MeanStream's in-order commit, so
-// the partial sum's float bits never depend on arrival order. Callers hold
-// mu.
-func (e *EdgeAggregator) fold(r *edgeRound, pos int, delta []float64) {
-	r.folded[pos] = true
-	r.got++
-	if pos != r.next {
-		if r.pending == nil {
-			r.pending = make(map[int][]float64)
-		}
-		r.pending[pos] = delta
-		return
-	}
-	e.commit(r, delta)
-	for {
-		d, ok := r.pending[r.next]
-		if !ok {
-			return
-		}
-		delete(r.pending, r.next)
-		e.commit(r, d)
-	}
-}
-
-func (e *EdgeAggregator) commit(r *edgeRound, delta []float64) {
-	tensor.AXPY(1, delta, r.sum)
-	r.dots = append(r.dots, tensor.Dot(r.valGrad, delta))
-	r.next++
-	// The commit consumed the delta (sum and dot are all the round keeps);
-	// its buffer goes back to the pool for the next arrival.
-	tensor.PutVec(delta)
-}
-
 // Run serves rounds against the root until the run completes. Like the
 // participant, a nil return means a normal shutdown (StateDone).
 func (e *EdgeAggregator) Run(ctx context.Context) error {
 	e.mu.Lock()
 	e.initLocked()
 	e.mu.Unlock()
+	rc := &retrier{client: e.Client, base: e.Base, cap: e.Cap, sink: e.Sink}
 	next := 1
 	for {
 		// Learn the next round (long-poll). ?vg=1 asks for the validation
 		// gradient the dot products need and ?h=1 skips the theta download the
 		// edge never uses (the model dimension comes from the gradient).
 		var round roundReply
-		if err := e.get(ctx, next, fmt.Sprintf("/v1/round?t=%d&vg=1&h=1", next), &round); err != nil {
+		if err := rc.get(ctx, next, e.Retries, fmt.Sprintf("%s/v1/round?t=%d&vg=1&h=1", e.Root, next), &round); err != nil {
 			return fmt.Errorf("fednet: edge %d round %d: %w", e.Edge, next, err)
 		}
 		switch round.State {
@@ -257,7 +222,7 @@ func (e *EdgeAggregator) Run(ctx context.Context) error {
 		active := make([]int, 0, len(e.Members))
 		for _, m := range e.Members {
 			var mr roundReply
-			if err := e.get(ctx, round.T, fmt.Sprintf("/v1/round?t=%d&i=%d&h=1", round.T, m), &mr); err != nil {
+			if err := rc.get(ctx, round.T, e.Retries, fmt.Sprintf("%s/v1/round?t=%d&i=%d&h=1", e.Root, round.T, m), &mr); err != nil {
 				return fmt.Errorf("fednet: edge %d member %d poll: %w", e.Edge, m, err)
 			}
 			if mr.State == StateDone {
@@ -289,13 +254,15 @@ func (e *EdgeAggregator) Run(ctx context.Context) error {
 			sum[i] = 0
 		}
 		r := &edgeRound{
-			t:       round.T,
-			valGrad: round.ValGrad,
-			active:  active,
-			pos:     make(map[int]int, len(active)),
-			sum:     sum,
-			folded:  make([]bool, len(active)),
+			t:      round.T,
+			active: active,
+			pos:    make(map[int]int, len(active)),
+			fold:   hfl.NewSegmentFold(0, sum, round.ValGrad),
+			folded: make([]bool, len(active)),
 		}
+		// A commit consumes the delta (sum and dot are all the round keeps);
+		// its buffer goes back to the pool for the next arrival.
+		r.fold.Release = tensor.PutVec
 		for k, m := range active {
 			r.pos[m] = k
 		}
@@ -306,7 +273,7 @@ func (e *EdgeAggregator) Run(ctx context.Context) error {
 		if park := e.parked[round.T]; park != nil {
 			for k, m := range active {
 				if d, ok := park[m]; ok && !r.folded[k] && (e.p == 0 || len(d) == e.p) {
-					e.fold(r, k, d)
+					r.add(k, d)
 				}
 			}
 			delete(e.parked, round.T)
@@ -326,18 +293,15 @@ func (e *EdgeAggregator) Run(ctx context.Context) error {
 		// Submit the partial; a stale-round rejection means the root closed
 		// the round without us — benign, the epoch degraded to survivors.
 		e.mu.Lock()
-		e.closeFold(r)
+		sum, folded, dots := r.fold.Close()
 		indices := r.active
-		if r.got < len(r.active) {
+		if len(folded) < len(r.active) {
 			// Survivors only.
-			indices = make([]int, 0, r.got)
-			for k, m := range r.active {
-				if r.folded[k] {
-					indices = append(indices, m)
-				}
+			indices = make([]int, len(folded))
+			for j, k := range folded {
+				indices[j] = r.active[k]
 			}
 		}
-		sum, dots := r.sum, r.dots
 		e.cur = nil
 		e.nextRound = round.T + 1
 		e.bcastLocked()
@@ -350,7 +314,7 @@ func (e *EdgeAggregator) Run(ctx context.Context) error {
 			return fmt.Errorf("fednet: edge %d partial %d: %w", e.Edge, round.T, err)
 		}
 		var ack updateReply
-		err = e.postFrame(ctx, round.T, "/v1/partial", body, &ack)
+		err = rc.post(ctx, round.T, e.Retries, e.Root+"/v1/partial", contentTypeBinary, body, &ack)
 		tensor.PutBytes(body)
 		tensor.PutVec(sum)
 		tensor.PutVec(dots)
@@ -362,32 +326,6 @@ func (e *EdgeAggregator) Run(ctx context.Context) error {
 			}
 		}
 		next = round.T + 1
-	}
-}
-
-// closeFold commits any out-of-order parked updates (stragglers behind a
-// permanent gap) in position order. Callers hold mu.
-func (e *EdgeAggregator) closeFold(r *edgeRound) {
-	for len(r.pending) > 0 {
-		// Advance next to the smallest parked position.
-		min := -1
-		for pos := range r.pending {
-			if min < 0 || pos < min {
-				min = pos
-			}
-		}
-		d := r.pending[min]
-		delete(r.pending, min)
-		r.next = min
-		e.commit(r, d)
-		for {
-			nd, ok := r.pending[r.next]
-			if !ok {
-				break
-			}
-			delete(r.pending, r.next)
-			e.commit(r, nd)
-		}
 	}
 }
 
@@ -416,94 +354,4 @@ func (e *EdgeAggregator) waitRound(ctx context.Context, r *edgeRound) error {
 			return ctx.Err()
 		}
 	}
-}
-
-func (e *EdgeAggregator) backoff(attempt int) time.Duration {
-	base, cap := e.Base, e.Cap
-	if base <= 0 {
-		base = 10 * time.Millisecond
-	}
-	if cap <= 0 {
-		cap = time.Second
-	}
-	return faults.Backoff(attempt, base, cap)
-}
-
-func (e *EdgeAggregator) get(ctx context.Context, round int, path string, out any) error {
-	return e.do(ctx, round, func() (*http.Request, error) {
-		return http.NewRequest(http.MethodGet, e.Root+path, nil)
-	}, out)
-}
-
-// postFrame submits a pre-encoded digfl-fednet/2 frame: built once, re-sent
-// verbatim on every backoff attempt.
-func (e *EdgeAggregator) postFrame(ctx context.Context, round int, path string, body []byte, out any) error {
-	return e.do(ctx, round, func() (*http.Request, error) {
-		req, err := http.NewRequest(http.MethodPost, e.Root+path, bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", contentTypeBinary)
-		return req, nil
-	}, out)
-}
-
-// do runs one root request with retries and capped backoff — the edge's
-// mirror of Participant.do. build returns a fresh request per attempt
-// (bodies are single-use readers over the same bytes); a non-2xx reply is
-// surfaced unretried, since the root would refuse the identical retry
-// identically.
-func (e *EdgeAggregator) do(ctx context.Context, round int, build func() (*http.Request, error), out any) error {
-	var lastErr error
-	for attempt := 0; attempt <= e.Retries; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if attempt > 0 {
-			obs.Emit(e.Sink, obs.Event{Kind: obs.KindRetry, T: round, N: int64(attempt)})
-			select {
-			case <-time.After(e.backoff(attempt - 1)):
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
-		obs.Emit(e.Sink, obs.Event{Kind: obs.KindNetRequest, T: round, N: 1})
-		req, err := build()
-		if err != nil {
-			return err
-		}
-		resp, err := e.client().Do(req.WithContext(ctx))
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		err = func() error {
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				var er errorReply
-				_ = readJSON(resp.Body, &er)
-				return &WireError{Status: resp.StatusCode, Code: er.Code,
-					Msg: fmt.Sprintf("%s %s: %s", req.Method, req.URL.Path, er.Error)}
-			}
-			return decodeReply(resp, out)
-		}()
-		if err != nil {
-			if resp.StatusCode != http.StatusOK {
-				// A recovering root is transient: it answers again once its
-				// journal replay lands. The edge holds no join slot, so unlike
-				// the participant there is nothing to re-establish — retrying
-				// the identical request is the whole failover.
-				var we *WireError
-				if errors.As(err, &we) && we.Code == CodeRecovering {
-					lastErr = err
-					continue
-				}
-				return err
-			}
-			lastErr = err
-			continue
-		}
-		return nil
-	}
-	return fmt.Errorf("%w: %d attempts: %w", faults.ErrRetriesExhausted, e.Retries+1, lastErr)
 }

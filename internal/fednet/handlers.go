@@ -1,0 +1,540 @@
+package fednet
+
+import (
+	"fmt"
+	"io"
+	"math"
+	"net/http"
+	"strconv"
+	"time"
+
+	"digfl/internal/jsonf"
+	"digfl/internal/obs"
+	"digfl/internal/tensor"
+)
+
+// Handler returns the coordinator's wire-protocol handler, mountable on
+// any http.Server (or httptest server). Safe to call before Run; requests
+// arriving before the run starts simply wait.
+func (c *Coordinator) Handler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/join", c.handleJoin)
+	mux.HandleFunc("GET /v1/round", c.handleRound)
+	mux.HandleFunc("POST /v1/update", c.handleUpdate)
+	mux.HandleFunc("POST /v1/partial", c.handlePartial)
+	mux.HandleFunc("GET /v1/score", c.handleScore)
+	sink := c.Cfg.Runtime.Sink
+	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		// Every response carries the coordinator incarnation, so a client
+		// detects a restart from any reply — not just a join.
+		c.mu.Lock()
+		c.initLocked()
+		inst := c.instance
+		c.mu.Unlock()
+		w.Header().Set(instanceHeader, strconv.Itoa(inst))
+		if sink == nil {
+			mux.ServeHTTP(w, req)
+			return
+		}
+		obs.Emit(sink, obs.Event{Kind: obs.KindNetRequest, N: 1})
+		cr := &countingReader{rc: req.Body}
+		req.Body = cr
+		cw := &countingWriter{ResponseWriter: w}
+		mux.ServeHTTP(cw, req)
+		obs.Emit(sink, obs.Event{Kind: obs.KindNetBytesRx, N: cr.n})
+		obs.Emit(sink, obs.Event{Kind: obs.KindNetBytesTx, N: cw.n})
+	})
+}
+
+// countingReader counts request-body bytes actually read by a handler.
+type countingReader struct {
+	rc io.ReadCloser
+	n  int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.rc.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+func (c *countingReader) Close() error { return c.rc.Close() }
+
+// countingWriter counts response-body bytes written by a handler.
+type countingWriter struct {
+	http.ResponseWriter
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.ResponseWriter.Write(p)
+	c.n += int64(n)
+	return n, err
+}
+
+func (c *Coordinator) handleJoin(w http.ResponseWriter, req *http.Request) {
+	var jr joinRequest
+	if err := readJSON(req.Body, &jr); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if jr.Protocol != Protocol {
+		writeError(w, http.StatusBadRequest, "protocol %q, want %q", jr.Protocol, Protocol)
+		return
+	}
+	if jr.Index < 0 || jr.Index >= c.N {
+		writeError(w, http.StatusBadRequest, "participant index %d outside [0,%d)", jr.Index, c.N)
+		return
+	}
+	c.mu.Lock()
+	c.initLocked()
+	inst := c.instance
+	// Idempotent: a retried join (the first reply was lost) succeeds. Join
+	// never answers 503 recovering — re-joining is how recovery completes.
+	if !c.joined[jr.Index] {
+		c.joined[jr.Index] = true
+		c.nJoined++
+		c.bcastLocked()
+	}
+	c.mu.Unlock()
+	steps := c.Cfg.LocalSteps
+	if steps < 1 {
+		steps = 1
+	}
+	writeJSON(w, http.StatusOK, joinReply{
+		Protocol: Protocol, N: c.N, Epochs: c.Cfg.Epochs, LocalSteps: steps,
+		Instance: inst, Prox: c.Cfg.Prox,
+	})
+}
+
+// longPollWait bounds one server-side long-poll leg; clients re-poll on a
+// pending reply.
+const longPollWait = 10 * time.Second
+
+// longPollTimer is a handler's longPollWait clock, started by the first
+// wait rather than on entry: most polls find their answer ready and never
+// block, and those should not pay for a timer. The zero value is ready;
+// defer stop.
+type longPollTimer struct{ t *time.Timer }
+
+// expired returns the channel that fires longPollWait after the first call.
+func (l *longPollTimer) expired() <-chan time.Time {
+	if l.t == nil {
+		l.t = time.NewTimer(longPollWait)
+	}
+	return l.t.C
+}
+
+func (l *longPollTimer) stop() {
+	if l.t != nil {
+		l.t.Stop()
+	}
+}
+
+func (c *Coordinator) handleRound(w http.ResponseWriter, req *http.Request) {
+	q := req.URL.Query()
+	t, err := strconv.Atoi(q.Get("t"))
+	if err != nil || t < 1 {
+		writeError(w, http.StatusBadRequest, "bad round number %q", q.Get("t"))
+		return
+	}
+	// ?i= lets a participant learn it is outside the round's cohort without
+	// downloading theta or computing an update; ?vg=1 asks for the round's
+	// validation gradient (edge sub-aggregators on streaming rounds).
+	pollIdx, hasIdx := -1, false
+	if s := q.Get("i"); s != "" {
+		if pollIdx, err = strconv.Atoi(s); err != nil {
+			writeError(w, http.StatusBadRequest, "bad participant index %q", s)
+			return
+		}
+		hasIdx = true
+	}
+	wantVG := q.Get("vg") == "1"
+	headerOnly := q.Get("h") == "1"
+	sink := c.Cfg.Runtime.Sink
+	var wait longPollTimer
+	defer wait.stop()
+	for {
+		c.mu.Lock()
+		c.initLocked()
+		if c.done {
+			c.mu.Unlock()
+			writeJSON(w, http.StatusOK, roundReply{State: StateDone})
+			return
+		}
+		if c.recovering {
+			// The coordinator restarted and is replaying its journal; the
+			// join barrier must refill before any round republishes. The
+			// client re-joins and retries with backoff.
+			c.mu.Unlock()
+			refuseRecovering(w)
+			return
+		}
+		// A round at or past the requested one serves the request: a
+		// participant that missed rounds must jump forward, never wait for
+		// a round that already closed.
+		if r := c.round; r != nil && !r.closed && r.t >= t {
+			if hasIdx {
+				if _, active := r.slots[pollIdx]; !active {
+					c.mu.Unlock()
+					writeJSON(w, http.StatusOK, roundReply{State: StateOpen, T: r.t, Excluded: true})
+					return
+				}
+			}
+			reply := roundReply{State: StateOpen, T: r.t, LR: jsonf.F64(r.lr)}
+			if c.Async != nil {
+				reply.Quorum = c.Async.Quorum
+				reply.MaxStale = c.Async.MaxStaleness
+			}
+			if !headerOnly {
+				reply.Theta = r.theta
+			}
+			// A header-only poll can still carry the validation gradient:
+			// edges need ∇loss^v but not theta, so ?h=1&vg=1 skips the
+			// model download entirely.
+			if wantVG && r.valGrad != nil {
+				reply.ValGrad = r.valGrad
+			}
+			if !r.deadline.IsZero() {
+				if rem := time.Until(r.deadline); rem > 0 {
+					reply.DeadlineMS = rem.Milliseconds()
+				}
+			}
+			if reply.Theta != nil && reply.ValGrad == nil {
+				// The participants' poll: every cohort member downloads the
+				// same frame but for the deadline field, so the round encodes
+				// it once and each poll patches its own header.
+				if r.bcast == nil {
+					r.bcast = encodeRoundFrame(r.t, r.lr, 0, r.theta, nil, reply.Quorum, reply.MaxStale)
+				}
+				frame := r.bcast
+				c.mu.Unlock()
+				obs.Emit(sink, obs.Event{Kind: obs.KindCodecV2Frame, T: reply.T, N: 1})
+				writeRoundBroadcast(w, frame, reply.DeadlineMS)
+				return
+			}
+			c.mu.Unlock()
+			if reply.ValGrad != nil {
+				// A vector always travels as a frame; JSON is left with the
+				// header-only open reply.
+				frame := encodeRoundFrame(reply.T, float64(reply.LR), reply.DeadlineMS,
+					reply.Theta, reply.ValGrad, reply.Quorum, reply.MaxStale)
+				obs.Emit(sink, obs.Event{Kind: obs.KindCodecV2Frame, T: reply.T, N: 1})
+				writeBinary(w, frame)
+				return
+			}
+			writeJSON(w, http.StatusOK, reply)
+			return
+		}
+		// Failover re-solicitation: a participant polling for round t
+		// whose round t-1 slot is still unfolded past the grace gets told
+		// to re-send its t-1 update directly to the root — its edge
+		// aggregator acknowledged the update and then died with it.
+		var graceTimer *time.Timer
+		var graceCh <-chan time.Time
+		if hasIdx {
+			if r := c.round; r != nil && !r.closed && !r.resolicitAt.IsZero() && r.t == t-1 {
+				if k, active := r.slots[pollIdx]; active && !r.have[k] {
+					rem := time.Until(r.resolicitAt)
+					if rem <= 0 {
+						c.mu.Unlock()
+						writeJSON(w, http.StatusOK, roundReply{State: StateOpen, T: r.t, Resubmit: true})
+						return
+					}
+					graceTimer = time.NewTimer(rem)
+					graceCh = graceTimer.C
+				}
+			}
+		}
+		ch := c.changed
+		c.mu.Unlock()
+		select {
+		case <-ch:
+		case <-graceCh:
+			// Re-evaluate: the slot may have folded in the meantime.
+		case <-wait.expired():
+			if graceTimer != nil {
+				graceTimer.Stop()
+			}
+			writeJSON(w, http.StatusOK, roundReply{State: StatePending})
+			return
+		case <-req.Context().Done():
+			if graceTimer != nil {
+				graceTimer.Stop()
+			}
+			return
+		}
+		if graceTimer != nil {
+			graceTimer.Stop()
+		}
+	}
+}
+
+func (c *Coordinator) handleUpdate(w http.ResponseWriter, req *http.Request) {
+	body, ok := readFrame(w, req)
+	if !ok {
+		return
+	}
+	defer tensor.PutBytes(body)
+	t, index, d, err := decodeUpdateHeader(body)
+	if err != nil {
+		writeCodedError(w, http.StatusUnprocessableEntity, CodeBadFrame, "%v", err)
+		return
+	}
+	c.ingestUpdate(w, body, t, index, d)
+}
+
+// refuseRecovering answers an ingest that reached a coordinator still
+// replaying its journal. Not stale — the round may still be open once
+// recovery finishes: the client re-joins and retries, and its committed
+// update then gets the idempotent ack from the grafted slot.
+func refuseRecovering(w http.ResponseWriter) {
+	writeCodedError(w, http.StatusServiceUnavailable, CodeRecovering,
+		"coordinator is recovering; re-join and retry")
+}
+
+// refuseStale answers an ingest for a round that is gone — the sender
+// straggled past the deadline (or submitted for a round that is not open).
+// Benign for a well-behaved client: the epoch proceeded with the survivors.
+func refuseStale(w http.ResponseWriter, t int) {
+	writeCodedError(w, http.StatusConflict, CodeStaleRound, "round %d is not open", t)
+}
+
+// mustJournalLocked lets an ingest go on to commit only past a successful
+// journal append (err nil). An update the journal cannot replay must never
+// be acknowledged, so a failed append recycles the decoded vectors, wakes the
+// round loop (which aborts the run on the poisoned journal) and drops the
+// connection without a reply — the client retries against the aborting run
+// and gets 503/stale, never a false ack. Callers hold mu by defer.
+func (c *Coordinator) mustJournalLocked(err error, vecs ...[]float64) {
+	if err == nil {
+		return
+	}
+	for _, v := range vecs {
+		tensor.PutVec(v)
+	}
+	c.bcastLocked()
+	panic(http.ErrAbortHandler)
+}
+
+// ingestUpdate runs the acceptance pipeline for one update frame whose
+// header (t, index, d) already decoded: slot and duplicate checks from the
+// header alone — a straggler's late megabyte costs a header peek, not a
+// parsed buffer the 409 branch then drops on the floor — then the delta
+// decode (only once the update is known to be wanted), then the shape and
+// finiteness screen, the journal append, and the round's commit.
+func (c *Coordinator) ingestUpdate(w http.ResponseWriter, body []byte, t, index, d int) {
+	sink := c.Cfg.Runtime.Sink
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.recovering {
+		refuseRecovering(w)
+		return
+	}
+	r := c.round
+	if c.asyncPlan != nil && r != nil && !r.closed && t < r.t {
+		// Async late path: an update for an older round reached an open
+		// later one. Within the staleness window it is admitted into the
+		// planner's buffer (202 buffered) and folds at a discount when due;
+		// beyond the window it is refused as too stale.
+		c.ingestLateLocked(w, r, body, t, index, d)
+		return
+	}
+	if r == nil || r.t != t || r.closed {
+		refuseStale(w, t)
+		return
+	}
+	k, active := r.slots[index]
+	if !active {
+		writeJSON(w, http.StatusOK, updateReply{Reason: "not-active"})
+		return
+	}
+	if !r.have[k] {
+		delta := decodeFrameVec(body[updateHdrLen:], d)
+		obs.Emit(sink, obs.Event{Kind: obs.KindCodecV2Frame, T: t, N: 1})
+		if !vetDelta(w, sink, t, index, delta, len(r.theta)) {
+			return
+		}
+		if c.wal != nil {
+			c.mustJournalLocked(c.journalFrame(CodecV2.EncodeUpdate(t, index, delta)), delta)
+		}
+		if err := c.commitLocked(r, k, delta); err != nil {
+			writeError(w, http.StatusInternalServerError, "folding update: %v", err)
+			return
+		}
+	}
+	// Also the idempotent path: a retried submission (the first ack was
+	// lost) is acknowledged without overwriting — and without re-decoding
+	// the duplicate payload. On a tree round this covers a failover
+	// resubmission whose slot the edge's partial already committed:
+	// exactly-once either way.
+	status, reply := r.mode.ack(index)
+	writeJSON(w, status, reply)
+}
+
+// ingestLateLocked admits (or refuses) an async late update: one computed
+// against closed round origin that physically arrived while round r.t is
+// open. The delta is journaled as a D2UP frame at t = r.t followed by a
+// stale_admit control record, so replay can tell it apart from the open
+// round's fresh arrivals. Callers hold mu.
+func (c *Coordinator) ingestLateLocked(w http.ResponseWriter, r *openRound, body []byte, origin, index, d int) {
+	sink := c.Cfg.Runtime.Sink
+	if s := r.t - origin; s > c.Async.MaxStaleness {
+		obs.Emit(sink, obs.Event{Kind: obs.KindStaleReject, T: r.t, Part: index, N: int64(s)})
+		writeCodedError(w, http.StatusConflict, CodeTooStale,
+			"update for round %d is %d epochs stale (window %d)", origin, s, c.Async.MaxStaleness)
+		return
+	}
+	// Idempotent: a retried admission (the first 202 was lost) — or a second
+	// stale update racing the buffered one — leaves the buffer untouched.
+	if !c.asyncPlan.InFlight(index) {
+		delta := decodeFrameVec(body[updateHdrLen:], d)
+		if !vetDelta(w, sink, r.t, index, delta, len(r.theta)) {
+			return
+		}
+		if c.wal != nil {
+			c.mustJournalLocked(c.journalFrame(CodecV2.EncodeUpdate(r.t, index, delta)), delta)
+			c.mustJournalLocked(c.wal.appendJSON(walRecord{Kind: walKindStaleAdmit,
+				T: r.t, Part: index, Origin: origin}))
+		}
+		c.asyncPlan.Admit(index, origin, r.t, delta)
+	}
+	writeJSON(w, http.StatusAccepted, updateReply{Accepted: true, Reason: "buffered"})
+}
+
+// handlePartial ingests one edge sub-aggregator's cohort partial on a tree
+// round (Coordinator.Edges > 0).
+func (c *Coordinator) handlePartial(w http.ResponseWriter, req *http.Request) {
+	body, ok := readFrame(w, req)
+	if !ok {
+		return
+	}
+	defer tensor.PutBytes(body)
+	t, edge, indices, d, err := decodePartialHeader(body)
+	if err != nil {
+		writeCodedError(w, http.StatusUnprocessableEntity, CodeBadFrame, "%v", err)
+		return
+	}
+	c.ingestPartial(w, body, t, edge, indices, d)
+}
+
+// ingestPartial runs the acceptance pipeline for one edge partial frame
+// whose header already decoded — the same two-phase discipline as
+// ingestUpdate: staleness, slot membership and ordering are validated from
+// the header's indices before the bulk vectors decode. Accepted sums and
+// dots are retained until the round closes (the merge recycles them);
+// rejected ones go straight back to the pool.
+func (c *Coordinator) ingestPartial(w http.ResponseWriter, body []byte, t, edge int, indices []int, d int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.recovering {
+		refuseRecovering(w)
+		return
+	}
+	r := c.round
+	if r == nil || r.t != t || r.closed {
+		refuseStale(w, t)
+		return
+	}
+	tm, slots, again, refused := r.claimPartial(edge, indices)
+	if refused != nil {
+		writeCodedError(w, refused.Status, refused.Code, "%s", refused.Msg)
+		return
+	}
+	if !again {
+		sum, dots := decodePartialVecs(body, len(indices), d)
+		obs.Emit(c.Cfg.Runtime.Sink, obs.Event{Kind: obs.KindCodecV2Frame, T: t, N: 1})
+		var code, msg string
+		switch {
+		case len(indices) > 0 && len(sum) != len(r.theta):
+			code, msg = CodeBadShape, fmt.Sprintf("partial sum has %d params, model has %d", len(sum), len(r.theta))
+		case len(dots) != len(indices):
+			code, msg = CodeBadShape, fmt.Sprintf("partial carries %d dots for %d members", len(dots), len(indices))
+		case !finiteVec(sum) || !finiteVec(dots):
+			code, msg = CodeNonFinite, "partial carries non-finite values"
+		}
+		if code != "" {
+			tensor.PutVec(sum)
+			tensor.PutVec(dots)
+			writeCodedError(w, http.StatusUnprocessableEntity, code, "%s", msg)
+			return
+		}
+		if c.wal != nil {
+			c.mustJournalLocked(c.journalFrame(CodecV2.EncodePartial(t, edge, indices, sum, dots)), sum, dots)
+		}
+		tm.commitPartial(r, edge, slots, sum, dots)
+		c.arrivedLocked(r, len(slots))
+	}
+	writeJSON(w, http.StatusOK, updateReply{Accepted: true})
+}
+
+// finiteVec reports whether every coordinate is finite: NaN and ±Inf are
+// exactly the values whose eleven exponent bits are all set.
+func finiteVec(v []float64) bool {
+	const expMask = 0x7ff << 52
+	for _, x := range v {
+		if math.Float64bits(x)&expMask == expMask {
+			return false
+		}
+	}
+	return true
+}
+
+// vetDelta is the shape and finiteness screen every decoded update passes,
+// on the root and on the edges: want is the model dimension (an honest
+// client can never produce a wrong-length delta from its round's
+// broadcast). A refused delta is recycled, counted as KindUpdateRejected
+// against round t, and answered 422; vetDelta then returns false.
+func vetDelta(w http.ResponseWriter, sink obs.Sink, t, index int, delta []float64, want int) bool {
+	shapeOK := len(delta) == want
+	if shapeOK && finiteVec(delta) {
+		return true
+	}
+	n := len(delta)
+	tensor.PutVec(delta)
+	obs.Emit(sink, obs.Event{Kind: obs.KindUpdateRejected, T: t, Part: index})
+	if !shapeOK {
+		writeCodedError(w, http.StatusUnprocessableEntity, CodeBadShape,
+			"delta has %d params, model has %d", n, want)
+	} else {
+		writeCodedError(w, http.StatusUnprocessableEntity, CodeNonFinite,
+			"delta carries non-finite values")
+	}
+	return false
+}
+
+func (c *Coordinator) handleScore(w http.ResponseWriter, req *http.Request) {
+	c.mu.Lock()
+	if c.Estimator == nil && c.Engine == nil {
+		c.mu.Unlock()
+		writeError(w, http.StatusNotFound, "coordinator has no estimator or engine attached")
+		return
+	}
+	if c.recovering {
+		c.mu.Unlock()
+		refuseRecovering(w)
+		return
+	}
+	var reply scoreReply
+	if c.Estimator != nil {
+		attr := c.Estimator.Attribution()
+		reply.Epochs = attr.Epochs
+		reply.Totals = append([]float64(nil), attr.Totals...)
+		reply.Engine = "dig-fl"
+	}
+	if c.Engine != nil {
+		rep := c.Engine.Finalize()
+		reply.Engine = rep.Name
+		reply.EngineTotals = rep.Totals
+		reply.EngineEpochs = rep.Epochs
+		reply.EngineEvals = rep.Cost.UtilityEvals
+		if c.Estimator == nil {
+			reply.Epochs = rep.Epochs
+		}
+	}
+	if c.Quarantine != nil {
+		reply.Quarantined = c.Quarantine.Quarantined()
+	}
+	c.mu.Unlock()
+	writeJSON(w, http.StatusOK, reply)
+}

@@ -65,109 +65,33 @@ type Participant struct {
 	lastInst string
 }
 
-func (p *Participant) client() *http.Client {
-	if p.Client != nil {
-		return p.Client
-	}
-	return http.DefaultClient
-}
-
-func (p *Participant) backoff(attempt int) time.Duration {
-	base, cap := p.Base, p.Cap
-	if base <= 0 {
-		base = 10 * time.Millisecond
-	}
-	if cap <= 0 {
-		cap = time.Second
-	}
-	return faults.Backoff(attempt, base, cap)
-}
-
-// do runs one request with injected-failure checks, retries, and backoff.
-// build must return a fresh request each attempt (bodies are single-use);
-// round identifies the request for the deterministic failure schedule and
-// retries bounds the attempts beyond the first (normally p.Retries; capped
-// low for edge uplinks so a dead edge fails over quickly).
-func (p *Participant) do(ctx context.Context, round, retries int, build func() (*http.Request, error), out any) error {
-	var lastErr error
-	for attempt := 0; attempt <= retries; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if attempt > 0 {
-			obs.Emit(p.Sink, obs.Event{Kind: obs.KindRetry, T: round, Part: p.Index, N: int64(attempt)})
-			select {
-			case <-time.After(p.backoff(attempt - 1)):
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
-		obs.Emit(p.Sink, obs.Event{Kind: obs.KindNetRequest, T: round, Part: p.Index, N: 1})
-		if p.Faults.RequestFails(round, p.Index, attempt) {
-			lastErr = fmt.Errorf("fednet: injected request failure (round %d attempt %d)", round, attempt)
-			continue
-		}
-		req, err := build()
-		if err != nil {
-			return err
-		}
-		resp, err := p.client().Do(req.WithContext(ctx))
-		if err != nil {
-			lastErr = err
-			continue
-		}
+// retrier builds the participant's retrying client: injected request
+// failures cost an attempt before they touch the wire, a changed
+// incarnation header or a recovering reply re-claims the join slot.
+func (p *Participant) retrier() *retrier {
+	rc := &retrier{client: p.Client, base: p.Base, cap: p.Cap, sink: p.Sink, part: p.Index}
+	rc.dropped = func(round, attempt int) bool { return p.Faults.RequestFails(round, p.Index, attempt) }
+	rc.rejoin = func(ctx context.Context) { p.rejoin(ctx, rc.httpClient()) }
+	rc.replied = func(ctx context.Context, req *http.Request, resp *http.Response) {
 		// A changed incarnation header means the coordinator restarted
 		// since our last exchange: re-claim our slot before whatever this
 		// response says (join is idempotent, so a spurious rejoin is free).
 		if inst := resp.Header.Get(instanceHeader); inst != "" && inst != p.lastInst {
 			if p.lastInst != "" && req.URL.Path != "/v1/join" {
-				p.rejoin(ctx)
+				rc.rejoin(ctx)
 			}
 			p.lastInst = inst
 		}
-		err = func() error {
-			defer resp.Body.Close()
-			// Any 2xx is an acceptance: 200 for a commit-candidate update,
-			// 202 for one the async coordinator buffered.
-			if resp.StatusCode < 200 || resp.StatusCode > 299 {
-				var er errorReply
-				_ = readJSON(resp.Body, &er)
-				return &WireError{Status: resp.StatusCode, Code: er.Code,
-					Msg: fmt.Sprintf("%s %s: %s", req.Method, req.URL.Path, er.Error)}
-			}
-			return decodeReply(resp, out)
-		}()
-		if err != nil {
-			var we *WireError
-			if errors.As(err, &we) && we.Code == CodeRecovering {
-				// The coordinator is replaying its journal after a
-				// restart. Re-join (its join barrier refilled from zero —
-				// recovery cannot finish until every participant does) and
-				// keep retrying with backoff.
-				p.rejoin(ctx)
-				lastErr = err
-				continue
-			}
-			// Any other non-2xx is a protocol rejection, not a transport
-			// flake; the coordinator will refuse the retry identically.
-			if resp.StatusCode < 200 || resp.StatusCode > 299 {
-				return err
-			}
-			lastErr = err
-			continue
-		}
-		return nil
 	}
-	// faults.ErrRetriesExhausted is the module-wide retry sentinel, shared
-	// with the secure protocol's round retries.
-	return fmt.Errorf("%w: %d attempts: %w", faults.ErrRetriesExhausted, retries+1, lastErr)
+	return rc
 }
 
 // rejoin re-claims this participant's slot after a coordinator restart:
 // one plain attempt, failures ignored — the caller's retry loop lands back
-// here until recovery completes. Not routed through do (no nested retries,
-// and join must go out even while other requests are being refused).
-func (p *Participant) rejoin(ctx context.Context) {
+// here until recovery completes. Not routed through the retrier (no nested
+// retries, and join must go out even while other requests are being
+// refused).
+func (p *Participant) rejoin(ctx context.Context, client *http.Client) {
 	body, err := json.Marshal(joinRequest{Protocol: Protocol, Index: p.Index})
 	if err != nil {
 		return
@@ -177,7 +101,7 @@ func (p *Participant) rejoin(ctx context.Context) {
 		return
 	}
 	req.Header.Set("Content-Type", contentTypeJSON)
-	resp, err := p.client().Do(req)
+	resp, err := client.Do(req)
 	if err != nil {
 		return
 	}
@@ -190,33 +114,6 @@ func (p *Participant) rejoin(ctx context.Context) {
 	}
 }
 
-func (p *Participant) get(ctx context.Context, round int, path string, out any) error {
-	return p.do(ctx, round, p.Retries, func() (*http.Request, error) {
-		return http.NewRequest(http.MethodGet, p.BaseURL+path, nil)
-	}, out)
-}
-
-func (p *Participant) post(ctx context.Context, round int, path string, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return fmt.Errorf("fednet: encoding request: %w", err)
-	}
-	return p.postBytes(ctx, round, p.Retries, p.BaseURL, path, body, contentTypeJSON, out)
-}
-
-// postBytes submits a pre-encoded body: built once, re-sent verbatim on
-// every backoff attempt (bytes.NewReader is the only per-attempt cost).
-func (p *Participant) postBytes(ctx context.Context, round, retries int, base, path string, body []byte, contentType string, out any) error {
-	return p.do(ctx, round, retries, func() (*http.Request, error) {
-		req, err := http.NewRequest(http.MethodPost, base+path, bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", contentType)
-		return req, nil
-	}, out)
-}
-
 // Run joins the coordinator and serves rounds until the run completes. The
 // returned error is nil on a normal shutdown (StateDone), even if some of
 // this participant's updates missed their round deadlines — partial
@@ -225,8 +122,12 @@ func (p *Participant) Run(ctx context.Context) error {
 	if p.Model == nil {
 		return errors.New("fednet: participant needs a model prototype")
 	}
+	rc := p.retrier()
 	var join joinReply
-	err := p.post(ctx, 0, "/v1/join", joinRequest{Protocol: Protocol, Index: p.Index}, &join)
+	body, err := json.Marshal(joinRequest{Protocol: Protocol, Index: p.Index})
+	if err == nil {
+		err = rc.post(ctx, 0, p.Retries, p.BaseURL+"/v1/join", contentTypeJSON, body, &join)
+	}
 	if err != nil {
 		return fmt.Errorf("fednet: participant %d join: %w", p.Index, err)
 	}
@@ -246,7 +147,7 @@ func (p *Participant) Run(ctx context.Context) error {
 		// Polling with ?i= lets the coordinator answer Excluded when this
 		// participant is outside the round's sampled cohort, skipping the
 		// theta download and the local computation entirely.
-		if err := p.get(ctx, next, fmt.Sprintf("/v1/round?t=%d&i=%d", next, p.Index), &round); err != nil {
+		if err := rc.get(ctx, next, p.Retries, fmt.Sprintf("%s/v1/round?t=%d&i=%d", p.BaseURL, next, p.Index), &round); err != nil {
 			return fmt.Errorf("fednet: participant %d round %d: %w", p.Index, next, err)
 		}
 		switch round.State {
@@ -264,7 +165,7 @@ func (p *Participant) Run(ctx context.Context) error {
 			// to the root. Checked before the stale-skip: a Resubmit reply
 			// names the still-open previous round.
 			var ack updateReply
-			err := p.postBytes(ctx, heldT, p.Retries, p.BaseURL, "/v1/update", heldBody, contentTypeBinary, &ack)
+			err := rc.post(ctx, heldT, p.Retries, p.BaseURL+"/v1/update", contentTypeBinary, heldBody, &ack)
 			if err != nil {
 				var we *WireError
 				if !errors.As(err, &we) || we.Code != CodeStaleRound {
@@ -287,7 +188,9 @@ func (p *Participant) Run(ctx context.Context) error {
 		if p.Delay != nil {
 			p.Delay(round.T)
 		}
-		delta := p.localUpdate(round.Theta, float64(round.LR), join.LocalSteps, join.Prox)
+		// localDelta is the trainer's exact arithmetic (with the join-negotiated
+		// FedProx term), so a loopback run is bit-identical to the in-process one.
+		delta := localDelta(p.Model, p.Data, round.Theta, float64(round.LR), join.LocalSteps, join.Prox)
 		if p.Tamper != nil {
 			p.Tamper(round.T, delta)
 		}
@@ -306,7 +209,7 @@ func (p *Participant) Run(ctx context.Context) error {
 			return fmt.Errorf("fednet: participant %d update %d: %w", p.Index, round.T, err)
 		}
 		var ack updateReply
-		err = p.postBytes(ctx, round.T, retries, upBase, "/v1/update", body, contentTypeBinary, &ack)
+		err = rc.post(ctx, round.T, retries, upBase+"/v1/update", contentTypeBinary, body, &ack)
 		if err != nil && upBase != p.BaseURL {
 			var we *WireError
 			if !errors.As(err, &we) {
@@ -314,7 +217,7 @@ func (p *Participant) Run(ctx context.Context) error {
 				// protocol rejection): fall back to submitting directly
 				// to the root, which accepts the orphaned member.
 				obs.Emit(p.Sink, obs.Event{Kind: obs.KindEdgeFailover, T: round.T, Part: p.Index})
-				err = p.postBytes(ctx, round.T, p.Retries, p.BaseURL, "/v1/update", body, contentTypeBinary, &ack)
+				err = rc.post(ctx, round.T, p.Retries, p.BaseURL+"/v1/update", contentTypeBinary, body, &ack)
 			}
 		}
 		if err == nil && p.UpdateURL != "" {
@@ -343,12 +246,4 @@ func (p *Participant) Run(ctx context.Context) error {
 		// survivable: move on.
 		next = round.T + 1
 	}
-}
-
-// localUpdate computes δ_{t,i} with the trainer's exact arithmetic — the
-// single-step Grad+Scale or the multi-step local-drift form, with the
-// join-negotiated FedProx proximal term — so a loopback run is bit-identical
-// to the in-process one.
-func (p *Participant) localUpdate(theta []float64, lr float64, steps int, mu float64) []float64 {
-	return localDelta(p.Model, p.Data, theta, lr, steps, mu)
 }

@@ -62,10 +62,6 @@ func TestFiniteVecTable(t *testing.T) {
 // openTestRound installs a hand-built open round, as the handler tests in
 // adversary_test.go do.
 func openTestRound(c *Coordinator, r *openRound) {
-	r.slots = make(map[int]int, len(r.order))
-	for k, i := range r.order {
-		r.slots[i] = k
-	}
 	c.mu.Lock()
 	c.initLocked()
 	c.round = r
@@ -101,7 +97,7 @@ func TestRoundFrameEncodedOnce(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := &Coordinator{N: 8, Cfg: testConfig(), Async: tc.async}
-			r := &openRound{t: 7, lr: 0.125, theta: theta, valGrad: valGrad, order: []int{1, 4, 6}}
+			r := c.newRoundLocked(&hfl.RoundSpec{T: 7, LR: 0.125, Theta: theta, ValGrad: valGrad, Active: []int{1, 4, 6}})
 			if tc.deadline > 0 {
 				r.deadline = time.Now().Add(tc.deadline)
 			}
@@ -213,8 +209,8 @@ func TestBenchDriverRequestShapes(t *testing.T) {
 	}
 
 	// An async round with participant 4 scheduled to lag and 6 on time.
-	r := &openRound{t: 3, lr: 0.25, theta: theta, order: []int{4, 6}, deltas: make([][]float64, 2),
-		async: &hfl.AsyncSchedule{Fresh: []int{4, 6}, Lag: map[int]int{4: 2, 6: 0}}}
+	r := newRound(&hfl.RoundSpec{T: 3, LR: 0.25, Theta: theta}, []int{4, 6}, &asyncMode{deltas: make([][]float64, 2),
+		sched: &hfl.AsyncSchedule{Fresh: []int{4, 6}, Lag: map[int]int{4: 2, 6: 0}}})
 	openTestRound(c, r)
 	w := do("GET", "/v1/round?t=3&i=4&c=2", "", nil)
 	if w.Code != http.StatusOK || w.Header().Get("Content-Type") != CodecV2.ContentType() ||
@@ -248,8 +244,9 @@ func TestBenchDriverRequestShapes(t *testing.T) {
 func TestRoundFrameConcurrentPolls(t *testing.T) {
 	theta := tensor.NewRNG(9).NormalVec(300, 0, 1)
 	c := &Coordinator{N: 8, Cfg: testConfig()}
-	openTestRound(c, &openRound{t: 2, lr: 0.5, theta: theta, order: []int{0, 3, 5},
-		deadline: time.Now().Add(time.Hour)})
+	r := c.newRoundLocked(&hfl.RoundSpec{T: 2, LR: 0.5, Theta: theta, Active: []int{0, 3, 5}})
+	r.deadline = time.Now().Add(time.Hour)
+	openTestRound(c, r)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -440,13 +437,11 @@ func BenchmarkIngestUpdateV2(b *testing.B) {
 	theta := make([]float64, benchDim)
 	var r *openRound
 	open := func() {
-		r = &openRound{t: 1, theta: theta, valGrad: valGrad, order: order,
-			folded: make([]bool, benchCohort),
-			fold:   c.Stream.NewFold(benchDim, benchCohort, valGrad)}
+		r = c.newRoundLocked(&hfl.RoundSpec{T: 1, Theta: theta, ValGrad: valGrad, Active: order})
 		openTestRound(c, r)
 	}
 	check := func() {
-		fr, err := r.fold.Close()
+		fr, err := r.mode.(*streamedMode).fold.Close()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -499,7 +494,7 @@ func BenchmarkRoundPollV2(b *testing.B) {
 	}
 	c := &Coordinator{N: 100_000, Cfg: testConfig(), Stream: hfl.MeanStream{}}
 	h := c.Handler()
-	openTestRound(c, &openRound{t: 3, lr: 0.05, theta: theta, order: order})
+	openTestRound(c, c.newRoundLocked(&hfl.RoundSpec{T: 3, LR: 0.05, Theta: theta, Active: order}))
 	want := encodeRoundFrame(3, 0.05, 0, theta, nil, 0, 0)
 
 	rw := &benchRW{header: http.Header{}}

@@ -95,25 +95,109 @@ func (m MeanStream) NewFold(p, k int, valGrad []float64) Fold {
 	if seg < 1 {
 		seg = 1
 	}
-	return &meanFold{p: p, k: k, seg: seg, curSeg: -1, valGrad: valGrad}
+	return &meanFold{p: p, k: k, seg: seg, valGrad: valGrad}
 }
 
-// meanFold is MeanStream's per-round accumulator with in-order commit.
+// SegmentFold is the accumulator of one segment of the canonical reduction
+// order: the unscaled sum of the updates added at the segment's positions
+// and, given a validation gradient, their dot products, committed in
+// position order whatever the arrival order. An update that arrives ahead
+// of a predecessor parks until the predecessors commit or Close drains the
+// gaps, so the sum's float bits never depend on network timing. MeanStream
+// folds compose one per segment; a cohort tree's edge aggregator is one, and
+// so is the root's reconstruction of a dead edge's segment — which is why
+// tree, flat-streamed and in-process streamed runs agree bit for bit.
+//
+// Callers guarantee what Fold.Add checks: each position at most once, none
+// below the lo the fold was opened at, every delta as long as the
+// accumulator. Not safe for concurrent use.
+type SegmentFold struct {
+	// Release, when non-nil, is handed each delta once its commit consumed
+	// it (the networked tiers return it to the tensor pool); nil leaves
+	// consumed deltas to the caller.
+	Release func([]float64)
+
+	valGrad []float64
+	sum     []float64
+	next    int // smallest position not yet committed (assuming no gaps)
+	pos     []int
+	dots    []float64
+	pending map[int][]float64
+}
+
+// NewSegmentFold opens a segment whose positions start at lo (a lower
+// bound is enough: positions commit on arrival only while they continue the
+// run from lo, the rest at Close). acc is the zeroed accumulator, one
+// coordinate per model parameter; valGrad may be nil (no dots).
+func NewSegmentFold(lo int, acc, valGrad []float64) *SegmentFold {
+	return &SegmentFold{valGrad: valGrad, sum: acc, next: lo}
+}
+
+// Add folds the update at pos, or parks it behind a missing predecessor.
+func (s *SegmentFold) Add(pos int, delta []float64) {
+	if pos != s.next {
+		if s.pending == nil {
+			s.pending = make(map[int][]float64)
+		}
+		s.pending[pos] = delta
+		return
+	}
+	s.commit(pos, delta)
+	for {
+		d, ok := s.pending[s.next]
+		if !ok {
+			return
+		}
+		delete(s.pending, s.next)
+		s.commit(s.next, d)
+	}
+}
+
+// commit folds one update; callers guarantee position order.
+func (s *SegmentFold) commit(pos int, delta []float64) {
+	if s.valGrad != nil {
+		s.dots = append(s.dots, tensor.DotAdd(s.valGrad, delta, s.sum))
+	} else {
+		tensor.AXPY(1, delta, s.sum)
+	}
+	s.pos = append(s.pos, pos)
+	s.next = pos + 1
+	if s.Release != nil {
+		s.Release(delta)
+	}
+}
+
+// Pending reports how many updates are parked awaiting predecessors.
+func (s *SegmentFold) Pending() int { return len(s.pending) }
+
+// Close commits the updates still parked behind permanent gaps (stragglers
+// that never reported), in position order, and returns the unscaled sum,
+// the committed positions ascending, and the dot products aligned with them
+// (nil without a validation gradient).
+func (s *SegmentFold) Close() (sum []float64, pos []int, dots []float64) {
+	if len(s.pending) > 0 {
+		rest := make([]int, 0, len(s.pending))
+		for p := range s.pending {
+			rest = append(rest, p)
+		}
+		sort.Ints(rest)
+		for _, p := range rest {
+			s.commit(p, s.pending[p])
+		}
+		s.pending = nil
+	}
+	return s.sum, s.pos, s.dots
+}
+
+// meanFold is MeanStream's per-round accumulator: one SegmentFold per
+// segment, opened by the segment's first arrival and merged in segment
+// order at Close.
 type meanFold struct {
 	p, k, seg int
 	valGrad   []float64
-
-	next     int // smallest slot not yet committed (assuming no gaps)
-	curSeg   int
-	count    int // committed updates
-	segCount int // committed updates in the current segment
-	acc      []float64
-	segAcc   []float64
-	pending  map[int][]float64
-	seen     []bool
-	slots    []int
-	dots     []float64
-	closed   bool
+	segs      []*SegmentFold
+	seen      []bool
+	closed    bool
 }
 
 func (f *meanFold) Add(slot int, delta []float64) error {
@@ -128,65 +212,18 @@ func (f *meanFold) Add(slot int, delta []float64) error {
 	}
 	if f.seen == nil {
 		f.seen = make([]bool, f.k)
+		f.segs = make([]*SegmentFold, (f.k+f.seg-1)/f.seg)
 	}
 	if f.seen[slot] {
 		return fmt.Errorf("hfl: fold slot %d added twice", slot)
 	}
 	f.seen[slot] = true
-	if slot != f.next {
-		// Out-of-order arrival: park until the predecessors commit (or the
-		// round closes with those slots missing).
-		if f.pending == nil {
-			f.pending = make(map[int][]float64)
-		}
-		f.pending[slot] = delta
-		return nil
+	s := slot / f.seg
+	if f.segs[s] == nil {
+		f.segs[s] = NewSegmentFold(s*f.seg, make([]float64, f.p), f.valGrad)
 	}
-	f.commit(slot, delta)
-	for {
-		d, ok := f.pending[f.next]
-		if !ok {
-			return nil
-		}
-		delete(f.pending, f.next)
-		f.commit(f.next, d)
-	}
-}
-
-// commit folds one update at its slot position; callers guarantee slot
-// order. It advances next past the committed slot.
-func (f *meanFold) commit(slot int, delta []float64) {
-	if s := slot / f.seg; s != f.curSeg {
-		f.flush()
-		f.curSeg = s
-	}
-	if f.segAcc == nil {
-		f.segAcc = make([]float64, f.p)
-	}
-	if f.valGrad != nil {
-		f.dots = append(f.dots, tensor.DotAdd(f.valGrad, delta, f.segAcc))
-	} else {
-		tensor.AXPY(1, delta, f.segAcc)
-	}
-	f.segCount++
-	f.count++
-	f.slots = append(f.slots, slot)
-	f.next = slot + 1
-}
-
-// flush merges a non-empty segment partial into the running total.
-func (f *meanFold) flush() {
-	if f.segCount == 0 {
-		return
-	}
-	if f.acc == nil {
-		f.acc = make([]float64, f.p)
-	}
-	tensor.AXPY(1, f.segAcc, f.acc)
-	for j := range f.segAcc {
-		f.segAcc[j] = 0
-	}
-	f.segCount = 0
+	f.segs[s].Add(slot, delta)
+	return nil
 }
 
 func (f *meanFold) Close() (*FoldResult, error) {
@@ -194,28 +231,38 @@ func (f *meanFold) Close() (*FoldResult, error) {
 		return nil, fmt.Errorf("hfl: fold closed twice")
 	}
 	f.closed = true
-	// Slots parked behind permanent gaps (stragglers that never reported)
-	// commit now, in slot order.
-	if len(f.pending) > 0 {
-		rest := make([]int, 0, len(f.pending))
-		for s := range f.pending {
-			rest = append(rest, s)
+	res := &FoldResult{}
+	var acc []float64
+	for _, sf := range f.segs {
+		if sf == nil {
+			continue
 		}
-		sort.Ints(rest)
-		for _, s := range rest {
-			f.commit(s, f.pending[s])
+		// Merge the segment partials in segment order into a zero total —
+		// the operation a tree's root performs on its edges' partials.
+		sum, slots, dots := sf.Close()
+		if acc == nil {
+			acc = make([]float64, f.p)
 		}
-		f.pending = nil
+		tensor.AXPY(1, sum, acc)
+		res.Slots = append(res.Slots, slots...)
+		res.Dots = append(res.Dots, dots...)
 	}
-	f.flush()
-	res := &FoldResult{Slots: f.slots, Dots: f.dots}
-	if f.count > 0 {
-		tensor.Scale(1/float64(f.count), f.acc)
-		res.Sum = f.acc
+	if len(res.Slots) > 0 {
+		tensor.Scale(1/float64(len(res.Slots)), acc)
+		res.Sum = acc
 	}
 	return res, nil
 }
 
 // Pending reports how many updates are parked awaiting predecessors — a
-// diagnostic for the out-of-order worst case.
-func (f *meanFold) Pending() int { return len(f.pending) }
+// diagnostic for the out-of-order worst case, and how a caller that
+// recycles buffers tells a consumed delta from a parked one.
+func (f *meanFold) Pending() int {
+	n := 0
+	for _, sf := range f.segs {
+		if sf != nil {
+			n += sf.Pending()
+		}
+	}
+	return n
+}

@@ -236,3 +236,43 @@ func TestRetainDeltasRelease(t *testing.T) {
 		t.Fatal("releasing deltas perturbed the run")
 	}
 }
+
+// TestSegmentFoldOrderAndRelease: one segment's partial is the same bits —
+// sum, positions and dots — whatever the arrival order, whether the fold was
+// opened at the segment's first position (in-order arrivals commit at once)
+// or at a mere lower bound (everything parks until Close, as the root's
+// reconstruction of a dead edge's segment does), with gaps; it equals the
+// spelled-out Dot + AXPY reference, and every delta is released exactly once.
+func TestSegmentFoldOrderAndRelease(t *testing.T) {
+	const p = 9
+	deltas := foldDeltas(8, p, 6)
+	vg := foldDeltas(1, p, 7)[0]
+	present := []int{3, 4, 6, 7} // the segment's positions; 5 never arrives
+	wantSum, wantDots := make([]float64, p), make([]float64, 0, len(present))
+	for _, s := range present {
+		wantDots = append(wantDots, tensor.Dot(vg, deltas[s]))
+		tensor.AXPY(1, deltas[s], wantSum)
+	}
+	for _, lo := range []int{3, 0} {
+		for _, order := range [][]int{{3, 4, 6, 7}, {7, 6, 4, 3}, {4, 7, 3, 6}} {
+			released := map[*float64]int{}
+			f := NewSegmentFold(lo, make([]float64, p), vg)
+			f.Release = func(d []float64) { released[&d[0]]++ }
+			for _, s := range order {
+				f.Add(s, deltas[s])
+			}
+			if lo == 0 && f.Pending() != len(order) {
+				t.Fatalf("lo=0 order %v: %d parked, want all %d (nothing continues the run from 0)", order, f.Pending(), len(order))
+			}
+			sum, pos, dots := f.Close()
+			if !sameVec(sum, wantSum) || !sameVec(dots, wantDots) {
+				t.Fatalf("lo=%d order %v: partial differs from the Dot+AXPY reference", lo, order)
+			}
+			for j, s := range present {
+				if pos[j] != s || released[&deltas[s][0]] != 1 {
+					t.Fatalf("lo=%d order %v: positions %v, release counts %v", lo, order, pos, released)
+				}
+			}
+		}
+	}
+}
