@@ -177,15 +177,21 @@ verify-engines:
 # interrupted run bit-identical to its uninterrupted reference across 3
 # seeds and an uninterrupted journaled run indistinguishable from an
 # unjournaled one), the WAL replay tests (streamed mid-round graft,
-# torn-tail contract at every byte offset, 503-recovering rejoin with a
-# goroutine-leak check), the fault-domain collision guard, and a fuzz
-# smoke pass over the journal decoder (arbitrary bytes must error, never
-# panic). -count=1 defeats the test cache so the kills re-execute.
+# torn-tail contract at every byte offset of an update record and of a
+# close frame, bit-exact close-frame round trip, /1 refusal, a refused
+# Recover leaving /v1/score untouched, 503-recovering rejoin with a
+# goroutine-leak check), the close-path gates (frame size flat in the epoch
+# number and O(cohort) when sampled, a constant number of allocations per
+# close), the fault-domain collision guard, a fuzz smoke pass over the
+# journal decoder (arbitrary bytes must error, never panic), and
+# BenchmarkJournalClose (N=64, d=2000, epochs 1 and 60: ns/op, B/op,
+# bytes/record). -count=1 defeats the test cache so the kills re-execute.
 verify-crash:
 	$(GO) vet ./internal/fednet/ ./internal/experiments/ ./internal/faults/
 	$(GO) test -count=1 -run 'WAL|Recover|Chaos|Failover|Rejoin|DomainsUnique' \
 		./internal/fednet/ ./internal/experiments/ ./internal/faults/
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzWALReplay -fuzztime 5s ./internal/fednet/
+	$(GO) test -count=1 -run '^$$' -bench JournalClose -benchmem ./internal/fednet/
 
 # verify-adv runs the adversarial-robustness gate: the efficacy test (30%
 # sign-flip attackers across 3 seeds — undefended run diverges >=2x while

@@ -72,12 +72,16 @@ type HFLEstimator struct {
 	// Epoch.Reported), so that observing one costs O(reporters) rather than
 	// O(n) — Lemma 3 scores everyone else exactly 0. stamp[i] holds the last
 	// epoch that mapped participant i (the duplicate check); under
-	// TotalsOnly, row is the φ row handed back by the previous observation
-	// and touched lists its non-zero candidates, re-zeroed before reuse.
-	// All three are allocated on first use and dropped by SetState.
-	stamp   []int
-	row     []float64
-	touched []int
+	// TotalsOnly, row is the φ row such an epoch is scored into, re-zeroed at
+	// the previous epoch's reporters before reuse. last, reporters and dense
+	// are what LastRow hands out: the row the latest observation returned
+	// and a copy of the mapping it ran under (dense: none, everyone
+	// reported). All are set on use and dropped by SetState.
+	stamp     []int
+	row       []float64
+	last      []float64
+	reporters []int
+	dense     bool
 }
 
 // NewHFLEstimator creates an estimator for n participants and p model
@@ -207,8 +211,24 @@ func (e *HFLEstimator) ObserveMapped(ep *hfl.Epoch, idx []int) []float64 {
 	obs.Emit(sink, obs.Event{Kind: obs.KindEstimatorRound, T: ep.T,
 		N: int64(m), Dur: obs.Since(sink, roundStart)})
 	e.attr.record(phi, idx)
+	e.last = phi
 	return phi
 }
+
+// LastRow is the close path's O(reporters) view of the latest observation:
+// epoch t's φ row (length n, indexable by global participant), and the
+// reporters outside which it is exactly zero — or dense, when the epoch
+// carried no mapping and everyone reported. Before the first observation t
+// is 0 and phi nil. Read-only, and valid until the next Observe or
+// ObserveMapped call, like the row a TotalsOnly observation returns.
+func (e *HFLEstimator) LastRow() (t int, phi []float64, reporters []int, dense bool) {
+	return e.lastEpoch, e.last, e.reporters, e.dense
+}
+
+// DeltaGSum is the live Interactive-mode recursion state, one length-p row
+// per participant (nil in ResourceSaving mode), under LastRow's contract:
+// read-only, valid until the next observation.
+func (e *HFLEstimator) DeltaGSum() [][]float64 { return e.deltaGSum }
 
 // stampReporters panics unless idx names distinct participants in [0, n).
 // Epochs arrive in increasing order from 1, so a stamp equal to t can only
@@ -241,18 +261,21 @@ func (e *HFLEstimator) stampReporters(idx []int, t int) {
 // phiRow returns the zeroed length-n row the epoch's φ is written into: a
 // fresh one when it is retained in PerEpoch or every participant reports,
 // the estimator's own — with the previous epoch's reporters re-zeroed —
-// when a TotalsOnly epoch names its reporters idx.
+// when a TotalsOnly epoch names its reporters idx. Either way it notes the
+// mapping for LastRow.
 func (e *HFLEstimator) phiRow(idx []int) []float64 {
+	if e.row != nil {
+		for _, i := range e.reporters {
+			e.row[i] = 0
+		}
+	}
+	e.reporters, e.dense = append(e.reporters[:0], idx...), idx == nil
 	if !e.TotalsOnly || idx == nil {
 		return make([]float64, e.n)
 	}
 	if e.row == nil {
 		e.row = make([]float64, e.n)
 	}
-	for _, i := range e.touched {
-		e.row[i] = 0
-	}
-	e.touched = append(e.touched[:0], idx...)
 	return e.row
 }
 

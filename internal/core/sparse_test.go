@@ -58,7 +58,8 @@ func bitsEqual(a, b []float64) bool {
 // epochs does O(cohort) work into a reused row, and must still hand back —
 // and accumulate — exactly what the retaining estimator does: the same row
 // bits at every global index (so last epoch's reporters are back at zero),
-// the same totals.
+// the same totals. Both estimators' LastRow view names that row and the
+// mapping it was observed under.
 func TestTotalsOnlySampledMatchesRetained(t *testing.T) {
 	const n, p = 500, 6
 	full := NewHFLEstimator(n, p, ResourceSaving, nil)
@@ -71,6 +72,13 @@ func TestTotalsOnlySampledMatchesRetained(t *testing.T) {
 		}
 		if !bitsEqual(slim.Attribution().Totals, full.Attribution().Totals) {
 			t.Fatalf("epoch %d: totals differ", ep.T)
+		}
+		for _, e := range []*HFLEstimator{full, slim} {
+			at, phi, reporters, dense := e.LastRow()
+			if at != ep.T || !bitsEqual(phi, want) || dense != (ep.Reported == nil) || !slices.Equal(reporters, ep.Reported) {
+				t.Fatalf("epoch %d: LastRow = epoch %d, dense %v, reporters %v; the epoch reported %v",
+					ep.T, at, dense, reporters, ep.Reported)
+			}
 		}
 	}
 	if slim.Attribution().PerEpoch != nil || slim.Attribution().Epochs != 24 {

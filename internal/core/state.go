@@ -106,7 +106,7 @@ func (e *HFLEstimator) SetState(s *EstimatorState) error {
 	e.attr = &Attribution{PerEpoch: copyMatrix(s.PerEpoch), Totals: tensor.Clone(s.Totals),
 		Epochs: s.LastEpoch, totalsOnly: e.TotalsOnly}
 	e.deltaGSum = copyMatrix(s.DeltaGSum)
-	e.stamp, e.row, e.touched = nil, nil, nil
+	e.stamp, e.row, e.last, e.reporters = nil, nil, nil, nil
 	return nil
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -168,6 +169,10 @@ type walControl struct {
 	T    int    `json:"t"`
 }
 
+// walCloseMagic opens the journal's binary epoch-close frame; the epoch is
+// the little-endian u32 that follows it.
+const walCloseMagic = "D2CK"
+
 // crashWriter is the coordinator's journal sink with scheduled violence: it
 // parses each appended record (the WAL writes exactly one record per Write),
 // and at each scheduled (epoch, phase) it writes only half the record —
@@ -198,32 +203,33 @@ func (w *crashWriter) Write(p []byte) (int, error) {
 
 // hit decides whether this record is a scheduled kill point, tracking the
 // open epoch and its update count as a side effect. Record framing is the
-// digfl-fednet-wal/1 wire: an 8-byte length+CRC header, then a payload that
-// is either a JSON control record or a binary update frame.
+// digfl-fednet-wal/2 wire: an 8-byte length+CRC header, then a payload that
+// is a JSON control record ('{': run_open, epoch_open, ...) or a binary
+// frame named by its four-byte magic — the D2CK epoch close, or a D2UP
+// member update.
 func (w *crashWriter) hit(rec []byte) bool {
-	if len(rec) <= 8 {
+	if len(rec) < 16 {
 		return false
 	}
 	payload := rec[8:]
-	if payload[0] != '{' {
-		// Binary frame: one committed member update (the buffered chaos
-		// topology journals no edge partials).
+	due := func(phase faults.CrashPhase, t int) bool {
+		return len(w.sched) > 0 && w.sched[0].Phase == phase && w.sched[0].Epoch == t
+	}
+	switch {
+	case string(payload[:4]) == walCloseMagic:
+		return due(faults.CrashAtClose, int(binary.LittleEndian.Uint32(payload[4:])))
+	case payload[0] != '{':
+		// One committed member update (the buffered chaos topology journals
+		// no edge partials).
 		w.updates++
-		return len(w.sched) > 0 && w.sched[0].Phase == faults.CrashMidRound &&
-			w.openT == w.sched[0].Epoch && w.updates == w.mid
+		return due(faults.CrashMidRound, w.openT) && w.updates == w.mid
 	}
 	var c walControl
-	if json.Unmarshal(payload, &c) != nil {
+	if json.Unmarshal(payload, &c) != nil || c.Kind != "epoch_open" {
 		return false
 	}
-	switch c.Kind {
-	case "epoch_open":
-		w.openT, w.updates = c.T, 0
-		return len(w.sched) > 0 && w.sched[0].Phase == faults.CrashAtOpen && c.T == w.sched[0].Epoch
-	case "epoch_close":
-		return len(w.sched) > 0 && w.sched[0].Phase == faults.CrashAtClose && c.T == w.sched[0].Epoch
-	}
-	return false
+	w.openT, w.updates = c.T, 0
+	return due(faults.CrashAtOpen, c.T)
 }
 
 // chaosProblem builds the 4-participant softmax problem each chaos seed

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -412,7 +411,7 @@ func TestAsyncShutdownMidQuorumReleasesWaiters(t *testing.T) {
 // async coordinator killed mid-round — while earlier lagged updates sit in
 // the carry-over buffer — must recover and finish bit-identically to the
 // uninterrupted AsyncLocalSource reference: model, curve, and φ. The
-// pre-crash buffer is reinstalled from the epoch_close record and the
+// pre-crash buffer is reinstalled from the epoch-close frame and the
 // grafted round re-derives the exact pre-crash schedule.
 func TestAsyncWALMidQuorumRecovery(t *testing.T) {
 	const seed = 3
@@ -428,76 +427,24 @@ func TestAsyncWALMidQuorumRecovery(t *testing.T) {
 	front := &walFront{}
 	// Round 1 journals testN update frames (every fresh member posts, lagged
 	// or not); tearing shortly after leaves round 2 mid-cohort with the
-	// round-1 lag buffer journaled in epoch_close(1).
+	// round-1 lag buffer journaled in the close frame of epoch 1.
 	writer := &tearAtBinary{buf: journal, left: testN + 2, onTear: front.kill}
 
-	newCoord := func() (*Coordinator, *core.HFLEstimator) {
+	newCoord := func() *Coordinator {
 		cfg := testConfig()
 		cfg.Faults = faults.MustNew(fcfg)
-		est := core.NewHFLEstimator(testN, model.NumParams(), core.ResourceSaving, nil)
 		ac := asyncPolicy()
-		c := &Coordinator{
+		return &Coordinator{
 			N: testN, Model: model, Val: val, Cfg: cfg,
-			Estimator: est,
+			Estimator: core.NewHFLEstimator(testN, model.NumParams(), core.ResourceSaving, nil),
 			Stream:    hfl.MeanStream{},
 			Async:     &ac,
 			Journal:   writer,
 		}
-		return c, est
 	}
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listener: %v", err)
-	}
-	srv := &http.Server{Handler: front}
-	go func() { _ = srv.Serve(ln) }()
-	defer srv.Close()
-
-	coord, est := newCoord()
-	front.install(coord.Handler())
-
-	ctx := context.Background()
-	perrs := make([]error, testN)
-	var wg sync.WaitGroup
-	for i := 0; i < testN; i++ {
-		p := &Participant{
-			Index: i, Model: model, Data: parts[i],
-			BaseURL: "http://" + ln.Addr().String(),
-			Retries: 400, Base: time.Millisecond, Cap: 20 * time.Millisecond,
-		}
-		wg.Add(1)
-		go func(i int, p *Participant) { defer wg.Done(); perrs[i] = p.Run(ctx) }(i, p)
-	}
-
-	restarts := 0
-	var res *hfl.Result
-	for {
-		res, err = coord.Run(ctx)
-		if err == nil {
-			break
-		}
-		restarts++
-		if restarts > 2 {
-			t.Fatalf("coordinator incarnation %d: %v", restarts, err)
-		}
-		coord, est = newCoord()
-		consumed, rerr := coord.Recover(bytes.NewReader(journal.Bytes()))
-		if rerr != nil {
-			t.Fatalf("recovery %d: %v", restarts, rerr)
-		}
-		journal.Truncate(int(consumed))
-		front.install(coord.Handler())
-	}
-	wg.Wait()
-	for i, perr := range perrs {
-		if perr != nil {
-			t.Fatalf("participant %d: %v", i, perr)
-		}
-	}
-	if restarts != 1 {
-		t.Errorf("expected exactly one injected crash, saw %d restarts", restarts)
-	}
+	res, coord := runThroughCrashes(t, model, parts, journal, front, 1, newCoord)
+	est := coord.Estimator
 	checkSameRun(t, "async crash-recovery vs AsyncLocalSource", res, want, est.Attribution(), wantAttr)
 	attr := est.Attribution()
 	for tt := range wantAttr.PerEpoch {

@@ -339,7 +339,13 @@ func decodeRoundFrame(b []byte) (*roundReply, error) {
 // vector the caller owns (and may PutVec once its floats are consumed).
 func decodeFrameVec(b []byte, d int) []float64 {
 	out := tensor.GetVec(d)
-	b, v := b[:8*d], out
+	readFrameVec(b, out)
+	return out
+}
+
+// readFrameVec fills v from the little-endian float64s at the front of b.
+func readFrameVec(b []byte, v []float64) {
+	b = b[:8*len(v)]
 	for len(v) >= 4 && len(b) >= 32 { // four floats per length check, as in putFrameVec
 		c, x := b[:32], v[:4]
 		x[0] = math.Float64frombits(binary.LittleEndian.Uint64(c[0:8]))
@@ -352,5 +358,4 @@ func decodeFrameVec(b []byte, d int) []float64 {
 		v[0] = math.Float64frombits(binary.LittleEndian.Uint64(b))
 		b, v = b[8:], v[1:]
 	}
-	return out
 }

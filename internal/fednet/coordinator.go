@@ -12,7 +12,6 @@ import (
 	"digfl/internal/core"
 	"digfl/internal/dataset"
 	"digfl/internal/hfl"
-	"digfl/internal/jsonf"
 	"digfl/internal/logio"
 	"digfl/internal/nn"
 	"digfl/internal/obs"
@@ -95,7 +94,7 @@ type Coordinator struct {
 	// index i belongs to edge i/ceil(N/Edges), the TreeLoopback partition.
 	Edges int
 	// Journal, when non-nil, turns on the coordinator's write-ahead log
-	// (digfl-fednet-wal/1, see wal.go): every commit the round's outcome
+	// (digfl-fednet-wal/2, see wal.go): every commit the round's outcome
 	// depends on is journaled before it is acknowledged, so a coordinator
 	// that dies mid-round can be rebuilt bit-identically — hand the journal
 	// to a fresh Coordinator's Recover, then Run. Each record is written
@@ -416,6 +415,15 @@ func (c *Coordinator) Recover(r io.Reader) (int64, error) {
 		return 0, fmt.Errorf("fednet: WAL journal is for a %d-param model, coordinator has %d",
 			rep.params, c.Model.NumParams())
 	}
+	// Every refusal precedes the first side effect, and the lock spans both:
+	// a running coordinator, whose handlers read this state live, is refused
+	// with it untouched. Estimator.SetState validates before it installs, and
+	// a replayed quarantine state cannot fail its shape check.
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.started {
+		return 0, errors.New("fednet: Recover must precede Run")
+	}
 	if c.Estimator != nil && rep.est != nil {
 		if err := c.Estimator.SetState(rep.est); err != nil {
 			return 0, fmt.Errorf("fednet: reinstalling estimator state: %w", err)
@@ -426,44 +434,32 @@ func (c *Coordinator) Recover(r io.Reader) (int64, error) {
 			return 0, fmt.Errorf("fednet: reinstalling quarantine state: %w", err)
 		}
 	}
-	c.mu.Lock()
-	if c.started {
-		c.mu.Unlock()
-		return 0, errors.New("fednet: Recover must precede Run")
-	}
 	c.rec = rep
 	c.instance = rep.instance + 1
 	c.recovering = true
-	c.mu.Unlock()
 	obs.Emit(c.Cfg.Runtime.Sink, obs.Event{Kind: obs.KindRecover,
 		T: rep.lastClosed + 1, N: int64(rep.records)})
 	return rep.consumed, nil
 }
 
-// journalClose appends an epoch's close record — model, curve, estimator
-// and quarantine state — then flushes the staged archive epochs the commit
-// just made durable.
+// journalClose appends an epoch's close frame — the model, the new curve
+// point, and what the epoch added to the estimator, quarantine and async
+// state, encoded under the lock straight from the live state — then
+// flushes the staged archive epochs the commit just made durable.
 func (c *Coordinator) journalClose(ck *hfl.Checkpoint) error {
-	rec := walRecord{Kind: walKindEpochClose, T: ck.Epoch,
-		Theta: jsonf.Vec(ck.Theta), Curve: jsonf.Vec(ck.ValLossCurve)}
 	c.mu.Lock()
-	if c.Estimator != nil {
-		rec.Estimator = toWalEst(c.Estimator.State())
-	}
-	if c.Quarantine != nil {
-		rec.Quarantine = toWalQuar(c.Quarantine.State())
-	}
+	var buffered []*hfl.AsyncEntry
 	if c.asyncPlan != nil {
-		// Snapshot the post-commit carry-over buffer: replay resolves each
-		// entry's delta from the round's journaled frames, so the checkpoint
-		// stays metadata-sized. The buffer is stable here — late admits are
+		// The post-commit carry-over buffer is stable here: late admits are
 		// gated on an open round, and the next round has not opened yet.
-		for _, e := range c.asyncPlan.Buffer() {
-			rec.Buffered = append(rec.Buffered, walBufEntry{Part: e.Part, Origin: e.Origin, Due: e.Due})
-		}
+		buffered = c.asyncPlan.Buffer()
 	}
+	rec, err := encodeClose(ck, c.Estimator, c.Quarantine, buffered)
 	c.mu.Unlock()
-	if err := c.wal.appendJSON(rec); err != nil {
+	if err != nil {
+		return err
+	}
+	if err := c.wal.commit(rec); err != nil {
 		return err
 	}
 	if c.archStage != nil && c.archStage.Len() > 0 {

@@ -6,15 +6,16 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 
 	"digfl/internal/core"
-	"digfl/internal/jsonf"
+	"digfl/internal/hfl"
 	"digfl/internal/obs"
 	"digfl/internal/robust"
 	"digfl/internal/tensor"
 )
 
-// The coordinator's write-ahead journal (digfl-fednet-wal/1) makes a round
+// The coordinator's write-ahead journal (digfl-fednet-wal/2) makes a round
 // crash-safe: every state transition that the round's outcome depends on is
 // appended to the journal *before* it is applied, so a coordinator that
 // dies mid-round can be rebuilt bit-identically by replaying the journal
@@ -30,13 +31,27 @@ import (
 //
 // Two payload families share the framing, discriminated by the first byte:
 //
-//   - JSON control records ('{'): run_open, epoch_open, epoch_close,
-//     run_close — small, carrying shape, cohort, and checkpoint state
-//     (model, curve, estimator, quarantine) through the same jsonf
-//     non-finite-safe encoding the archive uses.
-//   - digfl-fednet/2 binary frames (D2UP update, D2PA edge partial): the
-//     bulk per-round commits, journaled as the exact canonical frame
-//     bytes, so the journal costs the same 8d bytes per update as the wire.
+//   - JSON control records ('{'): run_open, epoch_open, stale_admit,
+//     run_close — a few dozen bytes of shape, cohort and markers; no record
+//     that carries floats is JSON.
+//   - binary frames: the digfl-fednet/2 commits (D2UP update, D2PA edge
+//     partial), journaled as the exact canonical frame bytes so the journal
+//     costs the same 8d bytes per update as the wire, and the epoch close:
+//
+//	close  "D2CK" | u32 t | u32 flags | u32 d | u32 c | u32 n | u32 k |
+//	       u32 q | u32 b | d×f64 θ_t | c×f64 new curve points |
+//	       φ_t: n×f64 if dense, else k×(u32 i, f64 φ_{t,i}) |
+//	       [n·d×f64 ΔG-sums] | q×(f64 ewma, u32 streak<<2|banned<<1|seen) |
+//	       b×(u32 part, u32 origin, u32 due)
+//
+// The close is incremental — what epoch t added, not the history: one curve
+// point (two on the first close, which also carries the initial loss) and
+// the φ row at its k reporters, or dense when all n reported; q and b are
+// the quarantine state's and the async carry-over buffer's lengths. Floats
+// cross as their IEEE-754 bits. Replay folds the closes — append the curve
+// points and the row, Totals[i] += φ in journal order, replace θ, the
+// ΔG-sums and the quarantine vectors — so journal bytes per round are flat
+// in the epoch number (DESIGN.md §12).
 //
 // Determinism: a round's aggregate is a pure function of the SET of
 // committed (slot, update) pairs — the streaming fold is segmented by slot
@@ -45,19 +60,20 @@ import (
 
 // WALProtocol names the journal format; Recover refuses a journal whose
 // run_open record declares anything else.
-const WALProtocol = "digfl-fednet-wal/1"
+const WALProtocol = "digfl-fednet-wal/2"
 
 // walHdrLen is the per-record framing overhead: u32 length, u32 CRC.
 const walHdrLen = 8
+
+var le = binary.LittleEndian
 
 // WAL is the append side of the journal. Errors are sticky: after the
 // first failed append the journal is poisoned and the coordinator aborts
 // the run rather than acknowledge an update it cannot replay.
 type WAL struct {
-	w       io.Writer
-	sink    obs.Sink
-	err     error
-	records int
+	w    io.Writer
+	sink obs.Sink
+	err  error
 }
 
 func newWAL(w io.Writer, sink obs.Sink) *WAL { return &WAL{w: w, sink: sink} }
@@ -65,38 +81,37 @@ func newWAL(w io.Writer, sink obs.Sink) *WAL { return &WAL{w: w, sink: sink} }
 // Append journals one payload. The record (header plus payload) is written
 // with a single Write call so a mid-write crash leaves a clean prefix.
 func (wl *WAL) Append(payload []byte) error {
+	rec := tensor.GetBytes(walHdrLen + len(payload))
+	copy(rec[walHdrLen:], payload)
+	return wl.commit(rec)
+}
+
+// commit journals a record built in place — walHdrLen bytes reserved for
+// the framing, then the payload — and recycles its buffer.
+func (wl *WAL) commit(rec []byte) error {
+	defer tensor.PutBytes(rec)
 	if wl.err != nil {
 		return wl.err
 	}
+	payload := rec[walHdrLen:]
 	if len(payload) == 0 || len(payload) > maxBodyBytes {
 		wl.err = fmt.Errorf("fednet: WAL payload of %d bytes outside (0, %d]", len(payload), maxBodyBytes)
 		return wl.err
 	}
-	rec := tensor.GetBytes(walHdrLen + len(payload))
-	binary.LittleEndian.PutUint32(rec, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(payload))
-	copy(rec[walHdrLen:], payload)
-	_, err := wl.w.Write(rec)
-	tensor.PutBytes(rec)
-	if err != nil {
+	le.PutUint32(rec, uint32(len(payload)))
+	le.PutUint32(rec[4:], crc32.ChecksumIEEE(payload))
+	if _, err := wl.w.Write(rec); err != nil {
 		wl.err = fmt.Errorf("fednet: WAL append: %w", err)
 		return wl.err
 	}
-	wl.records++
-	obs.Emit(wl.sink, obs.Event{Kind: obs.KindWALAppend, N: int64(walHdrLen + len(payload))})
+	obs.Emit(wl.sink, obs.Event{Kind: obs.KindWALAppend, N: int64(len(rec))})
 	return nil
 }
 
-// appendJSON journals one control record.
-func (wl *WAL) appendJSON(v any) error {
-	if wl.err != nil {
-		return wl.err
-	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		wl.err = fmt.Errorf("fednet: encoding WAL record: %w", err)
-		return wl.err
-	}
+// appendJSON journals one control record (ints, strings and an int slice:
+// marshalling it cannot fail).
+func (wl *WAL) appendJSON(rec walRecord) error {
+	b, _ := json.Marshal(rec)
 	return wl.Append(b)
 }
 
@@ -105,10 +120,9 @@ func (wl *WAL) Err() error { return wl.err }
 
 // WAL control-record kinds.
 const (
-	walKindRunOpen    = "run_open"
-	walKindEpochOpen  = "epoch_open"
-	walKindEpochClose = "epoch_close"
-	walKindRunClose   = "run_close"
+	walKindRunOpen   = "run_open"
+	walKindEpochOpen = "epoch_open"
+	walKindRunClose  = "run_close"
 	// walKindStaleAdmit marks the immediately preceding D2UP frame (which
 	// is journaled with t = the open round) as an async late admit: it
 	// belongs to the staleness buffer with the recorded origin round, not
@@ -128,112 +142,137 @@ type walRecord struct {
 	N        int    `json:"n,omitempty"`
 	Epochs   int    `json:"epochs,omitempty"`
 	Params   int    `json:"params,omitempty"`
-	// epoch_open / epoch_close: the round and (on open) its active cohort
-	// in slot order. nil Active means the full population.
+	// epoch_open: the round and its active cohort in slot order. nil Active
+	// means the full population.
 	T      int   `json:"t,omitempty"`
 	Active []int `json:"active,omitempty"`
-	// epoch_close: the post-round checkpoint — model, full validation-loss
-	// curve (index 0 is the initial loss), and the attribution/defense
-	// state the next round's decisions depend on.
-	Theta      jsonf.Vec     `json:"theta,omitempty"`
-	Curve      jsonf.Vec     `json:"curve,omitempty"`
-	Estimator  *walEstState  `json:"estimator,omitempty"`
-	Quarantine *walQuarState `json:"quarantine,omitempty"`
-	// epoch_close (async runs): the planner's carry-over buffer after the
-	// commit. Each entry's delta bytes are resolved at replay from this
-	// round's journaled D2UP frames or an earlier close's carry-over, so
-	// the checkpoint never re-journals a vector.
-	Buffered []walBufEntry `json:"buffered,omitempty"`
 	// stale_admit: the admitted participant and the round its update was
-	// computed against.
+	// computed against (T is the open round).
 	Part   int `json:"part,omitempty"`
 	Origin int `json:"origin,omitempty"`
 }
 
-// walBufEntry is one async buffered update's metadata inside an epoch_close
-// record; Due is the round the entry folds into (Due − Origin is its
-// staleness at that fold).
-type walBufEntry struct {
-	Part   int `json:"part"`
-	Origin int `json:"origin"`
-	Due    int `json:"due"`
+var magicClose = [4]byte{'D', '2', 'C', 'K'}
+
+const closeHdrLen = 4 + 8*4 // magic, t, flags, d, c, n, k, q, b
+
+// Close-frame flag bits.
+const (
+	closeEst        = 1 << 0 // a φ section follows the curve points
+	closeDense      = 1 << 1 // ... as the dense row: k = n, no indices
+	closeTotalsOnly = 1 << 2 // the estimator retains no per-epoch rows
+	closeDeltaG     = 1 << 3 // Interactive mode: the n ΔG-sum rows follow φ
+)
+
+// closeSize is a close frame's payload length for the given header — what
+// the encoder sizes its buffer by and replay checks a frame against. Counts
+// are bounded by maxFrameDim, so nothing overflows.
+func closeSize(flags, d, c, n, k, q, b int) int {
+	size := closeHdrLen + 8*d + 8*c + 12*q + 12*b
+	switch {
+	case flags&closeDense != 0:
+		size += 8 * k
+	case flags&closeEst != 0:
+		size += 12 * k
+	}
+	if flags&closeDeltaG != 0 {
+		size += 8 * n * d
+	}
+	return size
 }
 
-// walEstState mirrors core.EstimatorState with the jsonf non-finite-safe
-// vector encoding (the archive's estimator-state JSON uses the same shape).
-type walEstState struct {
-	LastEpoch int         `json:"last_epoch"`
-	PerEpoch  []jsonf.Vec `json:"per_epoch"`
-	Totals    jsonf.Vec   `json:"totals"`
-	DeltaGSum []jsonf.Vec `json:"delta_g_sum,omitempty"`
+// frameCursor walks a frame section by section; the frame's length was
+// fixed from its header beforehand, so no step can overrun.
+type frameCursor struct{ b []byte }
+
+func (c *frameCursor) next(n int) []byte { b := c.b[:n]; c.b = c.b[n:]; return b }
+
+func (c *frameCursor) putU32(v int)       { le.PutUint32(c.next(4), uint32(v)) }
+func (c *frameCursor) putF64(v float64)   { le.PutUint64(c.next(8), math.Float64bits(v)) }
+func (c *frameCursor) putVec(v []float64) { putFrameVec(c.next(8*len(v)), v) }
+func (c *frameCursor) u32() int           { return int(le.Uint32(c.next(4))) }
+func (c *frameCursor) f64() float64       { return math.Float64frombits(le.Uint64(c.next(8))) }
+func (c *frameCursor) vec(n int) []float64 {
+	v := make([]float64, n)
+	readFrameVec(c.next(8*n), v)
+	return v
 }
 
-func toVecs(m [][]float64) []jsonf.Vec {
-	if m == nil {
-		return nil
+// encodeClose builds epoch ck.Epoch's close record in a pooled buffer,
+// walHdrLen bytes reserved in front for WAL.commit's framing, straight from
+// the live estimator, quarantine and async buffer (each may be absent).
+// Callers hold the lock that keeps all three still.
+func encodeClose(ck *hfl.Checkpoint, est *core.HFLEstimator, quar *robust.Quarantine, buffered []*hfl.AsyncEntry) ([]byte, error) {
+	// Each close adds one curve point to those already journaled; the run's
+	// first also carries the initial loss.
+	curve := ck.ValLossCurve[ck.Epoch:]
+	if ck.Epoch == 1 {
+		curve = ck.ValLossCurve
 	}
-	out := make([]jsonf.Vec, len(m))
-	for i, row := range m {
-		out[i] = jsonf.Vec(row)
+	var (
+		flags, n, k int
+		phi         []float64
+		reporters   []int
+		deltaG      [][]float64
+		qs          robust.QuarantineState
+	)
+	if est != nil {
+		t, row, idx, dense := est.LastRow()
+		if t != ck.Epoch || row == nil {
+			return nil, fmt.Errorf("fednet: closing epoch %d but the estimator last observed epoch %d", ck.Epoch, t)
+		}
+		phi, reporters, deltaG = row, idx, est.DeltaGSum()
+		flags, n, k = closeEst, len(row), len(idx)
+		if dense || k == n {
+			flags, k = flags|closeDense, n
+		}
+		if est.TotalsOnly {
+			flags |= closeTotalsOnly
+		}
+		if deltaG != nil {
+			flags |= closeDeltaG
+		}
 	}
-	return out
-}
-
-func fromVecs(v []jsonf.Vec) [][]float64 {
-	if v == nil {
-		return nil
+	if quar != nil {
+		qs = quar.StateView()
 	}
-	out := make([][]float64, len(v))
-	for i, row := range v {
-		out[i] = []float64(row)
+	d, c, q, b := len(ck.Theta), len(curve), len(qs.Ewma), len(buffered)
+	rec := tensor.GetBytes(walHdrLen + closeSize(flags, d, c, n, k, q, b))
+	w := frameCursor{rec[walHdrLen:]}
+	copy(w.next(4), magicClose[:])
+	for _, v := range [...]int{ck.Epoch, flags, d, c, n, k, q, b} {
+		w.putU32(v)
 	}
-	return out
-}
-
-func toWalEst(s *core.EstimatorState) *walEstState {
-	if s == nil {
-		return nil
+	w.putVec(ck.Theta)
+	w.putVec(curve)
+	if flags&closeDense != 0 {
+		w.putVec(phi)
+	} else {
+		for _, i := range reporters {
+			w.putU32(i)
+			w.putF64(phi[i])
+		}
 	}
-	return &walEstState{
-		LastEpoch: s.LastEpoch,
-		PerEpoch:  toVecs(s.PerEpoch),
-		Totals:    jsonf.Vec(s.Totals),
-		DeltaGSum: toVecs(s.DeltaGSum),
+	for _, row := range deltaG {
+		w.putVec(row)
 	}
-}
-
-func (s *walEstState) state() *core.EstimatorState {
-	if s == nil {
-		return nil
+	for i, ewma := range qs.Ewma {
+		packed := qs.Streak[i] << 2
+		if qs.Banned[i] {
+			packed |= 2
+		}
+		if qs.Seen[i] {
+			packed |= 1
+		}
+		w.putF64(ewma)
+		w.putU32(packed)
 	}
-	return &core.EstimatorState{
-		LastEpoch: s.LastEpoch,
-		PerEpoch:  fromVecs(s.PerEpoch),
-		Totals:    []float64(s.Totals),
-		DeltaGSum: fromVecs(s.DeltaGSum),
+	for _, e := range buffered {
+		w.putU32(e.Part)
+		w.putU32(e.Origin)
+		w.putU32(e.Due)
 	}
-}
-
-// walQuarState mirrors robust.QuarantineState.
-type walQuarState struct {
-	Ewma   jsonf.Vec `json:"ewma"`
-	Seen   []bool    `json:"seen"`
-	Streak []int     `json:"streak"`
-	Banned []bool    `json:"banned"`
-}
-
-func toWalQuar(s *robust.QuarantineState) *walQuarState {
-	if s == nil {
-		return nil
-	}
-	return &walQuarState{Ewma: jsonf.Vec(s.Ewma), Seen: s.Seen, Streak: s.Streak, Banned: s.Banned}
-}
-
-func (s *walQuarState) state() *robust.QuarantineState {
-	if s == nil {
-		return nil
-	}
-	return &robust.QuarantineState{Ewma: []float64(s.Ewma), Seen: s.Seen, Streak: s.Streak, Banned: s.Banned}
+	return rec, nil
 }
 
 // walPartial is one replayed edge partial.
@@ -272,23 +311,22 @@ type walReplay struct {
 	// (moved out of updates by stale_admit records so a grafted round can
 	// re-Admit them instead of mistaking them for fresh arrivals).
 	buffered   map[int]walBufUpdate
-	lateAdmits map[int]walLateAdmit
+	lateAdmits map[int]walBufUpdate
 
 	consumed int64 // bytes of complete, valid records
 	records  int
 }
 
-// walBufUpdate is a replayed carry-over buffer entry with its resolved delta.
+// walBufUpdate is a replayed async update held outside the open round's
+// commit set, with its resolved delta: a carry-over buffer entry, or a late
+// admit (whose due round the planner re-derives on Admit).
 type walBufUpdate struct {
 	origin, due int
 	delta       []float64
 }
 
-// walLateAdmit is a replayed open-round late admit.
-type walLateAdmit struct {
-	origin int
-	delta  []float64
-}
+// walReadChunk is the least a record read grows its buffer by.
+const walReadChunk = 64 << 10
 
 // replayWAL decodes a journal. A torn final record (the crash artifact) is
 // not an error: replay stops at the last complete record and consumed
@@ -300,9 +338,14 @@ func replayWAL(r io.Reader) (*walReplay, error) {
 	rep := &walReplay{
 		updates:    make(map[int][]float64),
 		partials:   make(map[int]walPartial),
-		lateAdmits: make(map[int]walLateAdmit),
+		lateAdmits: make(map[int]walBufUpdate),
 	}
 	hdr := make([]byte, walHdrLen)
+	// One payload buffer serves every record (apply copies out what it
+	// keeps), and it grows only as bytes arrive: a header's length field is
+	// unverified until the whole payload has been read and summed, so a
+	// torn or corrupt one must not size an allocation.
+	var buf []byte
 	for {
 		if _, err := io.ReadFull(r, hdr); err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
@@ -310,18 +353,25 @@ func replayWAL(r io.Reader) (*walReplay, error) {
 			}
 			return nil, fmt.Errorf("fednet: reading WAL header: %w", err)
 		}
-		n := int(binary.LittleEndian.Uint32(hdr))
-		sum := binary.LittleEndian.Uint32(hdr[4:])
+		n := int(le.Uint32(hdr))
+		sum := le.Uint32(hdr[4:])
 		if n == 0 || n > maxBodyBytes {
 			return nil, fmt.Errorf("fednet: WAL record %d declares %d bytes", rep.records, n)
 		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return rep, nil
+		for have := 0; have < n; {
+			want := min(n, max(cap(buf), 2*have, walReadChunk))
+			if want > cap(buf) {
+				buf = append(make([]byte, 0, want), buf[:have]...)
 			}
-			return nil, fmt.Errorf("fednet: reading WAL record %d: %w", rep.records, err)
+			m, err := io.ReadFull(r, buf[have:want])
+			if have += m; err != nil {
+				if err == io.EOF || err == io.ErrUnexpectedEOF {
+					return rep, nil
+				}
+				return nil, fmt.Errorf("fednet: reading WAL record %d: %w", rep.records, err)
+			}
 		}
+		payload := buf[:n]
 		if crc32.ChecksumIEEE(payload) != sum {
 			return nil, fmt.Errorf("fednet: WAL record %d fails its checksum", rep.records)
 		}
@@ -333,7 +383,8 @@ func replayWAL(r io.Reader) (*walReplay, error) {
 	}
 }
 
-// apply folds one validated payload into the replay state.
+// apply folds one validated payload into the replay state. The payload's
+// bytes are only borrowed: the next record overwrites them.
 func (rep *walReplay) apply(payload []byte) error {
 	if payload[0] == '{' {
 		var rec walRecord
@@ -348,6 +399,8 @@ func (rep *walReplay) apply(payload []byte) error {
 			return rep.applyUpdate(payload)
 		case magicPartial:
 			return rep.applyPartial(payload)
+		case magicClose:
+			return rep.applyClose(payload)
 		}
 	}
 	return fmt.Errorf("fednet: WAL record %d has an unknown payload", rep.records)
@@ -380,51 +433,6 @@ func (rep *walReplay) applyControl(rec *walRecord) error {
 		}
 		rep.openT = rec.T
 		rep.active = rec.Active
-	case walKindEpochClose:
-		if rec.T != rep.lastClosed+1 || rec.T != rep.openT {
-			return fmt.Errorf("fednet: WAL closes epoch %d (open %d, last closed %d)",
-				rec.T, rep.openT, rep.lastClosed)
-		}
-		if len(rec.Curve) != rec.T+1 {
-			return fmt.Errorf("fednet: WAL epoch_close %d carries a %d-point curve", rec.T, len(rec.Curve))
-		}
-		if rep.params != 0 && len(rec.Theta) != rep.params {
-			return fmt.Errorf("fednet: WAL epoch_close %d carries a %d-param model, want %d",
-				rec.T, len(rec.Theta), rep.params)
-		}
-		// Resolve the async carry-over buffer before the round's commits
-		// are discarded: a buffered delta was journaled as this round's
-		// D2UP frame (fresh lagged arrival), moved aside by a stale_admit
-		// (late arrival), or carried over from an earlier close.
-		var buffered map[int]walBufUpdate
-		if len(rec.Buffered) > 0 {
-			buffered = make(map[int]walBufUpdate, len(rec.Buffered))
-			for _, e := range rec.Buffered {
-				var delta []float64
-				switch {
-				case rep.updates[e.Part] != nil:
-					delta = rep.updates[e.Part]
-				case rep.lateAdmits[e.Part].delta != nil:
-					delta = rep.lateAdmits[e.Part].delta
-				case rep.buffered[e.Part].delta != nil:
-					delta = rep.buffered[e.Part].delta
-				default:
-					return fmt.Errorf("fednet: WAL epoch_close %d buffers participant %d with no journaled update",
-						rec.T, e.Part)
-				}
-				buffered[e.Part] = walBufUpdate{origin: e.Origin, due: e.Due, delta: delta}
-			}
-		}
-		rep.lastClosed = rec.T
-		rep.theta = []float64(rec.Theta)
-		rep.curve = []float64(rec.Curve)
-		rep.est = rec.Estimator.state()
-		rep.quar = rec.Quarantine.state()
-		rep.buffered = buffered
-		rep.openT, rep.active = 0, nil
-		clear(rep.updates)
-		clear(rep.partials)
-		clear(rep.lateAdmits)
 	case walKindStaleAdmit:
 		if rep.openT == 0 || rec.T != rep.openT {
 			return fmt.Errorf("fednet: WAL stale_admit for round %d journaled while round %d is open",
@@ -435,7 +443,7 @@ func (rep *walReplay) applyControl(rec *walRecord) error {
 			return fmt.Errorf("fednet: WAL stale_admit for participant %d has no journaled update", rec.Part)
 		}
 		delete(rep.updates, rec.Part)
-		rep.lateAdmits[rec.Part] = walLateAdmit{origin: rec.Origin, delta: delta}
+		rep.lateAdmits[rec.Part] = walBufUpdate{origin: rec.Origin, delta: delta}
 	case walKindRunClose:
 		rep.runClosed = true
 	default:
@@ -452,9 +460,112 @@ func (rep *walReplay) applyUpdate(payload []byte) error {
 	if rep.openT == 0 || t != rep.openT {
 		return fmt.Errorf("fednet: WAL update for round %d journaled while round %d is open", t, rep.openT)
 	}
-	vec := decodeFrameVec(payload[updateHdrLen:], d)
-	rep.updates[index] = tensor.Clone(vec)
-	tensor.PutVec(vec)
+	r := frameCursor{payload[updateHdrLen:]}
+	rep.updates[index] = r.vec(d)
+	return nil
+}
+
+// applyClose folds one epoch's close frame into the checkpoint. A refusal
+// part-way leaves rep half-folded, which is fine: a replay that fails
+// returns no state at all.
+func (rep *walReplay) applyClose(p []byte) error {
+	if len(p) < closeHdrLen {
+		return fmt.Errorf("fednet: WAL record %d: close frame truncated at %d bytes", rep.records, len(p))
+	}
+	r := frameCursor{p[4:]}
+	t, flags, d, c, n, k, q, b := r.u32(), r.u32(), r.u32(), r.u32(), r.u32(), r.u32(), r.u32(), r.u32()
+	est, dense := flags&closeEst != 0, flags&closeDense != 0
+	switch {
+	case !rep.sawRunOpen || t != rep.lastClosed+1 || t != rep.openT:
+		return fmt.Errorf("fednet: WAL closes epoch %d (open %d, last closed %d)", t, rep.openT, rep.lastClosed)
+	case flags&^(closeEst|closeDense|closeTotalsOnly|closeDeltaG) != 0, !est && flags != 0,
+		max(d, n, q, b) > maxFrameDim, k > n, dense && k != n,
+		len(p) != closeSize(flags, d, c, n, k, q, b):
+		return fmt.Errorf("fednet: WAL close frame %d is malformed: %d bytes, flags %#x, d=%d c=%d n=%d k=%d q=%d b=%d",
+			t, len(p), flags, d, c, n, k, q, b)
+	case d != rep.params || est && n != rep.n:
+		return fmt.Errorf("fednet: WAL close frame %d is for n=%d params=%d, the run has n=%d params=%d",
+			t, n, d, rep.n, rep.params)
+	case len(rep.curve)+c != t+1:
+		return fmt.Errorf("fednet: WAL close frame %d adds %d curve points to %d", t, c, len(rep.curve))
+	case est && t > 1 && (rep.est == nil || rep.est.LastEpoch != t-1):
+		return fmt.Errorf("fednet: WAL close frame %d carries a φ row but the journal has none for epoch %d", t, t-1)
+	}
+	rep.lastClosed = t
+	rep.theta = r.vec(d)
+	rep.curve = append(rep.curve, r.vec(c)...)
+	if !est {
+		rep.est = nil
+	} else {
+		if t == 1 {
+			rep.est = &core.EstimatorState{Totals: make([]float64, n)}
+		}
+		rep.est.LastEpoch = t
+		var row []float64
+		if flags&closeTotalsOnly == 0 {
+			row = make([]float64, n)
+			rep.est.PerEpoch = append(rep.est.PerEpoch, row)
+		}
+		// The live estimator's own accumulation, Attribution.record: one
+		// addition per reporter per epoch, in epoch order.
+		for j := 0; j < k; j++ {
+			i := j
+			if !dense {
+				if i = r.u32(); i >= n {
+					return fmt.Errorf("fednet: WAL close frame %d reports participant %d of %d", t, i, n)
+				}
+			}
+			v := r.f64()
+			rep.est.Totals[i] += v
+			if row != nil {
+				row[i] = v
+			}
+		}
+		rep.est.DeltaGSum = nil
+		if flags&closeDeltaG != 0 {
+			rep.est.DeltaGSum = make([][]float64, n)
+			for i := range rep.est.DeltaGSum {
+				rep.est.DeltaGSum[i] = r.vec(d)
+			}
+		}
+	}
+	rep.quar = nil
+	if q > 0 {
+		rep.quar = &robust.QuarantineState{Ewma: make([]float64, q),
+			Seen: make([]bool, q), Streak: make([]int, q), Banned: make([]bool, q)}
+		for i := 0; i < q; i++ {
+			rep.quar.Ewma[i] = r.f64()
+			packed := r.u32()
+			rep.quar.Streak[i], rep.quar.Banned[i], rep.quar.Seen[i] = packed>>2, packed&2 != 0, packed&1 != 0
+		}
+	}
+	// The async carry-over buffer is metadata: each entry's delta was
+	// journaled as this round's D2UP frame (fresh lagged arrival), moved
+	// aside by a stale_admit (late arrival), or carried over from an earlier
+	// close — resolve it before the round's commits are discarded.
+	var buffered map[int]walBufUpdate
+	if b > 0 {
+		buffered = make(map[int]walBufUpdate, b)
+	}
+	for j := 0; j < b; j++ {
+		part, origin, due := r.u32(), r.u32(), r.u32()
+		delta := rep.updates[part]
+		if delta == nil {
+			delta = rep.lateAdmits[part].delta
+		}
+		if delta == nil {
+			delta = rep.buffered[part].delta
+		}
+		if delta == nil {
+			return fmt.Errorf("fednet: WAL close frame %d buffers participant %d with no journaled update", t, part)
+		}
+		buffered[part] = walBufUpdate{origin: origin, due: due, delta: delta}
+	}
+	rep.buffered = buffered
+	rep.openT, rep.active = 0, nil
+	clear(rep.updates)
+	clear(rep.partials)
+	clear(rep.lateAdmits)
 	return nil
 }
 
@@ -466,13 +577,7 @@ func (rep *walReplay) applyPartial(payload []byte) error {
 	if rep.openT == 0 || t != rep.openT {
 		return fmt.Errorf("fednet: WAL partial for round %d journaled while round %d is open", t, rep.openT)
 	}
-	sum, dots := decodePartialVecs(payload, len(indices), d)
-	rep.partials[edge] = walPartial{
-		indices: indices,
-		sum:     tensor.Clone(sum),
-		dots:    tensor.Clone(dots),
-	}
-	tensor.PutVec(sum)
-	tensor.PutVec(dots)
+	r := frameCursor{payload[partialHdrLen+4*len(indices):]}
+	rep.partials[edge] = walPartial{indices: indices, sum: r.vec(d), dots: r.vec(len(indices))}
 	return nil
 }

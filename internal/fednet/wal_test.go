@@ -14,7 +14,9 @@ import (
 	"time"
 
 	"digfl/internal/core"
+	"digfl/internal/dataset"
 	"digfl/internal/hfl"
+	"digfl/internal/nn"
 	"digfl/internal/sampling"
 )
 
@@ -81,8 +83,8 @@ func (fw *walFencedWriter) Write(p []byte) (int, error) {
 	return fw.w.Write(p)
 }
 
-// tearAtBinary journals cleanly until the target-th binary (update-frame)
-// record, which it tears in half — the canonical mid-write crash artifact —
+// tearAtBinary journals cleanly until the target-th update-frame record,
+// which it tears in half — the canonical mid-write crash artifact —
 // before taking the front down and failing the append.
 type tearAtBinary struct {
 	mu     sync.Mutex
@@ -94,7 +96,7 @@ type tearAtBinary struct {
 func (w *tearAtBinary) Write(p []byte) (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.left > 0 && len(p) > walHdrLen && p[walHdrLen] != '{' {
+	if w.left > 0 && len(p) > walHdrLen+4 && [4]byte(p[walHdrLen:]) == magicUpdate {
 		w.left--
 		if w.left == 0 {
 			n, _ := w.buf.Write(p[:len(p)/2])
@@ -103,6 +105,70 @@ func (w *tearAtBinary) Write(p []byte) (int, error) {
 		}
 	}
 	return w.buf.Write(p)
+}
+
+// runThroughCrashes serves the participants of parts against successive
+// incarnations of a journaled coordinator behind front: whenever Run fails
+// (the journal writer tore a record and took the front down), a fresh
+// coordinator recovers from the journal's clean prefix and takes over, until
+// a Run completes. It requires exactly wantRestarts crashes and returns the
+// result with the incarnation that produced it.
+func runThroughCrashes(t *testing.T, model nn.Model, parts []dataset.Dataset, journal *bytes.Buffer,
+	front *walFront, wantRestarts int, newCoord func() *Coordinator) (*hfl.Result, *Coordinator) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listener: %v", err)
+	}
+	srv := &http.Server{Handler: front}
+	go func() { _ = srv.Serve(ln) }()
+	defer srv.Close()
+
+	coord := newCoord()
+	front.install(coord.Handler())
+
+	ctx := context.Background()
+	perrs := make([]error, len(parts))
+	var wg sync.WaitGroup
+	for i := range parts {
+		p := &Participant{
+			Index: i, Model: model, Data: parts[i],
+			BaseURL: "http://" + ln.Addr().String(),
+			Retries: 400, Base: time.Millisecond, Cap: 20 * time.Millisecond,
+		}
+		wg.Add(1)
+		go func(i int, p *Participant) { defer wg.Done(); perrs[i] = p.Run(ctx) }(i, p)
+	}
+
+	restarts := 0
+	var res *hfl.Result
+	for {
+		res, err = coord.Run(ctx)
+		if err == nil {
+			break
+		}
+		restarts++
+		if restarts > wantRestarts+1 {
+			t.Fatalf("coordinator incarnation %d: %v", restarts, err)
+		}
+		coord = newCoord()
+		consumed, rerr := coord.Recover(bytes.NewReader(journal.Bytes()))
+		if rerr != nil {
+			t.Fatalf("recovery %d: %v", restarts, rerr)
+		}
+		journal.Truncate(int(consumed))
+		front.install(coord.Handler())
+	}
+	wg.Wait()
+	for i, perr := range perrs {
+		if perr != nil {
+			t.Fatalf("participant %d: %v", i, perr)
+		}
+	}
+	if restarts != wantRestarts {
+		t.Errorf("expected exactly %d injected crashes, saw %d restarts", wantRestarts, restarts)
+	}
+	return res, coord
 }
 
 // TestStreamedWALMidRoundRecovery kills a journaled fold-mode coordinator
@@ -147,73 +213,33 @@ func streamedCrashRecovery(t *testing.T, n int, smp *sampling.Sampler, totalsOnl
 	// and some missing.
 	writer := &tearAtBinary{buf: journal, left: cohort + 2, onTear: front.kill}
 
-	newCoord := func() (*Coordinator, *core.HFLEstimator) {
+	newCoord := func() *Coordinator {
 		est := core.NewHFLEstimator(n, model.NumParams(), core.ResourceSaving, nil)
 		est.TotalsOnly = totalsOnly
 		cfg := testConfig()
 		cfg.Sample = smp
-		c := &Coordinator{
+		return &Coordinator{
 			N: n, Model: model, Val: val, Cfg: cfg,
 			Estimator: est,
 			Stream:    hfl.MeanStream{},
 			Journal:   writer,
 		}
-		return c, est
 	}
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listener: %v", err)
-	}
-	srv := &http.Server{Handler: front}
-	go func() { _ = srv.Serve(ln) }()
-	defer srv.Close()
-
-	coord, est := newCoord()
-	front.install(coord.Handler())
-
-	ctx := context.Background()
-	perrs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		p := &Participant{
-			Index: i, Model: model, Data: parts[i],
-			BaseURL: "http://" + ln.Addr().String(),
-			Retries: 400, Base: time.Millisecond, Cap: 20 * time.Millisecond,
-		}
-		wg.Add(1)
-		go func(i int, p *Participant) { defer wg.Done(); perrs[i] = p.Run(ctx) }(i, p)
-	}
-
-	restarts := 0
-	var res *hfl.Result
-	for {
-		res, err = coord.Run(ctx)
-		if err == nil {
-			break
-		}
-		restarts++
-		if restarts > 2 {
-			t.Fatalf("coordinator incarnation %d: %v", restarts, err)
-		}
-		coord, est = newCoord()
-		consumed, rerr := coord.Recover(bytes.NewReader(journal.Bytes()))
-		if rerr != nil {
-			t.Fatalf("recovery %d: %v", restarts, rerr)
-		}
-		journal.Truncate(int(consumed))
-		front.install(coord.Handler())
-	}
-	wg.Wait()
-	for i, perr := range perrs {
-		if perr != nil {
-			t.Fatalf("participant %d: %v", i, perr)
-		}
-	}
-	if restarts != 1 {
-		t.Errorf("expected exactly one injected crash, saw %d restarts", restarts)
-	}
+	res, coord := runThroughCrashes(t, model, parts, journal, front, 1, newCoord)
+	est := coord.Estimator
 	checkSameRun(t, "streamed crash-recovery vs in-process", res, want, est.Attribution(), wantAttr)
+	if totalsOnly {
+		// The journal's cost follows the cohort, not the population: a close
+		// frame is the model, one curve point and the cohort's (index, φ)
+		// pairs, at every epoch, before and after the crash.
+		size := walHdrLen + closeSize(closeEst|closeTotalsOnly, model.NumParams(), 1, n, cohort, 0, 0)
+		for j, rec := range closeFrames(journal.Bytes())[1:] {
+			if len(rec) != size {
+				t.Errorf("close frame of epoch %d is %d bytes, want %d", j+2, len(rec), size)
+			}
+		}
+	}
 }
 
 // buildTestJournal assembles a minimal valid journal — run_open, an
@@ -406,6 +432,16 @@ func FuzzWALReplay(f *testing.F) {
 	corrupt := bytes.Clone(journal)
 	corrupt[walHdrLen] ^= 0x40
 	f.Add(corrupt)
+	// Real /2 journals from every round mode — whole, and cut inside a round
+	// (the async one mid-quorum, its carry-over buffer in the close frames).
+	for _, mode := range []string{"buffered", "streamed", "tree", "async"} {
+		j := journalOfRun(f, mode)
+		if rep, err := replayWAL(bytes.NewReader(j)); err != nil || !rep.runClosed {
+			f.Fatalf("%s journal does not replay to a closed run: %v", mode, err)
+		}
+		f.Add(j)
+		f.Add(j[:len(j)*3/5])
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rep, err := replayWAL(bytes.NewReader(data))
 		if err == nil && rep == nil {

@@ -224,13 +224,21 @@ type QuarantineState struct {
 // State snapshots the policy for checkpointing. The snapshot is a deep
 // copy: later epochs do not mutate it.
 func (q *Quarantine) State() *QuarantineState {
-	s := &QuarantineState{
-		Ewma:   append([]float64(nil), q.ewma...),
-		Seen:   append([]bool(nil), q.seen...),
-		Streak: append([]int(nil), q.streak...),
-		Banned: append([]bool(nil), q.banned...),
+	v := q.StateView()
+	return &QuarantineState{
+		Ewma:   append([]float64(nil), v.Ewma...),
+		Seen:   append([]bool(nil), v.Seen...),
+		Streak: append([]int(nil), v.Streak...),
+		Banned: append([]bool(nil), v.Banned...),
 	}
-	return s
+}
+
+// StateView is State without the copy, for a caller that encodes the state
+// at once and already excludes Weights (the coordinator journals it under
+// its lock): the slices alias the live policy — read-only, and valid until
+// the next Weights call.
+func (q *Quarantine) StateView() QuarantineState {
+	return QuarantineState{Ewma: q.ewma, Seen: q.seen, Streak: q.streak, Banned: q.banned}
 }
 
 // SetState reinstalls a snapshot captured by State; subsequent epochs
