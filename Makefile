@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test bench loc verify verify-faults verify-net verify-adv verify-scale verify-wire verify-crash verify-engines verify-async verify-bench bench-json bench-workload bench-kernels
+.PHONY: build test bench loc verify verify-faults verify-net verify-adv verify-scale verify-wire verify-crash verify-engines verify-async verify-bench bench-workload bench-kernels
 
 build:
 	$(GO) build ./...
@@ -140,20 +140,6 @@ verify-async:
 	$(GO) vet ./internal/hfl/ ./internal/fednet/ ./internal/experiments/ ./internal/robust/
 	$(GO) test -count=1 -run 'Async|PolyWeight|Stale|Buffered|FedProx' \
 		./internal/hfl/ ./internal/fednet/ ./internal/experiments/ ./internal/robust/
-
-# bench-json regenerates the perf-trajectory file for this revision: the
-# wire benchmark (bytes on wire, allocs per round) plus the
-# networked-runtime timings, APPENDED to $(BENCH_JSON) (entries from prior
-# revisions are preserved), then diffed against the committed copy so the
-# delta is visible before it lands.
-BENCH_JSON ?= BENCH_10.json
-bench-json:
-	$(GO) run ./cmd/digfl-bench -exp wire -json $(BENCH_JSON)
-	$(GO) run ./cmd/digfl-bench -exp net -json $(BENCH_JSON)
-	$(GO) run ./cmd/digfl-bench -exp chaos -json $(BENCH_JSON)
-	$(GO) run ./cmd/digfl-bench -exp engines -json $(BENCH_JSON)
-	$(GO) run ./cmd/digfl-bench -exp async -json $(BENCH_JSON)
-	git --no-pager diff --stat -- $(BENCH_JSON) || true
 
 # verify-engines runs the contribution-engine gate: the cross-engine
 # equivalence suite (truncation-disabled GTG/DPVS reproduce the exact

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"sync"
-	"time"
 
 	"digfl/internal/core"
 	"digfl/internal/dataset"
@@ -44,8 +42,6 @@ type AsyncArm struct {
 	// AsyncCommits/StaleFolds/StaleRejects are the arm's async commit
 	// counters (zero for the sync arms, which have no buffer).
 	AsyncCommits, StaleFolds, StaleRejects int64
-	// P50/P99 summarize the arm's per-epoch wall time.
-	P50, P99 time.Duration
 	// Phi is the arm's DIG-FL contribution estimate (Lemma-3 over the
 	// discounted deltas the aggregate actually used).
 	Phi []float64
@@ -82,20 +78,6 @@ func (r *AsyncResult) Passed() bool {
 	return r.FreshIdentical && r.Deterministic && r.StragglerAdvantage
 }
 
-// asyncLatSink harvests per-epoch wall times for one arm.
-type asyncLatSink struct {
-	mu   sync.Mutex
-	durs []time.Duration
-}
-
-func (s *asyncLatSink) Emit(e obs.Event) {
-	if e.Kind == obs.KindEpochEnd {
-		s.mu.Lock()
-		s.durs = append(s.durs, e.Dur)
-		s.mu.Unlock()
-	}
-}
-
 // asyncProblem builds the class-disjoint federation: participant i holds
 // exactly classes {2i, 2i+1} of a 10-class image problem, so a shard that
 // never reaches the aggregate leaves two classes untrained and the
@@ -117,19 +99,17 @@ func asyncProblem(o Opts) (nn.Model, []dataset.Dataset, dataset.Dataset) {
 }
 
 // asyncRun is one arm: a streaming trainer fed by the given round source,
-// with an attached estimator and epoch-latency sink.
+// with an attached estimator.
 type asyncRunOut struct {
 	res  *hfl.Result
 	phi  []float64
 	snap obs.Snapshot
-	durs []time.Duration
 }
 
 func asyncRun(o Opts, epochs int, fcfg faults.Config, async bool) *asyncRunOut {
 	model, parts, val := asyncProblem(o)
-	lat := &asyncLatSink{}
 	col := &obs.Collector{}
-	sink := obs.Tee(obs.Tee(col, lat), o.Sink)
+	sink := obs.Tee(col, o.Sink)
 	cfg := hfl.Config{Epochs: epochs, LR: 0.3, Participants: asyncN,
 		Runtime: obs.Runtime{Sink: sink}}
 	est := core.NewHFLEstimator(asyncN, model.NumParams(), core.ResourceSaving, nil)
@@ -157,8 +137,7 @@ func asyncRun(o Opts, epochs int, fcfg faults.Config, async bool) *asyncRunOut {
 	if err != nil {
 		panic(err)
 	}
-	return &asyncRunOut{res: res, phi: est.Attribution().Totals,
-		snap: col.Snapshot(), durs: lat.durs}
+	return &asyncRunOut{res: res, phi: est.Attribution().Totals, snap: col.Snapshot()}
 }
 
 // epochsToTarget finds the first epoch whose validation loss reaches the
@@ -189,7 +168,6 @@ func Async(o Opts) *AsyncResult {
 	res.TargetLoss = ref.res.ValLossCurve[refEpochs]
 
 	arm := func(mode string, rate float64, out *asyncRunOut) AsyncArm {
-		q := Quantiles(out.durs, 0.50, 0.99)
 		return AsyncArm{
 			Mode: mode, Rate: rate,
 			EpochsToTarget: epochsToTarget(out.res.ValLossCurve, res.TargetLoss),
@@ -197,8 +175,7 @@ func Async(o Opts) *AsyncResult {
 			AsyncCommits:   out.snap.AsyncCommits,
 			StaleFolds:     out.snap.StaleFolds,
 			StaleRejects:   out.snap.StaleRejects,
-			P50:            q[0], P99: q[1],
-			Phi: out.phi,
+			Phi:            out.phi,
 		}
 	}
 
@@ -257,17 +234,15 @@ func (r *AsyncResult) Render(w io.Writer) {
 	writeHeader(w, "Async buffered federation — sync-drop vs staleness-discounted fold")
 	fmt.Fprintf(w, "n=%d epochs=%d quorum=%d max_staleness=%d class-disjoint shards; target = no-fault loss after %d epochs (%.4f)\n\n",
 		r.N, r.Epochs, r.Quorum, r.MaxStaleness, r.RefEpochs, r.TargetLoss)
-	fmt.Fprintf(w, "%6s %-12s %10s %10s %8s %7s %8s %9s %9s\n",
-		"rate", "mode", "to_target", "final", "commits", "folds", "rejects", "p50", "p99")
+	fmt.Fprintf(w, "%6s %-12s %10s %10s %8s %7s %8s\n",
+		"rate", "mode", "to_target", "final", "commits", "folds", "rejects")
 	for _, a := range r.Rows {
 		tt := "never"
 		if a.EpochsToTarget > 0 {
 			tt = strconv.Itoa(a.EpochsToTarget)
 		}
-		fmt.Fprintf(w, "%6g %-12s %10s %10.4f %8d %7d %8d %9s %9s\n",
-			a.Rate, a.Mode, tt, a.FinalLoss,
-			a.AsyncCommits, a.StaleFolds, a.StaleRejects,
-			a.P50.Round(time.Microsecond), a.P99.Round(time.Microsecond))
+		fmt.Fprintf(w, "%6g %-12s %10s %10.4f %8d %7d %8d\n",
+			a.Rate, a.Mode, tt, a.FinalLoss, a.AsyncCommits, a.StaleFolds, a.StaleRejects)
 	}
 	fmt.Fprintf(w, "\nfresh path bit-identical to streamed trainer: %s\n", gate(r.FreshIdentical))
 	fmt.Fprintf(w, "deterministic under rerun (model+curve+phi):  %s\n", gate(r.Deterministic))
@@ -279,15 +254,13 @@ func (r *AsyncResult) Render(w io.Writer) {
 func (r *AsyncResult) Tables() map[string][][]string {
 	rows := [][]string{{
 		"rate", "mode", "epochs_to_target", "final_loss",
-		"async_commits", "stale_folds", "stale_rejects", "p50_ms", "p99_ms",
+		"async_commits", "stale_folds", "stale_rejects",
 	}}
 	for _, a := range r.Rows {
 		rows = append(rows, []string{
 			f(a.Rate), a.Mode, strconv.Itoa(a.EpochsToTarget), f(a.FinalLoss),
 			strconv.FormatInt(a.AsyncCommits, 10), strconv.FormatInt(a.StaleFolds, 10),
 			strconv.FormatInt(a.StaleRejects, 10),
-			f(float64(a.P50) / float64(time.Millisecond)),
-			f(float64(a.P99) / float64(time.Millisecond)),
 		})
 	}
 	gates := [][]string{
@@ -297,21 +270,4 @@ func (r *AsyncResult) Tables() map[string][][]string {
 		{"straggler_advantage", fmt.Sprint(r.StragglerAdvantage)},
 	}
 	return map[string][][]string{"async_topology": rows, "async_gates": gates}
-}
-
-// Bench emits one machine-readable entry per arm.
-func (r *AsyncResult) Bench() []BenchEntry {
-	out := make([]BenchEntry, 0, len(r.Rows))
-	for _, a := range r.Rows {
-		out = append(out, BenchEntry{
-			Exp:            "async",
-			Arm:            fmt.Sprintf("%s/r%g", a.Mode, a.Rate),
-			Epochs:         int64(r.Epochs),
-			RoundP50MS:     float64(a.P50) / float64(time.Millisecond),
-			RoundP99MS:     float64(a.P99) / float64(time.Millisecond),
-			Rounds:         r.Epochs,
-			EpochsToTarget: a.EpochsToTarget,
-		})
-	}
-	return out
 }

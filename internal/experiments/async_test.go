@@ -37,22 +37,13 @@ func TestAsyncStudyGates(t *testing.T) {
 	}
 }
 
-// TestAsyncStudyRerunIdentical pins the report minus its wall-clock
-// columns (rows, counters, gates) as a pure function of Opts — the
-// property `make verify-async` gates on.
+// TestAsyncStudyRerunIdentical pins the report (rows, counters, gates) as
+// a pure function of Opts — the property `make verify-async` gates on.
 func TestAsyncStudyRerunIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full study twice")
 	}
-	strip := func(r *AsyncResult) map[string][][]string {
-		tabs := r.Tables()
-		for _, row := range tabs["async_topology"] {
-			row[len(row)-2], row[len(row)-1] = "", "" // p50/p99 are wall clock
-		}
-		return tabs
-	}
-	a, b := strip(Async(QuickOpts())), strip(Async(QuickOpts()))
-	if !reflect.DeepEqual(a, b) {
+	if !reflect.DeepEqual(Async(QuickOpts()).Tables(), Async(QuickOpts()).Tables()) {
 		t.Error("async study rerun produced different tables")
 	}
 }

@@ -65,9 +65,6 @@ type ChaosResult struct {
 	WALBytes int64
 	// Crash-safety event counts observed across the interrupted runs.
 	Recoveries, Rejoins, Failovers int64
-	// Closed-round latency with and without the journal attached
-	// (uninterrupted runs only, so kills never pollute the distribution).
-	WalP50, WalP99, RawP50, RawP99 time.Duration
 }
 
 // errChaosCrash is the injected journal-write failure that kills a
@@ -242,43 +239,41 @@ func chaosProblem(seed int64, o Opts) (nn.Model, []dataset.Dataset, dataset.Data
 	return nn.NewSoftmaxRegression(train.Dim(), train.Classes), parts, val
 }
 
-// chaosLoopback runs the buffered crash-safety stack — estimator,
-// quarantine, archive, and (when journal is non-nil) the write-ahead log —
-// over a loopback listener, killing the coordinator at each scheduled point
-// and restarting it through Recover until the run completes. A nil journal
-// runs the plain pre-WAL coordinator once, as the reference.
-func chaosLoopback(model nn.Model, parts []dataset.Dataset, val dataset.Dataset, cfg hfl.Config,
-	n int, journal *bytes.Buffer, kills []faults.CrashAt, sink obs.Sink,
-) (*hfl.Result, *core.HFLEstimator, *bytes.Buffer, int, error) {
-	archive := &bytes.Buffer{}
+// crashLoop serves one federation — a participant per element of parts —
+// over a loopback listener behind a chaosFront, and runs newCoord's
+// coordinator to completion. With a journal, every append goes through a
+// crashWriter armed with kills; each time it tears a record and takes the
+// front down, the process "died": crashLoop builds a fresh coordinator,
+// replays the journal's clean prefix into it through Recover, truncates the
+// torn tail, and swaps it in behind the same address. A nil journal runs a
+// single unjournaled incarnation. It returns the finishing incarnation's
+// result and estimator, and the number of restarts.
+func crashLoop(parts []dataset.Dataset, newCoord func() *fednet.Coordinator,
+	journal *bytes.Buffer, kills []faults.CrashAt, sink obs.Sink,
+) (*hfl.Result, *core.HFLEstimator, int, error) {
+	n := len(parts)
 	front := &chaosFront{}
 	var jw io.Writer
 	if journal != nil {
 		jw = &crashWriter{buf: journal, sched: kills, mid: (n + 1) / 2, onCrash: front.kill}
 	}
-	newCoord := func() (*fednet.Coordinator, *core.HFLEstimator) {
-		est := core.NewHFLEstimator(n, model.NumParams(), core.ResourceSaving, nil)
-		c := &fednet.Coordinator{
-			N: n, Model: model, Val: val, Cfg: cfg,
-			Estimator:  est,
-			Quarantine: robust.MustNewQuarantine(robust.Quarantine{}),
-			Archive:    archive,
-			Journal:    jw,
-		}
+	incarnate := func() *fednet.Coordinator {
+		c := newCoord()
+		c.Journal = jw
 		c.Cfg.Runtime.Sink = sink
-		return c, est
+		return c
 	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, nil, nil, 0, fmt.Errorf("experiments: chaos listener: %w", err)
+		return nil, nil, 0, fmt.Errorf("experiments: chaos listener: %w", err)
 	}
 	srv := &http.Server{Handler: front}
 	go func() { _ = srv.Serve(ln) }()
 	defer srv.Close()
 	base := "http://" + ln.Addr().String()
 
-	coord, est := newCoord()
+	coord := incarnate()
 	front.install(coord.Handler())
 
 	ctx := context.Background()
@@ -286,7 +281,7 @@ func chaosLoopback(model nn.Model, parts []dataset.Dataset, val dataset.Dataset,
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		p := &fednet.Participant{
-			Index: i, Model: model, Data: parts[i], BaseURL: base,
+			Index: i, Model: coord.Model, Data: parts[i], BaseURL: base,
 			Retries: 400, Base: time.Millisecond, Cap: 20 * time.Millisecond, Sink: sink,
 		}
 		wg.Add(1)
@@ -302,15 +297,12 @@ func chaosLoopback(model nn.Model, parts []dataset.Dataset, val dataset.Dataset,
 		}
 		restarts++
 		if journal == nil || restarts > len(kills)+1 {
-			return nil, nil, nil, restarts, fmt.Errorf("experiments: chaos coordinator (incarnation %d): %w", restarts, err)
+			return nil, nil, restarts, fmt.Errorf("experiments: chaos coordinator (incarnation %d): %w", restarts, err)
 		}
-		// The process "died": stand up a fresh coordinator, replay the
-		// journal's clean prefix into it, truncate the torn tail, and swap
-		// it in behind the same address.
-		coord, est = newCoord()
+		coord = incarnate()
 		consumed, rerr := coord.Recover(bytes.NewReader(journal.Bytes()))
 		if rerr != nil {
-			return nil, nil, nil, restarts, fmt.Errorf("experiments: chaos recovery %d: %w", restarts, rerr)
+			return nil, nil, restarts, fmt.Errorf("experiments: chaos recovery %d: %w", restarts, rerr)
 		}
 		journal.Truncate(int(consumed))
 		front.install(coord.Handler())
@@ -318,10 +310,28 @@ func chaosLoopback(model nn.Model, parts []dataset.Dataset, val dataset.Dataset,
 	wg.Wait()
 	for i, perr := range perrs {
 		if perr != nil {
-			return nil, nil, nil, restarts, fmt.Errorf("experiments: chaos participant %d: %w", i, perr)
+			return nil, nil, restarts, fmt.Errorf("experiments: chaos participant %d: %w", i, perr)
 		}
 	}
-	return res, est, archive, restarts, nil
+	return res, coord.Estimator, restarts, nil
+}
+
+// chaosBuffered is crashLoop's buffered leg: the full crash-safety stack —
+// estimator, quarantine and an archive shared by every incarnation. A nil
+// journal gives the plain pre-WAL coordinator, the reference.
+func chaosBuffered(model nn.Model, parts []dataset.Dataset, val dataset.Dataset, cfg hfl.Config,
+	journal *bytes.Buffer, kills []faults.CrashAt, sink obs.Sink,
+) (*hfl.Result, *core.HFLEstimator, *bytes.Buffer, int, error) {
+	archive := &bytes.Buffer{}
+	res, est, restarts, err := crashLoop(parts, func() *fednet.Coordinator {
+		return &fednet.Coordinator{
+			N: len(parts), Model: model, Val: val, Cfg: cfg,
+			Estimator:  core.NewHFLEstimator(len(parts), model.NumParams(), core.ResourceSaving, nil),
+			Quarantine: robust.MustNewQuarantine(robust.Quarantine{}),
+			Archive:    archive,
+		}
+	}, journal, kills, sink)
+	return res, est, archive, restarts, err
 }
 
 // chaosAsyncPolicy is the async leg's commit policy, and chaosAsyncFaults
@@ -358,83 +368,24 @@ func chaosAsyncLocal(seed int64, o Opts, cfg hfl.Config, n int, sink obs.Sink,
 	return res, est, err
 }
 
-// chaosAsyncLoopback runs the async commit policy over a loopback listener
-// with the WAL attached, killing the coordinator at each scheduled point —
-// including mid-quorum, with updates buffered but uncommitted — and
-// restarting it through Recover until the run completes. The async path
-// requires Stream and forbids Archive, so unlike chaosLoopback there is no
-// archive to compare; bit-identity is model + curve + estimator state.
-func chaosAsyncLoopback(seed int64, o Opts, cfg hfl.Config, n int,
+// chaosAsync is crashLoop's async leg: the K-of-N commit policy under
+// dropout + stragglers with the WAL attached, so a kill can land mid-quorum
+// with updates buffered but uncommitted. The async path requires Stream and
+// forbids Archive, so bit-identity is model + curve + estimator state.
+func chaosAsync(seed int64, o Opts, cfg hfl.Config,
 	journal *bytes.Buffer, kills []faults.CrashAt, sink obs.Sink,
 ) (*hfl.Result, *core.HFLEstimator, int, error) {
 	model, parts, val := chaosProblem(seed, o)
-	front := &chaosFront{}
-	jw := &crashWriter{buf: journal, sched: kills, mid: (n + 1) / 2, onCrash: front.kill}
 	cfg.Faults = faults.MustNew(chaosAsyncFaults(seed))
-	cfg.Runtime.Sink = sink
 	ac := chaosAsyncPolicy()
-	newCoord := func() (*fednet.Coordinator, *core.HFLEstimator) {
-		est := core.NewHFLEstimator(n, model.NumParams(), core.ResourceSaving, nil)
-		c := &fednet.Coordinator{
-			N: n, Model: model, Val: val, Cfg: cfg,
-			Estimator: est,
+	return crashLoop(parts, func() *fednet.Coordinator {
+		return &fednet.Coordinator{
+			N: len(parts), Model: model, Val: val, Cfg: cfg,
+			Estimator: core.NewHFLEstimator(len(parts), model.NumParams(), core.ResourceSaving, nil),
 			Stream:    hfl.MeanStream{},
 			Async:     &ac,
-			Journal:   jw,
 		}
-		return c, est
-	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("experiments: chaos async listener: %w", err)
-	}
-	srv := &http.Server{Handler: front}
-	go func() { _ = srv.Serve(ln) }()
-	defer srv.Close()
-	base := "http://" + ln.Addr().String()
-
-	coord, est := newCoord()
-	front.install(coord.Handler())
-
-	ctx := context.Background()
-	perrs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		p := &fednet.Participant{
-			Index: i, Model: model, Data: parts[i], BaseURL: base,
-			Retries: 400, Base: time.Millisecond, Cap: 20 * time.Millisecond, Sink: sink,
-		}
-		wg.Add(1)
-		go func(i int, p *fednet.Participant) { defer wg.Done(); perrs[i] = p.Run(ctx) }(i, p)
-	}
-
-	restarts := 0
-	var res *hfl.Result
-	for {
-		res, err = coord.Run(ctx)
-		if err == nil {
-			break
-		}
-		restarts++
-		if restarts > len(kills)+1 {
-			return nil, nil, restarts, fmt.Errorf("experiments: chaos async coordinator (incarnation %d): %w", restarts, err)
-		}
-		coord, est = newCoord()
-		consumed, rerr := coord.Recover(bytes.NewReader(journal.Bytes()))
-		if rerr != nil {
-			return nil, nil, restarts, fmt.Errorf("experiments: chaos async recovery %d: %w", restarts, rerr)
-		}
-		journal.Truncate(int(consumed))
-		front.install(coord.Handler())
-	}
-	wg.Wait()
-	for i, perr := range perrs {
-		if perr != nil {
-			return nil, nil, restarts, fmt.Errorf("experiments: chaos async participant %d: %w", i, perr)
-		}
-	}
-	return res, est, restarts, nil
+	}, journal, kills, sink)
 }
 
 // chaosTreeRun runs a two-level cohort tree; killRound > 0 kills edge 0
@@ -586,29 +537,24 @@ func Chaos(o Opts) *ChaosResult {
 		panic(fmt.Sprintf("experiments: chaos: %v", err))
 	}
 
-	var walDurs, rawDurs []time.Duration
 	for _, seed := range seeds {
 		model, parts, val := chaosProblem(seed, o)
 		cfg := hfl.Config{Epochs: epochs, LR: 0.3}
 
 		// Unjournaled reference: the pre-WAL coordinator, bit for bit.
-		rawLat := &netLatSink{next: o.Sink}
-		refRes, refEst, refArch, _, err := chaosLoopback(model, parts, val, cfg, n, nil, nil, rawLat)
+		refRes, refEst, refArch, _, err := chaosBuffered(model, parts, val, cfg, nil, nil, o.Sink)
 		if err != nil {
 			fail(err)
 		}
-		rawDurs = append(rawDurs, rawLat.durs...)
 
 		// Uninterrupted journaled run: the WAL must be invisible in the
-		// results and cost only its append path.
+		// results.
 		walBuf := &bytes.Buffer{}
-		walLat := &netLatSink{next: o.Sink}
-		walRes, walEst, walArch, _, err := chaosLoopback(model, parts, val, cfg, n, walBuf, nil, walLat)
+		walRes, walEst, walArch, _, err := chaosBuffered(model, parts, val, cfg, walBuf, nil, o.Sink)
 		if err != nil {
 			fail(err)
 		}
 		r.WALBytes += int64(walBuf.Len())
-		walDurs = append(walDurs, walLat.durs...)
 		if !sameFed(walRes, refRes, walEst, refEst) || !bytes.Equal(walArch.Bytes(), refArch.Bytes()) {
 			r.WALTransparent = false
 		}
@@ -616,8 +562,8 @@ func Chaos(o Opts) *ChaosResult {
 		// Killed-and-recovered run: two seeded kills per seed.
 		kills := faults.ChaosSchedule(seed, epochs, 2)
 		r.Kills = append(r.Kills, kills)
-		crashRes, crashEst, crashArch, restarts, err := chaosLoopback(
-			model, parts, val, cfg, n, &bytes.Buffer{}, kills, sink)
+		crashRes, crashEst, crashArch, restarts, err := chaosBuffered(
+			model, parts, val, cfg, &bytes.Buffer{}, kills, sink)
 		if err != nil {
 			fail(err)
 		}
@@ -646,8 +592,7 @@ func Chaos(o Opts) *ChaosResult {
 		if err != nil {
 			fail(err)
 		}
-		asyncRes, asyncEst, asyncRestarts, err := chaosAsyncLoopback(
-			seed, o, cfg, n, &bytes.Buffer{}, kills, sink)
+		asyncRes, asyncEst, asyncRestarts, err := chaosAsync(seed, o, cfg, &bytes.Buffer{}, kills, sink)
 		if err != nil {
 			fail(err)
 		}
@@ -660,10 +605,6 @@ func Chaos(o Opts) *ChaosResult {
 	snap := collector.Snapshot()
 	r.Recoveries, r.Rejoins, r.Failovers = snap.Recoveries, snap.Rejoins, snap.EdgeFailovers
 	r.AsyncStaleFolds = snap.StaleFolds
-	wq := Quantiles(walDurs, 0.50, 0.99)
-	rq := Quantiles(rawDurs, 0.50, 0.99)
-	r.WalP50, r.WalP99 = wq[0], wq[1]
-	r.RawP50, r.RawP99 = rq[0], rq[1]
 	return r
 }
 
@@ -685,15 +626,11 @@ func (r *ChaosResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "crash+recover bit-identical (model, curve, phi, archive): %v\n", r.CrashIdentical)
 	fmt.Fprintf(w, "edge-death tree bit-identical: %v\n", r.EdgeIdentical)
 	fmt.Fprintf(w, "async crash+recover bit-identical (dropout+stragglers, mid-quorum kills): %v\n", r.AsyncIdentical)
-	fmt.Fprintf(w, "journal bytes (uninterrupted): %d; round p50/p99 wal=%v/%v raw=%v/%v\n",
-		r.WALBytes, r.WalP50, r.WalP99, r.RawP50, r.RawP99)
+	fmt.Fprintf(w, "journal bytes (uninterrupted): %d\n", r.WALBytes)
 }
 
 // Tables returns the CSV rendering.
 func (r *ChaosResult) Tables() map[string][][]string {
-	f := func(d time.Duration) string {
-		return strconv.FormatFloat(float64(d)/float64(time.Millisecond), 'g', -1, 64)
-	}
 	rows := [][]string{
 		{"metric", "value"},
 		{"participants", strconv.Itoa(r.Participants)},
@@ -709,28 +646,6 @@ func (r *ChaosResult) Tables() map[string][][]string {
 		{"async_restarts", strconv.Itoa(r.AsyncRestarts)},
 		{"async_stale_folds", strconv.FormatInt(r.AsyncStaleFolds, 10)},
 		{"wal_bytes", strconv.FormatInt(r.WALBytes, 10)},
-		{"wal_round_p50_ms", f(r.WalP50)},
-		{"wal_round_p99_ms", f(r.WalP99)},
-		{"raw_round_p50_ms", f(r.RawP50)},
-		{"raw_round_p99_ms", f(r.RawP99)},
 	}
 	return map[string][][]string{"chaos": rows}
-}
-
-// Bench returns the WAL-on/WAL-off machine-readable entries.
-func (r *ChaosResult) Bench() []BenchEntry {
-	rounds := r.Epochs * len(r.Seeds)
-	return []BenchEntry{
-		{
-			Exp: "chaos-wal-on", Epochs: int64(rounds), Rounds: rounds,
-			RoundP50MS:     float64(r.WalP50) / float64(time.Millisecond),
-			RoundP99MS:     float64(r.WalP99) / float64(time.Millisecond),
-			BytesJournaled: r.WALBytes,
-		},
-		{
-			Exp: "chaos-wal-off", Epochs: int64(rounds), Rounds: rounds,
-			RoundP50MS: float64(r.RawP50) / float64(time.Millisecond),
-			RoundP99MS: float64(r.RawP99) / float64(time.Millisecond),
-		},
-	}
 }

@@ -62,10 +62,10 @@ func (r *HFLActualResult) Tables() map[string][][]string {
 		}
 	}
 	summary := [][]string{{"dataset", "pcc", "digfl_seconds", "actual_seconds", "actual_retrains", "actual_comm_bytes"}}
-	for name, pcc := range r.PCC {
+	for _, name := range r.datasets() {
 		dig, act := r.CostDIGFL[name], r.CostActual[name]
 		summary = append(summary, []string{
-			name, f(pcc), f(dig.Seconds()), f(act.Seconds()),
+			name, f(r.PCC[name]), f(dig.Seconds()), f(act.Seconds()),
 			strconv.FormatInt(act.Retrains, 10), strconv.FormatInt(act.ExtraBytes, 10),
 		})
 	}
@@ -108,8 +108,8 @@ func (r *ComparisonResult) Tables() map[string][][]string {
 // Tables implements CSVer: the Fig. 6 per-epoch curves.
 func (r *PerEpochResult) Tables() map[string][][]string {
 	rows := [][]string{{"dataset", "participant", "kind", "epoch", "estimated", "actual"}}
-	for name, series := range r.Series {
-		for i, s := range series {
+	for _, name := range r.order {
+		for i, s := range r.Series[name] {
 			for t := range s.Estimated {
 				rows = append(rows, []string{
 					name, strconv.Itoa(i), string(s.Kind), strconv.Itoa(t + 1),

@@ -79,8 +79,41 @@ func TestComparisonAndActualTables(t *testing.T) {
 func TestPerEpochAndFig3Tables(t *testing.T) {
 	pe := PerEpoch(QuickOpts())
 	checkTables(t, pe.Tables(), "fig6")
+	checkRunOrder(t, pe, "fig6")
 	ha := HFLvsActual(QuickOpts())
 	checkTables(t, ha.Tables(), "fig3_scatter", "fig3_summary")
+	checkRunOrder(t, ha, "fig3_summary")
+}
+
+// checkRunOrder is the output-order gate: the per-dataset maps behind Fig. 3
+// and Fig. 6 must be emitted in run order, so 20 renderings of one result
+// are the same bytes and the named table's first column visits the datasets
+// as the runner did.
+func checkRunOrder(t *testing.T, r Report, table string) {
+	t.Helper()
+	emit := func() string {
+		var buf bytes.Buffer
+		r.Render(&buf)
+		if err := WriteCSV(&buf, r.Tables()[table]); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	first := emit()
+	for i := 1; i < 20; i++ {
+		if emit() != first {
+			t.Fatalf("%s: rendering %d differs from the first", table, i)
+		}
+	}
+	var order []string
+	for _, row := range r.Tables()[table][1:] {
+		if len(order) == 0 || order[len(order)-1] != row[0] {
+			order = append(order, row[0])
+		}
+	}
+	if got := strings.Join(order, " "); got != "MNIST CIFAR10 MOTOR REAL" {
+		t.Fatalf("%s lists datasets as %q, want run order", table, got)
+	}
 }
 
 func TestWriteCSV(t *testing.T) {

@@ -95,7 +95,7 @@ func feedEngine(name string, spec shapley.EngineSpec, log []*hfl.Epoch) *shapley
 // EngineMatrix trains one federation and replays its log through every
 // registered contribution engine, reporting rank correlation against the
 // exact engine next to each engine's utility-evaluation and wall cost —
-// the accuracy-vs-cost matrix behind BENCH engine entries.
+// the accuracy-vs-cost matrix.
 func EngineMatrix(o Opts) *EngineMatrixResult {
 	o.validate()
 	tr, epochs := engineTrainer(o)
@@ -147,20 +147,4 @@ func (r *EngineMatrixResult) Tables() map[string][][]string {
 		})
 	}
 	return map[string][][]string{"engines_matrix": rows}
-}
-
-// Bench emits one machine-readable entry per engine.
-func (r *EngineMatrixResult) Bench() []BenchEntry {
-	out := make([]BenchEntry, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		out = append(out, BenchEntry{
-			Exp:          "engines",
-			Engine:       row.Engine,
-			WallMS:       float64(row.Wall) / float64(time.Millisecond),
-			Epochs:       int64(r.Epochs),
-			UtilityEvals: row.UtilityEvals,
-			KendallTau:   row.KendallTau,
-		})
-	}
-	return out
 }

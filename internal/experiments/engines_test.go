@@ -50,15 +50,6 @@ func TestEngineMatrixAcceptance(t *testing.T) {
 	if got := len(res.Tables()["engines_matrix"]); got != len(res.Rows)+1 {
 		t.Fatalf("engines_matrix CSV has %d rows, want %d", got, len(res.Rows)+1)
 	}
-	bench := res.Bench()
-	if len(bench) != len(res.Rows) {
-		t.Fatalf("bench entries %d != rows %d", len(bench), len(res.Rows))
-	}
-	for _, e := range bench {
-		if e.Exp != "engines" || e.Engine == "" || e.UtilityEvals == 0 {
-			t.Fatalf("malformed bench entry %+v", e)
-		}
-	}
 }
 
 // TestVolatilityDeterministic is the verify-engines rerun gate: the whole

@@ -34,6 +34,13 @@ type Opts struct {
 	Sink obs.Sink
 }
 
+// Report is what every runner returns: a text rendering for the terminal
+// plus the CSV tables behind it.
+type Report interface {
+	Render(w io.Writer)
+	CSVer
+}
+
 // DefaultOpts is the full-scale configuration used by the CLI.
 func DefaultOpts() Opts { return Opts{Scale: 1, Seed: 42} }
 

@@ -114,6 +114,19 @@ func HFLvsActual(o Opts) *HFLActualResult {
 	return res
 }
 
+// datasets lists the dataset names in run order — Rows keeps each dataset's
+// settings adjacent — the order every rendering walks the per-dataset maps
+// in.
+func (r *HFLActualResult) datasets() []string {
+	var out []string
+	for _, row := range r.Rows {
+		if len(out) == 0 || out[len(out)-1] != row.Dataset {
+			out = append(out, row.Dataset)
+		}
+	}
+	return out
+}
+
 // Render writes the Fig. 3 summary.
 func (r *HFLActualResult) Render(w io.Writer) {
 	writeHeader(w, "Fig. 3 — DIG-FL vs actual Shapley (HFL)")
@@ -123,9 +136,9 @@ func (r *HFLActualResult) Render(w io.Writer) {
 			fmtVec(row.Estimated), fmtVec(row.Actual))
 	}
 	fmt.Fprintln(w)
-	for name, pcc := range r.PCC {
+	for _, name := range r.datasets() {
 		fmt.Fprintf(w, "%-8s PCC=%.3f  cost(DIG-FL)=%v  cost(actual)=%v\n",
-			name, pcc, r.CostDIGFL[name], r.CostActual[name])
+			name, r.PCC[name], r.CostDIGFL[name], r.CostActual[name])
 	}
 }
 

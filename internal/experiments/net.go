@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
-	"sort"
 	"strconv"
-	"time"
 
 	"digfl/internal/core"
 	"digfl/internal/dataset"
@@ -28,66 +26,8 @@ type NetResult struct {
 	BitIdentical bool
 	// Wire traffic observed during the run.
 	Rounds, Requests, Timeouts int64
-	// Round latency distribution (closed rounds, coordinator-side).
-	RoundP50, RoundP99 time.Duration
 	// Totals is the per-participant attribution φ from the networked run.
 	Totals []float64
-}
-
-// netLatSink records closed-round latencies alongside a forwarding chain.
-type netLatSink struct {
-	next obs.Sink
-	durs []time.Duration
-}
-
-func (s *netLatSink) Emit(e obs.Event) {
-	if s.next != nil {
-		s.next.Emit(e)
-	}
-	if e.Kind == obs.KindNetRoundEnd {
-		s.durs = append(s.durs, e.Dur)
-	}
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of durs by linear
-// interpolation between order statistics; 0 on an empty slice. Callers
-// reading several quantiles of one distribution should use Quantiles, which
-// copies and sorts once instead of once per call.
-func Quantile(durs []time.Duration, q float64) time.Duration {
-	return Quantiles(durs, q)[0]
-}
-
-// Quantiles returns the q-quantiles of durs from a single copy-and-sort —
-// bit-identical to calling Quantile per q, without the per-call O(n log n).
-func Quantiles(durs []time.Duration, qs ...float64) []time.Duration {
-	out := make([]time.Duration, len(qs))
-	if len(durs) == 0 {
-		return out
-	}
-	s := append([]time.Duration(nil), durs...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	for i, q := range qs {
-		out[i] = quantileSorted(s, q)
-	}
-	return out
-}
-
-// quantileSorted reads the q-quantile of an ascending-sorted non-empty
-// slice.
-func quantileSorted(s []time.Duration, q float64) time.Duration {
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[lo]
-	}
-	return s[lo] + time.Duration(frac*float64(s[lo+1]-s[lo]))
 }
 
 // Net runs the networked coordinator/participant runtime over a loopback
@@ -120,13 +60,12 @@ func Net(o Opts) *NetResult {
 	}
 
 	// Loopback run over real HTTP.
-	lat := &netLatSink{next: o.Sink}
 	collector := &obs.Collector{}
 	netEst := core.NewHFLEstimator(n, p, core.ResourceSaving, nil)
 	coord := &fednet.Coordinator{
 		N: n, Model: model, Val: val, Cfg: cfg, Estimator: netEst,
 	}
-	coord.Cfg.Runtime.Sink = obs.Tee(lat, collector)
+	coord.Cfg.Runtime.Sink = obs.Tee(o.Sink, collector)
 	got, perrs, err := fednet.Loopback(context.Background(), coord, func(i int) *fednet.Participant {
 		return &fednet.Participant{Index: i, Model: model, Data: parts[i], Retries: 2}
 	})
@@ -140,7 +79,6 @@ func Net(o Opts) *NetResult {
 	}
 
 	snap := collector.Snapshot()
-	lq := Quantiles(lat.durs, 0.50, 0.99)
 	return &NetResult{
 		Participants: n,
 		Epochs:       epochs,
@@ -150,8 +88,6 @@ func Net(o Opts) *NetResult {
 		Rounds:   snap.NetRounds,
 		Requests: snap.NetRequests,
 		Timeouts: snap.NetTimeouts,
-		RoundP50: lq[0],
-		RoundP99: lq[1],
 		Totals:   append([]float64(nil), netEst.Attribution().Totals...),
 	}
 }
@@ -161,7 +97,6 @@ func (r *NetResult) Render(w io.Writer) {
 	writeHeader(w, "Networked runtime — loopback HTTP vs in-process trainer")
 	fmt.Fprintf(w, "%d participants, %d epochs over the wire (%d rounds, %d requests, %d timeouts)\n",
 		r.Participants, r.Epochs, r.Rounds, r.Requests, r.Timeouts)
-	fmt.Fprintf(w, "round latency p50=%v p99=%v\n", r.RoundP50, r.RoundP99)
 	fmt.Fprintf(w, "bit-identical to local run (model, curve, phi): %v\n", r.BitIdentical)
 	fmt.Fprintf(w, "attribution totals: %s\n", fmtVec(r.Totals))
 }
@@ -176,8 +111,6 @@ func (r *NetResult) Tables() map[string][][]string {
 		{"rounds", strconv.FormatInt(r.Rounds, 10)},
 		{"requests", strconv.FormatInt(r.Requests, 10)},
 		{"timeouts", strconv.FormatInt(r.Timeouts, 10)},
-		{"round_p50_ms", f(float64(r.RoundP50) / float64(time.Millisecond))},
-		{"round_p99_ms", f(float64(r.RoundP99) / float64(time.Millisecond))},
 		{"bit_identical", strconv.FormatBool(r.BitIdentical)},
 	}
 	for i, v := range r.Totals {

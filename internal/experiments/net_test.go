@@ -3,7 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestNetExperiment(t *testing.T) {
@@ -26,48 +25,13 @@ func TestNetExperiment(t *testing.T) {
 
 	var sb strings.Builder
 	r.Render(&sb)
-	for _, want := range []string{"Networked runtime", "bit-identical", "p50"} {
+	for _, want := range []string{"Networked runtime", "bit-identical"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("render missing %q", want)
 		}
 	}
 	rows, ok := r.Tables()["net"]
-	if !ok || len(rows) < 9 {
+	if !ok || len(rows) < 7 {
 		t.Fatalf("tables missing net rows: %v", rows)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	durs := []time.Duration{4, 1, 3, 2} // unsorted on purpose
-	if got := Quantile(nil, 0.5); got != 0 {
-		t.Errorf("Quantile(nil) = %v, want 0", got)
-	}
-	if got := Quantile(durs, 0); got != 1 {
-		t.Errorf("q=0: %v, want 1", got)
-	}
-	if got := Quantile(durs, 1); got != 4 {
-		t.Errorf("q=1: %v, want 4", got)
-	}
-	if got := Quantile(durs, 0.5); got != 2 {
-		t.Errorf("q=0.5: %v, want 2 (interpolated midpoint of 2,3 floors to 2.5→2)", got)
-	}
-}
-
-// TestQuantilesMatchesQuantile: the single-sort batch read must be
-// bit-identical to repeated Quantile calls, and must not reorder the input.
-func TestQuantilesMatchesQuantile(t *testing.T) {
-	durs := []time.Duration{9, 1, 7, 3, 5, 2, 8, 4, 6}
-	qs := []float64{0, 0.25, 0.5, 0.75, 0.9, 0.99, 1}
-	got := Quantiles(durs, qs...)
-	for i, q := range qs {
-		if want := Quantile(durs, q); got[i] != want {
-			t.Errorf("q=%v: Quantiles=%v, Quantile=%v", q, got[i], want)
-		}
-	}
-	if durs[0] != 9 || durs[8] != 6 {
-		t.Error("Quantiles reordered its input")
-	}
-	if empty := Quantiles(nil, 0.5, 0.99); empty[0] != 0 || empty[1] != 0 {
-		t.Errorf("Quantiles(nil) = %v, want zeros", empty)
 	}
 }

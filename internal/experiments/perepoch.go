@@ -37,6 +37,9 @@ type PerEpochResult struct {
 	Series map[string][]PerEpochSeries
 	// PCC[dataset] correlates estimated vs actual across all pairs.
 	PCC map[string]float64
+	// order lists the datasets in run order, the order every rendering
+	// walks the maps in.
+	order []string
 }
 
 // PerEpoch reproduces Fig. 6: per-epoch DIG-FL estimates against the
@@ -83,6 +86,7 @@ func PerEpoch(o Opts) *PerEpochResult {
 			}
 		}
 		res.Series[name] = series
+		res.order = append(res.order, name)
 		res.PCC[name] = metrics.Pearson(allEst, allAct)
 	}
 	return res
@@ -92,7 +96,8 @@ func PerEpoch(o Opts) *PerEpochResult {
 // per-dataset correlations.
 func (r *PerEpochResult) Render(w io.Writer) {
 	writeHeader(w, "Fig. 6 — per-epoch estimated vs actual Shapley (HFL)")
-	for name, series := range r.Series {
+	for _, name := range r.order {
+		series := r.Series[name]
 		fmt.Fprintf(w, "%s (PCC across all epoch/participant pairs: %.3f)\n", name, r.PCC[name])
 		for i, s := range series {
 			fmt.Fprintf(w, "  p%-2d %-13s est: ", i, s.Kind)

@@ -11,7 +11,6 @@ import (
 	"reflect"
 	"runtime"
 	"strconv"
-	"time"
 
 	"digfl/internal/dataset"
 	"digfl/internal/fednet"
@@ -36,10 +35,6 @@ type WireResult struct {
 	// AllocsPerRound is the heap-allocation count per round across driver
 	// and coordinator, pools warm after round one.
 	AllocsPerRound float64
-	// RoundP50/RoundP99 are closed-round latencies, WallMS the round-phase
-	// wall time.
-	RoundP50, RoundP99 time.Duration
-	WallMS             float64
 	// BitIdentical: the networked run and the in-process streamed trainer
 	// produced the same model bits and loss curve.
 	BitIdentical bool
@@ -103,7 +98,6 @@ func (w wireProblem) cfg() hfl.Config {
 // own, not the socket stack's. It fills r's measurements.
 func runWire(w wireProblem, sink obs.Sink, r *WireResult) (*hfl.Result, error) {
 	collector := &obs.Collector{}
-	lat := &netLatSink{next: sink}
 	coord := &fednet.Coordinator{
 		N:      w.pop,
 		Model:  nn.NewLinearRegression(w.dim, false),
@@ -111,7 +105,7 @@ func runWire(w wireProblem, sink obs.Sink, r *WireResult) (*hfl.Result, error) {
 		Cfg:    w.cfg(),
 		Stream: hfl.MeanStream{},
 	}
-	coord.Cfg.Runtime.Sink = obs.Tee(collector, lat)
+	coord.Cfg.Runtime.Sink = obs.Tee(collector, sink)
 	h := coord.Handler()
 
 	type runOut struct {
@@ -158,7 +152,6 @@ func runWire(w wireProblem, sink obs.Sink, r *WireResult) (*hfl.Result, error) {
 	}
 	smp := sampling.MustNew(sampling.Config{Seed: w.seed, Size: w.cohort})
 
-	start := time.Now()
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -196,16 +189,13 @@ func runWire(w wireProblem, sink obs.Sink, r *WireResult) (*hfl.Result, error) {
 	r.Bytes = (end.NetBytesRx + end.NetBytesTx) - (joins.NetBytesRx + joins.NetBytesTx)
 	r.Frames = end.CodecV2Frames
 	r.AllocsPerRound = float64(m1.Mallocs-m0.Mallocs) / float64(w.epochs)
-	lq := Quantiles(lat.durs, 0.50, 0.99)
-	r.RoundP50, r.RoundP99 = lq[0], lq[1]
-	r.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
 	return out.res, nil
 }
 
 // Wire is the wire gate on the 100k-participant streamed benchmark: sampled
 // cohorts posting synthetic updates over digfl-fednet/2, measured (bytes,
-// frames, allocations, round latency) and verified against the in-process
-// streamed trainer bit for bit.
+// frames, allocations) and verified against the in-process streamed trainer
+// bit for bit.
 func Wire(o Opts) *WireResult {
 	o.validate()
 	w := wireProblem{
@@ -251,38 +241,19 @@ func (r *WireResult) Render(w io.Writer) {
 	writeHeader(w, "Wire — digfl-fednet/2 binary frames, streamed sampled run")
 	fmt.Fprintf(w, "%d participants, cohort %d, %d rounds, %d params\n",
 		r.Population, r.Cohort, r.Epochs, r.Dim)
-	fmt.Fprintf(w, "%-16s %10d bytes on wire (%d control), %6.0f allocs/round, %4d frames, p50=%v p99=%v, wall %.0fms\n",
-		fednet.ProtocolV2, r.Bytes, r.ControlBytes, r.AllocsPerRound, r.Frames, r.RoundP50, r.RoundP99, r.WallMS)
+	fmt.Fprintf(w, "%-16s %10d bytes on wire (%d control), %6.0f allocs/round, %4d frames\n",
+		fednet.ProtocolV2, r.Bytes, r.ControlBytes, r.AllocsPerRound, r.Frames)
 	fmt.Fprintf(w, "bit-identical to in-process streamed trainer: %v\n", r.BitIdentical)
 }
 
 // Tables returns the CSV rendering.
 func (r *WireResult) Tables() map[string][][]string {
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	return map[string][][]string{"wire": {
-		{"codec", "bytes_on_wire", "control_bytes", "allocs_per_round", "frames", "round_p50_ms", "round_p99_ms", "wall_ms"},
+		{"codec", "bytes_on_wire", "control_bytes", "allocs_per_round", "frames"},
 		{
 			fednet.ProtocolV2, strconv.FormatInt(r.Bytes, 10), strconv.FormatInt(r.ControlBytes, 10),
-			f(r.AllocsPerRound), strconv.FormatInt(r.Frames, 10),
-			f(float64(r.RoundP50) / float64(time.Millisecond)),
-			f(float64(r.RoundP99) / float64(time.Millisecond)),
-			f(r.WallMS),
+			strconv.FormatFloat(r.AllocsPerRound, 'g', -1, 64), strconv.FormatInt(r.Frames, 10),
 		},
-		{"bit_identical", strconv.FormatBool(r.BitIdentical), "", "", "", "", "", ""},
-	}}
-}
-
-// Bench returns the machine-readable entry for -json output.
-func (r *WireResult) Bench() []BenchEntry {
-	return []BenchEntry{{
-		Exp:            "wire",
-		Codec:          fednet.ProtocolV2,
-		WallMS:         r.WallMS,
-		Epochs:         int64(r.Epochs),
-		Rounds:         r.Epochs,
-		RoundP50MS:     float64(r.RoundP50) / float64(time.Millisecond),
-		RoundP99MS:     float64(r.RoundP99) / float64(time.Millisecond),
-		BytesOnWire:    r.Bytes,
-		AllocsPerRound: r.AllocsPerRound,
+		{"bit_identical", strconv.FormatBool(r.BitIdentical), "", "", ""},
 	}}
 }

@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestWireCodecGate is the bytes-and-allocs gate behind make verify-wire:
 // on the streamed sampled-cohort benchmark (population and dimension scaled
@@ -50,42 +47,5 @@ func TestWireDeterministic(t *testing.T) {
 	}
 	if !a.BitIdentical || !b.BitIdentical {
 		t.Fatal("wire runs diverged from the reference")
-	}
-}
-
-// TestLoadRunner drives a reduced load test: the federation must complete
-// under concurrent readers with zero request errors.
-func TestLoadRunner(t *testing.T) {
-	r := Load(LoadSpec{Clients: 64, Delay: 2 * time.Millisecond}, Opts{Scale: 0.25, Seed: 11})
-	if !r.Completed {
-		t.Fatal("federation failed to complete under load")
-	}
-	if r.Errors != 0 {
-		t.Fatalf("%d load-client requests failed", r.Errors)
-	}
-	if r.Requests < int64(r.Clients) {
-		t.Fatalf("only %d requests from %d clients; load never ramped", r.Requests, r.Clients)
-	}
-	if r.ScoreP99 <= 0 || r.PollP99 <= 0 {
-		t.Fatalf("missing latency percentiles: %+v", r)
-	}
-}
-
-func TestParseLoadSpec(t *testing.T) {
-	spec, err := ParseLoadSpec("clients=128,delay=5ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Clients != 128 || spec.Delay != 5*time.Millisecond {
-		t.Fatalf("spec = %+v", spec)
-	}
-	if _, err := ParseLoadSpec("clients=0"); err == nil {
-		t.Fatal("accepted zero clients")
-	}
-	if _, err := ParseLoadSpec("bogus=1"); err == nil {
-		t.Fatal("accepted unknown key")
-	}
-	if def, err := ParseLoadSpec(""); err != nil || def != DefaultLoadSpec() {
-		t.Fatalf("empty spec = %+v, %v", def, err)
 	}
 }

@@ -8,7 +8,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -459,6 +462,79 @@ func TestScoreAndAggregateEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("/v1/aggregate: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestScoreReadersBesideLiveRun: 32 readers alternating GET /v1/score with
+// header-only long-polls of /v1/round beside a live 3-participant run get
+// nothing but 200s, are all released by state "done", leave no goroutine
+// behind, and do not perturb the run — θ, loss curve and φ are bit-identical
+// to the same run with no readers.
+func TestScoreReadersBesideLiveRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	live := func(readers int) (*hfl.Result, []float64) {
+		model, parts, val := problem(17)
+		est := core.NewHFLEstimator(testN, model.NumParams(), core.ResourceSaving, nil)
+		coord := &Coordinator{N: testN, Model: model, Val: val, Cfg: testConfig(), Estimator: est}
+		srv := httptest.NewServer(coord.Handler())
+		defer srv.Close()
+		htr := &http.Transport{MaxIdleConnsPerHost: readers + testN}
+		defer htr.CloseIdleConnections()
+		client := &http.Client{Transport: htr, Timeout: 30 * time.Second}
+		var bad atomic.Int64
+		get := func(url string, out any) {
+			resp, err := client.Get(url)
+			if err == nil {
+				defer resp.Body.Close()
+			}
+			if err != nil || resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(out) != nil {
+				bad.Add(1)
+			}
+		}
+		var wg sync.WaitGroup
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				next, state := 1, ""
+				for state != StateDone && bad.Load() == 0 {
+					get(srv.URL+"/v1/score", &scoreReply{})
+					var rr roundReply
+					get(fmt.Sprintf("%s/v1/round?t=%d&h=1", srv.URL, next), &rr)
+					if state = rr.State; state == StateOpen {
+						next = rr.T + 1
+					}
+				}
+			}()
+		}
+		perrs := make(chan error, testN)
+		for i := range parts {
+			p := &Participant{Index: i, BaseURL: srv.URL, Model: model, Data: parts[i], Retries: 2, Client: client,
+				Delay: func(int) { time.Sleep(2 * time.Millisecond) }}
+			go func() { perrs <- p.Run(context.Background()) }()
+		}
+		res, err := coord.Run(context.Background())
+		for range parts {
+			if perr := <-perrs; err != nil || perr != nil {
+				t.Fatalf("run beside %d readers: coordinator %v, participant %v", readers, err, perr)
+			}
+		}
+		wg.Wait() // a watcher the finished run never released trips the client timeout into bad
+		if n := bad.Load(); n != 0 {
+			t.Errorf("%d reader requests failed or answered non-200", n)
+		}
+		return res, est.Attribution().Totals
+	}
+	quiet, quietPhi := live(0)
+	busy, busyPhi := live(32)
+	if !sameVec(quiet.Model.Params(), busy.Model.Params()) || !sameVec(quiet.ValLossCurve, busy.ValLossCurve) ||
+		!sameVec(quietPhi, busyPhi) {
+		t.Error("readers perturbed the run: θ, curve or φ differ from the reader-free run")
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before+2; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines did not drain: before=%d after=%d", before, runtime.NumGoroutine())
+		}
 	}
 }
 
