@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test bench loc verify verify-faults verify-net verify-adv verify-scale verify-wire verify-crash verify-engines verify-async verify-bench bench-workload bench-kernels
+.PHONY: build test bench loc verify verify-faults verify-net verify-adv verify-scale verify-wire verify-crash verify-engines verify-async verify-secure verify-bench bench-workload bench-kernels
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,7 @@ verify:
 	$(MAKE) verify-crash
 	$(MAKE) verify-engines
 	$(MAKE) verify-async
+	$(MAKE) verify-secure
 	$(MAKE) verify-bench
 
 # verify-bench vets the repository benchmark (bench/, a module of its own
@@ -140,6 +141,19 @@ verify-async:
 	$(GO) vet ./internal/hfl/ ./internal/fednet/ ./internal/experiments/ ./internal/robust/
 	$(GO) test -count=1 -run 'Async|PolyWeight|Stale|Buffered|FedProx' \
 		./internal/hfl/ ./internal/fednet/ ./internal/experiments/ ./internal/robust/
+
+# verify-secure runs the secure-VFL gate under the race detector: the
+# encryption kernel's properties (the fixed-base Hs^r bit-identical to
+# big.Int.Exp, one rand.Int draw of at most ⌈|n|/2⌉ bits, textbook and DJN
+# ciphertexts interoperating, one table from a raced first use, an Hs-less
+# key refused), CRT decryption against the textbook form, the fused dot
+# product against its term-by-term reference, and Algorithm 3's contracts
+# (secure θ/φ equal to the plaintext trainer, closed-form Paillier op counts,
+# retries and every worker count bit-identical). -count=1 defeats the test
+# cache so the gate re-executes.
+verify-secure:
+	$(GO) vet ./internal/paillier/ ./internal/vfl/
+	$(GO) test -race -count=1 -run 'Secure|Encrypt|Decrypt|DotPlain|FixedBase|CRT' ./internal/paillier/ ./internal/vfl/
 
 # verify-engines runs the contribution-engine gate: the cross-engine
 # equivalence suite (truncation-disabled GTG/DPVS reproduce the exact

@@ -34,7 +34,8 @@ func (r *SecondTermResult) Tables() map[string][][]string {
 	}
 	series := func(m map[string]Series) [][]string {
 		out := [][]string{{"dataset", "epoch", "phi", "phi_hat"}}
-		for name, s := range m {
+		for _, name := range r.seriesOrder(m) {
+			s := m[name]
 			for t := range s.Phi {
 				out = append(out, []string{name, strconv.Itoa(t + 1), f(s.Phi[t]), f(s.PhiHat[t])})
 			}

@@ -44,6 +44,12 @@ func TestSecondTermTables(t *testing.T) {
 	if got := len(tables["table2"]) - 1; got != 14 {
 		t.Fatalf("table2 has %d data rows, want 14", got)
 	}
+	var vflOrder []string
+	for _, row := range res.Rows[len(strings.Fields(hflRunOrder)):] {
+		vflOrder = append(vflOrder, row.Dataset)
+	}
+	checkRunOrder(t, res, "fig2_hfl", hflRunOrder)
+	checkRunOrder(t, res, "fig2_vfl", strings.Join(vflOrder, " "))
 }
 
 func TestReweightTables(t *testing.T) {
@@ -79,17 +85,20 @@ func TestComparisonAndActualTables(t *testing.T) {
 func TestPerEpochAndFig3Tables(t *testing.T) {
 	pe := PerEpoch(QuickOpts())
 	checkTables(t, pe.Tables(), "fig6")
-	checkRunOrder(t, pe, "fig6")
+	checkRunOrder(t, pe, "fig6", hflRunOrder)
 	ha := HFLvsActual(QuickOpts())
 	checkTables(t, ha.Tables(), "fig3_scatter", "fig3_summary")
-	checkRunOrder(t, ha, "fig3_summary")
+	checkRunOrder(t, ha, "fig3_summary", hflRunOrder)
 }
 
-// checkRunOrder is the output-order gate: the per-dataset maps behind Fig. 3
-// and Fig. 6 must be emitted in run order, so 20 renderings of one result
-// are the same bytes and the named table's first column visits the datasets
-// as the runner did.
-func checkRunOrder(t *testing.T, r Report, table string) {
+// hflRunOrder is the order every HFL runner visits the image datasets in.
+const hflRunOrder = "MNIST CIFAR10 MOTOR REAL"
+
+// checkRunOrder is the output-order gate: the per-dataset maps behind Fig. 2,
+// Fig. 3 and Fig. 6 must be emitted in run order, so 20 renderings of one
+// result are the same bytes and the named table's first column visits the
+// datasets as the runner did (want, space-separated).
+func checkRunOrder(t *testing.T, r Report, table, want string) {
 	t.Helper()
 	emit := func() string {
 		var buf bytes.Buffer
@@ -111,7 +120,7 @@ func checkRunOrder(t *testing.T, r Report, table string) {
 			order = append(order, row[0])
 		}
 	}
-	if got := strings.Join(order, " "); got != "MNIST CIFAR10 MOTOR REAL" {
+	if got := strings.Join(order, " "); got != want {
 		t.Fatalf("%s lists datasets as %q, want run order", table, got)
 	}
 }

@@ -101,6 +101,18 @@ func epochSeries(in, rs *core.Attribution) Series {
 	return s
 }
 
+// seriesOrder lists m's datasets in run order — the order Rows records —
+// which is the order every rendering walks the Fig. 2 series maps in.
+func (r *SecondTermResult) seriesOrder(m map[string]Series) []string {
+	var out []string
+	for _, row := range r.Rows {
+		if _, ok := m[row.Dataset]; ok {
+			out = append(out, row.Dataset)
+		}
+	}
+	return out
+}
+
 // Render writes the Table II rows and a compact Fig. 2 summary.
 func (r *SecondTermResult) Render(w io.Writer) {
 	writeHeader(w, "Table II — error of ignoring the second term")
@@ -111,7 +123,8 @@ func (r *SecondTermResult) Render(w io.Writer) {
 	}
 	writeHeader(w, "Fig. 2 — per-epoch contribution with/without second term")
 	renderSeries := func(tag string, m map[string]Series) {
-		for name, s := range m {
+		for _, name := range r.seriesOrder(m) {
+			s := m[name]
 			fmt.Fprintf(w, "%s %-14s phi(t):    ", tag, name)
 			for _, v := range s.Phi {
 				fmt.Fprintf(w, "%8.4f", v)

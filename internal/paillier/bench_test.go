@@ -2,17 +2,10 @@ package paillier
 
 import (
 	"crypto/rand"
+	"fmt"
+	"math/big"
 	"testing"
 )
-
-func benchKey(b *testing.B, bits int) *PrivateKey {
-	b.Helper()
-	sk, err := GenerateKey(rand.Reader, bits)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return sk
-}
 
 func benchVec(n int) []float64 {
 	v := make([]float64, n)
@@ -22,11 +15,34 @@ func benchVec(n int) []float64 {
 	return v
 }
 
+// BenchmarkEncrypt times one warm encryption — the fixed-base Hs^r, whose
+// cost is ⌈|n|/2⌉/fbWindow modular products — at the paper's key size and
+// at twice it.
+func BenchmarkEncrypt(b *testing.B) {
+	m := big.NewInt(987654321)
+	for _, bits := range []int{1024, 2048} {
+		b.Run(fmt.Sprint(bits), func(b *testing.B) {
+			sk := keyOfBits(b, bits)
+			var err error
+			if benchCt, err = sk.Encrypt(rand.Reader, m); err != nil { // builds the table
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if benchCt, err = sk.Encrypt(rand.Reader, m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkEncryptVec compares serial vs. pooled vector encryption at the
 // paper's 1024-bit modulus — the secure VFL protocol's per-epoch hot path.
 // Decrypted plaintexts are asserted identical before timing.
 func BenchmarkEncryptVec(b *testing.B) {
-	sk := benchKey(b, 1024)
+	sk := keyOfBits(b, 1024)
 	pk := &sk.PublicKey
 	v := benchVec(64)
 	serialCts, err := pk.EncryptVec(rand.Reader, v)
@@ -71,7 +87,7 @@ func BenchmarkEncryptVec(b *testing.B) {
 // BenchmarkDecryptVec compares serial vs. pooled vector decryption (CRT
 // exponentiations dominate).
 func BenchmarkDecryptVec(b *testing.B) {
-	sk := benchKey(b, 1024)
+	sk := keyOfBits(b, 1024)
 	pk := &sk.PublicKey
 	cts, err := pk.EncryptVec(rand.Reader, benchVec(64))
 	if err != nil {
@@ -101,7 +117,7 @@ var benchCt *Ciphertext
 // full-length exponentiation, 11× a positive one; the two must now agree to
 // within the one modular inverse.
 func BenchmarkMulPlain(b *testing.B) {
-	sk := benchKey(b, 1024)
+	sk := keyOfBits(b, 1024)
 	pk := &sk.PublicKey
 	ct, err := pk.EncryptFloat(rand.Reader, 0.25)
 	if err != nil {
@@ -126,7 +142,7 @@ func BenchmarkMulPlain(b *testing.B) {
 // BenchmarkDotPlain times the secure epoch's inner kernel at its training
 // shape: 77 encrypted residuals against one feature column.
 func BenchmarkDotPlain(b *testing.B) {
-	sk := benchKey(b, 1024)
+	sk := keyOfBits(b, 1024)
 	pk := &sk.PublicKey
 	vs := benchVec(77)
 	for i := range vs {
@@ -147,7 +163,7 @@ func BenchmarkDotPlain(b *testing.B) {
 // BenchmarkDecrypt times one CRT decryption (two half-size exponentiations
 // to half-size exponents).
 func BenchmarkDecrypt(b *testing.B) {
-	sk := benchKey(b, 1024)
+	sk := keyOfBits(b, 1024)
 	ct, err := sk.EncryptFloat(rand.Reader, 0.25)
 	if err != nil {
 		b.Fatal(err)

@@ -178,6 +178,30 @@ func TestDotPlainAllocs(t *testing.T) {
 	}
 }
 
+// A warm encryption allocates its exponent draw, its result and nothing per
+// table step: the ⌈|n|/2⌉/fbWindow products reduce in place on pooled scratch.
+func TestEncryptAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	sk := testKey(t)
+	// A negative encoding is full length. The first call builds the table
+	// and warms the pools.
+	m := new(big.Int).Sub(sk.N, big.NewInt(12345))
+	if _, err := sk.Encrypt(rand.Reader, m); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := sk.Encrypt(rand.Reader, m); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.1f allocations per warm Encrypt", allocs)
+	if allocs > 12 {
+		t.Errorf("warm Encrypt allocates %.1f times, want ≤ 12 (none per table step)", allocs)
+	}
+}
+
 func TestCheckEncodable(t *testing.T) {
 	sk := testKey(t)
 	pk := &sk.PublicKey

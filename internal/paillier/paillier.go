@@ -1,6 +1,8 @@
 // Package paillier implements the Paillier additively homomorphic
 // cryptosystem over math/big, the encryption primitive behind the paper's
-// VFL running example (Algorithm 3 uses Paillier with 1024-bit keys). It
+// VFL running example (Algorithm 3 uses Paillier with 1024-bit keys), in
+// the Damgård–Jurik–Nielsen form whose encryption randomiser is a short
+// power of one fixed base. It
 // supports ciphertext addition, plaintext addition, and plaintext scalar
 // multiplication, plus a fixed-point encoding so gradients (float64 vectors)
 // can be exchanged under encryption.
@@ -18,7 +20,7 @@ import (
 var one = big.NewInt(1)
 
 // intPool recycles big.Int scratch values across the hot arithmetic paths
-// (CRT decryption, encryption randomness, plaintext reduction).
+// (CRT decryption, plaintext reduction).
 // Only pure intermediates go back to the pool — a value that escapes into
 // a Ciphertext or a returned plaintext is never Put, because the caller
 // owns it. Pooled values keep their grown backing arrays, so steady-state
@@ -28,10 +30,16 @@ var intPool = sync.Pool{New: func() any { return new(big.Int) }}
 func getInt() *big.Int  { return intPool.Get().(*big.Int) }
 func putInt(x *big.Int) { intPool.Put(x) }
 
-// PublicKey holds the Paillier public parameters (n, g = n+1).
+// PublicKey holds the public parameters (n, h_s) of the Damgård–Jurik–
+// Nielsen form of Paillier, g = n+1. It carries the lazily built fixed-base
+// table of Hs, so it is handled by pointer only.
 type PublicKey struct {
 	N  *big.Int // modulus n = p·q
 	N2 *big.Int // n²
+	Hs *big.Int // h_s = (−x²)^n mod n², the base of every encryption randomiser
+
+	fbOnce sync.Once
+	fb     fixedBase // powers of Hs, built on first encryption
 }
 
 // PrivateKey holds the decryption parameters. Decryption uses Paillier's
@@ -51,17 +59,20 @@ type Ciphertext struct{ C *big.Int }
 
 // GenerateKey creates a key pair with an n of roughly `bits` bits, reading
 // randomness from rnd (use crypto/rand.Reader in production; any reader in
-// tests).
+// tests). Both primes are ≡ 3 (mod 4), so −1 is a non-residue of Jacobi
+// symbol +1 and h = −x² generates, for a random unit x, the Jacobi-+1
+// subgroup the short encryption exponents are drawn over; half of the prime
+// candidates are rejected for it.
 func GenerateKey(rnd io.Reader, bits int) (*PrivateKey, error) {
 	if bits < 64 {
 		return nil, fmt.Errorf("paillier: key size %d too small", bits)
 	}
 	for {
-		p, err := rand.Prime(rnd, bits/2)
+		p, err := blumPrime(rnd, bits/2)
 		if err != nil {
 			return nil, fmt.Errorf("paillier: generating p: %w", err)
 		}
-		q, err := rand.Prime(rnd, bits/2)
+		q, err := blumPrime(rnd, bits/2)
 		if err != nil {
 			return nil, fmt.Errorf("paillier: generating q: %w", err)
 		}
@@ -69,8 +80,20 @@ func GenerateKey(rnd io.Reader, bits int) (*PrivateKey, error) {
 			continue
 		}
 		n := new(big.Int).Mul(p, q)
+		x, err := rand.Int(rnd, n)
+		if err != nil {
+			return nil, fmt.Errorf("paillier: sampling x: %w", err)
+		}
+		if new(big.Int).GCD(nil, nil, x, n).Cmp(one) != 0 {
+			continue
+		}
+		n2 := new(big.Int).Mul(n, n)
+		// h = −x² mod n, h_s = h^n mod n².
+		hs := x.Mul(x, x)
+		hs.Sub(n, hs.Mod(hs, n))
+		hs.Exp(hs, n, n2)
 		sk := &PrivateKey{
-			PublicKey: PublicKey{N: n, N2: new(big.Int).Mul(n, n)},
+			PublicKey: PublicKey{N: n, N2: n2, Hs: hs},
 			p:         p, q: q,
 			p2: new(big.Int).Mul(p, p), q2: new(big.Int).Mul(q, q),
 			pm1: new(big.Int).Sub(p, one), qm1: new(big.Int).Sub(q, one),
@@ -88,6 +111,16 @@ func GenerateKey(rnd io.Reader, bits int) (*PrivateKey, error) {
 	}
 }
 
+// blumPrime draws primes of the given size until one is ≡ 3 (mod 4).
+func blumPrime(rnd io.Reader, bits int) (*big.Int, error) {
+	for {
+		p, err := rand.Prime(rnd, bits)
+		if err != nil || p.Bit(1) == 1 {
+			return p, err
+		}
+	}
+}
+
 // lHalf sets z = L_p(c^{p−1} mod p²) = (c^{p−1} mod p² − 1)/p, the half-size
 // analogue of Paillier's L function, given pm1 = p−1 and p2 = p².
 func lHalf(z, c, pm1, p, p2 *big.Int) *big.Int {
@@ -97,34 +130,23 @@ func lHalf(z, c, pm1, p, p2 *big.Int) *big.Int {
 	return z.Div(z, p)
 }
 
-// Encrypt encrypts m ∈ [0, n) with fresh randomness from rnd.
+// Encrypt encrypts m ∈ [0, n) with fresh randomness from rnd:
+// c = (1 + m·n) · Hs^r mod n², r uniform in [0, 2^⌈|n|/2⌉).
 func (pk *PublicKey) Encrypt(rnd io.Reader, m *big.Int) (*Ciphertext, error) {
-	if m.Sign() < 0 || m.Cmp(pk.N) >= 0 {
-		return nil, fmt.Errorf("paillier: plaintext out of range [0, n)")
+	if m == nil || m.Sign() < 0 || m.Cmp(pk.N) >= 0 {
+		return nil, errors.New("paillier: plaintext out of range [0, n)")
 	}
-	gcd := getInt()
-	var r *big.Int
-	for {
-		var err error
-		r, err = rand.Int(rnd, pk.N)
-		if err != nil {
-			putInt(gcd)
-			return nil, fmt.Errorf("paillier: sampling r: %w", err)
-		}
-		if r.Sign() > 0 && gcd.GCD(nil, nil, r, pk.N).Cmp(one) == 0 {
-			break
-		}
+	if err := pk.fixedBase(); err != nil {
+		return nil, err
 	}
-	putInt(gcd)
-	// g^m = (1+n)^m = 1 + m·n (mod n²). gm escapes as the ciphertext; rn is
-	// pure scratch and goes back to the pool.
-	gm := new(big.Int).Mul(m, pk.N)
-	gm.Add(gm, one)
-	gm.Mod(gm, pk.N2)
-	rn := getInt().Exp(r, pk.N, pk.N2)
-	c := gm.Mul(gm, rn)
-	c.Mod(c, pk.N2)
-	putInt(rn)
+	r, err := rand.Int(rnd, &pk.fb.bound)
+	if err != nil {
+		return nil, fmt.Errorf("paillier: sampling r: %w", err)
+	}
+	// g^m = (1+n)^m = 1 + m·n < n². c escapes as the ciphertext.
+	c := new(big.Int).Mul(m, pk.N)
+	c.Add(c, one)
+	pk.mulHsPow(c, r)
 	return &Ciphertext{C: c}, nil
 }
 

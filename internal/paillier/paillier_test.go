@@ -13,7 +13,13 @@ const testBits = 256
 
 func testKey(t *testing.T) *PrivateKey {
 	t.Helper()
-	sk, err := GenerateKey(rand.Reader, testBits)
+	return keyOfBits(t, testBits)
+}
+
+// keyOfBits generates a fresh key of the given size for a test or benchmark.
+func keyOfBits(t testing.TB, bits int) *PrivateKey {
+	t.Helper()
+	sk, err := GenerateKey(rand.Reader, bits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,6 +206,9 @@ func TestErrors(t *testing.T) {
 	if _, err := sk.Encrypt(rand.Reader, new(big.Int).Set(sk.N)); err == nil {
 		t.Fatal("plaintext ≥ n must error")
 	}
+	if _, err := sk.Encrypt(rand.Reader, nil); err == nil {
+		t.Fatal("nil plaintext must error")
+	}
 	if _, err := sk.Decrypt(&Ciphertext{C: big.NewInt(0)}); err == nil {
 		t.Fatal("zero ciphertext must error")
 	}
@@ -258,19 +267,6 @@ func TestCRTMatchesNaiveDecryption(t *testing.T) {
 	for i, ct := range cts {
 		if got, want := mustDecrypt(t, sk, ct), naive(ct); got.Cmp(want) != 0 {
 			t.Fatalf("ciphertext %d: CRT %v vs naive %v", i, got, want)
-		}
-	}
-}
-
-func BenchmarkEncrypt(b *testing.B) {
-	sk, err := GenerateKey(rand.Reader, 1024)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sk.Encrypt(rand.Reader, big.NewInt(987654321)); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
