@@ -157,9 +157,11 @@ verify-secure:
 
 # verify-engines runs the contribution-engine gate: the cross-engine
 # equivalence suite (truncation-disabled GTG/DPVS reproduce the exact
-# per-round Shapley value to 1e-9, exact-parallel is bit-identical to
-# exact, 3-seed checkpoint/resume bit-identity per engine, Lemma-3 zero
-# rows under partial participation), the fednet loopback equivalence
+# per-round Shapley value to 1e-9, the golden φ bits and evaluation counts
+# of every estimator and engine over the shared kernels, baselines.MR
+# bit-identical to the exact engine, 3-seed checkpoint/resume bit-identity
+# per engine, Lemma-3 zero rows under partial participation), the fednet
+# loopback equivalence
 # (every engine identical over the wire to the local trainer, /v1/score
 # reporting, composition rejections), the accuracy-vs-cost acceptance
 # test (gtg/dpvs recover the exact ranking at Kendall τ >= 0.9 on fewer
@@ -167,9 +169,9 @@ verify-secure:
 # (the -exp volatility report rerun bit-identical across 3 seeds).
 # -count=1 defeats the test cache so the gates re-execute.
 verify-engines:
-	$(GO) vet ./internal/shapley/ ./internal/experiments/ ./internal/fednet/ ./internal/metrics/
-	$(GO) test -count=1 -run 'Engine|Truncation|Reported|AllDropped|Sampler|PooledValLoss|Kendall|Volatility|RunWrappers' \
-		./internal/shapley/ ./internal/experiments/ ./internal/fednet/ ./internal/metrics/ ./internal/hfl/ ./internal/vfl/
+	$(GO) vet ./internal/shapley/ ./internal/baselines/ ./internal/experiments/ ./internal/fednet/ ./internal/metrics/
+	$(GO) test -count=1 -run 'Engine|Truncation|Reported|AllDropped|Sampler|Golden|MRMatchesExact|Kendall|Volatility|RunWrappers' \
+		./internal/shapley/ ./internal/baselines/ ./internal/experiments/ ./internal/fednet/ ./internal/metrics/ ./internal/hfl/ ./internal/vfl/
 
 # verify-crash runs the crash-safety gate: the deterministic chaos harness
 # (seeded coordinator kills at epoch-open/mid-round/epoch-close with WAL

@@ -59,6 +59,9 @@ func TestUsageErrors(t *testing.T) {
 		{"-json", "x"},
 		{"-load", "clients=1"},
 		{"-faults", "bogus=1"},
+		{"-exp", "adversarial", "-attacks", "frac=nan"},
+		{"-exp", "faults", "-faults", "dropout=2"},
+		{"-exp", "faults", "-faults", "dropout=nan"},
 	} {
 		var out, errs bytes.Buffer
 		if code := run(args, &out, &errs); code != 2 || errs.Len() == 0 || out.Len() != 0 {

@@ -64,9 +64,7 @@
 // Pool outputs are bit-identical to the serial path, so parallelism is
 // purely a wall-clock knob; parallel estimator paths require a
 // concurrency-safe HVPProvider (LocalHVP and TrainHVP both are — each
-// in-flight call works on its own pooled model clone). ExactShapley's
-// parallel twin (shapley.ExactParallel) evaluates the 2^n coalitions on
-// the same pool.
+// in-flight call works on its own pooled model clone).
 //
 // Runtime.Sink attaches an observability sink receiving typed Events
 // (epoch boundaries, local updates, aggregations, estimator rounds,
@@ -623,8 +621,8 @@ type (
 	GTConfig = shapley.GTConfig
 	// ContributionEngine is the pluggable contribution-estimator seam:
 	// per-epoch Observe, Finalize → φ matrix + totals + cost, and
-	// State/SetState for checkpoint/resume. Registered engines: exact,
-	// exact-parallel, tmc, gt, gtg, dpvs.
+	// State/SetState for checkpoint/resume. Registered engines: exact, tmc,
+	// gt, gtg, dpvs.
 	ContributionEngine = shapley.Engine
 	// EngineSpec configures a contribution engine (population size,
 	// validation-loss oracle, seed, per-engine knobs).
@@ -656,9 +654,6 @@ var (
 	// experiments use.
 	DefaultGTG  = shapley.DefaultGTG
 	DefaultDPVS = shapley.DefaultDPVS
-	// PooledEngineValLoss makes a ValLoss safe for the exact-parallel
-	// engine's concurrent evaluation.
-	PooledEngineValLoss = shapley.PooledValLoss
 )
 
 // Robust-aggregation baselines (extension: hfl.Aggregator plugins that

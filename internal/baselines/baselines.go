@@ -25,16 +25,29 @@ import (
 	"digfl/internal/tensor"
 )
 
-// ValLoss evaluates loss^v at given parameters using a scratch model clone.
-type ValLoss func(theta []float64) float64
-
-// NewValLoss builds a ValLoss from a model prototype and validation data.
-func NewValLoss(model nn.Model, valX *tensor.Matrix, valY []float64) ValLoss {
+// NewValLoss builds the validation-loss oracle loss^v(θ) from a model
+// prototype and validation data, evaluating on a scratch model clone.
+func NewValLoss(model nn.Model, valX *tensor.Matrix, valY []float64) shapley.ValLoss {
 	m := model.Clone()
 	return func(theta []float64) float64 {
 		m.SetParams(theta)
 		return m.Loss(valX, valY)
 	}
+}
+
+// exactRounds replays log through the "exact" contribution engine: per round,
+// the exact Shapley value of the reconstruction game θ_t(S) = θ_{t-1} −
+// (1/|S|)·Σ_{i∈S} δ_{t,i}, U_t(S) = loss^v(θ_{t-1}) − loss^v(θ_t(S)).
+// Exponential in the participants: the engine refuses more than 20.
+func exactRounds(log []*hfl.Epoch, valLoss shapley.ValLoss) *shapley.Report {
+	eng, err := shapley.NewEngine("exact", shapley.EngineSpec{N: len(log[0].Deltas), Loss: valLoss})
+	if err != nil {
+		panic(fmt.Sprintf("baselines: %v", err))
+	}
+	for _, ep := range log {
+		eng.Observe(ep)
+	}
+	return eng.Finalize()
 }
 
 // MRResult carries the MR estimate together with its cost counters.
@@ -48,40 +61,14 @@ type MRResult struct {
 	Evals int64
 }
 
-// MR implements the Multi-Rounds reconstruction algorithm. For round t and
-// coalition S it reconstructs θ_t(S) = θ_{t-1} − (1/|S|)·Σ_{i∈S} δ_{t,i} and
-// uses U_t(S) = loss^v(θ_{t-1}) − loss^v(θ_t(S)) as the round utility.
-func MR(log []*hfl.Epoch, valLoss ValLoss) *MRResult {
+// MR implements the Multi-Rounds reconstruction algorithm: the "exact"
+// engine's per-round reconstruction Shapley values, summed over the rounds.
+func MR(log []*hfl.Epoch, valLoss shapley.ValLoss) *MRResult {
 	if len(log) == 0 {
 		panic("baselines: MR needs a non-empty training log")
 	}
-	n := len(log[0].Deltas)
-	if n > 20 {
-		panic(fmt.Sprintf("baselines: MR is exponential in participants, %d is too many", n))
-	}
-	res := &MRResult{Shapley: make([]float64, n)}
-	for _, ep := range log {
-		base := valLoss(ep.Theta)
-		res.Evals++
-		u := func(subset []int) float64 {
-			if len(subset) == 0 {
-				return 0
-			}
-			theta := tensor.Clone(ep.Theta)
-			inv := 1 / float64(len(subset))
-			for _, i := range subset {
-				tensor.AXPY(-inv, ep.Deltas[i], theta)
-			}
-			res.Evals++
-			return base - valLoss(theta)
-		}
-		round := shapley.Exact(n, u)
-		res.PerRound = append(res.PerRound, round)
-		for i, v := range round {
-			res.Shapley[i] += v
-		}
-	}
-	return res
+	rep := exactRounds(log, valLoss)
+	return &MRResult{Shapley: rep.Totals, PerRound: rep.PerEpoch, Evals: rep.Cost.UtilityEvals}
 }
 
 // ORResult carries the OR estimate and its cost.
@@ -92,41 +79,21 @@ type ORResult struct {
 
 // OR implements the One-Round reconstruction algorithm: coalition models are
 // reconstructed from the initial model and each participant's *accumulated*
-// updates over the whole training, then scored once.
-func OR(log []*hfl.Epoch, valLoss ValLoss) *ORResult {
+// updates over the whole training, then scored once — one round of the same
+// game MR plays every epoch.
+func OR(log []*hfl.Epoch, valLoss shapley.ValLoss) *ORResult {
 	if len(log) == 0 {
 		panic("baselines: OR needs a non-empty training log")
 	}
-	n := len(log[0].Deltas)
-	if n > 20 {
-		panic(fmt.Sprintf("baselines: OR is exponential in participants, %d is too many", n))
-	}
-	p := len(log[0].Theta)
-	acc := make([][]float64, n)
+	acc := make([][]float64, len(log[0].Deltas))
 	for i := range acc {
-		acc[i] = make([]float64, p)
+		acc[i] = make([]float64, len(log[0].Theta))
 		for _, ep := range log {
 			tensor.AXPY(1, ep.Deltas[i], acc[i])
 		}
 	}
-	theta0 := log[0].Theta
-	res := &ORResult{}
-	base := valLoss(theta0)
-	res.Evals++
-	u := func(subset []int) float64 {
-		if len(subset) == 0 {
-			return 0
-		}
-		theta := tensor.Clone(theta0)
-		inv := 1 / float64(len(subset))
-		for _, i := range subset {
-			tensor.AXPY(-inv, acc[i], theta)
-		}
-		res.Evals++
-		return base - valLoss(theta)
-	}
-	res.Shapley = shapley.Exact(n, u)
-	return res
+	rep := exactRounds([]*hfl.Epoch{{T: 1, Theta: log[0].Theta, Deltas: acc}}, valLoss)
+	return &ORResult{Shapley: rep.Totals, Evals: rep.Cost.UtilityEvals}
 }
 
 // IM implements the influence-measure heuristic: the contribution of

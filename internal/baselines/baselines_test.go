@@ -2,12 +2,14 @@ package baselines
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"digfl/internal/dataset"
 	"digfl/internal/hfl"
 	"digfl/internal/metrics"
 	"digfl/internal/nn"
+	"digfl/internal/shapley"
 	"digfl/internal/tensor"
 )
 
@@ -29,7 +31,7 @@ func run(t *testing.T, seed int64) (*hfl.Trainer, *hfl.Result) {
 	return tr, tr.Run()
 }
 
-func valLossFor(tr *hfl.Trainer) ValLoss {
+func valLossFor(tr *hfl.Trainer) shapley.ValLoss {
 	return NewValLoss(tr.Model, tr.Val.X, tr.Val.Y)
 }
 
@@ -137,5 +139,57 @@ func TestEmptyLogPanics(t *testing.T) {
 func TestMRBudget(t *testing.T) {
 	if MRBudget(3, 4) != 3*16 {
 		t.Fatalf("MRBudget = %d", MRBudget(3, 4))
+	}
+}
+
+// TestMRMatchesExactEngine: MR is the "exact" contribution engine fed the
+// same log — per-round values, totals and evaluation count, bit for bit.
+func TestMRMatchesExactEngine(t *testing.T) {
+	tr, res := run(t, 8)
+	mr := MR(res.Log, valLossFor(tr))
+	eng, err := shapley.NewEngine("exact", shapley.EngineSpec{N: 4, Loss: valLossFor(tr)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ep := range res.Log {
+		eng.Observe(ep)
+	}
+	rep := eng.Finalize()
+	if !reflect.DeepEqual(mr.PerRound, rep.PerEpoch) || !reflect.DeepEqual(mr.Shapley, rep.Totals) || mr.Evals != rep.Cost.UtilityEvals {
+		t.Fatalf("MR diverged from the exact engine:\nMR     %v (%d evals)\nengine %v (%d evals)",
+			mr.Shapley, mr.Evals, rep.Totals, rep.Cost.UtilityEvals)
+	}
+}
+
+// TestORMatchesBruteForce: OR against the enumeration written out longhand —
+// accumulate each participant's updates, reconstruct every coalition from
+// θ_0, take the exact Shapley value of the loss reduction.
+func TestORMatchesBruteForce(t *testing.T) {
+	tr, res := run(t, 9)
+	vl := valLossFor(tr)
+	theta0 := res.Log[0].Theta
+	acc := make([][]float64, 4)
+	for i := range acc {
+		acc[i] = make([]float64, len(theta0))
+		for _, ep := range res.Log {
+			tensor.AXPY(1, ep.Deltas[i], acc[i])
+		}
+	}
+	base := vl(theta0)
+	evals := int64(1)
+	want := shapley.Exact(4, func(subset []int) float64 {
+		if len(subset) == 0 {
+			return 0
+		}
+		theta := tensor.Clone(theta0)
+		for _, i := range subset {
+			tensor.AXPY(-1/float64(len(subset)), acc[i], theta)
+		}
+		evals++
+		return base - vl(theta)
+	})
+	or := OR(res.Log, vl)
+	if !reflect.DeepEqual(or.Shapley, want) || or.Evals != evals {
+		t.Fatalf("OR = %v (%d evals), brute force %v (%d evals)", or.Shapley, or.Evals, want, evals)
 	}
 }

@@ -71,8 +71,8 @@ func TestVFLInteractiveFirstEpochMatchesResourceSaving(t *testing.T) {
 	}
 }
 
-// The VFL retraining utility must be safe for concurrent use, the contract
-// shapley.ExactParallel relies on.
+// The VFL retraining utility must be safe for concurrent use: callers may
+// evaluate coalitions from several goroutines.
 func TestVFLUtilityConcurrencySafe(t *testing.T) {
 	prob := vflSetup(43, vfl.LinReg)
 	tr := &vfl.Trainer{Problem: prob, Cfg: vfl.Config{Epochs: 8, LR: 0.05}}

@@ -7,7 +7,6 @@ import (
 	"math"
 	"reflect"
 	"strconv"
-	"strings"
 
 	"digfl/internal/adversary"
 	"digfl/internal/core"
@@ -47,15 +46,7 @@ func DefaultAdvSpec() AdvSpec {
 // scale, noise, rate, flip, clip, patience.
 func ParseAdvSpec(s string) (AdvSpec, error) {
 	spec := DefaultAdvSpec()
-	if strings.TrimSpace(s) == "" {
-		return spec, nil
-	}
-	for _, kv := range strings.Split(s, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return spec, fmt.Errorf("attacks spec: %q is not key=value", kv)
-		}
-		var err error
+	err := overlaySpec("attacks", s, func(k, v string) (known bool, err error) {
 		switch k {
 		case "seed":
 			spec.Seed, err = strconv.ParseInt(v, 10, 64)
@@ -78,13 +69,15 @@ func ParseAdvSpec(s string) (AdvSpec, error) {
 		case "patience":
 			spec.Patience, err = strconv.Atoi(v)
 		default:
-			return spec, fmt.Errorf("attacks spec: unknown key %q", k)
+			return false, nil
 		}
-		if err != nil {
-			return spec, fmt.Errorf("attacks spec: %s: %v", k, err)
-		}
+		return true, err
+	})
+	if err != nil {
+		return spec, err
 	}
-	if spec.Frac < 0 || spec.Frac >= 0.5 {
+	// Written so that NaN fails.
+	if !(0 <= spec.Frac && spec.Frac < 0.5) {
 		return spec, fmt.Errorf("attacks spec: frac %v outside [0,0.5) (defenses assume an honest majority)", spec.Frac)
 	}
 	if spec.N < 2 {

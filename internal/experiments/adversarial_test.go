@@ -126,7 +126,7 @@ func TestParseAdvSpec(t *testing.T) {
 	if spec, err := ParseAdvSpec(""); err != nil || spec != DefaultAdvSpec() {
 		t.Fatalf("empty spec = %+v, %v", spec, err)
 	}
-	for _, bad := range []string{"frac=0.6", "n=1", "kind=nope", "bogus=1", "seed"} {
+	for _, bad := range []string{"frac=0.6", "frac=nan", "n=1", "kind=nope", "bogus=1", "seed"} {
 		if _, err := ParseAdvSpec(bad); err == nil {
 			t.Errorf("ParseAdvSpec(%q) accepted", bad)
 		}

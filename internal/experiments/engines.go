@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"time"
 
+	"digfl/internal/baselines"
 	"digfl/internal/dataset"
 	"digfl/internal/hfl"
 	"digfl/internal/metrics"
@@ -68,16 +69,10 @@ func engineTrainer(o Opts) (*hfl.Trainer, int) {
 	return tr, epochs
 }
 
-// engineValLoss builds each engine's validation-loss oracle; the factory
-// form hands exact-parallel an independent clone per worker.
-func engineValLoss(tr *hfl.Trainer) func() shapley.ValLoss {
-	return func() shapley.ValLoss {
-		m := tr.Model.Clone()
-		return func(theta []float64) float64 {
-			m.SetParams(theta)
-			return m.Loss(tr.Val.X, tr.Val.Y)
-		}
-	}
+// engineValLoss builds the engines' validation-loss oracle over the
+// trainer's validation set.
+func engineValLoss(tr *hfl.Trainer) shapley.ValLoss {
+	return baselines.NewValLoss(tr.Model, tr.Val.X, tr.Val.Y)
 }
 
 // feedEngine replays a training log through a fresh engine.
@@ -100,20 +95,12 @@ func EngineMatrix(o Opts) *EngineMatrixResult {
 	o.validate()
 	tr, epochs := engineTrainer(o)
 	run := runHFL(context.Background(), tr)
-	newLoss := engineValLoss(tr)
-
-	mkSpec := func(name string) shapley.EngineSpec {
-		spec := shapley.EngineSpec{N: engineN, Loss: newLoss(), Seed: o.Seed}
-		if name == "exact-parallel" {
-			spec.Loss = shapley.PooledValLoss(newLoss)
-		}
-		return spec
-	}
-	exact := feedEngine("exact", mkSpec("exact"), run.Log)
+	spec := shapley.EngineSpec{N: engineN, Loss: engineValLoss(tr), Seed: o.Seed}
+	exact := feedEngine("exact", spec, run.Log)
 
 	res := &EngineMatrixResult{N: engineN, Epochs: epochs}
 	for _, name := range shapley.Engines() {
-		rep := feedEngine(name, mkSpec(name), run.Log)
+		rep := feedEngine(name, spec, run.Log)
 		res.Rows = append(res.Rows, EngineMatrixRow{
 			Engine:       name,
 			KendallTau:   metrics.Kendall(exact.Totals, rep.Totals),

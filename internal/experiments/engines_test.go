@@ -16,15 +16,13 @@ func TestEngineMatrixAcceptance(t *testing.T) {
 	for _, row := range res.Rows {
 		rows[row.Engine] = row
 	}
-	for _, name := range []string{"exact", "exact-parallel", "tmc", "gt", "gtg", "dpvs"} {
+	for _, name := range []string{"exact", "tmc", "gt", "gtg", "dpvs"} {
 		if _, ok := rows[name]; !ok {
 			t.Fatalf("matrix is missing engine %q", name)
 		}
 	}
-	for _, name := range []string{"exact", "exact-parallel"} {
-		if tau := rows[name].KendallTau; tau != 1 {
-			t.Fatalf("%s: τ vs exact = %v, want exactly 1", name, tau)
-		}
+	if tau := rows["exact"].KendallTau; tau != 1 {
+		t.Fatalf("exact: τ vs exact = %v, want exactly 1", tau)
 	}
 	tmc := rows["tmc"]
 	for _, name := range []string{"gtg", "dpvs"} {
@@ -71,11 +69,8 @@ func TestVolatilityDeterministic(t *testing.T) {
 			if row.PartMinTau > row.PartMeanTau || row.PartMeanTau > row.PartMaxTau {
 				t.Fatalf("seed %d: %s: participation spread out of order: %+v", seed, row.Engine, row)
 			}
-			switch row.Engine {
-			case "exact", "exact-parallel":
-				if row.MinTau != 1 || row.MaxTau != 1 {
-					t.Fatalf("seed %d: %s must be seed-invariant, got %+v", seed, row.Engine, row)
-				}
+			if row.Engine == "exact" && (row.MinTau != 1 || row.MaxTau != 1) {
+				t.Fatalf("seed %d: exact must be seed-invariant, got %+v", seed, row)
 			}
 			if len(row.AsyncTaus) != len(asyncQuorums) {
 				t.Fatalf("seed %d: %s: %d async taus, want one per quorum %v",

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strings"
 
 	"digfl/internal/dataset"
 	"digfl/internal/hfl"
@@ -39,6 +40,29 @@ type Opts struct {
 type Report interface {
 	Render(w io.Writer)
 	CSVer
+}
+
+// overlaySpec walks a comma-separated key=value CLI spec, handing each pair
+// to set, which stores the value and reports a parse error or, through
+// known, a key it does not have. An empty spec changes nothing.
+func overlaySpec(flag, s string, set func(k, v string) (known bool, err error)) error {
+	if strings.TrimSpace(s) == "" {
+		return nil
+	}
+	for _, kv := range strings.Split(s, ",") {
+		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
+		if !ok {
+			return fmt.Errorf("%s spec: %q is not key=value", flag, kv)
+		}
+		known, err := set(k, v)
+		if !known {
+			return fmt.Errorf("%s spec: unknown key %q", flag, k)
+		}
+		if err != nil {
+			return fmt.Errorf("%s spec: %s: %v", flag, k, err)
+		}
+	}
+	return nil
 }
 
 // DefaultOpts is the full-scale configuration used by the CLI.

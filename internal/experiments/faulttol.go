@@ -7,7 +7,6 @@ import (
 	"io"
 	"reflect"
 	"strconv"
-	"strings"
 	"time"
 
 	"digfl/internal/core"
@@ -45,17 +44,10 @@ func DefaultFaultSpec() FaultSpec {
 // ParseFaultSpec overlays a comma-separated key=value spec (e.g.
 // "seed=3,dropout=0.4,crash=8,every=2") onto the default spec. Keys: seed,
 // dropout, straggler, delay (Go duration), crash, secure, every, retries.
+// The result is validated by the fault injector it will configure.
 func ParseFaultSpec(s string) (FaultSpec, error) {
 	spec := DefaultFaultSpec()
-	if strings.TrimSpace(s) == "" {
-		return spec, nil
-	}
-	for _, kv := range strings.Split(s, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return spec, fmt.Errorf("faults spec: %q is not key=value", kv)
-		}
-		var err error
+	err := overlaySpec("faults", s, func(k, v string) (known bool, err error) {
 		switch k {
 		case "seed":
 			spec.Seed, err = strconv.ParseInt(v, 10, 64)
@@ -74,11 +66,16 @@ func ParseFaultSpec(s string) (FaultSpec, error) {
 		case "retries":
 			spec.MaxRetries, err = strconv.Atoi(v)
 		default:
-			return spec, fmt.Errorf("faults spec: unknown key %q", k)
+			return false, nil
 		}
-		if err != nil {
-			return spec, fmt.Errorf("faults spec: %s: %v", k, err)
-		}
+		return true, err
+	})
+	if err != nil {
+		return spec, err
+	}
+	if _, err := faults.New(faults.Config{Dropout: spec.Dropout, Straggler: spec.Straggler,
+		StragglerDelay: spec.StragglerDelay, CrashEpoch: spec.CrashEpoch, SecureFailure: spec.SecureFailure}); err != nil {
+		return spec, fmt.Errorf("faults spec: %v", err)
 	}
 	return spec, nil
 }

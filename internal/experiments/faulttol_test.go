@@ -19,7 +19,7 @@ func TestParseFaultSpec(t *testing.T) {
 	if spec, err = ParseFaultSpec(""); err != nil || spec != DefaultFaultSpec() {
 		t.Fatalf("empty spec should yield defaults, got %+v (%v)", spec, err)
 	}
-	for _, bad := range []string{"bogus=1", "dropout", "crash=x"} {
+	for _, bad := range []string{"bogus=1", "dropout", "crash=x", "dropout=2", "secure=nan"} {
 		if _, err := ParseFaultSpec(bad); err == nil {
 			t.Errorf("spec %q should be rejected", bad)
 		}

@@ -160,7 +160,7 @@ func Volatility(o Opts) *VolatilityResult {
 	o.validate()
 	tr, epochs := engineTrainer(o)
 	run := runHFL(context.Background(), tr)
-	newLoss := engineValLoss(tr)
+	loss := engineValLoss(tr)
 
 	degraded := make([][]*hfl.Epoch, volatilityPatterns)
 	for p := range degraded {
@@ -171,15 +171,11 @@ func Volatility(o Opts) *VolatilityResult {
 		asyncViews[k] = asyncLog(run.Log, engineN, q, o.Seed)
 	}
 
+	mkSpec := func(seed int64) shapley.EngineSpec {
+		return shapley.EngineSpec{N: engineN, Loss: loss, Seed: seed}
+	}
 	res := &VolatilityResult{N: engineN, Epochs: epochs}
 	for _, name := range shapley.Engines() {
-		mkSpec := func(seed int64) shapley.EngineSpec {
-			spec := shapley.EngineSpec{N: engineN, Loss: newLoss(), Seed: seed}
-			if name == "exact-parallel" {
-				spec.Loss = shapley.PooledValLoss(newLoss)
-			}
-			return spec
-		}
 		seedTotals := make([][]float64, volatilitySeeds)
 		for k := range seedTotals {
 			seedTotals[k] = feedEngine(name, mkSpec(o.Seed+int64(1000*k)), run.Log).Totals

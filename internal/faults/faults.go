@@ -74,7 +74,7 @@ func (c Config) validate() error {
 		"Dropout": c.Dropout, "Straggler": c.Straggler,
 		"SecureFailure": c.SecureFailure, "NetFailure": c.NetFailure,
 	} {
-		if r < 0 || r >= 1 {
+		if !(0 <= r && r < 1) { // written so that NaN fails
 			return fmt.Errorf("faults: %s rate %v outside [0,1)", name, r)
 		}
 	}

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -9,6 +10,7 @@ func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Dropout: -0.1},
 		{Dropout: 1},
+		{Dropout: math.NaN()},
 		{Straggler: 1.5},
 		{SecureFailure: -1},
 		{StragglerDelay: -time.Second},

@@ -15,7 +15,7 @@ import (
 )
 
 // engineLoss builds the engine's validation-loss oracle over the server's
-// validation set. Serial engines may share the one model clone.
+// validation set.
 func engineLoss(model nn.Model, val dataset.Dataset) shapley.ValLoss {
 	m := model.Clone()
 	return func(theta []float64) float64 {
@@ -35,12 +35,7 @@ func TestEngineLoopbackBitIdenticalToLocal(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			mkSpec := func(model nn.Model, val dataset.Dataset) shapley.EngineSpec {
-				spec := shapley.EngineSpec{N: testN, Loss: engineLoss(model, val), Seed: engSeed}
-				if name == "exact-parallel" {
-					spec.Workers = 2
-					spec.Loss = shapley.PooledValLoss(func() shapley.ValLoss { return engineLoss(model, val) })
-				}
-				return spec
+				return shapley.EngineSpec{N: testN, Loss: engineLoss(model, val), Seed: engSeed}
 			}
 
 			// In-process reference: the trainer feeds the engine via

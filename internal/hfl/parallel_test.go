@@ -40,8 +40,8 @@ func TestParallelRunMatchesSerial(t *testing.T) {
 	}
 }
 
-// The retraining utility must be safe for concurrent use — the contract
-// shapley.ExactParallel relies on.
+// The retraining utility must be safe for concurrent use: callers may
+// evaluate coalitions from several goroutines.
 func TestUtilityIsConcurrencySafe(t *testing.T) {
 	rng := tensor.NewRNG(62)
 	full := dataset.MNISTLike(400, 62)

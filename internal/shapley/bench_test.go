@@ -18,27 +18,11 @@ func busyGame(work int) Utility {
 	}
 }
 
-// BenchmarkExactSweep compares the serial enumeration against the bounded
-// pool on a 10-participant game (1024 coalition evaluations). Parallel
-// output is asserted bit-identical to serial before timing.
+// BenchmarkExactSweep times the coalition enumeration on a 10-participant
+// game (1024 coalition evaluations).
 func BenchmarkExactSweep(b *testing.B) {
-	const n = 10
 	u := busyGame(2000)
-	serial := Exact(n, u)
-	check := ExactParallel(n, u, 8)
-	for i := range serial {
-		if check[i] != serial[i] {
-			b.Fatalf("parallel sweep diverged at participant %d", i)
-		}
+	for i := 0; i < b.N; i++ {
+		Exact(10, u)
 	}
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			Exact(n, u)
-		}
-	})
-	b.Run("parallel8", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ExactParallel(n, u, 8)
-		}
-	})
 }

@@ -85,10 +85,10 @@ func (e *dpvsEngine) roundPhi(g *roundGame, rc *roundCtx) []float64 {
 	if len(activePos) > 0 {
 		sub := g.subGame(activePos)
 		var subPhi []float64
-		if e.cfg.MaxPermsPerRound <= 0 || sub.m == 1 {
-			subPhi = exactRoundPhi(sub)
+		if e.cfg.MaxPermsPerRound <= 0 {
+			subPhi = exactPhi(sub)
 		} else {
-			subPhi = e.samplePhi(sub, rc.t)
+			subPhi = permScan(sub, roundRNG(e.spec.Seed, rc.t), e.cfg.TruncTol, noBudget, atMost(e.cfg.MaxPermsPerRound))
 		}
 		for j, k := range activePos {
 			phi[k] = subPhi[j]
@@ -123,37 +123,6 @@ func (e *dpvsEngine) roundPhi(g *roundGame, rc *roundCtx) []float64 {
 			e.frozen[gi] = sum / float64(len(w))
 			e.win[gi] = nil
 		}
-	}
-	return phi
-}
-
-// samplePhi is the truncated permutation-sampling estimate over the live
-// (unpruned) survivors.
-func (e *dpvsEngine) samplePhi(g *roundGame, t int) []float64 {
-	rng := roundRNG(e.spec.Seed, t)
-	all := uint64(1)<<uint(g.m) - 1
-	vFull := g.value(all)
-	span := math.Abs(vFull)
-	sum := make([]float64, g.m)
-	count := 0
-	for count < e.cfg.MaxPermsPerRound {
-		perm := rng.Perm(g.m)
-		count++
-		var mask uint64
-		prev := 0.0
-		for _, i := range perm {
-			if e.cfg.TruncTol > 0 && math.Abs(vFull-prev) < e.cfg.TruncTol*span {
-				break
-			}
-			mask |= 1 << uint(i)
-			v := g.value(mask)
-			sum[i] += v - prev
-			prev = v
-		}
-	}
-	phi := make([]float64, g.m)
-	for i := range phi {
-		phi[i] = sum[i] / float64(count)
 	}
 	return phi
 }

@@ -2,15 +2,12 @@ package shapley
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"sort"
-	"sync"
 	"time"
 
 	"digfl/internal/hfl"
 	"digfl/internal/metrics"
-	"digfl/internal/parallel"
 	"digfl/internal/tensor"
 )
 
@@ -21,20 +18,6 @@ import (
 // utility of Song et al. that every engine in this package shares — no
 // retraining, only validation evaluations.
 type ValLoss func(theta []float64) float64
-
-// PooledValLoss wraps a factory of independent ValLoss instances in a
-// sync.Pool, making the result safe for concurrent use — the contract the
-// "exact-parallel" engine needs. Each concurrent evaluation draws its own
-// instance (typically closing over its own model clone) from the pool.
-func PooledValLoss(newLoss func() ValLoss) ValLoss {
-	pool := sync.Pool{New: func() any { return newLoss() }}
-	return func(theta []float64) float64 {
-		l := pool.Get().(ValLoss)
-		v := l(theta)
-		pool.Put(l)
-		return v
-	}
-}
 
 // Report is an engine's finalized attribution: the per-epoch φ matrix, the
 // accumulated totals (the contribution estimate itself), and the cost the
@@ -105,31 +88,18 @@ type Engine interface {
 }
 
 // EngineSpec configures an engine: the federation size, the validation-loss
-// oracle, and the sampling seed, plus per-engine knobs (zero values select
-// the published defaults, documented per field).
+// oracle, and the sampling seed, plus the two guided engines' configurations.
+// The "tmc" and "gt" engines take no knobs: they spend the paper's budgets,
+// BudgetTMC(m) evaluations at tolerance 0.01 and BudgetGT(m) sampled
+// coalitions for an m-survivor round.
 type EngineSpec struct {
 	// N is the participant-population size.
 	N int
-	// Loss evaluates loss^v(θ). The "exact-parallel" engine calls it
-	// concurrently (see PooledValLoss); every other engine is serial.
+	// Loss evaluates loss^v(θ). Engines call it serially.
 	Loss ValLoss
 	// Seed drives all sampling. Round t's stream is derived purely from
 	// (Seed, t), making engines resume-safe by construction.
 	Seed int64
-	// Workers sizes the "exact-parallel" engine's pool (≤ 0 selects
-	// GOMAXPROCS); other engines ignore it.
-	Workers int
-	// TMCEvals bounds the "tmc" engine's distinct utility evaluations per
-	// round; 0 selects the paper's budget BudgetTMC(m) for an m-survivor
-	// round.
-	TMCEvals int64
-	// TMCTolerance is the "tmc" engine's within-permutation truncation
-	// threshold; 0 selects the Ghorbani & Zou default 0.01, negative
-	// disables truncation.
-	TMCTolerance float64
-	// GTSamples bounds the "gt" engine's sampled coalitions per round; 0
-	// selects the paper's budget BudgetGT(m).
-	GTSamples int
 	// GTG configures the "gtg" engine; nil selects DefaultGTG().
 	GTG *GTGConfig
 	// DPVS configures the "dpvs" engine; nil selects DefaultDPVS().
@@ -186,12 +156,7 @@ func NewEngine(name string, spec EngineSpec) (Engine, error) {
 func init() {
 	RegisterEngine("exact", func(spec EngineSpec) (Engine, error) {
 		return newRoundEngine("exact", spec, func(e *roundEngine, g *roundGame, rc *roundCtx) []float64 {
-			return exactRoundPhi(g)
-		}, nil)
-	})
-	RegisterEngine("exact-parallel", func(spec EngineSpec) (Engine, error) {
-		return newRoundEngine("exact-parallel", spec, func(e *roundEngine, g *roundGame, rc *roundCtx) []float64 {
-			return exactParallelRoundPhi(g, e.spec.Workers)
+			return exactPhi(g)
 		}, nil)
 	})
 	RegisterEngine("tmc", func(spec EngineSpec) (Engine, error) {
@@ -267,17 +232,7 @@ func (g *roundGame) subGame(keep []int) *roundGame {
 	}
 }
 
-// reconstruct writes θ_t(S) for the masked coalition into dst.
-func (g *roundGame) reconstruct(mask uint64, dst []float64) {
-	copy(dst, g.theta)
-	inv := 1 / float64(bits.OnesCount64(mask))
-	for k := 0; k < g.m; k++ {
-		if mask&(1<<uint(k)) != 0 {
-			tensor.AXPY(-inv, g.deltas[k], dst)
-		}
-	}
-}
-
+// value reconstructs θ_t(S) for the masked coalition and scores it.
 func (g *roundGame) value(mask uint64) float64 {
 	if mask == 0 {
 		return 0
@@ -285,186 +240,32 @@ func (g *roundGame) value(mask uint64) float64 {
 	if v, ok := g.cache[mask]; ok {
 		return v
 	}
-	g.reconstruct(mask, g.scratch)
+	copy(g.scratch, g.theta)
+	inv := 1 / float64(bits.OnesCount64(mask))
+	for k := 0; k < g.m; k++ {
+		if mask&(1<<uint(k)) != 0 {
+			tensor.AXPY(-inv, g.deltas[k], g.scratch)
+		}
+	}
 	v := g.base - g.loss(g.scratch)
 	g.cache[mask] = v
 	*g.evals++
 	return v
 }
 
-// exactRoundPhi computes the exact round Shapley value by coalition
-// enumeration — the closed form every sampling engine degrades to when its
-// truncation knobs are disabled. m must be at most 20.
-func exactRoundPhi(g *roundGame) []float64 {
-	if g.m > 20 {
-		panic(fmt.Sprintf("shapley: exact round enumeration supports 1..20 survivors, got %d", g.m))
-	}
-	w := make([]float64, g.m)
-	for s := 0; s < g.m; s++ {
-		w[s] = math.Exp(lnFact(s) + lnFact(g.m-s-1) - lnFact(g.m))
-	}
-	phi := make([]float64, g.m)
-	total := uint64(1) << uint(g.m)
-	for mask := uint64(0); mask < total; mask++ {
-		vS := g.value(mask)
-		size := bits.OnesCount64(mask)
-		for i := 0; i < g.m; i++ {
-			bit := uint64(1) << uint(i)
-			if mask&bit != 0 {
-				continue
-			}
-			phi[i] += w[size] * (g.value(mask|bit) - vS)
-		}
-	}
-	return phi
-}
+func (g *roundGame) players() int { return g.m }
+func (g *roundGame) spent() int64 { return *g.evals }
 
-// exactParallelRoundPhi evaluates the 2^m reconstructions on the shared
-// bounded pool and combines serially in mask order — bit-identical to
-// exactRoundPhi for any worker count. The spec's Loss must be safe for
-// concurrent use (PooledValLoss).
-func exactParallelRoundPhi(g *roundGame, workers int) []float64 {
-	if g.m > 20 {
-		panic(fmt.Sprintf("shapley: exact round enumeration supports 1..20 survivors, got %d", g.m))
-	}
-	total := 1 << uint(g.m)
-	values := make([]float64, total)
-	parallel.For(total-1, workers, func(i int) {
-		mask := uint64(i + 1)
-		dst := make([]float64, len(g.theta))
-		g.reconstruct(mask, dst)
-		values[mask] = g.base - g.loss(dst)
-	})
-	*g.evals += int64(total - 1)
-	w := make([]float64, g.m)
-	for s := 0; s < g.m; s++ {
-		w[s] = math.Exp(lnFact(s) + lnFact(g.m-s-1) - lnFact(g.m))
-	}
-	phi := make([]float64, g.m)
-	for mask := uint64(0); mask < uint64(total); mask++ {
-		vS := values[mask]
-		size := bits.OnesCount64(mask)
-		for i := 0; i < g.m; i++ {
-			bit := uint64(1) << uint(i)
-			if mask&bit != 0 {
-				continue
-			}
-			phi[i] += w[size] * (values[mask|bit] - vS)
-		}
-	}
-	return phi
-}
-
-// tmcRound is the per-round TMC-Shapley scan: sampled permutations with
-// within-permutation truncation against the grand-coalition value, memoized
-// so shared prefixes cost nothing.
+// tmcRound is the per-round TMC-Shapley scan at the paper's budget and the
+// Ghorbani & Zou tolerance.
 func tmcRound(e *roundEngine, g *roundGame, rc *roundCtx) []float64 {
-	if g.m == 1 {
-		return []float64{g.value(1)}
-	}
-	budget := e.spec.TMCEvals
-	if budget <= 0 {
-		budget = BudgetTMC(g.m)
-	}
-	tol := e.spec.TMCTolerance
-	if tol == 0 {
-		tol = 0.01
-	} else if tol < 0 {
-		tol = 0
-	}
-	rng := roundRNG(e.spec.Seed, rc.t)
-	all := uint64(1)<<uint(g.m) - 1
-	vFull := g.value(all)
-	span := math.Abs(vFull)
-	start := *g.evals
-	sum := make([]float64, g.m)
-	count := 0
-	maxPerms := int(4 * budget)
-	for *g.evals-start < budget && count < maxPerms {
-		perm := rng.Perm(g.m)
-		count++
-		var mask uint64
-		prev := 0.0
-		for _, i := range perm {
-			if tol > 0 && math.Abs(vFull-prev) < tol*span {
-				break
-			}
-			mask |= 1 << uint(i)
-			v := g.value(mask)
-			sum[i] += v - prev
-			prev = v
-			if *g.evals-start >= budget {
-				break
-			}
-		}
-	}
-	phi := make([]float64, g.m)
-	for i := range phi {
-		phi[i] = sum[i] / float64(count)
-	}
-	return phi
+	budget := BudgetTMC(g.m)
+	return permScan(g, roundRNG(e.spec.Seed, rc.t), 0.01, budget, atMost(int(4*budget)))
 }
 
-// gtRound is the per-round group-testing estimator: sampled coalitions with
-// the harmonic size distribution, pairwise differences projected onto the
-// efficiency constraint Σφ = U(R).
+// gtRound is the per-round group-testing estimator at the paper's budget.
 func gtRound(e *roundEngine, g *roundGame, rc *roundCtx) []float64 {
-	if g.m == 1 {
-		return []float64{g.value(1)}
-	}
-	samples := e.spec.GTSamples
-	if samples <= 0 {
-		samples = BudgetGT(g.m)
-	}
-	rng := roundRNG(e.spec.Seed, rc.t)
-	m := g.m
-	vFull := g.value(uint64(1)<<uint(m) - 1)
-
-	q := make([]float64, m)
-	var z float64
-	for k := 1; k <= m-1; k++ {
-		q[k] = 1/float64(k) + 1/float64(m-k)
-		z += q[k]
-	}
-	for k := 1; k <= m-1; k++ {
-		q[k] /= z
-	}
-	diff := make([][]float64, m)
-	for i := range diff {
-		diff[i] = make([]float64, m)
-	}
-	for t := 0; t < samples; t++ {
-		k := sampleSize(q, rng)
-		perm := rng.Perm(m)
-		var mask uint64
-		for _, i := range perm[:k] {
-			mask |= 1 << uint(i)
-		}
-		val := g.value(mask)
-		for i := 0; i < m; i++ {
-			bi := 0.0
-			if mask&(1<<uint(i)) != 0 {
-				bi = 1
-			}
-			for j := 0; j < m; j++ {
-				bj := 0.0
-				if mask&(1<<uint(j)) != 0 {
-					bj = 1
-				}
-				diff[i][j] += val * (bi - bj)
-			}
-		}
-	}
-	scale := z / float64(samples)
-	phi := make([]float64, m)
-	for i := 0; i < m; i++ {
-		var s float64
-		for j := 0; j < m; j++ {
-			s += scale * diff[i][j]
-		}
-		phi[i] = vFull/float64(m) + s/float64(m)
-	}
-	return phi
+	return gtPhi(g, BudgetGT(g.m), roundRNG(e.spec.Seed, rc.t))
 }
 
 // auxer is the optional per-engine hook for flattening engine-specific

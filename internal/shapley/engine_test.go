@@ -60,7 +60,7 @@ func feed(t *testing.T, name string, spec EngineSpec, log []*hfl.Epoch) *Report 
 
 // specs returns one spec per registered engine, all sharing (n, loss, seed).
 func specs(n int, seed int64) map[string]EngineSpec {
-	base := EngineSpec{N: n, Loss: quadLoss, Seed: seed, Workers: 2}
+	base := EngineSpec{N: n, Loss: quadLoss, Seed: seed}
 	out := map[string]EngineSpec{}
 	for _, name := range Engines() {
 		out[name] = base
@@ -69,7 +69,7 @@ func specs(n int, seed int64) map[string]EngineSpec {
 }
 
 func TestEngineRegistry(t *testing.T) {
-	want := []string{"dpvs", "exact", "exact-parallel", "gt", "gtg", "tmc"}
+	want := []string{"dpvs", "exact", "gt", "gtg", "tmc"}
 	if got := Engines(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Engines() = %v, want %v", got, want)
 	}
@@ -81,24 +81,6 @@ func TestEngineRegistry(t *testing.T) {
 	}
 	if _, err := NewEngine("exact", EngineSpec{N: 3}); err == nil {
 		t.Fatal("nil loss should be rejected")
-	}
-}
-
-// TestExactParallelBitIdentical: the parallel exact engine must reproduce
-// the serial one bit for bit at any worker count, including the eval count.
-func TestExactParallelBitIdentical(t *testing.T) {
-	log := synthLog(6, 8, 4, 3)
-	spec := EngineSpec{N: 6, Loss: quadLoss, Seed: 1}
-	ref := feed(t, "exact", spec, log)
-	for _, workers := range []int{1, 3, 8} {
-		spec.Workers = workers
-		got := feed(t, "exact-parallel", spec, log)
-		if !reflect.DeepEqual(ref.PerEpoch, got.PerEpoch) {
-			t.Fatalf("workers=%d: φ matrix differs from serial exact", workers)
-		}
-		if ref.Cost.UtilityEvals != got.Cost.UtilityEvals {
-			t.Fatalf("workers=%d: evals %d vs %d", workers, got.Cost.UtilityEvals, ref.Cost.UtilityEvals)
-		}
 	}
 }
 
@@ -364,22 +346,5 @@ func TestSamplersCheaperThanExact(t *testing.T) {
 	}
 	if dpvs.Cost.UtilityEvals >= tmc.Cost.UtilityEvals {
 		t.Fatalf("dpvs evals %d not below tmc %d", dpvs.Cost.UtilityEvals, tmc.Cost.UtilityEvals)
-	}
-}
-
-// TestPooledValLossConcurrentSafe: the pool hands each concurrent caller
-// its own instance; values match the serial oracle.
-func TestPooledValLoss(t *testing.T) {
-	made := 0
-	loss := PooledValLoss(func() ValLoss {
-		made++
-		return quadLoss
-	})
-	theta := []float64{0.3, -0.2, 0.7}
-	if got, want := loss(theta), quadLoss(theta); got != want {
-		t.Fatalf("pooled loss = %v, want %v", got, want)
-	}
-	if made == 0 {
-		t.Fatal("factory never invoked")
 	}
 }

@@ -17,12 +17,9 @@ type GTConfig struct {
 	RNG *tensor.RNG
 }
 
-// GT estimates Shapley values by group testing: it draws T coalitions with
-// the harmonic size distribution q(k) ∝ 1/k + 1/(n−k), estimates every
-// pairwise Shapley difference φ_i − φ_j from the correlation of membership
-// indicators with utility, and projects onto the efficiency constraint
-// Σφ_i = V(N) − V(∅). It returns the estimate and the number of distinct
-// utility evaluations spent.
+// GT estimates Shapley values by group testing (gtPhi) over the memoized
+// retraining game. It returns the estimate and the number of distinct utility
+// evaluations spent.
 func GT(n int, u Utility, cfg GTConfig) ([]float64, int64) {
 	if cfg.Samples <= 0 {
 		panic(fmt.Sprintf("shapley: GT Samples must be positive, got %d", cfg.Samples))
@@ -34,74 +31,8 @@ func GT(n int, u Utility, cfg GTConfig) ([]float64, int64) {
 		panic("shapley: GT needs at least 2 participants")
 	}
 	mem := NewMemoized(n, u)
-	vEmpty := mem.ValueMask(0)
-	vFull := mem.ValueMask(uint64(1)<<uint(n) - 1)
-
-	// Size distribution q(k) ∝ 1/k + 1/(n−k), k = 1..n−1, with Z = Σ numerators.
-	q := make([]float64, n) // q[k]
-	var z float64
-	for k := 1; k <= n-1; k++ {
-		q[k] = 1/float64(k) + 1/float64(n-k)
-		z += q[k]
-	}
-	for k := 1; k <= n-1; k++ {
-		q[k] /= z
-	}
-
-	// Accumulate Σ_t U(S_t)·(β_ti − β_tj) in diff[i][j].
-	diff := make([][]float64, n)
-	for i := range diff {
-		diff[i] = make([]float64, n)
-	}
-	for t := 0; t < cfg.Samples; t++ {
-		k := sampleSize(q, cfg.RNG)
-		perm := cfg.RNG.Perm(n)
-		members := perm[:k]
-		val := mem.Value(members)
-		inS := make([]bool, n)
-		for _, i := range members {
-			inS[i] = true
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				bi, bj := 0.0, 0.0
-				if inS[i] {
-					bi = 1
-				}
-				if inS[j] {
-					bj = 1
-				}
-				diff[i][j] += val * (bi - bj)
-			}
-		}
-	}
-	// u_ij ≈ Z/T · Σ_t U(S_t)(β_ti − β_tj) estimates φ_i − φ_j (Jia et al.
-	// Lemma 2, with Z the unnormalized mass above).
-	scale := z / float64(cfg.Samples)
-	// Least-squares projection with the efficiency constraint:
-	// φ_i = (V(N) − V(∅))/n + (1/n)·Σ_j u_ij.
-	total := vFull - vEmpty
-	phi := make([]float64, n)
-	for i := 0; i < n; i++ {
-		var s float64
-		for j := 0; j < n; j++ {
-			s += scale * diff[i][j]
-		}
-		phi[i] = total/float64(n) + s/float64(n)
-	}
+	phi := gtPhi(mem, cfg.Samples, cfg.RNG)
 	return phi, mem.Evals
-}
-
-func sampleSize(q []float64, rng *tensor.RNG) int {
-	r := rng.Float64()
-	acc := 0.0
-	for k := 1; k < len(q); k++ {
-		acc += q[k]
-		if r <= acc {
-			return k
-		}
-	}
-	return len(q) - 1
 }
 
 // BudgetTMC returns the paper's TMC retraining budget n²·log n (at least n).

@@ -82,32 +82,20 @@ func (e *gtgEngine) roundPhi(g *roundGame, rc *roundCtx) []float64 {
 	if a := math.Abs(vFull); a > e.maxAbsU {
 		e.maxAbsU = a
 	}
-	if e.cfg.MaxPermsPerRound <= 0 || g.m == 1 {
-		return exactRoundPhi(g)
+	if e.cfg.MaxPermsPerRound <= 0 {
+		return exactPhi(g)
 	}
-	rng := roundRNG(e.spec.Seed, rc.t)
-	span := math.Abs(vFull)
-	sum := make([]float64, g.m)
 	mean := make([]float64, g.m)
 	prevMean := make([]float64, g.m)
 	stable := 0
-	count := 0
-	for count < e.cfg.MaxPermsPerRound {
-		perm := rng.Perm(g.m)
-		count++
-		var mask uint64
-		prev := 0.0
-		for _, i := range perm {
-			if e.cfg.TruncTol > 0 && math.Abs(vFull-prev) < e.cfg.TruncTol*span {
-				break
-			}
-			mask |= 1 << uint(i)
-			v := g.value(mask)
-			sum[i] += v - prev
-			prev = v
+	// Convergence cutoff: stop once the running mean's relative L1 change
+	// has stayed below ConvTol for ConvWindow consecutive permutations.
+	more := func(count int, sum []float64) bool {
+		if count >= e.cfg.MaxPermsPerRound {
+			return false
 		}
 		if e.cfg.ConvTol <= 0 {
-			continue
+			return true
 		}
 		copy(prevMean, mean)
 		inv := 1 / float64(count)
@@ -115,27 +103,21 @@ func (e *gtgEngine) roundPhi(g *roundGame, rc *roundCtx) []float64 {
 			mean[i] = sum[i] * inv
 		}
 		if count < 2 {
-			continue
+			return true
 		}
 		var num, den float64
 		for i := range mean {
 			num += math.Abs(mean[i] - prevMean[i])
 			den += math.Abs(mean[i])
 		}
-		if num <= e.cfg.ConvTol*(den+1e-12) {
-			stable++
-			if stable >= e.cfg.ConvWindow {
-				break
-			}
-		} else {
+		if num > e.cfg.ConvTol*(den+1e-12) {
 			stable = 0
+			return true
 		}
+		stable++
+		return stable < e.cfg.ConvWindow
 	}
-	phi := make([]float64, g.m)
-	for i := range phi {
-		phi[i] = sum[i] / float64(count)
-	}
-	return phi
+	return permScan(g, roundRNG(e.spec.Seed, rc.t), e.cfg.TruncTol, noBudget, more)
 }
 
 func (e *gtgEngine) auxState() []float64 { return []float64{e.maxAbsU} }

@@ -15,10 +15,6 @@ type TMCConfig struct {
 	// utility is within Tolerance·|V(N)| of the grand-coalition value; the
 	// remaining marginals are taken as zero. Ghorbani & Zou default ≈ 0.01.
 	Tolerance float64
-	// MaxPerms bounds the number of sampled permutations. Memoization can
-	// make a permutation free (all prefixes already evaluated), so the eval
-	// budget alone would not terminate; 0 defaults to 4·MaxEvals.
-	MaxPerms int
 	// RNG drives the permutation sampling.
 	RNG *tensor.RNG
 }
@@ -26,8 +22,11 @@ type TMCConfig struct {
 // TMC estimates Shapley values by sampling permutations and scanning
 // marginal contributions with truncation. Utility evaluations are memoized
 // so repeated prefixes cost nothing; the estimator stops when MaxEvals
-// distinct evaluations have been spent. It returns the estimate and the
-// number of distinct evaluations used.
+// distinct evaluations have been spent — V(∅) and V(N) included, except that
+// the first permutation always completes — or after 4·MaxEvals permutations
+// (memoization can make a permutation free, so the evaluation budget alone
+// would not terminate). It returns the estimate and the number of distinct
+// evaluations used.
 func TMC(n int, u Utility, cfg TMCConfig) ([]float64, int64) {
 	if cfg.MaxEvals <= 0 {
 		panic(fmt.Sprintf("shapley: TMC MaxEvals must be positive, got %d", cfg.MaxEvals))
@@ -36,40 +35,8 @@ func TMC(n int, u Utility, cfg TMCConfig) ([]float64, int64) {
 		panic("shapley: TMC needs an RNG")
 	}
 	mem := NewMemoized(n, u)
-	vEmpty := mem.ValueMask(0)
-	all := uint64(1)<<uint(n) - 1
-	vFull := mem.ValueMask(all)
-	span := abs(vFull - vEmpty)
-
-	maxPerms := cfg.MaxPerms
-	if maxPerms <= 0 {
-		maxPerms = int(4 * cfg.MaxEvals)
-	}
-	sum := make([]float64, n)
-	count := 0
-	for mem.Evals < cfg.MaxEvals && count < maxPerms {
-		perm := cfg.RNG.Perm(n)
-		count++
-		var mask uint64
-		prev := vEmpty
-		for _, i := range perm {
-			if cfg.Tolerance > 0 && abs(vFull-prev) < cfg.Tolerance*span {
-				// Truncate: remaining marginals contribute zero.
-				break
-			}
-			mask |= 1 << uint(i)
-			v := mem.ValueMask(mask)
-			sum[i] += v - prev
-			prev = v
-			if mem.Evals >= cfg.MaxEvals {
-				break
-			}
-		}
-	}
-	phi := make([]float64, n)
-	for i := range phi {
-		phi[i] = sum[i] / float64(count)
-	}
+	// permScan budgets from after the two anchors; MaxEvals charges them.
+	phi := permScan(mem, cfg.RNG, cfg.Tolerance, cfg.MaxEvals-2, atMost(int(4*cfg.MaxEvals)))
 	return phi, mem.Evals
 }
 
@@ -80,29 +47,6 @@ func PermutationMC(n int, u Utility, perms int, rng *tensor.RNG) ([]float64, int
 		panic(fmt.Sprintf("shapley: PermutationMC needs positive permutations, got %d", perms))
 	}
 	mem := NewMemoized(n, u)
-	vEmpty := mem.ValueMask(0)
-	sum := make([]float64, n)
-	for p := 0; p < perms; p++ {
-		perm := rng.Perm(n)
-		var mask uint64
-		prev := vEmpty
-		for _, i := range perm {
-			mask |= 1 << uint(i)
-			v := mem.ValueMask(mask)
-			sum[i] += v - prev
-			prev = v
-		}
-	}
-	phi := make([]float64, n)
-	for i := range phi {
-		phi[i] = sum[i] / float64(perms)
-	}
+	phi := permScan(mem, rng, 0, noBudget, atMost(perms))
 	return phi, mem.Evals
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -11,7 +11,6 @@ package shapley
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 )
 
@@ -64,6 +63,11 @@ func (m *Memoized) ValueMask(mask uint64) float64 {
 // Value returns V(S) for an explicit subset.
 func (m *Memoized) Value(s []int) float64 { return m.ValueMask(subsetToMask(s)) }
 
+// players, value and spent make a Memoized a game.
+func (m *Memoized) players() int              { return m.n }
+func (m *Memoized) value(mask uint64) float64 { return m.ValueMask(mask) }
+func (m *Memoized) spent() int64              { return m.Evals }
+
 func subsetToMask(s []int) uint64 {
 	var mask uint64
 	for _, i := range s {
@@ -86,35 +90,5 @@ func maskToSubset(mask uint64, n int) []int {
 // coalitions — the paper's "actual Shapley value" baseline requiring 2^n
 // retrainings. n must be at most 20 to bound memory and time.
 func Exact(n int, u Utility) []float64 {
-	if n <= 0 || n > 20 {
-		panic(fmt.Sprintf("shapley: Exact supports 1..20 participants, got %d", n))
-	}
-	mem := NewMemoized(n, u)
-	// w[s] = s!·(n−s−1)!/n! computed in log space for stability.
-	w := make([]float64, n)
-	for s := 0; s < n; s++ {
-		w[s] = math.Exp(lnFact(s) + lnFact(n-s-1) - lnFact(n))
-	}
-	phi := make([]float64, n)
-	total := uint64(1) << uint(n)
-	for mask := uint64(0); mask < total; mask++ {
-		vS := mem.ValueMask(mask)
-		size := bits.OnesCount64(mask)
-		for i := 0; i < n; i++ {
-			bit := uint64(1) << uint(i)
-			if mask&bit != 0 {
-				continue
-			}
-			phi[i] += w[size] * (mem.ValueMask(mask|bit) - vS)
-		}
-	}
-	return phi
-}
-
-func lnFact(k int) float64 {
-	var s float64
-	for i := 2; i <= k; i++ {
-		s += math.Log(float64(i))
-	}
-	return s
+	return exactPhi(NewMemoized(n, u))
 }
