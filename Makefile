@@ -97,12 +97,15 @@ verify-net:
 # bounded-memory gate (a 100k-participant streamed round must complete with
 # total allocations bounded by the cohort, not the population; a TotalsOnly
 # Observe of a 64-of-100k epoch and a 100k cohort draw must allocate nothing
-# population-sized), the golden cohort sequence, and the wake-once round
-# close. -count=1 defeats the test cache so the memory measurement
-# re-executes.
+# population-sized), the golden cohort sequence, the wake-once round close,
+# and the cohort lookahead's two contracts (the cohort used at every epoch ≡
+# the direct draw, on fresh / resumed / crashed / dropout / coalition runs;
+# a canceled or crashed run leaves no lookahead goroutine behind — hfl's and
+# fednet's TestMain hold every test to the same). -count=1 defeats the test
+# cache so the memory measurement re-executes.
 verify-scale:
 	$(GO) vet ./internal/sampling/ ./internal/hfl/ ./internal/core/ ./internal/fednet/
-	$(GO) test -count=1 -run 'Sample|Sampled|Cohort|Stream|MeanFold|Scale100k|Retain|Tree|TotalsOnly|LongPoll|RoundCloses' \
+	$(GO) test -count=1 -run 'Sample|Sampled|Cohort|Stream|MeanFold|Scale100k|Retain|Tree|TotalsOnly|LongPoll|RoundCloses|Lookahead' \
 		./internal/sampling/ ./internal/hfl/ ./internal/core/ ./internal/fednet/ ./internal/vfl/
 
 # verify-wire runs the binary-wire gate: the frame round-trip tests, the
@@ -115,9 +118,9 @@ verify-scale:
 # benchmark over the wire is bit-identical to the in-process trainer, puts
 # the closed-form frame bytes on the wire and stays under an absolute
 # allocations-per-round ceiling), and the same-bits pins of the ingest
-# kernels (shared round frame ≡ encodeRoundFrame, finiteVec's exponent-mask
-# table, DotAdd ≡ Dot + AXPY). -count=1 defeats the test cache so the gate
-# re-executes.
+# kernels (shared round frame ≡ encodeRoundFrame, readFrameVec's fused
+# finiteness table, DotAdd ≡ Dot + AXPY). -count=1 defeats the test cache so
+# the gate re-executes.
 verify-wire:
 	$(GO) vet ./internal/fednet/ ./internal/tensor/ ./internal/experiments/
 	$(GO) test -count=1 -run 'Codec|Frame|BenchDriverRequestShapes|Pool|SizeClass|WireCodec|WireDeterministic|FiniteVec|DotAdd' \

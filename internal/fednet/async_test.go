@@ -181,8 +181,13 @@ func TestAsyncWireBufferedAndTooStale(t *testing.T) {
 		return resp.StatusCode, buf.String()
 	}
 	joinBody, _ := json.Marshal(joinRequest{Protocol: Protocol, Index: 0})
-	if resp, err := http.Post(srv.URL+"/v1/join", "application/json", bytes.NewReader(joinBody)); err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("join: %v status %v", err, resp.StatusCode)
+	resp, err := http.Post(srv.URL+"/v1/join", "application/json", bytes.NewReader(joinBody))
+	if err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	resp.Body.Close() // an unclosed body pins its connection's goroutines past the test
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("join: status %d", resp.StatusCode)
 	}
 
 	done := make(chan error, 1)

@@ -32,8 +32,8 @@ import (
 //
 // Every frame's length is implied by its header; a frame whose byte length
 // does not match exactly is rejected with CodeBadFrame (422) before any
-// float is touched. Non-finite floats decode fine and are then rejected by
-// the finiteness screen (CodeNonFinite).
+// float is touched. Non-finite floats decode fine — the decode reports that
+// it met one — and are then rejected (CodeNonFinite).
 
 // ProtocolV2 names the binary bulk encoding.
 const ProtocolV2 = "digfl-fednet/2"
@@ -278,10 +278,12 @@ func decodePartialHeader(b []byte) (t, edge int, indices []int, d int, err error
 }
 
 // decodePartialVecs extracts a validated partial frame's sum and dots into
-// pooled vectors owned by the caller.
-func decodePartialVecs(b []byte, k, d int) (sum, dots []float64) {
+// pooled vectors owned by the caller, and reports whether both are finite.
+func decodePartialVecs(b []byte, k, d int) (sum, dots []float64, finite bool) {
 	off := partialHdrLen + 4*k
-	return decodeFrameVec(b[off:], d), decodeFrameVec(b[off+8*d:], k)
+	sum, sumOK := decodeFrameVec(b[off:], d)
+	dots, dotsOK := decodeFrameVec(b[off+8*d:], k)
+	return sum, dots, sumOK && dotsOK
 }
 
 // decodeRoundFrame parses a binary open-round broadcast into the reply
@@ -326,36 +328,48 @@ func decodeRoundFrame(b []byte) (*roundReply, error) {
 		off += roundAsyncExtLen
 	}
 	if flags&roundFlagTheta != 0 {
-		r.Theta = decodeFrameVec(b[off:], d)
+		// Clients do not screen the coordinator's own broadcast.
+		r.Theta, _ = decodeFrameVec(b[off:], d)
 		off += 8 * d
 	}
 	if flags&roundFlagValGrad != 0 {
-		r.ValGrad = decodeFrameVec(b[off:], d)
+		r.ValGrad, _ = decodeFrameVec(b[off:], d)
 	}
 	return r, nil
 }
 
 // decodeFrameVec reads d little-endian float64s from b into a pooled
-// vector the caller owns (and may PutVec once its floats are consumed).
-func decodeFrameVec(b []byte, d int) []float64 {
-	out := tensor.GetVec(d)
-	readFrameVec(b, out)
-	return out
+// vector the caller owns (and may PutVec once its floats are consumed), and
+// reports whether all of them are finite.
+func decodeFrameVec(b []byte, d int) (v []float64, finite bool) {
+	v = tensor.GetVec(d)
+	return v, readFrameVec(b, v)
 }
 
-// readFrameVec fills v from the little-endian float64s at the front of b.
-func readFrameVec(b []byte, v []float64) {
+// readFrameVec fills v from the little-endian float64s at the front of b and
+// reports whether every one is finite. NaN and ±Inf are exactly the values
+// whose eleven exponent bits are all set, and only then does adding one unit
+// of the exponent's lowest bit to the masked exponent carry into bit 63: the
+// carries of all lanes OR into one word, tested once — the screen rides the
+// decode's registers and costs the vector no second pass.
+func readFrameVec(b []byte, v []float64) (finite bool) {
+	const expMask, expOne = 0x7ff << 52, 1 << 52
+	var carry uint64
 	b = b[:8*len(v)]
 	for len(v) >= 4 && len(b) >= 32 { // four floats per length check, as in putFrameVec
 		c, x := b[:32], v[:4]
-		x[0] = math.Float64frombits(binary.LittleEndian.Uint64(c[0:8]))
-		x[1] = math.Float64frombits(binary.LittleEndian.Uint64(c[8:16]))
-		x[2] = math.Float64frombits(binary.LittleEndian.Uint64(c[16:24]))
-		x[3] = math.Float64frombits(binary.LittleEndian.Uint64(c[24:32]))
+		u0, u1 := binary.LittleEndian.Uint64(c[0:8]), binary.LittleEndian.Uint64(c[8:16])
+		u2, u3 := binary.LittleEndian.Uint64(c[16:24]), binary.LittleEndian.Uint64(c[24:32])
+		x[0], x[1] = math.Float64frombits(u0), math.Float64frombits(u1)
+		x[2], x[3] = math.Float64frombits(u2), math.Float64frombits(u3)
+		carry |= (u0&expMask + expOne) | (u1&expMask + expOne) | (u2&expMask + expOne) | (u3&expMask + expOne)
 		b, v = b[32:], v[4:]
 	}
 	for len(v) > 0 && len(b) >= 8 {
-		v[0] = math.Float64frombits(binary.LittleEndian.Uint64(b))
+		u := binary.LittleEndian.Uint64(b)
+		v[0] = math.Float64frombits(u)
+		carry |= u&expMask + expOne
 		b, v = b[8:], v[1:]
 	}
+	return carry>>63 == 0
 }

@@ -32,7 +32,10 @@ func TestUpdateFrameRoundTrip(t *testing.T) {
 	if rt != 42 || index != 7 || d != len(delta) {
 		t.Fatalf("header = (t=%d, index=%d, d=%d), want (42, 7, %d)", rt, index, d, len(delta))
 	}
-	got := decodeFrameVec(body[updateHdrLen:], d)
+	got, finite := decodeFrameVec(body[updateHdrLen:], d)
+	if finite {
+		t.Error("a delta carrying NaN and ±Inf decoded as finite")
+	}
 	for i := range delta {
 		if math.Float64bits(got[i]) != math.Float64bits(delta[i]) {
 			t.Errorf("coord %d: bits %x, want %x", i, math.Float64bits(got[i]), math.Float64bits(delta[i]))
@@ -65,9 +68,9 @@ func TestPartialFrameRoundTrip(t *testing.T) {
 			t.Errorf("index %d = %d, want %d", j, gotIdx[j], indices[j])
 		}
 	}
-	gotSum, gotDots := decodePartialVecs(body, len(indices), d)
-	if !sameVec(gotSum, sum) || !sameVec(gotDots, dots) {
-		t.Error("sum or dots differ after round trip")
+	gotSum, gotDots, finite := decodePartialVecs(body, len(indices), d)
+	if !sameVec(gotSum, sum) || !sameVec(gotDots, dots) || !finite {
+		t.Error("sum, dots or their finiteness differ after round trip")
 	}
 
 	// Empty partial: the zero sum an edge holds for a fully-dropped cohort
@@ -287,9 +290,20 @@ func TestNonFrameBodyRefused(t *testing.T) {
 	}
 }
 
+// allFinite is the reference the decoders' fused finiteness report is
+// checked against.
+func allFinite(v []float64) bool {
+	for _, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // FuzzDecodeUpdateFrame: arbitrary bytes must never panic the update
-// header decoder, and an accepted header must describe the byte length
-// exactly.
+// header decoder, an accepted header must describe the byte length
+// exactly, and the decode's finiteness report must be true of the floats.
 func FuzzDecodeUpdateFrame(f *testing.F) {
 	seed, _ := CodecV2.EncodeUpdate(3, 1, []float64{1, math.NaN(), -3})
 	f.Add(seed)
@@ -307,7 +321,9 @@ func FuzzDecodeUpdateFrame(f *testing.F) {
 		if rt < 0 || index < 0 || d < 0 {
 			t.Fatalf("negative header fields (t=%d, index=%d, d=%d)", rt, index, d)
 		}
-		_ = decodeFrameVec(b[updateHdrLen:], d)
+		if delta, finite := decodeFrameVec(b[updateHdrLen:], d); finite != allFinite(delta) {
+			t.Fatalf("decode reported finite=%v for %v", finite, delta)
+		}
 	})
 }
 
@@ -326,9 +342,12 @@ func FuzzDecodePartialFrame(f *testing.F) {
 		if len(b) != partialHdrLen+4*k+8*d+8*k {
 			t.Fatalf("accepted frame of %d bytes with k=%d d=%d", len(b), k, d)
 		}
-		sum, dots := decodePartialVecs(b, k, d)
+		sum, dots, finite := decodePartialVecs(b, k, d)
 		if len(sum) != d || len(dots) != k {
 			t.Fatalf("vec lengths (%d, %d), want (%d, %d)", len(sum), len(dots), d, k)
+		}
+		if finite != (allFinite(sum) && allFinite(dots)) {
+			t.Fatalf("decode reported finite=%v for sum %v, dots %v", finite, sum, dots)
 		}
 	})
 }

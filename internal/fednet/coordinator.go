@@ -214,6 +214,7 @@ func (c *Coordinator) run(ctx context.Context) (*hfl.Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		pl.Release = tensor.PutVec // every delta it sees was decoded into a pooled vector
 		c.mu.Lock()
 		c.asyncPlan = pl
 		c.mu.Unlock()

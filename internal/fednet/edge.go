@@ -169,8 +169,8 @@ func (e *EdgeAggregator) ingestUpdate(w http.ResponseWriter, body []byte, t, ind
 	if want == 0 {
 		want = d
 	}
-	delta := decodeFrameVec(body[updateHdrLen:], d)
-	if !vetDelta(w, nil, t, index, delta, want) {
+	delta, ok := decodeDelta(w, nil, t, index, body, d, want)
+	if !ok {
 		return
 	}
 	if r != nil {

@@ -3,7 +3,6 @@ package fednet
 import (
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -350,9 +349,9 @@ func (c *Coordinator) ingestUpdate(w http.ResponseWriter, body []byte, t, index,
 		return
 	}
 	if !r.have[k] {
-		delta := decodeFrameVec(body[updateHdrLen:], d)
 		obs.Emit(sink, obs.Event{Kind: obs.KindCodecV2Frame, T: t, N: 1})
-		if !vetDelta(w, sink, t, index, delta, len(r.theta)) {
+		delta, ok := decodeDelta(w, sink, t, index, body, d, len(r.theta))
+		if !ok {
 			return
 		}
 		if c.wal != nil {
@@ -388,8 +387,8 @@ func (c *Coordinator) ingestLateLocked(w http.ResponseWriter, r *openRound, body
 	// Idempotent: a retried admission (the first 202 was lost) — or a second
 	// stale update racing the buffered one — leaves the buffer untouched.
 	if !c.asyncPlan.InFlight(index) {
-		delta := decodeFrameVec(body[updateHdrLen:], d)
-		if !vetDelta(w, sink, r.t, index, delta, len(r.theta)) {
+		delta, ok := decodeDelta(w, sink, r.t, index, body, d, len(r.theta))
+		if !ok {
 			return
 		}
 		if c.wal != nil {
@@ -442,7 +441,7 @@ func (c *Coordinator) ingestPartial(w http.ResponseWriter, body []byte, t, edge 
 		return
 	}
 	if !again {
-		sum, dots := decodePartialVecs(body, len(indices), d)
+		sum, dots, finite := decodePartialVecs(body, len(indices), d)
 		obs.Emit(c.Cfg.Runtime.Sink, obs.Event{Kind: obs.KindCodecV2Frame, T: t, N: 1})
 		var code, msg string
 		switch {
@@ -450,7 +449,7 @@ func (c *Coordinator) ingestPartial(w http.ResponseWriter, body []byte, t, edge 
 			code, msg = CodeBadShape, fmt.Sprintf("partial sum has %d params, model has %d", len(sum), len(r.theta))
 		case len(dots) != len(indices):
 			code, msg = CodeBadShape, fmt.Sprintf("partial carries %d dots for %d members", len(dots), len(indices))
-		case !finiteVec(sum) || !finiteVec(dots):
+		case !finite:
 			code, msg = CodeNonFinite, "partial carries non-finite values"
 		}
 		if code != "" {
@@ -468,39 +467,28 @@ func (c *Coordinator) ingestPartial(w http.ResponseWriter, body []byte, t, edge 
 	writeJSON(w, http.StatusOK, updateReply{Accepted: true})
 }
 
-// finiteVec reports whether every coordinate is finite: NaN and ±Inf are
-// exactly the values whose eleven exponent bits are all set.
-func finiteVec(v []float64) bool {
-	const expMask = 0x7ff << 52
-	for _, x := range v {
-		if math.Float64bits(x)&expMask == expMask {
-			return false
-		}
+// decodeDelta decodes an update frame's d floats into a pooled vector and
+// applies the shape and finiteness screen every update passes, on the root
+// and on the edges: want is the model dimension (an honest client can never
+// produce a wrong-length delta from its round's broadcast), and finiteness
+// is what the decode itself saw, so the verdict cannot part from the vector
+// it describes. A refused delta is recycled, counted as KindUpdateRejected
+// against round t, and answered 422; decodeDelta then returns false.
+func decodeDelta(w http.ResponseWriter, sink obs.Sink, t, index int, body []byte, d, want int) ([]float64, bool) {
+	delta, finite := decodeFrameVec(body[updateHdrLen:], d)
+	if d == want && finite {
+		return delta, true
 	}
-	return true
-}
-
-// vetDelta is the shape and finiteness screen every decoded update passes,
-// on the root and on the edges: want is the model dimension (an honest
-// client can never produce a wrong-length delta from its round's
-// broadcast). A refused delta is recycled, counted as KindUpdateRejected
-// against round t, and answered 422; vetDelta then returns false.
-func vetDelta(w http.ResponseWriter, sink obs.Sink, t, index int, delta []float64, want int) bool {
-	shapeOK := len(delta) == want
-	if shapeOK && finiteVec(delta) {
-		return true
-	}
-	n := len(delta)
 	tensor.PutVec(delta)
 	obs.Emit(sink, obs.Event{Kind: obs.KindUpdateRejected, T: t, Part: index})
-	if !shapeOK {
+	if d != want {
 		writeCodedError(w, http.StatusUnprocessableEntity, CodeBadShape,
-			"delta has %d params, model has %d", n, want)
+			"delta has %d params, model has %d", d, want)
 	} else {
 		writeCodedError(w, http.StatusUnprocessableEntity, CodeNonFinite,
 			"delta carries non-finite values")
 	}
-	return false
+	return nil, false
 }
 
 func (c *Coordinator) handleScore(w http.ResponseWriter, req *http.Request) {

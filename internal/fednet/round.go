@@ -44,7 +44,7 @@ type openRound struct {
 // roundMode is the part of a round that differs between the four ways of
 // collecting a cohort's updates — buffered, streamed, tree, async. The
 // coordinator picks one when the round opens (newRoundLocked) and from then on
-// only calls it: live ingest hands commit each update after vetDelta and the
+// only calls it: live ingest hands commit each update after decodeDelta and the
 // journal append, Recover's graft hands it the journaled ones, and because
 // every mode's outcome is a function of the committed set, not of the order
 // commits arrive in, the two need not agree on order.
@@ -52,10 +52,11 @@ type openRound struct {
 // All methods run under the coordinator's lock.
 type roundMode interface {
 	// commit takes ownership of slot's delta. The mode either retains it
-	// until close (buffered, async: the epoch keeps raw deltas) or folds it
-	// and returns the buffer to the tensor pool once consumed (streamed,
-	// tree); the caller never touches delta again. An error means the delta
-	// was not committed.
+	// until close (buffered: the epoch keeps raw deltas; async: the planner
+	// folds or buffers it, and recycles it when done) or folds it and
+	// returns the buffer to the tensor pool once consumed (streamed, tree);
+	// the caller never touches delta again. An error means the delta was not
+	// committed.
 	commit(r *openRound, slot int, delta []float64) error
 	// ack is the reply an accepted (or idempotently retried) update from
 	// participant index draws.

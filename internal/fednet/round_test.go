@@ -17,9 +17,14 @@ import (
 	"digfl/internal/tensor"
 )
 
-// TestFiniteVecTable: the exponent-mask test rejects exactly NaN (any
-// payload, quiet or signalling, either sign) and ±Inf.
+// TestFiniteVecTable: the exponent-carry screen fused into readFrameVec
+// rejects exactly NaN (any payload, quiet or signalling, either sign) and
+// ±Inf — in every lane of the four-wide loop and in the tail — while the
+// bits it stores are the frame's, and the handlers answer such a frame 422
+// non_finite before the journal and the fold see it.
 func TestFiniteVecTable(t *testing.T) {
+	// Eleven floats: two turns of the four-wide loop and a three-float tail.
+	const n = 11
 	for _, c := range []struct {
 		name   string
 		bits   uint64
@@ -31,6 +36,7 @@ func TestFiniteVecTable(t *testing.T) {
 		{"smallest subnormal", 1, true},
 		{"largest subnormal", 0x000fffffffffffff, true},
 		{"negative subnormal", 1<<63 | 0x0000000000000abc, true},
+		{"largest exponent below the mask", 0x7fe0000000000000, true},
 		{"max float", math.Float64bits(math.MaxFloat64), true},
 		{"negative max float", math.Float64bits(-math.MaxFloat64), true},
 		{"+Inf", 0x7ff0000000000000, false},
@@ -46,17 +52,90 @@ func TestFiniteVecTable(t *testing.T) {
 		if want := !math.IsNaN(x) && !math.IsInf(x, 0); want != c.finite {
 			t.Fatalf("%s: table says finite=%v, math says %v", c.name, c.finite, want)
 		}
-		for pos := 0; pos < 3; pos++ {
-			v := []float64{0.5, -2, 3e300}
+		for pos := 0; pos < n; pos++ {
+			v := make([]float64, n)
+			for j := range v {
+				// Neighbours whose carries must not leak into the verdict:
+				// huge, tiny, negative.
+				v[j] = []float64{0.5, -2, 3e300, -math.MaxFloat64}[j%4]
+			}
 			v[pos] = x
-			if got := finiteVec(v); got != c.finite {
-				t.Errorf("%s at %d: finiteVec = %v, want %v", c.name, pos, got, c.finite)
+			buf := make([]byte, 8*n)
+			putFrameVec(buf, v)
+			got := make([]float64, n)
+			if finite := readFrameVec(buf, got); finite != c.finite {
+				t.Errorf("%s at %d: readFrameVec reported finite=%v, want %v", c.name, pos, finite, c.finite)
+			}
+			for j := range v {
+				if math.Float64bits(got[j]) != math.Float64bits(v[j]) {
+					t.Errorf("%s at %d: coordinate %d decoded to other bits than the frame's", c.name, pos, j)
+				}
 			}
 		}
 	}
-	if !finiteVec(nil) {
+	if !readFrameVec(nil, nil) {
 		t.Error("empty vector reported non-finite")
 	}
+
+	// The handlers: a journaled tree round takes direct updates and
+	// partials, an edge vets before it knows the round. d = 7 and k = 5 put
+	// a four-wide turn and a tail in every vector a frame carries.
+	const d, k = 7, 5
+	active := []int{0, 1, 2, 3, 4}
+	var journal bytes.Buffer
+	coord := &Coordinator{N: k, Cfg: testConfig(), Stream: hfl.MeanStream{}, Edges: 1}
+	round := coord.newRoundLocked(&hfl.RoundSpec{T: 1, Theta: make([]float64, d), ValGrad: make([]float64, d),
+		Active: active})
+	openTestRound(coord, round)
+	coord.wal = newWAL(&journal, nil)
+	edge := &EdgeAggregator{Root: "http://unused", Edge: 0, Members: active}
+	refused := func(name string, h http.Handler, path string, frame []byte, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: encoding: %v", name, err)
+		}
+		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(frame))
+		req.Header.Set("Content-Type", contentTypeBinary)
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		var er errorReply
+		_ = json.Unmarshal(w.Body.Bytes(), &er)
+		if w.Code != http.StatusUnprocessableEntity || er.Code != CodeNonFinite {
+			t.Errorf("%s: status %d code %q, want 422 %s", name, w.Code, er.Code, CodeNonFinite)
+		}
+	}
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for pos := 0; pos < d; pos++ {
+			delta := make([]float64, d)
+			delta[pos] = x
+			name := fmt.Sprintf("%v at %d", x, pos)
+			frame, err := CodecV2.EncodeUpdate(1, 0, delta)
+			refused("root update, "+name, coord.Handler(), "/v1/update", frame, err)
+			refused("edge update, "+name, edge.Handler(), "/v1/update", frame, err)
+			frame, err = CodecV2.EncodePartial(1, 0, active, delta, make([]float64, k))
+			refused("partial sum, "+name, coord.Handler(), "/v1/partial", frame, err)
+		}
+		for pos := 0; pos < k; pos++ {
+			dots := make([]float64, k)
+			dots[pos] = x
+			frame, err := CodecV2.EncodePartial(1, 0, active, make([]float64, d), dots)
+			refused(fmt.Sprintf("partial dots, %v at %d", x, pos), coord.Handler(), "/v1/partial", frame, err)
+		}
+	}
+	coord.mu.Lock()
+	tree := round.mode.(*treeMode)
+	if round.got != 0 || tree.parts[0].slots != nil || tree.direct[0] != nil {
+		t.Error("a non-finite frame reached the round's fold")
+	}
+	coord.mu.Unlock()
+	if journal.Len() != 0 {
+		t.Errorf("non-finite frames left %d bytes in the journal", journal.Len())
+	}
+	edge.mu.Lock()
+	if len(edge.parked) != 0 {
+		t.Error("a non-finite update was parked on the edge")
+	}
+	edge.mu.Unlock()
 }
 
 // openTestRound installs a hand-built open round, as the handler tests in

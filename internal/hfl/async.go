@@ -157,6 +157,12 @@ type AsyncCommit struct {
 // Callers serialize access (the coordinator under its lock, the in-process
 // source on the training goroutine).
 type AsyncPlanner struct {
+	// Release, when non-nil, is handed each delta the planner is done with —
+	// folded by Commit, or dropped by a staleness rejection (the networked
+	// coordinator returns it to the tensor pool); nil leaves them to the
+	// caller.
+	Release func([]float64)
+
 	cfg  AsyncConfig
 	inj  *faults.Injector
 	sink obs.Sink
@@ -244,7 +250,8 @@ type asyncCandidate struct {
 // Unselected candidates re-buffer for epoch t+1 unless that would exceed
 // MaxStaleness, in which case they are rejected (stale_reject). Fresh lagged
 // arrivals enter the buffer due at t+lag. A committed delta is scaled in
-// place by its weight; the planner never retains committed deltas.
+// place by its weight; the planner never retains committed deltas, and hands
+// them to Release once folded.
 func (pl *AsyncPlanner) Commit(t, p int, stream StreamAggregator, valGrad []float64, sched *AsyncSchedule, deltas map[int][]float64) (*AsyncCommit, error) {
 	out := &AsyncCommit{Reported: []int{}}
 
@@ -370,6 +377,12 @@ func (pl *AsyncPlanner) Commit(t, p int, stream StreamAggregator, valGrad []floa
 			return nil, err
 		}
 		out.Agg, out.Dots = fr.Sum, fr.Dots
+		if pl.Release != nil {
+			// Past Close no fold holds a delta (Fold.Add's contract).
+			for _, c := range commit {
+				pl.Release(c.delta)
+			}
+		}
 	}
 	out.Buffered = pl.snapshot()
 	obs.Emit(pl.sink, obs.Event{Kind: obs.KindAsyncCommit, T: t, N: int64(len(out.Reported))})
@@ -381,6 +394,9 @@ func (pl *AsyncPlanner) Commit(t, p int, stream StreamAggregator, valGrad []floa
 func (pl *AsyncPlanner) reject(t int, e *AsyncEntry) {
 	delete(pl.buf, e.Part)
 	obs.Emit(pl.sink, obs.Event{Kind: obs.KindStaleReject, T: t, Part: e.Part, N: int64(t - e.Origin)})
+	if pl.Release != nil {
+		pl.Release(e.Delta)
+	}
 }
 
 // sortedBuf returns the live buffer entries ascending by participant — the

@@ -50,7 +50,7 @@ func TestAsyncConfigValidation(t *testing.T) {
 	}
 }
 
-// driveAsync runs the planner for epochs epochs over n always-active
+// driveAsync runs a fresh planner for epochs epochs over n always-active
 // participants with deterministic unit deltas, and returns every commit.
 // It is the shared harness for the property and determinism tests below.
 func driveAsync(t *testing.T, cfg AsyncConfig, inj *faults.Injector, n, epochs, p int) []*AsyncCommit {
@@ -59,6 +59,13 @@ func driveAsync(t *testing.T, cfg AsyncConfig, inj *faults.Injector, n, epochs, 
 	if err != nil {
 		t.Fatal(err)
 	}
+	return drivePlanner(t, pl, n, epochs, p, nil)
+}
+
+// drivePlanner is driveAsync on a planner the caller built; each, when
+// non-nil, sees every epoch's commit and how many deltas the epoch handed in.
+func drivePlanner(t *testing.T, pl *AsyncPlanner, n, epochs, p int, each func(ep, fresh int, ac *AsyncCommit)) []*AsyncCommit {
+	t.Helper()
 	active := make([]int, n)
 	for i := range active {
 		active[i] = i
@@ -83,6 +90,9 @@ func driveAsync(t *testing.T, cfg AsyncConfig, inj *faults.Injector, n, epochs, 
 		ac, err := pl.Commit(ep, p, MeanStream{}, valGrad, sched, deltas)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if each != nil {
+			each(ep, len(deltas), ac)
 		}
 		out = append(out, ac)
 	}
@@ -164,6 +174,59 @@ func TestAsyncPlannerDeterministic(t *testing.T) {
 		if fmt.Sprint(ca.Buffered) != fmt.Sprint(cb.Buffered) {
 			t.Fatalf("epoch %d: buffers differ", ep+1)
 		}
+	}
+}
+
+// TestAsyncPlannerReleasesEachDeltaOnce: with a Release hook every delta
+// handed to the planner comes back exactly once — when its commit folded it
+// or a staleness rejection dropped it — never while it is still buffered,
+// and nothing reads it afterwards (the hook poisons the vector with NaN and
+// the commits still equal the hook-less run's bit for bit).
+func TestAsyncPlannerReleasesEachDeltaOnce(t *testing.T) {
+	const n, epochs, p = 6, 15, 4
+	cfg := AsyncConfig{Quorum: 3, MaxStaleness: 2}
+	rejected := 0
+	for _, seed := range []int64{1, 2, 3} {
+		inj := faults.MustNew(faults.Config{Seed: seed, Straggler: 0.6})
+		want := driveAsync(t, cfg, inj, n, epochs, p)
+		pl, err := NewAsyncPlanner(cfg, inj, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		released := map[*float64]int{}
+		pl.Release = func(d []float64) {
+			released[&d[0]]++
+			for j := range d {
+				d[j] = math.NaN()
+			}
+		}
+		handed := 0
+		drivePlanner(t, pl, n, epochs, p, func(ep, fresh int, ac *AsyncCommit) {
+			handed += fresh
+			rejected += len(ac.Rejected)
+			w := want[ep-1]
+			if fmt.Sprint(ac.Reported) != fmt.Sprint(w.Reported) || !sameVec(ac.Agg, w.Agg) || !sameVec(ac.Dots, w.Dots) {
+				t.Fatalf("seed %d epoch %d: commit differs from the hook-less run (a released delta was read)", seed, ep)
+			}
+			held := pl.Buffer()
+			for _, e := range held {
+				if released[&e.Delta[0]] != 0 {
+					t.Fatalf("seed %d epoch %d: participant %d's delta released while buffered", seed, ep, e.Part)
+				}
+			}
+			if len(released)+len(held) != handed {
+				t.Fatalf("seed %d epoch %d: %d deltas handed in, %d released + %d buffered",
+					seed, ep, handed, len(released), len(held))
+			}
+		})
+		for _, c := range released {
+			if c != 1 {
+				t.Fatalf("seed %d: a delta was released %d times", seed, c)
+			}
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no schedule produced a rejection; the reject path went unexercised")
 	}
 }
 

@@ -510,6 +510,15 @@ func (tr *Trainer) RunSubsetContext(ctx context.Context, subset []int) (*Result,
 		res.InitLoss = model.Loss(tr.Val.X, tr.Val.Y)
 		res.ValLossCurve = append(res.ValLossCurve, res.InitLoss)
 	}
+	// The next epoch's cohort, being drawn while this one trains. A run that
+	// ends with a draw in flight (crash, cancel, round error) waits for it, so
+	// the goroutine never outlives the call or reads subset after it returns.
+	var ahead chan []int
+	defer func() {
+		if ahead != nil {
+			<-ahead
+		}
+	}()
 	for t := startT; t <= tr.Cfg.Epochs; t++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("hfl: run canceled before epoch %d: %w", t, err)
@@ -529,8 +538,20 @@ func (tr *Trainer) RunSubsetContext(ctx context.Context, subset []int) (*Result,
 		cohort := subset
 		sampled := false
 		if smp := tr.Cfg.Sample; smp != nil {
-			cohort = smp.Cohort(t, subset)
+			if ahead != nil {
+				cohort = <-ahead
+			} else {
+				cohort = smp.Cohort(t, subset)
+			}
+			ahead = nil
 			sampled = len(cohort) != len(subset)
+			if sampled && t < tr.Cfg.Epochs {
+				// The draw is a pure function of (seed, t, subset), so epoch
+				// t+1's is the same slice whenever it is computed: scan the
+				// population while this epoch's updates arrive.
+				ahead = make(chan []int, 1)
+				go func(c chan<- []int, t int) { c <- smp.Cohort(t, subset) }(ahead, t+1)
+			}
 			if sampled {
 				obs.Emit(sink, obs.Event{Kind: obs.KindSample, T: t, N: int64(len(cohort))})
 			}

@@ -1,12 +1,16 @@
 package hfl
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"digfl/internal/dataset"
 	"digfl/internal/faults"
 	"digfl/internal/nn"
+	"digfl/internal/obs"
 	"digfl/internal/sampling"
 	"digfl/internal/tensor"
 )
@@ -131,3 +135,156 @@ func TestSamplePassThroughBitIdentical(t *testing.T) {
 	}
 	sameLog(t, want.Log, got.Log)
 }
+
+// TestSampleLookaheadMatchesDirectDraw: the trainer takes epoch t+1's cohort
+// from a draw started an epoch early; whatever the run went through, the
+// cohort it used at every epoch — Epoch.Reported plus the epoch's dropout
+// events — is Sampler.Cohort(t, subset) called directly, and exactly one
+// sample event of that size was emitted for the epoch. Run under -race: the
+// draw ahead shares subset and the sampler with the training goroutine.
+func TestSampleLookaheadMatchesDirectDraw(t *testing.T) {
+	all := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	const epochs = 12
+	for _, seed := range []int64{1, 7, 42} {
+		for _, weights := range [][]float64{nil, {1, 3, 0.5, 2, 2, 0.25, 4, 1}} {
+			// run trains subset from resume (nil: fresh) with the given fault
+			// schedule and checks every epoch it reached; it returns the run's
+			// last checkpoint and its error.
+			run := func(name string, subset []int, size int, fc *faults.Config, resume *Checkpoint) (*Checkpoint, error) {
+				t.Helper()
+				tr := setupWide(t, 11)
+				tr.Cfg.Epochs = epochs
+				tr.Cfg.Sample = sampling.MustNew(sampling.Config{Seed: seed, Size: size, Weights: weights})
+				if fc != nil {
+					tr.Cfg.Faults = faults.MustNew(*fc)
+				}
+				tr.Cfg.Resume = resume
+				var last *Checkpoint
+				tr.Cfg.CheckpointEvery = 4
+				tr.Cfg.CheckpointFunc = func(ck *Checkpoint) error { last = ck; return nil }
+				rec := &kindRecorder{}
+				tr.Cfg.Runtime.Sink = rec
+				var seen []*Epoch
+				tr.Observer = func(ep *Epoch) { seen = append(seen, ep) }
+				_, err := tr.RunSubsetE(subset)
+
+				first := 1
+				if resume != nil {
+					first = resume.Epoch + 1
+				}
+				for k, ep := range seen {
+					if ep.T != first+k {
+						t.Fatalf("%s: observed epoch %d at position %d of a run starting at %d", name, ep.T, k, first)
+					}
+					cohort := tr.Cfg.Sample.Cohort(ep.T, subset)
+					active, dropped := tr.Cfg.Faults.Survivors(ep.T, cohort)
+					if !reflect.DeepEqual(ep.Reported, active) {
+						t.Fatalf("%s: epoch %d trained %v, the direct draw %v leaves %v", name, ep.T, ep.Reported, cohort, active)
+					}
+					var gotDropped []int
+					samples := 0
+					for _, e := range rec.events {
+						switch {
+						case int(e[1]) != ep.T:
+						case obs.Kind(e[0]) == obs.KindDropout:
+							gotDropped = append(gotDropped, int(e[2]))
+						case obs.Kind(e[0]) == obs.KindSample:
+							samples++
+							if int(e[3]) != len(cohort) {
+								t.Fatalf("%s: epoch %d sample event of %d, cohort of %d", name, ep.T, e[3], len(cohort))
+							}
+						}
+					}
+					if samples != 1 || !reflect.DeepEqual(gotDropped, dropped) {
+						t.Fatalf("%s: epoch %d emitted %d sample events and dropouts %v, want 1 and %v",
+							name, ep.T, samples, gotDropped, dropped)
+					}
+				}
+				if err == nil && first+len(seen) != epochs+1 {
+					t.Fatalf("%s: run observed epochs %d..%d of %d", name, first, first+len(seen)-1, epochs)
+				}
+				return last, err
+			}
+
+			name := fmt.Sprintf("seed %d weighted %v", seed, weights != nil)
+			if _, err := run(name+" fresh", all, 3, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := run(name+" coalition", []int{6, 1, 4, 2, 7}, 2, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			dropout := faults.Config{Seed: seed + 100, Dropout: 0.3}
+			mid, err := run(name+" dropout", all, 3, &dropout, nil)
+			if err != nil || mid == nil || mid.Epoch != epochs {
+				t.Fatalf("%s dropout: err %v, last checkpoint %+v", name, err, mid)
+			}
+			// A crash at epoch 7 abandons the draw started for it at epoch 6;
+			// the resumed run draws its first epoch inline.
+			crashing := dropout
+			crashing.CrashEpoch = 7
+			ck, err := run(name+" crash", all, 3, &crashing, nil)
+			var ce *faults.CrashError
+			if !errors.As(err, &ce) || ck == nil || ck.Epoch != 4 {
+				t.Fatalf("%s crash: err %v, last checkpoint %+v", name, err, ck)
+			}
+			if _, err := run(name+" resumed", all, 3, &dropout, ck); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// zeroDur forwards events with the measured duration cleared: what is left
+// of a trace is a pure function of the run's configuration.
+type zeroDur struct{ obs.Sink }
+
+func (z zeroDur) Emit(e obs.Event) { e.Dur = 0; z.Sink.Emit(e) }
+
+// TestSampledTraceGolden pins the obs trace of a short sampled run with
+// dropout, as recorded before the trainer drew cohorts an epoch ahead: the
+// lookahead emits nothing and moves no sample or dropout event.
+func TestSampledTraceGolden(t *testing.T) {
+	tr := setupWide(t, 5)
+	tr.Cfg.Epochs = 3
+	tr.Cfg.Sample = sampling.MustNew(sampling.Config{Seed: 9, Size: 3})
+	tr.Cfg.Faults = faults.MustNew(faults.Config{Seed: 4, Dropout: 0.3})
+	var buf bytes.Buffer
+	tw := obs.NewTraceWriter(&buf)
+	tr.Cfg.Runtime.Sink = zeroDur{tw}
+	if _, err := tr.RunE(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != sampledTraceGolden {
+		t.Fatalf("sampled trace differs from the golden:\n%s", got)
+	}
+}
+
+const sampledTraceGolden = `{"format":"digfl-trace","version":1}
+{"kind":"epoch_start","t":1}
+{"kind":"sample","t":1,"n":3}
+{"kind":"dropout","t":1,"part":4}
+{"kind":"local_update","t":1,"part":3}
+{"kind":"local_update","t":1,"part":6}
+{"kind":"pool_task","n":2,"workers":1}
+{"kind":"aggregate","t":1,"n":2}
+{"kind":"epoch_end","t":1,"value":0.9245048528208717}
+{"kind":"epoch_start","t":2}
+{"kind":"sample","t":2,"n":3}
+{"kind":"dropout","t":2,"part":5}
+{"kind":"local_update","t":2,"part":4}
+{"kind":"local_update","t":2,"part":6}
+{"kind":"pool_task","n":2,"workers":1}
+{"kind":"aggregate","t":2,"n":2}
+{"kind":"epoch_end","t":2,"value":0.5001314966744679}
+{"kind":"epoch_start","t":3}
+{"kind":"sample","t":3,"n":3}
+{"kind":"local_update","t":3,"part":1}
+{"kind":"local_update","t":3,"part":2}
+{"kind":"local_update","t":3,"part":5}
+{"kind":"pool_task","n":3,"workers":1}
+{"kind":"aggregate","t":3,"n":3}
+{"kind":"epoch_end","t":3,"value":0.28706568619803324}
+`

@@ -18,7 +18,10 @@
 // compare against the current worst winner per candidate, a heap update only
 // for the expected O(Size·log(population/Size)) candidates that displace one — in
 // O(Size) extra memory (a bounded max-heap of the current winners), so the
-// sampler itself never materializes population-scale scratch state.
+// sampler itself never materializes population-scale scratch state. The scan
+// is the one population-sized cost of a round, and because the draw is pure
+// the trainer runs epoch t+1's while epoch t's updates arrive — same cohort,
+// off the round's critical path (DESIGN.md §10, "What the turnaround waits for").
 package sampling
 
 import (
