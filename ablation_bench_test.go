@@ -125,7 +125,7 @@ func BenchmarkAblationPaillierKeyBits(b *testing.B) {
 	for _, bits := range []int{256, 512, 1024} {
 		b.Run(benchName("bits", bits), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := vfl.RunSecureLinReg(prob, vfl.SecureConfig{
+				res, err := vfl.RunSecureN(prob, vfl.SecureConfig{
 					Epochs: 1, LR: 0.05, KeyBits: bits, MaskSeed: 11,
 				})
 				if err != nil {

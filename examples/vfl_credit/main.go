@@ -73,7 +73,7 @@ func main() {
 		Kind:   digfl.VFLLinReg,
 	}
 	start := time.Now()
-	sec, err := digfl.RunSecureLinReg(secProb, digfl.SecureConfig{
+	sec, err := digfl.RunSecureN(secProb, digfl.SecureConfig{
 		Epochs: 5, LR: 0.05, KeyBits: 1024, MaskSeed: 31,
 	})
 	if err != nil {

@@ -103,12 +103,6 @@ func NewHFLEstimator(n, p int, mode Mode, hvp HVPProvider) *HFLEstimator {
 	return e
 }
 
-// workers resolves the effective pool size through the unified
-// obs.Runtime.Resolve rule (0 or 1 serial, > 1 pool, negative GOMAXPROCS).
-func (e *HFLEstimator) workers() int {
-	return e.Runtime.Resolve(0)
-}
-
 // Observe ingests one training epoch and returns the per-epoch contributions
 // φ_{t,i}. Epochs must arrive in order starting at 1, and must carry one
 // delta per participant unless the epoch is a degraded
@@ -182,7 +176,7 @@ func (e *HFLEstimator) ObserveMapped(ep *hfl.Epoch, idx []int) []float64 {
 	e.attr.totalsOnly = e.TotalsOnly
 	phi := e.phiRow(idx)
 	inv := 1 / float64(m)
-	parallel.ForObs(m, e.workers(), sink, func(k int) {
+	parallel.ForObs(m, e.Runtime.Resolve(), sink, func(k int) {
 		i := k
 		if idx != nil {
 			i = idx[k]

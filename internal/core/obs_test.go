@@ -58,14 +58,14 @@ func TestHFLEstimatorSinkDoesNotPerturb(t *testing.T) {
 // TrainHVP are concurrency-safe).
 func TestHFLEstimatorRuntimeWorkers(t *testing.T) {
 	e := &HFLEstimator{Runtime: obs.Runtime{Workers: 1}}
-	if got := e.workers(); got != 1 {
+	if got := e.Runtime.Resolve(); got != 1 {
 		t.Errorf("Runtime.Workers=1: resolved %d, want 1", got)
 	}
 	e = &HFLEstimator{Runtime: obs.Runtime{Workers: 4}}
-	if got := e.workers(); got != 4 {
+	if got := e.Runtime.Resolve(); got != 4 {
 		t.Errorf("Runtime.Workers=4: resolved %d, want 4", got)
 	}
-	if got := (&HFLEstimator{}).workers(); got != 1 {
+	if got := (&HFLEstimator{}).Runtime.Resolve(); got != 1 {
 		t.Errorf("zero config resolved %d workers, want serial", got)
 	}
 

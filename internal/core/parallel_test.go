@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -93,7 +94,7 @@ func TestObserveMappedCoalition(t *testing.T) {
 		},
 	}
 	est = NewHFLEstimator(4, model.NumParams(), ResourceSaving, nil)
-	tr.RunSubset(subset)
+	runSubset(t, tr, subset)
 	totals := est.Attribution().Totals
 	if totals[1] != 0 || totals[3] != 0 {
 		t.Fatalf("absent participants accumulated contributions: %v", totals)
@@ -101,6 +102,16 @@ func TestObserveMappedCoalition(t *testing.T) {
 	if totals[0] == 0 || totals[2] == 0 {
 		t.Fatalf("coalition members got no attribution: %v", totals)
 	}
+}
+
+// runSubset trains the coalition, failing the test on error.
+func runSubset(t *testing.T, tr *hfl.Trainer, subset []int) *hfl.Result {
+	t.Helper()
+	res, err := tr.RunSubsetContext(context.Background(), subset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // Interactive mode must also survive coalition runs: the HVP loop only
@@ -114,7 +125,7 @@ func TestObserveMappedInteractiveCoalition(t *testing.T) {
 		Cfg:      hfl.Config{Epochs: 3, LR: 0.3},
 		Observer: func(ep *hfl.Epoch) { est.ObserveMapped(ep, subset) },
 	}
-	tr.RunSubset(subset)
+	runSubset(t, tr, subset)
 	totals := est.Attribution().Totals
 	if totals[0] != 0 || totals[2] != 0 {
 		t.Fatalf("absent participants accumulated contributions: %v", totals)
@@ -131,7 +142,7 @@ func TestEstimateHFLSubsetMatchesOnline(t *testing.T) {
 		Cfg:      hfl.Config{Epochs: 4, LR: 0.3, KeepLog: true},
 		Observer: func(ep *hfl.Epoch) { online.ObserveMapped(ep, subset) },
 	}
-	res := tr.RunSubset(subset)
+	res := runSubset(t, tr, subset)
 	offline := EstimateHFLSubset(res.Log, 4, subset, ResourceSaving, nil)
 	for i := range offline.Totals {
 		if offline.Totals[i] != online.Attribution().Totals[i] {
@@ -150,7 +161,7 @@ func TestObserveCoalitionPanicsHelpfully(t *testing.T) {
 		Cfg:      hfl.Config{Epochs: 1, LR: 0.3, KeepLog: true},
 		Observer: nil,
 	}
-	res := tr.RunSubset([]int{0, 1})
+	res := runSubset(t, tr, []int{0, 1})
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -170,7 +181,7 @@ func TestObserveMappedRejectsBadMapping(t *testing.T) {
 		Model: model, Parts: parts, Val: val,
 		Cfg: hfl.Config{Epochs: 1, LR: 0.3, KeepLog: true},
 	}
-	res := tr.RunSubset([]int{0, 1})
+	res := runSubset(t, tr, []int{0, 1})
 	for name, idx := range map[string][]int{
 		"out of range": {0, 5},
 		"duplicate":    {1, 1},

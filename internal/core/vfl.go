@@ -57,12 +57,6 @@ type VFLEstimator struct {
 	Runtime obs.Runtime
 }
 
-// workers resolves the effective pool size through the unified
-// obs.Runtime.Resolve rule; the VFL estimator has no legacy field.
-func (e *VFLEstimator) workers() int {
-	return e.Runtime.Resolve(0)
-}
-
 // NewVFLEstimator creates an estimator over the given per-participant
 // feature blocks for a p-parameter model.
 func NewVFLEstimator(blocks []dataset.Block, p int, mode Mode, hvp FullHVP) *VFLEstimator {
@@ -115,7 +109,7 @@ func (e *VFLEstimator) Observe(ep *vfl.Epoch) []float64 {
 	sink := e.Runtime.Sink
 	roundStart := obs.Start(sink)
 	phi := make([]float64, len(e.blocks))
-	parallel.ForObs(len(e.blocks), e.workers(), sink, func(i int) {
+	parallel.ForObs(len(e.blocks), e.Runtime.Resolve(), sink, func(i int) {
 		if reported != nil && !reported[i] {
 			return
 		}

@@ -44,27 +44,49 @@ func SynthImages(cfg ImageConfig) Dataset {
 	return Dataset{Name: cfg.Name, X: x, Y: y, Classes: cfg.Classes}
 }
 
-// Image presets mirroring the paper's four HFL datasets (Table I), scaled to
-// simulator size. n is the sample count the experiment wants.
+// ImagePreset returns the generator configuration of the named stand-in for
+// one of the paper's four HFL datasets (Table I) — its class count and
+// pixel-noise level, scaled to simulator size — at n samples; ok is false
+// for any other name.
+func ImagePreset(name string, n int, seed int64) (cfg ImageConfig, ok bool) {
+	cfg = ImageConfig{Name: name, N: n, Side: 8, Seed: seed}
+	switch name {
+	case "MNIST":
+		cfg.Classes, cfg.Noise = 10, 0.7
+	case "CIFAR10":
+		cfg.Classes, cfg.Noise = 10, 1.1
+	case "MOTOR":
+		cfg.Classes, cfg.Noise = 2, 0.9
+	case "REAL":
+		cfg.Classes, cfg.Noise = 10, 1.3
+	default:
+		return cfg, false
+	}
+	return cfg, true
+}
 
 // MNISTLike is the 10-class stand-in for 𝒟_M.
 func MNISTLike(n int, seed int64) Dataset {
-	return SynthImages(ImageConfig{Name: "MNIST", N: n, Side: 8, Classes: 10, Noise: 0.7, Seed: seed})
+	cfg, _ := ImagePreset("MNIST", n, seed)
+	return SynthImages(cfg)
 }
 
 // CIFARLike is the noisier 10-class stand-in for 𝒟_C.
 func CIFARLike(n int, seed int64) Dataset {
-	return SynthImages(ImageConfig{Name: "CIFAR10", N: n, Side: 8, Classes: 10, Noise: 1.1, Seed: seed})
+	cfg, _ := ImagePreset("CIFAR10", n, seed)
+	return SynthImages(cfg)
 }
 
 // MOTORLike is the binary stand-in for 𝒟_O (motorcycle / non-motorcycle).
 func MOTORLike(n int, seed int64) Dataset {
-	return SynthImages(ImageConfig{Name: "MOTOR", N: n, Side: 8, Classes: 2, Noise: 0.9, Seed: seed})
+	cfg, _ := ImagePreset("MOTOR", n, seed)
+	return SynthImages(cfg)
 }
 
 // REALLike is the 10-keyword crawled-image stand-in for 𝒟_R.
 func REALLike(n int, seed int64) Dataset {
-	return SynthImages(ImageConfig{Name: "REAL", N: n, Side: 8, Classes: 10, Noise: 1.3, Seed: seed})
+	cfg, _ := ImagePreset("REAL", n, seed)
+	return SynthImages(cfg)
 }
 
 // TabularConfig parameterizes the planted-ground-truth tabular generator

@@ -1,22 +1,16 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
-	"reflect"
-	"strconv"
 
 	"digfl/internal/adversary"
 	"digfl/internal/core"
-	"digfl/internal/dataset"
 	"digfl/internal/fednet"
 	"digfl/internal/hfl"
-	"digfl/internal/nn"
 	"digfl/internal/obs"
 	"digfl/internal/robust"
-	"digfl/internal/tensor"
 )
 
 // AdvSpec parameterizes the adversarial-robustness experiment: the attack
@@ -46,32 +40,11 @@ func DefaultAdvSpec() AdvSpec {
 // scale, noise, rate, flip, clip, patience.
 func ParseAdvSpec(s string) (AdvSpec, error) {
 	spec := DefaultAdvSpec()
-	err := overlaySpec("attacks", s, func(k, v string) (known bool, err error) {
-		switch k {
-		case "seed":
-			spec.Seed, err = strconv.ParseInt(v, 10, 64)
-		case "kind":
-			spec.Kind, err = adversary.ParseKind(v)
-		case "frac":
-			spec.Frac, err = strconv.ParseFloat(v, 64)
-		case "n":
-			spec.N, err = strconv.Atoi(v)
-		case "scale":
-			spec.Scale, err = strconv.ParseFloat(v, 64)
-		case "noise":
-			spec.NoiseStd, err = strconv.ParseFloat(v, 64)
-		case "rate":
-			spec.Rate, err = strconv.ParseFloat(v, 64)
-		case "flip":
-			spec.Flip, err = strconv.ParseFloat(v, 64)
-		case "clip":
-			spec.Clip, err = strconv.ParseFloat(v, 64)
-		case "patience":
-			spec.Patience, err = strconv.Atoi(v)
-		default:
-			return false, nil
-		}
-		return true, err
+	err := overlaySpec("attacks", s, map[string]any{
+		"seed": &spec.Seed, "frac": &spec.Frac, "n": &spec.N, "scale": &spec.Scale,
+		"noise": &spec.NoiseStd, "rate": &spec.Rate, "flip": &spec.Flip, "clip": &spec.Clip,
+		"patience": &spec.Patience,
+		"kind":     func(v string) (err error) { spec.Kind, err = adversary.ParseKind(v); return err },
 	})
 	if err != nil {
 		return spec, err
@@ -130,12 +103,8 @@ func Adversarial(spec AdvSpec, o Opts) *AdvResult {
 		attackers[i] = i
 	}
 
-	rng := tensor.NewRNG(o.Seed)
-	full := imageData("MNIST", o.samples(1200), o.Seed, 0)
-	train, val := full.Split(0.1, rng)
-	parts := dataset.PartitionIID(train, spec.N, rng)
-	model := nn.NewSoftmaxRegression(train.Dim(), train.Classes)
-	p := model.NumParams()
+	fed := iidFederation(spec.N, o.samples(1200), o.Seed)
+	model, parts, val := fed.model, fed.parts, fed.val
 
 	adv := adversary.MustNew(adversary.Config{
 		Seed: spec.Seed, Attackers: attackers, Kind: spec.Kind,
@@ -154,11 +123,8 @@ func Adversarial(spec AdvSpec, o Opts) *AdvResult {
 	}
 	run := func(a *adversary.Adversary, defended bool) runOut {
 		col := &obs.Collector{}
-		sink := obs.Sink(col)
-		if o.Sink != nil {
-			sink = obs.Tee(col, o.Sink)
-		}
-		est := core.NewHFLEstimator(spec.N, p, core.ResourceSaving, nil)
+		sink := obs.Tee(col, o.Sink)
+		est := fed.estimator()
 		src := &adversary.Source{
 			Inner:     &fednet.LocalSource{Model: model, Parts: a.PoisonShards(parts)},
 			Adversary: a, Sink: sink,
@@ -178,21 +144,14 @@ func Adversarial(spec AdvSpec, o Opts) *AdvResult {
 				ClipFactor: spec.Clip, Sink: sink,
 			})
 			tr.Reweighter = q
-			res, err := tr.RunContext(context.Background())
-			if err != nil {
-				panic(fmt.Sprintf("experiments: defended run: %v", err))
-			}
-			out.res, out.quar = res, q.Quarantined()
+			out.res = tr.Run()
+			out.quar = q.Quarantined()
 		} else {
 			// Undefended attacked run: plain uniform FedAvg, the pipeline an
 			// unprotected deployment would run. The estimator still watches so
 			// φ is comparable, but nothing acts on it.
 			tr.Observer = func(ep *hfl.Epoch) { est.Observe(ep) }
-			res, err := tr.RunContext(context.Background())
-			if err != nil {
-				panic(fmt.Sprintf("experiments: undefended run: %v", err))
-			}
-			out.res = res
+			out.res = tr.Run()
 		}
 		out.totals = append([]float64(nil), est.Attribution().Totals...)
 		out.snap = col.Snapshot()
@@ -201,7 +160,7 @@ func Adversarial(spec AdvSpec, o Opts) *AdvResult {
 
 	// Clean φ-reweighted baseline: the pre-PR pipeline (Eq. 17 reweighting,
 	// no adversary, no defenses).
-	cleanEst := core.NewHFLEstimator(spec.N, p, core.ResourceSaving, nil)
+	cleanEst := fed.estimator()
 	cleanTr := &hfl.Trainer{
 		Model: model, Val: val,
 		Cfg: hfl.Config{Epochs: epochs, LR: 0.3, Participants: spec.N,
@@ -209,10 +168,7 @@ func Adversarial(spec AdvSpec, o Opts) *AdvResult {
 		Rounds:     &fednet.LocalSource{Model: model, Parts: parts},
 		Reweighter: &core.HFLReweighter{Estimator: cleanEst},
 	}
-	clean, err := cleanTr.RunContext(context.Background())
-	if err != nil {
-		panic(fmt.Sprintf("experiments: clean baseline: %v", err))
-	}
+	clean := cleanTr.Run()
 
 	cleanDefended := run(nil, true)
 	undefended := run(adv, false)
@@ -228,9 +184,7 @@ func Adversarial(spec AdvSpec, o Opts) *AdvResult {
 		UpdatesClipped:  int(defended.snap.UpdatesClipped),
 		Quarantined:     defended.quar,
 		Totals:          defended.totals,
-		BitIdenticalNoAttack: reflect.DeepEqual(cleanDefended.res.Model.Params(), clean.Model.Params()) &&
-			reflect.DeepEqual(cleanDefended.res.ValLossCurve, clean.ValLossCurve) &&
-			reflect.DeepEqual(cleanDefended.totals, cleanEst.Attribution().Totals) &&
+		BitIdenticalNoAttack: sameRun(cleanDefended.res, clean, cleanDefended.totals, cleanEst.Attribution().Totals) &&
 			len(cleanDefended.quar) == 0,
 	}
 	res.UndefendedRatio = lossRatio(res.UndefendedLoss, res.CleanLoss)
@@ -283,27 +237,12 @@ func (r *AdvResult) Render(w io.Writer) {
 
 // Tables returns the CSV rendering.
 func (r *AdvResult) Tables() map[string][][]string {
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	rows := [][]string{
-		{"metric", "value"},
-		{"kind", r.Spec.Kind.String()},
-		{"attackers", strconv.Itoa(len(r.Attackers))},
-		{"participants", strconv.Itoa(r.Spec.N)},
-		{"epochs", strconv.Itoa(r.Epochs)},
-		{"clean_loss", f(r.CleanLoss)},
-		{"undefended_loss", f(r.UndefendedLoss)},
-		{"defended_loss", f(r.DefendedLoss)},
-		{"undefended_ratio", f(r.UndefendedRatio)},
-		{"defended_ratio", f(r.DefendedRatio)},
-		{"attacks_injected", strconv.Itoa(r.AttacksInjected)},
-		{"updates_rejected", strconv.Itoa(r.UpdatesRejected)},
-		{"updates_clipped", strconv.Itoa(r.UpdatesClipped)},
-		{"quarantined", strconv.Itoa(len(r.Quarantined))},
-		{"attackers_ranked_last", strconv.FormatBool(r.AttackersRankedLast)},
-		{"bit_identical_no_attack", strconv.FormatBool(r.BitIdenticalNoAttack)},
-	}
-	for i, v := range r.Totals {
-		rows = append(rows, []string{fmt.Sprintf("phi_%d", i), f(v)})
-	}
-	return map[string][][]string{"adversarial": rows}
+	return metricTable("adversarial", r.Totals,
+		"kind", r.Spec.Kind, "attackers", len(r.Attackers), "participants", r.Spec.N,
+		"epochs", r.Epochs, "clean_loss", r.CleanLoss, "undefended_loss", r.UndefendedLoss,
+		"defended_loss", r.DefendedLoss, "undefended_ratio", r.UndefendedRatio,
+		"defended_ratio", r.DefendedRatio, "attacks_injected", r.AttacksInjected,
+		"updates_rejected", r.UpdatesRejected, "updates_clipped", r.UpdatesClipped,
+		"quarantined", len(r.Quarantined), "attackers_ranked_last", r.AttackersRankedLast,
+		"bit_identical_no_attack", r.BitIdenticalNoAttack)
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"strings"
@@ -51,6 +52,7 @@ func TestAdversarialEfficacyGate(t *testing.T) {
 		if r.AttacksInjected == 0 {
 			t.Errorf("seed %d: no attacks recorded", seed)
 		}
+		checkGolden(t, r.Tables(), goldenAdversarial[seed-1])
 	}
 }
 
@@ -81,7 +83,7 @@ func chaosRun(t *testing.T, seed int64) (*hfl.Result, []float64) {
 		Screen:     robust.MustNewUpdateScreen(robust.ScreenConfig{}),
 		Reweighter: robust.MustNewQuarantine(robust.Quarantine{Estimator: est}),
 	}
-	res, err := tr.RunE()
+	res, err := tr.RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("seed %d: chaos run: %v", seed, err)
 	}

@@ -5,14 +5,10 @@ import (
 	"io"
 	"strconv"
 
-	"digfl/internal/core"
-	"digfl/internal/dataset"
 	"digfl/internal/faults"
 	"digfl/internal/fednet"
 	"digfl/internal/hfl"
-	"digfl/internal/nn"
 	"digfl/internal/obs"
-	"digfl/internal/tensor"
 )
 
 // asyncN is the federation size of the -exp async study, asyncMaxStaleness
@@ -78,24 +74,13 @@ func (r *AsyncResult) Passed() bool {
 	return r.FreshIdentical && r.Deterministic && r.StragglerAdvantage
 }
 
-// asyncProblem builds the class-disjoint federation: participant i holds
+// asyncFederation builds the class-disjoint federation: participant i holds
 // exactly classes {2i, 2i+1} of a 10-class image problem, so a shard that
 // never reaches the aggregate leaves two classes untrained and the
 // validation loss floored above the no-fault target.
-func asyncProblem(o Opts) (nn.Model, []dataset.Dataset, dataset.Dataset) {
-	full := imageData("MNIST", o.samples(2500), o.Seed, 0)
-	train, val := full.Split(0.1, tensor.NewRNG(o.Seed))
-	parts := make([]dataset.Dataset, asyncN)
-	for i := range parts {
-		var idx []int
-		for r, y := range train.Y {
-			if c := int(y); c == 2*i || c == 2*i+1 {
-				idx = append(idx, r)
-			}
-		}
-		parts[i] = train.Subset(idx)
-	}
-	return nn.NewSoftmaxRegression(train.Dim(), train.Classes), parts, val
+func asyncFederation(o Opts) *federation {
+	return newFederation(HFLSetting{Dataset: "MNIST", N: asyncN, Corruption: ClassDisjoint,
+		Samples: o.samples(2500), Seed: o.Seed})
 }
 
 // asyncRun is one arm: a streaming trainer fed by the given round source,
@@ -106,18 +91,13 @@ type asyncRunOut struct {
 	snap obs.Snapshot
 }
 
-func asyncRun(o Opts, epochs int, fcfg faults.Config, async bool) *asyncRunOut {
-	model, parts, val := asyncProblem(o)
+func asyncRun(fed *federation, o Opts, epochs int, fcfg faults.Config, async bool) *asyncRunOut {
+	model, parts := fed.model, fed.parts
 	col := &obs.Collector{}
 	sink := obs.Tee(col, o.Sink)
 	cfg := hfl.Config{Epochs: epochs, LR: 0.3, Participants: asyncN,
 		Runtime: obs.Runtime{Sink: sink}}
-	est := core.NewHFLEstimator(asyncN, model.NumParams(), core.ResourceSaving, nil)
-	tr := &hfl.Trainer{
-		Model: model, Val: val, Cfg: cfg,
-		Stream:   hfl.MeanStream{},
-		Observer: func(ep *hfl.Epoch) { est.Observe(ep) },
-	}
+	tr, est := fed.observed(&hfl.Trainer{Model: model, Val: fed.val, Cfg: cfg, Stream: hfl.MeanStream{}})
 	if async {
 		tr.Cfg.Faults = faults.MustNew(fcfg)
 		tr.Rounds = &fednet.AsyncLocalSource{
@@ -133,10 +113,7 @@ func asyncRun(o Opts, epochs int, fcfg faults.Config, async bool) *asyncRunOut {
 			Drop: func(t, i int) bool { return inj.Lag(t, i, asyncMaxStaleness) > 0 },
 		}
 	}
-	res, err := tr.RunE()
-	if err != nil {
-		panic(err)
-	}
+	res := tr.Run()
 	return &asyncRunOut{res: res, phi: est.Attribution().Totals, snap: col.Snapshot()}
 }
 
@@ -163,8 +140,9 @@ func Async(o Opts) *AsyncResult {
 	res := &AsyncResult{N: asyncN, Epochs: epochs, RefEpochs: refEpochs,
 		Quorum: asyncN, MaxStaleness: asyncMaxStaleness}
 
+	fed := asyncFederation(o)
 	noFault := faults.Config{Seed: o.Seed}
-	ref := asyncRun(o, epochs, noFault, false)
+	ref := asyncRun(fed, o, epochs, noFault, false)
 	res.TargetLoss = ref.res.ValLossCurve[refEpochs]
 
 	arm := func(mode string, rate float64, out *asyncRunOut) AsyncArm {
@@ -183,14 +161,13 @@ func Async(o Opts) *AsyncResult {
 	var heavyAsync *asyncRunOut
 	for _, rate := range asyncRates {
 		fcfg := faults.Config{Seed: o.Seed, Straggler: rate, StickyStragglers: true}
-		sync := asyncRun(o, epochs, fcfg, false)
-		async := asyncRun(o, epochs, fcfg, true)
+		sync := asyncRun(fed, o, epochs, fcfg, false)
+		async := asyncRun(fed, o, epochs, fcfg, true)
 		res.Rows = append(res.Rows, arm("sync-drop", rate, sync), arm("async-fold", rate, async))
 		toTarget[fmt.Sprintf("sync/%g", rate)] = epochsToTarget(sync.res.ValLossCurve, res.TargetLoss)
 		toTarget[fmt.Sprintf("async/%g", rate)] = epochsToTarget(async.res.ValLossCurve, res.TargetLoss)
 		if rate == 0 {
-			res.FreshIdentical = sameFloats(ref.res.Model.Params(), async.res.Model.Params()) &&
-				sameFloats(ref.res.ValLossCurve, async.res.ValLossCurve)
+			res.FreshIdentical = sameRun(ref.res, async.res)
 		}
 		if rate == asyncRates[len(asyncRates)-1] {
 			heavyAsync = async
@@ -198,28 +175,12 @@ func Async(o Opts) *AsyncResult {
 	}
 
 	heavy := asyncRates[len(asyncRates)-1]
-	rerun := asyncRun(o, epochs, faults.Config{Seed: o.Seed, Straggler: heavy, StickyStragglers: true}, true)
-	res.Deterministic = sameFloats(heavyAsync.res.Model.Params(), rerun.res.Model.Params()) &&
-		sameFloats(heavyAsync.res.ValLossCurve, rerun.res.ValLossCurve) &&
-		sameFloats(heavyAsync.phi, rerun.phi)
+	rerun := asyncRun(fed, o, epochs, faults.Config{Seed: o.Seed, Straggler: heavy, StickyStragglers: true}, true)
+	res.Deterministic = sameRun(heavyAsync.res, rerun.res, heavyAsync.phi, rerun.phi)
 
 	at, st := toTarget[fmt.Sprintf("async/%g", heavy)], toTarget[fmt.Sprintf("sync/%g", heavy)]
 	res.StragglerAdvantage = at > 0 && (st == 0 || at < st)
 	return res
-}
-
-// sameFloats is bitwise slice equality (NaN-safe would be overkill: every
-// gate compares finite training outputs).
-func sameFloats(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func gate(ok bool) string {

@@ -35,6 +35,7 @@ func TestAsyncStudyGates(t *testing.T) {
 			t.Errorf("sync arm %+v has async counters", a)
 		}
 	}
+	checkGolden(t, r.Tables(), goldenAsync)
 }
 
 // TestAsyncStudyRerunIdentical pins the report (rows, counters, gates) as

@@ -8,23 +8,17 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"reflect"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"digfl/internal/core"
-	"digfl/internal/dataset"
 	"digfl/internal/faults"
 	"digfl/internal/fednet"
 	"digfl/internal/hfl"
-	"digfl/internal/nn"
 	"digfl/internal/obs"
 	"digfl/internal/robust"
-	"digfl/internal/tensor"
 )
 
 // ChaosResult summarizes the deterministic chaos harness: seeded coordinator
@@ -71,80 +65,11 @@ type ChaosResult struct {
 // coordinator incarnation.
 var errChaosCrash = errors.New("chaos: injected crash during journal append")
 
-// chaosFront is the kill switch the harness places in front of a server: a
-// swappable inner handler plus a down flag and an incarnation counter.
-// While down, every request — and every in-flight response write from a
-// previous incarnation's handler — aborts its connection, so a killed
-// process's half-written replies and stale long-poll wakeups can never
-// reach a client, exactly as if the process had died.
-type chaosFront struct {
-	mu    sync.RWMutex
-	inner http.Handler
-	gen   int
-	down  bool
-}
-
-// install swaps in a new incarnation's handler and brings the front up.
-func (f *chaosFront) install(h http.Handler) {
-	f.mu.Lock()
-	f.inner = h
-	f.gen++
-	f.down = false
-	f.mu.Unlock()
-}
-
-// kill takes the front down; in-flight handlers abort at their next write.
-func (f *chaosFront) kill() {
-	f.mu.Lock()
-	f.down = true
-	f.mu.Unlock()
-}
-
-func (f *chaosFront) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	f.mu.RLock()
-	inner, gen, down := f.inner, f.gen, f.down
-	f.mu.RUnlock()
-	if down || inner == nil {
-		panic(http.ErrAbortHandler)
-	}
-	inner.ServeHTTP(&fencedWriter{front: f, gen: gen, w: w}, req)
-}
-
-// fencedWriter aborts the connection on any write attempted after the front
-// went down or moved to a newer incarnation — the handler goroutine is
-// treated as part of the killed process.
-type fencedWriter struct {
-	front *chaosFront
-	gen   int
-	w     http.ResponseWriter
-}
-
-func (fw *fencedWriter) check() {
-	fw.front.mu.RLock()
-	ok := !fw.front.down && fw.front.gen == fw.gen
-	fw.front.mu.RUnlock()
-	if !ok {
-		panic(http.ErrAbortHandler)
-	}
-}
-
-func (fw *fencedWriter) Header() http.Header { return fw.w.Header() }
-
-func (fw *fencedWriter) WriteHeader(code int) {
-	fw.check()
-	fw.w.WriteHeader(code)
-}
-
-func (fw *fencedWriter) Write(p []byte) (int, error) {
-	fw.check()
-	return fw.w.Write(p)
-}
-
 // killAfter kills its front (and cancels the victim's run context) once the
 // target-th member update has been fully served — deterministic placement
 // of an edge death relative to the round's ack sequence.
 type killAfter struct {
-	front  *chaosFront
+	front  *fednet.Front
 	inner  http.Handler
 	target int32
 	onKill func()
@@ -154,7 +79,7 @@ type killAfter struct {
 func (k *killAfter) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	k.inner.ServeHTTP(w, req)
 	if req.URL.Path == "/v1/update" && k.n.Add(1) == k.target {
-		k.front.kill()
+		k.front.Kill()
 		k.onKill()
 	}
 }
@@ -229,33 +154,32 @@ func (w *crashWriter) hit(rec []byte) bool {
 	return due(faults.CrashAtOpen, c.T)
 }
 
-// chaosProblem builds the 4-participant softmax problem each chaos seed
-// trains on.
-func chaosProblem(seed int64, o Opts) (nn.Model, []dataset.Dataset, dataset.Dataset) {
-	rng := tensor.NewRNG(seed)
-	full := imageData("MNIST", o.samples(600), seed, 0)
-	train, val := full.Split(0.1, rng)
-	parts := dataset.PartitionIID(train, 4, rng)
-	return nn.NewSoftmaxRegression(train.Dim(), train.Classes), parts, val
+// chaosParticipant is participant i of a chaos run: patient enough to sit
+// out a coordinator restart or fail over from a dead edge.
+func chaosParticipant(fed *federation, retries int, sink obs.Sink) func(i int) *fednet.Participant {
+	return func(i int) *fednet.Participant {
+		return &fednet.Participant{
+			Index: i, Model: fed.model, Data: fed.parts[i],
+			Retries: retries, Base: time.Millisecond, Cap: 20 * time.Millisecond, Sink: sink,
+		}
+	}
 }
 
-// crashLoop serves one federation — a participant per element of parts —
-// over a loopback listener behind a chaosFront, and runs newCoord's
-// coordinator to completion. With a journal, every append goes through a
-// crashWriter armed with kills; each time it tears a record and takes the
-// front down, the process "died": crashLoop builds a fresh coordinator,
-// replays the journal's clean prefix into it through Recover, truncates the
-// torn tail, and swaps it in behind the same address. A nil journal runs a
-// single unjournaled incarnation. It returns the finishing incarnation's
-// result and estimator, and the number of restarts.
-func crashLoop(parts []dataset.Dataset, newCoord func() *fednet.Coordinator,
+// runWithKills serves fed over the loopback harness behind a kill switch and
+// runs newCoord's coordinator to completion. With a journal, every append
+// goes through a crashWriter armed with kills; each time it tears a record
+// and takes the front down, the process "died", and the harness recovers a
+// fresh newCoord coordinator from the journal's clean prefix behind the same
+// address. A nil journal runs a single unjournaled incarnation. It returns
+// the finishing incarnation's result and estimator, and the number of
+// restarts.
+func runWithKills(fed *federation, newCoord func() *fednet.Coordinator,
 	journal *bytes.Buffer, kills []faults.CrashAt, sink obs.Sink,
 ) (*hfl.Result, *core.HFLEstimator, int, error) {
-	n := len(parts)
-	front := &chaosFront{}
+	chaos := fednet.Chaos{Front: &fednet.Front{}, Journal: journal}
 	var jw io.Writer
 	if journal != nil {
-		jw = &crashWriter{buf: journal, sched: kills, mid: (n + 1) / 2, onCrash: front.kill}
+		jw = &crashWriter{buf: journal, sched: kills, mid: (len(fed.parts) + 1) / 2, onCrash: chaos.Front.Kill}
 	}
 	incarnate := func() *fednet.Coordinator {
 		c := newCoord()
@@ -263,70 +187,36 @@ func crashLoop(parts []dataset.Dataset, newCoord func() *fednet.Coordinator,
 		c.Cfg.Runtime.Sink = sink
 		return c
 	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("experiments: chaos listener: %w", err)
-	}
-	srv := &http.Server{Handler: front}
-	go func() { _ = srv.Serve(ln) }()
-	defer srv.Close()
-	base := "http://" + ln.Addr().String()
-
 	coord := incarnate()
-	front.install(coord.Handler())
-
-	ctx := context.Background()
-	perrs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		p := &fednet.Participant{
-			Index: i, Model: coord.Model, Data: parts[i], BaseURL: base,
-			Retries: 400, Base: time.Millisecond, Cap: 20 * time.Millisecond, Sink: sink,
-		}
-		wg.Add(1)
-		go func(i int, p *fednet.Participant) { defer wg.Done(); perrs[i] = p.Run(ctx) }(i, p)
-	}
-
 	restarts := 0
-	var res *hfl.Result
-	for {
-		res, err = coord.Run(ctx)
-		if err == nil {
-			break
+	if journal != nil {
+		chaos.Next = func(n int, runErr error) (*fednet.Coordinator, error) {
+			restarts = n
+			if n > len(kills)+1 {
+				return nil, fmt.Errorf("incarnation %d: %w", n, runErr)
+			}
+			coord = incarnate()
+			return coord, nil
 		}
-		restarts++
-		if journal == nil || restarts > len(kills)+1 {
-			return nil, nil, restarts, fmt.Errorf("experiments: chaos coordinator (incarnation %d): %w", restarts, err)
-		}
-		coord = incarnate()
-		consumed, rerr := coord.Recover(bytes.NewReader(journal.Bytes()))
-		if rerr != nil {
-			return nil, nil, restarts, fmt.Errorf("experiments: chaos recovery %d: %w", restarts, rerr)
-		}
-		journal.Truncate(int(consumed))
-		front.install(coord.Handler())
 	}
-	wg.Wait()
-	for i, perr := range perrs {
-		if perr != nil {
-			return nil, nil, restarts, fmt.Errorf("experiments: chaos participant %d: %w", i, perr)
-		}
+	res, perrs, err := chaos.Loopback(context.Background(), coord, chaosParticipant(fed, 400, sink))
+	if err = errors.Join(append(perrs, err)...); err != nil {
+		return nil, nil, restarts, fmt.Errorf("experiments: chaos run: %w", err)
 	}
 	return res, coord.Estimator, restarts, nil
 }
 
-// chaosBuffered is crashLoop's buffered leg: the full crash-safety stack —
+// chaosBuffered is runWithKills's buffered leg: the full crash-safety stack —
 // estimator, quarantine and an archive shared by every incarnation. A nil
 // journal gives the plain pre-WAL coordinator, the reference.
-func chaosBuffered(model nn.Model, parts []dataset.Dataset, val dataset.Dataset, cfg hfl.Config,
+func chaosBuffered(fed *federation, cfg hfl.Config,
 	journal *bytes.Buffer, kills []faults.CrashAt, sink obs.Sink,
 ) (*hfl.Result, *core.HFLEstimator, *bytes.Buffer, int, error) {
 	archive := &bytes.Buffer{}
-	res, est, restarts, err := crashLoop(parts, func() *fednet.Coordinator {
+	res, est, restarts, err := runWithKills(fed, func() *fednet.Coordinator {
 		return &fednet.Coordinator{
-			N: len(parts), Model: model, Val: val, Cfg: cfg,
-			Estimator:  core.NewHFLEstimator(len(parts), model.NumParams(), core.ResourceSaving, nil),
+			N: len(fed.parts), Model: fed.model, Val: fed.val, Cfg: cfg,
+			Estimator:  fed.estimator(),
 			Quarantine: robust.MustNewQuarantine(robust.Quarantine{}),
 			Archive:    archive,
 		}
@@ -348,58 +238,51 @@ func chaosAsyncFaults(seed int64) faults.Config {
 // chaosAsyncLocal is the async leg's uninterrupted reference: the
 // in-process AsyncLocalSource feeding a streaming trainer, with the same
 // estimator the loopback coordinator attaches.
-func chaosAsyncLocal(seed int64, o Opts, cfg hfl.Config, n int, sink obs.Sink,
-) (*hfl.Result, *core.HFLEstimator, error) {
-	model, parts, val := chaosProblem(seed, o)
-	est := core.NewHFLEstimator(n, model.NumParams(), core.ResourceSaving, nil)
-	cfg.Participants = n
+func chaosAsyncLocal(fed *federation, seed int64, cfg hfl.Config, sink obs.Sink) (*hfl.Result, *core.HFLEstimator) {
+	cfg.Participants = len(fed.parts)
 	cfg.Faults = faults.MustNew(chaosAsyncFaults(seed))
 	cfg.Runtime.Sink = sink
-	tr := &hfl.Trainer{
-		Model: model, Val: val, Cfg: cfg,
+	tr, est := fed.observed(&hfl.Trainer{
+		Model: fed.model, Val: fed.val, Cfg: cfg,
 		Rounds: &fednet.AsyncLocalSource{
-			Model: model, Parts: parts, Async: chaosAsyncPolicy(),
+			Model: fed.model, Parts: fed.parts, Async: chaosAsyncPolicy(),
 			Faults: faults.MustNew(chaosAsyncFaults(seed)), Sink: sink,
 		},
-		Stream:   hfl.MeanStream{},
-		Observer: func(ep *hfl.Epoch) { est.Observe(ep) },
-	}
-	res, err := tr.RunE()
-	return res, est, err
+		Stream: hfl.MeanStream{},
+	})
+	return tr.Run(), est
 }
 
-// chaosAsync is crashLoop's async leg: the K-of-N commit policy under
+// chaosAsync is runWithKills's async leg: the K-of-N commit policy under
 // dropout + stragglers with the WAL attached, so a kill can land mid-quorum
 // with updates buffered but uncommitted. The async path requires Stream and
 // forbids Archive, so bit-identity is model + curve + estimator state.
-func chaosAsync(seed int64, o Opts, cfg hfl.Config,
+func chaosAsync(fed *federation, seed int64, cfg hfl.Config,
 	journal *bytes.Buffer, kills []faults.CrashAt, sink obs.Sink,
 ) (*hfl.Result, *core.HFLEstimator, int, error) {
-	model, parts, val := chaosProblem(seed, o)
 	cfg.Faults = faults.MustNew(chaosAsyncFaults(seed))
 	ac := chaosAsyncPolicy()
-	return crashLoop(parts, func() *fednet.Coordinator {
+	return runWithKills(fed, func() *fednet.Coordinator {
 		return &fednet.Coordinator{
-			N: len(parts), Model: model, Val: val, Cfg: cfg,
-			Estimator: core.NewHFLEstimator(len(parts), model.NumParams(), core.ResourceSaving, nil),
+			N: len(fed.parts), Model: fed.model, Val: fed.val, Cfg: cfg,
+			Estimator: fed.estimator(),
 			Stream:    hfl.MeanStream{},
 			Async:     &ac,
 		}
 	}, journal, kills, sink)
 }
 
-// chaosTreeRun runs a two-level cohort tree; killRound > 0 kills edge 0
+// chaosTree runs a two-level cohort tree; killRound > 0 kills edge 0
 // immediately after it acks the first member update of that round, so one
 // member must be re-solicited by the root (grace-timer resubmission) and the
 // rest fail over to direct submission on their own.
-func chaosTreeRun(model nn.Model, parts []dataset.Dataset, val dataset.Dataset, cfg hfl.Config,
-	n, edges, killRound int, sink obs.Sink,
+func chaosTree(fed *federation, cfg hfl.Config, edges, killRound int, sink obs.Sink,
 ) (*hfl.Result, *core.HFLEstimator, error) {
-	est := core.NewHFLEstimator(n, model.NumParams(), core.ResourceSaving, nil)
+	n := len(fed.parts)
 	width := (n + edges - 1) / edges
 	coord := &fednet.Coordinator{
-		N: n, Model: model, Val: val, Cfg: cfg,
-		Estimator: est,
+		N: n, Model: fed.model, Val: fed.val, Cfg: cfg,
+		Estimator: fed.estimator(),
 		Stream:    hfl.MeanStream{Seg: width},
 		Edges:     edges,
 	}
@@ -408,109 +291,28 @@ func chaosTreeRun(model nn.Model, parts []dataset.Dataset, val dataset.Dataset, 
 	}
 	coord.Cfg.Runtime.Sink = sink
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: chaos tree listener: %w", err)
+	chaos := fednet.Chaos{Edge: func(ea *fednet.EdgeAggregator, h http.Handler, stop context.CancelFunc) http.Handler {
+		ea.Retries, ea.Base, ea.Cap = 4, time.Millisecond, 50*time.Millisecond
+		if ea.Edge != 0 || killRound <= 0 {
+			return h
+		}
+		// The victim: serve exactly width*(killRound-1)+1 member acks —
+		// every update of the earlier rounds plus one of round killRound
+		// — then drop dead, leaving one acked member (resubmit path) and
+		// the rest unacked (transport-failover path).
+		front := &fednet.Front{}
+		front.Install(&killAfter{
+			front: front, inner: h,
+			target: int32(width*(killRound-1) + 1),
+			onKill: stop,
+		})
+		return front
+	}}
+	res, errs, err := chaos.Loopback(context.Background(), coord, chaosParticipant(fed, 100, sink))
+	if err = errors.Join(append(errs, err)...); err != nil {
+		return nil, nil, fmt.Errorf("experiments: chaos tree: %w", err)
 	}
-	srv := &http.Server{Handler: coord.Handler()}
-	go func() { _ = srv.Serve(ln) }()
-	defer srv.Close()
-	root := "http://" + ln.Addr().String()
-
-	ctx := context.Background()
-	ectx, stopEdges := context.WithCancel(ctx)
-	defer stopEdges()
-	kctx, kcancel := context.WithCancel(ectx)
-	defer kcancel()
-
-	edgeURL := make([]string, n)
-	eerrs := make([]error, edges)
-	var ewg sync.WaitGroup
-	for e := 0; e < edges; e++ {
-		lo, hi := e*width, min((e+1)*width, n)
-		if lo >= hi {
-			break
-		}
-		members := make([]int, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			members = append(members, i)
-		}
-		ea := &fednet.EdgeAggregator{
-			Root: root, Edge: e, Members: members, Sink: sink,
-			Retries: 4, Base: time.Millisecond, Cap: 50 * time.Millisecond,
-		}
-		var h http.Handler = ea.Handler()
-		runCtx := ectx
-		if e == 0 && killRound > 0 {
-			// The victim: serve exactly width*(killRound-1)+1 member acks —
-			// every update of the earlier rounds plus one of round killRound
-			// — then drop dead, leaving one acked member (resubmit path) and
-			// the rest unacked (transport-failover path).
-			front := &chaosFront{}
-			front.install(&killAfter{
-				front: front, inner: h,
-				target: int32(width*(killRound-1) + 1),
-				onKill: kcancel,
-			})
-			h = front
-			runCtx = kctx
-		}
-		eln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, nil, fmt.Errorf("experiments: chaos edge %d listener: %w", e, err)
-		}
-		esrv := &http.Server{Handler: h}
-		go func() { _ = esrv.Serve(eln) }()
-		defer esrv.Close()
-		url := "http://" + eln.Addr().String()
-		for i := lo; i < hi; i++ {
-			edgeURL[i] = url
-		}
-		ewg.Add(1)
-		go func(e int, ea *fednet.EdgeAggregator, ctx context.Context) {
-			defer ewg.Done()
-			eerrs[e] = ea.Run(ctx)
-		}(e, ea, runCtx)
-	}
-
-	perrs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		p := &fednet.Participant{
-			Index: i, Model: model, Data: parts[i], BaseURL: root, UpdateURL: edgeURL[i],
-			Retries: 100, Base: time.Millisecond, Cap: 20 * time.Millisecond, Sink: sink,
-		}
-		wg.Add(1)
-		go func(i int, p *fednet.Participant) { defer wg.Done(); perrs[i] = p.Run(ctx) }(i, p)
-	}
-
-	res, runErr := coord.Run(ctx)
-	wg.Wait()
-	stopEdges()
-	ewg.Wait()
-	if runErr != nil {
-		return nil, nil, fmt.Errorf("experiments: chaos tree coordinator: %w", runErr)
-	}
-	for i, perr := range perrs {
-		if perr != nil {
-			return nil, nil, fmt.Errorf("experiments: chaos tree participant %d: %w", i, perr)
-		}
-	}
-	for e, eerr := range eerrs {
-		if eerr != nil && !errors.Is(eerr, context.Canceled) {
-			return nil, nil, fmt.Errorf("experiments: chaos tree edge %d: %w", e, eerr)
-		}
-	}
-	return res, est, nil
-}
-
-// sameFed reports whether two federation runs match bit for bit: model
-// parameters, validation-loss curve, and the estimator's full attribution
-// state (per-epoch phi, totals, and the exact-mode accumulators).
-func sameFed(a, b *hfl.Result, ae, be *core.HFLEstimator) bool {
-	return reflect.DeepEqual(a.Model.Params(), b.Model.Params()) &&
-		reflect.DeepEqual(a.ValLossCurve, b.ValLossCurve) &&
-		reflect.DeepEqual(ae.State(), be.State())
+	return res, coord.Estimator, nil
 }
 
 // Chaos runs the deterministic chaos harness over three seeds: for each, an
@@ -538,11 +340,11 @@ func Chaos(o Opts) *ChaosResult {
 	}
 
 	for _, seed := range seeds {
-		model, parts, val := chaosProblem(seed, o)
+		fed := iidFederation(n, o.samples(600), seed)
 		cfg := hfl.Config{Epochs: epochs, LR: 0.3}
 
 		// Unjournaled reference: the pre-WAL coordinator, bit for bit.
-		refRes, refEst, refArch, _, err := chaosBuffered(model, parts, val, cfg, nil, nil, o.Sink)
+		refRes, refEst, refArch, _, err := chaosBuffered(fed, cfg, nil, nil, o.Sink)
 		if err != nil {
 			fail(err)
 		}
@@ -550,54 +352,50 @@ func Chaos(o Opts) *ChaosResult {
 		// Uninterrupted journaled run: the WAL must be invisible in the
 		// results.
 		walBuf := &bytes.Buffer{}
-		walRes, walEst, walArch, _, err := chaosBuffered(model, parts, val, cfg, walBuf, nil, o.Sink)
+		walRes, walEst, walArch, _, err := chaosBuffered(fed, cfg, walBuf, nil, o.Sink)
 		if err != nil {
 			fail(err)
 		}
 		r.WALBytes += int64(walBuf.Len())
-		if !sameFed(walRes, refRes, walEst, refEst) || !bytes.Equal(walArch.Bytes(), refArch.Bytes()) {
+		if !sameRun(walRes, refRes, walEst.State(), refEst.State(), walArch.Bytes(), refArch.Bytes()) {
 			r.WALTransparent = false
 		}
 
 		// Killed-and-recovered run: two seeded kills per seed.
 		kills := faults.ChaosSchedule(seed, epochs, 2)
 		r.Kills = append(r.Kills, kills)
-		crashRes, crashEst, crashArch, restarts, err := chaosBuffered(
-			model, parts, val, cfg, &bytes.Buffer{}, kills, sink)
+		crashRes, crashEst, crashArch, restarts, err := chaosBuffered(fed, cfg, &bytes.Buffer{}, kills, sink)
 		if err != nil {
 			fail(err)
 		}
 		r.Restarts += restarts
-		if !sameFed(crashRes, refRes, crashEst, refEst) || !bytes.Equal(crashArch.Bytes(), refArch.Bytes()) {
+		if !sameRun(crashRes, refRes, crashEst.State(), refEst.State(), crashArch.Bytes(), refArch.Bytes()) {
 			r.CrashIdentical = false
 		}
 
 		// Cohort tree with edge 0 dying in round 2, vs the intact tree.
-		treeRefRes, treeRefEst, err := chaosTreeRun(model, parts, val, cfg, n, edges, 0, o.Sink)
+		treeRefRes, treeRefEst, err := chaosTree(fed, cfg, edges, 0, o.Sink)
 		if err != nil {
 			fail(err)
 		}
-		treeRes, treeEst, err := chaosTreeRun(model, parts, val, cfg, n, edges, 2, sink)
+		treeRes, treeEst, err := chaosTree(fed, cfg, edges, 2, sink)
 		if err != nil {
 			fail(err)
 		}
-		if !sameFed(treeRes, treeRefRes, treeEst, treeRefEst) {
+		if !sameRun(treeRes, treeRefRes, treeEst.State(), treeRefEst.State()) {
 			r.EdgeIdentical = false
 		}
 
 		// Async leg: the same kill schedule against a K-of-N buffered run
 		// under dropout + stragglers, recovered mid-quorum from the WAL,
 		// vs the uninterrupted in-process reference.
-		asyncRefRes, asyncRefEst, err := chaosAsyncLocal(seed, o, cfg, n, o.Sink)
-		if err != nil {
-			fail(err)
-		}
-		asyncRes, asyncEst, asyncRestarts, err := chaosAsync(seed, o, cfg, &bytes.Buffer{}, kills, sink)
+		asyncRefRes, asyncRefEst := chaosAsyncLocal(fed, seed, cfg, o.Sink)
+		asyncRes, asyncEst, asyncRestarts, err := chaosAsync(fed, seed, cfg, &bytes.Buffer{}, kills, sink)
 		if err != nil {
 			fail(err)
 		}
 		r.AsyncRestarts += asyncRestarts
-		if !sameFed(asyncRes, asyncRefRes, asyncEst, asyncRefEst) {
+		if !sameRun(asyncRes, asyncRefRes, asyncEst.State(), asyncRefEst.State()) {
 			r.AsyncIdentical = false
 		}
 	}
@@ -631,21 +429,11 @@ func (r *ChaosResult) Render(w io.Writer) {
 
 // Tables returns the CSV rendering.
 func (r *ChaosResult) Tables() map[string][][]string {
-	rows := [][]string{
-		{"metric", "value"},
-		{"participants", strconv.Itoa(r.Participants)},
-		{"epochs", strconv.Itoa(r.Epochs)},
-		{"restarts", strconv.Itoa(r.Restarts)},
-		{"recoveries", strconv.FormatInt(r.Recoveries, 10)},
-		{"rejoins", strconv.FormatInt(r.Rejoins, 10)},
-		{"edge_failovers", strconv.FormatInt(r.Failovers, 10)},
-		{"wal_transparent", strconv.FormatBool(r.WALTransparent)},
-		{"crash_identical", strconv.FormatBool(r.CrashIdentical)},
-		{"edge_identical", strconv.FormatBool(r.EdgeIdentical)},
-		{"async_identical", strconv.FormatBool(r.AsyncIdentical)},
-		{"async_restarts", strconv.Itoa(r.AsyncRestarts)},
-		{"async_stale_folds", strconv.FormatInt(r.AsyncStaleFolds, 10)},
-		{"wal_bytes", strconv.FormatInt(r.WALBytes, 10)},
-	}
-	return map[string][][]string{"chaos": rows}
+	return metricTable("chaos", nil,
+		"participants", r.Participants, "epochs", r.Epochs, "restarts", r.Restarts,
+		"recoveries", r.Recoveries, "rejoins", r.Rejoins, "edge_failovers", r.Failovers,
+		"wal_transparent", r.WALTransparent, "crash_identical", r.CrashIdentical,
+		"edge_identical", r.EdgeIdentical, "async_identical", r.AsyncIdentical,
+		"async_restarts", r.AsyncRestarts, "async_stale_folds", r.AsyncStaleFolds,
+		"wal_bytes", r.WALBytes)
 }

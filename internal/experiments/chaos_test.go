@@ -40,4 +40,7 @@ func TestChaosHarness(t *testing.T) {
 	if !r.Passed() {
 		t.Errorf("chaos harness gates did not all pass: %+v", r)
 	}
+	// How many participants notice a restart through a changed incarnation
+	// header before they meet a recovering reply depends on scheduling.
+	checkGolden(t, r.Tables(), goldenChaos, "rejoins")
 }

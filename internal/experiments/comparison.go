@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -35,6 +34,35 @@ type ComparisonRow struct {
 type ComparisonResult struct {
 	Kind string // "HFL" or "VFL"
 	Rows []ComparisonRow
+}
+
+// samplingArms are the retraining-based sampling baselines of Tables IV/V,
+// each on its paper budget: n²·log n retrainings for TMC-Shapley,
+// n·(log n)² sampled coalitions for GT-Shapley.
+var samplingArms = []struct {
+	name string
+	run  func(n int, u shapley.Utility, rng *tensor.RNG) ([]float64, int64)
+}{
+	{"TMC-shapley", func(n int, u shapley.Utility, rng *tensor.RNG) ([]float64, int64) {
+		return shapley.TMC(n, u, shapley.TMCConfig{MaxEvals: shapley.BudgetTMC(n), Tolerance: 0.01, RNG: rng})
+	}},
+	{"GT-shapley", func(n int, u shapley.Utility, rng *tensor.RNG) ([]float64, int64) {
+		return shapley.GT(n, u, shapley.GTConfig{Samples: shapley.BudgetGT(n), RNG: rng})
+	}},
+}
+
+// runSamplingArms scores every sampling arm on the retraining utility u,
+// arm k drawing from rng.Split(k+1), and hands record each estimate with its
+// cost: wall time, retrainings, and the traffic commFloats models for them.
+func runSamplingArms(n int, u shapley.Utility, rng *tensor.RNG, commFloats func(retrains int64) int64,
+	record func(method string, est []float64, c metrics.Cost)) {
+	for k, arm := range samplingArms {
+		sw := metrics.NewStopwatch()
+		est, evals := arm.run(n, u, rng.Split(int64(k+1)))
+		cost := metrics.Cost{Wall: sw.Elapsed(), Retrains: evals}
+		cost.AddFloats(commFloats(evals))
+		record(arm.name, est, cost)
+	}
 }
 
 // HFLComparison reproduces Fig. 4 and Table IV: DIG-FL against TMC-Shapley,
@@ -74,13 +102,11 @@ func HFLComparison(o Opts) *ComparisonResult {
 
 			// The shared training run every log-based method consumes.
 			sw := metrics.NewStopwatch()
-			run := runHFL(context.Background(), tr)
+			run := tr.Run()
 			trainTime := sw.Elapsed()
 
 			// Actual Shapley ground truth.
-			counter := &shapley.Counter{U: tr.Utility}
-			actual := shapley.Exact(n, counter.Call)
-			pooledAct = append(pooledAct, actual...)
+			pooledAct = append(pooledAct, shapley.Exact(n, tr.Utility)...)
 
 			record := func(method string, est []float64, c metrics.Cost) {
 				pooledEst[method] = append(pooledEst[method], est...)
@@ -94,25 +120,9 @@ func HFLComparison(o Opts) *ComparisonResult {
 			attr := core.EstimateHFL(run.Log, n, core.ResourceSaving, nil)
 			record("DIG-FL", attr.Totals, metrics.Cost{Wall: trainTime + sw.Elapsed()})
 
-			// TMC-Shapley: n²·log n retraining budget.
-			sw = metrics.NewStopwatch()
-			tmcCounter := &shapley.Counter{U: tr.Utility}
-			tmcEst, tmcEvals := shapley.TMC(n, tmcCounter.Call, shapley.TMCConfig{
-				MaxEvals: shapley.BudgetTMC(n), Tolerance: 0.01, RNG: rng.Split(1),
-			})
-			tmcCost := metrics.Cost{Wall: sw.Elapsed(), Retrains: tmcEvals}
-			tmcCost.AddFloats(hflCommFloats(tmcEvals, s.Epochs, n, p))
-			record("TMC-shapley", tmcEst, tmcCost)
-
-			// GT-Shapley: n·(log n)² sampled coalitions, each a retraining.
-			sw = metrics.NewStopwatch()
-			gtCounter := &shapley.Counter{U: tr.Utility}
-			gtEst, gtEvals := shapley.GT(n, gtCounter.Call, shapley.GTConfig{
-				Samples: shapley.BudgetGT(n), RNG: rng.Split(2),
-			})
-			gtCost := metrics.Cost{Wall: sw.Elapsed(), Retrains: gtEvals}
-			gtCost.AddFloats(hflCommFloats(gtEvals, s.Epochs, n, p))
-			record("GT-shapley", gtEst, gtCost)
+			runSamplingArms(n, tr.Utility, rng, func(retrains int64) int64 {
+				return hflCommFloats(retrains, s.Epochs, n, p)
+			}, record)
 
 			// MR: per-round exact reconstruction (2^n evaluations per round).
 			sw = metrics.NewStopwatch()
@@ -151,36 +161,21 @@ func VFLComparison(o Opts) *ComparisonResult {
 		row := ComparisonRow{Dataset: preset.Config.Name, N: n, Scores: map[string]MethodScore{}}
 
 		sw := metrics.NewStopwatch()
-		run := runVFL(context.Background(), tr)
+		run := tr.Run()
 		trainTime := sw.Elapsed()
 
-		counter := &shapley.Counter{U: tr.Utility}
-		actual := shapley.Exact(n, counter.Call)
-		score := func(est []float64, c metrics.Cost) MethodScore {
-			return MethodScore{PCC: metrics.Pearson(est, actual), Cost: c}
-		}
+		actual := shapley.Exact(n, tr.Utility)
 
 		sw = metrics.NewStopwatch()
 		attr := core.EstimateVFL(run.Log, prob.Blocks, core.ResourceSaving, nil)
-		row.Scores["DIG-FL"] = score(attr.Totals, metrics.Cost{Wall: trainTime + sw.Elapsed()})
+		row.Scores["DIG-FL"] = MethodScore{PCC: metrics.Pearson(attr.Totals, actual),
+			Cost: metrics.Cost{Wall: trainTime + sw.Elapsed()}}
 
-		sw = metrics.NewStopwatch()
-		tmcCounter := &shapley.Counter{U: tr.Utility}
-		tmcEst, tmcEvals := shapley.TMC(n, tmcCounter.Call, shapley.TMCConfig{
-			MaxEvals: shapley.BudgetTMC(n), Tolerance: 0.01, RNG: rng.Split(1),
+		runSamplingArms(n, tr.Utility, rng, func(retrains int64) int64 {
+			return vflCommFloats(retrains, cfg.Epochs, n, mTrain)
+		}, func(method string, est []float64, c metrics.Cost) {
+			row.Scores[method] = MethodScore{PCC: metrics.Pearson(est, actual), Cost: c}
 		})
-		tmcCost := metrics.Cost{Wall: sw.Elapsed(), Retrains: tmcEvals}
-		tmcCost.AddFloats(vflCommFloats(tmcEvals, cfg.Epochs, n, mTrain))
-		row.Scores["TMC-shapley"] = score(tmcEst, tmcCost)
-
-		sw = metrics.NewStopwatch()
-		gtCounter := &shapley.Counter{U: tr.Utility}
-		gtEst, gtEvals := shapley.GT(n, gtCounter.Call, shapley.GTConfig{
-			Samples: shapley.BudgetGT(n), RNG: rng.Split(2),
-		})
-		gtCost := metrics.Cost{Wall: sw.Elapsed(), Retrains: gtEvals}
-		gtCost.AddFloats(vflCommFloats(gtEvals, cfg.Epochs, n, mTrain))
-		row.Scores["GT-shapley"] = score(gtEst, gtCost)
 
 		res.Rows = append(res.Rows, row)
 	}

@@ -1,20 +1,15 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"strconv"
 	"time"
 
 	"digfl/internal/baselines"
-	"digfl/internal/dataset"
 	"digfl/internal/hfl"
 	"digfl/internal/metrics"
-	"digfl/internal/nn"
-	"digfl/internal/obs"
 	"digfl/internal/shapley"
-	"digfl/internal/tensor"
 )
 
 // EngineMatrixRow is one engine's accuracy-vs-cost cell: rank agreement
@@ -46,27 +41,12 @@ type EngineMatrixResult struct {
 const engineN = 8
 
 // engineTrainer builds the shared federation the engine runners evaluate:
-// engineN participants with graded label corruption (participant i
-// mislabels i/n of its shard), so the ground-truth contribution ranking is
-// well separated and rank agreement measures estimator quality rather
-// than coin flips between near-tied honest participants.
+// engineN participants with graded label corruption on a 0.2 validation
+// split.
 func engineTrainer(o Opts) (*hfl.Trainer, int) {
-	rng := tensor.NewRNG(o.Seed)
-	full := dataset.MNISTLike(o.samples(2000), o.Seed)
-	train, val := full.Split(0.2, rng)
-	parts := dataset.PartitionIID(train, engineN, rng)
-	for i := 1; i < engineN; i++ {
-		parts[i] = dataset.Mislabel(parts[i], float64(i)/engineN, rng.Split(int64(i)))
-	}
 	epochs := o.epochs(10)
-	tr := &hfl.Trainer{
-		Model: nn.NewSoftmaxRegression(train.Dim(), train.Classes),
-		Parts: parts,
-		Val:   val,
-		Cfg: hfl.Config{Epochs: epochs, LR: 0.3, KeepLog: true,
-			Runtime: obs.Runtime{Sink: o.Sink}},
-	}
-	return tr, epochs
+	return BuildHFL(HFLSetting{Dataset: "MNIST", N: engineN, Corruption: GradedMislabel, ValFrac: 0.2,
+		Samples: o.samples(2000), Epochs: epochs, LR: 0.3, Seed: o.Seed, Sink: o.Sink}), epochs
 }
 
 // engineValLoss builds the engines' validation-loss oracle over the
@@ -94,7 +74,7 @@ func feedEngine(name string, spec shapley.EngineSpec, log []*hfl.Epoch) *shapley
 func EngineMatrix(o Opts) *EngineMatrixResult {
 	o.validate()
 	tr, epochs := engineTrainer(o)
-	run := runHFL(context.Background(), tr)
+	run := tr.Run()
 	spec := shapley.EngineSpec{N: engineN, Loss: engineValLoss(tr), Seed: o.Seed}
 	exact := feedEngine("exact", spec, run.Log)
 

@@ -45,9 +45,8 @@ func TestEngineMatrixAcceptance(t *testing.T) {
 	if !strings.Contains(sb.String(), "rank accuracy vs cost") {
 		t.Fatal("render incomplete")
 	}
-	if got := len(res.Tables()["engines_matrix"]); got != len(res.Rows)+1 {
-		t.Fatalf("engines_matrix CSV has %d rows, want %d", got, len(res.Rows)+1)
-	}
+	// Wall is the time spent inside Observe.
+	checkGolden(t, res.Tables(), goldenEngines, "wall_seconds")
 }
 
 // TestVolatilityDeterministic is the verify-engines rerun gate: the whole
@@ -62,6 +61,7 @@ func TestVolatilityDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(first, second) {
 			t.Fatalf("seed %d: volatility rerun diverged:\n%+v\nvs\n%+v", seed, first, second)
 		}
+		checkGolden(t, first.Tables(), goldenVolatility[seed-1])
 		for _, row := range first.Rows {
 			if row.MinTau > row.MeanTau || row.MeanTau > row.MaxTau {
 				t.Fatalf("seed %d: %s: min/mean/max out of order: %+v", seed, row.Engine, row)

@@ -6,14 +6,12 @@ import (
 	"fmt"
 	"io"
 	"reflect"
-	"strconv"
 	"time"
 
 	"digfl/internal/core"
 	"digfl/internal/dataset"
 	"digfl/internal/faults"
 	"digfl/internal/hfl"
-	"digfl/internal/nn"
 	"digfl/internal/obs"
 	"digfl/internal/tensor"
 	"digfl/internal/vfl"
@@ -47,28 +45,10 @@ func DefaultFaultSpec() FaultSpec {
 // The result is validated by the fault injector it will configure.
 func ParseFaultSpec(s string) (FaultSpec, error) {
 	spec := DefaultFaultSpec()
-	err := overlaySpec("faults", s, func(k, v string) (known bool, err error) {
-		switch k {
-		case "seed":
-			spec.Seed, err = strconv.ParseInt(v, 10, 64)
-		case "dropout":
-			spec.Dropout, err = strconv.ParseFloat(v, 64)
-		case "straggler":
-			spec.Straggler, err = strconv.ParseFloat(v, 64)
-		case "delay":
-			spec.StragglerDelay, err = time.ParseDuration(v)
-		case "crash":
-			spec.CrashEpoch, err = strconv.Atoi(v)
-		case "secure":
-			spec.SecureFailure, err = strconv.ParseFloat(v, 64)
-		case "every":
-			spec.CheckpointEvery, err = strconv.Atoi(v)
-		case "retries":
-			spec.MaxRetries, err = strconv.Atoi(v)
-		default:
-			return false, nil
-		}
-		return true, err
+	err := overlaySpec("faults", s, map[string]any{
+		"seed": &spec.Seed, "dropout": &spec.Dropout, "straggler": &spec.Straggler,
+		"delay": &spec.StragglerDelay, "crash": &spec.CrashEpoch, "secure": &spec.SecureFailure,
+		"every": &spec.CheckpointEvery, "retries": &spec.MaxRetries,
 	})
 	if err != nil {
 		return spec, err
@@ -135,11 +115,11 @@ func (r *ftTrace) Emit(e obs.Event) {
 }
 
 type ftRun struct {
-	params, curve, totals []float64
-	logLen                int
-	degraded              int
-	trace                 *ftTrace
-	resumedFrom           int
+	res         *hfl.Result
+	totals      []float64
+	degraded    int
+	trace       *ftTrace
+	resumedFrom int
 }
 
 // FaultTolerance runs the full robustness lifecycle on an HFL task and the
@@ -162,31 +142,18 @@ func FaultTolerance(spec FaultSpec, o Opts) *FaultTolResult {
 		Straggler: spec.Straggler, StragglerDelay: spec.StragglerDelay,
 		CrashEpoch: crashAt}
 
-	rng := tensor.NewRNG(o.Seed)
-	full := imageData("MNIST", o.samples(1200), o.Seed, 0)
-	train, val := full.Split(0.1, rng)
-	parts := dataset.PartitionIID(train, 5, rng)
-	p := nn.NewSoftmaxRegression(train.Dim(), train.Classes).NumParams()
-
-	newTrainer := func(sink obs.Sink, est *core.HFLEstimator) *hfl.Trainer {
-		tr := &hfl.Trainer{
-			Model: nn.NewSoftmaxRegression(train.Dim(), train.Classes),
-			Parts: parts,
-			Val:   val,
-			Cfg: hfl.Config{Epochs: epochs, LR: 0.3, KeepLog: true,
-				Runtime: obs.Runtime{Sink: sink}},
-		}
-		tr.Observer = func(ep *hfl.Epoch) { est.Observe(ep) }
-		return tr
+	fed := iidFederation(5, o.samples(1200), o.Seed)
+	newTrainer := func(sink obs.Sink) (*hfl.Trainer, *core.HFLEstimator) {
+		return fed.observed(fed.trainer(hfl.Config{Epochs: epochs, LR: 0.3, KeepLog: true,
+			Runtime: obs.Runtime{Sink: sink}}))
 	}
 
 	// One crash-and-resume lifecycle; deterministic for a fixed spec.
 	lifecycle := func() ftRun {
 		rec := &ftTrace{next: o.Sink}
-		est := core.NewHFLEstimator(len(parts), p, core.ResourceSaving, nil)
 		var lastCk *hfl.Checkpoint
 		var lastEst *core.EstimatorState
-		tr := newTrainer(rec, est)
+		tr, est := newTrainer(rec)
 		tr.Cfg.Faults = faults.MustNew(fcfg)
 		tr.Cfg.CheckpointEvery = every
 		tr.Cfg.CheckpointFunc = func(ck *hfl.Checkpoint) error {
@@ -204,26 +171,15 @@ func FaultTolerance(spec FaultSpec, o Opts) *FaultTolResult {
 			panic("experiments: crash fired before the first checkpoint")
 		}
 
-		est2 := core.NewHFLEstimator(len(parts), p, core.ResourceSaving, nil)
+		tr2, est2 := newTrainer(rec)
 		if err := est2.SetState(lastEst); err != nil {
 			panic(fmt.Sprintf("experiments: estimator resume: %v", err))
 		}
-		tr2 := newTrainer(rec, est2)
 		tr2.Cfg.Faults = faults.MustNew(fcfg).WithoutCrash()
 		tr2.Cfg.Resume = lastCk
-		res, err := tr2.RunContext(context.Background())
-		if err != nil {
-			panic(fmt.Sprintf("experiments: resumed run: %v", err))
-		}
-		out := ftRun{
-			params:      append([]float64(nil), res.Model.Params()...),
-			curve:       append([]float64(nil), res.ValLossCurve...),
-			totals:      append([]float64(nil), est2.Attribution().Totals...),
-			logLen:      len(res.Log),
-			trace:       rec,
-			resumedFrom: lastCk.Epoch,
-		}
-		for _, ep := range res.Log {
+		out := ftRun{res: tr2.Run(), trace: rec, resumedFrom: lastCk.Epoch}
+		out.totals = est2.Attribution().Totals
+		for _, ep := range out.res.Log {
 			if ep.Reported != nil {
 				out.degraded++
 			}
@@ -235,27 +191,19 @@ func FaultTolerance(spec FaultSpec, o Opts) *FaultTolResult {
 	b := lifecycle()
 
 	// Uninterrupted reference: same schedule, crash disarmed from the start.
-	refEst := core.NewHFLEstimator(len(parts), p, core.ResourceSaving, nil)
-	ref := newTrainer(o.Sink, refEst)
+	ref, refEst := newTrainer(o.Sink)
 	ref.Cfg.Faults = faults.MustNew(fcfg).WithoutCrash()
-	want, err := ref.RunContext(context.Background())
-	if err != nil {
-		panic(fmt.Sprintf("experiments: reference run: %v", err))
-	}
+	want := ref.Run()
 
 	res := &FaultTolResult{
 		Spec: spec, Epochs: epochs, CrashEpoch: crashAt, Every: every, ResumedFrom: a.resumedFrom,
-		Dropouts:       a.trace.counts[obs.KindDropout],
-		Stragglers:     a.trace.counts[obs.KindStraggler],
-		DegradedEpochs: a.degraded,
-		Checkpoints:    a.trace.counts[obs.KindCheckpoint],
-		Totals:         a.totals,
-		ResumeBitIdentical: reflect.DeepEqual(a.params, want.Model.Params()) &&
-			reflect.DeepEqual(a.curve, want.ValLossCurve) &&
-			reflect.DeepEqual(a.totals, refEst.Attribution().Totals),
-		Deterministic: reflect.DeepEqual(a.trace.events, b.trace.events) &&
-			reflect.DeepEqual(a.params, b.params) &&
-			reflect.DeepEqual(a.totals, b.totals),
+		Dropouts:           a.trace.counts[obs.KindDropout],
+		Stragglers:         a.trace.counts[obs.KindStraggler],
+		DegradedEpochs:     a.degraded,
+		Checkpoints:        a.trace.counts[obs.KindCheckpoint],
+		Totals:             a.totals,
+		ResumeBitIdentical: sameRun(a.res, want, a.totals, refEst.Attribution().Totals),
+		Deterministic:      sameRun(a.res, b.res, a.trace.events, b.trace.events, a.totals, b.totals),
 	}
 
 	// Secure protocol: transient round failures with retries must be
@@ -270,7 +218,7 @@ func FaultTolerance(spec FaultSpec, o Opts) *FaultTolResult {
 	scfg := vfl.SecureConfig{Epochs: 4, LR: 0.05, KeyBits: 256, MaskSeed: 21,
 		Runtime: obs.Runtime{Sink: o.Sink}}
 	res.SecureEpochs = scfg.Epochs
-	clean, err := vfl.RunSecureLinReg(prob, scfg)
+	clean, err := vfl.RunSecureN(prob, scfg)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: secure reference: %v", err))
 	}
@@ -278,13 +226,12 @@ func FaultTolerance(spec FaultSpec, o Opts) *FaultTolResult {
 	scfg.Faults = faults.MustNew(faults.Config{Seed: spec.Seed, SecureFailure: spec.SecureFailure})
 	scfg.MaxRetries = spec.MaxRetries
 	scfg.Runtime.Sink = srec
-	retried, err := vfl.RunSecureLinReg(prob, scfg)
+	retried, err := vfl.RunSecureN(prob, scfg)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: secure retried run: %v", err))
 	}
 	res.SecureRetries = srec.counts[obs.KindRetry]
-	res.SecureTransparent = reflect.DeepEqual(clean.Theta, retried.Theta) &&
-		clean.Shapley == retried.Shapley && clean.CommBytes == retried.CommBytes
+	res.SecureTransparent = reflect.DeepEqual(clean, retried)
 	return res
 }
 
@@ -307,24 +254,10 @@ func (r *FaultTolResult) Render(w io.Writer) {
 
 // Tables returns the CSV rendering.
 func (r *FaultTolResult) Tables() map[string][][]string {
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	rows := [][]string{
-		{"metric", "value"},
-		{"epochs", strconv.Itoa(r.Epochs)},
-		{"crash_epoch", strconv.Itoa(r.CrashEpoch)},
-		{"checkpoint_every", strconv.Itoa(r.Every)},
-		{"resumed_from", strconv.Itoa(r.ResumedFrom)},
-		{"dropouts", strconv.Itoa(r.Dropouts)},
-		{"stragglers", strconv.Itoa(r.Stragglers)},
-		{"degraded_epochs", strconv.Itoa(r.DegradedEpochs)},
-		{"checkpoints", strconv.Itoa(r.Checkpoints)},
-		{"resume_bit_identical", strconv.FormatBool(r.ResumeBitIdentical)},
-		{"deterministic", strconv.FormatBool(r.Deterministic)},
-		{"secure_retries", strconv.Itoa(r.SecureRetries)},
-		{"secure_transparent", strconv.FormatBool(r.SecureTransparent)},
-	}
-	for i, v := range r.Totals {
-		rows = append(rows, []string{fmt.Sprintf("phi_%d", i), f(v)})
-	}
-	return map[string][][]string{"fault_tolerance": rows}
+	return metricTable("fault_tolerance", r.Totals,
+		"epochs", r.Epochs, "crash_epoch", r.CrashEpoch, "checkpoint_every", r.Every,
+		"resumed_from", r.ResumedFrom, "dropouts", r.Dropouts, "stragglers", r.Stragglers,
+		"degraded_epochs", r.DegradedEpochs, "checkpoints", r.Checkpoints,
+		"resume_bit_identical", r.ResumeBitIdentical, "deterministic", r.Deterministic,
+		"secure_retries", r.SecureRetries, "secure_transparent", r.SecureTransparent)
 }

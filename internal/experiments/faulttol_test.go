@@ -55,5 +55,5 @@ func TestFaultTolerance(t *testing.T) {
 			t.Errorf("rendering lacks %q", want)
 		}
 	}
-	checkTables(t, r.Tables(), "fault_tolerance")
+	checkGolden(t, r.Tables(), goldenFaults)
 }

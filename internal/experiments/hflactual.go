@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -84,7 +83,7 @@ func HFLvsActual(o Opts) *HFLActualResult {
 		tr := BuildHFL(s)
 
 		sw := metrics.NewStopwatch()
-		run := runHFL(context.Background(), tr)
+		run := tr.Run()
 		attr := core.EstimateHFL(run.Log, s.N, core.ResourceSaving, nil)
 		digflCost := metrics.Cost{Wall: sw.Elapsed()}
 

@@ -30,8 +30,5 @@ func TestNetExperiment(t *testing.T) {
 			t.Errorf("render missing %q", want)
 		}
 	}
-	rows, ok := r.Tables()["net"]
-	if !ok || len(rows) < 7 {
-		t.Fatalf("tables missing net rows: %v", rows)
-	}
+	checkGolden(t, r.Tables(), goldenNet)
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -66,7 +65,7 @@ func PerEpoch(o Opts) *PerEpochResult {
 		}
 		tr := BuildHFL(s)
 		tr.Parts[3] = mislabelPart(tr.Parts[3], 0.5, o.Seed+3)
-		run := runHFL(context.Background(), tr)
+		run := tr.Run()
 
 		attr := core.EstimateHFL(run.Log, s.N, core.ResourceSaving, nil)
 		mr := baselines.MR(run.Log, baselines.NewValLoss(tr.Model, tr.Val.X, tr.Val.Y))

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -102,7 +101,7 @@ func accuracyCurve(tr *hfl.Trainer, rw hfl.Reweighter) []float64 {
 			curve = append(curve, acc(ep.Theta))
 		}
 	}
-	res := runHFL(context.Background(), tr)
+	res := tr.Run()
 	curve = append(curve, acc(res.Model.Params()))
 	return curve
 }

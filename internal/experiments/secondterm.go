@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -61,7 +60,7 @@ func SecondTerm(o Opts) *SecondTermResult {
 			Sink: o.Sink,
 		}
 		tr := BuildHFL(s)
-		run := runHFL(context.Background(), tr)
+		run := tr.Run()
 		in := core.EstimateHFL(run.Log, s.N, core.Interactive, core.LocalHVP(tr.Model, tr.Parts))
 		rs := core.EstimateHFL(run.Log, s.N, core.ResourceSaving, nil)
 		phi, phiHat := tensor.Sum(in.Totals), tensor.Sum(rs.Totals)
@@ -76,7 +75,7 @@ func SecondTerm(o Opts) *SecondTermResult {
 	for _, preset := range dataset.VFLPresets(o.Scale) {
 		prob, cfg := buildVFL(preset, o)
 		tr := &vfl.Trainer{Problem: prob, Cfg: cfg}
-		run := runVFL(context.Background(), tr)
+		run := tr.Run()
 		hvp := core.TrainHVP(probModel(prob), prob.Train)
 		in := core.EstimateVFL(run.Log, prob.Blocks, core.Interactive, hvp)
 		rs := core.EstimateVFL(run.Log, prob.Blocks, core.ResourceSaving, nil)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -61,7 +60,7 @@ func VFLvsActual(o Opts) *VFLActualResult {
 		tr := &vfl.Trainer{Problem: prob, Cfg: cfg}
 
 		sw := metrics.NewStopwatch()
-		run := runVFL(context.Background(), tr)
+		run := tr.Run()
 		attr := core.EstimateVFL(run.Log, prob.Blocks, core.ResourceSaving, nil)
 		tDIGFL := sw.Elapsed().Seconds()
 

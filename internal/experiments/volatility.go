@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"strconv"
@@ -159,7 +158,7 @@ func tauSpread(totals [][]float64) (min, mean, max float64) {
 func Volatility(o Opts) *VolatilityResult {
 	o.validate()
 	tr, epochs := engineTrainer(o)
-	run := runHFL(context.Background(), tr)
+	run := tr.Run()
 	loss := engineValLoss(tr)
 
 	degraded := make([][]*hfl.Epoch, volatilityPatterns)

@@ -8,7 +8,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"runtime"
 	"strconv"
 
@@ -221,18 +220,14 @@ func Wire(o Opts) *WireResult {
 		Stream: hfl.MeanStream{},
 	}
 	ref.Cfg.Runtime.Sink = o.Sink
-	want, err := ref.RunContext(context.Background())
-	if err != nil {
-		panic(fmt.Sprintf("experiments: wire reference run: %v", err))
-	}
+	want := ref.Run()
 
 	r := &WireResult{Population: w.pop, Cohort: w.cohort, Epochs: w.epochs, Dim: w.dim}
 	got, err := runWire(w, o.Sink, r)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: wire run: %v", err))
 	}
-	r.BitIdentical = reflect.DeepEqual(want.Model.Params(), got.Model.Params()) &&
-		reflect.DeepEqual(want.ValLossCurve, got.ValLossCurve)
+	r.BitIdentical = sameRun(want, got)
 	return r
 }
 

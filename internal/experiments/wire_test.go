@@ -33,6 +33,8 @@ func TestWireCodecGate(t *testing.T) {
 		t.Fatalf("%.0f allocations per round, ceiling %d; pooling is not holding",
 			r.AllocsPerRound, wireAllocCeiling)
 	}
+	// The allocation count is a measurement (bounded above); the rest is exact.
+	checkGolden(t, r.Tables(), goldenWire, "allocs_per_round")
 }
 
 const wireAllocCeiling = 6000

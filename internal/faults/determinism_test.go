@@ -8,6 +8,7 @@ package faults_test
 // `make verify-faults` target runs; any nondeterminism fails it.
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -94,7 +95,7 @@ func faultedRun(t *testing.T, seed int64) runOutput {
 		lastCk, lastEst = &cp, est.State()
 		return nil
 	}
-	_, err := tr.RunE()
+	_, err := tr.RunContext(context.Background())
 	var ce *faults.CrashError
 	if !errors.As(err, &ce) || ce.Epoch != crashAt {
 		t.Fatalf("seed %d: expected crash at %d, got %v", seed, crashAt, err)
@@ -112,7 +113,7 @@ func faultedRun(t *testing.T, seed int64) runOutput {
 	tr2 := newTrainer(est2, rec)
 	tr2.Cfg.Faults = faults.MustNew(fcfg).WithoutCrash()
 	tr2.Cfg.Resume = lastCk
-	res, err := tr2.RunE()
+	res, err := tr2.RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("seed %d: resume: %v", seed, err)
 	}
@@ -182,7 +183,7 @@ func TestCrashResumeMatchesUninterrupted(t *testing.T) {
 				return nil
 			}
 		}
-		return tr.RunE()
+		return tr.RunContext(context.Background())
 	}
 
 	p := nn.NewSoftmaxRegression(train.Dim(), train.Classes).NumParams()

@@ -179,7 +179,7 @@ func TestRejectionBitIdentity(t *testing.T) {
 		Model: model, Parts: parts, Val: val, Cfg: testConfig(),
 		Reweighter: &core.HFLReweighter{Estimator: refEst},
 	}
-	refRes, err := ref.RunE()
+	refRes, err := ref.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func localAsyncRun(t *testing.T, seed int64, fcfg faults.Config, sink obs.Sink) 
 		Stream:   hfl.MeanStream{},
 		Observer: func(ep *hfl.Epoch) { est.Observe(ep) },
 	}
-	res, err := tr.RunE()
+	res, err := tr.RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("local async run (seed %d): %v", seed, err)
 	}
@@ -140,7 +140,7 @@ func TestAsyncQuorumSweepDeterministic(t *testing.T) {
 				},
 				Stream: hfl.MeanStream{},
 			}
-			res, err := tr.RunE()
+			res, err := tr.RunContext(context.Background())
 			if err != nil {
 				t.Fatalf("K=%d: %v", k, err)
 			}
@@ -429,11 +429,11 @@ func TestAsyncWALMidQuorumRecovery(t *testing.T) {
 
 	model, parts, val := problem(seed)
 	journal := &bytes.Buffer{}
-	front := &walFront{}
+	front := &Front{}
 	// Round 1 journals testN update frames (every fresh member posts, lagged
 	// or not); tearing shortly after leaves round 2 mid-cohort with the
 	// round-1 lag buffer journaled in the close frame of epoch 1.
-	writer := &tearAtBinary{buf: journal, left: testN + 2, onTear: front.kill}
+	writer := &tearAtBinary{buf: journal, left: testN + 2, onTear: front.Kill}
 
 	newCoord := func() *Coordinator {
 		cfg := testConfig()
@@ -448,7 +448,7 @@ func TestAsyncWALMidQuorumRecovery(t *testing.T) {
 		}
 	}
 
-	res, coord := runThroughCrashes(t, model, parts, journal, front, 1, newCoord)
+	res, coord := loopbackThroughCrashes(t, model, parts, journal, front, 1, newCoord)
 	est := coord.Estimator
 	checkSameRun(t, "async crash-recovery vs AsyncLocalSource", res, want, est.Attribution(), wantAttr)
 	attr := est.Attribution()

@@ -91,7 +91,7 @@ type Coordinator struct {
 	// and the root merges the partials in edge order, so a two-level tree
 	// reduces in the canonical hfl.MeanStream segmented order and stays
 	// bit-identical to a flat streamed run with Seg = edge width. Global
-	// index i belongs to edge i/ceil(N/Edges), the TreeLoopback partition.
+	// index i belongs to edge i/ceil(N/Edges), the Loopback partition.
 	Edges int
 	// Journal, when non-nil, turns on the coordinator's write-ahead log
 	// (digfl-fednet-wal/2, see wal.go): every commit the round's outcome

@@ -53,7 +53,7 @@ func localRun(t *testing.T, seed int64, cfg hfl.Config) (*hfl.Result, *core.Attr
 		Model: model, Parts: parts, Val: val, Cfg: cfg,
 		Observer: func(ep *hfl.Epoch) { est.Observe(ep) },
 	}
-	res, err := tr.RunE()
+	res, err := tr.RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("local run (seed %d): %v", seed, err)
 	}
@@ -158,7 +158,7 @@ func TestLocalSourceMatchesPlainTrainer(t *testing.T) {
 		Model: model, Val: val, Cfg: cfg,
 		Rounds: &LocalSource{Model: model, Parts: parts},
 	}
-	got, err := tr.RunE()
+	got, err := tr.RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("LocalSource run: %v", err)
 	}
@@ -186,7 +186,7 @@ func TestStragglerDeadlineMatchesLocalDrop(t *testing.T) {
 		Rounds: &LocalSource{Model: model, Parts: parts,
 			Drop: func(tt, i int) bool { return tt == straggleT && i == straggler }},
 	}
-	want, err := ref.RunE()
+	want, err := ref.RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}

@@ -1,6 +1,7 @@
 package fednet
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -11,129 +12,210 @@ import (
 	"digfl/internal/hfl"
 )
 
-// Loopback runs a coordinator and its N participants over a real HTTP
-// listener on the loopback interface — the in-process harness the
-// determinism tests and examples use. parts builds the i-th participant;
-// Loopback fills in its BaseURL. It returns the coordinator's training
-// result alongside any per-participant errors (indexed by participant).
-//
-// Every byte still crosses a real TCP connection and the full wire
+// Loopback runs a coordinator and its N participants over real HTTP
+// listeners on the loopback interface — the one in-process harness of the
+// determinism tests, the studies and the examples. parts builds the i-th
+// participant; Loopback fills in its BaseURL. It returns the coordinator's
+// training result alongside the per-participant errors (indexed by
+// participant). Every byte crosses a real TCP connection and the full wire
 // protocol, so a Loopback run exercises exactly what a distributed
-// deployment would — it just happens to schedule both sides in one process.
+// deployment would — it just schedules every tier in one process.
+//
+// With c.Edges > 0 it runs the two-level cohort tree: one EdgeAggregator
+// server per contiguous block of ceil(N/Edges) participants, who submit
+// their updates to their edge (UpdateURL) and poll the root for rounds; the
+// per-edge errors follow the per-participant ones. With c.Stream =
+// hfl.MeanStream{Seg: ceil(N/Edges)} the tree is bit-identical to the flat
+// streamed run and to the in-process streamed trainer of that segment width
+// — the canonical segmented reduction made literal.
 func Loopback(ctx context.Context, c *Coordinator, parts func(i int) *Participant) (*hfl.Result, []error, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, nil, fmt.Errorf("fednet: loopback listener: %w", err)
-	}
-	srv := &http.Server{Handler: c.Handler()}
-	go func() { _ = srv.Serve(ln) }()
-	defer srv.Close()
-
-	base := "http://" + ln.Addr().String()
-	perrs := make([]error, c.N)
-	var wg sync.WaitGroup
-	for i := 0; i < c.N; i++ {
-		p := parts(i)
-		p.BaseURL = base
-		wg.Add(1)
-		go func(i int, p *Participant) {
-			defer wg.Done()
-			perrs[i] = p.Run(ctx)
-		}(i, p)
-	}
-
-	res, runErr := c.Run(ctx)
-	wg.Wait()
-	return res, perrs, runErr
+	return Chaos{}.Loopback(ctx, c, parts)
 }
 
-// TreeLoopback runs a two-level cohort tree on the loopback interface: the
-// root coordinator (c.Edges edge slots, c.Stream set), one EdgeAggregator
-// server per contiguous block of ceil(N/Edges) participants, and the N
-// participants submitting their updates to their edge while polling the
-// root for rounds. Every hop crosses a real TCP connection. The returned
-// errors are the per-participant errors followed by the per-edge errors.
-//
-// With c.Stream = hfl.MeanStream{Seg: ceil(N/Edges)}, a TreeLoopback run is
-// bit-identical to a flat streamed Loopback run and to the in-process
-// streamed trainer with the same segment width — the tree is the canonical
-// segmented reduction made literal.
-func TreeLoopback(ctx context.Context, c *Coordinator, parts func(i int) *Participant) (*hfl.Result, []error, error) {
-	if c.Edges <= 0 {
-		return nil, nil, fmt.Errorf("fednet: TreeLoopback needs Edges > 0")
-	}
+// Chaos is what a fault-injecting caller adds to a Loopback run: a kill
+// switch in front of the root with the step that replaces a dead
+// coordinator, and a say in how each edge is served. The zero value adds
+// nothing.
+type Chaos struct {
+	// Front, when non-nil, stands before the root coordinator; the harness
+	// installs every incarnation's handler behind it. Whatever kills the
+	// coordinator (a journal writer tearing a record) calls Front.Kill first,
+	// so the dead incarnation's replies never reach a participant.
+	Front *Front
+	// Next, when non-nil, is called each time Coordinator.Run fails, with the
+	// number of restarts so far (1 on the first call) and Run's error. It
+	// returns the fresh coordinator of the next incarnation, or an error to
+	// give up. The harness replays Journal's clean prefix into it through
+	// Recover, truncates the torn tail, installs it behind Front and runs it.
+	Next func(restarts int, runErr error) (*Coordinator, error)
+	// Journal is the buffer the coordinators' journal writer appends to.
+	Journal *bytes.Buffer
+	// Edge, when non-nil, wraps the member-facing handler h of every edge of a
+	// tree before it starts, and may set the edge's client fields. stop ends
+	// that edge's Run alone: with a Front around h, an edge death.
+	Edge func(ea *EdgeAggregator, h http.Handler, stop context.CancelFunc) http.Handler
+}
+
+// serve starts a server for h on a fresh loopback port.
+func serve(h http.Handler) (url string, stop func(), err error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, nil, fmt.Errorf("fednet: loopback listener: %w", err)
+		return "", nil, fmt.Errorf("fednet: loopback listener: %w", err)
 	}
-	srv := &http.Server{Handler: c.Handler()}
+	srv := &http.Server{Handler: h}
 	go func() { _ = srv.Serve(ln) }()
-	defer srv.Close()
-	root := "http://" + ln.Addr().String()
+	return "http://" + ln.Addr().String(), func() { _ = srv.Close() }, nil
+}
 
-	// Partition the population into contiguous blocks, one per edge, and
-	// start each edge's member-facing server.
-	width := (c.N + c.Edges - 1) / c.Edges
-	edgeURL := make([]string, c.N) // participant -> its edge's URL
-	edges := make([]*EdgeAggregator, 0, c.Edges)
+// Loopback is the package-level Loopback with k wired in.
+func (k Chaos) Loopback(ctx context.Context, c *Coordinator, parts func(i int) *Participant) (*hfl.Result, []error, error) {
+	rootHandler := c.Handler()
+	if k.Front != nil {
+		k.Front.Install(rootHandler)
+		rootHandler = k.Front
+	}
+	root, stop, err := serve(rootHandler)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer stop()
+
+	// The edge tier: contiguous blocks of the population, one member-facing
+	// server each.
+	edgeURL := make([]string, c.N) // participant -> its edge's URL ("" when flat)
 	eerrs := make([]error, c.Edges)
 	var ewg sync.WaitGroup
 	ectx, stopEdges := context.WithCancel(ctx)
 	defer stopEdges()
-	for e := 0; e < c.Edges; e++ {
-		lo, hi := e*width, (e+1)*width
-		if hi > c.N {
-			hi = c.N
+	width := (c.N + c.Edges - 1) / max(c.Edges, 1) // ceil(N/Edges); unused when flat
+	for e := 0; e < c.Edges && e*width < c.N; e++ {
+		ea := &EdgeAggregator{Root: root, Edge: e, Sink: c.Cfg.Runtime.Sink}
+		for i := e * width; i < min((e+1)*width, c.N); i++ {
+			ea.Members = append(ea.Members, i)
 		}
-		if lo >= hi {
-			break
+		runCtx, stopEdge := context.WithCancel(ectx)
+		defer stopEdge()
+		h := ea.Handler()
+		if k.Edge != nil {
+			h = k.Edge(ea, h, stopEdge)
 		}
-		members := make([]int, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			members = append(members, i)
-		}
-		ea := &EdgeAggregator{Root: root, Edge: e, Members: members, Sink: c.Cfg.Runtime.Sink}
-		eln, err := net.Listen("tcp", "127.0.0.1:0")
+		url, stopServer, err := serve(h)
 		if err != nil {
-			return nil, nil, fmt.Errorf("fednet: edge %d listener: %w", e, err)
+			return nil, nil, err
 		}
-		esrv := &http.Server{Handler: ea.Handler()}
-		go func() { _ = esrv.Serve(eln) }()
-		defer esrv.Close()
-		url := "http://" + eln.Addr().String()
-		for i := lo; i < hi; i++ {
+		defer stopServer()
+		for _, i := range ea.Members {
 			edgeURL[i] = url
 		}
-		edges = append(edges, ea)
 		ewg.Add(1)
-		go func(e int, ea *EdgeAggregator) {
+		go func() {
 			defer ewg.Done()
-			eerrs[e] = ea.Run(ectx)
-		}(e, ea)
+			// Shutdown by cancellation is an edge's normal end of run.
+			if err := ea.Run(runCtx); !errors.Is(err, context.Canceled) {
+				eerrs[e] = err
+			}
+		}()
 	}
 
 	perrs := make([]error, c.N)
 	var wg sync.WaitGroup
 	for i := 0; i < c.N; i++ {
 		p := parts(i)
-		p.BaseURL = root
-		p.UpdateURL = edgeURL[i]
+		p.BaseURL, p.UpdateURL = root, edgeURL[i]
 		wg.Add(1)
-		go func(i int, p *Participant) {
+		go func() {
 			defer wg.Done()
 			perrs[i] = p.Run(ctx)
-		}(i, p)
+		}()
 	}
 
 	res, runErr := c.Run(ctx)
+	for restarts := 1; runErr != nil && k.Next != nil; restarts++ {
+		if c, err = k.Next(restarts, runErr); err != nil {
+			runErr = err
+			break
+		}
+		consumed, err := c.Recover(bytes.NewReader(k.Journal.Bytes()))
+		if err != nil {
+			runErr = fmt.Errorf("fednet: loopback recovery %d: %w", restarts, err)
+			break
+		}
+		k.Journal.Truncate(int(consumed))
+		k.Front.Install(c.Handler())
+		res, runErr = c.Run(ctx)
+	}
 	wg.Wait()
 	stopEdges()
 	ewg.Wait()
-	for e, err := range eerrs {
-		// Edge shutdown via cancellation is a normal end of run.
-		if errors.Is(err, context.Canceled) {
-			eerrs[e] = nil
-		}
-	}
 	return res, append(perrs, eerrs...), runErr
+}
+
+// Front is a kill switch in front of a server — the harness's stand-in for a
+// process boundary: a swappable inner handler behind one address, a down
+// flag and an incarnation counter. While down, every request — and every
+// in-flight response write from a previous incarnation's handler — aborts
+// its connection, so a killed process's half-written replies and stale
+// long-poll wakeups can never reach a client, exactly as if the process had
+// died.
+type Front struct {
+	mu    sync.RWMutex
+	inner http.Handler
+	gen   int
+	down  bool
+}
+
+// Install swaps in a new incarnation's handler and brings the front up.
+func (f *Front) Install(h http.Handler) {
+	f.mu.Lock()
+	f.inner = h
+	f.gen++
+	f.down = false
+	f.mu.Unlock()
+}
+
+// Kill takes the front down; in-flight handlers abort at their next write.
+func (f *Front) Kill() {
+	f.mu.Lock()
+	f.down = true
+	f.mu.Unlock()
+}
+
+func (f *Front) ServeHTTP(w http.ResponseWriter, req *http.Request) {
+	f.mu.RLock()
+	inner, gen, down := f.inner, f.gen, f.down
+	f.mu.RUnlock()
+	if down || inner == nil {
+		panic(http.ErrAbortHandler)
+	}
+	inner.ServeHTTP(&fencedWriter{front: f, gen: gen, w: w}, req)
+}
+
+// fencedWriter aborts the connection on any write attempted after the front
+// went down or moved to a newer incarnation — the handler goroutine is
+// treated as part of the killed process.
+type fencedWriter struct {
+	front *Front
+	gen   int
+	w     http.ResponseWriter
+}
+
+func (fw *fencedWriter) check() {
+	fw.front.mu.RLock()
+	ok := !fw.front.down && fw.front.gen == fw.gen
+	fw.front.mu.RUnlock()
+	if !ok {
+		panic(http.ErrAbortHandler)
+	}
+}
+
+func (fw *fencedWriter) Header() http.Header { return fw.w.Header() }
+
+func (fw *fencedWriter) WriteHeader(code int) {
+	fw.check()
+	fw.w.WriteHeader(code)
+}
+
+func (fw *fencedWriter) Write(p []byte) (int, error) {
+	fw.check()
+	return fw.w.Write(p)
 }

@@ -42,7 +42,7 @@ func localStreamRun(t *testing.T, seed int64, n, seg int, smp *sampling.Sampler)
 		Stream:   hfl.MeanStream{Seg: seg},
 		Observer: func(ep *hfl.Epoch) { est.Observe(ep) },
 	}
-	res, err := tr.RunE()
+	res, err := tr.RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("local streamed run (seed %d): %v", seed, err)
 	}
@@ -63,11 +63,7 @@ func netStreamRun(t *testing.T, seed int64, n, seg, edges int, smp *sampling.Sam
 		Stream:    hfl.MeanStream{Seg: seg},
 		Edges:     edges,
 	}
-	run := Loopback
-	if edges > 0 {
-		run = TreeLoopback
-	}
-	res, perrs, err := run(context.Background(), coord, func(i int) *Participant {
+	res, perrs, err := Loopback(context.Background(), coord, func(i int) *Participant {
 		return &Participant{Index: i, Model: model, Data: parts[i], Retries: 2}
 	})
 	if err != nil {

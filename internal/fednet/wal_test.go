@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -19,69 +18,6 @@ import (
 	"digfl/internal/nn"
 	"digfl/internal/sampling"
 )
-
-// walFront is the test's stand-in for a process boundary: a swappable inner
-// handler behind one address, a down flag, and an incarnation counter.
-// While down — and for any in-flight handler of an older incarnation —
-// every write aborts its connection, so a killed coordinator's half-written
-// replies can never reach a participant, exactly as if the process died.
-type walFront struct {
-	mu    sync.RWMutex
-	inner http.Handler
-	gen   int
-	down  bool
-}
-
-func (f *walFront) install(h http.Handler) {
-	f.mu.Lock()
-	f.inner = h
-	f.gen++
-	f.down = false
-	f.mu.Unlock()
-}
-
-func (f *walFront) kill() {
-	f.mu.Lock()
-	f.down = true
-	f.mu.Unlock()
-}
-
-func (f *walFront) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	f.mu.RLock()
-	inner, gen, down := f.inner, f.gen, f.down
-	f.mu.RUnlock()
-	if down || inner == nil {
-		panic(http.ErrAbortHandler)
-	}
-	inner.ServeHTTP(&walFencedWriter{front: f, gen: gen, w: w}, req)
-}
-
-type walFencedWriter struct {
-	front *walFront
-	gen   int
-	w     http.ResponseWriter
-}
-
-func (fw *walFencedWriter) check() {
-	fw.front.mu.RLock()
-	ok := !fw.front.down && fw.front.gen == fw.gen
-	fw.front.mu.RUnlock()
-	if !ok {
-		panic(http.ErrAbortHandler)
-	}
-}
-
-func (fw *walFencedWriter) Header() http.Header { return fw.w.Header() }
-
-func (fw *walFencedWriter) WriteHeader(code int) {
-	fw.check()
-	fw.w.WriteHeader(code)
-}
-
-func (fw *walFencedWriter) Write(p []byte) (int, error) {
-	fw.check()
-	return fw.w.Write(p)
-}
 
 // tearAtBinary journals cleanly until the target-th update-frame record,
 // which it tears in half — the canonical mid-write crash artifact —
@@ -107,59 +43,36 @@ func (w *tearAtBinary) Write(p []byte) (int, error) {
 	return w.buf.Write(p)
 }
 
-// runThroughCrashes serves the participants of parts against successive
+// loopbackThroughCrashes serves the participants of parts against successive
 // incarnations of a journaled coordinator behind front: whenever Run fails
-// (the journal writer tore a record and took the front down), a fresh
-// coordinator recovers from the journal's clean prefix and takes over, until
-// a Run completes. It requires exactly wantRestarts crashes and returns the
-// result with the incarnation that produced it.
-func runThroughCrashes(t *testing.T, model nn.Model, parts []dataset.Dataset, journal *bytes.Buffer,
-	front *walFront, wantRestarts int, newCoord func() *Coordinator) (*hfl.Result, *Coordinator) {
+// (the journal writer tore a record and took the front down), the harness
+// recovers a fresh coordinator from the journal's clean prefix, until a Run
+// completes. It requires exactly wantRestarts crashes and returns the result
+// with the incarnation that produced it.
+func loopbackThroughCrashes(t *testing.T, model nn.Model, parts []dataset.Dataset, journal *bytes.Buffer,
+	front *Front, wantRestarts int, newCoord func() *Coordinator) (*hfl.Result, *Coordinator) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listener: %v", err)
-	}
-	srv := &http.Server{Handler: front}
-	go func() { _ = srv.Serve(ln) }()
-	defer srv.Close()
-
 	coord := newCoord()
-	front.install(coord.Handler())
-
-	ctx := context.Background()
-	perrs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for i := range parts {
-		p := &Participant{
+	restarts := 0
+	res, perrs, err := Chaos{
+		Front: front, Journal: journal,
+		Next: func(n int, runErr error) (*Coordinator, error) {
+			restarts = n
+			if n > wantRestarts+1 {
+				return nil, runErr
+			}
+			coord = newCoord()
+			return coord, nil
+		},
+	}.Loopback(context.Background(), coord, func(i int) *Participant {
+		return &Participant{
 			Index: i, Model: model, Data: parts[i],
-			BaseURL: "http://" + ln.Addr().String(),
 			Retries: 400, Base: time.Millisecond, Cap: 20 * time.Millisecond,
 		}
-		wg.Add(1)
-		go func(i int, p *Participant) { defer wg.Done(); perrs[i] = p.Run(ctx) }(i, p)
+	})
+	if err != nil {
+		t.Fatalf("coordinator incarnation %d: %v", restarts, err)
 	}
-
-	restarts := 0
-	var res *hfl.Result
-	for {
-		res, err = coord.Run(ctx)
-		if err == nil {
-			break
-		}
-		restarts++
-		if restarts > wantRestarts+1 {
-			t.Fatalf("coordinator incarnation %d: %v", restarts, err)
-		}
-		coord = newCoord()
-		consumed, rerr := coord.Recover(bytes.NewReader(journal.Bytes()))
-		if rerr != nil {
-			t.Fatalf("recovery %d: %v", restarts, rerr)
-		}
-		journal.Truncate(int(consumed))
-		front.install(coord.Handler())
-	}
-	wg.Wait()
 	for i, perr := range perrs {
 		if perr != nil {
 			t.Fatalf("participant %d: %v", i, perr)
@@ -207,11 +120,11 @@ func streamedCrashRecovery(t *testing.T, n int, smp *sampling.Sampler, totalsOnl
 
 	model, parts, val := problemN(seed, n)
 	journal := &bytes.Buffer{}
-	front := &walFront{}
+	front := &Front{}
 	// Round 1 journals one update frame per cohort member; tearing the
 	// second frame of round 2 leaves a round with some committed updates
 	// and some missing.
-	writer := &tearAtBinary{buf: journal, left: cohort + 2, onTear: front.kill}
+	writer := &tearAtBinary{buf: journal, left: cohort + 2, onTear: front.Kill}
 
 	newCoord := func() *Coordinator {
 		est := core.NewHFLEstimator(n, model.NumParams(), core.ResourceSaving, nil)
@@ -226,7 +139,7 @@ func streamedCrashRecovery(t *testing.T, n int, smp *sampling.Sampler, totalsOnl
 		}
 	}
 
-	res, coord := runThroughCrashes(t, model, parts, journal, front, 1, newCoord)
+	res, coord := loopbackThroughCrashes(t, model, parts, journal, front, 1, newCoord)
 	est := coord.Estimator
 	checkSameRun(t, "streamed crash-recovery vs in-process", res, want, est.Attribution(), wantAttr)
 	if totalsOnly {

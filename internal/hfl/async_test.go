@@ -1,6 +1,7 @@
 package hfl
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -404,7 +405,7 @@ func TestStreamBufferedRuleTypedError(t *testing.T) {
 	tr, _ := setup(t, 5)
 	tr.Stream = MeanStream{}
 	tr.Aggregator = bufRule{}
-	_, err := tr.RunE()
+	_, err := tr.RunContext(context.Background())
 	var bre *BufferedRuleError
 	if !errors.As(err, &bre) {
 		t.Fatalf("want BufferedRuleError, got %v", err)

@@ -42,7 +42,7 @@ func TestCancellationPreservesCheckpoint(t *testing.T) {
 	ref, _ := setup(t, seed)
 	ref.Cfg.CheckpointEvery = every
 	ref.Cfg.CheckpointFunc = func(*Checkpoint) error { return nil }
-	want, err := ref.RunE()
+	want, err := ref.RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("uninterrupted run: %v", err)
 	}
@@ -59,7 +59,7 @@ func TestCancellationPreservesCheckpoint(t *testing.T) {
 	resumed.Cfg.CheckpointEvery = every
 	resumed.Cfg.CheckpointFunc = func(*Checkpoint) error { return nil }
 	resumed.Cfg.Resume = ck
-	got, err := resumed.RunE()
+	got, err := resumed.RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}
@@ -95,25 +95,5 @@ func TestRunContextPreCanceled(t *testing.T) {
 	}
 	if observed != 0 {
 		t.Fatalf("pre-canceled run observed %d epochs", observed)
-	}
-}
-
-// TestRunEStillWorks pins the thin-wrapper contract: RunE is RunContext
-// with a background context.
-func TestRunEStillWorks(t *testing.T) {
-	a, _ := setup(t, 6)
-	wantRes, err := a.RunE()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := setup(t, 6)
-	gotRes, err := b.RunContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range wantRes.Model.Params() {
-		if wantRes.Model.Params()[i] != gotRes.Model.Params()[i] {
-			t.Fatal("RunE and RunContext(Background) differ")
-		}
 	}
 }

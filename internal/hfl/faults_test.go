@@ -1,6 +1,7 @@
 package hfl
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -72,7 +73,7 @@ func TestZeroFaultsBitIdentical(t *testing.T) {
 	faulty.Cfg.Faults = faults.MustNew(faults.Config{Seed: 99}) // all rates zero
 	rec := &kindRecorder{}
 	faulty.Cfg.Runtime.Sink = rec
-	res, err := faulty.RunE()
+	res, err := faulty.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestDropoutRenormalizesOverSurvivors(t *testing.T) {
 	tr.Cfg.Epochs = 30
 	inj := faults.MustNew(faults.Config{Seed: 8, Dropout: 0.35})
 	tr.Cfg.Faults = inj
-	res, err := tr.RunE()
+	res, err := tr.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 	// Uninterrupted reference: same schedule, crash disarmed.
 	ref, _ := setup(t, 4)
 	ref.Cfg.Faults = faults.MustNew(cfg).WithoutCrash()
-	want, err := ref.RunE()
+	want, err := ref.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 		last = &cp
 		return nil
 	}
-	_, err = crash.RunE()
+	_, err = crash.RunContext(context.Background())
 	var ce *faults.CrashError
 	if !errors.As(err, &ce) || ce.Epoch != crashAt {
 		t.Fatalf("expected crash at %d, got %v", crashAt, err)
@@ -172,7 +173,7 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 	resumed, _ := setup(t, 4)
 	resumed.Cfg.Faults = faults.MustNew(cfg).WithoutCrash()
 	resumed.Cfg.Resume = last
-	got, err := resumed.RunE()
+	got, err := resumed.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestCheckpointCadenceAndResumeEvents(t *testing.T) {
 	}
 	rec := &kindRecorder{}
 	tr.Cfg.Runtime.Sink = rec
-	if _, err := tr.RunE(); err != nil {
+	if _, err := tr.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(epochs, []int{4, 8}) {
@@ -227,7 +228,7 @@ func TestCheckpointErrorAbortsRun(t *testing.T) {
 	tr, _ := setup(t, 6)
 	tr.Cfg.CheckpointEvery = 2
 	tr.Cfg.CheckpointFunc = func(ck *Checkpoint) error { return fmt.Errorf("disk full") }
-	if _, err := tr.RunE(); err == nil {
+	if _, err := tr.RunContext(context.Background()); err == nil {
 		t.Fatal("checkpoint write failure should abort the run")
 	}
 }
@@ -235,12 +236,12 @@ func TestCheckpointErrorAbortsRun(t *testing.T) {
 func TestRunEReturnsConfigErrors(t *testing.T) {
 	tr, _ := setup(t, 1)
 	tr.Cfg.Epochs = 0
-	if _, err := tr.RunE(); err == nil {
-		t.Fatal("invalid config should be an error from RunE")
+	if _, err := tr.RunContext(context.Background()); err == nil {
+		t.Fatal("invalid config should be an error from RunContext")
 	}
 	tr, _ = setup(t, 1)
 	tr.Cfg.Resume = &Checkpoint{Epoch: 99, Theta: nil}
-	if _, err := tr.RunE(); err == nil {
+	if _, err := tr.RunContext(context.Background()); err == nil {
 		t.Fatal("invalid resume checkpoint should be an error")
 	}
 }
@@ -256,12 +257,12 @@ func (badReweighter) Weights(ep *Epoch) []float64 { return []float64{1} }
 func TestPluginShapeMismatchesAreErrors(t *testing.T) {
 	tr, _ := setup(t, 1)
 	tr.Aggregator = badAggregator{}
-	if _, err := tr.RunE(); err == nil {
+	if _, err := tr.RunContext(context.Background()); err == nil {
 		t.Fatal("aggregator shape mismatch should be an error")
 	}
 	tr, _ = setup(t, 1)
 	tr.Reweighter = badReweighter{}
-	if _, err := tr.RunE(); err == nil {
+	if _, err := tr.RunContext(context.Background()); err == nil {
 		t.Fatal("reweighter shape mismatch should be an error")
 	}
 }

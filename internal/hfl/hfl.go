@@ -122,7 +122,7 @@ type Config struct {
 }
 
 // Checkpoint is the trainer state persisted every CheckpointEvery epochs:
-// everything RunSubsetE needs to continue a run as if it had never
+// everything RunSubsetContext needs to continue a run as if it had never
 // stopped. Estimator state is checkpointed separately (core.EstimatorState
 // via logio) because the estimator is an observer, not trainer state.
 type Checkpoint struct {
@@ -147,12 +147,6 @@ func (ck *Checkpoint) validate(p, epochs int) error {
 		return fmt.Errorf("hfl: resume loss curve has %d entries for epoch %d", len(ck.ValLossCurve), ck.Epoch)
 	}
 	return nil
-}
-
-// workers resolves the effective local-update pool size through the
-// unified obs.Runtime.Resolve rule: zero selects serial.
-func (c Config) workers() int {
-	return c.Runtime.Resolve(0)
 }
 
 func (c Config) localSteps() int {
@@ -396,33 +390,25 @@ func (tr *Trainer) participants() int {
 	return tr.Cfg.Participants
 }
 
-// Run trains with all participants, panicking on error. It is a thin
-// wrapper over RunContext(context.Background()) — the canonical entrypoint
-// — kept as a convenience for throwaway scripts; it adds nothing beyond
-// unwrapping the error, so results are bit-identical to RunContext
-// (proven by TestRunWrappersBitIdentical).
+// Run is RunContext(context.Background()) panicking on error — the one
+// convenience wrapper, for tests and throwaway scripts. It adds nothing
+// beyond unwrapping the error (TestRunWrappersBitIdentical).
 func (tr *Trainer) Run() *Result {
-	res, err := tr.RunE()
+	res, err := tr.RunContext(context.Background())
 	if err != nil {
 		panic(err)
 	}
 	return res
 }
 
-// RunE trains with all participants, returning mid-training failures
+// RunContext is the full-population entrypoint: it trains with all
+// participants under a cancelable context, returning mid-training failures
 // (config errors, plugin shape mismatches, injected crashes, checkpoint
-// write failures) as errors. It is exactly RunContext(context.Background())
-// — a documented thin wrapper, not a separate code path.
-func (tr *Trainer) RunE() (*Result, error) {
-	return tr.RunContext(context.Background())
-}
-
-// RunContext is the canonical full-population entrypoint: it trains with
-// all participants under a cancelable context:
-// cancellation is observed at the next epoch boundary (and inside a blocked
-// RoundSource), returns the context's error, and never corrupts trainer
-// state — checkpoints written for completed epochs remain valid resume
-// points, so a canceled run continues bit-identically via Cfg.Resume.
+// write failures) as errors. Cancellation is observed at the next epoch
+// boundary (and inside a blocked RoundSource), returns the context's error,
+// and never corrupts trainer state — checkpoints written for completed
+// epochs remain valid resume points, so a canceled run continues
+// bit-identically via Cfg.Resume.
 func (tr *Trainer) RunContext(ctx context.Context) (*Result, error) {
 	all := make([]int, tr.participants())
 	for i := range all {
@@ -431,26 +417,9 @@ func (tr *Trainer) RunContext(ctx context.Context) (*Result, error) {
 	return tr.RunSubsetContext(ctx, all)
 }
 
-// RunSubset is RunSubsetE panicking on error, kept for compatibility. Like
-// Run, it is a thin wrapper whose results are bit-identical to
-// RunSubsetContext.
-func (tr *Trainer) RunSubset(subset []int) *Result {
-	res, err := tr.RunSubsetE(subset)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// RunSubsetE is exactly RunSubsetContext(context.Background(), subset) — a
-// documented thin wrapper, not a separate code path.
-func (tr *Trainer) RunSubsetE(subset []int) (*Result, error) {
-	return tr.RunSubsetContext(context.Background(), subset)
-}
-
-// RunSubsetContext is the canonical trainer entrypoint; every other Run
-// variant delegates here. It trains with only the listed participants (the coalition
-// S), averaging their updates with weight 1/|S|. An empty subset performs no
+// RunSubsetContext is the trainer entrypoint RunContext delegates to. It
+// trains with only the listed participants (the coalition S), averaging
+// their updates with weight 1/|S|. An empty subset performs no
 // training, leaving θ at the initial model — the V(∅) case. The reweighter
 // and observer only see rounds of the subset run.
 //
@@ -491,7 +460,7 @@ func (tr *Trainer) RunSubsetContext(ctx context.Context, subset []int) (*Result,
 
 	p := model.NumParams()
 	sink := tr.Cfg.Runtime.Sink
-	workers := tr.Cfg.workers()
+	workers := tr.Cfg.Runtime.Resolve()
 	inj := tr.Cfg.Faults
 	startT := 1
 	if ck := tr.Cfg.Resume; ck != nil {

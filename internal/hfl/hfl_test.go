@@ -1,6 +1,7 @@
 package hfl
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -97,14 +98,24 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
+// runSubset trains the coalition, failing the test on error.
+func runSubset(t *testing.T, tr *Trainer, subset []int) *Result {
+	t.Helper()
+	res, err := tr.RunSubsetContext(context.Background(), subset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestRunSubset(t *testing.T) {
 	tr, _ := setup(t, 4)
 	full := tr.Run()
-	sub := tr.RunSubset([]int{0, 2})
+	sub := runSubset(t, tr, []int{0, 2})
 	if sub.FinalLoss == full.FinalLoss {
 		t.Fatal("subset run should differ from full run")
 	}
-	empty := tr.RunSubset(nil)
+	empty := runSubset(t, tr, nil)
 	if empty.Utility() != 0 {
 		t.Fatalf("empty coalition utility %v, want 0", empty.Utility())
 	}

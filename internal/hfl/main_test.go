@@ -99,7 +99,7 @@ func TestLookaheadGoroutineExits(t *testing.T) {
 	crashing := mk()
 	crashing.Cfg.Faults = faults.MustNew(faults.Config{Seed: 1, CrashEpoch: 4})
 	var ce *faults.CrashError
-	if _, err := crashing.RunE(); !errors.As(err, &ce) || ce.Epoch != 4 {
+	if _, err := crashing.RunContext(context.Background()); !errors.As(err, &ce) || ce.Epoch != 4 {
 		t.Fatalf("crashing run returned %v, want a crash at epoch 4", err)
 	}
 	if !goroutinesSettle(before, time.Second) {

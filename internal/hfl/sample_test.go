@@ -2,6 +2,7 @@ package hfl
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -81,11 +82,11 @@ func TestSampledRunDeterminismAndResume(t *testing.T) {
 		}
 
 		// Uninterrupted reference, run twice: bit-identical.
-		want, err := mk(false).RunE()
+		want, err := mk(false).RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		again, err := mk(false).RunE()
+		again, err := mk(false).RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,14 +105,14 @@ func TestSampledRunDeterminismAndResume(t *testing.T) {
 			last = &cp
 			return nil
 		}
-		_, err = crash.RunE()
+		_, err = crash.RunContext(context.Background())
 		var ce *faults.CrashError
 		if !errors.As(err, &ce) {
 			t.Fatalf("seed %d: expected injected crash, got %v", seed, err)
 		}
 		resumed := mk(false)
 		resumed.Cfg.Resume = last
-		got, err := resumed.RunE()
+		got, err := resumed.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +167,7 @@ func TestSampleLookaheadMatchesDirectDraw(t *testing.T) {
 				tr.Cfg.Runtime.Sink = rec
 				var seen []*Epoch
 				tr.Observer = func(ep *Epoch) { seen = append(seen, ep) }
-				_, err := tr.RunSubsetE(subset)
+				_, err := tr.RunSubsetContext(context.Background(), subset)
 
 				first := 1
 				if resume != nil {
@@ -251,7 +252,7 @@ func TestSampledTraceGolden(t *testing.T) {
 	var buf bytes.Buffer
 	tw := obs.NewTraceWriter(&buf)
 	tr.Cfg.Runtime.Sink = zeroDur{tw}
-	if _, err := tr.RunE(); err != nil {
+	if _, err := tr.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := tw.Flush(); err != nil {

@@ -79,7 +79,7 @@ func TestScale100kBoundedMemory(t *testing.T) {
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	res, err := tr.RunE()
+	res, err := tr.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +110,11 @@ func TestScale100kBoundedMemory(t *testing.T) {
 // and release change memory behavior, never results.
 func TestScale100kDeterministic(t *testing.T) {
 	const d = 256
-	a, err := scale100kTrainer(t, d).RunE()
+	a, err := scale100kTrainer(t, d).RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := scale100kTrainer(t, d).RunE()
+	b, err := scale100kTrainer(t, d).RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

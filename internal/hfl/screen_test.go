@@ -1,6 +1,7 @@
 package hfl
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -69,16 +70,16 @@ type badPosScreen struct{}
 func (badPosScreen) Screen(ep *Epoch, _ []int) ([]int, error) { return []int{len(ep.Deltas)}, nil }
 
 // TestScreenerErrors: screener errors and out-of-range drop positions
-// fail the run through the RunE contract.
+// fail the run with an error, not a panic.
 func TestScreenerErrors(t *testing.T) {
 	tr, _ := setup(t, 5)
 	tr.Screen = errScreen{}
-	if _, err := tr.RunE(); err == nil || !strings.Contains(err.Error(), "screen boom") {
+	if _, err := tr.RunContext(context.Background()); err == nil || !strings.Contains(err.Error(), "screen boom") {
 		t.Fatalf("screen error not surfaced: %v", err)
 	}
 	tr2, _ := setup(t, 5)
 	tr2.Screen = badPosScreen{}
-	if _, err := tr2.RunE(); err == nil || !strings.Contains(err.Error(), "dropped position") {
+	if _, err := tr2.RunContext(context.Background()); err == nil || !strings.Contains(err.Error(), "dropped position") {
 		t.Fatalf("bad drop position not surfaced: %v", err)
 	}
 }
@@ -94,7 +95,7 @@ func (errAgg) Aggregate(*Epoch) ([]float64, error) { return nil, errors.New("agg
 func TestAggregatorErrorSurfaced(t *testing.T) {
 	tr, _ := setup(t, 6)
 	tr.Aggregator = errAgg{}
-	if _, err := tr.RunE(); err == nil || !strings.Contains(err.Error(), "agg boom") {
+	if _, err := tr.RunContext(context.Background()); err == nil || !strings.Contains(err.Error(), "agg boom") {
 		t.Fatalf("Aggregate error not surfaced: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package hfl
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -195,7 +196,7 @@ func TestStreamRefusesBufferedPlugins(t *testing.T) {
 	tr, _ := setup(t, 5)
 	tr.Stream = MeanStream{}
 	tr.Screen = noopScreener{}
-	if _, err := tr.RunE(); err == nil || !strings.Contains(err.Error(), "Stream") {
+	if _, err := tr.RunContext(context.Background()); err == nil || !strings.Contains(err.Error(), "Stream") {
 		t.Fatalf("Stream+Screen accepted: %v", err)
 	}
 }

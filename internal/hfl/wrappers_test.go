@@ -6,11 +6,9 @@ import (
 )
 
 // TestRunWrappersBitIdentical proves the Run API surface is pure
-// delegation: Run, RunE, and RunContext produce results bit-identical to
-// calling the canonical RunSubsetContext entrypoint with the identity
-// subset, and RunSubset/RunSubsetE match RunSubsetContext on a proper
-// subset. The wrappers add only panic-on-error or a background context —
-// never behavior.
+// delegation: Run and RunContext produce results bit-identical to calling
+// RunSubsetContext with the identity subset. The wrappers add only
+// panic-on-error or the identity subset — never behavior.
 func TestRunWrappersBitIdentical(t *testing.T) {
 	const seed = 7
 	ref := func() *Result {
@@ -30,14 +28,6 @@ func TestRunWrappersBitIdentical(t *testing.T) {
 		"Run": func() *Result {
 			tr, _ := setup(t, seed)
 			return tr.Run()
-		},
-		"RunE": func() *Result {
-			tr, _ := setup(t, seed)
-			res, err := tr.RunE()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
 		},
 		"RunContext": func() *Result {
 			tr, _ := setup(t, seed)
@@ -60,38 +50,5 @@ func TestRunWrappersBitIdentical(t *testing.T) {
 			t.Fatalf("%s: losses differ from RunSubsetContext", name)
 		}
 		sameLog(t, ref.Log, got.Log)
-	}
-
-	subset := []int{0, 2}
-	subRef := func() *Result {
-		tr, _ := setup(t, seed)
-		res, err := tr.RunSubsetContext(context.Background(), subset)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}()
-	subVariants := map[string]func() *Result{
-		"RunSubset": func() *Result {
-			tr, _ := setup(t, seed)
-			return tr.RunSubset(subset)
-		},
-		"RunSubsetE": func() *Result {
-			tr, _ := setup(t, seed)
-			res, err := tr.RunSubsetE(subset)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
-		},
-	}
-	for name, f := range subVariants {
-		got := f()
-		if !sameVec(subRef.Model.Params(), got.Model.Params()) {
-			t.Fatalf("%s: model differs from RunSubsetContext", name)
-		}
-		if !sameVec(subRef.ValLossCurve, got.ValLossCurve) {
-			t.Fatalf("%s: loss curve differs from RunSubsetContext", name)
-		}
 	}
 }

@@ -2,6 +2,7 @@ package logio
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"reflect"
 	"strings"
@@ -285,7 +286,7 @@ func TestCheckpointFileResume(t *testing.T) {
 
 	ref := newTrainer()
 	ref.Cfg.Faults = faults.MustNew(fcfg).WithoutCrash()
-	want, err := ref.RunE()
+	want, err := ref.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +299,7 @@ func TestCheckpointFileResume(t *testing.T) {
 		file.Reset()
 		return WriteHFLCheckpoint(&file, &HFLCheckpoint{Trainer: *ck})
 	}
-	if _, err := crash.RunE(); err == nil {
+	if _, err := crash.RunContext(context.Background()); err == nil {
 		t.Fatal("expected injected crash")
 	}
 
@@ -309,7 +310,7 @@ func TestCheckpointFileResume(t *testing.T) {
 	resume := newTrainer()
 	resume.Cfg.Faults = faults.MustNew(fcfg).WithoutCrash()
 	resume.Cfg.Resume = &restored.Trainer
-	got, err := resume.RunE()
+	got, err := resume.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -248,41 +248,20 @@ func Since(s Sink, t0 time.Time) time.Duration {
 }
 
 // Runtime is the unified runtime surface every trainer, estimator, and the
-// secure protocol accept: one worker budget and one observability sink,
-// replacing the per-struct Parallel/Workers knobs that grew independently.
-//
-// Workers resolves as: 0 defers to the enclosing struct's deprecated legacy
-// fields (and to serial where no legacy field exists), 1 forces the serial
-// path, > 1 sets the bounded-pool size, and negative selects GOMAXPROCS.
-// A non-zero Workers always wins over the legacy fields.
+// secure protocol accept: one worker budget and one observability sink.
 type Runtime struct {
-	// Workers is the bounded worker-pool budget; see the struct comment
-	// for the resolution rule.
+	// Workers is the bounded worker-pool budget: 0 or 1 selects the serial
+	// path, > 1 sets the pool size, and negative selects GOMAXPROCS.
 	Workers int
 	// Sink receives observability events; nil (the default) disables
 	// instrumentation at the cost of one branch per instrumentation point.
 	Sink Sink
 }
 
-// Resolve collapses the repository's historical three-way parallelism
-// configuration (Runtime.Workers plus each component's deprecated legacy
-// fields) into the one effective pool size every concurrent hot path uses.
-// legacy is the component's deprecated fallback request, pre-mapped to the
-// shared convention: > 0 is an explicit pool size, negative selects
-// GOMAXPROCS, and 0 selects the serial path. Runtime.Workers follows the
-// same convention and, when non-zero, always wins over legacy. Components
-// without a legacy field pass 0.
-func (r Runtime) Resolve(legacy int) int {
-	w := r.Workers
-	if w == 0 {
-		w = legacy
-	}
-	switch {
-	case w > 0:
-		return w
-	case w < 0:
+// Resolve returns the effective pool size every concurrent hot path uses.
+func (r Runtime) Resolve() int {
+	if r.Workers < 0 {
 		return runtime.GOMAXPROCS(0)
-	default:
-		return 1
 	}
+	return max(r.Workers, 1)
 }

@@ -1,6 +1,7 @@
 package robust
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"strings"
@@ -319,11 +320,11 @@ func TestScreenInTrainerBitIdentity(t *testing.T) {
 		}
 		return tr
 	}
-	plain, err := mk(false).RunE()
+	plain, err := mk(false).RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defended, err := mk(true).RunE()
+	defended, err := mk(true).RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package robust
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -77,7 +78,7 @@ func TestRobustAggregatorsUnderDropout(t *testing.T) {
 			Cfg:        hfl.Config{Epochs: 15, LR: 0.3, KeepLog: true, Faults: inj},
 			Aggregator: agg,
 		}
-		res, err := tr.RunE()
+		res, err := tr.RunContext(context.Background())
 		if err != nil {
 			t.Fatalf("%s under dropout: %v", name, err)
 		}

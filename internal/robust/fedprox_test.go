@@ -1,6 +1,7 @@
 package robust
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -26,7 +27,7 @@ func proxTrainer(mu float64, steps int) *hfl.Trainer {
 // adds exactly nothing, so a FedProx-configured multi-step run is
 // bit-identical to the undefended run.
 func TestFedProxZeroMuBitIdentical(t *testing.T) {
-	plain, err := proxTrainer(0, 3).RunE()
+	plain, err := proxTrainer(0, 3).RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestFedProxZeroMuBitIdentical(t *testing.T) {
 	if prox.Cfg.Prox != 0 {
 		t.Fatalf("Apply(0) set Prox = %v", prox.Cfg.Prox)
 	}
-	defended, err := prox.RunE()
+	defended, err := prox.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +51,11 @@ func TestFedProxZeroMuBitIdentical(t *testing.T) {
 // local updates (the proximal term is live) while still training to a
 // finite, decreasing loss.
 func TestFedProxAnchorsMultiStepDrift(t *testing.T) {
-	plain, err := proxTrainer(0, 3).RunE()
+	plain, err := proxTrainer(0, 3).RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defended, err := proxTrainer(0.5, 3).RunE()
+	defended, err := proxTrainer(0.5, 3).RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +71,11 @@ func TestFedProxAnchorsMultiStepDrift(t *testing.T) {
 // leaves θ, so the proximal term vanishes identically and μ > 0 is
 // bit-identical to the plain run.
 func TestFedProxSingleStepNoop(t *testing.T) {
-	plain, err := proxTrainer(0, 1).RunE()
+	plain, err := proxTrainer(0, 1).RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defended, err := proxTrainer(0.5, 1).RunE()
+	defended, err := proxTrainer(0.5, 1).RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

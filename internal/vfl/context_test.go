@@ -15,7 +15,7 @@ func TestCancellationPreservesCheckpoint(t *testing.T) {
 
 	ref := &Trainer{Problem: regProblem(21), Cfg: cfg}
 	ref.Cfg.CheckpointFunc = func(*Checkpoint) error { return nil }
-	want, err := ref.RunE()
+	want, err := ref.RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("uninterrupted run: %v", err)
 	}
@@ -44,7 +44,7 @@ func TestCancellationPreservesCheckpoint(t *testing.T) {
 	resumed := &Trainer{Problem: regProblem(21), Cfg: cfg}
 	resumed.Cfg.CheckpointFunc = func(*Checkpoint) error { return nil }
 	resumed.Cfg.Resume = last
-	got, err := resumed.RunE()
+	got, err := resumed.RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}

@@ -1,6 +1,7 @@
 package vfl
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -46,7 +47,7 @@ func TestVFLZeroFaultsBitIdentical(t *testing.T) {
 	plain := (&Trainer{Problem: regProblem(1), Cfg: cfg}).Run()
 
 	cfg.Faults = faults.MustNew(faults.Config{Seed: 31}) // all rates zero
-	res, err := (&Trainer{Problem: regProblem(1), Cfg: cfg}).RunE()
+	res, err := (&Trainer{Problem: regProblem(1), Cfg: cfg}).RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestVFLDropoutFreezesBlocks(t *testing.T) {
 	prob := regProblem(2)
 	inj := faults.MustNew(faults.Config{Seed: 12, Dropout: 0.3})
 	tr := &Trainer{Problem: prob, Cfg: Config{Epochs: 40, LR: 0.05, KeepLog: true, Faults: inj}}
-	res, err := tr.RunE()
+	res, err := tr.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestVFLCrashResumeBitIdentical(t *testing.T) {
 
 	ref := cfg
 	ref.Faults = faults.MustNew(fcfg).WithoutCrash()
-	want, err := (&Trainer{Problem: regProblem(3), Cfg: ref}).RunE()
+	want, err := (&Trainer{Problem: regProblem(3), Cfg: ref}).RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestVFLCrashResumeBitIdentical(t *testing.T) {
 		last = &cp
 		return nil
 	}
-	_, err = (&Trainer{Problem: regProblem(3), Cfg: crash}).RunE()
+	_, err = (&Trainer{Problem: regProblem(3), Cfg: crash}).RunContext(context.Background())
 	var ce *faults.CrashError
 	if !errors.As(err, &ce) || ce.Epoch != crashAt {
 		t.Fatalf("expected crash at %d, got %v", crashAt, err)
@@ -139,7 +140,7 @@ func TestVFLCrashResumeBitIdentical(t *testing.T) {
 	resume := cfg
 	resume.Faults = faults.MustNew(fcfg).WithoutCrash()
 	resume.Resume = last
-	got, err := (&Trainer{Problem: regProblem(3), Cfg: resume}).RunE()
+	got, err := (&Trainer{Problem: regProblem(3), Cfg: resume}).RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func (r *retryRecorder) Emit(e obs.Event) {
 func TestSecureRetryBitIdentical(t *testing.T) {
 	prob := twoPartyProblem(4, 40, 4)
 	base := SecureConfig{Epochs: 4, LR: 0.05, KeyBits: 256, MaskSeed: 21}
-	want, err := RunSecureLinReg(prob, base)
+	want, err := RunSecureN(prob, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestSecureRetryBitIdentical(t *testing.T) {
 	cfg.Faults = faults.MustNew(faults.Config{Seed: 2, SecureFailure: 0.4})
 	cfg.MaxRetries = 10
 	cfg.Runtime.Sink = rec
-	got, err := RunSecureLinReg(prob, cfg)
+	got, err := RunSecureN(prob, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestSecureRetryBitIdentical(t *testing.T) {
 	if !sameVec(want.Theta, got.Theta) {
 		t.Fatal("retried protocol produced a different model")
 	}
-	if want.Shapley != got.Shapley {
+	if !sameVec(want.Shapley, got.Shapley) {
 		t.Fatalf("retried protocol changed contributions: %v vs %v", want.Shapley, got.Shapley)
 	}
 	if want.CommBytes != got.CommBytes {
@@ -205,7 +206,7 @@ func TestSecureRetriesExhausted(t *testing.T) {
 	// Near-certain failure with no retry budget exhausts immediately.
 	cfg.Faults = faults.MustNew(faults.Config{Seed: 1, SecureFailure: 0.99})
 	cfg.MaxRetries = 0
-	_, err := RunSecureLinReg(prob, cfg)
+	_, err := RunSecureN(prob, cfg)
 	if !errors.Is(err, faults.ErrRetriesExhausted) {
 		t.Fatalf("expected ErrRetriesExhausted, got %v", err)
 	}
@@ -213,12 +214,12 @@ func TestSecureRetriesExhausted(t *testing.T) {
 
 func TestVFLRunEReturnsErrors(t *testing.T) {
 	tr := &Trainer{Problem: regProblem(1), Cfg: Config{Epochs: 0, LR: 0.1}}
-	if _, err := tr.RunE(); err == nil {
-		t.Fatal("invalid config should be an error from RunE")
+	if _, err := tr.RunContext(context.Background()); err == nil {
+		t.Fatal("invalid config should be an error from RunContext")
 	}
 	tr = &Trainer{Problem: regProblem(1), Cfg: Config{Epochs: 5, LR: 0.1,
 		Resume: &Checkpoint{Epoch: 99}}}
-	if _, err := tr.RunE(); err == nil {
+	if _, err := tr.RunContext(context.Background()); err == nil {
 		t.Fatal("invalid resume checkpoint should be an error")
 	}
 }

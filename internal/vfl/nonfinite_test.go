@@ -1,6 +1,7 @@
 package vfl
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -26,7 +27,7 @@ func TestFailNonFiniteOffByDefault(t *testing.T) {
 	// A divergent learning rate drives the loss to non-finite; the default
 	// config keeps the historical propagate-NaN behavior and finishes.
 	tr := &Trainer{Problem: regProblem(7), Cfg: Config{Epochs: 60, LR: 1e4}}
-	res, err := tr.RunE()
+	res, err := tr.RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("default config must not abort: %v", err)
 	}
@@ -37,7 +38,7 @@ func TestFailNonFiniteOffByDefault(t *testing.T) {
 
 func TestFailNonFiniteAbortsDivergence(t *testing.T) {
 	tr := &Trainer{Problem: regProblem(7), Cfg: Config{Epochs: 60, LR: 1e4, FailNonFinite: true}}
-	_, err := tr.RunE()
+	_, err := tr.RunContext(context.Background())
 	if !errors.Is(err, ErrNonFinite) {
 		t.Fatalf("err = %v, want ErrNonFinite", err)
 	}
@@ -53,7 +54,7 @@ func TestFailNonFiniteAbortsPoisonedUpdate(t *testing.T) {
 		Cfg:        Config{Epochs: 10, LR: 0.05, FailNonFinite: true},
 		Reweighter: nanWeights{n: prob.Parties()},
 	}
-	_, err := tr.RunE()
+	_, err := tr.RunContext(context.Background())
 	if !errors.Is(err, ErrNonFinite) {
 		t.Fatalf("err = %v, want ErrNonFinite", err)
 	}
@@ -65,7 +66,7 @@ func TestFailNonFiniteAbortsPoisonedUpdate(t *testing.T) {
 func TestFailNonFiniteBitIdentityWhenHealthy(t *testing.T) {
 	run := func(guard bool) *Result {
 		tr := &Trainer{Problem: regProblem(9), Cfg: Config{Epochs: 30, LR: 0.05, FailNonFinite: guard}}
-		res, err := tr.RunE()
+		res, err := tr.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

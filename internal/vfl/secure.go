@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"time"
 
@@ -14,11 +15,11 @@ import (
 	"digfl/internal/tensor"
 )
 
-// SecureConfig parameterizes the encrypted two-party vertical linear
-// regression of Algorithm 3 (the paper's running example, after Yang et
-// al.). Participant 1 holds the label and the first feature block;
-// participant 2 holds the second block; a trusted third party holds the
-// Paillier key pair.
+// SecureConfig parameterizes the encrypted vertical protocol of Algorithm 3
+// (the paper's running example is two-party linear regression, after Yang
+// et al.). Participant 1 holds the label and the first feature block; every
+// other participant holds one further block; a trusted third party holds
+// the Paillier key pair.
 type SecureConfig struct {
 	Epochs  int
 	LR      float64
@@ -64,24 +65,26 @@ type SecureConfig struct {
 	RetryCap time.Duration
 }
 
-// workers resolves the effective Paillier pool size through the unified
-// obs.Runtime.Resolve rule. The protocol's historical zero default is
-// GOMAXPROCS (not serial), so 0 maps to the negative sentinel.
+// workers resolves the effective Paillier pool size: the protocol is
+// compute-bound, so a zero Runtime.Workers means GOMAXPROCS, not serial.
 func (c SecureConfig) workers() int {
-	return c.Runtime.Resolve(-1)
+	if c.Runtime.Workers > 0 {
+		return c.Runtime.Workers
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
-// SecureResult reports the outcome of a secure run together with the
+// SecureNResult reports the outcome of a secure run together with the
 // DIG-FL per-epoch contributions computed inside the protocol (Eq. 27) and
 // the exact communication cost of the encrypted exchanges.
-type SecureResult struct {
-	// Theta is the final global model (block 1 ‖ block 2); in the real
+type SecureNResult struct {
+	// Theta is the final global model (block 1 ‖ … ‖ block n); in the real
 	// protocol each party only ever sees its own block.
 	Theta []float64
-	// PerEpoch[t][i] is φ̂_{t+1,i} for party i ∈ {0, 1}.
-	PerEpoch [][2]float64
+	// PerEpoch[t][i] is φ̂_{t+1,i} for party i.
+	PerEpoch [][]float64
 	// Shapley is the aggregated contribution Σ_t φ̂_{t,i} (Eq. 15).
-	Shapley [2]float64
+	Shapley []float64
 	// CommBytes counts every ciphertext and masked plaintext exchanged.
 	CommBytes int64
 }
@@ -123,61 +126,19 @@ func specFor(kind ModelKind) residualSpec {
 	}
 }
 
-// RunSecureLinReg executes Algorithm 3 for the paper's vertical
-// linear-regression running example. It is RunSecure restricted to LinReg.
-func RunSecureLinReg(prob *Problem, cfg SecureConfig) (*SecureResult, error) {
-	if prob.Kind != LinReg {
-		return nil, fmt.Errorf("vfl: RunSecureLinReg needs a linear-regression problem, got %v", prob.Kind)
-	}
-	return RunSecure(prob, cfg)
-}
-
-// SecureNResult is the n-party analogue of SecureResult.
-type SecureNResult struct {
-	// Theta is the final global model (block 1 ‖ … ‖ block n); in the real
-	// protocol each party only ever sees its own block.
-	Theta []float64
-	// PerEpoch[t][i] is φ̂_{t+1,i} for party i.
-	PerEpoch [][]float64
-	// Shapley is the aggregated contribution Σ_t φ̂_{t,i} (Eq. 15).
-	Shapley []float64
-	// CommBytes counts every ciphertext and masked plaintext exchanged.
-	CommBytes int64
-}
-
-// RunSecure executes the two-party encrypted protocol of Algorithm 3:
-// cooperative computation of the training gradient, the validation gradient,
-// and the per-epoch DIG-FL contributions, with additive masks hiding each
-// party's gradient from the trusted third party. Labels (train and
-// validation) belong to party 1. Linear regression uses the exact encrypted
-// MSE gradient; logistic regression uses the Taylor-approximated
+// RunSecureN executes the encrypted protocol of Algorithm 3 for any number
+// of parties: cooperative computation of the training gradient, the
+// validation gradient, and the per-epoch DIG-FL contributions, with additive
+// masks hiding each party's gradient from the trusted third party. Labels
+// (train and validation) belong to party 1. Linear regression uses the exact
+// encrypted MSE gradient; logistic regression uses the Taylor-approximated
 // cross-entropy gradient of Hardy et al. (the standard trick, since Paillier
-// cannot evaluate the sigmoid).
-func RunSecure(prob *Problem, cfg SecureConfig) (*SecureResult, error) {
-	if prob.Parties() != 2 {
-		return nil, fmt.Errorf("vfl: RunSecure is two-party, got %d parties (use RunSecureN)", prob.Parties())
-	}
-	n, err := RunSecureN(prob, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res := &SecureResult{
-		Theta:     n.Theta,
-		Shapley:   [2]float64{n.Shapley[0], n.Shapley[1]},
-		CommBytes: n.CommBytes,
-	}
-	for _, pe := range n.PerEpoch {
-		res.PerEpoch = append(res.PerEpoch, [2]float64{pe[0], pe[1]})
-	}
-	return res, nil
-}
-
-// RunSecureN generalizes Algorithm 3 to any number of parties: party 1 (the
-// label holder) starts the encrypted residual [[e]], every other party folds
-// in its local result along a ring, the last party broadcasts the completed
-// [[d]] to everyone, and each party then accumulates its masked encrypted
-// gradient block for the third party to decrypt — the structure of the
-// multi-party frameworks (FDML, Liu et al.) the paper says DIG-FL applies to.
+// cannot evaluate the sigmoid). Party 1 starts the encrypted residual [[e]],
+// every other party folds in its local result along a ring, the last party
+// broadcasts the completed [[d]] to everyone, and each party then
+// accumulates its masked encrypted gradient block for the third party to
+// decrypt — the structure of the multi-party frameworks (FDML, Liu et al.)
+// the paper says DIG-FL applies to.
 func RunSecureN(prob *Problem, cfg SecureConfig) (*SecureNResult, error) {
 	if err := prob.validate(); err != nil {
 		return nil, err

@@ -46,30 +46,6 @@ func TestSecureNMatchesPlaintext(t *testing.T) {
 	}
 }
 
-// RunSecure (two-party API) must equal RunSecureN on the same problem.
-func TestSecureTwoPartyWrapsN(t *testing.T) {
-	prob := nPartyProblem(2, 36, 4, 2)
-	cfg := SecureConfig{Epochs: 3, LR: 0.05, KeyBits: 256, MaskSeed: 9}
-	two, err := RunSecure(prob, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := RunSecureN(prob, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same mask stream and deterministic arithmetic → only the ciphertext
-	// randomness differs, which never reaches the plaintext results.
-	for j := range two.Theta {
-		if math.Abs(two.Theta[j]-n.Theta[j]) > 1e-9 {
-			t.Fatal("wrapper and n-party runs diverge")
-		}
-	}
-	if math.Abs(two.Shapley[0]-n.Shapley[0]) > 1e-9 || math.Abs(two.Shapley[1]-n.Shapley[1]) > 1e-9 {
-		t.Fatal("wrapper Shapley mismatch")
-	}
-}
-
 func TestSecureNCommGrowsWithParties(t *testing.T) {
 	cfg := SecureConfig{Epochs: 2, LR: 0.05, KeyBits: 256, MaskSeed: 3}
 	two, err := RunSecureN(nPartyProblem(3, 36, 6, 2), cfg)
@@ -90,8 +66,7 @@ func TestSecureNRejectsBadInput(t *testing.T) {
 	if _, err := RunSecureN(prob, SecureConfig{Epochs: 0, LR: 0.1, KeyBits: 256}); err == nil {
 		t.Fatal("zero epochs must error")
 	}
-	three := nPartyProblem(5, 36, 6, 3)
-	if _, err := RunSecure(three, SecureConfig{Epochs: 1, LR: 0.1, KeyBits: 256}); err == nil {
-		t.Fatal("two-party wrapper must reject 3 parties")
+	if _, err := RunSecureN(prob, SecureConfig{Epochs: 1, LR: 0, KeyBits: 256}); err == nil {
+		t.Fatal("zero learning rate must error")
 	}
 }

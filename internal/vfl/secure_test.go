@@ -23,7 +23,7 @@ func twoPartyProblem(seed int64, rows, d int) *Problem {
 func TestSecureMatchesPlaintext(t *testing.T) {
 	prob := twoPartyProblem(1, 48, 4)
 	cfg := SecureConfig{Epochs: 5, LR: 0.05, KeyBits: 256, MaskSeed: 7}
-	sec, err := RunSecureLinReg(prob, cfg)
+	sec, err := RunSecureN(prob, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestSecureMatchesPlaintext(t *testing.T) {
 
 func TestSecureShapleyAggregation(t *testing.T) {
 	prob := twoPartyProblem(2, 40, 4)
-	sec, err := RunSecureLinReg(prob, SecureConfig{Epochs: 4, LR: 0.05, KeyBits: 256, MaskSeed: 3})
+	sec, err := RunSecureN(prob, SecureConfig{Epochs: 4, LR: 0.05, KeyBits: 256, MaskSeed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSecureContributionRanksParties(t *testing.T) {
 	})
 	train, val := full.Split(0.25, tensor.NewRNG(4))
 	prob := &Problem{Train: train, Val: val, Blocks: dataset.VerticalBlocks(6, 2), Kind: LinReg}
-	sec, err := RunSecureLinReg(prob, SecureConfig{Epochs: 6, LR: 0.05, KeyBits: 256, MaskSeed: 5})
+	sec, err := RunSecureN(prob, SecureConfig{Epochs: 6, LR: 0.05, KeyBits: 256, MaskSeed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,18 +87,13 @@ func TestSecureContributionRanksParties(t *testing.T) {
 
 func TestSecureRejectsBadInput(t *testing.T) {
 	prob := twoPartyProblem(5, 40, 4)
-	if _, err := RunSecure(prob, SecureConfig{Epochs: 0, LR: 0.1, KeyBits: 256}); err == nil {
+	if _, err := RunSecureN(prob, SecureConfig{Epochs: 0, LR: 0.1, KeyBits: 256}); err == nil {
 		t.Fatal("zero epochs must error")
 	}
-	three := twoPartyProblem(6, 40, 6)
-	three.Blocks = dataset.VerticalBlocks(6, 3)
-	if _, err := RunSecure(three, SecureConfig{Epochs: 1, LR: 0.1, KeyBits: 256}); err == nil {
-		t.Fatal("three parties must error")
-	}
-	logreg := twoPartyProblem(7, 40, 4)
-	logreg.Kind = LogReg
-	if _, err := RunSecureLinReg(logreg, SecureConfig{Epochs: 1, LR: 0.1, KeyBits: 256}); err == nil {
-		t.Fatal("RunSecureLinReg must reject logreg problems")
+	one := twoPartyProblem(6, 40, 4)
+	one.Blocks = dataset.VerticalBlocks(4, 1)
+	if _, err := RunSecureN(one, SecureConfig{Epochs: 1, LR: 0.1, KeyBits: 256}); err == nil {
+		t.Fatal("a single party must error")
 	}
 }
 
@@ -129,7 +124,7 @@ func taylorLogGrad(x *tensor.Matrix, y, theta []float64) []float64 {
 func TestSecureLogRegMatchesTaylorPlaintext(t *testing.T) {
 	prob := twoPartyLogRegProblem(8, 48, 4)
 	cfg := SecureConfig{Epochs: 5, LR: 0.4, KeyBits: 256, MaskSeed: 13}
-	sec, err := RunSecure(prob, cfg)
+	sec, err := RunSecureN(prob, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +144,7 @@ func TestSecureLogRegMatchesTaylorPlaintext(t *testing.T) {
 // the exact logistic model at the secure θ beats the θ=0 baseline.
 func TestSecureLogRegLearns(t *testing.T) {
 	prob := twoPartyLogRegProblem(9, 60, 4)
-	sec, err := RunSecure(prob, SecureConfig{Epochs: 8, LR: 0.5, KeyBits: 256, MaskSeed: 17})
+	sec, err := RunSecureN(prob, SecureConfig{Epochs: 8, LR: 0.5, KeyBits: 256, MaskSeed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}

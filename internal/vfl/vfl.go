@@ -254,31 +254,22 @@ type Result struct {
 // Utility returns V = loss^v(θ_0) − loss^v(θ_τ) (Eq. 2).
 func (r *Result) Utility() float64 { return r.InitLoss - r.FinalLoss }
 
-// Run trains with all participants, panicking on error — the historical
-// convenience API, kept as a documented thin wrapper over RunE (and so
-// over RunSubsetContext). It adds no behavior of its own; see
-// TestRunWrappersBitIdentical. Fault-tolerant callers use RunE or
-// RunContext.
+// Run is RunContext(context.Background()) panicking on error — the one
+// convenience wrapper, for tests and throwaway scripts. It adds no behavior
+// of its own (TestRunWrappersBitIdentical).
 func (tr *Trainer) Run() *Result {
-	res, err := tr.RunE()
+	res, err := tr.RunContext(context.Background())
 	if err != nil {
 		panic(err)
 	}
 	return res
 }
 
-// RunE trains with all participants, returning mid-training failures
-// (config errors, plugin shape mismatches, injected crashes, checkpoint
-// write failures) as errors. It is RunContext without cancellation.
-func (tr *Trainer) RunE() (*Result, error) {
-	return tr.RunContext(context.Background())
-}
-
-// RunContext trains with all participants under a cancelable context —
-// the canonical full-population entrypoint (it materializes the identity
-// subset and delegates to RunSubsetContext). Cancellation is observed at
-// the next epoch boundary, returns the context's error, and never
-// corrupts trainer state — checkpoints written for completed epochs
+// RunContext trains with all participants under a cancelable context,
+// returning mid-training failures (config errors, plugin shape mismatches,
+// injected crashes, checkpoint write failures) as errors. Cancellation is
+// observed at the next epoch boundary, returns the context's error, and
+// never corrupts trainer state — checkpoints written for completed epochs
 // remain valid resume points, so a canceled run continues bit-identically
 // via Cfg.Resume.
 func (tr *Trainer) RunContext(ctx context.Context) (*Result, error) {
@@ -289,26 +280,10 @@ func (tr *Trainer) RunContext(ctx context.Context) (*Result, error) {
 	return tr.RunSubsetContext(ctx, all)
 }
 
-// RunSubset is RunSubsetE panicking on error, kept for compatibility as a
-// thin wrapper; it adds no behavior of its own.
-func (tr *Trainer) RunSubset(subset []int) *Result {
-	res, err := tr.RunSubsetE(subset)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// RunSubsetE is RunSubsetContext without cancellation.
-func (tr *Trainer) RunSubsetE(subset []int) (*Result, error) {
-	return tr.RunSubsetContext(context.Background(), subset)
-}
-
 // RunSubsetContext trains with only the blocks of the listed participants;
 // the remaining blocks stay frozen at zero — the paper's removal semantics
-// (a removed participant's local output is identically 0, Sec. II-C2). It
-// is the canonical trainer entrypoint: every other Run variant delegates
-// here and adds only panic-on-error or a background context.
+// (a removed participant's local output is identically 0, Sec. II-C2).
+// RunContext delegates here.
 //
 // With Cfg.Faults attached, a party may drop out of individual epochs: its
 // block of that epoch's update is frozen at zero (the same removal
@@ -476,5 +451,9 @@ func (tr *Trainer) Utility(subset []int) float64 {
 	cfg.Faults = nil
 	cfg.CheckpointEvery, cfg.CheckpointFunc, cfg.Resume = 0, nil, nil
 	sub := &Trainer{Problem: tr.Problem, Cfg: cfg}
-	return sub.RunSubset(subset).Utility()
+	res, err := sub.RunSubsetContext(context.Background(), subset)
+	if err != nil {
+		panic(err)
+	}
+	return res.Utility()
 }

@@ -1,6 +1,7 @@
 package vfl
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -63,10 +64,20 @@ func TestModelStartsAtZero(t *testing.T) {
 	}
 }
 
+// runSubset trains the coalition, failing the test on error.
+func runSubset(t *testing.T, tr *Trainer, subset []int) *Result {
+	t.Helper()
+	res, err := tr.RunSubsetContext(context.Background(), subset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestRunSubsetFreezesBlocks(t *testing.T) {
 	prob := regProblem(4)
 	tr := &Trainer{Problem: prob, Cfg: Config{Epochs: 20, LR: 0.05}}
-	res := tr.RunSubset([]int{0, 2})
+	res := runSubset(t, tr, []int{0, 2})
 	// Block 1's coordinates must stay at zero.
 	b := prob.Blocks[1]
 	for j := b.Lo; j < b.Hi; j++ {
@@ -75,7 +86,7 @@ func TestRunSubsetFreezesBlocks(t *testing.T) {
 		}
 	}
 	// Empty coalition: no learning.
-	empty := tr.RunSubset(nil)
+	empty := runSubset(t, tr, nil)
 	if empty.Utility() != 0 {
 		t.Fatalf("empty coalition utility %v", empty.Utility())
 	}

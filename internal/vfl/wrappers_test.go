@@ -18,9 +18,8 @@ func eqVec(a, b []float64) bool {
 }
 
 // TestRunWrappersBitIdentical proves the Run API surface is pure
-// delegation: Run, RunE, and RunContext produce results bit-identical to
-// the canonical RunSubsetContext entrypoint with the identity subset, and
-// RunSubset/RunSubsetE match it on a proper subset.
+// delegation: Run and RunContext produce results bit-identical to
+// RunSubsetContext with the identity subset.
 func TestRunWrappersBitIdentical(t *testing.T) {
 	const seed = 11
 	mk := func() *Trainer {
@@ -33,7 +32,6 @@ func TestRunWrappersBitIdentical(t *testing.T) {
 
 	variants := map[string]func() (*Result, error){
 		"Run":        func() (*Result, error) { return mk().Run(), nil },
-		"RunE":       func() (*Result, error) { return mk().RunE() },
 		"RunContext": func() (*Result, error) { return mk().RunContext(context.Background()) },
 	}
 	for name, f := range variants {
@@ -52,15 +50,4 @@ func TestRunWrappersBitIdentical(t *testing.T) {
 		}
 	}
 
-	subset := []int{0, 2}
-	subRef, err := mk().RunSubsetContext(context.Background(), subset)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := mk().RunSubset(subset); !eqVec(subRef.Model.Params(), got.Model.Params()) {
-		t.Fatal("RunSubset: model differs from RunSubsetContext")
-	}
-	if got, err := mk().RunSubsetE(subset); err != nil || !eqVec(subRef.ValLossCurve, got.ValLossCurve) {
-		t.Fatalf("RunSubsetE: err=%v or curve differs from RunSubsetContext", err)
-	}
 }
