@@ -55,15 +55,18 @@ verify-bench:
 bench-workload:
 	bash bench/run.sh --workload $(W) --seed 1 --seconds 10 --trace 0
 
-# bench-kernels runs the hot-path kernel microbenchmarks of the streamed
-# round once each with -benchmem — cohort draw, estimator observe, the
+# bench-kernels runs the hot-path kernel microbenchmarks once each with
+# -benchmem. The streamed round's — cohort draw, estimator observe, the
 # fold's dot/axpy/fused pass, update ingest and round poll through
 # Handler() — at the reference cell's shapes (100k population, cohort 64,
-# d=2000). Each benchmark checks its results against a term-by-term
-# reference kept in its test file.
+# d=2000); and the validation loss's, which every round's turnaround and
+# every engine's utility evaluation pay — the four-row dot kernel at d=2000,
+# MatVec on a 32×2000 validation set, the audit's softmax loss (400 rows ×
+# 64 features × 10 classes). Each benchmark checks its results against a
+# term-by-term reference kept in its test file.
 bench-kernels:
-	$(GO) test -run '^$$' -benchmem -bench 'Cohort100k|ObserveDots100k|Dot2000|AXPY2000|DotAdd2000|IngestUpdateV2|RoundPollV2' \
-		./internal/sampling/ ./internal/core/ ./internal/tensor/ ./internal/fednet/
+	$(GO) test -run '^$$' -benchmem -bench 'Cohort100k|ObserveDots100k|Dot2000|AXPY2000|DotAdd2000|Dot4x2000|MatVec32x2000|SoftmaxLoss400x64x10|IngestUpdateV2|RoundPollV2' \
+		./internal/sampling/ ./internal/core/ ./internal/tensor/ ./internal/nn/ ./internal/fednet/
 
 # verify-faults runs the fault-injection suite: the determinism gate
 # (TestFaultScheduleDeterministic runs the full dropout/straggler/crash/

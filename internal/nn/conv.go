@@ -140,9 +140,7 @@ func (m *CNN) forward(x []float64, st *fwdState) {
 			}
 		}
 	}
-	for k := 0; k < m.c; k++ {
-		st.logits[k] = tensor.Dot(w[k*m.flat:(k+1)*m.flat], st.pooled) + b[k]
-	}
+	affine(st.logits, w, b, st.pooled)
 }
 
 // Loss implements Model.

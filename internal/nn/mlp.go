@@ -61,19 +61,18 @@ func (m *MLP) slices() (w1, b1, w2, b2 []float64) {
 // forward computes hidden activations a (tanh) and logits z for input x.
 func (m *MLP) forward(x []float64, a, z []float64) {
 	w1, b1, w2, b2 := m.slices()
-	for j := 0; j < m.h; j++ {
-		a[j] = math.Tanh(tensor.Dot(w1[j*m.d:(j+1)*m.d], x) + b1[j])
+	affine(a, w1, b1, x)
+	for j, v := range a {
+		a[j] = math.Tanh(v)
 	}
-	for k := 0; k < m.c; k++ {
-		z[k] = tensor.Dot(w2[k*m.h:(k+1)*m.h], a) + b2[k]
-	}
+	affine(z, w2, b2, a)
 }
 
 // Loss implements Model.
 func (m *MLP) Loss(X *tensor.Matrix, y []float64) float64 {
 	checkBatch(X, y, m.d)
-	a := make([]float64, m.h)
-	z := make([]float64, m.c)
+	var bufA, bufZ [scratchLen]float64
+	a, z := scratch(&bufA, m.h), scratch(&bufZ, m.c)
 	var s float64
 	for i := 0; i < X.Rows; i++ {
 		m.forward(X.Row(i), a, z)
@@ -92,8 +91,8 @@ func (m *MLP) Grad(X *tensor.Matrix, y []float64) []float64 {
 	gw2 := g[m.h*m.d+m.h : m.h*m.d+m.h+m.c*m.h]
 	gb2 := g[m.h*m.d+m.h+m.c*m.h:]
 
-	a := make([]float64, m.h)
-	z := make([]float64, m.c)
+	var bufA, bufZ [scratchLen]float64
+	a, z := scratch(&bufA, m.h), scratch(&bufZ, m.c)
 	dz := make([]float64, m.c)
 	da := make([]float64, m.h)
 	for i := 0; i < X.Rows; i++ {
@@ -126,8 +125,8 @@ func (m *MLP) Grad(X *tensor.Matrix, y []float64) []float64 {
 
 // Predict implements Classifier.
 func (m *MLP) Predict(X *tensor.Matrix) []int {
-	a := make([]float64, m.h)
-	z := make([]float64, m.c)
+	var bufA, bufZ [scratchLen]float64
+	a, z := scratch(&bufA, m.h), scratch(&bufZ, m.c)
 	out := make([]int, X.Rows)
 	for i := 0; i < X.Rows; i++ {
 		m.forward(X.Row(i), a, z)

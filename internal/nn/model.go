@@ -121,7 +121,9 @@ func sigmoid(z float64) float64 {
 	return e / (1 + e)
 }
 
-// logSumExp returns log Σ exp(z_i) computed stably.
+// logSumExp returns log Σ exp(z_i) computed stably. The maximum's own term
+// is exp(0) = 1 and is added as such, at its place in the sum; the test is on
+// the difference, so an all-+Inf row still sums exp(NaN).
 func logSumExp(z []float64) float64 {
 	m := z[0]
 	for _, v := range z[1:] {
@@ -131,9 +133,37 @@ func logSumExp(z []float64) float64 {
 	}
 	var s float64
 	for _, v := range z {
-		s += math.Exp(v - m)
+		if d := v - m; d == 0 {
+			s++
+		} else {
+			s += math.Exp(d)
+		}
 	}
 	return m + math.Log(s)
+}
+
+// affine computes dst = W·x + b for the row-major len(b)×len(x) matrix w:
+// the logit layer of every classifier here, its rows sharing Dot4 passes.
+func affine(dst, w, b, x []float64) {
+	tensor.MatVecTo(dst, w, x)
+	for k, bk := range b {
+		dst[k] += bk
+	}
+}
+
+// scratchLen bounds the per-call scratch that Loss, Grad and Predict keep in
+// a stack array: logits of a four-row block of a sixteen-class model, or 64
+// hidden units.
+const scratchLen = 64
+
+// scratch returns n values of per-call scratch: buf when they fit — the
+// caller's stack array, so that a shared model stays re-entrant and the call
+// allocates nothing — and a fresh slice otherwise.
+func scratch(buf *[scratchLen]float64, n int) []float64 {
+	if n <= scratchLen {
+		return buf[:n]
+	}
+	return make([]float64, n)
 }
 
 func checkBatch(x *tensor.Matrix, y []float64, wantCols int) {

@@ -52,22 +52,38 @@ func (m *SoftmaxRegression) biases() []float64 {
 	return m.params[m.c*m.d:]
 }
 
-// logits computes the C logits for row x into dst.
-func (m *SoftmaxRegression) logits(x []float64, dst []float64) {
-	b := m.biases()
-	for k := 0; k < m.c; k++ {
-		dst[k] = tensor.Dot(m.weightRow(k), x) + b[k]
+// blockLogits computes the logits of the next rows of X from row i on into
+// z, row i+r's at z[r·C:(r+1)·C], and returns how many rows it took. Four
+// rows are a block and are then the kernel's lanes — class k's four logits
+// share one pass over w_k — so that a class count that is no multiple of four
+// leaves no class on a chain of its own; the last rows, short of a block, are
+// taken one at a time with the classes as lanes.
+func (m *SoftmaxRegression) blockLogits(X *tensor.Matrix, i int, z []float64) int {
+	c := m.c
+	if i+4 > X.Rows {
+		affine(z[:c], m.params[:c*m.d], m.biases(), X.Row(i))
+		return 1
 	}
+	x0, x1, x2, x3 := X.Row(i), X.Row(i+1), X.Row(i+2), X.Row(i+3)
+	for k, bk := range m.biases() {
+		s0, s1, s2, s3 := tensor.Dot4(x0, x1, x2, x3, m.weightRow(k))
+		z[k], z[c+k], z[2*c+k], z[3*c+k] = s0+bk, s1+bk, s2+bk, s3+bk
+	}
+	return 4
 }
 
 // Loss implements Model.
 func (m *SoftmaxRegression) Loss(X *tensor.Matrix, y []float64) float64 {
 	checkBatch(X, y, m.d)
-	z := make([]float64, m.c)
+	var buf [scratchLen]float64
+	z := scratch(&buf, 4*m.c)
 	var s float64
-	for i := 0; i < X.Rows; i++ {
-		m.logits(X.Row(i), z)
-		s += logSumExp(z) - z[int(y[i])]
+	for i, n := 0, 0; i < X.Rows; i += n {
+		n = m.blockLogits(X, i, z)
+		for r := 0; r < n; r++ {
+			zr := z[r*m.c : (r+1)*m.c]
+			s += logSumExp(zr) - zr[int(y[i+r])]
+		}
 	}
 	return s / float64(X.Rows)
 }
@@ -77,18 +93,21 @@ func (m *SoftmaxRegression) Grad(X *tensor.Matrix, y []float64) []float64 {
 	checkBatch(X, y, m.d)
 	g := make([]float64, m.NumParams())
 	gb := g[m.c*m.d:]
-	z := make([]float64, m.c)
-	for i := 0; i < X.Rows; i++ {
-		x := X.Row(i)
-		m.logits(x, z)
-		lse := logSumExp(z)
-		for k := 0; k < m.c; k++ {
-			p := math.Exp(z[k] - lse)
-			if k == int(y[i]) {
-				p--
+	var buf [scratchLen]float64
+	z := scratch(&buf, 4*m.c)
+	for i, n := 0, 0; i < X.Rows; i += n {
+		n = m.blockLogits(X, i, z)
+		for r := 0; r < n; r++ {
+			x, zr := X.Row(i+r), z[r*m.c:(r+1)*m.c]
+			lse := logSumExp(zr)
+			for k := 0; k < m.c; k++ {
+				p := math.Exp(zr[k] - lse)
+				if k == int(y[i+r]) {
+					p--
+				}
+				tensor.AXPY(p, x, g[k*m.d:(k+1)*m.d])
+				gb[k] += p
 			}
-			tensor.AXPY(p, x, g[k*m.d:(k+1)*m.d])
-			gb[k] += p
 		}
 	}
 	tensor.Scale(1/float64(X.Rows), g)
@@ -98,10 +117,13 @@ func (m *SoftmaxRegression) Grad(X *tensor.Matrix, y []float64) []float64 {
 // Predict implements Classifier.
 func (m *SoftmaxRegression) Predict(X *tensor.Matrix) []int {
 	out := make([]int, X.Rows)
-	z := make([]float64, m.c)
-	for i := 0; i < X.Rows; i++ {
-		m.logits(X.Row(i), z)
-		out[i] = tensor.Argmax(z)
+	var buf [scratchLen]float64
+	z := scratch(&buf, 4*m.c)
+	for i, n := 0, 0; i < X.Rows; i += n {
+		n = m.blockLogits(X, i, z)
+		for r := 0; r < n; r++ {
+			out[i+r] = tensor.Argmax(z[r*m.c : (r+1)*m.c])
+		}
 	}
 	return out
 }

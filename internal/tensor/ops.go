@@ -47,6 +47,25 @@ func DotAdd(a, x, y []float64) float64 {
 	return s
 }
 
+// Dot4 returns the inner products of four rows with one shared vector x in a
+// single pass. A lone Dot waits on its own previous add; four independent
+// sums overlap in the core's pipeline. Each lane accumulates from zero in
+// index order, so it carries exactly the bits of Dot(r, x): interleaving
+// several reductions reorders none of them.
+func Dot4(r0, r1, r2, r3, x []float64) (s0, s1, s2, s3 float64) {
+	n := len(x)
+	if len(r0) != n || len(r1) != n || len(r2) != n || len(r3) != n {
+		panic(fmt.Sprintf("tensor: Dot4 length mismatch %d, %d, %d, %d vs %d", len(r0), len(r1), len(r2), len(r3), n))
+	}
+	for i, v := range x {
+		s0 += r0[i] * v
+		s1 += r1[i] * v
+		s2 += r2[i] * v
+		s3 += r3[i] * v
+	}
+	return
+}
+
 // Scale multiplies x by alpha in place.
 func Scale(alpha float64, x []float64) {
 	for i := range x {

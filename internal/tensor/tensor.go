@@ -89,10 +89,33 @@ func MatVec(m *Matrix, x []float64) []float64 {
 		panic(fmt.Sprintf("tensor: MatVec shape mismatch: %d×%d · %d", m.Rows, m.Cols, len(x)))
 	}
 	y := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		y[i] = Dot(m.Row(i), x)
-	}
+	MatVecTo(y, m.Data, x)
 	return y
+}
+
+// MatVecTo computes dst[k] = w[k·n:(k+1)·n]·x with n = len(x) for the
+// row-major len(dst)×n matrix w, four rows to a Dot4 pass. Two or three rows
+// left over share a pass too, the last of them standing in for the rows past
+// the end; every dst[k] carries the bits of Dot(row k, x).
+func MatVecTo(dst, w, x []float64) {
+	n, last := len(x), len(dst)-1
+	if len(w) != len(dst)*n {
+		panic(fmt.Sprintf("tensor: MatVecTo shape mismatch: %d values for %d×%d", len(w), len(dst), n))
+	}
+	var r [4][]float64
+	var s [4]float64
+	for k := 0; k <= last; k += 4 {
+		for lane := range r {
+			at := min(k+lane, last) * n
+			r[lane] = w[at : at+n]
+		}
+		if k == last {
+			dst[k] = Dot(r[0], x)
+			break
+		}
+		s[0], s[1], s[2], s[3] = Dot4(r[0], r[1], r[2], r[3], x)
+		copy(dst[k:], s[:])
+	}
 }
 
 // MatTVec computes y = Mᵀ·x, allocating the result. len(x) must equal M.Rows.
