@@ -62,11 +62,15 @@ bench-workload:
 # d=2000); and the validation loss's, which every round's turnaround and
 # every engine's utility evaluation pay — the four-row dot kernel at d=2000,
 # MatVec on a 32×2000 validation set, the audit's softmax loss (400 rows ×
-# 64 features × 10 classes). Each benchmark checks its results against a
-# term-by-term reference kept in its test file.
+# 64 features × 10 classes). Each of those checks its results against a
+# term-by-term reference kept in its test file. And the secure epoch's, at
+# 1024 bits: one warm encryption, the exponentiation kernel on one 77-row
+# column, and a party's step 4 (77×3 training, 19×3 validation), the last
+# two checked against their references before timing.
 bench-kernels:
 	$(GO) test -run '^$$' -benchmem -bench 'Cohort100k|ObserveDots100k|Dot2000|AXPY2000|DotAdd2000|Dot4x2000|MatVec32x2000|SoftmaxLoss400x64x10|IngestUpdateV2|RoundPollV2' \
 		./internal/sampling/ ./internal/core/ ./internal/tensor/ ./internal/nn/ ./internal/fednet/
+	$(GO) test -run '^$$' -benchmem -bench 'Encrypt$$/1024|DotPlain/77|MaskedGradient' ./internal/paillier/ ./internal/vfl/
 
 # verify-faults runs the fault-injection suite: the determinism gate
 # (TestFaultScheduleDeterministic runs the full dropout/straggler/crash/
@@ -149,17 +153,19 @@ verify-async:
 		./internal/hfl/ ./internal/fednet/ ./internal/experiments/ ./internal/robust/
 
 # verify-secure runs the secure-VFL gate under the race detector: the
-# encryption kernel's properties (the fixed-base Hs^r bit-identical to
+# encryption kernel's properties (the comb's Hs^r bit-identical to
 # big.Int.Exp, one rand.Int draw of at most ⌈|n|/2⌉ bits, textbook and DJN
 # ciphertexts interoperating, one table from a raced first use, an Hs-less
-# key refused), CRT decryption against the textbook form, the fused dot
-# product against its term-by-term reference, and Algorithm 3's contracts
+# key refused), CRT decryption against the textbook form, the step-4 kernel
+# against its term-by-term reference and, residue for residue, against the
+# bit-by-bit kernel it replaced (a non-unit column included), the pooled
+# additions against their allocating bodies, and Algorithm 3's contracts
 # (secure θ/φ equal to the plaintext trainer, closed-form Paillier op counts,
-# retries and every worker count bit-identical). -count=1 defeats the test
-# cache so the gate re-executes.
+# retries and every worker count bit-identical, step 4's ciphertexts too).
+# -count=1 defeats the test cache so the gate re-executes.
 verify-secure:
 	$(GO) vet ./internal/paillier/ ./internal/vfl/
-	$(GO) test -race -count=1 -run 'Secure|Encrypt|Decrypt|DotPlain|FixedBase|CRT' ./internal/paillier/ ./internal/vfl/
+	$(GO) test -race -count=1 -run 'Secure|Encrypt|Decrypt|DotPlain|AddPlain|MaskedGradient|FixedBase|CRT' ./internal/paillier/ ./internal/vfl/
 
 # verify-engines runs the contribution-engine gate: the cross-engine
 # equivalence suite (truncation-disabled GTG/DPVS reproduce the exact

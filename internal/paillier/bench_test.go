@@ -15,9 +15,10 @@ func benchVec(n int) []float64 {
 	return v
 }
 
-// BenchmarkEncrypt times one warm encryption — the fixed-base Hs^r, whose
-// cost is ⌈|n|/2⌉/fbWindow modular products — at the paper's key size and
-// at twice it.
+// BenchmarkEncrypt times one warm encryption — the comb's Hs^r, b − 1
+// squarings and at most combSubs·b products for b = ⌈⌈|n|/2⌉/64⌉, then the
+// product into 1+m·n: 72 modular products at the paper's key size, 144 at
+// twice it.
 func BenchmarkEncrypt(b *testing.B) {
 	m := big.NewInt(987654321)
 	for _, bits := range []int{1024, 2048} {
@@ -139,8 +140,9 @@ func BenchmarkMulPlain(b *testing.B) {
 	}
 }
 
-// BenchmarkDotPlain times the secure epoch's inner kernel at its training
-// shape: 77 encrypted residuals against one feature column.
+// BenchmarkDotPlain times the exponentiation kernel on one column of the
+// secure epoch's training shape — 77 encrypted residuals against one feature
+// — on a warm table; vfl's BenchmarkMaskedGradient is a party's three.
 func BenchmarkDotPlain(b *testing.B) {
 	sk := keyOfBits(b, 1024)
 	pk := &sk.PublicKey
@@ -153,9 +155,14 @@ func BenchmarkDotPlain(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("77", func(b *testing.B) {
+		tab := new(DotTable)
+		if got, want := pk.DotPlainFloatCols(tab, cts, vs, 1, nil)[0], bitByBitDot(pk, cts, vs); got.C.Cmp(want.C) != 0 {
+			b.Fatal("the kernel's residue is not the bit-by-bit reference's")
+		}
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			benchCt = pk.DotPlainFloat(cts, vs)
+			benchCt = pk.DotPlainFloatCols(tab, cts, vs, 1, nil)[0]
 		}
 	})
 }

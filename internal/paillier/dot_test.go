@@ -3,6 +3,7 @@ package paillier
 import (
 	"crypto/rand"
 	"errors"
+	"fmt"
 	"math"
 	"math/big"
 	mrand "math/rand"
@@ -156,11 +157,159 @@ func TestDotPlainNonUnitFallback(t *testing.T) {
 	}
 }
 
+// bitByBitDot is the kernel DotPlainFloat ran on before the windowed one,
+// kept as the residue reference: per column P·Q⁻¹ with every exponent walked
+// bit by bit, and the negative terms raised to the full-length n − |k| when Q
+// has no inverse.
+func bitByBitDot(pk *PublicKey, cts []*Ciphertext, vs []float64) *Ciphertext {
+	mags, neg := make([]*big.Int, len(vs)), make([]bool, len(vs))
+	for i, v := range vs {
+		mags[i] = new(big.Int)
+		neg[i] = setScaled(mags[i], v)
+	}
+	multiExp := func(sign bool) (z *big.Int, terms int) {
+		bits := 0
+		for i := range mags {
+			if neg[i] == sign {
+				terms++
+				bits = max(bits, mags[i].BitLen())
+			}
+		}
+		z = big.NewInt(1)
+		for b := bits - 1; b >= 0; b-- {
+			z.Mod(z.Mul(z, z), pk.N2)
+			for i := range mags {
+				if neg[i] == sign && mags[i].Bit(b) == 1 {
+					z.Mod(z.Mul(z, cts[i].C), pk.N2)
+				}
+			}
+		}
+		return z, terms
+	}
+	out, _ := multiExp(false)
+	q, terms := multiExp(true)
+	if terms == 0 {
+		return &Ciphertext{C: out}
+	}
+	if q = q.ModInverse(q, pk.N2); q == nil {
+		for i := range mags {
+			if neg[i] {
+				mags[i].Sub(pk.N, mags[i])
+			}
+		}
+		q, _ = multiExp(true)
+	}
+	return &Ciphertext{C: out.Mod(out.Mul(out, q), pk.N2)}
+}
+
+// checkCols compares every column of got with the bit-by-bit kernel run on
+// that column alone, as ciphertext residues, and — when plaintexts is set —
+// with the term-by-term reference, as decrypted integers.
+func checkCols(t *testing.T, sk *PrivateKey, plaintexts bool, name string, got, cts []*Ciphertext, cols []float64) {
+	t.Helper()
+	pk, m := &sk.PublicKey, len(cts)
+	if len(got)*m != len(cols) {
+		t.Fatalf("%s: %d columns for %d multipliers of %d rows", name, len(got), len(cols), m)
+	}
+	for j, ct := range got {
+		col := cols[j*m : (j+1)*m]
+		if want := bitByBitDot(pk, cts, col); ct.C.Cmp(want.C) != 0 {
+			t.Fatalf("%s: column %d is not the bit-by-bit kernel's residue", name, j)
+		}
+		if !plaintexts {
+			continue
+		}
+		ks := make([]*big.Int, m)
+		for i, v := range col {
+			ks[i] = pk.Encode(v)
+		}
+		if dec, want := mustDecrypt(t, sk, ct), mustDecrypt(t, sk, refDot(pk, cts, ks)); dec.Cmp(want) != 0 {
+			t.Fatalf("%s: column %d decrypts to %v, term-by-term to %v", name, j, dec, want)
+		}
+	}
+}
+
+// Step 4's matrix kernel — shared odd powers, sliding windows, row chunks,
+// one inversion for all columns — must return, column by column, the very
+// residue the bit-by-bit kernel returned and the plaintext of the
+// term-by-term reference, whatever the shape and the worker budget.
+func TestDotPlainFloatColsMatchesBitByBitKernel(t *testing.T) {
+	sk := testKey(t)
+	pk := &sk.PublicKey
+	rng := mrand.New(mrand.NewSource(21))
+	tab := new(DotTable) // one table through every shape: it only ever grows
+	for _, m := range []int{1, 2, 19, 77} {
+		cts := encryptInts(t, pk, rng, m)
+		for _, d := range []int{1, 3, 5} {
+			cols := make([]float64, d*m)
+			for i := range cols {
+				cols[i] = rng.NormFloat64() * 0.03
+			}
+			// Column 0 stays mixed and takes the edge multipliers; the
+			// others, where there are any, are one sign or all zero.
+			edges := []float64{0, 1.0 / Scale, -1.0 / Scale, -3e9, 3e9, 1e-9, -0.5} // 3e9·Scale ≥ 2⁶³: setScaled's big.Float branch
+			for i := 0; i < min(m, len(edges)); i++ {
+				cols[i] = edges[i]
+			}
+			for j := 1; j < d; j++ {
+				for i := j * m; i < (j+1)*m; i++ {
+					switch j {
+					case 1:
+						cols[i] = math.Abs(cols[i])
+					case 2:
+						cols[i] = -math.Abs(cols[i])
+					case 3:
+						cols[i] = 0
+					}
+				}
+			}
+			for _, workers := range []int{1, 2, 3, 8, 1000} {
+				got := pk.DotPlainFloatCols(tab, cts, cols, workers, nil)
+				checkCols(t, sk, true, fmt.Sprintf("m=%d d=%d workers=%d", m, d, workers), got, cts, cols)
+			}
+		}
+	}
+	if got := pk.DotPlainFloatCols(tab, nil, nil, 2, nil); len(got) != 0 {
+		t.Fatalf("no rows and no multipliers gave %d columns", len(got))
+	}
+}
+
+// One ciphertext sharing a factor with n makes the product of the columns' Q
+// a non-unit whenever any column raises it to a negative multiplier. That
+// column falls back to full-length exponents; the others — where the
+// multiplier is positive or zero, or nothing is negative at all — must come
+// out exactly as they would alone.
+func TestDotPlainNonUnitColumnDoesNotPoisonBatch(t *testing.T) {
+	sk := testKey(t)
+	pk := &sk.PublicKey
+	rng := mrand.New(mrand.NewSource(22))
+	const m, d, bad = 6, 4, 2
+	cts := encryptInts(t, pk, rng, m)
+	cts[bad] = &Ciphertext{C: new(big.Int).Mul(sk.p, big.NewInt(1234567))}
+	cols := make([]float64, d*m)
+	for i := range cols {
+		cols[i] = rng.NormFloat64() * 0.03
+	}
+	cols[0*m+bad] = -0.25 // negative: this column's Q is the non-unit
+	cols[1*m+bad] = 0.25  // positive: its Q is a unit and inverts alone
+	cols[2*m+bad] = 0     // absent
+	for i := 3 * m; i < 4*m; i++ {
+		cols[i] = math.Abs(cols[i]) // no negative term, no Q
+	}
+	tab := new(DotTable)
+	for _, workers := range []int{1, 2, 8} {
+		got := pk.DotPlainFloatCols(tab, cts, cols, workers, nil)
+		// Residues only: a plaintext under a non-unit is not meaningful.
+		checkCols(t, sk, false, fmt.Sprintf("workers=%d", workers), got, cts, cols)
+	}
+}
+
 // A warm 77-term dot product — the secure epoch's shape — must not allocate
-// per term: the scratch is pooled and the products reduce in place.
+// per term: the powers and the scratch live in the caller's table and the
+// products reduce in place.
 func TestDotPlainAllocs(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool drops items under the race detector")
+		t.Skip("sync.Pool — math/big's own, under the division — drops items under the race detector")
 	}
 	sk := testKey(t)
 	pk := &sk.PublicKey
@@ -170,16 +319,17 @@ func TestDotPlainAllocs(t *testing.T) {
 		vs[i] = rng.NormFloat64() * 0.03
 	}
 	cts := encryptInts(t, pk, rng, len(vs))
-	pk.DotPlainFloat(cts, vs) // warm the pools
-	allocs := testing.AllocsPerRun(20, func() { pk.DotPlainFloat(cts, vs) })
-	t.Logf("%.1f allocations per warm 77-term DotPlainFloat", allocs)
+	tab := new(DotTable)
+	pk.DotPlainFloatCols(tab, cts, vs, 1, nil) // grow the table
+	allocs := testing.AllocsPerRun(20, func() { pk.DotPlainFloatCols(tab, cts, vs, 1, nil) })
+	t.Logf("%.1f allocations per warm 77-term DotPlainFloatCols", allocs)
 	if allocs > 48 {
-		t.Errorf("warm 77-term DotPlainFloat allocates %.1f times, want ≤ 48 (none per term)", allocs)
+		t.Errorf("warm 77-term DotPlainFloatCols allocates %.1f times, want ≤ 48 (none per term)", allocs)
 	}
 }
 
 // A warm encryption allocates its exponent draw, its result and nothing per
-// table step: the ⌈|n|/2⌉/fbWindow products reduce in place on pooled scratch.
+// table step: the comb's products reduce in place on pooled scratch.
 func TestEncryptAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")

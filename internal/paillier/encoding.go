@@ -72,7 +72,12 @@ func (pk *PublicKey) Encode(v float64) *big.Int { return pk.EncodeAtScale(v, 1) 
 // resolution — Encode(v)·Scale^(level−1) mod n — the level of a ciphertext
 // that went through level−1 float multiplications.
 func (pk *PublicKey) EncodeAtScale(v float64, level int) *big.Int {
-	z := new(big.Int)
+	return pk.encodeTo(new(big.Int), v, level)
+}
+
+// encodeTo is EncodeAtScale into z. With z grown it allocates nothing: the
+// reduction of a value already in (−n, n) has an empty quotient.
+func (pk *PublicKey) encodeTo(z *big.Int, v float64, level int) *big.Int {
 	neg := setScaled(z, v)
 	z.Lsh(z, uint(scaleBits*(level-1)))
 	if neg {
@@ -202,7 +207,9 @@ func (pk *PublicKey) AddVec(a, b []*Ciphertext) []*Ciphertext {
 
 // AddPlainFloat returns the encryption of a + v under fixed-point encoding.
 func (pk *PublicKey) AddPlainFloat(a *Ciphertext, v float64) *Ciphertext {
-	return pk.AddPlain(a, pk.Encode(v))
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	return pk.addPlain(a, pk.encodeTo(&s.x, v, 1), s)
 }
 
 // MulPlainFloat multiplies a ciphertext by a plaintext float. The plaintext
@@ -213,18 +220,14 @@ func (pk *PublicKey) MulPlainFloat(a *Ciphertext, v float64) *Ciphertext {
 }
 
 // DotPlainFloat returns the encryption of Σ vᵢ·aᵢ at fixed-point scale
-// Scale² — DotPlain over the encoded vᵢ, whose signs and short magnitudes
-// go to the kernel directly instead of through a wrap mod n.
+// Scale²: one column of DotPlainFloatCols on a table of the call's own.
 func (pk *PublicKey) DotPlainFloat(cts []*Ciphertext, vs []float64) *Ciphertext {
 	if len(cts) != len(vs) {
 		panic(fmt.Sprintf("paillier: DotPlainFloat length mismatch %d vs %d", len(cts), len(vs)))
 	}
-	s := getDotScratch(len(vs))
-	defer dotPool.Put(s)
-	for i, v := range vs {
-		s.neg[i] = setScaled(&s.mags[i], v)
-	}
-	return pk.dot(cts, s)
+	return pk.dotCols(new(DotTable), cts, 1, func(_, i int, mag *big.Int) bool {
+		return setScaled(mag, vs[i])
+	}, 1, nil)[0]
 }
 
 // DecryptFloatAtScale decrypts a ciphertext whose plaintext is at

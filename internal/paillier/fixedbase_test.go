@@ -3,6 +3,7 @@ package paillier
 import (
 	"bytes"
 	"crypto/rand"
+	"fmt"
 	"io"
 	"math/big"
 	mrand "math/rand"
@@ -36,12 +37,16 @@ func TestGenerateKeyBlumPrimesAndHs(t *testing.T) {
 	}
 }
 
-// (a) and (f): the fixed-base product is Hs^r bit for bit. Encrypting 0
-// yields Hs^r itself, and the deterministic reader makes r known: Encrypt
-// must draw it exactly as one rand.Int below 2^⌈|n|/2⌉ does — the same
-// bytes, nothing more — so r never exceeds the DJN exponent length.
+// (a) and (f): the comb's product is Hs^r bit for bit. Encrypting 0 yields
+// Hs^r itself, and the deterministic reader makes r known: Encrypt must draw
+// it exactly as one rand.Int below 2^⌈|n|/2⌉ does — the same bytes, nothing
+// more — so r never exceeds the DJN exponent length. The key sizes cover a
+// comb with fewer sub-tables than combSubs (64), a block whose last
+// sub-block is short (136: 9-bit blocks in 2-bit sub-blocks), and an
+// exponent length that is no multiple of combBlocks·combSubs (1022), whose
+// top block is short.
 func TestFixedBaseMatchesExp(t *testing.T) {
-	for _, bits := range []int{256, 512} {
+	for _, bits := range []int{64, 136, 256, 1022, 1024} {
 		sk := keyOfBits(t, bits)
 		pk := &sk.PublicKey
 		k := pk.randBits()
@@ -77,10 +82,14 @@ func TestFixedBaseMatchesExp(t *testing.T) {
 		if r := check("r=0", zero); r.Sign() != 0 {
 			t.Fatalf("all-zero stream drew r = %v", r)
 		}
-		unit := make([]byte, nb+8)
-		unit[nb-1] = 1
-		if r := check("r=1", unit); r.Cmp(one) != 0 {
-			t.Fatalf("unit stream drew r = %v", r)
+		// Every single bit of r: each lands in one block, sub-block and
+		// squaring step of the comb.
+		for i := 0; i < k; i++ {
+			unit := make([]byte, nb+8)
+			unit[nb-1-i/8] = 1 << (i % 8)
+			if r := check(fmt.Sprintf("r=2^%d", i), unit); r.Cmp(new(big.Int).Lsh(one, uint(i))) != 0 {
+				t.Fatalf("stream with bit %d set drew r = %v", i, r)
+			}
 		}
 		full := bytes.Repeat([]byte{0xff}, nb+8)
 		if r := check("r=2^k-1", full); r.Cmp(new(big.Int).Sub(bound, one)) != 0 {
@@ -88,7 +97,7 @@ func TestFixedBaseMatchesExp(t *testing.T) {
 		}
 		rng := mrand.New(mrand.NewSource(int64(bits)))
 		stream := make([]byte, nb+8)
-		for i := 0; i < 200; i++ {
+		for i := 0; i < 100; i++ {
 			rng.Read(stream)
 			check("seeded", stream)
 		}
@@ -204,7 +213,7 @@ func TestFixedBaseFirstUseRace(t *testing.T) {
 			t.Fatalf("worker %d: decrypted %v", w, got)
 		}
 	}
-	if want := (pk.randBits() + fbWindow - 1) / fbWindow * fbDigits; len(pk.fb.pows) != want {
+	if want := pk.fb.subs() * combEntries; len(pk.fb.pows) != want {
 		t.Fatalf("table has %d entries, want %d", len(pk.fb.pows), want)
 	}
 }

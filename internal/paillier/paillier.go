@@ -19,8 +19,8 @@ import (
 
 var one = big.NewInt(1)
 
-// intPool recycles big.Int scratch values across the hot arithmetic paths
-// (CRT decryption, plaintext reduction).
+// intPool recycles big.Int scratch values across CRT decryption; the modular
+// products of the other paths share scratchPool (dot.go).
 // Only pure intermediates go back to the pool — a value that escapes into
 // a Ciphertext or a returned plaintext is never Put, because the caller
 // owns it. Pooled values keep their grown backing arrays, so steady-state
@@ -176,21 +176,28 @@ func (sk *PrivateKey) Decrypt(ct *Ciphertext) (*big.Int, error) {
 
 // Add returns the encryption of a+b given encryptions of a and b.
 func (pk *PublicKey) Add(a, b *Ciphertext) *Ciphertext {
-	c := new(big.Int).Mul(a.C, b.C)
-	c.Mod(c, pk.N2)
+	s := scratchPool.Get().(*scratch)
+	c := new(big.Int) // escapes as the ciphertext
+	pk.mulMod(c, a.C, b.C, s)
+	scratchPool.Put(s)
 	return &Ciphertext{C: c}
 }
 
 // AddPlain returns the encryption of a+m given an encryption of a and a
-// plaintext m ∈ [0, n).
+// plaintext m, taken mod n.
 func (pk *PublicKey) AddPlain(a *Ciphertext, m *big.Int) *Ciphertext {
-	red := getInt().Mod(m, pk.N)
-	gm := new(big.Int).Mul(red, pk.N)
-	putInt(red)
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	return pk.addPlain(a, s.x.Mod(m, pk.N), s)
+}
+
+// addPlain is AddPlain for m ∈ [0, n): a·g^m with g^m = (1+n)^m = 1 + m·n,
+// which is below n² as it stands. Only the ciphertext leaves the scratch.
+func (pk *PublicKey) addPlain(a *Ciphertext, m *big.Int, s *scratch) *Ciphertext {
+	gm := s.y.Mul(m, pk.N)
 	gm.Add(gm, one)
-	gm.Mod(gm, pk.N2)
-	c := gm.Mul(gm, a.C)
-	c.Mod(c, pk.N2)
+	c := new(big.Int)
+	pk.mulMod(c, a.C, gm, s)
 	return &Ciphertext{C: c}
 }
 

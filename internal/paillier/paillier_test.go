@@ -195,6 +195,57 @@ func TestAddPlainFloat(t *testing.T) {
 	}
 }
 
+// Add, AddPlain and AddPlainFloat reduce on pooled scratch; the residues must
+// be the ones their allocating bodies — kept here — produced.
+func TestAddPlainMatchesAllocatingReference(t *testing.T) {
+	sk := testKey(t)
+	pk := &sk.PublicKey
+	refAdd := func(a, b *Ciphertext) *big.Int {
+		c := new(big.Int).Mul(a.C, b.C)
+		return c.Mod(c, pk.N2)
+	}
+	refAddPlain := func(a *Ciphertext, m *big.Int) *big.Int {
+		gm := new(big.Int).Mul(new(big.Int).Mod(m, pk.N), pk.N)
+		gm.Add(gm, one)
+		gm.Mod(gm, pk.N2)
+		c := gm.Mul(gm, a.C)
+		return c.Mod(c, pk.N2)
+	}
+	a, err := pk.EncryptFloat(rand.Reader, 1.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := pk.EncryptFloat(rand.Reader, -7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pk.Add(a, b); got.C.Cmp(refAdd(a, b)) != 0 {
+		t.Fatal("Add changed its residue")
+	}
+	nm1 := new(big.Int).Sub(pk.N, one)
+	for _, m := range []*big.Int{
+		new(big.Int), big.NewInt(1), nm1, // the ends of [0, n)
+		big.NewInt(-5), new(big.Int).Set(pk.N), new(big.Int).Lsh(pk.N, 3), // taken mod n
+	} {
+		if got := pk.AddPlain(a, m); got.C.Cmp(refAddPlain(a, m)) != 0 {
+			t.Fatalf("AddPlain(%v) changed its residue", m)
+		}
+	}
+	nHalf, _ := new(big.Float).SetInt(new(big.Int).Rsh(pk.N, 1)).Float64()
+	for _, v := range []float64{0, math.Copysign(0, -1), 1e-13, -1e-13, 3.5, -3.5, 3e9, -3e9, nHalf / Scale * 0.99, -nHalf / Scale * 0.99} {
+		if got := pk.AddPlainFloat(a, v); got.C.Cmp(refAddPlain(a, pk.Encode(v))) != 0 {
+			t.Fatalf("AddPlainFloat(%v) changed its residue", v)
+		}
+	}
+	if raceEnabled {
+		return // sync.Pool drops items under the race detector
+	}
+	pk.AddPlainFloat(a, -3.5) // warm the pool
+	if allocs := testing.AllocsPerRun(50, func() { pk.AddPlainFloat(a, -3.5) }); allocs > 3 {
+		t.Errorf("warm AddPlainFloat allocates %.1f times, want ≤ 3 (the ciphertext alone)", allocs)
+	}
+}
+
 func TestErrors(t *testing.T) {
 	sk := testKey(t)
 	if _, err := GenerateKey(rand.Reader, 32); err == nil {

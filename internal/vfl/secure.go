@@ -183,6 +183,10 @@ func RunSecureN(prob *Problem, cfg SecureConfig) (*SecureNResult, error) {
 	workers := cfg.workers()
 	sink := cfg.Runtime.Sink
 
+	// Step 4's table of [[d]] powers, one party at a time. The run owns it
+	// so that every epoch after the first finds it grown.
+	var tab paillier.DotTable
+
 	inj := cfg.Faults
 	// secureRound wraps one encrypted gradient round (round 0: training,
 	// round 1: validation) with the transient-failure retry loop: an
@@ -203,7 +207,7 @@ func RunSecureN(prob *Problem, cfg SecureConfig) (*SecureNResult, error) {
 				}
 				continue
 			}
-			return secureGradientN(sk, parties, y, useVal, spec, maskRNG, workers, sink)
+			return secureGradientN(sk, parties, &tab, y, useVal, spec, maskRNG, workers, sink)
 		}
 	}
 
@@ -267,7 +271,7 @@ func RunSecureN(prob *Problem, cfg SecureConfig) (*SecureNResult, error) {
 // them. A value the fixed-point encoding cannot carry — a diverged run's
 // NaN, ±Inf or overflow, in an operand or in what a sum of products can
 // reach — fails the call with ErrNonFinite before it is encoded.
-func secureGradientN(sk *paillier.PrivateKey, parties []*secureParty, y []float64, useVal bool, spec residualSpec, maskRNG *tensor.RNG, workers int, sink obs.Sink) (grads [][]float64, ciphertexts int64, err error) {
+func secureGradientN(sk *paillier.PrivateKey, parties []*secureParty, tab *paillier.DotTable, y []float64, useVal bool, spec residualSpec, maskRNG *tensor.RNG, workers int, sink obs.Sink) (grads [][]float64, ciphertexts int64, err error) {
 	pk := &sk.PublicKey
 	feats := func(p *secureParty) *tensor.Matrix {
 		if useVal {
@@ -345,7 +349,7 @@ func secureGradientN(sk *paillier.PrivateKey, parties []*secureParty, y []float6
 		if err := checkEncodable(pk, "masked gradient bound", 2, sumBound); err != nil {
 			return nil, 0, err
 		}
-		enc := maskedGradient(pk, encD, cols, masks, workers, sink)
+		enc := maskedGradient(pk, tab, encD, cols, masks, workers, sink)
 		// Per feature: m plaintext multiplications, m−1 accumulation
 		// combines, one masking addition — batched into exact counters.
 		obs.Emit(sink, obs.Event{Kind: obs.KindPaillierMulPlain, N: int64(m) * int64(d)})
@@ -378,31 +382,16 @@ func secureGradientN(sk *paillier.PrivateKey, parties []*secureParty, y []float6
 
 // maskedGradient is Algorithm 3 step 4 for one party: for each of its
 // len(masks) features j, the masked encrypted dot product
-// Σ_i [[d_i]]·cols[j·m+i] ⊕ [[M_j]], each sum one fused DotPlainFloat. With
-// fewer features than workers the rows are cut into chunks, one kernel call
-// per chunk, and the chunk products multiplied together: Π_c P_c·Q_c⁻¹ is
-// the same residue as P·Q⁻¹, so the ciphertext bits do not depend on the
-// worker count.
-func maskedGradient(pk *paillier.PublicKey, encD []*paillier.Ciphertext, cols, masks []float64, workers int, sink obs.Sink) []*paillier.Ciphertext {
-	m, d := len(encD), len(masks)
-	chunk := m
-	if d < workers {
-		chunk = (m*d + workers - 1) / workers
-	}
-	chunks := (m + chunk - 1) / chunk
-	parts := make([]*paillier.Ciphertext, d*chunks)
-	parallel.ForObs(len(parts), workers, sink, func(t int) {
-		j, lo := t/chunks, t%chunks*chunk
-		hi := min(lo+chunk, m)
-		parts[t] = pk.DotPlainFloat(encD[lo:hi], cols[j*m+lo:j*m+hi])
+// Σ_i [[d_i]]·cols[j·m+i] ⊕ [[M_j]]. All of the party's features go to the
+// Paillier kernel as one matrix, which shares the powers of [[d]] between
+// them and cuts the rows to fit the worker budget; the ciphertext bits do
+// not depend on the worker count. tab is the run's table.
+func maskedGradient(pk *paillier.PublicKey, tab *paillier.DotTable, encD []*paillier.Ciphertext, cols, masks []float64, workers int, sink obs.Sink) []*paillier.Ciphertext {
+	enc := pk.DotPlainFloatCols(tab, encD, cols, workers, func(n int, fn func(int)) {
+		parallel.ForObs(n, workers, sink, fn)
 	})
-	enc := make([]*paillier.Ciphertext, d)
 	for j := range enc {
-		acc := parts[j*chunks]
-		for _, part := range parts[j*chunks+1 : (j+1)*chunks] {
-			acc = pk.Add(acc, part)
-		}
-		enc[j] = pk.AddPlain(acc, pk.EncodeAtScale(masks[j], 2))
+		enc[j] = pk.AddPlain(enc[j], pk.EncodeAtScale(masks[j], 2))
 	}
 	return enc
 }

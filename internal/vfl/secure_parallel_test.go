@@ -2,6 +2,7 @@ package vfl
 
 import (
 	"crypto/rand"
+	"math"
 	"math/big"
 	"testing"
 
@@ -100,32 +101,80 @@ func TestMaskedGradientCiphertextsIndependentOfWorkers(t *testing.T) {
 	cols := rng.NormalVec(d*m, 0, 0.03)
 	masks := rng.NormalVec(d, 0, 10)
 
-	serial := maskedGradient(pk, encD, cols, masks, 1, nil)
+	serial := maskedGradient(pk, new(paillier.DotTable), encD, cols, masks, 1, nil)
 	for _, workers := range []int{2, 8, 100, 1000} {
-		got := maskedGradient(pk, encD, cols, masks, workers, nil)
+		got := maskedGradient(pk, new(paillier.DotTable), encD, cols, masks, workers, nil)
 		for j := range serial {
 			if got[j].C.Cmp(serial[j].C) != 0 {
 				t.Fatalf("workers=%d: ciphertext of feature %d differs from the serial one", workers, j)
 			}
 		}
 	}
-	for j := range serial {
+	checkMaskedGradient(t, sk, serial, encD, cols, masks)
+}
+
+// checkMaskedGradient fails unless every masked ciphertext decrypts to
+// exactly what the term-by-term c^(k mod n) products decrypt to.
+func checkMaskedGradient(tb testing.TB, sk *paillier.PrivateKey, enc, encD []*paillier.Ciphertext, cols, masks []float64) {
+	tb.Helper()
+	pk, m := &sk.PublicKey, len(encD)
+	for j := range enc {
 		ref := &paillier.Ciphertext{C: big.NewInt(1)}
 		for i := 0; i < m; i++ {
 			term := new(big.Int).Exp(encD[i].C, pk.Encode(cols[j*m+i]), pk.N2)
 			ref = pk.Add(ref, &paillier.Ciphertext{C: term})
 		}
 		ref = pk.AddPlain(ref, pk.EncodeAtScale(masks[j], 2))
-		got, err := sk.Decrypt(serial[j])
+		got, err := sk.Decrypt(enc[j])
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		want, err := sk.Decrypt(ref)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		if got.Cmp(want) != 0 {
-			t.Fatalf("feature %d decrypts to %v, term-by-term reference to %v", j, got, want)
+			tb.Fatalf("feature %d decrypts to %v, term-by-term reference to %v", j, got, want)
+		}
+	}
+}
+
+// The run owns step 4's table, so only its first epoch pays for the table's
+// entries: a two-epoch run's second epoch must allocate fewer times than
+// the first by at least the seven stored powers of every training row, for
+// each worker count (with two the calling goroutine changes processor
+// between fan-outs, which is what emptied a pooled table).
+func TestSecureWarmEpochAllocatesNoTableEntries(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	prob := twoPartyProblem(31, 40, 4)
+	sk, err := paillier.GenerateKey(rand.Reader, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		allocs := func(epochs int) float64 {
+			least := math.Inf(1)
+			for attempt := 0; attempt < 5; attempt++ {
+				least = min(least, testing.AllocsPerRun(3, func() {
+					if _, err := RunSecureN(prob, SecureConfig{
+						Epochs: epochs, LR: 0.05, Key: sk, MaskSeed: 9,
+						Runtime: obs.Runtime{Workers: workers},
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}))
+			}
+			return least
+		}
+		one, two := allocs(1), allocs(2) // AllocsPerRun's own warm-up run fills the key's comb and the pools
+		cold, warm := one, two-one
+		entries := float64(7 * prob.Train.Len())
+		t.Logf("workers=%d: first epoch and set-up allocate %.0f times, a warm epoch %.0f; %.0f table entries", workers, cold, warm, entries)
+		if cold-warm < entries {
+			t.Errorf("workers=%d: a warm epoch allocates %.0f times against %.0f for the first: it is re-making some of the %.0f table entries",
+				workers, warm, cold, entries)
 		}
 	}
 }
