@@ -57,8 +57,9 @@ bench-workload:
 
 # bench-kernels runs the hot-path kernel microbenchmarks once each with
 # -benchmem. The streamed round's — cohort draw, estimator observe, the
-# fold's dot/axpy/fused pass, update ingest and round poll through
-# Handler() — at the reference cell's shapes (100k population, cohort 64,
+# fold's dot/axpy/fused pass, update ingest (on a streamed round, and on a
+# journaled buffered one with its journal checked against EncodeUpdate's
+# bytes) and round poll through Handler() — at the reference cell's shapes (100k population, cohort 64,
 # d=2000); and the validation loss's, which every round's turnaround and
 # every engine's utility evaluation pay — the four-row dot kernel at d=2000,
 # MatVec on a 32×2000 validation set, the audit's softmax loss (400 rows ×
@@ -68,7 +69,7 @@ bench-workload:
 # column, and a party's step 4 (77×3 training, 19×3 validation), the last
 # two checked against their references before timing.
 bench-kernels:
-	$(GO) test -run '^$$' -benchmem -bench 'Cohort100k|ObserveDots100k|Dot2000|AXPY2000|DotAdd2000|Dot4x2000|MatVec32x2000|SoftmaxLoss400x64x10|IngestUpdateV2|RoundPollV2' \
+	$(GO) test -run '^$$' -benchmem -bench 'Cohort100k|ObserveDots100k|Dot2000|AXPY2000|DotAdd2000|Dot4x2000|MatVec32x2000|SoftmaxLoss400x64x10|IngestUpdate|RoundPollV2' \
 		./internal/sampling/ ./internal/core/ ./internal/tensor/ ./internal/nn/ ./internal/fednet/
 	$(GO) test -run '^$$' -benchmem -bench 'Encrypt$$/1024|DotPlain/77|MaskedGradient' ./internal/paillier/ ./internal/vfl/
 
@@ -87,7 +88,8 @@ verify-faults:
 # bit-identity test (3 participants over real HTTP vs the in-process
 # trainer, across 3 fixed seeds, model/curve/archive/phi compared bit for
 # bit), the straggler-deadline survivor equivalence, retry transparency
-# under injected request loss, cancellation promptness, and the composition
+# under injected request loss, cancellation promptness, the harness server's
+# limits (a stalled header is dropped, a long poll is not), and the composition
 # table (every row refused before the journal opens or a participant joins,
 # README matrix in step with it, mode-only endpoints refused elsewhere) —
 # plus go vet on the package. -count=1 defeats the test cache so the wire is
@@ -100,8 +102,9 @@ verify-net:
 # sampling (3 seeds x rerun and crash/resume bit-identity, sampling composed
 # with dropout faults), the streaming-aggregation equivalence tests
 # (in-process streamed == flat-streamed loopback == two-level cohort tree,
-# bit for bit across 3 seeds), the delta-retention release tests, and the
-# bounded-memory gate (a 100k-participant streamed round must complete with
+# bit for bit across 3 seeds), the delta-retention release tests (the
+# use-after-release guard on the vectors a buffered Round takes back among
+# them), and the bounded-memory gate (a 100k-participant streamed round must complete with
 # total allocations bounded by the cohort, not the population; a TotalsOnly
 # Observe of a 64-of-100k epoch and a 100k cohort draw must allocate nothing
 # population-sized), the golden cohort sequence, the wake-once round close,
@@ -112,7 +115,7 @@ verify-net:
 # cache so the memory measurement re-executes.
 verify-scale:
 	$(GO) vet ./internal/sampling/ ./internal/hfl/ ./internal/core/ ./internal/fednet/
-	$(GO) test -count=1 -run 'Sample|Sampled|Cohort|Stream|MeanFold|Scale100k|Retain|Tree|TotalsOnly|LongPoll|RoundCloses|Lookahead' \
+	$(GO) test -count=1 -run 'Sample|Sampled|Cohort|Stream|MeanFold|Scale100k|Retain|Reclaim|Tree|TotalsOnly|LongPoll|RoundCloses|Lookahead' \
 		./internal/sampling/ ./internal/hfl/ ./internal/core/ ./internal/fednet/ ./internal/vfl/
 
 # verify-wire runs the binary-wire gate: the frame round-trip tests, the
@@ -126,13 +129,20 @@ verify-scale:
 # the closed-form frame bytes on the wire and stays under an absolute
 # allocations-per-round ceiling), and the same-bits pins of the ingest
 # kernels (shared round frame ≡ encodeRoundFrame, readFrameVec's fused
-# finiteness table, DotAdd ≡ Dot + AXPY). -count=1 defeats the test cache so
-# the gate re-executes.
+# finiteness table, DotAdd ≡ Dot + AXPY), and the pins of the ingest path
+# that journals what arrived: an accepted update or partial frame is its own
+# canonical encoding (table, seeded bit patterns and a fuzz smoke pass), an
+# update through Handler() on a streamed and on a journaled buffered round
+# allocates nothing and a poll at most once, the hand-formatted acks and the
+# excluded reply are json.Encoder's bytes, an escaped poll query parses as
+# url.Values does, and X-Digfl-Instance turns over with Recover. -count=1
+# defeats the test cache so the gate re-executes.
 verify-wire:
 	$(GO) vet ./internal/fednet/ ./internal/tensor/ ./internal/experiments/
-	$(GO) test -count=1 -run 'Codec|Frame|BenchDriverRequestShapes|Pool|SizeClass|WireCodec|WireDeterministic|FiniteVec|DotAdd' \
+	$(GO) test -count=1 -run 'Codec|Frame|BenchDriverRequestShapes|Pool|SizeClass|WireCodec|WireDeterministic|FiniteVec|DotAdd|HandlerAllocs|ReplyBytes|RoundQuery|InstanceHeader' \
 		./internal/fednet/ ./internal/tensor/ ./internal/experiments/
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzDecodeUpdateFrame -fuzztime 5s ./internal/fednet/
+	$(GO) test -count=1 -run '^$$' -fuzz FuzzIngestFrameCanonical -fuzztime 5s ./internal/fednet/
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzDecodePartialFrame -fuzztime 5s ./internal/fednet/
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzDecodeRoundFrame -fuzztime 5s ./internal/fednet/
 
@@ -192,7 +202,9 @@ verify-engines:
 # seeds and an uninterrupted journaled run indistinguishable from an
 # unjournaled one), the WAL replay tests (streamed mid-round graft,
 # torn-tail contract at every byte offset of an update record and of a
-# close frame, bit-exact close-frame round trip, /1 refusal, a refused
+# close frame, bit-exact close-frame round trip, the journal bytes of a
+# scripted buffered / streamed / async / tree run pinned by SHA-256 over 3
+# seeds, /1 refusal, a refused
 # Recover leaving /v1/score untouched, 503-recovering rejoin with a
 # goroutine-leak check), the close-path gates (frame size flat in the epoch
 # number and O(cohort) when sampled, a constant number of allocations per

@@ -112,8 +112,9 @@ func TestCompositionRefusedBeforeJoin(t *testing.T) {
 			if journal.Len() != 0 {
 				t.Errorf("refused run wrote %d journal bytes", journal.Len())
 			}
-			if after := runtime.NumGoroutine(); after > before {
-				t.Errorf("goroutines: %d before, %d after", before, after)
+			// The Run goroutine has sent its error but may not have exited yet.
+			if !goroutinesSettle(before, time.Second) {
+				t.Errorf("goroutines: %d before, %d after", before, runtime.NumGoroutine())
 			}
 		})
 	}

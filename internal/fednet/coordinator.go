@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"digfl/internal/core"
@@ -136,6 +138,9 @@ type Coordinator struct {
 	instance   int
 	recovering bool
 	archStage  *bytes.Buffer
+	// instHdr caches instance as the header value every reply carries (one
+	// atomic load per request, not mu); Recover resets it.
+	instHdr atomic.Pointer[[]string]
 
 	// asyncPlan executes the Async commit policy; built by run, accessed
 	// under mu (Round's schedule/commit, ingest's late admits, journalClose's
@@ -152,6 +157,21 @@ func (c *Coordinator) initLocked() {
 			c.instance = 1
 		}
 	}
+}
+
+// instanceHeader returns the X-Digfl-Instance value of the current
+// incarnation, a shared read-only slice. Only the first request of an
+// incarnation finds none cached and formats it under mu.
+func (c *Coordinator) instanceHeader() []string {
+	v := c.instHdr.Load()
+	if v == nil {
+		c.mu.Lock()
+		c.initLocked()
+		v = &[]string{strconv.Itoa(c.instance)}
+		c.instHdr.Store(v)
+		c.mu.Unlock()
+	}
+	return *v
 }
 
 // bcastLocked wakes every waiter; callers hold mu.
@@ -437,6 +457,7 @@ func (c *Coordinator) Recover(r io.Reader) (int64, error) {
 	}
 	c.rec = rep
 	c.instance = rep.instance + 1
+	c.instHdr.Store(nil)
 	c.recovering = true
 	obs.Emit(c.Cfg.Runtime.Sink, obs.Event{Kind: obs.KindRecover,
 		T: rep.lastClosed + 1, N: int64(rep.records)})
@@ -460,7 +481,9 @@ func (c *Coordinator) journalClose(ck *hfl.Checkpoint) error {
 	if err != nil {
 		return err
 	}
-	if err := c.wal.commit(rec); err != nil {
+	err = c.wal.commit(rec)
+	tensor.PutBytes(rec)
+	if err != nil {
 		return err
 	}
 	if c.archStage != nil && c.archStage.Len() > 0 {
@@ -470,17 +493,4 @@ func (c *Coordinator) journalClose(ck *hfl.Checkpoint) error {
 		c.archStage.Reset()
 	}
 	return nil
-}
-
-// journalFrame appends one accepted commit — an update or an edge partial —
-// as the canonical digfl-fednet/2 frame CodecV2 just encoded for it. Callers
-// hold mu, have a journal, and must not acknowledge the commit if the append
-// fails (mustJournalLocked).
-func (c *Coordinator) journalFrame(frame []byte, err error) error {
-	if err != nil {
-		return err
-	}
-	err = c.wal.Append(frame)
-	tensor.PutBytes(frame)
-	return err
 }

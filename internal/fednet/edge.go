@@ -115,11 +115,12 @@ func (e *EdgeAggregator) Handler() http.Handler {
 }
 
 func (e *EdgeAggregator) handleUpdate(w http.ResponseWriter, req *http.Request) {
-	body, ok := readFrame(w, req)
+	rec, ok := readFrame(w, req)
 	if !ok {
 		return
 	}
-	defer tensor.PutBytes(body)
+	defer tensor.PutBytes(rec)
+	body := rec[walHdrLen:] // an edge keeps no journal; the headroom goes unused
 	t, index, d, err := decodeUpdateHeader(body)
 	if err != nil {
 		writeCodedError(w, http.StatusUnprocessableEntity, CodeBadFrame, "%v", err)

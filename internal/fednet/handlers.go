@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"time"
 
 	"digfl/internal/jsonf"
@@ -26,11 +28,7 @@ func (c *Coordinator) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		// Every response carries the coordinator incarnation, so a client
 		// detects a restart from any reply — not just a join.
-		c.mu.Lock()
-		c.initLocked()
-		inst := c.instance
-		c.mu.Unlock()
-		w.Header().Set(instanceHeader, strconv.Itoa(inst))
+		w.Header()[instanceHeader] = c.instanceHeader()
 		if sink == nil {
 			mux.ServeHTTP(w, req)
 			return
@@ -130,26 +128,44 @@ func (l *longPollTimer) stop() {
 	}
 }
 
+// queryGet is u.Query().Get(key) — the first value of key, "" without one —
+// read straight off a query that holds no escape ('%', '+') and no ';' (which
+// ParseQuery refuses), as every poll's does: no map built per request.
+func queryGet(u *url.URL, key string) string {
+	raw := u.RawQuery
+	if strings.ContainsAny(raw, "%+;") {
+		return u.Query().Get(key)
+	}
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if k, v, _ := strings.Cut(pair, "="); k == key {
+			return v
+		}
+	}
+	return ""
+}
+
 func (c *Coordinator) handleRound(w http.ResponseWriter, req *http.Request) {
-	q := req.URL.Query()
-	t, err := strconv.Atoi(q.Get("t"))
+	get := func(key string) string { return queryGet(req.URL, key) }
+	t, err := strconv.Atoi(get("t"))
 	if err != nil || t < 1 {
-		writeError(w, http.StatusBadRequest, "bad round number %q", q.Get("t"))
+		writeError(w, http.StatusBadRequest, "bad round number %q", get("t"))
 		return
 	}
 	// ?i= lets a participant learn it is outside the round's cohort without
 	// downloading theta or computing an update; ?vg=1 asks for the round's
 	// validation gradient (edge sub-aggregators on streaming rounds).
 	pollIdx, hasIdx := -1, false
-	if s := q.Get("i"); s != "" {
+	if s := get("i"); s != "" {
 		if pollIdx, err = strconv.Atoi(s); err != nil {
 			writeError(w, http.StatusBadRequest, "bad participant index %q", s)
 			return
 		}
 		hasIdx = true
 	}
-	wantVG := q.Get("vg") == "1"
-	headerOnly := q.Get("h") == "1"
+	wantVG := get("vg") == "1"
+	headerOnly := get("h") == "1"
 	sink := c.Cfg.Runtime.Sink
 	var wait longPollTimer
 	defer wait.stop()
@@ -176,7 +192,7 @@ func (c *Coordinator) handleRound(w http.ResponseWriter, req *http.Request) {
 			if hasIdx {
 				if _, active := r.slots[pollIdx]; !active {
 					c.mu.Unlock()
-					writeJSON(w, http.StatusOK, roundReply{State: StateOpen, T: r.t, Excluded: true})
+					writeExcluded(w, r.t)
 					return
 				}
 			}
@@ -269,18 +285,26 @@ func (c *Coordinator) handleRound(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
+// writeExcluded answers a poll from outside round t's cohort: json.Encoder's
+// bytes for roundReply{State: StateOpen, T: t, Excluded: true}, by hand.
+func writeExcluded(w http.ResponseWriter, t int) {
+	b := append(make([]byte, 0, 48), `{"state":"open","t":`...)
+	b = strconv.AppendInt(b, int64(t), 10)
+	writeRawJSON(w, http.StatusOK, append(b, `,"excluded":true}`+"\n"...))
+}
+
 func (c *Coordinator) handleUpdate(w http.ResponseWriter, req *http.Request) {
-	body, ok := readFrame(w, req)
+	rec, ok := readFrame(w, req)
 	if !ok {
 		return
 	}
-	defer tensor.PutBytes(body)
-	t, index, d, err := decodeUpdateHeader(body)
+	defer tensor.PutBytes(rec)
+	t, index, d, err := decodeUpdateHeader(rec[walHdrLen:])
 	if err != nil {
 		writeCodedError(w, http.StatusUnprocessableEntity, CodeBadFrame, "%v", err)
 		return
 	}
-	c.ingestUpdate(w, body, t, index, d)
+	c.ingestUpdate(w, rec, t, index, d)
 }
 
 // refuseRecovering answers an ingest that reached a coordinator still
@@ -321,8 +345,10 @@ func (c *Coordinator) mustJournalLocked(err error, vecs ...[]float64) {
 // header alone — a straggler's late megabyte costs a header peek, not a
 // parsed buffer the 409 branch then drops on the floor — then the delta
 // decode (only once the update is known to be wanted), then the shape and
-// finiteness screen, the journal append, and the round's commit.
-func (c *Coordinator) ingestUpdate(w http.ResponseWriter, body []byte, t, index, d int) {
+// finiteness screen, the journal append, and the round's commit. A frame past
+// the header check and the screen is its own canonical encoding, so the
+// journal takes rec (readFrame's) as it arrived: no re-encoding, no copy.
+func (c *Coordinator) ingestUpdate(w http.ResponseWriter, rec []byte, t, index, d int) {
 	sink := c.Cfg.Runtime.Sink
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -336,7 +362,7 @@ func (c *Coordinator) ingestUpdate(w http.ResponseWriter, body []byte, t, index,
 		// later one. Within the staleness window it is admitted into the
 		// planner's buffer (202 buffered) and folds at a discount when due;
 		// beyond the window it is refused as too stale.
-		c.ingestLateLocked(w, r, body, t, index, d)
+		c.ingestLateLocked(w, r, rec, t, index, d)
 		return
 	}
 	if r == nil || r.t != t || r.closed {
@@ -345,17 +371,17 @@ func (c *Coordinator) ingestUpdate(w http.ResponseWriter, body []byte, t, index,
 	}
 	k, active := r.slots[index]
 	if !active {
-		writeJSON(w, http.StatusOK, updateReply{Reason: "not-active"})
+		writeRawJSON(w, http.StatusOK, ackNotActive)
 		return
 	}
 	if !r.have[k] {
 		obs.Emit(sink, obs.Event{Kind: obs.KindCodecV2Frame, T: t, N: 1})
-		delta, ok := decodeDelta(w, sink, t, index, body, d, len(r.theta))
+		delta, ok := decodeDelta(w, sink, t, index, rec[walHdrLen:], d, len(r.theta))
 		if !ok {
 			return
 		}
 		if c.wal != nil {
-			c.mustJournalLocked(c.journalFrame(CodecV2.EncodeUpdate(t, index, delta)), delta)
+			c.mustJournalLocked(c.wal.commit(rec), delta)
 		}
 		if err := c.commitLocked(r, k, delta); err != nil {
 			writeError(w, http.StatusInternalServerError, "folding update: %v", err)
@@ -367,16 +393,17 @@ func (c *Coordinator) ingestUpdate(w http.ResponseWriter, body []byte, t, index,
 	// the duplicate payload. On a tree round this covers a failover
 	// resubmission whose slot the edge's partial already committed:
 	// exactly-once either way.
-	status, reply := r.mode.ack(index)
-	writeJSON(w, status, reply)
+	status, ack := r.mode.ack(index)
+	writeRawJSON(w, status, ack)
 }
 
 // ingestLateLocked admits (or refuses) an async late update: one computed
 // against closed round origin that physically arrived while round r.t is
-// open. The delta is journaled as a D2UP frame at t = r.t followed by a
-// stale_admit control record, so replay can tell it apart from the open
-// round's fresh arrivals. Callers hold mu.
-func (c *Coordinator) ingestLateLocked(w http.ResponseWriter, r *openRound, body []byte, origin, index, d int) {
+// open. The delta is journaled as a D2UP frame at t = r.t (the arrived frame,
+// its header's t patched in place) followed by a stale_admit control record,
+// so replay can tell it apart from the open round's fresh arrivals. Callers
+// hold mu.
+func (c *Coordinator) ingestLateLocked(w http.ResponseWriter, r *openRound, rec []byte, origin, index, d int) {
 	sink := c.Cfg.Runtime.Sink
 	if s := r.t - origin; s > c.Async.MaxStaleness {
 		obs.Emit(sink, obs.Event{Kind: obs.KindStaleReject, T: r.t, Part: index, N: int64(s)})
@@ -387,43 +414,44 @@ func (c *Coordinator) ingestLateLocked(w http.ResponseWriter, r *openRound, body
 	// Idempotent: a retried admission (the first 202 was lost) — or a second
 	// stale update racing the buffered one — leaves the buffer untouched.
 	if !c.asyncPlan.InFlight(index) {
-		delta, ok := decodeDelta(w, sink, r.t, index, body, d, len(r.theta))
+		delta, ok := decodeDelta(w, sink, r.t, index, rec[walHdrLen:], d, len(r.theta))
 		if !ok {
 			return
 		}
 		if c.wal != nil {
-			c.mustJournalLocked(c.journalFrame(CodecV2.EncodeUpdate(r.t, index, delta)), delta)
+			le.PutUint32(rec[walHdrLen+4:], uint32(r.t))
+			c.mustJournalLocked(c.wal.commit(rec), delta)
 			c.mustJournalLocked(c.wal.appendJSON(walRecord{Kind: walKindStaleAdmit,
 				T: r.t, Part: index, Origin: origin}))
 		}
 		c.asyncPlan.Admit(index, origin, r.t, delta)
 	}
-	writeJSON(w, http.StatusAccepted, updateReply{Accepted: true, Reason: "buffered"})
+	writeRawJSON(w, http.StatusAccepted, ackBuffered)
 }
 
 // handlePartial ingests one edge sub-aggregator's cohort partial on a tree
 // round (Coordinator.Edges > 0).
 func (c *Coordinator) handlePartial(w http.ResponseWriter, req *http.Request) {
-	body, ok := readFrame(w, req)
+	rec, ok := readFrame(w, req)
 	if !ok {
 		return
 	}
-	defer tensor.PutBytes(body)
-	t, edge, indices, d, err := decodePartialHeader(body)
+	defer tensor.PutBytes(rec)
+	t, edge, indices, d, err := decodePartialHeader(rec[walHdrLen:])
 	if err != nil {
 		writeCodedError(w, http.StatusUnprocessableEntity, CodeBadFrame, "%v", err)
 		return
 	}
-	c.ingestPartial(w, body, t, edge, indices, d)
+	c.ingestPartial(w, rec, t, edge, indices, d)
 }
 
 // ingestPartial runs the acceptance pipeline for one edge partial frame
 // whose header already decoded — the same two-phase discipline as
 // ingestUpdate: staleness, slot membership and ordering are validated from
-// the header's indices before the bulk vectors decode. Accepted sums and
-// dots are retained until the round closes (the merge recycles them);
-// rejected ones go straight back to the pool.
-func (c *Coordinator) ingestPartial(w http.ResponseWriter, body []byte, t, edge int, indices []int, d int) {
+// the header's indices before the bulk vectors decode, and an accepted frame
+// is journaled as it arrived. Accepted sums and dots are retained until the
+// round closes (the merge recycles them); rejected ones go back to the pool.
+func (c *Coordinator) ingestPartial(w http.ResponseWriter, rec []byte, t, edge int, indices []int, d int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.recovering {
@@ -441,7 +469,7 @@ func (c *Coordinator) ingestPartial(w http.ResponseWriter, body []byte, t, edge 
 		return
 	}
 	if !again {
-		sum, dots, finite := decodePartialVecs(body, len(indices), d)
+		sum, dots, finite := decodePartialVecs(rec[walHdrLen:], len(indices), d)
 		obs.Emit(c.Cfg.Runtime.Sink, obs.Event{Kind: obs.KindCodecV2Frame, T: t, N: 1})
 		var code, msg string
 		switch {
@@ -459,12 +487,12 @@ func (c *Coordinator) ingestPartial(w http.ResponseWriter, body []byte, t, edge 
 			return
 		}
 		if c.wal != nil {
-			c.mustJournalLocked(c.journalFrame(CodecV2.EncodePartial(t, edge, indices, sum, dots)), sum, dots)
+			c.mustJournalLocked(c.wal.commit(rec), sum, dots)
 		}
 		tm.commitPartial(r, edge, slots, sum, dots)
 		c.arrivedLocked(r, len(slots))
 	}
-	writeJSON(w, http.StatusOK, updateReply{Accepted: true})
+	writeRawJSON(w, http.StatusOK, ackAccepted)
 }
 
 // decodeDelta decodes an update frame's d floats into a pooled vector and

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"sync"
+	"time"
 
 	"digfl/internal/hfl"
 )
@@ -56,13 +57,18 @@ type Chaos struct {
 	Edge func(ea *EdgeAggregator, h http.Handler, stop context.CancelFunc) http.Handler
 }
 
+// A harness server's limits: on a request header and on an idle kept-alive
+// connection. Not ReadTimeout / WriteTimeout — a long poll holds its request
+// for longPollWait.
+const serveHeaderTimeout, serveIdleTimeout = 5 * time.Second, time.Minute
+
 // serve starts a server for h on a fresh loopback port.
 func serve(h http.Handler) (url string, stop func(), err error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return "", nil, fmt.Errorf("fednet: loopback listener: %w", err)
 	}
-	srv := &http.Server{Handler: h}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: serveHeaderTimeout, IdleTimeout: serveIdleTimeout}
 	go func() { _ = srv.Serve(ln) }()
 	return "http://" + ln.Addr().String(), func() { _ = srv.Close() }, nil
 }

@@ -59,8 +59,8 @@ type roundMode interface {
 	// committed.
 	commit(r *openRound, slot int, delta []float64) error
 	// ack is the reply an accepted (or idempotently retried) update from
-	// participant index draws.
-	ack(index int) (status int, reply updateReply)
+	// participant index draws: a status and the encoded updateReply.
+	ack(index int) (status int, reply []byte)
 	// close turns the committed set into the round's result (everything but
 	// Reported, unless the mode decides it itself) and the number of updates
 	// aggregated. It may clear have entries it could not aggregate.
@@ -71,9 +71,7 @@ type roundMode interface {
 // update is a commit candidate of its own round.
 type synchronous struct{}
 
-func (synchronous) ack(int) (int, updateReply) {
-	return http.StatusOK, updateReply{Accepted: true}
-}
+func (synchronous) ack(int) (int, []byte) { return http.StatusOK, ackAccepted }
 
 // bufferedMode keeps the raw deltas: the epoch needs them (estimator,
 // archive, screens, engines, robust aggregation).
@@ -288,9 +286,9 @@ func (m *asyncMode) commit(_ *openRound, slot int, delta []float64) error {
 
 // ack answers 202 buffered when the schedule lags the participant's update
 // into a later epoch.
-func (m *asyncMode) ack(index int) (int, updateReply) {
+func (m *asyncMode) ack(index int) (int, []byte) {
 	if m.sched.Lag[index] > 0 {
-		return http.StatusAccepted, updateReply{Accepted: true, Reason: "buffered"}
+		return http.StatusAccepted, ackBuffered
 	}
 	return synchronous{}.ack(index)
 }
@@ -311,6 +309,23 @@ func (m *asyncMode) close(r *openRound) (*hfl.RoundResult, int, error) {
 		return nil, 0, fmt.Errorf("fednet: round %d: async commit: %w", r.t, err)
 	}
 	return &hfl.RoundResult{Reported: ac.Reported, Agg: ac.Agg, Dots: ac.Dots}, len(ac.Reported), nil
+}
+
+// reclaimLocked returns the previous buffered round's deltas to the tensor
+// pool as the next round opens, so it decodes into recycled memory as a
+// streamed one does — under hfl.ReleaseAfterObserve only, the policy that
+// says nobody reads an epoch's Deltas past the trainer's observers and engine,
+// which all ran before it asked for this round. Callers hold mu.
+func (c *Coordinator) reclaimLocked() {
+	if c.round == nil || c.Cfg.RetainDeltas != hfl.ReleaseAfterObserve {
+		return
+	}
+	if m, ok := c.round.mode.(*bufferedMode); ok {
+		for _, d := range m.deltas {
+			tensor.PutVec(d)
+		}
+		m.deltas = nil
+	}
 }
 
 // newRound opens round spec.T over order in mode m — the one constructor.
@@ -433,6 +448,7 @@ func (c *Coordinator) Round(ctx context.Context, spec *hfl.RoundSpec) (*hfl.Roun
 
 	c.mu.Lock()
 	c.initLocked()
+	c.reclaimLocked()
 	r := c.newRoundLocked(spec)
 	r.deadline = deadline
 	if c.FailoverGrace > 0 && c.Edges > 0 {

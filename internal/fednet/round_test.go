@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -484,79 +485,148 @@ const (
 	benchCohort = 64
 )
 
-// BenchmarkIngestUpdateV2 times POST /v1/update through Handler() on a
-// streamed round of the reference cell (64 binary updates of d=2000 per
-// round: decode, vet, fold, ack). Every completed round's fold is closed
-// and checked against a term-by-term mean and dot product.
-func BenchmarkIngestUpdateV2(b *testing.B) {
+// ingestCell posts the reference cell's updates (64 binary frames of
+// d=2000 per round) through Handler(), on request plumbing it allocates once:
+// what the ingest benchmarks time and the allocation gate counts.
+type ingestCell struct {
+	c        *Coordinator
+	h        http.Handler
+	order    []int
+	deltas   [][]float64
+	bodies   [][]byte
+	theta    []float64
+	valGrad  []float64
+	wantSum  []float64 // the round's mean and validation dots, term by term
+	wantDots []float64
+	r        *openRound
+
+	rw   benchRW
+	body benchBody
+	req  http.Request
+}
+
+func newIngestCell(tb testing.TB, c *Coordinator) *ingestCell {
 	rng := tensor.NewRNG(6)
-	valGrad := rng.NormalVec(benchDim, 0, 1)
-	order := make([]int, benchCohort)
-	bodies := make([][]byte, benchCohort)
-	wantSum, wantDots := make([]float64, benchDim), make([]float64, benchCohort)
-	for k := range order {
-		order[k] = 1000*k + 7
-		delta := rng.NormalVec(benchDim, 0, 1e-3)
-		for j, v := range delta {
-			wantSum[j] += v
-			wantDots[k] += valGrad[j] * v
+	ic := &ingestCell{c: c, h: c.Handler(), order: make([]int, benchCohort),
+		deltas: make([][]float64, benchCohort), bodies: make([][]byte, benchCohort),
+		theta: make([]float64, benchDim), valGrad: rng.NormalVec(benchDim, 0, 1),
+		wantSum: make([]float64, benchDim), wantDots: make([]float64, benchCohort)}
+	for k := range ic.order {
+		ic.order[k] = 1000*k + 7
+		ic.deltas[k] = rng.NormalVec(benchDim, 0, 1e-3)
+		for j, v := range ic.deltas[k] {
+			ic.wantSum[j] += v
+			ic.wantDots[k] += ic.valGrad[j] * v
 		}
-		body, err := CodecV2.EncodeUpdate(1, order[k], delta)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bodies[k] = append([]byte(nil), body...)
+		ic.bodies[k] = append([]byte(nil), updateFrame(tb, 1, ic.order[k], ic.deltas[k])...)
 	}
-	for j := range wantSum {
-		wantSum[j] *= 1 / float64(benchCohort)
+	for j := range ic.wantSum {
+		ic.wantSum[j] *= 1 / float64(benchCohort)
 	}
+	ic.rw.header = http.Header{}
+	ic.req = http.Request{Method: http.MethodPost, URL: &url.URL{Path: "/v1/update"},
+		Header: http.Header{"Content-Type": {contentTypeBinary}}, Body: &ic.body}
+	return ic
+}
 
-	c := &Coordinator{N: 100_000, Cfg: testConfig(), Stream: hfl.MeanStream{}}
-	h := c.Handler()
-	theta := make([]float64, benchDim)
-	var r *openRound
-	open := func() {
-		r = c.newRoundLocked(&hfl.RoundSpec{T: 1, Theta: theta, ValGrad: valGrad, Active: order})
-		openTestRound(c, r)
-	}
-	check := func() {
-		fr, err := r.mode.(*streamedMode).fold.Close()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.got != benchCohort || !sameVec(fr.Sum, wantSum) || !sameVec(fr.Dots, wantDots) {
-			b.Fatalf("round folded %d updates; aggregate or dots differ from the reference", r.got)
-		}
-	}
+// open replaces the round with a fresh round 1 over the cell's cohort, as
+// Round does it: the closed round's buffered deltas go back to the pool
+// first (under ReleaseAfterObserve).
+func (ic *ingestCell) open() {
+	ic.c.mu.Lock()
+	ic.c.initLocked()
+	ic.c.reclaimLocked()
+	ic.r = ic.c.newRoundLocked(&hfl.RoundSpec{T: 1, Theta: ic.theta, ValGrad: ic.valGrad, Active: ic.order})
+	ic.c.round = ic.r
+	ic.c.mu.Unlock()
+}
 
-	rw := &benchRW{header: http.Header{}}
-	body := &benchBody{}
-	req := &http.Request{Method: http.MethodPost, URL: &url.URL{Path: "/v1/update"},
-		Header: http.Header{"Content-Type": {contentTypeBinary}}, Body: body}
+// post submits slot k's update and returns the reply's status.
+func (ic *ingestCell) post(k int) int {
+	ic.body.Reset(ic.bodies[k])
+	ic.req.ContentLength = int64(len(ic.bodies[k]))
+	ic.rw.reset()
+	ic.h.ServeHTTP(&ic.rw, &ic.req)
+	return ic.rw.status
+}
+
+// bench times b.N posts, a fresh round every benchCohort of them, with
+// check run (off the clock) on every completed round.
+func (ic *ingestCell) bench(b *testing.B, check func()) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := i % benchCohort
 		if k == 0 {
 			b.StopTimer()
-			if r != nil {
+			if ic.r != nil {
 				check()
 			}
-			open()
+			ic.open()
 			b.StartTimer()
 		}
-		body.Reset(bodies[k])
-		req.ContentLength = int64(len(bodies[k]))
-		rw.reset()
-		h.ServeHTTP(rw, req)
-		if rw.status != http.StatusOK {
-			b.Fatalf("update %d: status %d %s", i, rw.status, rw.body)
+		if st := ic.post(k); st != http.StatusOK {
+			b.Fatalf("update %d: status %d %s", i, st, ic.rw.body)
 		}
 	}
 	b.StopTimer()
-	if r.got == benchCohort {
+	if ic.r.got == benchCohort {
 		check()
 	}
+}
+
+// BenchmarkIngestUpdateV2 times POST /v1/update through Handler() on a
+// streamed round of the reference cell (64 binary updates of d=2000 per
+// round: decode, vet, fold, ack). Every completed round's fold is closed
+// and checked against a term-by-term mean and dot product.
+func BenchmarkIngestUpdateV2(b *testing.B) {
+	ic := newIngestCell(b, &Coordinator{N: 100_000, Cfg: testConfig(), Stream: hfl.MeanStream{}})
+	ic.bench(b, func() {
+		fr, err := ic.r.mode.(*streamedMode).fold.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ic.r.got != benchCohort || !sameVec(fr.Sum, ic.wantSum) || !sameVec(fr.Dots, ic.wantDots) {
+			b.Fatalf("round folded %d updates; aggregate or dots differ from the reference", ic.r.got)
+		}
+	})
+}
+
+// journaledCell is the buffered-wal ingest: a buffered round (estimator and
+// quarantine read raw deltas) journaling into memory, its deltas taken back
+// as the next round opens.
+func journaledCell(tb testing.TB) (*ingestCell, *bytes.Buffer) {
+	cfg := testConfig()
+	cfg.RetainDeltas = hfl.ReleaseAfterObserve
+	ic := newIngestCell(tb, &Coordinator{N: 100_000, Cfg: cfg})
+	journal := &bytes.Buffer{}
+	ic.c.wal = newWAL(journal, nil)
+	return ic, journal
+}
+
+// BenchmarkIngestUpdateJournaled times the same posts on the journaled
+// buffered round: decode, vet, journal, retain, ack. Every completed round is
+// checked: the deltas it holds are the posted ones, and its journal is, record
+// for record, the framing of CodecV2.EncodeUpdate's bytes for them.
+func BenchmarkIngestUpdateJournaled(b *testing.B) {
+	ic, journal := journaledCell(b)
+	var want []byte
+	for _, body := range ic.bodies { // bodies are EncodeUpdate's bytes (updateFrame)
+		want = le.AppendUint32(want, uint32(len(body)))
+		want = le.AppendUint32(want, crc32.ChecksumIEEE(body))
+		want = append(want, body...)
+	}
+	ic.bench(b, func() {
+		for k, d := range ic.r.mode.(*bufferedMode).deltas {
+			if !sameVec(d, ic.deltas[k]) {
+				b.Fatalf("slot %d holds a different delta than was posted", k)
+			}
+		}
+		if !bytes.Equal(journal.Bytes(), want) {
+			b.Fatalf("journal of %d bytes differs from the framed EncodeUpdate bytes (%d)", journal.Len(), len(want))
+		}
+		journal.Reset()
+	})
 }
 
 // BenchmarkRoundPollV2 times GET /v1/round?c=2 through Handler() for the

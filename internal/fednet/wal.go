@@ -35,8 +35,9 @@ import (
 //     run_close — a few dozen bytes of shape, cohort and markers; no record
 //     that carries floats is JSON.
 //   - binary frames: the digfl-fednet/2 commits (D2UP update, D2PA edge
-//     partial), journaled as the exact canonical frame bytes so the journal
-//     costs the same 8d bytes per update as the wire, and the epoch close:
+//     partial), journaled as the bytes that arrived (an accepted frame is the
+//     canonical encoding of what it decodes to), so the journal costs the same
+//     8d bytes per update as the wire, and the epoch close:
 //
 //	close  "D2CK" | u32 t | u32 flags | u32 d | u32 c | u32 n | u32 k |
 //	       u32 q | u32 b | d×f64 θ_t | c×f64 new curve points |
@@ -83,13 +84,15 @@ func newWAL(w io.Writer, sink obs.Sink) *WAL { return &WAL{w: w, sink: sink} }
 func (wl *WAL) Append(payload []byte) error {
 	rec := tensor.GetBytes(walHdrLen + len(payload))
 	copy(rec[walHdrLen:], payload)
-	return wl.commit(rec)
+	err := wl.commit(rec)
+	tensor.PutBytes(rec)
+	return err
 }
 
 // commit journals a record built in place — walHdrLen bytes reserved for
-// the framing, then the payload — and recycles its buffer.
+// the framing, then the payload, as readFrame and encodeClose build them —
+// with one Write. rec stays the caller's.
 func (wl *WAL) commit(rec []byte) error {
-	defer tensor.PutBytes(rec)
 	if wl.err != nil {
 		return wl.err
 	}
@@ -198,10 +201,10 @@ func (c *frameCursor) vec(n int) []float64 {
 	return v
 }
 
-// encodeClose builds epoch ck.Epoch's close record in a pooled buffer,
-// walHdrLen bytes reserved in front for WAL.commit's framing, straight from
-// the live estimator, quarantine and async buffer (each may be absent).
-// Callers hold the lock that keeps all three still.
+// encodeClose builds epoch ck.Epoch's close record in a pooled buffer the
+// caller owns, walHdrLen bytes reserved in front for WAL.commit's framing,
+// straight from the live estimator, quarantine and async buffer (each may be
+// absent). Callers hold the lock that keeps all three still.
 func encodeClose(ck *hfl.Checkpoint, est *core.HFLEstimator, quar *robust.Quarantine, buffered []*hfl.AsyncEntry) ([]byte, error) {
 	// Each close adds one curve point to those already journaled; the run's
 	// first also carries the initial loss.

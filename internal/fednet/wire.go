@@ -198,9 +198,28 @@ func (e *WireError) Error() string {
 	return fmt.Sprintf("fednet: wire error %d: %s", e.Status, e.Msg)
 }
 
+// What nearly every reply of a round consists of, formatted once: the two
+// Content-Type header values (shared slices; nothing writes to a header
+// value) and the three replies to an update that reached an open round,
+// json.Encoder's bytes for the updateReply (TestReplyBytes).
+var (
+	jsonContentType   = []string{contentTypeJSON}
+	binaryContentType = []string{contentTypeBinary}
+	ackAccepted       = []byte(`{"accepted":true}` + "\n")
+	ackBuffered       = []byte(`{"accepted":true,"reason":"buffered"}` + "\n")
+	ackNotActive      = []byte(`{"accepted":false,"reason":"not-active"}` + "\n")
+)
+
+// writeRawJSON writes an already-encoded JSON body with the given status.
+func writeRawJSON(w http.ResponseWriter, status int, body []byte) {
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
+}
+
 // writeJSON writes v with the given status code.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
@@ -231,38 +250,41 @@ const maxBodyBytes = 64 << 20
 // readFrame reads the body of an upload, which must declare itself a
 // digfl-fednet/2 frame: any other Content-Type is refused with 415 before a
 // byte of the body is read as anything. On success the caller owns the
-// pooled body (PutBytes when done); on failure the rejection is written.
-func readFrame(w http.ResponseWriter, req *http.Request) ([]byte, bool) {
+// pooled record rec (PutBytes when done): the frame is rec[walHdrLen:], behind
+// headroom for the journal's framing, so that an accepted frame is journaled
+// from the buffer it arrived in. On failure the rejection is written.
+func readFrame(w http.ResponseWriter, req *http.Request) (rec []byte, ok bool) {
 	if ct := req.Header.Get("Content-Type"); ct != contentTypeBinary {
 		writeCodedError(w, http.StatusUnsupportedMediaType, CodeBadFrame,
 			"Content-Type %q, want %q", ct, contentTypeBinary)
 		return nil, false
 	}
-	body, err := readBodyPooled(req.Body, req.ContentLength)
+	rec, err := readBodyPooled(req.Body, req.ContentLength, walHdrLen)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return nil, false
 	}
-	return body, true
+	return rec, true
 }
 
 // readBodyPooled reads a bounded request/response body into a pooled byte
-// buffer the caller owns (PutBytes when done). When the sender declared a
-// Content-Length the read is exact and allocation-free once pools are warm.
-func readBodyPooled(body io.Reader, contentLength int64) ([]byte, error) {
+// buffer the caller owns (PutBytes when done), behind headroom bytes of
+// undefined content. When the sender declared a Content-Length the read is
+// exact and allocation-free once pools are warm.
+func readBodyPooled(body io.Reader, contentLength int64, headroom int) ([]byte, error) {
 	if contentLength > maxBodyBytes {
 		return nil, fmt.Errorf("fednet: body of %d bytes exceeds the %d limit", contentLength, maxBodyBytes)
 	}
 	if contentLength >= 0 {
-		buf := tensor.GetBytes(int(contentLength))
-		if _, err := io.ReadFull(body, buf); err != nil {
+		buf := tensor.GetBytes(headroom + int(contentLength))
+		if _, err := io.ReadFull(body, buf[headroom:]); err != nil {
 			tensor.PutBytes(buf)
 			return nil, fmt.Errorf("fednet: reading body: %w", err)
 		}
 		return buf, nil
 	}
 	// Unknown length (chunked encoding): accumulate, still bounded.
-	buf := tensor.GetBytes(4096)[:0]
+	buf := tensor.GetBytes(4096)[:headroom]
 	lr := io.LimitReader(body, maxBodyBytes+1)
 	for {
 		if len(buf) == cap(buf) {
@@ -274,7 +296,7 @@ func readBodyPooled(body io.Reader, contentLength int64) ([]byte, error) {
 		n, err := lr.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
 		if err == io.EOF {
-			if len(buf) > maxBodyBytes {
+			if len(buf)-headroom > maxBodyBytes {
 				tensor.PutBytes(buf)
 				return nil, fmt.Errorf("fednet: body exceeds the %d-byte limit", maxBodyBytes)
 			}
@@ -290,7 +312,7 @@ func readBodyPooled(body io.Reader, contentLength int64) ([]byte, error) {
 // writeBinary writes a digfl-fednet/2 frame response and recycles the
 // frame buffer.
 func writeBinary(w http.ResponseWriter, frame []byte) {
-	w.Header().Set("Content-Type", contentTypeBinary)
+	w.Header()["Content-Type"] = binaryContentType
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(frame)
 	tensor.PutBytes(frame)
@@ -302,7 +324,7 @@ func writeBinary(w http.ResponseWriter, frame []byte) {
 // patched, then the shared payload. The bytes on the wire are those of
 // encodeRoundFrame with that deadline. frame is not modified.
 func writeRoundBroadcast(w http.ResponseWriter, frame []byte, deadlineMS int64) {
-	w.Header().Set("Content-Type", contentTypeBinary)
+	w.Header()["Content-Type"] = binaryContentType
 	w.WriteHeader(http.StatusOK)
 	if deadlineMS != 0 {
 		var hdr [roundHdrLen]byte
@@ -325,7 +347,7 @@ func decodeReply(resp *http.Response, out any) error {
 	if !ok {
 		return fmt.Errorf("fednet: unexpected binary reply for %T", out)
 	}
-	body, err := readBodyPooled(resp.Body, resp.ContentLength)
+	body, err := readBodyPooled(resp.Body, resp.ContentLength, 0)
 	if err != nil {
 		return err
 	}
