@@ -66,12 +66,14 @@ bench-workload:
 # 64 features × 10 classes). Each of those checks its results against a
 # term-by-term reference kept in its test file. And the secure epoch's, at
 # 1024 bits: one warm encryption, the exponentiation kernel on one 77-row
-# column, and a party's step 4 (77×3 training, 19×3 validation), the last
-# two checked against their references before timing.
+# column, a party's step 4 (77×3 training, 19×3 validation), the modular
+# product every kernel is made of (mulMod, product and squaring, at 1024 and
+# 2048 bits) and step 5's vector decryption of nine ciphertexts — all but the
+# encryption checked against their references before timing.
 bench-kernels:
 	$(GO) test -run '^$$' -benchmem -bench 'Cohort100k|ObserveDots100k|Dot2000|AXPY2000|DotAdd2000|Dot4x2000|MatVec32x2000|SoftmaxLoss400x64x10|IngestUpdate|RoundPollV2' \
 		./internal/sampling/ ./internal/core/ ./internal/tensor/ ./internal/nn/ ./internal/fednet/
-	$(GO) test -run '^$$' -benchmem -bench 'Encrypt$$/1024|DotPlain/77|MaskedGradient' ./internal/paillier/ ./internal/vfl/
+	$(GO) test -run '^$$' -benchmem -bench 'Encrypt$$/1024|DotPlain/77|MaskedGradient|MulMod|DecryptVec/9' ./internal/paillier/ ./internal/vfl/
 
 # verify-faults runs the fault-injection suite: the determinism gate
 # (TestFaultScheduleDeterministic runs the full dropout/straggler/crash/
@@ -171,11 +173,16 @@ verify-async:
 # bit-by-bit kernel it replaced (a non-unit column included), the pooled
 # additions against their allocating bodies, and Algorithm 3's contracts
 # (secure θ/φ equal to the plaintext trainer, closed-form Paillier op counts,
-# retries and every worker count bit-identical, step 4's ciphertexts too).
+# retries and every worker count bit-identical, step 4's ciphertexts too),
+# the Barrett mulMod against the Mul+QuoRem it replaced (six key sizes; edge,
+# unreduced and negative operands; every aliasing) plus a fuzz smoke pass,
+# the vector decryption's CRT halves against per-element decryption and its
+# lowest-index error, and a 3-party epoch's ciphertexts pinned by SHA-256.
 # -count=1 defeats the test cache so the gate re-executes.
 verify-secure:
 	$(GO) vet ./internal/paillier/ ./internal/vfl/
-	$(GO) test -race -count=1 -run 'Secure|Encrypt|Decrypt|DotPlain|AddPlain|MaskedGradient|FixedBase|CRT' ./internal/paillier/ ./internal/vfl/
+	$(GO) test -race -count=1 -run 'Secure|Encrypt|Decrypt|DotPlain|AddPlain|MaskedGradient|FixedBase|CRT|MulMod|DecryptVec' ./internal/paillier/ ./internal/vfl/
+	$(GO) test -count=1 -run '^$$' -fuzz FuzzMulMod -fuzztime 5s ./internal/paillier/
 
 # verify-engines runs the contribution-engine gate: the cross-engine
 # equivalence suite (truncation-disabled GTG/DPVS reproduce the exact

@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"fmt"
 	"math/big"
+	mrand "math/rand"
 	"testing"
 )
 
@@ -85,33 +86,58 @@ func BenchmarkEncryptVec(b *testing.B) {
 	}
 }
 
-// BenchmarkDecryptVec compares serial vs. pooled vector decryption (CRT
-// exponentiations dominate).
+// BenchmarkDecryptVec times step 5's vector decryption at 1024 bits on
+// GOMAXPROCS workers: nine masked gradients at scale Scale², eighteen CRT
+// halves. The result is checked against per-element DecryptFloatAtScale
+// first.
 func BenchmarkDecryptVec(b *testing.B) {
 	sk := keyOfBits(b, 1024)
 	pk := &sk.PublicKey
-	cts, err := pk.EncryptVec(rand.Reader, benchVec(64))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, cfg := range []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 1},
-		{"parallel8", 8},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := sk.DecryptVecN(cts, cfg.workers); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("9", func(b *testing.B) {
+		cts := make([]*Ciphertext, 9)
+		for i := range cts {
+			cts[i] = pk.MulPlainFloat(mustEncryptFloat(b, pk, float64(i)-4.5), 0.731)
+		}
+		checkDecryptVec(b, sk, cts, 2, 0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := sk.DecryptVecAtScale(cts, 2, 0, nil); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 var benchCt *Ciphertext
+
+// BenchmarkMulMod times one in-place modular product z = z·y (mul) and one
+// squaring z = z·z (sqr) mod n², the step every Algorithm 3 kernel is made
+// of, on a warm scratch. Each is checked against the QuoRem reference first.
+func BenchmarkMulMod(b *testing.B) {
+	for _, bits := range []int{1024, 2048} {
+		pk := mulModKey(bits, int64(bits))
+		rng := mrand.New(mrand.NewSource(int64(bits)))
+		x, y := new(big.Int).Rand(rng, pk.N2), new(big.Int).Rand(rng, pk.N2)
+		for _, op := range []string{"mul", "sqr"} {
+			b.Run(fmt.Sprintf("%d/%s", bits, op), func(b *testing.B) {
+				s, z, f := new(scratch), new(big.Int).Set(x), y
+				if op == "sqr" {
+					f = z
+				}
+				want := quoRemMulMod(pk, z, f)
+				if pk.mulMod(z, z, f, s); z.Cmp(want) != 0 {
+					b.Fatal("mulMod is not the QuoRem reference")
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					pk.mulMod(z, z, f, s)
+				}
+			})
+		}
+	}
+}
 
 // BenchmarkMulPlain times one float scalar multiplication at the paper's key
 // size. Before the signed short exponents a negative scalar cost a

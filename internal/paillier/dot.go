@@ -21,18 +21,44 @@ const (
 	dotOdd    = 1<<(dotWindow-1) - 1 // stored powers per row: c³ … c^(2^dotWindow−1)
 )
 
-// scratch holds the temporaries of in-place modular arithmetic: mulMod's
-// double-length product and quotient, and two operands of the caller's.
-type scratch struct{ t, d, x, y big.Int }
+// scratch holds the temporaries of in-place modular arithmetic — mulMod's
+// product t, quotient estimate d and d·μ or d·n² in e — and x and y, two
+// operands of the caller's that mulMod never writes.
+type scratch struct{ t, d, e, x, y big.Int }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// mulMod sets z = x·y mod n²; z may alias either factor. QuoRem with a
-// caller-supplied quotient is what keeps the reduction allocation-free (Mod
-// allocates its quotient on every call).
+// mulMod sets z = x·y mod n²; z may alias either factor. The reduction is
+// Barrett's (DESIGN.md § Paillier products): with L = bitlen(n²) and
+// t = x·y < 2^(2L), q = ⌊⌊t/2^(L−1)⌋·μ/2^(L+1)⌋ undershoots ⌊t/n²⌋ by at most
+// two, so t − q·n² is t mod n² after at most two subtractions — three
+// multiplications in place of a long division. A negative or longer t — only
+// a ciphertext outside [0, n²) handed to a public operation makes one — takes
+// the long division and its truncated remainder, as every product once did.
+// Every temporary is the scratch's own: nothing is allocated once it is grown.
 func (pk *PublicKey) mulMod(z, x, y *big.Int, s *scratch) {
-	s.t.Mul(x, y)
-	s.d.QuoRem(&s.t, pk.N2, z)
+	mu, l := pk.barrett(), uint(pk.N2.BitLen())
+	t := s.t.Mul(x, y)
+	if t.Sign() < 0 || uint(t.BitLen()) > 2*l {
+		s.d.QuoRem(t, pk.N2, z)
+		return
+	}
+	q := s.d.Rsh(t, l-1)
+	q.Rsh(s.e.Mul(q, mu), l+1)
+	z.Sub(t, s.e.Mul(q, pk.N2))
+	for z.Cmp(pk.N2) >= 0 {
+		z.Sub(z, pk.N2)
+	}
+}
+
+// barrett returns μ = ⌊2^(2L)/n²⌋, L = bitlen(n²), built on first use: an
+// (L+1)-bit constant of the key.
+func (pk *PublicKey) barrett() *big.Int {
+	pk.brOnce.Do(func() {
+		l := uint(pk.N2.BitLen())
+		pk.br.Quo(pk.br.Lsh(one, 2*l), pk.N2)
+	})
+	return &pk.br
 }
 
 // DotTable is the working set of the exponentiation kernel: the odd powers

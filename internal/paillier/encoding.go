@@ -88,13 +88,21 @@ func (pk *PublicKey) encodeTo(z *big.Int, v float64, level int) *big.Int {
 
 // Decode inverts Encode: values above n/2 are interpreted as negative.
 func (pk *PublicKey) Decode(m *big.Int) float64 {
-	half := new(big.Int).Rsh(pk.N, 1)
-	v := new(big.Int).Set(m)
-	if v.Cmp(half) > 0 {
-		v.Sub(v, pk.N)
+	return pk.atScale(new(big.Int).Set(m), 1)
+}
+
+// atScale decodes m at fixed-point scale Scale^level, values above n/2 as
+// negative, overwriting m. The division by Scale^level is exact, so the one
+// rounding is the float64 conversion's.
+func (pk *PublicKey) atScale(m *big.Int, level int) float64 {
+	r := getInt().Sub(pk.N, m)
+	if r.Cmp(m) < 0 { // m > n/2
+		m.Neg(r)
 	}
-	f, _ := new(big.Float).SetInt(v).Float64()
-	return f / Scale
+	putInt(r)
+	f := new(big.Float).SetInt(m)
+	v, _ := f.SetMantExp(f, -scaleBits*level).Float64()
+	return v
 }
 
 // EncryptFloat encrypts a float64 under the fixed-point encoding. A value
@@ -108,11 +116,7 @@ func (pk *PublicKey) EncryptFloat(rnd io.Reader, v float64) (*Ciphertext, error)
 
 // DecryptFloat decrypts to a float64 under the fixed-point encoding.
 func (sk *PrivateKey) DecryptFloat(ct *Ciphertext) (float64, error) {
-	m, err := sk.Decrypt(ct)
-	if err != nil {
-		return 0, err
-	}
-	return sk.Decode(m), nil
+	return sk.DecryptFloatAtScale(ct, 1)
 }
 
 // EncryptVec encrypts every element of v serially. For large vectors prefer
@@ -154,19 +158,39 @@ func (sk *PrivateKey) DecryptVec(cts []*Ciphertext) ([]float64, error) {
 // (0 or negative selects GOMAXPROCS). The result is bit-identical to the
 // serial path: decryption is a pure function of each ciphertext.
 func (sk *PrivateKey) DecryptVecN(cts []*Ciphertext, workers int) ([]float64, error) {
-	out := make([]float64, len(cts))
-	var firstErr vecErr
-	parallel.For(len(cts), workers, func(i int) {
-		v, err := sk.DecryptFloat(cts[i])
-		if err != nil {
-			firstErr.set(i, fmt.Errorf("paillier: decrypting element %d: %w", i, err))
-			return
-		}
-		out[i] = v
-	})
-	if err := firstErr.get(); err != nil {
-		return nil, err
+	return sk.DecryptVecAtScale(cts, 1, workers, nil)
+}
+
+// DecryptVecAtScale decrypts ciphertexts whose plaintexts are at fixed-point
+// scale Scale^level to exactly what DecryptFloatAtScale returns for each. Its
+// tasks are the 2·len(cts) CRT halves — one exponentiation mod p² or mod q²
+// each, so the worker budget is filled even by fewer ciphertexts than
+// workers — run through each(n, fn), or parallel.For with the worker budget
+// when each is nil, and recombined serially. An out-of-range ciphertext fails
+// the call before any exponentiation, and the error names the lowest such
+// index whatever the budget.
+func (sk *PrivateKey) DecryptVecAtScale(cts []*Ciphertext, level, workers int, each func(n int, fn func(t int))) ([]float64, error) {
+	if level < 1 {
+		return nil, fmt.Errorf("paillier: invalid scale level %d", level)
 	}
+	for i, ct := range cts {
+		if !sk.inRange(ct) {
+			return nil, fmt.Errorf("paillier: decrypting element %d: %w", i, errOutOfRange)
+		}
+	}
+	if each == nil {
+		each = func(n int, fn func(int)) { parallel.For(n, workers, fn) }
+	}
+	halves := make([]*big.Int, 2*len(cts))
+	each(len(halves), func(t int) {
+		halves[t] = sk.half(getInt(), cts[t/2].C, t%2)
+	})
+	out := make([]float64, len(cts))
+	m := getInt()
+	for i := range out {
+		out[i] = sk.atScale(sk.combine(m, halves[2*i], halves[2*i+1]), level)
+	}
+	putInt(m)
 	return out, nil
 }
 
@@ -241,15 +265,5 @@ func (sk *PrivateKey) DecryptFloatAtScale(ct *Ciphertext, level int) (float64, e
 	if err != nil {
 		return 0, err
 	}
-	half := new(big.Int).Rsh(sk.N, 1)
-	v := new(big.Int).Set(m)
-	if v.Cmp(half) > 0 {
-		v.Sub(v, sk.N)
-	}
-	f := new(big.Float).SetInt(v)
-	for i := 0; i < level; i++ {
-		f.Quo(f, big.NewFloat(Scale))
-	}
-	out, _ := f.Float64()
-	return out, nil
+	return sk.atScale(m, level), nil
 }

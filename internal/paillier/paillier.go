@@ -40,6 +40,8 @@ type PublicKey struct {
 
 	fbOnce sync.Once
 	fb     fixedBase // powers of Hs, built on first encryption
+	brOnce sync.Once
+	br     big.Int // Barrett's μ for n², built on first product (see mulMod)
 }
 
 // PrivateKey holds the decryption parameters. Decryption uses Paillier's
@@ -153,25 +155,43 @@ func (pk *PublicKey) Encrypt(rnd io.Reader, m *big.Int) (*Ciphertext, error) {
 // Decrypt recovers the plaintext in [0, n): m_p = L_p(c^{p−1} mod p²)·h_p
 // mod p, likewise m_q, recombined mod n with Garner's formula.
 func (sk *PrivateKey) Decrypt(ct *Ciphertext) (*big.Int, error) {
-	if ct == nil || ct.C == nil || ct.C.Sign() <= 0 || ct.C.Cmp(sk.N2) >= 0 {
-		return nil, errors.New("paillier: ciphertext out of range")
+	if !sk.inRange(ct) {
+		return nil, errOutOfRange
 	}
-	mp := lHalf(getInt(), ct.C, sk.pm1, sk.p, sk.p2)
-	mp.Mul(mp, sk.hp)
-	mp.Mod(mp, sk.p)
-	mq := lHalf(getInt(), ct.C, sk.qm1, sk.q, sk.q2)
-	mq.Mul(mq, sk.hq)
-	mq.Mod(mq, sk.q)
-	// m = m_q + q·((m_p − m_q)·q⁻¹ mod p). mp doubles as the diff scratch
-	// and m is a fresh value the caller owns, so only mp/mq are recycled.
+	mp, mq := sk.half(getInt(), ct.C, 0), sk.half(getInt(), ct.C, 1)
+	return sk.combine(new(big.Int), mp, mq), nil
+}
+
+var errOutOfRange = errors.New("paillier: ciphertext out of range")
+
+// inRange reports whether ct is a ciphertext Decrypt accepts: c ∈ (0, n²).
+func (sk *PrivateKey) inRange(ct *Ciphertext) bool {
+	return ct != nil && ct.C != nil && ct.C.Sign() > 0 && ct.C.Cmp(sk.N2) < 0
+}
+
+// half sets z to c's plaintext mod p (i = 0) or mod q (i = 1): one half of a
+// CRT decryption, independent of the other.
+func (sk *PrivateKey) half(z, c *big.Int, i int) *big.Int {
+	p, p2, pm1, h := sk.p, sk.p2, sk.pm1, sk.hp
+	if i == 1 {
+		p, p2, pm1, h = sk.q, sk.q2, sk.qm1, sk.hq
+	}
+	lHalf(z, c, pm1, p, p2)
+	z.Mul(z, h)
+	return z.Mod(z, p)
+}
+
+// combine sets m = m_q + q·((m_p − m_q)·q⁻¹ mod p), the plaintext in [0, n),
+// and returns the two pooled halves to the pool; m is not one of them.
+func (sk *PrivateKey) combine(m, mp, mq *big.Int) *big.Int {
 	mp.Sub(mp, mq)
 	mp.Mul(mp, sk.qinv)
 	mp.Mod(mp, sk.p)
-	m := new(big.Int).Mul(mp, sk.q)
+	m.Mul(mp, sk.q)
 	m.Add(m, mq)
 	putInt(mp)
 	putInt(mq)
-	return m, nil
+	return m
 }
 
 // Add returns the encryption of a+b given encryptions of a and b.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"time"
 
 	"digfl/internal/faults"
@@ -356,23 +355,14 @@ func secureGradientN(sk *paillier.PrivateKey, parties []*secureParty, tab *paill
 		obs.Emit(sink, obs.Event{Kind: obs.KindPaillierAdd, N: int64(m) * int64(d)})
 		ciphertexts += int64(2 * d) // masked ciphertexts out, plaintexts back
 		// Step 5: third party decrypts; the party removes its mask.
-		out := make([]float64, d)
-		var decErr error
-		var decMu sync.Mutex
-		parallel.ForObs(d, workers, sink, func(j int) {
-			v, err := sk.DecryptFloatAtScale(enc[j], 2)
-			if err != nil {
-				decMu.Lock()
-				if decErr == nil {
-					decErr = err
-				}
-				decMu.Unlock()
-				return
-			}
-			out[j] = v - masks[j]
+		out, err := sk.DecryptVecAtScale(enc, 2, workers, func(n int, fn func(int)) {
+			parallel.ForObs(n, workers, sink, fn)
 		})
-		if decErr != nil {
-			return nil, 0, decErr
+		if err != nil {
+			return nil, 0, err
+		}
+		for j := range out {
+			out[j] -= masks[j]
 		}
 		obs.Emit(sink, obs.Event{Kind: obs.KindPaillierDec, N: int64(d)})
 		grads[pi] = out
