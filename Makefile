@@ -63,15 +63,18 @@ bench-workload:
 # d=2000); and the validation loss's, which every round's turnaround and
 # every engine's utility evaluation pay — the four-row dot kernel at d=2000,
 # MatVec on a 32×2000 validation set, the audit's softmax loss (400 rows ×
-# 64 features × 10 classes). Each of those checks its results against a
-# term-by-term reference kept in its test file. And the secure epoch's, at
+# 64 features × 10 classes); and the buffered round's sums — its weighted
+# aggregate (AXPYRows over 64 deltas of 2000), the Xᵀr under a validation
+# gradient (MatTVecTo, 32×2000) and a resource-saving observe of 64 raw
+# deltas. Each of those checks its results against a term-by-term reference
+# kept in its test file. And the secure epoch's, at
 # 1024 bits: one warm encryption, the exponentiation kernel on one 77-row
 # column, a party's step 4 (77×3 training, 19×3 validation), the modular
 # product every kernel is made of (mulMod, product and squaring, at 1024 and
 # 2048 bits) and step 5's vector decryption of nine ciphertexts — all but the
 # encryption checked against their references before timing.
 bench-kernels:
-	$(GO) test -run '^$$' -benchmem -bench 'Cohort100k|ObserveDots100k|Dot2000|AXPY2000|DotAdd2000|Dot4x2000|MatVec32x2000|SoftmaxLoss400x64x10|IngestUpdate|RoundPollV2' \
+	$(GO) test -run '^$$' -benchmem -bench 'Cohort100k|ObserveDots100k|ObserveDeltas64x2000|Dot2000|AXPY2000|DotAdd2000|Dot4x2000|MatVec32x2000|AXPYRows64x2000|MatTVec32x2000|SoftmaxLoss400x64x10|IngestUpdate|RoundPollV2' \
 		./internal/sampling/ ./internal/core/ ./internal/tensor/ ./internal/nn/ ./internal/fednet/
 	$(GO) test -run '^$$' -benchmem -bench 'Encrypt$$/1024|DotPlain/77|MaskedGradient|MulMod|DecryptVec/9' ./internal/paillier/ ./internal/vfl/
 
@@ -233,8 +236,13 @@ verify-crash:
 # and the no-attack defended run is bit-identical to the baseline), the
 # attack-simulator determinism tests, the screen/quarantine/Krum unit
 # tests, the wire-level rejection tests, and the faults+attacks chaos
-# property test. -count=1 defeats the test cache so the gate re-executes.
+# property test; then the kernels the quarantine's φ dots and weighted
+# aggregate run on (AXPY4, AXPYRows, DotRows and MatTVecTo against their
+# sequential AXPY/Dot loops, the quarantine, uniform-mean, linear-model and
+# engine runs pinned by SHA-256 of their float bits) and a 5 s fuzz pass over
+# AXPYRows. -count=1 defeats the test cache so the gate re-executes.
 verify-adv:
-	$(GO) vet ./internal/adversary/ ./internal/robust/
-	$(GO) test -count=1 -run 'Adversar|Attack|Tamper|Quarantine|Screen|Krum|NormBound|Mutate|Poison|Fires|NonFinite|Reject' \
-		./internal/adversary/ ./internal/robust/ ./internal/hfl/ ./internal/vfl/ ./internal/fednet/ ./internal/experiments/
+	$(GO) vet ./internal/adversary/ ./internal/robust/ ./internal/tensor/
+	$(GO) test -count=1 -run 'Adversar|Attack|Tamper|Quarantine|Screen|Krum|NormBound|Mutate|Poison|Fires|NonFinite|Reject|AXPY4|AXPYRows|DotRows|MatTVec|RowKernels|RoundSums' \
+		./internal/adversary/ ./internal/robust/ ./internal/hfl/ ./internal/vfl/ ./internal/fednet/ ./internal/experiments/ ./internal/tensor/
+	$(GO) test -count=1 -run '^$$' -fuzz FuzzAXPYRows -fuzztime 5s ./internal/tensor/

@@ -176,37 +176,52 @@ func (e *HFLEstimator) ObserveMapped(ep *hfl.Epoch, idx []int) []float64 {
 	e.attr.totalsOnly = e.TotalsOnly
 	phi := e.phiRow(idx)
 	inv := 1 / float64(m)
-	parallel.ForObs(m, e.Runtime.Resolve(), sink, func(k int) {
-		i := k
-		if idx != nil {
-			i = idx[k]
-		}
-		if streamed {
-			// The fold already computed ∇loss^v(θ_{t-1})·δ_{t,i} before
-			// releasing the delta; only the 1/|S| weight remains.
-			phi[i] = inv * ep.DeltaDots[k]
-			return
-		}
-		delta := ep.Deltas[k]
-		checkDim("delta", len(delta), e.p)
-		// First term of Eq. 19: (1/|S|)·∇loss^v(θ_{t-1})·δ_{t,i}.
-		phi[i] = inv * tensor.Dot(ep.ValGrad, delta)
-		if e.mode != Interactive {
-			return
-		}
-		// Second-order correction: Ω_t^{-i} = Ĥ_i(θ_{t-1})·Σ_{j<t}ΔG_j^{-i}.
-		omega := e.hvp(ep.Theta, i, e.deltaGSum[i])
-		checkDim("hvp result", len(omega), e.p)
-		phi[i] += ep.LR * tensor.Dot(ep.ValGrad, omega)
-		// Advance the recursion: ΔG_t^{-i} = −(1/|S|)·δ_{t,i} − α_t·Ω_t^{-i}.
-		tensor.AXPY(-inv, delta, e.deltaGSum[i])
-		tensor.AXPY(-ep.LR, omega, e.deltaGSum[i])
-	})
+	if e.mode == Interactive {
+		parallel.ForObs(m, e.Runtime.Resolve(), sink, func(k int) {
+			i, delta := mapped(idx, k), ep.Deltas[k]
+			checkDim("delta", len(delta), e.p)
+			// First term of Eq. 19: (1/|S|)·∇loss^v(θ_{t-1})·δ_{t,i}.
+			phi[i] = inv * tensor.Dot(ep.ValGrad, delta)
+			// Second-order correction: Ω_t^{-i} = Ĥ_i(θ_{t-1})·Σ_{j<t}ΔG_j^{-i}.
+			omega := e.hvp(ep.Theta, i, e.deltaGSum[i])
+			checkDim("hvp result", len(omega), e.p)
+			phi[i] += ep.LR * tensor.Dot(ep.ValGrad, omega)
+			// Advance the recursion: ΔG_t^{-i} = −(1/|S|)·δ_{t,i} − α_t·Ω_t^{-i}.
+			tensor.AXPY(-inv, delta, e.deltaGSum[i])
+			tensor.AXPY(-ep.LR, omega, e.deltaGSum[i])
+		})
+	} else {
+		// Resource-saving φ is the first term alone, and four reporters share
+		// one pass over ∇loss^v(θ_{t-1}) (DotRows panics on a delta of the
+		// wrong length); a streamed epoch's fold already took those dots
+		// before releasing the deltas.
+		parallel.ForObs((m+3)/4, e.Runtime.Resolve(), sink, func(g int) {
+			lo, hi := 4*g, min(4*g+4, m)
+			var dots [4]float64
+			if streamed {
+				copy(dots[:], ep.DeltaDots[lo:hi])
+			} else {
+				tensor.DotRows(dots[:hi-lo], ep.ValGrad, ep.Deltas[lo:hi])
+			}
+			for k := lo; k < hi; k++ {
+				phi[mapped(idx, k)] = inv * dots[k-lo]
+			}
+		})
+	}
 	obs.Emit(sink, obs.Event{Kind: obs.KindEstimatorRound, T: ep.T,
 		N: int64(m), Dur: obs.Since(sink, roundStart)})
 	e.attr.record(phi, idx)
 	e.last = phi
 	return phi
+}
+
+// mapped is the global participant behind an epoch's k-th update under the
+// mapping idx (nil: the identity).
+func mapped(idx []int, k int) int {
+	if idx == nil {
+		return k
+	}
+	return idx[k]
 }
 
 // LastRow is the close path's O(reporters) view of the latest observation:
@@ -329,12 +344,20 @@ func (r *HFLReweighter) Weights(ep *hfl.Epoch) []float64 {
 			phi = survivors
 		}
 	} else {
-		n := len(ep.Deltas)
-		phi = make([]float64, n)
-		inv := 1 / float64(n)
-		for i, delta := range ep.Deltas {
-			phi[i] = inv * tensor.Dot(ep.ValGrad, delta)
-		}
+		phi = FirstOrder(ep)
 	}
 	return Weights(phi)
+}
+
+// FirstOrder is the resource-saving projection of a buffered epoch without
+// an estimator: φ̂_k = (1/|S|)·∇loss^v(θ_{t-1})·δ_k, aligned with ep.Deltas,
+// four deltas to a pass.
+func FirstOrder(ep *hfl.Epoch) []float64 {
+	phi := make([]float64, len(ep.Deltas))
+	tensor.DotRows(phi, ep.ValGrad, ep.Deltas)
+	inv := 1 / float64(len(phi))
+	for k, dot := range phi {
+		phi[k] = inv * dot
+	}
+	return phi
 }

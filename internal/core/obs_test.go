@@ -3,8 +3,10 @@ package core
 import (
 	"testing"
 
+	"digfl/internal/hfl"
 	"digfl/internal/nn"
 	"digfl/internal/obs"
+	"digfl/internal/tensor"
 	"digfl/internal/vfl"
 )
 
@@ -47,8 +49,14 @@ func TestHFLEstimatorSinkDoesNotPerturb(t *testing.T) {
 		if snap.EstimatorRounds != int64(len(res.Log)) {
 			t.Fatalf("mode %v: EstimatorRounds = %d, want %d", mode, snap.EstimatorRounds, len(res.Log))
 		}
-		if snap.PoolTasks != int64(5*len(res.Log)) {
-			t.Fatalf("mode %v: PoolTasks = %d, want %d", mode, snap.PoolTasks, 5*len(res.Log))
+		// One pool task per participant in Interactive mode; resource-saving
+		// dots go four reporters to a task, ⌈5/4⌉ = 2.
+		tasks := int64(5 * len(res.Log))
+		if mode == ResourceSaving {
+			tasks = int64(2 * len(res.Log))
+		}
+		if snap.PoolTasks != tasks {
+			t.Fatalf("mode %v: PoolTasks = %d, want %d", mode, snap.PoolTasks, tasks)
 		}
 	}
 }
@@ -84,6 +92,55 @@ func TestHFLEstimatorRuntimeWorkers(t *testing.T) {
 			t.Fatalf("parallel runtime replay diverged at participant %d", i)
 		}
 	}
+
+	// Resource-saving dots go four reporters to a pool task: every worker
+	// count and every group/tail split of the reporters returns the bits of
+	// the per-reporter (1/|S|)·Dot(∇loss^v, δ), on buffered and streamed
+	// epochs alike.
+	const n, dim = 64, 37
+	rng := tensor.NewRNG(53)
+	for _, reporters := range []int{0, 1, 3, 4, 5, 64} {
+		var epochs []*hfl.Epoch
+		var wants [][]float64
+		for ti := 1; ti <= 3; ti++ {
+			ep := &hfl.Epoch{T: ti, ValGrad: rng.NormalVec(dim, 0, 1), Reported: rng.Perm(n)[:reporters]}
+			if reporters == n && ti == 1 {
+				ep.Reported = nil // a dense epoch
+			}
+			want := make([]float64, n)
+			for k := 0; k < reporters; k++ {
+				delta := rng.NormalVec(dim, 0, 1)
+				ep.Deltas = append(ep.Deltas, delta)
+				want[mapped(ep.Reported, k)] = (1 / float64(reporters)) * refDot(ep.ValGrad, delta)
+			}
+			if ti == 3 {
+				// The fold's dots stand in for the deltas it released.
+				ep.DeltaDots = make([]float64, reporters)
+				for k, delta := range ep.Deltas {
+					ep.DeltaDots[k] = refDot(ep.ValGrad, delta)
+				}
+				ep.Deltas = nil
+			}
+			epochs, wants = append(epochs, ep), append(wants, want)
+		}
+		for _, workers := range []int{1, 2, 4} {
+			e := NewHFLEstimator(n, dim, ResourceSaving, nil)
+			e.Runtime = obs.Runtime{Workers: workers}
+			for ti, ep := range epochs {
+				if got := e.Observe(ep); !bitsEqual(got, wants[ti]) {
+					t.Errorf("%d reporters, %d workers, epoch %d: φ differs from the per-reporter dots", reporters, workers, ep.T)
+				}
+			}
+		}
+	}
+}
+
+func refDot(a, b []float64) float64 {
+	var s float64
+	for i := range a {
+		s += a[i] * b[i]
+	}
+	return s
 }
 
 // The VFL estimator: bit-identical with a sink and a parallel block loop,

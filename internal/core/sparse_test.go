@@ -234,3 +234,27 @@ func BenchmarkObserveDots100k(b *testing.B) {
 		b.Fatal("totals differ from the term-by-term reference")
 	}
 }
+
+// BenchmarkObserveDeltas64x2000 is a buffered round's observe: 64 raw deltas
+// of the reference cell's model size, resource-saving, four to a DotRows pass.
+func BenchmarkObserveDeltas64x2000(b *testing.B) {
+	const n, p = 64, 2000
+	rng := tensor.NewRNG(7)
+	ep := &hfl.Epoch{T: 1, ValGrad: rng.NormalVec(p, 0, 1)}
+	want := make([]float64, n)
+	for k := 0; k < n; k++ {
+		ep.Deltas = append(ep.Deltas, rng.NormalVec(p, 0, 1e-3))
+		want[k] = (1 / float64(n)) * refDot(ep.ValGrad, ep.Deltas[k])
+	}
+	e := NewHFLEstimator(n, p, ResourceSaving, nil)
+	e.TotalsOnly = true
+	if got := e.Observe(ep); !bitsEqual(got, want) {
+		b.Fatal("φ differs from the per-delta reference")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ep.T++
+		e.Observe(ep)
+	}
+}

@@ -483,6 +483,7 @@ func (tr *Trainer) RunSubsetContext(ctx context.Context, subset []int) (*Result,
 	// ends with a draw in flight (crash, cancel, round error) waits for it, so
 	// the goroutine never outlives the call or reads subset after it returns.
 	var ahead chan []int
+	var uniform []float64 // the buffered mean's coefficients, 1/|S| each
 	defer func() {
 		if ahead != nil {
 			<-ahead
@@ -710,20 +711,19 @@ func (tr *Trainer) RunSubsetContext(ctx context.Context, subset []int) (*Result,
 					return nil, fmt.Errorf("hfl: epoch %d: aggregator returned %d values for %d params", t, len(grad), p)
 				}
 			case ep.Weights == nil:
-				grad = make([]float64, p)
-				inv := 1 / float64(len(deltas))
-				for _, d := range deltas {
-					tensor.AXPY(inv, d, grad)
+				uniform = uniform[:0]
+				for range deltas {
+					uniform = append(uniform, 1/float64(len(deltas)))
 				}
+				grad = make([]float64, p)
+				tensor.AXPYRows(uniform, deltas, grad)
 			default:
 				if len(ep.Weights) != len(deltas) {
 					return nil, fmt.Errorf("hfl: epoch %d: reweighter returned %d weights for %d participants",
 						t, len(ep.Weights), len(deltas))
 				}
 				grad = make([]float64, p)
-				for k, d := range deltas {
-					tensor.AXPY(ep.Weights[k], d, grad)
-				}
+				tensor.AXPYRows(ep.Weights, deltas, grad)
 			}
 			tensor.AXPY(-1, grad, model.Params())
 			obs.Emit(sink, obs.Event{Kind: obs.KindAggregate, T: t,

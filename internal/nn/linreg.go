@@ -75,38 +75,20 @@ func (m *LinearRegression) Loss(X *tensor.Matrix, y []float64) float64 {
 // Grad implements Model.
 func (m *LinearRegression) Grad(X *tensor.Matrix, y []float64) []float64 {
 	r := m.residuals(X, y)
-	scale := 2 / float64(len(r))
-	g := make([]float64, m.NumParams())
-	gw := tensor.MatTVec(X, r)
-	for i := 0; i < m.d; i++ {
-		g[i] = scale * gw[i]
-	}
-	if m.bias {
-		g[m.d] = scale * tensor.Sum(r)
-	}
-	return g
+	return scaledXt(X, r, 2/float64(len(r)), m.NumParams())
 }
 
 // HVP implements HVPer. The MSE Hessian is constant: H = (2/m)·XᵀX (with the
 // bias row/column when present), so H·v = (2/m)·Xᵀ(X·v_w + v_b·1) etc.
 func (m *LinearRegression) HVP(X *tensor.Matrix, y []float64, v []float64) []float64 {
 	checkBatch(X, y, m.d)
-	scale := 2 / float64(X.Rows)
 	xv := tensor.MatVec(X, v[:m.d])
 	if m.bias {
 		for i := range xv {
 			xv[i] += v[m.d]
 		}
 	}
-	out := make([]float64, m.NumParams())
-	hw := tensor.MatTVec(X, xv)
-	for i := 0; i < m.d; i++ {
-		out[i] = scale * hw[i]
-	}
-	if m.bias {
-		out[m.d] = scale * tensor.Sum(xv)
-	}
-	return out
+	return scaledXt(X, xv, 2/float64(X.Rows), m.NumParams())
 }
 
 // Predict returns the fitted values for every row of X.

@@ -84,16 +84,7 @@ func (m *LogisticRegression) Grad(X *tensor.Matrix, y []float64) []float64 {
 	for i, zi := range z {
 		r[i] = sigmoid(zi) - y[i]
 	}
-	scale := 1 / float64(len(y))
-	g := make([]float64, m.NumParams())
-	gw := tensor.MatTVec(X, r)
-	for i := 0; i < m.d; i++ {
-		g[i] = scale * gw[i]
-	}
-	if m.bias {
-		g[m.d] = scale * tensor.Sum(r)
-	}
-	return g
+	return scaledXt(X, r, 1/float64(len(y)), m.NumParams())
 }
 
 // HVP implements HVPer: H·v = (1/m)·Xᵀ·diag(p(1−p))·(X·v_w + v_b·1).
@@ -110,16 +101,7 @@ func (m *LogisticRegression) HVP(X *tensor.Matrix, y []float64, v []float64) []f
 		p := sigmoid(zi)
 		xv[i] *= p * (1 - p)
 	}
-	scale := 1 / float64(X.Rows)
-	out := make([]float64, m.NumParams())
-	hw := tensor.MatTVec(X, xv)
-	for i := 0; i < m.d; i++ {
-		out[i] = scale * hw[i]
-	}
-	if m.bias {
-		out[m.d] = scale * tensor.Sum(xv)
-	}
-	return out
+	return scaledXt(X, xv, 1/float64(X.Rows), m.NumParams())
 }
 
 // Predict implements Classifier: class 1 when σ(z) ≥ 1/2, i.e. z ≥ 0.

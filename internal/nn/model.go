@@ -151,6 +151,23 @@ func affine(dst, w, b, x []float64) {
 	}
 }
 
+// scaledXt returns the p parameters' scale·Xᵀr with, when p leaves room for
+// a bias after the X.Cols weights, scale·Σr there: the gradient and the
+// Hessian-vector product of both generalized linear models. Xᵀr goes
+// straight into the returned vector and is scaled in place.
+func scaledXt(X *tensor.Matrix, r []float64, scale float64, p int) []float64 {
+	out := make([]float64, p)
+	gw := out[:X.Cols]
+	tensor.MatTVecTo(gw, X, r)
+	for i, v := range gw {
+		gw[i] = scale * v
+	}
+	if p > X.Cols {
+		out[X.Cols] = scale * tensor.Sum(r)
+	}
+	return out
+}
+
 // scratchLen bounds the per-call scratch that Loss, Grad and Predict keep in
 // a stack array: logits of a four-row block of a sixteen-class model, or 64
 // hidden units.

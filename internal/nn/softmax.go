@@ -95,19 +95,29 @@ func (m *SoftmaxRegression) Grad(X *tensor.Matrix, y []float64) []float64 {
 	gb := g[m.c*m.d:]
 	var buf [scratchLen]float64
 	z := scratch(&buf, 4*m.c)
+	var xs [4][]float64
+	var pk [4]float64
 	for i, n := 0, 0; i < X.Rows; i += n {
 		n = m.blockLogits(X, i, z)
+		// The block's dz = softmax(z) − onehot(y) first, over its logits …
 		for r := 0; r < n; r++ {
-			x, zr := X.Row(i+r), z[r*m.c:(r+1)*m.c]
+			xs[r] = X.Row(i + r)
+			zr := z[r*m.c : (r+1)*m.c]
 			lse := logSumExp(zr)
-			for k := 0; k < m.c; k++ {
-				p := math.Exp(zr[k] - lse)
+			for k, zk := range zr {
+				zr[k] = math.Exp(zk - lse)
 				if k == int(y[i+r]) {
-					p--
+					zr[k]--
 				}
-				tensor.AXPY(p, x, g[k*m.d:(k+1)*m.d])
-				gb[k] += p
 			}
+		}
+		// … then each class takes the block's rows in one pass.
+		for k := 0; k < m.c; k++ {
+			for r := 0; r < n; r++ {
+				pk[r] = z[r*m.c+k]
+				gb[k] += pk[r]
+			}
+			tensor.AXPYRows(pk[:n], xs[:n], g[k*m.d:(k+1)*m.d])
 		}
 	}
 	tensor.Scale(1/float64(X.Rows), g)

@@ -7,7 +7,6 @@ import (
 	"digfl/internal/core"
 	"digfl/internal/hfl"
 	"digfl/internal/obs"
-	"digfl/internal/tensor"
 )
 
 // Quarantine is the contribution-guided defense the paper gestures at:
@@ -112,11 +111,7 @@ func (q *Quarantine) Weights(ep *hfl.Epoch) []float64 {
 			}
 		}
 	} else {
-		phi = make([]float64, len(ep.Deltas))
-		inv := 1 / float64(len(ep.Deltas))
-		for k, delta := range ep.Deltas {
-			phi[k] = inv * tensor.Dot(ep.ValGrad, delta)
-		}
+		phi = core.FirstOrder(ep)
 	}
 	if len(ep.Deltas) == 0 {
 		return nil

@@ -205,13 +205,16 @@ type roundGame struct {
 	cache   map[uint64]float64
 	evals   *int64
 	scratch []float64
+	coef    []float64 // value's AXPYRows coefficients: −1/|S| on members, 0 (skipped) elsewhere
 }
 
 func newRoundGame(loss ValLoss, rc *roundCtx, evals *int64) *roundGame {
+	p := len(rc.theta)
+	buf := make([]float64, p+len(rc.deltas)) // one allocation: scratch, then coef
 	g := &roundGame{
 		loss: loss, theta: rc.theta, deltas: rc.deltas, m: len(rc.deltas),
 		cache: make(map[uint64]float64), evals: evals,
-		scratch: make([]float64, len(rc.theta)),
+		scratch: buf[:p:p], coef: buf[p:],
 	}
 	g.base = loss(rc.theta)
 	*evals++
@@ -228,7 +231,7 @@ func (g *roundGame) subGame(keep []int) *roundGame {
 	return &roundGame{
 		loss: g.loss, theta: g.theta, deltas: deltas, m: len(deltas),
 		base: g.base, cache: make(map[uint64]float64), evals: g.evals,
-		scratch: g.scratch,
+		scratch: g.scratch, coef: g.coef[:len(deltas)],
 	}
 }
 
@@ -242,11 +245,13 @@ func (g *roundGame) value(mask uint64) float64 {
 	}
 	copy(g.scratch, g.theta)
 	inv := 1 / float64(bits.OnesCount64(mask))
-	for k := 0; k < g.m; k++ {
+	for k := range g.coef {
+		g.coef[k] = 0
 		if mask&(1<<uint(k)) != 0 {
-			tensor.AXPY(-inv, g.deltas[k], g.scratch)
+			g.coef[k] = -inv
 		}
 	}
+	tensor.AXPYRows(g.coef, g.deltas, g.scratch)
 	v := g.base - g.loss(g.scratch)
 	g.cache[mask] = v
 	*g.evals++

@@ -118,7 +118,8 @@ func MatVecTo(dst, w, x []float64) {
 	}
 }
 
-// MatTVec computes y = Mᵀ·x, allocating the result. len(x) must equal M.Rows.
+// MatTVec computes y = Mᵀ·x one AXPY per row into a fresh vector: MatTVecTo's
+// sequential form, the test references' Xᵀr. len(x) must equal M.Rows.
 func MatTVec(m *Matrix, x []float64) []float64 {
 	if len(x) != m.Rows {
 		panic(fmt.Sprintf("tensor: MatTVec shape mismatch: %d×%dᵀ · %d", m.Rows, m.Cols, len(x)))
@@ -148,4 +149,99 @@ func MatTMat(a *Matrix, s float64) *Matrix {
 		}
 	}
 	return g
+}
+
+// The row kernels below sum or dot a list of vectors four vectors to a pass,
+// each result with the bits of the one-vector-at-a-time loop.
+
+// MatTVecTo computes y = Mᵀ·x into the caller's length-M.Cols vector, four
+// rows of M to an AXPY4 pass: y[j] carries the bits of MatTVec's, including
+// the skip of a zero x[i].
+func MatTVecTo(y []float64, m *Matrix, x []float64) {
+	if len(x) != m.Rows || len(y) != m.Cols {
+		panic(fmt.Sprintf("tensor: MatTVecTo shape mismatch: %d×%dᵀ · %d into %d", m.Rows, m.Cols, len(x), len(y)))
+	}
+	Zero(y)
+	axpyTerms(len(x), func(i int) (float64, []float64) { return x[i], m.Row(i) }, y)
+}
+
+// DotRows computes dst[k] = Dot(a, rows[k]) for every row, four rows to a
+// Dot4 pass; one to three rows left over take Dot itself. A lane accumulates
+// from zero in index order, so a sum that is not NaN has Dot's bits (without
+// NaNs, a product or a sum does not depend on its operands' order). Which
+// of two NaNs a product or a sum keeps is the order the compiler gives the
+// instruction's operands, and that differs between builds, so a lane that
+// ends NaN is taken again by Dot.
+func DotRows(dst, a []float64, rows [][]float64) {
+	if len(dst) != len(rows) {
+		panic(fmt.Sprintf("tensor: DotRows has %d slots for %d rows", len(dst), len(rows)))
+	}
+	k := 0
+	for ; k+4 <= len(rows); k += 4 {
+		dst[k], dst[k+1], dst[k+2], dst[k+3] = Dot4(rows[k], rows[k+1], rows[k+2], rows[k+3], a)
+		for j := k; j < k+4; j++ {
+			if dst[j] != dst[j] {
+				dst[j] = Dot(a, rows[j])
+			}
+		}
+	}
+	for ; k < len(rows); k++ {
+		dst[k] = Dot(a, rows[k])
+	}
+}
+
+// AXPY4 computes y += a0·x0 + a1·x1 + a2·x2 + a3·x3 in place in one pass:
+// each y[i] takes the four terms in order, which is exactly what four AXPY
+// calls in sequence leave, but y is read and written once. Unlike AXPY it
+// adds a zero coefficient's term (0·Inf is NaN, −0 + 0·x is +0); AXPYRows
+// skips those.
+func AXPY4(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64) {
+	n := len(y)
+	if len(x0) != n || len(x1) != n || len(x2) != n || len(x3) != n {
+		panic(fmt.Sprintf("tensor: AXPY4 length mismatch %d, %d, %d, %d vs %d", len(x0), len(x1), len(x2), len(x3), n))
+	}
+	x0, x1, x2, x3 = x0[:n], x1[:n], x2[:n], x3[:n]
+	for i, v := range y {
+		v += a0 * x0[i]
+		v += a1 * x1[i]
+		v += a2 * x2[i]
+		v += a3 * x3[i]
+		y[i] = v
+	}
+}
+
+// AXPYRows computes y += Σ_k a[k]·rows[k] in place with the bits of
+// AXPY(a[k], rows[k], y) for k in order.
+func AXPYRows(a []float64, rows [][]float64, y []float64) {
+	if len(a) != len(rows) {
+		panic(fmt.Sprintf("tensor: AXPYRows has %d coefficients for %d rows", len(a), len(rows)))
+	}
+	axpyTerms(len(rows), func(k int) (float64, []float64) { return a[k], rows[k] }, y)
+}
+
+// axpyTerms adds the n terms c·x that term(k) names to y, in order. A zero
+// coefficient's term is skipped exactly as AXPY skips it, so a 0 weight on an
+// Inf row stays a no-op; the others go four to an AXPY4 pass, and one to
+// three left over through AXPY.
+func axpyTerms(n int, term func(k int) (float64, []float64), y []float64) {
+	var c [4]float64
+	var x [4][]float64
+	j := 0
+	for k := 0; k < n; k++ {
+		ck, xk := term(k)
+		if len(xk) != len(y) {
+			panic(fmt.Sprintf("tensor: AXPY length mismatch %d vs %d", len(xk), len(y)))
+		}
+		if ck == 0 {
+			continue
+		}
+		c[j], x[j] = ck, xk
+		if j++; j == 4 {
+			AXPY4(c[0], c[1], c[2], c[3], x[0], x[1], x[2], x[3], y)
+			j = 0
+		}
+	}
+	for k := 0; k < j; k++ {
+		AXPY(c[k], x[k], y)
+	}
 }
