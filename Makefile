@@ -92,7 +92,8 @@ verify-faults:
 # verify-net runs the networked-runtime determinism gate: the loopback
 # bit-identity test (3 participants over real HTTP vs the in-process
 # trainer, across 3 fixed seeds, model/curve/archive/phi compared bit for
-# bit), the straggler-deadline survivor equivalence, retry transparency
+# bit; a buffered loopback run against a MeanStream{} one, bit for bit),
+# the straggler-deadline survivor equivalence, retry transparency
 # under injected request loss, cancellation promptness, the harness server's
 # limits (a stalled header is dropped, a long poll is not), and the composition
 # table (every row refused before the journal opens or a participant joins,
@@ -107,7 +108,8 @@ verify-net:
 # sampling (3 seeds x rerun and crash/resume bit-identity, sampling composed
 # with dropout faults), the streaming-aggregation equivalence tests
 # (in-process streamed == flat-streamed loopback == two-level cohort tree,
-# bit for bit across 3 seeds), the delta-retention release tests (the
+# and buffered == MeanStream{} on flat, sampled and dropout runs in process
+# and over loopback, bit for bit across 3 seeds), the delta-retention release tests (the
 # use-after-release guard on the vectors a buffered Round takes back among
 # them), and the bounded-memory gate (a 100k-participant streamed round must complete with
 # total allocations bounded by the cohort, not the population; a TotalsOnly
@@ -235,14 +237,17 @@ verify-crash:
 # honest participant by total phi, quarantine bans exactly the attackers,
 # and the no-attack defended run is bit-identical to the baseline), the
 # attack-simulator determinism tests, the screen/quarantine/Krum unit
-# tests, the wire-level rejection tests, and the faults+attacks chaos
-# property test; then the kernels the quarantine's φ dots and weighted
+# tests, the Σ r contract of the reweighters (Quarantine…/Reweight…: the
+# trainer alone divides, every reporter banned freezes θ, Σ r = 0 is the
+# MeanStream{} fold over the non-banned, recorded weights = core.Weights(φ),
+# Lemma 4 over 3 seeds, a malformed r refused), the wire-level rejection
+# tests, and the faults+attacks chaos property test; then the kernels the quarantine's φ dots and weighted
 # aggregate run on (AXPY4, AXPYRows, DotRows and MatTVecTo against their
 # sequential AXPY/Dot loops, the quarantine, uniform-mean, linear-model and
 # engine runs pinned by SHA-256 of their float bits) and a 5 s fuzz pass over
 # AXPYRows. -count=1 defeats the test cache so the gate re-executes.
 verify-adv:
 	$(GO) vet ./internal/adversary/ ./internal/robust/ ./internal/tensor/
-	$(GO) test -count=1 -run 'Adversar|Attack|Tamper|Quarantine|Screen|Krum|NormBound|Mutate|Poison|Fires|NonFinite|Reject|AXPY4|AXPYRows|DotRows|MatTVec|RowKernels|RoundSums' \
-		./internal/adversary/ ./internal/robust/ ./internal/hfl/ ./internal/vfl/ ./internal/fednet/ ./internal/experiments/ ./internal/tensor/
+	$(GO) test -count=1 -run 'Adversar|Attack|Tamper|Quarantine|Reweight|PluginShape|Screen|Krum|NormBound|Mutate|Poison|Fires|NonFinite|Reject|AXPY4|AXPYRows|DotRows|MatTVec|RowKernels|RoundSums' \
+		./internal/adversary/ ./internal/robust/ ./internal/core/ ./internal/hfl/ ./internal/vfl/ ./internal/fednet/ ./internal/experiments/ ./internal/tensor/
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzAXPYRows -fuzztime 5s ./internal/tensor/

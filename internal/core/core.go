@@ -83,24 +83,33 @@ func (a *Attribution) record(phi []float64, reporters []int) {
 // (Eq. 17): ω_i = max(φ_i, 0) / Σ_j max(φ_j, 0). When every contribution is
 // non-positive the uniform distribution is returned so training can proceed.
 func Weights(phi []float64) []float64 {
-	w := make([]float64, len(phi))
+	w := Rectify(phi)
 	var sum float64
-	for i, v := range phi {
-		if v > 0 {
-			w[i] = v
-			sum += v
-		}
-	}
-	if sum == 0 {
-		for i := range w {
-			w[i] = 1 / float64(len(w))
-		}
-		return w
+	for _, v := range w {
+		sum += v
 	}
 	for i := range w {
 		w[i] /= sum
 	}
 	return w
+}
+
+// Rectify returns Eq. 17's numerators r_i = max(φ_i, 0), NaN counting as
+// non-positive, or all ones when every φ_i ≤ 0 (see hfl.Reweighter).
+func Rectify(phi []float64) []float64 {
+	r := make([]float64, len(phi))
+	pos := false
+	for i, v := range phi {
+		if v > 0 {
+			r[i], pos = v, true
+		}
+	}
+	if !pos {
+		for i := range r {
+			r[i] = 1
+		}
+	}
+	return r
 }
 
 func checkDim(name string, got, want int) {

@@ -321,32 +321,35 @@ func EstimateHFLSubset(log []*hfl.Epoch, n int, subset []int, mode Mode, hvp HVP
 
 // HFLReweighter plugs DIG-FL's per-epoch contributions into the hfl
 // trainer's aggregation (Sec. III-C): each round it computes the
-// resource-saving contributions from the round's log record and converts
-// them to weights with Eq. 17.
+// resource-saving contributions from the round's log record and rectifies
+// them into Eq. 17's numerators; the trainer divides by their sum.
 type HFLReweighter struct {
 	// Estimator, when non-nil, also accumulates the per-epoch contributions
 	// so a single pass yields both the reweighted model and the attribution.
 	Estimator *HFLEstimator
 }
 
-// Weights implements hfl.Reweighter. The returned weights align with the
-// epoch's Deltas: for a degraded (partial-participation) epoch the
-// estimator's global φ vector is compacted to the reporting survivors.
+// Weights implements hfl.Reweighter: Rectify over the epoch's φ.
 func (r *HFLReweighter) Weights(ep *hfl.Epoch) []float64 {
-	var phi []float64
-	if r.Estimator != nil {
-		phi = r.Estimator.Observe(ep)
-		if ep.Reported != nil {
-			survivors := make([]float64, len(ep.Reported))
-			for k, i := range ep.Reported {
-				survivors[k] = phi[i]
-			}
-			phi = survivors
-		}
-	} else {
-		phi = FirstOrder(ep)
+	return Rectify(AlignedPhi(r.Estimator, ep))
+}
+
+// AlignedPhi is the epoch's φ aligned with ep.Deltas: est's φ vector
+// (observing the epoch) compacted to the reporting survivors of a degraded
+// epoch, or the FirstOrder projection when est is nil.
+func AlignedPhi(est *HFLEstimator, ep *hfl.Epoch) []float64 {
+	if est == nil {
+		return FirstOrder(ep)
 	}
-	return Weights(phi)
+	phi := est.Observe(ep)
+	if ep.Reported == nil {
+		return phi
+	}
+	survivors := make([]float64, len(ep.Reported))
+	for k, i := range ep.Reported {
+		survivors[k] = phi[i]
+	}
+	return survivors
 }
 
 // FirstOrder is the resource-saving projection of a buffered epoch without
@@ -355,9 +358,6 @@ func (r *HFLReweighter) Weights(ep *hfl.Epoch) []float64 {
 func FirstOrder(ep *hfl.Epoch) []float64 {
 	phi := make([]float64, len(ep.Deltas))
 	tensor.DotRows(phi, ep.ValGrad, ep.Deltas)
-	inv := 1 / float64(len(phi))
-	for k, dot := range phi {
-		phi[k] = inv * dot
-	}
+	tensor.Scale(1/float64(len(phi)), phi)
 	return phi
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -130,26 +129,17 @@ func TestObserveRejectsBadReported(t *testing.T) {
 }
 
 // HFLReweighter compacts the global φ vector down to the survivors so its
-// weights align with the epoch's delta slice.
+// rectified numerators align with the epoch's delta slice.
 func TestReweighterCompactsToSurvivors(t *testing.T) {
 	log, n, p := trainedLog(t, 5, 4)
 	ep := cloneEpoch(log[0])
 	ep.Deltas = [][]float64{ep.Deltas[0], ep.Deltas[2]}
 	ep.Reported = []int{0, 2}
 	rw := &HFLReweighter{Estimator: NewHFLEstimator(n, p, ResourceSaving, nil)}
-	w := rw.Weights(ep)
-	if len(w) != 2 {
-		t.Fatalf("weights have length %d, want 2 (one per survivor)", len(w))
-	}
-	var sum float64
-	for _, v := range w {
-		if v < 0 || math.IsNaN(v) {
-			t.Fatalf("bad weight %v", v)
-		}
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Fatalf("weights sum to %v, want 1", sum)
+	r := rw.Weights(ep)
+	phi := NewHFLEstimator(n, p, ResourceSaving, nil).Observe(ep)
+	if want := Rectify([]float64{phi[0], phi[2]}); !reflect.DeepEqual(r, want) {
+		t.Fatalf("survivor numerators %v, want %v", r, want)
 	}
 }
 

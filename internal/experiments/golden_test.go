@@ -14,7 +14,9 @@ import (
 // fold counts, journal bytes, bit-identity flags — so a change to how a study
 // builds its federation, attaches its estimator or compares its runs fails
 // here. A "*" stands for a cell that is not such a function; checkGolden's
-// callers name those.
+// callers name those. The adversarial tables were printed again when the
+// buffered aggregate took the fold's order (sum, then one scale by 1/Σ r):
+// their losses and φ moved in the last digits.
 
 // checkGolden compares tables with golden. volatile names the cells that
 // depend on the wall clock or on goroutine scheduling: a header cell masks
@@ -130,11 +132,11 @@ kind,sign_flip
 attackers,3
 participants,10
 epochs,5
-clean_loss,0.15636693888372785
+clean_loss,0.15636693888372782
 undefended_loss,4.57342267680852
-defended_loss,0.15954558164041213
-undefended_ratio,29.24801565764007
-defended_ratio,1.020328099912782
+defended_loss,0.15954558164041205
+undefended_ratio,29.248015657640074
+defended_ratio,1.0203280999127815
 attacks_injected,15
 updates_rejected,0
 updates_clipped,0
@@ -142,14 +144,14 @@ quarantined,3
 attackers_ranked_last,true
 bit_identical_no_attack,true
 phi_0,-0.8148930671563247
-phi_1,-0.7808494116223302
+phi_1,-0.7808494116223303
 phi_2,-0.7934520209033493
-phi_3,0.2920949720533603
+phi_3,0.2920949720533604
 phi_4,0.26604413194032644
 phi_5,0.25341115611890197
 phi_6,0.27718500973887544
 phi_7,0.26435887352342435
-phi_8,0.25103032181519425
+phi_8,0.2510303218151943
 phi_9,0.24163086313835908`,
 	},
 	{
@@ -158,10 +160,10 @@ kind,sign_flip
 attackers,3
 participants,10
 epochs,5
-clean_loss,0.14825828784494197
+clean_loss,0.1482582878449419
 undefended_loss,4.523117657416474
-defended_loss,0.15650734082919598
-undefended_ratio,30.50836296010002
+defended_loss,0.15650734082919593
+undefended_ratio,30.50836296010003
 defended_ratio,1.0556397426691007
 attacks_injected,15
 updates_rejected,0
@@ -173,7 +175,7 @@ phi_0,-0.7978168756031597
 phi_1,-0.8651599762519594
 phi_2,-0.8244660617733102
 phi_3,0.3009016224379665
-phi_4,0.235781722909142
+phi_4,0.23578172290914204
 phi_5,0.2634844498864919
 phi_6,0.2723790923229329
 phi_7,0.2359092522507914
@@ -186,25 +188,25 @@ kind,sign_flip
 attackers,3
 participants,10
 epochs,5
-clean_loss,0.12503335116368774
+clean_loss,0.12503335116368772
 undefended_loss,4.872334330903086
-defended_loss,0.1299301311616988
-undefended_ratio,38.96827754799963
-defended_ratio,1.039163790720129
+defended_loss,0.12993013116169885
+undefended_ratio,38.968277547999634
+defended_ratio,1.0391637907201297
 attacks_injected,15
 updates_rejected,0
 updates_clipped,1
 quarantined,3
 attackers_ranked_last,true
 bit_identical_no_attack,true
-phi_0,-0.9385443901975224
+phi_0,-0.9385443901975226
 phi_1,-0.7576554041340251
 phi_2,-0.8438126018713493
 phi_3,0.2733009937309209
 phi_4,0.3145543191683715
 phi_5,0.24522271602095164
-phi_6,0.2742116846712355
-phi_7,0.24179810221842193
+phi_6,0.2742116846712356
+phi_7,0.24179810221842196
 phi_8,0.2588670508499268
 phi_9,0.2738279350388465`,
 	},

@@ -23,7 +23,10 @@ import (
 // reconstructed model — to the float bits they had when each was still one
 // Dot or one AXPY per vector. Each run's θ, loss curve, φ totals and ban
 // list (or the sweep's outputs) are hashed with SHA-256; the digests were
-// printed by the one-vector-at-a-time loops, three seeds each.
+// printed by the one-vector-at-a-time loops, three seeds each. The three
+// pins that train on the buffered aggregate were printed again once it took
+// the fold's order — Σ r_k·δ_k from zero, then one scale by 1/Σ r — and the
+// rest were left as the loops printed them.
 func TestRoundSumsPinned(t *testing.T) {
 	for _, pin := range []struct {
 		name string
@@ -31,14 +34,14 @@ func TestRoundSumsPinned(t *testing.T) {
 		want [3]string
 	}{
 		{"quarantine 64×2000", pinQuarantineRun, [3]string{
-			"4300591ae2939512accfa6c4ea5b3ccd8dbbb052463a41cbb5f413d66fc96ed0",
-			"80e477e4a5493e0916b353d37ceb2804d1137a89d000146af2b5c29476af0e53",
-			"e61025f21c4c6c4101287e663ee0418bf2b4f48d470690f2eda8493cd7f4c1c8",
+			"aab50d44dc8add8a919c0b67aaa9a011830ed15bfae92e4926193e790d728d7a",
+			"3cb34f10eaf74500df8ffb9dc61a61e536b88301a11ea6b73b8422d83e6f16a5",
+			"55066edbeef73db189a6c47c160fc705616c278e0ac5d2c3d86cb97640f6b57c",
 		}},
 		{"uniform degraded", pinUniformRun, [3]string{
-			"f2a41c7cc0a9396292932b355834d9bb2fad64ff291db46cd39072aae93f832a",
-			"3c7b06593331e8955f26002a1f64326baad0a15b0dc1755abc1134204d6bcde3",
-			"f881b1436ca5f7012376c0fc2e358afc29f9a0d07c24c903bd92c2b14d141a78",
+			"6e27ecc010cdab9c9b4a3259e8661ce00c2e271361a6d6f8c5dc76c78b725a50",
+			"23f3c907c528f2c7240e152472f94cafea8ae1b95d1ea00d08c072022742afe7",
+			"6c97f88907bad5b8c5b42cb39a977f8e425c7840c2033549a1f1f102c5a91857",
 		}},
 		{"linear models", pinModelSweep, [3]string{
 			"511b685939b0fa6bce36e0544490852556fb061a46ab361777c8f64c7e2943f1",
@@ -46,9 +49,9 @@ func TestRoundSumsPinned(t *testing.T) {
 			"ca2471f54dcf434a74f90e293ee8cc02826eed0a2b3cb027387abd34ce2dcfb5",
 		}},
 		{"gtg/tmc softmax", pinEngineTotals, [3]string{
-			"e5b426ccbb12aad7bd5efb74f716b41e561a12144fc48fbfe9ba87d63d4ffb5d",
-			"1af5f2571025c877e5c26b3f4c06c773c028bef0c5f305f7f486d605a8e5eaa4",
-			"633d91f60a88df59f4ca9e36cf8882c8dba91458e889bbef090087a4e3926a71",
+			"68d636e272cd58571581667f7c4787941ca2f15fd3a9ef2c1ad38c40ee100629",
+			"d9d07cdfbf82fa5ef0d4e556682652b767797f7e45063c3ab415e5884e2901d6",
+			"f1e434d3e532c4d11ff7ce0fb0e3d74115f1dc70e647528388e29460ab727c1d",
 		}},
 	} {
 		for s, want := range pin.want {

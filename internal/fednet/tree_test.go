@@ -49,9 +49,10 @@ func localStreamRun(t *testing.T, seed int64, n, seg int, smp *sampling.Sampler)
 	return res, est.Attribution()
 }
 
-// netStreamRun runs a streamed loopback topology: flat (edges == 0) or a
-// two-level tree (edges > 0), returning the result and attribution.
-func netStreamRun(t *testing.T, seed int64, n, seg, edges int, smp *sampling.Sampler) (*hfl.Result, *core.Attribution) {
+// loopbackRun runs a loopback topology — buffered (stream nil), streamed
+// flat (edges == 0) or a two-level tree (edges > 0) — returning the result
+// and attribution.
+func loopbackRun(t *testing.T, seed int64, n int, stream hfl.StreamAggregator, edges int, smp *sampling.Sampler) (*hfl.Result, *core.Attribution) {
 	t.Helper()
 	model, parts, val := problemN(seed, n)
 	cfg := testConfig()
@@ -60,14 +61,14 @@ func netStreamRun(t *testing.T, seed int64, n, seg, edges int, smp *sampling.Sam
 	coord := &Coordinator{
 		N: n, Model: model, Val: val, Cfg: cfg,
 		Estimator: est,
-		Stream:    hfl.MeanStream{Seg: seg},
+		Stream:    stream,
 		Edges:     edges,
 	}
 	res, perrs, err := Loopback(context.Background(), coord, func(i int) *Participant {
 		return &Participant{Index: i, Model: model, Data: parts[i], Retries: 2}
 	})
 	if err != nil {
-		t.Fatalf("streamed loopback (seed %d, edges %d): %v", seed, edges, err)
+		t.Fatalf("loopback (seed %d, edges %d): %v", seed, edges, err)
 	}
 	for i, perr := range perrs {
 		if perr != nil {
@@ -99,8 +100,23 @@ func TestStreamedLoopbackBitIdenticalToInProcess(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			want, wantAttr := localStreamRun(t, seed, testN, 0, nil)
-			got, gotAttr := netStreamRun(t, seed, testN, 0, 0, nil)
+			got, gotAttr := loopbackRun(t, seed, testN, hfl.MeanStream{}, 0, nil)
 			checkSameRun(t, "flat-streamed vs in-process", got, want, gotAttr, wantAttr)
+		})
+	}
+}
+
+// TestBufferedLoopbackMatchesStreamed: the buffered round's mean is the
+// fold's one-segment order, so a buffered loopback run and a MeanStream{}
+// loopback run agree bit for bit — model, loss curve, and φ — across seeds.
+func TestBufferedLoopbackMatchesStreamed(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			streamed, streamedAttr := loopbackRun(t, seed, treeN, hfl.MeanStream{}, 0, nil)
+			buffered, bufferedAttr := loopbackRun(t, seed, treeN, nil, 0, nil)
+			checkSameRun(t, "buffered vs streamed", buffered, streamed, bufferedAttr, streamedAttr)
 		})
 	}
 }
@@ -118,8 +134,8 @@ func TestTreeLoopbackBitIdenticalToFlatAndLocal(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			local, localAttr := localStreamRun(t, seed, treeN, width, nil)
-			flat, flatAttr := netStreamRun(t, seed, treeN, width, 0, nil)
-			tree, treeAttr := netStreamRun(t, seed, treeN, width, edges, nil)
+			flat, flatAttr := loopbackRun(t, seed, treeN, hfl.MeanStream{Seg: width}, 0, nil)
+			tree, treeAttr := loopbackRun(t, seed, treeN, hfl.MeanStream{Seg: width}, edges, nil)
 			checkSameRun(t, "flat vs local", flat, local, flatAttr, localAttr)
 			checkSameRun(t, "tree vs local", tree, local, treeAttr, localAttr)
 			checkSameRun(t, "tree vs flat", tree, flat, treeAttr, flatAttr)
@@ -139,7 +155,7 @@ func TestSampledStreamedLoopback(t *testing.T) {
 			smpL := sampling.MustNew(sampling.Config{Seed: 11, Size: 4})
 			smpN := sampling.MustNew(sampling.Config{Seed: 11, Size: 4})
 			want, wantAttr := localStreamRun(t, seed, treeN, 0, smpL)
-			got, gotAttr := netStreamRun(t, seed, treeN, 0, 0, smpN)
+			got, gotAttr := loopbackRun(t, seed, treeN, hfl.MeanStream{}, 0, smpN)
 			checkSameRun(t, "sampled streamed vs in-process", got, want, gotAttr, wantAttr)
 		})
 	}
@@ -161,8 +177,8 @@ func TestSampledTreeLoopback(t *testing.T) {
 		return sampling.MustNew(sampling.Config{Seed: 7, Size: 4})
 	}
 	want, wantAttr := localStreamRun(t, seed, treeN, width, newSmp())
-	got, gotAttr := netStreamRun(t, seed, treeN, width, edges, newSmp())
-	got2, gotAttr2 := netStreamRun(t, seed, treeN, width, edges, newSmp())
+	got, gotAttr := loopbackRun(t, seed, treeN, hfl.MeanStream{Seg: width}, edges, newSmp())
+	got2, gotAttr2 := loopbackRun(t, seed, treeN, hfl.MeanStream{Seg: width}, edges, newSmp())
 	checkSameRun(t, "sampled tree rerun", got2, got, gotAttr2, gotAttr)
 	if !approxVec(got.Model.Params(), want.Model.Params(), 1e-9) {
 		t.Error("sampled tree model drifted past reduction-order tolerance")

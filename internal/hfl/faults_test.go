@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"digfl/internal/faults"
@@ -250,9 +252,17 @@ type badAggregator struct{}
 
 func (badAggregator) Aggregate(ep *Epoch) ([]float64, error) { return []float64{1}, nil }
 
-type badReweighter struct{}
+// fixedReweighter returns a copy of r whatever the epoch.
+type fixedReweighter []float64
 
-func (badReweighter) Weights(ep *Epoch) []float64 { return []float64{1} }
+func (r fixedReweighter) Weights(*Epoch) []float64 { return append([]float64(nil), r...) }
+
+// zeroAggregator returns a zero update, reading nothing of the epoch.
+type zeroAggregator struct{}
+
+func (zeroAggregator) Aggregate(ep *Epoch) ([]float64, error) {
+	return make([]float64, len(ep.Theta)), nil
+}
 
 func TestPluginShapeMismatchesAreErrors(t *testing.T) {
 	tr, _ := setup(t, 1)
@@ -260,9 +270,25 @@ func TestPluginShapeMismatchesAreErrors(t *testing.T) {
 	if _, err := tr.RunContext(context.Background()); err == nil {
 		t.Fatal("aggregator shape mismatch should be an error")
 	}
-	tr, _ = setup(t, 1)
-	tr.Reweighter = badReweighter{}
-	if _, err := tr.RunContext(context.Background()); err == nil {
-		t.Fatal("reweighter shape mismatch should be an error")
+	// A reweighter's output is checked before any aggregation reads it,
+	// with or without an Aggregator: three participants report.
+	for _, c := range []struct {
+		name, want string
+		r          fixedReweighter
+	}{
+		{"short", "returned 2 weights for 3 participants", fixedReweighter{1, 1}},
+		{"long", "returned 4 weights for 3 participants", fixedReweighter{1, 1, 1, 1}},
+		{"NaN", "at position 1", fixedReweighter{1, math.NaN(), 1}},
+		{"negative", "at position 2", fixedReweighter{1, 1, -1}},
+		{"+Inf", "at position 0", fixedReweighter{math.Inf(1), 1, 1}},
+	} {
+		for _, agg := range []Aggregator{nil, zeroAggregator{}} {
+			tr, _ := setup(t, 1)
+			tr.Reweighter, tr.Aggregator = c.r, agg
+			_, err := tr.RunContext(context.Background())
+			if err == nil || !strings.Contains(err.Error(), "epoch 1: reweighter") || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s reweighter (Aggregator %T): error %v, want epoch 1 and %q", c.name, agg, err, c.want)
+			}
+		}
 	}
 }

@@ -9,6 +9,7 @@ package hfl
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"digfl/internal/dataset"
@@ -194,8 +195,8 @@ type Epoch struct {
 	ValGrad []float64
 	// ValLoss is loss^v(θ_{T-1}).
 	ValLoss float64
-	// Weights are the aggregation weights actually used; nil means the
-	// uniform 1/n FedSGD average.
+	// Weights are the aggregation weights actually used, r_k/Σ r over the
+	// Reweighter's rectified r; nil means the uniform 1/n FedSGD average.
 	Weights []float64
 	// Reported, when non-nil, lists the global indices of the participants
 	// that reported this round, aligned with Deltas — a degraded
@@ -213,8 +214,10 @@ type Epoch struct {
 }
 
 // Reweighter chooses per-epoch aggregation weights, the hook the DIG-FL
-// reweight mechanism (Sec. II-F) plugs into. Returning nil keeps the uniform
-// average.
+// reweight mechanism (Sec. II-F) plugs into. It returns finite r_k ≥ 0
+// aligned with ep.Deltas (nil: r = 1), and only the trainer divides: it
+// applies (Σ_k r_k·δ_k)·(1/Σ r), skips the update if Σ r = 0, and records
+// r_k/Σ r in place in the returned slice as ep.Weights.
 type Reweighter interface {
 	Weights(ep *Epoch) []float64
 }
@@ -357,9 +360,8 @@ type Trainer struct {
 	// BufferedRule); configuring both is a validation error. Streamed
 	// epochs carry DeltaDots instead of Deltas, which the resource-saving
 	// estimator consumes directly; the Interactive estimator needs buffers.
-	// The streamed aggregate differs from the buffered path's in the last
-	// ulp (documented on MeanStream); runs are bit-identical
-	// streaming-to-streaming.
+	// The buffered mean is MeanStream's one-segment order, so a MeanStream{}
+	// run is bit-identical to the same run with Stream nil.
 	Stream StreamAggregator
 }
 
@@ -483,7 +485,7 @@ func (tr *Trainer) RunSubsetContext(ctx context.Context, subset []int) (*Result,
 	// ends with a draw in flight (crash, cancel, round error) waits for it, so
 	// the goroutine never outlives the call or reads subset after it returns.
 	var ahead chan []int
-	var uniform []float64 // the buffered mean's coefficients, 1/|S| each
+	var ones []float64 // the unweighted round's coefficients
 	defer func() {
 		if ahead != nil {
 			<-ahead
@@ -682,13 +684,24 @@ func (tr *Trainer) RunSubsetContext(ctx context.Context, subset []int) (*Result,
 				ep.Deltas, ep.Reported = kept, keptIdx
 			}
 		}
+		var r []float64             // the reweighter's rectified r; nil is r = 1
+		sum := float64(len(deltas)) // Σ r
 		if tr.Reweighter != nil {
 			// The reweighter sees every epoch — an estimator wrapped inside
 			// one needs the all-dropped epochs too, to keep its epoch
 			// numbering sequential — but weights only apply when someone
 			// reported.
-			if w := tr.Reweighter.Weights(ep); len(deltas) > 0 {
-				ep.Weights = w
+			if r = tr.Reweighter.Weights(ep); len(deltas) > 0 && r != nil {
+				if len(r) != len(deltas) {
+					return nil, fmt.Errorf("hfl: epoch %d: reweighter returned %d weights for %d participants", t, len(r), len(deltas))
+				}
+				sum = 0
+				for k, v := range r {
+					if !(v >= 0) || math.IsInf(v, 1) {
+						return nil, fmt.Errorf("hfl: epoch %d: reweighter returned weight %v at position %d; want finite and ≥ 0", t, v, k)
+					}
+					sum += v
+				}
 			}
 		}
 		if streamed {
@@ -701,8 +714,27 @@ func (tr *Trainer) RunSubsetContext(ctx context.Context, subset []int) (*Result,
 		} else if len(deltas) > 0 {
 			aggStart := obs.Start(sink)
 			var grad []float64
-			switch {
-			case tr.Aggregator != nil:
+			if tr.Aggregator == nil && sum > 0 {
+				// The one aggregation order, MeanStream's with one segment:
+				// Σ r_k·δ_k in slot order from zero, then one scale by 1/Σ r.
+				coef := r
+				if coef == nil {
+					for len(ones) < len(deltas) {
+						ones = append(ones, 1)
+					}
+					coef = ones[:len(deltas)]
+				}
+				grad = make([]float64, p)
+				tensor.AXPYRows(coef, deltas, grad)
+				tensor.Scale(1/sum, grad)
+			}
+			if sum > 0 {
+				for k := range r {
+					r[k] /= sum
+				}
+			}
+			ep.Weights = r
+			if tr.Aggregator != nil {
 				var err error
 				if grad, err = tr.Aggregator.Aggregate(ep); err != nil {
 					return nil, fmt.Errorf("hfl: epoch %d: aggregator: %w", t, err)
@@ -710,22 +742,10 @@ func (tr *Trainer) RunSubsetContext(ctx context.Context, subset []int) (*Result,
 				if len(grad) != p {
 					return nil, fmt.Errorf("hfl: epoch %d: aggregator returned %d values for %d params", t, len(grad), p)
 				}
-			case ep.Weights == nil:
-				uniform = uniform[:0]
-				for range deltas {
-					uniform = append(uniform, 1/float64(len(deltas)))
-				}
-				grad = make([]float64, p)
-				tensor.AXPYRows(uniform, deltas, grad)
-			default:
-				if len(ep.Weights) != len(deltas) {
-					return nil, fmt.Errorf("hfl: epoch %d: reweighter returned %d weights for %d participants",
-						t, len(ep.Weights), len(deltas))
-				}
-				grad = make([]float64, p)
-				tensor.AXPYRows(ep.Weights, deltas, grad)
 			}
-			tensor.AXPY(-1, grad, model.Params())
+			if grad != nil { // nil when Σ r = 0: θ stays
+				tensor.AXPY(-1, grad, model.Params())
+			}
 			obs.Emit(sink, obs.Event{Kind: obs.KindAggregate, T: t,
 				N: int64(len(deltas)), Dur: obs.Since(sink, aggStart)})
 		}

@@ -162,11 +162,8 @@ func TestReweighterIsApplied(t *testing.T) {
 
 	solo := &Trainer{Model: tr.Model, Parts: tr.Parts[:1], Val: tr.Val, Cfg: tr.Cfg}
 	want := solo.Run()
-	pa, pb := res.Model.Params(), want.Model.Params()
-	for i := range pa {
-		if math.Abs(pa[i]-pb[i]) > 1e-12 {
-			t.Fatal("weighting {1,0,0} must match training on participant 0 alone")
-		}
+	if !sameVec(res.Model.Params(), want.Model.Params()) {
+		t.Fatal("weighting {1,0,0} must match training on participant 0 alone, bit for bit")
 	}
 	for _, ep := range res.Log {
 		if ep.Weights == nil {

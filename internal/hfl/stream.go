@@ -76,9 +76,8 @@ type BufferedRule interface {
 // runs are bit-identical (see fednet.TreeSource).
 //
 // Seg ≤ 0 means one segment spanning the whole round — the flat streaming
-// order. Note the streamed aggregate differs from the buffered trainer path
-// in the last ulp (the buffered path scales each delta before summing);
-// streamed runs are bit-identical to each other, not to buffered runs.
+// order, and the order of the buffered trainer's mean, so MeanStream{} runs
+// are bit-identical to buffered runs.
 type MeanStream struct {
 	// Seg is the segment width of the canonical reduction order; match it
 	// to the edge width of a cohort tree to make flat and tree runs

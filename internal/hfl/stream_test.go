@@ -2,10 +2,11 @@ package hfl
 
 import (
 	"context"
-	"math"
 	"strings"
 	"testing"
 
+	"digfl/internal/faults"
+	"digfl/internal/sampling"
 	"digfl/internal/tensor"
 )
 
@@ -145,50 +146,45 @@ func TestMeanFoldRejects(t *testing.T) {
 	}
 }
 
-// A streamed run must train like the buffered run (same math, reduction
-// order differs only in the last ulp), be bit-identical run-to-run, and
-// carry DeltaDots that match the buffered run's ∇loss^v·δ exactly — the
-// deltas and the validation gradient are the same bits in both runs.
+// A MeanStream{} run is the buffered run bit for bit — θ, the loss curve,
+// and every epoch's DeltaDots against DotRows over the buffered deltas —
+// on flat, sampled and dropout runs over 3 seeds: the buffered mean is the
+// fold's one-segment order.
 func TestStreamedRunMatchesBuffered(t *testing.T) {
-	buf, _ := setup(t, 21)
-	bufRes := buf.Run()
-
-	mk := func() *Trainer {
-		tr, _ := setup(t, 21)
-		tr.Stream = MeanStream{}
-		return tr
+	shapes := map[string]func(seed int64) *Trainer{
+		"flat": func(seed int64) *Trainer { tr, _ := setup(t, seed); return tr },
+		"sampled": func(seed int64) *Trainer {
+			tr := setupWide(t, seed)
+			tr.Cfg.Sample = sampling.MustNew(sampling.Config{Seed: seed, Size: 5})
+			return tr
+		},
+		"dropout": func(seed int64) *Trainer {
+			tr, _ := setup(t, seed)
+			tr.Cfg.Faults = faults.MustNew(faults.Config{Seed: seed, Dropout: 0.3})
+			return tr
+		},
 	}
-	a := mk().Run()
-	b := mk().Run()
-	if !sameVec(a.Model.Params(), b.Model.Params()) || !sameVec(a.ValLossCurve, b.ValLossCurve) {
-		t.Fatal("two streamed runs differ — streaming broke determinism")
-	}
-	if a.FinalLoss >= a.InitLoss {
-		t.Fatalf("streamed run failed to train: %v -> %v", a.InitLoss, a.FinalLoss)
-	}
-	for i, ep := range a.Log {
-		if ep.Deltas != nil {
-			t.Fatalf("streamed epoch %d retained raw deltas", ep.T)
-		}
-		if len(ep.DeltaDots) != len(buf.Parts) {
-			t.Fatalf("streamed epoch %d has %d dots", ep.T, len(ep.DeltaDots))
-		}
-		bep := bufRes.Log[i]
-		// Epoch 1 shares θ with the buffered run bit-for-bit, so its dots
-		// must match exactly; later epochs drift by the streamed aggregate's
-		// last-ulp difference, so compare loosely.
-		for k, dot := range ep.DeltaDots {
-			want := tensor.Dot(bep.ValGrad, bep.Deltas[k])
-			if i == 0 && dot != want {
-				t.Fatalf("epoch 1 dot %d: %v != buffered %v", k, dot, want)
+	for name, mk := range shapes {
+		for _, seed := range []int64{21, 22, 23} {
+			buf := mk(seed).Run()
+			str := mk(seed)
+			str.Stream = MeanStream{}
+			got := str.Run()
+			if !sameVec(got.Model.Params(), buf.Model.Params()) || !sameVec(got.ValLossCurve, buf.ValLossCurve) {
+				t.Fatalf("%s seed %d: streamed run differs from buffered", name, seed)
 			}
-			if math.Abs(dot-want) > 1e-6 {
-				t.Fatalf("epoch %d dot %d drifted: %v vs %v", ep.T, k, dot, want)
+			for i, ep := range got.Log {
+				bep := buf.Log[i]
+				if ep.Deltas != nil {
+					t.Fatalf("%s seed %d: streamed epoch %d retained raw deltas", name, seed, ep.T)
+				}
+				want := make([]float64, len(bep.Deltas))
+				tensor.DotRows(want, bep.ValGrad, bep.Deltas)
+				if !sameVec(ep.DeltaDots, want) {
+					t.Fatalf("%s seed %d: epoch %d dots %v, buffered %v", name, seed, ep.T, ep.DeltaDots, want)
+				}
 			}
 		}
-	}
-	if math.Abs(a.FinalLoss-bufRes.FinalLoss) > 1e-9 {
-		t.Fatalf("streamed final loss %v far from buffered %v", a.FinalLoss, bufRes.FinalLoss)
 	}
 }
 

@@ -259,9 +259,10 @@ func TestQuarantineMedianGuard(t *testing.T) {
 	}
 }
 
-// TestQuarantineMatchesEq17WhenClean: with no bans the weights must be
-// bit-identical to core.Weights over the same φ — the no-attack
-// bit-identity contract.
+// TestQuarantineMatchesEq17WhenClean: with no bans the returned numerators
+// must be bit-identical to core.Rectify over the same φ — the no-attack
+// bit-identity contract (the trainer's division is checked against
+// core.Weights by TestReweightEpochWeightsMatchEq17).
 func TestQuarantineMatchesEq17WhenClean(t *testing.T) {
 	q := MustNewQuarantine(Quarantine{})
 	vg := []float64{0.5, -0.25}
@@ -269,10 +270,11 @@ func TestQuarantineMatchesEq17WhenClean(t *testing.T) {
 	ep := qEpoch(1, vg, deltas...)
 	w := q.Weights(ep)
 	phi := make([]float64, len(deltas))
+	inv := 1 / float64(len(deltas))
 	for i, d := range deltas {
-		phi[i] = tensor.Dot(vg, d) / float64(len(deltas))
+		phi[i] = inv * tensor.Dot(vg, d)
 	}
-	if want := core.Weights(phi); !reflect.DeepEqual(w, want) {
+	if want := core.Rectify(phi); !reflect.DeepEqual(w, want) {
 		t.Fatalf("clean quarantine weights %v != Eq.17 %v", w, want)
 	}
 }
@@ -291,8 +293,8 @@ func TestQuarantineDegradedEpochs(t *testing.T) {
 	ep := qEpoch(2, vg, []float64{1}, []float64{-3})
 	ep.Reported = []int{0, 2}
 	w := q.Weights(ep)
-	if w[1] != 0 || w[0] != 1 {
-		t.Fatalf("survivor-epoch weights = %v, want [1 0]", w)
+	if w[1] != 0 || w[0] != 0.5 {
+		t.Fatalf("survivor-epoch weights = %v, want [0.5 0]", w)
 	}
 	if q.IsQuarantined(0) || q.IsQuarantined(1) {
 		t.Fatal("honest participant banned")

@@ -20,7 +20,7 @@ import (
 // guard encodes the honest-majority assumption: when training has stalled
 // for everyone (median ≤ 0), nobody is banned for it.
 //
-// For participants not yet quarantined the returned weights are exactly
+// For participants not yet quarantined the returned numerators are exactly
 // the paper's Eq. 17 rectification over the non-banned cohort, so a run in
 // which nobody is ever banned is bit-identical to using core.HFLReweighter
 // directly.
@@ -88,8 +88,8 @@ func (q *Quarantine) grow(n int) {
 }
 
 // Weights implements hfl.Reweighter: observe the epoch's φ, update the
-// quarantine state, and return Eq. 17 weights over the non-banned
-// reporters (banned reporters get exactly 0).
+// quarantine state, and return Eq. 17's rectified numerators over the
+// non-banned reporters (banned reporters get exactly 0).
 func (q *Quarantine) Weights(ep *hfl.Epoch) []float64 {
 	if q.Lambda == 0 {
 		q.Lambda = 0.3
@@ -97,22 +97,9 @@ func (q *Quarantine) Weights(ep *hfl.Epoch) []float64 {
 	if q.Patience == 0 {
 		q.Patience = 3
 	}
+	phi := core.AlignedPhi(q.Estimator, ep)
 	// reporters are the global indices aligned with ep.Deltas.
 	reporters := ep.Reported
-	var phi []float64 // aligned with reporters/ep.Deltas
-	if q.Estimator != nil {
-		global := q.Estimator.Observe(ep)
-		if reporters == nil {
-			phi = global
-		} else {
-			phi = make([]float64, len(reporters))
-			for k, i := range reporters {
-				phi[k] = global[i]
-			}
-		}
-	} else {
-		phi = core.FirstOrder(ep)
-	}
 	if len(ep.Deltas) == 0 {
 		return nil
 	}
@@ -165,39 +152,23 @@ func (q *Quarantine) Weights(ep *hfl.Epoch) []float64 {
 		}
 	}
 
-	// Eq. 17 rectification over the non-banned reporters; banned reporters
-	// get exactly zero weight. With no bans this reproduces core.Weights
-	// bit-for-bit.
-	w := make([]float64, len(phi))
-	var sum float64
-	active := 0
+	// Eq. 17's numerators, exactly 0 on banned reporters; with nobody
+	// positive the rest share the round, and all banned freezes the model.
+	r := make([]float64, len(phi))
+	pos := false
 	for k, i := range reporters {
-		if q.banned[i] {
-			continue
-		}
-		active++
-		if phi[k] > 0 {
-			w[k] = phi[k]
-			sum += phi[k]
+		if !q.banned[i] && phi[k] > 0 {
+			r[k], pos = phi[k], true
 		}
 	}
-	if sum == 0 {
-		if active == 0 {
-			// Everyone reporting is banned: zero weights freeze the model
-			// this round.
-			return w
-		}
+	if !pos {
 		for k, i := range reporters {
 			if !q.banned[i] {
-				w[k] = 1 / float64(active)
+				r[k] = 1
 			}
 		}
-		return w
 	}
-	for k := range w {
-		w[k] /= sum
-	}
-	return w
+	return r
 }
 
 // QuarantineState is the serializable state of a Quarantine policy —

@@ -1,0 +1,199 @@
+package robust
+
+import (
+	"context"
+	"math"
+	"reflect"
+	"testing"
+
+	"digfl/internal/core"
+	"digfl/internal/dataset"
+	"digfl/internal/hfl"
+	"digfl/internal/nn"
+	"digfl/internal/tensor"
+)
+
+// The Σ r contract: a reweighter returns rectified numerators r_k and the
+// trainer alone divides, aggregating (Σ r_k·δ_k)·(1/Σ r) and recording
+// r_k/Σ r. Every check below is bit for bit, over three seeds.
+
+var reweightSeeds = []int64{1, 2, 3}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// reweightTrainer is a five-participant softmax federation, two of them
+// mislabeled.
+func reweightTrainer(seed int64) *hfl.Trainer {
+	parts, train, val := corruptedFederation(seed, 5, 2)
+	return &hfl.Trainer{
+		Model: nn.NewSoftmaxRegression(train.Dim(), train.Classes),
+		Parts: parts,
+		Val:   val,
+		Cfg:   hfl.Config{Epochs: 6, LR: 0.3, KeepLog: true},
+	}
+}
+
+// ascentSource hands every participant a step *up* the validation loss —
+// δ_k[j] = −α·g[j]·(1 + u_kj/2) with g = ∇loss^v(θ_{t-1}) and u_kj ∈ [0, 1)
+// seeded — so every φ_k = (1/|S|)·g·δ_k is negative.
+type ascentSource struct {
+	seed  int64
+	model nn.Model
+	val   dataset.Dataset
+}
+
+func (s *ascentSource) Round(_ context.Context, spec *hfl.RoundSpec) (*hfl.RoundResult, error) {
+	s.model.SetParams(tensor.Clone(spec.Theta))
+	g := s.model.Grad(s.val.X, s.val.Y)
+	res := &hfl.RoundResult{}
+	for _, i := range spec.Active {
+		rng := tensor.NewRNG(s.seed*7919 + int64(spec.T)*31 + int64(i))
+		d := make([]float64, len(g))
+		for j, v := range g {
+			d[j] = -spec.LR * v * (1 + rng.Float64()/2)
+		}
+		res.Deltas = append(res.Deltas, d)
+	}
+	return res, nil
+}
+
+func ascentTrainer(seed int64) *hfl.Trainer {
+	tr := reweightTrainer(seed)
+	tr.Rounds = &ascentSource{seed: seed, model: tr.Model.Clone(), val: tr.Val}
+	tr.Cfg.Participants, tr.Parts = len(tr.Parts), nil
+	return tr
+}
+
+// bannedQuarantine is a Quarantine that starts with the given participants
+// of n banned.
+func bannedQuarantine(t *testing.T, n int, banned ...int) *Quarantine {
+	t.Helper()
+	q := MustNewQuarantine(Quarantine{})
+	st := &QuarantineState{Ewma: make([]float64, n), Seen: make([]bool, n), Streak: make([]int, n), Banned: make([]bool, n)}
+	for _, i := range banned {
+		st.Banned[i] = true
+	}
+	if err := q.SetState(st); err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+func runTrainer(t *testing.T, tr *hfl.Trainer) *hfl.Result {
+	t.Helper()
+	res, err := tr.RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestQuarantineAllBannedFreezesModel: every reporter banned is Σ r = 0,
+// and the round leaves θ exactly where it was.
+func TestQuarantineAllBannedFreezesModel(t *testing.T) {
+	for _, seed := range reweightSeeds {
+		tr := reweightTrainer(seed)
+		tr.Reweighter = bannedQuarantine(t, len(tr.Parts), 0, 1, 2, 3, 4)
+		res := runTrainer(t, tr)
+		theta0 := tr.Model.Params()
+		if !sameBits(res.Model.Params(), theta0) {
+			t.Fatalf("seed %d: an all-banned run moved θ", seed)
+		}
+		for _, ep := range res.Log {
+			if !sameBits(ep.Theta, theta0) || ep.ValLoss != res.InitLoss {
+				t.Fatalf("seed %d: epoch %d broadcast a moved θ", seed, ep.T)
+			}
+			if !sameBits(ep.Weights, make([]float64, len(ep.Deltas))) {
+				t.Fatalf("seed %d: epoch %d weights %v, want all zero", seed, ep.T, ep.Weights)
+			}
+		}
+	}
+}
+
+// TestQuarantineZeroSumIsMeanStreamFold: with every φ negative and two of
+// five reporters banned, Σ r = 0 over k = 3 non-banned reporters, and each
+// round is θ_t = θ_{t-1} − a MeanStream{} fold over those three deltas.
+func TestQuarantineZeroSumIsMeanStreamFold(t *testing.T) {
+	for _, seed := range reweightSeeds {
+		tr := ascentTrainer(seed)
+		q := bannedQuarantine(t, 5, 1, 3)
+		tr.Reweighter = q
+		var want []float64 // θ_t predicted from epoch t's record
+		tr.Observer = func(ep *hfl.Epoch) {
+			if want != nil && !sameBits(ep.Theta, want) {
+				t.Fatalf("seed %d: θ_%d is not θ_%d minus the fold", seed, ep.T-1, ep.T-2)
+			}
+			fold := hfl.MeanStream{}.NewFold(len(ep.Theta), 3, nil)
+			for slot, k := range []int{0, 2, 4} {
+				if err := fold.Add(slot, ep.Deltas[k]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fr, err := fold.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = tensor.Clone(ep.Theta)
+			tensor.AXPY(-1, fr.Sum, want)
+		}
+		res := runTrainer(t, tr)
+		if !sameBits(res.Model.Params(), want) {
+			t.Fatalf("seed %d: final θ is not the last round's fold", seed)
+		}
+		if got := q.Quarantined(); !reflect.DeepEqual(got, []int{1, 3}) {
+			t.Fatalf("seed %d: bans %v, want [1 3]", seed, got)
+		}
+	}
+}
+
+// TestReweightAllNonPositiveIsUnweighted: when every φ ≤ 0, HFLReweighter's
+// r is all ones and the run is the unweighted run.
+func TestReweightAllNonPositiveIsUnweighted(t *testing.T) {
+	for _, seed := range reweightSeeds {
+		plain := runTrainer(t, ascentTrainer(seed))
+		tr := ascentTrainer(seed)
+		tr.Reweighter = &core.HFLReweighter{}
+		got := runTrainer(t, tr)
+		if !sameBits(got.Model.Params(), plain.Model.Params()) || !sameBits(got.ValLossCurve, plain.ValLossCurve) {
+			t.Fatalf("seed %d: all-non-positive reweighted run differs from the unweighted one", seed)
+		}
+		for _, ep := range got.Log {
+			if !sameBits(ep.Weights, core.Weights(make([]float64, len(ep.Deltas)))) {
+				t.Fatalf("seed %d: epoch %d weights %v, want uniform", seed, ep.T, ep.Weights)
+			}
+		}
+	}
+}
+
+// TestReweightEpochWeightsMatchEq17: the weights the trainer records are
+// core.Weights over the epoch's φ, for HFLReweighter and for a Quarantine
+// that bans nobody.
+func TestReweightEpochWeightsMatchEq17(t *testing.T) {
+	for _, seed := range reweightSeeds {
+		for _, rw := range []hfl.Reweighter{&core.HFLReweighter{}, MustNewQuarantine(Quarantine{Patience: 1 << 20})} {
+			tr := reweightTrainer(seed)
+			tr.Reweighter = rw
+			checked := 0
+			tr.Observer = func(ep *hfl.Epoch) {
+				if want := core.Weights(core.AlignedPhi(nil, ep)); !sameBits(ep.Weights, want) {
+					t.Fatalf("seed %d, %T: epoch %d weights %v, core.Weights %v", seed, rw, ep.T, ep.Weights, want)
+				}
+				checked++
+			}
+			runTrainer(t, tr)
+			if checked != tr.Cfg.Epochs {
+				t.Fatalf("seed %d, %T: checked %d epochs", seed, rw, checked)
+			}
+		}
+	}
+}
