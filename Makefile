@@ -96,8 +96,10 @@ verify-faults:
 # the straggler-deadline survivor equivalence, retry transparency
 # under injected request loss, cancellation promptness, the harness server's
 # limits (a stalled header is dropped, a long poll is not), and the composition
-# table (every row refused before the journal opens or a participant joins,
-# README matrix in step with it, mode-only endpoints refused elsewhere) —
+# table (every row refused before the journal opens or a participant joins —
+# each "Stream" row under Stream, Async and Edges alone — README matrix in
+# step with it, the one streamed predicate picking fold and round mode,
+# mode-only endpoints refused elsewhere) —
 # plus go vet on the package. -count=1 defeats the test cache so the wire is
 # actually exercised.
 verify-net:

@@ -155,7 +155,7 @@ func (e *HFLEstimator) ObserveMapped(ep *hfl.Epoch, idx []int) []float64 {
 	if streamed && e.mode == Interactive {
 		// The second-order correction needs each raw δ for the ΔG-sum
 		// recursion; a streamed epoch released them. Interactive runs must
-		// keep the buffered path (see hfl.BufferedRule).
+		// keep the buffered path (no Trainer.Stream).
 		panic("core: Interactive mode needs raw deltas; streamed epochs (DeltaDots) support ResourceSaving only")
 	}
 	m := epochUpdates(ep)

@@ -255,7 +255,7 @@ func chaosAsyncLocal(fed *federation, seed int64, cfg hfl.Config, sink obs.Sink)
 
 // chaosAsync is runWithKills's async leg: the K-of-N commit policy under
 // dropout + stragglers with the WAL attached, so a kill can land mid-quorum
-// with updates buffered but uncommitted. The async path requires Stream and
+// with updates buffered but uncommitted. An async run is streamed, which
 // forbids Archive, so bit-identity is model + curve + estimator state.
 func chaosAsync(fed *federation, seed int64, cfg hfl.Config,
 	journal *bytes.Buffer, kills []faults.CrashAt, sink obs.Sink,
@@ -266,7 +266,6 @@ func chaosAsync(fed *federation, seed int64, cfg hfl.Config,
 		return &fednet.Coordinator{
 			N: len(fed.parts), Model: fed.model, Val: fed.val, Cfg: cfg,
 			Estimator: fed.estimator(),
-			Stream:    hfl.MeanStream{},
 			Async:     &ac,
 		}
 	}, journal, kills, sink)
@@ -279,11 +278,9 @@ func chaosAsync(fed *federation, seed int64, cfg hfl.Config,
 func chaosTree(fed *federation, cfg hfl.Config, edges, killRound int, sink obs.Sink,
 ) (*hfl.Result, *core.HFLEstimator, error) {
 	n := len(fed.parts)
-	width := (n + edges - 1) / edges
 	coord := &fednet.Coordinator{
 		N: n, Model: fed.model, Val: fed.val, Cfg: cfg,
 		Estimator: fed.estimator(),
-		Stream:    hfl.MeanStream{Seg: width},
 		Edges:     edges,
 	}
 	if killRound > 0 {
@@ -300,6 +297,7 @@ func chaosTree(fed *federation, cfg hfl.Config, edges, killRound int, sink obs.S
 		// every update of the earlier rounds plus one of round killRound
 		// — then drop dead, leaving one acked member (resubmit path) and
 		// the rest unacked (transport-failover path).
+		width := (n + edges - 1) / edges
 		front := &fednet.Front{}
 		front.Install(&killAfter{
 			front: front, inner: h,

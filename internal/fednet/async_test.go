@@ -75,8 +75,7 @@ func TestAsyncLoopbackBitIdenticalToLocal(t *testing.T) {
 			coord := &Coordinator{
 				N: testN, Model: model, Val: val, Cfg: cfg,
 				Estimator: est,
-				Stream:    hfl.MeanStream{},
-				Async:     &ac,
+				Async:     &ac, // Async alone streams the run: no Stream needed
 			}
 			got, perrs, err := Loopback(context.Background(), coord, func(i int) *Participant {
 				return &Participant{Index: i, Model: model, Data: parts[i], Retries: 2}
@@ -259,44 +258,40 @@ func TestAsyncWireBufferedAndTooStale(t *testing.T) {
 	}
 }
 
-// TestAsyncRefusesBufferedRules: the async path cannot serve aggregation
-// rules that need the materialized round buffer; the refusal is the typed
-// hfl.BufferedRuleError with Path "Async", for every rule in the Krum/
-// median family.
+// TestAsyncRefusesBufferedRules: an async run is a streamed run, so it
+// cannot serve aggregation rules that need the materialized round buffer —
+// with or without Stream set, every rule in the Krum/median family draws the
+// "Stream cannot compose with Aggregator" row; and Async refuses edge trees.
 func TestAsyncRefusesBufferedRules(t *testing.T) {
 	model, _, val := problem(1)
-	for _, rule := range []hfl.Aggregator{
-		robust.Median{},
-		robust.TrimmedMean{Trim: 1},
-		robust.Krum{F: 1},
-		robust.MultiKrum{F: 1, M: 2},
-	} {
-		ac := asyncPolicy()
-		coord := &Coordinator{
-			N: testN, Model: model, Val: val, Cfg: testConfig(),
-			Stream:     hfl.MeanStream{},
-			Async:      &ac,
-			Aggregator: rule,
+	var want error
+	for i := range composition {
+		if r := &composition[i]; r.a == "Stream" && r.b == "Aggregator" {
+			want = r
 		}
-		_, err := coord.Run(context.Background())
-		var bre *hfl.BufferedRuleError
-		if !errors.As(err, &bre) {
-			t.Fatalf("%T: want BufferedRuleError, got %v", rule, err)
-		}
-		if bre.Path != "Async" {
-			t.Errorf("%T: path %q, want Async", rule, bre.Path)
+	}
+	for _, stream := range []hfl.StreamAggregator{nil, hfl.MeanStream{}} {
+		for _, rule := range []hfl.Aggregator{
+			robust.Median{},
+			robust.TrimmedMean{Trim: 1},
+			robust.Krum{F: 1},
+			robust.MultiKrum{F: 1, M: 2},
+		} {
+			ac := asyncPolicy()
+			coord := &Coordinator{
+				N: testN, Model: model, Val: val, Cfg: testConfig(),
+				Stream:     stream,
+				Async:      &ac,
+				Aggregator: rule,
+			}
+			if _, err := coord.Run(context.Background()); !errors.Is(err, want) {
+				t.Errorf("%T (Stream %v): got %v, want %v", rule, stream, err, want)
+			}
 		}
 	}
 
-	// Async also refuses a missing Stream and edge trees.
 	ac := asyncPolicy()
-	coord := &Coordinator{N: testN, Model: model, Val: val, Cfg: testConfig(), Async: &ac}
-	if _, err := coord.Run(context.Background()); err == nil {
-		t.Error("Async without Stream accepted")
-	}
-	ac2 := asyncPolicy()
-	coord = &Coordinator{N: testN, Model: model, Val: val, Cfg: testConfig(),
-		Stream: hfl.MeanStream{}, Async: &ac2, Edges: 2}
+	coord := &Coordinator{N: testN, Model: model, Val: val, Cfg: testConfig(), Async: &ac, Edges: 2}
 	if _, err := coord.Run(context.Background()); err == nil {
 		t.Error("Async with Edges accepted")
 	}

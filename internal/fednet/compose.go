@@ -19,9 +19,6 @@ type composeRule struct {
 	why       string
 	// refused reports whether c is configured against the rule.
 	refused func(c *Coordinator) bool
-	// typed, when non-nil, builds the error callers match with errors.As;
-	// the default is the row's text.
-	typed func(c *Coordinator) error
 }
 
 const (
@@ -37,25 +34,26 @@ func (r *composeRule) Error() string {
 	return fmt.Sprintf("fednet: %s %s %s — %s", r.a, r.rel, r.b, r.why)
 }
 
-// engine is the contribution engine the run will observe: the Engine field
-// or a config-carried one (run promotes it).
-func (c *Coordinator) engine() any {
-	if c.Engine != nil {
-		return c.Engine
-	}
-	return c.Cfg.Engine
+// streamed reports whether the run's rounds fold on arrival: Stream asks for
+// it, and Async and Edges imply it — their commits and partials are folded,
+// never buffered. It is the one predicate every "streamed" row below reads.
+func (c *Coordinator) streamed() bool {
+	return c.Stream != nil || c.Async != nil || c.Edges > 0
 }
 
-// bufferedRule reports whether the aggregation override needs every update
-// of a round materialized at once.
-func (c *Coordinator) bufferedRule() bool {
-	br, ok := c.Aggregator.(hfl.BufferedRule)
-	return ok && br.NeedsBuffer()
+// fold is the aggregation rule of a streamed round — Stream, or MeanStream{}
+// when Async or Edges alone made the round streamed — and nil on a buffered
+// run.
+func (c *Coordinator) fold() hfl.StreamAggregator {
+	if c.Stream == nil && c.streamed() {
+		return hfl.MeanStream{}
+	}
+	return c.Stream
 }
 
 // composition lists every refusal, in evaluation order (the first refused
-// row is the error Run returns; the typed Async row therefore precedes the
-// generic Stream × Aggregator one).
+// row is the error Run returns). "Stream" in a row means a streamed round:
+// Stream, Async or Edges set.
 var composition = []composeRule{
 	{a: "Cfg.Engine", rel: relNeeds, b: "a shapley.Engine",
 		why: "the coordinator reports the engine on /v1/score",
@@ -63,29 +61,15 @@ var composition = []composeRule{
 			_, ok := c.Cfg.Engine.(shapley.Engine)
 			return c.Cfg.Engine != nil && !ok
 		}},
-	{a: "Engine", rel: relEither, b: "Cfg.Engine",
-		why: "two different engines are ambiguous",
-		refused: func(c *Coordinator) bool {
-			return c.Engine != nil && c.Cfg.Engine != nil && any(c.Cfg.Engine) != any(c.Engine)
-		}},
 	{a: "Engine", rel: relClash, b: "Stream",
 		why:     "engines reconstruct models from the round buffer's raw deltas",
-		refused: func(c *Coordinator) bool { return c.engine() != nil && c.Stream != nil }},
+		refused: func(c *Coordinator) bool { return c.Cfg.Engine != nil && c.streamed() }},
 	{a: "Engine", rel: relClash, b: "Journal or Recover",
 		why:     "engine state is not journaled, so a recovery would replay a log gap",
-		refused: func(c *Coordinator) bool { return c.engine() != nil && (c.Journal != nil || c.rec != nil) }},
-	{a: "Async", rel: relNeeds, b: "Stream",
-		why:     "async commits are folded on acceptance, never buffered",
-		refused: func(c *Coordinator) bool { return c.Async != nil && c.Stream == nil }},
+		refused: func(c *Coordinator) bool { return c.Cfg.Engine != nil && (c.Journal != nil || c.rec != nil) }},
 	{a: "Async", rel: relClash, b: "Edges",
 		why:     "edge partials pre-fold the cohort before the quorum cut",
 		refused: func(c *Coordinator) bool { return c.Async != nil && c.Edges > 0 }},
-	{a: "Async", rel: relClash, b: "a buffered-only Aggregator",
-		why:     "median, trimmed mean and the Krum family need the full round buffer (hfl.BufferedRuleError)",
-		refused: func(c *Coordinator) bool { return c.Async != nil && c.bufferedRule() },
-		typed: func(c *Coordinator) error {
-			return &hfl.BufferedRuleError{Rule: fmt.Sprintf("%T", c.Aggregator), Path: "Async"}
-		}},
 	{a: "Journal", rel: relClash, b: "Screen",
 		why:     "clipping rewrites updates after the journaled bytes, so replay would diverge",
 		refused: func(c *Coordinator) bool { return c.Journal != nil && c.Screen != nil }},
@@ -94,22 +78,19 @@ var composition = []composeRule{
 		refused: func(c *Coordinator) bool { return c.Journal != nil && c.Cfg.Resume != nil }},
 	{a: "Stream", rel: relClash, b: "Aggregator",
 		why:     "the override aggregates the round buffer; a streamed round has none",
-		refused: func(c *Coordinator) bool { return c.Stream != nil && c.Aggregator != nil }},
+		refused: func(c *Coordinator) bool { return c.streamed() && c.Aggregator != nil }},
 	{a: "Stream", rel: relClash, b: "Reweighter",
 		why:     "reweighting needs the round buffer",
-		refused: func(c *Coordinator) bool { return c.Stream != nil && c.Reweighter != nil }},
+		refused: func(c *Coordinator) bool { return c.streamed() && c.Reweighter != nil }},
 	{a: "Stream", rel: relClash, b: "Quarantine",
 		why:     "the quarantine reweights the round buffer",
-		refused: func(c *Coordinator) bool { return c.Stream != nil && c.Quarantine != nil }},
+		refused: func(c *Coordinator) bool { return c.streamed() && c.Quarantine != nil }},
 	{a: "Stream", rel: relClash, b: "Screen",
 		why:     "screening vets the round buffer",
-		refused: func(c *Coordinator) bool { return c.Stream != nil && c.Screen != nil }},
+		refused: func(c *Coordinator) bool { return c.streamed() && c.Screen != nil }},
 	{a: "Stream", rel: relClash, b: "Archive",
 		why:     "the archive needs the raw deltas",
-		refused: func(c *Coordinator) bool { return c.Stream != nil && c.Archive != nil }},
-	{a: "Edges", rel: relNeeds, b: "Stream",
-		why:     "edge partials are pre-folded",
-		refused: func(c *Coordinator) bool { return c.Edges > 0 && c.Stream == nil }},
+		refused: func(c *Coordinator) bool { return c.streamed() && c.Archive != nil }},
 	{a: "Reweighter", rel: relEither, b: "Quarantine",
 		why:     "the quarantine is wired as the trainer's reweighter",
 		refused: func(c *Coordinator) bool { return c.Reweighter != nil && c.Quarantine != nil }},
@@ -121,9 +102,6 @@ var composition = []composeRule{
 func (c *Coordinator) validate() error {
 	for i := range composition {
 		if r := &composition[i]; r.refused(c) {
-			if r.typed != nil {
-				return r.typed(c)
-			}
 			return r
 		}
 	}

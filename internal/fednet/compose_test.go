@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -27,8 +26,9 @@ func (unitWeights) Weights(ep *hfl.Epoch) []float64 { return nil }
 // refused by Run with no participant joined — within a second, with that
 // row's error, not a byte in the journal and no goroutine left behind. Rows
 // that used to sit behind the join barrier (Stream × Aggregator / Reweighter
-// / Quarantine / Screen / Archive, Edges without Stream, Reweighter with
-// Quarantine) blocked forever here, after writing run_open.
+// / Quarantine / Screen / Archive, Reweighter with Quarantine) blocked
+// forever here, after writing run_open. Each row naming Stream is refused
+// for each way of streaming a run: Stream, Async or Edges alone.
 func TestCompositionRefusedBeforeJoin(t *testing.T) {
 	model, _, val := problem(5)
 	engine := func() shapley.Engine {
@@ -49,24 +49,18 @@ func TestCompositionRefusedBeforeJoin(t *testing.T) {
 		noJournal bool
 	}{
 		{"Cfg.Engine requires a shapley.Engine", func(c *Coordinator) { c.Cfg.Engine = bogusEngine{} }, false},
-		{"Engine or Cfg.Engine", func(c *Coordinator) { c.Engine, c.Cfg.Engine = engine(), engine() }, false},
-		{"Engine cannot compose with Stream", func(c *Coordinator) { c.Engine, c.Stream = engine(), hfl.MeanStream{} }, false},
-		{"Engine cannot compose with Journal or Recover", func(c *Coordinator) { c.Engine = engine() }, false},
-		{"Async requires Stream", func(c *Coordinator) { c.Async = async() }, false},
-		{"Async cannot compose with Edges", func(c *Coordinator) { c.Stream, c.Async, c.Edges = hfl.MeanStream{}, async(), 2 }, false},
-		{"Async cannot compose with a buffered-only Aggregator", func(c *Coordinator) {
-			c.Stream, c.Async, c.Aggregator = hfl.MeanStream{}, async(), robust.Median{}
-		}, false},
+		{"Engine cannot compose with Stream", func(c *Coordinator) { c.Cfg.Engine = engine() }, false},
+		{"Engine cannot compose with Journal or Recover", func(c *Coordinator) { c.Cfg.Engine = engine() }, false},
+		{"Async cannot compose with Edges", func(c *Coordinator) { c.Async, c.Edges = async(), 2 }, false},
 		{"Journal cannot compose with Screen", func(c *Coordinator) { c.Screen = screen }, false},
 		{"Journal cannot compose with Cfg.Resume", func(c *Coordinator) { c.Cfg.Resume = &hfl.Checkpoint{} }, false},
-		{"Stream cannot compose with Aggregator", func(c *Coordinator) { c.Stream, c.Aggregator = hfl.MeanStream{}, robust.Median{} }, false},
-		{"Stream cannot compose with Reweighter", func(c *Coordinator) { c.Stream, c.Reweighter = hfl.MeanStream{}, unitWeights{} }, false},
+		{"Stream cannot compose with Aggregator", func(c *Coordinator) { c.Aggregator = robust.Median{} }, false},
+		{"Stream cannot compose with Reweighter", func(c *Coordinator) { c.Reweighter = unitWeights{} }, false},
 		{"Stream cannot compose with Quarantine", func(c *Coordinator) {
-			c.Stream, c.Quarantine = hfl.MeanStream{}, robust.MustNewQuarantine(robust.Quarantine{})
+			c.Quarantine = robust.MustNewQuarantine(robust.Quarantine{})
 		}, false},
-		{"Stream cannot compose with Screen", func(c *Coordinator) { c.Stream, c.Screen = hfl.MeanStream{}, screen }, true},
-		{"Stream cannot compose with Archive", func(c *Coordinator) { c.Stream, c.Archive = hfl.MeanStream{}, &bytes.Buffer{} }, false},
-		{"Edges requires Stream", func(c *Coordinator) { c.Edges = 2 }, false},
+		{"Stream cannot compose with Screen", func(c *Coordinator) { c.Screen = screen }, true},
+		{"Stream cannot compose with Archive", func(c *Coordinator) { c.Archive = &bytes.Buffer{} }, false},
 		{"Reweighter or Quarantine", func(c *Coordinator) {
 			c.Reweighter, c.Quarantine = unitWeights{}, robust.MustNewQuarantine(robust.Quarantine{})
 		}, false},
@@ -79,42 +73,50 @@ func TestCompositionRefusedBeforeJoin(t *testing.T) {
 		if got := rule.a + " " + rule.rel + " " + rule.b; got != tc.row {
 			t.Fatalf("row %d is %q, case is %q", i, got, tc.row)
 		}
+		// A case for a row naming Stream leaves the run buffered; each way
+		// of streaming it is applied on top.
+		streamers := []func(c *Coordinator){func(*Coordinator) {}}
+		if rule.a == "Stream" || rule.b == "Stream" {
+			streamers = []func(c *Coordinator){
+				func(c *Coordinator) { c.Stream = hfl.MeanStream{} },
+				func(c *Coordinator) { c.Async = async() },
+				func(c *Coordinator) { c.Edges = 2 },
+			}
+		}
 		t.Run(tc.row, func(t *testing.T) {
-			before := runtime.NumGoroutine()
-			journal := &bytes.Buffer{}
-			c := &Coordinator{N: testN, Model: model, Val: val, Cfg: testConfig()}
-			if !tc.noJournal {
-				c.Journal = journal
-			}
-			tc.set(c)
-			done := make(chan error, 1)
-			go func() {
-				_, err := c.Run(context.Background())
-				done <- err
-			}()
-			var err error
-			select {
-			case err = <-done:
-			case <-time.After(time.Second):
-				t.Fatalf("Run still waiting after 1 s with no participant joined (journal holds %d bytes)", journal.Len())
-			}
-			var bre *hfl.BufferedRuleError
-			switch {
-			case err == nil:
-				t.Fatal("Run accepted the configuration")
-			case rule.typed != nil:
-				if !errors.As(err, &bre) || bre.Path != "Async" {
-					t.Errorf("error %v, want the typed BufferedRuleError", err)
+			for _, stream := range streamers {
+				before := runtime.NumGoroutine()
+				journal := &bytes.Buffer{}
+				c := &Coordinator{N: testN, Model: model, Val: val, Cfg: testConfig()}
+				if !tc.noJournal {
+					c.Journal = journal
 				}
-			case err.Error() != rule.Error():
-				t.Errorf("error %q, want row %d's %q", err, i, rule.Error())
-			}
-			if journal.Len() != 0 {
-				t.Errorf("refused run wrote %d journal bytes", journal.Len())
-			}
-			// The Run goroutine has sent its error but may not have exited yet.
-			if !goroutinesSettle(before, time.Second) {
-				t.Errorf("goroutines: %d before, %d after", before, runtime.NumGoroutine())
+				tc.set(c)
+				stream(c)
+				done := make(chan error, 1)
+				go func() {
+					_, err := c.Run(context.Background())
+					done <- err
+				}()
+				var err error
+				select {
+				case err = <-done:
+				case <-time.After(time.Second):
+					t.Fatalf("Run still waiting after 1 s with no participant joined (journal holds %d bytes)", journal.Len())
+				}
+				switch {
+				case err == nil:
+					t.Fatal("Run accepted the configuration")
+				case err.Error() != rule.Error():
+					t.Errorf("error %q, want row %d's %q", err, i, rule.Error())
+				}
+				if journal.Len() != 0 {
+					t.Errorf("refused run wrote %d journal bytes", journal.Len())
+				}
+				// The Run goroutine has sent its error but may not have exited yet.
+				if !goroutinesSettle(before, time.Second) {
+					t.Errorf("goroutines: %d before, %d after", before, runtime.NumGoroutine())
+				}
 			}
 		})
 	}
@@ -195,5 +197,44 @@ func TestModeOnlyEndpointsRefused(t *testing.T) {
 				t.Errorf("a refused request committed %d slots", r.got)
 			}
 		})
+	}
+}
+
+// TestCompositionStreamedIsOnePredicate: Stream, Async and Edges each stream
+// the run and nothing else does; Stream only names the fold (MeanStream{}
+// when it is nil), and the round mode follows from the two.
+func TestCompositionStreamedIsOnePredicate(t *testing.T) {
+	ac := asyncPolicy()
+	for _, tc := range []struct {
+		name string
+		c    *Coordinator
+		fold hfl.StreamAggregator
+		mode roundMode
+	}{
+		{"buffered", &Coordinator{N: 4}, nil, &bufferedMode{}},
+		{"Stream", &Coordinator{N: 4, Stream: hfl.MeanStream{Seg: 2}}, hfl.MeanStream{Seg: 2}, &streamedMode{}},
+		{"Edges", &Coordinator{N: 4, Edges: 2}, hfl.MeanStream{}, &treeMode{}},
+		{"Async", &Coordinator{N: 4, Async: &ac}, hfl.MeanStream{}, &asyncMode{}},
+		{"Async+Stream", &Coordinator{N: 4, Async: &ac, Stream: hfl.MeanStream{Seg: 3}}, hfl.MeanStream{Seg: 3}, &asyncMode{}},
+	} {
+		c := tc.c
+		if c.streamed() != (tc.fold != nil) || c.fold() != tc.fold {
+			t.Errorf("%s: streamed %v, fold %v; want fold %v", tc.name, c.streamed(), c.fold(), tc.fold)
+		}
+		if c.Async != nil {
+			pl, err := hfl.NewAsyncPlanner(*c.Async, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.asyncPlan = pl
+		}
+		spec := &hfl.RoundSpec{T: 1, Theta: make([]float64, 3), Active: []int{0, 1, 2, 3}, ValGrad: make([]float64, 3)}
+		r := c.newRoundLocked(spec)
+		if fmt.Sprintf("%T", r.mode) != fmt.Sprintf("%T", tc.mode) {
+			t.Errorf("%s: round mode %T, want %T", tc.name, r.mode, tc.mode)
+		}
+		if m, ok := r.mode.(*asyncMode); ok && m.stream != tc.fold {
+			t.Errorf("%s: async folds with %v, want %v", tc.name, m.stream, tc.fold)
+		}
 	}
 }

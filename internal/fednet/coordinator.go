@@ -44,7 +44,10 @@ type Coordinator struct {
 	// Cfg holds the training hyperparameters. Cfg.Runtime.Sink also
 	// receives the networked runtime's events: one NetRoundStart/End pair
 	// per round, a NetRequest per wire request handled, and a NetTimeout
-	// per participant that missed a round deadline.
+	// per participant that missed a round deadline. Cfg.Engine, when set,
+	// must be a shapley.Engine: the coordinator observes it under its lock
+	// (not on the trainer) and /v1/score reports its name, running φ totals
+	// and utility-eval cost alongside the DIG-FL estimator's attribution.
 	Cfg hfl.Config
 	// Reweighter, Aggregator and Observer are passed through to the
 	// underlying trainer.
@@ -66,13 +69,6 @@ type Coordinator struct {
 	// coordinator's lock) and backs the /v1/score endpoint, so
 	// contribution evaluation runs server-side inside the live round loop.
 	Estimator *core.HFLEstimator
-	// Engine, when non-nil, is a pluggable contribution engine
-	// (internal/shapley) that observes every epoch under the coordinator's
-	// lock; /v1/score reports its name, running φ totals, and utility-eval
-	// cost alongside the DIG-FL estimator's attribution. Setting
-	// Cfg.Engine is equivalent — the coordinator promotes a config-carried
-	// engine here so all observation is race-free against score reads.
-	Engine shapley.Engine
 	// RoundDeadline bounds how long a round stays open once broadcast.
 	// Participants that have not reported when it expires are dropped from
 	// the epoch (Epoch.Reported survivor semantics); 0 waits for everyone.
@@ -80,20 +76,22 @@ type Coordinator struct {
 	// Archive, when non-nil, streams every closed epoch to this writer in
 	// the logio HFL training-log format as the run progresses.
 	Archive io.Writer
-	// Stream, when non-nil, switches /v1/update ingest to fold-on-arrival:
-	// each accepted delta is folded into the round's accumulator under the
-	// coordinator's lock and released, so round memory is O(d + cohort)
+	// Stream names the fold of a streamed round, and setting it streams the
+	// run: each accepted delta is folded into the round's accumulator under
+	// the coordinator's lock and released, so round memory is O(d + cohort)
 	// instead of O(cohort·d) — the networked half of hfl.Trainer.Stream.
-	// Streaming rounds carry DeltaDots to the estimator (ResourceSaving
-	// mode only).
+	// Async and Edges stream the run too; with Stream nil their rounds fold
+	// with hfl.MeanStream{}. Streaming rounds carry DeltaDots to the
+	// estimator (ResourceSaving mode only).
 	Stream hfl.StreamAggregator
-	// Edges, when positive, switches streaming rounds from per-participant
-	// /v1/update ingest to /v1/partial ingest from this many edge
-	// sub-aggregators (EdgeAggregator): each edge folds its cohort segment
-	// and the root merges the partials in edge order, so a two-level tree
-	// reduces in the canonical hfl.MeanStream segmented order and stays
-	// bit-identical to a flat streamed run with Seg = edge width. Global
-	// index i belongs to edge i/ceil(N/Edges), the Loopback partition.
+	// Edges, when positive, streams the run through a two-level tree:
+	// /v1/partial ingest from this many edge sub-aggregators
+	// (EdgeAggregator) instead of per-participant /v1/update ingest. Each
+	// edge folds its cohort segment and the root merges the partials in edge
+	// order, so the tree reduces in the canonical hfl.MeanStream segmented
+	// order and stays bit-identical to a flat streamed run with Seg = edge
+	// width. Global index i belongs to edge i/ceil(N/Edges), the Loopback
+	// partition.
 	Edges int
 	// Journal, when non-nil, turns on the coordinator's write-ahead log
 	// (digfl-fednet-wal/2, see wal.go): every commit the round's outcome
@@ -111,7 +109,7 @@ type Coordinator struct {
 	// disables re-solicitation and keeps the pre-failover semantics: a dead
 	// edge's whole cohort misses the round at the deadline.
 	FailoverGrace time.Duration
-	// Async, when non-nil, switches the round loop to the asynchronous
+	// Async, when non-nil, streams the run under the asynchronous
 	// buffered commit policy (hfl.AsyncConfig): each round's cohort is the
 	// planner's fresh set, a scheduled-lagged arrival buffers across epochs
 	// (acknowledged 202 buffered), a late update for an older round is
@@ -218,17 +216,6 @@ func (c *Coordinator) run(ctx context.Context) (*hfl.Result, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	if eng, ok := c.Cfg.Engine.(shapley.Engine); ok {
-		// Promote a config-carried engine to the coordinator field: the
-		// trainer's unlocked Observe would race with /v1/score reads, so
-		// the coordinator observes it under c.mu instead (the trainer's
-		// copy of the config is cleared below). Score handlers may already
-		// be serving; the field write needs the same lock the handler reads
-		// under.
-		c.mu.Lock()
-		c.Engine = eng
-		c.mu.Unlock()
-	}
 	if c.Async != nil {
 		pl, err := hfl.NewAsyncPlanner(*c.Async, c.Cfg.Faults, c.Cfg.Runtime.Sink)
 		if err != nil {
@@ -273,8 +260,8 @@ func (c *Coordinator) run(ctx context.Context) (*hfl.Result, error) {
 
 	cfg := c.Cfg
 	cfg.Participants = c.N
-	// The coordinator observes a promoted engine under its lock; the
-	// trainer must not observe it a second time.
+	// The coordinator observes the engine under its lock, since /v1/score
+	// reads it live; the trainer's unlocked Observe would race with it.
 	cfg.Engine = nil
 	// Crash recovery: resume the trainer from the journal's last closed
 	// epoch. The open round's commits (if the crash was mid-round) graft
@@ -332,8 +319,8 @@ func (c *Coordinator) run(ctx context.Context) (*hfl.Result, error) {
 		est := c.Estimator
 		observer = lockedObserver{c, func(ep *hfl.Epoch) { est.Observe(ep) }, observer}.observeEpoch
 	}
-	if c.Engine != nil {
-		observer = lockedObserver{c, c.Engine.Observe, observer}.observeEpoch
+	if eng := c.engine(); eng != nil {
+		observer = lockedObserver{c, eng.Observe, observer}.observeEpoch
 	}
 	if c.Archive != nil {
 		var sw *logio.HFLWriter
@@ -370,9 +357,16 @@ func (c *Coordinator) run(ctx context.Context) (*hfl.Result, error) {
 		Model: c.Model, Val: c.Val, Cfg: cfg,
 		Reweighter: reweighter, Aggregator: c.Aggregator,
 		Screen: c.Screen, Observer: observer, Rounds: c,
-		Stream: c.Stream,
+		Stream: c.fold(),
 	}
 	return tr.RunContext(ctx)
+}
+
+// engine is the contribution engine the coordinator observes and reports:
+// Cfg.Engine (the composition table refuses any other kind), or nil.
+func (c *Coordinator) engine() shapley.Engine {
+	eng, _ := c.Cfg.Engine.(shapley.Engine)
+	return eng
 }
 
 // lockedObserver runs observe under the coordinator's lock, then hands the

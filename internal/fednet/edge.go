@@ -17,7 +17,7 @@ import (
 // contiguous block of the participant population, ingests those members'
 // updates over the same /v1/update wire the root speaks, folds them into an
 // unscaled partial sum in member order, and submits one /v1/partial to the
-// root per round. The root (Coordinator with Stream and Edges set) merges
+// root per round. The root (Coordinator with Edges set) merges
 // the partials in edge order and applies the single 1/m scale — exactly the
 // segmented reduction of hfl.MeanStream with Seg = edge width, so a tree
 // run is bit-identical to a flat streamed run of the same segment geometry.
@@ -215,7 +215,7 @@ func (e *EdgeAggregator) Run(ctx context.Context) error {
 			continue
 		}
 		if round.ValGrad == nil {
-			return fmt.Errorf("fednet: edge %d round %d: root is not streaming (Coordinator.Stream with Edges required)", e.Edge, round.T)
+			return fmt.Errorf("fednet: edge %d round %d: root is not streaming (its Coordinator has no Edges)", e.Edge, round.T)
 		}
 
 		// Discover which members are in the round's cohort (header-only

@@ -521,7 +521,8 @@ func decodeDelta(w http.ResponseWriter, sink obs.Sink, t, index int, body []byte
 
 func (c *Coordinator) handleScore(w http.ResponseWriter, req *http.Request) {
 	c.mu.Lock()
-	if c.Estimator == nil && c.Engine == nil {
+	eng := c.engine()
+	if c.Estimator == nil && eng == nil {
 		c.mu.Unlock()
 		writeError(w, http.StatusNotFound, "coordinator has no estimator or engine attached")
 		return
@@ -538,8 +539,8 @@ func (c *Coordinator) handleScore(w http.ResponseWriter, req *http.Request) {
 		reply.Totals = append([]float64(nil), attr.Totals...)
 		reply.Engine = "dig-fl"
 	}
-	if c.Engine != nil {
-		rep := c.Engine.Finalize()
+	if eng != nil {
+		rep := eng.Finalize()
 		reply.Engine = rep.Name
 		reply.EngineTotals = rep.Totals
 		reply.EngineEpochs = rep.Epochs

@@ -25,10 +25,10 @@ import (
 // With c.Edges > 0 it runs the two-level cohort tree: one EdgeAggregator
 // server per contiguous block of ceil(N/Edges) participants, who submit
 // their updates to their edge (UpdateURL) and poll the root for rounds; the
-// per-edge errors follow the per-participant ones. With c.Stream =
-// hfl.MeanStream{Seg: ceil(N/Edges)} the tree is bit-identical to the flat
-// streamed run and to the in-process streamed trainer of that segment width
-// — the canonical segmented reduction made literal.
+// per-edge errors follow the per-participant ones. The tree is
+// bit-identical to the flat streamed run with c.Stream =
+// hfl.MeanStream{Seg: ceil(N/Edges)} and to the in-process streamed trainer
+// of that segment width — the canonical segmented reduction made literal.
 func Loopback(ctx context.Context, c *Coordinator, parts func(i int) *Participant) (*hfl.Result, []error, error) {
 	return Chaos{}.Loopback(ctx, c, parts)
 }

@@ -43,6 +43,7 @@ func runForReclaim(t *testing.T, seed int64, policy hfl.RetainPolicy, poison boo
 	}
 	cfg := testConfig()
 	cfg.RetainDeltas = policy
+	cfg.Engine = eng
 	out := &reclaimRun{}
 	archive := &bytes.Buffer{}
 	c := &Coordinator{
@@ -50,7 +51,6 @@ func runForReclaim(t *testing.T, seed int64, policy hfl.RetainPolicy, poison boo
 		Estimator:     core.NewHFLEstimator(testN, model.NumParams(), core.ResourceSaving, nil),
 		Screen:        robust.MustNewUpdateScreen(robust.ScreenConfig{}),
 		Quarantine:    robust.MustNewQuarantine(robust.Quarantine{Patience: 2}),
-		Engine:        eng,
 		Archive:       archive,
 		RoundDeadline: 5 * time.Second,
 	}

@@ -353,9 +353,9 @@ func (c *Coordinator) newRoundLocked(spec *hfl.RoundSpec) *openRound {
 		// carries the full active set, and the carry-over buffer was
 		// reinstalled before Run's first Round call.
 		sched := c.asyncPlan.Schedule(spec.T, spec.Active)
-		return newRound(spec, sched.Fresh, &asyncMode{plan: c.asyncPlan, stream: c.Stream,
+		return newRound(spec, sched.Fresh, &asyncMode{plan: c.asyncPlan, stream: c.fold(),
 			sched: sched, deltas: make([][]float64, len(sched.Fresh))})
-	case c.Stream == nil || spec.ValGrad == nil:
+	case !c.streamed():
 		return newRound(spec, spec.Active, &bufferedMode{deltas: make([][]float64, k)})
 	case c.Edges > 0:
 		// The fold is per-edge on the edge aggregators; the root only merges
@@ -364,7 +364,7 @@ func (c *Coordinator) newRoundLocked(spec *hfl.RoundSpec) *openRound {
 			parts: make([]edgePartial, c.Edges), direct: make([]*hfl.SegmentFold, c.Edges),
 			viaRoot: make([]bool, k), sink: c.Cfg.Runtime.Sink})
 	default:
-		return newRound(spec, spec.Active, &streamedMode{fold: c.Stream.NewFold(p, k, spec.ValGrad)})
+		return newRound(spec, spec.Active, &streamedMode{fold: c.fold().NewFold(p, k, spec.ValGrad)})
 	}
 }
 

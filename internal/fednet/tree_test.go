@@ -49,9 +49,9 @@ func localStreamRun(t *testing.T, seed int64, n, seg int, smp *sampling.Sampler)
 	return res, est.Attribution()
 }
 
-// loopbackRun runs a loopback topology — buffered (stream nil), streamed
-// flat (edges == 0) or a two-level tree (edges > 0) — returning the result
-// and attribution.
+// loopbackRun runs a loopback topology — buffered (stream nil, edges 0),
+// streamed flat (edges 0) or a two-level tree (edges > 0, which streams with
+// any stream) — returning the result and attribution.
 func loopbackRun(t *testing.T, seed int64, n int, stream hfl.StreamAggregator, edges int, smp *sampling.Sampler) (*hfl.Result, *core.Attribution) {
 	t.Helper()
 	model, parts, val := problemN(seed, n)
@@ -125,7 +125,8 @@ func TestBufferedLoopbackMatchesStreamed(t *testing.T) {
 // gate: a two-level tree (3 edge sub-aggregators × 2 members, every hop a
 // real TCP connection) must be bit-identical to a flat streamed loopback
 // run and to the in-process streamed trainer with the same segment width,
-// across 3 seeds.
+// across 3 seeds. The tree sets Edges alone: Edges streams the run, and the
+// edges' segments fix the reduction order whatever Stream names.
 func TestTreeLoopbackBitIdenticalToFlatAndLocal(t *testing.T) {
 	const edges = 3
 	width := (treeN + edges - 1) / edges
@@ -135,7 +136,7 @@ func TestTreeLoopbackBitIdenticalToFlatAndLocal(t *testing.T) {
 			t.Parallel()
 			local, localAttr := localStreamRun(t, seed, treeN, width, nil)
 			flat, flatAttr := loopbackRun(t, seed, treeN, hfl.MeanStream{Seg: width}, 0, nil)
-			tree, treeAttr := loopbackRun(t, seed, treeN, hfl.MeanStream{Seg: width}, edges, nil)
+			tree, treeAttr := loopbackRun(t, seed, treeN, nil, edges, nil)
 			checkSameRun(t, "flat vs local", flat, local, flatAttr, localAttr)
 			checkSameRun(t, "tree vs local", tree, local, treeAttr, localAttr)
 			checkSameRun(t, "tree vs flat", tree, flat, treeAttr, flatAttr)

@@ -75,22 +75,6 @@ func PolyWeight(alpha float64) func(int) float64 {
 	}
 }
 
-// BufferedRuleError reports a configuration that routes a buffered-only
-// aggregation rule (coordinate median, trimmed mean, the Krum family — any
-// Aggregator whose BufferedRule.NeedsBuffer is true) through a path that
-// never materializes the round's update buffer: the Stream fold-on-arrival
-// seam, or the async commit policy, which rides the same fold.
-type BufferedRuleError struct {
-	// Rule is the refusing rule's type name.
-	Rule string
-	// Path names the incompatible path: "Stream" or "Async".
-	Path string
-}
-
-func (e *BufferedRuleError) Error() string {
-	return fmt.Sprintf("hfl: aggregation rule %s needs the full round buffer and cannot ride the %s path (Stream folds updates on acceptance and never materializes the buffer)", e.Rule, e.Path)
-}
-
 // AsyncEntry is one update inside the async policy's carry-over buffer: a
 // lagged (or late-but-admissible) update awaiting its commit epoch.
 type AsyncEntry struct {

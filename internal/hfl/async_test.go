@@ -1,8 +1,6 @@
 package hfl
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -391,29 +389,5 @@ func TestAsyncBufferRoundTrip(t *testing.T) {
 				t.Fatalf("epoch %d: agg diverged after SetBuffer", ep+4)
 			}
 		}
-	}
-}
-
-type bufRule struct{}
-
-func (bufRule) Aggregate(*Epoch) ([]float64, error) { return nil, nil }
-func (bufRule) NeedsBuffer() bool                   { return true }
-
-// TestStreamBufferedRuleTypedError: a buffered-only rule on the Stream path
-// surfaces the typed BufferedRuleError (errors.As-able), not just a string.
-func TestStreamBufferedRuleTypedError(t *testing.T) {
-	tr, _ := setup(t, 5)
-	tr.Stream = MeanStream{}
-	tr.Aggregator = bufRule{}
-	_, err := tr.RunContext(context.Background())
-	var bre *BufferedRuleError
-	if !errors.As(err, &bre) {
-		t.Fatalf("want BufferedRuleError, got %v", err)
-	}
-	if bre.Path != "Stream" {
-		t.Fatalf("path %q, want Stream", bre.Path)
-	}
-	if !strings.Contains(bre.Error(), "Stream") {
-		t.Fatalf("error text must name the path: %v", bre)
 	}
 }

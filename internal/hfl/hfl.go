@@ -355,11 +355,11 @@ type Trainer struct {
 	// Stream, when non-nil, switches aggregation to fold-on-arrival: each
 	// local update is folded into the round's accumulator and released
 	// instead of buffered, so per-round memory is O(d + cohort) rather than
-	// O(cohort·d). Streaming cannot compose with Aggregator, Reweighter, or
-	// Screen — those consume the materialized round buffer (see
-	// BufferedRule); configuring both is a validation error. Streamed
-	// epochs carry DeltaDots instead of Deltas, which the resource-saving
-	// estimator consumes directly; the Interactive estimator needs buffers.
+	// O(cohort·d). Streaming cannot compose with Aggregator, Reweighter,
+	// Screen or Cfg.Engine — those consume the materialized round buffer;
+	// configuring both is a validation error. Streamed epochs carry
+	// DeltaDots instead of Deltas, which the resource-saving estimator
+	// consumes directly; the Interactive estimator needs buffers.
 	// The buffered mean is MeanStream's one-segment order, so a MeanStream{}
 	// run is bit-identical to the same run with Stream nil.
 	Stream StreamAggregator
@@ -438,24 +438,11 @@ func (tr *Trainer) RunSubsetContext(ctx context.Context, subset []int) (*Result,
 	if err := tr.Cfg.validate(tr.participants()); err != nil {
 		return nil, err
 	}
-	if tr.Stream != nil && tr.Aggregator != nil {
-		if br, ok := tr.Aggregator.(BufferedRule); ok && br.NeedsBuffer() {
-			// The rule itself declares it cannot fold on arrival; surface the
-			// typed refusal so callers can distinguish "this rule can never
-			// stream" from a generic composition error.
-			return nil, &BufferedRuleError{Rule: fmt.Sprintf("%T", tr.Aggregator), Path: "Stream"}
-		}
-	}
-	if tr.Stream != nil && (tr.Aggregator != nil || tr.Reweighter != nil || tr.Screen != nil) {
-		// Buffered plugins consume the materialized round buffer that
-		// streaming exists to avoid; refuse the combination instead of
-		// silently buffering (see BufferedRule).
-		return nil, fmt.Errorf("hfl: Stream cannot compose with Aggregator/Reweighter/Screen — those need the buffered path")
-	}
-	if tr.Stream != nil && tr.Cfg.Engine != nil {
-		// Contribution engines reconstruct coalition models from the raw
-		// per-participant updates; a streamed round folds and releases them.
-		return nil, fmt.Errorf("hfl: Cfg.Engine cannot compose with Stream — engines need the buffered path's raw deltas")
+	if tr.Stream != nil && (tr.Aggregator != nil || tr.Reweighter != nil || tr.Screen != nil || tr.Cfg.Engine != nil) {
+		// Each consumes the materialized round buffer that streaming exists
+		// to avoid (an engine reconstructs coalition models from the raw
+		// deltas); refuse the combination instead of silently buffering.
+		return nil, fmt.Errorf("hfl: Stream cannot compose with Aggregator/Reweighter/Screen/Cfg.Engine — those need the buffered path")
 	}
 	model := tr.Model.Clone()
 	res := &Result{Model: model}

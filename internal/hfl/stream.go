@@ -44,25 +44,14 @@ type FoldResult struct {
 }
 
 // StreamAggregator supplies per-round Folds — the streaming aggregation
-// seam. A rule that cannot stream (coordinate median, trimmed mean, the
-// Krum family: they need every update of the round materialized at once)
-// does not implement this interface and instead declares itself through
-// BufferedRule; such rules keep the buffered Aggregator path.
+// seam. An Aggregator (coordinate median, trimmed mean, the Krum family)
+// consumes the materialized round buffer instead, so it runs on buffered
+// rounds only; the trainer refuses it beside Stream.
 type StreamAggregator interface {
 	// NewFold opens one round's accumulator for k active slots of dimension
 	// p. valGrad, when non-nil, is ∇loss^v(θ_{t-1}); the fold then reports
 	// per-update dot products alongside the aggregate.
 	NewFold(p, k int, valGrad []float64) Fold
-}
-
-// BufferedRule is implemented by aggregation rules that cannot fold updates
-// on arrival: they need the round's full update buffer (coordinate median,
-// trimmed mean, Krum/Multi-Krum). Callers consult it to refuse a streaming
-// configuration explicitly instead of silently buffering.
-type BufferedRule interface {
-	// NeedsBuffer reports whether the rule requires every update of a round
-	// materialized simultaneously.
-	NeedsBuffer() bool
 }
 
 // MeanStream is the streaming uniform-mean aggregation rule: G_t =

@@ -188,18 +188,41 @@ func TestStreamedRunMatchesBuffered(t *testing.T) {
 	}
 }
 
+// TestStreamRefusesBufferedPlugins: every plugin that consumes the round
+// buffer is refused beside Stream with the one error naming both, before an
+// epoch runs.
 func TestStreamRefusesBufferedPlugins(t *testing.T) {
-	tr, _ := setup(t, 5)
-	tr.Stream = MeanStream{}
-	tr.Screen = noopScreener{}
-	if _, err := tr.RunContext(context.Background()); err == nil || !strings.Contains(err.Error(), "Stream") {
-		t.Fatalf("Stream+Screen accepted: %v", err)
+	for _, tc := range []struct {
+		name string
+		set  func(tr *Trainer)
+	}{
+		{"Aggregator", func(tr *Trainer) { tr.Aggregator = nopAggregator{} }},
+		{"Reweighter", func(tr *Trainer) { tr.Reweighter = fixedReweighter{1} }},
+		{"Screen", func(tr *Trainer) { tr.Screen = noopScreener{} }},
+		{"Cfg.Engine", func(tr *Trainer) { tr.Cfg.Engine = nopEngine{} }},
+	} {
+		tr, _ := setup(t, 5)
+		tr.Stream = MeanStream{}
+		tc.set(tr)
+		_, err := tr.RunContext(context.Background())
+		if err == nil || !strings.Contains(err.Error(), "Stream cannot compose with") || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("Stream+%s: %v", tc.name, err)
+		}
 	}
 }
 
 type noopScreener struct{}
 
 func (noopScreener) Screen(*Epoch, []int) ([]int, error) { return nil, nil }
+
+type nopAggregator struct{}
+
+func (nopAggregator) Aggregate(*Epoch) ([]float64, error) { return nil, nil }
+
+type nopEngine struct{}
+
+func (nopEngine) Name() string   { return "nop" }
+func (nopEngine) Observe(*Epoch) {}
 
 // ReleaseAfterObserve frees each epoch's raw deltas once the Observer has
 // run — the observer still sees them, the log keeps the slim record, and

@@ -98,19 +98,3 @@ func TestProxAddHandComputed(t *testing.T) {
 		t.Fatalf("ProxAdd μ=0 mutated g: %v", g)
 	}
 }
-
-// TestBufferedRuleDeclarations pins which rules refuse the streaming/async
-// paths: the buffer-dependent family answers NeedsBuffer true, and the
-// clip-only NormBound stays streamable.
-func TestBufferedRuleDeclarations(t *testing.T) {
-	buffered := []hfl.Aggregator{Median{}, TrimmedMean{Trim: 1}, Krum{F: 1}, MultiKrum{F: 1, M: 2}}
-	for _, rule := range buffered {
-		br, ok := rule.(hfl.BufferedRule)
-		if !ok || !br.NeedsBuffer() {
-			t.Errorf("%T must declare NeedsBuffer() == true", rule)
-		}
-	}
-	if br, ok := any(NormBound{MaxNorm: 1}).(hfl.BufferedRule); ok && br.NeedsBuffer() {
-		t.Error("NormBound must stay streamable")
-	}
-}

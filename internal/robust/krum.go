@@ -19,14 +19,7 @@ type Krum struct {
 	F int
 }
 
-var (
-	_ hfl.Aggregator   = Krum{}
-	_ hfl.BufferedRule = Krum{}
-)
-
-// NeedsBuffer implements hfl.BufferedRule: pairwise distances need every
-// update of the round materialized at once; Krum cannot stream.
-func (Krum) NeedsBuffer() bool { return true }
+var _ hfl.Aggregator = Krum{}
 
 // Aggregate implements hfl.Aggregator: the selected update is returned
 // as the global step. On a degraded (partial-participation) epoch with too
@@ -52,14 +45,7 @@ type MultiKrum struct {
 	M int
 }
 
-var (
-	_ hfl.Aggregator   = MultiKrum{}
-	_ hfl.BufferedRule = MultiKrum{}
-)
-
-// NeedsBuffer implements hfl.BufferedRule: like Krum, the pairwise-distance
-// selection needs the full round buffer.
-func (MultiKrum) NeedsBuffer() bool { return true }
+var _ hfl.Aggregator = MultiKrum{}
 
 // Aggregate implements hfl.Aggregator. Degraded epochs clamp M (and the
 // neighbor count) to the survivors instead of failing the round.
@@ -158,17 +144,10 @@ type NormBound struct {
 	MaxNorm float64
 }
 
-var (
-	_ hfl.Aggregator   = NormBound{}
-	_ hfl.BufferedRule = NormBound{}
-)
-
-// NeedsBuffer implements hfl.BufferedRule: per-update clipping is
-// independent across updates, so NormBound is the one robust rule that does
-// not require the round buffer — its streaming equivalent is ingest-time
-// clipping (UpdateScreen.ClipNow) composed with hfl.MeanStream. The
-// Aggregator form here still runs on the buffered path.
-func (NormBound) NeedsBuffer() bool { return false }
+// NormBound's per-update clip is independent across updates; its streaming
+// equivalent is ingest-time clipping (UpdateScreen.ClipNow) composed with
+// hfl.MeanStream. The Aggregator form here runs on the buffered path.
+var _ hfl.Aggregator = NormBound{}
 
 // Aggregate implements hfl.Aggregator. The epoch's deltas are not
 // mutated; clipping happens on the accumulation.

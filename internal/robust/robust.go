@@ -26,14 +26,7 @@ import (
 // Median aggregates local updates by coordinate-wise median.
 type Median struct{}
 
-var (
-	_ hfl.Aggregator   = Median{}
-	_ hfl.BufferedRule = Median{}
-)
-
-// NeedsBuffer implements hfl.BufferedRule: a coordinate-wise median needs
-// every update of the round materialized at once and cannot stream.
-func (Median) NeedsBuffer() bool { return true }
+var _ hfl.Aggregator = Median{}
 
 // Aggregate implements hfl.Aggregator.
 func (Median) Aggregate(ep *hfl.Epoch) ([]float64, error) {
@@ -55,14 +48,7 @@ type TrimmedMean struct {
 	Trim int
 }
 
-var (
-	_ hfl.Aggregator   = TrimmedMean{}
-	_ hfl.BufferedRule = TrimmedMean{}
-)
-
-// NeedsBuffer implements hfl.BufferedRule: per-coordinate order statistics
-// need the round's full update buffer and cannot stream.
-func (TrimmedMean) NeedsBuffer() bool { return true }
+var _ hfl.Aggregator = TrimmedMean{}
 
 // NewTrimmedMean validates the trim count at construction — misconfiguration
 // surfaces before training starts instead of as an error epochs in. The
