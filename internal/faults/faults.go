@@ -49,8 +49,7 @@ type Config struct {
 	CrashEpoch int
 	// SecureFailure is the per-attempt probability that an encrypted
 	// gradient round fails transiently before consuming any entropy
-	// (modeling message loss); the secure protocol retries it with capped
-	// exponential backoff.
+	// (modeling message loss); the secure protocol retries it at once.
 	SecureFailure float64
 	// NetFailure is the per-attempt probability that a networked
 	// participant's wire-protocol request fails transiently before

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -258,35 +259,29 @@ func TestAsyncWireBufferedAndTooStale(t *testing.T) {
 	}
 }
 
-// TestAsyncRefusesBufferedRules: an async run is a streamed run, so it
-// cannot serve aggregation rules that need the materialized round buffer —
-// with or without Stream set, every rule in the Krum/median family draws the
-// "Stream cannot compose with Aggregator" row; and Async refuses edge trees.
+// TestAsyncRefusesBufferedRules: an async run folds on arrival, so it cannot
+// serve aggregation rules that need the materialized round buffer. The
+// Coordinator has no field to hand it one; the in-process async reference —
+// a streaming trainer fed by AsyncLocalSource — refuses every rule in the
+// Krum/median family before its first round. And Async refuses edge trees.
 func TestAsyncRefusesBufferedRules(t *testing.T) {
-	model, _, val := problem(1)
-	var want error
-	for i := range composition {
-		if r := &composition[i]; r.a == "Stream" && r.b == "Aggregator" {
-			want = r
+	model, parts, val := problem(1)
+	for _, rule := range []hfl.Aggregator{
+		robust.Median{},
+		robust.TrimmedMean{Trim: 1},
+		robust.Krum{F: 1},
+		robust.MultiKrum{F: 1, M: 2},
+	} {
+		cfg := testConfig()
+		cfg.Participants = testN
+		tr := &hfl.Trainer{
+			Model: model, Val: val, Cfg: cfg,
+			Rounds:     &AsyncLocalSource{Model: model, Parts: parts, Async: asyncPolicy()},
+			Stream:     hfl.MeanStream{},
+			Aggregator: rule,
 		}
-	}
-	for _, stream := range []hfl.StreamAggregator{nil, hfl.MeanStream{}} {
-		for _, rule := range []hfl.Aggregator{
-			robust.Median{},
-			robust.TrimmedMean{Trim: 1},
-			robust.Krum{F: 1},
-			robust.MultiKrum{F: 1, M: 2},
-		} {
-			ac := asyncPolicy()
-			coord := &Coordinator{
-				N: testN, Model: model, Val: val, Cfg: testConfig(),
-				Stream:     stream,
-				Async:      &ac,
-				Aggregator: rule,
-			}
-			if _, err := coord.Run(context.Background()); !errors.Is(err, want) {
-				t.Errorf("%T (Stream %v): got %v, want %v", rule, stream, err, want)
-			}
+		if _, err := tr.RunContext(context.Background()); err == nil || !strings.Contains(err.Error(), "Stream cannot compose with Aggregator") {
+			t.Errorf("%T: got %v, want the trainer's Stream × Aggregator refusal", rule, err)
 		}
 	}
 
@@ -294,6 +289,43 @@ func TestAsyncRefusesBufferedRules(t *testing.T) {
 	coord := &Coordinator{N: testN, Model: model, Val: val, Cfg: testConfig(), Async: &ac, Edges: 2}
 	if _, err := coord.Run(context.Background()); err == nil {
 		t.Error("Async with Edges accepted")
+	}
+}
+
+// TestAsyncRoundDeadlineClosesRound: the coordinator's RoundDeadline is the
+// async round's deadline too. A fresh member asleep well past it cannot hold
+// round 1 open: the round closes over the two arrivals, both commit, and the
+// sleeper's late update is admitted or refused as stale — never an error.
+func TestAsyncRoundDeadlineClosesRound(t *testing.T) {
+	model, parts, val := problem(4)
+	ac := asyncPolicy()
+	col := &obs.Collector{}
+	coord := &Coordinator{
+		N: testN, Model: model, Val: val, Cfg: testConfig(),
+		Async:         &ac,
+		RoundDeadline: 300 * time.Millisecond,
+	}
+	coord.Cfg.Runtime.Sink = col
+	const sleeper = 2
+	res, perrs, err := Loopback(context.Background(), coord, func(i int) *Participant {
+		p := &Participant{Index: i, Model: model.Clone(), Data: parts[i]}
+		if i == sleeper {
+			p.Delay = func(tt int) {
+				if tt == 1 {
+					time.Sleep(time.Second)
+				}
+			}
+		}
+		return p
+	})
+	if err = errors.Join(append(perrs, err)...); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(res.Log[0].Reported); got != "[0 1]" {
+		t.Errorf("round 1 committed %s, want [0 1]: the deadline should close it without the sleeper", got)
+	}
+	if col.Snapshot().NetTimeouts == 0 {
+		t.Error("no round timed out")
 	}
 }
 

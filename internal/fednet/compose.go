@@ -1,11 +1,6 @@
 package fednet
 
-import (
-	"fmt"
-
-	"digfl/internal/hfl"
-	"digfl/internal/shapley"
-)
+import "digfl/internal/hfl"
 
 // composeRule is one row of the composition table: a pair of Coordinator
 // settings that cannot both be as configured, and why. The README's "What
@@ -13,8 +8,7 @@ import (
 // against each other).
 type composeRule struct {
 	// a and b name the settings; rel relates them: relClash (a cannot
-	// compose with b), relNeeds (a requires b) or relEither (set one, not
-	// both).
+	// compose with b) or relNeeds (a requires b).
 	a, rel, b string
 	why       string
 	// refused reports whether c is configured against the rule.
@@ -22,16 +16,12 @@ type composeRule struct {
 }
 
 const (
-	relClash  = "cannot compose with"
-	relNeeds  = "requires"
-	relEither = "or"
+	relClash = "cannot compose with"
+	relNeeds = "requires"
 )
 
 func (r *composeRule) Error() string {
-	if r.rel == relEither {
-		return fmt.Sprintf("fednet: set %s or %s, not both — %s", r.a, r.b, r.why)
-	}
-	return fmt.Sprintf("fednet: %s %s %s — %s", r.a, r.rel, r.b, r.why)
+	return "fednet: " + r.a + " " + r.rel + " " + r.b + " — " + r.why
 }
 
 // streamed reports whether the run's rounds fold on arrival: Stream asks for
@@ -56,11 +46,8 @@ func (c *Coordinator) fold() hfl.StreamAggregator {
 // Stream, Async or Edges set.
 var composition = []composeRule{
 	{a: "Cfg.Engine", rel: relNeeds, b: "a shapley.Engine",
-		why: "the coordinator reports the engine on /v1/score",
-		refused: func(c *Coordinator) bool {
-			_, ok := c.Cfg.Engine.(shapley.Engine)
-			return c.Cfg.Engine != nil && !ok
-		}},
+		why:     "the coordinator reports the engine on /v1/score",
+		refused: func(c *Coordinator) bool { return c.Cfg.Engine != nil && c.engine() == nil }},
 	{a: "Engine", rel: relClash, b: "Stream",
 		why:     "engines reconstruct models from the round buffer's raw deltas",
 		refused: func(c *Coordinator) bool { return c.Cfg.Engine != nil && c.streamed() }},
@@ -76,12 +63,6 @@ var composition = []composeRule{
 	{a: "Journal", rel: relClash, b: "Cfg.Resume",
 		why:     "the journal owns the resume point; use Recover",
 		refused: func(c *Coordinator) bool { return c.Journal != nil && c.Cfg.Resume != nil }},
-	{a: "Stream", rel: relClash, b: "Aggregator",
-		why:     "the override aggregates the round buffer; a streamed round has none",
-		refused: func(c *Coordinator) bool { return c.streamed() && c.Aggregator != nil }},
-	{a: "Stream", rel: relClash, b: "Reweighter",
-		why:     "reweighting needs the round buffer",
-		refused: func(c *Coordinator) bool { return c.streamed() && c.Reweighter != nil }},
 	{a: "Stream", rel: relClash, b: "Quarantine",
 		why:     "the quarantine reweights the round buffer",
 		refused: func(c *Coordinator) bool { return c.streamed() && c.Quarantine != nil }},
@@ -91,9 +72,6 @@ var composition = []composeRule{
 	{a: "Stream", rel: relClash, b: "Archive",
 		why:     "the archive needs the raw deltas",
 		refused: func(c *Coordinator) bool { return c.streamed() && c.Archive != nil }},
-	{a: "Reweighter", rel: relEither, b: "Quarantine",
-		why:     "the quarantine is wired as the trainer's reweighter",
-		refused: func(c *Coordinator) bool { return c.Reweighter != nil && c.Quarantine != nil }},
 }
 
 // validate checks the configuration against the composition table. It runs

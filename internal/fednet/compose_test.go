@@ -18,17 +18,13 @@ import (
 	"digfl/internal/shapley"
 )
 
-type unitWeights struct{}
-
-func (unitWeights) Weights(ep *hfl.Epoch) []float64 { return nil }
-
 // TestCompositionRefusedBeforeJoin: every row of the composition table is
 // refused by Run with no participant joined — within a second, with that
 // row's error, not a byte in the journal and no goroutine left behind. Rows
-// that used to sit behind the join barrier (Stream × Aggregator / Reweighter
-// / Quarantine / Screen / Archive, Reweighter with Quarantine) blocked
-// forever here, after writing run_open. Each row naming Stream is refused
-// for each way of streaming a run: Stream, Async or Edges alone.
+// that used to sit behind the join barrier (Stream × Quarantine / Screen /
+// Archive) blocked forever here, after writing run_open. Each row naming
+// Stream is refused for each way of streaming a run: Stream, Async or Edges
+// alone.
 func TestCompositionRefusedBeforeJoin(t *testing.T) {
 	model, _, val := problem(5)
 	engine := func() shapley.Engine {
@@ -54,16 +50,11 @@ func TestCompositionRefusedBeforeJoin(t *testing.T) {
 		{"Async cannot compose with Edges", func(c *Coordinator) { c.Async, c.Edges = async(), 2 }, false},
 		{"Journal cannot compose with Screen", func(c *Coordinator) { c.Screen = screen }, false},
 		{"Journal cannot compose with Cfg.Resume", func(c *Coordinator) { c.Cfg.Resume = &hfl.Checkpoint{} }, false},
-		{"Stream cannot compose with Aggregator", func(c *Coordinator) { c.Aggregator = robust.Median{} }, false},
-		{"Stream cannot compose with Reweighter", func(c *Coordinator) { c.Reweighter = unitWeights{} }, false},
 		{"Stream cannot compose with Quarantine", func(c *Coordinator) {
 			c.Quarantine = robust.MustNewQuarantine(robust.Quarantine{})
 		}, false},
 		{"Stream cannot compose with Screen", func(c *Coordinator) { c.Screen = screen }, true},
 		{"Stream cannot compose with Archive", func(c *Coordinator) { c.Archive = &bytes.Buffer{} }, false},
-		{"Reweighter or Quarantine", func(c *Coordinator) {
-			c.Reweighter, c.Quarantine = unitWeights{}, robust.MustNewQuarantine(robust.Quarantine{})
-		}, false},
 	}
 	if len(cases) != len(composition) {
 		t.Fatalf("%d cases for %d composition rows", len(cases), len(composition))
@@ -138,11 +129,7 @@ func TestCompositionMatrixInREADME(t *testing.T) {
 	var want strings.Builder
 	want.WriteString("| Setting | | With | Because |\n|---|---|---|---|\n")
 	for _, r := range composition {
-		rel := r.rel
-		if rel == relEither {
-			rel = "or (not both)"
-		}
-		fmt.Fprintf(&want, "| `%s` | %s | `%s` | %s |\n", r.a, rel, r.b, r.why)
+		fmt.Fprintf(&want, "| `%s` | %s | `%s` | %s |\n", r.a, r.rel, r.b, r.why)
 	}
 	if got != want.String() {
 		t.Errorf("README composition matrix differs from compose.go's table; it should read:\n%s", want.String())

@@ -28,12 +28,12 @@ import (
 // drives an ordinary hfl.Trainer whose per-epoch local updates arrive over
 // HTTP instead of from in-process dataset shards.
 //
-// Zero-valued fields mean: no reweighter, no aggregator override, no
-// estimator (score endpoint disabled), no round deadline (each round waits
-// for every active participant — appropriate only when participants are
-// trusted to always report), no archive. Which settings refuse each other,
-// and why, is the composition table in compose.go (README "What composes
-// with what"); Run checks it before anything else happens.
+// Zero-valued fields mean: no quarantine (the plain mean), no estimator
+// (score endpoint disabled), no round deadline (each round waits for every
+// active participant — appropriate only when participants are trusted to
+// always report), no archive. Which settings refuse each other, and why, is
+// the composition table in compose.go (README "What composes with what");
+// Run checks it before anything else happens.
 type Coordinator struct {
 	// N is the expected participant count; Run blocks until all N joined.
 	N int
@@ -49,21 +49,18 @@ type Coordinator struct {
 	// (not on the trainer) and /v1/score reports its name, running φ totals
 	// and utility-eval cost alongside the DIG-FL estimator's attribution.
 	Cfg hfl.Config
-	// Reweighter, Aggregator and Observer are passed through to the
-	// underlying trainer.
-	Reweighter hfl.Reweighter
-	Aggregator hfl.Aggregator
-	Observer   hfl.Observer
+	// Observer is passed through to the underlying trainer.
+	Observer hfl.Observer
 	// Screen, when non-nil, vets every round's collected updates before
 	// aggregation (hfl.Trainer.Screen semantics) — the second line of
 	// defense behind the wire-level shape and finiteness rejections.
 	Screen hfl.Screener
-	// Quarantine, when non-nil, is wired as the trainer's reweighter and its
-	// ban state is surfaced on /v1/score. When Quarantine.Estimator is nil
-	// and Estimator is set, the coordinator hands its estimator to the
-	// policy, so one φ stream feeds the score endpoint and the bans; the
-	// estimator is then fed through the quarantine's Weights call instead of
-	// the Observer.
+	// Quarantine, when non-nil, is the trainer's reweighter — the
+	// coordinator's only one — and its ban state is surfaced on /v1/score.
+	// When Quarantine.Estimator is nil and Estimator is set, the coordinator
+	// hands its estimator to the policy, so one φ stream feeds the score
+	// endpoint and the bans; the estimator is then fed through the
+	// quarantine's Weights call instead of the Observer.
 	Quarantine *robust.Quarantine
 	// Estimator, when non-nil, observes every epoch (under the
 	// coordinator's lock) and backs the /v1/score endpoint, so
@@ -72,6 +69,9 @@ type Coordinator struct {
 	// RoundDeadline bounds how long a round stays open once broadcast.
 	// Participants that have not reported when it expires are dropped from
 	// the epoch (Epoch.Reported survivor semantics); 0 waits for everyone.
+	// It bounds async rounds too, where it is a real-failure safety valve
+	// only: a deterministic async run closes every round by arrival count,
+	// and a round the deadline closes forfeits the bit-identity contract.
 	RoundDeadline time.Duration
 	// Archive, when non-nil, streams every closed epoch to this writer in
 	// the logio HFL training-log format as the run progresses.
@@ -297,7 +297,7 @@ func (c *Coordinator) run(ctx context.Context) (*hfl.Result, error) {
 			return nil
 		}
 	}
-	reweighter := c.Reweighter
+	var reweighter hfl.Reweighter
 	estimatorObserves := c.Estimator != nil
 	if c.Quarantine != nil {
 		if c.Quarantine.Estimator == nil && c.Estimator != nil {
@@ -355,8 +355,7 @@ func (c *Coordinator) run(ctx context.Context) (*hfl.Result, error) {
 	}
 	tr := &hfl.Trainer{
 		Model: c.Model, Val: c.Val, Cfg: cfg,
-		Reweighter: reweighter, Aggregator: c.Aggregator,
-		Screen: c.Screen, Observer: observer, Rounds: c,
+		Reweighter: reweighter, Screen: c.Screen, Observer: observer, Rounds: c,
 		Stream: c.fold(),
 	}
 	return tr.RunContext(ctx)

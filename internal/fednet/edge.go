@@ -42,10 +42,6 @@ type EdgeAggregator struct {
 	// Client is the HTTP client for root requests; nil uses
 	// http.DefaultClient.
 	Client *http.Client
-	// Deadline bounds how long the edge waits for its members each round
-	// before submitting a survivors-only partial; 0 waits for every active
-	// member.
-	Deadline time.Duration
 	// Retries bounds the retry attempts per root request beyond the first;
 	// 0 means no retries. Request bodies are encoded once and re-sent
 	// verbatim across backoff attempts.
@@ -330,15 +326,10 @@ func (e *EdgeAggregator) Run(ctx context.Context) error {
 	}
 }
 
-// waitRound blocks until every active member folded, the edge deadline
-// expired, or ctx is done.
+// waitRound blocks until every active member folded or ctx is done. A
+// member that misses the root's RoundDeadline costs its edge the round: the
+// partial that follows is refused as stale.
 func (e *EdgeAggregator) waitRound(ctx context.Context, r *edgeRound) error {
-	var deadlineCh <-chan time.Time
-	if e.Deadline > 0 {
-		timer := time.NewTimer(e.Deadline)
-		defer timer.Stop()
-		deadlineCh = timer.C
-	}
 	for {
 		e.mu.Lock()
 		got := r.got
@@ -349,8 +340,6 @@ func (e *EdgeAggregator) waitRound(ctx context.Context, r *edgeRound) error {
 		}
 		select {
 		case <-ch:
-		case <-deadlineCh:
-			return nil
 		case <-ctx.Done():
 			return ctx.Err()
 		}

@@ -430,18 +430,11 @@ func (c *Coordinator) arrivedLocked(r *openRound, n int) {
 // order. A deadline expiry degrades the epoch to the survivors.
 func (c *Coordinator) Round(ctx context.Context, spec *hfl.RoundSpec) (*hfl.RoundResult, error) {
 	sink := c.Cfg.Runtime.Sink
-	roundDeadline := c.RoundDeadline
-	if c.Async != nil && c.Async.Deadline > 0 {
-		// The async deadline is a real-failure safety valve only: a
-		// deterministic run closes every round by arrival count, never by
-		// timer (the schedule's every fresh member posts during its round).
-		roundDeadline = c.Async.Deadline
-	}
 	var deadlineCh <-chan time.Time
 	var deadline time.Time
-	if roundDeadline > 0 {
-		deadline = time.Now().Add(roundDeadline)
-		timer := time.NewTimer(roundDeadline)
+	if c.RoundDeadline > 0 {
+		deadline = time.Now().Add(c.RoundDeadline)
+		timer := time.NewTimer(c.RoundDeadline)
 		defer timer.Stop()
 		deadlineCh = timer.C
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"digfl/internal/faults"
 	"digfl/internal/obs"
@@ -28,51 +27,33 @@ type AsyncConfig struct {
 	// When fewer than K candidates exist at the commit point (a deadline
 	// epoch), every available candidate commits. Must be >= 1.
 	Quorum int
-	// Deadline bounds how long a networked async round stays open for its
-	// fresh cohort before closing with whatever arrived — a real-failure
-	// safety valve only. A deterministic run never reaches it (every
-	// scheduled arrival lands in its own round); when it fires, liveness is
-	// preserved at the cost of the bit-identity contract. 0 falls back to
-	// the coordinator's RoundDeadline, and if that is 0 too the round waits
-	// indefinitely.
-	Deadline time.Duration
 	// MaxStaleness is the admission window in epochs: an update whose
 	// origin epoch is more than MaxStaleness behind the committing epoch is
 	// rejected as too stale (wire code 409 too_stale, obs stale_reject).
 	// Must be >= 1.
 	MaxStaleness int
-	// Weight maps an update's staleness s = commitEpoch - originEpoch to
-	// its discount factor; nil defaults to PolyWeight(0.5), the polynomial
-	// decay (1+s)^(-1/2). A fresh update (s = 0) under the default weighs
-	// exactly 1, so an all-fresh async commit is bit-identical to the
-	// synchronous streamed fold.
-	Weight func(staleness int) float64
 }
 
-// validate normalizes and checks the policy.
-func (c *AsyncConfig) validate() error {
+// validate checks the policy.
+func (c AsyncConfig) validate() error {
 	if c.Quorum < 1 {
 		return fmt.Errorf("hfl: AsyncConfig.Quorum must be >= 1, got %d", c.Quorum)
 	}
 	if c.MaxStaleness < 1 {
 		return fmt.Errorf("hfl: AsyncConfig.MaxStaleness must be >= 1, got %d", c.MaxStaleness)
 	}
-	if c.Weight == nil {
-		c.Weight = PolyWeight(0.5)
-	}
 	return nil
 }
 
-// PolyWeight returns the polynomial staleness decay w(s) = (1+s)^(-alpha).
-// w(0) is exactly 1 for every alpha, which keeps fresh commits bit-identical
-// to the undiscounted fold.
-func PolyWeight(alpha float64) func(int) float64 {
-	return func(s int) float64 {
-		if s <= 0 {
-			return 1
-		}
-		return math.Pow(1+float64(s), -alpha)
+// staleWeight is the discount of an update committed s = commitEpoch −
+// originEpoch epochs late: the polynomial decay w(s) = (1+s)^(-1/2). w(0)
+// is exactly 1, so an all-fresh async commit is bit-identical to the
+// synchronous streamed fold.
+func staleWeight(s int) float64 {
+	if s <= 0 {
+		return 1
 	}
+	return math.Pow(1+float64(s), -0.5)
 }
 
 // AsyncEntry is one update inside the async policy's carry-over buffer: a
@@ -168,9 +149,6 @@ func NewAsyncPlanner(cfg AsyncConfig, inj *faults.Injector, sink obs.Sink) (*Asy
 	}
 	return pl, nil
 }
-
-// Config returns the validated policy.
-func (pl *AsyncPlanner) Config() AsyncConfig { return pl.cfg }
 
 // Schedule plans epoch t's arrivals over the trainer's active set. It is a
 // pure read of (buffer, seed): calling it again for the same epoch — as
@@ -341,7 +319,7 @@ func (pl *AsyncPlanner) Commit(t, p int, stream StreamAggregator, valGrad []floa
 		fold := stream.NewFold(p, len(commit), valGrad)
 		for j, c := range commit {
 			s := t - c.origin
-			if w := pl.cfg.Weight(s); w != 1 {
+			if w := staleWeight(s); w != 1 {
 				tensor.Scale(w, c.delta)
 			}
 			if err := fold.Add(j, c.delta); err != nil {

@@ -11,24 +11,18 @@ import (
 	"digfl/internal/tensor"
 )
 
+// TestPolyWeightFreshIsOne: the staleness discount is the polynomial decay
+// (1+s)^(-1/2) — exactly 1 for a fresh update and strictly falling after.
 func TestPolyWeightFreshIsOne(t *testing.T) {
-	for _, alpha := range []float64{0, 0.25, 0.5, 1, 2} {
-		w := PolyWeight(alpha)
-		if w(0) != 1 {
-			t.Fatalf("alpha %v: w(0) = %v, want exactly 1", alpha, w(0))
+	if staleWeight(0) != 1 {
+		t.Fatalf("w(0) = %v, want exactly 1", staleWeight(0))
+	}
+	for s := 1; s <= 5; s++ {
+		if staleWeight(s) >= staleWeight(s-1) {
+			t.Fatalf("w(%d)=%v not strictly below w(%d)=%v", s, staleWeight(s), s-1, staleWeight(s-1))
 		}
-		if alpha > 0 {
-			prev := w(0)
-			for s := 1; s <= 5; s++ {
-				if w(s) >= prev {
-					t.Fatalf("alpha %v: w(%d)=%v not strictly below w(%d)=%v", alpha, s, w(s), s-1, prev)
-				}
-				prev = w(s)
-			}
-			want := math.Pow(1+2, -alpha)
-			if w(2) != want {
-				t.Fatalf("alpha %v: w(2) = %v, want %v", alpha, w(2), want)
-			}
+		if want := math.Pow(1+float64(s), -0.5); staleWeight(s) != want {
+			t.Fatalf("w(%d) = %v, want %v", s, staleWeight(s), want)
 		}
 	}
 }
@@ -40,12 +34,8 @@ func TestAsyncConfigValidation(t *testing.T) {
 	if _, err := NewAsyncPlanner(AsyncConfig{Quorum: 2, MaxStaleness: 0}, nil, nil); err == nil || !strings.Contains(err.Error(), "MaxStaleness") {
 		t.Fatalf("staleness 0 accepted: %v", err)
 	}
-	pl, err := NewAsyncPlanner(AsyncConfig{Quorum: 2, MaxStaleness: 2}, nil, nil)
-	if err != nil {
+	if _, err := NewAsyncPlanner(AsyncConfig{Quorum: 2, MaxStaleness: 2}, nil, nil); err != nil {
 		t.Fatal(err)
-	}
-	if w := pl.Config().Weight; w == nil || w(0) != 1 {
-		t.Fatal("default Weight not installed or w(0) != 1")
 	}
 }
 
@@ -317,7 +307,7 @@ func TestAsyncStaleFoldDiscounts(t *testing.T) {
 	if fmt.Sprint(ac.Reported) != "[0 1]" {
 		t.Fatalf("reported %v", ac.Reported)
 	}
-	w := PolyWeight(0.5)(1)
+	w := staleWeight(1)
 	// Mean of fresh {1,1} at weight 1 and stale {2,4} at weight w.
 	want0 := (1 + 2*w) / 2
 	want1 := (1 + 4*w) / 2

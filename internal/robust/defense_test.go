@@ -194,13 +194,11 @@ func TestScreenClipsOutlierNorms(t *testing.T) {
 	}
 }
 
-// TestScreenConfigValidation rejects out-of-range Lambda.
+// TestScreenConfigValidation rejects an out-of-range screen Lambda and a
+// negative quarantine Patience.
 func TestScreenConfigValidation(t *testing.T) {
 	if _, err := NewUpdateScreen(ScreenConfig{Lambda: 2}); err == nil {
 		t.Error("Lambda 2 accepted")
-	}
-	if _, err := NewQuarantine(Quarantine{Lambda: -1}); err == nil {
-		t.Error("quarantine Lambda -1 accepted")
 	}
 	if _, err := NewQuarantine(Quarantine{Patience: -1}); err == nil {
 		t.Error("quarantine Patience -1 accepted")

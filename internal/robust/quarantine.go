@@ -32,9 +32,6 @@ type Quarantine struct {
 	// attribution as a side effect, like core.HFLReweighter). When nil, the
 	// first-order projection (1/|S|)·∇loss^v·δ is computed per epoch.
 	Estimator *core.HFLEstimator
-	// Lambda is the EWMA rate: ewma ← (1−Lambda)·ewma + Lambda·φ.
-	// Defaults to 0.3.
-	Lambda float64
 	// Patience is the number of consecutive observed epochs a
 	// participant's rectified EWMA must stay non-positive (against a
 	// positive federation median) before it is quarantined. Defaults to 3.
@@ -51,16 +48,14 @@ type Quarantine struct {
 
 var _ hfl.Reweighter = (*Quarantine)(nil)
 
+// quarantineLambda is the rate λ of the contribution EWMA:
+// ewma ← (1−λ)·ewma + λ·φ.
+const quarantineLambda = 0.3
+
 // NewQuarantine validates the policy parameters and fills defaults.
 func NewQuarantine(q Quarantine) (*Quarantine, error) {
-	if q.Lambda < 0 || q.Lambda > 1 {
-		return nil, fmt.Errorf("robust: quarantine Lambda %v outside [0,1]", q.Lambda)
-	}
 	if q.Patience < 0 {
 		return nil, fmt.Errorf("robust: negative quarantine Patience %d", q.Patience)
-	}
-	if q.Lambda == 0 {
-		q.Lambda = 0.3
 	}
 	if q.Patience == 0 {
 		q.Patience = 3
@@ -91,9 +86,6 @@ func (q *Quarantine) grow(n int) {
 // quarantine state, and return Eq. 17's rectified numerators over the
 // non-banned reporters (banned reporters get exactly 0).
 func (q *Quarantine) Weights(ep *hfl.Epoch) []float64 {
-	if q.Lambda == 0 {
-		q.Lambda = 0.3
-	}
 	if q.Patience == 0 {
 		q.Patience = 3
 	}
@@ -123,7 +115,7 @@ func (q *Quarantine) Weights(ep *hfl.Epoch) []float64 {
 		if !q.seen[i] {
 			q.ewma[i], q.seen[i] = phi[k], true
 		} else {
-			q.ewma[i] = (1-q.Lambda)*q.ewma[i] + q.Lambda*phi[k]
+			q.ewma[i] = (1-quarantineLambda)*q.ewma[i] + quarantineLambda*phi[k]
 		}
 	}
 	// Federation health: median EWMA over this epoch's reporters.

@@ -55,13 +55,9 @@ type SecureConfig struct {
 	// MaxRetries bounds how many times a failed encrypted gradient round
 	// is retried (so a round runs at most 1+MaxRetries attempts); when the
 	// budget is exhausted the run fails with faults.ErrRetriesExhausted.
+	// A retry follows its failure at once: the failure is injected, so
+	// there is nothing to wait out.
 	MaxRetries int
-	// RetryBase is the base of the capped exponential backoff between
-	// attempts (delay = RetryBase·2^attempt, clamped to RetryCap); 0
-	// disables sleeping, which is what deterministic tests use.
-	RetryBase time.Duration
-	// RetryCap clamps the backoff delay; 0 means uncapped.
-	RetryCap time.Duration
 }
 
 // workers resolves the effective Paillier pool size: the protocol is
@@ -186,28 +182,22 @@ func RunSecureN(prob *Problem, cfg SecureConfig) (*SecureNResult, error) {
 	// so that every epoch after the first finds it grown.
 	var tab paillier.DotTable
 
-	inj := cfg.Faults
+	inj, maxRetries := cfg.Faults, cfg.MaxRetries
 	// secureRound wraps one encrypted gradient round (round 0: training,
 	// round 1: validation) with the transient-failure retry loop: an
-	// injected failure is retried with capped exponential backoff up to
-	// MaxRetries times. Failures are injected before the round consumes
-	// any mask entropy, so the eventual successful attempt produces
-	// ciphertexts and plaintexts bit-identical to a run that never failed.
+	// injected failure is retried at once, up to MaxRetries times. Failures
+	// are injected before the round consumes any mask entropy, so the
+	// eventual successful attempt produces ciphertexts and plaintexts
+	// bit-identical to a run that never failed.
 	secureRound := func(t, round int, y []float64, useVal bool) ([][]float64, int64, error) {
-		for attempt := 0; ; attempt++ {
-			if inj.SecureRoundFails(t, round, attempt) {
-				if attempt >= cfg.MaxRetries {
-					return nil, 0, fmt.Errorf("vfl: epoch %d secure round %d failed %d times: %w",
-						t, round, attempt+1, faults.ErrRetriesExhausted)
-				}
-				obs.Emit(sink, obs.Event{Kind: obs.KindRetry, T: t, N: int64(attempt + 1)})
-				if d := faults.Backoff(attempt, cfg.RetryBase, cfg.RetryCap); d > 0 {
-					time.Sleep(d)
-				}
-				continue
+		for attempt := 0; inj.SecureRoundFails(t, round, attempt); attempt++ {
+			if attempt >= maxRetries {
+				return nil, 0, fmt.Errorf("vfl: epoch %d secure round %d failed %d times: %w",
+					t, round, attempt+1, faults.ErrRetriesExhausted)
 			}
-			return secureGradientN(sk, parties, &tab, y, useVal, spec, maskRNG, workers, sink)
+			obs.Emit(sink, obs.Event{Kind: obs.KindRetry, T: t, N: int64(attempt + 1)})
 		}
+		return secureGradientN(sk, parties, &tab, y, useVal, spec, maskRNG, workers, sink)
 	}
 
 	res := &SecureNResult{Shapley: make([]float64, len(parties))}
