@@ -59,7 +59,8 @@ bench-workload:
 # -benchmem. The streamed round's — cohort draw, estimator observe, the
 # fold's dot/axpy/fused pass, update ingest (on a streamed round, and on a
 # journaled buffered one with its journal checked against EncodeUpdate's
-# bytes) and round poll through Handler() — at the reference cell's shapes (100k population, cohort 64,
+# bytes), round poll and a warm /v1/score read of 100k totals through
+# Handler() — at the reference cell's shapes (100k population, cohort 64,
 # d=2000); and the validation loss's, which every round's turnaround and
 # every engine's utility evaluation pay — the four-row dot kernel at d=2000,
 # MatVec on a 32×2000 validation set, the audit's softmax loss (400 rows ×
@@ -74,7 +75,7 @@ bench-workload:
 # 2048 bits) and step 5's vector decryption of nine ciphertexts — all but the
 # encryption checked against their references before timing.
 bench-kernels:
-	$(GO) test -run '^$$' -benchmem -bench 'Cohort100k|ObserveDots100k|ObserveDeltas64x2000|Dot2000|AXPY2000|DotAdd2000|Dot4x2000|MatVec32x2000|AXPYRows64x2000|MatTVec32x2000|SoftmaxLoss400x64x10|IngestUpdate|RoundPollV2' \
+	$(GO) test -run '^$$' -benchmem -bench 'Cohort100k|ObserveDots100k|ObserveDeltas64x2000|Dot2000|AXPY2000|DotAdd2000|Dot4x2000|MatVec32x2000|AXPYRows64x2000|MatTVec32x2000|SoftmaxLoss400x64x10|IngestUpdate|RoundPollV2|ScoreRead100k' \
 		./internal/sampling/ ./internal/core/ ./internal/tensor/ ./internal/nn/ ./internal/fednet/
 	$(GO) test -run '^$$' -benchmem -bench 'Encrypt$$/1024|DotPlain/77|MaskedGradient|MulMod|DecryptVec/9' ./internal/paillier/ ./internal/vfl/
 
@@ -142,10 +143,11 @@ verify-scale:
 # that journals what arrived: an accepted update or partial frame is its own
 # canonical encoding (table, seeded bit patterns and a fuzz smoke pass), an
 # update through Handler() on a streamed and on a journaled buffered round
-# allocates nothing and a poll at most once, the hand-formatted acks and the
-# excluded reply are json.Encoder's bytes, an escaped poll query parses as
-# url.Values does, and X-Digfl-Instance turns over with Recover. -count=1
-# defeats the test cache so the gate re-executes.
+# allocates nothing, nor does a warm /v1/score read of the 100k
+# estimator-only cell, and a poll at most once, the hand-formatted acks, the
+# excluded reply and the /v1/score reply are json.Encoder's bytes, an escaped
+# poll query parses as url.Values does, and X-Digfl-Instance turns over with
+# Recover. -count=1 defeats the test cache so the gate re-executes.
 verify-wire:
 	$(GO) vet ./internal/fednet/ ./internal/tensor/ ./internal/experiments/
 	$(GO) test -count=1 -run 'Codec|Frame|BenchDriverRequestShapes|Pool|SizeClass|WireCodec|WireDeterministic|FiniteVec|DotAdd|HandlerAllocs|ReplyBytes|RoundQuery|InstanceHeader' \

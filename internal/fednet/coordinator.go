@@ -144,6 +144,14 @@ type Coordinator struct {
 	// under mu (Round's schedule/commit, ingest's late admits, journalClose's
 	// buffer snapshot).
 	asyncPlan *hfl.AsyncPlanner
+
+	// The /v1/score buffers, reused across reads: scoreTot is the
+	// estimator's totals copied under mu, scoreBuf the reply written from
+	// that copy once mu is released. scoreMu guards both and is taken
+	// before mu, never after.
+	scoreMu  sync.Mutex
+	scoreTot []float64
+	scoreBuf []byte
 }
 
 // initLocked lazily initializes the shared state; callers hold mu.

@@ -1,6 +1,7 @@
 package fednet
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 
 	"digfl/internal/jsonf"
 	"digfl/internal/obs"
+	"digfl/internal/shapley"
 	"digfl/internal/tensor"
 )
 
@@ -519,7 +521,17 @@ func decodeDelta(w http.ResponseWriter, sink obs.Sink, t, index int, body []byte
 	return nil, false
 }
 
+// handleScore serves the live attribution. Under mu it copies only the
+// estimator's totals into scoreTot (the engine's Finalize and the quarantine
+// list are copies already); the reply is written from that snapshot into
+// scoreBuf after mu is released, so a read of a 100k-participant run holds
+// the round loop off for one copy, not for its encoding, and allocates
+// nothing once the buffers have grown. Concurrent reads queue on scoreMu,
+// each behind the one whose reply is being written; the round loop never
+// waits on it.
 func (c *Coordinator) handleScore(w http.ResponseWriter, req *http.Request) {
+	c.scoreMu.Lock()
+	defer c.scoreMu.Unlock()
 	c.mu.Lock()
 	eng := c.engine()
 	if c.Estimator == nil && eng == nil {
@@ -532,26 +544,70 @@ func (c *Coordinator) handleScore(w http.ResponseWriter, req *http.Request) {
 		refuseRecovering(w)
 		return
 	}
-	var reply scoreReply
+	var (
+		epochs int
+		totals []float64
+		rep    *shapley.Report
+		banned []int
+	)
 	if c.Estimator != nil {
 		attr := c.Estimator.Attribution()
-		reply.Epochs = attr.Epochs
-		reply.Totals = append([]float64(nil), attr.Totals...)
-		reply.Engine = "dig-fl"
+		c.scoreTot = append(c.scoreTot[:0], attr.Totals...)
+		epochs, totals = attr.Epochs, c.scoreTot
 	}
 	if eng != nil {
-		rep := eng.Finalize()
-		reply.Engine = rep.Name
-		reply.EngineTotals = rep.Totals
-		reply.EngineEpochs = rep.Epochs
-		reply.EngineEvals = rep.Cost.UtilityEvals
+		rep = eng.Finalize()
 		if c.Estimator == nil {
-			reply.Epochs = rep.Epochs
+			epochs = rep.Epochs
 		}
 	}
 	if c.Quarantine != nil {
-		reply.Quarantined = c.Quarantine.Quarantined()
+		banned = c.Quarantine.Quarantined()
 	}
 	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, reply)
+	c.scoreBuf = appendScore(c.scoreBuf[:0], epochs, totals, banned, rep)
+	writeRawJSON(w, http.StatusOK, c.scoreBuf)
+}
+
+// appendScore appends the /v1/score reply — json.Encoder's bytes for the
+// same fields, newline included (TestScoreReplyBytes) — to b:
+//
+//	{"epochs":E,"totals":[…],"quarantined":[…],"engine":"…","engine_totals":[…],"engine_epochs":T,"engine_evals":U}
+//
+// epochs and totals are the estimator's (totals null without one, epochs
+// the engine's then); quarantined lists the banned participants and is
+// omitted when none are; engine names the pluggable engine rep, or is
+// "dig-fl" when only the estimator backs the endpoint; the engine_* fields
+// carry rep's running Shapley totals and utility-evaluation cost, each
+// omitted when empty or zero.
+func appendScore(b []byte, epochs int, totals []float64, banned []int, rep *shapley.Report) []byte {
+	b = strconv.AppendInt(append(b, `{"epochs":`...), int64(epochs), 10)
+	b = jsonf.AppendVec(append(b, `,"totals":`...), totals)
+	if len(banned) > 0 {
+		b = append(b, `,"quarantined":[`...)
+		for k, i := range banned {
+			if k > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(i), 10)
+		}
+		b = append(b, ']')
+	}
+	if rep == nil {
+		return append(b, `,"engine":"dig-fl"}`+"\n"...)
+	}
+	if rep.Name != "" {
+		name, _ := json.Marshal(rep.Name)
+		b = append(append(b, `,"engine":`...), name...)
+	}
+	if len(rep.Totals) > 0 {
+		b = jsonf.AppendVec(append(b, `,"engine_totals":`...), rep.Totals)
+	}
+	if rep.Epochs != 0 {
+		b = strconv.AppendInt(append(b, `,"engine_epochs":`...), int64(rep.Epochs), 10)
+	}
+	if evals := rep.Cost.UtilityEvals; evals != 0 {
+		b = strconv.AppendInt(append(b, `,"engine_evals":`...), evals, 10)
+	}
+	return append(b, "}\n"...)
 }

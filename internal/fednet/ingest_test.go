@@ -31,7 +31,8 @@ func minAllocs(runs int, prepare, f func()) float64 {
 // streamed round and an update on a journaled buffered round allocate
 // nothing — the body, the decoded vector and the journal record are all
 // pooled, the ack and both header values preformatted — and neither does the
-// poll that downloads the broadcast; an excluded poll formats one reply.
+// poll that downloads the broadcast, nor a warm /v1/score read of the 100k
+// estimator-only cell; an excluded poll formats one reply.
 func TestHandlerAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops a quarter of its puts; make verify-wire runs the gate without it")
@@ -80,6 +81,16 @@ func TestHandlerAllocs(t *testing.T) {
 	}
 	if got := poll("t=1&i=8&c=2"); got > 1 || !bytes.Contains(ic.rw.body, []byte(`"excluded":true`)) {
 		t.Errorf("excluded poll: %v allocations (want at most 1), reply %q", got, ic.rw.body)
+	}
+
+	// A warm /v1/score read: the totals snapshot and the reply are the
+	// coordinator's reused buffers.
+	sc := newScoreCell()
+	if got := minAllocs(5, func() {}, sc.read); got != 0 || sc.rw.status != http.StatusOK {
+		t.Errorf("warm /v1/score: %v allocations (want 0), status %d", got, sc.rw.status)
+	}
+	if want := encoded(t, sc.want); string(sc.rw.body) != want {
+		t.Errorf("warm /v1/score: %d reply bytes differ from json.Encoder's %d", len(sc.rw.body), len(want))
 	}
 }
 

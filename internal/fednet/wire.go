@@ -118,24 +118,6 @@ type updateReply struct {
 	Reason   string `json:"reason,omitempty"`
 }
 
-// scoreReply is the /v1/score response: the estimator's live attribution,
-// with the coordinator's current quarantine list when a quarantine policy
-// is attached.
-type scoreReply struct {
-	Epochs      int       `json:"epochs"`
-	Totals      jsonf.Vec `json:"totals"`
-	Quarantined []int     `json:"quarantined,omitempty"`
-	// Engine names the active contribution engine: the attached pluggable
-	// engine's name, or "dig-fl" when only the first-derivative estimator
-	// backs the endpoint. The Engine* fields carry the pluggable engine's
-	// running Shapley totals and utility-evaluation cost; they are absent
-	// when no engine is attached.
-	Engine       string    `json:"engine,omitempty"`
-	EngineTotals jsonf.Vec `json:"engine_totals,omitempty"`
-	EngineEpochs int       `json:"engine_epochs,omitempty"`
-	EngineEvals  int64     `json:"engine_evals,omitempty"`
-}
-
 // errorReply is the JSON body of every non-2xx response. Code, when
 // present, machine-names the rejection so clients can distinguish benign
 // refusals (a stale round) from fatal ones (a malformed update).

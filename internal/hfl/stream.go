@@ -62,7 +62,8 @@ type StreamAggregator interface {
 // the merged total is scaled once by 1/m. A two-level cohort tree whose
 // edge sub-aggregators each own Seg slots performs exactly these operations
 // in exactly this order, so tree, flat-streamed, and in-process streamed
-// runs are bit-identical (see fednet.TreeSource).
+// runs are bit-identical (see fednet.Loopback with Edges set, and
+// TestTreeLoopbackBitIdenticalToFlatAndLocal).
 //
 // Seg ≤ 0 means one segment spanning the whole round — the flat streaming
 // order, and the order of the buffered trainer's mean, so MeanStream{} runs

@@ -11,6 +11,9 @@
 // Both directions work in one pass over one buffer: a vector of n floats
 // costs one allocation to marshal and one to unmarshal, and the text is
 // byte-identical to what encoding/json writes for the same finite values.
+// AppendVec is the marshal pass on its own, into a buffer the caller owns
+// and reuses: it allocates only when that buffer must grow. /v1/score
+// writes its totals with it.
 package jsonf
 
 import (
@@ -147,18 +150,27 @@ type Vec []float64
 
 // MarshalJSON encodes the vector element-wise with F64 semantics.
 func (v Vec) MarshalJSON() ([]byte, error) {
-	if v == nil {
-		return []byte("null"), nil
-	}
 	// Most values print in about 20 bytes; append grows the rest.
-	b := append(make([]byte, 0, 2+20*len(v)), '[')
-	for i, x := range v {
+	return AppendVec(make([]byte, 0, 4+20*len(v)), v), nil
+}
+
+// AppendVec appends v's encoding to b and returns the extended buffer:
+// null for a nil v, otherwise an array of F64 encodings. It is the one
+// float-vector writer of the package — Vec.MarshalJSON is AppendVec into a
+// fresh buffer — so a caller that owns its buffer writes the same bytes
+// without allocating.
+func AppendVec(b []byte, v []float64) []byte {
+	if v == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i := range v {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendFloat(b, x)
+		b = appendFloat(b, v[i])
 	}
-	return append(b, ']'), nil
+	return append(b, ']')
 }
 
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }

@@ -115,6 +115,10 @@ func checkAgainstOracle(t *testing.T, v []float64) {
 	if via, err := json.Marshal(Vec(v)); err != nil || string(via) != string(want) {
 		t.Fatalf("json.Marshal(Vec) = %s, %v; want %s", via, err, want)
 	}
+	// AppendVec writes the same bytes behind whatever the buffer holds.
+	if app := AppendVec([]byte(`{"v":`), v); string(app) != `{"v":`+string(want) {
+		t.Fatalf("AppendVec wrote\n %s\nwant the oracle's bytes behind the prefix\n %s", app, want)
+	}
 	var back Vec
 	if err := back.UnmarshalJSON(got); err != nil {
 		t.Fatalf("unmarshal of %s: %v", got, err)
@@ -205,6 +209,21 @@ func TestF64UnmarshalMatchesOracle(t *testing.T) {
 		} else if gerr == nil && !sameFloats([]float64{float64(got)}, []float64{float64(want)}) {
 			t.Errorf("%q decodes to %v, the oracle to %v", in, got, want)
 		}
+	}
+}
+
+// TestAppendVecReusesBuffer: into a buffer that already fits, AppendVec
+// allocates nothing — what lets /v1/score reuse one reply buffer.
+func TestAppendVecReusesBuffer(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	v := make([]float64, 2000)
+	for i := range v {
+		v[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20))
+	}
+	v[3], v[9] = math.NaN(), math.Inf(-1)
+	buf := AppendVec(nil, v)
+	if got := testing.AllocsPerRun(20, func() { buf = AppendVec(buf[:0], v) }); got != 0 {
+		t.Errorf("AppendVec into a warm buffer: %v allocations, want 0", got)
 	}
 }
 

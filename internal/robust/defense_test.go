@@ -242,6 +242,14 @@ func TestQuarantineBansPersistentNegative(t *testing.T) {
 	if got := c.Snapshot().Quarantines; got != 1 {
 		t.Fatalf("Quarantines = %d, want 1 (ban must emit once)", got)
 	}
+	// Participant 1 turns negative beside two newcomers and is banned after
+	// participant 2: the list stays in ascending index order, not ban order.
+	for ep := 6; ep <= 7; ep++ {
+		q.Weights(qEpoch(ep, vg, []float64{1}, []float64{-30}, []float64{-3}, []float64{4}, []float64{5}))
+	}
+	if got := q.Quarantined(); !reflect.DeepEqual(got, []int{1, 2}) {
+		t.Fatalf("Quarantined() after the second ban = %v, want [1 2]", got)
+	}
 }
 
 // TestQuarantineMedianGuard: when the whole cohort's EWMA is non-positive

@@ -229,8 +229,8 @@ func (q *Quarantine) IsQuarantined(i int) bool {
 	return i >= 0 && i < len(q.banned) && q.banned[i]
 }
 
-// Quarantined returns the sorted banned participant indices (nil when
-// nobody is banned).
+// Quarantined returns the banned participant indices in ascending order —
+// the order of the scan over the ban flags — or nil when nobody is banned.
 func (q *Quarantine) Quarantined() []int {
 	if q.nBanned == 0 {
 		return nil
@@ -241,6 +241,5 @@ func (q *Quarantine) Quarantined() []int {
 			out = append(out, i)
 		}
 	}
-	sort.Ints(out)
 	return out
 }
