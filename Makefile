@@ -57,7 +57,8 @@ bench-workload:
 
 # bench-kernels runs the hot-path kernel microbenchmarks once each with
 # -benchmem. The streamed round's — cohort draw, estimator observe, the
-# fold's dot/axpy/fused pass, update ingest (on a streamed round, and on a
+# fold's dot/axpy/fused pass, the frame codec's vector encode and decode
+# (one 2000-float update), update ingest (on a streamed round, and on a
 # journaled buffered one with its journal checked against EncodeUpdate's
 # bytes), round poll and a warm /v1/score read of 100k totals through
 # Handler() — at the reference cell's shapes (100k population, cohort 64,
@@ -75,7 +76,7 @@ bench-workload:
 # 2048 bits) and step 5's vector decryption of nine ciphertexts — all but the
 # encryption checked against their references before timing.
 bench-kernels:
-	$(GO) test -run '^$$' -benchmem -bench 'Cohort100k|ObserveDots100k|ObserveDeltas64x2000|Dot2000|AXPY2000|DotAdd2000|Dot4x2000|MatVec32x2000|AXPYRows64x2000|MatTVec32x2000|SoftmaxLoss400x64x10|IngestUpdate|RoundPollV2|ScoreRead100k' \
+	$(GO) test -run '^$$' -benchmem -bench 'Cohort100k|ObserveDots100k|ObserveDeltas64x2000|Dot2000|AXPY2000|DotAdd2000|Dot4x2000|MatVec32x2000|AXPYRows64x2000|MatTVec32x2000|SoftmaxLoss400x64x10|FrameVec2000|IngestUpdate|RoundPollV2|ScoreRead100k' \
 		./internal/sampling/ ./internal/core/ ./internal/tensor/ ./internal/nn/ ./internal/fednet/
 	$(GO) test -run '^$$' -benchmem -bench 'Encrypt$$/1024|DotPlain/77|MaskedGradient|MulMod|DecryptVec/9' ./internal/paillier/ ./internal/vfl/
 
@@ -138,9 +139,13 @@ verify-scale:
 # benchmark over the wire is bit-identical to the in-process trainer, puts
 # the closed-form frame bytes on the wire and stays under an absolute
 # allocations-per-round ceiling), and the same-bits pins of the ingest
-# kernels (shared round frame ≡ encodeRoundFrame, readFrameVec's fused
-# finiteness table, DotAdd ≡ Dot + AXPY), and the pins of the ingest path
-# that journals what arrived: an accepted update or partial frame is its own
+# kernels (shared round frame ≡ encodeRoundFrame, the vector codec's
+# finiteness table at every length 0–11 and byte offset 0–7, its big-endian
+# byte swap against binary.BigEndian, a fuzz smoke pass holding encode,
+# decode and finiteness verdict to the per-element oracle, and a vet of the
+# package as compiled for a big-endian target, s390x; DotAdd ≡ Dot + AXPY),
+# and the pins of the ingest path that journals what arrived: an accepted
+# update or partial frame is its own
 # canonical encoding (table, seeded bit patterns and a fuzz smoke pass), an
 # update through Handler() on a streamed and on a journaled buffered round
 # allocates nothing, nor does a warm /v1/score read of the 100k
@@ -150,12 +155,14 @@ verify-scale:
 # Recover. -count=1 defeats the test cache so the gate re-executes.
 verify-wire:
 	$(GO) vet ./internal/fednet/ ./internal/tensor/ ./internal/experiments/
+	GOARCH=s390x $(GO) vet ./internal/fednet/
 	$(GO) test -count=1 -run 'Codec|Frame|BenchDriverRequestShapes|Pool|SizeClass|WireCodec|WireDeterministic|FiniteVec|DotAdd|HandlerAllocs|ReplyBytes|RoundQuery|InstanceHeader' \
 		./internal/fednet/ ./internal/tensor/ ./internal/experiments/
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzDecodeUpdateFrame -fuzztime 5s ./internal/fednet/
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzIngestFrameCanonical -fuzztime 5s ./internal/fednet/
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzDecodePartialFrame -fuzztime 5s ./internal/fednet/
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzDecodeRoundFrame -fuzztime 5s ./internal/fednet/
+	$(GO) test -count=1 -run '^$$' -fuzz FuzzFrameVecReference -fuzztime 5s ./internal/fednet/
 
 # verify-async runs the asynchronous-federation gate: the buffered-planner
 # unit tests (K-of-N quorum cuts, staleness weights with w(0)=1 exact,

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 
 	"digfl/internal/jsonf"
 	"digfl/internal/tensor"
@@ -15,6 +16,8 @@ import (
 // and nothing else carries them. JSON is the control plane only — join,
 // acks, excluded/pending/done/resubmit markers, errors, /v1/score — all
 // small. The encoding is exact: a float64's bits cross the wire verbatim.
+// On a little-endian host a d×f64 segment is the vector's memory image, so
+// putFrameVec and readFrameVec move it with one copy.
 //
 // There is nothing to negotiate. /v1/update and /v1/partial refuse any body
 // whose Content-Type is not contentTypeBinary (415, before the body is
@@ -194,21 +197,40 @@ func encodeRoundFrame(t int, lr float64, deadlineMS int64, theta, valGrad []floa
 // roundAsyncExtLen is the async extension's size: u32 quorum, u32 maxStale.
 const roundAsyncExtLen = 4 + 4
 
-// putFrameVec writes v's IEEE-754 bits little-endian into buf, four floats
-// per length check (a check per float costs more than the store it guards).
+// putFrameVec writes v's IEEE-754 bits little-endian into buf: one copy of
+// v's memory image, which on a little-endian host is the frame's bytes
+// already; a big-endian host swaps each float's eight bytes in place after.
+// Beside a memmove of d floats a call costs nothing, and inlined the body
+// would repeat at every vector of every encoder.
+//
+//go:noinline
 func putFrameVec(buf []byte, v []float64) {
 	buf = buf[:8*len(v)]
-	for len(v) >= 4 && len(buf) >= 32 {
-		b, x := buf[:32], v[:4]
-		binary.LittleEndian.PutUint64(b[0:8], math.Float64bits(x[0]))
-		binary.LittleEndian.PutUint64(b[8:16], math.Float64bits(x[1]))
-		binary.LittleEndian.PutUint64(b[16:24], math.Float64bits(x[2]))
-		binary.LittleEndian.PutUint64(b[24:32], math.Float64bits(x[3]))
-		buf, v = buf[32:], v[4:]
+	copy(buf, floatBytes(v))
+	if bigEndian {
+		swapFloatBytes(buf)
 	}
-	for len(v) > 0 && len(buf) >= 8 {
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(v[0]))
-		buf, v = buf[8:], v[1:]
+}
+
+// floatBytes is v's memory image: the 8·len(v) bytes v's floats occupy, in
+// the host's byte order. It aliases v. Frame bytes are only ever copied into
+// such an image, never reinterpreted as floats themselves: a float inside a
+// frame need not sit on an 8-byte boundary (a partial's sum starts 4 mod 8
+// into its record when it has an even number of members).
+func floatBytes(v []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 8*len(v))
+}
+
+// bigEndian reports a host whose memory image of a float is not the wire's.
+// Spelled as a string comparison, it folds to a constant and costs no init
+// code.
+var bigEndian = binary.NativeEndian.String() == "BigEndian"
+
+// swapFloatBytes reverses the byte order of every 8-byte word of b in place:
+// the big-endian host's step between a memory image and the wire.
+func swapFloatBytes(b []byte) {
+	for ; len(b) >= 8; b = b[8:] {
+		binary.LittleEndian.PutUint64(b, binary.BigEndian.Uint64(b))
 	}
 }
 
@@ -347,29 +369,32 @@ func decodeFrameVec(b []byte, d int) (v []float64, finite bool) {
 }
 
 // readFrameVec fills v from the little-endian float64s at the front of b and
-// reports whether every one is finite. NaN and ±Inf are exactly the values
-// whose eleven exponent bits are all set, and only then does adding one unit
-// of the exponent's lowest bit to the masked exponent carry into bit 63: the
-// carries of all lanes OR into one word, tested once — the screen rides the
-// decode's registers and costs the vector no second pass.
+// reports whether every one is finite: one copy into v's memory image, then
+// one read of that image, which is still in cache.
 func readFrameVec(b []byte, v []float64) (finite bool) {
-	const expMask, expOne = 0x7ff << 52, 1 << 52
+	img := floatBytes(v)
+	copy(img, b[:len(img)])
+	if bigEndian {
+		swapFloatBytes(img)
+	}
+	return finiteImage(img)
+}
+
+// finiteImage reports whether no float of the memory image img is NaN or
+// ±Inf. Those are exactly the floats whose eleven exponent bits are all set,
+// and only then does adding one to the exponent carry out of its eleven bits:
+// the carries of all floats OR into one word, tested once.
+func finiteImage(img []byte) bool {
+	ne := binary.NativeEndian
 	var carry uint64
-	b = b[:8*len(v)]
-	for len(v) >= 4 && len(b) >= 32 { // four floats per length check, as in putFrameVec
-		c, x := b[:32], v[:4]
-		u0, u1 := binary.LittleEndian.Uint64(c[0:8]), binary.LittleEndian.Uint64(c[8:16])
-		u2, u3 := binary.LittleEndian.Uint64(c[16:24]), binary.LittleEndian.Uint64(c[24:32])
-		x[0], x[1] = math.Float64frombits(u0), math.Float64frombits(u1)
-		x[2], x[3] = math.Float64frombits(u2), math.Float64frombits(u3)
-		carry |= (u0&expMask + expOne) | (u1&expMask + expOne) | (u2&expMask + expOne) | (u3&expMask + expOne)
-		b, v = b[32:], v[4:]
+	for len(img) >= 32 { // four floats per length check
+		c := img[:32]
+		carry |= (ne.Uint64(c[0:8])>>52&0x7ff + 1) | (ne.Uint64(c[8:16])>>52&0x7ff + 1) |
+			(ne.Uint64(c[16:24])>>52&0x7ff + 1) | (ne.Uint64(c[24:32])>>52&0x7ff + 1)
+		img = img[32:]
 	}
-	for len(v) > 0 && len(b) >= 8 {
-		u := binary.LittleEndian.Uint64(b)
-		v[0] = math.Float64frombits(u)
-		carry |= u&expMask + expOne
-		b, v = b[8:], v[1:]
+	for ; len(img) >= 8; img = img[8:] {
+		carry |= ne.Uint64(img)>>52&0x7ff + 1
 	}
-	return carry>>63 == 0
+	return carry>>11 == 0
 }

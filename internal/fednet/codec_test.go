@@ -2,7 +2,9 @@ package fednet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +12,7 @@ import (
 
 	"digfl/internal/hfl"
 	"digfl/internal/obs"
+	"digfl/internal/tensor"
 )
 
 // TestUpdateFrameRoundTrip pins the binary update encoding: every float64
@@ -290,8 +293,8 @@ func TestNonFrameBodyRefused(t *testing.T) {
 	}
 }
 
-// allFinite is the reference the decoders' fused finiteness report is
-// checked against.
+// allFinite is the reference the decoders' finiteness report is checked
+// against.
 func allFinite(v []float64) bool {
 	for _, x := range v {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
@@ -299,6 +302,142 @@ func allFinite(v []float64) bool {
 		}
 	}
 	return true
+}
+
+// refEncodeVec and refDecodeVec are the per-element codec — one
+// PutUint64/Uint64 per float, finite meaning neither NaN nor ±Inf — that
+// putFrameVec and readFrameVec must match byte for byte and bit for bit.
+func refEncodeVec(v []float64) []byte {
+	b := make([]byte, 8*len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
+	}
+	return b
+}
+
+func refDecodeVec(b []byte, n int) (bits []uint64, finite bool) {
+	bits, finite = make([]uint64, n), true
+	for i := range bits {
+		bits[i] = binary.LittleEndian.Uint64(b[8*i:])
+		x := math.Float64frombits(bits[i])
+		finite = finite && !math.IsNaN(x) && !math.IsInf(x, 0)
+	}
+	return bits, finite
+}
+
+// checkFrameVec encodes v at byte offset off of a larger buffer and decodes
+// it back from there, checking both against the oracle: the bytes written,
+// nothing written outside them, the bits read, and the finiteness verdict
+// (which must also be finite).
+func checkFrameVec(t *testing.T, at string, v []float64, off int, finite bool) {
+	t.Helper()
+	const pad = 0xa5
+	want := refEncodeVec(v)
+	buf := bytes.Repeat([]byte{pad}, off+len(want)+8)
+	putFrameVec(buf[off:], v)
+	if !bytes.Equal(buf[off:off+len(want)], want) {
+		t.Errorf("%s: putFrameVec wrote other bytes than the oracle", at)
+	}
+	for j, c := range buf {
+		if (j < off || j >= off+len(want)) && c != pad {
+			t.Errorf("%s: putFrameVec wrote byte %d, outside its vector", at, j)
+			break
+		}
+	}
+	wantBits, wantFinite := refDecodeVec(buf[off:], len(v))
+	if wantFinite != finite {
+		t.Fatalf("%s: the oracle says finite=%v, the caller %v", at, wantFinite, finite)
+	}
+	got := make([]float64, len(v))
+	if f := readFrameVec(buf[off:], got); f != finite {
+		t.Errorf("%s: readFrameVec reported finite=%v, want %v", at, f, finite)
+	}
+	for j := range got {
+		if math.Float64bits(got[j]) != wantBits[j] {
+			t.Errorf("%s: coordinate %d decoded to %#x, the oracle to %#x", at, j, math.Float64bits(got[j]), wantBits[j])
+		}
+	}
+}
+
+// FuzzFrameVecReference: any bit patterns, at any byte offset, encode to
+// exactly the oracle's bytes, decode to exactly its bits, and get its
+// finiteness verdict.
+func FuzzFrameVecReference(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add(refEncodeVec([]float64{1, math.NaN(), -3, math.Inf(-1), 5}), uint8(4))
+	f.Add(refEncodeVec([]float64{0, -0.0, math.MaxFloat64, math.SmallestNonzeroFloat64}), uint8(3))
+	f.Add(bytes.Repeat([]byte{0xff}, 8*9+5), uint8(7))
+	f.Fuzz(func(t *testing.T, data []byte, off uint8) {
+		bits, finite := refDecodeVec(data, len(data)/8)
+		v := make([]float64, len(bits))
+		for i, u := range bits {
+			v[i] = math.Float64frombits(u)
+		}
+		checkFrameVec(t, fmt.Sprintf("%d floats at offset %d", len(v), off%8), v, int(off%8), finite)
+	})
+}
+
+// TestFrameVecSwap: the big-endian host's step between a memory image and the
+// wire, exercised here directly. A big-endian image (binary.BigEndian's bytes
+// of each float) swaps to the oracle's wire bytes, and those swap back; and
+// the host's own image of 1.0 agrees with bigEndian.
+func TestFrameVecSwap(t *testing.T) {
+	rng := tensor.NewRNG(3)
+	for n := 0; n <= 9; n++ {
+		v := rng.NormalVec(n, 0, 1e3)
+		if n > 2 {
+			v[1], v[2] = math.NaN(), math.Inf(-1)
+		}
+		img := make([]byte, 8*n)
+		for i, x := range v {
+			binary.BigEndian.PutUint64(img[8*i:], math.Float64bits(x))
+		}
+		beImage := bytes.Clone(img)
+		swapFloatBytes(img)
+		if !bytes.Equal(img, refEncodeVec(v)) {
+			t.Errorf("n=%d: a swapped big-endian image is not the wire's bytes", n)
+		}
+		swapFloatBytes(img)
+		if !bytes.Equal(img, beImage) {
+			t.Errorf("n=%d: swapping twice is not the identity", n)
+		}
+	}
+	if got := floatBytes([]float64{1})[0] == 0x3f; got != bigEndian {
+		t.Errorf("1.0's first byte says big-endian=%v, bigEndian=%v", got, bigEndian)
+	}
+}
+
+// BenchmarkFrameVec2000 times the codec's two vector kernels on one
+// reference-cell update (d=2000, 16 KB): encode is putFrameVec, decode is
+// readFrameVec with its finiteness screen. Each is checked against the
+// oracle before the timer starts.
+func BenchmarkFrameVec2000(b *testing.B) {
+	v := tensor.NewRNG(9).NormalVec(benchDim, 0, 1)
+	wire := refEncodeVec(v)
+	buf := make([]byte, len(wire))
+	got := make([]float64, len(v))
+	b.Run("encode", func(b *testing.B) {
+		if putFrameVec(buf, v); !bytes.Equal(buf, wire) {
+			b.Fatal("putFrameVec wrote other bytes than the oracle")
+		}
+		b.SetBytes(int64(len(wire)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			putFrameVec(buf, v)
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		if !readFrameVec(wire, got) || !sameVec(got, v) {
+			b.Fatal("readFrameVec decoded other bits than the oracle, or called them non-finite")
+		}
+		b.SetBytes(int64(len(wire)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			readFrameVec(wire, got)
+		}
+	})
 }
 
 // FuzzDecodeUpdateFrame: arbitrary bytes must never panic the update

@@ -30,7 +30,10 @@ import (
 // The edge learns each round from the root (?vg=1 supplies the validation
 // gradient it needs to record per-update dot products before releasing the
 // deltas) and discovers which members are in the round's cohort through
-// cheap header-only ?i= polls, so cohort sampling composes with trees.
+// cheap header-only ?i= polls, so cohort sampling composes with trees. When
+// the root has a RoundDeadline, the edge closes each round edgeCloseMargin
+// before it and submits the members that reported: a member that never posts
+// costs the round itself, not its edge's whole block.
 type EdgeAggregator struct {
 	// Root is the root coordinator's base URL.
 	Root string
@@ -198,6 +201,7 @@ func (e *EdgeAggregator) Run(ctx context.Context) error {
 		if err := rc.get(ctx, next, e.Retries, fmt.Sprintf("%s/v1/round?t=%d&vg=1&h=1", e.Root, next), &round); err != nil {
 			return fmt.Errorf("fednet: edge %d round %d: %w", e.Edge, next, err)
 		}
+		closeAt := edgeCloseAt(round.DeadlineMS)
 		switch round.State {
 		case StateDone:
 			return nil
@@ -283,7 +287,7 @@ func (e *EdgeAggregator) Run(ctx context.Context) error {
 		e.bcastLocked()
 		e.mu.Unlock()
 
-		if err := e.waitRound(ctx, r); err != nil {
+		if err := e.waitRound(ctx, r, closeAt); err != nil {
 			return err
 		}
 
@@ -326,10 +330,33 @@ func (e *EdgeAggregator) Run(ctx context.Context) error {
 	}
 }
 
-// waitRound blocks until every active member folded or ctx is done. A
-// member that misses the root's RoundDeadline costs its edge the round: the
-// partial that follows is refused as stale.
-func (e *EdgeAggregator) waitRound(ctx context.Context, r *edgeRound) error {
+// edgeCloseMargin is how long before the root's round deadline an edge
+// closes its round, leaving its partial the time to reach the root.
+const edgeCloseMargin = 100 * time.Millisecond
+
+// edgeCloseAt is when an edge closes a round whose root deadline is
+// deadlineMS away (0: no deadline, and no close time): edgeCloseMargin
+// before it, or halfway there when the deadline is nearer than twice the
+// margin.
+func edgeCloseAt(deadlineMS int64) time.Time {
+	if deadlineMS <= 0 {
+		return time.Time{}
+	}
+	rem := time.Duration(deadlineMS) * time.Millisecond
+	return time.Now().Add(max(rem-edgeCloseMargin, rem/2))
+}
+
+// waitRound blocks until every active member folded, closeAt passes (when
+// set) or ctx is done. A member that misses the close — a straggler, or one
+// that died mid-round — is left out of the partial, and the survivors reach
+// the root before its RoundDeadline.
+func (e *EdgeAggregator) waitRound(ctx context.Context, r *edgeRound, closeAt time.Time) error {
+	var expired <-chan time.Time
+	if !closeAt.IsZero() {
+		timer := time.NewTimer(time.Until(closeAt))
+		defer timer.Stop()
+		expired = timer.C
+	}
 	for {
 		e.mu.Lock()
 		got := r.got
@@ -340,6 +367,8 @@ func (e *EdgeAggregator) waitRound(ctx context.Context, r *edgeRound) error {
 		}
 		select {
 		case <-ch:
+		case <-expired:
+			return nil
 		case <-ctx.Done():
 			return ctx.Err()
 		}

@@ -18,14 +18,16 @@ import (
 	"digfl/internal/tensor"
 )
 
-// TestFiniteVecTable: the exponent-carry screen fused into readFrameVec
-// rejects exactly NaN (any payload, quiet or signalling, either sign) and
-// ±Inf — in every lane of the four-wide loop and in the tail — while the
-// bits it stores are the frame's, and the handlers answer such a frame 422
-// non_finite before the journal and the fold see it.
+// TestFiniteVecTable: the exponent-carry screen readFrameVec runs over the
+// vector it decoded rejects exactly NaN (any payload, quiet or signalling,
+// either sign) and ±Inf — at every length from 0 to 11 (every lane of the
+// four-wide loop and every tail), at every position, and at every byte offset
+// 0–7 inside a larger buffer, as a partial's vectors sit — while the bits it
+// stores and the bytes putFrameVec writes are the per-element oracle's, and
+// the handlers answer such a frame 422 non_finite before the journal and the
+// fold see it.
 func TestFiniteVecTable(t *testing.T) {
-	// Eleven floats: two turns of the four-wide loop and a three-float tail.
-	const n = 11
+	const maxN = 11
 	for _, c := range []struct {
 		name   string
 		bits   uint64
@@ -53,26 +55,24 @@ func TestFiniteVecTable(t *testing.T) {
 		if want := !math.IsNaN(x) && !math.IsInf(x, 0); want != c.finite {
 			t.Fatalf("%s: table says finite=%v, math says %v", c.name, c.finite, want)
 		}
-		for pos := 0; pos < n; pos++ {
-			v := make([]float64, n)
-			for j := range v {
-				// Neighbours whose carries must not leak into the verdict:
-				// huge, tiny, negative.
-				v[j] = []float64{0.5, -2, 3e300, -math.MaxFloat64}[j%4]
-			}
-			v[pos] = x
-			buf := make([]byte, 8*n)
-			putFrameVec(buf, v)
-			got := make([]float64, n)
-			if finite := readFrameVec(buf, got); finite != c.finite {
-				t.Errorf("%s at %d: readFrameVec reported finite=%v, want %v", c.name, pos, finite, c.finite)
-			}
-			for j := range v {
-				if math.Float64bits(got[j]) != math.Float64bits(v[j]) {
-					t.Errorf("%s at %d: coordinate %d decoded to other bits than the frame's", c.name, pos, j)
+		for n := 1; n <= maxN; n++ {
+			for off := 0; off < 8; off++ {
+				for pos := 0; pos < n; pos++ {
+					v := make([]float64, n)
+					for j := range v {
+						// Neighbours whose carries must not leak into the
+						// verdict: huge, tiny, negative.
+						v[j] = []float64{0.5, -2, 3e300, -math.MaxFloat64}[j%4]
+					}
+					v[pos] = x
+					at := fmt.Sprintf("%s at %d of %d, offset %d", c.name, pos, n, off)
+					checkFrameVec(t, at, v, off, c.finite)
 				}
 			}
 		}
+	}
+	for off := 0; off < 8; off++ {
+		checkFrameVec(t, fmt.Sprintf("empty vector, offset %d", off), nil, off, true)
 	}
 	if !readFrameVec(nil, nil) {
 		t.Error("empty vector reported non-finite")

@@ -14,6 +14,7 @@ import (
 	"digfl/internal/dataset"
 	"digfl/internal/hfl"
 	"digfl/internal/nn"
+	"digfl/internal/obs"
 	"digfl/internal/sampling"
 	"digfl/internal/tensor"
 )
@@ -186,6 +187,63 @@ func TestSampledTreeLoopback(t *testing.T) {
 	}
 	if !approxVec(gotAttr.Totals, wantAttr.Totals, 1e-9) {
 		t.Errorf("sampled tree φ drifted past tolerance: got %v want %v", gotAttr.Totals, wantAttr.Totals)
+	}
+}
+
+// roundEndSink closes done when the root closes round t.
+type roundEndSink struct {
+	t    int
+	once sync.Once
+	done chan struct{}
+}
+
+func (s *roundEndSink) Emit(e obs.Event) {
+	if e.Kind == obs.KindNetRoundEnd && e.T == s.t {
+		s.once.Do(func() { close(s.done) })
+	}
+}
+
+// TestTreeStragglerEdgeClosesAtDeadline: a tree member that never posts in a
+// round must not cost its edge the round. Member 1 of edge 0 stays silent in
+// round straggleT until the root has closed it; edge 0 closes at the
+// RoundDeadline its poll announced, less edgeCloseMargin, and submits its
+// other members, whom the root counts. The edge then serves the next round
+// in full, the late member included.
+func TestTreeStragglerEdgeClosesAtDeadline(t *testing.T) {
+	const edges, straggler, straggleT = 2, 1, 3
+	model, parts, val := problemN(4, treeN)
+	closed := &roundEndSink{t: straggleT, done: make(chan struct{})}
+	cfg := testConfig()
+	cfg.Runtime.Sink = closed
+	coord := &Coordinator{N: treeN, Model: model, Val: val, Cfg: cfg, Edges: edges,
+		RoundDeadline: 2 * time.Second}
+	res, perrs, err := Loopback(context.Background(), coord, func(i int) *Participant {
+		p := &Participant{Index: i, Model: model, Data: parts[i], Retries: 2}
+		if i == straggler {
+			p.Delay = func(tt int) {
+				if tt == straggleT {
+					<-closed.done // silent for the whole round; its late post is refused as stale
+				}
+			}
+		}
+		return p
+	})
+	if err != nil {
+		t.Fatalf("loopback tree: %v", err)
+	}
+	for i, perr := range perrs {
+		if perr != nil {
+			t.Fatalf("worker %d: %v", i, perr)
+		}
+	}
+	want := []int{0, 2, 3, 4, 5}
+	if got := res.Log[straggleT-1].Reported; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("round %d counted %v, want %v: the straggler's edge lost its other members", straggleT, got, want)
+	}
+	for k, ep := range res.Log {
+		if k != straggleT-1 && ep.Reported != nil {
+			t.Errorf("round %d degraded to %v", k+1, ep.Reported)
+		}
 	}
 }
 
