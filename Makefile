@@ -57,7 +57,8 @@ bench-workload:
 
 # bench-kernels runs the hot-path kernel microbenchmarks once each with
 # -benchmem. The streamed round's — cohort draw, estimator observe, the
-# fold's dot/axpy/fused pass, the frame codec's vector encode and decode
+# fold's dot/axpy/fused pass and its four-delta pass, a whole 64×2000
+# MeanStream fold, the frame codec's vector encode and decode
 # (one 2000-float update), update ingest (on a streamed round, and on a
 # journaled buffered one with its journal checked against EncodeUpdate's
 # bytes), round poll and a warm /v1/score read of 100k totals through
@@ -76,8 +77,8 @@ bench-workload:
 # 2048 bits) and step 5's vector decryption of nine ciphertexts — all but the
 # encryption checked against their references before timing.
 bench-kernels:
-	$(GO) test -run '^$$' -benchmem -bench 'Cohort100k|ObserveDots100k|ObserveDeltas64x2000|Dot2000|AXPY2000|DotAdd2000|Dot4x2000|MatVec32x2000|AXPYRows64x2000|MatTVec32x2000|SoftmaxLoss400x64x10|FrameVec2000|IngestUpdate|RoundPollV2|ScoreRead100k' \
-		./internal/sampling/ ./internal/core/ ./internal/tensor/ ./internal/nn/ ./internal/fednet/
+	$(GO) test -run '^$$' -benchmem -bench 'Cohort100k|ObserveDots100k|ObserveDeltas64x2000|Dot2000|AXPY2000|DotAdd2000|DotAdd4x2000|MeanFold64x2000|Dot4x2000|MatVec32x2000|AXPYRows64x2000|MatTVec32x2000|SoftmaxLoss400x64x10|FrameVec2000|IngestUpdate|RoundPollV2|ScoreRead100k' \
+		./internal/sampling/ ./internal/core/ ./internal/tensor/ ./internal/hfl/ ./internal/nn/ ./internal/fednet/
 	$(GO) test -run '^$$' -benchmem -bench 'Encrypt$$/1024|DotPlain/77|MaskedGradient|MulMod|DecryptVec/9' ./internal/paillier/ ./internal/vfl/
 
 # verify-faults runs the fault-injection suite: the determinism gate
@@ -113,7 +114,10 @@ verify-net:
 # with dropout faults), the streaming-aggregation equivalence tests
 # (in-process streamed == flat-streamed loopback == two-level cohort tree,
 # and buffered == MeanStream{} on flat, sampled and dropout runs in process
-# and over loopback, bit for bit across 3 seeds), the delta-retention release tests (the
+# and over loopback, bit for bit across 3 seeds), the segment fold's staging
+# (every four-wide pass / tail split of 0–9 positions, gaps, Pending, release
+# order) and the streamed round's recycling of every delta whatever the
+# arrival order, the delta-retention release tests (the
 # use-after-release guard on the vectors a buffered Round takes back among
 # them), and the bounded-memory gate (a 100k-participant streamed round must complete with
 # total allocations bounded by the cohort, not the population; a TotalsOnly
@@ -126,7 +130,7 @@ verify-net:
 # cache so the memory measurement re-executes.
 verify-scale:
 	$(GO) vet ./internal/sampling/ ./internal/hfl/ ./internal/core/ ./internal/fednet/
-	$(GO) test -count=1 -run 'Sample|Sampled|Cohort|Stream|MeanFold|Scale100k|Retain|Reclaim|Tree|TotalsOnly|LongPoll|RoundCloses|Lookahead' \
+	$(GO) test -count=1 -run 'Sample|Sampled|Cohort|Stream|MeanFold|SegmentFold|Scale100k|Retain|Reclaim|Tree|TotalsOnly|LongPoll|RoundCloses|Lookahead' \
 		./internal/sampling/ ./internal/hfl/ ./internal/core/ ./internal/fednet/ ./internal/vfl/
 
 # verify-wire runs the binary-wire gate: the frame round-trip tests, the
@@ -253,12 +257,12 @@ verify-crash:
 # MeanStream{} fold over the non-banned, recorded weights = core.Weights(φ),
 # Lemma 4 over 3 seeds, a malformed r refused), the wire-level rejection
 # tests, and the faults+attacks chaos property test; then the kernels the quarantine's φ dots and weighted
-# aggregate run on (AXPY4, AXPYRows, DotRows and MatTVecTo against their
-# sequential AXPY/Dot loops, the quarantine, uniform-mean, linear-model and
+# aggregate run on (AXPY4, AXPYRows, DotRows, MatTVecTo and the streamed
+# fold's DotAdd4 against their sequential AXPY/Dot/DotAdd loops, the quarantine, uniform-mean, linear-model and
 # engine runs pinned by SHA-256 of their float bits) and a 5 s fuzz pass over
 # AXPYRows. -count=1 defeats the test cache so the gate re-executes.
 verify-adv:
 	$(GO) vet ./internal/adversary/ ./internal/robust/ ./internal/tensor/
-	$(GO) test -count=1 -run 'Adversar|Attack|Tamper|Quarantine|Reweight|PluginShape|Screen|Krum|NormBound|Mutate|Poison|Fires|NonFinite|Reject|AXPY4|AXPYRows|DotRows|MatTVec|RowKernels|RoundSums' \
+	$(GO) test -count=1 -run 'Adversar|Attack|Tamper|Quarantine|Reweight|PluginShape|Screen|Krum|NormBound|Mutate|Poison|Fires|NonFinite|Reject|AXPY4|AXPYRows|DotRows|DotAdd4|MatTVec|RowKernels|RoundSums' \
 		./internal/adversary/ ./internal/robust/ ./internal/core/ ./internal/hfl/ ./internal/vfl/ ./internal/fednet/ ./internal/experiments/ ./internal/tensor/
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzAXPYRows -fuzztime 5s ./internal/tensor/

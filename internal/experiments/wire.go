@@ -53,8 +53,8 @@ type wireRoundSource struct{ p int }
 
 func (s *wireRoundSource) Round(_ context.Context, spec *hfl.RoundSpec) (*hfl.RoundResult, error) {
 	fold := hfl.MeanStream{}.NewFold(s.p, len(spec.Active), spec.ValGrad)
-	d := make([]float64, s.p)
 	for k, gi := range spec.Active {
+		d := make([]float64, s.p) // the fold may hold it until Close
 		for j := range d {
 			d[j] = wireDelta(gi, j)
 		}

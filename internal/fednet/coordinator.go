@@ -126,6 +126,9 @@ type Coordinator struct {
 	started bool
 	round   *openRound
 	done    bool
+	// streamHeld lists the deltas a streamed round's fold may still read
+	// (openRound.held), reused round to round.
+	streamHeld [][]float64
 
 	// Crash-safety state: the journal's append side, the replayed state a
 	// Recover call grafts into the first round, the coordinator incarnation

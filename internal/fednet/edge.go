@@ -25,7 +25,7 @@ import (
 // Members must be assigned in global index order, with every member of edge
 // e smaller than every member of edge e+1 — the root rejects partials whose
 // slot ranges interleave. Per-round memory on the edge is O(d + members):
-// each member update is folded on arrival and released.
+// member updates are folded as they arrive, four to a pass, and released.
 //
 // The edge learns each round from the root (?vg=1 supplies the validation
 // gradient it needs to record per-update dot products before releasing the
@@ -261,8 +261,8 @@ func (e *EdgeAggregator) Run(ctx context.Context) error {
 			fold:   hfl.NewSegmentFold(0, sum, round.ValGrad),
 			folded: make([]bool, len(active)),
 		}
-		// A commit consumes the delta (sum and dot are all the round keeps);
-		// its buffer goes back to the pool for the next arrival.
+		// A folded delta is consumed (sum and dot are all the round keeps);
+		// its buffer goes back to the pool for a later arrival.
 		r.fold.Release = tensor.PutVec
 		for k, m := range active {
 			r.pos[m] = k

@@ -7,6 +7,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 
@@ -91,6 +94,73 @@ func TestHandlerAllocs(t *testing.T) {
 	}
 	if want := encoded(t, sc.want); string(sc.rw.body) != want {
 		t.Errorf("warm /v1/score: %d reply bytes differ from json.Encoder's %d", len(sc.rw.body), len(want))
+	}
+}
+
+// TestStreamedRoundRecyclesEveryDelta: a streamed round returns every
+// decoded delta to the tensor pool whatever the arrival order — the ones the
+// fold parked behind a missing predecessor and the ones it staged for a
+// four-wide pass among them, and a straggler's successors, parked until
+// Close — so a round in reverse or shuffled order, or with slot 0 missing,
+// allocates what an in-order round does when it follows a round of its own
+// kind, give or take the slice that indexes what is parked (≈ 2–5 KiB). A
+// delta that missed the pool in the first round costs the second 16 KiB;
+// when parked deltas were never recycled, ≈ 1 MiB. Each round is closed and
+// its mean and dots checked against a term-by-term reference.
+func TestStreamedRoundRecyclesEveryDelta(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops a quarter of its puts")
+	}
+	const slack = 8 << 10 // half a delta
+	ic := newIngestCell(t, &Coordinator{N: 100_000, Cfg: testConfig(), Stream: hfl.MeanStream{}})
+	inOrder, reverse := make([]int, benchCohort), make([]int, benchCohort)
+	for k := range inOrder {
+		inOrder[k], reverse[benchCohort-1-k] = k, k
+	}
+	round := func(order []int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ic.open()
+		for _, k := range order {
+			if st := ic.post(k); st != http.StatusOK {
+				t.Fatalf("update %d: status %d %s", k, st, ic.rw.body)
+			}
+		}
+		ic.c.mu.Lock()
+		res, n, err := ic.r.mode.close(ic.r)
+		ic.c.mu.Unlock()
+		runtime.ReadMemStats(&after)
+		present := slices.Clone(order)
+		slices.Sort(present)
+		wantSum, wantDots := make([]float64, benchDim), make([]float64, len(present))
+		for j, k := range present {
+			for i, v := range ic.deltas[k] {
+				wantSum[i] += v
+				wantDots[j] += ic.valGrad[i] * v
+			}
+		}
+		for i := range wantSum {
+			wantSum[i] *= 1 / float64(len(present))
+		}
+		if err != nil || n != len(order) || !sameVec(res.Agg, wantSum) || !sameVec(res.Dots, wantDots) {
+			t.Fatalf("order %v: folded %d updates (%v); aggregate or dots differ from the reference", order, n, err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	// No collection may empty the pools between the rounds compared.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	round(reverse) // fills the pools with a cohort's worth of vectors
+	round(inOrder)
+	base := round(inOrder)
+	for name, order := range map[string][]int{
+		"reverse":   reverse,
+		"shuffled":  tensor.NewRNG(9).Perm(benchCohort),
+		"straggler": inOrder[1:],
+	} {
+		round(order)
+		if got := round(order); got > base+slack {
+			t.Errorf("%s round allocated %d bytes after one like it, an in-order round %d: deltas missed the pool", name, got, base)
+		}
 	}
 }
 

@@ -39,6 +39,23 @@ type openRound struct {
 	bcast []byte
 
 	mode roundMode
+	// held lists the deltas a streamed round handed its fold since the fold
+	// last held none — the coordinator's streamHeld, reused round to round.
+	// A fold may read a delta until its Pending reads 0 or Close returns
+	// (hfl.Fold.Add); then recycle returns them all to the tensor pool. A
+	// round dropped unclosed leaves its own to the next one's recycle: its
+	// fold reads nothing more.
+	held *[][]float64
+}
+
+// recycle returns every held delta to the tensor pool.
+func (r *openRound) recycle() {
+	held := *r.held
+	for k, d := range held {
+		tensor.PutVec(d)
+		held[k] = nil
+	}
+	*r.held = held[:0]
 }
 
 // roundMode is the part of a round that differs between the four ways of
@@ -104,20 +121,13 @@ type streamedMode struct {
 	fold hfl.Fold
 }
 
-func (m *streamedMode) commit(_ *openRound, slot int, delta []float64) error {
-	// An in-order Add consumes the delta immediately; an out-of-order one
-	// parks it inside the fold. Recycle only on consumption — Pending tells
-	// the two apart (a fold without it keeps the slice).
-	pend, canPend := m.fold.(interface{ Pending() int })
-	before := 0
-	if canPend {
-		before = pend.Pending()
-	}
+func (m *streamedMode) commit(r *openRound, slot int, delta []float64) error {
 	if err := m.fold.Add(slot, delta); err != nil {
 		return err
 	}
-	if canPend && pend.Pending() <= before {
-		tensor.PutVec(delta)
+	*r.held = append(*r.held, delta)
+	if pend, ok := m.fold.(interface{ Pending() int }); ok && pend.Pending() == 0 {
+		r.recycle()
 	}
 	return nil
 }
@@ -127,6 +137,7 @@ func (m *streamedMode) close(r *openRound) (*hfl.RoundResult, int, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("fednet: round %d: closing fold: %w", r.t, err)
 	}
+	r.recycle()
 	return &hfl.RoundResult{Agg: fr.Sum, Dots: fr.Dots}, len(fr.Slots), nil
 }
 
@@ -364,7 +375,9 @@ func (c *Coordinator) newRoundLocked(spec *hfl.RoundSpec) *openRound {
 			parts: make([]edgePartial, c.Edges), direct: make([]*hfl.SegmentFold, c.Edges),
 			viaRoot: make([]bool, k), sink: c.Cfg.Runtime.Sink})
 	default:
-		return newRound(spec, spec.Active, &streamedMode{fold: c.fold().NewFold(p, k, spec.ValGrad)})
+		r := newRound(spec, spec.Active, &streamedMode{fold: c.fold().NewFold(p, k, spec.ValGrad)})
+		r.held = &c.streamHeld
+		return r
 	}
 }
 

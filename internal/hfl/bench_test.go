@@ -80,3 +80,44 @@ func BenchmarkLocalUpdatesScaling(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMeanFold64x2000 is the streamed round's fold at the reference
+// cell's shape: 64 deltas of d=2000 added in slot order to a MeanStream{}
+// fold with a validation gradient, then closed. The first fold is checked
+// against a term-by-term sum and dots.
+func BenchmarkMeanFold64x2000(b *testing.B) {
+	const k, p = 64, 2000
+	deltas := foldDeltas(k, p, 11)
+	vg := foldDeltas(1, p, 12)[0]
+	wantSum, wantDots := make([]float64, p), make([]float64, k)
+	for s, d := range deltas {
+		for j, v := range d {
+			wantSum[j] += v
+			wantDots[s] += vg[j] * v
+		}
+	}
+	for j := range wantSum {
+		wantSum[j] *= 1.0 / k
+	}
+	fold := func() *FoldResult {
+		f := MeanStream{}.NewFold(p, k, vg)
+		for s, d := range deltas {
+			if err := f.Add(s, d); err != nil {
+				b.Fatal(err)
+			}
+		}
+		fr, err := f.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return fr
+	}
+	if fr := fold(); !sameVec(fr.Sum, wantSum) || !sameVec(fr.Dots, wantDots) {
+		b.Fatal("fold differs from the term-by-term reference")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fold()
+	}
+}

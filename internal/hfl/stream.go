@@ -2,7 +2,6 @@ package hfl
 
 import (
 	"fmt"
-	"sort"
 
 	"digfl/internal/tensor"
 )
@@ -20,8 +19,9 @@ import (
 type Fold interface {
 	// Add folds the update at slot — its position in the round's active
 	// order. Each slot may be added at most once; a wrong-length delta or an
-	// out-of-range slot is an error. The fold never retains delta beyond the
-	// commit that consumes it.
+	// out-of-range slot is an error. The fold may hold delta — read it later
+	// — until Pending() (when the fold has it) reads 0 or Close returns, so
+	// the caller must leave it untouched until then.
 	Add(slot int, delta []float64) error
 	// Close finalizes the round over the slots that actually arrived
 	// (committing any still-parked updates in slot order) and returns the
@@ -92,7 +92,12 @@ func (m MeanStream) NewFold(p, k int, valGrad []float64) Fold {
 // and, given a validation gradient, their dot products, committed in
 // position order whatever the arrival order. An update that arrives ahead
 // of a predecessor parks until the predecessors commit or Close drains the
-// gaps, so the sum's float bits never depend on network timing. MeanStream
+// gaps, so the sum's float bits never depend on network timing. Updates in
+// position order stage up to three at a time and the fourth folds all four
+// in one tensor.DotAdd4 pass (AXPY4 without a validation gradient); Close
+// folds a staged tail of one to three one by one. Either way each update's
+// dot and each coordinate's sum have the bits of one DotAdd per update in
+// position order. MeanStream
 // folds compose one per segment; a cohort tree's edge aggregator is one, and
 // so is the root's reconstruction of a dead edge's segment — which is why
 // tree, flat-streamed and in-process streamed runs agree bit for bit.
@@ -101,17 +106,21 @@ func (m MeanStream) NewFold(p, k int, valGrad []float64) Fold {
 // below the lo the fold was opened at, every delta as long as the
 // accumulator. Not safe for concurrent use.
 type SegmentFold struct {
-	// Release, when non-nil, is handed each delta once its commit consumed
-	// it (the networked tiers return it to the tensor pool); nil leaves
-	// consumed deltas to the caller.
+	// Release, when non-nil, is handed each delta once it is folded, in
+	// position order (the networked tiers return it to the tensor pool); nil
+	// leaves folded deltas to the caller.
 	Release func([]float64)
 
 	valGrad []float64
 	sum     []float64
-	next    int // smallest position not yet committed (assuming no gaps)
-	pos     []int
+	next    int   // smallest position not yet staged (assuming no gaps)
+	pos     []int // staged or folded positions, ascending
 	dots    []float64
-	pending map[int][]float64
+	staged  [4][]float64 // the updates at pos's last nstaged positions
+	nstaged int
+	lo      int         // the position parked[0] stands for
+	parked  [][]float64 // out-of-order updates by position − lo; nil where none
+	nparked int
 }
 
 // NewSegmentFold opens a segment whose positions start at lo (a lower
@@ -119,62 +128,87 @@ type SegmentFold struct {
 // run from lo, the rest at Close). acc is the zeroed accumulator, one
 // coordinate per model parameter; valGrad may be nil (no dots).
 func NewSegmentFold(lo int, acc, valGrad []float64) *SegmentFold {
-	return &SegmentFold{valGrad: valGrad, sum: acc, next: lo}
+	return &SegmentFold{valGrad: valGrad, sum: acc, next: lo, lo: lo}
 }
 
 // Add folds the update at pos, or parks it behind a missing predecessor.
 func (s *SegmentFold) Add(pos int, delta []float64) {
 	if pos != s.next {
-		if s.pending == nil {
-			s.pending = make(map[int][]float64)
+		if n := pos - s.lo + 1; n > len(s.parked) {
+			s.parked = append(s.parked, make([][]float64, n-len(s.parked))...)
 		}
-		s.pending[pos] = delta
+		s.parked[pos-s.lo] = delta
+		s.nparked++
 		return
 	}
-	s.commit(pos, delta)
-	for {
-		d, ok := s.pending[s.next]
-		if !ok {
-			return
-		}
-		delete(s.pending, s.next)
-		s.commit(s.next, d)
+	s.stage(pos, delta)
+	for s.next-s.lo < len(s.parked) && s.parked[s.next-s.lo] != nil {
+		d := s.parked[s.next-s.lo]
+		s.parked[s.next-s.lo] = nil
+		s.nparked--
+		s.stage(s.next, d)
 	}
 }
 
-// commit folds one update; callers guarantee position order.
-func (s *SegmentFold) commit(pos int, delta []float64) {
-	if s.valGrad != nil {
-		s.dots = append(s.dots, tensor.DotAdd(s.valGrad, delta, s.sum))
-	} else {
-		tensor.AXPY(1, delta, s.sum)
-	}
+// stage queues one update behind the staged ones and folds all four in one
+// pass once there are four; callers guarantee position order.
+func (s *SegmentFold) stage(pos int, delta []float64) {
 	s.pos = append(s.pos, pos)
 	s.next = pos + 1
-	if s.Release != nil {
-		s.Release(delta)
+	s.staged[s.nstaged] = delta
+	if s.nstaged++; s.nstaged < len(s.staged) {
+		return
 	}
+	x := &s.staged
+	if s.valGrad != nil {
+		d0, d1, d2, d3 := tensor.DotAdd4(s.valGrad, x[0], x[1], x[2], x[3], s.sum)
+		s.dots = append(s.dots, d0, d1, d2, d3)
+	} else {
+		tensor.AXPY4(1, 1, 1, 1, x[0], x[1], x[2], x[3], s.sum)
+	}
+	s.release()
 }
 
-// Pending reports how many updates are parked awaiting predecessors.
-func (s *SegmentFold) Pending() int { return len(s.pending) }
-
-// Close commits the updates still parked behind permanent gaps (stragglers
-// that never reported), in position order, and returns the unscaled sum,
-// the committed positions ascending, and the dot products aligned with them
-// (nil without a validation gradient).
-func (s *SegmentFold) Close() (sum []float64, pos []int, dots []float64) {
-	if len(s.pending) > 0 {
-		rest := make([]int, 0, len(s.pending))
-		for p := range s.pending {
-			rest = append(rest, p)
+// flush folds the one to three staged updates one at a time.
+func (s *SegmentFold) flush() {
+	for _, d := range s.staged[:s.nstaged] {
+		if s.valGrad != nil {
+			s.dots = append(s.dots, tensor.DotAdd(s.valGrad, d, s.sum))
+		} else {
+			tensor.AXPY(1, d, s.sum)
 		}
-		sort.Ints(rest)
-		for _, p := range rest {
-			s.commit(p, s.pending[p])
-		}
-		s.pending = nil
 	}
+	s.release()
+}
+
+// release hands the just-folded staged updates to Release in position order
+// and empties the stage.
+func (s *SegmentFold) release() {
+	for k, d := range s.staged[:s.nstaged] {
+		if s.Release != nil {
+			s.Release(d)
+		}
+		s.staged[k] = nil
+	}
+	s.nstaged = 0
+}
+
+// Pending reports how many updates the fold holds and has not folded yet:
+// parked awaiting predecessors, or staged awaiting a four-wide pass.
+func (s *SegmentFold) Pending() int { return s.nparked + s.nstaged }
+
+// Close folds the updates still parked behind permanent gaps (stragglers
+// that never reported) in position order, then the staged tail, and returns
+// the unscaled sum, the folded positions ascending, and the dot products
+// aligned with them (nil without a validation gradient).
+func (s *SegmentFold) Close() (sum []float64, pos []int, dots []float64) {
+	for k, d := range s.parked {
+		if d != nil {
+			s.stage(s.lo+k, d)
+		}
+	}
+	s.parked, s.nparked = nil, 0
+	s.flush()
 	return s.sum, s.pos, s.dots
 }
 
@@ -211,7 +245,10 @@ func (f *meanFold) Add(slot int, delta []float64) error {
 	if f.segs[s] == nil {
 		f.segs[s] = NewSegmentFold(s*f.seg, make([]float64, f.p), f.valGrad)
 	}
-	f.segs[s].Add(slot, delta)
+	sf := f.segs[s]
+	if sf.Add(slot, delta); sf.next == min(s*f.seg+f.seg, f.k) {
+		sf.flush() // the segment's run is complete: nothing can join the stage
+	}
 	return nil
 }
 
@@ -243,9 +280,10 @@ func (f *meanFold) Close() (*FoldResult, error) {
 	return res, nil
 }
 
-// Pending reports how many updates are parked awaiting predecessors — a
-// diagnostic for the out-of-order worst case, and how a caller that
-// recycles buffers tells a consumed delta from a parked one.
+// Pending reports how many updates the fold holds unfolded, parked or
+// staged — a diagnostic for the out-of-order worst case, and how a caller
+// that recycles buffers knows when every delta it added has been read: when
+// Pending reads 0.
 func (f *meanFold) Pending() int {
 	n := 0
 	for _, sf := range f.segs {

@@ -2,6 +2,7 @@ package hfl
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -71,6 +72,11 @@ func TestMeanFoldSegmentedReduction(t *testing.T) {
 	for s, d := range deltas {
 		if err := f.Add(s, d); err != nil {
 			t.Fatal(err)
+		}
+		// A segment's last slot folds its staged run: the fold holds nothing
+		// a recycling caller waits on across segments.
+		if pend := f.(*meanFold).Pending(); (s%seg == seg-1 || s == k-1) && pend != 0 {
+			t.Fatalf("slot %d completes its segment, yet %d updates pending", s, pend)
 		}
 	}
 	got, err := f.Close()
@@ -258,39 +264,74 @@ func TestRetainDeltasRelease(t *testing.T) {
 }
 
 // TestSegmentFoldOrderAndRelease: one segment's partial is the same bits —
-// sum, positions and dots — whatever the arrival order, whether the fold was
-// opened at the segment's first position (in-order arrivals commit at once)
-// or at a mere lower bound (everything parks until Close, as the root's
-// reconstruction of a dead edge's segment does), with gaps; it equals the
-// spelled-out Dot + AXPY reference, and every delta is released exactly once.
+// sum, positions and dots — whatever the arrival order, for 0…9 positions
+// (every split into four-wide passes and a tail of 1…3), with and without a
+// gap that falls inside a stage, with and without a validation gradient,
+// whether the fold was opened at the segment's first position (in-order
+// arrivals stage at once) or at a mere lower bound (everything parks until
+// Close, as the root's reconstruction of a dead edge's segment does). It
+// equals the spelled-out Dot + AXPY reference; Pending counts every delta
+// held unfolded, staged or parked; and every delta is released exactly once,
+// in position order.
 func TestSegmentFoldOrderAndRelease(t *testing.T) {
-	const p = 9
-	deltas := foldDeltas(8, p, 6)
-	vg := foldDeltas(1, p, 7)[0]
-	present := []int{3, 4, 6, 7} // the segment's positions; 5 never arrives
-	wantSum, wantDots := make([]float64, p), make([]float64, 0, len(present))
-	for _, s := range present {
-		wantDots = append(wantDots, tensor.Dot(vg, deltas[s]))
-		tensor.AXPY(1, deltas[s], wantSum)
+	const p, first = 9, 2
+	deltas := foldDeltas(first+11, p, 6)
+	at := map[*float64]int{} // delta → its position
+	for s, d := range deltas {
+		at[&d[0]] = s
 	}
-	for _, lo := range []int{3, 0} {
-		for _, order := range [][]int{{3, 4, 6, 7}, {7, 6, 4, 3}, {4, 7, 3, 6}} {
-			released := map[*float64]int{}
-			f := NewSegmentFold(lo, make([]float64, p), vg)
-			f.Release = func(d []float64) { released[&d[0]]++ }
-			for _, s := range order {
-				f.Add(s, deltas[s])
+	rng := tensor.NewRNG(8)
+	for n := 0; n <= 9; n++ {
+		for _, gap := range []bool{false, true} {
+			present := make([]int, n) // n positions from first; a gap skips first+n/2
+			for j := range present {
+				present[j] = first + j
+				if gap && j >= n/2 {
+					present[j]++
+				}
 			}
-			if lo == 0 && f.Pending() != len(order) {
-				t.Fatalf("lo=0 order %v: %d parked, want all %d (nothing continues the run from 0)", order, f.Pending(), len(order))
-			}
-			sum, pos, dots := f.Close()
-			if !sameVec(sum, wantSum) || !sameVec(dots, wantDots) {
-				t.Fatalf("lo=%d order %v: partial differs from the Dot+AXPY reference", lo, order)
-			}
+			reversed := make([]int, n)
 			for j, s := range present {
-				if pos[j] != s || released[&deltas[s][0]] != 1 {
-					t.Fatalf("lo=%d order %v: positions %v, release counts %v", lo, order, pos, released)
+				reversed[n-1-j] = s
+			}
+			shuffled := make([]int, n)
+			for j, k := range rng.Perm(n) {
+				shuffled[j] = present[k]
+			}
+			for _, vg := range [][]float64{foldDeltas(1, p, 7)[0], nil} {
+				wantSum, wantDots := make([]float64, p), []float64(nil)
+				for _, s := range present {
+					if vg != nil {
+						wantDots = append(wantDots, tensor.Dot(vg, deltas[s]))
+					}
+					tensor.AXPY(1, deltas[s], wantSum)
+				}
+				for _, lo := range []int{first, 0} {
+					for _, order := range [][]int{present, reversed, shuffled} {
+						name := fmt.Sprintf("n=%d gap=%v dots=%v lo=%d order %v", n, gap, vg != nil, lo, order)
+						var released []int
+						f := NewSegmentFold(lo, make([]float64, p), vg)
+						f.Release = func(d []float64) { released = append(released, at[&d[0]]) }
+						added := map[int]bool{}
+						for j, s := range order {
+							f.Add(s, deltas[s])
+							added[s] = true
+							run := 0 // the positions that continue the run from lo
+							for lo == first && added[first+run] {
+								run++
+							}
+							if want := j + 1 - run/4*4; f.Pending() != want || len(released) != j+1-want {
+								t.Fatalf("%s: after %d adds %d pending, %d released; want %d pending", name, j+1, f.Pending(), len(released), want)
+							}
+						}
+						sum, pos, dots := f.Close()
+						if !sameVec(sum, wantSum) || !sameVec(dots, wantDots) || (vg == nil && dots != nil) {
+							t.Fatalf("%s: partial differs from the Dot+AXPY reference", name)
+						}
+						if fmt.Sprint(pos) != fmt.Sprint(present) || fmt.Sprint(released) != fmt.Sprint(present) || f.Pending() != 0 {
+							t.Fatalf("%s: positions %v, released %v, %d pending after Close", name, pos, released, f.Pending())
+						}
+					}
 				}
 			}
 		}

@@ -82,6 +82,45 @@ func TestDotAddLengthMismatchPanics(t *testing.T) {
 	}
 }
 
+// TestDotAdd4MatchesDotAdd: one four-delta pass returns the dots and leaves
+// the accumulator of four DotAdd calls in sequence, at every length 0…9 and
+// through every special value. Where two NaNs of distinct payloads meet, in
+// a product or in one of the accumulator's sums, the payload that survives
+// is a register-allocation accident (DotAdd's and Dot's differ under -race):
+// there a dot is held to Dot's bits, the NaN rule DotAdd4 shares with
+// DotRows, and the accumulator may keep either NaN.
+func TestDotAdd4MatchesDotAdd(t *testing.T) {
+	specials := map[string][]float64{"NaN payloads": {nanA, nanB}}
+	for name, s := range rowSpecials {
+		specials[name] = s
+	}
+	for name, special := range specials {
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 2000} {
+			w, a := kernelRows(4, n, special...)
+			if len(special) > 0 && n > 0 {
+				a[0] = special[len(special)-1] // meets every row's element 0, a special too
+			}
+			x := [4][]float64{w[:n], w[n : 2*n], w[2*n : 3*n], w[3*n:]}
+			y := rotated(a, 1)
+			payloads := name == "NaN payloads"
+			want, wantY := make([]float64, 4), Clone(y)
+			for k := range x {
+				if want[k] = DotAdd(a, x[k], wantY); payloads {
+					want[k] = Dot(a, x[k])
+				}
+			}
+			got := make([]float64, 4)
+			got[0], got[1], got[2], got[3] = DotAdd4(a, x[0], x[1], x[2], x[3], y)
+			if d := bitsDiff(got, want, false); d != "" {
+				t.Errorf("%s n=%d: DotAdd4's dots against four DotAdds: %s", name, n, d)
+			}
+			if d := bitsDiff(y, wantY, payloads); d != "" {
+				t.Errorf("%s n=%d: DotAdd4's accumulator against four DotAdds: %s", name, n, d)
+			}
+		}
+	}
+}
+
 // The kernel benchmarks run at the reference cell's model size and check
 // every result against a term-by-term loop kept here.
 
@@ -139,5 +178,30 @@ func BenchmarkDotAdd2000(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchSink = DotAdd(a, x, y)
+	}
+}
+
+// BenchmarkDotAdd4x2000 is the streamed fold's four-delta pass: four dots
+// against one validation gradient and one accumulator, at d=2000.
+func BenchmarkDotAdd4x2000(b *testing.B) {
+	const n = 2000
+	w, a := kernelRows(4, n)
+	x := [4][]float64{w[:n], w[n : 2*n], w[2*n : 3*n], w[3*n:]}
+	y := rotated(a, 1)
+	want, wantY := make([]float64, 4), Clone(y)
+	for k := range x {
+		want[k] = refDot(a, x[k])
+		for j, v := range x[k] {
+			wantY[j] += v
+		}
+	}
+	got := make([]float64, 4)
+	if got[0], got[1], got[2], got[3] = DotAdd4(a, x[0], x[1], x[2], x[3], y); !sameBits(got, want) || !sameBits(y, wantY) {
+		b.Fatal("DotAdd4 differs from the term-by-term reference")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got[0], got[1], got[2], got[3] = DotAdd4(a, x[0], x[1], x[2], x[3], y)
 	}
 }

@@ -248,6 +248,11 @@ func TestRowKernelsLengthMismatchPanics(t *testing.T) {
 		v[short] = v[short][:2]
 		mustPanic(fmt.Sprintf("AXPY4 with operand %d short", short), func() { AXPY4(1, 1, 1, 1, v[0], v[1], v[2], v[3], v[4]) })
 	}
+	for short := 0; short < 6; short++ {
+		v := [6][]float64{vec(3), vec(3), vec(3), vec(3), vec(3), vec(3)}
+		v[short] = v[short][:2]
+		mustPanic(fmt.Sprintf("DotAdd4 with operand %d short", short), func() { DotAdd4(v[0], v[1], v[2], v[3], v[4], v[5]) })
+	}
 	for count := 1; count <= 5; count++ {
 		for short := 0; short < count; short++ {
 			rows := make([][]float64, count)
@@ -276,6 +281,7 @@ func TestRowKernelsAllocateNothing(t *testing.T) {
 		"AXPYRows":  func() { AXPYRows(a, rows, y) },
 		"MatTVecTo": func() { MatTVecTo(y, m, a) },
 		"DotRows":   func() { DotRows(dst, y, rows) },
+		"DotAdd4":   func() { DotAdd4(rows[4], rows[0], rows[1], rows[2], rows[3], y) },
 	} {
 		if allocs := testing.AllocsPerRun(50, f); allocs != 0 {
 			t.Errorf("%s allocates %v times a call, want 0", name, allocs)

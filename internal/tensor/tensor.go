@@ -245,3 +245,40 @@ func axpyTerms(n int, term func(k int) (float64, []float64), y []float64) {
 		AXPY(c[k], x[k], y)
 	}
 }
+
+// DotAdd4 is four DotAdd calls in one pass: it returns a·x0 … a·x3 and
+// computes y += x0 + x1 + x2 + x3 in place, each y[i] taking the four terms
+// in order — the bits four DotAdd calls in sequence leave. Each lane
+// accumulates from zero in index order, so a dot that is not NaN has Dot's
+// bits; a lane that ends NaN is taken again by Dot, as in DotRows.
+func DotAdd4(a, x0, x1, x2, x3, y []float64) (s0, s1, s2, s3 float64) {
+	n := len(y)
+	if len(a) != n || len(x0) != n || len(x1) != n || len(x2) != n || len(x3) != n {
+		panic(fmt.Sprintf("tensor: DotAdd4 length mismatch: a %d, x %v, y %d", len(a), [4]int{len(x0), len(x1), len(x2), len(x3)}, n))
+	}
+	a, x0, x1, x2, x3 = a[:n], x0[:n], x1[:n], x2[:n], x3[:n]
+	for i, v := range y {
+		s0 += a[i] * x0[i]
+		s1 += a[i] * x1[i]
+		s2 += a[i] * x2[i]
+		s3 += a[i] * x3[i]
+		v += x0[i]
+		v += x1[i]
+		v += x2[i]
+		v += x3[i]
+		y[i] = v
+	}
+	if s0 != s0 {
+		s0 = Dot(a, x0)
+	}
+	if s1 != s1 {
+		s1 = Dot(a, x1)
+	}
+	if s2 != s2 {
+		s2 = Dot(a, x2)
+	}
+	if s3 != s3 {
+		s3 = Dot(a, x3)
+	}
+	return
+}
