@@ -210,9 +210,8 @@ verify-secure:
 # of every estimator and engine over the shared kernels, baselines.MR
 # bit-identical to the exact engine, 3-seed checkpoint/resume bit-identity
 # per engine, Lemma-3 zero rows under partial participation), the fednet
-# loopback equivalence
-# (every engine identical over the wire to the local trainer, /v1/score
-# reporting, composition rejections), the accuracy-vs-cost acceptance
+# observer equivalence (every engine observing a loopback run identical to
+# the same engine observing the local trainer), the accuracy-vs-cost acceptance
 # test (gtg/dpvs recover the exact ranking at Kendall τ >= 0.9 on fewer
 # utility evaluations than tmc), and the volatility determinism gate
 # (the -exp volatility report rerun bit-identical across 3 seeds).

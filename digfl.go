@@ -248,8 +248,7 @@ const AttackSignFlip = adversary.SignFlip
 
 // Defense and attack constructors.
 var (
-	// MustNewUpdateScreen builds the update screen, panicking on invalid
-	// config.
+	// MustNewUpdateScreen builds the update screen; every config is valid.
 	MustNewUpdateScreen = robust.MustNewUpdateScreen
 	// MustNewQuarantine builds a Quarantine, panicking on invalid config.
 	MustNewQuarantine = robust.MustNewQuarantine

@@ -113,7 +113,6 @@ func TestQuarantineOverWire(t *testing.T) {
 	coord := &Coordinator{
 		N: testN, Model: model, Val: val, Cfg: cfg,
 		Estimator:     est,
-		Screen:        robust.MustNewUpdateScreen(robust.ScreenConfig{}),
 		Quarantine:    robust.MustNewQuarantine(robust.Quarantine{Patience: 2}),
 		RoundDeadline: 5 * time.Second,
 	}
@@ -169,8 +168,8 @@ func TestQuarantineOverWire(t *testing.T) {
 }
 
 // TestRejectionBitIdentity: a defended loopback run with no attackers is
-// bit-identical to the in-process DIG-FL-reweighted reference — screening
-// and quarantine must cost nothing when nobody misbehaves.
+// bit-identical to the in-process DIG-FL-reweighted reference — the
+// quarantine must cost nothing when nobody misbehaves.
 func TestRejectionBitIdentity(t *testing.T) {
 	seed := int64(3)
 	model, parts, val := problem(seed)
@@ -188,7 +187,6 @@ func TestRejectionBitIdentity(t *testing.T) {
 	coord := &Coordinator{
 		N: testN, Model: model, Val: val, Cfg: testConfig(),
 		Estimator:  est,
-		Screen:     robust.MustNewUpdateScreen(robust.ScreenConfig{}),
 		Quarantine: robust.MustNewQuarantine(robust.Quarantine{}),
 	}
 	res, perrs, err := Loopback(context.Background(), coord, func(i int) *Participant {

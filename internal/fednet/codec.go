@@ -101,8 +101,8 @@ const partialHdrLen = 4 + 4 + 4 + 4 + 4 // magic, t, edge, k, d
 // participant indices the partial folds, in round-active order; edge e must
 // own a contiguous earlier slot range than edge e+1. The root merges
 // partials in edge order and applies the single 1/m scale, so a tree run
-// reduces in exactly the canonical segmented order (hfl.MeanStream) and
-// stays bit-identical to a flat streamed run with Seg = edge width.
+// stays bit-identical to a flat streamed run whose fold segments the round
+// by edge width.
 func (binCodec) EncodePartial(t, edge int, indices []int, sum, dots []float64) ([]byte, error) {
 	if t < 0 || edge < 0 {
 		return nil, fmt.Errorf("fednet: negative round or edge in partial frame")

@@ -45,33 +45,21 @@ func (c *Coordinator) fold() hfl.StreamAggregator {
 // row is the error Run returns). "Stream" in a row means a streamed round:
 // Stream, Async or Edges set.
 var composition = []composeRule{
-	{a: "Cfg.Engine", rel: relNeeds, b: "a shapley.Engine",
-		why:     "the coordinator reports the engine on /v1/score",
-		refused: func(c *Coordinator) bool { return c.Cfg.Engine != nil && c.engine() == nil }},
-	{a: "Engine", rel: relClash, b: "Stream",
-		why:     "engines reconstruct models from the round buffer's raw deltas",
-		refused: func(c *Coordinator) bool { return c.Cfg.Engine != nil && c.streamed() }},
-	{a: "Engine", rel: relClash, b: "Journal or Recover",
-		why:     "engine state is not journaled, so a recovery would replay a log gap",
-		refused: func(c *Coordinator) bool { return c.Cfg.Engine != nil && (c.Journal != nil || c.rec != nil) }},
 	{a: "Async", rel: relClash, b: "Edges",
 		why:     "edge partials pre-fold the cohort before the quorum cut",
 		refused: func(c *Coordinator) bool { return c.Async != nil && c.Edges > 0 }},
-	{a: "Journal", rel: relClash, b: "Screen",
-		why:     "clipping rewrites updates after the journaled bytes, so replay would diverge",
-		refused: func(c *Coordinator) bool { return c.Journal != nil && c.Screen != nil }},
 	{a: "Journal", rel: relClash, b: "Cfg.Resume",
 		why:     "the journal owns the resume point; use Recover",
 		refused: func(c *Coordinator) bool { return c.Journal != nil && c.Cfg.Resume != nil }},
 	{a: "Stream", rel: relClash, b: "Quarantine",
 		why:     "the quarantine reweights the round buffer",
 		refused: func(c *Coordinator) bool { return c.streamed() && c.Quarantine != nil }},
-	{a: "Stream", rel: relClash, b: "Screen",
-		why:     "screening vets the round buffer",
-		refused: func(c *Coordinator) bool { return c.streamed() && c.Screen != nil }},
 	{a: "Stream", rel: relClash, b: "Archive",
 		why:     "the archive needs the raw deltas",
 		refused: func(c *Coordinator) bool { return c.streamed() && c.Archive != nil }},
+	{a: "Stream", rel: relClash, b: "Interactive Estimator",
+		why:     "the Interactive estimator needs the raw deltas",
+		refused: func(c *Coordinator) bool { return c.streamed() && c.Estimator != nil && c.Estimator.DeltaGSum() != nil }},
 }
 
 // validate checks the configuration against the composition table. It runs

@@ -13,29 +13,22 @@ import (
 	"testing"
 	"time"
 
+	"digfl/internal/core"
 	"digfl/internal/hfl"
 	"digfl/internal/robust"
-	"digfl/internal/shapley"
 )
 
 // TestCompositionRefusedBeforeJoin: every row of the composition table is
 // refused by Run with no participant joined — within a second, with that
 // row's error, not a byte in the journal and no goroutine left behind. Rows
-// that used to sit behind the join barrier (Stream × Quarantine / Screen /
-// Archive) blocked forever here, after writing run_open. Each row naming
-// Stream is refused for each way of streaming a run: Stream, Async or Edges
-// alone.
+// that used to sit behind the join barrier (Stream × Quarantine / Archive)
+// blocked forever here, after writing run_open; a streamed run with an
+// Interactive estimator got past it and deadlocked at the first close. Each
+// row naming Stream is refused for each way of streaming a run: Stream,
+// Async or Edges alone.
 func TestCompositionRefusedBeforeJoin(t *testing.T) {
-	model, _, val := problem(5)
-	engine := func() shapley.Engine {
-		eng, err := shapley.NewEngine("exact", shapley.EngineSpec{N: testN, Loss: engineLoss(model, val)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng
-	}
+	model, parts, val := problem(5)
 	async := func() *hfl.AsyncConfig { ac := asyncPolicy(); return &ac }
-	screen := robust.MustNewUpdateScreen(robust.ScreenConfig{})
 	// One misconfiguration per table row, in table order. Every case also
 	// gets a Journal (so "no byte written" means something) unless that
 	// would trip an earlier row.
@@ -44,17 +37,15 @@ func TestCompositionRefusedBeforeJoin(t *testing.T) {
 		set       func(c *Coordinator)
 		noJournal bool
 	}{
-		{"Cfg.Engine requires a shapley.Engine", func(c *Coordinator) { c.Cfg.Engine = bogusEngine{} }, false},
-		{"Engine cannot compose with Stream", func(c *Coordinator) { c.Cfg.Engine = engine() }, false},
-		{"Engine cannot compose with Journal or Recover", func(c *Coordinator) { c.Cfg.Engine = engine() }, false},
 		{"Async cannot compose with Edges", func(c *Coordinator) { c.Async, c.Edges = async(), 2 }, false},
-		{"Journal cannot compose with Screen", func(c *Coordinator) { c.Screen = screen }, false},
 		{"Journal cannot compose with Cfg.Resume", func(c *Coordinator) { c.Cfg.Resume = &hfl.Checkpoint{} }, false},
 		{"Stream cannot compose with Quarantine", func(c *Coordinator) {
 			c.Quarantine = robust.MustNewQuarantine(robust.Quarantine{})
 		}, false},
-		{"Stream cannot compose with Screen", func(c *Coordinator) { c.Screen = screen }, true},
 		{"Stream cannot compose with Archive", func(c *Coordinator) { c.Archive = &bytes.Buffer{} }, false},
+		{"Stream cannot compose with Interactive Estimator", func(c *Coordinator) {
+			c.Estimator = core.NewHFLEstimator(testN, model.NumParams(), core.Interactive, core.LocalHVP(model, parts))
+		}, false},
 	}
 	if len(cases) != len(composition) {
 		t.Fatalf("%d cases for %d composition rows", len(cases), len(composition))
@@ -199,10 +190,10 @@ func TestCompositionStreamedIsOnePredicate(t *testing.T) {
 		mode roundMode
 	}{
 		{"buffered", &Coordinator{N: 4}, nil, &bufferedMode{}},
-		{"Stream", &Coordinator{N: 4, Stream: hfl.MeanStream{Seg: 2}}, hfl.MeanStream{Seg: 2}, &streamedMode{}},
+		{"Stream", &Coordinator{N: 4, Stream: segStream{2}}, segStream{2}, &streamedMode{}},
 		{"Edges", &Coordinator{N: 4, Edges: 2}, hfl.MeanStream{}, &treeMode{}},
 		{"Async", &Coordinator{N: 4, Async: &ac}, hfl.MeanStream{}, &asyncMode{}},
-		{"Async+Stream", &Coordinator{N: 4, Async: &ac, Stream: hfl.MeanStream{Seg: 3}}, hfl.MeanStream{Seg: 3}, &asyncMode{}},
+		{"Async+Stream", &Coordinator{N: 4, Async: &ac, Stream: segStream{3}}, segStream{3}, &asyncMode{}},
 	} {
 		c := tc.c
 		if c.streamed() != (tc.fold != nil) || c.fold() != tc.fold {

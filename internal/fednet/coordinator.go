@@ -18,7 +18,6 @@ import (
 	"digfl/internal/nn"
 	"digfl/internal/obs"
 	"digfl/internal/robust"
-	"digfl/internal/shapley"
 	"digfl/internal/tensor"
 )
 
@@ -44,17 +43,10 @@ type Coordinator struct {
 	// Cfg holds the training hyperparameters. Cfg.Runtime.Sink also
 	// receives the networked runtime's events: one NetRoundStart/End pair
 	// per round, a NetRequest per wire request handled, and a NetTimeout
-	// per participant that missed a round deadline. Cfg.Engine, when set,
-	// must be a shapley.Engine: the coordinator observes it under its lock
-	// (not on the trainer) and /v1/score reports its name, running φ totals
-	// and utility-eval cost alongside the DIG-FL estimator's attribution.
+	// per participant that missed a round deadline.
 	Cfg hfl.Config
 	// Observer is passed through to the underlying trainer.
 	Observer hfl.Observer
-	// Screen, when non-nil, vets every round's collected updates before
-	// aggregation (hfl.Trainer.Screen semantics) — the second line of
-	// defense behind the wire-level shape and finiteness rejections.
-	Screen hfl.Screener
 	// Quarantine, when non-nil, is the trainer's reweighter — the
 	// coordinator's only one — and its ban state is surfaced on /v1/score.
 	// When Quarantine.Estimator is nil and Estimator is set, the coordinator
@@ -87,10 +79,10 @@ type Coordinator struct {
 	// Edges, when positive, streams the run through a two-level tree:
 	// /v1/partial ingest from this many edge sub-aggregators
 	// (EdgeAggregator) instead of per-participant /v1/update ingest. Each
-	// edge folds its cohort segment and the root merges the partials in edge
-	// order, so the tree reduces in the canonical hfl.MeanStream segmented
-	// order and stays bit-identical to a flat streamed run with Seg = edge
-	// width. Global index i belongs to edge i/ceil(N/Edges), the Loopback
+	// edge folds its cohort segment with an hfl.SegmentFold and the root
+	// merges the partials in edge order, so the tree stays bit-identical to
+	// a flat streamed run whose fold segments the round by edge width.
+	// Global index i belongs to edge i/ceil(N/Edges), the Loopback
 	// partition.
 	Edges int
 	// Journal, when non-nil, turns on the coordinator's write-ahead log
@@ -271,9 +263,6 @@ func (c *Coordinator) run(ctx context.Context) (*hfl.Result, error) {
 
 	cfg := c.Cfg
 	cfg.Participants = c.N
-	// The coordinator observes the engine under its lock, since /v1/score
-	// reads it live; the trainer's unlocked Observe would race with it.
-	cfg.Engine = nil
 	// Crash recovery: resume the trainer from the journal's last closed
 	// epoch. The open round's commits (if the crash was mid-round) graft
 	// into the first Round call. Note the recovered Result.Log carries only
@@ -323,15 +312,12 @@ func (c *Coordinator) run(ctx context.Context) (*hfl.Result, error) {
 		// serialize it with the coordinator's lock.
 		reweighter = &lockedReweighter{c: c, rw: c.Quarantine}
 	}
-	// Estimator and engine φ state is read live by /v1/score, so both
-	// observe under the coordinator's lock.
+	// The estimator's φ state is read live by /v1/score, so it observes
+	// under the coordinator's lock.
 	observer := c.Observer
 	if estimatorObserves {
 		est := c.Estimator
 		observer = lockedObserver{c, func(ep *hfl.Epoch) { est.Observe(ep) }, observer}.observeEpoch
-	}
-	if eng := c.engine(); eng != nil {
-		observer = lockedObserver{c, eng.Observe, observer}.observeEpoch
 	}
 	if c.Archive != nil {
 		var sw *logio.HFLWriter
@@ -366,17 +352,10 @@ func (c *Coordinator) run(ctx context.Context) (*hfl.Result, error) {
 	}
 	tr := &hfl.Trainer{
 		Model: c.Model, Val: c.Val, Cfg: cfg,
-		Reweighter: reweighter, Screen: c.Screen, Observer: observer, Rounds: c,
+		Reweighter: reweighter, Observer: observer, Rounds: c,
 		Stream: c.fold(),
 	}
 	return tr.RunContext(ctx)
-}
-
-// engine is the contribution engine the coordinator observes and reports:
-// Cfg.Engine (the composition table refuses any other kind), or nil.
-func (c *Coordinator) engine() shapley.Engine {
-	eng, _ := c.Cfg.Engine.(shapley.Engine)
-	return eng
 }
 
 // lockedObserver runs observe under the coordinator's lock, then hands the

@@ -18,9 +18,9 @@ import (
 // updates over the same /v1/update wire the root speaks, folds them into an
 // unscaled partial sum in member order, and submits one /v1/partial to the
 // root per round. The root (Coordinator with Edges set) merges
-// the partials in edge order and applies the single 1/m scale — exactly the
-// segmented reduction of hfl.MeanStream with Seg = edge width, so a tree
-// run is bit-identical to a flat streamed run of the same segment geometry.
+// the partials in edge order and applies the single 1/m scale, so a tree
+// run is bit-identical to a flat streamed run of the same segment geometry
+// (one hfl.SegmentFold per edge-width segment, merged in segment order).
 //
 // Members must be assigned in global index order, with every member of edge
 // e smaller than every member of edge e+1 — the root rejects partials whose

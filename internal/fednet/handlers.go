@@ -1,7 +1,6 @@
 package fednet
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,7 +11,6 @@ import (
 
 	"digfl/internal/jsonf"
 	"digfl/internal/obs"
-	"digfl/internal/shapley"
 	"digfl/internal/tensor"
 )
 
@@ -522,21 +520,19 @@ func decodeDelta(w http.ResponseWriter, sink obs.Sink, t, index int, body []byte
 }
 
 // handleScore serves the live attribution. Under mu it copies only the
-// estimator's totals into scoreTot (the engine's Finalize and the quarantine
-// list are copies already); the reply is written from that snapshot into
-// scoreBuf after mu is released, so a read of a 100k-participant run holds
-// the round loop off for one copy, not for its encoding, and allocates
-// nothing once the buffers have grown. Concurrent reads queue on scoreMu,
-// each behind the one whose reply is being written; the round loop never
-// waits on it.
+// estimator's totals into scoreTot (the quarantine list is a copy already);
+// the reply is written from that snapshot into scoreBuf after mu is
+// released, so a read of a 100k-participant run holds the round loop off
+// for one copy, not for its encoding, and allocates nothing once the
+// buffers have grown. Concurrent reads queue on scoreMu, each behind the one
+// whose reply is being written; the round loop never waits on it.
 func (c *Coordinator) handleScore(w http.ResponseWriter, req *http.Request) {
 	c.scoreMu.Lock()
 	defer c.scoreMu.Unlock()
 	c.mu.Lock()
-	eng := c.engine()
-	if c.Estimator == nil && eng == nil {
+	if c.Estimator == nil {
 		c.mu.Unlock()
-		writeError(w, http.StatusNotFound, "coordinator has no estimator or engine attached")
+		writeError(w, http.StatusNotFound, "coordinator has no estimator attached")
 		return
 	}
 	if c.recovering {
@@ -544,43 +540,27 @@ func (c *Coordinator) handleScore(w http.ResponseWriter, req *http.Request) {
 		refuseRecovering(w)
 		return
 	}
-	var (
-		epochs int
-		totals []float64
-		rep    *shapley.Report
-		banned []int
-	)
-	if c.Estimator != nil {
-		attr := c.Estimator.Attribution()
-		c.scoreTot = append(c.scoreTot[:0], attr.Totals...)
-		epochs, totals = attr.Epochs, c.scoreTot
-	}
-	if eng != nil {
-		rep = eng.Finalize()
-		if c.Estimator == nil {
-			epochs = rep.Epochs
-		}
-	}
+	attr := c.Estimator.Attribution()
+	c.scoreTot = append(c.scoreTot[:0], attr.Totals...)
+	epochs := attr.Epochs
+	var banned []int
 	if c.Quarantine != nil {
 		banned = c.Quarantine.Quarantined()
 	}
 	c.mu.Unlock()
-	c.scoreBuf = appendScore(c.scoreBuf[:0], epochs, totals, banned, rep)
+	c.scoreBuf = appendScore(c.scoreBuf[:0], epochs, c.scoreTot, banned)
 	writeRawJSON(w, http.StatusOK, c.scoreBuf)
 }
 
 // appendScore appends the /v1/score reply — json.Encoder's bytes for the
 // same fields, newline included (TestScoreReplyBytes) — to b:
 //
-//	{"epochs":E,"totals":[…],"quarantined":[…],"engine":"…","engine_totals":[…],"engine_epochs":T,"engine_evals":U}
+//	{"epochs":E,"totals":[…],"quarantined":[…],"engine":"dig-fl"}
 //
-// epochs and totals are the estimator's (totals null without one, epochs
-// the engine's then); quarantined lists the banned participants and is
-// omitted when none are; engine names the pluggable engine rep, or is
-// "dig-fl" when only the estimator backs the endpoint; the engine_* fields
-// carry rep's running Shapley totals and utility-evaluation cost, each
-// omitted when empty or zero.
-func appendScore(b []byte, epochs int, totals []float64, banned []int, rep *shapley.Report) []byte {
+// epochs and totals are the estimator's; quarantined lists the banned
+// participants and is omitted when none are; engine names the
+// first-derivative estimator that backs the endpoint.
+func appendScore(b []byte, epochs int, totals []float64, banned []int) []byte {
 	b = strconv.AppendInt(append(b, `{"epochs":`...), int64(epochs), 10)
 	b = jsonf.AppendVec(append(b, `,"totals":`...), totals)
 	if len(banned) > 0 {
@@ -593,21 +573,5 @@ func appendScore(b []byte, epochs int, totals []float64, banned []int, rep *shap
 		}
 		b = append(b, ']')
 	}
-	if rep == nil {
-		return append(b, `,"engine":"dig-fl"}`+"\n"...)
-	}
-	if rep.Name != "" {
-		name, _ := json.Marshal(rep.Name)
-		b = append(append(b, `,"engine":`...), name...)
-	}
-	if len(rep.Totals) > 0 {
-		b = jsonf.AppendVec(append(b, `,"engine_totals":`...), rep.Totals)
-	}
-	if rep.Epochs != 0 {
-		b = strconv.AppendInt(append(b, `,"engine_epochs":`...), int64(rep.Epochs), 10)
-	}
-	if evals := rep.Cost.UtilityEvals; evals != 0 {
-		b = strconv.AppendInt(append(b, `,"engine_evals":`...), evals, 10)
-	}
-	return append(b, "}\n"...)
+	return append(b, `,"engine":"dig-fl"}`+"\n"...)
 }

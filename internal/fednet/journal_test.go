@@ -58,7 +58,7 @@ func scriptedJournal(t *testing.T, mode string, seed int64) []byte {
 		c.Stream = hfl.MeanStream{}
 		c.Async = &hfl.AsyncConfig{Quorum: 3, MaxStaleness: 2}
 	case "tree":
-		c.Stream = hfl.MeanStream{Seg: 2}
+		c.Stream = segStream{2}
 		c.Edges = 2
 	}
 	h := c.Handler()

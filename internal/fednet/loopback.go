@@ -26,9 +26,9 @@ import (
 // server per contiguous block of ceil(N/Edges) participants, who submit
 // their updates to their edge (UpdateURL) and poll the root for rounds; the
 // per-edge errors follow the per-participant ones. The tree is
-// bit-identical to the flat streamed run with c.Stream =
-// hfl.MeanStream{Seg: ceil(N/Edges)} and to the in-process streamed trainer
-// of that segment width — the canonical segmented reduction made literal.
+// bit-identical to any streamed run whose fold sums segments of
+// ceil(N/Edges) slots with one hfl.SegmentFold each and merges them in
+// segment order (TestTreeLoopbackBitIdenticalToFlatAndLocal).
 func Loopback(ctx context.Context, c *Coordinator, parts func(i int) *Participant) (*hfl.Result, []error, error) {
 	return Chaos{}.Loopback(ctx, c, parts)
 }

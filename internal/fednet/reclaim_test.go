@@ -11,19 +11,16 @@ import (
 	"digfl/internal/core"
 	"digfl/internal/hfl"
 	"digfl/internal/robust"
-	"digfl/internal/shapley"
 )
 
 // reclaimRun is one buffered loopback run with everything that reads raw
-// deltas attached — the update screen, the quarantine (and through it the
-// estimator), the streaming archive and a GTG engine — and participant 2
-// tripling and flipping its updates so that each of them has something to
-// act on.
+// deltas attached — the quarantine (and through it the estimator) and the
+// streaming archive — and participant 2 tripling and flipping its updates
+// so that each of them has something to act on.
 type reclaimRun struct {
 	res     *hfl.Result
 	attr    *core.Attribution
 	banned  []int
-	engine  *shapley.Report
 	archive []byte
 	rounds  []*openRound // every round of the run, as the coordinator left it
 }
@@ -37,19 +34,13 @@ type reclaimRun struct {
 func runForReclaim(t *testing.T, seed int64, policy hfl.RetainPolicy, poison bool) *reclaimRun {
 	t.Helper()
 	model, parts, val := problem(seed)
-	eng, err := shapley.NewEngine("gtg", shapley.EngineSpec{N: testN, Loss: engineLoss(model, val), Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := testConfig()
 	cfg.RetainDeltas = policy
-	cfg.Engine = eng
 	out := &reclaimRun{}
 	archive := &bytes.Buffer{}
 	c := &Coordinator{
 		N: testN, Model: model, Val: val, Cfg: cfg,
 		Estimator:     core.NewHFLEstimator(testN, model.NumParams(), core.ResourceSaving, nil),
-		Screen:        robust.MustNewUpdateScreen(robust.ScreenConfig{}),
 		Quarantine:    robust.MustNewQuarantine(robust.Quarantine{Patience: 2}),
 		Archive:       archive,
 		RoundDeadline: 5 * time.Second,
@@ -86,14 +77,14 @@ func runForReclaim(t *testing.T, seed int64, policy hfl.RetainPolicy, poison boo
 		}
 	}
 	out.res, out.attr, out.banned = res, c.Estimator.Attribution(), c.Quarantine.Quarantined()
-	out.engine, out.archive = eng.Finalize(), archive.Bytes()
+	out.archive = archive.Bytes()
 	return out
 }
 
 // TestReclaimedDeltasAreNeverReadAgain is the use-after-release guard on
 // the vectors Round takes back. Over 3 seeds, a ReleaseAfterObserve run whose
 // deltas are poisoned the moment the policy says they are dead is
-// bit-identical — model, curve, φ, bans, engine report, archive — to the
+// bit-identical — model, curve, φ, bans, archive — to the
 // RetainAll run; every round but the last gave its vectors up; and a RetainAll
 // run recycles nothing: all its vectors are distinct, still finite, and the
 // ones its log holds.
@@ -105,10 +96,6 @@ func TestReclaimedDeltasAreNeverReadAgain(t *testing.T) {
 		checkSameRun(t, "released+poisoned vs retained", got.res, keep.res, got.attr, keep.attr)
 		if !reflect.DeepEqual(got.attr.PerEpoch, keep.attr.PerEpoch) || !reflect.DeepEqual(got.banned, keep.banned) {
 			t.Errorf("seed %d: φ rows or bans differ: %v vs %v", seed, got.banned, keep.banned)
-		}
-		if !reflect.DeepEqual(got.engine.PerEpoch, keep.engine.PerEpoch) || !sameVec(got.engine.Totals, keep.engine.Totals) ||
-			got.engine.Cost.UtilityEvals != keep.engine.Cost.UtilityEvals {
-			t.Errorf("seed %d: engine report differs", seed)
 		}
 		if !bytes.Equal(got.archive, keep.archive) || len(keep.archive) == 0 {
 			t.Errorf("seed %d: archives differ (%d vs %d bytes)", seed, len(got.archive), len(keep.archive))

@@ -90,8 +90,9 @@ type synchronous struct{}
 
 func (synchronous) ack(int) (int, []byte) { return http.StatusOK, ackAccepted }
 
-// bufferedMode keeps the raw deltas: the epoch needs them (estimator,
-// archive, screens, engines, robust aggregation).
+// bufferedMode keeps the raw deltas, which the epoch carries to the three
+// consumers that need them: a Quarantine, an Archive and an Interactive
+// estimator.
 type bufferedMode struct {
 	synchronous
 	deltas [][]float64
@@ -231,9 +232,8 @@ func (m *treeMode) commitPartial(r *openRound, edge int, slots []int, sum, dots 
 	}
 }
 
-// close merges the partials in edge order — exactly the segment-flush order
-// of hfl.MeanStream with Seg = edge width — and applies the single 1/m
-// scale.
+// close merges the partials in edge order into a zero total and applies the
+// single 1/m scale.
 func (m *treeMode) close(r *openRound) (*hfl.RoundResult, int, error) {
 	res := &hfl.RoundResult{}
 	var acc []float64
@@ -325,7 +325,7 @@ func (m *asyncMode) close(r *openRound) (*hfl.RoundResult, int, error) {
 // reclaimLocked returns the previous buffered round's deltas to the tensor
 // pool as the next round opens, so it decodes into recycled memory as a
 // streamed one does — under hfl.ReleaseAfterObserve only, the policy that
-// says nobody reads an epoch's Deltas past the trainer's observers and engine,
+// says nobody reads an epoch's Deltas past the trainer's observers,
 // which all ran before it asked for this round. Callers hold mu.
 func (c *Coordinator) reclaimLocked() {
 	if c.round == nil || c.Cfg.RetainDeltas != hfl.ReleaseAfterObserve {

@@ -7,44 +7,21 @@ import (
 	"testing"
 
 	"digfl/internal/core"
-	"digfl/internal/hfl"
 	"digfl/internal/jsonf"
-	"digfl/internal/metrics"
 	"digfl/internal/robust"
-	"digfl/internal/shapley"
 	"digfl/internal/tensor"
 )
 
 // scoreReply is the /v1/score response as encoding/json spells it: the
 // reference appendScore's bytes are pinned to (TestScoreReplyBytes), and
-// what the tests decode a reply into. Engine names the active contribution
-// engine — the attached pluggable engine's name, or "dig-fl" when only the
-// first-derivative estimator backs the endpoint; the Engine* fields carry
-// the pluggable engine's running Shapley totals and utility-evaluation
-// cost, and are absent when no engine is attached.
+// what the tests decode a reply into. Engine names the first-derivative
+// estimator that backs the endpoint, always "dig-fl".
 type scoreReply struct {
-	Epochs       int       `json:"epochs"`
-	Totals       jsonf.Vec `json:"totals"`
-	Quarantined  []int     `json:"quarantined,omitempty"`
-	Engine       string    `json:"engine,omitempty"`
-	EngineTotals jsonf.Vec `json:"engine_totals,omitempty"`
-	EngineEpochs int       `json:"engine_epochs,omitempty"`
-	EngineEvals  int64     `json:"engine_evals,omitempty"`
+	Epochs      int       `json:"epochs"`
+	Totals      jsonf.Vec `json:"totals"`
+	Quarantined []int     `json:"quarantined,omitempty"`
+	Engine      string    `json:"engine,omitempty"`
 }
-
-// reportEngine is a shapley.Engine that only reports: Finalize returns a
-// copy of rep, as the real engines return a fresh report.
-type reportEngine struct{ rep shapley.Report }
-
-func (e *reportEngine) Name() string       { return e.rep.Name }
-func (e *reportEngine) Observe(*hfl.Epoch) {}
-func (e *reportEngine) Finalize() *shapley.Report {
-	rep := e.rep
-	rep.Totals = append([]float64(nil), e.rep.Totals...)
-	return &rep
-}
-func (e *reportEngine) State() *shapley.EngineState         { return nil }
-func (e *reportEngine) SetState(*shapley.EngineState) error { return nil }
 
 // scoreEdgeValues are the floats whose spelling the reply must not change:
 // signed zeros, the smallest subnormal, both sides of the 'f'/'e' boundaries
@@ -115,16 +92,13 @@ func serveScore(t *testing.T, c *Coordinator) (int, string) {
 
 // TestScoreReplyBytes: the hand-written /v1/score reply is json.Encoder's
 // bytes for the scoreReply of the same fields — estimator only, with a
-// quarantine's bans, engine only ("totals":null), estimator and engine,
-// epochs 0 — over float edge values and every engine name NewEngine
-// accepts, plus names that need json.Marshal's escaping; the 404 and 503
+// quarantine's bans, epochs 0 — over float edge values; the 404 and 503
 // refusals are the errorReply they always were. Both sides spell a float
 // through jsonf.AppendVec, which jsonf's tests pin to a per-element
 // encoding/json oracle; this test pins everything around the floats.
 func TestScoreReplyBytes(t *testing.T) {
 	totals := scoreEdgeValues
 	n := len(totals)
-	names := append(shapley.Engines(), "dig-fl", `a"b\c`, "<gt&g>", "tab\there", "dé", " ")
 	for _, tc := range []struct {
 		name   string
 		c      *Coordinator
@@ -156,31 +130,10 @@ func TestScoreReplyBytes(t *testing.T) {
 		}
 	}
 
-	for _, name := range names {
-		for _, rep := range []shapley.Report{
-			{Name: name, Totals: totals, Epochs: 9},
-			{Name: name, Totals: []float64{-1e-7, 1e21, math.NaN()}, Epochs: 3, Cost: metrics.Cost{UtilityEvals: 41}},
-			{Name: name}, // epoch 0: no totals, no epochs, no evals
-		} {
-			want := scoreReply{Epochs: rep.Epochs, Engine: name, EngineTotals: rep.Totals,
-				EngineEpochs: rep.Epochs, EngineEvals: rep.Cost.UtilityEvals}
-			c := &Coordinator{N: n}
-			c.Cfg.Engine = &reportEngine{rep}
-			if code, got := serveScore(t, c); code != http.StatusOK || got != encoded(t, want) {
-				t.Errorf("engine %q only: %d\n %s\njson.Encoder writes\n %s", name, code, got, encoded(t, want))
-			}
-			want.Epochs, want.Totals = 4, totals
-			c.Estimator = scoreEstimator(n, 4, totals)
-			if code, got := serveScore(t, c); code != http.StatusOK || got != encoded(t, want) {
-				t.Errorf("estimator and engine %q: %d\n %s\njson.Encoder writes\n %s", name, code, got, encoded(t, want))
-			}
-		}
-	}
-
-	// Refusals: no estimator and no engine, then a recovering coordinator.
+	// Refusals: no estimator, then a recovering coordinator.
 	if code, got := serveScore(t, &Coordinator{N: n}); code != http.StatusNotFound ||
-		got != encoded(t, errorReply{Error: "coordinator has no estimator or engine attached"}) {
-		t.Errorf("no estimator or engine: %d %s", code, got)
+		got != encoded(t, errorReply{Error: "coordinator has no estimator attached"}) {
+		t.Errorf("no estimator: %d %s", code, got)
 	}
 	c := &Coordinator{N: n, Estimator: scoreEstimator(n, 2, totals), recovering: true}
 	if code, got := serveScore(t, c); code != http.StatusServiceUnavailable ||

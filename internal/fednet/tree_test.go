@@ -30,17 +30,73 @@ func problemN(seed int64, n int) (nn.Model, []dataset.Dataset, dataset.Dataset) 
 	return nn.NewSoftmaxRegression(train.Dim(), train.Classes), parts, val
 }
 
-// localStreamRun is the in-process streamed reference: Trainer.Stream with
-// the given segment width (and optional cohort sampler), estimator attached.
+// segStream is a cohort tree's reduction order as a flat fold: the round's
+// slots are cut into segments of width slots, each summed in slot order by
+// its own hfl.SegmentFold, and the partials merge in segment order into a
+// zero total that is scaled once by 1/m — what the root does with its edges'
+// partials when every edge owns width consecutive slots.
+type segStream struct{ width int }
+
+func (s segStream) NewFold(p, k int, valGrad []float64) hfl.Fold {
+	return &segFold{width: s.width, p: p, valGrad: valGrad, segs: make([]*hfl.SegmentFold, (k+s.width-1)/s.width)}
+}
+
+type segFold struct {
+	width, p int
+	valGrad  []float64
+	segs     []*hfl.SegmentFold
+}
+
+func (f *segFold) Add(slot int, delta []float64) error {
+	if slot < 0 || slot/f.width >= len(f.segs) || len(delta) != f.p {
+		return fmt.Errorf("segFold: slot %d of %d, %d params for %d", slot, len(f.segs)*f.width, len(delta), f.p)
+	}
+	s := slot / f.width
+	if f.segs[s] == nil {
+		f.segs[s] = hfl.NewSegmentFold(s*f.width, make([]float64, f.p), f.valGrad)
+	}
+	f.segs[s].Add(slot, delta)
+	return nil
+}
+
+func (f *segFold) Close() (*hfl.FoldResult, error) {
+	res := &hfl.FoldResult{}
+	var acc []float64
+	for _, sf := range f.segs {
+		if sf == nil {
+			continue
+		}
+		sum, slots, dots := sf.Close()
+		if acc == nil {
+			acc = make([]float64, f.p)
+		}
+		tensor.AXPY(1, sum, acc)
+		res.Slots = append(res.Slots, slots...)
+		res.Dots = append(res.Dots, dots...)
+	}
+	if len(res.Slots) > 0 {
+		tensor.Scale(1/float64(len(res.Slots)), acc)
+		res.Sum = acc
+	}
+	return res, nil
+}
+
+// localStreamRun is the in-process streamed reference: Trainer.Stream folding
+// segments of the given width (0: MeanStream{}), with an optional cohort
+// sampler and an estimator attached.
 func localStreamRun(t *testing.T, seed int64, n, seg int, smp *sampling.Sampler) (*hfl.Result, *core.Attribution) {
 	t.Helper()
 	model, parts, val := problemN(seed, n)
 	cfg := testConfig()
 	cfg.Sample = smp
 	est := core.NewHFLEstimator(n, model.NumParams(), core.ResourceSaving, nil)
+	var stream hfl.StreamAggregator = hfl.MeanStream{}
+	if seg > 0 {
+		stream = segStream{seg}
+	}
 	tr := &hfl.Trainer{
 		Model: model, Parts: parts, Val: val, Cfg: cfg,
-		Stream:   hfl.MeanStream{Seg: seg},
+		Stream:   stream,
 		Observer: func(ep *hfl.Epoch) { est.Observe(ep) },
 	}
 	res, err := tr.RunContext(context.Background())
@@ -136,7 +192,7 @@ func TestTreeLoopbackBitIdenticalToFlatAndLocal(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			local, localAttr := localStreamRun(t, seed, treeN, width, nil)
-			flat, flatAttr := loopbackRun(t, seed, treeN, hfl.MeanStream{Seg: width}, 0, nil)
+			flat, flatAttr := loopbackRun(t, seed, treeN, segStream{width}, 0, nil)
 			tree, treeAttr := loopbackRun(t, seed, treeN, nil, edges, nil)
 			checkSameRun(t, "flat vs local", flat, local, flatAttr, localAttr)
 			checkSameRun(t, "tree vs local", tree, local, treeAttr, localAttr)
@@ -166,8 +222,8 @@ func TestSampledStreamedLoopback(t *testing.T) {
 // TestSampledTreeLoopback: sampling composes with the cohort tree — edges
 // discover their active members via header-only ?i= polls and fold only the
 // cohort. A sampled tree is bit-identical tree-to-tree (rerunning it
-// reproduces every float), but only ulp-close to the flat run: the tree's
-// segments follow population blocks while MeanStream.Seg segments follow
+// reproduces every float), but only ulp-close to the segmented in-process
+// run: the tree's segments follow population blocks while segStream's follow
 // cohort slots, and a sampled cohort spreads unevenly across edges, so the
 // two reduction geometries differ. With full participation the geometries
 // coincide and the bit-identity gate above applies.
@@ -179,8 +235,8 @@ func TestSampledTreeLoopback(t *testing.T) {
 		return sampling.MustNew(sampling.Config{Seed: 7, Size: 4})
 	}
 	want, wantAttr := localStreamRun(t, seed, treeN, width, newSmp())
-	got, gotAttr := loopbackRun(t, seed, treeN, hfl.MeanStream{Seg: width}, edges, newSmp())
-	got2, gotAttr2 := loopbackRun(t, seed, treeN, hfl.MeanStream{Seg: width}, edges, newSmp())
+	got, gotAttr := loopbackRun(t, seed, treeN, segStream{width}, edges, newSmp())
+	got2, gotAttr2 := loopbackRun(t, seed, treeN, segStream{width}, edges, newSmp())
 	checkSameRun(t, "sampled tree rerun", got2, got, gotAttr2, gotAttr)
 	if !approxVec(got.Model.Params(), want.Model.Params(), 1e-9) {
 		t.Error("sampled tree model drifted past reduction-order tolerance")

@@ -561,7 +561,7 @@ func journalOfRun(tb testing.TB, mode string) []byte {
 	case "streamed":
 		c.Stream = hfl.MeanStream{}
 	case "tree":
-		c.Stream, c.Edges = hfl.MeanStream{Seg: 2}, 3
+		c.Stream, c.Edges = segStream{2}, 3
 	case "async":
 		ac := asyncPolicy()
 		c.Stream, c.Async = hfl.MeanStream{}, &ac

@@ -44,10 +44,8 @@ const (
 type Config struct {
 	// Epochs is the number of synchronous FedSGD rounds τ.
 	Epochs int
-	// LR is the learning rate α; LRSchedule overrides it when non-nil.
+	// LR is the learning rate α.
 	LR float64
-	// LRSchedule returns α_t for 1-based epoch t.
-	LRSchedule func(t int) float64
 	// LocalSteps is the number of local gradient steps a participant takes
 	// per round before uploading δ_{t,i} = θ_{t-1} − θ_{t-1,i} (the paper's
 	// "update the current global model using local data to obtain the local
@@ -113,13 +111,6 @@ type Config struct {
 	// after aggregation and the Observer; the zero value (RetainAll) is the
 	// historical keep-everything behavior.
 	RetainDeltas RetainPolicy
-	// Engine, when non-nil, attaches a contribution engine
-	// (internal/shapley.Engine) to the run: it observes every epoch record
-	// right after the Observer and before ReleaseAfterObserve drops the raw
-	// updates. Engines need buffered rounds — configuring Engine together
-	// with Trainer.Stream is a validation error — and never see retraining
-	// sweeps (Trainer.Utility strips the engine like it strips Faults).
-	Engine ContributionEngine
 }
 
 // Checkpoint is the trainer state persisted every CheckpointEvery epochs:
@@ -157,18 +148,11 @@ func (c Config) localSteps() int {
 	return c.LocalSteps
 }
 
-func (c Config) lr(t int) float64 {
-	if c.LRSchedule != nil {
-		return c.LRSchedule(t)
-	}
-	return c.LR
-}
-
 func (c Config) validate(n int) error {
 	if c.Epochs <= 0 {
 		return fmt.Errorf("hfl: Epochs must be positive, got %d", c.Epochs)
 	}
-	if c.LR <= 0 && c.LRSchedule == nil {
+	if c.LR <= 0 {
 		return fmt.Errorf("hfl: LR must be positive, got %v", c.LR)
 	}
 	if n == 0 {
@@ -232,18 +216,6 @@ type Aggregator interface {
 	Aggregate(ep *Epoch) ([]float64, error)
 }
 
-// ContributionEngine is the trainer-facing slice of a contribution engine
-// (internal/shapley.Engine): a name for reporting plus per-epoch
-// observation. It is defined here, structurally satisfied by the engine
-// implementations, so the trainer can carry an engine without depending on
-// them. The trainer feeds the engine every epoch record — after screening,
-// reweighting, aggregation, and the Observer, but before a ReleaseAfterObserve
-// policy drops the raw Deltas the engine needs.
-type ContributionEngine interface {
-	Name() string
-	Observe(ep *Epoch)
-}
-
 // Screener vets an epoch's local updates server-side before weights are
 // chosen or anything is aggregated — the hook robust.UpdateScreen plugs
 // into. reported lists the global participant indices aligned with
@@ -258,7 +230,9 @@ type Screener interface {
 }
 
 // Observer receives each epoch record after the aggregation weights are
-// fixed; DIG-FL's online estimators observe training through this hook.
+// fixed, and before a ReleaseAfterObserve policy drops its raw Deltas;
+// DIG-FL's online estimators observe training through this hook, and so
+// does a contribution engine (tr.Observer = eng.Observe).
 type Observer func(ep *Epoch)
 
 // RoundSpec is the server's broadcast for one training round: everything a
@@ -355,11 +329,11 @@ type Trainer struct {
 	// Stream, when non-nil, switches aggregation to fold-on-arrival: each
 	// local update is folded into the round's accumulator and released
 	// instead of buffered, so per-round memory is O(d + cohort) rather than
-	// O(cohort·d). Streaming cannot compose with Aggregator, Reweighter,
-	// Screen or Cfg.Engine — those consume the materialized round buffer;
-	// configuring both is a validation error. Streamed epochs carry
-	// DeltaDots instead of Deltas, which the resource-saving estimator
-	// consumes directly; the Interactive estimator needs buffers.
+	// O(cohort·d). Streaming cannot compose with Aggregator, Reweighter or
+	// Screen — those consume the materialized round buffer; configuring
+	// both is a validation error. Streamed epochs carry DeltaDots instead
+	// of Deltas, which the resource-saving estimator consumes directly; the
+	// Interactive estimator and the contribution engines need buffers.
 	// The buffered mean is MeanStream's one-segment order, so a MeanStream{}
 	// run is bit-identical to the same run with Stream nil.
 	Stream StreamAggregator
@@ -438,11 +412,10 @@ func (tr *Trainer) RunSubsetContext(ctx context.Context, subset []int) (*Result,
 	if err := tr.Cfg.validate(tr.participants()); err != nil {
 		return nil, err
 	}
-	if tr.Stream != nil && (tr.Aggregator != nil || tr.Reweighter != nil || tr.Screen != nil || tr.Cfg.Engine != nil) {
+	if tr.Stream != nil && (tr.Aggregator != nil || tr.Reweighter != nil || tr.Screen != nil) {
 		// Each consumes the materialized round buffer that streaming exists
-		// to avoid (an engine reconstructs coalition models from the raw
-		// deltas); refuse the combination instead of silently buffering.
-		return nil, fmt.Errorf("hfl: Stream cannot compose with Aggregator/Reweighter/Screen/Cfg.Engine — those need the buffered path")
+		// to avoid; refuse the combination instead of silently buffering.
+		return nil, fmt.Errorf("hfl: Stream cannot compose with Aggregator/Reweighter/Screen — those need the buffered path")
 	}
 	model := tr.Model.Clone()
 	res := &Result{Model: model}
@@ -492,7 +465,7 @@ func (tr *Trainer) RunSubsetContext(ctx context.Context, subset []int) (*Result,
 		}
 		obs.Emit(sink, obs.Event{Kind: obs.KindEpochStart, T: t})
 		epochStart := obs.Start(sink)
-		lr := tr.Cfg.lr(t)
+		lr := tr.Cfg.LR
 		theta := tensor.Clone(model.Params())
 		cohort := subset
 		sampled := false
@@ -739,12 +712,6 @@ func (tr *Trainer) RunSubsetContext(ctx context.Context, subset []int) (*Result,
 		if tr.Observer != nil {
 			tr.Observer(ep)
 		}
-		if tr.Cfg.Engine != nil {
-			// The engine sees every epoch — including all-dropped ones, to
-			// keep its epoch numbering sequential — while the raw Deltas it
-			// reconstructs coalition models from are still alive.
-			tr.Cfg.Engine.Observe(ep)
-		}
 		if tr.Cfg.RetainDeltas == ReleaseAfterObserve {
 			// The epoch is aggregated and observed; release the raw updates
 			// so a KeepLog run retains only slim per-epoch metadata. Archive
@@ -798,12 +765,9 @@ func (tr *Trainer) Utility(subset []int) float64 {
 	cfg := tr.Cfg
 	cfg.KeepLog = false
 	// Ground-truth utilities are defined on fault-free retraining: coalition
-	// sweeps never inherit the production run's injector, checkpoints, or
-	// contribution engine (feeding sweep epochs to the engine would corrupt
-	// its sequential view of the production run).
+	// sweeps never inherit the production run's injector or checkpoints.
 	cfg.Faults = nil
 	cfg.CheckpointEvery, cfg.CheckpointFunc, cfg.Resume = 0, nil, nil
-	cfg.Engine = nil
 	sub := &Trainer{Model: tr.Model, Parts: tr.Parts, Val: tr.Val, Cfg: cfg}
 	res, err := sub.RunSubsetContext(context.Background(), subset)
 	if err != nil {

@@ -187,15 +187,6 @@ func TestObserverSeesEveryEpoch(t *testing.T) {
 	}
 }
 
-func TestLRSchedule(t *testing.T) {
-	tr, _ := setup(t, 8)
-	tr.Cfg.LRSchedule = func(t int) float64 { return 0.5 / float64(t) }
-	res := tr.Run()
-	if res.Log[0].LR != 0.5 || math.Abs(res.Log[1].LR-0.25) > 1e-15 {
-		t.Fatalf("schedule not applied: %v %v", res.Log[0].LR, res.Log[1].LR)
-	}
-}
-
 func TestAccuracyHelper(t *testing.T) {
 	tr, val := setup(t, 9)
 	res := tr.Run()
@@ -213,7 +204,7 @@ func TestConfigValidation(t *testing.T) {
 	tr, _ := setup(t, 10)
 	cases := []func(){
 		func() { bad := *tr; bad.Cfg.Epochs = 0; bad.Run() },
-		func() { bad := *tr; bad.Cfg.LR = 0; bad.Cfg.LRSchedule = nil; bad.Run() },
+		func() { bad := *tr; bad.Cfg.LR = 0; bad.Run() },
 		func() { bad := *tr; bad.Parts = nil; bad.Run() },
 		func() {
 			bad := *tr

@@ -16,7 +16,6 @@ import (
 // by one delta plus the fold accumulators — never the population.
 type synthStreamSource struct {
 	p    int
-	seg  int
 	fail func(t int) error
 }
 
@@ -26,7 +25,7 @@ func (s *synthStreamSource) Round(_ context.Context, spec *RoundSpec) (*RoundRes
 			return nil, err
 		}
 	}
-	fold := MeanStream{Seg: s.seg}.NewFold(s.p, len(spec.Active), spec.ValGrad)
+	fold := MeanStream{}.NewFold(s.p, len(spec.Active), spec.ValGrad)
 	for k, gi := range spec.Active {
 		d := make([]float64, s.p)
 		for j := range d {

@@ -55,40 +55,19 @@ type StreamAggregator interface {
 }
 
 // MeanStream is the streaming uniform-mean aggregation rule: G_t =
-// (1/m)·Σ δ over the m arrived updates, folded on arrival. The canonical
-// reduction order is segmented: slots are partitioned into contiguous
-// segments of width Seg, each segment is summed in slot order from a zero
-// accumulator, non-empty segment partials are merged in segment order, and
-// the merged total is scaled once by 1/m. A two-level cohort tree whose
-// edge sub-aggregators each own Seg slots performs exactly these operations
-// in exactly this order, so tree, flat-streamed, and in-process streamed
-// runs are bit-identical (see fednet.Loopback with Edges set, and
-// TestTreeLoopbackBitIdenticalToFlatAndLocal).
-//
-// Seg ≤ 0 means one segment spanning the whole round — the flat streaming
-// order, and the order of the buffered trainer's mean, so MeanStream{} runs
+// (1/m)·Σ δ over the m arrived updates, folded on arrival by one
+// SegmentFold — summed in slot order from a zero accumulator — and scaled
+// once by 1/m. That is the buffered trainer's order, so MeanStream{} runs
 // are bit-identical to buffered runs.
-type MeanStream struct {
-	// Seg is the segment width of the canonical reduction order; match it
-	// to the edge width of a cohort tree to make flat and tree runs
-	// bit-identical. 0 folds the round as a single segment.
-	Seg int
-}
+type MeanStream struct{}
 
 // NewFold implements StreamAggregator.
-func (m MeanStream) NewFold(p, k int, valGrad []float64) Fold {
-	seg := m.Seg
-	if seg <= 0 {
-		seg = k
-	}
-	if seg < 1 {
-		seg = 1
-	}
-	return &meanFold{p: p, k: k, seg: seg, valGrad: valGrad}
+func (MeanStream) NewFold(p, k int, valGrad []float64) Fold {
+	return &meanFold{p: p, k: k, valGrad: valGrad}
 }
 
-// SegmentFold is the accumulator of one segment of the canonical reduction
-// order: the unscaled sum of the updates added at the segment's positions
+// SegmentFold is the accumulator of one segment — a contiguous run of
+// positions: the unscaled sum of the updates added at the segment's positions
 // and, given a validation gradient, their dot products, committed in
 // position order whatever the arrival order. An update that arrives ahead
 // of a predecessor parks until the predecessors commit or Close drains the
@@ -97,10 +76,12 @@ func (m MeanStream) NewFold(p, k int, valGrad []float64) Fold {
 // in one tensor.DotAdd4 pass (AXPY4 without a validation gradient); Close
 // folds a staged tail of one to three one by one. Either way each update's
 // dot and each coordinate's sum have the bits of one DotAdd per update in
-// position order. MeanStream
-// folds compose one per segment; a cohort tree's edge aggregator is one, and
-// so is the root's reconstruction of a dead edge's segment — which is why
-// tree, flat-streamed and in-process streamed runs agree bit for bit.
+// position order. MeanStream's fold is one over the whole round; a cohort
+// tree's edge aggregator is one over its edge's segment, and so is the
+// root's reconstruction of a dead edge's segment. The root merges the
+// partials in edge order into a zero total and scales once, so a tree run
+// is bit-identical to any streamed run that folds its segments the same
+// way (TestTreeLoopbackBitIdenticalToFlatAndLocal).
 //
 // Callers guarantee what Fold.Add checks: each position at most once, none
 // below the lo the fold was opened at, every delta as long as the
@@ -212,15 +193,14 @@ func (s *SegmentFold) Close() (sum []float64, pos []int, dots []float64) {
 	return s.sum, s.pos, s.dots
 }
 
-// meanFold is MeanStream's per-round accumulator: one SegmentFold per
-// segment, opened by the segment's first arrival and merged in segment
-// order at Close.
+// meanFold is MeanStream's per-round accumulator: slot validation around
+// one SegmentFold over the round's k slots, opened by the first arrival.
 type meanFold struct {
-	p, k, seg int
-	valGrad   []float64
-	segs      []*SegmentFold
-	seen      []bool
-	closed    bool
+	p, k    int
+	valGrad []float64
+	sf      *SegmentFold
+	seen    []bool
+	closed  bool
 }
 
 func (f *meanFold) Add(slot int, delta []float64) error {
@@ -235,19 +215,14 @@ func (f *meanFold) Add(slot int, delta []float64) error {
 	}
 	if f.seen == nil {
 		f.seen = make([]bool, f.k)
-		f.segs = make([]*SegmentFold, (f.k+f.seg-1)/f.seg)
+		f.sf = NewSegmentFold(0, make([]float64, f.p), f.valGrad)
 	}
 	if f.seen[slot] {
 		return fmt.Errorf("hfl: fold slot %d added twice", slot)
 	}
 	f.seen[slot] = true
-	s := slot / f.seg
-	if f.segs[s] == nil {
-		f.segs[s] = NewSegmentFold(s*f.seg, make([]float64, f.p), f.valGrad)
-	}
-	sf := f.segs[s]
-	if sf.Add(slot, delta); sf.next == min(s*f.seg+f.seg, f.k) {
-		sf.flush() // the segment's run is complete: nothing can join the stage
+	if f.sf.Add(slot, delta); f.sf.next == f.k {
+		f.sf.flush() // every slot is in: nothing can join the stage
 	}
 	return nil
 }
@@ -257,27 +232,12 @@ func (f *meanFold) Close() (*FoldResult, error) {
 		return nil, fmt.Errorf("hfl: fold closed twice")
 	}
 	f.closed = true
-	res := &FoldResult{}
-	var acc []float64
-	for _, sf := range f.segs {
-		if sf == nil {
-			continue
-		}
-		// Merge the segment partials in segment order into a zero total —
-		// the operation a tree's root performs on its edges' partials.
-		sum, slots, dots := sf.Close()
-		if acc == nil {
-			acc = make([]float64, f.p)
-		}
-		tensor.AXPY(1, sum, acc)
-		res.Slots = append(res.Slots, slots...)
-		res.Dots = append(res.Dots, dots...)
+	if f.sf == nil {
+		return &FoldResult{}, nil
 	}
-	if len(res.Slots) > 0 {
-		tensor.Scale(1/float64(len(res.Slots)), acc)
-		res.Sum = acc
-	}
-	return res, nil
+	sum, slots, dots := f.sf.Close()
+	tensor.Scale(1/float64(len(slots)), sum)
+	return &FoldResult{Sum: sum, Slots: slots, Dots: dots}, nil
 }
 
 // Pending reports how many updates the fold holds unfolded, parked or
@@ -285,11 +245,8 @@ func (f *meanFold) Close() (*FoldResult, error) {
 // that recycles buffers knows when every delta it added has been read: when
 // Pending reads 0.
 func (f *meanFold) Pending() int {
-	n := 0
-	for _, sf := range f.segs {
-		if sf != nil {
-			n += sf.Pending()
-		}
+	if f.sf == nil {
+		return 0
 	}
-	return n
+	return f.sf.Pending()
 }

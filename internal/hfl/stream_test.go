@@ -38,7 +38,7 @@ func TestMeanFoldArrivalOrderInvariant(t *testing.T) {
 	}
 	var want *FoldResult
 	for _, order := range orders {
-		f := MeanStream{Seg: 3}.NewFold(p, k, vg)
+		f := MeanStream{}.NewFold(p, k, vg)
 		for _, s := range order {
 			if err := f.Add(s, append([]float64(nil), deltas[s]...)); err != nil {
 				t.Fatal(err)
@@ -63,20 +63,19 @@ func TestMeanFoldArrivalOrderInvariant(t *testing.T) {
 	}
 }
 
-// The canonical reduction order is segmented: per-segment sums in slot
-// order, partials merged in segment order, one final 1/m scale.
+// The one reduction order: the updates summed in slot order from zero, then
+// one 1/k scale. The fold holds nothing a recycling caller waits on after
+// each four-wide pass and once the last slot is in.
 func TestMeanFoldSegmentedReduction(t *testing.T) {
-	const k, p, seg = 8, 5, 3
+	const k, p = 7, 5
 	deltas := foldDeltas(k, p, 3)
-	f := MeanStream{Seg: seg}.NewFold(p, k, nil)
+	f := MeanStream{}.NewFold(p, k, nil)
 	for s, d := range deltas {
 		if err := f.Add(s, d); err != nil {
 			t.Fatal(err)
 		}
-		// A segment's last slot folds its staged run: the fold holds nothing
-		// a recycling caller waits on across segments.
-		if pend := f.(*meanFold).Pending(); (s%seg == seg-1 || s == k-1) && pend != 0 {
-			t.Fatalf("slot %d completes its segment, yet %d updates pending", s, pend)
+		if pend := f.(*meanFold).Pending(); (s%4 == 3 || s == k-1) && pend != 0 {
+			t.Fatalf("slot %d completes a pass, yet %d updates pending", s, pend)
 		}
 	}
 	got, err := f.Close()
@@ -85,16 +84,12 @@ func TestMeanFoldSegmentedReduction(t *testing.T) {
 	}
 	// Reference: the same operations, spelled out.
 	acc := make([]float64, p)
-	for lo := 0; lo < k; lo += seg {
-		segAcc := make([]float64, p)
-		for s := lo; s < lo+seg && s < k; s++ {
-			tensor.AXPY(1, deltas[s], segAcc)
-		}
-		tensor.AXPY(1, segAcc, acc)
+	for _, d := range deltas {
+		tensor.AXPY(1, d, acc)
 	}
 	tensor.Scale(1.0/k, acc)
 	if !sameVec(acc, got.Sum) {
-		t.Fatal("segmented fold differs from the spelled-out reduction")
+		t.Fatal("fold differs from the spelled-out reduction")
 	}
 }
 
@@ -205,7 +200,6 @@ func TestStreamRefusesBufferedPlugins(t *testing.T) {
 		{"Aggregator", func(tr *Trainer) { tr.Aggregator = nopAggregator{} }},
 		{"Reweighter", func(tr *Trainer) { tr.Reweighter = fixedReweighter{1} }},
 		{"Screen", func(tr *Trainer) { tr.Screen = noopScreener{} }},
-		{"Cfg.Engine", func(tr *Trainer) { tr.Cfg.Engine = nopEngine{} }},
 	} {
 		tr, _ := setup(t, 5)
 		tr.Stream = MeanStream{}
@@ -224,11 +218,6 @@ func (noopScreener) Screen(*Epoch, []int) ([]int, error) { return nil, nil }
 type nopAggregator struct{}
 
 func (nopAggregator) Aggregate(*Epoch) ([]float64, error) { return nil, nil }
-
-type nopEngine struct{}
-
-func (nopEngine) Name() string   { return "nop" }
-func (nopEngine) Observe(*Epoch) {}
 
 // ReleaseAfterObserve frees each epoch's raw deltas once the Observer has
 // run — the observer still sees them, the log keeps the slim record, and

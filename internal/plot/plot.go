@@ -10,16 +10,14 @@ import (
 	"strings"
 )
 
-// Series is one named curve.
+// Series is one named curve. Series are marked '*', '+', 'o', 'x', … in
+// declaration order.
 type Series struct {
 	Name   string
 	Values []float64
-	// Rune marks the series' points; 0 defaults to '*', '+', 'o', 'x', … in
-	// declaration order.
-	Rune rune
 }
 
-var defaultRunes = []rune{'*', '+', 'o', 'x', '#', '@'}
+var runes = []rune{'*', '+', 'o', 'x', '#', '@'}
 
 // Chart renders the series into a w×h character grid with a y-axis legend.
 // All series share the x-axis (index) and the y-scale. Returns "" when no
@@ -53,10 +51,7 @@ func Chart(title string, w, h int, series ...Series) string {
 		grid[r] = []rune(strings.Repeat(" ", w))
 	}
 	for si, s := range series {
-		mark := s.Rune
-		if mark == 0 {
-			mark = defaultRunes[si%len(defaultRunes)]
-		}
+		mark := runes[si%len(runes)]
 		for i, v := range s.Values {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				continue
@@ -87,11 +82,7 @@ func Chart(title string, w, h int, series ...Series) string {
 	}
 	legend := make([]string, 0, len(series))
 	for si, s := range series {
-		mark := s.Rune
-		if mark == 0 {
-			mark = defaultRunes[si%len(defaultRunes)]
-		}
-		legend = append(legend, fmt.Sprintf("%c %s", mark, s.Name))
+		legend = append(legend, fmt.Sprintf("%c %s", runes[si%len(runes)], s.Name))
 	}
 	fmt.Fprintf(&b, "%s  x: 1..%d   %s\n", strings.Repeat(" ", 9), maxLen, strings.Join(legend, "   "))
 	return b.String()

@@ -67,13 +67,6 @@ func TestChartEmptyAndNaN(t *testing.T) {
 	}
 }
 
-func TestChartCustomRune(t *testing.T) {
-	out := Chart("", 12, 3, Series{Name: "s", Values: []float64{1, 2}, Rune: '%'})
-	if !strings.Contains(out, "%") {
-		t.Fatal("custom rune not used")
-	}
-}
-
 func TestChartPanicsOnTinyGrid(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -194,11 +194,11 @@ func TestScreenClipsOutlierNorms(t *testing.T) {
 	}
 }
 
-// TestScreenConfigValidation rejects an out-of-range screen Lambda and a
-// negative quarantine Patience.
+// TestScreenConfigValidation: a zero ScreenConfig takes the documented
+// ClipFactor default, and a negative quarantine Patience is rejected.
 func TestScreenConfigValidation(t *testing.T) {
-	if _, err := NewUpdateScreen(ScreenConfig{Lambda: 2}); err == nil {
-		t.Error("Lambda 2 accepted")
+	if s := MustNewUpdateScreen(ScreenConfig{}); s.cfg.ClipFactor != 3 {
+		t.Errorf("zero ScreenConfig clips at %v× the median, want 3×", s.cfg.ClipFactor)
 	}
 	if _, err := NewQuarantine(Quarantine{Patience: -1}); err == nil {
 		t.Error("quarantine Patience -1 accepted")

@@ -144,9 +144,8 @@ type NormBound struct {
 	MaxNorm float64
 }
 
-// NormBound's per-update clip is independent across updates; its streaming
-// equivalent is ingest-time clipping (UpdateScreen.ClipNow) composed with
-// hfl.MeanStream. The Aggregator form here runs on the buffered path.
+// NormBound is an Aggregator, so it runs on buffered rounds only; it has no
+// streamed equivalent.
 var _ hfl.Aggregator = NormBound{}
 
 // Aggregate implements hfl.Aggregator. The epoch's deltas are not

@@ -1,7 +1,6 @@
 package robust
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -17,9 +16,6 @@ type ScreenConfig struct {
 	// ClipFactor×median are rescaled down to the threshold. Defaults to 3;
 	// negative disables clipping (shape and finiteness checks remain).
 	ClipFactor float64
-	// Lambda is the EWMA rate of the running median-of-norms: after each
-	// epoch, median ← (1−Lambda)·median + Lambda·median_t. Defaults to 0.3.
-	Lambda float64
 	// Sink optionally receives a KindUpdateRejected event per dropped
 	// update and a KindUpdateClipped event (Value = pre-clip norm) per
 	// clipped one.
@@ -45,79 +41,17 @@ type UpdateScreen struct {
 
 var _ hfl.Screener = (*UpdateScreen)(nil)
 
-// NewUpdateScreen validates the configuration and fills defaults.
-func NewUpdateScreen(cfg ScreenConfig) (*UpdateScreen, error) {
-	if cfg.Lambda < 0 || cfg.Lambda > 1 {
-		return nil, fmt.Errorf("robust: screen Lambda %v outside [0,1]", cfg.Lambda)
-	}
+// screenLambda is the EWMA rate of the running median-of-norms: after each
+// epoch, median ← (1−λ)·median + λ·median_t.
+const screenLambda = 0.3
+
+// MustNewUpdateScreen builds an update screen, filling the defaults. Every
+// ScreenConfig is valid, so it never panics; the name is the facade's.
+func MustNewUpdateScreen(cfg ScreenConfig) *UpdateScreen {
 	if cfg.ClipFactor == 0 {
 		cfg.ClipFactor = 3
 	}
-	if cfg.Lambda == 0 {
-		cfg.Lambda = 0.3
-	}
-	return &UpdateScreen{cfg: cfg}, nil
-}
-
-// MustNewUpdateScreen is NewUpdateScreen panicking on invalid
-// configuration.
-func MustNewUpdateScreen(cfg ScreenConfig) *UpdateScreen {
-	s, err := NewUpdateScreen(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// ClipNow rescales delta in place against the screen's current threshold —
-// ClipFactor × the running median as of the last completed round — and
-// returns the pre-clip L2 norm and whether it clipped. This is the
-// streaming-ingest variant of Screen: a fold-on-arrival server cannot know
-// the in-flight round's median before folding, so streamed rounds clip
-// against the state of the rounds already closed (the first round clips
-// nothing) and advance the median afterwards via ObserveNorms. Callers
-// handle shape and finiteness themselves (the wire layer rejects both
-// before clipping is reached).
-func (s *UpdateScreen) ClipNow(delta []float64) (norm float64, clipped bool) {
-	var n2 float64
-	for _, v := range delta {
-		n2 += v * v
-	}
-	norm = math.Sqrt(n2)
-	if !s.ok || s.cfg.ClipFactor < 0 {
-		return norm, false
-	}
-	threshold := s.cfg.ClipFactor * s.med
-	if threshold <= 0 || norm <= threshold {
-		return norm, false
-	}
-	scale := threshold / norm
-	for j := range delta {
-		delta[j] *= scale
-	}
-	return norm, true
-}
-
-// ObserveNorms folds one closed round's pre-clip update norms into the
-// running median EWMA — the state ClipNow reads. Norm order does not matter
-// (the median is order-invariant), so a streaming server may record norms
-// in arrival order and still stay deterministic. An empty round leaves the
-// state untouched.
-func (s *UpdateScreen) ObserveNorms(norms []float64) {
-	if len(norms) == 0 {
-		return
-	}
-	sorted := append([]float64(nil), norms...)
-	sort.Float64s(sorted)
-	med := sorted[len(sorted)/2]
-	if len(sorted)%2 == 0 {
-		med = (sorted[len(sorted)/2-1] + sorted[len(sorted)/2]) / 2
-	}
-	if !s.ok {
-		s.med, s.ok = med, true
-		return
-	}
-	s.med = (1-s.cfg.Lambda)*s.med + s.cfg.Lambda*med
+	return &UpdateScreen{cfg: cfg}
 }
 
 // Screen implements hfl.Screener: it returns the positions of the updates
@@ -166,7 +100,7 @@ func (s *UpdateScreen) Screen(ep *hfl.Epoch, reported []int) ([]int, error) {
 	if !s.ok {
 		s.med, s.ok = med, true
 	} else {
-		s.med = (1-s.cfg.Lambda)*s.med + s.cfg.Lambda*med
+		s.med = (1-screenLambda)*s.med + screenLambda*med
 	}
 	threshold := s.cfg.ClipFactor * s.med
 	if threshold <= 0 {

@@ -22,8 +22,8 @@ type ValLoss func(theta []float64) float64
 // Report is an engine's finalized attribution: the per-epoch φ matrix, the
 // accumulated totals (the contribution estimate itself), and the cost the
 // engine spent producing them. Finalize may be called at any point — the
-// report is a deep snapshot of everything observed so far, which is how the
-// coordinator serves live /v1/score reads mid-run.
+// report is a deep snapshot of everything observed so far, so a caller can
+// read it mid-run.
 type Report struct {
 	// Name identifies the engine that produced the report.
 	Name string

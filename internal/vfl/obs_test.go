@@ -8,34 +8,6 @@ import (
 	"digfl/internal/paillier"
 )
 
-// A decaying schedule must override Config.LR and be recorded per epoch in
-// Epoch.LR — the only place the estimators read the rate from.
-func TestLRScheduleRecorded(t *testing.T) {
-	sched := func(t int) float64 { return 0.1 / float64(t) }
-	tr := &Trainer{Problem: regProblem(11), Cfg: Config{
-		Epochs: 6, LR: 99, LRSchedule: sched, KeepLog: true,
-	}}
-	res := tr.Run()
-	for i, ep := range res.Log {
-		if want := sched(ep.T); ep.LR != want {
-			t.Fatalf("epoch %d: recorded LR %v, want schedule value %v", ep.T, ep.LR, want)
-		}
-		if i > 0 && res.Log[i].LR >= res.Log[i-1].LR {
-			t.Fatalf("schedule not decaying in the log: %v then %v", res.Log[i-1].LR, res.Log[i].LR)
-		}
-	}
-}
-
-// With a schedule attached, Config.LR may stay zero.
-func TestLRScheduleAloneValidates(t *testing.T) {
-	tr := &Trainer{Problem: regProblem(12), Cfg: Config{
-		Epochs: 3, LRSchedule: func(int) float64 { return 0.05 },
-	}}
-	if res := tr.Run(); res.FinalLoss >= res.InitLoss {
-		t.Fatal("schedule-only config did not train")
-	}
-}
-
 // Attaching a sink must leave the plaintext trainer bit-identical, with
 // exact epoch and aggregate counters.
 func TestVFLSinkDoesNotPerturbRun(t *testing.T) {

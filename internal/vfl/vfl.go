@@ -88,12 +88,9 @@ func (p *Problem) validate() error {
 type Config struct {
 	// Epochs is the number of synchronous rounds τ.
 	Epochs int
-	// LR is the learning rate α; LRSchedule overrides it when non-nil.
+	// LR is the learning rate α. It is recorded per epoch in Epoch.LR,
+	// which is all the estimators read — they never see Config.
 	LR float64
-	// LRSchedule returns α_t for 1-based epoch t, mirroring the HFL
-	// trainer's hook. The per-epoch rate is recorded in Epoch.LR, which is
-	// all the estimators read — they never see Config.
-	LRSchedule func(t int) float64
 	// KeepLog retains the per-epoch training log in the result.
 	KeepLog bool
 	// Runtime is the unified worker-budget-plus-observability surface.
@@ -181,18 +178,11 @@ func (ck *Checkpoint) validate(p, epochs int) error {
 	return nil
 }
 
-func (c Config) lr(t int) float64 {
-	if c.LRSchedule != nil {
-		return c.LRSchedule(t)
-	}
-	return c.LR
-}
-
 func (c Config) validate() error {
 	if c.Epochs <= 0 {
 		return fmt.Errorf("vfl: Epochs must be positive, got %d", c.Epochs)
 	}
-	if c.LR <= 0 && c.LRSchedule == nil {
+	if c.LR <= 0 {
 		return fmt.Errorf("vfl: LR must be positive, got %v", c.LR)
 	}
 	return nil
@@ -339,7 +329,7 @@ func (tr *Trainer) RunSubsetContext(ctx context.Context, subset []int) (*Result,
 		}
 		obs.Emit(sink, obs.Event{Kind: obs.KindEpochStart, T: t})
 		epochStart := obs.Start(sink)
-		lr := tr.Cfg.lr(t)
+		lr := tr.Cfg.LR
 		theta := tensor.Clone(model.Params())
 		grad := model.Grad(prob.Train.X, prob.Train.Y)
 		tensor.Scale(lr, grad)
