@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test bench loc verify verify-faults verify-net verify-adv verify-scale verify-wire verify-crash verify-engines verify-async verify-secure verify-bench bench-workload bench-kernels
+.PHONY: build test bench loc verify verify-faults verify-net verify-adv verify-reweight verify-scale verify-wire verify-crash verify-engines verify-async verify-secure verify-bench bench-workload bench-kernels
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,7 @@ verify:
 	$(MAKE) verify-faults
 	$(MAKE) verify-net
 	$(MAKE) verify-adv
+	$(MAKE) verify-reweight
 	$(MAKE) verify-scale
 	$(MAKE) verify-wire
 	$(MAKE) verify-crash
@@ -265,3 +266,20 @@ verify-adv:
 	$(GO) test -count=1 -run 'Adversar|Attack|Tamper|Quarantine|Reweight|PluginShape|Screen|Krum|NormBound|Mutate|Poison|Fires|NonFinite|Reject|AXPY4|AXPYRows|DotRows|DotAdd4|MatTVec|RowKernels|RoundSums' \
 		./internal/adversary/ ./internal/robust/ ./internal/core/ ./internal/hfl/ ./internal/vfl/ ./internal/fednet/ ./internal/experiments/ ./internal/tensor/
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzAXPYRows -fuzztime 5s ./internal/tensor/
+
+# verify-reweight runs the gate of the quarantine as a fold admission, under
+# the race detector: the canonical reweighted form against the r form
+# (φ̂⁺ coefficients scaled by 1/Σ r; bit for bit on a power-of-two |S| with
+# no held survivor, within 4|S|+3 ulps otherwise) and the held-last order;
+# streamed ≡ buffered reweighted runs in process (flat, sampled with
+# dropout; Quarantine and HFLReweighter)
+# and over the wire (flat, sampled cohort 64 with dropout, recovered from a
+# torn journal), 3 seeds each; the mutant test (a participant banned by an
+# epoch's close adds nothing to that epoch's θ, on both paths); Lemma 4 on
+# the streamed path; the buffered round only where raw deltas are needed;
+# and the efficacy gates, the buffered one and its sampled cohort-64 streamed
+# cell. -count=1 defeats the test cache.
+verify-reweight:
+	$(GO) vet ./internal/hfl/ ./internal/robust/ ./internal/fednet/ ./internal/experiments/
+	$(GO) test -race -count=1 -run 'TestReweighted|TestBannedAtCloseAddsNothing|TestStreamedReweight|TestStreamedQuarantine|TestCompositionStreamedIsOnePredicate|TestAdversarialEfficacyGate' \
+		./internal/hfl/ ./internal/robust/ ./internal/fednet/ ./internal/experiments/

@@ -329,10 +329,22 @@ type HFLReweighter struct {
 	Estimator *HFLEstimator
 }
 
+var _ hfl.Admitter = (*HFLReweighter)(nil)
+
 // Weights implements hfl.Reweighter: Rectify over the epoch's φ.
 func (r *HFLReweighter) Weights(ep *hfl.Epoch) []float64 {
 	return Rectify(AlignedPhi(r.Estimator, ep))
 }
+
+// Admit implements hfl.Admitter: every participant folds on arrival, unless
+// the estimator is Interactive and r carries its second-order term.
+func (r *HFLReweighter) Admit(active []int, class []hfl.Admission) bool {
+	clear(class) // hfl.AdmitFold
+	return r.Estimator == nil || r.Estimator.mode != Interactive
+}
+
+// Excluded implements hfl.Admitter: nobody is.
+func (*HFLReweighter) Excluded(int) bool { return false }
 
 // AlignedPhi is the epoch's φ aligned with ep.Deltas: est's φ vector
 // (observing the epoch) compacted to the reporting survivors of a degraded
@@ -352,12 +364,17 @@ func AlignedPhi(est *HFLEstimator, ep *hfl.Epoch) []float64 {
 	return survivors
 }
 
-// FirstOrder is the resource-saving projection of a buffered epoch without
-// an estimator: φ̂_k = (1/|S|)·∇loss^v(θ_{t-1})·δ_k, aligned with ep.Deltas,
-// four deltas to a pass.
+// FirstOrder is the resource-saving projection of an epoch without an
+// estimator: φ̂_k = (1/|S|)·∇loss^v(θ_{t-1})·δ_k, aligned with the epoch's
+// updates — four deltas to a pass on a buffered epoch, the fold's dots
+// (ep.DeltaDots) on a streamed one, whose Deltas are nil.
 func FirstOrder(ep *hfl.Epoch) []float64 {
-	phi := make([]float64, len(ep.Deltas))
-	tensor.DotRows(phi, ep.ValGrad, ep.Deltas)
+	phi := make([]float64, epochUpdates(ep))
+	if ep.DeltaDots != nil {
+		copy(phi, ep.DeltaDots)
+	} else {
+		tensor.DotRows(phi, ep.ValGrad, ep.Deltas)
+	}
 	tensor.Scale(1/float64(len(phi)), phi)
 	return phi
 }

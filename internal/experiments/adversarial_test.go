@@ -15,6 +15,7 @@ import (
 	"digfl/internal/hfl"
 	"digfl/internal/nn"
 	"digfl/internal/robust"
+	"digfl/internal/sampling"
 	"digfl/internal/tensor"
 )
 
@@ -149,5 +150,67 @@ func TestAdversarialRender(t *testing.T) {
 	}
 	if len(r.Tables()["adversarial"]) == 0 {
 		t.Error("no CSV rows")
+	}
+}
+
+// TestStreamedQuarantineEfficacySampled is the efficacy gate on a sampled
+// cohort-64 cell whose quarantine runs in the fold: 30 % of 128
+// participants sign-flip their updates, each round samples 64, and the
+// trainer folds every round on arrival (Stream beside the Quarantine). Over
+// three seeds the attackers rank below every honest participant, the
+// quarantine bans exactly the attackers, and the run is bit for bit the
+// buffered reweighted run. (128 rather than the 100k of the streamed
+// benchmark: every attacker must be sampled Patience times for the ban, which
+// takes about N·ln N/64 rounds.)
+func TestStreamedQuarantineEfficacySampled(t *testing.T) {
+	const n, cohort, epochs = 128, 64, 24
+	for _, seed := range []int64{1, 2, 3} {
+		fed := iidFederation(n, 12*n, seed)
+		attackers := make([]int, 3*n/10)
+		for i := range attackers {
+			attackers[i] = i
+		}
+		type out struct {
+			res    *hfl.Result
+			totals []float64
+			bans   []int
+		}
+		run := func(stream hfl.StreamAggregator) out {
+			adv := adversary.MustNew(adversary.Config{Seed: seed, Attackers: attackers, Kind: adversary.SignFlip})
+			est := fed.estimator()
+			q := robust.MustNewQuarantine(robust.Quarantine{Estimator: est})
+			tr := &hfl.Trainer{
+				Model: fed.model, Val: fed.val,
+				Cfg: hfl.Config{Epochs: epochs, LR: 0.3, Participants: n,
+					Sample: sampling.MustNew(sampling.Config{Seed: seed, Size: cohort})},
+				Rounds:     &adversary.Source{Inner: &fednet.LocalSource{Model: fed.model, Parts: adv.PoisonShards(fed.parts)}, Adversary: adv},
+				Reweighter: q,
+				Stream:     stream,
+			}
+			res, err := tr.RunContext(context.Background())
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			return out{res, est.Attribution().Totals, q.Quarantined()}
+		}
+		got := run(hfl.MeanStream{})
+		if !reflect.DeepEqual(got.bans, attackers) {
+			t.Errorf("seed %d: quarantined %v, want exactly the attackers %v", seed, got.bans, attackers)
+		}
+		atkMax, honMin := math.Inf(-1), math.Inf(1)
+		for i, v := range got.totals {
+			if i < len(attackers) {
+				atkMax = max(atkMax, v)
+			} else {
+				honMin = min(honMin, v)
+			}
+		}
+		if !(atkMax < honMin) {
+			t.Errorf("seed %d: attacker max φ %.6g not below honest min φ %.6g", seed, atkMax, honMin)
+		}
+		want := run(nil)
+		if !sameRun(got.res, want.res, got.totals, want.totals, got.bans, want.bans) {
+			t.Errorf("seed %d: the streamed quarantine run differs from the buffered one", seed)
+		}
 	}
 }

@@ -15,8 +15,10 @@ import (
 // builds its federation, attaches its estimator or compares its runs fails
 // here. A "*" stands for a cell that is not such a function; checkGolden's
 // callers name those. The adversarial tables were printed again when the
-// buffered aggregate took the fold's order (sum, then one scale by 1/Σ r):
-// their losses and φ moved in the last digits.
+// buffered aggregate took the fold's order (sum, then one scale by 1/Σ r),
+// and again when the reweighted aggregate took its canonical form (weights
+// w_k = ∇loss^v·δ_k without φ̂'s 1/|S|, held slots summed last; |S| = 10 is
+// not a power of two): their losses and φ moved in the last digits.
 
 // checkGolden compares tables with golden. volatile names the cells that
 // depend on the wall clock or on goroutine scheduling: a header cell masks
@@ -132,11 +134,11 @@ kind,sign_flip
 attackers,3
 participants,10
 epochs,5
-clean_loss,0.15636693888372782
+clean_loss,0.1563669388837278
 undefended_loss,4.57342267680852
-defended_loss,0.15954558164041205
-undefended_ratio,29.248015657640074
-defended_ratio,1.0203280999127815
+defended_loss,0.15954558164041213
+undefended_ratio,29.24801565764008
+defended_ratio,1.0203280999127822
 attacks_injected,15
 updates_rejected,0
 updates_clipped,0
@@ -148,11 +150,11 @@ phi_1,-0.7808494116223303
 phi_2,-0.7934520209033493
 phi_3,0.2920949720533604
 phi_4,0.26604413194032644
-phi_5,0.25341115611890197
+phi_5,0.253411156118902
 phi_6,0.27718500973887544
 phi_7,0.26435887352342435
 phi_8,0.2510303218151943
-phi_9,0.24163086313835908`,
+phi_9,0.24163086313835905`,
 	},
 	{
 		"adversarial": `metric,value
@@ -160,11 +162,11 @@ kind,sign_flip
 attackers,3
 participants,10
 epochs,5
-clean_loss,0.1482582878449419
+clean_loss,0.14825828784494197
 undefended_loss,4.523117657416474
-defended_loss,0.15650734082919593
-undefended_ratio,30.50836296010003
-defended_ratio,1.0556397426691007
+defended_loss,0.156507340829196
+undefended_ratio,30.50836296010002
+defended_ratio,1.0556397426691009
 attacks_injected,15
 updates_rejected,0
 updates_clipped,0
@@ -173,13 +175,13 @@ attackers_ranked_last,true
 bit_identical_no_attack,true
 phi_0,-0.7978168756031597
 phi_1,-0.8651599762519594
-phi_2,-0.8244660617733102
+phi_2,-0.82446606177331
 phi_3,0.3009016224379665
-phi_4,0.23578172290914204
+phi_4,0.23578172290914198
 phi_5,0.2634844498864919
 phi_6,0.2723790923229329
 phi_7,0.2359092522507914
-phi_8,0.27099794118617254
+phi_8,0.2709979411861725
 phi_9,0.3001293285652631`,
 	},
 	{
@@ -205,7 +207,7 @@ phi_2,-0.8438126018713493
 phi_3,0.2733009937309209
 phi_4,0.3145543191683715
 phi_5,0.24522271602095164
-phi_6,0.2742116846712356
+phi_6,0.2742116846712355
 phi_7,0.24179810221842196
 phi_8,0.2588670508499268
 phi_9,0.2738279350388465`,

@@ -1,6 +1,9 @@
 package fednet
 
-import "digfl/internal/hfl"
+import (
+	"digfl/internal/core"
+	"digfl/internal/hfl"
+)
 
 // composeRule is one row of the composition table: a pair of Coordinator
 // settings that cannot both be as configured, and why. The README's "What
@@ -26,14 +29,27 @@ func (r *composeRule) Error() string {
 
 // streamed reports whether the run's rounds fold on arrival: Stream asks for
 // it, and Async and Edges imply it — their commits and partials are folded,
-// never buffered. It is the one predicate every "streamed" row below reads.
+// never buffered. A Quarantine streams the run too, its Eq. 17–18
+// reweighting and bans folded at commit (hfl.NewReweightedFold), unless
+// something needs the round's raw deltas. It is the one predicate every
+// "streamed" row below reads.
 func (c *Coordinator) streamed() bool {
-	return c.Stream != nil || c.Async != nil || c.Edges > 0
+	return c.Stream != nil || c.Async != nil || c.Edges > 0 || c.Quarantine != nil && !c.needsDeltas()
 }
 
+// needsDeltas reports whether a consumer reads the round's raw deltas: the
+// Archive writes them, and an Interactive estimator's ΔG recursion takes
+// each δ.
+func (c *Coordinator) needsDeltas() bool {
+	return c.Archive != nil || interactive(c.Estimator) ||
+		c.Quarantine != nil && interactive(c.Quarantine.Estimator)
+}
+
+func interactive(est *core.HFLEstimator) bool { return est != nil && est.DeltaGSum() != nil }
+
 // fold is the aggregation rule of a streamed round — Stream, or MeanStream{}
-// when Async or Edges alone made the round streamed — and nil on a buffered
-// run.
+// when Async, Edges or a Quarantine alone made the round streamed — and nil
+// on a buffered run.
 func (c *Coordinator) fold() hfl.StreamAggregator {
 	if c.Stream == nil && c.streamed() {
 		return hfl.MeanStream{}
@@ -51,15 +67,15 @@ var composition = []composeRule{
 	{a: "Journal", rel: relClash, b: "Cfg.Resume",
 		why:     "the journal owns the resume point; use Recover",
 		refused: func(c *Coordinator) bool { return c.Journal != nil && c.Cfg.Resume != nil }},
-	{a: "Stream", rel: relClash, b: "Quarantine",
-		why:     "the quarantine reweights the round buffer",
-		refused: func(c *Coordinator) bool { return c.streamed() && c.Quarantine != nil }},
+	{a: "Async or Edges", rel: relClash, b: "Quarantine",
+		why:     "the quarantine's held slots wait in the coordinator's own fold, which a quorum cut or an edge partial bypasses",
+		refused: func(c *Coordinator) bool { return (c.Async != nil || c.Edges > 0) && c.Quarantine != nil }},
 	{a: "Stream", rel: relClash, b: "Archive",
 		why:     "the archive needs the raw deltas",
 		refused: func(c *Coordinator) bool { return c.streamed() && c.Archive != nil }},
 	{a: "Stream", rel: relClash, b: "Interactive Estimator",
 		why:     "the Interactive estimator needs the raw deltas",
-		refused: func(c *Coordinator) bool { return c.streamed() && c.Estimator != nil && c.Estimator.DeltaGSum() != nil }},
+		refused: func(c *Coordinator) bool { return c.streamed() && interactive(c.Estimator) }},
 }
 
 // validate checks the configuration against the composition table. It runs

@@ -21,7 +21,7 @@ import (
 // TestCompositionRefusedBeforeJoin: every row of the composition table is
 // refused by Run with no participant joined — within a second, with that
 // row's error, not a byte in the journal and no goroutine left behind. Rows
-// that used to sit behind the join barrier (Stream × Quarantine / Archive)
+// that used to sit behind the join barrier (Stream × Quarantine, Archive)
 // blocked forever here, after writing run_open; a streamed run with an
 // Interactive estimator got past it and deadlocked at the first close. Each
 // row naming Stream is refused for each way of streaming a run: Stream,
@@ -39,7 +39,7 @@ func TestCompositionRefusedBeforeJoin(t *testing.T) {
 	}{
 		{"Async cannot compose with Edges", func(c *Coordinator) { c.Async, c.Edges = async(), 2 }, false},
 		{"Journal cannot compose with Cfg.Resume", func(c *Coordinator) { c.Cfg.Resume = &hfl.Checkpoint{} }, false},
-		{"Stream cannot compose with Quarantine", func(c *Coordinator) {
+		{"Async or Edges cannot compose with Quarantine", func(c *Coordinator) {
 			c.Quarantine = robust.MustNewQuarantine(robust.Quarantine{})
 		}, false},
 		{"Stream cannot compose with Archive", func(c *Coordinator) { c.Archive = &bytes.Buffer{} }, false},
@@ -56,11 +56,18 @@ func TestCompositionRefusedBeforeJoin(t *testing.T) {
 			t.Fatalf("row %d is %q, case is %q", i, got, tc.row)
 		}
 		// A case for a row naming Stream leaves the run buffered; each way
-		// of streaming it is applied on top.
+		// of streaming it is applied on top (Async or Edges: each of the
+		// two).
 		streamers := []func(c *Coordinator){func(*Coordinator) {}}
-		if rule.a == "Stream" || rule.b == "Stream" {
+		switch {
+		case rule.a == "Stream" || rule.b == "Stream":
 			streamers = []func(c *Coordinator){
 				func(c *Coordinator) { c.Stream = hfl.MeanStream{} },
+				func(c *Coordinator) { c.Async = async() },
+				func(c *Coordinator) { c.Edges = 2 },
+			}
+		case rule.a == "Async or Edges":
+			streamers = []func(c *Coordinator){
 				func(c *Coordinator) { c.Async = async() },
 				func(c *Coordinator) { c.Edges = 2 },
 			}
@@ -179,10 +186,17 @@ func TestModeOnlyEndpointsRefused(t *testing.T) {
 }
 
 // TestCompositionStreamedIsOnePredicate: Stream, Async and Edges each stream
-// the run and nothing else does; Stream only names the fold (MeanStream{}
-// when it is nil), and the round mode follows from the two.
+// the run, and so does a Quarantine that nothing needing raw deltas keeps
+// buffered; Stream only names the fold (MeanStream{} when it is nil), and
+// the round mode follows from the two. A Quarantine run is buffered only
+// with an Archive or an Interactive estimator.
 func TestCompositionStreamedIsOnePredicate(t *testing.T) {
 	ac := asyncPolicy()
+	rs := core.NewHFLEstimator(4, 3, core.ResourceSaving, nil)
+	interactive := core.NewHFLEstimator(4, 3, core.Interactive, func([]float64, int, []float64) []float64 { return nil })
+	quarantine := func(est *core.HFLEstimator) *robust.Quarantine {
+		return robust.MustNewQuarantine(robust.Quarantine{Estimator: est})
+	}
 	for _, tc := range []struct {
 		name string
 		c    *Coordinator
@@ -194,6 +208,14 @@ func TestCompositionStreamedIsOnePredicate(t *testing.T) {
 		{"Edges", &Coordinator{N: 4, Edges: 2}, hfl.MeanStream{}, &treeMode{}},
 		{"Async", &Coordinator{N: 4, Async: &ac}, hfl.MeanStream{}, &asyncMode{}},
 		{"Async+Stream", &Coordinator{N: 4, Async: &ac, Stream: segStream{3}}, segStream{3}, &asyncMode{}},
+		// A Quarantine streams the run unless an Archive or an Interactive
+		// estimator — the coordinator's or the quarantine's — needs the raw
+		// deltas: those are the only buffered rounds it leaves.
+		{"Quarantine", &Coordinator{N: 4, Quarantine: quarantine(nil)}, hfl.MeanStream{}, &streamedMode{}},
+		{"Quarantine+Estimator", &Coordinator{N: 4, Quarantine: quarantine(nil), Estimator: rs}, hfl.MeanStream{}, &streamedMode{}},
+		{"Quarantine+Archive", &Coordinator{N: 4, Quarantine: quarantine(nil), Archive: &bytes.Buffer{}}, nil, &bufferedMode{}},
+		{"Quarantine+Interactive Estimator", &Coordinator{N: 4, Quarantine: quarantine(nil), Estimator: interactive}, nil, &bufferedMode{}},
+		{"Quarantine's Interactive Estimator", &Coordinator{N: 4, Quarantine: quarantine(interactive)}, nil, &bufferedMode{}},
 	} {
 		c := tc.c
 		if c.streamed() != (tc.fold != nil) || c.fold() != tc.fold {

@@ -52,7 +52,13 @@ type Coordinator struct {
 	// When Quarantine.Estimator is nil and Estimator is set, the coordinator
 	// hands its estimator to the policy, so one φ stream feeds the score
 	// endpoint and the bans; the estimator is then fed through the
-	// quarantine's Weights call instead of the Observer.
+	// quarantine's Weights call instead of the Observer. A Quarantine
+	// streams the run unless an Archive or an Interactive estimator needs
+	// the raw deltas: it is a fold admission (hfl.Admitter). A participant
+	// banned when the round opens is dot-only, one the round's close may ban
+	// is held in the fold until the close decides, and everyone else folds
+	// on arrival; the reweighted aggregate is hfl.Reweighted.Aggregate's,
+	// the same bits a buffered round computes.
 	Quarantine *robust.Quarantine
 	// Estimator, when non-nil, observes every epoch (under the
 	// coordinator's lock) and backs the /v1/score endpoint, so
@@ -72,9 +78,11 @@ type Coordinator struct {
 	// run: each accepted delta is folded into the round's accumulator under
 	// the coordinator's lock and released, so round memory is O(d + cohort)
 	// instead of O(cohort·d) — the networked half of hfl.Trainer.Stream.
-	// Async and Edges stream the run too; with Stream nil their rounds fold
-	// with hfl.MeanStream{}. Streaming rounds carry DeltaDots to the
-	// estimator (ResourceSaving mode only).
+	// Async and Edges stream the run too, and so does a Quarantine that no
+	// raw-delta consumer keeps buffered; with Stream nil their rounds fold
+	// with hfl.MeanStream{} (a Quarantine's with its reweighted form).
+	// Streaming rounds carry DeltaDots to the estimator (ResourceSaving mode
+	// only).
 	Stream hfl.StreamAggregator
 	// Edges, when positive, streams the run through a two-level tree:
 	// /v1/partial ingest from this many edge sub-aggregators
@@ -310,7 +318,7 @@ func (c *Coordinator) run(ctx context.Context) (*hfl.Result, error) {
 		}
 		// Weights mutates quarantine state read by /v1/score handlers, so
 		// serialize it with the coordinator's lock.
-		reweighter = &lockedReweighter{c: c, rw: c.Quarantine}
+		reweighter = &lockedReweighter{c: c, q: c.Quarantine}
 	}
 	// The estimator's φ state is read live by /v1/score, so it observes
 	// under the coordinator's lock.
@@ -374,17 +382,30 @@ func (l lockedObserver) observeEpoch(ep *hfl.Epoch) {
 	}
 }
 
-// lockedReweighter serializes a reweighter whose state is also read by the
-// coordinator's HTTP handlers (the quarantine ban list).
+// lockedReweighter serializes the quarantine, whose state is also read by
+// the coordinator's HTTP handlers (the ban list), and keeps its admission
+// view.
 type lockedReweighter struct {
-	c  *Coordinator
-	rw hfl.Reweighter
+	c *Coordinator
+	q *robust.Quarantine
 }
 
 func (l *lockedReweighter) Weights(ep *hfl.Epoch) []float64 {
 	l.c.mu.Lock()
 	defer l.c.mu.Unlock()
-	return l.rw.Weights(ep)
+	return l.q.Weights(ep)
+}
+
+func (l *lockedReweighter) Admit(active []int, class []hfl.Admission) bool {
+	l.c.mu.Lock()
+	defer l.c.mu.Unlock()
+	return l.q.Admit(active, class)
+}
+
+func (l *lockedReweighter) Excluded(i int) bool {
+	l.c.mu.Lock()
+	defer l.c.mu.Unlock()
+	return l.q.Excluded(i)
 }
 
 // Recover replays a write-ahead journal into this not-yet-run coordinator:

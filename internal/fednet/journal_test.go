@@ -36,7 +36,9 @@ func serveOnce(h http.Handler, method, target, contentType string, body []byte) 
 // single test goroutine playing every participant (and, on a tree, every
 // edge) through Handler() in index order, so the journal's records land in
 // one fixed order and its bytes are a pure function of (mode, seed). Modes:
-// "buffered" (estimator + quarantine, participant 3 sign-flipped),
+// "buffered" (estimator + quarantine + archive, participant 3
+// sign-flipped), "quarantine" (the same without the archive, so its rounds
+// stream),
 // "streamed", "async" (participant 0 re-posts its round-1 update while
 // round 2 is open: a late admit) and "tree" (two edges posting partials).
 func scriptedJournal(t *testing.T, mode string, seed int64) []byte {
@@ -51,6 +53,9 @@ func scriptedJournal(t *testing.T, mode string, seed int64) []byte {
 	}
 	switch mode {
 	case "buffered":
+		c.Quarantine = robust.MustNewQuarantine(robust.Quarantine{})
+		c.Archive = &bytes.Buffer{}
+	case "quarantine":
 		c.Quarantine = robust.MustNewQuarantine(robust.Quarantine{})
 	case "streamed":
 		c.Stream = hfl.MeanStream{}
@@ -107,7 +112,7 @@ func scriptedJournal(t *testing.T, mode string, seed int64) []byte {
 				continue // excluded: an async update of i's is still in flight
 			}
 			delta := localDelta(model, parts[i], rr.Theta, float64(rr.LR), 1, 0)
-			if mode == "buffered" && i == 3 {
+			if (mode == "buffered" || mode == "quarantine") && i == 3 {
 				tensor.Scale(-1, delta)
 			}
 			deltas[i] = delta
@@ -171,7 +176,10 @@ func TestWALBytesPinned(t *testing.T) {
 			"d826e65d347fb4f39803fcd11f79b9c74c8465027aa58b6829c04e38b157a9f2",
 			"1ea4a1e5ae14db53806e292b2c41f45499381c5502a0115ba5edbb6be99906da"},
 	}
-	for _, mode := range []string{"buffered", "streamed", "async", "tree"} {
+	// A quarantine whose rounds stream journals exactly what the buffered
+	// one does: the commits, and closes built from the same state.
+	want["quarantine"] = want["buffered"]
+	for _, mode := range []string{"buffered", "quarantine", "streamed", "async", "tree"} {
 		for s, sum := range want[mode] {
 			seed := int64(s + 1)
 			b := scriptedJournal(t, mode, seed)

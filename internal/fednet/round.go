@@ -90,9 +90,9 @@ type synchronous struct{}
 
 func (synchronous) ack(int) (int, []byte) { return http.StatusOK, ackAccepted }
 
-// bufferedMode keeps the raw deltas, which the epoch carries to the three
-// consumers that need them: a Quarantine, an Archive and an Interactive
-// estimator.
+// bufferedMode keeps the raw deltas, which the epoch carries to the
+// consumers that need them — an Archive and an Interactive estimator — and
+// to the Observer of a run that nothing streams.
 type bufferedMode struct {
 	synchronous
 	deltas [][]float64
@@ -116,17 +116,22 @@ func (m *bufferedMode) close(r *openRound) (*hfl.RoundResult, int, error) {
 	return &hfl.RoundResult{Deltas: deltas}, r.got, nil
 }
 
-// streamedMode folds on arrival: round memory is O(d + cohort).
+// streamedMode folds on arrival: round memory is O(d + cohort). On a
+// reweighted round (admit non-nil) a held slot's delta stays with the fold
+// until the trainer's Aggregate hands it to the pool.
 type streamedMode struct {
 	synchronous
-	fold hfl.Fold
+	fold  hfl.Fold
+	admit []hfl.Admission
 }
 
 func (m *streamedMode) commit(r *openRound, slot int, delta []float64) error {
 	if err := m.fold.Add(slot, delta); err != nil {
 		return err
 	}
-	*r.held = append(*r.held, delta)
+	if m.admit == nil || m.admit[slot] != hfl.AdmitHeld {
+		*r.held = append(*r.held, delta)
+	}
 	if pend, ok := m.fold.(interface{ Pending() int }); ok && pend.Pending() == 0 {
 		r.recycle()
 	}
@@ -139,7 +144,10 @@ func (m *streamedMode) close(r *openRound) (*hfl.RoundResult, int, error) {
 		return nil, 0, fmt.Errorf("fednet: round %d: closing fold: %w", r.t, err)
 	}
 	r.recycle()
-	return &hfl.RoundResult{Agg: fr.Sum, Dots: fr.Dots}, len(fr.Slots), nil
+	if fr.Reweighted != nil {
+		fr.Reweighted.Release = tensor.PutVec
+	}
+	return &hfl.RoundResult{Agg: fr.Sum, Dots: fr.Dots, Reweighted: fr.Reweighted}, len(fr.Slots), nil
 }
 
 // treeMode merges edge sub-aggregators' partials. A member whose edge died
@@ -375,7 +383,13 @@ func (c *Coordinator) newRoundLocked(spec *hfl.RoundSpec) *openRound {
 			parts: make([]edgePartial, c.Edges), direct: make([]*hfl.SegmentFold, c.Edges),
 			viaRoot: make([]bool, k), sink: c.Cfg.Runtime.Sink})
 	default:
-		r := newRound(spec, spec.Active, &streamedMode{fold: c.fold().NewFold(p, k, spec.ValGrad)})
+		m := &streamedMode{admit: spec.Admit}
+		if spec.Admit != nil {
+			m.fold = hfl.NewReweightedFold(p, spec.ValGrad, spec.Admit)
+		} else {
+			m.fold = c.fold().NewFold(p, k, spec.ValGrad)
+		}
+		r := newRound(spec, spec.Active, m)
 		r.held = &c.streamHeld
 		return r
 	}

@@ -52,6 +52,14 @@ func (w *tearAtBinary) Write(p []byte) (int, error) {
 func loopbackThroughCrashes(t *testing.T, model nn.Model, parts []dataset.Dataset, journal *bytes.Buffer,
 	front *Front, wantRestarts int, newCoord func() *Coordinator) (*hfl.Result, *Coordinator) {
 	t.Helper()
+	return loopbackThroughCrashesWith(t, model, parts, journal, front, wantRestarts, newCoord, nil)
+}
+
+// loopbackThroughCrashesWith is loopbackThroughCrashes with the participants
+// attacker names (nil: none) posting flipTamper'd updates.
+func loopbackThroughCrashesWith(t *testing.T, model nn.Model, parts []dataset.Dataset, journal *bytes.Buffer,
+	front *Front, wantRestarts int, newCoord func() *Coordinator, attacker func(i int) bool) (*hfl.Result, *Coordinator) {
+	t.Helper()
 	coord := newCoord()
 	restarts := 0
 	res, perrs, err := Chaos{
@@ -65,10 +73,14 @@ func loopbackThroughCrashes(t *testing.T, model nn.Model, parts []dataset.Datase
 			return coord, nil
 		},
 	}.Loopback(context.Background(), coord, func(i int) *Participant {
-		return &Participant{
+		p := &Participant{
 			Index: i, Model: model, Data: parts[i],
 			Retries: 400, Base: time.Millisecond, Cap: 20 * time.Millisecond,
 		}
+		if attacker != nil && attacker(i) {
+			p.Tamper = flipTamper
+		}
+		return p
 	})
 	if err != nil {
 		t.Fatalf("coordinator incarnation %d: %v", restarts, err)

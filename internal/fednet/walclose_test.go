@@ -557,7 +557,7 @@ func journalOfRun(tb testing.TB, mode string) []byte {
 	c := &Coordinator{N: n, Model: model, Val: val, Cfg: cfg, Estimator: est, Journal: journal}
 	switch mode {
 	case "buffered":
-		c.Quarantine = robust.MustNewQuarantine(robust.Quarantine{})
+		c.Quarantine, c.Archive = robust.MustNewQuarantine(robust.Quarantine{}), &bytes.Buffer{}
 	case "streamed":
 		c.Stream = hfl.MeanStream{}
 	case "tree":

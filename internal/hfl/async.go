@@ -46,14 +46,16 @@ func (c AsyncConfig) validate() error {
 }
 
 // staleWeight is the discount of an update committed s = commitEpoch −
-// originEpoch epochs late: the polynomial decay w(s) = (1+s)^(-1/2). w(0)
-// is exactly 1, so an all-fresh async commit is bit-identical to the
-// synchronous streamed fold.
+// originEpoch epochs late: the polynomial decay w(s) = (1+s)^(-1/2),
+// computed as 1/√(1+s) — what math.Pow computes for the exponent −0.5, with
+// one correctly rounded square root and one division. w(0) is exactly 1, so
+// an all-fresh async commit is bit-identical to the synchronous streamed
+// fold.
 func staleWeight(s int) float64 {
 	if s <= 0 {
 		return 1
 	}
-	return math.Pow(1+float64(s), -0.5)
+	return 1 / math.Sqrt(1+float64(s))
 }
 
 // AsyncEntry is one update inside the async policy's carry-over buffer: a

@@ -27,6 +27,16 @@ func TestPolyWeightFreshIsOne(t *testing.T) {
 	}
 }
 
+// TestStaleWeightIsPowBits: 1/√(1+s) has math.Pow(1+s, −0.5)'s bits for
+// every staleness s in [0, 10⁶] — the exponent Pow special-cases.
+func TestStaleWeightIsPowBits(t *testing.T) {
+	for s := 0; s <= 1_000_000; s++ {
+		if got, want := staleWeight(s), math.Pow(1+float64(s), -0.5); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("w(%d) = %v (%#x), math.Pow gives %v (%#x)", s, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
 func TestAsyncConfigValidation(t *testing.T) {
 	if _, err := NewAsyncPlanner(AsyncConfig{Quorum: 0, MaxStaleness: 2}, nil, nil); err == nil || !strings.Contains(err.Error(), "Quorum") {
 		t.Fatalf("quorum 0 accepted: %v", err)

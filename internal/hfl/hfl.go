@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"digfl/internal/dataset"
@@ -206,6 +207,24 @@ type Reweighter interface {
 	Weights(ep *Epoch) []float64
 }
 
+// Admitter is the admission view of a Reweighter whose r is the rectified
+// first-order φ̂_k = (1/|S|)·∇loss^v(θ_{t−1})·δ_k over the participants it
+// does not exclude. It lets the trainer compute the reweighted aggregate in
+// one canonical form (Reweighted.Aggregate) on a buffered and a streamed
+// round alike, and so lets Stream compose with the Reweighter.
+type Admitter interface {
+	Reweighter
+	// Admit sets class[k] for the participant active[k] from the state the
+	// epoch starts in, before Weights sees it; it mutates nothing. It
+	// returns false when the epoch's r is not the rectified first-order φ̂
+	// (an Interactive estimator's φ carries a second-order term): a buffered
+	// round then aggregates r itself, and a streamed one fails.
+	Admit(active []int, class []Admission) bool
+	// Excluded reports whether participant i is excluded at the close of
+	// the epoch whose Weights call returned last.
+	Excluded(i int) bool
+}
+
 // Aggregator replaces the server's weighted-sum combination of local updates
 // entirely — the hook robust aggregation rules (coordinate median, trimmed
 // mean) plug into. It receives the epoch record after Weights are fixed and
@@ -258,6 +277,10 @@ type RoundSpec struct {
 	// return the aggregate plus per-update validation dot products instead
 	// of the raw deltas. Sources that do not stream may ignore it.
 	ValGrad []float64
+	// Admit, when non-nil, marks a reweighted streaming round: Admit[k] is
+	// Active[k]'s admission, and a source that streams folds the round with
+	// NewReweightedFold and returns its Reweighted instead of Agg.
+	Admit []Admission
 }
 
 // RoundResult carries one round's collected local updates back to the
@@ -282,6 +305,10 @@ type RoundResult struct {
 	// Dots[k] = spec.ValGrad·δ for the k-th reporting participant of a
 	// streamed round.
 	Dots []float64
+	// Reweighted, on a streamed round opened with spec.Admit, replaces Agg:
+	// the trainer finishes the aggregate once its Reweighter has decided
+	// the epoch's exclusions. Its held slots index spec.Active.
+	Reweighted *Reweighted
 }
 
 // RoundSource supplies an epoch's local updates from somewhere other than
@@ -329,13 +356,16 @@ type Trainer struct {
 	// Stream, when non-nil, switches aggregation to fold-on-arrival: each
 	// local update is folded into the round's accumulator and released
 	// instead of buffered, so per-round memory is O(d + cohort) rather than
-	// O(cohort·d). Streaming cannot compose with Aggregator, Reweighter or
-	// Screen — those consume the materialized round buffer; configuring
-	// both is a validation error. Streamed epochs carry DeltaDots instead
-	// of Deltas, which the resource-saving estimator consumes directly; the
+	// O(cohort·d). Streaming cannot compose with Aggregator or Screen, nor
+	// with a Reweighter that is not an Admitter — those consume the
+	// materialized round buffer; configuring both is a validation error. An
+	// Admitter composes with MeanStream{}: the round folds with
+	// NewReweightedFold. Streamed epochs carry DeltaDots instead of Deltas,
+	// which the resource-saving estimator consumes directly; the
 	// Interactive estimator and the contribution engines need buffers.
-	// The buffered mean is MeanStream's one-segment order, so a MeanStream{}
-	// run is bit-identical to the same run with Stream nil.
+	// The buffered mean is MeanStream's one-segment order, and a buffered
+	// Admitter round runs the same reweighted fold, so a MeanStream{} run
+	// is bit-identical to the same run with Stream nil.
 	Stream StreamAggregator
 }
 
@@ -412,10 +442,25 @@ func (tr *Trainer) RunSubsetContext(ctx context.Context, subset []int) (*Result,
 	if err := tr.Cfg.validate(tr.participants()); err != nil {
 		return nil, err
 	}
-	if tr.Stream != nil && (tr.Aggregator != nil || tr.Reweighter != nil || tr.Screen != nil) {
+	// An Admitter reweights every round in the one canonical form, unless
+	// an Aggregator replaces the weighted sum.
+	adm, _ := tr.Reweighter.(Admitter)
+	if tr.Aggregator != nil {
+		adm = nil
+	}
+	if tr.Stream != nil && (tr.Aggregator != nil || tr.Screen != nil ||
+		tr.Reweighter != nil && (adm == nil || tr.Stream != (MeanStream{}))) {
 		// Each consumes the materialized round buffer that streaming exists
 		// to avoid; refuse the combination instead of silently buffering.
-		return nil, fmt.Errorf("hfl: Stream cannot compose with Aggregator/Reweighter/Screen — those need the buffered path")
+		return nil, fmt.Errorf("hfl: Stream cannot compose with Aggregator/Reweighter/Screen — those need the buffered path (an Admitter streams with MeanStream{})")
+	}
+	// admit classes the participants who for a reweighted round, into a
+	// buffer the epochs share: a round's fold reads it until the round
+	// closes, which is before the next epoch admits.
+	var classBuf []Admission
+	admit := func(who []int) ([]Admission, bool) {
+		classBuf = slices.Grow(classBuf[:0], len(who))[:len(who)]
+		return classBuf, adm.Admit(who, classBuf)
 	}
 	model := tr.Model.Clone()
 	res := &Result{Model: model}
@@ -497,6 +542,11 @@ func (tr *Trainer) RunSubsetContext(ctx context.Context, subset []int) (*Result,
 		var deltas [][]float64
 		var streamAgg, streamDots, valGrad []float64
 		streamed := false
+		// A reweighted round (an admitting Reweighter) folds into rw, which
+		// the epoch's close finishes; admitted lists the participants its
+		// slots stand for.
+		var rw *Reweighted
+		var admitted []int
 		if tr.Stream != nil {
 			// ∇loss^v(θ_{t-1}) is a pure function of the pre-round model, so
 			// it can be taken before the updates arrive — the fold needs it to
@@ -504,10 +554,18 @@ func (tr *Trainer) RunSubsetContext(ctx context.Context, subset []int) (*Result,
 			valGrad = model.Grad(tr.Val.X, tr.Val.Y)
 		}
 		if tr.Rounds != nil {
-			rr, err := tr.Rounds.Round(ctx, &RoundSpec{
+			spec := &RoundSpec{
 				T: t, LR: lr, Theta: theta, Active: active, LocalSteps: steps,
 				Prox: tr.Cfg.Prox, ValGrad: valGrad,
-			})
+			}
+			if tr.Stream != nil && adm != nil {
+				class, ok := admit(active)
+				if !ok {
+					return nil, fmt.Errorf("hfl: epoch %d: the Reweighter cannot admit a streamed round", t)
+				}
+				spec.Admit = class
+			}
+			rr, err := tr.Rounds.Round(ctx, spec)
 			if err != nil {
 				return nil, fmt.Errorf("hfl: epoch %d: round source: %w", t, err)
 			}
@@ -515,15 +573,20 @@ func (tr *Trainer) RunSubsetContext(ctx context.Context, subset []int) (*Result,
 			if rr.Reported != nil {
 				reported = rr.Reported
 			}
-			if rr.Agg != nil && tr.Stream == nil {
+			folded := rr.Agg != nil || rr.Reweighted != nil
+			if folded && tr.Stream == nil {
 				return nil, fmt.Errorf("hfl: epoch %d: round source streamed an aggregate but Trainer.Stream is nil", t)
 			}
-			if rr.Agg != nil {
+			if folded && (rr.Reweighted != nil) != (spec.Admit != nil) {
+				return nil, fmt.Errorf("hfl: epoch %d: round source folded the round without its admissions", t)
+			}
+			if folded {
 				// Source-side streamed round: the aggregate arrives folded,
 				// the raw deltas were already released at the source.
 				streamed = true
 				streamAgg, streamDots = rr.Agg, rr.Dots
-				if len(streamAgg) != p {
+				rw, admitted = rr.Reweighted, active
+				if streamAgg != nil && len(streamAgg) != p {
 					return nil, fmt.Errorf("hfl: epoch %d: streamed aggregate has %d params, model has %d",
 						t, len(streamAgg), p)
 				}
@@ -574,25 +637,6 @@ func (tr *Trainer) RunSubsetContext(ctx context.Context, subset []int) (*Result,
 			}
 			parallel.ForObs(len(active), workers, sink, localUpdate)
 		}
-		if tr.Stream != nil && !streamed {
-			// Fold the buffered round through the same canonical reduction
-			// order a fold-on-arrival source uses, releasing each delta as it
-			// commits — so in-process streamed runs are bit-identical to
-			// networked streamed runs of the same topology.
-			fold := tr.Stream.NewFold(p, len(reported), valGrad)
-			for k := range deltas {
-				if err := fold.Add(k, deltas[k]); err != nil {
-					return nil, fmt.Errorf("hfl: epoch %d: stream fold: %w", t, err)
-				}
-				deltas[k] = nil
-			}
-			fr, err := fold.Close()
-			if err != nil {
-				return nil, fmt.Errorf("hfl: epoch %d: stream fold: %w", t, err)
-			}
-			streamAgg, streamDots = fr.Sum, fr.Dots
-			deltas, streamed = nil, true
-		}
 		if valGrad == nil {
 			valGrad = model.Grad(tr.Val.X, tr.Val.Y)
 		}
@@ -603,12 +647,6 @@ func (tr *Trainer) RunSubsetContext(ctx context.Context, subset []int) (*Result,
 			LR:      lr,
 			ValGrad: valGrad,
 			ValLoss: res.ValLossCurve[len(res.ValLossCurve)-1],
-		}
-		if streamed {
-			if streamDots == nil {
-				streamDots = []float64{}
-			}
-			ep.DeltaDots = streamDots
 		}
 		if sampled || len(droppedOut) > 0 || len(reported) != len(active) {
 			// Survivor epochs mark who reported — whether the loss was an
@@ -644,6 +682,51 @@ func (tr *Trainer) RunSubsetContext(ctx context.Context, subset []int) (*Result,
 				ep.Deltas, ep.Reported = kept, keptIdx
 			}
 		}
+		if !streamed && (tr.Stream != nil || adm != nil) {
+			// Fold the buffered round through the reduction a fold-on-arrival
+			// source uses, so in-process streamed runs are bit-identical to
+			// networked streamed runs of the same topology: MeanStream's, or
+			// the reweighted fold when the Reweighter admits the round. A
+			// streamed run releases each delta as it commits; a buffered one
+			// keeps them on the epoch.
+			var f Fold
+			if adm != nil {
+				class, ok := admit(reported)
+				switch {
+				case ok:
+					f, admitted = NewReweightedFold(p, valGrad, class), reported
+				case tr.Stream != nil:
+					return nil, fmt.Errorf("hfl: epoch %d: the Reweighter cannot admit a streamed round", t)
+				}
+			} else {
+				f = tr.Stream.NewFold(p, len(reported), valGrad)
+			}
+			if f != nil {
+				for k := range deltas {
+					if err := f.Add(k, deltas[k]); err != nil {
+						return nil, fmt.Errorf("hfl: epoch %d: stream fold: %w", t, err)
+					}
+					if tr.Stream != nil {
+						deltas[k] = nil
+					}
+				}
+				fr, err := f.Close()
+				if err != nil {
+					return nil, fmt.Errorf("hfl: epoch %d: stream fold: %w", t, err)
+				}
+				rw = fr.Reweighted
+				if tr.Stream != nil {
+					streamAgg, streamDots = fr.Sum, fr.Dots
+					deltas, ep.Deltas, streamed = nil, nil, true
+				}
+			}
+		}
+		if streamed {
+			if streamDots == nil {
+				streamDots = []float64{}
+			}
+			ep.DeltaDots = streamDots
+		}
 		var r []float64             // the reweighter's rectified r; nil is r = 1
 		sum := float64(len(deltas)) // Σ r
 		if tr.Reweighter != nil {
@@ -651,9 +734,9 @@ func (tr *Trainer) RunSubsetContext(ctx context.Context, subset []int) (*Result,
 			// one needs the all-dropped epochs too, to keep its epoch
 			// numbering sequential — but weights only apply when someone
 			// reported.
-			if r = tr.Reweighter.Weights(ep); len(deltas) > 0 && r != nil {
-				if len(r) != len(deltas) {
-					return nil, fmt.Errorf("hfl: epoch %d: reweighter returned %d weights for %d participants", t, len(r), len(deltas))
+			if r = tr.Reweighter.Weights(ep); len(reported) > 0 && r != nil {
+				if len(r) != len(reported) {
+					return nil, fmt.Errorf("hfl: epoch %d: reweighter returned %d weights for %d participants", t, len(r), len(reported))
 				}
 				sum = 0
 				for k, v := range r {
@@ -664,19 +747,18 @@ func (tr *Trainer) RunSubsetContext(ctx context.Context, subset []int) (*Result,
 				}
 			}
 		}
-		if streamed {
-			if streamAgg != nil {
-				aggStart := obs.Start(sink)
-				tensor.AXPY(-1, streamAgg, model.Params())
-				obs.Emit(sink, obs.Event{Kind: obs.KindAggregate, T: t,
-					N: int64(len(reported)), Dur: obs.Since(sink, aggStart)})
-			}
-		} else if len(deltas) > 0 {
+		if len(reported) > 0 {
 			aggStart := obs.Start(sink)
-			var grad []float64
-			if tr.Aggregator == nil && sum > 0 {
-				// The one aggregation order, MeanStream's with one segment:
-				// Σ r_k·δ_k in slot order from zero, then one scale by 1/Σ r.
+			var grad []float64 // G_t; nil leaves θ where it is
+			switch {
+			case rw != nil:
+				grad = rw.Aggregate(func(slot int) bool { return adm.Excluded(admitted[slot]) })
+			case streamed:
+				grad = streamAgg
+			case tr.Aggregator == nil && sum > 0:
+				// The unadmitted buffered order, MeanStream's with one
+				// segment: Σ r_k·δ_k in slot order from zero, then one scale
+				// by 1/Σ r.
 				coef := r
 				if coef == nil {
 					for len(ones) < len(deltas) {
@@ -703,11 +785,14 @@ func (tr *Trainer) RunSubsetContext(ctx context.Context, subset []int) (*Result,
 					return nil, fmt.Errorf("hfl: epoch %d: aggregator returned %d values for %d params", t, len(grad), p)
 				}
 			}
-			if grad != nil { // nil when Σ r = 0: θ stays
+			if grad != nil {
 				tensor.AXPY(-1, grad, model.Params())
 			}
+			if rw != nil {
+				tensor.PutVec(grad) // Aggregate's G_t is the trainer's to recycle
+			}
 			obs.Emit(sink, obs.Event{Kind: obs.KindAggregate, T: t,
-				N: int64(len(deltas)), Dur: obs.Since(sink, aggStart)})
+				N: int64(len(reported)), Dur: obs.Since(sink, aggStart)})
 		}
 		if tr.Observer != nil {
 			tr.Observer(ep)

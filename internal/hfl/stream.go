@@ -2,6 +2,8 @@ package hfl
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"digfl/internal/tensor"
 )
@@ -41,6 +43,10 @@ type FoldResult struct {
 	// fold time so contribution evaluation survives the deltas' release.
 	// Nil when the fold was opened without a validation gradient.
 	Dots []float64
+	// Reweighted, for a fold NewReweightedFold opened, holds the round's
+	// weighted sums until the epoch's close decides its held slots; Sum is
+	// then nil. Nil when nothing arrived.
+	Reweighted *Reweighted
 }
 
 // StreamAggregator supplies per-round Folds — the streaming aggregation
@@ -64,6 +70,40 @@ type MeanStream struct{}
 // NewFold implements StreamAggregator.
 func (MeanStream) NewFold(p, k int, valGrad []float64) Fold {
 	return &meanFold{p: p, k: k, valGrad: valGrad}
+}
+
+// Admission is a slot's class in a reweighted round: what the fold may do
+// with the slot's update when it arrives. An Admitter assigns them.
+type Admission uint8
+
+const (
+	// AdmitFold commits the update on arrival: its weight and its delta
+	// are final, because this epoch's close cannot exclude it.
+	AdmitFold Admission = iota
+	// AdmitHeld takes the update's dot on arrival but keeps its delta
+	// until the close, which may exclude it: a survivor is summed after
+	// every folded update, an excluded one not at all.
+	AdmitHeld
+	// AdmitDotOnly takes the update's dot and never sums its delta: the
+	// participant was excluded before the epoch began.
+	AdmitDotOnly
+)
+
+// NewReweightedFold opens the fold of a reweighted round over len(class)
+// slots, slot k admitted as class[k]. Each update's dot w = valGrad·δ is
+// taken as it commits, four updates to a pass, and a folded update adds
+// w⁺·δ (w⁺ = max(w, 0)) to a weighted sum in the pass right after; the
+// plain sum the uniform fallback needs rides the dot pass until a folded
+// weight is positive, and is dropped from then on. Its
+// Close returns the round's dots and a Reweighted, not a Sum: the aggregate
+// waits for the epoch's close to say which held slots survive. valGrad must
+// be non-nil. The fold reads a held update's delta until Aggregate returns,
+// past Close and past Pending reading 0.
+func NewReweightedFold(p int, valGrad []float64, class []Admission) Fold {
+	if valGrad == nil {
+		panic("hfl: a reweighted fold needs the validation gradient")
+	}
+	return &meanFold{p: p, k: len(class), valGrad: valGrad, class: class}
 }
 
 // SegmentFold is the accumulator of one segment — a contiguous run of
@@ -102,6 +142,25 @@ type SegmentFold struct {
 	lo      int         // the position parked[0] stands for
 	parked  [][]float64 // out-of-order updates by position − lo; nil where none
 	nparked int
+
+	// A reweighted fold's admissions, by position − lo (nil: every
+	// position folds), and what its folded updates add: Σ w⁺·δ into wsum
+	// and Σ w⁺ into wtot, in position order, over nfold updates. held
+	// lists the AdmitHeld updates, unsummed.
+	class []Admission
+	wsum  []float64
+	wtot  float64
+	nfold int
+	held  []heldUpdate
+}
+
+// heldUpdate is an AdmitHeld update: its slot, its dot and its delta, and
+// whether the close excluded it.
+type heldUpdate struct {
+	slot  int
+	w     float64
+	delta []float64
+	out   bool
 }
 
 // NewSegmentFold opens a segment whose positions start at lo (a lower
@@ -141,10 +200,13 @@ func (s *SegmentFold) stage(pos int, delta []float64) {
 		return
 	}
 	x := &s.staged
-	if s.valGrad != nil {
+	switch {
+	case s.class != nil:
+		s.weigh()
+	case s.valGrad != nil:
 		d0, d1, d2, d3 := tensor.DotAdd4(s.valGrad, x[0], x[1], x[2], x[3], s.sum)
 		s.dots = append(s.dots, d0, d1, d2, d3)
-	} else {
+	default:
 		tensor.AXPY4(1, 1, 1, 1, x[0], x[1], x[2], x[3], s.sum)
 	}
 	s.release()
@@ -152,21 +214,79 @@ func (s *SegmentFold) stage(pos int, delta []float64) {
 
 // flush folds the one to three staged updates one at a time.
 func (s *SegmentFold) flush() {
-	for _, d := range s.staged[:s.nstaged] {
-		if s.valGrad != nil {
-			s.dots = append(s.dots, tensor.DotAdd(s.valGrad, d, s.sum))
-		} else {
-			tensor.AXPY(1, d, s.sum)
+	if s.class != nil {
+		s.weigh()
+	} else {
+		for _, d := range s.staged[:s.nstaged] {
+			if s.valGrad != nil {
+				s.dots = append(s.dots, tensor.DotAdd(s.valGrad, d, s.sum))
+			} else {
+				tensor.AXPY(1, d, s.sum)
+			}
 		}
 	}
 	s.release()
 }
 
+// weigh folds a reweighted fold's staged updates, whatever their classes:
+// their dots w (Dot's bits), then wsum += w⁺·δ and wtot += w⁺ over the
+// AdmitFold ones in position order — held and dot-only ones weigh 0 — and
+// the held ones onto the held list. The plain sum of the AdmitFold ones is
+// kept only while no folded weight is positive: from then on P cannot be
+// empty, and the uniform fallback that reads it cannot happen. Four updates
+// take a DotAdd4 (or DotRows) pass and an AXPY4 pass; a lane weighing 0
+// joins the AXPY4 when every dot is finite, which makes its delta finite
+// and its 0·δ term add nothing to a sum that starts at +0.
+func (s *SegmentFold) weigh() {
+	n, first := s.nstaged, len(s.pos)-s.nstaged
+	x := s.staged[:n]
+	var class [4]Admission
+	var one, c [4]float64
+	folded := 0
+	for k := range x {
+		if class[k] = s.class[s.pos[first+k]-s.lo]; class[k] == AdmitFold {
+			one[k] = 1
+			folded++
+		}
+	}
+	d := len(s.dots)
+	s.dots = slices.Grow(s.dots, n)[:d+n]
+	w := s.dots[d:]
+	switch {
+	case s.wtot == 0 && folded == 4:
+		w[0], w[1], w[2], w[3] = tensor.DotAdd4(s.valGrad, x[0], x[1], x[2], x[3], s.sum)
+	case s.wtot == 0:
+		tensor.DotRows(w, s.valGrad, x)
+		tensor.AXPYRows(one[:n], x, s.sum)
+	default:
+		tensor.DotRows(w, s.valGrad, x)
+	}
+	finite := true
+	for k, v := range w {
+		if one[k] == 1 && v > 0 { // a NaN dot weighs nothing, like a negative one
+			c[k] = v
+			s.wtot += v
+		}
+		finite = finite && !math.IsNaN(v) && !math.IsInf(v, 0)
+		if class[k] == AdmitHeld {
+			s.held = append(s.held, heldUpdate{slot: s.pos[first+k], w: v, delta: x[k]})
+		}
+	}
+	if n == 4 && finite {
+		tensor.AXPY4(c[0], c[1], c[2], c[3], x[0], x[1], x[2], x[3], s.wsum)
+	} else {
+		tensor.AXPYRows(c[:n], x, s.wsum)
+	}
+	s.nfold += folded
+}
+
 // release hands the just-folded staged updates to Release in position order
-// and empties the stage.
+// — all but a reweighted fold's held ones, which it still reads — and
+// empties the stage.
 func (s *SegmentFold) release() {
+	first := len(s.pos) - s.nstaged
 	for k, d := range s.staged[:s.nstaged] {
-		if s.Release != nil {
+		if s.Release != nil && (s.class == nil || s.class[s.pos[first+k]-s.lo] != AdmitHeld) {
 			s.Release(d)
 		}
 		s.staged[k] = nil
@@ -177,6 +297,14 @@ func (s *SegmentFold) release() {
 // Pending reports how many updates the fold holds and has not folded yet:
 // parked awaiting predecessors, or staged awaiting a four-wide pass.
 func (s *SegmentFold) Pending() int { return s.nparked + s.nstaged }
+
+// has reports whether the update at pos was added. Before Close the staged
+// and folded positions are exactly those from lo below next, and every
+// later one is parked.
+func (s *SegmentFold) has(pos int) bool {
+	k := pos - s.lo
+	return pos < s.next || k < len(s.parked) && s.parked[k] != nil
+}
 
 // Close folds the updates still parked behind permanent gaps (stragglers
 // that never reported) in position order, then the staged tail, and returns
@@ -194,13 +322,17 @@ func (s *SegmentFold) Close() (sum []float64, pos []int, dots []float64) {
 }
 
 // meanFold is MeanStream's per-round accumulator: slot validation around
-// one SegmentFold over the round's k slots, opened by the first arrival.
+// one SegmentFold over the round's k slots, opened by the first arrival —
+// and NewReweightedFold's, with the slots' admissions. The segment and
+// both results live inside it: a round allocates one fold.
 type meanFold struct {
 	p, k    int
 	valGrad []float64
-	sf      *SegmentFold
-	seen    []bool
+	class   []Admission
+	sf      SegmentFold // opened (sum non-nil) by the first arrival
 	closed  bool
+	res     FoldResult
+	rw      Reweighted
 }
 
 func (f *meanFold) Add(slot int, delta []float64) error {
@@ -213,18 +345,34 @@ func (f *meanFold) Add(slot int, delta []float64) error {
 	if len(delta) != f.p {
 		return fmt.Errorf("hfl: fold slot %d delta has %d params, want %d", slot, len(delta), f.p)
 	}
-	if f.seen == nil {
-		f.seen = make([]bool, f.k)
-		f.sf = NewSegmentFold(0, make([]float64, f.p), f.valGrad)
+	if f.sf.sum == nil {
+		f.open()
 	}
-	if f.seen[slot] {
+	if f.sf.has(slot) {
 		return fmt.Errorf("hfl: fold slot %d added twice", slot)
 	}
-	f.seen[slot] = true
 	if f.sf.Add(slot, delta); f.sf.next == f.k {
 		f.sf.flush() // every slot is in: nothing can join the stage
 	}
 	return nil
+}
+
+// open starts the segment at the first arrival, its position and dot lists
+// sized for the k slots. A reweighted fold takes its two accumulators from
+// the tensor pool: Aggregate hands back the one it does not return.
+func (f *meanFold) open() {
+	f.sf = SegmentFold{valGrad: f.valGrad, pos: make([]int, 0, f.k)}
+	if f.valGrad != nil {
+		f.sf.dots = make([]float64, 0, f.k)
+	}
+	if f.class == nil {
+		f.sf.sum = make([]float64, f.p)
+		return
+	}
+	f.sf.sum, f.sf.wsum = tensor.GetVec(f.p), tensor.GetVec(f.p)
+	clear(f.sf.sum)
+	clear(f.sf.wsum)
+	f.sf.class = f.class
 }
 
 func (f *meanFold) Close() (*FoldResult, error) {
@@ -232,21 +380,89 @@ func (f *meanFold) Close() (*FoldResult, error) {
 		return nil, fmt.Errorf("hfl: fold closed twice")
 	}
 	f.closed = true
-	if f.sf == nil {
-		return &FoldResult{}, nil
+	if f.sf.sum == nil {
+		return &f.res, nil
 	}
 	sum, slots, dots := f.sf.Close()
+	f.res = FoldResult{Slots: slots, Dots: dots}
+	if f.class != nil {
+		sf := &f.sf
+		f.rw = Reweighted{sum: sum, wsum: sf.wsum, wtot: sf.wtot, n: sf.nfold, held: sf.held}
+		f.res.Reweighted = &f.rw
+		return &f.res, nil
+	}
 	tensor.Scale(1/float64(len(slots)), sum)
-	return &FoldResult{Sum: sum, Slots: slots, Dots: dots}, nil
+	f.res.Sum = sum
+	return &f.res, nil
+}
+
+// Reweighted is a closed reweighted fold's sums, waiting for the epoch's
+// close to say which held slots survive. Aggregate then finishes G_t.
+type Reweighted struct {
+	// Release, when non-nil, is handed each held delta once Aggregate has
+	// read it (the coordinator returns them to the tensor pool).
+	Release func([]float64)
+
+	// Σ δ and Σ w⁺·δ over the folded updates, in slot order; sum stops
+	// once a folded weight is positive (then only wsum can be G_t).
+	sum, wsum []float64
+	wtot      float64 // Σ w⁺ over them, in slot order
+	n         int     // how many updates folded
+	held      []heldUpdate
+}
+
+// Aggregate returns the round's G_t, the one canonical form of the
+// reweighted aggregate (Eq. 17–18 with the 1/|S| of φ̂ cancelled):
+//
+//	G_t = (Σ_{k∈P} w_k·δ_k)·(1/Σ_{k∈P} w_k),
+//
+// w_k = ∇loss^v(θ_{t−1})·δ_k, P the slots excluded does not name with
+// w_k > 0. Each sum starts from zero and takes the folded slots first, then
+// the surviving held ones, both in slot order. With P empty G_t is the
+// uniform mean over the slots excluded does not name, in the same order;
+// nil (θ stays) when it names every slot. excluded is asked only about
+// held slots: a folded slot cannot be excluded and a dot-only one always
+// is. G_t comes from the tensor pool and is the caller's: tensor.PutVec it
+// once read. Call Aggregate once.
+func (r *Reweighted) Aggregate(excluded func(slot int) bool) []float64 {
+	n, g, tot := r.n, r.wsum, r.wtot
+	for k := range r.held {
+		h := &r.held[k]
+		if h.out = excluded(h.slot); !h.out {
+			n++
+			if h.w > 0 {
+				tensor.AXPY(h.w, h.delta, g)
+				tot += h.w
+			}
+		}
+	}
+	spare := r.sum
+	switch {
+	case tot > 0:
+		tensor.Scale(1/tot, g)
+	case n > 0:
+		g, spare = r.sum, g
+		for _, h := range r.held {
+			if !h.out {
+				tensor.AXPY(1, h.delta, g)
+			}
+		}
+		tensor.Scale(1/float64(n), g)
+	default:
+		tensor.PutVec(g)
+		g = nil
+	}
+	tensor.PutVec(spare)
+	if r.Release != nil {
+		for _, h := range r.held {
+			r.Release(h.delta)
+		}
+	}
+	return g
 }
 
 // Pending reports how many updates the fold holds unfolded, parked or
 // staged — a diagnostic for the out-of-order worst case, and how a caller
 // that recycles buffers knows when every delta it added has been read: when
 // Pending reads 0.
-func (f *meanFold) Pending() int {
-	if f.sf == nil {
-		return 0
-	}
-	return f.sf.Pending()
-}
+func (f *meanFold) Pending() int { return f.sf.Pending() }

@@ -25,6 +25,12 @@ import (
 // which nobody is ever banned is bit-identical to using core.HFLReweighter
 // directly.
 //
+// It is also an hfl.Admitter, which is how it runs on streamed rounds: a
+// participant banned when the epoch starts is dot-only (its φ still feeds
+// the EWMA and the estimator; its delta is never summed), one whose streak
+// is Patience−1 is held (this epoch's close may ban it, since
+// ewma_t ≤ 0 does not need φ_t ≤ 0), and everyone else folds on arrival.
+//
 // Quarantine keeps per-run state and is not safe for concurrent use; the
 // trainer calls it serially once per epoch.
 type Quarantine struct {
@@ -44,9 +50,14 @@ type Quarantine struct {
 	streak  []int
 	banned  []bool
 	nBanned int
+
+	// Weights' per-epoch scratch: the EWMA median's buffer and the identity
+	// reporter list of an epoch that names none.
+	meds      []float64
+	reporters []int
 }
 
-var _ hfl.Reweighter = (*Quarantine)(nil)
+var _ hfl.Admitter = (*Quarantine)(nil)
 
 // quarantineLambda is the rate λ of the contribution EWMA:
 // ewma ← (1−λ)·ewma + λ·φ.
@@ -90,16 +101,16 @@ func (q *Quarantine) Weights(ep *hfl.Epoch) []float64 {
 		q.Patience = 3
 	}
 	phi := core.AlignedPhi(q.Estimator, ep)
-	// reporters are the global indices aligned with ep.Deltas.
+	// reporters are the global indices aligned with phi.
 	reporters := ep.Reported
-	if len(ep.Deltas) == 0 {
+	if len(phi) == 0 {
 		return nil
 	}
 	if reporters == nil {
-		reporters = make([]int, len(ep.Deltas))
-		for k := range reporters {
-			reporters[k] = k
+		for k := len(q.reporters); k < len(phi); k++ {
+			q.reporters = append(q.reporters, k)
 		}
+		reporters = q.reporters[:len(phi)]
 	}
 	maxIdx := 0
 	for _, i := range reporters {
@@ -119,10 +130,11 @@ func (q *Quarantine) Weights(ep *hfl.Epoch) []float64 {
 		}
 	}
 	// Federation health: median EWMA over this epoch's reporters.
-	meds := make([]float64, len(reporters))
-	for k, i := range reporters {
-		meds[k] = q.ewma[i]
+	meds := q.meds[:0]
+	for _, i := range reporters {
+		meds = append(meds, q.ewma[i])
 	}
+	q.meds = meds
 	sort.Float64s(meds)
 	med := meds[len(meds)/2]
 	if len(meds)%2 == 0 {
@@ -162,6 +174,37 @@ func (q *Quarantine) Weights(ep *hfl.Epoch) []float64 {
 	}
 	return r
 }
+
+// Admit implements hfl.Admitter: banned participants are dot-only, those
+// whose streak is Patience−1 are held, everyone else folds. It declines an
+// epoch whose φ comes from an Interactive estimator.
+func (q *Quarantine) Admit(active []int, class []hfl.Admission) bool {
+	if q.Estimator != nil && q.Estimator.DeltaGSum() != nil {
+		return false
+	}
+	patience := q.Patience
+	if patience == 0 {
+		patience = 3
+	}
+	for k, i := range active {
+		streak := 0
+		if i < len(q.streak) {
+			streak = q.streak[i]
+		}
+		switch {
+		case q.IsQuarantined(i):
+			class[k] = hfl.AdmitDotOnly
+		case streak == patience-1:
+			class[k] = hfl.AdmitHeld
+		default:
+			class[k] = hfl.AdmitFold
+		}
+	}
+	return true
+}
+
+// Excluded implements hfl.Admitter: the banned are excluded.
+func (q *Quarantine) Excluded(i int) bool { return q.IsQuarantined(i) }
 
 // QuarantineState is the serializable state of a Quarantine policy —
 // everything needed to continue the EWMA/streak bookkeeping after a crash

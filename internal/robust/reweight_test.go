@@ -8,8 +8,10 @@ import (
 
 	"digfl/internal/core"
 	"digfl/internal/dataset"
+	"digfl/internal/faults"
 	"digfl/internal/hfl"
 	"digfl/internal/nn"
+	"digfl/internal/sampling"
 	"digfl/internal/tensor"
 )
 
@@ -193,6 +195,157 @@ func TestReweightEpochWeightsMatchEq17(t *testing.T) {
 			runTrainer(t, tr)
 			if checked != tr.Cfg.Epochs {
 				t.Fatalf("seed %d, %T: checked %d epochs", seed, rw, checked)
+			}
+		}
+	}
+}
+
+// atRiskQuarantine is a Quarantine (Patience 3) whose state makes
+// participant 0 of 5 at risk and sure to be banned by epoch 1's close —
+// EWMA −10, streak 2 — whatever φ it reports then, participant 1 at risk
+// but sure to survive (EWMA +5, streak 2), and the rest healthy. With
+// banned0 set, participant 0 starts the epoch banned instead.
+func atRiskQuarantine(t *testing.T, banned0 bool) *Quarantine {
+	t.Helper()
+	q := MustNewQuarantine(Quarantine{Patience: 3})
+	st := &QuarantineState{
+		Ewma:   []float64{-10, 5, 1, 1, 1},
+		Seen:   []bool{true, true, true, true, true},
+		Streak: []int{2, 2, 0, 0, 0},
+		Banned: []bool{banned0, false, false, false, false},
+	}
+	if err := q.SetState(st); err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// TestBannedAtCloseAddsNothing kills the mutant "an at-risk slot folded as
+// final": participant 0 reports a positive φ in an epoch whose close bans it
+// (its EWMA stays negative), and that epoch's θ must be bit for bit the θ of
+// the same epoch with participant 0 banned from the start — it adds exactly
+// nothing — on the buffered path and on the streamed one, which agree.
+// Participant 1, held too, survives and is summed last on both.
+func TestBannedAtCloseAddsNothing(t *testing.T) {
+	for _, seed := range reweightSeeds {
+		var thetas [2][]float64
+		for path, stream := range []hfl.StreamAggregator{nil, hfl.MeanStream{}} {
+			run := func(banned0 bool) (*hfl.Result, *Quarantine) {
+				tr := reweightTrainer(seed)
+				tr.Cfg.Epochs = 1
+				tr.Stream = stream
+				q := atRiskQuarantine(t, banned0)
+				tr.Reweighter = q
+				tr.Observer = func(ep *hfl.Epoch) {
+					w := ep.DeltaDots
+					if w == nil {
+						w = []float64{tensor.Dot(ep.ValGrad, ep.Deltas[0])}
+					}
+					if !(w[0] > 0) {
+						t.Fatalf("seed %d: participant 0's dot %v is not positive; the check would be vacuous", seed, w[0])
+					}
+				}
+				return runTrainer(t, tr), q
+			}
+			held, q := run(false)
+			if got := q.Quarantined(); !reflect.DeepEqual(got, []int{0}) {
+				t.Fatalf("seed %d, stream %v: bans %v, want [0]", seed, stream, got)
+			}
+			banned, _ := run(true)
+			if !sameBits(held.Model.Params(), banned.Model.Params()) {
+				t.Fatalf("seed %d, stream %v: a participant banned at the close moved θ", seed, stream)
+			}
+			thetas[path] = held.Model.Params()
+		}
+		if !sameBits(thetas[0], thetas[1]) {
+			t.Fatalf("seed %d: the streamed reweighted round differs from the buffered one", seed)
+		}
+	}
+}
+
+// TestStreamedReweightMatchesBuffered: a streamed reweighted run
+// (Stream: MeanStream{} beside the Reweighter) is the buffered reweighted run
+// bit for bit — θ, the loss curve, φ totals and the bans — for a Quarantine
+// and for HFLReweighter, on a flat run and on a sampled run with dropout,
+// over three seeds.
+func TestStreamedReweightMatchesBuffered(t *testing.T) {
+	shapes := map[string]func(seed int64) *hfl.Trainer{
+		"flat": reweightTrainer,
+		"sampled+dropout": func(seed int64) *hfl.Trainer {
+			parts, train, val := corruptedFederation(seed, 10, 3)
+			return &hfl.Trainer{
+				Model: nn.NewSoftmaxRegression(train.Dim(), train.Classes),
+				Parts: parts, Val: val,
+				Cfg: hfl.Config{Epochs: 8, LR: 0.3,
+					Sample: sampling.MustNew(sampling.Config{Seed: seed, Size: 7}),
+					Faults: faults.MustNew(faults.Config{Seed: seed, Dropout: 0.2})},
+			}
+		},
+	}
+	for name, mk := range shapes {
+		for _, seed := range reweightSeeds {
+			for _, quarantine := range []bool{true, false} {
+				type out struct {
+					res    *hfl.Result
+					totals []float64
+					bans   []int
+				}
+				run := func(stream hfl.StreamAggregator) out {
+					tr := mk(seed)
+					tr.Stream = stream
+					est := core.NewHFLEstimator(len(tr.Parts), tr.Model.NumParams(), core.ResourceSaving, nil)
+					var q *Quarantine
+					if quarantine {
+						q = MustNewQuarantine(Quarantine{Estimator: est, Patience: 2})
+						tr.Reweighter = q
+					} else {
+						tr.Reweighter = &core.HFLReweighter{Estimator: est}
+					}
+					o := out{res: runTrainer(t, tr), totals: est.Attribution().Totals}
+					if q != nil {
+						o.bans = q.Quarantined()
+					}
+					return o
+				}
+				buf, str := run(nil), run(hfl.MeanStream{})
+				if !sameBits(str.res.Model.Params(), buf.res.Model.Params()) || !sameBits(str.res.ValLossCurve, buf.res.ValLossCurve) ||
+					!sameBits(str.totals, buf.totals) || !reflect.DeepEqual(str.bans, buf.bans) {
+					t.Fatalf("%s seed %d quarantine=%v: streamed reweighted run differs from buffered (bans %v vs %v)",
+						name, seed, quarantine, str.bans, buf.bans)
+				}
+			}
+		}
+	}
+}
+
+// TestStreamedReweightLemma4: Lemma 4 on the streamed path — with a small
+// enough learning rate, reweighted training folded on arrival decreases the
+// validation loss monotonically, for HFLReweighter and a Quarantine, over
+// three seeds.
+func TestStreamedReweightLemma4(t *testing.T) {
+	for _, seed := range []int64{8, 9, 10} {
+		for _, rw := range []func() hfl.Reweighter{
+			func() hfl.Reweighter { return &core.HFLReweighter{} },
+			func() hfl.Reweighter { return MustNewQuarantine(Quarantine{}) },
+		} {
+			rng := tensor.NewRNG(seed)
+			full := dataset.MNISTLike(800, seed)
+			train, val := full.Split(0.2, rng)
+			parts := dataset.PartitionIID(train, 4, rng)
+			parts[3] = dataset.Mislabel(parts[3], 0.7, rng)
+			tr := &hfl.Trainer{
+				Model: nn.NewSoftmaxRegression(train.Dim(), train.Classes),
+				Parts: parts, Val: val,
+				Cfg:        hfl.Config{Epochs: 30, LR: 0.05}, // α ≤ 2/(Lδ²) regime
+				Reweighter: rw(),
+				Stream:     hfl.MeanStream{},
+			}
+			curve := runTrainer(t, tr).ValLossCurve
+			for i := 1; i < len(curve); i++ {
+				if curve[i] > curve[i-1]+1e-9 {
+					t.Fatalf("seed %d, %T: validation loss increased at epoch %d: %v -> %v",
+						seed, tr.Reweighter, i, curve[i-1], curve[i])
+				}
 			}
 		}
 	}
