@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test bench loc verify verify-faults verify-net verify-adv verify-reweight verify-scale verify-wire verify-crash verify-engines verify-async verify-secure verify-bench bench-workload bench-kernels
+.PHONY: build test bench loc verify verify-runs verify-faults verify-net verify-adv verify-reweight verify-scale verify-wire verify-crash verify-engines verify-async verify-secure verify-bench bench-workload bench-kernels
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,7 @@ loc:
 # touched packages while iterating ($(GO) test -race ./internal/<pkg>/).
 verify:
 	$(GO) vet ./...
+	$(MAKE) verify-runs
 	$(GO) test -race ./...
 	$(MAKE) verify-faults
 	$(MAKE) verify-net
@@ -44,6 +45,43 @@ verify:
 	$(MAKE) verify-async
 	$(MAKE) verify-secure
 	$(MAKE) verify-bench
+
+# The -run regex and packages of each verify-* gate below. verify-runs
+# checks every alternative of each regex against the tests, fuzz targets,
+# benchmarks and examples `go test -list` finds in that gate's packages: an
+# alternative that names nothing runs nothing, and passes silently.
+FAULTS_RUN = Fault|Crash|Dropout|Retr|Survivor|Checkpoint|Resume|Backoff
+FAULTS_PKGS = ./internal/faults/ ./internal/hfl/ ./internal/vfl/ ./internal/logio/ ./internal/robust/ ./internal/experiments/
+NET_RUN = Loopback|LocalSource|Straggler|Retry|Cancel|Wire|Score|Composition|ModeOnly
+NET_PKGS = ./internal/fednet/
+SCALE_RUN = Sample|Sampled|Cohort|Stream|MeanFold|Scale100k|Retain|Reclaim|TotalsOnly|LongPoll|RoundCloses|Lookahead
+SCALE_PKGS = ./internal/sampling/ ./internal/hfl/ ./internal/core/ ./internal/fednet/ ./internal/vfl/
+WIRE_RUN = Codec|Frame|BenchDriverRequestShapes|Pool|SizeClass|WireCodec|WireDeterministic|FiniteVec|DotAdd|HandlerAllocs|ReplyBytes|RoundQuery|InstanceHeader
+WIRE_PKGS = ./internal/fednet/ ./internal/tensor/ ./internal/experiments/
+ASYNC_RUN = Async|PolyWeight|Stale|Buffered|FedProx
+ASYNC_PKGS = ./internal/hfl/ ./internal/fednet/ ./internal/experiments/ ./internal/robust/
+SECURE_RUN = Secure|Encrypt|Decrypt|DotPlain|AddPlain|MaskedGradient|FixedBase|CRT|MulMod|DecryptVec
+SECURE_PKGS = ./internal/paillier/ ./internal/vfl/
+ENGINES_RUN = Engine|Truncation|Reported|AllDropped|Sampler|Golden|MRMatchesExact|Kendall|Volatility|RunWrappers
+ENGINES_PKGS = ./internal/shapley/ ./internal/baselines/ ./internal/experiments/ ./internal/fednet/ ./internal/metrics/ ./internal/hfl/ ./internal/vfl/
+CRASH_RUN = WAL|Recover|Chaos|DomainsUnique
+CRASH_PKGS = ./internal/fednet/ ./internal/experiments/ ./internal/faults/
+ADV_RUN = Adversar|Tamper|Quarantine|Reweight|PluginShape|Screen|Krum|NormBound|Mutate|Poison|Fires|NonFinite|Reject|AXPY4|AXPYRows|DotRows|DotAdd4|MatTVec|RowKernels|RoundSums
+ADV_PKGS = ./internal/adversary/ ./internal/robust/ ./internal/core/ ./internal/hfl/ ./internal/vfl/ ./internal/fednet/ ./internal/experiments/ ./internal/tensor/
+REWEIGHT_RUN = TestReweighted|TestBannedAtCloseAddsNothing|TestStreamedReweight|TestStreamedQuarantine|TestCompositionStreamedIsOnePredicate|TestAdversarialEfficacyGate
+REWEIGHT_PKGS = ./internal/hfl/ ./internal/robust/ ./internal/fednet/ ./internal/experiments/
+RUN_GATES = FAULTS NET SCALE WIRE ASYNC SECURE ENGINES CRASH ADV REWEIGHT
+
+# check_runs is the shell that fails when an alternative of the -run regex
+# $(1) names nothing in packages $(2).
+check_runs = names=$$($(GO) test -list . $(2) | grep -E '^(Test|Fuzz|Benchmark|Example)') || exit 1; \
+	for alt in $$(echo '$(1)' | tr '|' ' '); do \
+		echo "$$names" | grep -qE -- "$$alt" || { echo "verify-runs: -run alternative '$$alt' names nothing in $(2)"; exit 1; }; \
+	done;
+
+verify-runs:
+	@$(foreach g,$(RUN_GATES),$(call check_runs,$($(g)_RUN),$($(g)_PKGS)))
+	@echo "verify-runs: every -run alternative names a test"
 
 # verify-bench vets the repository benchmark (bench/, a module of its own
 # that the root module's ./... does not reach) and runs its smoke-scale
@@ -90,8 +128,7 @@ bench-kernels:
 # fault tests across all packages. -count=1 defeats the test cache so the
 # lifecycle actually re-executes.
 verify-faults:
-	$(GO) test -count=1 -run 'Fault|Crash|Dropout|Retr|Survivor|Checkpoint|Resume|Straggl|Backoff' \
-		./internal/faults/ ./internal/hfl/ ./internal/vfl/ ./internal/logio/ ./internal/robust/ ./internal/experiments/
+	$(GO) test -count=1 -run '$(FAULTS_RUN)' $(FAULTS_PKGS)
 
 # verify-net runs the networked-runtime determinism gate: the loopback
 # bit-identity test (3 participants over real HTTP vs the in-process
@@ -101,23 +138,22 @@ verify-faults:
 # under injected request loss, cancellation promptness, the harness server's
 # limits (a stalled header is dropped, a long poll is not), and the composition
 # table (every row refused before the journal opens or a participant joins —
-# each "Stream" row under Stream, Async and Edges alone — README matrix in
+# each "Stream" row under Stream and Async alone — README matrix in
 # step with it, the one streamed predicate picking fold and round mode,
 # mode-only endpoints refused elsewhere) —
 # plus go vet on the package. -count=1 defeats the test cache so the wire is
 # actually exercised.
 verify-net:
 	$(GO) vet ./internal/fednet/
-	$(GO) test -count=1 -run 'Loopback|LocalSource|Straggler|Retry|Cancel|Wire|Score|Composition|ModeOnly' ./internal/fednet/
+	$(GO) test -count=1 -run '$(NET_RUN)' $(NET_PKGS)
 
 # verify-scale runs the 100k-participant scaling gate: deterministic cohort
 # sampling (3 seeds x rerun and crash/resume bit-identity, sampling composed
 # with dropout faults), the streaming-aggregation equivalence tests
-# (in-process streamed == flat-streamed loopback == two-level cohort tree,
-# and buffered == MeanStream{} on flat, sampled and dropout runs in process
-# and over loopback, bit for bit across 3 seeds), the segment fold's staging
-# (every four-wide pass / tail split of 0–9 positions, gaps, Pending, release
-# order) and the streamed round's recycling of every delta whatever the
+# (in-process streamed == streamed loopback, and buffered == MeanStream{} on
+# flat, sampled and dropout runs in process and over loopback, bit for bit
+# across 3 seeds), the MeanStream fold's staging (every four-wide pass / tail
+# split of 0–9 slots, gaps, Pending, every arrival order) and the streamed round's recycling of every delta whatever the
 # arrival order, the delta-retention release tests (the
 # use-after-release guard on the vectors a buffered Round takes back among
 # them), and the bounded-memory gate (a 100k-participant streamed round must complete with
@@ -131,15 +167,17 @@ verify-net:
 # cache so the memory measurement re-executes.
 verify-scale:
 	$(GO) vet ./internal/sampling/ ./internal/hfl/ ./internal/core/ ./internal/fednet/
-	$(GO) test -count=1 -run 'Sample|Sampled|Cohort|Stream|MeanFold|SegmentFold|Scale100k|Retain|Reclaim|Tree|TotalsOnly|LongPoll|RoundCloses|Lookahead' \
-		./internal/sampling/ ./internal/hfl/ ./internal/core/ ./internal/fednet/ ./internal/vfl/
+	$(GO) test -count=1 -run '$(SCALE_RUN)' $(SCALE_PKGS)
 
 # verify-wire runs the binary-wire gate: the frame round-trip tests, the
 # non-frame refusal table (any Content-Type but the frame type answers 415
-# on all three ingest handlers before the body is read), the malformed-frame
+# on the ingest handler before the body is read), the malformed-frame
 # rejection tests (truncated/oversized/NaN binary payloads answer 422, never
 # a panic), the request-shape pin of what the frozen bench/ driver sends, a
-# fuzz smoke pass over the three binary frame decoders, the pooled-buffer
+# fuzz smoke pass over the two binary frame decoders and over Handler() on
+# an open streamed round (no panic; a non-2xx reply leaves the round's
+# reporters and the fold untouched; the retired /v1/partial and ?vg=1 among
+# the seeds), the pooled-buffer
 # steady-state allocation test, the bytes+allocs gate (the streamed sampled
 # benchmark over the wire is bit-identical to the in-process trainer, puts
 # the closed-form frame bytes on the wire and stays under an absolute
@@ -150,7 +188,7 @@ verify-scale:
 # decode and finiteness verdict to the per-element oracle, and a vet of the
 # package as compiled for a big-endian target, s390x; DotAdd ≡ Dot + AXPY),
 # and the pins of the ingest path that journals what arrived: an accepted
-# update or partial frame is its own
+# update frame is its own
 # canonical encoding (table, seeded bit patterns and a fuzz smoke pass), an
 # update through Handler() on a streamed and on a journaled buffered round
 # allocates nothing, nor does a warm /v1/score read of the 100k
@@ -161,11 +199,10 @@ verify-scale:
 verify-wire:
 	$(GO) vet ./internal/fednet/ ./internal/tensor/ ./internal/experiments/
 	GOARCH=s390x $(GO) vet ./internal/fednet/
-	$(GO) test -count=1 -run 'Codec|Frame|BenchDriverRequestShapes|Pool|SizeClass|WireCodec|WireDeterministic|FiniteVec|DotAdd|HandlerAllocs|ReplyBytes|RoundQuery|InstanceHeader' \
-		./internal/fednet/ ./internal/tensor/ ./internal/experiments/
+	$(GO) test -count=1 -run '$(WIRE_RUN)' $(WIRE_PKGS)
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzDecodeUpdateFrame -fuzztime 5s ./internal/fednet/
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzIngestFrameCanonical -fuzztime 5s ./internal/fednet/
-	$(GO) test -count=1 -run '^$$' -fuzz FuzzDecodePartialFrame -fuzztime 5s ./internal/fednet/
+	$(GO) test -count=1 -run '^$$' -fuzz FuzzCoordinatorHandler -fuzztime 5s ./internal/fednet/
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzDecodeRoundFrame -fuzztime 5s ./internal/fednet/
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzFrameVecReference -fuzztime 5s ./internal/fednet/
 
@@ -182,8 +219,7 @@ verify-wire:
 # test cache so the gates re-execute.
 verify-async:
 	$(GO) vet ./internal/hfl/ ./internal/fednet/ ./internal/experiments/ ./internal/robust/
-	$(GO) test -count=1 -run 'Async|PolyWeight|Stale|Buffered|FedProx' \
-		./internal/hfl/ ./internal/fednet/ ./internal/experiments/ ./internal/robust/
+	$(GO) test -count=1 -run '$(ASYNC_RUN)' $(ASYNC_PKGS)
 
 # verify-secure runs the secure-VFL gate under the race detector: the
 # encryption kernel's properties (the comb's Hs^r bit-identical to
@@ -202,7 +238,7 @@ verify-async:
 # -count=1 defeats the test cache so the gate re-executes.
 verify-secure:
 	$(GO) vet ./internal/paillier/ ./internal/vfl/
-	$(GO) test -race -count=1 -run 'Secure|Encrypt|Decrypt|DotPlain|AddPlain|MaskedGradient|FixedBase|CRT|MulMod|DecryptVec' ./internal/paillier/ ./internal/vfl/
+	$(GO) test -race -count=1 -run '$(SECURE_RUN)' $(SECURE_PKGS)
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzMulMod -fuzztime 5s ./internal/paillier/
 
 # verify-engines runs the contribution-engine gate: the cross-engine
@@ -219,20 +255,20 @@ verify-secure:
 # -count=1 defeats the test cache so the gates re-execute.
 verify-engines:
 	$(GO) vet ./internal/shapley/ ./internal/baselines/ ./internal/experiments/ ./internal/fednet/ ./internal/metrics/
-	$(GO) test -count=1 -run 'Engine|Truncation|Reported|AllDropped|Sampler|Golden|MRMatchesExact|Kendall|Volatility|RunWrappers' \
-		./internal/shapley/ ./internal/baselines/ ./internal/experiments/ ./internal/fednet/ ./internal/metrics/ ./internal/hfl/ ./internal/vfl/
+	$(GO) test -count=1 -run '$(ENGINES_RUN)' $(ENGINES_PKGS)
 
 # verify-crash runs the crash-safety gate: the deterministic chaos harness
 # (seeded coordinator kills at epoch-open/mid-round/epoch-close with WAL
-# recovery, plus an edge death mid-round with root failover, every
+# recovery, on a buffered and on an async run, every
 # interrupted run bit-identical to its uninterrupted reference across 3
 # seeds and an uninterrupted journaled run indistinguishable from an
 # unjournaled one), the WAL replay tests (streamed mid-round graft,
 # torn-tail contract at every byte offset of an update record and of a
 # close frame, bit-exact close-frame round trip, the journal bytes of a
-# scripted buffered / streamed / async / tree run pinned by SHA-256 over 3
+# scripted buffered / streamed / async run pinned by SHA-256 over 3
 # seeds, /1 refusal, a refused
-# Recover leaving /v1/score untouched, 503-recovering rejoin with a
+# Recover leaving /v1/score untouched (a running coordinator, and a journal
+# holding a retired edge partial), 503-recovering rejoin with a
 # goroutine-leak check), the close-path gates (frame size flat in the epoch
 # number and O(cohort) when sampled, a constant number of allocations per
 # close), the fault-domain collision guard, a fuzz smoke pass over the
@@ -241,8 +277,7 @@ verify-engines:
 # bytes/record). -count=1 defeats the test cache so the kills re-execute.
 verify-crash:
 	$(GO) vet ./internal/fednet/ ./internal/experiments/ ./internal/faults/
-	$(GO) test -count=1 -run 'WAL|Recover|Chaos|Failover|Rejoin|DomainsUnique' \
-		./internal/fednet/ ./internal/experiments/ ./internal/faults/
+	$(GO) test -count=1 -run '$(CRASH_RUN)' $(CRASH_PKGS)
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzWALReplay -fuzztime 5s ./internal/fednet/
 	$(GO) test -count=1 -run '^$$' -bench JournalClose -benchmem ./internal/fednet/
 
@@ -263,8 +298,7 @@ verify-crash:
 # AXPYRows. -count=1 defeats the test cache so the gate re-executes.
 verify-adv:
 	$(GO) vet ./internal/adversary/ ./internal/robust/ ./internal/tensor/
-	$(GO) test -count=1 -run 'Adversar|Attack|Tamper|Quarantine|Reweight|PluginShape|Screen|Krum|NormBound|Mutate|Poison|Fires|NonFinite|Reject|AXPY4|AXPYRows|DotRows|DotAdd4|MatTVec|RowKernels|RoundSums' \
-		./internal/adversary/ ./internal/robust/ ./internal/core/ ./internal/hfl/ ./internal/vfl/ ./internal/fednet/ ./internal/experiments/ ./internal/tensor/
+	$(GO) test -count=1 -run '$(ADV_RUN)' $(ADV_PKGS)
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzAXPYRows -fuzztime 5s ./internal/tensor/
 
 # verify-reweight runs the gate of the quarantine as a fold admission, under
@@ -281,5 +315,4 @@ verify-adv:
 # cell. -count=1 defeats the test cache.
 verify-reweight:
 	$(GO) vet ./internal/hfl/ ./internal/robust/ ./internal/fednet/ ./internal/experiments/
-	$(GO) test -race -count=1 -run 'TestReweighted|TestBannedAtCloseAddsNothing|TestStreamedReweight|TestStreamedQuarantine|TestCompositionStreamedIsOnePredicate|TestAdversarialEfficacyGate' \
-		./internal/hfl/ ./internal/robust/ ./internal/fednet/ ./internal/experiments/
+	$(GO) test -race -count=1 -run '$(REWEIGHT_RUN)' $(REWEIGHT_PKGS)

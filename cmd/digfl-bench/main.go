@@ -88,7 +88,7 @@ func table(fs experiments.FaultSpec, as experiments.AdvSpec) []experiment {
 			one(func(o experiments.Opts) *experiments.AdvResult { return experiments.Adversarial(as, o) })},
 		{[]string{"wire"}, "binary wire: closed-form bytes, alloc ceiling, bit-identity vs in-process", false,
 			one(experiments.Wire)},
-		{[]string{"chaos"}, "chaos harness: coordinator kills + WAL recovery, edge failover", false,
+		{[]string{"chaos"}, "chaos harness: coordinator kills + WAL recovery, buffered and async", false,
 			one(experiments.Chaos)},
 		{[]string{"engines"}, "contribution engines: rank accuracy vs utility-eval cost", false,
 			one(experiments.EngineMatrix)},

@@ -54,9 +54,8 @@
 // is free when nil.
 //
 // RunLoopback runs a NetCoordinator and its NetParticipants over real HTTP
-// on the loopback interface — a cohort tree when the coordinator has Edges
-// — and reproduces the in-process trainer's model, loss curve and φ bit for
-// bit. README.md and DESIGN.md describe the wire protocol, the journal,
+// on the loopback interface and reproduces the in-process trainer's model,
+// loss curve and φ bit for bit. README.md and DESIGN.md describe the wire protocol, the journal,
 // fault tolerance and the adversarial defenses.
 package digfl
 

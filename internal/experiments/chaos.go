@@ -8,9 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"digfl/internal/core"
@@ -22,9 +20,8 @@ import (
 )
 
 // ChaosResult summarizes the deterministic chaos harness: seeded coordinator
-// kills with WAL recovery, an edge-aggregator death with root failover, and
-// the bit-identity of every interrupted run against its uninterrupted
-// reference.
+// kills with WAL recovery, on a buffered and on an async run, and the
+// bit-identity of every interrupted run against its uninterrupted reference.
 type ChaosResult struct {
 	Participants, Epochs int
 	Seeds                []int64
@@ -41,9 +38,6 @@ type ChaosResult struct {
 	// reference bit for bit (model, curve, per-epoch and total phi,
 	// archive bytes).
 	CrashIdentical bool
-	// EdgeIdentical: the tree run whose edge died mid-round reproduced the
-	// uninterrupted tree bit for bit through direct-submission failover.
-	EdgeIdentical bool
 	// AsyncIdentical: the async (K-of-N buffered) loopback run under
 	// dropout + stragglers, killed at the same scheduled points and
 	// recovered mid-quorum from the journal, reproduced the in-process
@@ -58,31 +52,12 @@ type ChaosResult struct {
 	// journaled runs.
 	WALBytes int64
 	// Crash-safety event counts observed across the interrupted runs.
-	Recoveries, Rejoins, Failovers int64
+	Recoveries, Rejoins int64
 }
 
 // errChaosCrash is the injected journal-write failure that kills a
 // coordinator incarnation.
 var errChaosCrash = errors.New("chaos: injected crash during journal append")
-
-// killAfter kills its front (and cancels the victim's run context) once the
-// target-th member update has been fully served — deterministic placement
-// of an edge death relative to the round's ack sequence.
-type killAfter struct {
-	front  *fednet.Front
-	inner  http.Handler
-	target int32
-	onKill func()
-	n      atomic.Int32
-}
-
-func (k *killAfter) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	k.inner.ServeHTTP(w, req)
-	if req.URL.Path == "/v1/update" && k.n.Add(1) == k.target {
-		k.front.Kill()
-		k.onKill()
-	}
-}
 
 // walControl is the slice of the journal's JSON control records the crash
 // trigger needs (kind and epoch).
@@ -141,8 +116,7 @@ func (w *crashWriter) hit(rec []byte) bool {
 	case string(payload[:4]) == walCloseMagic:
 		return due(faults.CrashAtClose, int(binary.LittleEndian.Uint32(payload[4:])))
 	case payload[0] != '{':
-		// One committed member update (the buffered chaos topology journals
-		// no edge partials).
+		// One committed member update.
 		w.updates++
 		return due(faults.CrashMidRound, w.openT) && w.updates == w.mid
 	}
@@ -155,7 +129,7 @@ func (w *crashWriter) hit(rec []byte) bool {
 }
 
 // chaosParticipant is participant i of a chaos run: patient enough to sit
-// out a coordinator restart or fail over from a dead edge.
+// out a coordinator restart.
 func chaosParticipant(fed *federation, retries int, sink obs.Sink) func(i int) *fednet.Participant {
 	return func(i int) *fednet.Participant {
 		return &fednet.Participant{
@@ -271,57 +245,14 @@ func chaosAsync(fed *federation, seed int64, cfg hfl.Config,
 	}, journal, kills, sink)
 }
 
-// chaosTree runs a two-level cohort tree; killRound > 0 kills edge 0
-// immediately after it acks the first member update of that round, so one
-// member must be re-solicited by the root (grace-timer resubmission) and the
-// rest fail over to direct submission on their own.
-func chaosTree(fed *federation, cfg hfl.Config, edges, killRound int, sink obs.Sink,
-) (*hfl.Result, *core.HFLEstimator, error) {
-	n := len(fed.parts)
-	coord := &fednet.Coordinator{
-		N: n, Model: fed.model, Val: fed.val, Cfg: cfg,
-		Estimator: fed.estimator(),
-		Edges:     edges,
-	}
-	if killRound > 0 {
-		coord.FailoverGrace = 250 * time.Millisecond
-	}
-	coord.Cfg.Runtime.Sink = sink
-
-	chaos := fednet.Chaos{Edge: func(ea *fednet.EdgeAggregator, h http.Handler, stop context.CancelFunc) http.Handler {
-		ea.Retries, ea.Base, ea.Cap = 4, time.Millisecond, 50*time.Millisecond
-		if ea.Edge != 0 || killRound <= 0 {
-			return h
-		}
-		// The victim: serve exactly width*(killRound-1)+1 member acks —
-		// every update of the earlier rounds plus one of round killRound
-		// — then drop dead, leaving one acked member (resubmit path) and
-		// the rest unacked (transport-failover path).
-		width := (n + edges - 1) / edges
-		front := &fednet.Front{}
-		front.Install(&killAfter{
-			front: front, inner: h,
-			target: int32(width*(killRound-1) + 1),
-			onKill: stop,
-		})
-		return front
-	}}
-	res, errs, err := chaos.Loopback(context.Background(), coord, chaosParticipant(fed, 100, sink))
-	if err = errors.Join(append(errs, err)...); err != nil {
-		return nil, nil, fmt.Errorf("experiments: chaos tree: %w", err)
-	}
-	return res, coord.Estimator, nil
-}
-
 // Chaos runs the deterministic chaos harness over three seeds: for each, an
 // unjournaled reference run, an uninterrupted journaled run (WAL
 // transparency), a run whose coordinator is killed at two seeded points and
-// recovered from the journal, and a cohort tree whose edge 0 dies mid-round
-// — asserting every interrupted run is bit-identical to its reference.
+// recovered from the journal, and an async run killed at the same points —
+// asserting every interrupted run is bit-identical to its reference.
 func Chaos(o Opts) *ChaosResult {
 	o.validate()
 	const n = 4
-	const edges = 2
 	epochs := o.epochs(10)
 	seeds := []int64{o.Seed, o.Seed + 1, o.Seed + 2}
 
@@ -330,8 +261,7 @@ func Chaos(o Opts) *ChaosResult {
 
 	r := &ChaosResult{
 		Participants: n, Epochs: epochs, Seeds: seeds,
-		WALTransparent: true, CrashIdentical: true, EdgeIdentical: true,
-		AsyncIdentical: true,
+		WALTransparent: true, CrashIdentical: true, AsyncIdentical: true,
 	}
 	fail := func(err error) {
 		panic(fmt.Sprintf("experiments: chaos: %v", err))
@@ -371,19 +301,6 @@ func Chaos(o Opts) *ChaosResult {
 			r.CrashIdentical = false
 		}
 
-		// Cohort tree with edge 0 dying in round 2, vs the intact tree.
-		treeRefRes, treeRefEst, err := chaosTree(fed, cfg, edges, 0, o.Sink)
-		if err != nil {
-			fail(err)
-		}
-		treeRes, treeEst, err := chaosTree(fed, cfg, edges, 2, sink)
-		if err != nil {
-			fail(err)
-		}
-		if !sameRun(treeRes, treeRefRes, treeEst.State(), treeRefEst.State()) {
-			r.EdgeIdentical = false
-		}
-
 		// Async leg: the same kill schedule against a K-of-N buffered run
 		// under dropout + stragglers, recovered mid-quorum from the WAL,
 		// vs the uninterrupted in-process reference.
@@ -399,28 +316,27 @@ func Chaos(o Opts) *ChaosResult {
 	}
 
 	snap := collector.Snapshot()
-	r.Recoveries, r.Rejoins, r.Failovers = snap.Recoveries, snap.Rejoins, snap.EdgeFailovers
+	r.Recoveries, r.Rejoins = snap.Recoveries, snap.Rejoins
 	r.AsyncStaleFolds = snap.StaleFolds
 	return r
 }
 
 // Passed reports whether every bit-identity gate held.
 func (r *ChaosResult) Passed() bool {
-	return r.WALTransparent && r.CrashIdentical && r.EdgeIdentical && r.AsyncIdentical
+	return r.WALTransparent && r.CrashIdentical && r.AsyncIdentical
 }
 
 // Render writes the chaos-harness summary.
 func (r *ChaosResult) Render(w io.Writer) {
-	writeHeader(w, "Chaos harness — crashes and failover vs uninterrupted reference")
+	writeHeader(w, "Chaos harness — crashes vs uninterrupted reference")
 	fmt.Fprintf(w, "%d participants, %d epochs, seeds %v\n", r.Participants, r.Epochs, r.Seeds)
 	for i, kills := range r.Kills {
 		fmt.Fprintf(w, "seed %d coordinator kills: %v\n", r.Seeds[i], kills)
 	}
-	fmt.Fprintf(w, "restarts=%d recoveries=%d rejoins=%d edge-failovers=%d async-restarts=%d async-stale-folds=%d\n",
-		r.Restarts, r.Recoveries, r.Rejoins, r.Failovers, r.AsyncRestarts, r.AsyncStaleFolds)
+	fmt.Fprintf(w, "restarts=%d recoveries=%d rejoins=%d async-restarts=%d async-stale-folds=%d\n",
+		r.Restarts, r.Recoveries, r.Rejoins, r.AsyncRestarts, r.AsyncStaleFolds)
 	fmt.Fprintf(w, "WAL transparent (journaled == unjournaled): %v\n", r.WALTransparent)
 	fmt.Fprintf(w, "crash+recover bit-identical (model, curve, phi, archive): %v\n", r.CrashIdentical)
-	fmt.Fprintf(w, "edge-death tree bit-identical: %v\n", r.EdgeIdentical)
 	fmt.Fprintf(w, "async crash+recover bit-identical (dropout+stragglers, mid-quorum kills): %v\n", r.AsyncIdentical)
 	fmt.Fprintf(w, "journal bytes (uninterrupted): %d\n", r.WALBytes)
 }
@@ -429,9 +345,9 @@ func (r *ChaosResult) Render(w io.Writer) {
 func (r *ChaosResult) Tables() map[string][][]string {
 	return metricTable("chaos", nil,
 		"participants", r.Participants, "epochs", r.Epochs, "restarts", r.Restarts,
-		"recoveries", r.Recoveries, "rejoins", r.Rejoins, "edge_failovers", r.Failovers,
+		"recoveries", r.Recoveries, "rejoins", r.Rejoins,
 		"wal_transparent", r.WALTransparent, "crash_identical", r.CrashIdentical,
-		"edge_identical", r.EdgeIdentical, "async_identical", r.AsyncIdentical,
+		"async_identical", r.AsyncIdentical,
 		"async_restarts", r.AsyncRestarts, "async_stale_folds", r.AsyncStaleFolds,
 		"wal_bytes", r.WALBytes)
 }

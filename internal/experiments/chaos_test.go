@@ -3,10 +3,10 @@ package experiments
 import "testing"
 
 // TestChaosHarness is the crash-safety gate: across three seeds, a
-// journaled coordinator killed at two scheduled points and recovered, plus
-// a cohort tree whose edge dies mid-round, must reproduce their
-// uninterrupted references bit for bit — and an uninterrupted journaled run
-// must be indistinguishable from an unjournaled one.
+// journaled coordinator killed at two scheduled points and recovered, on a
+// buffered and on an async run, must reproduce its uninterrupted reference
+// bit for bit — and an uninterrupted journaled run must be
+// indistinguishable from an unjournaled one.
 func TestChaosHarness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos harness runs 12 loopback federations")
@@ -18,15 +18,11 @@ func TestChaosHarness(t *testing.T) {
 	if !r.CrashIdentical {
 		t.Errorf("killed-and-recovered runs differ from reference (kills: %v)", r.Kills)
 	}
-	if !r.EdgeIdentical {
-		t.Errorf("edge-death tree run differs from intact tree")
-	}
 	if r.Restarts == 0 {
 		t.Errorf("chaos schedule produced no coordinator restarts")
 	}
-	if r.Recoveries == 0 || r.Rejoins == 0 || r.Failovers == 0 {
-		t.Errorf("crash-safety counters flat: recover=%d rejoin=%d failover=%d",
-			r.Recoveries, r.Rejoins, r.Failovers)
+	if r.Recoveries == 0 || r.Rejoins == 0 {
+		t.Errorf("crash-safety counters flat: recover=%d rejoin=%d", r.Recoveries, r.Rejoins)
 	}
 	if !r.AsyncIdentical {
 		t.Errorf("async killed-and-recovered runs differ from AsyncLocalSource reference (kills: %v)", r.Kills)

@@ -66,10 +66,8 @@ epochs,5
 restarts,6
 recoveries,12
 rejoins,*
-edge_failovers,48
 wal_transparent,true
 crash_identical,true
-edge_identical,true
 async_identical,true
 async_restarts,6
 async_stale_folds,15

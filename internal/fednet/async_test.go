@@ -263,7 +263,7 @@ func TestAsyncWireBufferedAndTooStale(t *testing.T) {
 // serve aggregation rules that need the materialized round buffer. The
 // Coordinator has no field to hand it one; the in-process async reference —
 // a streaming trainer fed by AsyncLocalSource — refuses every rule in the
-// Krum/median family before its first round. And Async refuses edge trees.
+// Krum/median family before its first round.
 func TestAsyncRefusesBufferedRules(t *testing.T) {
 	model, parts, val := problem(1)
 	for _, rule := range []hfl.Aggregator{
@@ -283,12 +283,6 @@ func TestAsyncRefusesBufferedRules(t *testing.T) {
 		if _, err := tr.RunContext(context.Background()); err == nil || !strings.Contains(err.Error(), "Stream cannot compose with Aggregator") {
 			t.Errorf("%T: got %v, want the trainer's Stream × Aggregator refusal", rule, err)
 		}
-	}
-
-	ac := asyncPolicy()
-	coord := &Coordinator{N: testN, Model: model, Val: val, Cfg: testConfig(), Async: &ac, Edges: 2}
-	if _, err := coord.Run(context.Background()); err == nil {
-		t.Error("Async with Edges accepted")
 	}
 }
 

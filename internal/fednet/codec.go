@@ -10,28 +10,30 @@ import (
 	"digfl/internal/tensor"
 )
 
-// digfl-fednet/2 is the bulk encoding: the three payloads that carry O(d)
-// floats every round (update submissions, edge partials, and the open-round
-// broadcast) are raw little-endian float64 segments behind a fixed header,
-// and nothing else carries them. JSON is the control plane only — join,
-// acks, excluded/pending/done/resubmit markers, errors, /v1/score — all
-// small. The encoding is exact: a float64's bits cross the wire verbatim.
-// On a little-endian host a d×f64 segment is the vector's memory image, so
-// putFrameVec and readFrameVec move it with one copy.
+// digfl-fednet/2 is the bulk encoding: the two payloads that carry O(d)
+// floats every round (update submissions and the open-round broadcast) are
+// raw little-endian float64 segments behind a fixed header, and nothing else
+// carries them. JSON is the control plane only — join, acks,
+// excluded/pending/done markers, errors, /v1/score — all small. The encoding
+// is exact: a float64's bits cross the wire verbatim. On a little-endian host
+// a d×f64 segment is the vector's memory image, so putFrameVec and
+// readFrameVec move it with one copy.
 //
-// There is nothing to negotiate. /v1/update and /v1/partial refuse any body
-// whose Content-Type is not contentTypeBinary (415, before the body is
-// read); a /v1/round poll that carries a vector always answers a frame, and
-// the response Content-Type tells the client whether it got a frame or a
-// JSON marker.
+// There is nothing to negotiate. /v1/update refuses any body whose
+// Content-Type is not contentTypeBinary (415, before the body is read); a
+// /v1/round poll that carries a vector always answers a frame, and the
+// response Content-Type tells the client whether it got a frame or a JSON
+// marker.
 //
 // Frame layouts (all integers little-endian, all floats IEEE-754 bits):
 //
 //	update   "D2UP" | u32 t | u32 index | u32 d | d×f64 delta
-//	partial  "D2PA" | u32 t | u32 edge | u32 k | u32 d | k×u32 slots'
-//	         global indices | d×f64 sum | k×f64 dots   (k=0 ⇒ d=0)
 //	round    "D2RD" | u32 t | f64 lr | i64 deadline_ms | u32 flags |
-//	         u32 d | [d×f64 theta if flags&1] | [d×f64 valGrad if flags&2]
+//	         u32 d | [u32 quorum | u32 maxStale if flags&4] |
+//	         [d×f64 theta if flags&1]
+//
+// Flag 1<<1 once marked a validation-gradient segment and is retired: a
+// decoder refuses it as unknown, and no new flag takes it.
 //
 // Every frame's length is implied by its header; a frame whose byte length
 // does not match exactly is rejected with CodeBadFrame (422) before any
@@ -49,15 +51,13 @@ const (
 
 // Frame magics.
 var (
-	magicUpdate  = [4]byte{'D', '2', 'U', 'P'}
-	magicPartial = [4]byte{'D', '2', 'P', 'A'}
-	magicRound   = [4]byte{'D', '2', 'R', 'D'}
+	magicUpdate = [4]byte{'D', '2', 'U', 'P'}
+	magicRound  = [4]byte{'D', '2', 'R', 'D'}
 )
 
 // Round-frame flag bits.
 const (
-	roundFlagTheta   = 1 << 0
-	roundFlagValGrad = 1 << 1
+	roundFlagTheta = 1 << 0
 	// roundFlagAsync marks an asynchronous round: 8 extra header bytes
 	// (u32 quorum, u32 maxStale) follow the fixed header before the
 	// vectors. Old decoders reject the unknown flag, which is correct —
@@ -92,71 +92,20 @@ func (binCodec) EncodeUpdate(t, index int, delta []float64) ([]byte, error) {
 	return buf, nil
 }
 
-const partialHdrLen = 4 + 4 + 4 + 4 + 4 // magic, t, edge, k, d
-
-// EncodePartial builds the /v1/partial body for one edge sub-aggregator's
-// cohort partial on a streaming round: the unscaled sum of its members'
-// updates (in member order) plus their validation dot products,
-// dots[k] = ∇loss^v(θ_{t-1})·δ for indices[k]. indices lists the global
-// participant indices the partial folds, in round-active order; edge e must
-// own a contiguous earlier slot range than edge e+1. The root merges
-// partials in edge order and applies the single 1/m scale, so a tree run
-// stays bit-identical to a flat streamed run whose fold segments the round
-// by edge width.
-func (binCodec) EncodePartial(t, edge int, indices []int, sum, dots []float64) ([]byte, error) {
-	if t < 0 || edge < 0 {
-		return nil, fmt.Errorf("fednet: negative round or edge in partial frame")
-	}
-	if len(dots) != len(indices) {
-		return nil, fmt.Errorf("fednet: partial frame shape mismatch (%d indices, %d dots)",
-			len(indices), len(dots))
-	}
-	k, d := len(indices), len(sum)
-	if k == 0 {
-		// An empty partial (every member dropped) carries no sum: the
-		// frame invariant is k=0 ⇒ d=0, and the server ignores the sum of
-		// a memberless partial.
-		sum, d = nil, 0
-	}
-	buf := tensor.GetBytes(partialHdrLen + 4*k + 8*d + 8*k)
-	copy(buf, magicPartial[:])
-	binary.LittleEndian.PutUint32(buf[4:], uint32(t))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(edge))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(k))
-	binary.LittleEndian.PutUint32(buf[16:], uint32(d))
-	off := partialHdrLen
-	for _, i := range indices {
-		if i < 0 {
-			tensor.PutBytes(buf)
-			return nil, fmt.Errorf("fednet: negative participant index in partial frame")
-		}
-		binary.LittleEndian.PutUint32(buf[off:], uint32(i))
-		off += 4
-	}
-	putFrameVec(buf[off:], sum)
-	putFrameVec(buf[off+8*d:], dots)
-	return buf, nil
-}
-
 const roundHdrLen = 4 + 4 + 8 + 8 + 4 + 4 // magic, t, lr, deadline, flags, d
 
 // roundDeadlineOff is the deadline field's offset in the round header.
 const roundDeadlineOff = 4 + 4 + 8
 
-// encodeRoundFrame builds the binary open-round broadcast. theta and
-// valGrad are each optional (header-only polls omit theta; only streaming
-// rounds carry a validation gradient) but must agree on d when both
-// present. A quorum > 0 marks the round asynchronous and appends the
-// commit-policy extension (quorum, maxStale) after the fixed header.
-func encodeRoundFrame(t int, lr float64, deadlineMS int64, theta, valGrad []float64, quorum, maxStale int) []byte {
+// encodeRoundFrame builds the binary open-round broadcast; a nil theta
+// (a header-only frame) sets no theta flag. A quorum > 0 marks the round
+// asynchronous and appends the commit-policy extension (quorum, maxStale)
+// after the fixed header.
+func encodeRoundFrame(t int, lr float64, deadlineMS int64, theta []float64, quorum, maxStale int) []byte {
 	d := len(theta)
 	flags := 0
 	if theta != nil {
 		flags |= roundFlagTheta
-	}
-	if valGrad != nil {
-		flags |= roundFlagValGrad
-		d = len(valGrad) // equal to len(theta) when both are present
 	}
 	if quorum > 0 {
 		flags |= roundFlagAsync
@@ -166,9 +115,6 @@ func encodeRoundFrame(t int, lr float64, deadlineMS int64, theta, valGrad []floa
 		n += roundAsyncExtLen
 	}
 	if flags&roundFlagTheta != 0 {
-		n += 8 * d
-	}
-	if flags&roundFlagValGrad != 0 {
 		n += 8 * d
 	}
 	buf := tensor.GetBytes(n)
@@ -186,10 +132,6 @@ func encodeRoundFrame(t int, lr float64, deadlineMS int64, theta, valGrad []floa
 	}
 	if flags&roundFlagTheta != 0 {
 		putFrameVec(buf[off:], theta)
-		off += 8 * d
-	}
-	if flags&roundFlagValGrad != 0 {
-		putFrameVec(buf[off:], valGrad)
 	}
 	return buf
 }
@@ -215,8 +157,8 @@ func putFrameVec(buf []byte, v []float64) {
 // floatBytes is v's memory image: the 8·len(v) bytes v's floats occupy, in
 // the host's byte order. It aliases v. Frame bytes are only ever copied into
 // such an image, never reinterpreted as floats themselves: a float inside a
-// frame need not sit on an 8-byte boundary (a partial's sum starts 4 mod 8
-// into its record when it has an even number of members).
+// frame need not sit on an 8-byte boundary (a close frame's θ starts 4 mod 8
+// into its record).
 func floatBytes(v []float64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 8*len(v))
 }
@@ -269,48 +211,9 @@ func decodeUpdateHeader(b []byte) (t, index, d int, err error) {
 	return t, index, d, nil
 }
 
-// decodePartialHeader validates a partial frame's envelope and returns its
-// header fields plus the member indices (small); the bulk sum/dots decode
-// later via decodePartialVecs.
-func decodePartialHeader(b []byte) (t, edge int, indices []int, d int, err error) {
-	if len(b) < partialHdrLen {
-		return 0, 0, nil, 0, badFrame("partial frame truncated at %d bytes", len(b))
-	}
-	if [4]byte(b[:4]) != magicPartial {
-		return 0, 0, nil, 0, badFrame("partial frame has wrong magic %q", b[:4])
-	}
-	t = int(binary.LittleEndian.Uint32(b[4:]))
-	edge = int(binary.LittleEndian.Uint32(b[8:]))
-	k := int(binary.LittleEndian.Uint32(b[12:]))
-	d = int(binary.LittleEndian.Uint32(b[16:]))
-	if k > maxFrameDim || d > maxFrameDim {
-		return 0, 0, nil, 0, badFrame("partial frame declares %d members, %d params", k, d)
-	}
-	if k == 0 && d != 0 {
-		return 0, 0, nil, 0, badFrame("partial frame has a sum but no members")
-	}
-	if want := partialHdrLen + 4*k + 8*d + 8*k; len(b) != want {
-		return 0, 0, nil, 0, badFrame("partial frame has %d bytes, header implies %d", len(b), want)
-	}
-	indices = make([]int, k)
-	for j := range indices {
-		indices[j] = int(binary.LittleEndian.Uint32(b[partialHdrLen+4*j:]))
-	}
-	return t, edge, indices, d, nil
-}
-
-// decodePartialVecs extracts a validated partial frame's sum and dots into
-// pooled vectors owned by the caller, and reports whether both are finite.
-func decodePartialVecs(b []byte, k, d int) (sum, dots []float64, finite bool) {
-	off := partialHdrLen + 4*k
-	sum, sumOK := decodeFrameVec(b[off:], d)
-	dots, dotsOK := decodeFrameVec(b[off+8*d:], k)
-	return sum, dots, sumOK && dotsOK
-}
-
 // decodeRoundFrame parses a binary open-round broadcast into the reply
-// shape the JSON markers share; theta/valGrad are pooled vectors owned by
-// the caller.
+// shape the JSON markers share; theta is a pooled vector owned by the
+// caller.
 func decodeRoundFrame(b []byte) (*roundReply, error) {
 	if len(b) < roundHdrLen {
 		return nil, badFrame("round frame truncated at %d bytes", len(b))
@@ -324,7 +227,7 @@ func decodeRoundFrame(b []byte) (*roundReply, error) {
 	r.DeadlineMS = int64(binary.LittleEndian.Uint64(b[roundDeadlineOff:]))
 	flags := int(binary.LittleEndian.Uint32(b[24:]))
 	d := int(binary.LittleEndian.Uint32(b[28:]))
-	if flags&^(roundFlagTheta|roundFlagValGrad|roundFlagAsync) != 0 {
+	if flags&^(roundFlagTheta|roundFlagAsync) != 0 {
 		return nil, badFrame("round frame has unknown flags %#x", flags)
 	}
 	if d > maxFrameDim {
@@ -335,9 +238,6 @@ func decodeRoundFrame(b []byte) (*roundReply, error) {
 		want += roundAsyncExtLen
 	}
 	if flags&roundFlagTheta != 0 {
-		want += 8 * d
-	}
-	if flags&roundFlagValGrad != 0 {
 		want += 8 * d
 	}
 	if len(b) != want {
@@ -352,10 +252,6 @@ func decodeRoundFrame(b []byte) (*roundReply, error) {
 	if flags&roundFlagTheta != 0 {
 		// Clients do not screen the coordinator's own broadcast.
 		r.Theta, _ = decodeFrameVec(b[off:], d)
-		off += 8 * d
-	}
-	if flags&roundFlagValGrad != 0 {
-		r.ValGrad, _ = decodeFrameVec(b[off:], d)
 	}
 	return r, nil
 }

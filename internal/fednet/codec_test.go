@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"digfl/internal/hfl"
@@ -46,83 +47,41 @@ func TestUpdateFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPartialFrameRoundTrip pins the binary partial encoding, including the
-// empty-cohort form (k=0 carries no sum).
-func TestPartialFrameRoundTrip(t *testing.T) {
-	indices := []int{3, 5, 9}
-	sum := []float64{1, -2, 3e300, 4e-300}
-	dots := []float64{0.5, -0.25, 42}
-	body, err := CodecV2.EncodePartial(6, 2, indices, sum, dots)
-	if err != nil {
-		t.Fatalf("EncodePartial: %v", err)
-	}
-	rt, edge, gotIdx, d, err := decodePartialHeader(body)
-	if err != nil {
-		t.Fatalf("decodePartialHeader: %v", err)
-	}
-	if rt != 6 || edge != 2 || d != len(sum) {
-		t.Fatalf("header = (t=%d, edge=%d, d=%d), want (6, 2, %d)", rt, edge, d, len(sum))
-	}
-	if len(gotIdx) != len(indices) {
-		t.Fatalf("decoded %d indices, want %d", len(gotIdx), len(indices))
-	}
-	for j := range indices {
-		if gotIdx[j] != indices[j] {
-			t.Errorf("index %d = %d, want %d", j, gotIdx[j], indices[j])
-		}
-	}
-	gotSum, gotDots, finite := decodePartialVecs(body, len(indices), d)
-	if !sameVec(gotSum, sum) || !sameVec(gotDots, dots) || !finite {
-		t.Error("sum, dots or their finiteness differ after round trip")
-	}
-
-	// Empty partial: the zero sum an edge holds for a fully-dropped cohort
-	// is elided (k=0 ⇒ d=0).
-	empty, err := CodecV2.EncodePartial(6, 1, nil, make([]float64, 650), nil)
-	if err != nil {
-		t.Fatalf("EncodePartial(empty): %v", err)
-	}
-	if _, _, idx, d, err := decodePartialHeader(empty); err != nil || len(idx) != 0 || d != 0 {
-		t.Fatalf("empty partial decoded to (idx=%d, d=%d, err=%v), want (0, 0, nil)", len(idx), d, err)
-	}
-}
-
-// TestRoundFrameRoundTrip pins the binary broadcast in all three flag
-// shapes: theta only (participants), valGrad only (edges, h=1&vg=1), both.
+// TestRoundFrameRoundTrip pins the binary broadcast in its flag shapes:
+// theta (the participants' poll) and header-only, each plain and with the
+// async extension. The retired validation-gradient flag (1<<1) is refused as
+// unknown.
 func TestRoundFrameRoundTrip(t *testing.T) {
 	theta := []float64{1, 2, 3, -4.5}
-	valGrad := []float64{0.1, -0.2, 0.3, math.Inf(1)}
 	cases := []struct {
-		name           string
-		theta, valGrad []float64
+		name            string
+		theta           []float64
+		quorum, maxStal int
 	}{
-		{"theta-only", theta, nil},
-		{"valgrad-only", nil, valGrad},
-		{"both", theta, valGrad},
+		{"theta-only", theta, 0, 0},
+		{"header-only", nil, 0, 0},
+		{"async", theta, 3, 2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			frame := encodeRoundFrame(9, 0.3, 1500, c.theta, c.valGrad, 0, 0)
+			frame := encodeRoundFrame(9, 0.3, 1500, c.theta, c.quorum, c.maxStal)
 			rr, err := decodeRoundFrame(frame)
 			if err != nil {
 				t.Fatalf("decodeRoundFrame: %v", err)
 			}
-			if rr.State != StateOpen || rr.T != 9 || float64(rr.LR) != 0.3 || rr.DeadlineMS != 1500 {
-				t.Fatalf("reply = %+v, want open t=9 lr=0.3 deadline=1500", rr)
+			if rr.State != StateOpen || rr.T != 9 || float64(rr.LR) != 0.3 || rr.DeadlineMS != 1500 ||
+				rr.Quorum != c.quorum || rr.MaxStale != c.maxStal {
+				t.Fatalf("reply = %+v, want open t=9 lr=0.3 deadline=1500 quorum=%d max_stale=%d", rr, c.quorum, c.maxStal)
 			}
-			switch {
-			case c.theta == nil && rr.Theta != nil, c.theta != nil && !sameVec(rr.Theta, c.theta):
+			if c.theta == nil && rr.Theta != nil || c.theta != nil && !sameVec(rr.Theta, c.theta) {
 				t.Error("theta differs after round trip")
-			case c.valGrad == nil && rr.ValGrad != nil:
-				t.Error("unexpected valGrad")
-			case c.valGrad != nil:
-				for i := range c.valGrad {
-					if math.Float64bits(rr.ValGrad[i]) != math.Float64bits(c.valGrad[i]) {
-						t.Errorf("valGrad coord %d differs", i)
-					}
-				}
 			}
 		})
+	}
+	retired := encodeRoundFrame(9, 0.3, 0, theta, 0, 0)
+	le.PutUint32(retired[24:], roundFlagTheta|1<<1)
+	if _, err := decodeRoundFrame(retired); err == nil || !strings.Contains(err.Error(), "unknown flags") {
+		t.Errorf("a frame with the retired validation-gradient flag decoded: %v", err)
 	}
 }
 
@@ -160,33 +119,35 @@ func TestBinaryFrameRejection(t *testing.T) {
 		{"nan-payload", nan, CodeNonFinite},
 	}
 
-	// The edge handler vets payloads even before it learns the round, so it
-	// exercises the full decode+vet pipeline statelessly; the coordinator
-	// rejects the same envelopes before any round exists.
-	edge := &EdgeAggregator{Root: "http://unused", Edge: 0, Members: []int{0}}
-	edgeSrv := httptest.NewServer(edge.Handler())
-	defer edgeSrv.Close()
+	// A coordinator with round 1 open for participant 0 runs the full
+	// decode+vet pipeline; one with no round rejects the same envelopes
+	// before any round exists.
+	open := &Coordinator{N: 1, Cfg: testConfig(), Stream: hfl.MeanStream{}}
+	openTestRound(open, open.newRoundLocked(&hfl.RoundSpec{T: 1, Theta: make([]float64, 3),
+		ValGrad: make([]float64, 3), Active: []int{0}}))
+	openSrv := httptest.NewServer(open.Handler())
+	defer openSrv.Close()
 	coord := &Coordinator{N: 1, Model: nil}
 	coordSrv := httptest.NewServer(coord.Handler())
 	defer coordSrv.Close()
 
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			resp, err := edgeSrv.Client().Post(edgeSrv.URL+"/v1/update", contentTypeBinary,
+			resp, err := openSrv.Client().Post(openSrv.URL+"/v1/update", contentTypeBinary,
 				bytes.NewReader(c.body))
 			if err != nil {
 				t.Fatalf("POST: %v", err)
 			}
 			defer resp.Body.Close()
 			if resp.StatusCode != 422 {
-				t.Fatalf("edge status = %d, want 422", resp.StatusCode)
+				t.Fatalf("open-round status = %d, want 422", resp.StatusCode)
 			}
 			var er errorReply
 			if err := readJSON(resp.Body, &er); err != nil {
 				t.Fatalf("decoding rejection: %v", err)
 			}
 			if er.Code != c.wantCode {
-				t.Errorf("edge code = %q, want %q", er.Code, c.wantCode)
+				t.Errorf("open-round code = %q, want %q", er.Code, c.wantCode)
 			}
 			if c.wantCode != CodeBadFrame {
 				return // coordinator state checks precede the payload vet
@@ -204,36 +165,27 @@ func TestBinaryFrameRejection(t *testing.T) {
 	}
 }
 
-// TestNonFrameBodyRefused: the three ingest handlers read a body as a
+// TestNonFrameBodyRefused: the ingest handler reads a body as a
 // digfl-fednet/2 frame or not at all. A JSON body, a frame with no
 // Content-Type, and a frame whose binary type carries parameters all answer
-// 415/bad_frame without panicking, without touching the open round (or the
-// edge's park), and without counting a frame; the same bytes under the
-// exact type are then accepted, so the refusal was the type's alone.
+// 415/bad_frame without panicking, without touching the open round, and
+// without counting a frame; the same bytes under the exact type are then
+// accepted, so the refusal was the type's alone.
 func TestNonFrameBodyRefused(t *testing.T) {
 	const p = 3
 	update := updateFrame(t, 1, 0, []float64{1, 2, 3})
-	partial, err := CodecV2.EncodePartial(1, 0, []int{1}, []float64{1, 2, 3}, []float64{0.5})
-	if err != nil {
-		t.Fatalf("EncodePartial: %v", err)
-	}
 	sink := &obs.Collector{}
 	cfg := testConfig()
 	cfg.Runtime.Sink = sink
-	coord := &Coordinator{N: 2, Cfg: cfg, Stream: hfl.MeanStream{}, Edges: 1}
+	coord := &Coordinator{N: 2, Cfg: cfg, Stream: hfl.MeanStream{}}
 	round := coord.newRoundLocked(&hfl.RoundSpec{T: 1, Theta: make([]float64, p), ValGrad: make([]float64, p),
 		Active: []int{0, 1}})
-	tree := round.mode.(*treeMode)
 	openTestRound(coord, round)
-	edge := &EdgeAggregator{Root: "http://unused", Edge: 0, Members: []int{0}, Sink: sink}
 
 	untouched := func() bool {
 		coord.mu.Lock()
 		defer coord.mu.Unlock()
-		edge.mu.Lock()
-		defer edge.mu.Unlock()
-		return round.got == 0 && !round.have[0] && !round.have[1] &&
-			tree.parts[0].slots == nil && tree.direct[0] == nil && len(edge.parked) == 0
+		return round.got == 0 && !round.have[0] && !round.have[1]
 	}
 	handlers := []struct {
 		name    string
@@ -242,8 +194,6 @@ func TestNonFrameBodyRefused(t *testing.T) {
 		frame   []byte
 	}{
 		{"root-update", coord.Handler(), "/v1/update", update},
-		{"root-partial", coord.Handler(), "/v1/partial", partial},
-		{"edge-update", edge.Handler(), "/v1/update", update},
 	}
 	for _, h := range handlers {
 		post := func(contentType string, body []byte) (*httptest.ResponseRecorder, errorReply) {
@@ -466,36 +416,11 @@ func FuzzDecodeUpdateFrame(f *testing.F) {
 	})
 }
 
-// FuzzDecodePartialFrame: same contract for the partial decoder.
-func FuzzDecodePartialFrame(f *testing.F) {
-	seed, _ := CodecV2.EncodePartial(2, 0, []int{0, 1}, []float64{1, 2, 3}, []float64{4, 5})
-	f.Add(seed)
-	f.Add(seed[:partialHdrLen])
-	f.Add([]byte("D2PA"))
-	f.Fuzz(func(t *testing.T, b []byte) {
-		_, _, indices, d, err := decodePartialHeader(b)
-		if err != nil {
-			return
-		}
-		k := len(indices)
-		if len(b) != partialHdrLen+4*k+8*d+8*k {
-			t.Fatalf("accepted frame of %d bytes with k=%d d=%d", len(b), k, d)
-		}
-		sum, dots, finite := decodePartialVecs(b, k, d)
-		if len(sum) != d || len(dots) != k {
-			t.Fatalf("vec lengths (%d, %d), want (%d, %d)", len(sum), len(dots), d, k)
-		}
-		if finite != (allFinite(sum) && allFinite(dots)) {
-			t.Fatalf("decode reported finite=%v for sum %v, dots %v", finite, sum, dots)
-		}
-	})
-}
-
 // FuzzDecodeRoundFrame: same contract for the broadcast decoder.
 func FuzzDecodeRoundFrame(f *testing.F) {
-	f.Add(encodeRoundFrame(1, 0.3, 0, []float64{1, 2}, nil, 0, 0))
-	f.Add(encodeRoundFrame(2, 0.1, 500, []float64{1}, []float64{2}, 0, 0))
-	f.Add(encodeRoundFrame(3, 0.1, 0, nil, []float64{2}, 3, 4))
+	f.Add(encodeRoundFrame(1, 0.3, 0, []float64{1, 2}, 0, 0))
+	f.Add(encodeRoundFrame(2, 0.1, 500, []float64{1}, 3, 4))
+	f.Add(encodeRoundFrame(3, 0.1, 0, nil, 3, 4))
 	f.Add([]byte("D2RD"))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		rr, err := decodeRoundFrame(b)
@@ -504,9 +429,6 @@ func FuzzDecodeRoundFrame(f *testing.F) {
 		}
 		if rr.State != StateOpen {
 			t.Fatalf("decoded state %q", rr.State)
-		}
-		if rr.Theta != nil && rr.ValGrad != nil && len(rr.Theta) != len(rr.ValGrad) {
-			t.Fatalf("theta/valGrad length mismatch: %d vs %d", len(rr.Theta), len(rr.ValGrad))
 		}
 	})
 }

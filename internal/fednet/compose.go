@@ -28,13 +28,12 @@ func (r *composeRule) Error() string {
 }
 
 // streamed reports whether the run's rounds fold on arrival: Stream asks for
-// it, and Async and Edges imply it — their commits and partials are folded,
-// never buffered. A Quarantine streams the run too, its Eq. 17–18
+// it, and Async implies it — its commits are folded, never buffered. A Quarantine streams the run too, its Eq. 17–18
 // reweighting and bans folded at commit (hfl.NewReweightedFold), unless
 // something needs the round's raw deltas. It is the one predicate every
 // "streamed" row below reads.
 func (c *Coordinator) streamed() bool {
-	return c.Stream != nil || c.Async != nil || c.Edges > 0 || c.Quarantine != nil && !c.needsDeltas()
+	return c.Stream != nil || c.Async != nil || c.Quarantine != nil && !c.needsDeltas()
 }
 
 // needsDeltas reports whether a consumer reads the round's raw deltas: the
@@ -48,7 +47,7 @@ func (c *Coordinator) needsDeltas() bool {
 func interactive(est *core.HFLEstimator) bool { return est != nil && est.DeltaGSum() != nil }
 
 // fold is the aggregation rule of a streamed round — Stream, or MeanStream{}
-// when Async, Edges or a Quarantine alone made the round streamed — and nil
+// when Async or a Quarantine alone made the round streamed — and nil
 // on a buffered run.
 func (c *Coordinator) fold() hfl.StreamAggregator {
 	if c.Stream == nil && c.streamed() {
@@ -59,17 +58,14 @@ func (c *Coordinator) fold() hfl.StreamAggregator {
 
 // composition lists every refusal, in evaluation order (the first refused
 // row is the error Run returns). "Stream" in a row means a streamed round:
-// Stream, Async or Edges set.
+// Stream or Async set.
 var composition = []composeRule{
-	{a: "Async", rel: relClash, b: "Edges",
-		why:     "edge partials pre-fold the cohort before the quorum cut",
-		refused: func(c *Coordinator) bool { return c.Async != nil && c.Edges > 0 }},
 	{a: "Journal", rel: relClash, b: "Cfg.Resume",
 		why:     "the journal owns the resume point; use Recover",
 		refused: func(c *Coordinator) bool { return c.Journal != nil && c.Cfg.Resume != nil }},
-	{a: "Async or Edges", rel: relClash, b: "Quarantine",
-		why:     "the quarantine's held slots wait in the coordinator's own fold, which a quorum cut or an edge partial bypasses",
-		refused: func(c *Coordinator) bool { return (c.Async != nil || c.Edges > 0) && c.Quarantine != nil }},
+	{a: "Async", rel: relClash, b: "Quarantine",
+		why:     "the quarantine's held slots wait in the coordinator's own fold, which a quorum cut bypasses",
+		refused: func(c *Coordinator) bool { return c.Async != nil && c.Quarantine != nil }},
 	{a: "Stream", rel: relClash, b: "Archive",
 		why:     "the archive needs the raw deltas",
 		refused: func(c *Coordinator) bool { return c.streamed() && c.Archive != nil }},

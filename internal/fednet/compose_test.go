@@ -24,8 +24,8 @@ import (
 // that used to sit behind the join barrier (Stream × Quarantine, Archive)
 // blocked forever here, after writing run_open; a streamed run with an
 // Interactive estimator got past it and deadlocked at the first close. Each
-// row naming Stream is refused for each way of streaming a run: Stream,
-// Async or Edges alone.
+// row naming Stream is refused for each way of streaming a run: Stream or
+// Async alone.
 func TestCompositionRefusedBeforeJoin(t *testing.T) {
 	model, parts, val := problem(5)
 	async := func() *hfl.AsyncConfig { ac := asyncPolicy(); return &ac }
@@ -37,9 +37,8 @@ func TestCompositionRefusedBeforeJoin(t *testing.T) {
 		set       func(c *Coordinator)
 		noJournal bool
 	}{
-		{"Async cannot compose with Edges", func(c *Coordinator) { c.Async, c.Edges = async(), 2 }, false},
 		{"Journal cannot compose with Cfg.Resume", func(c *Coordinator) { c.Cfg.Resume = &hfl.Checkpoint{} }, false},
-		{"Async or Edges cannot compose with Quarantine", func(c *Coordinator) {
+		{"Async cannot compose with Quarantine", func(c *Coordinator) {
 			c.Quarantine = robust.MustNewQuarantine(robust.Quarantine{})
 		}, false},
 		{"Stream cannot compose with Archive", func(c *Coordinator) { c.Archive = &bytes.Buffer{} }, false},
@@ -56,20 +55,17 @@ func TestCompositionRefusedBeforeJoin(t *testing.T) {
 			t.Fatalf("row %d is %q, case is %q", i, got, tc.row)
 		}
 		// A case for a row naming Stream leaves the run buffered; each way
-		// of streaming it is applied on top (Async or Edges: each of the
-		// two).
+		// of streaming it is applied on top (Async: the one way).
 		streamers := []func(c *Coordinator){func(*Coordinator) {}}
 		switch {
 		case rule.a == "Stream" || rule.b == "Stream":
 			streamers = []func(c *Coordinator){
 				func(c *Coordinator) { c.Stream = hfl.MeanStream{} },
 				func(c *Coordinator) { c.Async = async() },
-				func(c *Coordinator) { c.Edges = 2 },
 			}
-		case rule.a == "Async or Edges":
+		case rule.a == "Async":
 			streamers = []func(c *Coordinator){
 				func(c *Coordinator) { c.Async = async() },
-				func(c *Coordinator) { c.Edges = 2 },
 			}
 		}
 		t.Run(tc.row, func(t *testing.T) {
@@ -134,16 +130,11 @@ func TestCompositionMatrixInREADME(t *testing.T) {
 	}
 }
 
-// TestModeOnlyEndpointsRefused: the two ingest paths only one mode serves
-// stay refused on the others — an edge partial on a round that is not a tree
-// round answers 400, and an update for an older round on a round that is not
-// async answers 409 stale_round, not the async late path's 202.
+// TestModeOnlyEndpointsRefused: the ingest path only one mode serves stays
+// refused on the others — an update for an older round on a round that is
+// not async answers 409 stale_round, not the async late path's 202.
 func TestModeOnlyEndpointsRefused(t *testing.T) {
 	const p = 3
-	partial, err := CodecV2.EncodePartial(2, 0, []int{0}, []float64{1, 2, 3}, []float64{0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name   string
 		stream hfl.StreamAggregator
@@ -172,9 +163,6 @@ func TestModeOnlyEndpointsRefused(t *testing.T) {
 				_ = json.Unmarshal(w.Body.Bytes(), &er)
 				return w, er
 			}
-			if w, er := post("/v1/partial", partial); w.Code != http.StatusBadRequest || er.Code != "" {
-				t.Errorf("partial: status %d code %q, want a plain 400: %s", w.Code, er.Code, w.Body)
-			}
 			if w, er := post("/v1/update", updateFrame(t, 1, 0, []float64{1, 2, 3})); w.Code != http.StatusConflict || er.Code != CodeStaleRound {
 				t.Errorf("update for round 1 on open round 2: status %d code %q, want 409 %s", w.Code, er.Code, CodeStaleRound)
 			}
@@ -185,8 +173,8 @@ func TestModeOnlyEndpointsRefused(t *testing.T) {
 	}
 }
 
-// TestCompositionStreamedIsOnePredicate: Stream, Async and Edges each stream
-// the run, and so does a Quarantine that nothing needing raw deltas keeps
+// TestCompositionStreamedIsOnePredicate: Stream and Async each stream the
+// run, and so does a Quarantine that nothing needing raw deltas keeps
 // buffered; Stream only names the fold (MeanStream{} when it is nil), and
 // the round mode follows from the two. A Quarantine run is buffered only
 // with an Archive or an Interactive estimator.
@@ -204,10 +192,9 @@ func TestCompositionStreamedIsOnePredicate(t *testing.T) {
 		mode roundMode
 	}{
 		{"buffered", &Coordinator{N: 4}, nil, &bufferedMode{}},
-		{"Stream", &Coordinator{N: 4, Stream: segStream{2}}, segStream{2}, &streamedMode{}},
-		{"Edges", &Coordinator{N: 4, Edges: 2}, hfl.MeanStream{}, &treeMode{}},
+		{"Stream", &Coordinator{N: 4, Stream: namedStream{2}}, namedStream{2}, &streamedMode{}},
 		{"Async", &Coordinator{N: 4, Async: &ac}, hfl.MeanStream{}, &asyncMode{}},
-		{"Async+Stream", &Coordinator{N: 4, Async: &ac, Stream: segStream{3}}, segStream{3}, &asyncMode{}},
+		{"Async+Stream", &Coordinator{N: 4, Async: &ac, Stream: namedStream{3}}, namedStream{3}, &asyncMode{}},
 		// A Quarantine streams the run unless an Archive or an Interactive
 		// estimator — the coordinator's or the quarantine's — needs the raw
 		// deltas: those are the only buffered rounds it leaves.
@@ -237,4 +224,12 @@ func TestCompositionStreamedIsOnePredicate(t *testing.T) {
 			t.Errorf("%s: async folds with %v, want %v", tc.name, m.stream, tc.fold)
 		}
 	}
+}
+
+// namedStream is a StreamAggregator other than MeanStream{}, told apart by
+// its name, for tests that check which fold a round was handed.
+type namedStream struct{ name int }
+
+func (namedStream) NewFold(p, k int, valGrad []float64) hfl.Fold {
+	return hfl.MeanStream{}.NewFold(p, k, valGrad)
 }

@@ -78,21 +78,12 @@ type Coordinator struct {
 	// run: each accepted delta is folded into the round's accumulator under
 	// the coordinator's lock and released, so round memory is O(d + cohort)
 	// instead of O(cohort·d) — the networked half of hfl.Trainer.Stream.
-	// Async and Edges stream the run too, and so does a Quarantine that no
-	// raw-delta consumer keeps buffered; with Stream nil their rounds fold
+	// Async streams the run too, and so does a Quarantine that no raw-delta
+	// consumer keeps buffered; with Stream nil their rounds fold
 	// with hfl.MeanStream{} (a Quarantine's with its reweighted form).
 	// Streaming rounds carry DeltaDots to the estimator (ResourceSaving mode
 	// only).
 	Stream hfl.StreamAggregator
-	// Edges, when positive, streams the run through a two-level tree:
-	// /v1/partial ingest from this many edge sub-aggregators
-	// (EdgeAggregator) instead of per-participant /v1/update ingest. Each
-	// edge folds its cohort segment with an hfl.SegmentFold and the root
-	// merges the partials in edge order, so the tree stays bit-identical to
-	// a flat streamed run whose fold segments the round by edge width.
-	// Global index i belongs to edge i/ceil(N/Edges), the Loopback
-	// partition.
-	Edges int
 	// Journal, when non-nil, turns on the coordinator's write-ahead log
 	// (digfl-fednet-wal/2, see wal.go): every commit the round's outcome
 	// depends on is journaled before it is acknowledged, so a coordinator
@@ -100,15 +91,6 @@ type Coordinator struct {
 	// to a fresh Coordinator's Recover, then Run. Each record is written
 	// with exactly one Write call; wrap the writer if it needs locking.
 	Journal io.Writer
-	// FailoverGrace, when positive on an edge-mode run, arms the root's
-	// re-solicitation path: once the round has been open longer than the
-	// grace with a participant's slot still uncommitted, that participant's
-	// next-round poll (?i=) answers Resubmit, telling it to re-send its
-	// round-T update directly to the root — its edge aggregator died after
-	// acknowledging the update, so the root never saw it. 0 (the default)
-	// disables re-solicitation and keeps the pre-failover semantics: a dead
-	// edge's whole cohort misses the round at the deadline.
-	FailoverGrace time.Duration
 	// Async, when non-nil, streams the run under the asynchronous
 	// buffered commit policy (hfl.AsyncConfig): each round's cohort is the
 	// planner's fresh set, a scheduled-lagged arrival buffers across epochs

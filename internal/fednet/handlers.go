@@ -1,7 +1,6 @@
 package fednet
 
 import (
-	"fmt"
 	"io"
 	"net/http"
 	"net/url"
@@ -22,7 +21,6 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/join", c.handleJoin)
 	mux.HandleFunc("GET /v1/round", c.handleRound)
 	mux.HandleFunc("POST /v1/update", c.handleUpdate)
-	mux.HandleFunc("POST /v1/partial", c.handlePartial)
 	mux.HandleFunc("GET /v1/score", c.handleScore)
 	sink := c.Cfg.Runtime.Sink
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
@@ -154,8 +152,7 @@ func (c *Coordinator) handleRound(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	// ?i= lets a participant learn it is outside the round's cohort without
-	// downloading theta or computing an update; ?vg=1 asks for the round's
-	// validation gradient (edge sub-aggregators on streaming rounds).
+	// downloading theta or computing an update.
 	pollIdx, hasIdx := -1, false
 	if s := get("i"); s != "" {
 		if pollIdx, err = strconv.Atoi(s); err != nil {
@@ -164,7 +161,6 @@ func (c *Coordinator) handleRound(w http.ResponseWriter, req *http.Request) {
 		}
 		hasIdx = true
 	}
-	wantVG := get("vg") == "1"
 	headerOnly := get("h") == "1"
 	sink := c.Cfg.Runtime.Sink
 	var wait longPollTimer
@@ -201,26 +197,17 @@ func (c *Coordinator) handleRound(w http.ResponseWriter, req *http.Request) {
 				reply.Quorum = c.Async.Quorum
 				reply.MaxStale = c.Async.MaxStaleness
 			}
-			if !headerOnly {
-				reply.Theta = r.theta
-			}
-			// A header-only poll can still carry the validation gradient:
-			// edges need ∇loss^v but not theta, so ?h=1&vg=1 skips the
-			// model download entirely.
-			if wantVG && r.valGrad != nil {
-				reply.ValGrad = r.valGrad
-			}
 			if !r.deadline.IsZero() {
 				if rem := time.Until(r.deadline); rem > 0 {
 					reply.DeadlineMS = rem.Milliseconds()
 				}
 			}
-			if reply.Theta != nil && reply.ValGrad == nil {
+			if !headerOnly {
 				// The participants' poll: every cohort member downloads the
 				// same frame but for the deadline field, so the round encodes
 				// it once and each poll patches its own header.
 				if r.bcast == nil {
-					r.bcast = encodeRoundFrame(r.t, r.lr, 0, r.theta, nil, reply.Quorum, reply.MaxStale)
+					r.bcast = encodeRoundFrame(r.t, r.lr, 0, r.theta, reply.Quorum, reply.MaxStale)
 				}
 				frame := r.bcast
 				c.mu.Unlock()
@@ -229,58 +216,18 @@ func (c *Coordinator) handleRound(w http.ResponseWriter, req *http.Request) {
 				return
 			}
 			c.mu.Unlock()
-			if reply.ValGrad != nil {
-				// A vector always travels as a frame; JSON is left with the
-				// header-only open reply.
-				frame := encodeRoundFrame(reply.T, float64(reply.LR), reply.DeadlineMS,
-					reply.Theta, reply.ValGrad, reply.Quorum, reply.MaxStale)
-				obs.Emit(sink, obs.Event{Kind: obs.KindCodecV2Frame, T: reply.T, N: 1})
-				writeBinary(w, frame)
-				return
-			}
 			writeJSON(w, http.StatusOK, reply)
 			return
-		}
-		// Failover re-solicitation: a participant polling for round t
-		// whose round t-1 slot is still unfolded past the grace gets told
-		// to re-send its t-1 update directly to the root — its edge
-		// aggregator acknowledged the update and then died with it.
-		var graceTimer *time.Timer
-		var graceCh <-chan time.Time
-		if hasIdx {
-			if r := c.round; r != nil && !r.closed && !r.resolicitAt.IsZero() && r.t == t-1 {
-				if k, active := r.slots[pollIdx]; active && !r.have[k] {
-					rem := time.Until(r.resolicitAt)
-					if rem <= 0 {
-						c.mu.Unlock()
-						writeJSON(w, http.StatusOK, roundReply{State: StateOpen, T: r.t, Resubmit: true})
-						return
-					}
-					graceTimer = time.NewTimer(rem)
-					graceCh = graceTimer.C
-				}
-			}
 		}
 		ch := c.changed
 		c.mu.Unlock()
 		select {
 		case <-ch:
-		case <-graceCh:
-			// Re-evaluate: the slot may have folded in the meantime.
 		case <-wait.expired():
-			if graceTimer != nil {
-				graceTimer.Stop()
-			}
 			writeJSON(w, http.StatusOK, roundReply{State: StatePending})
 			return
 		case <-req.Context().Done():
-			if graceTimer != nil {
-				graceTimer.Stop()
-			}
 			return
-		}
-		if graceTimer != nil {
-			graceTimer.Stop()
 		}
 	}
 }
@@ -390,9 +337,7 @@ func (c *Coordinator) ingestUpdate(w http.ResponseWriter, rec []byte, t, index, 
 	}
 	// Also the idempotent path: a retried submission (the first ack was
 	// lost) is acknowledged without overwriting — and without re-decoding
-	// the duplicate payload. On a tree round this covers a failover
-	// resubmission whose slot the edge's partial already committed:
-	// exactly-once either way.
+	// the duplicate payload.
 	status, ack := r.mode.ack(index)
 	writeRawJSON(w, status, ack)
 }
@@ -429,79 +374,13 @@ func (c *Coordinator) ingestLateLocked(w http.ResponseWriter, r *openRound, rec 
 	writeRawJSON(w, http.StatusAccepted, ackBuffered)
 }
 
-// handlePartial ingests one edge sub-aggregator's cohort partial on a tree
-// round (Coordinator.Edges > 0).
-func (c *Coordinator) handlePartial(w http.ResponseWriter, req *http.Request) {
-	rec, ok := readFrame(w, req)
-	if !ok {
-		return
-	}
-	defer tensor.PutBytes(rec)
-	t, edge, indices, d, err := decodePartialHeader(rec[walHdrLen:])
-	if err != nil {
-		writeCodedError(w, http.StatusUnprocessableEntity, CodeBadFrame, "%v", err)
-		return
-	}
-	c.ingestPartial(w, rec, t, edge, indices, d)
-}
-
-// ingestPartial runs the acceptance pipeline for one edge partial frame
-// whose header already decoded — the same two-phase discipline as
-// ingestUpdate: staleness, slot membership and ordering are validated from
-// the header's indices before the bulk vectors decode, and an accepted frame
-// is journaled as it arrived. Accepted sums and dots are retained until the
-// round closes (the merge recycles them); rejected ones go back to the pool.
-func (c *Coordinator) ingestPartial(w http.ResponseWriter, rec []byte, t, edge int, indices []int, d int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.recovering {
-		refuseRecovering(w)
-		return
-	}
-	r := c.round
-	if r == nil || r.t != t || r.closed {
-		refuseStale(w, t)
-		return
-	}
-	tm, slots, again, refused := r.claimPartial(edge, indices)
-	if refused != nil {
-		writeCodedError(w, refused.Status, refused.Code, "%s", refused.Msg)
-		return
-	}
-	if !again {
-		sum, dots, finite := decodePartialVecs(rec[walHdrLen:], len(indices), d)
-		obs.Emit(c.Cfg.Runtime.Sink, obs.Event{Kind: obs.KindCodecV2Frame, T: t, N: 1})
-		var code, msg string
-		switch {
-		case len(indices) > 0 && len(sum) != len(r.theta):
-			code, msg = CodeBadShape, fmt.Sprintf("partial sum has %d params, model has %d", len(sum), len(r.theta))
-		case len(dots) != len(indices):
-			code, msg = CodeBadShape, fmt.Sprintf("partial carries %d dots for %d members", len(dots), len(indices))
-		case !finite:
-			code, msg = CodeNonFinite, "partial carries non-finite values"
-		}
-		if code != "" {
-			tensor.PutVec(sum)
-			tensor.PutVec(dots)
-			writeCodedError(w, http.StatusUnprocessableEntity, code, "%s", msg)
-			return
-		}
-		if c.wal != nil {
-			c.mustJournalLocked(c.wal.commit(rec), sum, dots)
-		}
-		tm.commitPartial(r, edge, slots, sum, dots)
-		c.arrivedLocked(r, len(slots))
-	}
-	writeRawJSON(w, http.StatusOK, ackAccepted)
-}
-
 // decodeDelta decodes an update frame's d floats into a pooled vector and
-// applies the shape and finiteness screen every update passes, on the root
-// and on the edges: want is the model dimension (an honest client can never
-// produce a wrong-length delta from its round's broadcast), and finiteness
-// is what the decode itself saw, so the verdict cannot part from the vector
-// it describes. A refused delta is recycled, counted as KindUpdateRejected
-// against round t, and answered 422; decodeDelta then returns false.
+// applies the shape and finiteness screen every update passes: want is the
+// model dimension (an honest client can never produce a wrong-length delta
+// from its round's broadcast), and finiteness is what the decode itself saw,
+// so the verdict cannot part from the vector it describes. A refused delta is
+// recycled, counted as KindUpdateRejected against round t, and answered 422;
+// decodeDelta then returns false.
 func decodeDelta(w http.ResponseWriter, sink obs.Sink, t, index int, body []byte, d, want int) ([]float64, bool) {
 	delta, finite := decodeFrameVec(body[updateHdrLen:], d)
 	if d == want && finite {

@@ -250,7 +250,7 @@ func TestRoundQueryParsing(t *testing.T) {
 	theta := tensor.NewRNG(5).NormalVec(11, 0, 1)
 	c := &Coordinator{N: 8, Cfg: testConfig()}
 	openTestRound(c, c.newRoundLocked(&hfl.RoundSpec{T: 3, LR: 0.25, Theta: theta, Active: []int{4, 6}}))
-	frame := encodeRoundFrame(3, 0.25, 0, theta, nil, 0, 0)
+	frame := encodeRoundFrame(3, 0.25, 0, theta, 0, 0)
 	for query, want := range map[string]int{
 		"t=%33&i=%34":    http.StatusOK, // escaped digits
 		"t=3&i=4&x=a+b":  http.StatusOK, // an escape elsewhere in the query

@@ -33,14 +33,14 @@ func serveOnce(h http.Handler, method, target, contentType string, body []byte) 
 }
 
 // scriptedJournal runs one small journaled coordinator to completion with a
-// single test goroutine playing every participant (and, on a tree, every
-// edge) through Handler() in index order, so the journal's records land in
+// single test goroutine playing every participant through Handler() in index
+// order, so the journal's records land in
 // one fixed order and its bytes are a pure function of (mode, seed). Modes:
 // "buffered" (estimator + quarantine + archive, participant 3
 // sign-flipped), "quarantine" (the same without the archive, so its rounds
 // stream),
-// "streamed", "async" (participant 0 re-posts its round-1 update while
-// round 2 is open: a late admit) and "tree" (two edges posting partials).
+// "streamed" and "async" (participant 0 re-posts its round-1 update while
+// round 2 is open: a late admit).
 func scriptedJournal(t *testing.T, mode string, seed int64) []byte {
 	t.Helper()
 	model, parts, val := problemN(seed, scriptN)
@@ -62,9 +62,6 @@ func scriptedJournal(t *testing.T, mode string, seed int64) []byte {
 	case "async":
 		c.Stream = hfl.MeanStream{}
 		c.Async = &hfl.AsyncConfig{Quorum: 3, MaxStaleness: 2}
-	case "tree":
-		c.Stream = segStream{2}
-		c.Edges = 2
 	}
 	h := c.Handler()
 	do := func(method, target, contentType string, body []byte) *httptest.ResponseRecorder {
@@ -105,7 +102,6 @@ func scriptedJournal(t *testing.T, mode string, seed int64) []byte {
 	}
 	var firstOfZero []float64
 	for tt := 1; tt <= cfg.Epochs; tt++ {
-		deltas := make([][]float64, scriptN)
 		for i := 0; i < scriptN; i++ {
 			rr := poll(fmt.Sprintf("t=%d&i=%d", tt, i))
 			if rr == nil {
@@ -115,32 +111,12 @@ func scriptedJournal(t *testing.T, mode string, seed int64) []byte {
 			if (mode == "buffered" || mode == "quarantine") && i == 3 {
 				tensor.Scale(-1, delta)
 			}
-			deltas[i] = delta
-			if mode == "tree" {
-				continue
-			}
 			post("/v1/update", updateFrame(t, tt, i, delta), http.StatusOK)
 			if mode == "async" && tt == 1 && i == 0 {
 				firstOfZero = delta
 			}
 			if mode == "async" && tt == 2 && i == 0 {
 				post("/v1/update", updateFrame(t, 1, 0, firstOfZero), http.StatusAccepted)
-			}
-		}
-		if mode == "tree" {
-			vg := poll(fmt.Sprintf("t=%d&h=1&vg=1", tt)).ValGrad
-			for e := 0; e < 2; e++ {
-				members := []int{2 * e, 2*e + 1}
-				sum, dots := make([]float64, len(vg)), make([]float64, len(members))
-				for k, i := range members {
-					tensor.AXPY(1, deltas[i], sum)
-					dots[k] = tensor.Dot(vg, deltas[i])
-				}
-				frame, err := CodecV2.EncodePartial(tt, e, members, sum, dots)
-				if err != nil {
-					t.Fatal(err)
-				}
-				post("/v1/partial", frame, http.StatusOK)
 			}
 		}
 	}
@@ -171,15 +147,11 @@ func TestWALBytesPinned(t *testing.T) {
 			"133800abb84781f48caa433bda8e6944b151c5c55f4dcbfd79b422fcbfd32039",
 			"2eb5c3d4c0a7f11c7f6dc734d13a443111ad4be87dd92ff25b98aaf874312fa2",
 			"cbd3805adc8f40854a6561d64d40c95085db74a34b17240db99a14604422c158"},
-		"tree": {
-			"c7a2f96a5bf7cbaea8e785c24444248933cd6f40147efb4bf78a901fdd257aa9",
-			"d826e65d347fb4f39803fcd11f79b9c74c8465027aa58b6829c04e38b157a9f2",
-			"1ea4a1e5ae14db53806e292b2c41f45499381c5502a0115ba5edbb6be99906da"},
 	}
 	// A quarantine whose rounds stream journals exactly what the buffered
 	// one does: the commits, and closes built from the same state.
 	want["quarantine"] = want["buffered"]
-	for _, mode := range []string{"buffered", "quarantine", "streamed", "async", "tree"} {
+	for _, mode := range []string{"buffered", "quarantine", "streamed", "async"} {
 		for s, sum := range want[mode] {
 			seed := int64(s + 1)
 			b := scriptedJournal(t, mode, seed)
@@ -202,32 +174,24 @@ func TestWALBytesPinned(t *testing.T) {
 var canonicalSeeds = []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64,
 	-math.SmallestNonzeroFloat64, 0x1p-1023, math.MaxFloat64, -math.MaxFloat64, 1, -1.5e-300}
 
-// checkCanonical: if the coordinator would accept body as an update or an
-// edge partial — the envelope decodes and every float is finite, exactly the
-// ingest handlers' conditions on the frame itself — then re-encoding what it
-// decoded gives back the body byte for byte. That is what lets the journal
+// checkCanonical: if the coordinator would accept body as an update — the
+// envelope decodes and every float is finite, exactly the ingest handler's
+// conditions on the frame itself — then re-encoding what it decoded gives
+// back the body byte for byte. That is what lets the journal
 // take the bytes that arrived instead of an encoding of the decoded vectors.
 func checkCanonical(t *testing.T, body []byte) {
 	t.Helper()
-	var again []byte
-	if tt, index, d, err := decodeUpdateHeader(body); err == nil {
-		delta, finite := decodeFrameVec(body[updateHdrLen:], d)
-		if !finite {
-			return
-		}
-		if again, err = CodecV2.EncodeUpdate(tt, index, delta); err != nil {
-			t.Fatalf("accepted update (t=%d, index=%d) does not re-encode: %v", tt, index, err)
-		}
-	} else if tt, edge, indices, d, err := decodePartialHeader(body); err == nil {
-		sum, dots, finite := decodePartialVecs(body, len(indices), d)
-		if !finite {
-			return
-		}
-		if again, err = CodecV2.EncodePartial(tt, edge, indices, sum, dots); err != nil {
-			t.Fatalf("accepted partial (t=%d, edge=%d) does not re-encode: %v", tt, edge, err)
-		}
-	} else {
+	tt, index, d, err := decodeUpdateHeader(body)
+	if err != nil {
 		return
+	}
+	delta, finite := decodeFrameVec(body[updateHdrLen:], d)
+	if !finite {
+		return
+	}
+	again, err := CodecV2.EncodeUpdate(tt, index, delta)
+	if err != nil {
+		t.Fatalf("accepted update (t=%d, index=%d) does not re-encode: %v", tt, index, err)
 	}
 	if !bytes.Equal(again, body) {
 		t.Fatalf("accepted frame %q of %d bytes is not canonical: re-encoding differs", body[:4], len(body))
@@ -240,27 +204,17 @@ func checkCanonical(t *testing.T, body []byte) {
 func TestIngestFrameCanonical(t *testing.T) {
 	update, _ := CodecV2.EncodeUpdate(7, 3, canonicalSeeds)
 	checkCanonical(t, update)
-	partial, _ := CodecV2.EncodePartial(7, 1, []int{4, 9}, canonicalSeeds, canonicalSeeds[1:3])
-	checkCanonical(t, partial)
-	empty, _ := CodecV2.EncodePartial(7, 1, nil, nil, nil)
+	empty, _ := CodecV2.EncodeUpdate(7, 1, nil)
 	checkCanonical(t, empty)
 	rng := tensor.NewRNG(12)
 	for n := 0; n < 400; n++ {
-		k, d := n%3, 1+n%19
-		body := make([]byte, partialHdrLen+4*k+8*d+8*k)
+		d := 1 + n%19
+		body := make([]byte, updateHdrLen+8*d)
 		for j := 4; j < len(body); j += 4 {
 			le.PutUint32(body[j:], rng.Uint32())
 		}
-		if n%2 == 0 {
-			body = body[:updateHdrLen+8*d]
-			copy(body, magicUpdate[:])
-			le.PutUint32(body[12:], uint32(d))
-		} else {
-			copy(body, magicPartial[:])
-			le.PutUint32(body[12:], uint32(k))
-			le.PutUint32(body[16:], uint32(min(k, 1)*d))
-			body = body[:partialHdrLen+4*k+8*min(k, 1)*d+8*k]
-		}
+		copy(body, magicUpdate[:])
+		le.PutUint32(body[12:], uint32(d))
 		checkCanonical(t, body)
 	}
 }
@@ -268,10 +222,9 @@ func TestIngestFrameCanonical(t *testing.T) {
 // FuzzIngestFrameCanonical: the same property over arbitrary bytes.
 func FuzzIngestFrameCanonical(f *testing.F) {
 	update, _ := CodecV2.EncodeUpdate(7, 3, canonicalSeeds)
-	partial, _ := CodecV2.EncodePartial(7, 1, []int{4, 9}, canonicalSeeds, canonicalSeeds[1:3])
 	f.Add(update)
 	f.Add(update[:updateHdrLen+8])
-	f.Add(partial)
+	f.Add(update[:updateHdrLen])
 	f.Add([]byte("D2UP"))
 	f.Fuzz(checkCanonical)
 }

@@ -3,7 +3,6 @@ package fednet
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -20,25 +19,16 @@ import (
 // training result alongside the per-participant errors (indexed by
 // participant). Every byte crosses a real TCP connection and the full wire
 // protocol, so a Loopback run exercises exactly what a distributed
-// deployment would — it just schedules every tier in one process.
-//
-// With c.Edges > 0 it runs the two-level cohort tree: one EdgeAggregator
-// server per contiguous block of ceil(N/Edges) participants, who submit
-// their updates to their edge (UpdateURL) and poll the root for rounds; the
-// per-edge errors follow the per-participant ones. The tree is
-// bit-identical to any streamed run whose fold sums segments of
-// ceil(N/Edges) slots with one hfl.SegmentFold each and merges them in
-// segment order (TestTreeLoopbackBitIdenticalToFlatAndLocal).
+// deployment would — it just schedules both sides in one process.
 func Loopback(ctx context.Context, c *Coordinator, parts func(i int) *Participant) (*hfl.Result, []error, error) {
 	return Chaos{}.Loopback(ctx, c, parts)
 }
 
 // Chaos is what a fault-injecting caller adds to a Loopback run: a kill
-// switch in front of the root with the step that replaces a dead
-// coordinator, and a say in how each edge is served. The zero value adds
-// nothing.
+// switch in front of the coordinator with the step that replaces a dead
+// one. The zero value adds nothing.
 type Chaos struct {
-	// Front, when non-nil, stands before the root coordinator; the harness
+	// Front, when non-nil, stands before the coordinator; the harness
 	// installs every incarnation's handler behind it. Whatever kills the
 	// coordinator (a journal writer tearing a record) calls Front.Kill first,
 	// so the dead incarnation's replies never reach a participant.
@@ -51,10 +41,6 @@ type Chaos struct {
 	Next func(restarts int, runErr error) (*Coordinator, error)
 	// Journal is the buffer the coordinators' journal writer appends to.
 	Journal *bytes.Buffer
-	// Edge, when non-nil, wraps the member-facing handler h of every edge of a
-	// tree before it starts, and may set the edge's client fields. stop ends
-	// that edge's Run alone: with a Front around h, an edge death.
-	Edge func(ea *EdgeAggregator, h http.Handler, stop context.CancelFunc) http.Handler
 }
 
 // A harness server's limits: on a request header and on an idle kept-alive
@@ -86,48 +72,11 @@ func (k Chaos) Loopback(ctx context.Context, c *Coordinator, parts func(i int) *
 	}
 	defer stop()
 
-	// The edge tier: contiguous blocks of the population, one member-facing
-	// server each.
-	edgeURL := make([]string, c.N) // participant -> its edge's URL ("" when flat)
-	eerrs := make([]error, c.Edges)
-	var ewg sync.WaitGroup
-	ectx, stopEdges := context.WithCancel(ctx)
-	defer stopEdges()
-	width := (c.N + c.Edges - 1) / max(c.Edges, 1) // ceil(N/Edges); unused when flat
-	for e := 0; e < c.Edges && e*width < c.N; e++ {
-		ea := &EdgeAggregator{Root: root, Edge: e, Sink: c.Cfg.Runtime.Sink}
-		for i := e * width; i < min((e+1)*width, c.N); i++ {
-			ea.Members = append(ea.Members, i)
-		}
-		runCtx, stopEdge := context.WithCancel(ectx)
-		defer stopEdge()
-		h := ea.Handler()
-		if k.Edge != nil {
-			h = k.Edge(ea, h, stopEdge)
-		}
-		url, stopServer, err := serve(h)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer stopServer()
-		for _, i := range ea.Members {
-			edgeURL[i] = url
-		}
-		ewg.Add(1)
-		go func() {
-			defer ewg.Done()
-			// Shutdown by cancellation is an edge's normal end of run.
-			if err := ea.Run(runCtx); !errors.Is(err, context.Canceled) {
-				eerrs[e] = err
-			}
-		}()
-	}
-
 	perrs := make([]error, c.N)
 	var wg sync.WaitGroup
 	for i := 0; i < c.N; i++ {
 		p := parts(i)
-		p.BaseURL, p.UpdateURL = root, edgeURL[i]
+		p.BaseURL = root
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -151,9 +100,7 @@ func (k Chaos) Loopback(ctx context.Context, c *Coordinator, parts func(i int) *
 		res, runErr = c.Run(ctx)
 	}
 	wg.Wait()
-	stopEdges()
-	ewg.Wait()
-	return res, append(perrs, eerrs...), runErr
+	return res, perrs, runErr
 }
 
 // Front is a kill switch in front of a server — the harness's stand-in for a

@@ -25,10 +25,6 @@ type Participant struct {
 	Index int
 	// BaseURL is the coordinator's address, e.g. "http://127.0.0.1:8080".
 	BaseURL string
-	// UpdateURL, when non-empty, redirects update submissions to an edge
-	// sub-aggregator of a cohort tree; join and round polls still go to
-	// BaseURL (the root). Empty submits updates to BaseURL directly.
-	UpdateURL string
 	// Model is the local model prototype; it must match the coordinator's
 	// architecture. The participant clones it per round.
 	Model nn.Model
@@ -65,33 +61,12 @@ type Participant struct {
 	lastInst string
 }
 
-// retrier builds the participant's retrying client: injected request
-// failures cost an attempt before they touch the wire, a changed
-// incarnation header or a recovering reply re-claims the join slot.
-func (p *Participant) retrier() *retrier {
-	rc := &retrier{client: p.Client, base: p.Base, cap: p.Cap, sink: p.Sink, part: p.Index}
-	rc.dropped = func(round, attempt int) bool { return p.Faults.RequestFails(round, p.Index, attempt) }
-	rc.rejoin = func(ctx context.Context) { p.rejoin(ctx, rc.httpClient()) }
-	rc.replied = func(ctx context.Context, req *http.Request, resp *http.Response) {
-		// A changed incarnation header means the coordinator restarted
-		// since our last exchange: re-claim our slot before whatever this
-		// response says (join is idempotent, so a spurious rejoin is free).
-		if inst := resp.Header.Get(instanceHeader); inst != "" && inst != p.lastInst {
-			if p.lastInst != "" && req.URL.Path != "/v1/join" {
-				rc.rejoin(ctx)
-			}
-			p.lastInst = inst
-		}
-	}
-	return rc
-}
-
 // rejoin re-claims this participant's slot after a coordinator restart:
 // one plain attempt, failures ignored — the caller's retry loop lands back
-// here until recovery completes. Not routed through the retrier (no nested
-// retries, and join must go out even while other requests are being
+// here until recovery completes. Not routed through the retry loop (no
+// nested retries, and join must go out even while other requests are being
 // refused).
-func (p *Participant) rejoin(ctx context.Context, client *http.Client) {
+func (p *Participant) rejoin(ctx context.Context) {
 	body, err := json.Marshal(joinRequest{Protocol: Protocol, Index: p.Index})
 	if err != nil {
 		return
@@ -101,7 +76,7 @@ func (p *Participant) rejoin(ctx context.Context, client *http.Client) {
 		return
 	}
 	req.Header.Set("Content-Type", contentTypeJSON)
-	resp, err := client.Do(req)
+	resp, err := p.httpClient().Do(req)
 	if err != nil {
 		return
 	}
@@ -122,11 +97,10 @@ func (p *Participant) Run(ctx context.Context) error {
 	if p.Model == nil {
 		return errors.New("fednet: participant needs a model prototype")
 	}
-	rc := p.retrier()
 	var join joinReply
 	body, err := json.Marshal(joinRequest{Protocol: Protocol, Index: p.Index})
 	if err == nil {
-		err = rc.post(ctx, 0, p.Retries, p.BaseURL+"/v1/join", contentTypeJSON, body, &join)
+		err = p.post(ctx, 0, p.BaseURL+"/v1/join", contentTypeJSON, body, &join)
 	}
 	if err != nil {
 		return fmt.Errorf("fednet: participant %d join: %w", p.Index, err)
@@ -136,18 +110,12 @@ func (p *Participant) Run(ctx context.Context) error {
 	}
 
 	next := 1
-	// In edge mode the last acknowledged update body is held until the
-	// next round is observed: if the edge dies with it, the root
-	// re-solicits it (roundReply.Resubmit) and the same bytes are re-sent
-	// directly — no recomputation, no re-encoding.
-	var heldBody []byte
-	heldT := 0
 	for {
 		var round roundReply
 		// Polling with ?i= lets the coordinator answer Excluded when this
 		// participant is outside the round's sampled cohort, skipping the
 		// theta download and the local computation entirely.
-		if err := rc.get(ctx, next, p.Retries, fmt.Sprintf("%s/v1/round?t=%d&i=%d", p.BaseURL, next, p.Index), &round); err != nil {
+		if err := p.get(ctx, next, fmt.Sprintf("%s/v1/round?t=%d&i=%d", p.BaseURL, next, p.Index), &round); err != nil {
 			return fmt.Errorf("fednet: participant %d round %d: %w", p.Index, next, err)
 		}
 		switch round.State {
@@ -158,23 +126,6 @@ func (p *Participant) Run(ctx context.Context) error {
 		case StateOpen:
 		default:
 			return fmt.Errorf("fednet: participant %d: unknown round state %q", p.Index, round.State)
-		}
-		if round.Resubmit && round.T == heldT && heldBody != nil {
-			// Our edge acknowledged round heldT's update and then died
-			// before folding its partial; re-send the held bytes straight
-			// to the root. Checked before the stale-skip: a Resubmit reply
-			// names the still-open previous round.
-			var ack updateReply
-			err := rc.post(ctx, heldT, p.Retries, p.BaseURL+"/v1/update", contentTypeBinary, heldBody, &ack)
-			if err != nil {
-				var we *WireError
-				if !errors.As(err, &we) || we.Code != CodeStaleRound {
-					return fmt.Errorf("fednet: participant %d resubmit %d: %w", p.Index, heldT, err)
-				}
-			} else {
-				obs.Emit(p.Sink, obs.Event{Kind: obs.KindEdgeFailover, T: heldT, Part: p.Index})
-			}
-			continue
 		}
 		if round.T < next {
 			continue // stale broadcast; re-poll
@@ -194,40 +145,15 @@ func (p *Participant) Run(ctx context.Context) error {
 		if p.Tamper != nil {
 			p.Tamper(round.T, delta)
 		}
-		upBase, retries := p.BaseURL, p.Retries
-		if p.UpdateURL != "" {
-			// Cap the edge uplink's attempts so a dead edge fails over to
-			// the root quickly instead of burning the full backoff budget.
-			upBase = p.UpdateURL
-			retries = min(2, p.Retries)
-		}
 		// Encode once; the retry loop re-sends the same bytes. The body
-		// buffer is recycled after the last attempt (edge mode holds it one
-		// round for a possible resubmission).
+		// buffer is recycled after the last attempt.
 		body, err := CodecV2.EncodeUpdate(round.T, p.Index, delta)
 		if err != nil {
 			return fmt.Errorf("fednet: participant %d update %d: %w", p.Index, round.T, err)
 		}
 		var ack updateReply
-		err = rc.post(ctx, round.T, retries, upBase+"/v1/update", contentTypeBinary, body, &ack)
-		if err != nil && upBase != p.BaseURL {
-			var we *WireError
-			if !errors.As(err, &we) {
-				// The edge is unreachable (transport failure, not a
-				// protocol rejection): fall back to submitting directly
-				// to the root, which accepts the orphaned member.
-				obs.Emit(p.Sink, obs.Event{Kind: obs.KindEdgeFailover, T: round.T, Part: p.Index})
-				err = rc.post(ctx, round.T, p.Retries, p.BaseURL+"/v1/update", contentTypeBinary, body, &ack)
-			}
-		}
-		if err == nil && p.UpdateURL != "" {
-			if heldBody != nil {
-				tensor.PutBytes(heldBody)
-			}
-			heldBody, heldT = body, round.T
-		} else {
-			tensor.PutBytes(body)
-		}
+		err = p.post(ctx, round.T, p.BaseURL+"/v1/update", contentTypeBinary, body, &ack)
+		tensor.PutBytes(body)
 		if err != nil {
 			// A stale-round rejection means we straggled past the deadline
 			// and the epoch proceeded with the survivors; a too-stale one

@@ -18,14 +18,12 @@ type openRound struct {
 	t       int
 	lr      float64
 	theta   []float64
-	valGrad []float64 // ∇loss^v(θ_{t-1}) on a streaming run (served to edges via ?vg=1), else nil
-	// deadline closes the round with whoever reported; resolicitAt arms the
-	// root's failover re-solicitation (FailoverGrace). Zero = none.
-	deadline    time.Time
-	resolicitAt time.Time
+	valGrad []float64 // ∇loss^v(θ_{t-1}) on a streaming run, else nil
+	// deadline closes the round with whoever reported. Zero = none.
+	deadline time.Time
 	// order lists the participants expected to post, slots inverts it, and
-	// have[k] records that slot k's update is committed (by its own post, an
-	// edge's partial, or a journal graft); got counts the true entries.
+	// have[k] records that slot k's update is committed (by its own post or
+	// a journal graft); got counts the true entries.
 	order  []int
 	slots  map[int]int
 	have   []bool
@@ -58,8 +56,8 @@ func (r *openRound) recycle() {
 	*r.held = held[:0]
 }
 
-// roundMode is the part of a round that differs between the four ways of
-// collecting a cohort's updates — buffered, streamed, tree, async. The
+// roundMode is the part of a round that differs between the three ways of
+// collecting a cohort's updates — buffered, streamed, async. The
 // coordinator picks one when the round opens (newRoundLocked) and from then on
 // only calls it: live ingest hands commit each update after decodeDelta and the
 // journal append, Recover's graft hands it the journaled ones, and because
@@ -71,7 +69,7 @@ type roundMode interface {
 	// commit takes ownership of slot's delta. The mode either retains it
 	// until close (buffered: the epoch keeps raw deltas; async: the planner
 	// folds or buffers it, and recycles it when done) or folds it and
-	// returns the buffer to the tensor pool once consumed (streamed, tree);
+	// returns the buffer to the tensor pool once consumed (streamed);
 	// the caller never touches delta again. An error means the delta was not
 	// committed.
 	commit(r *openRound, slot int, delta []float64) error
@@ -84,8 +82,8 @@ type roundMode interface {
 	close(r *openRound) (res *hfl.RoundResult, nAgg int, err error)
 }
 
-// synchronous is the acknowledgement of the three modes whose accepted
-// update is a commit candidate of its own round.
+// synchronous is the acknowledgement of the two modes whose accepted update
+// is a commit candidate of its own round.
 type synchronous struct{}
 
 func (synchronous) ack(int) (int, []byte) { return http.StatusOK, ackAccepted }
@@ -148,144 +146,6 @@ func (m *streamedMode) close(r *openRound) (*hfl.RoundResult, int, error) {
 		fr.Reweighted.Release = tensor.PutVec
 	}
 	return &hfl.RoundResult{Agg: fr.Sum, Dots: fr.Dots, Reweighted: fr.Reweighted}, len(fr.Slots), nil
-}
-
-// treeMode merges edge sub-aggregators' partials. A member whose edge died
-// posts to the root directly; those posts fold into the partial the edge
-// would have sent.
-type treeMode struct {
-	synchronous
-	width   int                // global index i belongs to edge i/width
-	parts   []edgePartial      // by edge
-	direct  []*hfl.SegmentFold // by edge: the members' direct posts
-	viaRoot []bool             // by slot: committed by a direct post
-	sink    obs.Sink
-}
-
-// edgePartial is one edge's accepted partial: the slots it covers (non-nil
-// once the edge reported, even if empty), their unscaled sum and their
-// validation dot products.
-type edgePartial struct {
-	slots     []int
-	sum, dots []float64
-}
-
-func (m *treeMode) commit(r *openRound, slot int, delta []float64) error {
-	e := min(r.order[slot]/m.width, len(m.parts)-1)
-	if m.direct[e] == nil {
-		// Opened at 0, a lower bound on any slot: the segment's first slot is
-		// not known here, and a dead edge's members are few.
-		m.direct[e] = hfl.NewSegmentFold(0, make([]float64, len(r.theta)), r.valGrad)
-		m.direct[e].Release = tensor.PutVec
-	}
-	m.direct[e].Add(slot, delta)
-	m.viaRoot[slot] = true
-	obs.Emit(m.sink, obs.Event{Kind: obs.KindEdgeFailover, T: r.t, Part: r.order[slot]})
-	return nil
-}
-
-// claimPartial validates an edge partial's header against the round before
-// its vectors decode: the round a tree round (the one mode that ingests
-// partials), the edge in range and not yet reported (again = true is the
-// idempotent retry of a partial whose ack was lost), every index an active
-// slot nobody committed, in strictly increasing slot order (edge cohorts are
-// contiguous slot ranges).
-func (r *openRound) claimPartial(edge int, indices []int) (m *treeMode, slots []int, again bool, refused *WireError) {
-	bad := func(format string, args ...any) (*treeMode, []int, bool, *WireError) {
-		return nil, nil, false, &WireError{Status: http.StatusBadRequest, Msg: fmt.Sprintf(format, args...)}
-	}
-	m, ok := r.mode.(*treeMode)
-	if !ok {
-		return bad("round %d does not ingest edge partials", r.t)
-	}
-	if edge < 0 || edge >= len(m.parts) {
-		return bad("edge %d outside [0,%d)", edge, len(m.parts))
-	}
-	if m.parts[edge].slots != nil {
-		return m, nil, true, nil
-	}
-	slots = make([]int, len(indices))
-	for j, i := range indices {
-		k, active := r.slots[i]
-		switch {
-		case !active:
-			return bad("edge %d claims inactive participant %d", edge, i)
-		case r.have[k] && m.viaRoot[k]:
-			// The member failed over and reported directly while the edge was
-			// presumed dead; the partial as a whole is superseded. Benign for
-			// a recovering edge.
-			return nil, nil, false, &WireError{Status: http.StatusConflict, Code: CodeStaleRound,
-				Msg: fmt.Sprintf("participant %d already reported directly to the root", i)}
-		case r.have[k]:
-			return bad("edge %d re-claims participant %d", edge, i)
-		case j > 0 && k <= slots[j-1]:
-			return bad("edge %d indices out of slot order", edge)
-		}
-		slots[j] = k
-	}
-	return m, slots, false, nil
-}
-
-// commitPartial is commit for an edge's claimed partial; it retains sum and
-// dots until close merges them.
-func (m *treeMode) commitPartial(r *openRound, edge int, slots []int, sum, dots []float64) {
-	if len(slots) == 0 {
-		tensor.PutVec(sum)
-		tensor.PutVec(dots)
-		sum, dots = nil, nil
-	}
-	m.parts[edge] = edgePartial{slots: slots, sum: sum, dots: dots}
-	for _, k := range slots {
-		r.have[k] = true
-	}
-}
-
-// close merges the partials in edge order into a zero total and applies the
-// single 1/m scale.
-func (m *treeMode) close(r *openRound) (*hfl.RoundResult, int, error) {
-	res := &hfl.RoundResult{}
-	var acc []float64
-	nAgg, last := 0, -1
-	for e, p := range m.parts {
-		if d := m.direct[e]; d != nil {
-			sum, slots, dots := d.Close()
-			if len(p.slots) == 0 {
-				// The edge died: its members' direct posts, folded in slot
-				// order from zero, are the partial it would have sent.
-				p = edgePartial{slots: slots, sum: sum, dots: dots}
-			} else {
-				// The edge lived and its partial stands; a member that gave
-				// up on it early is not in it, and missed the round.
-				for _, k := range slots {
-					r.have[k] = false
-				}
-				r.got -= len(slots)
-			}
-		}
-		if len(p.slots) == 0 {
-			continue
-		}
-		if p.slots[0] <= last {
-			return nil, 0, fmt.Errorf("fednet: round %d: edge %d slots overlap an earlier edge", r.t, e)
-		}
-		last = p.slots[len(p.slots)-1]
-		if acc == nil {
-			acc = make([]float64, len(r.theta))
-		}
-		tensor.AXPY(1, p.sum, acc)
-		res.Dots = append(res.Dots, p.dots...)
-		nAgg += len(p.slots)
-		// The merge copied everything out; the partial's vectors go back to
-		// the pool for the next round's ingest.
-		tensor.PutVec(p.sum)
-		tensor.PutVec(p.dots)
-		m.parts[e] = edgePartial{}
-	}
-	if nAgg > 0 {
-		tensor.Scale(1/float64(nAgg), acc)
-		res.Agg = acc
-	}
-	return res, nAgg, nil
 }
 
 // asyncMode buffers the epoch's fresh cohort like a buffered round; the
@@ -376,12 +236,6 @@ func (c *Coordinator) newRoundLocked(spec *hfl.RoundSpec) *openRound {
 			sched: sched, deltas: make([][]float64, len(sched.Fresh))})
 	case !c.streamed():
 		return newRound(spec, spec.Active, &bufferedMode{deltas: make([][]float64, k)})
-	case c.Edges > 0:
-		// The fold is per-edge on the edge aggregators; the root only merges
-		// the partial sums.
-		return newRound(spec, spec.Active, &treeMode{width: (c.N + c.Edges - 1) / c.Edges,
-			parts: make([]edgePartial, c.Edges), direct: make([]*hfl.SegmentFold, c.Edges),
-			viaRoot: make([]bool, k), sink: c.Cfg.Runtime.Sink})
 	default:
 		m := &streamedMode{admit: spec.Admit}
 		if spec.Admit != nil {
@@ -410,19 +264,12 @@ func (c *Coordinator) commitLocked(r *openRound, slot int, delta []float64) erro
 // round through the same commits live ingest uses: the restarted coordinator
 // resumes mid-round with every acknowledged update already committed, so
 // clients that saw an ack never recompute and the closed round is
-// bit-identical to an uninterrupted one. The journal's records are disjoint
-// (a slot an edge's partial covers takes no direct update, and the reverse)
-// and no mode's outcome depends on commit order, so the replay maps are
-// walked as they come. An async round's late admits re-enter the planner's
-// buffer here, after newRoundLocked's Schedule — which must see the
-// pre-admit buffer the epoch opened with. Callers hold mu.
+// bit-identical to an uninterrupted one. No mode's outcome depends on commit
+// order, so the replay maps are walked as they come. An async round's late
+// admits re-enter the planner's buffer here, after newRoundLocked's Schedule
+// — which must see the pre-admit buffer the epoch opened with. Callers hold
+// mu.
 func (c *Coordinator) graftLocked(r *openRound, rec *walReplay) {
-	for e, p := range rec.partials {
-		if tm, slots, again, refused := r.claimPartial(e, p.indices); refused == nil && !again {
-			tm.commitPartial(r, e, slots, p.sum, p.dots)
-			c.arrivedLocked(r, len(slots))
-		}
-	}
 	if c.asyncPlan != nil {
 		for i, la := range rec.lateAdmits {
 			c.asyncPlan.Admit(i, la.origin, r.t, la.delta)
@@ -471,9 +318,6 @@ func (c *Coordinator) Round(ctx context.Context, spec *hfl.RoundSpec) (*hfl.Roun
 	c.reclaimLocked()
 	r := c.newRoundLocked(spec)
 	r.deadline = deadline
-	if c.FailoverGrace > 0 && c.Edges > 0 {
-		r.resolicitAt = time.Now().Add(c.FailoverGrace)
-	}
 	// WAL: a fresh round journals its open before it is visible to any
 	// client; a recovered round (the previous incarnation already journaled
 	// this open and some commits) grafts the replayed commits instead.

@@ -22,7 +22,7 @@ import (
 // vector it decoded rejects exactly NaN (any payload, quiet or signalling,
 // either sign) and ±Inf — at every length from 0 to 11 (every lane of the
 // four-wide loop and every tail), at every position, and at every byte offset
-// 0–7 inside a larger buffer, as a partial's vectors sit — while the bits it
+// 0–7 inside a larger buffer, as a close frame's vectors sit — while the bits it
 // stores and the bytes putFrameVec writes are the per-element oracle's, and
 // the handlers answer such a frame 422 non_finite before the journal and the
 // fold see it.
@@ -78,18 +78,15 @@ func TestFiniteVecTable(t *testing.T) {
 		t.Error("empty vector reported non-finite")
 	}
 
-	// The handlers: a journaled tree round takes direct updates and
-	// partials, an edge vets before it knows the round. d = 7 and k = 5 put
-	// a four-wide turn and a tail in every vector a frame carries.
-	const d, k = 7, 5
-	active := []int{0, 1, 2, 3, 4}
+	// The handler: a journaled streamed round. d = 7 puts a four-wide turn
+	// and a tail in the vector a frame carries.
+	const d = 7
 	var journal bytes.Buffer
-	coord := &Coordinator{N: k, Cfg: testConfig(), Stream: hfl.MeanStream{}, Edges: 1}
+	coord := &Coordinator{N: 5, Cfg: testConfig(), Stream: hfl.MeanStream{}}
 	round := coord.newRoundLocked(&hfl.RoundSpec{T: 1, Theta: make([]float64, d), ValGrad: make([]float64, d),
-		Active: active})
+		Active: []int{0, 1, 2, 3, 4}})
 	openTestRound(coord, round)
 	coord.wal = newWAL(&journal, nil)
-	edge := &EdgeAggregator{Root: "http://unused", Edge: 0, Members: active}
 	refused := func(name string, h http.Handler, path string, frame []byte, err error) {
 		t.Helper()
 		if err != nil {
@@ -109,34 +106,18 @@ func TestFiniteVecTable(t *testing.T) {
 		for pos := 0; pos < d; pos++ {
 			delta := make([]float64, d)
 			delta[pos] = x
-			name := fmt.Sprintf("%v at %d", x, pos)
 			frame, err := CodecV2.EncodeUpdate(1, 0, delta)
-			refused("root update, "+name, coord.Handler(), "/v1/update", frame, err)
-			refused("edge update, "+name, edge.Handler(), "/v1/update", frame, err)
-			frame, err = CodecV2.EncodePartial(1, 0, active, delta, make([]float64, k))
-			refused("partial sum, "+name, coord.Handler(), "/v1/partial", frame, err)
-		}
-		for pos := 0; pos < k; pos++ {
-			dots := make([]float64, k)
-			dots[pos] = x
-			frame, err := CodecV2.EncodePartial(1, 0, active, make([]float64, d), dots)
-			refused(fmt.Sprintf("partial dots, %v at %d", x, pos), coord.Handler(), "/v1/partial", frame, err)
+			refused(fmt.Sprintf("root update, %v at %d", x, pos), coord.Handler(), "/v1/update", frame, err)
 		}
 	}
 	coord.mu.Lock()
-	tree := round.mode.(*treeMode)
-	if round.got != 0 || tree.parts[0].slots != nil || tree.direct[0] != nil {
+	if round.got != 0 || round.have[0] || round.mode.(*streamedMode).fold.(interface{ Pending() int }).Pending() != 0 {
 		t.Error("a non-finite frame reached the round's fold")
 	}
 	coord.mu.Unlock()
 	if journal.Len() != 0 {
 		t.Errorf("non-finite frames left %d bytes in the journal", journal.Len())
 	}
-	edge.mu.Lock()
-	if len(edge.parked) != 0 {
-		t.Error("a non-finite update was parked on the edge")
-	}
-	edge.mu.Unlock()
 }
 
 // openTestRound installs a hand-built open round, as the handler tests in
@@ -159,8 +140,8 @@ func pollRound(c *Coordinator, query string) *httptest.ResponseRecorder {
 // answered from one shared frame, and what reaches the wire is byte for
 // byte what encodeRoundFrame produces for that poll — without a deadline,
 // with one (each poll's own remaining time patched into its own header
-// copy), and with the async extension. Validation-gradient and header-only
-// polls still encode their own reply.
+// copy), and with the async extension. A header-only poll still encodes its
+// own reply.
 func TestRoundFrameEncodedOnce(t *testing.T) {
 	rng := tensor.NewRNG(4)
 	theta, valGrad := rng.NormalVec(37, 0, 1), rng.NormalVec(37, 0, 1)
@@ -204,7 +185,7 @@ func TestRoundFrameEncodedOnce(t *testing.T) {
 				if (dec.DeadlineMS > 0) != (tc.deadline > 0) || dec.DeadlineMS > tc.deadline.Milliseconds() {
 					t.Fatalf("poll %d: deadline_ms %d for a %v deadline", poll, dec.DeadlineMS, tc.deadline)
 				}
-				want := encodeRoundFrame(7, 0.125, dec.DeadlineMS, theta, nil, quorum, maxStale)
+				want := encodeRoundFrame(7, 0.125, dec.DeadlineMS, theta, quorum, maxStale)
 				if !bytes.Equal(got, want) {
 					t.Fatalf("poll %d: reply differs from encodeRoundFrame's bytes", poll)
 				}
@@ -216,7 +197,7 @@ func TestRoundFrameEncodedOnce(t *testing.T) {
 				} else if &frame[0] != &shared[0] {
 					t.Fatalf("poll %d re-encoded the broadcast", poll)
 				}
-				if zero := encodeRoundFrame(7, 0.125, 0, theta, nil, quorum, maxStale); !bytes.Equal(frame, zero) {
+				if zero := encodeRoundFrame(7, 0.125, 0, theta, quorum, maxStale); !bytes.Equal(frame, zero) {
 					t.Fatalf("poll %d modified the shared frame", poll)
 				}
 			}
@@ -226,20 +207,11 @@ func TestRoundFrameEncodedOnce(t *testing.T) {
 				!bytes.Contains(w.Body.Bytes(), []byte(`"excluded":true`)) {
 				t.Errorf("excluded poll: %q %s", w.Header().Get("Content-Type"), w.Body)
 			}
-			// Validation-gradient polls (edge sub-aggregators) carry their own
-			// payload: theta+valGrad, or valGrad alone when header-only.
-			for query, vecs := range map[string][2][]float64{
-				"t=7&i=4&c=2&vg=1": {theta, valGrad},
-				"t=7&i=4&vg=1&h=1": {nil, valGrad},
-			} {
-				got := pollRound(c, query).Body.Bytes()
-				dec, err := decodeRoundFrame(got)
-				if err != nil {
-					t.Fatalf("%s: %v", query, err)
-				}
-				if want := encodeRoundFrame(7, 0.125, dec.DeadlineMS, vecs[0], vecs[1], quorum, maxStale); !bytes.Equal(got, want) {
-					t.Errorf("%s: reply differs from encodeRoundFrame's bytes", query)
-				}
+			// The retired ?vg=1 is ignored: a theta poll that sends it gets
+			// the shared broadcast.
+			if got := pollRound(c, "t=7&i=4&c=2&vg=1").Body.Bytes(); len(got) < roundHdrLen ||
+				!bytes.Equal(got[roundHdrLen:], shared[roundHdrLen:]) {
+				t.Errorf("vg=1 poll: reply is not the shared broadcast")
 			}
 			// A header-only poll carries no vectors and stays JSON.
 			if w := pollRound(c, "t=7&i=4&c=2&h=1"); w.Header().Get("Content-Type") != contentTypeJSON ||
@@ -294,7 +266,7 @@ func TestBenchDriverRequestShapes(t *testing.T) {
 	openTestRound(c, r)
 	w := do("GET", "/v1/round?t=3&i=4&c=2", "", nil)
 	if w.Code != http.StatusOK || w.Header().Get("Content-Type") != CodecV2.ContentType() ||
-		!bytes.Equal(w.Body.Bytes(), encodeRoundFrame(3, 0.25, 0, theta, nil, 0, 0)) {
+		!bytes.Equal(w.Body.Bytes(), encodeRoundFrame(3, 0.25, 0, theta, 0, 0)) {
 		t.Fatalf("c=2 poll: status %d, content type %q, or not encodeRoundFrame's bytes", w.Code, w.Header().Get("Content-Type"))
 	}
 	if rr := marker(do("GET", "/v1/round?t=2&i=5&c=2", "", nil)); rr.State != StateOpen || rr.T != 3 || !rr.Excluded {
@@ -339,7 +311,7 @@ func TestRoundFrameConcurrentPolls(t *testing.T) {
 					t.Errorf("participant %d: %v", i, err)
 					return
 				}
-				if want := encodeRoundFrame(2, 0.5, dec.DeadlineMS, theta, nil, 0, 0); !bytes.Equal(got, want) {
+				if want := encodeRoundFrame(2, 0.5, dec.DeadlineMS, theta, 0, 0); !bytes.Equal(got, want) {
 					t.Errorf("participant %d: reply differs from encodeRoundFrame's bytes", i)
 					return
 				}
@@ -644,7 +616,7 @@ func BenchmarkRoundPollV2(b *testing.B) {
 	c := &Coordinator{N: 100_000, Cfg: testConfig(), Stream: hfl.MeanStream{}}
 	h := c.Handler()
 	openTestRound(c, c.newRoundLocked(&hfl.RoundSpec{T: 3, LR: 0.05, Theta: theta, Active: order}))
-	want := encodeRoundFrame(3, 0.05, 0, theta, nil, 0, 0)
+	want := encodeRoundFrame(3, 0.05, 0, theta, 0, 0)
 
 	rw := &benchRW{header: http.Header{}}
 	u := &url.URL{Path: "/v1/round"}

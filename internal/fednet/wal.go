@@ -34,10 +34,10 @@ import (
 //   - JSON control records ('{'): run_open, epoch_open, stale_admit,
 //     run_close — a few dozen bytes of shape, cohort and markers; no record
 //     that carries floats is JSON.
-//   - binary frames: the digfl-fednet/2 commits (D2UP update, D2PA edge
-//     partial), journaled as the bytes that arrived (an accepted frame is the
-//     canonical encoding of what it decodes to), so the journal costs the same
-//     8d bytes per update as the wire, and the epoch close:
+//   - binary frames: the digfl-fednet/2 update commits (D2UP), journaled as
+//     the bytes that arrived (an accepted frame is the canonical encoding of
+//     what it decodes to), so the journal costs the same 8d bytes per update
+//     as the wire, and the epoch close:
 //
 //	close  "D2CK" | u32 t | u32 flags | u32 d | u32 c | u32 n | u32 k |
 //	       u32 q | u32 b | d×f64 θ_t | c×f64 new curve points |
@@ -278,13 +278,6 @@ func encodeClose(ck *hfl.Checkpoint, est *core.HFLEstimator, quar *robust.Quaran
 	return rec, nil
 }
 
-// walPartial is one replayed edge partial.
-type walPartial struct {
-	indices []int
-	sum     []float64
-	dots    []float64
-}
-
 // walReplay is the state a journal reconstructs: the last closed epoch's
 // checkpoint plus every commit of the open round (if one was open at the
 // crash).
@@ -304,10 +297,9 @@ type walReplay struct {
 	quar       *robust.QuarantineState
 
 	// Open round at the crash point (openT == 0: none).
-	openT    int
-	active   []int
-	updates  map[int][]float64 // committed updates by global participant index
-	partials map[int]walPartial
+	openT   int
+	active  []int
+	updates map[int][]float64 // committed updates by global participant index
 
 	// Async buffer state. buffered is the planner carry-over at the last
 	// epoch_close; lateAdmits holds the open round's admitted-late updates
@@ -340,7 +332,6 @@ const walReadChunk = 64 << 10
 func replayWAL(r io.Reader) (*walReplay, error) {
 	rep := &walReplay{
 		updates:    make(map[int][]float64),
-		partials:   make(map[int]walPartial),
 		lateAdmits: make(map[int]walBufUpdate),
 	}
 	hdr := make([]byte, walHdrLen)
@@ -400,8 +391,6 @@ func (rep *walReplay) apply(payload []byte) error {
 		switch [4]byte(payload[:4]) {
 		case magicUpdate:
 			return rep.applyUpdate(payload)
-		case magicPartial:
-			return rep.applyPartial(payload)
 		case magicClose:
 			return rep.applyClose(payload)
 		}
@@ -567,20 +556,6 @@ func (rep *walReplay) applyClose(p []byte) error {
 	rep.buffered = buffered
 	rep.openT, rep.active = 0, nil
 	clear(rep.updates)
-	clear(rep.partials)
 	clear(rep.lateAdmits)
-	return nil
-}
-
-func (rep *walReplay) applyPartial(payload []byte) error {
-	t, edge, indices, d, err := decodePartialHeader(payload)
-	if err != nil {
-		return fmt.Errorf("fednet: WAL record %d: %w", rep.records, err)
-	}
-	if rep.openT == 0 || t != rep.openT {
-		return fmt.Errorf("fednet: WAL partial for round %d journaled while round %d is open", t, rep.openT)
-	}
-	r := frameCursor{payload[partialHdrLen+4*len(indices):]}
-	rep.partials[edge] = walPartial{indices: indices, sum: r.vec(d), dots: r.vec(len(indices))}
 	return nil
 }

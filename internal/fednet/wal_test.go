@@ -114,7 +114,7 @@ func TestStreamedWALMidRoundRecovery(t *testing.T) {
 // and the estimator's observation scratch restarts clean, so the recovered
 // φ totals are those of the uninterrupted run.
 func TestSampledStreamedWALRecoveryTotalsOnly(t *testing.T) {
-	streamedCrashRecovery(t, treeN, sampling.MustNew(sampling.Config{Seed: 11, Size: 4}), true)
+	streamedCrashRecovery(t, streamN, sampling.MustNew(sampling.Config{Seed: 11, Size: 4}), true)
 }
 
 // streamedCrashRecovery runs n participants against a journaled streamed
@@ -128,7 +128,7 @@ func streamedCrashRecovery(t *testing.T, n int, smp *sampling.Sampler, totalsOnl
 	if smp != nil {
 		cohort = smp.Size()
 	}
-	want, wantAttr := localStreamRun(t, seed, n, 0, smp)
+	want, wantAttr := localStreamRun(t, seed, n, smp)
 
 	model, parts, val := problemN(seed, n)
 	journal := &bytes.Buffer{}
@@ -359,7 +359,7 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(corrupt)
 	// Real /2 journals from every round mode — whole, and cut inside a round
 	// (the async one mid-quorum, its carry-over buffer in the close frames).
-	for _, mode := range []string{"buffered", "streamed", "tree", "async"} {
+	for _, mode := range []string{"buffered", "streamed", "async"} {
 		j := journalOfRun(f, mode)
 		if rep, err := replayWAL(bytes.NewReader(j)); err != nil || !rep.runClosed {
 			f.Fatalf("%s journal does not replay to a closed run: %v", mode, err)
@@ -367,6 +367,10 @@ func FuzzWALReplay(f *testing.F) {
 		f.Add(j)
 		f.Add(j[:len(j)*3/5])
 	}
+	// A journal holding a retired edge partial, whole and cut inside it.
+	j := partialJournal(f)
+	f.Add(j)
+	f.Add(j[:len(j)-5])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rep, err := replayWAL(bytes.NewReader(data))
 		if err == nil && rep == nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -430,6 +431,69 @@ func TestRecoverRefusedLeavesScoreUnchanged(t *testing.T) {
 	}
 }
 
+// encodeEdgePartial builds the frame an edge aggregator of the retired
+// cohort tree posted to the root, which a journal of that time took as it
+// arrived: "D2PA" | u32 t | u32 edge | u32 k | u32 d | k×u32 participant
+// indices | d×f64 sum | k×f64 dots.
+func encodeEdgePartial(t, edge int, indices []int, sum, dots []float64) []byte {
+	b := []byte("D2PA")
+	for _, v := range []int{t, edge, len(indices), len(sum)} {
+		b = le.AppendUint32(b, uint32(v))
+	}
+	for _, i := range indices {
+		b = le.AppendUint32(b, uint32(i))
+	}
+	for _, v := range append(append([]float64(nil), sum...), dots...) {
+		b = le.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+// partialJournal is a journal a tree coordinator left mid-round: round 1 of
+// a 3-participant run is open, participant 2 posted its update to the root,
+// and edge 0's partial covers participants 0 and 1 — record 3.
+func partialJournal(tb testing.TB) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	wl := newWAL(&buf, nil)
+	update, err := CodecV2.EncodeUpdate(1, 2, []float64{0.5, -1, 2, 0.25})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, err := range []error{
+		wl.appendJSON(walRecord{Kind: walKindRunOpen, Protocol: WALProtocol, Instance: 1, N: 3, Epochs: 2, Params: 4}),
+		wl.appendJSON(walRecord{Kind: walKindEpochOpen, T: 1}),
+		wl.Append(update),
+		wl.Append(encodeEdgePartial(1, 0, []int{0, 1}, []float64{1, 2, 3, 4}, []float64{0.5, -0.25})),
+	} {
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestRecoverRefusesEdgePartial: a journal holding an edge partial is
+// refused by Recover, naming the record, and the coordinator's /v1/score is
+// left as it was. Recovering it as a flat round would silently drop the
+// members the edge acknowledged.
+func TestRecoverRefusesEdgePartial(t *testing.T) {
+	c := &Coordinator{N: 3, Cfg: hfl.Config{Epochs: 2},
+		Estimator: core.NewHFLEstimator(3, 4, core.ResourceSaving, nil)}
+	score := func() string {
+		w := serveOnce(c.Handler(), http.MethodGet, "/v1/score", "", nil)
+		return fmt.Sprint(w.Code, " ", w.Body)
+	}
+	before := score()
+	_, err := c.Recover(bytes.NewReader(partialJournal(t)))
+	if err == nil || !strings.Contains(err.Error(), "WAL record 3 ") {
+		t.Errorf("Recover of a journal holding an edge partial returned %v; want an error naming record 3", err)
+	}
+	if after := score(); after != before {
+		t.Errorf("refused Recover changed /v1/score:\nbefore %s\nafter  %s", before, after)
+	}
+}
+
 // TestWALInteractiveRecovery: an Interactive-mode estimator's ΔG-sum
 // recursion is journaled with every close, so a recovered estimator
 // continues bit-identically — φ rows, totals and the recursion itself.
@@ -546,9 +610,6 @@ func journalOfRun(tb testing.TB, mode string) []byte {
 	tb.Helper()
 	const seed = 5
 	n := testN
-	if mode == "tree" {
-		n = treeN
-	}
 	model, parts, val := problemN(seed, n)
 	journal := &bytes.Buffer{}
 	cfg := testConfig()
@@ -560,8 +621,6 @@ func journalOfRun(tb testing.TB, mode string) []byte {
 		c.Quarantine, c.Archive = robust.MustNewQuarantine(robust.Quarantine{}), &bytes.Buffer{}
 	case "streamed":
 		c.Stream = hfl.MeanStream{}
-	case "tree":
-		c.Stream, c.Edges = segStream{2}, 3
 	case "async":
 		ac := asyncPolicy()
 		c.Stream, c.Async = hfl.MeanStream{}, &ac

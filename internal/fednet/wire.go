@@ -2,7 +2,7 @@
 // coordinator/participant pair that runs HFL training and DIG-FL
 // contribution estimation over a real HTTP boundary instead of an
 // in-process loop. The Coordinator serves a versioned wire protocol
-// (join / round / update / partial / score) and drives internal/hfl
+// (join / round / update / score) and drives internal/hfl
 // epochs through the trainer's RoundSource seam; the Participant is the
 // matching client wrapping one local dataset shard.
 //
@@ -73,10 +73,10 @@ type joinReply struct {
 }
 
 // roundReply is the /v1/round long-poll response. On the wire it is JSON
-// only when it carries no vector — an excluded/pending/done/resubmit marker
-// or a header-only open reply; an open round's broadcast travels as a
+// only when it carries no vector — an excluded/pending/done marker or a
+// header-only open reply; an open round's broadcast travels as a
 // digfl-fednet/2 round frame, which the client decodes into this same shape
-// (Theta and ValGrad are filled from frames alone).
+// (Theta is filled from frames alone).
 type roundReply struct {
 	State string    `json:"state"`
 	T     int       `json:"t,omitempty"`
@@ -91,17 +91,6 @@ type roundReply struct {
 	// round. Excluded replies omit Theta. Additive: clients that do not
 	// send ?i= never see it.
 	Excluded bool `json:"excluded,omitempty"`
-	// ValGrad is ∇loss^v(θ_{T-1}), served only when the poll asked for it
-	// (?vg=1) on a streaming round — edge sub-aggregators need it to
-	// compute the per-update validation dot products the estimator consumes
-	// after the poll's round.
-	ValGrad []float64 `json:"-"`
-	// Resubmit asks a participant polling for round T+1 to re-send its
-	// round-T update directly to the root: its edge aggregator died before
-	// folding the cohort partial, so the root never saw the update the
-	// edge acknowledged. Served only on ?i= polls whose slot is unfolded
-	// after the failover grace expires. Additive.
-	Resubmit bool `json:"resubmit,omitempty"`
 	// Quorum is the async commit policy's K: the round commits as soon as
 	// K admissible updates are buffered. Served only on async rounds;
 	// absent (0) means the round is synchronous. Additive.
@@ -289,15 +278,6 @@ func readBodyPooled(body io.Reader, contentLength int64, headroom int) ([]byte, 
 			return nil, fmt.Errorf("fednet: reading body: %w", err)
 		}
 	}
-}
-
-// writeBinary writes a digfl-fednet/2 frame response and recycles the
-// frame buffer.
-func writeBinary(w http.ResponseWriter, frame []byte) {
-	w.Header()["Content-Type"] = binaryContentType
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(frame)
-	tensor.PutBytes(frame)
 }
 
 // writeRoundBroadcast answers a binary round poll from the round's shared

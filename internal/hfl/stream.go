@@ -62,7 +62,7 @@ type StreamAggregator interface {
 
 // MeanStream is the streaming uniform-mean aggregation rule: G_t =
 // (1/m)·Σ δ over the m arrived updates, folded on arrival by one
-// SegmentFold — summed in slot order from a zero accumulator — and scaled
+// segmentFold — summed in slot order from a zero accumulator — and scaled
 // once by 1/m. That is the buffered trainer's order, so MeanStream{} runs
 // are bit-identical to buffered runs.
 type MeanStream struct{}
@@ -106,47 +106,33 @@ func NewReweightedFold(p int, valGrad []float64, class []Admission) Fold {
 	return &meanFold{p: p, k: len(class), valGrad: valGrad, class: class}
 }
 
-// SegmentFold is the accumulator of one segment — a contiguous run of
-// positions: the unscaled sum of the updates added at the segment's positions
-// and, given a validation gradient, their dot products, committed in
-// position order whatever the arrival order. An update that arrives ahead
-// of a predecessor parks until the predecessors commit or Close drains the
-// gaps, so the sum's float bits never depend on network timing. Updates in
-// position order stage up to three at a time and the fourth folds all four
-// in one tensor.DotAdd4 pass (AXPY4 without a validation gradient); Close
-// folds a staged tail of one to three one by one. Either way each update's
-// dot and each coordinate's sum have the bits of one DotAdd per update in
-// position order. MeanStream's fold is one over the whole round; a cohort
-// tree's edge aggregator is one over its edge's segment, and so is the
-// root's reconstruction of a dead edge's segment. The root merges the
-// partials in edge order into a zero total and scales once, so a tree run
-// is bit-identical to any streamed run that folds its segments the same
-// way (TestTreeLoopbackBitIdenticalToFlatAndLocal).
+// segmentFold is the accumulator of a round's slots: the unscaled sum of
+// the updates added and, given a validation gradient, their dot products,
+// committed in slot order whatever the arrival order. An update that arrives
+// ahead of a predecessor parks until the predecessors commit or close drains
+// the gaps, so the sum's float bits never depend on network timing. Updates
+// in slot order stage up to three at a time and the fourth folds all four in
+// one tensor.DotAdd4 pass (AXPY4 without a validation gradient); close folds
+// a staged tail of one to three one by one. Either way each update's dot and
+// each coordinate's sum have the bits of one DotAdd per update in slot order.
 //
-// Callers guarantee what Fold.Add checks: each position at most once, none
-// below the lo the fold was opened at, every delta as long as the
-// accumulator. Not safe for concurrent use.
-type SegmentFold struct {
-	// Release, when non-nil, is handed each delta once it is folded, in
-	// position order (the networked tiers return it to the tensor pool); nil
-	// leaves folded deltas to the caller.
-	Release func([]float64)
-
+// Callers guarantee what Fold.Add checks: each slot at most once, every
+// delta as long as the accumulator. Not safe for concurrent use.
+type segmentFold struct {
 	valGrad []float64
 	sum     []float64
-	next    int   // smallest position not yet staged (assuming no gaps)
-	pos     []int // staged or folded positions, ascending
+	next    int   // smallest slot not yet staged (assuming no gaps)
+	pos     []int // staged or folded slots, ascending
 	dots    []float64
-	staged  [4][]float64 // the updates at pos's last nstaged positions
+	staged  [4][]float64 // the updates at pos's last nstaged slots
 	nstaged int
-	lo      int         // the position parked[0] stands for
-	parked  [][]float64 // out-of-order updates by position − lo; nil where none
+	parked  [][]float64 // out-of-order updates by slot; nil where none
 	nparked int
 
-	// A reweighted fold's admissions, by position − lo (nil: every
-	// position folds), and what its folded updates add: Σ w⁺·δ into wsum
-	// and Σ w⁺ into wtot, in position order, over nfold updates. held
-	// lists the AdmitHeld updates, unsummed.
+	// A reweighted fold's admissions, by slot (nil: every slot folds), and
+	// what its folded updates add: Σ w⁺·δ into wsum and Σ w⁺ into wtot, in
+	// slot order, over nfold updates. held lists the AdmitHeld updates,
+	// unsummed.
 	class []Admission
 	wsum  []float64
 	wtot  float64
@@ -163,36 +149,28 @@ type heldUpdate struct {
 	out   bool
 }
 
-// NewSegmentFold opens a segment whose positions start at lo (a lower
-// bound is enough: positions commit on arrival only while they continue the
-// run from lo, the rest at Close). acc is the zeroed accumulator, one
-// coordinate per model parameter; valGrad may be nil (no dots).
-func NewSegmentFold(lo int, acc, valGrad []float64) *SegmentFold {
-	return &SegmentFold{valGrad: valGrad, sum: acc, next: lo, lo: lo}
-}
-
-// Add folds the update at pos, or parks it behind a missing predecessor.
-func (s *SegmentFold) Add(pos int, delta []float64) {
+// add folds the update at pos, or parks it behind a missing predecessor.
+func (s *segmentFold) add(pos int, delta []float64) {
 	if pos != s.next {
-		if n := pos - s.lo + 1; n > len(s.parked) {
+		if n := pos + 1; n > len(s.parked) {
 			s.parked = append(s.parked, make([][]float64, n-len(s.parked))...)
 		}
-		s.parked[pos-s.lo] = delta
+		s.parked[pos] = delta
 		s.nparked++
 		return
 	}
 	s.stage(pos, delta)
-	for s.next-s.lo < len(s.parked) && s.parked[s.next-s.lo] != nil {
-		d := s.parked[s.next-s.lo]
-		s.parked[s.next-s.lo] = nil
+	for s.next < len(s.parked) && s.parked[s.next] != nil {
+		d := s.parked[s.next]
+		s.parked[s.next] = nil
 		s.nparked--
 		s.stage(s.next, d)
 	}
 }
 
 // stage queues one update behind the staged ones and folds all four in one
-// pass once there are four; callers guarantee position order.
-func (s *SegmentFold) stage(pos int, delta []float64) {
+// pass once there are four; callers guarantee slot order.
+func (s *segmentFold) stage(pos int, delta []float64) {
 	s.pos = append(s.pos, pos)
 	s.next = pos + 1
 	s.staged[s.nstaged] = delta
@@ -209,11 +187,11 @@ func (s *SegmentFold) stage(pos int, delta []float64) {
 	default:
 		tensor.AXPY4(1, 1, 1, 1, x[0], x[1], x[2], x[3], s.sum)
 	}
-	s.release()
+	s.unstage()
 }
 
 // flush folds the one to three staged updates one at a time.
-func (s *SegmentFold) flush() {
+func (s *segmentFold) flush() {
 	if s.class != nil {
 		s.weigh()
 	} else {
@@ -225,26 +203,26 @@ func (s *SegmentFold) flush() {
 			}
 		}
 	}
-	s.release()
+	s.unstage()
 }
 
 // weigh folds a reweighted fold's staged updates, whatever their classes:
 // their dots w (Dot's bits), then wsum += w⁺·δ and wtot += w⁺ over the
-// AdmitFold ones in position order — held and dot-only ones weigh 0 — and
+// AdmitFold ones in slot order — held and dot-only ones weigh 0 — and
 // the held ones onto the held list. The plain sum of the AdmitFold ones is
 // kept only while no folded weight is positive: from then on P cannot be
 // empty, and the uniform fallback that reads it cannot happen. Four updates
 // take a DotAdd4 (or DotRows) pass and an AXPY4 pass; a lane weighing 0
 // joins the AXPY4 when every dot is finite, which makes its delta finite
 // and its 0·δ term add nothing to a sum that starts at +0.
-func (s *SegmentFold) weigh() {
+func (s *segmentFold) weigh() {
 	n, first := s.nstaged, len(s.pos)-s.nstaged
 	x := s.staged[:n]
 	var class [4]Admission
 	var one, c [4]float64
 	folded := 0
 	for k := range x {
-		if class[k] = s.class[s.pos[first+k]-s.lo]; class[k] == AdmitFold {
+		if class[k] = s.class[s.pos[first+k]]; class[k] == AdmitFold {
 			one[k] = 1
 			folded++
 		}
@@ -280,40 +258,34 @@ func (s *SegmentFold) weigh() {
 	s.nfold += folded
 }
 
-// release hands the just-folded staged updates to Release in position order
-// — all but a reweighted fold's held ones, which it still reads — and
-// empties the stage.
-func (s *SegmentFold) release() {
-	first := len(s.pos) - s.nstaged
-	for k, d := range s.staged[:s.nstaged] {
-		if s.Release != nil && (s.class == nil || s.class[s.pos[first+k]-s.lo] != AdmitHeld) {
-			s.Release(d)
-		}
+// unstage empties the stage of the updates just folded (or, for a held
+// one, just listed).
+func (s *segmentFold) unstage() {
+	for k := range s.staged[:s.nstaged] {
 		s.staged[k] = nil
 	}
 	s.nstaged = 0
 }
 
-// Pending reports how many updates the fold holds and has not folded yet:
+// pending reports how many updates the fold holds and has not folded yet:
 // parked awaiting predecessors, or staged awaiting a four-wide pass.
-func (s *SegmentFold) Pending() int { return s.nparked + s.nstaged }
+func (s *segmentFold) pending() int { return s.nparked + s.nstaged }
 
-// has reports whether the update at pos was added. Before Close the staged
-// and folded positions are exactly those from lo below next, and every
-// later one is parked.
-func (s *SegmentFold) has(pos int) bool {
-	k := pos - s.lo
-	return pos < s.next || k < len(s.parked) && s.parked[k] != nil
+// has reports whether the update at pos was added. Before close the staged
+// and folded slots are exactly those below next, and every later one is
+// parked.
+func (s *segmentFold) has(pos int) bool {
+	return pos < s.next || pos < len(s.parked) && s.parked[pos] != nil
 }
 
-// Close folds the updates still parked behind permanent gaps (stragglers
-// that never reported) in position order, then the staged tail, and returns
-// the unscaled sum, the folded positions ascending, and the dot products
-// aligned with them (nil without a validation gradient).
-func (s *SegmentFold) Close() (sum []float64, pos []int, dots []float64) {
+// close folds the updates still parked behind permanent gaps (stragglers
+// that never reported) in slot order, then the staged tail, and returns the
+// unscaled sum, the folded slots ascending, and the dot products aligned
+// with them (nil without a validation gradient).
+func (s *segmentFold) close() (sum []float64, pos []int, dots []float64) {
 	for k, d := range s.parked {
 		if d != nil {
-			s.stage(s.lo+k, d)
+			s.stage(k, d)
 		}
 	}
 	s.parked, s.nparked = nil, 0
@@ -322,14 +294,14 @@ func (s *SegmentFold) Close() (sum []float64, pos []int, dots []float64) {
 }
 
 // meanFold is MeanStream's per-round accumulator: slot validation around
-// one SegmentFold over the round's k slots, opened by the first arrival —
+// one segmentFold over the round's k slots, opened by the first arrival —
 // and NewReweightedFold's, with the slots' admissions. The segment and
 // both results live inside it: a round allocates one fold.
 type meanFold struct {
 	p, k    int
 	valGrad []float64
 	class   []Admission
-	sf      SegmentFold // opened (sum non-nil) by the first arrival
+	sf      segmentFold // opened (sum non-nil) by the first arrival
 	closed  bool
 	res     FoldResult
 	rw      Reweighted
@@ -351,7 +323,7 @@ func (f *meanFold) Add(slot int, delta []float64) error {
 	if f.sf.has(slot) {
 		return fmt.Errorf("hfl: fold slot %d added twice", slot)
 	}
-	if f.sf.Add(slot, delta); f.sf.next == f.k {
+	if f.sf.add(slot, delta); f.sf.next == f.k {
 		f.sf.flush() // every slot is in: nothing can join the stage
 	}
 	return nil
@@ -361,7 +333,7 @@ func (f *meanFold) Add(slot int, delta []float64) error {
 // sized for the k slots. A reweighted fold takes its two accumulators from
 // the tensor pool: Aggregate hands back the one it does not return.
 func (f *meanFold) open() {
-	f.sf = SegmentFold{valGrad: f.valGrad, pos: make([]int, 0, f.k)}
+	f.sf = segmentFold{valGrad: f.valGrad, pos: make([]int, 0, f.k)}
 	if f.valGrad != nil {
 		f.sf.dots = make([]float64, 0, f.k)
 	}
@@ -383,7 +355,7 @@ func (f *meanFold) Close() (*FoldResult, error) {
 	if f.sf.sum == nil {
 		return &f.res, nil
 	}
-	sum, slots, dots := f.sf.Close()
+	sum, slots, dots := f.sf.close()
 	f.res = FoldResult{Slots: slots, Dots: dots}
 	if f.class != nil {
 		sf := &f.sf
@@ -465,4 +437,4 @@ func (r *Reweighted) Aggregate(excluded func(slot int) bool) []float64 {
 // staged — a diagnostic for the out-of-order worst case, and how a caller
 // that recycles buffers knows when every delta it added has been read: when
 // Pending reads 0.
-func (f *meanFold) Pending() int { return f.sf.Pending() }
+func (f *meanFold) Pending() int { return f.sf.pending() }

@@ -252,27 +252,21 @@ func TestRetainDeltasRelease(t *testing.T) {
 	}
 }
 
-// TestSegmentFoldOrderAndRelease: one segment's partial is the same bits —
-// sum, positions and dots — whatever the arrival order, for 0…9 positions
-// (every split into four-wide passes and a tail of 1…3), with and without a
-// gap that falls inside a stage, with and without a validation gradient,
-// whether the fold was opened at the segment's first position (in-order
-// arrivals stage at once) or at a mere lower bound (everything parks until
-// Close, as the root's reconstruction of a dead edge's segment does). It
-// equals the spelled-out Dot + AXPY reference; Pending counts every delta
-// held unfolded, staged or parked; and every delta is released exactly once,
-// in position order.
-func TestSegmentFoldOrderAndRelease(t *testing.T) {
-	const p, first = 9, 2
+// TestMeanFoldOrderAndStaging: a MeanStream fold's result is the same bits —
+// sum, slots and dots — whatever the arrival order, for 0…9 slots (every
+// split into four-wide passes and a tail of 1…3), with and without a gap
+// that falls inside a stage, with and without a validation gradient, whether
+// the slots start at 0 (in-order arrivals stage at once) or behind slots
+// that never arrive (everything parks until Close). It equals the
+// spelled-out Dot + AXPY reference scaled once by 1/m, and Pending counts
+// every delta held unfolded, staged or parked.
+func TestMeanFoldOrderAndStaging(t *testing.T) {
+	const p, first, k = 9, 2, 13
 	deltas := foldDeltas(first+11, p, 6)
-	at := map[*float64]int{} // delta → its position
-	for s, d := range deltas {
-		at[&d[0]] = s
-	}
 	rng := tensor.NewRNG(8)
 	for n := 0; n <= 9; n++ {
 		for _, gap := range []bool{false, true} {
-			present := make([]int, n) // n positions from first; a gap skips first+n/2
+			present := make([]int, n) // n slots from first; a gap skips first+n/2
 			for j := range present {
 				present[j] = first + j
 				if gap && j >= n/2 {
@@ -295,30 +289,46 @@ func TestSegmentFoldOrderAndRelease(t *testing.T) {
 					}
 					tensor.AXPY(1, deltas[s], wantSum)
 				}
+				if n > 0 {
+					tensor.Scale(1/float64(n), wantSum)
+				} else {
+					wantSum = nil
+				}
+				// lo = first shifts the slots down to start at 0, where
+				// in-order arrivals stage at once; lo = 0 leaves slots
+				// 0…first-1 missing, so everything parks until Close.
 				for _, lo := range []int{first, 0} {
+					shift := lo
 					for _, order := range [][]int{present, reversed, shuffled} {
 						name := fmt.Sprintf("n=%d gap=%v dots=%v lo=%d order %v", n, gap, vg != nil, lo, order)
-						var released []int
-						f := NewSegmentFold(lo, make([]float64, p), vg)
-						f.Release = func(d []float64) { released = append(released, at[&d[0]]) }
+						f := MeanStream{}.NewFold(p, k, vg)
 						added := map[int]bool{}
 						for j, s := range order {
-							f.Add(s, deltas[s])
+							if err := f.Add(s-shift, deltas[s]); err != nil {
+								t.Fatal(err)
+							}
 							added[s] = true
-							run := 0 // the positions that continue the run from lo
+							run := 0 // the slots that continue the run from slot 0
 							for lo == first && added[first+run] {
 								run++
 							}
-							if want := j + 1 - run/4*4; f.Pending() != want || len(released) != j+1-want {
-								t.Fatalf("%s: after %d adds %d pending, %d released; want %d pending", name, j+1, f.Pending(), len(released), want)
+							if want := j + 1 - run/4*4; f.(*meanFold).Pending() != want {
+								t.Fatalf("%s: after %d adds %d pending; want %d", name, j+1, f.(*meanFold).Pending(), want)
 							}
 						}
-						sum, pos, dots := f.Close()
-						if !sameVec(sum, wantSum) || !sameVec(dots, wantDots) || (vg == nil && dots != nil) {
-							t.Fatalf("%s: partial differs from the Dot+AXPY reference", name)
+						got, err := f.Close()
+						if err != nil {
+							t.Fatal(err)
 						}
-						if fmt.Sprint(pos) != fmt.Sprint(present) || fmt.Sprint(released) != fmt.Sprint(present) || f.Pending() != 0 {
-							t.Fatalf("%s: positions %v, released %v, %d pending after Close", name, pos, released, f.Pending())
+						if !sameVec(got.Sum, wantSum) || !sameVec(got.Dots, wantDots) || (vg == nil && got.Dots != nil) {
+							t.Fatalf("%s: result differs from the Dot+AXPY reference", name)
+						}
+						slots := make([]int, len(got.Slots))
+						for j, s := range got.Slots {
+							slots[j] = s + shift
+						}
+						if fmt.Sprint(slots) != fmt.Sprint(present) || f.(*meanFold).Pending() != 0 {
+							t.Fatalf("%s: slots %v, %d pending after Close", name, slots, f.(*meanFold).Pending())
 						}
 					}
 				}

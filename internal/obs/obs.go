@@ -103,13 +103,13 @@ const (
 	// size (the rest of the population sits the round out with zero φ).
 	KindSample
 	// KindNetBytesRx counts N request-body bytes received by a wire-protocol
-	// server (coordinator or edge aggregator).
+	// server.
 	KindNetBytesRx
 	// KindNetBytesTx counts N response-body bytes written by a wire-protocol
 	// server. Rx+Tx is the run's bytes-on-wire as the server saw them.
 	KindNetBytesTx
-	// KindCodecV2Frame counts a bulk payload (update, partial, or round
-	// broadcast) carried as a digfl-fednet/2 binary frame.
+	// KindCodecV2Frame counts a bulk payload (update or round broadcast)
+	// carried as a digfl-fednet/2 binary frame.
 	KindCodecV2Frame
 	// KindWALAppend counts one record appended to the coordinator's
 	// write-ahead journal; N is the record's size in bytes (header
@@ -122,10 +122,6 @@ const (
 	// KindRejoin marks participant Part re-joining a restarted coordinator
 	// after a 503 recovering reply or an instance-token change.
 	KindRejoin
-	// KindEdgeFailover marks participant Part falling back to submitting
-	// its round-T update directly to the root after its edge aggregator
-	// died mid-round.
-	KindEdgeFailover
 	// KindAsyncCommit marks asynchronous round T committing its quorum cut;
 	// N is the number of updates in the commit set.
 	KindAsyncCommit
@@ -172,7 +168,6 @@ var kindNames = [numKinds]string{
 	KindWALAppend:        "wal_append",
 	KindRecover:          "recover",
 	KindRejoin:           "rejoin",
-	KindEdgeFailover:     "edge_failover",
 	KindAsyncCommit:      "async_commit",
 	KindStaleFold:        "stale_fold",
 	KindStaleReject:      "stale_reject",

@@ -249,7 +249,7 @@ func TestKindString(t *testing.T) {
 		KindNetBytesRx: "net_bytes_rx", KindNetBytesTx: "net_bytes_tx",
 		KindCodecV2Frame: "codec_v2_frame",
 		KindWALAppend:    "wal_append", KindRecover: "recover",
-		KindRejoin: "rejoin", KindEdgeFailover: "edge_failover",
+		KindRejoin:      "rejoin",
 		KindAsyncCommit: "async_commit", KindStaleFold: "stale_fold",
 		KindStaleReject: "stale_reject",
 	}

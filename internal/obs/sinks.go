@@ -46,16 +46,15 @@ type Snapshot struct {
 	// NetBytesRx and NetBytesTx are the request-body bytes received and
 	// response-body bytes written by wire-protocol servers; their sum is the
 	// run's bytes-on-wire. CodecV2Frames counts bulk payloads (updates,
-	// partials, round broadcasts) carried as digfl-fednet/2 binary frames.
+	// round broadcasts) carried as digfl-fednet/2 binary frames.
 	NetBytesRx, NetBytesTx int64
 	CodecV2Frames          int64
 	// WALAppends and WALBytes count coordinator journal records and their
-	// total size; Recoveries, Rejoins and EdgeFailovers count crash-safety
-	// events: coordinator WAL replays, participant re-joins after a
-	// coordinator restart, and member fallbacks to the root after an edge
-	// died mid-round.
-	WALAppends, WALBytes               int64
-	Recoveries, Rejoins, EdgeFailovers int64
+	// total size; Recoveries and Rejoins count crash-safety events:
+	// coordinator WAL replays and participant re-joins after a coordinator
+	// restart.
+	WALAppends, WALBytes int64
+	Recoveries, Rejoins  int64
 	// AsyncCommits, StaleFolds and StaleRejects count the asynchronous
 	// commit policy's events: epoch quorum cuts, stale updates folded at a
 	// staleness discount, and buffered updates rejected for exceeding the
@@ -104,9 +103,9 @@ func (s Snapshot) String() string {
 		out += fmt.Sprintf(" wire[rx=%dB tx=%dB v2=%d]",
 			s.NetBytesRx, s.NetBytesTx, s.CodecV2Frames)
 	}
-	if s.WALAppends+s.Recoveries+s.Rejoins+s.EdgeFailovers > 0 {
-		out += fmt.Sprintf(" crash[wal=%d (%dB) recover=%d rejoin=%d failover=%d]",
-			s.WALAppends, s.WALBytes, s.Recoveries, s.Rejoins, s.EdgeFailovers)
+	if s.WALAppends+s.Recoveries+s.Rejoins > 0 {
+		out += fmt.Sprintf(" crash[wal=%d (%dB) recover=%d rejoin=%d]",
+			s.WALAppends, s.WALBytes, s.Recoveries, s.Rejoins)
 	}
 	if s.AsyncCommits+s.StaleFolds+s.StaleRejects > 0 {
 		out += fmt.Sprintf(" async[commits=%d folds=%d rejects=%d]",
@@ -136,7 +135,7 @@ type Collector struct {
 	netBytesRx, netBytesTx                                  atomic.Int64
 	codecV2Frames                                           atomic.Int64
 	walAppends, walBytes                                    atomic.Int64
-	recoveries, rejoins, edgeFailovers                      atomic.Int64
+	recoveries, rejoins                                     atomic.Int64
 	asyncCommits, staleFolds, staleRejects                  atomic.Int64
 }
 
@@ -216,8 +215,6 @@ func (c *Collector) Emit(e Event) {
 		c.recoveries.Add(1)
 	case KindRejoin:
 		c.rejoins.Add(1)
-	case KindEdgeFailover:
-		c.edgeFailovers.Add(1)
 	case KindAsyncCommit:
 		c.asyncCommits.Add(1)
 	case KindStaleFold:
@@ -260,7 +257,6 @@ func (c *Collector) Snapshot() Snapshot {
 		WALBytes:         c.walBytes.Load(),
 		Recoveries:       c.recoveries.Load(),
 		Rejoins:          c.rejoins.Load(),
-		EdgeFailovers:    c.edgeFailovers.Load(),
 		AsyncCommits:     c.asyncCommits.Load(),
 		StaleFolds:       c.staleFolds.Load(),
 		StaleRejects:     c.staleRejects.Load(),
