@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test bench loc verify verify-runs verify-faults verify-net verify-adv verify-reweight verify-scale verify-wire verify-crash verify-engines verify-async verify-secure verify-bench bench-workload bench-kernels
+.PHONY: build test bench loc verify verify-fmt verify-runs verify-faults verify-net verify-adv verify-reweight verify-scale verify-wire verify-crash verify-engines verify-async verify-secure verify-bench bench-workload bench-kernels
 
 build:
 	$(GO) build ./...
@@ -27,11 +27,13 @@ loc:
 		{ print; s += $$2; t += $$3 } END { printf "%-32s %8d %8d\n", "total", s, t }'
 
 # verify is the full pre-submit recipe referenced by README.md: vet every
-# package and exercise every concurrent path under the race detector.
+# package, check the formatting and exercise every concurrent path under the
+# race detector.
 # Note: the -race run takes several minutes on small machines; scope it to
 # touched packages while iterating ($(GO) test -race ./internal/<pkg>/).
 verify:
 	$(GO) vet ./...
+	$(MAKE) verify-fmt
 	$(MAKE) verify-runs
 	$(GO) test -race ./...
 	$(MAKE) verify-faults
@@ -82,6 +84,12 @@ check_runs = names=$$($(GO) test -list . $(2) | grep -E '^(Test|Fuzz|Benchmark|E
 verify-runs:
 	@$(foreach g,$(RUN_GATES),$(call check_runs,$($(g)_RUN),$($(g)_PKGS)))
 	@echo "verify-runs: every -run alternative names a test"
+
+# verify-fmt fails when gofmt would reformat any Go file, the benchmark's
+# (bench/, only read) included.
+verify-fmt:
+	@files=$$(gofmt -l . bench) || exit 1; \
+	if [ -n "$$files" ]; then echo "verify-fmt: gofmt -l lists:"; echo "$$files"; exit 1; fi
 
 # verify-bench vets the repository benchmark (bench/, a module of its own
 # that the root module's ./... does not reach) and runs its smoke-scale
@@ -175,8 +183,9 @@ verify-scale:
 # rejection tests (truncated/oversized/NaN binary payloads answer 422, never
 # a panic), the request-shape pin of what the frozen bench/ driver sends, a
 # fuzz smoke pass over the two binary frame decoders and over Handler() on
-# an open streamed round (no panic; a non-2xx reply leaves the round's
-# reporters and the fold untouched; the retired /v1/partial and ?vg=1 among
+# an open streamed, journaled buffered and async round (no panic; a non-2xx
+# reply leaves the round's reporters, what it holds and the journal
+# untouched; a non-finite update, the retired /v1/partial and ?vg=1 among
 # the seeds), the pooled-buffer
 # steady-state allocation test, the bytes+allocs gate (the streamed sampled
 # benchmark over the wire is bit-identical to the in-process trainer, puts
@@ -212,8 +221,8 @@ verify-wire:
 # the loopback bit-identity test (async coordinator over real HTTP vs
 # AsyncLocalSource, 202-buffered and 409-too_stale wire paths exercised),
 # the mid-quorum WAL recovery test (buffered entries grafted back after a
-# crash), the composition-refusal and goroutine-leak tests, and the -exp
-# async acceptance study (at straggler rate 0.4 the async fold reaches the
+# crash), the composition-refusal and goroutine-leak tests, and the async
+# acceptance study (at straggler rate 0.4 the async fold reaches the
 # no-fault loss target while sync-drop does not, fresh path bit-identical
 # to the streamed reference, rerun deterministic). -count=1 defeats the
 # test cache so the gates re-execute.
@@ -251,7 +260,7 @@ verify-secure:
 # the same engine observing the local trainer), the accuracy-vs-cost acceptance
 # test (gtg/dpvs recover the exact ranking at Kendall τ >= 0.9 on fewer
 # utility evaluations than tmc), and the volatility determinism gate
-# (the -exp volatility report rerun bit-identical across 3 seeds).
+# (the volatility study rerun bit-identical across 3 seeds).
 # -count=1 defeats the test cache so the gates re-execute.
 verify-engines:
 	$(GO) vet ./internal/shapley/ ./internal/baselines/ ./internal/experiments/ ./internal/fednet/ ./internal/metrics/

@@ -1,6 +1,5 @@
 // Command digfl-bench regenerates the tables and figures of the DIG-FL
-// paper's evaluation section on the synthetic simulator, and runs the
-// runtime's pass/fail acceptance studies.
+// paper's evaluation section on the synthetic simulator.
 //
 // Usage:
 //
@@ -8,24 +7,19 @@
 //	digfl-bench -exp fig3 -scale 1  # one experiment at full simulator scale
 //	digfl-bench -exp fig6 -csv out  # also write the figure's data as CSV
 //	digfl-bench -exp fig6 -trace t.jsonl  # also record an observability trace
-//	digfl-bench -exp faults -faults dropout=0.4,crash=8  # fault-tolerance check
-//	digfl-bench -exp adversarial -attacks kind=sign_flip,frac=0.3  # defense check
 //	digfl-bench -list               # list experiment ids
 //
 // With -trace, every training run and estimator pass streams typed events
 // (epochs, local updates, aggregations, Paillier operations) to the named
 // JSONL file, and a counter snapshot is printed after each experiment.
 //
-// The paper's ids map one-to-one to its artifacts (fig2/table2, fig4/table4
+// The ids map one-to-one to the paper's artifacts (fig2/table2, fig4/table4
 // and fig5/table5 are aliases for the runners that produce both); the cost
-// columns of Fig. 3c-d and Tables IV-V are theirs and stay. The other ids
-// (-list marks them) are acceptance gates for the runtime around the paper
-// — bit-identity against a reference, closed-form byte counts, an
-// allocation ceiling, epochs-to-target, rank agreement and utility-
-// evaluation counts — and -exp all includes none of them. They print no
-// latency or throughput: timings live in bench/ (BENCHMARK.json, run by
-// `bash bench/run.sh`), which measures them over repeated, reference-checked,
-// environment-stamped runs.
+// columns of Fig. 3c-d and Tables IV-V are theirs and stay. The runtime's
+// acceptance studies are internal/experiments tests, run by the make
+// verify-* gates. This command prints no latency or throughput: timings live
+// in bench/ (BENCHMARK.json, run by `bash bench/run.sh`), which measures them
+// over repeated, reference-checked, environment-stamped runs.
 package main
 
 import (
@@ -42,14 +36,11 @@ import (
 	"digfl/internal/obs"
 )
 
-// experiment is one row of the CLI's table. paper marks the rows -exp all
-// runs: the paper's artifacts only, so adding a runtime study never
-// perturbs that output.
+// experiment is one row of the CLI's table: one artifact of the paper.
 type experiment struct {
-	ids   []string
-	desc  string
-	paper bool
-	run   func(o experiments.Opts) []experiments.Report
+	ids  []string
+	desc string
+	run  func(o experiments.Opts) []experiments.Report
 }
 
 // one adapts a single-report runner to the table's signature.
@@ -57,45 +48,28 @@ func one[R experiments.Report](f func(experiments.Opts) R) func(experiments.Opts
 	return func(o experiments.Opts) []experiments.Report { return []experiments.Report{f(o)} }
 }
 
-// table lists every experiment; the two specs parameterize the studies that
-// take one (-faults, -attacks).
-func table(fs experiments.FaultSpec, as experiments.AdvSpec) []experiment {
+// table lists every experiment, in the order -exp all runs them.
+func table() []experiment {
 	return []experiment{
-		{[]string{"fig2", "table2"}, "second-term ablation: per-epoch phi vs phi-hat, 14 datasets", true,
+		{[]string{"fig2", "table2"}, "second-term ablation: per-epoch phi vs phi-hat, 14 datasets",
 			one(experiments.SecondTerm)},
-		{[]string{"fig3"}, "HFL: DIG-FL vs actual Shapley (PCC + cost)", true,
+		{[]string{"fig3"}, "HFL: DIG-FL vs actual Shapley (PCC + cost)",
 			one(experiments.HFLvsActual)},
-		{[]string{"table3"}, "VFL: DIG-FL vs actual Shapley on 10 tabular datasets", true,
+		{[]string{"table3"}, "VFL: DIG-FL vs actual Shapley on 10 tabular datasets",
 			one(experiments.VFLvsActual)},
-		{[]string{"fig4", "table4"}, "HFL comparison: DIG-FL vs TMC / GT / MR / IM", true,
+		{[]string{"fig4", "table4"}, "HFL comparison: DIG-FL vs TMC / GT / MR / IM",
 			one(experiments.HFLComparison)},
-		{[]string{"fig5", "table5"}, "VFL comparison: DIG-FL vs TMC / GT", true,
+		{[]string{"fig5", "table5"}, "VFL comparison: DIG-FL vs TMC / GT",
 			one(experiments.VFLComparison)},
-		{[]string{"fig6"}, "per-epoch estimated vs actual Shapley (HFL)", true,
+		{[]string{"fig6"}, "per-epoch estimated vs actual Shapley (HFL)",
 			one(experiments.PerEpoch)},
-		{[]string{"fig7"}, "reweight mechanism: accuracy vs m and convergence curves", true,
+		{[]string{"fig7"}, "reweight mechanism: accuracy vs m and convergence curves",
 			func(o experiments.Opts) []experiments.Report {
 				return []experiments.Report{
 					experiments.Reweight("CIFAR10", experiments.NonIID, o),
 					experiments.Reweight("MOTOR", experiments.Mislabeled, o),
 				}
 			}},
-		{[]string{"faults"}, "fault tolerance: dropout/straggler/crash+resume, secure retry", false,
-			one(func(o experiments.Opts) *experiments.FaultTolResult { return experiments.FaultTolerance(fs, o) })},
-		{[]string{"net"}, "networked runtime: loopback HTTP run vs in-process trainer", false,
-			one(experiments.Net)},
-		{[]string{"adversarial"}, "adversarial defense: attacks vs screening+quarantine", false,
-			one(func(o experiments.Opts) *experiments.AdvResult { return experiments.Adversarial(as, o) })},
-		{[]string{"wire"}, "binary wire: closed-form bytes, alloc ceiling, bit-identity vs in-process", false,
-			one(experiments.Wire)},
-		{[]string{"chaos"}, "chaos harness: coordinator kills + WAL recovery, buffered and async", false,
-			one(experiments.Chaos)},
-		{[]string{"engines"}, "contribution engines: rank accuracy vs utility-eval cost", false,
-			one(experiments.EngineMatrix)},
-		{[]string{"volatility"}, "contribution engines: rank stability across sampling seeds", false,
-			one(experiments.Volatility)},
-		{[]string{"async"}, "async federation: sync-drop vs staleness-discounted fold", false,
-			one(experiments.Async)},
 	}
 }
 
@@ -116,8 +90,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	seed := fs.Int64("seed", 42, "random seed")
 	csvDir := fs.String("csv", "", "also write each table/figure's data as CSV into this directory")
 	trace := fs.String("trace", "", "write an observability trace (JSONL) to this file and print counter snapshots")
-	faultsSpec := fs.String("faults", "", "fault spec for -exp faults, comma-separated key=value (seed, dropout, straggler, delay, crash, secure, every, retries)")
-	attacksSpec := fs.String("attacks", "", "attack spec for -exp adversarial, comma-separated key=value (seed, kind, frac, n, scale, noise, rate, flip, clip, patience)")
 	list := fs.Bool("list", false, "list experiment ids and exit")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -128,34 +100,23 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if fs.NArg() > 0 {
 		return fail(2, "unexpected argument %q: experiments are selected with -exp", fs.Arg(0))
 	}
-	spec, err := experiments.ParseFaultSpec(*faultsSpec)
-	if err != nil {
-		return fail(2, "%v", err)
-	}
-	advSpec, err := experiments.ParseAdvSpec(*attacksSpec)
-	if err != nil {
-		return fail(2, "%v", err)
-	}
-	exps := table(spec, advSpec)
+	exps := table()
 	if *list {
 		for _, e := range exps {
-			desc := e.desc
-			if !e.paper {
-				desc += " (not in 'all')"
-			}
-			fmt.Fprintf(stdout, "%-14s %s\n", strings.Join(e.ids, "/"), desc)
+			fmt.Fprintf(stdout, "%-14s %s\n", strings.Join(e.ids, "/"), e.desc)
 		}
 		return 0
 	}
 	o := experiments.Opts{Scale: *scale, Seed: *seed}
-	if o.Scale <= 0 || o.Scale > 1 {
+	// Written so that NaN fails.
+	if !(0 < o.Scale && o.Scale <= 1) {
 		return fail(2, "-scale must be in (0,1], got %v", o.Scale)
 	}
 	var picked []experiment
 	var known []string
 	for _, e := range exps {
 		known = append(known, e.ids...)
-		if (*exp == "all" && e.paper) || slices.Contains(e.ids, *exp) {
+		if *exp == "all" || slices.Contains(e.ids, *exp) {
 			picked = append(picked, e)
 		}
 	}

@@ -4,28 +4,24 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"digfl/internal/experiments"
 )
 
-// TestTable pins the experiment table: no id names two rows, and the rows
-// -exp all runs are exactly the paper's seven artifacts.
+// TestTable pins the experiment table: exactly the paper's seven artifacts,
+// in the order -exp all runs them, no id naming two rows.
 func TestTable(t *testing.T) {
 	seen := map[string]bool{}
-	var paper []string
-	for _, e := range table(experiments.FaultSpec{}, experiments.AdvSpec{}) {
+	var rows []string
+	for _, e := range table() {
 		for _, id := range e.ids {
 			if seen[id] || id == "all" {
 				t.Errorf("id %q is taken", id)
 			}
 			seen[id] = true
 		}
-		if e.paper {
-			paper = append(paper, strings.Join(e.ids, "/"))
-		}
+		rows = append(rows, strings.Join(e.ids, "/"))
 	}
-	if got, want := strings.Join(paper, " "), "fig2/table2 fig3 table3 fig4/table4 fig5/table5 fig6 fig7"; got != want {
-		t.Errorf("-exp all runs %q, want %q", got, want)
+	if got, want := strings.Join(rows, " "), "fig2/table2 fig3 table3 fig4/table4 fig5/table5 fig6 fig7"; got != want {
+		t.Errorf("table has rows %q, want %q", got, want)
 	}
 }
 
@@ -35,7 +31,7 @@ func TestListPrintsEveryRow(t *testing.T) {
 		t.Fatalf("-list exited %d, stderr %q", code, errs.String())
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	rows := table(experiments.FaultSpec{}, experiments.AdvSpec{})
+	rows := table()
 	if len(lines) != len(rows) {
 		t.Fatalf("-list printed %d lines for %d rows", len(lines), len(rows))
 	}
@@ -47,15 +43,19 @@ func TestListPrintsEveryRow(t *testing.T) {
 }
 
 // TestUsageErrors: every malformed invocation is refused with exit code 2
-// and a message before any experiment runs — the removed -json and -load
-// flags and a forgotten -exp among them.
+// and a message before any experiment runs — the removed -json, -load,
+// -faults and -attacks flags, the removed runtime-study ids, a NaN scale and
+// a forgotten -exp among them.
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-exp", "load"},
+		{"-exp", "chaos"},
+		{"-exp", "faults"},
 		{"-exp", "nope"},
 		{"fig3"},
 		{"-exp", "fig6", "extra"},
 		{"-exp", "fig6", "-scale", "0"},
+		{"-exp", "fig6", "-scale", "NaN"},
 		{"-json", "x"},
 		{"-load", "clients=1"},
 		{"-faults", "bogus=1"},

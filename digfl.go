@@ -24,7 +24,7 @@
 //	internal/faults      deterministic fault injection
 //	internal/logio       training-log and checkpoint persistence
 //	internal/obs         Runtime: worker budget and observability sinks
-//	internal/experiments one runner per paper table/figure and runtime study
+//	internal/experiments one runner per paper table/figure; the runtime studies are its tests
 //
 // A minimal HFL session:
 //

@@ -3,18 +3,14 @@
 // substitutes described in DESIGN.md. Each runner produces a typed result
 // plus a formatted text rendering that mirrors the rows/series the paper
 // reports; the root-level benchmarks and the digfl-bench CLI are thin
-// wrappers around these functions.
+// wrappers around these functions. The runtime's acceptance studies are
+// this package's tests, on the same federations (newFederation).
 package experiments
 
 import (
 	"fmt"
 	"io"
-	"reflect"
-	"strconv"
-	"strings"
-	"time"
 
-	"digfl/internal/core"
 	"digfl/internal/dataset"
 	"digfl/internal/hfl"
 	"digfl/internal/nn"
@@ -44,41 +40,6 @@ type Report interface {
 	CSVer
 }
 
-// overlaySpec walks a comma-separated key=value CLI spec, parsing each value
-// into the field its key names: fields maps a key to a pointer (*int, *int64,
-// *float64, *time.Duration) or to a func(string) error that stores the value
-// itself. An empty spec changes nothing.
-func overlaySpec(flag, s string, fields map[string]any) error {
-	if strings.TrimSpace(s) == "" {
-		return nil
-	}
-	for _, kv := range strings.Split(s, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return fmt.Errorf("%s spec: %q is not key=value", flag, kv)
-		}
-		var err error
-		switch p := fields[k].(type) {
-		case *int:
-			*p, err = strconv.Atoi(v)
-		case *int64:
-			*p, err = strconv.ParseInt(v, 10, 64)
-		case *float64:
-			*p, err = strconv.ParseFloat(v, 64)
-		case *time.Duration:
-			*p, err = time.ParseDuration(v)
-		case func(string) error:
-			err = p(v)
-		default:
-			return fmt.Errorf("%s spec: unknown key %q", flag, k)
-		}
-		if err != nil {
-			return fmt.Errorf("%s spec: %s: %v", flag, k, err)
-		}
-	}
-	return nil
-}
-
 // DefaultOpts is the full-scale configuration used by the CLI.
 func DefaultOpts() Opts { return Opts{Scale: 1, Seed: 42} }
 
@@ -86,7 +47,8 @@ func DefaultOpts() Opts { return Opts{Scale: 1, Seed: 42} }
 func QuickOpts() Opts { return Opts{Scale: 0.25, Seed: 42} }
 
 func (o Opts) validate() {
-	if o.Scale <= 0 || o.Scale > 1 {
+	// Written so that NaN fails.
+	if !(0 < o.Scale && o.Scale <= 1) {
 		panic(fmt.Sprintf("experiments: Scale must be in (0,1], got %v", o.Scale))
 	}
 }
@@ -233,28 +195,9 @@ func newFederation(s HFLSetting) *federation {
 	return &federation{model: nn.NewSoftmaxRegression(train.Dim(), train.Classes), parts: parts, val: val}
 }
 
-// iidFederation is the clean IID federation the runtime studies share: n
-// participants on the MNIST stand-in.
-func iidFederation(n, samples int, seed int64) *federation {
-	return newFederation(HFLSetting{Dataset: "MNIST", N: n, Samples: samples, Seed: seed})
-}
-
 // trainer is the in-process trainer over the federation's shards.
 func (f *federation) trainer(cfg hfl.Config) *hfl.Trainer {
 	return &hfl.Trainer{Model: f.model, Parts: f.parts, Val: f.val, Cfg: cfg}
-}
-
-// estimator returns a fresh resource-saving DIG-FL estimator sized for the
-// federation — the one every study attaches.
-func (f *federation) estimator() *core.HFLEstimator {
-	return core.NewHFLEstimator(len(f.parts), f.model.NumParams(), core.ResourceSaving, nil)
-}
-
-// observed attaches a fresh estimator to tr as its Observer and returns both.
-func (f *federation) observed(tr *hfl.Trainer) (*hfl.Trainer, *core.HFLEstimator) {
-	est := f.estimator()
-	tr.Observer = func(ep *hfl.Epoch) { est.Observe(ep) }
-	return tr, est
 }
 
 // BuildHFL materializes an HFLSetting into a ready-to-run trainer: its
@@ -263,37 +206,6 @@ func (f *federation) observed(tr *hfl.Trainer) (*hfl.Trainer, *core.HFLEstimator
 func BuildHFL(s HFLSetting) *hfl.Trainer {
 	return newFederation(s).trainer(hfl.Config{Epochs: s.Epochs, LR: s.LR, LocalSteps: s.LocalSteps,
 		KeepLog: true, Runtime: obs.Runtime{Sink: s.Sink}})
-}
-
-// sameRun reports whether two runs match bit for bit: model parameters,
-// validation-loss curve, and every further (got, want) pair — estimator
-// states, φ totals, archive bytes.
-func sameRun(a, b *hfl.Result, pairs ...any) bool {
-	same := reflect.DeepEqual(a.Model.Params(), b.Model.Params()) &&
-		reflect.DeepEqual(a.ValLossCurve, b.ValLossCurve)
-	for i := 0; i+1 < len(pairs); i += 2 {
-		same = same && reflect.DeepEqual(pairs[i], pairs[i+1])
-	}
-	return same
-}
-
-// metricTable renders a study summary as the metric,value CSV table named
-// stem: the (name, value) pairs in order, then one phi_i row per attribution
-// total.
-func metricTable(stem string, totals []float64, pairs ...any) map[string][][]string {
-	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	rows := [][]string{{"metric", "value"}}
-	for i := 0; i+1 < len(pairs); i += 2 {
-		v := pairs[i+1]
-		if x, ok := v.(float64); ok {
-			v = g(x)
-		}
-		rows = append(rows, []string{pairs[i].(string), fmt.Sprint(v)})
-	}
-	for i, v := range totals {
-		rows = append(rows, []string{fmt.Sprintf("phi_%d", i), g(v)})
-	}
-	return map[string][][]string{stem: rows}
 }
 
 // hflCommFloats models the communication of HFL contribution methods in

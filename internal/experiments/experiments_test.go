@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -219,7 +220,7 @@ func TestReweightShape(t *testing.T) {
 }
 
 func TestOptsValidation(t *testing.T) {
-	for i, o := range []Opts{{Scale: 0}, {Scale: 1.5}} {
+	for i, o := range []Opts{{Scale: 0}, {Scale: 1.5}, {Scale: math.NaN()}} {
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -64,7 +64,7 @@ type Config struct {
 	// than transient hiccups. Under a synchronous deadline a sticky
 	// straggler's shard never reaches the model; under the async commit
 	// policy it keeps contributing at a staleness discount — the contrast
-	// the -exp async experiment measures. Only Lag consults it.
+	// experiments' TestAsyncStudyGates measures. Only Lag consults it.
 	StickyStragglers bool
 }
 

@@ -75,7 +75,9 @@ func sameVec(a, b []float64) bool {
 // TestLoopbackBitIdenticalToLocal is the tentpole acceptance test: a
 // fault-free loopback run over real HTTP must reproduce the in-process
 // trainer's model, loss curve, training-log archive, and per-participant
-// contributions φ bit for bit, across seeds.
+// contributions φ bit for bit, across seeds — with an observability sink
+// attached, whose wire counters must show one round per epoch and no
+// timeout.
 func TestLoopbackBitIdenticalToLocal(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		seed := seed
@@ -86,8 +88,11 @@ func TestLoopbackBitIdenticalToLocal(t *testing.T) {
 			model, parts, val := problem(seed)
 			est := core.NewHFLEstimator(testN, model.NumParams(), core.ResourceSaving, nil)
 			var archive bytes.Buffer
+			col := &obs.Collector{}
+			cfg := testConfig()
+			cfg.Runtime.Sink = col
 			coord := &Coordinator{
-				N: testN, Model: model, Val: val, Cfg: testConfig(),
+				N: testN, Model: model, Val: val, Cfg: cfg,
 				Estimator: est, Archive: &archive,
 			}
 			got, perrs, err := Loopback(context.Background(), coord, func(i int) *Participant {
@@ -140,6 +145,12 @@ func TestLoopbackBitIdenticalToLocal(t *testing.T) {
 			}
 			if !bytes.Equal(wantArchive.Bytes(), archive.Bytes()) {
 				t.Error("streamed archive differs from batch archive of the local log")
+			}
+			// The wire counters: one round per epoch, requests counted, no
+			// timeout on a fault-free run.
+			if snap := col.Snapshot(); snap.NetRounds != testEpochs || snap.NetRequests == 0 || snap.NetTimeouts != 0 {
+				t.Errorf("wire counters: %d rounds for %d epochs, %d requests, %d timeouts",
+					snap.NetRounds, testEpochs, snap.NetRequests, snap.NetTimeouts)
 			}
 		})
 	}
