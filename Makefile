@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test bench loc verify verify-fmt verify-runs verify-faults verify-net verify-adv verify-reweight verify-scale verify-wire verify-crash verify-engines verify-async verify-secure verify-bench bench-workload bench-kernels
+.PHONY: build test bench loc verify verify-fmt verify-runs verify-faults verify-net verify-adv verify-reweight verify-scale verify-wire verify-crash verify-engines verify-async verify-secure verify-hvp verify-bench bench-workload bench-kernels
 
 build:
 	$(GO) build ./...
@@ -46,6 +46,7 @@ verify:
 	$(MAKE) verify-engines
 	$(MAKE) verify-async
 	$(MAKE) verify-secure
+	$(MAKE) verify-hvp
 	$(MAKE) verify-bench
 
 # The -run regex and packages of each verify-* gate below. verify-runs
@@ -72,7 +73,9 @@ ADV_RUN = Adversar|Tamper|Quarantine|Reweight|PluginShape|Screen|Krum|NormBound|
 ADV_PKGS = ./internal/adversary/ ./internal/robust/ ./internal/core/ ./internal/hfl/ ./internal/vfl/ ./internal/fednet/ ./internal/experiments/ ./internal/tensor/
 REWEIGHT_RUN = TestReweighted|TestBannedAtCloseAddsNothing|TestStreamedReweight|TestStreamedQuarantine|TestCompositionStreamedIsOnePredicate|TestAdversarialEfficacyGate
 REWEIGHT_PKGS = ./internal/hfl/ ./internal/robust/ ./internal/fednet/ ./internal/experiments/
-RUN_GATES = FAULTS NET SCALE WIRE ASYNC SECURE ENGINES CRASH ADV REWEIGHT
+HVP_RUN = TestHVPMatchesExplicitHessian|TestHVPMatchesFDOracle|TestHVPSymmetric|TestHVPSharedModelReadOnly|TestSoftmaxHVPAllocs|TestClassLabelsChecked|TestProvidersUseExactHVP|TestLocalHVPConcurrentUse
+HVP_PKGS = ./internal/nn/ ./internal/core/
+RUN_GATES = FAULTS NET SCALE WIRE ASYNC SECURE ENGINES CRASH ADV REWEIGHT HVP
 
 # check_runs is the shell that fails when an alternative of the -run regex
 # $(1) names nothing in packages $(2).
@@ -309,6 +312,17 @@ verify-adv:
 	$(GO) vet ./internal/adversary/ ./internal/robust/ ./internal/tensor/
 	$(GO) test -count=1 -run '$(ADV_RUN)' $(ADV_PKGS)
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzAXPYRows -fuzztime 5s ./internal/tensor/
+
+# verify-hvp runs the gate of the exact Hessian-vector products Algorithm 1
+# consumes, under the race detector: the softmax closed form and the MLP and
+# CNN R-operator passes against an explicit Hessian from central differences
+# of Grad and against the finite-difference oracle, symmetry uᵀ(Hv) =
+# vᵀ(Hu), eight goroutines on one shared model leaving its parameters
+# bit-unchanged, the softmax product's one allocation, the class-label
+# check, and core's LocalHVP / TrainHVP handing back the model's own product
+# from concurrent calls. -count=1 defeats the test cache.
+verify-hvp:
+	$(GO) test -race -count=1 -run '$(HVP_RUN)' $(HVP_PKGS)
 
 # verify-reweight runs the gate of the quarantine as a fold admission, under
 # the race detector: the canonical reweighted form against the r form

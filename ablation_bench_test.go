@@ -2,8 +2,7 @@ package digfl_test
 
 // Ablation benchmarks for the design choices DESIGN.md calls out: local
 // training depth (client drift vs estimate quality), TMC truncation, the
-// GT sampling budget, exact-vs-finite-difference HVPs, and Paillier key
-// size. These are not paper artifacts; they justify the defaults the
+// GT sampling budget, the exact HVP's cost, and Paillier key size. These are not paper artifacts; they justify the defaults the
 // reproduction uses.
 
 import (
@@ -87,8 +86,9 @@ func BenchmarkAblationGTBudget(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationHVP times the exact logistic-regression HVP against the
-// generic finite-difference fallback that non-convex models use.
+// BenchmarkAblationHVP times the exact logistic-regression HVP. Every model's
+// product is exact; internal/nn's BenchmarkHVP times each against the
+// finite-difference oracle its tests keep.
 func BenchmarkAblationHVP(b *testing.B) {
 	rng := tensor.NewRNG(3)
 	full := dataset.SynthTabular(dataset.TabularConfig{
@@ -101,11 +101,6 @@ func BenchmarkAblationHVP(b *testing.B) {
 	b.Run("exact", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			model.HVP(full.X, full.Y, v)
-		}
-	})
-	b.Run("finite-diff", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			nn.FDHVP(model, full.X, full.Y, v)
 		}
 	})
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // benchLog captures a training log heavy enough that the interactive HVP
-// loop dominates estimator time: 8 participants, an MLP whose HVP falls back
-// to the central finite difference (two full gradient evaluations per call).
+// loop dominates estimator time: 8 participants, an MLP whose HVP is a
+// forward and a backward R-operator pass per row.
 func benchLog(b *testing.B) ([]*hfl.Epoch, []dataset.Dataset, nn.Model) {
 	b.Helper()
 	rng := tensor.NewRNG(95)

@@ -13,7 +13,7 @@ import (
 
 // The paper's HFL models are CNNs; this end-to-end test runs the actual CNN
 // (conv + pool + dense with hand-derived gradients) through federated
-// training, DIG-FL estimation with the finite-difference HVP, and the exact
+// training, DIG-FL estimation with the CNN's R-operator HVP, and the exact
 // Shapley ground truth.
 func TestCNNFederationEndToEnd(t *testing.T) {
 	if testing.Short() {
@@ -46,7 +46,7 @@ func TestCNNFederationEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Interactive mode exercises the FD-HVP path on a non-convex model. The
+	// Interactive mode exercises the exact HVP of a non-convex model. The
 	// second-order correction is sizeable at this learning rate, so the
 	// variants agree on ranking rather than value.
 	in := EstimateHFL(res.Log, 4, Interactive, LocalHVP(tr.Model, parts))

@@ -19,11 +19,10 @@ import (
 type HVPProvider func(theta []float64, participant int, v []float64) []float64
 
 // LocalHVP builds an HVPProvider from a model prototype and the
-// participants' datasets, using the exact Hessian when the model implements
-// nn.HVPer and a central finite difference otherwise. The provider is safe
-// for concurrent use: each in-flight call works on its own clone of the
-// prototype (recycled through a pool), so concurrent HVP requests never
-// share mutable model state.
+// participants' datasets, using the model's exact Hessian-vector product
+// (Model.HVP). The provider is safe for concurrent use: each in-flight call
+// sets θ on its own clone of the prototype (recycled through a pool), and
+// the product only reads it.
 func LocalHVP(model nn.Model, parts []dataset.Dataset) HVPProvider {
 	pool := sync.Pool{New: func() any { return model.Clone() }}
 	return func(theta []float64, participant int, v []float64) []float64 {
@@ -31,7 +30,7 @@ func LocalHVP(model nn.Model, parts []dataset.Dataset) HVPProvider {
 		defer pool.Put(m)
 		m.SetParams(theta)
 		p := parts[participant]
-		return nn.HVP(m, p.X, p.Y, v)
+		return m.HVP(p.X, p.Y, v)
 	}
 }
 

@@ -67,6 +67,33 @@ func TestLocalHVPConcurrentUse(t *testing.T) {
 	}
 }
 
+// LocalHVP and TrainHVP hand back the model's own exact product at θ, bit
+// for bit, for the softmax, the MLP and the CNN alike, and leave the
+// prototype they clone as it was.
+func TestProvidersUseExactHVP(t *testing.T) {
+	parts, _, softmax := parSetup(t, 3, 72)
+	d, c := parts[0].Dim(), softmax.(*nn.SoftmaxRegression).Classes()
+	rng := tensor.NewRNG(72)
+	for _, model := range []nn.Model{softmax, nn.NewMLP(d, 6, c, rng.Split(1)), nn.NewCNN(8, 3, 2, c, rng.Split(2))} {
+		before := tensor.Clone(model.Params())
+		theta := rng.NormalVec(model.NumParams(), 0, 0.3)
+		v := rng.NormalVec(model.NumParams(), 0, 1)
+		at := model.Clone()
+		at.SetParams(theta)
+		for i, p := range parts {
+			if got, want := LocalHVP(model, parts)(theta, i, v), at.HVP(p.X, p.Y, v); !bitsEqual(got, want) {
+				t.Fatalf("%T: LocalHVP for participant %d is not the model's HVP at θ", model, i)
+			}
+		}
+		if got, want := TrainHVP(model, parts[0])(theta, v), at.HVP(parts[0].X, parts[0].Y, v); !bitsEqual(got, want) {
+			t.Fatalf("%T: TrainHVP is not the model's HVP at θ", model)
+		}
+		if !bitsEqual(model.Params(), before) {
+			t.Fatalf("%T: a provider wrote to its prototype", model)
+		}
+	}
+}
+
 // A coalition (RunSubset) run observed through ObserveMapped must attribute
 // to the right global participants and leave absent participants at zero.
 func TestObserveMappedCoalition(t *testing.T) {

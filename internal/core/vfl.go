@@ -19,17 +19,17 @@ import (
 type FullHVP func(theta []float64, v []float64) []float64
 
 // TrainHVP builds a FullHVP from a model prototype and the (plaintext)
-// training data. The provider is safe for concurrent use: each in-flight
-// call works on its own clone of the prototype (recycled through a pool),
-// mirroring LocalHVP, so the VFL estimator's parallel block loop can share
-// it.
+// training data, using the model's exact Hessian-vector product (Model.HVP).
+// The provider is safe for concurrent use: each in-flight call sets θ on its
+// own clone of the prototype (recycled through a pool), mirroring LocalHVP,
+// so the VFL estimator's parallel block loop can share it.
 func TrainHVP(model nn.Model, train dataset.Dataset) FullHVP {
 	pool := sync.Pool{New: func() any { return model.Clone() }}
 	return func(theta []float64, v []float64) []float64 {
 		m := pool.Get().(nn.Model)
 		defer pool.Put(m)
 		m.SetParams(theta)
-		return nn.HVP(m, train.X, train.Y, v)
+		return m.HVP(train.X, train.Y, v)
 	}
 }
 

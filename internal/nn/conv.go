@@ -69,8 +69,10 @@ func (m *CNN) Clone() Model {
 	return &c
 }
 
-func (m *CNN) slices() (filters, fb, w, b []float64) {
-	p := m.params
+func (m *CNN) slices() (filters, fb, w, b []float64) { return m.split(m.params) }
+
+// split cuts any vector laid out like the parameters into its four blocks.
+func (m *CNN) split(p []float64) (filters, fb, w, b []float64) {
 	fk := m.f * m.k * m.k
 	filters = p[:fk]
 	fb = p[fk : fk+m.f]
@@ -96,6 +98,20 @@ func (m *CNN) newState() *fwdState {
 	}
 }
 
+// convAt is one filter's pre-ReLU output at conv cell (r, c): its k×k
+// kernel ker dotted with the input patch there, plus the bias b.
+func (m *CNN) convAt(ker []float64, b float64, x []float64, r, c int) float64 {
+	s := b
+	for kr := 0; kr < m.k; kr++ {
+		xrow := x[(r+kr)*m.side+c:]
+		krow := ker[kr*m.k:]
+		for kc := 0; kc < m.k; kc++ {
+			s += krow[kc] * xrow[kc]
+		}
+	}
+	return s
+}
+
 // forward runs one sample through the network, filling st.
 func (m *CNN) forward(x []float64, st *fwdState) {
 	filters, fb, w, b := m.slices()
@@ -105,15 +121,7 @@ func (m *CNN) forward(x []float64, st *fwdState) {
 		out := st.conv[fi*co*co : (fi+1)*co*co]
 		for r := 0; r < co; r++ {
 			for cIdx := 0; cIdx < co; cIdx++ {
-				s := fb[fi]
-				for kr := 0; kr < m.k; kr++ {
-					xrow := x[(r+kr)*m.side+cIdx:]
-					krow := ker[kr*m.k:]
-					for kc := 0; kc < m.k; kc++ {
-						s += krow[kc] * xrow[kc]
-					}
-				}
-				out[r*co+cIdx] = s
+				out[r*co+cIdx] = m.convAt(ker, fb[fi], x, r, cIdx)
 			}
 		}
 	}
@@ -145,7 +153,7 @@ func (m *CNN) forward(x []float64, st *fwdState) {
 
 // Loss implements Model.
 func (m *CNN) Loss(X *tensor.Matrix, y []float64) float64 {
-	checkBatch(X, y, m.side*m.side)
+	checkClasses(X, y, m.side*m.side, m.c)
 	st := m.newState()
 	var s float64
 	for i := 0; i < X.Rows; i++ {
@@ -157,19 +165,14 @@ func (m *CNN) Loss(X *tensor.Matrix, y []float64) float64 {
 
 // Grad implements Model.
 func (m *CNN) Grad(X *tensor.Matrix, y []float64) []float64 {
-	checkBatch(X, y, m.side*m.side)
+	checkClasses(X, y, m.side*m.side, m.c)
 	_, _, w, _ := m.slices()
 	g := make([]float64, m.NumParams())
-	fk := m.f * m.k * m.k
-	gFilters := g[:fk]
-	gfb := g[fk : fk+m.f]
-	gw := g[fk+m.f : fk+m.f+m.c*m.flat]
-	gb := g[fk+m.f+m.c*m.flat:]
+	gFilters, gfb, gw, gb := m.split(g)
 
 	st := m.newState()
 	dz := make([]float64, m.c)
 	dPooled := make([]float64, m.flat)
-	co := m.convOut
 	for i := 0; i < X.Rows; i++ {
 		x := X.Row(i)
 		m.forward(x, st)
@@ -186,30 +189,74 @@ func (m *CNN) Grad(X *tensor.Matrix, y []float64) []float64 {
 			gb[k] += dz[k]
 			tensor.AXPY(dz[k], w[k*m.flat:(k+1)*m.flat], dPooled)
 		}
-		// Route pooled gradients back to the winning conv cells, then to the
-		// filter weights (the winning cell at conv index idx corresponds to
-		// input patch starting at (idx/co, idx%co) within filter fi).
-		for cell, idx := range st.argmax {
-			if idx < 0 || dPooled[cell] == 0 {
-				continue // ReLU-clipped or zero gradient
-			}
-			fi := idx / (co * co)
-			rc := idx % (co * co)
-			r, cIdx := rc/co, rc%co
-			dv := dPooled[cell]
-			gker := gFilters[fi*m.k*m.k : (fi+1)*m.k*m.k]
-			for kr := 0; kr < m.k; kr++ {
-				xrow := x[(r+kr)*m.side+cIdx:]
-				grow := gker[kr*m.k:]
-				for kc := 0; kc < m.k; kc++ {
-					grow[kc] += dv * xrow[kc]
-				}
-			}
-			gfb[fi] += dv
-		}
+		m.route(x, st.argmax, dPooled, gFilters, gfb)
 	}
 	tensor.Scale(1/float64(X.Rows), g)
 	return g
+}
+
+// route sends pooled gradients back to the winning conv cells, then to the
+// filter weights (the winning cell at conv index idx corresponds to the
+// input patch starting at (idx/co, idx%co) within filter fi).
+func (m *CNN) route(x []float64, argmax []int, dPooled, gFilters, gfb []float64) {
+	co := m.convOut
+	for cell, idx := range argmax {
+		if idx < 0 || dPooled[cell] == 0 {
+			continue // ReLU-clipped or zero gradient
+		}
+		fi := idx / (co * co)
+		rc := idx % (co * co)
+		r, cIdx := rc/co, rc%co
+		dv := dPooled[cell]
+		gker := gFilters[fi*m.k*m.k : (fi+1)*m.k*m.k]
+		for kr := 0; kr < m.k; kr++ {
+			xrow := x[(r+kr)*m.side+cIdx:]
+			grow := gker[kr*m.k:]
+			for kc := 0; kc < m.k; kc++ {
+				grow[kc] += dv * xrow[kc]
+			}
+		}
+		gfb[fi] += dv
+	}
+}
+
+// HVP implements Model with Pearlmutter's R-operator on the passes above.
+// The ReLU mask and the max-pool routing are fixed by the forward pass and
+// have a zero second derivative almost everywhere, so along
+// v = (V_F, v_fb, V, v_b) a pooled cell moves only with its winning conv
+// cell, R{pooled} = V_F∗x + v_fb there (0 where ReLU clipped the window),
+// and R{z} = W·R{pooled} + V·pooled + v_b. What remains is the softmax
+// head's closed form, R{dz} = (diag p − p pᵀ)·R{z}, and its cross terms with
+// the filters: R{dPooled} = Wᵀ·R{dz} + Vᵀ·dz, routed to the filters like
+// dPooled.
+func (m *CNN) HVP(X *tensor.Matrix, y []float64, v []float64) []float64 {
+	checkClasses(X, y, m.side*m.side, m.c)
+	checkDir(v, len(m.params))
+	_, _, w, _ := m.slices()
+	vf, vfb, vw, vb := m.split(v)
+	out := make([]float64, m.NumParams())
+	of, ofb, ow, ob := m.split(out)
+
+	st := m.newState()
+	rPooled := make([]float64, m.flat)
+	rdPooled := make([]float64, m.flat)
+	co := m.convOut
+	for i := 0; i < X.Rows; i++ {
+		x := X.Row(i)
+		m.forward(x, st)
+		for cell, idx := range st.argmax {
+			rPooled[cell] = 0
+			if idx < 0 {
+				continue
+			}
+			fi, rc := idx/(co*co), idx%(co*co)
+			rPooled[cell] = m.convAt(vf[fi*m.k*m.k:(fi+1)*m.k*m.k], vfb[fi], x, rc/co, rc%co)
+		}
+		denseHeadR(st.pooled, rPooled, w, vw, vb, st.logits, int(y[i]), ow, ob, nil, rdPooled)
+		m.route(x, st.argmax, rdPooled, of, ofb)
+	}
+	tensor.Scale(1/float64(X.Rows), out)
+	return out
 }
 
 // Predict implements Classifier.

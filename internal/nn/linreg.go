@@ -18,10 +18,7 @@ type LinearRegression struct {
 	params []float64 // [w_0..w_{d-1}, (b)]
 }
 
-var (
-	_ Model = (*LinearRegression)(nil)
-	_ HVPer = (*LinearRegression)(nil)
-)
+var _ Model = (*LinearRegression)(nil)
 
 // NewLinearRegression returns a zero-initialized model with d features.
 func NewLinearRegression(d int, bias bool) *LinearRegression {
@@ -78,10 +75,11 @@ func (m *LinearRegression) Grad(X *tensor.Matrix, y []float64) []float64 {
 	return scaledXt(X, r, 2/float64(len(r)), m.NumParams())
 }
 
-// HVP implements HVPer. The MSE Hessian is constant: H = (2/m)·XᵀX (with the
+// HVP implements Model. The MSE Hessian is constant: H = (2/m)·XᵀX (with the
 // bias row/column when present), so H·v = (2/m)·Xᵀ(X·v_w + v_b·1) etc.
 func (m *LinearRegression) HVP(X *tensor.Matrix, y []float64, v []float64) []float64 {
 	checkBatch(X, y, m.d)
+	checkDir(v, len(m.params))
 	xv := tensor.MatVec(X, v[:m.d])
 	if m.bias {
 		for i := range xv {

@@ -17,7 +17,6 @@ type LogisticRegression struct {
 
 var (
 	_ Model      = (*LogisticRegression)(nil)
-	_ HVPer      = (*LogisticRegression)(nil)
 	_ Classifier = (*LogisticRegression)(nil)
 )
 
@@ -87,9 +86,10 @@ func (m *LogisticRegression) Grad(X *tensor.Matrix, y []float64) []float64 {
 	return scaledXt(X, r, 1/float64(len(y)), m.NumParams())
 }
 
-// HVP implements HVPer: H·v = (1/m)·Xᵀ·diag(p(1−p))·(X·v_w + v_b·1).
+// HVP implements Model: H·v = (1/m)·Xᵀ·diag(p(1−p))·(X·v_w + v_b·1).
 func (m *LogisticRegression) HVP(X *tensor.Matrix, y []float64, v []float64) []float64 {
 	checkBatch(X, y, m.d)
+	checkDir(v, len(m.params))
 	z := m.logits(X)
 	xv := tensor.MatVec(X, v[:m.d])
 	if m.bias {

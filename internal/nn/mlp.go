@@ -49,8 +49,10 @@ func (m *MLP) Clone() Model {
 	return c
 }
 
-func (m *MLP) slices() (w1, b1, w2, b2 []float64) {
-	p := m.params
+func (m *MLP) slices() (w1, b1, w2, b2 []float64) { return m.split(m.params) }
+
+// split cuts any vector laid out like the parameters into its four blocks.
+func (m *MLP) split(p []float64) (w1, b1, w2, b2 []float64) {
 	w1 = p[:m.h*m.d]
 	b1 = p[m.h*m.d : m.h*m.d+m.h]
 	w2 = p[m.h*m.d+m.h : m.h*m.d+m.h+m.c*m.h]
@@ -70,7 +72,7 @@ func (m *MLP) forward(x []float64, a, z []float64) {
 
 // Loss implements Model.
 func (m *MLP) Loss(X *tensor.Matrix, y []float64) float64 {
-	checkBatch(X, y, m.d)
+	checkClasses(X, y, m.d, m.c)
 	var bufA, bufZ [scratchLen]float64
 	a, z := scratch(&bufA, m.h), scratch(&bufZ, m.c)
 	var s float64
@@ -83,13 +85,10 @@ func (m *MLP) Loss(X *tensor.Matrix, y []float64) float64 {
 
 // Grad implements Model with hand-derived backprop.
 func (m *MLP) Grad(X *tensor.Matrix, y []float64) []float64 {
-	checkBatch(X, y, m.d)
+	checkClasses(X, y, m.d, m.c)
 	_, _, w2, _ := m.slices()
 	g := make([]float64, m.NumParams())
-	gw1 := g[:m.h*m.d]
-	gb1 := g[m.h*m.d : m.h*m.d+m.h]
-	gw2 := g[m.h*m.d+m.h : m.h*m.d+m.h+m.c*m.h]
-	gb2 := g[m.h*m.d+m.h+m.c*m.h:]
+	gw1, gb1, gw2, gb2 := m.split(g)
 
 	var bufA, bufZ [scratchLen]float64
 	a, z := scratch(&bufA, m.h), scratch(&bufZ, m.c)
@@ -121,6 +120,44 @@ func (m *MLP) Grad(X *tensor.Matrix, y []float64) []float64 {
 	}
 	tensor.Scale(1/float64(X.Rows), g)
 	return g
+}
+
+// HVP implements Model with Pearlmutter's R-operator, R{f} = ∂f(θ+r·v)/∂r
+// at r = 0, applied to the forward and the backward pass above. Along
+// v = (V1, v_b1, V2, v_b2) the forward pass gives R{a} = (1 − a²)⊙(V1·x +
+// v_b1) and R{z} = W2·R{a} + V2·a + v_b2; the backward pass gives the head's
+// R{dz} = (diag p − p pᵀ)·R{z}, R{da} = W2ᵀ·R{dz} + V2ᵀ·dz and, with tanh's
+// second derivative, R{dh} = (1 − a²)⊙R{da} − 2a⊙R{a}⊙da. The weights'
+// products are then the gradient's with every factor differentiated in
+// turn.
+func (m *MLP) HVP(X *tensor.Matrix, y []float64, v []float64) []float64 {
+	checkClasses(X, y, m.d, m.c)
+	checkDir(v, len(m.params))
+	_, _, w2, _ := m.slices()
+	v1, vb1, v2, vb2 := m.split(v)
+	out := make([]float64, m.NumParams())
+	o1, ob1, o2, ob2 := m.split(out)
+
+	var bufA, bufRA, bufDA, bufRDA, bufZ [scratchLen]float64
+	a, ra := scratch(&bufA, m.h), scratch(&bufRA, m.h)
+	da, rda := scratch(&bufDA, m.h), scratch(&bufRDA, m.h)
+	z := scratch(&bufZ, m.c)
+	for i := 0; i < X.Rows; i++ {
+		x := X.Row(i)
+		m.forward(x, a, z)
+		affine(ra, v1, vb1, x)
+		for j, aj := range a {
+			ra[j] *= 1 - aj*aj
+		}
+		denseHeadR(a, ra, w2, v2, vb2, z, int(y[i]), o2, ob2, da, rda)
+		for j, aj := range a {
+			rdh := rda[j]*(1-aj*aj) - 2*aj*ra[j]*da[j]
+			tensor.AXPY(rdh, x, o1[j*m.d:(j+1)*m.d])
+			ob1[j] += rdh
+		}
+	}
+	tensor.Scale(1/float64(X.Rows), out)
+	return out
 }
 
 // Predict implements Classifier.

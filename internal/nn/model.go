@@ -1,9 +1,11 @@
 // Package nn implements the learning models used by the HFL and VFL
 // simulators, with fully manual gradients (Go has no mature autodiff, so
 // every backward pass is hand-derived and validated against finite
-// differences in the tests). The package also provides the Hessian-vector
-// products (HVP) that DIG-FL's interactive estimator (Algorithm 1) consumes:
-// exact for the convex models, central-difference for the neural networks.
+// differences in the tests). Every model also computes the exact
+// Hessian-vector product (HVP) that DIG-FL's interactive estimator
+// (Algorithm 1) consumes: a closed form for the three generalized linear
+// models, Pearlmutter's R-operator on the hand-derived backward pass for the
+// MLP and the CNN. None of them writes to the model.
 package nn
 
 import (
@@ -32,6 +34,10 @@ type Model interface {
 	Loss(X *tensor.Matrix, y []float64) float64
 	// Grad returns the gradient of the mean loss, as a fresh slice.
 	Grad(X *tensor.Matrix, y []float64) []float64
+	// HVP returns H·v, where H is the Hessian of the mean loss at the
+	// current parameters, as a fresh slice. It only reads the model, so
+	// concurrent calls may share one.
+	HVP(X *tensor.Matrix, y []float64, v []float64) []float64
 	// Clone returns a deep copy, preserving architecture and parameters.
 	Clone() Model
 }
@@ -43,54 +49,10 @@ type Classifier interface {
 	Predict(X *tensor.Matrix) []int
 }
 
-// HVPer is implemented by models that can compute an exact Hessian-vector
-// product. Models without one fall back to FDHVP.
-type HVPer interface {
-	// HVP returns H·v where H is the Hessian of the mean loss at the
-	// current parameters.
-	HVP(X *tensor.Matrix, y []float64, v []float64) []float64
-}
-
 // HVP returns the Hessian-vector product of the model's mean loss at its
-// current parameters, using the exact implementation when the model provides
-// one and a central finite difference otherwise.
+// current parameters: m.HVP(X, y, v).
 func HVP(m Model, X *tensor.Matrix, y []float64, v []float64) []float64 {
-	if h, ok := m.(HVPer); ok {
-		return h.HVP(X, y, v)
-	}
-	return FDHVP(m, X, y, v)
-}
-
-// FDHVP approximates H·v with the central difference
-// (∇L(θ+r·v) − ∇L(θ−r·v)) / (2r), the classic Pearlmutter substitute when no
-// second-order operator is available. The step r is scaled by ‖v‖ so the
-// perturbation stays in the regime where the linearization is accurate.
-func FDHVP(m Model, X *tensor.Matrix, y []float64, v []float64) []float64 {
-	p := m.NumParams()
-	if len(v) != p {
-		panic(fmt.Sprintf("nn: FDHVP vector length %d, model has %d params", len(v), p))
-	}
-	nv := tensor.Norm2(v)
-	if nv == 0 {
-		return make([]float64, p)
-	}
-	r := 1e-4 / nv
-	theta := tensor.Clone(m.Params())
-	defer m.SetParams(theta)
-
-	plus := tensor.Clone(theta)
-	tensor.AXPY(r, v, plus)
-	m.SetParams(plus)
-	gPlus := m.Grad(X, y)
-
-	minus := tensor.Clone(theta)
-	tensor.AXPY(-r, v, minus)
-	m.SetParams(minus)
-	gMinus := m.Grad(X, y)
-
-	out := tensor.Sub(gPlus, gMinus)
-	tensor.Scale(1/(2*r), out)
-	return out
+	return m.HVP(X, y, v)
 }
 
 // NumGrad computes a central-difference numerical gradient; the tests use it
@@ -181,6 +143,74 @@ func scratch(buf *[scratchLen]float64, n int) []float64 {
 		return buf[:n]
 	}
 	return make([]float64, n)
+}
+
+// headR turns a row's logits z into p = softmax(z), in place, and their
+// derivative u along a direction into the softmax cross-entropy's
+// R{dz} = (diag p − p pᵀ)·u, r_k = p_k·(u_k − Σ_j p_j·u_j): the head's share
+// of every classifier's Hessian-vector product.
+func headR(z, u []float64) {
+	lse := logSumExp(z)
+	var s float64
+	for k, zk := range z {
+		z[k] = math.Exp(zk - lse)
+		s += z[k] * u[k]
+	}
+	for k, pk := range z {
+		u[k] = pk * (u[k] - s)
+	}
+}
+
+// denseHeadR is the R-operator pass through a dense softmax head z = W·act +
+// b, shared by the MLP and the CNN. Along the direction (V, v_b) and with
+// act's own derivative rAct, it forms R{z} = V·act + v_b + W·rAct, turns
+// logits (the forward pass's z) into p and R{z} into R{dz} (headR), and
+// adds the head weights' products R{dz} ⊗ act + dz ⊗ rAct to ow and R{dz}
+// to ob, with dz = p − onehot(label). It sets rdAct = Wᵀ·R{dz} + Vᵀ·dz for
+// the layer below, and dAct = Wᵀ·dz when dAct is not nil.
+func denseHeadR(act, rAct, w, vw, vb, logits []float64, label int, ow, ob, dAct, rdAct []float64) {
+	var bufRZ, bufDZ [scratchLen]float64
+	c, n := len(logits), len(act)
+	rz, dz := scratch(&bufRZ, c), scratch(&bufDZ, c)
+	affine(rz, vw, vb, act)
+	tensor.MatVecTo(dz, w, rAct)
+	for k, wk := range dz {
+		rz[k] += wk
+	}
+	headR(logits, rz)
+	copy(dz, logits)
+	dz[label]--
+	tensor.Zero(dAct)
+	tensor.Zero(rdAct)
+	for k := 0; k < c; k++ {
+		wk, vwk, owk := w[k*n:(k+1)*n], vw[k*n:(k+1)*n], ow[k*n:(k+1)*n]
+		tensor.AXPY(rz[k], act, owk)
+		tensor.AXPY(dz[k], rAct, owk)
+		ob[k] += rz[k]
+		if dAct != nil {
+			tensor.AXPY(dz[k], wk, dAct)
+		}
+		tensor.AXPY(rz[k], wk, rdAct)
+		tensor.AXPY(dz[k], vwk, rdAct)
+	}
+}
+
+// checkDir panics unless the HVP direction v has one entry per parameter.
+func checkDir(v []float64, p int) {
+	if len(v) != p {
+		panic(fmt.Sprintf("nn: HVP vector length %d, model has %d params", len(v), p))
+	}
+}
+
+// checkClasses is checkBatch for a c-way classifier: every label must also
+// be a class index, an integer in [0, c).
+func checkClasses(x *tensor.Matrix, y []float64, wantCols, c int) {
+	checkBatch(x, y, wantCols)
+	for i, v := range y {
+		if !(v >= 0 && v < float64(c) && v == math.Trunc(v)) {
+			panic(fmt.Sprintf("nn: label %v at row %d is not a class index in [0,%d)", v, i, c))
+		}
+	}
 }
 
 func checkBatch(x *tensor.Matrix, y []float64, wantCols int) {

@@ -89,7 +89,7 @@ func TestLinRegExactHVPMatchesFD(t *testing.T) {
 	X, y := randBatch(rng, 10, 4)
 	v := rng.NormalVec(m.NumParams(), 0, 1)
 	exact := m.HVP(X, y, v)
-	fd := FDHVP(m, X, y, v)
+	fd := fdHVP(m, X, y, v)
 	for i := range exact {
 		if math.Abs(exact[i]-fd[i]) > 1e-4*(1+math.Abs(exact[i])) {
 			t.Fatalf("HVP[%d] exact %g vs fd %g", i, exact[i], fd[i])
@@ -104,7 +104,7 @@ func TestLogRegExactHVPMatchesFD(t *testing.T) {
 	X, y := randClassBatch(rng, 10, 4, 2)
 	v := rng.NormalVec(m.NumParams(), 0, 1)
 	exact := m.HVP(X, y, v)
-	fd := FDHVP(m, X, y, v)
+	fd := fdHVP(m, X, y, v)
 	for i := range exact {
 		if math.Abs(exact[i]-fd[i]) > 1e-4*(1+math.Abs(exact[i])) {
 			t.Fatalf("HVP[%d] exact %g vs fd %g", i, exact[i], fd[i])
@@ -112,39 +112,40 @@ func TestLogRegExactHVPMatchesFD(t *testing.T) {
 	}
 }
 
-// HVP via the generic dispatcher must pick the exact path for HVPers.
+// HVP is every model's own product, and the product along the zero vector
+// is zero.
 func TestHVPDispatch(t *testing.T) {
 	rng := tensor.NewRNG(8)
-	m := NewLinearRegression(3, false)
-	rng.Normal(m.Params(), 0, 1)
-	X, y := randBatch(rng, 6, 3)
-	v := rng.NormalVec(3, 0, 1)
-	a := HVP(m, X, y, v)
-	b := m.HVP(X, y, v)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("dispatcher must use the exact HVP")
+	X, y := randClassBatch(rng, 6, 4, 2)
+	for _, m := range []Model{
+		NewLinearRegression(4, false),
+		NewLogisticRegression(4, true),
+		NewSoftmaxRegression(4, 2),
+		NewMLP(4, 3, 2, rng.Split(1)),
+		NewCNN(2, 1, 2, 2, rng.Split(2)),
+	} {
+		rng.Normal(m.Params(), 0, 1)
+		v := rng.NormalVec(m.NumParams(), 0, 1)
+		if !sameBits(HVP(m, X, y, v), m.HVP(X, y, v)) {
+			t.Fatalf("%T: HVP differs from the model's own", m)
 		}
-	}
-	// Zero vector short-circuits FD.
-	mlp := NewMLP(3, 4, 2, rng.Split(1))
-	Xc, yc := randClassBatch(rng, 5, 3, 2)
-	z := HVP(mlp, Xc, yc, make([]float64, mlp.NumParams()))
-	for _, zi := range z {
-		if zi != 0 {
-			t.Fatal("HVP of zero vector must be zero")
+		for _, zi := range HVP(m, X, y, make([]float64, m.NumParams())) {
+			if zi != 0 {
+				t.Fatalf("%T: HVP of the zero vector must be zero", m)
+			}
 		}
 	}
 }
 
-// FDHVP on the MLP must agree with the symmetric quadratic form identity
+// The fdHVP oracle on the MLP must agree with the symmetric quadratic form
+// identity
 // vᵀHv ≈ (L(θ+rv) − 2L(θ) + L(θ−rv))/r².
 func TestFDHVPQuadraticForm(t *testing.T) {
 	rng := tensor.NewRNG(9)
 	m := NewMLP(4, 5, 2, rng.Split(0))
 	X, y := randClassBatch(rng, 10, 4, 2)
 	v := rng.NormalVec(m.NumParams(), 0, 1)
-	hv := FDHVP(m, X, y, v)
+	hv := fdHVP(m, X, y, v)
 	vHv := tensor.Dot(v, hv)
 
 	r := 1e-3 / tensor.Norm2(v)
@@ -170,11 +171,11 @@ func TestFDHVPRestoresParams(t *testing.T) {
 	m := NewMLP(3, 4, 2, rng.Split(0))
 	X, y := randClassBatch(rng, 5, 3, 2)
 	before := tensor.Clone(m.Params())
-	FDHVP(m, X, y, rng.NormalVec(m.NumParams(), 0, 1))
+	fdHVP(m, X, y, rng.NormalVec(m.NumParams(), 0, 1))
 	after := m.Params()
 	for i := range before {
 		if before[i] != after[i] {
-			t.Fatal("FDHVP must restore parameters")
+			t.Fatal("fdHVP must restore parameters")
 		}
 	}
 }
@@ -312,10 +313,10 @@ func TestLogisticProbaAndPredict(t *testing.T) {
 func TestBatchValidation(t *testing.T) {
 	m := NewLinearRegression(2, false)
 	cases := []func(){
-		func() { m.Loss(tensor.NewMatrix(2, 3), []float64{1, 2}) },              // wrong cols
-		func() { m.Loss(tensor.NewMatrix(2, 2), []float64{1}) },                 // label mismatch
-		func() { m.Loss(tensor.NewMatrix(0, 2), nil) },                          // empty
-		func() { FDHVP(m, tensor.NewMatrix(1, 2), []float64{0}, []float64{1}) }, // bad v length
+		func() { m.Loss(tensor.NewMatrix(2, 3), []float64{1, 2}) },           // wrong cols
+		func() { m.Loss(tensor.NewMatrix(2, 2), []float64{1}) },              // label mismatch
+		func() { m.Loss(tensor.NewMatrix(0, 2), nil) },                       // empty
+		func() { m.HVP(tensor.NewMatrix(1, 2), []float64{0}, []float64{1}) }, // bad v length
 	}
 	for i, fn := range cases {
 		func() {

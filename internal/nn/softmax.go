@@ -44,29 +44,24 @@ func (m *SoftmaxRegression) Clone() Model {
 	return c
 }
 
-func (m *SoftmaxRegression) weightRow(k int) []float64 {
-	return m.params[k*m.d : (k+1)*m.d]
-}
-
-func (m *SoftmaxRegression) biases() []float64 {
-	return m.params[m.c*m.d:]
-}
-
 // blockLogits computes the logits of the next rows of X from row i on into
-// z, row i+r's at z[r·C:(r+1)·C], and returns how many rows it took. Four
-// rows are a block and are then the kernel's lanes — class k's four logits
-// share one pass over w_k — so that a class count that is no multiple of four
-// leaves no class on a chain of its own; the last rows, short of a block, are
-// taken one at a time with the classes as lanes.
-func (m *SoftmaxRegression) blockLogits(X *tensor.Matrix, i int, z []float64) int {
-	c := m.c
+// z, row i+r's at z[r·C:(r+1)·C], and returns how many rows it took, under
+// the vector w laid out like the parameters — W row-major, then the C
+// biases: the model's own for the logits, the direction v for their
+// derivative u = V·x + v_b in the HVP. Four rows are a block and are then
+// the kernel's lanes — class k's four logits share one pass over w_k — so
+// that a class count that is no multiple of four leaves no class on a chain
+// of its own; the last rows, short of a block, are taken one at a time with
+// the classes as lanes.
+func (m *SoftmaxRegression) blockLogits(X *tensor.Matrix, i int, w, z []float64) int {
+	c, cd := m.c, m.c*m.d
 	if i+4 > X.Rows {
-		affine(z[:c], m.params[:c*m.d], m.biases(), X.Row(i))
+		affine(z[:c], w[:cd], w[cd:], X.Row(i))
 		return 1
 	}
 	x0, x1, x2, x3 := X.Row(i), X.Row(i+1), X.Row(i+2), X.Row(i+3)
-	for k, bk := range m.biases() {
-		s0, s1, s2, s3 := tensor.Dot4(x0, x1, x2, x3, m.weightRow(k))
+	for k, bk := range w[cd:] {
+		s0, s1, s2, s3 := tensor.Dot4(x0, x1, x2, x3, w[k*m.d:(k+1)*m.d])
 		z[k], z[c+k], z[2*c+k], z[3*c+k] = s0+bk, s1+bk, s2+bk, s3+bk
 	}
 	return 4
@@ -74,12 +69,12 @@ func (m *SoftmaxRegression) blockLogits(X *tensor.Matrix, i int, z []float64) in
 
 // Loss implements Model.
 func (m *SoftmaxRegression) Loss(X *tensor.Matrix, y []float64) float64 {
-	checkBatch(X, y, m.d)
+	checkClasses(X, y, m.d, m.c)
 	var buf [scratchLen]float64
 	z := scratch(&buf, 4*m.c)
 	var s float64
 	for i, n := 0, 0; i < X.Rows; i += n {
-		n = m.blockLogits(X, i, z)
+		n = m.blockLogits(X, i, m.params, z)
 		for r := 0; r < n; r++ {
 			zr := z[r*m.c : (r+1)*m.c]
 			s += logSumExp(zr) - zr[int(y[i+r])]
@@ -90,18 +85,14 @@ func (m *SoftmaxRegression) Loss(X *tensor.Matrix, y []float64) float64 {
 
 // Grad implements Model.
 func (m *SoftmaxRegression) Grad(X *tensor.Matrix, y []float64) []float64 {
-	checkBatch(X, y, m.d)
+	checkClasses(X, y, m.d, m.c)
 	g := make([]float64, m.NumParams())
-	gb := g[m.c*m.d:]
 	var buf [scratchLen]float64
 	z := scratch(&buf, 4*m.c)
-	var xs [4][]float64
-	var pk [4]float64
 	for i, n := 0, 0; i < X.Rows; i += n {
-		n = m.blockLogits(X, i, z)
+		n = m.blockLogits(X, i, m.params, z)
 		// The block's dz = softmax(z) − onehot(y) first, over its logits …
 		for r := 0; r < n; r++ {
-			xs[r] = X.Row(i + r)
 			zr := z[r*m.c : (r+1)*m.c]
 			lse := logSumExp(zr)
 			for k, zk := range zr {
@@ -111,17 +102,53 @@ func (m *SoftmaxRegression) Grad(X *tensor.Matrix, y []float64) []float64 {
 				}
 			}
 		}
-		// … then each class takes the block's rows in one pass.
-		for k := 0; k < m.c; k++ {
-			for r := 0; r < n; r++ {
-				pk[r] = z[r*m.c+k]
-				gb[k] += pk[r]
-			}
-			tensor.AXPYRows(pk[:n], xs[:n], g[k*m.d:(k+1)*m.d])
-		}
+		m.blockBackward(X, i, n, z, g)
 	}
 	tensor.Scale(1/float64(X.Rows), g)
 	return g
+}
+
+// HVP implements Model with the cross-entropy Hessian's closed form. Per
+// row, with p = softmax(z) and u = V·x + v_b the logits' derivative along v,
+// the head's R{dz} is r = (diag p − p pᵀ)·u, and H·v = (1/m)·Σ r ⊗ [x, 1]:
+// u takes the logits' four-row blocks and r the gradient's backward pass.
+// The scratch is on the stack, so the call allocates only its result. The
+// Hessian does not depend on the labels; they are only checked.
+func (m *SoftmaxRegression) HVP(X *tensor.Matrix, y []float64, v []float64) []float64 {
+	checkClasses(X, y, m.d, m.c)
+	checkDir(v, len(m.params))
+	out := make([]float64, m.NumParams())
+	var bufZ, bufU [scratchLen]float64
+	z, u := scratch(&bufZ, 4*m.c), scratch(&bufU, 4*m.c)
+	for i, n := 0, 0; i < X.Rows; i += n {
+		n = m.blockLogits(X, i, m.params, z)
+		m.blockLogits(X, i, v, u)
+		for r := 0; r < n; r++ {
+			headR(z[r*m.c:(r+1)*m.c], u[r*m.c:(r+1)*m.c])
+		}
+		m.blockBackward(X, i, n, u, out)
+	}
+	tensor.Scale(1/float64(X.Rows), out)
+	return out
+}
+
+// blockBackward adds Σ_r dz_r ⊗ [x_r, 1] over the n rows of X from row i on
+// to g, row r's C values at dz[r·C:(r+1)·C]: each class takes the block's
+// rows in one pass.
+func (m *SoftmaxRegression) blockBackward(X *tensor.Matrix, i, n int, dz, g []float64) {
+	gb := g[m.c*m.d:]
+	var xs [4][]float64
+	var pk [4]float64
+	for r := 0; r < n; r++ {
+		xs[r] = X.Row(i + r)
+	}
+	for k := 0; k < m.c; k++ {
+		for r := 0; r < n; r++ {
+			pk[r] = dz[r*m.c+k]
+			gb[k] += pk[r]
+		}
+		tensor.AXPYRows(pk[:n], xs[:n], g[k*m.d:(k+1)*m.d])
+	}
 }
 
 // Predict implements Classifier.
@@ -130,7 +157,7 @@ func (m *SoftmaxRegression) Predict(X *tensor.Matrix) []int {
 	var buf [scratchLen]float64
 	z := scratch(&buf, 4*m.c)
 	for i, n := 0, 0; i < X.Rows; i += n {
-		n = m.blockLogits(X, i, z)
+		n = m.blockLogits(X, i, m.params, z)
 		for r := 0; r < n; r++ {
 			out[i+r] = tensor.Argmax(z[r*m.c : (r+1)*m.c])
 		}

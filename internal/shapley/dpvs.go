@@ -88,7 +88,7 @@ func (e *dpvsEngine) roundPhi(g *roundGame, rc *roundCtx) []float64 {
 		if e.cfg.MaxPermsPerRound <= 0 {
 			subPhi = exactPhi(sub)
 		} else {
-			subPhi = permScan(sub, roundRNG(e.spec.Seed, rc.t), e.cfg.TruncTol, noBudget, atMost(e.cfg.MaxPermsPerRound))
+			subPhi = permScan(sub, e.roundRNG(rc.t), e.cfg.TruncTol, noBudget, atMost(e.cfg.MaxPermsPerRound))
 		}
 		for j, k := range activePos {
 			phi[k] = subPhi[j]

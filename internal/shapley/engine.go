@@ -169,17 +169,17 @@ func init() {
 	RegisterEngine("dpvs", newDPVSEngine)
 }
 
-// roundRNG derives round t's sampling stream purely from (seed, t) with a
+// roundSeed derives round t's sampling seed purely from (seed, t) with a
 // splitmix64 finalizer. Because no state flows between rounds, resuming at
 // any epoch boundary reproduces the exact draws of an uninterrupted run.
-func roundRNG(seed int64, t int) *tensor.RNG {
+func roundSeed(seed int64, t int) int64 {
 	x := uint64(seed) + uint64(t)*0x9e3779b97f4a7c15
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
-	return tensor.NewRNG(int64(x))
+	return int64(x)
 }
 
 // roundCtx is one observed round as the per-engine round functions see it:
@@ -206,16 +206,24 @@ type roundGame struct {
 	evals   *int64
 	scratch []float64
 	coef    []float64 // value's AXPYRows coefficients: −1/|S| on members, 0 (skipped) elsewhere
+	buf     []float64 // backs scratch, then coef
 }
 
-func newRoundGame(loss ValLoss, rc *roundCtx, evals *int64) *roundGame {
-	p := len(rc.theta)
-	buf := make([]float64, p+len(rc.deltas)) // one allocation: scratch, then coef
-	g := &roundGame{
-		loss: loss, theta: rc.theta, deltas: rc.deltas, m: len(rc.deltas),
-		cache: make(map[uint64]float64), evals: evals,
-		scratch: buf[:p:p], coef: buf[p:],
+// reset makes g the round game of rc, keeping what an earlier round left:
+// the scratch+coef buffer grows only when a round needs more, and the memo
+// map is cleared, not remade.
+func (g *roundGame) reset(loss ValLoss, rc *roundCtx, evals *int64) *roundGame {
+	p, n := len(rc.theta), len(rc.deltas)
+	if cap(g.buf) < p+n {
+		g.buf = make([]float64, p+n)
 	}
+	if g.cache == nil {
+		g.cache = make(map[uint64]float64)
+	} else {
+		clear(g.cache)
+	}
+	g.loss, g.theta, g.deltas, g.m, g.evals = loss, rc.theta, rc.deltas, n, evals
+	g.scratch, g.coef = g.buf[:p:p], g.buf[p:p+n]
 	g.base = loss(rc.theta)
 	*evals++
 	return g
@@ -265,12 +273,12 @@ func (g *roundGame) spent() int64 { return *g.evals }
 // Ghorbani & Zou tolerance.
 func tmcRound(e *roundEngine, g *roundGame, rc *roundCtx) []float64 {
 	budget := BudgetTMC(g.m)
-	return permScan(g, roundRNG(e.spec.Seed, rc.t), 0.01, budget, atMost(int(4*budget)))
+	return permScan(g, e.roundRNG(rc.t), 0.01, budget, atMost(int(4*budget)))
 }
 
 // gtRound is the per-round group-testing estimator at the paper's budget.
 func gtRound(e *roundEngine, g *roundGame, rc *roundCtx) []float64 {
-	return gtPhi(g, BudgetGT(g.m), roundRNG(e.spec.Seed, rc.t))
+	return gtPhi(g, BudgetGT(g.m), e.roundRNG(rc.t))
 }
 
 // auxer is the optional per-engine hook for flattening engine-specific
@@ -285,7 +293,8 @@ type roundFunc func(e *roundEngine, g *roundGame, rc *roundCtx) []float64
 
 // roundEngine is the shared Engine chassis: it owns the Observe skeleton
 // (epoch ordering, Reported mapping, Lemma-3 zero rows, accumulation, cost
-// accounting) and delegates the per-round computation to round.
+// accounting) and delegates the per-round computation to round. The round
+// game and the sampling generator are reused from round to round.
 type roundEngine struct {
 	name      string
 	spec      EngineSpec
@@ -296,6 +305,8 @@ type roundEngine struct {
 	totals    []float64
 	evals     int64
 	wall      time.Duration
+	game      roundGame
+	rng       *tensor.RNG
 }
 
 func newRoundEngine(name string, spec EngineSpec, round roundFunc, aux auxer) (*roundEngine, error) {
@@ -307,6 +318,20 @@ func newRoundEngine(name string, spec EngineSpec, round roundFunc, aux auxer) (*
 }
 
 func (e *roundEngine) Name() string { return e.name }
+
+// roundRNG returns round t's sampling stream: the engine's one generator,
+// reseeded in place to roundSeed(Seed, t). Reseeding rebuilds the whole
+// source state, so it draws what tensor.NewRNG(roundSeed(Seed, t)) would,
+// without allocating a fresh source every round.
+func (e *roundEngine) roundRNG(t int) *tensor.RNG {
+	s := roundSeed(e.spec.Seed, t)
+	if e.rng == nil {
+		e.rng = tensor.NewRNG(s)
+	} else {
+		e.rng.Seed(s)
+	}
+	return e.rng
+}
 
 // Observe implements Engine. The epoch's survivors (Reported, or everyone
 // when nil) define the round game; participants absent from the round score
@@ -347,8 +372,9 @@ func (e *roundEngine) Observe(ep *hfl.Epoch) {
 	row := make([]float64, n)
 	if len(ep.Deltas) > 0 {
 		rc := &roundCtx{t: ep.T, theta: ep.Theta, deltas: ep.Deltas, idx: idx}
-		g := newRoundGame(e.spec.Loss, rc, &e.evals)
+		g := e.game.reset(e.spec.Loss, rc, &e.evals)
 		rphi := e.round(e, g, rc)
+		g.theta, g.deltas = nil, nil // the kept game holds no epoch past its round
 		for k, v := range rphi {
 			row[idx[k]] = v
 		}

@@ -348,3 +348,36 @@ func TestSamplersCheaperThanExact(t *testing.T) {
 		t.Fatalf("dpvs evals %d not below tmc %d", dpvs.Cost.UtilityEvals, tmc.Cost.UtilityEvals)
 	}
 }
+
+// TestEngineRoundRNGReseedsInPlace: the engine's one generator, reseeded
+// for round t after any number of draws in round t−1, draws exactly what a
+// fresh tensor.NewRNG(roundSeed(Seed, t)) draws — the condition for reusing
+// it — and stays the same generator round after round.
+func TestEngineRoundRNGReseedsInPlace(t *testing.T) {
+	const seed = 17
+	e, err := newRoundEngine("tmc", EngineSpec{N: 4, Loss: quadLoss, Seed: seed}, tmcRound, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := e.roundRNG(1)
+	for r := 1; r <= 40; r++ {
+		got, fresh := e.roundRNG(r), tensor.NewRNG(roundSeed(seed, r))
+		if got != first {
+			t.Fatalf("round %d: roundRNG allocated a new generator", r)
+		}
+		for k := 0; k < 3; k++ {
+			if a, b := got.Perm(8), fresh.Perm(8); !reflect.DeepEqual(a, b) {
+				t.Fatalf("round %d: reseeded Perm %v, fresh %v", r, a, b)
+			}
+			if a, b := got.Float64(), fresh.Float64(); a != b {
+				t.Fatalf("round %d: reseeded Float64 %v, fresh %v", r, a, b)
+			}
+			if a, b := got.NormFloat64(), fresh.NormFloat64(); a != b {
+				t.Fatalf("round %d: reseeded NormFloat64 %v, fresh %v", r, a, b)
+			}
+		}
+		for k := 0; k < 7*r; k++ {
+			got.Int63()
+		}
+	}
+}

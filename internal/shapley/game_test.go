@@ -64,7 +64,7 @@ func TestExactPhiSameOnBothGames(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		ep := synthLog(5, 7, 1, seed)[0]
 		var evals int64
-		g := newRoundGame(quadLoss, &roundCtx{t: 1, theta: ep.Theta, deltas: ep.Deltas}, &evals)
+		g := new(roundGame).reset(quadLoss, &roundCtx{t: 1, theta: ep.Theta, deltas: ep.Deltas}, &evals)
 		base := quadLoss(ep.Theta)
 		mem := NewMemoized(5, func(s []int) float64 {
 			if len(s) == 0 {

@@ -117,7 +117,7 @@ func (e *gtgEngine) roundPhi(g *roundGame, rc *roundCtx) []float64 {
 		stable++
 		return stable < e.cfg.ConvWindow
 	}
-	return permScan(g, roundRNG(e.spec.Seed, rc.t), e.cfg.TruncTol, noBudget, more)
+	return permScan(g, e.roundRNG(rc.t), e.cfg.TruncTol, noBudget, more)
 }
 
 func (e *gtgEngine) auxState() []float64 { return []float64{e.maxAbsU} }
