@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test bench loc verify verify-fmt verify-runs verify-faults verify-net verify-adv verify-reweight verify-scale verify-wire verify-crash verify-engines verify-async verify-secure verify-hvp verify-bench bench-workload bench-kernels
+.PHONY: build test bench loc verify verify-fmt verify-runs verify-faults verify-net verify-adv verify-reweight verify-scale verify-wire verify-crash verify-engines verify-async verify-secure verify-hvp verify-kernels verify-bench bench-workload bench-kernels
 
 build:
 	$(GO) build ./...
@@ -47,6 +47,7 @@ verify:
 	$(MAKE) verify-async
 	$(MAKE) verify-secure
 	$(MAKE) verify-hvp
+	$(MAKE) verify-kernels
 	$(MAKE) verify-bench
 
 # The -run regex and packages of each verify-* gate below. verify-runs
@@ -75,7 +76,9 @@ REWEIGHT_RUN = TestReweighted|TestBannedAtCloseAddsNothing|TestStreamedReweight|
 REWEIGHT_PKGS = ./internal/hfl/ ./internal/robust/ ./internal/fednet/ ./internal/experiments/
 HVP_RUN = TestHVPMatchesExplicitHessian|TestHVPMatchesFDOracle|TestHVPSymmetric|TestHVPSharedModelReadOnly|TestSoftmaxHVPAllocs|TestClassLabelsChecked|TestProvidersUseExactHVP|TestLocalHVPConcurrentUse
 HVP_PKGS = ./internal/nn/ ./internal/core/
-RUN_GATES = FAULTS NET SCALE WIRE ASYNC SECURE ENGINES CRASH ADV REWEIGHT HVP
+KERNELS_RUN = TestDot4xNMatchesDot|FuzzDot4xN|TestDot4xNShapeMismatchPanics|TestSoftmaxTilePathsSameBits|TestSoftmaxHVPAllocs|TestLossScratchStaysOffTheHeap|TestModelsMatchTermByTerm
+KERNELS_PKGS = ./internal/tensor/ ./internal/nn/
+RUN_GATES = FAULTS NET SCALE WIRE ASYNC SECURE ENGINES CRASH ADV REWEIGHT HVP KERNELS
 
 # check_runs is the shell that fails when an alternative of the -run regex
 # $(1) names nothing in packages $(2).
@@ -127,7 +130,7 @@ bench-workload:
 # 2048 bits) and step 5's vector decryption of nine ciphertexts — all but the
 # encryption checked against their references before timing.
 bench-kernels:
-	$(GO) test -run '^$$' -benchmem -bench 'Cohort100k|ObserveDots100k|ObserveDeltas64x2000|Dot2000|AXPY2000|DotAdd2000|DotAdd4x2000|MeanFold64x2000|Dot4x2000|MatVec32x2000|AXPYRows64x2000|MatTVec32x2000|SoftmaxLoss400x64x10|FrameVec2000|IngestUpdate|RoundPollV2|ScoreRead100k' \
+	$(GO) test -run '^$$' -benchmem -bench 'Cohort100k|ObserveDots100k|ObserveDeltas64x2000|Dot2000|AXPY2000|DotAdd2000|DotAdd4x2000|MeanFold64x2000|Dot4x2000|MatVec32x2000|AXPYRows64x2000|MatTVec32x2000|SoftmaxLoss|FrameVec2000|IngestUpdate|RoundPollV2|ScoreRead100k' \
 		./internal/sampling/ ./internal/core/ ./internal/tensor/ ./internal/hfl/ ./internal/nn/ ./internal/fednet/
 	$(GO) test -run '^$$' -benchmem -bench 'Encrypt$$/1024|DotPlain/77|MaskedGradient|MulMod|DecryptVec/9' ./internal/paillier/ ./internal/vfl/
 
@@ -323,6 +326,29 @@ verify-adv:
 # from concurrent calls. -count=1 defeats the test cache.
 verify-hvp:
 	$(GO) test -race -count=1 -run '$(HVP_RUN)' $(HVP_PKGS)
+
+# verify-kernels runs the gate of tensor.Dot4xN, the softmax model's logit
+# block and the repository's one assembly kernel: the AVX2 tile and the
+# portable loop, forced by the tests themselves, each against Dot bit for
+# bit (lengths 0–70, 1–12 classes, ±0, subnormals, ±Inf, Inf−Inf, NaN
+# payloads) and the softmax Loss, Grad, HVP and Predict the same bits on both
+# (0 and 1 allocations) under the race detector, then a 5 s fuzz pass; go
+# vet (asmdecl) on amd64 and of the portable build for arm64 and 386; and
+# no fused multiply-add in the generic dot kernels as arm64 compiles them,
+# which their float64(x*y) roundings forbid. -count=1 defeats the test cache.
+KERNEL_SYMS = tensor\.(Dot|Dot4|DotAdd|DotAdd4|Dot4xN)$$
+verify-kernels:
+	$(GO) vet ./internal/tensor/ ./internal/nn/
+	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/nn/
+	GOARCH=386 $(GO) vet ./internal/tensor/ ./internal/nn/
+	$(GO) test -race -count=1 -run '$(KERNELS_RUN)' $(KERNELS_PKGS)
+	$(GO) test -count=1 -run '^$$' -fuzz FuzzDot4xN -fuzztime 5s ./internal/tensor/
+	@dir=$$(mktemp -d) && trap 'rm -rf '"$$dir" EXIT && \
+	GOARCH=arm64 $(GO) build -o $$dir/tensor.a ./internal/tensor/ && \
+	$(GO) tool objdump -s '$(KERNEL_SYMS)' $$dir/tensor.a > $$dir/dis && \
+	syms=$$(grep -c '^TEXT' $$dir/dis) && fused=$$(grep -cE '\sF(N?MADD|N?MSUB)' $$dir/dis); \
+	if [ "$$syms" -ne 5 ] || [ "$$fused" -ne 0 ]; then echo "verify-kernels: arm64 $$syms kernels, $$fused fused multiply-adds (want 5, 0)"; exit 1; fi; \
+	echo "verify-kernels: arm64 $$syms generic dot kernels, no fused multiply-add"
 
 # verify-reweight runs the gate of the quarantine as a fold admission, under
 # the race detector: the canonical reweighted form against the r form

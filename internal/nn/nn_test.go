@@ -313,10 +313,11 @@ func TestLogisticProbaAndPredict(t *testing.T) {
 func TestBatchValidation(t *testing.T) {
 	m := NewLinearRegression(2, false)
 	cases := []func(){
-		func() { m.Loss(tensor.NewMatrix(2, 3), []float64{1, 2}) },           // wrong cols
-		func() { m.Loss(tensor.NewMatrix(2, 2), []float64{1}) },              // label mismatch
-		func() { m.Loss(tensor.NewMatrix(0, 2), nil) },                       // empty
-		func() { m.HVP(tensor.NewMatrix(1, 2), []float64{0}, []float64{1}) }, // bad v length
+		func() { m.Loss(tensor.NewMatrix(2, 3), []float64{1, 2}) },            // wrong cols
+		func() { m.Loss(tensor.NewMatrix(2, 2), []float64{1}) },               // label mismatch
+		func() { m.Loss(tensor.NewMatrix(0, 2), nil) },                        // empty
+		func() { m.HVP(tensor.NewMatrix(1, 2), []float64{0}, []float64{1}) },  // bad v length
+		func() { NewSoftmaxRegression(4, 3).Predict(tensor.NewMatrix(8, 8)) }, // wrong cols, whole blocks
 	}
 	for i, fn := range cases {
 		func() {

@@ -48,21 +48,23 @@ func (m *SoftmaxRegression) Clone() Model {
 // z, row i+r's at z[r·C:(r+1)·C], and returns how many rows it took, under
 // the vector w laid out like the parameters — W row-major, then the C
 // biases: the model's own for the logits, the direction v for their
-// derivative u = V·x + v_b in the HVP. Four rows are a block and are then
-// the kernel's lanes — class k's four logits share one pass over w_k — so
-// that a class count that is no multiple of four leaves no class on a chain
-// of its own; the last rows, short of a block, are taken one at a time with
-// the classes as lanes.
+// derivative u = V·x + v_b in the HVP. Four rows are a block and one
+// tensor.Dot4xN call — the rows are its lanes, every class row taken
+// against all four, so that a class count that is no multiple of four
+// leaves no class on a chain of its own; the last rows, short of a block,
+// are taken one at a time with the classes as lanes.
 func (m *SoftmaxRegression) blockLogits(X *tensor.Matrix, i int, w, z []float64) int {
 	c, cd := m.c, m.c*m.d
 	if i+4 > X.Rows {
 		affine(z[:c], w[:cd], w[cd:], X.Row(i))
 		return 1
 	}
-	x0, x1, x2, x3 := X.Row(i), X.Row(i+1), X.Row(i+2), X.Row(i+3)
-	for k, bk := range w[cd:] {
-		s0, s1, s2, s3 := tensor.Dot4(x0, x1, x2, x3, w[k*m.d:(k+1)*m.d])
-		z[k], z[c+k], z[2*c+k], z[3*c+k] = s0+bk, s1+bk, s2+bk, s3+bk
+	tensor.Dot4xN(z[:4*c], X.Data[i*X.Cols:(i+4)*X.Cols], w[:cd])
+	for r := range 4 {
+		zr := z[r*c : (r+1)*c]
+		for k, bk := range w[cd:] {
+			zr[k] += bk
+		}
 	}
 	return 4
 }

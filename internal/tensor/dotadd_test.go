@@ -126,10 +126,12 @@ func TestDotAdd4MatchesDotAdd(t *testing.T) {
 
 var benchSink float64
 
+// refDot rounds each product before its add, as Dot does, so that it is
+// Dot's loop on a GOARCH whose compiler would fuse them too.
 func refDot(a, b []float64) float64 {
 	var s float64
 	for i := range a {
-		s += a[i] * b[i]
+		s += float64(a[i] * b[i])
 	}
 	return s
 }

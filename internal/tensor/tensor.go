@@ -258,10 +258,10 @@ func DotAdd4(a, x0, x1, x2, x3, y []float64) (s0, s1, s2, s3 float64) {
 	}
 	a, x0, x1, x2, x3 = a[:n], x0[:n], x1[:n], x2[:n], x3[:n]
 	for i, v := range y {
-		s0 += a[i] * x0[i]
-		s1 += a[i] * x1[i]
-		s2 += a[i] * x2[i]
-		s3 += a[i] * x3[i]
+		s0 += float64(a[i] * x0[i])
+		s1 += float64(a[i] * x1[i])
+		s2 += float64(a[i] * x2[i])
+		s3 += float64(a[i] * x3[i])
 		v += x0[i]
 		v += x1[i]
 		v += x2[i]
