@@ -158,7 +158,7 @@ func (m *CNN) Loss(X *tensor.Matrix, y []float64) float64 {
 	var s float64
 	for i := 0; i < X.Rows; i++ {
 		m.forward(X.Row(i), st)
-		s += logSumExp(st.logits) - st.logits[int(y[i])]
+		s += tensor.LogSumExp(st.logits) - st.logits[int(y[i])]
 	}
 	return s / float64(X.Rows)
 }
@@ -176,7 +176,7 @@ func (m *CNN) Grad(X *tensor.Matrix, y []float64) []float64 {
 	for i := 0; i < X.Rows; i++ {
 		x := X.Row(i)
 		m.forward(x, st)
-		lse := logSumExp(st.logits)
+		lse := tensor.LogSumExp(st.logits)
 		for k := 0; k < m.c; k++ {
 			dz[k] = math.Exp(st.logits[k] - lse)
 			if k == int(y[i]) {

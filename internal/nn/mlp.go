@@ -78,7 +78,7 @@ func (m *MLP) Loss(X *tensor.Matrix, y []float64) float64 {
 	var s float64
 	for i := 0; i < X.Rows; i++ {
 		m.forward(X.Row(i), a, z)
-		s += logSumExp(z) - z[int(y[i])]
+		s += tensor.LogSumExp(z) - z[int(y[i])]
 	}
 	return s / float64(X.Rows)
 }
@@ -97,7 +97,7 @@ func (m *MLP) Grad(X *tensor.Matrix, y []float64) []float64 {
 	for i := 0; i < X.Rows; i++ {
 		x := X.Row(i)
 		m.forward(x, a, z)
-		lse := logSumExp(z)
+		lse := tensor.LogSumExp(z)
 		for k := 0; k < m.c; k++ {
 			dz[k] = math.Exp(z[k] - lse)
 			if k == int(y[i]) {

@@ -83,27 +83,6 @@ func sigmoid(z float64) float64 {
 	return e / (1 + e)
 }
 
-// logSumExp returns log Σ exp(z_i) computed stably. The maximum's own term
-// is exp(0) = 1 and is added as such, at its place in the sum; the test is on
-// the difference, so an all-+Inf row still sums exp(NaN).
-func logSumExp(z []float64) float64 {
-	m := z[0]
-	for _, v := range z[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	var s float64
-	for _, v := range z {
-		if d := v - m; d == 0 {
-			s++
-		} else {
-			s += math.Exp(d)
-		}
-	}
-	return m + math.Log(s)
-}
-
 // affine computes dst = W·x + b for the row-major len(b)×len(x) matrix w:
 // the logit layer of every classifier here, its rows sharing Dot4 passes.
 func affine(dst, w, b, x []float64) {
@@ -148,15 +127,24 @@ func scratch(buf *[scratchLen]float64, n int) []float64 {
 // headR turns a row's logits z into p = softmax(z), in place, and their
 // derivative u along a direction into the softmax cross-entropy's
 // R{dz} = (diag p − p pᵀ)·u, r_k = p_k·(u_k − Σ_j p_j·u_j): the head's share
-// of every classifier's Hessian-vector product.
+// of the MLP's and the CNN's Hessian-vector products. The softmax model
+// takes p four rows at a time and runs softmaxR on each.
 func headR(z, u []float64) {
-	lse := logSumExp(z)
-	var s float64
+	lse := tensor.LogSumExp(z)
 	for k, zk := range z {
 		z[k] = math.Exp(zk - lse)
-		s += z[k] * u[k]
 	}
-	for k, pk := range z {
+	softmaxR(z, u)
+}
+
+// softmaxR is headR after the softmax: it turns u into
+// r_k = p_k·(u_k − Σ_j p_j·u_j) for the row's probabilities p.
+func softmaxR(p, u []float64) {
+	var s float64
+	for k, pk := range p {
+		s += pk * u[k]
+	}
+	for k, pk := range p {
 		u[k] = pk * (u[k] - s)
 	}
 }

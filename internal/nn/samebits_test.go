@@ -451,9 +451,9 @@ func TestLogSumExpMatchesExpOfZero(t *testing.T) {
 		rows = append(rows, rng.NormalVec(n, 0, 30))
 	}
 	for _, z := range rows {
-		got, want := logSumExp(z), refLogSumExp(z)
+		got, want := tensor.LogSumExp(z), refLogSumExp(z)
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("logSumExp(%v) = %v (%#x), with exp(0) computed %v (%#x)", z,
+			t.Errorf("tensor.LogSumExp(%v) = %v (%#x), with exp(0) computed %v (%#x)", z,
 				got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	}

@@ -69,17 +69,40 @@ func (m *SoftmaxRegression) blockLogits(X *tensor.Matrix, i int, w, z []float64)
 	return 4
 }
 
-// Loss implements Model.
+// blockSoftmax turns the n rows of logits blockLogits left in z into their
+// softmax p_k = exp(z_k − lse), in place: a four-row block through
+// tensor.LogSumExp4 and tensor.ExpShift4, its rows their lanes, a single row
+// through LogSumExp and math.Exp, with the same bits.
+func (m *SoftmaxRegression) blockSoftmax(z []float64, n int) {
+	if n == 4 {
+		var lse [4]float64
+		tensor.LogSumExp4(&lse, z[:4*m.c])
+		tensor.ExpShift4(z[:4*m.c], &lse)
+		return
+	}
+	zr := z[:m.c]
+	lse := tensor.LogSumExp(zr)
+	for k, zk := range zr {
+		zr[k] = math.Exp(zk - lse)
+	}
+}
+
+// Loss implements Model: per row, log Σ exp(z_k) − z_y, the normaliser of a
+// four-row block from one tensor.LogSumExp4 call.
 func (m *SoftmaxRegression) Loss(X *tensor.Matrix, y []float64) float64 {
 	checkClasses(X, y, m.d, m.c)
 	var buf [scratchLen]float64
 	z := scratch(&buf, 4*m.c)
+	var lse [4]float64
 	var s float64
 	for i, n := 0, 0; i < X.Rows; i += n {
-		n = m.blockLogits(X, i, m.params, z)
+		if n = m.blockLogits(X, i, m.params, z); n == 4 {
+			tensor.LogSumExp4(&lse, z[:4*m.c])
+		} else {
+			lse[0] = tensor.LogSumExp(z[:m.c])
+		}
 		for r := 0; r < n; r++ {
-			zr := z[r*m.c : (r+1)*m.c]
-			s += logSumExp(zr) - zr[int(y[i+r])]
+			s += lse[r] - z[r*m.c+int(y[i+r])]
 		}
 	}
 	return s / float64(X.Rows)
@@ -94,15 +117,9 @@ func (m *SoftmaxRegression) Grad(X *tensor.Matrix, y []float64) []float64 {
 	for i, n := 0, 0; i < X.Rows; i += n {
 		n = m.blockLogits(X, i, m.params, z)
 		// The block's dz = softmax(z) − onehot(y) first, over its logits …
+		m.blockSoftmax(z, n)
 		for r := 0; r < n; r++ {
-			zr := z[r*m.c : (r+1)*m.c]
-			lse := logSumExp(zr)
-			for k, zk := range zr {
-				zr[k] = math.Exp(zk - lse)
-				if k == int(y[i+r]) {
-					zr[k]--
-				}
-			}
+			z[r*m.c+int(y[i+r])]--
 		}
 		m.blockBackward(X, i, n, z, g)
 	}
@@ -125,8 +142,9 @@ func (m *SoftmaxRegression) HVP(X *tensor.Matrix, y []float64, v []float64) []fl
 	for i, n := 0, 0; i < X.Rows; i += n {
 		n = m.blockLogits(X, i, m.params, z)
 		m.blockLogits(X, i, v, u)
+		m.blockSoftmax(z, n)
 		for r := 0; r < n; r++ {
-			headR(z[r*m.c:(r+1)*m.c], u[r*m.c:(r+1)*m.c])
+			softmaxR(z[r*m.c:(r+1)*m.c], u[r*m.c:(r+1)*m.c])
 		}
 		m.blockBackward(X, i, n, u, out)
 	}

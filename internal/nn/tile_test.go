@@ -11,36 +11,46 @@ import (
 )
 
 // useAVX2 is tensor's switch between Dot4xN's AVX2 tile and its portable
-// loop, reached here so that the model's own calls can be run on both.
+// loop, and expPath its choice between LogSumExp4's and ExpShift4's AVX2
+// kernel (1 or 2, the exp sequence math.Exp runs) and math.Exp one value at
+// a time (0), reached here so that the model's own calls can be run on each.
 //
 //go:linkname useAVX2 digfl/internal/tensor.useAVX2
 var useAVX2 bool
 
-// onTilePaths runs f once with Dot4xN on the AVX2 tile, where the host
-// has it, and once on the portable loop.
+//go:linkname expPath digfl/internal/tensor.expPath
+var expPath uint8
+
+// onTilePaths runs f with the AVX2 kernels tensor chose at init, where the
+// host has them: "avx2" with all of them, "avx2-scalar-exp" with the logit
+// tile and math.Exp; and "portable" with neither.
 func onTilePaths(t testing.TB, f func(path string)) {
-	saved := useAVX2
-	defer func() { useAVX2 = saved }()
-	if saved {
+	tile, exp := useAVX2, expPath
+	defer func() { useAVX2, expPath = tile, exp }()
+	if tile && exp != 0 {
 		f("avx2")
+		expPath = 0
+		f("avx2-scalar-exp")
 	} else {
 		t.Log("no AVX2 on this host: the portable path only")
 	}
-	useAVX2 = false
+	useAVX2, expPath = false, 0
 	f("portable")
 }
 
 // TestSoftmaxTilePathsSameBits: Loss, Grad, HVP and Predict of the softmax
-// model give the same bits on Dot4xN's AVX2 tile and on its portable loop —
-// for 2, 3, 10, 16 and 17 classes (17 takes the heap scratch) and batches of
-// 1…9 rows (every split into four-row blocks and a tail) — and on both
-// Loss allocates nothing and HVP only its result.
+// model give the same bits with the AVX2 kernels — Dot4xN's tile, and
+// LogSumExp4's and ExpShift4's exp — with the tile alone, and on the
+// portable loops, for 1…17 classes (17 takes the heap scratch) and batches
+// of 1…9 rows (every split into four-row blocks and a tail), at parameters
+// whose logits are spread, so the exps are paid; and on each path Loss
+// allocates nothing and HVP only its result.
 func TestSoftmaxTilePathsSameBits(t *testing.T) {
 	const d = 7
 	rng := tensor.NewRNG(40)
-	for _, c := range []int{2, 3, 10, 16, 17} {
+	for c := 1; c <= 17; c++ {
 		m := NewSoftmaxRegression(d, c)
-		rng.Normal(m.Params(), 0, 0.7)
+		rng.Normal(m.Params(), 0, 2)
 		for rows := 1; rows <= 9; rows++ {
 			X, y := randClassBatch(rng, rows, d, c)
 			v := rng.NormalVec(m.NumParams(), 0, 1)
@@ -64,36 +74,31 @@ func TestSoftmaxTilePathsSameBits(t *testing.T) {
 			})
 			at := fmt.Sprintf("c=%d, %d rows", c, rows)
 			p := got["portable"]
-			if c <= 16 && (p.lossAllocs != 0 || p.hvpAllocs != 1) {
-				t.Errorf("%s, portable: Loss allocates %v, HVP %v times a call, want 0 and 1", at, p.lossAllocs, p.hvpAllocs)
-			}
-			a, ok := got["avx2"]
-			if !ok {
-				continue
-			}
-			if c <= 16 && (a.lossAllocs != 0 || a.hvpAllocs != 1) {
-				t.Errorf("%s, avx2: Loss allocates %v, HVP %v times a call, want 0 and 1", at, a.lossAllocs, a.hvpAllocs)
-			}
-			if math.Float64bits(a.loss) != math.Float64bits(p.loss) {
-				t.Errorf("%s: Loss %v on the tile, %v on the portable loop", at, a.loss, p.loss)
-			}
-			if !sameBits(a.grad, p.grad) {
-				t.Errorf("%s: Grad differs between the tile and the portable loop", at)
-			}
-			if !sameBits(a.hvp, p.hvp) {
-				t.Errorf("%s: HVP differs between the tile and the portable loop", at)
-			}
-			if !reflect.DeepEqual(a.predict, p.predict) {
-				t.Errorf("%s: Predict %v on the tile, %v on the portable loop", at, a.predict, p.predict)
+			for path, a := range got {
+				if c <= 16 && (a.lossAllocs != 0 || a.hvpAllocs != 1) {
+					t.Errorf("%s, %s: Loss allocates %v, HVP %v times a call, want 0 and 1", at, path, a.lossAllocs, a.hvpAllocs)
+				}
+				if math.Float64bits(a.loss) != math.Float64bits(p.loss) {
+					t.Errorf("%s: Loss %v on %s, %v on the portable loops", at, a.loss, path, p.loss)
+				}
+				if !sameBits(a.grad, p.grad) {
+					t.Errorf("%s: Grad differs between %s and the portable loops", at, path)
+				}
+				if !sameBits(a.hvp, p.hvp) {
+					t.Errorf("%s: HVP differs between %s and the portable loops", at, path)
+				}
+				if !reflect.DeepEqual(a.predict, p.predict) {
+					t.Errorf("%s: Predict %v on %s, %v on the portable loops", at, a.predict, path, p.predict)
+				}
 			}
 		}
 	}
 }
 
-// BenchmarkSoftmaxLoss is the audit engines' utility evaluation on both of
-// Dot4xN's paths: the validation loss of a 10-class softmax on 400 rows of
-// 64 features, at parameters fitted to the batch by gradient descent — their
-// logits are spread, so every row's logSumExp pays its exps, as the audit's
+// BenchmarkSoftmaxLoss is the audit engines' utility evaluation on each of
+// onTilePaths' paths: the validation loss of a 10-class softmax on 400 rows
+// of 64 features, at parameters fitted to the batch by gradient descent —
+// their logits are spread, so every row's log-sum-exp pays its exps, as the audit's
 // trained models do (an all-zero θ, whose logits are all 0, pays none).
 func BenchmarkSoftmaxLoss(b *testing.B) {
 	rng := tensor.NewRNG(64)

@@ -1,0 +1,278 @@
+package tensor
+
+import (
+	"math"
+	"testing"
+)
+
+// onExpPaths runs f once on each path LogSumExp4 and ExpShift4 can take
+// here: the AVX2 kernel in the exp variant calibrated at init, where there is
+// one, then math.Exp and math.Log one value at a time, forced by setting
+// expPath.
+func onExpPaths(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	saved := expPath
+	defer func() { expPath = saved }()
+	if saved == expScalar {
+		t.Log("no AVX2 exp kernel on this host: the scalar path only")
+	} else {
+		t.Run("avx2", f)
+	}
+	expPath = expScalar
+	t.Run("scalar", f)
+}
+
+// expSpecials are the special-value cases of the log-sum-exp tests, each
+// planted into every row of a block at a row's own offset: a difference
+// z_k − m of ±0, one whose exp is subnormal on archExp's fast path (near
+// −708, where n reaches −1022), one its denormal branch takes (below about
+// −708.75), one that underflows (below −745), ±Inf, Inf − Inf, and NaNs of
+// distinct payloads.
+var expSpecials = map[string][]float64{
+	"finite":          nil,
+	"±0":              {0, math.Copysign(0, -1), 0, math.Copysign(0, -1)},
+	"subnormal exp":   {-708.4, -708.5, -708.7, -708.74},
+	"denormal scale":  {-708.75, -709.5, -720, -744.9},
+	"underflow":       {-745.2, -746, -800, -1e300},
+	"+Inf":            {math.Inf(1)},
+	"-Inf":            {math.Inf(-1)},
+	"Inf-Inf":         {math.Inf(1), math.Inf(-1)},
+	"large":           {709, 710, 1e308},
+	"NaN payloads":    nanPayloads,
+	"NaN beside +Inf": {math.Inf(1), math.Float64frombits(0x7ff8000000000abc)},
+}
+
+// expBlock returns a four-row block of c logits, row r drawn at scale
+// 10^(r−1)·scale so the rows' spreads differ, with the special values
+// planted in each row from column r on (wrapping): with the row maxima
+// near 0, a planted −709 is a difference of about −709.
+func expBlock(rng *RNG, c int, scale float64, special []float64) []float64 {
+	z := make([]float64, 4*c)
+	for r := 0; r < 4; r++ {
+		row := z[r*c : (r+1)*c]
+		rng.Normal(row, 0, scale*math.Pow(10, float64(r-1)))
+		for i, v := range special {
+			if i < c {
+				row[(r+i)%c] = v
+			}
+		}
+	}
+	return z
+}
+
+// sameOrBothNaN compares got with want bit for bit, except that where the
+// want came from a difference of two NaNs — whose payload is the
+// subtraction's operand order, a register-allocation accident — any NaN
+// will do.
+func sameOrBothNaN(got, want float64, twoNaNs bool) bool {
+	if twoNaNs && got != got && want != want {
+		return true
+	}
+	return math.Float64bits(got) == math.Float64bits(want)
+}
+
+// checkLogSumExp4 runs LogSumExp4 on the block z (four rows of c) and then
+// ExpShift4 by its result, on a copy followed by a sentinel, and wants each
+// lse[r] to be LogSumExp of row r and each p to be math.Exp(z − lse[r]) bit
+// for bit, and nothing past the block written.
+func checkLogSumExp4(t *testing.T, what string, z []float64) {
+	t.Helper()
+	const sentinel = 0x7ff8dead0000beef
+	c := len(z) / 4
+	buf := append(append([]float64(nil), z...), math.Float64frombits(sentinel))
+	var lse [4]float64
+	LogSumExp4(&lse, buf[:4*c])
+	for r := range lse {
+		if want := LogSumExp(z[r*c : (r+1)*c]); math.Float64bits(lse[r]) != math.Float64bits(want) {
+			t.Fatalf("%s C=%d: LogSumExp4 row %d = %v (%#x), LogSumExp %v (%#x)", what, c, r,
+				lse[r], math.Float64bits(lse[r]), want, math.Float64bits(want))
+		}
+	}
+	ExpShift4(buf[:4*c], &lse)
+	for r := range lse {
+		for k := 0; k < c; k++ {
+			v := z[r*c+k]
+			got, want := buf[r*c+k], math.Exp(v-lse[r])
+			if !sameOrBothNaN(got, want, v != v && lse[r] != lse[r]) {
+				t.Fatalf("%s C=%d: ExpShift4 z[%d·C+%d] = %v (%#x), math.Exp(%v − %v) %v (%#x)", what, c, r, k,
+					got, math.Float64bits(got), v, lse[r], want, math.Float64bits(want))
+			}
+		}
+	}
+	if math.Float64bits(buf[4*c]) != sentinel {
+		t.Fatalf("%s C=%d: the block's kernels wrote past it", what, c)
+	}
+}
+
+// TestLogSumExp4MatchesScalar: on the AVX2 kernel and on the scalar path,
+// every row of a four-row block gets LogSumExp's bits, and its softmax
+// math.Exp(z − lse)'s — for 1…17 classes, rows at scales 10⁻³…10³, and
+// every special case of expSpecials.
+func TestLogSumExp4MatchesScalar(t *testing.T) {
+	onExpPaths(t, func(t *testing.T) {
+		rng := NewRNG(41)
+		for name, special := range expSpecials {
+			for c := 1; c <= 17; c++ {
+				for _, scale := range []float64{1e-2, 1, 30} {
+					checkLogSumExp4(t, name, expBlock(rng, c, scale, special))
+				}
+			}
+		}
+	})
+}
+
+// TestExpShift4Overflow: a shift that leaves a difference above archExp's
+// Overflow, or a non-finite one, hands the rest of the block to math.Exp;
+// every value still gets math.Exp's bits.
+func TestExpShift4Overflow(t *testing.T) {
+	onExpPaths(t, func(t *testing.T) {
+		for _, shift := range [][4]float64{{0, 0, 0, 0}, {-1, 0, 1, 2}, {math.Inf(1), 0, 0, 0}, {0, math.NaN(), 0, 0}} {
+			z := []float64{1, 709.7, 709.8, 710, -3, 2, 0.5, -0.5, 3, 1e300, -1e300, 7, 0, 1, 2, 3}
+			want := make([]float64, len(z))
+			for i, v := range z {
+				want[i] = math.Exp(v - shift[i/4])
+			}
+			ExpShift4(z, &shift)
+			for i := range z {
+				if math.Float64bits(z[i]) != math.Float64bits(want[i]) {
+					t.Errorf("shift %v: ExpShift4 value %d = %v, math.Exp %v", shift, i, z[i], want[i])
+				}
+			}
+		}
+	})
+}
+
+// TestExpTableMatchesMathExp: the kernel's exp has math.Exp's bits at every
+// 1/256 over [−746, 0], and the kernel itself computes each block of it
+// that lies wholly on archExp's fast path.
+func TestExpTableMatchesMathExp(t *testing.T) {
+	if expPath == expScalar {
+		t.Skip("no AVX2 exp kernel on this host")
+	}
+	const c = 16
+	var zero [4]float64
+	for at := 0; at > -746*256; at -= 4 * c {
+		var z [4 * c]float64
+		for i := range z {
+			z[i] = float64(at-i) / 256
+		}
+		x := z
+		done := expShift4AVX2(&z[0], c, &zero, expPath == expFused)
+		if x[len(x)-1] > -708.7 && done != c {
+			t.Fatalf("block from %v: the kernel did %d of %d columns on the fast path", x[0], done, c)
+		}
+		for k := 0; k < done; k++ {
+			for r := 0; r < 4; r++ {
+				if got, want := z[r*c+k], math.Exp(x[r*c+k]); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("exp(%v) = %v (%#x), math.Exp %v (%#x)", x[r*c+k], got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
+// TestLogTableMatchesMathLog: the kernel's log has math.Log's bits on sums s
+// across [1, 64] — rows of j zeros and one d < 0 sum to s = j + exp(d), and
+// with their maximum 0 their log-sum-exp is log(s) — √2 included, where
+// archLog's mantissa meets its √2/2 threshold exactly.
+func TestLogTableMatchesMathLog(t *testing.T) {
+	onExpPaths(t, func(t *testing.T) {
+		for j := 1; j <= 63; j++ {
+			c := j + 1
+			z := make([]float64, 4*c)
+			for i := 0; i < 1024; i += 4 {
+				for r := 0; r < 4; r++ {
+					z[r*c+j] = math.Log((float64(i+r) + 0.5) / 1024)
+				}
+				if j == 1 && i == 0 {
+					z[j] = -0.8813735870195429 // 1 + exp(d) is √2 exactly
+				}
+				var lse [4]float64
+				LogSumExp4(&lse, z)
+				for r := range lse {
+					s := float64(j) + math.Exp(z[r*c+j])
+					if j == 1 && i == 0 && r == 0 && s != math.Sqrt2 {
+						t.Fatalf("the √2 probe sums to %v", s)
+					}
+					if want := math.Log(s); math.Float64bits(lse[r]) != math.Float64bits(want) {
+						t.Fatalf("log(%v) = %v (%#x), math.Log %v (%#x)", s, lse[r], math.Float64bits(lse[r]), want, math.Float64bits(want))
+					}
+				}
+			}
+		}
+	})
+}
+
+// FuzzLogSumExp4 holds both paths to LogSumExp and math.Exp on random
+// blocks at a fuzzed scale with two arbitrary bit patterns planted.
+func FuzzLogSumExp4(f *testing.F) {
+	f.Add(uint8(10), int64(1), 1.0, uint64(0x7ff8000000000001), uint64(0xfff8000000000002))
+	f.Add(uint8(3), int64(2), 300.0, math.Float64bits(math.Inf(1)), math.Float64bits(math.Inf(-1)))
+	f.Add(uint8(17), int64(3), 1e-3, math.Float64bits(-709.0), uint64(0x8000000000000000))
+	f.Fuzz(func(t *testing.T, c uint8, seed int64, scale float64, p, q uint64) {
+		classes := 1 + int(c%17)
+		rng := NewRNG(seed)
+		z := rng.NormalVec(4*classes, 0, 1)
+		for i := range z {
+			z[i] *= scale
+		}
+		at := rng.Intn(4 * classes)
+		z[at] = math.Float64frombits(p)
+		z[(at+1+rng.Intn(4*classes))%(4*classes)] = math.Float64frombits(q)
+		onExpPaths(t, func(t *testing.T) { checkLogSumExp4(t, "fuzz", z) })
+	})
+}
+
+func TestLogSumExp4ShapeMismatchPanics(t *testing.T) {
+	for _, n := range []int{0, 3, 5, 9} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("LogSumExp4 of %d values did not panic", n)
+				}
+			}()
+			var lse [4]float64
+			LogSumExp4(&lse, make([]float64, n))
+		}()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ExpShift4 of %d values did not panic", n)
+				}
+			}()
+			var shift [4]float64
+			ExpShift4(make([]float64, n), &shift)
+		}()
+	}
+}
+
+// BenchmarkLogSumExp4 is one four-row block's normaliser at the audit's
+// class count, 4 × 10 logits spread as a fitted model's are (N(0, 3²)), on
+// the AVX2 kernel and on the scalar path, each checked against LogSumExp.
+func BenchmarkLogSumExp4(b *testing.B) {
+	z := NewRNG(10).NormalVec(40, 0, 3)
+	saved := expPath
+	defer func() { expPath = saved }()
+	for _, p := range []struct {
+		name string
+		path uint8
+	}{{"avx2", saved}, {"portable", expScalar}} {
+		if p.name == "avx2" && saved == expScalar {
+			b.Log("no AVX2 exp kernel on this host: the portable path only")
+			continue
+		}
+		expPath = p.path
+		b.Run("4x10/"+p.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var lse [4]float64
+			for i := 0; i < b.N; i++ {
+				LogSumExp4(&lse, z)
+			}
+			for r, v := range lse {
+				if want := LogSumExp(z[r*10 : (r+1)*10]); math.Float64bits(v) != math.Float64bits(want) {
+					b.Fatalf("row %d: LogSumExp4 %v, LogSumExp %v", r, v, want)
+				}
+			}
+		})
+	}
+}

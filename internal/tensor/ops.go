@@ -9,7 +9,8 @@ import (
 // Each product is rounded before its add: the float64 conversion forbids
 // the fused multiply-add the Go spec otherwise lets a compiler emit (arm64's
 // does), so Dot, Dot4, DotAdd, DotAdd4 and Dot4xN's AVX2 tile add the same
-// terms on every host.
+// terms on every host. Every other product this package adds to a sum —
+// AXPY, AXPY4, Norm2, MatTMat, RNG.Normal — is rounded the same way.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("tensor: Dot length mismatch %d vs %d", len(a), len(b)))
@@ -30,7 +31,7 @@ func AXPY(alpha float64, x, y []float64) {
 		return
 	}
 	for i, v := range x {
-		y[i] += alpha * v
+		y[i] += float64(alpha * v)
 	}
 }
 
@@ -128,7 +129,7 @@ func Zero(x []float64) {
 func Norm2(x []float64) float64 {
 	var s float64
 	for _, v := range x {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }

@@ -23,7 +23,7 @@ func (r *RNG) Split(i int64) *RNG {
 // Normal fills dst with N(mu, sigma²) samples.
 func (r *RNG) Normal(dst []float64, mu, sigma float64) {
 	for i := range dst {
-		dst[i] = mu + sigma*r.NormFloat64()
+		dst[i] = mu + float64(sigma*r.NormFloat64())
 	}
 }
 

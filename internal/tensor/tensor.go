@@ -144,7 +144,7 @@ func MatTMat(a *Matrix, s float64) *Matrix {
 			}
 			gi := g.Row(i)
 			for j := 0; j < a.Cols; j++ {
-				gi[j] += vi * row[j]
+				gi[j] += float64(vi * row[j])
 			}
 		}
 	}
@@ -202,10 +202,10 @@ func AXPY4(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64) {
 	}
 	x0, x1, x2, x3 = x0[:n], x1[:n], x2[:n], x3[:n]
 	for i, v := range y {
-		v += a0 * x0[i]
-		v += a1 * x1[i]
-		v += a2 * x2[i]
-		v += a3 * x3[i]
+		v += float64(a0 * x0[i])
+		v += float64(a1 * x1[i])
+		v += float64(a2 * x2[i])
+		v += float64(a3 * x3[i])
 		y[i] = v
 	}
 }

@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // useAVX2 selects Dot4xN's assembly tile. It is set once, at init from
 // CPUID and XGETBV on amd64, and is false elsewhere; the tests clear it to
@@ -42,6 +45,90 @@ func Dot4xN(z, x, w []float64) {
 		if v != v {
 			r, k := at/c, at%c
 			z[at] = Dot(x[r*n:(r+1)*n], w[k*n:(k+1)*n])
+		}
+	}
+}
+
+// expPath is the exp sequence LogSumExp4 and ExpShift4 run. It is set once,
+// at init on amd64, to the variant of archExp that math.Exp is found to run
+// in this process, and is expScalar elsewhere; the tests set it to run each
+// path on the same inputs.
+var expPath uint8
+
+const (
+	expScalar uint8 = iota // math.Exp and math.Log, one value at a time
+	expPlain               // archExp four lanes wide, each product rounded
+	expFused               // archExp's FMA sequence four lanes wide
+)
+
+// LogSumExp returns log Σ exp(z_k) computed stably. The maximum's own term
+// is exp(0) = 1 and is added as such, at its place in the sum; the test is on
+// the difference, so an all-+Inf row still sums exp(NaN).
+func LogSumExp(z []float64) float64 {
+	m := z[0]
+	for _, v := range z[1:] {
+		if v > m {
+			m = v
+		}
+	}
+	var s float64
+	for _, v := range z {
+		if d := v - m; d == 0 {
+			s++
+		} else {
+			s += math.Exp(d)
+		}
+	}
+	return m + math.Log(s)
+}
+
+// LogSumExp4 sets lse[r] = LogSumExp(z[r·C:(r+1)·C]) for the four rows of
+// the block z, row-major 4×C: the softmax model's normaliser, one call per
+// four validation rows.
+//
+// On amd64 with AVX2 one assembly kernel takes the four rows as the lanes of
+// a ymm register: each lane's maximum in class order, then its sum of
+// exp(z_k − m) from zero in class order, then one log, with math.Exp's and
+// math.Log's own operations in their own order (math/exp_amd64.s, in the
+// variant math.Exp runs, and math/log_amd64.s), so every lane has
+// LogSumExp's bits. A row whose exps leave archExp's fast path — a
+// non-finite difference, one above its Overflow, or one below about
+// −708.75, where it takes its denormal branch — or whose sum is not a
+// positive normal number is taken again through LogSumExp.
+func LogSumExp4(lse *[4]float64, z []float64) {
+	c := len(z) / 4
+	if c == 0 || len(z) != 4*c {
+		panic(fmt.Sprintf("tensor: LogSumExp4 of %d values, not four rows of C ≥ 1", len(z)))
+	}
+	retake := 0xf
+	if expPath != expScalar {
+		retake = logSumExp4AVX2(lse, &z[0], c, expPath == expFused)
+	}
+	for r := range lse {
+		if retake>>r&1 != 0 {
+			lse[r] = LogSumExp(z[r*c : (r+1)*c])
+		}
+	}
+}
+
+// ExpShift4 replaces every value of the block z, row-major 4×C, by
+// math.Exp(z[r·C+k] − shift[r]): with shift the rows' LogSumExp4, the
+// block's softmax. The AVX2 kernel runs LogSumExp4's exp a column of four
+// lanes at a time and stops at the first column with a lane off archExp's
+// fast path; math.Exp finishes the block from there.
+func ExpShift4(z []float64, shift *[4]float64) {
+	c := len(z) / 4
+	if c == 0 || len(z) != 4*c {
+		panic(fmt.Sprintf("tensor: ExpShift4 of %d values, not four rows of C ≥ 1", len(z)))
+	}
+	done := 0
+	if expPath != expScalar {
+		done = expShift4AVX2(&z[0], c, shift, expPath == expFused)
+	}
+	for r, sr := range shift {
+		row := z[r*c+done : (r+1)*c]
+		for k, v := range row {
+			row[k] = math.Exp(v - sr)
 		}
 	}
 }

@@ -1,6 +1,11 @@
 package tensor
 
-func init() { useAVX2 = hasAVX2() }
+import "math"
+
+func init() {
+	useAVX2 = hasAVX2()
+	expPath = calibratedExp()
+}
 
 // hasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
 // registers across context switches (CPUID.1:ECX OSXSAVE and AVX, XCR0's
@@ -20,6 +25,64 @@ func hasAVX2() bool {
 	return ebx&(1<<5) != 0
 }
 
+// hasFMA reports whether the CPU has FMA3 (CPUID.1:ECX bit 12). Call it
+// only where hasAVX2 holds.
+func hasFMA() bool {
+	_, _, ecx, _ := cpuid(1, 0)
+	return ecx&(1<<12) != 0
+}
+
+// expProbes are inputs on which archExp's two sequences round differently:
+// math.Exp of each has one set of bits with math.useFMA and another
+// without.
+var expProbes = [...]uint64{
+	0xc00f2f7b7a95e081, // -3.8981847359646626
+	0xc01955205257928c, // -6.333131109805105
+	0xc021241fc5b472ec, // -8.570554903294997
+	0xc02448826b59e47a, // -10.14162002060242
+	0xc03a95184e500eb4, // -26.582402128739616
+	0xc0635789b7b76e08, // -154.7355612356771
+	0xc07e6454eed788aa, // -486.27073558991344
+	0xc08616390db781bb, // -706.7778581940141
+}
+
+// calibratedExp returns the exp sequence whose kernel reproduces math.Exp,
+// as this process runs it, on every probe: archExp's plain sequence, or its
+// fused one where the CPU has FMA. It does not read math.useFMA's source
+// (CPUID, GODEBUG=cpu.fma) but its result, so it follows both, and any
+// change to archExp turns the kernels off rather than moving a bit.
+func calibratedExp() uint8 {
+	switch {
+	case !useAVX2:
+		return expScalar
+	case expMatches(false):
+		return expPlain
+	case hasFMA() && expMatches(true):
+		return expFused
+	}
+	return expScalar
+}
+
+// expMatches reports whether expShift4AVX2's fused or plain sequence gives
+// math.Exp's bits on every probe, each in all four lanes.
+func expMatches(fused bool) bool {
+	const n = len(expProbes)
+	var z [4 * n]float64
+	for i := range z {
+		z[i] = math.Float64frombits(expProbes[i%n])
+	}
+	var zero [4]float64
+	if expShift4AVX2(&z[0], n, &zero, fused) != n {
+		return false
+	}
+	for i, v := range z {
+		if math.Float64bits(v) != math.Float64bits(math.Exp(math.Float64frombits(expProbes[i%n]))) {
+			return false
+		}
+	}
+	return true
+}
+
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 
 // xgetbv returns the low half of XCR0. Call it only when CPUID reports
@@ -31,3 +94,16 @@ func xgetbv() uint32
 //
 //go:noescape
 func dot4xNAVX2(z, x, w *float64, n, c int) (nan bool)
+
+// logSumExp4AVX2 is LogSumExp4's kernel over c ≥ 1 classes, with archExp's
+// FMA sequence when fused is set. It returns the rows to retake as a bit
+// mask, row r at bit r.
+//
+//go:noescape
+func logSumExp4AVX2(lse *[4]float64, z *float64, c int, fused bool) (retake int)
+
+// expShift4AVX2 is ExpShift4's kernel over c ≥ 1 classes. It returns the
+// number of leading columns it replaced.
+//
+//go:noescape
+func expShift4AVX2(z *float64, c int, shift *[4]float64, fused bool) (done int)
