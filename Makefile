@@ -60,8 +60,8 @@ NET_RUN = Loopback|LocalSource|Straggler|Retry|Cancel|Wire|Score|Composition|Mod
 NET_PKGS = ./internal/fednet/
 SCALE_RUN = Sample|Sampled|Cohort|Stream|MeanFold|Scale100k|Retain|Reclaim|TotalsOnly|LongPoll|RoundCloses|Lookahead
 SCALE_PKGS = ./internal/sampling/ ./internal/hfl/ ./internal/core/ ./internal/fednet/ ./internal/vfl/
-WIRE_RUN = Codec|Frame|BenchDriverRequestShapes|Pool|SizeClass|WireCodec|WireDeterministic|FiniteVec|DotAdd|HandlerAllocs|ReplyBytes|RoundQuery|InstanceHeader
-WIRE_PKGS = ./internal/fednet/ ./internal/tensor/ ./internal/experiments/
+WIRE_RUN = Codec|Frame|BenchDriverRequestShapes|Pool|SizeClass|WireCodec|WireDeterministic|FiniteVec|DotAdd|HandlerAllocs|ReplyBytes|RoundQuery|InstanceHeader|ArchiveFlippedByte|ArchiveTornTail|FuzzReadHFL|WrittenFormat|NonFiniteBits|NilVersusEmpty|LogioImportsNoJSON
+WIRE_PKGS = ./internal/fednet/ ./internal/tensor/ ./internal/experiments/ ./internal/logio/
 ASYNC_RUN = Async|PolyWeight|Stale|Buffered|FedProx
 ASYNC_PKGS = ./internal/hfl/ ./internal/fednet/ ./internal/experiments/ ./internal/robust/
 SECURE_RUN = Secure|Encrypt|Decrypt|DotPlain|AddPlain|MaskedGradient|FixedBase|CRT|MulMod|DecryptVec
@@ -211,16 +211,25 @@ verify-scale:
 # estimator-only cell, and a poll at most once, the hand-formatted acks, the
 # excluded reply and the /v1/score reply are json.Encoder's bytes, an escaped
 # poll query parses as url.Values does, and X-Digfl-Instance turns over with
-# Recover. -count=1 defeats the test cache so the gate re-executes.
+# Recover. The training-log archive shares the journal's framing
+# (internal/framing), and its gate rides here too: format version 3's bytes
+# pinned field by field, NaN payloads, −0 and ±Inf in every field and Reported /
+# Weights nil vs empty surviving HFL and VFL round trips, a byte flipped at any
+# offset of a small archive and a final record torn at every length each
+# refused naming the record, no JSON import left in internal/logio, a vet of
+# both packages as compiled for s390x, and a fuzz smoke pass over ReadHFL (no
+# panic; an accepted input writes back its own bytes). -count=1 defeats the
+# test cache so the gate re-executes.
 verify-wire:
-	$(GO) vet ./internal/fednet/ ./internal/tensor/ ./internal/experiments/
-	GOARCH=s390x $(GO) vet ./internal/fednet/
+	$(GO) vet ./internal/fednet/ ./internal/tensor/ ./internal/experiments/ ./internal/framing/ ./internal/logio/
+	GOARCH=s390x $(GO) vet ./internal/fednet/ ./internal/framing/ ./internal/logio/
 	$(GO) test -count=1 -run '$(WIRE_RUN)' $(WIRE_PKGS)
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzDecodeUpdateFrame -fuzztime 5s ./internal/fednet/
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzIngestFrameCanonical -fuzztime 5s ./internal/fednet/
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzCoordinatorHandler -fuzztime 5s ./internal/fednet/
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzDecodeRoundFrame -fuzztime 5s ./internal/fednet/
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzFrameVecReference -fuzztime 5s ./internal/fednet/
+	$(GO) test -count=1 -run '^$$' -fuzz FuzzReadHFL -fuzztime 5s ./internal/logio/
 
 # verify-async runs the asynchronous-federation gate: the buffered-planner
 # unit tests (K-of-N quorum cuts, staleness weights with w(0)=1 exact,

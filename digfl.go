@@ -277,7 +277,7 @@ var (
 	WriteHFLCheckpoint = logio.WriteHFLCheckpoint
 	// ReadHFLCheckpoint deserializes an HFL checkpoint.
 	ReadHFLCheckpoint = logio.ReadHFLCheckpoint
-	// WriteHFLLog serializes an HFL training log as line-delimited JSON.
+	// WriteHFLLog serializes an HFL training log (logio format version 3).
 	WriteHFLLog = logio.WriteHFL
 	// ReadHFLLog deserializes an HFL training log.
 	ReadHFLLog = logio.ReadHFL

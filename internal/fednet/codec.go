@@ -4,8 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"unsafe"
 
+	"digfl/internal/framing"
 	"digfl/internal/jsonf"
 	"digfl/internal/tensor"
 )
@@ -16,8 +16,8 @@ import (
 // carries them. JSON is the control plane only — join, acks,
 // excluded/pending/done markers, errors, /v1/score — all small. The encoding
 // is exact: a float64's bits cross the wire verbatim. On a little-endian host
-// a d×f64 segment is the vector's memory image, so putFrameVec and
-// readFrameVec move it with one copy.
+// a d×f64 segment is the vector's memory image, so framing.PutVec and
+// framing.ReadVec move it with one copy.
 //
 // There is nothing to negotiate. /v1/update refuses any body whose
 // Content-Type is not contentTypeBinary (415, before the body is read); a
@@ -88,7 +88,7 @@ func (binCodec) EncodeUpdate(t, index int, delta []float64) ([]byte, error) {
 	binary.LittleEndian.PutUint32(buf[4:], uint32(t))
 	binary.LittleEndian.PutUint32(buf[8:], uint32(index))
 	binary.LittleEndian.PutUint32(buf[12:], uint32(len(delta)))
-	putFrameVec(buf[updateHdrLen:], delta)
+	framing.PutVec(buf[updateHdrLen:], delta)
 	return buf, nil
 }
 
@@ -131,50 +131,13 @@ func encodeRoundFrame(t int, lr float64, deadlineMS int64, theta []float64, quor
 		off += roundAsyncExtLen
 	}
 	if flags&roundFlagTheta != 0 {
-		putFrameVec(buf[off:], theta)
+		framing.PutVec(buf[off:], theta)
 	}
 	return buf
 }
 
 // roundAsyncExtLen is the async extension's size: u32 quorum, u32 maxStale.
 const roundAsyncExtLen = 4 + 4
-
-// putFrameVec writes v's IEEE-754 bits little-endian into buf: one copy of
-// v's memory image, which on a little-endian host is the frame's bytes
-// already; a big-endian host swaps each float's eight bytes in place after.
-// Beside a memmove of d floats a call costs nothing, and inlined the body
-// would repeat at every vector of every encoder.
-//
-//go:noinline
-func putFrameVec(buf []byte, v []float64) {
-	buf = buf[:8*len(v)]
-	copy(buf, floatBytes(v))
-	if bigEndian {
-		swapFloatBytes(buf)
-	}
-}
-
-// floatBytes is v's memory image: the 8·len(v) bytes v's floats occupy, in
-// the host's byte order. It aliases v. Frame bytes are only ever copied into
-// such an image, never reinterpreted as floats themselves: a float inside a
-// frame need not sit on an 8-byte boundary (a close frame's θ starts 4 mod 8
-// into its record).
-func floatBytes(v []float64) []byte {
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 8*len(v))
-}
-
-// bigEndian reports a host whose memory image of a float is not the wire's.
-// Spelled as a string comparison, it folds to a constant and costs no init
-// code.
-var bigEndian = binary.NativeEndian.String() == "BigEndian"
-
-// swapFloatBytes reverses the byte order of every 8-byte word of b in place:
-// the big-endian host's step between a memory image and the wire.
-func swapFloatBytes(b []byte) {
-	for ; len(b) >= 8; b = b[8:] {
-		binary.LittleEndian.PutUint64(b, binary.BigEndian.Uint64(b))
-	}
-}
 
 // maxFrameDim bounds the element count a frame header may declare: a
 // header promising more floats than maxBodyBytes could carry is garbage,
@@ -261,36 +224,5 @@ func decodeRoundFrame(b []byte) (*roundReply, error) {
 // reports whether all of them are finite.
 func decodeFrameVec(b []byte, d int) (v []float64, finite bool) {
 	v = tensor.GetVec(d)
-	return v, readFrameVec(b, v)
-}
-
-// readFrameVec fills v from the little-endian float64s at the front of b and
-// reports whether every one is finite: one copy into v's memory image, then
-// one read of that image, which is still in cache.
-func readFrameVec(b []byte, v []float64) (finite bool) {
-	img := floatBytes(v)
-	copy(img, b[:len(img)])
-	if bigEndian {
-		swapFloatBytes(img)
-	}
-	return finiteImage(img)
-}
-
-// finiteImage reports whether no float of the memory image img is NaN or
-// ±Inf. Those are exactly the floats whose eleven exponent bits are all set,
-// and only then does adding one to the exponent carry out of its eleven bits:
-// the carries of all floats OR into one word, tested once.
-func finiteImage(img []byte) bool {
-	ne := binary.NativeEndian
-	var carry uint64
-	for len(img) >= 32 { // four floats per length check
-		c := img[:32]
-		carry |= (ne.Uint64(c[0:8])>>52&0x7ff + 1) | (ne.Uint64(c[8:16])>>52&0x7ff + 1) |
-			(ne.Uint64(c[16:24])>>52&0x7ff + 1) | (ne.Uint64(c[24:32])>>52&0x7ff + 1)
-		img = img[32:]
-	}
-	for ; len(img) >= 8; img = img[8:] {
-		carry |= ne.Uint64(img)>>52&0x7ff + 1
-	}
-	return carry>>11 == 0
+	return v, framing.ReadVec(b, v)
 }

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"digfl/internal/framing"
 	"digfl/internal/hfl"
 	"digfl/internal/obs"
 	"digfl/internal/tensor"
@@ -256,7 +257,7 @@ func allFinite(v []float64) bool {
 
 // refEncodeVec and refDecodeVec are the per-element codec — one
 // PutUint64/Uint64 per float, finite meaning neither NaN nor ±Inf — that
-// putFrameVec and readFrameVec must match byte for byte and bit for bit.
+// framing.PutVec and framing.ReadVec must match byte for byte and bit for bit.
 func refEncodeVec(v []float64) []byte {
 	b := make([]byte, 8*len(v))
 	for i, x := range v {
@@ -284,13 +285,13 @@ func checkFrameVec(t *testing.T, at string, v []float64, off int, finite bool) {
 	const pad = 0xa5
 	want := refEncodeVec(v)
 	buf := bytes.Repeat([]byte{pad}, off+len(want)+8)
-	putFrameVec(buf[off:], v)
+	framing.PutVec(buf[off:], v)
 	if !bytes.Equal(buf[off:off+len(want)], want) {
-		t.Errorf("%s: putFrameVec wrote other bytes than the oracle", at)
+		t.Errorf("%s: PutVec wrote other bytes than the oracle", at)
 	}
 	for j, c := range buf {
 		if (j < off || j >= off+len(want)) && c != pad {
-			t.Errorf("%s: putFrameVec wrote byte %d, outside its vector", at, j)
+			t.Errorf("%s: PutVec wrote byte %d, outside its vector", at, j)
 			break
 		}
 	}
@@ -299,8 +300,8 @@ func checkFrameVec(t *testing.T, at string, v []float64, off int, finite bool) {
 		t.Fatalf("%s: the oracle says finite=%v, the caller %v", at, wantFinite, finite)
 	}
 	got := make([]float64, len(v))
-	if f := readFrameVec(buf[off:], got); f != finite {
-		t.Errorf("%s: readFrameVec reported finite=%v, want %v", at, f, finite)
+	if f := framing.ReadVec(buf[off:], got); f != finite {
+		t.Errorf("%s: ReadVec reported finite=%v, want %v", at, f, finite)
 	}
 	for j := range got {
 		if math.Float64bits(got[j]) != wantBits[j] {
@@ -330,7 +331,7 @@ func FuzzFrameVecReference(f *testing.F) {
 // TestFrameVecSwap: the big-endian host's step between a memory image and the
 // wire, exercised here directly. A big-endian image (binary.BigEndian's bytes
 // of each float) swaps to the oracle's wire bytes, and those swap back; and
-// the host's own image of 1.0 agrees with bigEndian.
+// the host's own image of 1.0 agrees with framing.BigEndian.
 func TestFrameVecSwap(t *testing.T) {
 	rng := tensor.NewRNG(3)
 	for n := 0; n <= 9; n++ {
@@ -343,23 +344,23 @@ func TestFrameVecSwap(t *testing.T) {
 			binary.BigEndian.PutUint64(img[8*i:], math.Float64bits(x))
 		}
 		beImage := bytes.Clone(img)
-		swapFloatBytes(img)
+		framing.SwapFloatBytes(img)
 		if !bytes.Equal(img, refEncodeVec(v)) {
 			t.Errorf("n=%d: a swapped big-endian image is not the wire's bytes", n)
 		}
-		swapFloatBytes(img)
+		framing.SwapFloatBytes(img)
 		if !bytes.Equal(img, beImage) {
 			t.Errorf("n=%d: swapping twice is not the identity", n)
 		}
 	}
-	if got := floatBytes([]float64{1})[0] == 0x3f; got != bigEndian {
-		t.Errorf("1.0's first byte says big-endian=%v, bigEndian=%v", got, bigEndian)
+	if got := framing.FloatBytes([]float64{1})[0] == 0x3f; got != framing.BigEndian {
+		t.Errorf("1.0's first byte says big-endian=%v, framing.BigEndian=%v", got, framing.BigEndian)
 	}
 }
 
 // BenchmarkFrameVec2000 times the codec's two vector kernels on one
-// reference-cell update (d=2000, 16 KB): encode is putFrameVec, decode is
-// readFrameVec with its finiteness screen. Each is checked against the
+// reference-cell update (d=2000, 16 KB): encode is framing.PutVec, decode is
+// framing.ReadVec with its finiteness screen. Each is checked against the
 // oracle before the timer starts.
 func BenchmarkFrameVec2000(b *testing.B) {
 	v := tensor.NewRNG(9).NormalVec(benchDim, 0, 1)
@@ -367,25 +368,25 @@ func BenchmarkFrameVec2000(b *testing.B) {
 	buf := make([]byte, len(wire))
 	got := make([]float64, len(v))
 	b.Run("encode", func(b *testing.B) {
-		if putFrameVec(buf, v); !bytes.Equal(buf, wire) {
-			b.Fatal("putFrameVec wrote other bytes than the oracle")
+		if framing.PutVec(buf, v); !bytes.Equal(buf, wire) {
+			b.Fatal("PutVec wrote other bytes than the oracle")
 		}
 		b.SetBytes(int64(len(wire)))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			putFrameVec(buf, v)
+			framing.PutVec(buf, v)
 		}
 	})
 	b.Run("decode", func(b *testing.B) {
-		if !readFrameVec(wire, got) || !sameVec(got, v) {
-			b.Fatal("readFrameVec decoded other bits than the oracle, or called them non-finite")
+		if !framing.ReadVec(wire, got) || !sameVec(got, v) {
+			b.Fatal("ReadVec decoded other bits than the oracle, or called them non-finite")
 		}
 		b.SetBytes(int64(len(wire)))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			readFrameVec(wire, got)
+			framing.ReadVec(wire, got)
 		}
 	})
 }

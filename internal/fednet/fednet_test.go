@@ -459,8 +459,8 @@ func TestScoreAndAggregateEndpoints(t *testing.T) {
 	if score.Epochs != testEpochs {
 		t.Errorf("score epochs = %d, want %d", score.Epochs, testEpochs)
 	}
-	if !sameVec(score.Totals, est.Attribution().Totals) {
-		t.Errorf("wire φ = %v, want %v", score.Totals, est.Attribution().Totals)
+	if !sameVec(score.totals(), est.Attribution().Totals) {
+		t.Errorf("wire φ = %v, want %v", score.totals(), est.Attribution().Totals)
 	}
 
 	if !sameVec(lastTheta, res.Log[testEpochs-1].Theta) {

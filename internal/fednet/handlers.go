@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"digfl/internal/framing"
 	"digfl/internal/jsonf"
 	"digfl/internal/obs"
 	"digfl/internal/tensor"
@@ -246,7 +247,7 @@ func (c *Coordinator) handleUpdate(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	defer tensor.PutBytes(rec)
-	t, index, d, err := decodeUpdateHeader(rec[walHdrLen:])
+	t, index, d, err := decodeUpdateHeader(rec[framing.HdrLen:])
 	if err != nil {
 		writeCodedError(w, http.StatusUnprocessableEntity, CodeBadFrame, "%v", err)
 		return
@@ -323,7 +324,7 @@ func (c *Coordinator) ingestUpdate(w http.ResponseWriter, rec []byte, t, index, 
 	}
 	if !r.have[k] {
 		obs.Emit(sink, obs.Event{Kind: obs.KindCodecV2Frame, T: t, N: 1})
-		delta, ok := decodeDelta(w, sink, t, index, rec[walHdrLen:], d, len(r.theta))
+		delta, ok := decodeDelta(w, sink, t, index, rec[framing.HdrLen:], d, len(r.theta))
 		if !ok {
 			return
 		}
@@ -359,12 +360,12 @@ func (c *Coordinator) ingestLateLocked(w http.ResponseWriter, r *openRound, rec 
 	// Idempotent: a retried admission (the first 202 was lost) — or a second
 	// stale update racing the buffered one — leaves the buffer untouched.
 	if !c.asyncPlan.InFlight(index) {
-		delta, ok := decodeDelta(w, sink, r.t, index, rec[walHdrLen:], d, len(r.theta))
+		delta, ok := decodeDelta(w, sink, r.t, index, rec[framing.HdrLen:], d, len(r.theta))
 		if !ok {
 			return
 		}
 		if c.wal != nil {
-			le.PutUint32(rec[walHdrLen+4:], uint32(r.t))
+			le.PutUint32(rec[framing.HdrLen+4:], uint32(r.t))
 			c.mustJournalLocked(c.wal.commit(rec), delta)
 			c.mustJournalLocked(c.wal.appendJSON(walRecord{Kind: walKindStaleAdmit,
 				T: r.t, Part: index, Origin: origin}))

@@ -147,8 +147,14 @@ func TestStreamedRoundRecyclesEveryDelta(t *testing.T) {
 		}
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	// No collection may empty the pools between the rounds compared.
+	// No collection may empty the pools between the rounds compared. Nor may
+	// a round's puts and the next round's gets land on different Ps: each P
+	// keeps one put per pool in a private slot that no other P's Get reaches,
+	// so a test goroutine that migrated between the rounds missed one vector
+	// and one record buffer (≈ 32 KiB, beyond the slack) in about one run of
+	// a few hundred. One P holds every put within reach.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	round(reverse) // fills the pools with a cohort's worth of vectors
 	round(inOrder)
 	base := round(inOrder)

@@ -14,16 +14,17 @@ import (
 	"testing"
 	"time"
 
+	"digfl/internal/framing"
 	"digfl/internal/hfl"
 	"digfl/internal/tensor"
 )
 
-// TestFiniteVecTable: the exponent-carry screen readFrameVec runs over the
+// TestFiniteVecTable: the exponent-carry screen framing.ReadVec runs over the
 // vector it decoded rejects exactly NaN (any payload, quiet or signalling,
 // either sign) and ±Inf — at every length from 0 to 11 (every lane of the
 // four-wide loop and every tail), at every position, and at every byte offset
 // 0–7 inside a larger buffer, as a close frame's vectors sit — while the bits it
-// stores and the bytes putFrameVec writes are the per-element oracle's, and
+// stores and the bytes framing.PutVec writes are the per-element oracle's, and
 // the handlers answer such a frame 422 non_finite before the journal and the
 // fold see it.
 func TestFiniteVecTable(t *testing.T) {
@@ -74,7 +75,7 @@ func TestFiniteVecTable(t *testing.T) {
 	for off := 0; off < 8; off++ {
 		checkFrameVec(t, fmt.Sprintf("empty vector, offset %d", off), nil, off, true)
 	}
-	if !readFrameVec(nil, nil) {
+	if !framing.ReadVec(nil, nil) {
 		t.Error("empty vector reported non-finite")
 	}
 

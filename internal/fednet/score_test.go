@@ -17,10 +17,34 @@ import (
 // what the tests decode a reply into. Engine names the first-derivative
 // estimator that backs the endpoint, always "dig-fl".
 type scoreReply struct {
-	Epochs      int       `json:"epochs"`
-	Totals      jsonf.Vec `json:"totals"`
-	Quarantined []int     `json:"quarantined,omitempty"`
-	Engine      string    `json:"engine,omitempty"`
+	Epochs      int         `json:"epochs"`
+	Totals      []jsonf.F64 `json:"totals"`
+	Quarantined []int       `json:"quarantined,omitempty"`
+	Engine      string      `json:"engine,omitempty"`
+}
+
+// f64s is v as scoreReply spells its totals; nil stays nil.
+func f64s(v []float64) []jsonf.F64 {
+	if v == nil {
+		return nil
+	}
+	out := make([]jsonf.F64, len(v))
+	for i, x := range v {
+		out[i] = jsonf.F64(x)
+	}
+	return out
+}
+
+// totals is the reply's totals as floats; nil stays nil.
+func (r *scoreReply) totals() []float64 {
+	if r.Totals == nil {
+		return nil
+	}
+	out := make([]float64, len(r.Totals))
+	for i, x := range r.Totals {
+		out[i] = float64(x)
+	}
+	return out
 }
 
 // scoreEdgeValues are the floats whose spelling the reply must not change:
@@ -53,7 +77,7 @@ func newScoreCell() *scoreCell {
 	c := &Coordinator{N: 100_000, Cfg: testConfig(), Estimator: scoreEstimator(100_000, 40, totals)}
 	return &scoreCell{h: c.Handler(), rw: benchRW{header: http.Header{}},
 		req:  http.Request{Method: http.MethodGet, URL: &url.URL{Path: "/v1/score"}, Header: http.Header{}, Body: http.NoBody},
-		want: scoreReply{Epochs: 40, Totals: totals, Engine: "dig-fl"}}
+		want: scoreReply{Epochs: 40, Totals: f64s(totals), Engine: "dig-fl"}}
 }
 
 // read serves one GET /v1/score into the cell's writer.
@@ -106,13 +130,13 @@ func TestScoreReplyBytes(t *testing.T) {
 		want   scoreReply
 	}{
 		{"estimator", &Coordinator{N: n, Estimator: scoreEstimator(n, 12, totals)}, nil,
-			scoreReply{Epochs: 12, Totals: totals, Engine: "dig-fl"}},
+			scoreReply{Epochs: 12, Totals: f64s(totals), Engine: "dig-fl"}},
 		{"estimator at epoch 0", &Coordinator{N: n, Estimator: scoreEstimator(n, 0, nil)}, nil,
-			scoreReply{Totals: make([]float64, n), Engine: "dig-fl"}},
+			scoreReply{Totals: f64s(make([]float64, n)), Engine: "dig-fl"}},
 		{"estimator and quarantine", &Coordinator{N: n, Estimator: scoreEstimator(n, 5, totals)}, []int{1, 4, 13},
-			scoreReply{Epochs: 5, Totals: totals, Quarantined: []int{1, 4, 13}, Engine: "dig-fl"}},
+			scoreReply{Epochs: 5, Totals: f64s(totals), Quarantined: []int{1, 4, 13}, Engine: "dig-fl"}},
 		{"estimator and quarantine, nobody banned", &Coordinator{N: n, Estimator: scoreEstimator(n, 5, totals)}, []int{},
-			scoreReply{Epochs: 5, Totals: totals, Engine: "dig-fl"}},
+			scoreReply{Epochs: 5, Totals: f64s(totals), Engine: "dig-fl"}},
 	} {
 		if tc.banned != nil {
 			tc.c.Quarantine = robust.MustNewQuarantine(robust.Quarantine{})

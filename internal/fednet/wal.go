@@ -3,12 +3,12 @@ package fednet
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 
 	"digfl/internal/core"
+	"digfl/internal/framing"
 	"digfl/internal/hfl"
 	"digfl/internal/obs"
 	"digfl/internal/robust"
@@ -21,13 +21,9 @@ import (
 // dies mid-round can be rebuilt bit-identically by replaying the journal
 // into a fresh instance (Coordinator.Recover).
 //
-// Record framing: u32 payload length | u32 CRC-32 (IEEE) of the payload |
-// payload, all little-endian. Each record is written with exactly one
-// Write call, so a crash tears at most the final record — replay stops
-// cleanly at the last complete entry (the torn tail was never acknowledged
-// to any client, so dropping it is correct). A CRC mismatch or an
-// impossible length on an *interior* record is corruption, not a crash
-// artifact, and fails the replay.
+// Records are internal/framing's (u32 length | u32 CRC-32 | payload, one
+// Write each). Replay drops a torn final record, never acknowledged to any
+// client; a CRC mismatch or an impossible length is corruption and fails it.
 //
 // Two payload families share the framing, discriminated by the first byte:
 //
@@ -63,9 +59,6 @@ import (
 // run_open record declares anything else.
 const WALProtocol = "digfl-fednet-wal/2"
 
-// walHdrLen is the per-record framing overhead: u32 length, u32 CRC.
-const walHdrLen = 8
-
 var le = binary.LittleEndian
 
 // WAL is the append side of the journal. Errors are sticky: after the
@@ -82,28 +75,25 @@ func newWAL(w io.Writer, sink obs.Sink) *WAL { return &WAL{w: w, sink: sink} }
 // Append journals one payload. The record (header plus payload) is written
 // with a single Write call so a mid-write crash leaves a clean prefix.
 func (wl *WAL) Append(payload []byte) error {
-	rec := tensor.GetBytes(walHdrLen + len(payload))
-	copy(rec[walHdrLen:], payload)
+	rec := tensor.GetBytes(framing.HdrLen + len(payload))
+	copy(rec[framing.HdrLen:], payload)
 	err := wl.commit(rec)
 	tensor.PutBytes(rec)
 	return err
 }
 
-// commit journals a record built in place — walHdrLen bytes reserved for
+// commit journals a record built in place — framing.HdrLen bytes reserved for
 // the framing, then the payload, as readFrame and encodeClose build them —
 // with one Write. rec stays the caller's.
 func (wl *WAL) commit(rec []byte) error {
 	if wl.err != nil {
 		return wl.err
 	}
-	payload := rec[walHdrLen:]
-	if len(payload) == 0 || len(payload) > maxBodyBytes {
-		wl.err = fmt.Errorf("fednet: WAL payload of %d bytes outside (0, %d]", len(payload), maxBodyBytes)
+	if n := len(rec) - framing.HdrLen; n <= 0 || n > maxBodyBytes {
+		wl.err = fmt.Errorf("fednet: WAL payload of %d bytes outside (0, %d]", n, maxBodyBytes)
 		return wl.err
 	}
-	le.PutUint32(rec, uint32(len(payload)))
-	le.PutUint32(rec[4:], crc32.ChecksumIEEE(payload))
-	if _, err := wl.w.Write(rec); err != nil {
+	if err := framing.Write(wl.w, rec); err != nil {
 		wl.err = fmt.Errorf("fednet: WAL append: %w", err)
 		return wl.err
 	}
@@ -184,25 +174,8 @@ func closeSize(flags, d, c, n, k, q, b int) int {
 	return size
 }
 
-// frameCursor walks a frame section by section; the frame's length was
-// fixed from its header beforehand, so no step can overrun.
-type frameCursor struct{ b []byte }
-
-func (c *frameCursor) next(n int) []byte { b := c.b[:n]; c.b = c.b[n:]; return b }
-
-func (c *frameCursor) putU32(v int)       { le.PutUint32(c.next(4), uint32(v)) }
-func (c *frameCursor) putF64(v float64)   { le.PutUint64(c.next(8), math.Float64bits(v)) }
-func (c *frameCursor) putVec(v []float64) { putFrameVec(c.next(8*len(v)), v) }
-func (c *frameCursor) u32() int           { return int(le.Uint32(c.next(4))) }
-func (c *frameCursor) f64() float64       { return math.Float64frombits(le.Uint64(c.next(8))) }
-func (c *frameCursor) vec(n int) []float64 {
-	v := make([]float64, n)
-	readFrameVec(c.next(8*n), v)
-	return v
-}
-
 // encodeClose builds epoch ck.Epoch's close record in a pooled buffer the
-// caller owns, walHdrLen bytes reserved in front for WAL.commit's framing,
+// caller owns, framing.HdrLen bytes reserved in front for WAL.commit's framing,
 // straight from the live estimator, quarantine and async buffer (each may be
 // absent). Callers hold the lock that keeps all three still.
 func encodeClose(ck *hfl.Checkpoint, est *core.HFLEstimator, quar *robust.Quarantine, buffered []*hfl.AsyncEntry) ([]byte, error) {
@@ -240,24 +213,24 @@ func encodeClose(ck *hfl.Checkpoint, est *core.HFLEstimator, quar *robust.Quaran
 		qs = quar.StateView()
 	}
 	d, c, q, b := len(ck.Theta), len(curve), len(qs.Ewma), len(buffered)
-	rec := tensor.GetBytes(walHdrLen + closeSize(flags, d, c, n, k, q, b))
-	w := frameCursor{rec[walHdrLen:]}
-	copy(w.next(4), magicClose[:])
+	rec := tensor.GetBytes(framing.HdrLen + closeSize(flags, d, c, n, k, q, b))
+	w := framing.Cursor(rec[framing.HdrLen:])
+	copy(w.Next(4), magicClose[:])
 	for _, v := range [...]int{ck.Epoch, flags, d, c, n, k, q, b} {
-		w.putU32(v)
+		w.PutU32(v)
 	}
-	w.putVec(ck.Theta)
-	w.putVec(curve)
+	w.PutVec(ck.Theta)
+	w.PutVec(curve)
 	if flags&closeDense != 0 {
-		w.putVec(phi)
+		w.PutVec(phi)
 	} else {
 		for _, i := range reporters {
-			w.putU32(i)
-			w.putF64(phi[i])
+			w.PutU32(i)
+			w.PutF64(phi[i])
 		}
 	}
 	for _, row := range deltaG {
-		w.putVec(row)
+		w.PutVec(row)
 	}
 	for i, ewma := range qs.Ewma {
 		packed := qs.Streak[i] << 2
@@ -267,13 +240,13 @@ func encodeClose(ck *hfl.Checkpoint, est *core.HFLEstimator, quar *robust.Quaran
 		if qs.Seen[i] {
 			packed |= 1
 		}
-		w.putF64(ewma)
-		w.putU32(packed)
+		w.PutF64(ewma)
+		w.PutU32(packed)
 	}
 	for _, e := range buffered {
-		w.putU32(e.Part)
-		w.putU32(e.Origin)
-		w.putU32(e.Due)
+		w.PutU32(e.Part)
+		w.PutU32(e.Origin)
+		w.PutU32(e.Due)
 	}
 	return rec, nil
 }
@@ -320,9 +293,6 @@ type walBufUpdate struct {
 	delta       []float64
 }
 
-// walReadChunk is the least a record read grows its buffer by.
-const walReadChunk = 64 << 10
-
 // replayWAL decodes a journal. A torn final record (the crash artifact) is
 // not an error: replay stops at the last complete record and consumed
 // reports how many bytes of the journal are good, so the caller can
@@ -334,46 +304,21 @@ func replayWAL(r io.Reader) (*walReplay, error) {
 		updates:    make(map[int][]float64),
 		lateAdmits: make(map[int]walBufUpdate),
 	}
-	hdr := make([]byte, walHdrLen)
-	// One payload buffer serves every record (apply copies out what it
-	// keeps), and it grows only as bytes arrive: a header's length field is
-	// unverified until the whole payload has been read and summed, so a
-	// torn or corrupt one must not size an allocation.
-	var buf []byte
+	// One payload buffer serves every record: apply copies out what it keeps.
+	fr := framing.NewReader(r)
 	for {
-		if _, err := io.ReadFull(r, hdr); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return rep, nil
-			}
-			return nil, fmt.Errorf("fednet: reading WAL header: %w", err)
+		payload, err := fr.Next(maxBodyBytes)
+		if err == io.EOF || errors.Is(err, framing.ErrTorn) {
+			return rep, nil
 		}
-		n := int(le.Uint32(hdr))
-		sum := le.Uint32(hdr[4:])
-		if n == 0 || n > maxBodyBytes {
-			return nil, fmt.Errorf("fednet: WAL record %d declares %d bytes", rep.records, n)
-		}
-		for have := 0; have < n; {
-			want := min(n, max(cap(buf), 2*have, walReadChunk))
-			if want > cap(buf) {
-				buf = append(make([]byte, 0, want), buf[:have]...)
-			}
-			m, err := io.ReadFull(r, buf[have:want])
-			if have += m; err != nil {
-				if err == io.EOF || err == io.ErrUnexpectedEOF {
-					return rep, nil
-				}
-				return nil, fmt.Errorf("fednet: reading WAL record %d: %w", rep.records, err)
-			}
-		}
-		payload := buf[:n]
-		if crc32.ChecksumIEEE(payload) != sum {
-			return nil, fmt.Errorf("fednet: WAL record %d fails its checksum", rep.records)
+		if err != nil {
+			return nil, fmt.Errorf("fednet: WAL record %d: %w", rep.records, err)
 		}
 		if err := rep.apply(payload); err != nil {
 			return nil, err
 		}
 		rep.records++
-		rep.consumed += int64(walHdrLen + n)
+		rep.consumed += int64(framing.HdrLen + len(payload))
 	}
 }
 
@@ -452,8 +397,8 @@ func (rep *walReplay) applyUpdate(payload []byte) error {
 	if rep.openT == 0 || t != rep.openT {
 		return fmt.Errorf("fednet: WAL update for round %d journaled while round %d is open", t, rep.openT)
 	}
-	r := frameCursor{payload[updateHdrLen:]}
-	rep.updates[index] = r.vec(d)
+	r := framing.Cursor(payload[updateHdrLen:])
+	rep.updates[index] = r.Vec(d)
 	return nil
 }
 
@@ -464,8 +409,8 @@ func (rep *walReplay) applyClose(p []byte) error {
 	if len(p) < closeHdrLen {
 		return fmt.Errorf("fednet: WAL record %d: close frame truncated at %d bytes", rep.records, len(p))
 	}
-	r := frameCursor{p[4:]}
-	t, flags, d, c, n, k, q, b := r.u32(), r.u32(), r.u32(), r.u32(), r.u32(), r.u32(), r.u32(), r.u32()
+	r := framing.Cursor(p[4:])
+	t, flags, d, c, n, k, q, b := r.U32(), r.U32(), r.U32(), r.U32(), r.U32(), r.U32(), r.U32(), r.U32()
 	est, dense := flags&closeEst != 0, flags&closeDense != 0
 	switch {
 	case !rep.sawRunOpen || t != rep.lastClosed+1 || t != rep.openT:
@@ -484,8 +429,8 @@ func (rep *walReplay) applyClose(p []byte) error {
 		return fmt.Errorf("fednet: WAL close frame %d carries a φ row but the journal has none for epoch %d", t, t-1)
 	}
 	rep.lastClosed = t
-	rep.theta = r.vec(d)
-	rep.curve = append(rep.curve, r.vec(c)...)
+	rep.theta = r.Vec(d)
+	rep.curve = append(rep.curve, r.Vec(c)...)
 	if !est {
 		rep.est = nil
 	} else {
@@ -503,11 +448,11 @@ func (rep *walReplay) applyClose(p []byte) error {
 		for j := 0; j < k; j++ {
 			i := j
 			if !dense {
-				if i = r.u32(); i >= n {
+				if i = r.U32(); i >= n {
 					return fmt.Errorf("fednet: WAL close frame %d reports participant %d of %d", t, i, n)
 				}
 			}
-			v := r.f64()
+			v := r.F64()
 			rep.est.Totals[i] += v
 			if row != nil {
 				row[i] = v
@@ -517,7 +462,7 @@ func (rep *walReplay) applyClose(p []byte) error {
 		if flags&closeDeltaG != 0 {
 			rep.est.DeltaGSum = make([][]float64, n)
 			for i := range rep.est.DeltaGSum {
-				rep.est.DeltaGSum[i] = r.vec(d)
+				rep.est.DeltaGSum[i] = r.Vec(d)
 			}
 		}
 	}
@@ -526,8 +471,8 @@ func (rep *walReplay) applyClose(p []byte) error {
 		rep.quar = &robust.QuarantineState{Ewma: make([]float64, q),
 			Seen: make([]bool, q), Streak: make([]int, q), Banned: make([]bool, q)}
 		for i := 0; i < q; i++ {
-			rep.quar.Ewma[i] = r.f64()
-			packed := r.u32()
+			rep.quar.Ewma[i] = r.F64()
+			packed := r.U32()
 			rep.quar.Streak[i], rep.quar.Banned[i], rep.quar.Seen[i] = packed>>2, packed&2 != 0, packed&1 != 0
 		}
 	}
@@ -540,7 +485,7 @@ func (rep *walReplay) applyClose(p []byte) error {
 		buffered = make(map[int]walBufUpdate, b)
 	}
 	for j := 0; j < b; j++ {
-		part, origin, due := r.u32(), r.u32(), r.u32()
+		part, origin, due := r.U32(), r.U32(), r.U32()
 		delta := rep.updates[part]
 		if delta == nil {
 			delta = rep.lateAdmits[part].delta

@@ -14,6 +14,7 @@ import (
 
 	"digfl/internal/core"
 	"digfl/internal/dataset"
+	"digfl/internal/framing"
 	"digfl/internal/hfl"
 	"digfl/internal/nn"
 	"digfl/internal/sampling"
@@ -32,7 +33,7 @@ type tearAtBinary struct {
 func (w *tearAtBinary) Write(p []byte) (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.left > 0 && len(p) > walHdrLen+4 && [4]byte(p[walHdrLen:]) == magicUpdate {
+	if w.left > 0 && len(p) > framing.HdrLen+4 && [4]byte(p[framing.HdrLen:]) == magicUpdate {
 		w.left--
 		if w.left == 0 {
 			n, _ := w.buf.Write(p[:len(p)/2])
@@ -158,7 +159,7 @@ func streamedCrashRecovery(t *testing.T, n int, smp *sampling.Sampler, totalsOnl
 		// The journal's cost follows the cohort, not the population: a close
 		// frame is the model, one curve point and the cohort's (index, φ)
 		// pairs, at every epoch, before and after the crash.
-		size := walHdrLen + closeSize(closeEst|closeTotalsOnly, model.NumParams(), 1, n, cohort, 0, 0)
+		size := framing.HdrLen + closeSize(closeEst|closeTotalsOnly, model.NumParams(), 1, n, cohort, 0, 0)
 		for j, rec := range closeFrames(journal.Bytes())[1:] {
 			if len(rec) != size {
 				t.Errorf("close frame of epoch %d is %d bytes, want %d", j+2, len(rec), size)
@@ -229,7 +230,7 @@ func TestWALTornTail(t *testing.T) {
 
 	// Corruption on an interior record is not a crash artifact: flipping a
 	// payload byte (CRC mismatch) or a stored-checksum byte must fail.
-	for _, off := range []int{4, walHdrLen} {
+	for _, off := range []int{4, framing.HdrLen} {
 		bad := bytes.Clone(journal)
 		bad[off] ^= 0x40
 		if _, err := replayWAL(bytes.NewReader(bad)); err == nil {
@@ -351,11 +352,11 @@ func FuzzWALReplay(f *testing.F) {
 	journal, lastRecOff, _ := buildTestJournal(f)
 	f.Add(journal)
 	f.Add(journal[:lastRecOff])
-	for _, cut := range []int{0, 1, walHdrLen - 1, walHdrLen, lastRecOff + 3, len(journal) - 1} {
+	for _, cut := range []int{0, 1, framing.HdrLen - 1, framing.HdrLen, lastRecOff + 3, len(journal) - 1} {
 		f.Add(journal[:cut])
 	}
 	corrupt := bytes.Clone(journal)
-	corrupt[walHdrLen] ^= 0x40
+	corrupt[framing.HdrLen] ^= 0x40
 	f.Add(corrupt)
 	// Real /2 journals from every round mode — whole, and cut inside a round
 	// (the async one mid-quorum, its carry-over buffer in the close frames).

@@ -15,6 +15,7 @@ import (
 
 	"digfl/internal/core"
 	"digfl/internal/faults"
+	"digfl/internal/framing"
 	"digfl/internal/hfl"
 	"digfl/internal/nn"
 	"digfl/internal/robust"
@@ -24,8 +25,8 @@ import (
 // walRecords splits a journal into its complete records, framing included.
 func walRecords(journal []byte) [][]byte {
 	var recs [][]byte
-	for len(journal) >= walHdrLen {
-		n := walHdrLen + int(binary.LittleEndian.Uint32(journal))
+	for len(journal) >= framing.HdrLen {
+		n := framing.HdrLen + int(binary.LittleEndian.Uint32(journal))
 		if n > len(journal) {
 			break
 		}
@@ -39,7 +40,7 @@ func walRecords(journal []byte) [][]byte {
 func closeFrames(journal []byte) [][]byte {
 	var out [][]byte
 	for _, rec := range walRecords(journal) {
-		if len(rec) >= walHdrLen+4 && [4]byte(rec[walHdrLen:]) == magicClose {
+		if len(rec) >= framing.HdrLen+4 && [4]byte(rec[framing.HdrLen:]) == magicClose {
 			out = append(out, rec)
 		}
 	}
@@ -254,7 +255,7 @@ func TestWALCloseSampledIsCohortSized(t *testing.T) {
 	if !sameBits(rep.est.Totals, h.c.Estimator.Attribution().Totals) || rep.est.PerEpoch != nil {
 		t.Error("replayed totals differ from the live ones, or rows were retained")
 	}
-	want := walHdrLen + closeSize(closeEst|closeTotalsOnly, d, 1, n, cohort, 0, 0)
+	want := framing.HdrLen + closeSize(closeEst|closeTotalsOnly, d, 1, n, cohort, 0, 0)
 	for _, rec := range closeFrames(h.journal.Bytes())[1:] {
 		if len(rec) != want || len(rec) > 2048 {
 			t.Errorf("close frame of a 64-of-100k epoch is %d bytes, want %d", len(rec), want)
@@ -323,7 +324,7 @@ func TestWALCloseFrameBitExact(t *testing.T) {
 			}
 		}
 		first := bytes.Index(full, closes[0])
-		for _, off := range []int{walHdrLen + 5, walHdrLen + closeHdrLen + 11, len(closes[0]) - 13, len(closes[0]) - 1} {
+		for _, off := range []int{framing.HdrLen + 5, framing.HdrLen + closeHdrLen + 11, len(closes[0]) - 13, len(closes[0]) - 1} {
 			bad := bytes.Clone(full)
 			bad[first+off] ^= 0x10
 			if _, err := replayWAL(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "checksum") {

@@ -27,6 +27,7 @@ import (
 	"io"
 	"net/http"
 
+	"digfl/internal/framing"
 	"digfl/internal/jsonf"
 	"digfl/internal/tensor"
 )
@@ -221,7 +222,7 @@ const maxBodyBytes = 64 << 20
 // readFrame reads the body of an upload, which must declare itself a
 // digfl-fednet/2 frame: any other Content-Type is refused with 415 before a
 // byte of the body is read as anything. On success the caller owns the
-// pooled record rec (PutBytes when done): the frame is rec[walHdrLen:], behind
+// pooled record rec (PutBytes when done): the frame is rec[framing.HdrLen:], behind
 // headroom for the journal's framing, so that an accepted frame is journaled
 // from the buffer it arrived in. On failure the rejection is written.
 func readFrame(w http.ResponseWriter, req *http.Request) (rec []byte, ok bool) {
@@ -230,7 +231,7 @@ func readFrame(w http.ResponseWriter, req *http.Request) (rec []byte, ok bool) {
 			"Content-Type %q, want %q", ct, contentTypeBinary)
 		return nil, false
 	}
-	rec, err := readBodyPooled(req.Body, req.ContentLength, walHdrLen)
+	rec, err := readBodyPooled(req.Body, req.ContentLength, framing.HdrLen)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return nil, false

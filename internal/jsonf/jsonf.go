@@ -1,19 +1,15 @@
 // Package jsonf provides JSON float encoding that survives non-finite
 // values. encoding/json refuses to marshal NaN and ±Inf as numbers, so a
-// plain encoder aborts mid-stream the moment a diverged run produces one —
-// truncating a line-delimited file after the header. The F64 and Vec types
-// encode those values as the string sentinels "NaN", "+Inf" and "-Inf"
-// instead, and accept both sentinel strings and plain numbers on the way
-// back in. The training-log archive (internal/logio, format version 2), the
-// observability trace (internal/obs) and the /v1/score reply share this
-// encoding.
+// plain encoder aborts mid-stream the moment a diverged run produces one.
+// F64 encodes those values as the string sentinels "NaN", "+Inf" and "-Inf"
+// instead, and accepts both sentinel strings and plain numbers on the way
+// back in; a vector decodes as []F64. The observability trace
+// (internal/obs) and the /v1/score reply share this encoding.
 //
-// Both directions work in one pass over one buffer: a vector of n floats
-// costs one allocation to marshal and one to unmarshal, and the text is
-// byte-identical to what encoding/json writes for the same finite values.
-// AppendVec is the marshal pass on its own, into a buffer the caller owns
-// and reuses: it allocates only when that buffer must grow. /v1/score
-// writes its totals with it.
+// AppendVec writes a float vector in one pass, into a buffer the caller
+// owns and reuses: it allocates only when that buffer must grow, and the
+// text is byte-identical to what encoding/json writes for the same finite
+// values. /v1/score writes its totals with it.
 package jsonf
 
 import (
@@ -68,7 +64,7 @@ func (f *F64) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// parseElem decodes one vector element: a JSON number, a sentinel string,
+// parseElem decodes one float: a JSON number, a sentinel string,
 // or null (which, as in encoding/json, leaves the zero value).
 func parseElem(tok []byte) (float64, error) {
 	if len(tok) > 0 && tok[0] == '"' {
@@ -144,21 +140,10 @@ func isNumber(tok []byte) bool {
 	return i == len(tok)
 }
 
-// Vec is a []float64 carried through JSON with sentinel-aware elements;
-// nil round-trips as null.
-type Vec []float64
-
-// MarshalJSON encodes the vector element-wise with F64 semantics.
-func (v Vec) MarshalJSON() ([]byte, error) {
-	// Most values print in about 20 bytes; append grows the rest.
-	return AppendVec(make([]byte, 0, 4+20*len(v)), v), nil
-}
-
 // AppendVec appends v's encoding to b and returns the extended buffer:
 // null for a nil v, otherwise an array of F64 encodings. It is the one
-// float-vector writer of the package — Vec.MarshalJSON is AppendVec into a
-// fresh buffer — so a caller that owns its buffer writes the same bytes
-// without allocating.
+// float-vector writer of the package: into a buffer the caller owns it
+// allocates only to grow it.
 func AppendVec(b []byte, v []float64) []byte {
 	if v == nil {
 		return append(b, "null"...)
@@ -185,57 +170,4 @@ func trim(b []byte) []byte {
 		b = b[:len(b)-1]
 	}
 	return b
-}
-
-// UnmarshalJSON decodes a vector whose elements may be sentinel strings.
-func (v *Vec) UnmarshalJSON(b []byte) error {
-	b = trim(b)
-	if string(b) == "null" {
-		*v = nil
-		return nil
-	}
-	if len(b) < 2 || b[0] != '[' || b[len(b)-1] != ']' {
-		return fmt.Errorf("jsonf: cannot decode %.20q as a float vector", b)
-	}
-	b = b[1 : len(b)-1]
-	out := make([]float64, 0, bytes.Count(b, []byte{','})+1)
-	for i := 0; ; {
-		for i < len(b) && isSpace(b[i]) {
-			i++
-		}
-		if i == len(b) && len(out) == 0 {
-			break // "[]"
-		}
-		// One element: a string runs to its closing quote, anything else to
-		// the next comma or space.
-		j := i
-		if j < len(b) && b[j] == '"' {
-			for j++; j < len(b) && b[j] != '"'; j++ {
-				if b[j] == '\\' {
-					j++
-				}
-			}
-			j = min(j+1, len(b))
-		} else {
-			for j < len(b) && b[j] != ',' && !isSpace(b[j]) {
-				j++
-			}
-		}
-		x, err := parseElem(b[i:j])
-		if err != nil {
-			return err
-		}
-		out = append(out, x)
-		for i = j; i < len(b) && isSpace(b[i]); i++ {
-		}
-		if i == len(b) {
-			break
-		}
-		if b[i] != ',' {
-			return fmt.Errorf("jsonf: unexpected %q in a float vector", b[i])
-		}
-		i++
-	}
-	*v = out
-	return nil
 }

@@ -3,9 +3,9 @@ package logio
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 
 	"digfl/internal/core"
@@ -76,29 +76,31 @@ func TestHFLCheckpointRoundTripNonFinite(t *testing.T) {
 	ck.Estimator.PerEpoch[0][1] = math.Inf(1)
 	ck.Trainer.Log[0].Deltas[0][0] = math.NaN()
 	ck.Trainer.Log[0].Theta[0] = math.NaN()
+	ck.Trainer.Log[1].ValGrad[0] = math.Float64frombits(0xfff0_0000_0000_0abc) // a signalling NaN's payload
+	ck.Trainer.ValLossCurve[1] = math.Copysign(0, -1)
 
 	var buf bytes.Buffer
 	if err := WriteHFLCheckpoint(&buf, ck); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"NaN"`) {
-		t.Fatal("non-finite floats should serialize as sentinels")
-	}
 	got, err := ReadHFLCheckpoint(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !sameBits(got, ck) {
+		t.Fatal("a non-finite float lost bits in the checkpoint round trip")
+	}
 	if !math.IsNaN(got.Trainer.Theta[0]) || !math.IsInf(got.Trainer.Theta[1], 1) {
-		t.Fatal("theta sentinels lost")
+		t.Fatal("theta non-finite values lost")
 	}
 	if !math.IsInf(got.Trainer.ValLossCurve[0], -1) {
-		t.Fatal("curve sentinel lost")
+		t.Fatal("curve non-finite value lost")
 	}
 	if !math.IsNaN(got.Estimator.Totals[0]) || !math.IsInf(got.Estimator.PerEpoch[0][1], 1) {
-		t.Fatal("estimator sentinels lost")
+		t.Fatal("estimator non-finite values lost")
 	}
 	if !math.IsNaN(got.Trainer.Log[0].Deltas[0][0]) {
-		t.Fatal("log delta sentinel lost")
+		t.Fatal("log delta non-finite value lost")
 	}
 }
 
@@ -228,14 +230,17 @@ func TestReportedRoundTrip(t *testing.T) {
 		t.Fatal("survivor delta counts lost")
 	}
 
-	// Fault-free serialization must not mention the field at all.
+	// A fault-free epoch record carries no Reported list: flags and r are 0.
 	clean := hflLog(t)
 	var cleanBuf bytes.Buffer
 	if err := WriteHFL(&cleanBuf, clean); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(cleanBuf.String(), "Reported") {
-		t.Fatal("fault-free log serializes the Reported field")
+	for i, rec := range records(t, cleanBuf.Bytes())[1:] {
+		flags, r := binary.LittleEndian.Uint32(rec[8+20:]), binary.LittleEndian.Uint32(rec[8+28:])
+		if flags&hasReported != 0 || r != 0 {
+			t.Fatalf("fault-free epoch %d serializes a Reported list (flags %#x, r=%d)", i+1, flags, r)
+		}
 	}
 }
 
@@ -327,5 +332,46 @@ func TestCheckpointFileResume(t *testing.T) {
 		if !reflect.DeepEqual(want.Log[i], got.Log[i]) {
 			t.Fatalf("log epoch %d differs after file-mediated resume", i+1)
 		}
+	}
+}
+
+// A checkpoint cut at any record boundary is refused, not read as a shorter
+// one: right after its meta record a KeepLog checkpoint would otherwise
+// read back with no log, and a resume would rebuild the log from epoch e+1.
+// An epoch record appended to a checkpoint that kept no log is refused too.
+func TestCheckpointCutAtRecordBoundaryRefused(t *testing.T) {
+	ck, _ := faultedHFLCheckpoint(t)
+	var buf bytes.Buffer
+	if err := WriteHFLCheckpoint(&buf, ck); err != nil {
+		t.Fatal(err)
+	}
+	file := buf.Bytes()
+	recs := records(t, file)
+	if len(recs) != 2+len(ck.Trainer.Log) {
+		t.Fatalf("checkpoint of %d log epochs has %d records", len(ck.Trainer.Log), len(recs))
+	}
+	cut := 0
+	for i, rec := range recs[:len(recs)-1] {
+		cut += len(rec)
+		if got, err := ReadHFLCheckpoint(bytes.NewReader(file[:cut])); err == nil {
+			t.Errorf("checkpoint cut after record %d read back with %d log epochs", i, len(got.Trainer.Log))
+		}
+	}
+	if _, err := ReadHFLCheckpoint(bytes.NewReader(file)); err != nil {
+		t.Fatalf("whole checkpoint refused: %v", err)
+	}
+
+	noLog := *ck
+	noLog.Trainer.Log = nil
+	buf.Reset()
+	if err := WriteHFLCheckpoint(&buf, &noLog); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ReadHFLCheckpoint(bytes.NewReader(buf.Bytes())); err != nil || got.Trainer.Log != nil {
+		t.Fatalf("checkpoint without a log read back as %v, %v", got, err)
+	}
+	buf.Write(recs[2])
+	if _, err := ReadHFLCheckpoint(bytes.NewReader(buf.Bytes())); err == nil {
+		t.Error("checkpoint that kept no log read back with an appended epoch record")
 	}
 }

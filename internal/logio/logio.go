@@ -1,135 +1,237 @@
 // Package logio persists federated training logs. DIG-FL's whole premise is
 // that contributions are computable from the training log alone, so a
-// production deployment wants to archive the log during training and run
-// (or re-run) contribution evaluation offline — after choosing a different
-// estimator variant, with a refreshed validation set, or for audit. The
-// format is line-delimited JSON: one header line, then one line per epoch,
-// so logs can be streamed and appended.
+// production deployment archives the log during training and evaluates
+// contributions offline — with another estimator, a refreshed validation
+// set, or for audit.
 //
-// Format version 2 encodes non-finite floats (NaN, ±Inf — routine in the
-// logs of diverged runs) as the string sentinels "NaN", "+Inf" and "-Inf",
-// since encoding/json refuses to marshal them as numbers and a plain encoder
-// would abort mid-stream, truncating the file after the header. Readers
-// accept both version 1 (finite floats only) and version 2. The sentinel
-// encoding itself lives in internal/jsonf, shared with the observability
-// trace (internal/obs).
+// Format version 3 is a header record, then one record per epoch, in the
+// framing the coordinator's journal uses (internal/framing: u32 length |
+// u32 CRC-32 | payload, one Write each), so a log streams and appends.
+// Integers are u32 and floats their IEEE-754 bits, little-endian, a vector
+// one copy of its memory image: NaN payloads, −0 and ±Inf survive bit for
+// bit. With p = params:
+//
+//	header  u32 version | u32 params | u32 parties | format name
+//	epoch   u32 T | f64 α_t | f64 loss^v | u32 flags | u32 k | u32 r | u32 w |
+//	        p×f64 θ | p×f64 ∇loss^v | r×u32 reported | w×f64 weights |
+//	        k·p×f64 deltas (a VFL epoch's one gradient: k = 1)
+//
+// Flag 1 marks a Reported list (absent: every party reported; empty: all
+// dropped), flag 2 a Weights vector (absent: unweighted). A reader refuses a
+// torn tail or a record failing its checksum, naming the record (the header
+// is record 0); the JSON of versions 1 and 2 is refused at record 0.
 package logio
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
+	"digfl/internal/framing"
 	"digfl/internal/hfl"
-	"digfl/internal/jsonf"
+	"digfl/internal/tensor"
 	"digfl/internal/vfl"
 )
 
-// header identifies the log kind and pins the shape so a reader can fail
-// fast on mismatched files.
+// header names the file kind and pins the shape.
 type header struct {
-	Format  string `json:"format"` // "digfl-hfl-log" or "digfl-vfl-log"
-	Version int    `json:"version"`
-	Params  int    `json:"params"`
-	Parties int    `json:"parties"`
+	Format          string // "digfl-hfl-log", "digfl-vfl-log" or a checkpoint kind
+	Params, Parties int
 }
 
 const (
 	formatHFL = "digfl-hfl-log"
 	formatVFL = "digfl-vfl-log"
-	// version is the write version. Version 2 added the non-finite float
-	// sentinels; version-1 files (plain numbers everywhere) remain
-	// readable.
-	version = 2
+	version   = 3 // the only version written and read
+	// maxRecord bounds a payload; a reader's buffer grows only as bytes
+	// arrive. headerLen is the header less its format name, and maxHeader
+	// bounds the whole, so a file that is no archive is refused at once.
+	maxRecord   = math.MaxInt32
+	headerLen   = 3 * 4
+	maxHeader   = headerLen + 64
+	epochHdrLen = 4 + 8 + 8 + 4*4 // T, α_t, loss^v, flags, k, r, w
+	hasReported = 1 << 0          // epoch flags
+	hasWeights  = 1 << 1
 )
 
-// hflEpochJSON mirrors hfl.Epoch field-for-field (same JSON keys as the
-// version-1 direct encoding) with sentinel-aware floats. Reported is a
-// pointer so the nil (full-participation) case is omitted entirely —
-// fault-free logs stay byte-identical to pre-fault-tolerance writers —
-// while an all-dropped epoch's empty-but-present list survives the round
-// trip.
-type hflEpochJSON struct {
-	T        int
-	Theta    jsonf.Vec
-	Deltas   []jsonf.Vec
-	LR       jsonf.F64
-	ValGrad  jsonf.Vec
-	ValLoss  jsonf.F64
-	Weights  jsonf.Vec
-	Reported *[]int `json:"Reported,omitempty"`
+// newRecord returns a pooled record with room for a payload of size bytes,
+// and a cursor on that payload.
+func newRecord(size uint64) ([]byte, framing.Cursor, error) {
+	if size > maxRecord {
+		return nil, nil, fmt.Errorf("record of %d bytes exceeds %d", size, maxRecord)
+	}
+	rec := tensor.GetBytes(framing.HdrLen + int(size))
+	return rec, framing.Cursor(rec[framing.HdrLen:]), nil
 }
 
-func toHFLJSON(ep *hfl.Epoch) *hflEpochJSON {
-	deltas := make([]jsonf.Vec, len(ep.Deltas))
-	for i, d := range ep.Deltas {
-		deltas[i] = jsonf.Vec(d)
+// putRecord writes the pooled record rec with one Write and recycles it.
+func putRecord(w io.Writer, rec []byte) error {
+	err := framing.Write(w, rec)
+	tensor.PutBytes(rec)
+	return err
+}
+
+// readHeader reads record 0 and checks it names format at version 3.
+func readHeader(fr *framing.Reader, format string) (h header, err error) {
+	b, err := fr.Next(maxHeader)
+	if err == nil && len(b) < headerLen {
+		err = fmt.Errorf("header of %d bytes", len(b))
 	}
-	j := &hflEpochJSON{
-		T: ep.T, Theta: jsonf.Vec(ep.Theta), Deltas: deltas, LR: jsonf.F64(ep.LR),
-		ValGrad: jsonf.Vec(ep.ValGrad), ValLoss: jsonf.F64(ep.ValLoss), Weights: jsonf.Vec(ep.Weights),
+	if err != nil {
+		return h, fmt.Errorf("logio: record 0, the header (not a format-%d archive?): %w", version, err)
 	}
+	c := framing.Cursor(b)
+	v, params, parties := c.U32(), c.U32(), c.U32()
+	// θ and ∇loss^v alone fill 16·params bytes of a record.
+	if h = (header{string(c), params, parties}); h.Format != format || v != version || h.Params <= 0 || h.Params > maxRecord/16 {
+		return h, fmt.Errorf("logio: header %q version %d params %d, want %q version %d",
+			h.Format, v, h.Params, format, version)
+	}
+	return h, nil
+}
+
+// writeEpoch writes ep — an HFL epoch, or a VFL one whose gradient is its
+// one delta — as the k-th epoch record (from 0) of a p-param log.
+func writeEpoch(w io.Writer, ep *hfl.Epoch, p, k int) error {
+	ok := len(ep.Theta) == p && len(ep.ValGrad) == p
+	for _, d := range ep.Deltas {
+		ok = ok && len(d) == p
+	}
+	flags, n, r, nw := 0, len(ep.Deltas), len(ep.Reported), len(ep.Weights)
 	if ep.Reported != nil {
-		j.Reported = &ep.Reported
+		flags |= hasReported
 	}
-	return j
+	if ep.Weights != nil {
+		flags |= hasWeights
+	}
+	if !ok {
+		return fmt.Errorf("logio: epoch %d shape drifts from header: a vector's length is not %d", k, p)
+	}
+	rec, c, err := newRecord(uint64(epochHdrLen + 8*p*(2+n) + 4*r + 8*nw))
+	if err != nil {
+		return fmt.Errorf("logio: epoch %d: %w", k, err)
+	}
+	c.PutU32(ep.T)
+	c.PutF64(ep.LR)
+	c.PutF64(ep.ValLoss)
+	for _, v := range [...]int{flags, n, r, nw} {
+		c.PutU32(v)
+	}
+	c.PutVec(ep.Theta)
+	c.PutVec(ep.ValGrad)
+	for _, i := range ep.Reported {
+		c.PutU32(i)
+	}
+	c.PutVec(ep.Weights)
+	for _, d := range ep.Deltas {
+		c.PutVec(d)
+	}
+	if err := putRecord(w, rec); err != nil {
+		return fmt.Errorf("logio: writing epoch %d: %w", k, err)
+	}
+	return nil
 }
 
-func (j *hflEpochJSON) epoch() *hfl.Epoch {
-	deltas := make([][]float64, len(j.Deltas))
-	for i, d := range j.Deltas {
-		deltas[i] = d
+// readEpoch decodes the k-th epoch record (from 0) of a p-param log. Its
+// floats land in one allocation cut into full-capacity vectors.
+func readEpoch(b []byte, p, k int) (*hfl.Epoch, error) {
+	if len(b) < epochHdrLen {
+		return nil, fmt.Errorf("logio: epoch %d record has %d bytes", k, len(b))
 	}
-	ep := &hfl.Epoch{
-		T: j.T, Theta: j.Theta, Deltas: deltas, LR: float64(j.LR),
-		ValGrad: j.ValGrad, ValLoss: float64(j.ValLoss), Weights: j.Weights,
+	c := framing.Cursor(b)
+	ep := &hfl.Epoch{T: c.U32(), LR: c.F64(), ValLoss: c.F64()}
+	flags, n, r, nw := c.U32(), c.U32(), c.U32(), c.U32()
+	if rest := uint64(len(c)); flags&^(hasReported|hasWeights) != 0 ||
+		flags&hasReported == 0 && r != 0 || flags&hasWeights == 0 && nw != 0 ||
+		uint64(n) > rest || uint64(r) > rest || uint64(nw) > rest ||
+		8*uint64(p)*uint64(2+n)+4*uint64(r)+8*uint64(nw) != rest || ep.T != k+1 {
+		return nil, fmt.Errorf("logio: epoch %d record is malformed or out of order: %d bytes, T=%d flags %#x k=%d r=%d w=%d",
+			k, len(b), ep.T, flags, n, r, nw)
 	}
-	if j.Reported != nil {
-		ep.Reported = *j.Reported
-		if ep.Reported == nil {
-			ep.Reported = []int{}
+	slab := make([]float64, p*(2+n)+nw)
+	vec := func(m int) []float64 { v := slab[:m:m]; slab = slab[m:]; c.ReadVec(v); return v }
+	ep.Theta, ep.ValGrad = vec(p), vec(p)
+	if flags&hasReported != 0 {
+		ep.Reported = make([]int, r)
+		for i := range ep.Reported {
+			ep.Reported[i] = c.U32()
 		}
 	}
-	return ep
+	if flags&hasWeights != 0 {
+		ep.Weights = vec(nw)
+	}
+	ep.Deltas = make([][]float64, n)
+	for i := range ep.Deltas {
+		ep.Deltas[i] = vec(p)
+	}
+	return ep, nil
 }
 
-// vflEpochJSON mirrors vfl.Epoch likewise.
-type vflEpochJSON struct {
-	T        int
-	Theta    jsonf.Vec
-	Grad     jsonf.Vec
-	LR       jsonf.F64
-	ValGrad  jsonf.Vec
-	ValLoss  jsonf.F64
-	Weights  jsonf.Vec
-	Reported *[]int `json:"Reported,omitempty"`
-}
-
-func toVFLJSON(ep *vfl.Epoch) *vflEpochJSON {
-	j := &vflEpochJSON{
-		T: ep.T, Theta: jsonf.Vec(ep.Theta), Grad: jsonf.Vec(ep.Grad), LR: jsonf.F64(ep.LR),
-		ValGrad: jsonf.Vec(ep.ValGrad), ValLoss: jsonf.F64(ep.ValLoss), Weights: jsonf.Vec(ep.Weights),
+// writeLog writes header h, then the pooled record meta unless nil, then
+// log's epochs.
+func writeLog[E any](w io.Writer, h header, meta []byte, log []E, encode func(io.Writer, E, header, int) error) error {
+	rec, c, _ := newRecord(uint64(headerLen + len(h.Format)))
+	for _, v := range [...]int{version, h.Params, h.Parties} {
+		c.PutU32(v)
 	}
-	if ep.Reported != nil {
-		j.Reported = &ep.Reported
+	copy(c, h.Format)
+	if err := putRecord(w, rec); err != nil {
+		return fmt.Errorf("logio: writing header: %w", err)
 	}
-	return j
-}
-
-func (j *vflEpochJSON) epoch() *vfl.Epoch {
-	ep := &vfl.Epoch{
-		T: j.T, Theta: j.Theta, Grad: j.Grad, LR: float64(j.LR),
-		ValGrad: j.ValGrad, ValLoss: float64(j.ValLoss), Weights: j.Weights,
-	}
-	if j.Reported != nil {
-		ep.Reported = *j.Reported
-		if ep.Reported == nil {
-			ep.Reported = []int{}
+	if meta != nil {
+		if err := putRecord(w, meta); err != nil {
+			return fmt.Errorf("logio: writing checkpoint meta: %w", err)
 		}
 	}
-	return ep
+	for k, ep := range log {
+		if err := encode(w, ep, h, k); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+var errNoEpochs = errors.New("logio: log has no epochs") // a header and no epoch record
+
+// readLog reads a file of the given format: its header, a meta record for
+// meta unless nil, then its epochs to the end (at least one without meta).
+func readLog[E any](r io.Reader, format string, meta func([]byte, int) error, decode func([]byte, header, int) (E, error)) ([]E, error) {
+	fr := framing.NewReader(r)
+	h, err := readHeader(fr, format)
+	if err != nil {
+		return nil, err
+	}
+	first := 1 // the first epoch's record
+	if meta != nil {
+		b, err := fr.Next(maxRecord)
+		if err == nil {
+			err = meta(b, h.Params)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("logio: checkpoint record 1: %w", err)
+		}
+		first++
+	}
+	var log []E
+	for {
+		b, err := fr.Next(maxRecord)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("logio: record %d: %w", first+len(log), err)
+		}
+		ep, err := decode(b, h, len(log))
+		if err != nil {
+			return nil, err
+		}
+		log = append(log, ep)
+	}
+	if meta == nil && len(log) == 0 {
+		return nil, errNoEpochs
+	}
+	return log, nil
 }
 
 // hflParties derives the header party count: the delta count of any
@@ -139,42 +241,64 @@ func hflParties(log []*hfl.Epoch) int {
 	parties := 0
 	for _, ep := range log {
 		if ep.Reported == nil {
-			if len(ep.Deltas) > parties {
-				parties = len(ep.Deltas)
-			}
-			continue
+			parties = max(parties, len(ep.Deltas))
 		}
 		for _, i := range ep.Reported {
-			if i+1 > parties {
-				parties = i + 1
-			}
+			parties = max(parties, i+1)
 		}
 	}
 	return parties
 }
 
-// checkHFLShape validates one epoch against the header shape: a
+// checkHFLShape validates the k-th epoch against the header shape: a
 // full-participation epoch carries one delta per party; a degraded epoch
 // carries one delta per survivor, with survivor indices inside [0, parties).
-func checkHFLShape(ep *hfl.Epoch, h header) error {
-	if len(ep.Theta) != h.Params {
-		return errors.New("theta length drifts from header")
-	}
-	if ep.Reported == nil {
-		if len(ep.Deltas) != h.Parties {
-			return errors.New("delta count drifts from header")
-		}
-		return nil
-	}
-	if len(ep.Deltas) != len(ep.Reported) {
-		return fmt.Errorf("degraded epoch carries %d deltas for %d survivors", len(ep.Deltas), len(ep.Reported))
+func checkHFLShape(ep *hfl.Epoch, h header, k int) error {
+	var err error
+	if want := h.Parties; ep.Reported != nil && len(ep.Deltas) != len(ep.Reported) || ep.Reported == nil && len(ep.Deltas) != want {
+		err = fmt.Errorf("%d deltas for %d parties, survivor list %v", len(ep.Deltas), want, ep.Reported)
 	}
 	for _, i := range ep.Reported {
 		if i < 0 || i >= h.Parties {
-			return fmt.Errorf("reported party %d out of range [0,%d)", i, h.Parties)
+			err = fmt.Errorf("reported party %d out of range [0,%d)", i, h.Parties)
 		}
 	}
+	if err != nil {
+		return fmt.Errorf("logio: epoch %d shape drifts from header: %w", k, err)
+	}
 	return nil
+}
+
+func encodeHFL(w io.Writer, ep *hfl.Epoch, h header, k int) error {
+	if err := checkHFLShape(ep, h, k); err != nil {
+		return err
+	}
+	return writeEpoch(w, ep, h.Params, k)
+}
+
+func decodeHFL(b []byte, h header, k int) (*hfl.Epoch, error) {
+	ep, err := readEpoch(b, h.Params, k)
+	if err == nil {
+		err = checkHFLShape(ep, h, k)
+	}
+	return ep, err
+}
+
+func encodeVFL(w io.Writer, ep *vfl.Epoch, h header, k int) error {
+	return writeEpoch(w, &hfl.Epoch{T: ep.T, Theta: ep.Theta, Deltas: [][]float64{ep.Grad}, LR: ep.LR,
+		ValGrad: ep.ValGrad, ValLoss: ep.ValLoss, Weights: ep.Weights, Reported: ep.Reported}, h.Params, k)
+}
+
+func decodeVFL(b []byte, h header, k int) (*vfl.Epoch, error) {
+	ep, err := readEpoch(b, h.Params, k)
+	if err != nil {
+		return nil, err
+	}
+	if len(ep.Deltas) != 1 {
+		return nil, fmt.Errorf("logio: VFL epoch %d carries %d gradients", k, len(ep.Deltas))
+	}
+	return &vfl.Epoch{T: ep.T, Theta: ep.Theta, Grad: ep.Deltas[0], LR: ep.LR,
+		ValGrad: ep.ValGrad, ValLoss: ep.ValLoss, Weights: ep.Weights, Reported: ep.Reported}, nil
 }
 
 // WriteHFL serializes an HFL training log.
@@ -182,123 +306,79 @@ func WriteHFL(w io.Writer, log []*hfl.Epoch) error {
 	if len(log) == 0 {
 		return errors.New("logio: empty HFL log")
 	}
-	enc := json.NewEncoder(w)
-	h := header{Format: formatHFL, Version: version,
-		Params: len(log[0].Theta), Parties: hflParties(log)}
-	if err := enc.Encode(h); err != nil {
-		return fmt.Errorf("logio: writing header: %w", err)
-	}
-	for i, ep := range log {
-		if err := checkHFLShape(ep, h); err != nil {
-			return fmt.Errorf("logio: epoch %d shape drifts from header: %w", i, err)
-		}
-		if err := enc.Encode(toHFLJSON(ep)); err != nil {
-			return fmt.Errorf("logio: writing epoch %d: %w", i, err)
-		}
-	}
-	return nil
+	return writeLog(w, header{formatHFL, len(log[0].Theta), hflParties(log)}, nil, log, encodeHFL)
 }
 
-// ReadHFL deserializes an HFL training log (version 1 or 2), validating
-// shapes.
-func ReadHFL(r io.Reader) ([]*hfl.Epoch, error) {
-	h, dec, err := readHeader(r, formatHFL)
-	if err != nil {
-		return nil, err
-	}
-	var log []*hfl.Epoch
-	for {
-		rec := &hflEpochJSON{}
-		if err := dec.Decode(rec); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			return nil, fmt.Errorf("logio: reading epoch %d: %w", len(log), err)
-		}
-		ep := rec.epoch()
-		if len(ep.ValGrad) != h.Params {
-			return nil, fmt.Errorf("logio: epoch %d shape mismatch", len(log))
-		}
-		if err := checkHFLShape(ep, h); err != nil {
-			return nil, fmt.Errorf("logio: epoch %d shape mismatch: %w", len(log), err)
-		}
-		if ep.T != len(log)+1 {
-			return nil, fmt.Errorf("logio: epoch %d out of order (T=%d)", len(log), ep.T)
-		}
-		log = append(log, ep)
-	}
-	if len(log) == 0 {
-		return nil, errors.New("logio: log has no epochs")
-	}
-	return log, nil
-}
+// ReadHFL deserializes an HFL training log, validating shapes.
+func ReadHFL(r io.Reader) ([]*hfl.Epoch, error) { return readLog(r, formatHFL, nil, decodeHFL) }
 
 // WriteVFL serializes a VFL training log.
 func WriteVFL(w io.Writer, log []*vfl.Epoch) error {
 	if len(log) == 0 {
 		return errors.New("logio: empty VFL log")
 	}
-	enc := json.NewEncoder(w)
-	h := header{Format: formatVFL, Version: version, Params: len(log[0].Theta)}
-	if err := enc.Encode(h); err != nil {
-		return fmt.Errorf("logio: writing header: %w", err)
-	}
-	for i, ep := range log {
-		if len(ep.Theta) != h.Params {
-			return fmt.Errorf("logio: epoch %d shape drifts from header", i)
-		}
-		if err := enc.Encode(toVFLJSON(ep)); err != nil {
-			return fmt.Errorf("logio: writing epoch %d: %w", i, err)
-		}
-	}
-	return nil
+	return writeLog(w, header{formatVFL, len(log[0].Theta), 0}, nil, log, encodeVFL)
 }
 
-// ReadVFL deserializes a VFL training log (version 1 or 2), validating
-// shapes.
-func ReadVFL(r io.Reader) ([]*vfl.Epoch, error) {
-	h, dec, err := readHeader(r, formatVFL)
+// ReadVFL deserializes a VFL training log, validating shapes.
+func ReadVFL(r io.Reader) ([]*vfl.Epoch, error) { return readLog(r, formatVFL, nil, decodeVFL) }
+
+// HFLWriter archives an HFL training log one epoch record at a time — the
+// streaming counterpart of WriteHFL for runs that must not buffer the whole
+// log (the networked coordinator archives each round as it closes), with
+// output byte-identical to WriteHFL's. It needs the run shape up front,
+// where WriteHFL derives the party count from the finished log. Errors are
+// sticky: after the first failed write every call returns the same error, so
+// a full disk never corrupts an archive without the caller noticing.
+type HFLWriter struct {
+	w      io.Writer
+	shape  header
+	epochs int
+	err    error
+}
+
+// NewHFLWriter starts a streaming HFL archive on w by writing the header
+// record for a run with the given model parameter and participant counts.
+func NewHFLWriter(w io.Writer, params, parties int) (*HFLWriter, error) {
+	sw, err := ResumeHFLWriter(w, params, parties, 0)
 	if err != nil {
 		return nil, err
 	}
-	var log []*vfl.Epoch
-	for {
-		rec := &vflEpochJSON{}
-		if err := dec.Decode(rec); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			return nil, fmt.Errorf("logio: reading epoch %d: %w", len(log), err)
-		}
-		ep := rec.epoch()
-		if len(ep.Theta) != h.Params || len(ep.Grad) != h.Params || len(ep.ValGrad) != h.Params {
-			return nil, fmt.Errorf("logio: epoch %d shape mismatch", len(log))
-		}
-		if ep.T != len(log)+1 {
-			return nil, fmt.Errorf("logio: epoch %d out of order (T=%d)", len(log), ep.T)
-		}
-		log = append(log, ep)
+	if err := writeLog(w, sw.shape, nil, []*hfl.Epoch(nil), encodeHFL); err != nil {
+		return nil, err
 	}
-	if len(log) == 0 {
-		return nil, errors.New("logio: log has no epochs")
-	}
-	return log, nil
+	return sw, nil
 }
 
-func readHeader(r io.Reader, wantFormat string) (header, *json.Decoder, error) {
-	dec := json.NewDecoder(bufio.NewReader(r))
-	var h header
-	if err := dec.Decode(&h); err != nil {
-		return h, nil, fmt.Errorf("logio: reading header: %w", err)
+// ResumeHFLWriter continues a streaming HFL archive that already holds its
+// header and its first epochs epoch records — the recovered coordinator's
+// path, whose journal replay reports that count. Writing resumes at
+// epochs+1 with no second header, and the original and resumed writers'
+// output is byte-identical to one uninterrupted HFLWriter's.
+func ResumeHFLWriter(w io.Writer, params, parties, epochs int) (*HFLWriter, error) {
+	if params <= 0 || parties <= 0 || epochs < 0 {
+		return nil, fmt.Errorf("logio: invalid stream shape params=%d parties=%d epochs=%d", params, parties, epochs)
 	}
-	if h.Format != wantFormat {
-		return h, nil, fmt.Errorf("logio: format %q, want %q", h.Format, wantFormat)
-	}
-	if h.Version < 1 || h.Version > version {
-		return h, nil, fmt.Errorf("logio: unsupported version %d", h.Version)
-	}
-	if h.Params <= 0 {
-		return h, nil, fmt.Errorf("logio: invalid header params %d", h.Params)
-	}
-	return h, dec, nil
+	return &HFLWriter{w: w, shape: header{formatHFL, params, parties}, epochs: epochs}, nil
 }
+
+// WriteEpoch appends one epoch record. Epochs must arrive in order starting
+// at 1, matching the shape declared at construction.
+func (sw *HFLWriter) WriteEpoch(ep *hfl.Epoch) error {
+	if sw.err == nil && ep.T != sw.epochs+1 {
+		sw.err = fmt.Errorf("logio: epoch %d written after %d", ep.T, sw.epochs)
+	}
+	if sw.err == nil {
+		sw.err = encodeHFL(sw.w, ep, sw.shape, sw.epochs)
+	}
+	if sw.err == nil {
+		sw.epochs++
+	}
+	return sw.err
+}
+
+// Err returns the sticky error, if any.
+func (sw *HFLWriter) Err() error { return sw.err }
+
+// Epochs returns the number of epochs written so far.
+func (sw *HFLWriter) Epochs() int { return sw.epochs }

@@ -2,7 +2,7 @@ package logio
 
 import (
 	"bytes"
-	"fmt"
+	"encoding/binary"
 	"math"
 	"strings"
 	"testing"
@@ -141,14 +141,13 @@ func TestErrors(t *testing.T) {
 		t.Fatal("garbage must error")
 	}
 	// Header only, no epochs.
-	headerOnly := hbuf.String()[:strings.Index(hbuf.String(), "\n")+1]
-	if _, err := ReadHFL(strings.NewReader(headerOnly)); err == nil {
+	recs := records(t, hbuf.Bytes())
+	if _, err := ReadHFL(bytes.NewReader(recs[0])); err == nil {
 		t.Fatal("epoch-less log must error")
 	}
-	// Truncated epoch line.
-	full := hbuf.String()
-	cut := full[:len(full)-20]
-	if _, err := ReadHFL(strings.NewReader(cut)); err == nil {
+	// Truncated epoch record.
+	full := hbuf.Bytes()
+	if _, err := ReadHFL(bytes.NewReader(full[:len(full)-20])); err == nil {
 		t.Fatal("truncated log must error")
 	}
 	// Out-of-order epochs.
@@ -167,9 +166,10 @@ func TestErrors(t *testing.T) {
 	if err := WriteHFL(&bytes.Buffer{}, drift); err == nil {
 		t.Fatal("shape drift must error on write")
 	}
-	// Unsupported version.
-	bad := strings.Replace(headerOnly, fmt.Sprintf(`"version":%d`, version), `"version":9`, 1)
-	if _, err := ReadHFL(strings.NewReader(bad + full[strings.Index(full, "\n")+1:])); err == nil {
+	// Unsupported version, behind a valid checksum.
+	bad := bytes.Clone(recs[0])
+	binary.LittleEndian.PutUint32(bad[8:], 9)
+	if _, err := ReadHFL(bytes.NewReader(append(reseal(bad), full[len(recs[0]):]...))); err == nil {
 		t.Fatal("future version must error")
 	}
 }

@@ -24,7 +24,7 @@ func streamEpochs() []*hfl.Epoch {
 
 // The streaming writer must produce byte-identical output to the batch
 // WriteHFL on the same epochs — including degraded (Reported) records and
-// non-finite sentinel floats — so ReadHFL consumes both interchangeably.
+// non-finite floats — so ReadHFL consumes both interchangeably.
 func TestHFLWriterMatchesBatchWriter(t *testing.T) {
 	log := streamEpochs()
 	var batch bytes.Buffer

@@ -153,19 +153,19 @@ func (m *CNN) forward(x []float64, st *fwdState) {
 
 // Loss implements Model.
 func (m *CNN) Loss(X *tensor.Matrix, y []float64) float64 {
-	checkClasses(X, y, m.side*m.side, m.c)
+	checkBatch(X, y, m.side*m.side)
 	st := m.newState()
 	var s float64
 	for i := 0; i < X.Rows; i++ {
 		m.forward(X.Row(i), st)
-		s += tensor.LogSumExp(st.logits) - st.logits[int(y[i])]
+		s += tensor.LogSumExp(st.logits) - st.logits[classOf(y[i], i, m.c)]
 	}
 	return s / float64(X.Rows)
 }
 
 // Grad implements Model.
 func (m *CNN) Grad(X *tensor.Matrix, y []float64) []float64 {
-	checkClasses(X, y, m.side*m.side, m.c)
+	checkBatch(X, y, m.side*m.side)
 	_, _, w, _ := m.slices()
 	g := make([]float64, m.NumParams())
 	gFilters, gfb, gw, gb := m.split(g)
@@ -176,10 +176,10 @@ func (m *CNN) Grad(X *tensor.Matrix, y []float64) []float64 {
 	for i := 0; i < X.Rows; i++ {
 		x := X.Row(i)
 		m.forward(x, st)
-		lse := tensor.LogSumExp(st.logits)
+		lse, yi := tensor.LogSumExp(st.logits), classOf(y[i], i, m.c)
 		for k := 0; k < m.c; k++ {
 			dz[k] = math.Exp(st.logits[k] - lse)
-			if k == int(y[i]) {
+			if k == yi {
 				dz[k]--
 			}
 		}
@@ -230,7 +230,7 @@ func (m *CNN) route(x []float64, argmax []int, dPooled, gFilters, gfb []float64)
 // the filters: R{dPooled} = Wᵀ·R{dz} + Vᵀ·dz, routed to the filters like
 // dPooled.
 func (m *CNN) HVP(X *tensor.Matrix, y []float64, v []float64) []float64 {
-	checkClasses(X, y, m.side*m.side, m.c)
+	checkBatch(X, y, m.side*m.side)
 	checkDir(v, len(m.params))
 	_, _, w, _ := m.slices()
 	vf, vfb, vw, vb := m.split(v)
@@ -252,7 +252,7 @@ func (m *CNN) HVP(X *tensor.Matrix, y []float64, v []float64) []float64 {
 			fi, rc := idx/(co*co), idx%(co*co)
 			rPooled[cell] = m.convAt(vf[fi*m.k*m.k:(fi+1)*m.k*m.k], vfb[fi], x, rc/co, rc%co)
 		}
-		denseHeadR(st.pooled, rPooled, w, vw, vb, st.logits, int(y[i]), ow, ob, nil, rdPooled)
+		denseHeadR(st.pooled, rPooled, w, vw, vb, st.logits, classOf(y[i], i, m.c), ow, ob, nil, rdPooled)
 		m.route(x, st.argmax, rdPooled, of, ofb)
 	}
 	tensor.Scale(1/float64(X.Rows), out)

@@ -72,20 +72,20 @@ func (m *MLP) forward(x []float64, a, z []float64) {
 
 // Loss implements Model.
 func (m *MLP) Loss(X *tensor.Matrix, y []float64) float64 {
-	checkClasses(X, y, m.d, m.c)
+	checkBatch(X, y, m.d)
 	var bufA, bufZ [scratchLen]float64
 	a, z := scratch(&bufA, m.h), scratch(&bufZ, m.c)
 	var s float64
 	for i := 0; i < X.Rows; i++ {
 		m.forward(X.Row(i), a, z)
-		s += tensor.LogSumExp(z) - z[int(y[i])]
+		s += tensor.LogSumExp(z) - z[classOf(y[i], i, m.c)]
 	}
 	return s / float64(X.Rows)
 }
 
 // Grad implements Model with hand-derived backprop.
 func (m *MLP) Grad(X *tensor.Matrix, y []float64) []float64 {
-	checkClasses(X, y, m.d, m.c)
+	checkBatch(X, y, m.d)
 	_, _, w2, _ := m.slices()
 	g := make([]float64, m.NumParams())
 	gw1, gb1, gw2, gb2 := m.split(g)
@@ -97,10 +97,10 @@ func (m *MLP) Grad(X *tensor.Matrix, y []float64) []float64 {
 	for i := 0; i < X.Rows; i++ {
 		x := X.Row(i)
 		m.forward(x, a, z)
-		lse := tensor.LogSumExp(z)
+		lse, yi := tensor.LogSumExp(z), classOf(y[i], i, m.c)
 		for k := 0; k < m.c; k++ {
 			dz[k] = math.Exp(z[k] - lse)
-			if k == int(y[i]) {
+			if k == yi {
 				dz[k]--
 			}
 		}
@@ -131,7 +131,7 @@ func (m *MLP) Grad(X *tensor.Matrix, y []float64) []float64 {
 // products are then the gradient's with every factor differentiated in
 // turn.
 func (m *MLP) HVP(X *tensor.Matrix, y []float64, v []float64) []float64 {
-	checkClasses(X, y, m.d, m.c)
+	checkBatch(X, y, m.d)
 	checkDir(v, len(m.params))
 	_, _, w2, _ := m.slices()
 	v1, vb1, v2, vb2 := m.split(v)
@@ -149,7 +149,7 @@ func (m *MLP) HVP(X *tensor.Matrix, y []float64, v []float64) []float64 {
 		for j, aj := range a {
 			ra[j] *= 1 - aj*aj
 		}
-		denseHeadR(a, ra, w2, v2, vb2, z, int(y[i]), o2, ob2, da, rda)
+		denseHeadR(a, ra, w2, v2, vb2, z, classOf(y[i], i, m.c), o2, ob2, da, rda)
 		for j, aj := range a {
 			rdh := rda[j]*(1-aj*aj) - 2*aj*ra[j]*da[j]
 			tensor.AXPY(rdh, x, o1[j*m.d:(j+1)*m.d])

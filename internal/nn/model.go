@@ -190,15 +190,22 @@ func checkDir(v []float64, p int) {
 	}
 }
 
-// checkClasses is checkBatch for a c-way classifier: every label must also
-// be a class index, an integer in [0, c).
-func checkClasses(x *tensor.Matrix, y []float64, wantCols, c int) {
-	checkBatch(x, y, wantCols)
-	for i, v := range y {
-		if !(v >= 0 && v < float64(c) && v == math.Trunc(v)) {
-			panic(fmt.Sprintf("nn: label %v at row %d is not a class index in [0,%d)", v, i, c))
-		}
+// classOf reads the label v of row i as a class index in [0,c). It is the
+// per-row label read of every classifier loop, so the check costs no pass of
+// its own.
+func classOf(v float64, i, c int) (k int) {
+	if k = int(v); uint(k) >= uint(c) || float64(k) != v {
+		badLabel(v, i, c)
 	}
+	return k
+}
+
+// badLabel panics on a label that is no class index, out of line so that
+// classOf inlines.
+//
+//go:noinline
+func badLabel(v float64, i, c int) {
+	panic(fmt.Sprintf("nn: label %v at row %d is not a class index in [0,%d)", v, i, c))
 }
 
 func checkBatch(x *tensor.Matrix, y []float64, wantCols int) {

@@ -90,7 +90,7 @@ func (m *SoftmaxRegression) blockSoftmax(z []float64, n int) {
 // Loss implements Model: per row, log Σ exp(z_k) − z_y, the normaliser of a
 // four-row block from one tensor.LogSumExp4 call.
 func (m *SoftmaxRegression) Loss(X *tensor.Matrix, y []float64) float64 {
-	checkClasses(X, y, m.d, m.c)
+	checkBatch(X, y, m.d)
 	var buf [scratchLen]float64
 	z := scratch(&buf, 4*m.c)
 	var lse [4]float64
@@ -102,7 +102,7 @@ func (m *SoftmaxRegression) Loss(X *tensor.Matrix, y []float64) float64 {
 			lse[0] = tensor.LogSumExp(z[:m.c])
 		}
 		for r := 0; r < n; r++ {
-			s += lse[r] - z[r*m.c+int(y[i+r])]
+			s += lse[r] - z[r*m.c+classOf(y[i+r], i+r, m.c)]
 		}
 	}
 	return s / float64(X.Rows)
@@ -110,7 +110,7 @@ func (m *SoftmaxRegression) Loss(X *tensor.Matrix, y []float64) float64 {
 
 // Grad implements Model.
 func (m *SoftmaxRegression) Grad(X *tensor.Matrix, y []float64) []float64 {
-	checkClasses(X, y, m.d, m.c)
+	checkBatch(X, y, m.d)
 	g := make([]float64, m.NumParams())
 	var buf [scratchLen]float64
 	z := scratch(&buf, 4*m.c)
@@ -119,7 +119,7 @@ func (m *SoftmaxRegression) Grad(X *tensor.Matrix, y []float64) []float64 {
 		// The block's dz = softmax(z) − onehot(y) first, over its logits …
 		m.blockSoftmax(z, n)
 		for r := 0; r < n; r++ {
-			z[r*m.c+int(y[i+r])]--
+			z[r*m.c+classOf(y[i+r], i+r, m.c)]--
 		}
 		m.blockBackward(X, i, n, z, g)
 	}
@@ -132,9 +132,9 @@ func (m *SoftmaxRegression) Grad(X *tensor.Matrix, y []float64) []float64 {
 // the head's R{dz} is r = (diag p − p pᵀ)·u, and H·v = (1/m)·Σ r ⊗ [x, 1]:
 // u takes the logits' four-row blocks and r the gradient's backward pass.
 // The scratch is on the stack, so the call allocates only its result. The
-// Hessian does not depend on the labels; they are only checked.
+// Hessian does not depend on the labels; each row's is only checked.
 func (m *SoftmaxRegression) HVP(X *tensor.Matrix, y []float64, v []float64) []float64 {
-	checkClasses(X, y, m.d, m.c)
+	checkBatch(X, y, m.d)
 	checkDir(v, len(m.params))
 	out := make([]float64, m.NumParams())
 	var bufZ, bufU [scratchLen]float64
@@ -144,6 +144,7 @@ func (m *SoftmaxRegression) HVP(X *tensor.Matrix, y []float64, v []float64) []fl
 		m.blockLogits(X, i, v, u)
 		m.blockSoftmax(z, n)
 		for r := 0; r < n; r++ {
+			classOf(y[i+r], i+r, m.c)
 			softmaxR(z[r*m.c:(r+1)*m.c], u[r*m.c:(r+1)*m.c])
 		}
 		m.blockBackward(X, i, n, u, out)

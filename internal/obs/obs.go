@@ -10,8 +10,8 @@
 //
 // The package ships two sinks: Collector, a lock-free atomic aggregator
 // whose Snapshot is cheap enough to read mid-run, and TraceWriter, a JSONL
-// trace using the same non-finite-safe float encoding as the training-log
-// archive (internal/jsonf). Tee fans events out to several sinks.
+// trace using the same non-finite-safe float encoding as the /v1/score reply
+// (internal/jsonf). Tee fans events out to several sinks.
 //
 // Observability never perturbs results: sinks only receive copies of
 // scalar measurements, so attaching one leaves every output bit-identical.
