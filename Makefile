@@ -76,7 +76,7 @@ REWEIGHT_RUN = TestReweighted|TestBannedAtCloseAddsNothing|TestStreamedReweight|
 REWEIGHT_PKGS = ./internal/hfl/ ./internal/robust/ ./internal/fednet/ ./internal/experiments/
 HVP_RUN = TestHVPMatchesExplicitHessian|TestHVPMatchesFDOracle|TestHVPSymmetric|TestHVPSharedModelReadOnly|TestSoftmaxHVPAllocs|TestClassLabelsChecked|TestProvidersUseExactHVP|TestLocalHVPConcurrentUse
 HVP_PKGS = ./internal/nn/ ./internal/core/
-KERNELS_RUN = TestDot4xNMatchesDot|FuzzDot4xN|TestDot4xNShapeMismatchPanics|TestLogSumExp4MatchesScalar|TestExpShift4Overflow|TestExpTableMatchesMathExp|TestLogTableMatchesMathLog|FuzzLogSumExp4|TestLogSumExp4ShapeMismatchPanics|TestExpPathReproducesMathExp|TestLogSumExpMatchesExpOfZero|TestSoftmaxTilePathsSameBits|TestSoftmaxHVPAllocs|TestLossScratchStaysOffTheHeap|TestModelsMatchTermByTerm
+KERNELS_RUN = TestDot4xNMatchesDot|FuzzDot4xN|TestDot4xNShapeMismatchPanics|TestDot8xNMatchesDot|FuzzDot8xN|TestDot8xNShapeMismatchPanics|TestLogSumExp4MatchesScalar|TestLogSumExp8MatchesScalar|FuzzLogSumExp8|TestLogSumExp8ShapeMismatchPanics|TestExpShift4Overflow|TestExpTableMatchesMathExp|TestLogTableMatchesMathLog|FuzzLogSumExp4|TestLogSumExp4ShapeMismatchPanics|TestExpPathReproducesMathExp|TestLogSumExpMatchesExpOfZero|TestSoftmaxTilePathsSameBits|TestSoftmaxHVPAllocs|TestLossScratchStaysOffTheHeap|TestModelsMatchTermByTerm
 KERNELS_PKGS = ./internal/tensor/ ./internal/nn/
 RUN_GATES = FAULTS NET SCALE WIRE ASYNC SECURE ENGINES CRASH ADV REWEIGHT HVP KERNELS
 
@@ -119,7 +119,9 @@ bench-workload:
 # d=2000); and the validation loss's, which every round's turnaround and
 # every engine's utility evaluation pay — the four-row dot kernel at d=2000,
 # MatVec on a 32×2000 validation set, the audit's softmax loss (400 rows ×
-# 64 features × 10 classes) and one four-row block's log-sum-exp (4 × 10);
+# 64 features × 10 classes, on every kernel path), one four-row block's
+# log-sum-exp (4 × 10) and one eight-row logit block (8 × 64 × 10, the
+# AVX-512 tile against two AVX2 calls);
 # and the buffered round's sums — its weighted
 # aggregate (AXPYRows over 64 deltas of 2000), the Xᵀr under a validation
 # gradient (MatTVecTo, 32×2000) and a resource-saving observe of 64 raw
@@ -131,7 +133,7 @@ bench-workload:
 # 2048 bits) and step 5's vector decryption of nine ciphertexts — all but the
 # encryption checked against their references before timing.
 bench-kernels:
-	$(GO) test -run '^$$' -benchmem -bench 'Cohort100k|ObserveDots100k|ObserveDeltas64x2000|Dot2000|AXPY2000|DotAdd2000|DotAdd4x2000|MeanFold64x2000|Dot4x2000|MatVec32x2000|AXPYRows64x2000|MatTVec32x2000|LogSumExp4|SoftmaxLoss|FrameVec2000|IngestUpdate|RoundPollV2|ScoreRead100k' \
+	$(GO) test -run '^$$' -benchmem -bench 'Cohort100k|ObserveDots100k|ObserveDeltas64x2000|Dot2000|AXPY2000|DotAdd2000|DotAdd4x2000|MeanFold64x2000|Dot4x2000|MatVec32x2000|AXPYRows64x2000|MatTVec32x2000|LogSumExp4|Dot8xN|SoftmaxLoss|FrameVec2000|IngestUpdate|RoundPollV2|ScoreRead100k' \
 		./internal/sampling/ ./internal/core/ ./internal/tensor/ ./internal/hfl/ ./internal/nn/ ./internal/fednet/
 	$(GO) test -run '^$$' -benchmem -bench 'Encrypt$$/1024|DotPlain/77|MaskedGradient|MulMod|DecryptVec/9' ./internal/paillier/ ./internal/vfl/
 
@@ -337,21 +339,24 @@ verify-adv:
 verify-hvp:
 	$(GO) test -race -count=1 -run '$(HVP_RUN)' $(HVP_PKGS)
 
-# verify-kernels runs the gate of the repository's assembly kernels, both
-# under the softmax model: tensor.Dot4xN, its logit block, and LogSumExp4 /
-# ExpShift4, its normaliser and softmax. The AVX2 kernels and the portable
-# loops, forced by the tests themselves, are held bit for bit to Dot (lengths
-# 0–70, 1–12 classes, ±0, subnormals, ±Inf, Inf−Inf, NaN payloads) and to
-# LogSumExp and math.Exp (1–17 classes; ±0, subnormal and underflowing exps,
-# ±Inf, Inf−Inf, NaN payloads; exp over [−746, 0] and log over [1, 64]), the
-# exp sequence chosen at init reproduces math.Exp, and the softmax Loss,
-# Grad, HVP and Predict give the same bits on every path (0 and 1
-# allocations) — under the race detector, then again under
-# GODEBUG=cpu.fma=off, where math.Exp and the kernels take archExp's plain
-# sequence; then 5 s fuzz passes of each kernel; go vet (asmdecl) on amd64
-# and of the portable build for arm64 and 386; and no fused multiply-add in
-# tensor's multiply-accumulate loops as arm64 compiles them, which their
-# float64(x*y) roundings forbid. -count=1 defeats the test cache.
+# verify-kernels runs the gate of the repository's assembly kernels, all
+# under the softmax model: tensor.Dot8xN and Dot4xN, its logit blocks, and
+# LogSumExp8, LogSumExp4 and ExpShift4, its normaliser and softmax, on three
+# paths — the AVX-512F kernels (eight rows), the AVX2 ones (four rows) and
+# the portable loops, forced by the tests themselves. Every path is held bit
+# for bit to Dot (lengths 0–70, 1–12 classes for four rows and 1–17 for
+# eight, ±0, subnormals, ±Inf, Inf−Inf, NaN payloads) and to LogSumExp and
+# math.Exp (1–17 classes; ±0, subnormal and underflowing exps, ±Inf,
+# Inf−Inf, NaN payloads; exp over [−746, 0] and log over [1, 64]); the exp
+# sequence chosen at init reproduces math.Exp in the four-lane and the
+# eight-lane kernel; and the softmax Loss, Grad, HVP and Predict give the
+# same bits on every path for 1–17 rows (0 and 1 allocations) — under the
+# race detector, then again under GODEBUG=cpu.fma=off, where math.Exp and
+# the kernels take archExp's plain sequence; then 5 s fuzz passes of each
+# kernel; go vet (asmdecl) on amd64 and of the portable build for arm64 and
+# 386; and no fused multiply-add in tensor's multiply-accumulate loops as
+# arm64 compiles them, which their float64(x*y) roundings forbid. -count=1
+# defeats the test cache.
 KERNEL_SYMS = tensor\.(Dot|Dot4|DotAdd|DotAdd4|Dot4xN|AXPY|AXPY4|Norm2|MatTMat|\(\*RNG\)\.Normal|\(\*RNG\)\.NormalVec)$$
 verify-kernels:
 	$(GO) vet ./internal/tensor/ ./internal/nn/
@@ -361,6 +366,8 @@ verify-kernels:
 	GODEBUG=cpu.fma=off $(GO) test -count=1 -run '$(KERNELS_RUN)' $(KERNELS_PKGS)
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzDot4xN -fuzztime 5s ./internal/tensor/
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzLogSumExp4 -fuzztime 5s ./internal/tensor/
+	$(GO) test -count=1 -run '^$$' -fuzz FuzzDot8xN -fuzztime 5s ./internal/tensor/
+	$(GO) test -count=1 -run '^$$' -fuzz FuzzLogSumExp8 -fuzztime 5s ./internal/tensor/
 	@dir=$$(mktemp -d) && trap 'rm -rf '"$$dir" EXIT && \
 	GOARCH=arm64 $(GO) build -o $$dir/tensor.a ./internal/tensor/ && \
 	$(GO) tool objdump -s '$(KERNEL_SYMS)' $$dir/tensor.a > $$dir/dis && \

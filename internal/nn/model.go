@@ -6,6 +6,12 @@
 // (Algorithm 1) consumes: a closed form for the three generalized linear
 // models, Pearlmutter's R-operator on the hand-derived backward pass for the
 // MLP and the CNN. None of them writes to the model.
+//
+// SoftmaxRegression takes its validation rows in blocks of eight, then one
+// of four, then single rows, each block one call of tensor's row-block
+// kernels (Dot8xN / Dot4xN, LogSumExp8 / LogSumExp4, ExpShift4), with the
+// same bits on every path those kernels take; the block's scratch stays on
+// the stack up to sixteen classes.
 package nn
 
 import (
@@ -110,9 +116,9 @@ func scaledXt(X *tensor.Matrix, r []float64, scale float64, p int) []float64 {
 }
 
 // scratchLen bounds the per-call scratch that Loss, Grad and Predict keep in
-// a stack array: logits of a four-row block of a sixteen-class model, or 64
-// hidden units.
-const scratchLen = 64
+// a stack array: logits of an eight-row block of a sixteen-class model, or
+// 128 hidden units.
+const scratchLen = 128
 
 // scratch returns n values of per-call scratch: buf when they fit — the
 // caller's stack array, so that a shared model stays re-entrant and the call

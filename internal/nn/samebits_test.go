@@ -460,11 +460,17 @@ func TestLogSumExpMatchesExpOfZero(t *testing.T) {
 }
 
 // TestLossScratchStaysOffTheHeap: the logit scratch of Loss is a stack
-// array, so Loss allocates nothing and stays re-entrant on a shared model.
+// array — for the softmax model up to an eight-row block of sixteen
+// classes — so Loss allocates nothing and stays re-entrant on a shared
+// model.
 func TestLossScratchStaysOffTheHeap(t *testing.T) {
 	rng := tensor.NewRNG(8)
 	X, y := randClassBatch(rng, 9, 6, 10)
-	for name, m := range map[string]Model{"softmax": NewSoftmaxRegression(6, 10), "mlp": NewMLP(6, 16, 10, rng)} {
+	for name, m := range map[string]Model{
+		"softmax":            NewSoftmaxRegression(6, 10),
+		"softmax 16 classes": NewSoftmaxRegression(6, 16),
+		"mlp":                NewMLP(6, 16, 10, rng),
+	} {
 		rng.Normal(m.Params(), 0, 0.5)
 		if a := testing.AllocsPerRun(20, func() { m.Loss(X, y) }); a != 0 {
 			t.Errorf("%s: Loss allocates %v times a call, want 0", name, a)

@@ -10,23 +10,34 @@ import (
 	"digfl/internal/tensor"
 )
 
-// useAVX2 is tensor's switch between Dot4xN's AVX2 tile and its portable
-// loop, and expPath its choice between LogSumExp4's and ExpShift4's AVX2
-// kernel (1 or 2, the exp sequence math.Exp runs) and math.Exp one value at
-// a time (0), reached here so that the model's own calls can be run on each.
+// useAVX512 and useAVX2 are tensor's switches between Dot8xN's AVX-512 tile
+// (with LogSumExp8's kernel), Dot4xN's AVX2 tile and its portable loop, and
+// expPath its choice between the exp kernels (1 or 2, the exp sequence
+// math.Exp runs) and math.Exp one value at a time (0), reached here so that
+// the model's own calls can be run on each.
 //
 //go:linkname useAVX2 digfl/internal/tensor.useAVX2
 var useAVX2 bool
 
+//go:linkname useAVX512 digfl/internal/tensor.useAVX512
+var useAVX512 bool
+
 //go:linkname expPath digfl/internal/tensor.expPath
 var expPath uint8
 
-// onTilePaths runs f with the AVX2 kernels tensor chose at init, where the
-// host has them: "avx2" with all of them, "avx2-scalar-exp" with the logit
-// tile and math.Exp; and "portable" with neither.
+// onTilePaths runs f with the kernels tensor chose at init, where the host
+// has them: "avx512" with all of them, "avx2" with the AVX2 ones (Dot8xN
+// and LogSumExp8 as two four-row calls), "avx2-scalar-exp" with the AVX2
+// logit tile and math.Exp; and "portable" with none.
 func onTilePaths(t testing.TB, f func(path string)) {
-	tile, exp := useAVX2, expPath
-	defer func() { useAVX2, expPath = tile, exp }()
+	tile, wide, exp := useAVX2, useAVX512, expPath
+	defer func() { useAVX2, useAVX512, expPath = tile, wide, exp }()
+	if wide {
+		f("avx512")
+	} else {
+		t.Log("no AVX-512F on this host: the AVX-512 path skipped")
+	}
+	useAVX512 = false
 	if tile && exp != 0 {
 		f("avx2")
 		expPath = 0
@@ -39,12 +50,11 @@ func onTilePaths(t testing.TB, f func(path string)) {
 }
 
 // TestSoftmaxTilePathsSameBits: Loss, Grad, HVP and Predict of the softmax
-// model give the same bits with the AVX2 kernels — Dot4xN's tile, and
-// LogSumExp4's and ExpShift4's exp — with the tile alone, and on the
-// portable loops, for 1…17 classes (17 takes the heap scratch) and batches
-// of 1…9 rows (every split into four-row blocks and a tail), at parameters
-// whose logits are spread, so the exps are paid; and on each path Loss
-// allocates nothing and HVP only its result.
+// model give the same bits on every path of onTilePaths, for 1…17 classes
+// (17 takes the heap scratch) and batches of 1…17 rows (every split into
+// eight-row blocks, a four-row block and single rows), at parameters whose
+// logits are spread, so the exps are paid; and on each path Loss allocates
+// nothing and HVP only its result.
 func TestSoftmaxTilePathsSameBits(t *testing.T) {
 	const d = 7
 	rng := tensor.NewRNG(40)
@@ -53,44 +63,61 @@ func TestSoftmaxTilePathsSameBits(t *testing.T) {
 		rng.Normal(m.Params(), 0, 2)
 		for rows := 1; rows <= 9; rows++ {
 			X, y := randClassBatch(rng, rows, d, c)
-			v := rng.NormalVec(m.NumParams(), 0, 1)
-			type result struct {
-				loss       float64
-				grad, hvp  []float64
-				predict    []int
-				lossAllocs float64
-				hvpAllocs  float64
-			}
-			got := map[string]result{}
-			onTilePaths(t, func(path string) {
-				got[path] = result{
-					loss:       m.Loss(X, y),
-					grad:       m.Grad(X, y),
-					hvp:        m.HVP(X, y, v),
-					predict:    m.Predict(X),
-					lossAllocs: testing.AllocsPerRun(5, func() { m.Loss(X, y) }),
-					hvpAllocs:  testing.AllocsPerRun(5, func() { m.HVP(X, y, v) }),
-				}
-			})
-			at := fmt.Sprintf("c=%d, %d rows", c, rows)
-			p := got["portable"]
-			for path, a := range got {
-				if c <= 16 && (a.lossAllocs != 0 || a.hvpAllocs != 1) {
-					t.Errorf("%s, %s: Loss allocates %v, HVP %v times a call, want 0 and 1", at, path, a.lossAllocs, a.hvpAllocs)
-				}
-				if math.Float64bits(a.loss) != math.Float64bits(p.loss) {
-					t.Errorf("%s: Loss %v on %s, %v on the portable loops", at, a.loss, path, p.loss)
-				}
-				if !sameBits(a.grad, p.grad) {
-					t.Errorf("%s: Grad differs between %s and the portable loops", at, path)
-				}
-				if !sameBits(a.hvp, p.hvp) {
-					t.Errorf("%s: HVP differs between %s and the portable loops", at, path)
-				}
-				if !reflect.DeepEqual(a.predict, p.predict) {
-					t.Errorf("%s: Predict %v on %s, %v on the portable loops", at, a.predict, path, p.predict)
-				}
-			}
+			checkSoftmaxPaths(t, m, X, y, rng.NormalVec(m.NumParams(), 0, 1))
+		}
+	}
+	rng = tensor.NewRNG(44)
+	for c := 1; c <= 17; c++ {
+		m := NewSoftmaxRegression(d, c)
+		rng.Normal(m.Params(), 0, 2)
+		for rows := 10; rows <= 17; rows++ {
+			X, y := randClassBatch(rng, rows, d, c)
+			checkSoftmaxPaths(t, m, X, y, rng.NormalVec(m.NumParams(), 0, 1))
+		}
+	}
+}
+
+// checkSoftmaxPaths runs m's Loss, Grad, HVP along v and Predict on every
+// path of onTilePaths and wants each path's bits to be the portable loops',
+// Loss to allocate nothing and HVP only its result where the scratch fits
+// on the stack.
+func checkSoftmaxPaths(t *testing.T, m *SoftmaxRegression, X *tensor.Matrix, y, v []float64) {
+	t.Helper()
+	type result struct {
+		loss       float64
+		grad, hvp  []float64
+		predict    []int
+		lossAllocs float64
+		hvpAllocs  float64
+	}
+	got := map[string]result{}
+	onTilePaths(t, func(path string) {
+		got[path] = result{
+			loss:       m.Loss(X, y),
+			grad:       m.Grad(X, y),
+			hvp:        m.HVP(X, y, v),
+			predict:    m.Predict(X),
+			lossAllocs: testing.AllocsPerRun(5, func() { m.Loss(X, y) }),
+			hvpAllocs:  testing.AllocsPerRun(5, func() { m.HVP(X, y, v) }),
+		}
+	})
+	at := fmt.Sprintf("c=%d, %d rows", m.Classes(), X.Rows)
+	p := got["portable"]
+	for path, a := range got {
+		if m.Classes() <= 16 && (a.lossAllocs != 0 || a.hvpAllocs != 1) {
+			t.Errorf("%s, %s: Loss allocates %v, HVP %v times a call, want 0 and 1", at, path, a.lossAllocs, a.hvpAllocs)
+		}
+		if math.Float64bits(a.loss) != math.Float64bits(p.loss) {
+			t.Errorf("%s: Loss %v on %s, %v on the portable loops", at, a.loss, path, p.loss)
+		}
+		if !sameBits(a.grad, p.grad) {
+			t.Errorf("%s: Grad differs between %s and the portable loops", at, path)
+		}
+		if !sameBits(a.hvp, p.hvp) {
+			t.Errorf("%s: HVP differs between %s and the portable loops", at, path)
+		}
+		if !reflect.DeepEqual(a.predict, p.predict) {
+			t.Errorf("%s: Predict %v on %s, %v on the portable loops", at, a.predict, path, p.predict)
 		}
 	}
 }

@@ -5,17 +5,23 @@ import (
 	"testing"
 )
 
-// onExpPaths runs f once on each path LogSumExp4 and ExpShift4 can take
-// here: the AVX2 kernel in the exp variant calibrated at init, where there is
-// one, then math.Exp and math.Log one value at a time, forced by setting
-// expPath.
+// onExpPaths runs f once on each path LogSumExp4, LogSumExp8 and ExpShift4
+// can take here: the AVX-512 and AVX2 kernels in the exp variant calibrated
+// at init, where there are, then math.Exp and math.Log one value at a time,
+// forced by clearing useAVX512 and setting expPath.
 func onExpPaths(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
-	saved := expPath
-	defer func() { expPath = saved }()
-	if saved == expScalar {
+	path, avx512 := expPath, useAVX512
+	defer func() { expPath, useAVX512 = path, avx512 }()
+	switch {
+	case path == expScalar:
 		t.Log("no AVX2 exp kernel on this host: the scalar path only")
-	} else {
+	case !avx512:
+		t.Log("no AVX-512F on this host: the AVX-512 path skipped")
+		t.Run("avx2", f)
+	default:
+		t.Run("avx512", f)
+		useAVX512 = false
 		t.Run("avx2", f)
 	}
 	expPath = expScalar
@@ -42,15 +48,15 @@ var expSpecials = map[string][]float64{
 	"NaN beside +Inf": {math.Inf(1), math.Float64frombits(0x7ff8000000000abc)},
 }
 
-// expBlock returns a four-row block of c logits, row r drawn at scale
-// 10^(r−1)·scale so the rows' spreads differ, with the special values
-// planted in each row from column r on (wrapping): with the row maxima
-// near 0, a planted −709 is a difference of about −709.
-func expBlock(rng *RNG, c int, scale float64, special []float64) []float64 {
-	z := make([]float64, 4*c)
-	for r := 0; r < 4; r++ {
+// expBlock returns a block of rows × c logits, row r drawn at scale
+// 10^(r mod 4 − 1)·scale so the spreads of a four-row block's rows differ,
+// with the special values planted in each row from column r on (wrapping):
+// with the row maxima near 0, a planted −709 is a difference of about −709.
+func expBlock(rng *RNG, rows, c int, scale float64, special []float64) []float64 {
+	z := make([]float64, rows*c)
+	for r := 0; r < rows; r++ {
 		row := z[r*c : (r+1)*c]
-		rng.Normal(row, 0, scale*math.Pow(10, float64(r-1)))
+		rng.Normal(row, 0, scale*math.Pow(10, float64(r%4-1)))
 		for i, v := range special {
 			if i < c {
 				row[(r+i)%c] = v
@@ -104,7 +110,7 @@ func checkLogSumExp4(t *testing.T, what string, z []float64) {
 	}
 }
 
-// TestLogSumExp4MatchesScalar: on the AVX2 kernel and on the scalar path,
+// TestLogSumExp4MatchesScalar: on every path of onExpPaths,
 // every row of a four-row block gets LogSumExp's bits, and its softmax
 // math.Exp(z − lse)'s — for 1…17 classes, rows at scales 10⁻³…10³, and
 // every special case of expSpecials.
@@ -114,7 +120,53 @@ func TestLogSumExp4MatchesScalar(t *testing.T) {
 		for name, special := range expSpecials {
 			for c := 1; c <= 17; c++ {
 				for _, scale := range []float64{1e-2, 1, 30} {
-					checkLogSumExp4(t, name, expBlock(rng, c, scale, special))
+					checkLogSumExp4(t, name, expBlock(rng, 4, c, scale, special))
+				}
+			}
+		}
+	})
+}
+
+// checkLogSumExp8 runs LogSumExp8 on the block z (eight rows of c), on a
+// copy followed by a sentinel, and wants each lse[r] to be LogSumExp of row r
+// bit for bit, and the block and the sentinel left as they were.
+func checkLogSumExp8(t *testing.T, what string, z []float64) {
+	t.Helper()
+	const sentinel = 0x7ff8dead0000beef
+	c := len(z) / 8
+	buf := append(append([]float64(nil), z...), math.Float64frombits(sentinel))
+	var lse [8]float64
+	LogSumExp8(&lse, buf[:8*c])
+	for r := range lse {
+		if want := LogSumExp(z[r*c : (r+1)*c]); math.Float64bits(lse[r]) != math.Float64bits(want) {
+			t.Fatalf("%s C=%d: LogSumExp8 row %d = %v (%#x), LogSumExp %v (%#x)", what, c, r,
+				lse[r], math.Float64bits(lse[r]), want, math.Float64bits(want))
+		}
+	}
+	if !sameBits(buf[:8*c], z) || math.Float64bits(buf[8*c]) != sentinel {
+		t.Fatalf("%s C=%d: LogSumExp8 wrote to its block or past it", what, c)
+	}
+}
+
+// TestLogSumExp8MatchesScalar: on every path of onExpPaths, every row of an
+// eight-row block gets LogSumExp's bits — for 1…17 classes, rows at scales
+// 10⁻³…10³, and every special case of expSpecials.
+func TestLogSumExp8MatchesScalar(t *testing.T) {
+	if useAVX512 && expPath != expScalar {
+		// A finite block of spread logits stays on the kernel: no row is
+		// retaken.
+		z := expBlock(NewRNG(42), 8, 10, 0.3, nil)
+		var lse [8]float64
+		if retake := logSumExp8AVX512(&lse, &z[0], 10, expPath == expFused); retake != 0 {
+			t.Fatalf("the eight-lane kernel retakes rows %#x of a finite block", retake)
+		}
+	}
+	onExpPaths(t, func(t *testing.T) {
+		rng := NewRNG(43)
+		for name, special := range expSpecials {
+			for c := 1; c <= 17; c++ {
+				for _, scale := range []float64{1e-2, 1, 30} {
+					checkLogSumExp8(t, name, expBlock(rng, 8, c, scale, special))
 				}
 			}
 		}
@@ -221,6 +273,40 @@ func FuzzLogSumExp4(f *testing.F) {
 		z[(at+1+rng.Intn(4*classes))%(4*classes)] = math.Float64frombits(q)
 		onExpPaths(t, func(t *testing.T) { checkLogSumExp4(t, "fuzz", z) })
 	})
+}
+
+// FuzzLogSumExp8 holds every path to LogSumExp on random eight-row blocks
+// at a fuzzed scale with two arbitrary bit patterns planted.
+func FuzzLogSumExp8(f *testing.F) {
+	f.Add(uint8(10), int64(1), 1.0, uint64(0x7ff8000000000001), uint64(0xfff8000000000002))
+	f.Add(uint8(3), int64(2), 300.0, math.Float64bits(math.Inf(1)), math.Float64bits(math.Inf(-1)))
+	f.Add(uint8(17), int64(3), 1e-3, math.Float64bits(-709.0), uint64(0x8000000000000000))
+	f.Fuzz(func(t *testing.T, c uint8, seed int64, scale float64, p, q uint64) {
+		classes := 1 + int(c%17)
+		rng := NewRNG(seed)
+		z := rng.NormalVec(8*classes, 0, 1)
+		for i := range z {
+			z[i] *= scale
+		}
+		at := rng.Intn(8 * classes)
+		z[at] = math.Float64frombits(p)
+		z[(at+1+rng.Intn(8*classes))%(8*classes)] = math.Float64frombits(q)
+		onExpPaths(t, func(t *testing.T) { checkLogSumExp8(t, "fuzz", z) })
+	})
+}
+
+func TestLogSumExp8ShapeMismatchPanics(t *testing.T) {
+	for _, n := range []int{0, 4, 7, 9, 12} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("LogSumExp8 of %d values did not panic", n)
+				}
+			}()
+			var lse [8]float64
+			LogSumExp8(&lse, make([]float64, n))
+		}()
+	}
 }
 
 func TestLogSumExp4ShapeMismatchPanics(t *testing.T) {

@@ -3,6 +3,14 @@
 // matrices, and the handful of BLAS-1/2 operations federated optimization
 // needs. Everything is deterministic and allocation-conscious; there is no
 // hidden parallelism so experiment timings are stable.
+//
+// The softmax model's row-block kernels — Dot8xN and Dot4xN, its logits,
+// and LogSumExp8, LogSumExp4 and ExpShift4, its normaliser and softmax —
+// have three paths, chosen once at init from CPUID and XCR0: AVX-512F
+// assembly on eight rows, AVX2 assembly on four, and portable loops. No
+// path fuses a multiply-add that the function whose bits it carries does
+// not, and a lane that ends NaN or leaves exp's fast path is taken again
+// through Dot or LogSumExp, so every path gives the same bits.
 package tensor
 
 import "fmt"

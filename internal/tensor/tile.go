@@ -5,10 +5,11 @@ import (
 	"math"
 )
 
-// useAVX2 selects Dot4xN's assembly tile. It is set once, at init from
-// CPUID and XGETBV on amd64, and is false elsewhere; the tests clear it to
-// run the portable loop on the same inputs.
-var useAVX2 bool
+// useAVX2 selects Dot4xN's assembly tile and useAVX512 Dot8xN's, and with
+// it LogSumExp8's kernel. Each is set once, at init from CPUID and XGETBV on
+// amd64, and is false elsewhere; the tests clear them to run the narrower
+// kernels and the portable loops on the same inputs.
+var useAVX2, useAVX512 bool
 
 // Dot4xN computes the products of a four-row block x, row-major 4×n, with
 // every row of w, row-major C×n: z[r·C+k] = Dot(x_r, w_k), for the
@@ -41,6 +42,12 @@ func Dot4xN(z, x, w []float64) {
 			z[k], z[c+k], z[2*c+k], z[3*c+k] = Dot4(x0, x1, x2, x3, w[k*n:(k+1)*n])
 		}
 	}
+	retakeNaNs(z, x, w, n, c)
+}
+
+// retakeNaNs takes every NaN logit z[r·C+k] of a block again through Dot of
+// row r of x and class row k of w, each n long.
+func retakeNaNs(z, x, w []float64, n, c int) {
 	for at, v := range z {
 		if v != v {
 			r, k := at/c, at%c
@@ -49,10 +56,38 @@ func Dot4xN(z, x, w []float64) {
 	}
 }
 
-// expPath is the exp sequence LogSumExp4 and ExpShift4 run. It is set once,
-// at init on amd64, to the variant of archExp that math.Exp is found to run
-// in this process, and is expScalar elsewhere; the tests set it to run each
-// path on the same inputs.
+// Dot8xN is Dot4xN for an eight-row block x, row-major 8×n: z[r·C+k] =
+// Dot(x_r, w_k) for the C = len(z)/8 rows of w, the softmax model's logit
+// block, one call per eight validation rows.
+//
+// On an amd64 CPU with AVX-512F one assembly kernel computes the block: the
+// eight rows are the lanes of a zmm register, transposed in from four
+// columns at a time, and up to sixteen classes a pass each accumulate in
+// their own register, w_k[i] broadcast to all eight lanes, each lane a
+// separate multiply and add from zero in index order — no fused
+// multiply-add — so a sum that is not NaN has Dot's bits, and x is read once
+// per pass of classes. Elsewhere it is two Dot4xN calls, on the AVX2 tile
+// or the portable loop. A lane that ends NaN is taken again through Dot, as
+// in Dot4xN.
+func Dot8xN(z, x, w []float64) {
+	n, c := len(x)/8, len(z)/8
+	if len(x) != 8*n || len(z) != 8*c || len(w) != c*n {
+		panic(fmt.Sprintf("tensor: Dot8xN shape mismatch: %d values for 8 rows, %d for 8×C, %d weights", len(x), len(z), len(w)))
+	}
+	if !useAVX512 || n == 0 || c == 0 {
+		Dot4xN(z[:4*c], x[:4*n], w)
+		Dot4xN(z[4*c:], x[4*n:], w)
+		return
+	}
+	if dot8xNAVX512(&z[0], &x[0], &w[0], n, c) {
+		retakeNaNs(z, x, w, n, c)
+	}
+}
+
+// expPath is the exp sequence LogSumExp4, LogSumExp8 and ExpShift4 run. It
+// is set once, at init on amd64, to the variant of archExp that math.Exp is
+// found to run in this process, and is expScalar elsewhere; the tests set it
+// to run each path on the same inputs.
 var expPath uint8
 
 const (
@@ -104,11 +139,39 @@ func LogSumExp4(lse *[4]float64, z []float64) {
 	if expPath != expScalar {
 		retake = logSumExp4AVX2(lse, &z[0], c, expPath == expFused)
 	}
+	retakeRows(lse[:], z, retake)
+}
+
+// retakeRows sets lse[r] = LogSumExp of row r of the block z for every row
+// r whose bit is set in retake.
+func retakeRows(lse, z []float64, retake int) {
+	c := len(z) / len(lse)
 	for r := range lse {
 		if retake>>r&1 != 0 {
 			lse[r] = LogSumExp(z[r*c : (r+1)*c])
 		}
 	}
+}
+
+// LogSumExp8 sets lse[r] = LogSumExp(z[r·C:(r+1)·C]) for the eight rows of
+// the block z, row-major 8×C: LogSumExp4 for Dot8xN's block.
+//
+// On amd64 with AVX-512F one assembly kernel runs LogSumExp4's over eight
+// lanes: the same maxima, exps and log — math.Exp's and math.Log's own
+// operations, in the variant math.Exp runs — and the same rows retaken
+// through LogSumExp. Elsewhere, and on the scalar exp path, it is two
+// LogSumExp4 calls.
+func LogSumExp8(lse *[8]float64, z []float64) {
+	c := len(z) / 8
+	if c == 0 || len(z) != 8*c {
+		panic(fmt.Sprintf("tensor: LogSumExp8 of %d values, not eight rows of C ≥ 1", len(z)))
+	}
+	if !useAVX512 || expPath == expScalar {
+		LogSumExp4((*[4]float64)(lse[:4]), z[:4*c])
+		LogSumExp4((*[4]float64)(lse[4:]), z[4*c:])
+		return
+	}
+	retakeRows(lse[:], z, logSumExp8AVX512(lse, &z[0], c, expPath == expFused))
 }
 
 // ExpShift4 replaces every value of the block z, row-major 4×C, by

@@ -495,3 +495,441 @@ done:
 	MOVQ AX, done+32(FP)
 	VZEROUPPER
 	RET
+
+// CLASSES runs op on each class of an eight-row pass, in class order, and
+// jumps to done after the last of the R14 classes left (a pass takes at
+// most sixteen). op gets the class's accumulator as a zmm and an xmm, its
+// column in w — class k's row k·n from BX for k < 8 and from R13 for the
+// rest, R9, R10, R11 and R12 holding 1, 3, 5 and 7 rows in bytes — and its
+// byte offset in a row of z.
+#define CLASSES(op, done) \
+	op(Z16, X16, (BX), 0); \
+	CMPQ R14, $1; JEQ done; \
+	op(Z17, X17, (BX)(R9*1), 8); \
+	CMPQ R14, $2; JEQ done; \
+	op(Z18, X18, (BX)(R9*2), 16); \
+	CMPQ R14, $3; JEQ done; \
+	op(Z19, X19, (BX)(R10*1), 24); \
+	CMPQ R14, $4; JEQ done; \
+	op(Z20, X20, (BX)(R9*4), 32); \
+	CMPQ R14, $5; JEQ done; \
+	op(Z21, X21, (BX)(R11*1), 40); \
+	CMPQ R14, $6; JEQ done; \
+	op(Z22, X22, (BX)(R10*2), 48); \
+	CMPQ R14, $7; JEQ done; \
+	op(Z23, X23, (BX)(R12*1), 56); \
+	CMPQ R14, $8; JEQ done; \
+	op(Z24, X24, (R13), 64); \
+	CMPQ R14, $9; JEQ done; \
+	op(Z25, X25, (R13)(R9*1), 72); \
+	CMPQ R14, $10; JEQ done; \
+	op(Z26, X26, (R13)(R9*2), 80); \
+	CMPQ R14, $11; JEQ done; \
+	op(Z27, X27, (R13)(R10*1), 88); \
+	CMPQ R14, $12; JEQ done; \
+	op(Z28, X28, (R13)(R9*4), 96); \
+	CMPQ R14, $13; JEQ done; \
+	op(Z29, X29, (R13)(R11*1), 104); \
+	CMPQ R14, $14; JEQ done; \
+	op(Z30, X30, (R13)(R10*2), 112); \
+	CMPQ R14, $15; JEQ done; \
+	op(Z31, X31, (R13)(R12*1), 120)
+
+// MUL4 adds the four columns in Z0–Z3 times w_k[i…i+3], each broadcast to
+// the eight lanes, to the class's accumulator in column order. Each product
+// is rounded before its add: no fused multiply-add.
+#define MUL4(acc, x, w, zoff) \
+	VMULPD.BCST 0 w, Z0, Z12; \
+	VADDPD      Z12, acc, acc; \
+	VMULPD.BCST 8 w, Z1, Z13; \
+	VADDPD      Z13, acc, acc; \
+	VMULPD.BCST 16 w, Z2, Z12; \
+	VADDPD      Z12, acc, acc; \
+	VMULPD.BCST 24 w, Z3, Z13; \
+	VADDPD      Z13, acc, acc
+
+// MUL1 adds the column in Z0 times w_k[i] to the class's accumulator.
+#define MUL1(acc, x, w, zoff) \
+	VMULPD.BCST w, Z0, Z12; \
+	VADDPD      Z12, acc, acc
+
+// STORE8 writes the class's accumulator, lane r, to row r of z at zoff:
+// rows 0–3 from DI, 4–7 from SI, CX a row in bytes, AX three. Z15 sums
+// every accumulator, NaN once any lane is.
+#define STORE8(acc, x, w, zoff) \
+	VADDPD        acc, Z15, Z15; \
+	VMOVSD        x, zoff(DI); \
+	VMOVHPD       x, zoff(DI)(CX*1); \
+	VEXTRACTF32X4 $1, acc, X4; \
+	VMOVSD        X4, zoff(DI)(CX*2); \
+	VMOVHPD       X4, zoff(DI)(AX*1); \
+	VEXTRACTF32X4 $2, acc, X5; \
+	VMOVSD        X5, zoff(SI); \
+	VMOVHPD       X5, zoff(SI)(CX*1); \
+	VEXTRACTF32X4 $3, acc, X6; \
+	VMOVSD        X6, zoff(SI)(CX*2); \
+	VMOVHPD       X6, zoff(SI)(AX*1)
+
+// func dot8xNAVX512(z, x, w *float64, n, c int) (nan bool)
+//
+// Registers: DI the pass's first logit z[k], DX its first class row w_k, BX
+// and R13 the walk along classes k…k+7 and k+8…k+15, SI and R8 the walk
+// along rows 0 and 4 of x, AX the columns left, R14 the classes left, R9–R12
+// one, three, five and seven rows of x or w in bytes (n·8), CX a row of z
+// (c·8), Z16–Z31 the pass's accumulators, one class each with the eight rows
+// as lanes, Z15 the sum of every accumulator.
+TEXT ·dot8xNAVX512(SB), NOSPLIT, $0-41
+	VPXORQ Z15, Z15, Z15
+	MOVQ   z+0(FP), DI
+	MOVQ   w+16(FP), DX
+	MOVQ   n+24(FP), R9
+	SHLQ   $3, R9
+	LEAQ   (R9)(R9*2), R10
+	LEAQ   (R9)(R9*4), R11
+	LEAQ   (R10)(R9*4), R12
+	MOVQ   c+32(FP), R14
+	MOVQ   R14, CX
+	SHLQ   $3, CX
+
+pass:
+	VPXORQ Z16, Z16, Z16
+	VPXORQ Z17, Z17, Z17
+	VPXORQ Z18, Z18, Z18
+	VPXORQ Z19, Z19, Z19
+	VPXORQ Z20, Z20, Z20
+	VPXORQ Z21, Z21, Z21
+	VPXORQ Z22, Z22, Z22
+	VPXORQ Z23, Z23, Z23
+	VPXORQ Z24, Z24, Z24
+	VPXORQ Z25, Z25, Z25
+	VPXORQ Z26, Z26, Z26
+	VPXORQ Z27, Z27, Z27
+	VPXORQ Z28, Z28, Z28
+	VPXORQ Z29, Z29, Z29
+	VPXORQ Z30, Z30, Z30
+	VPXORQ Z31, Z31, Z31
+	MOVQ   x+8(FP), SI
+	LEAQ   (SI)(R9*4), R8
+	MOVQ   DX, BX
+	LEAQ   (DX)(R9*8), R13
+	MOVQ   n+24(FP), AX
+	CMPQ   AX, $4
+	JLT    tail
+	PCALIGN $64
+
+quad:
+	// Four columns of the eight rows, transposed into Z0–Z3: rows 0|2,
+	// 1|3, 4|6 and 5|7 paired in Z4–Z7, unpacked into row pairs per column
+	// pair, then each column's four row pairs gathered in row order.
+	VMOVUPD      (SI), Y4
+	VINSERTF64X4 $1, (SI)(R9*2), Z4, Z4
+	VMOVUPD      (SI)(R9*1), Y5
+	VINSERTF64X4 $1, (SI)(R10*1), Z5, Z5
+	VMOVUPD      (R8), Y6
+	VINSERTF64X4 $1, (R8)(R9*2), Z6, Z6
+	VMOVUPD      (R8)(R9*1), Y7
+	VINSERTF64X4 $1, (R8)(R10*1), Z7, Z7
+	VUNPCKLPD    Z5, Z4, Z8
+	VUNPCKHPD    Z5, Z4, Z9
+	VUNPCKLPD    Z7, Z6, Z10
+	VUNPCKHPD    Z7, Z6, Z11
+	VSHUFF64X2   $0x88, Z10, Z8, Z0
+	VSHUFF64X2   $0x88, Z11, Z9, Z1
+	VSHUFF64X2   $0xdd, Z10, Z8, Z2
+	VSHUFF64X2   $0xdd, Z11, Z9, Z3
+	CLASSES(MUL4, quaddone)
+
+quaddone:
+	ADDQ $32, SI
+	ADDQ $32, R8
+	ADDQ $32, BX
+	ADDQ $32, R13
+	SUBQ $4, AX
+	CMPQ AX, $4
+	JGE  quad
+
+tail:
+	TESTQ AX, AX
+	JEQ   store
+
+one:
+	VMOVSD       (SI), X4
+	VMOVHPD      (SI)(R9*1), X4, X4
+	VMOVSD       (SI)(R9*2), X5
+	VMOVHPD      (SI)(R10*1), X5, X5
+	VINSERTF128  $1, X5, Y4, Y4
+	VMOVSD       (R8), X6
+	VMOVHPD      (R8)(R9*1), X6, X6
+	VMOVSD       (R8)(R9*2), X7
+	VMOVHPD      (R8)(R10*1), X7, X7
+	VINSERTF128  $1, X7, Y6, Y6
+	VINSERTF64X4 $1, Y6, Z4, Z0
+	CLASSES(MUL1, onedone)
+
+onedone:
+	ADDQ $8, SI
+	ADDQ $8, R8
+	ADDQ $8, BX
+	ADDQ $8, R13
+	DECQ AX
+	JNE  one
+
+store:
+	LEAQ (CX)(CX*2), AX
+	LEAQ (DI)(CX*4), SI
+	CLASSES(STORE8, next)
+
+next:
+	ADDQ $128, DI
+	LEAQ (DX)(R9*8), DX
+	LEAQ (DX)(R9*8), DX
+	SUBQ $16, R14
+	JGT  pass
+
+	// An Inf−Inf in the sum reports a NaN that is not there; the caller's
+	// look at z costs only time.
+	VCMPPD   $3, Z15, Z15, K1
+	KORTESTW K1, K1
+	SETNE    nan+40(FP)
+	VZEROUPPER
+	RET
+
+// LANES8 loads column k of an eight-row block into the lanes of Z0, row r
+// in lane r: p0 and p4 are the column's row-0 and row-4 addresses, CX a row
+// in bytes, DX three. X1 and X2 are scratch.
+#define LANES8(p0, p4) \
+	VMOVSD       (p0), X0; \
+	VMOVHPD      (p0)(CX*1), X0, X0; \
+	VMOVSD       (p0)(CX*2), X1; \
+	VMOVHPD      (p0)(DX*1), X1, X1; \
+	VINSERTF128  $1, X1, Y0, Y0; \
+	VMOVSD       (p4), X1; \
+	VMOVHPD      (p4)(CX*1), X1, X1; \
+	VMOVSD       (p4)(CX*2), X2; \
+	VMOVHPD      (p4)(DX*1), X2, X2; \
+	VINSERTF128  $1, X2, Y1, Y1; \
+	VINSERTF64X4 $1, Y1, Z0, Z0
+
+// EXPHEAD8 is EXPHEAD on the eight lanes of Z0: it sets K2 to the lanes on
+// archExp's fast path, Z1 to float64(n) and Z4 to 2ⁿ, with the same
+// operations, the integer ones on n's eight int32s in Y4. Z3, Z5 and Z6 are
+// scratch.
+#define EXPHEAD8 \
+	VCMPPD.BCST  $0x12, expk<>+416(SB), Z0, K2; \
+	VCMPPD.BCST  $0x1e, expk<>+448(SB), Z0, K2, K2; \
+	VMULPD.BCST  expk<>+0(SB), Z0, Z1; \
+	VCVTPD2DQ    Z1, Y4; \
+	VCVTDQ2PD    Y4, Z1; \
+	VPADDD       expk<>+480(SB), Y4, Y4; \
+	VPXOR        Y5, Y5, Y5; \
+	VPCMPGTD     Y5, Y4, Y5; \
+	VMOVDQU      expk<>+512(SB), Y6; \
+	VPCMPGTD     Y4, Y6, Y6; \
+	VPAND        Y6, Y5, Y5; \
+	VPMOVSXDQ    Y5, Z5; \
+	VPTESTMQ     Z5, Z5, K2, K2; \
+	VPMOVSXDQ    Y4, Z4; \
+	VPSLLQ       $52, Z4, Z4
+
+// EXPPLAIN8 is EXPPLAIN on the eight lanes of Z0.
+#define EXPPLAIN8 \
+	EXPHEAD8; \
+	VMULPD.BCST expk<>+32(SB), Z1, Z3; \
+	VSUBPD      Z3, Z0, Z0; \
+	VMULPD.BCST expk<>+64(SB), Z1, Z3; \
+	VSUBPD      Z3, Z0, Z0; \
+	VMULPD.BCST expk<>+96(SB), Z0, Z0; \
+	VMULPD.BCST expk<>+128(SB), Z0, Z1; \
+	VADDPD.BCST expk<>+160(SB), Z1, Z1; \
+	VMULPD      Z0, Z1, Z1; \
+	VADDPD.BCST expk<>+192(SB), Z1, Z1; \
+	VMULPD      Z0, Z1, Z1; \
+	VADDPD.BCST expk<>+224(SB), Z1, Z1; \
+	VMULPD      Z0, Z1, Z1; \
+	VADDPD.BCST expk<>+256(SB), Z1, Z1; \
+	VMULPD      Z0, Z1, Z1; \
+	VADDPD.BCST expk<>+288(SB), Z1, Z1; \
+	VMULPD      Z0, Z1, Z1; \
+	VADDPD.BCST expk<>+320(SB), Z1, Z1; \
+	VMULPD      Z0, Z1, Z1; \
+	VADDPD.BCST expk<>+352(SB), Z1, Z1; \
+	VMULPD      Z1, Z0, Z0; \
+	VADDPD.BCST expk<>+384(SB), Z0, Z1; \
+	VMULPD      Z1, Z0, Z0; \
+	VADDPD.BCST expk<>+384(SB), Z0, Z1; \
+	VMULPD      Z1, Z0, Z0; \
+	VADDPD.BCST expk<>+384(SB), Z0, Z1; \
+	VMULPD      Z1, Z0, Z0; \
+	VADDPD.BCST expk<>+384(SB), Z0, Z1; \
+	VMULPD      Z1, Z0, Z0; \
+	VADDPD.BCST expk<>+352(SB), Z0, Z0; \
+	VMULPD      Z4, Z0, Z0
+
+// EXPFUSED8 is EXPFUSED on the eight lanes of Z0.
+#define EXPFUSED8 \
+	EXPHEAD8; \
+	VFNMADD231PD.BCST expk<>+32(SB), Z1, Z0; \
+	VFNMADD231PD.BCST expk<>+64(SB), Z1, Z0; \
+	VMULPD.BCST       expk<>+96(SB), Z0, Z0; \
+	VBROADCASTSD      expk<>+128(SB), Z1; \
+	VFMADD213PD.BCST  expk<>+160(SB), Z0, Z1; \
+	VFMADD213PD.BCST  expk<>+192(SB), Z0, Z1; \
+	VFMADD213PD.BCST  expk<>+224(SB), Z0, Z1; \
+	VFMADD213PD.BCST  expk<>+256(SB), Z0, Z1; \
+	VFMADD213PD.BCST  expk<>+288(SB), Z0, Z1; \
+	VFMADD213PD.BCST  expk<>+320(SB), Z0, Z1; \
+	VFMADD213PD.BCST  expk<>+352(SB), Z0, Z1; \
+	VMULPD            Z1, Z0, Z0; \
+	VADDPD.BCST       expk<>+384(SB), Z0, Z1; \
+	VMULPD            Z1, Z0, Z0; \
+	VADDPD.BCST       expk<>+384(SB), Z0, Z1; \
+	VMULPD            Z1, Z0, Z0; \
+	VADDPD.BCST       expk<>+384(SB), Z0, Z1; \
+	VMULPD            Z1, Z0, Z0; \
+	VADDPD.BCST       expk<>+384(SB), Z0, Z1; \
+	VFMADD213PD.BCST  expk<>+352(SB), Z1, Z0; \
+	VMULPD            Z4, Z0, Z0
+
+// SUMSTEP8 adds exp(z_k − m) of the column at DI and R8 to the sums in Z13
+// and clears in K7 the lanes off exp's fast path; exp is EXPPLAIN8 or
+// EXPFUSED8.
+#define SUMSTEP8(exp) \
+	LANES8(DI, R8); \
+	VSUBPD Z14, Z0, Z0; \
+	exp; \
+	KANDW  K2, K7, K7; \
+	VADDPD Z0, Z13, Z13
+
+// func logSumExp8AVX512(lse *[8]float64, z *float64, c int, fused bool) (retake int)
+//
+// Registers: DI and R8 the walk along the columns of rows 0 and 4 of the
+// block z (eight rows of c), CX a row in bytes, DX three rows, AX the
+// columns left, Z14 the row maxima, Z13 the sums, K7 the lanes whose every
+// exp, and whose sum, stayed on the fast path.
+TEXT ·logSumExp8AVX512(SB), NOSPLIT, $0-40
+	MOVQ z+8(FP), DI
+	MOVQ c+16(FP), CX
+	SHLQ $3, CX
+	LEAQ (CX)(CX*2), DX
+	LEAQ (DI)(CX*4), R8
+
+	// Each row's maximum in class order, as in logSumExp4AVX2.
+	LANES8(DI, R8)
+	VMOVAPD Z0, Z14
+	MOVQ    c+16(FP), AX
+	DECQ    AX
+	JEQ     sum
+	PCALIGN $32
+
+max:
+	ADDQ   $8, DI
+	ADDQ   $8, R8
+	LANES8(DI, R8)
+	VMAXPD Z14, Z0, Z14
+	DECQ   AX
+	JNE    max
+
+sum:
+	VPXORQ Z13, Z13, Z13
+	KXNORW K7, K7, K7
+	MOVQ   z+8(FP), DI
+	LEAQ   (DI)(CX*4), R8
+	MOVQ   c+16(FP), AX
+	CMPB   fused+24(FP), $0
+	JNE    sumfused
+	PCALIGN $32
+
+sumplain:
+	SUMSTEP8(EXPPLAIN8)
+	ADDQ $8, DI
+	ADDQ $8, R8
+	DECQ AX
+	JNE  sumplain
+	JMP  log
+	PCALIGN $32
+
+sumfused:
+	SUMSTEP8(EXPFUSED8)
+	ADDQ $8, DI
+	ADDQ $8, R8
+	DECQ AX
+	JNE  sumfused
+
+log:
+	// A sum that is not a positive normal number is retaken, as in
+	// logSumExp4AVX2; then archLog(s) on the eight lanes, the same
+	// operations in the same order.
+	VCMPPD.BCST  $0x1d, expk<>+960(SB), Z13, K7, K7
+	VCMPPD.BCST  $0x11, expk<>+992(SB), Z13, K7, K7
+	VPANDQ.BCST  expk<>+864(SB), Z13, Z2
+	VPORQ.BCST   expk<>+320(SB), Z2, Z2
+	VPSRLQ       $52, Z13, Z1
+	VPORQ.BCST   expk<>+896(SB), Z1, Z1
+	VSUBPD.BCST  expk<>+928(SB), Z1, Z1
+	VCMPPD.BCST  $0x12, expk<>+544(SB), Z2, K3
+	VPXORQ       Z3, Z3, Z3
+	VBROADCASTSD expk<>+352(SB), K3, Z3
+	VSUBPD       Z3, Z1, Z1
+	VADDPD.BCST  expk<>+352(SB), Z3, Z3
+	VMULPD       Z3, Z2, Z2
+	VSUBPD.BCST  expk<>+352(SB), Z2, Z2
+	VADDPD.BCST  expk<>+384(SB), Z2, Z0
+	VDIVPD       Z0, Z2, Z3
+	VMULPD       Z3, Z3, Z4
+	VMULPD       Z4, Z4, Z5
+	VMULPD.BCST  expk<>+832(SB), Z5, Z6
+	VADDPD.BCST  expk<>+768(SB), Z6, Z6
+	VMULPD       Z5, Z6, Z6
+	VADDPD.BCST  expk<>+704(SB), Z6, Z6
+	VMULPD       Z5, Z6, Z6
+	VADDPD.BCST  expk<>+640(SB), Z6, Z6
+	VMULPD       Z6, Z4, Z4
+	VMULPD.BCST  expk<>+800(SB), Z5, Z6
+	VADDPD.BCST  expk<>+736(SB), Z6, Z6
+	VMULPD       Z5, Z6, Z6
+	VADDPD.BCST  expk<>+672(SB), Z6, Z6
+	VMULPD       Z6, Z5, Z5
+	VADDPD       Z5, Z4, Z4
+	VMULPD.BCST  expk<>+320(SB), Z2, Z0
+	VMULPD       Z2, Z0, Z0
+	VADDPD       Z0, Z4, Z4
+	VMULPD       Z4, Z3, Z3
+	VMULPD.BCST  expk<>+608(SB), Z1, Z4
+	VADDPD       Z4, Z3, Z3
+	VSUBPD       Z3, Z0, Z0
+	VSUBPD       Z2, Z0, Z0
+	VMULPD.BCST  expk<>+576(SB), Z1, Z1
+	VSUBPD       Z0, Z1, Z1
+
+	VADDPD  Z1, Z14, Z1
+	MOVQ    lse+0(FP), DI
+	VMOVUPD Z1, (DI)
+	KMOVW   K7, AX
+	NOTQ    AX
+	ANDQ    $0xff, AX
+	MOVQ    AX, retake+32(FP)
+	VZEROUPPER
+	RET
+
+// func exp8AVX512(z *[8]float64, fused bool) (fast int)
+//
+// exp8AVX512 replaces the eight values of z by their exp in LogSumExp8's
+// sequence and returns the lanes on archExp's fast path as a bit mask, lane
+// r at bit r: the eight-lane kernel's exp, on its own for the calibration.
+TEXT ·exp8AVX512(SB), NOSPLIT, $0-24
+	MOVQ    z+0(FP), DI
+	VMOVUPD (DI), Z0
+	CMPB    fused+8(FP), $0
+	JNE     fused
+	EXPPLAIN8
+	JMP     done
+
+fused:
+	EXPFUSED8
+
+done:
+	VMOVUPD Z0, (DI)
+	KMOVW   K2, AX
+	MOVQ    AX, fast+16(FP)
+	VZEROUPPER
+	RET

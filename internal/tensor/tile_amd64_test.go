@@ -9,9 +9,10 @@ import (
 
 // TestExpPathReproducesMathExp: the exp sequence chosen at init reproduces
 // math.Exp on every probe, and the probes tell archExp's two sequences
-// apart, so only one can pass. Where the CPU has AVX2 the kernel is on, in
+// apart, so only one can pass. Where the CPU has AVX2 the kernels are on, in
 // the sequence that passes: the fused one by default on a CPU with FMA, the
-// plain one under GODEBUG=cpu.fma=off.
+// plain one under GODEBUG=cpu.fma=off — the four-lane kernel and, where the
+// CPU has AVX-512F, the eight-lane one, each probe in every lane.
 func TestExpPathReproducesMathExp(t *testing.T) {
 	if got := calibratedExp(); got != expPath {
 		t.Fatalf("calibratedExp() = %d, init chose %d", got, expPath)
@@ -51,6 +52,25 @@ func TestExpPathReproducesMathExp(t *testing.T) {
 		ExpShift4(z[:], &zero)
 		if math.Float64bits(z[0]) != math.Float64bits(math.Exp(x)) {
 			t.Errorf("ExpShift4 of probe %v = %v, math.Exp %v", x, z[0], math.Exp(x))
+		}
+	}
+	if !useAVX512 {
+		t.Log("no AVX-512F on this host: the eight-lane kernel skipped")
+		return
+	}
+	for shift := range 8 {
+		var z [8]float64
+		for i := range z {
+			z[i] = math.Float64frombits(expProbes[(i+shift)%len(expProbes)])
+		}
+		x := z
+		if fast := exp8AVX512(&z, expPath == expFused); fast != 0xff {
+			t.Errorf("the eight-lane exp leaves its fast path on probes %v: lanes %#x", x, fast)
+		}
+		for i := range z {
+			if math.Float64bits(z[i]) != math.Float64bits(math.Exp(x[i])) {
+				t.Errorf("the eight-lane exp of probe %v in lane %d = %v, math.Exp %v", x[i], i, z[i], math.Exp(x[i]))
+			}
 		}
 	}
 }

@@ -5,22 +5,29 @@ import (
 	"testing"
 )
 
-// onTilePaths runs f once on each path Dot4xN can take here: the AVX2 tile
-// where the CPU has it, then the portable Dot4 loop, forced by clearing
-// useAVX2.
+// tilePaths are the paths Dot4xN and Dot8xN can take: the AVX-512 tile,
+// the AVX2 tile, and the portable Dot4 loop.
+var tilePaths = []struct {
+	name         string
+	avx2, avx512 bool
+}{{"avx512", true, true}, {"avx2", true, false}, {"portable", false, false}}
+
+// onTilePaths runs f once on each of tilePaths the host has, forced by
+// clearing useAVX512 and useAVX2.
 func onTilePaths(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
-	saved := useAVX2
-	defer func() { useAVX2 = saved }()
-	for _, p := range []struct {
-		name string
-		avx2 bool
-	}{{"avx2", true}, {"portable", false}} {
-		if p.avx2 && !saved {
+	avx2, avx512 := useAVX2, useAVX512
+	defer func() { useAVX2, useAVX512 = avx2, avx512 }()
+	for _, p := range tilePaths {
+		if p.avx512 && !avx512 {
+			t.Log("no AVX-512F on this host: the AVX-512 path skipped")
+			continue
+		}
+		if p.avx2 && !avx2 {
 			t.Log("no AVX2 on this host: the portable path only")
 			continue
 		}
-		useAVX2 = p.avx2
+		useAVX2, useAVX512 = p.avx2, p.avx512
 		t.Run(p.name, f)
 	}
 }
@@ -35,32 +42,36 @@ var nanPayloads = []float64{
 	math.NaN(),
 }
 
-// checkDot4xN runs Dot4xN on the block x (4×n) against the c rows of w,
-// into a z that starts as NaN and is followed by a sentinel, and wants every
-// logit to be Dot of its row and class bit for bit, and nothing past z
-// written.
-func checkDot4xN(t *testing.T, what string, x, w []float64, n, c int) {
+// checkDotBlock runs Dot4xN or Dot8xN, as rows is 4 or 8, on the block x
+// (rows×n) against the c rows of w, into a z that starts as NaN and is
+// followed by a sentinel, and wants every logit to be Dot of its row and
+// class bit for bit, and nothing past z written.
+func checkDotBlock(t *testing.T, what string, rows int, x, w []float64, n, c int) {
 	t.Helper()
-	buf := make([]float64, 4*c+1)
+	buf := make([]float64, rows*c+1)
 	for i := range buf {
 		buf[i] = math.Float64frombits(0x7ff8dead0000beef)
 	}
-	Dot4xN(buf[:4*c], x, w)
-	for r := 0; r < 4; r++ {
+	if rows == 8 {
+		Dot8xN(buf[:8*c], x, w)
+	} else {
+		Dot4xN(buf[:4*c], x, w)
+	}
+	for r := 0; r < rows; r++ {
 		for k := 0; k < c; k++ {
 			got, want := buf[r*c+k], Dot(x[r*n:(r+1)*n], w[k*n:(k+1)*n])
 			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s n=%d C=%d: z[%d·C+%d] = %v (%#x), Dot %v (%#x)", what, n, c, r, k,
+				t.Fatalf("%s %d rows, n=%d C=%d: z[%d·C+%d] = %v (%#x), Dot %v (%#x)", what, rows, n, c, r, k,
 					got, math.Float64bits(got), want, math.Float64bits(want))
 			}
 		}
 	}
-	if math.Float64bits(buf[4*c]) != 0x7ff8dead0000beef {
-		t.Fatalf("%s n=%d C=%d: Dot4xN wrote past z", what, n, c)
+	if math.Float64bits(buf[rows*c]) != 0x7ff8dead0000beef {
+		t.Fatalf("%s %d rows, n=%d C=%d: the tile wrote past z", what, rows, n, c)
 	}
 }
 
-// TestDot4xNMatchesDot: on the AVX2 tile and on the portable loop, every
+// TestDot4xNMatchesDot: on every path of onTilePaths, every
 // logit of a four-row block carries the bits of Dot on its own row and
 // class — at every length 0…70 (every split into four-column steps and a
 // tail) and every class count 1…12 (every split into four-class passes and
@@ -76,7 +87,7 @@ func TestDot4xNMatchesDot(t *testing.T) {
 			for n := 0; n <= 70; n++ {
 				for c := 1; c <= 12; c++ {
 					rows, _ := kernelRows(4+c, n, special...)
-					checkDot4xN(t, name, rows[:4*n], rows[4*n:], n, c)
+					checkDotBlock(t, name, 4, rows[:4*n], rows[4*n:], n, c)
 				}
 			}
 		}
@@ -99,7 +110,7 @@ func FuzzDot4xN(f *testing.F) {
 		at := rng.Intn(4 * cols)
 		rows[at] = math.Float64frombits(p)
 		rows[4*cols+(at+rng.Intn(classes*cols))%(classes*cols)] = math.Float64frombits(q)
-		onTilePaths(t, func(t *testing.T) { checkDot4xN(t, "fuzz", rows[:4*cols], rows[4*cols:], cols, classes) })
+		onTilePaths(t, func(t *testing.T) { checkDotBlock(t, "fuzz", 4, rows[:4*cols], rows[4*cols:], cols, classes) })
 	})
 }
 
@@ -113,5 +124,94 @@ func TestDot4xNShapeMismatchPanics(t *testing.T) {
 			}()
 			Dot4xN(make([]float64, s.z), make([]float64, s.x), make([]float64, s.w))
 		}()
+	}
+}
+
+// TestDot8xNMatchesDot: on the AVX-512 tile, on two AVX2 tiles and on the
+// portable loop, every logit of an eight-row block carries the bits of Dot
+// on its own row and class — at every length 0…70 (every split into
+// four-column steps and a tail) and every class count 1…17 (one pass of up
+// to sixteen classes, and a second pass of one), through ±0, subnormal,
+// ±Inf, Inf−Inf and NaN operands, NaNs of distinct payloads meeting in one
+// product among them.
+func TestDot8xNMatchesDot(t *testing.T) {
+	cases := map[string][]float64{"NaN payloads": nanPayloads}
+	for name, special := range kernelSpecials {
+		cases[name] = special
+	}
+	onTilePaths(t, func(t *testing.T) {
+		for name, special := range cases {
+			for n := 0; n <= 70; n++ {
+				for c := 1; c <= 17; c++ {
+					rows, _ := kernelRows(8+c, n, special...)
+					checkDotBlock(t, name, 8, rows[:8*n], rows[8*n:], n, c)
+				}
+			}
+		}
+	})
+}
+
+// FuzzDot8xN holds every path to Dot on random eight-row blocks with two
+// arbitrary bit patterns planted, one in the block and one in the class
+// rows.
+func FuzzDot8xN(f *testing.F) {
+	f.Add(uint8(64), uint8(10), int64(1), uint64(0x7ff8000000000001), uint64(0xfff8000000000002))
+	f.Add(uint8(3), uint8(17), int64(2), math.Float64bits(math.Inf(1)), math.Float64bits(math.Inf(-1)))
+	f.Add(uint8(7), uint8(5), int64(3), uint64(1), uint64(0x8000000000000000))
+	f.Fuzz(func(t *testing.T, n, c uint8, seed int64, p, q uint64) {
+		cols, classes := int(n%71), 1+int(c%33)
+		if cols == 0 {
+			return
+		}
+		rng := NewRNG(seed)
+		rows := rng.NormalVec((8+classes)*cols, 0, 1)
+		at := rng.Intn(8 * cols)
+		rows[at] = math.Float64frombits(p)
+		rows[8*cols+(at+rng.Intn(classes*cols))%(classes*cols)] = math.Float64frombits(q)
+		onTilePaths(t, func(t *testing.T) { checkDotBlock(t, "fuzz", 8, rows[:8*cols], rows[8*cols:], cols, classes) })
+	})
+}
+
+func TestDot8xNShapeMismatchPanics(t *testing.T) {
+	for _, s := range []struct{ z, x, w int }{{16, 24, 5}, {16, 24, 7}, {15, 24, 6}, {16, 25, 6}, {8, 12, 6}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Dot8xN with %d logits, %d block values and %d weights did not panic", s.z, s.x, s.w)
+				}
+			}()
+			Dot8xN(make([]float64, s.z), make([]float64, s.x), make([]float64, s.w))
+		}()
+	}
+}
+
+// BenchmarkDot8xN is one eight-row logit block at the audit's shape, 64
+// features and 10 classes, on each of tilePaths the host has — the AVX-512
+// tile against two calls of the AVX2 tile — each checked against Dot.
+func BenchmarkDot8xN(b *testing.B) {
+	const n, c = 64, 10
+	rows, _ := kernelRows(8+c, n)
+	x, w := rows[:8*n], rows[8*n:]
+	z := make([]float64, 8*c)
+	avx2, avx512 := useAVX2, useAVX512
+	defer func() { useAVX2, useAVX512 = avx2, avx512 }()
+	for _, p := range tilePaths {
+		if p.avx512 && !avx512 || p.avx2 && !avx2 {
+			b.Logf("no %s tile on this host", p.name)
+			continue
+		}
+		useAVX2, useAVX512 = p.avx2, p.avx512
+		b.Run("8x64x10/"+p.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Dot8xN(z, x, w)
+			}
+			for at, v := range z {
+				r, k := at/c, at%c
+				if want := Dot(x[r*n:(r+1)*n], w[k*n:(k+1)*n]); math.Float64bits(v) != math.Float64bits(want) {
+					b.Fatalf("z[%d·C+%d] = %v, Dot %v", r, k, v, want)
+				}
+			}
+		})
 	}
 }
