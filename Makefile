@@ -27,8 +27,10 @@ loc:
 		{ print; s += $$2; t += $$3 } END { printf "%-32s %8d %8d\n", "total", s, t }'
 
 # verify is the full pre-submit recipe referenced by README.md: vet every
-# package, check the formatting and exercise every concurrent path under the
-# race detector.
+# package, check the formatting, exercise every concurrent path under the
+# race detector, and run every test again under GODEBUG=cpu.fma=off — where
+# amd64's math.Exp takes its other sequence — against the same pins: no bit
+# the repository computes may follow the host's FMA.
 # Note: the -race run takes several minutes on small machines; scope it to
 # touched packages while iterating ($(GO) test -race ./internal/<pkg>/).
 verify:
@@ -36,6 +38,7 @@ verify:
 	$(MAKE) verify-fmt
 	$(MAKE) verify-runs
 	$(GO) test -race ./...
+	GODEBUG=cpu.fma=off $(GO) test -count=1 ./...
 	$(MAKE) verify-faults
 	$(MAKE) verify-net
 	$(MAKE) verify-adv
@@ -76,7 +79,7 @@ REWEIGHT_RUN = TestReweighted|TestBannedAtCloseAddsNothing|TestStreamedReweight|
 REWEIGHT_PKGS = ./internal/hfl/ ./internal/robust/ ./internal/fednet/ ./internal/experiments/
 HVP_RUN = TestHVPMatchesExplicitHessian|TestHVPMatchesFDOracle|TestHVPSymmetric|TestHVPSharedModelReadOnly|TestSoftmaxHVPAllocs|TestClassLabelsChecked|TestProvidersUseExactHVP|TestLocalHVPConcurrentUse
 HVP_PKGS = ./internal/nn/ ./internal/core/
-KERNELS_RUN = TestDot4xNMatchesDot|FuzzDot4xN|TestDot4xNShapeMismatchPanics|TestDot8xNMatchesDot|FuzzDot8xN|TestDot8xNShapeMismatchPanics|TestLogSumExp4MatchesScalar|TestLogSumExp8MatchesScalar|FuzzLogSumExp8|TestLogSumExp8ShapeMismatchPanics|TestExpShift4Overflow|TestExpTableMatchesMathExp|TestLogTableMatchesMathLog|FuzzLogSumExp4|TestLogSumExp4ShapeMismatchPanics|TestExpPathReproducesMathExp|TestLogSumExpMatchesExpOfZero|TestSoftmaxTilePathsSameBits|TestSoftmaxHVPAllocs|TestLossScratchStaysOffTheHeap|TestModelsMatchTermByTerm
+KERNELS_RUN = TestDot4xNMatchesDot|FuzzDot4xN|TestDot4xNShapeMismatchPanics|TestDot8xNMatchesDot|FuzzDot8xN|TestDot8xNShapeMismatchPanics|TestLogSumExp4MatchesScalar|TestLogSumExp8MatchesScalar|FuzzLogSumExp8|TestLogSumExp8ShapeMismatchPanics|TestExpShift4Overflow|TestExpTableMatchesMathExp|TestLogTableMatchesMathLog|FuzzLogSumExp4|TestLogSumExp4ShapeMismatchPanics|TestExpMatchesMathExp|TestLogMatchesMathLog|TestLogSubnormal|TestLog1pMatchesMathLog1p|TestTanhMatchesMathTanh|FuzzExp|FuzzLog|TestOneExpSource|TestLogSumExpMatchesExpOfZero|TestSoftmaxTilePathsSameBits|TestSoftmaxHVPAllocs|TestLossScratchStaysOffTheHeap|TestModelsMatchTermByTerm
 KERNELS_PKGS = ./internal/tensor/ ./internal/nn/
 RUN_GATES = FAULTS NET SCALE WIRE ASYNC SECURE ENGINES CRASH ADV REWEIGHT HVP KERNELS
 
@@ -346,34 +349,47 @@ verify-hvp:
 # the portable loops, forced by the tests themselves. Every path is held bit
 # for bit to Dot (lengths 0–70, 1–12 classes for four rows and 1–17 for
 # eight, ±0, subnormals, ±Inf, Inf−Inf, NaN payloads) and to LogSumExp and
-# math.Exp (1–17 classes; ±0, subnormal and underflowing exps, ±Inf,
-# Inf−Inf, NaN payloads; exp over [−746, 0] and log over [1, 64]); the exp
-# sequence chosen at init reproduces math.Exp in the four-lane and the
-# eight-lane kernel; and the softmax Loss, Grad, HVP and Predict give the
-# same bits on every path for 1–17 rows (0 and 1 allocations) — under the
-# race detector, then again under GODEBUG=cpu.fma=off, where math.Exp and
-# the kernels take archExp's plain sequence; then 5 s fuzz passes of each
-# kernel; go vet (asmdecl) on amd64 and of the portable build for arm64 and
-# 386; and no fused multiply-add in tensor's multiply-accumulate loops as
-# arm64 compiles them, which their float64(x*y) roundings forbid. -count=1
+# tensor.Exp (1–17 classes; ±0, subnormal and underflowing exps, ±Inf,
+# Inf−Inf, NaN payloads; exp over [−746, 0] and log over [1, 64]); the
+# softmax Loss, Grad, HVP and Predict give the same bits on every path for
+# 1–17 rows (0 and 1 allocations) — under the race detector. tensor's own
+# Exp, Log, Log1p and Tanh are held to math's: Log and Log1p bit for bit on
+# amd64, Exp and Tanh bit for bit where math.Exp runs the plain sequence and
+# within two ulps elsewhere, subnormal logs scaled first, and no file but
+# theirs calls math's (TestOneExpSource). Then 5 s fuzz passes of each
+# kernel and of Exp and Log; go vet (asmdecl) on amd64 and of the portable
+# build for arm64 and 386; and no fused multiply-add in any function of the
+# module — every package and its tests, digfl-bench's and the experiments,
+# fednet, shapley and hfl test binaries' code among them, read from the
+# compiled packages (go list -export) — as arm64, ppc64le, riscv64 and s390x
+# compile them, which their float64(x*y) roundings forbid. FUSED_OPS is a
+# fused multiply-add or -subtract as go tool objdump prints it: FMADDD on
+# arm64 and riscv64, FMADD on ppc64le, MADBR or WFMADB on s390x. -count=1
 # defeats the test cache.
-KERNEL_SYMS = tensor\.(Dot|Dot4|DotAdd|DotAdd4|Dot4xN|AXPY|AXPY4|Norm2|MatTMat|\(\*RNG\)\.Normal|\(\*RNG\)\.NormalVec)$$
+FUSED_OPS = [[:space:]](FN?M(ADD|SUB)[DS]?|M[AS][DE]BR?|[VW]FN?M[AS][DS]B)[[:space:]]
+FUSED_ARCHES = arm64 ppc64le riscv64 s390x
 verify-kernels:
 	$(GO) vet ./internal/tensor/ ./internal/nn/
 	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/nn/
 	GOARCH=386 $(GO) vet ./internal/tensor/ ./internal/nn/
 	$(GO) test -race -count=1 -run '$(KERNELS_RUN)' $(KERNELS_PKGS)
-	GODEBUG=cpu.fma=off $(GO) test -count=1 -run '$(KERNELS_RUN)' $(KERNELS_PKGS)
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzDot4xN -fuzztime 5s ./internal/tensor/
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzLogSumExp4 -fuzztime 5s ./internal/tensor/
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzDot8xN -fuzztime 5s ./internal/tensor/
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzLogSumExp8 -fuzztime 5s ./internal/tensor/
+	$(GO) test -count=1 -run '^$$' -fuzz '^FuzzExp$$' -fuzztime 5s ./internal/tensor/
+	$(GO) test -count=1 -run '^$$' -fuzz '^FuzzLog$$' -fuzztime 5s ./internal/tensor/
 	@dir=$$(mktemp -d) && trap 'rm -rf '"$$dir" EXIT && \
-	GOARCH=arm64 $(GO) build -o $$dir/tensor.a ./internal/tensor/ && \
-	$(GO) tool objdump -s '$(KERNEL_SYMS)' $$dir/tensor.a > $$dir/dis && \
-	syms=$$(grep -c '^TEXT' $$dir/dis) && fused=$$(grep -cE '\sF(N?MADD|N?MSUB)' $$dir/dis); \
-	if [ "$$syms" -ne 11 ] || [ "$$fused" -ne 0 ]; then echo "verify-kernels: arm64 $$syms kernels, $$fused fused multiply-adds (want 11, 0)"; exit 1; fi; \
-	echo "verify-kernels: arm64 $$syms multiply-accumulate kernels, no fused multiply-add"
+	for arch in $(FUSED_ARCHES); do \
+		pkgs=$$(GOARCH=$$arch $(GO) list -export -test -f '{{if .Export}}{{.Export}}{{end}}' ./...) || exit 1; \
+		for a in $$pkgs; do $(GO) tool objdump -s '^digfl' $$a || exit 1; done > $$dir/dis || exit 1; \
+		syms=$$(grep -c '^TEXT digfl' $$dir/dis); fused=$$(grep -cE '$(FUSED_OPS)' $$dir/dis); \
+		if [ "$$syms" -lt 1000 ] || [ "$$fused" -ne 0 ]; then \
+			echo "verify-kernels: $$arch: $$syms functions, $$fused fused multiply-adds (want ≥ 1000, 0)"; \
+			grep -E '$(FUSED_OPS)' $$dir/dis | head; exit 1; \
+		fi; \
+		echo "verify-kernels: $$arch: $$syms functions, tests included, no fused multiply-add"; \
+	done
 
 # verify-reweight runs the gate of the quarantine as a fold admission, under
 # the race detector: the canonical reweighted form against the r form

@@ -254,8 +254,8 @@ func (a *Adversary) MutateDelta(t, i int, delta []float64) bool {
 		// hash per coordinate instead of a Box–Muller pair.
 		w := math.Sqrt(3) * a.cfg.NoiseStd
 		for j := range delta {
-			u := faults.Uniform(a.cfg.Seed, domainNoise, uint64(t), uint64(i), uint64(j))
-			delta[j] = w * (2*u - 1)
+			u := float64(faults.Uniform(a.cfg.Seed, domainNoise, uint64(t), uint64(i), uint64(j)))
+			delta[j] = w * (float64(2*u) - 1)
 		}
 	case Collude:
 		// Every clique member reports the same malicious direction, scaled
@@ -264,15 +264,15 @@ func (a *Adversary) MutateDelta(t, i int, delta []float64) bool {
 		// attackers agree without communicating.
 		norm := 0.0
 		for _, v := range delta {
-			norm += v * v
+			norm += float64(v * v)
 		}
 		norm = math.Sqrt(norm)
 		dir := make([]float64, len(delta))
 		dnorm := 0.0
 		for j := range dir {
-			u := faults.Uniform(a.cfg.Seed, domainCollude, uint64(t), uint64(j), 0)
-			dir[j] = 2*u - 1
-			dnorm += dir[j] * dir[j]
+			u := float64(faults.Uniform(a.cfg.Seed, domainCollude, uint64(t), uint64(j), 0))
+			dir[j] = float64(2*u) - 1
+			dnorm += float64(dir[j] * dir[j])
 		}
 		dnorm = math.Sqrt(dnorm)
 		if dnorm == 0 {

@@ -135,7 +135,7 @@ func TestMutateDeltaKinds(t *testing.T) {
 	co.MutateDelta(4, 0, da)
 	co.MutateDelta(4, 1, db)
 	na, nb := tensor.Dot(da, da), tensor.Dot(db, db)
-	wantNa := 4 * tensor.Dot(base, base) // (Scale·‖base‖)²
+	wantNa := float64(4 * tensor.Dot(base, base)) // (Scale·‖base‖)²
 	if math.Abs(na-wantNa) > 1e-9*wantNa {
 		t.Errorf("Collude norm² = %v, want %v", na, wantNa)
 	}

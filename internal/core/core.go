@@ -122,7 +122,7 @@ func checkDim(name string, got, want int) {
 func dotBlock(a, b []float64, lo, hi int) float64 {
 	var s float64
 	for j := lo; j < hi; j++ {
-		s += a[j] * b[j]
+		s += float64(a[j] * b[j])
 	}
 	return s
 }

@@ -173,7 +173,7 @@ func TestHFLPerEpochAdditivity(t *testing.T) {
 		ep := res.Log[ti]
 		inv := 1.0 / 5
 		for _, delta := range ep.Deltas {
-			group += inv * tensor.Dot(ep.ValGrad, delta)
+			group += float64(inv * tensor.Dot(ep.ValGrad, delta))
 		}
 		if math.Abs(group-tensor.Sum(phis)) > 1e-9 {
 			t.Fatalf("epoch %d additivity broken", ti+1)

@@ -184,7 +184,7 @@ func (e *HFLEstimator) ObserveMapped(ep *hfl.Epoch, idx []int) []float64 {
 			// Second-order correction: Ω_t^{-i} = Ĥ_i(θ_{t-1})·Σ_{j<t}ΔG_j^{-i}.
 			omega := e.hvp(ep.Theta, i, e.deltaGSum[i])
 			checkDim("hvp result", len(omega), e.p)
-			phi[i] += ep.LR * tensor.Dot(ep.ValGrad, omega)
+			phi[i] += float64(ep.LR * tensor.Dot(ep.ValGrad, omega))
 			// Advance the recursion: ΔG_t^{-i} = −(1/|S|)·δ_{t,i} − α_t·Ω_t^{-i}.
 			tensor.AXPY(-inv, delta, e.deltaGSum[i])
 			tensor.AXPY(-ep.LR, omega, e.deltaGSum[i])

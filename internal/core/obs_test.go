@@ -138,7 +138,7 @@ func TestHFLEstimatorRuntimeWorkers(t *testing.T) {
 func refDot(a, b []float64) float64 {
 	var s float64
 	for i := range a {
-		s += a[i] * b[i]
+		s += float64(a[i] * b[i])
 	}
 	return s
 }

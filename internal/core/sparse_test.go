@@ -227,7 +227,7 @@ func BenchmarkObserveDots100k(b *testing.B) {
 	want := make([]float64, n)
 	for i := 0; i < b.N; i++ {
 		for k, g := range reported {
-			want[g] += (1 / float64(cohort)) * ep.DeltaDots[k]
+			want[g] += float64((1 / float64(cohort)) * ep.DeltaDots[k])
 		}
 	}
 	if !bitsEqual(e.Attribution().Totals, want) || math.IsNaN(sink) {

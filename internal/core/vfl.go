@@ -126,7 +126,7 @@ func (e *VFLEstimator) Observe(ep *vfl.Epoch) []float64 {
 		for j := b.Lo; j < b.Hi; j++ {
 			omega[j] = 0
 		}
-		phi[i] += ep.LR * tensor.Dot(ep.ValGrad, omega)
+		phi[i] += float64(ep.LR * tensor.Dot(ep.ValGrad, omega))
 		// ΔG_t^{-i} = −(E−diag(v̄_i))·G_t − α_t·Ω_t^{-i}.
 		for j := b.Lo; j < b.Hi; j++ {
 			e.deltaGSum[i][j] -= ep.Grad[j]

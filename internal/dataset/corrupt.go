@@ -65,7 +65,7 @@ func NoisyTargets(d Dataset, frac, sigma float64, rng *tensor.RNG) Dataset {
 	n := int(float64(d.Len()) * frac)
 	perm := rng.Perm(d.Len())
 	for _, i := range perm[:n] {
-		out.Y[i] += sigma * rng.NormFloat64()
+		out.Y[i] += float64(sigma * rng.NormFloat64())
 	}
 	out.Name = d.Name + "/noisy"
 	return out

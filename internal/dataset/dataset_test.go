@@ -140,9 +140,9 @@ func TestSynthTabularInformativeSignal(t *testing.T) {
 		var cxy, cxx, cyy float64
 		my := tensor.Mean(d.Y)
 		for i := range col {
-			cxy += col[i] * (d.Y[i] - my)
-			cxx += col[i] * col[i]
-			cyy += (d.Y[i] - my) * (d.Y[i] - my)
+			cxy += float64(col[i] * (d.Y[i] - my))
+			cxx += float64(col[i] * col[i])
+			cyy += float64((d.Y[i] - my) * (d.Y[i] - my))
 		}
 		return math.Abs(cxy / math.Sqrt(cxx*cyy))
 	}

@@ -38,7 +38,7 @@ func SynthImages(cfg ImageConfig) Dataset {
 		row := x.Row(i)
 		copy(row, protos[c])
 		for j := range row {
-			row[j] += cfg.Noise * rng.NormFloat64()
+			row[j] += float64(cfg.Noise * rng.NormFloat64())
 		}
 	}
 	return Dataset{Name: cfg.Name, X: x, Y: y, Classes: cfg.Classes}
@@ -116,7 +116,7 @@ func SynthTabular(cfg TabularConfig) Dataset {
 	y := make([]float64, cfg.N)
 	classes := 0
 	for i := 0; i < cfg.N; i++ {
-		z := tensor.Dot(x.Row(i), w) + cfg.Noise*rng.NormFloat64()
+		z := tensor.Dot(x.Row(i), w) + float64(cfg.Noise*rng.NormFloat64())
 		if cfg.Task == Regression {
 			y[i] = z
 		} else {

@@ -136,7 +136,7 @@ func TestStreamedRoundRecyclesEveryDelta(t *testing.T) {
 		for j, k := range present {
 			for i, v := range ic.deltas[k] {
 				wantSum[i] += v
-				wantDots[j] += ic.valGrad[i] * v
+				wantDots[j] += float64(ic.valGrad[i] * v)
 			}
 		}
 		for i := range wantSum {

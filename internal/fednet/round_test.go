@@ -489,7 +489,7 @@ func newIngestCell(tb testing.TB, c *Coordinator) *ingestCell {
 		ic.deltas[k] = rng.NormalVec(benchDim, 0, 1e-3)
 		for j, v := range ic.deltas[k] {
 			ic.wantSum[j] += v
-			ic.wantDots[k] += ic.valGrad[j] * v
+			ic.wantDots[k] += float64(ic.valGrad[j] * v)
 		}
 		ic.bodies[k] = append([]byte(nil), updateFrame(tb, 1, ic.order[k], ic.deltas[k])...)
 	}

@@ -90,7 +90,7 @@ type closeHarness struct {
 func halfHVP(_ []float64, i int, v []float64) []float64 {
 	out := make([]float64, len(v))
 	for j, x := range v {
-		out[j] = 0.5*x + 1e-3*float64(i)
+		out[j] = float64(0.5*x) + float64(1e-3*float64(i))
 	}
 	return out
 }

@@ -244,7 +244,7 @@ func TestAsyncFreshCommitMatchesSyncFold(t *testing.T) {
 	for _, i := range active {
 		d := make([]float64, p)
 		for j := range d {
-			d[j] = 0.1*float64(i+1) + float64(j)
+			d[j] = float64(0.1*float64(i+1)) + float64(j)
 		}
 		deltas[i] = d
 	}
@@ -262,7 +262,7 @@ func TestAsyncFreshCommitMatchesSyncFold(t *testing.T) {
 	for k, i := range active {
 		d := make([]float64, p)
 		for j := range d {
-			d[j] = 0.1*float64(i+1) + float64(j)
+			d[j] = float64(0.1*float64(i+1)) + float64(j)
 		}
 		if err := fold.Add(k, d); err != nil {
 			t.Fatal(err)

@@ -93,7 +93,7 @@ func BenchmarkMeanFold64x2000(b *testing.B) {
 	for s, d := range deltas {
 		for j, v := range d {
 			wantSum[j] += v
-			wantDots[s] += vg[j] * v
+			wantDots[s] += float64(vg[j] * v)
 		}
 	}
 	for j := range wantSum {

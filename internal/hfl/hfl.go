@@ -838,7 +838,7 @@ func ProxAdd(mu float64, g, w, theta []float64) {
 		return
 	}
 	for j := range g {
-		g[j] += mu * (w[j] - theta[j])
+		g[j] += float64(mu * (w[j] - theta[j]))
 	}
 }
 

@@ -105,7 +105,7 @@ func TestReweightedMatchesRForm(t *testing.T) {
 		for trial := 0; trial < 40; trial++ {
 			valGrad := make([]float64, p)
 			for j := range valGrad {
-				valGrad[j] = rng.Float64() + 0.1
+				valGrad[j] = float64(rng.Float64()) + 0.1
 			}
 			deltas := make([][]float64, n)
 			for k := range deltas {
@@ -115,7 +115,7 @@ func TestReweightedMatchesRForm(t *testing.T) {
 					flip = -1 // a non-positive dot, or (trial 0) every one
 				}
 				for j := range deltas[k] {
-					deltas[k][j] = flip * (rng.Float64() + 0.01)
+					deltas[k][j] = flip * (float64(rng.Float64()) + 0.01)
 				}
 			}
 			class := make([]Admission, n)

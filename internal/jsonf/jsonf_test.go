@@ -227,7 +227,7 @@ func TestAppendVecReusesBuffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	v := make([]float64, 2000)
 	for i := range v {
-		v[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20))
+		v[i] = rng.NormFloat64() * math.Pow10(rng.Intn(40)-20)
 	}
 	v[3], v[9] = math.NaN(), math.Inf(-1)
 	buf := AppendVec(nil, v)

@@ -27,9 +27,9 @@ func Pearson(x, y []float64) float64 {
 	var sxy, sxx, syy float64
 	for i := range x {
 		dx, dy := x[i]-mx, y[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
+		sxy += float64(dx * dy)
+		sxx += float64(dx * dx)
+		syy += float64(dy * dy)
 	}
 	if sxx == 0 || syy == 0 {
 		return 0
@@ -56,7 +56,7 @@ func ranks(x []float64) []float64 {
 			j++
 		}
 		// average rank for the tie group [i, j)
-		avg := float64(i+j-1)/2 + 1
+		avg := float64(float64(i+j-1)/2) + 1
 		for k := i; k < j; k++ {
 			r[idx[k]] = avg
 		}

@@ -57,7 +57,7 @@ func TestPearsonAffineInvariance(t *testing.T) {
 		p1 := Pearson(x, y)
 		xs := make([]float64, len(x))
 		for i := range x {
-			xs[i] = a*x[i] + b
+			xs[i] = float64(a*x[i]) + b
 		}
 		p2 := Pearson(xs, y)
 		return math.Abs(p1-p2) < 1e-9

@@ -106,7 +106,7 @@ func (m *CNN) convAt(ker []float64, b float64, x []float64, r, c int) float64 {
 		xrow := x[(r+kr)*m.side+c:]
 		krow := ker[kr*m.k:]
 		for kc := 0; kc < m.k; kc++ {
-			s += krow[kc] * xrow[kc]
+			s += float64(krow[kc] * xrow[kc])
 		}
 	}
 	return s
@@ -178,7 +178,7 @@ func (m *CNN) Grad(X *tensor.Matrix, y []float64) []float64 {
 		m.forward(x, st)
 		lse, yi := tensor.LogSumExp(st.logits), classOf(y[i], i, m.c)
 		for k := 0; k < m.c; k++ {
-			dz[k] = math.Exp(st.logits[k] - lse)
+			dz[k] = tensor.Exp(st.logits[k] - lse)
 			if k == yi {
 				dz[k]--
 			}
@@ -213,7 +213,7 @@ func (m *CNN) route(x []float64, argmax []int, dPooled, gFilters, gfb []float64)
 			xrow := x[(r+kr)*m.side+cIdx:]
 			grow := gker[kr*m.k:]
 			for kc := 0; kc < m.k; kc++ {
-				grow[kc] += dv * xrow[kc]
+				grow[kc] += float64(dv * xrow[kc])
 			}
 		}
 		gfb[fi] += dv

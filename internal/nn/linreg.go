@@ -64,7 +64,7 @@ func (m *LinearRegression) Loss(X *tensor.Matrix, y []float64) float64 {
 	r := m.residuals(X, y)
 	var s float64
 	for _, v := range r {
-		s += v * v
+		s += float64(v * v)
 	}
 	return s / float64(len(r))
 }

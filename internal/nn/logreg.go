@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"digfl/internal/tensor"
-)
+import "digfl/internal/tensor"
 
 // LogisticRegression is binary logistic regression with mean cross-entropy
 // loss; labels are 0/1 (stored as float64 for interface uniformity). It is
@@ -67,9 +63,9 @@ func (m *LogisticRegression) Loss(X *tensor.Matrix, y []float64) float64 {
 		// Stable −[y log σ(z) + (1−y) log(1−σ(z))] = log(1+e^{−z}) + (1−y)·z
 		// rearranged to avoid overflow for large |z|.
 		if zi >= 0 {
-			s += math.Log1p(math.Exp(-zi)) + (1-y[i])*zi
+			s += tensor.Log1p(tensor.Exp(-zi)) + float64((1-y[i])*zi)
 		} else {
-			s += math.Log1p(math.Exp(zi)) - y[i]*zi
+			s += tensor.Log1p(tensor.Exp(zi)) - float64(y[i]*zi)
 		}
 	}
 	return s / float64(len(y))

@@ -65,7 +65,7 @@ func (m *MLP) forward(x []float64, a, z []float64) {
 	w1, b1, w2, b2 := m.slices()
 	affine(a, w1, b1, x)
 	for j, v := range a {
-		a[j] = math.Tanh(v)
+		a[j] = tensor.Tanh(v)
 	}
 	affine(z, w2, b2, a)
 }
@@ -99,7 +99,7 @@ func (m *MLP) Grad(X *tensor.Matrix, y []float64) []float64 {
 		m.forward(x, a, z)
 		lse, yi := tensor.LogSumExp(z), classOf(y[i], i, m.c)
 		for k := 0; k < m.c; k++ {
-			dz[k] = math.Exp(z[k] - lse)
+			dz[k] = tensor.Exp(z[k] - lse)
 			if k == yi {
 				dz[k]--
 			}
@@ -113,9 +113,9 @@ func (m *MLP) Grad(X *tensor.Matrix, y []float64) []float64 {
 		}
 		// Hidden layer: d tanh = 1 − a².
 		for j := 0; j < m.h; j++ {
-			dh := da[j] * (1 - a[j]*a[j])
+			dh := da[j] * (1 - float64(a[j]*a[j]))
 			tensor.AXPY(dh, x, gw1[j*m.d:(j+1)*m.d])
-			gb1[j] += dh
+			gb1[j] += float64(dh)
 		}
 	}
 	tensor.Scale(1/float64(X.Rows), g)
@@ -147,11 +147,11 @@ func (m *MLP) HVP(X *tensor.Matrix, y []float64, v []float64) []float64 {
 		m.forward(x, a, z)
 		affine(ra, v1, vb1, x)
 		for j, aj := range a {
-			ra[j] *= 1 - aj*aj
+			ra[j] *= 1 - float64(aj*aj)
 		}
 		denseHeadR(a, ra, w2, v2, vb2, z, classOf(y[i], i, m.c), o2, ob2, da, rda)
 		for j, aj := range a {
-			rdh := rda[j]*(1-aj*aj) - 2*aj*ra[j]*da[j]
+			rdh := float64(rda[j]*(1-float64(aj*aj))) - float64(2*aj*ra[j]*da[j])
 			tensor.AXPY(rdh, x, o1[j*m.d:(j+1)*m.d])
 			ob1[j] += rdh
 		}

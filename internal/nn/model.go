@@ -16,7 +16,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"digfl/internal/tensor"
 )
@@ -83,9 +82,9 @@ func NumGrad(m Model, X *tensor.Matrix, y []float64, eps float64) []float64 {
 // sigmoid is the numerically stable logistic function.
 func sigmoid(z float64) float64 {
 	if z >= 0 {
-		return 1 / (1 + math.Exp(-z))
+		return 1 / (1 + tensor.Exp(-z))
 	}
-	e := math.Exp(z)
+	e := tensor.Exp(z)
 	return e / (1 + e)
 }
 
@@ -138,7 +137,7 @@ func scratch(buf *[scratchLen]float64, n int) []float64 {
 func headR(z, u []float64) {
 	lse := tensor.LogSumExp(z)
 	for k, zk := range z {
-		z[k] = math.Exp(zk - lse)
+		z[k] = tensor.Exp(zk - lse)
 	}
 	softmaxR(z, u)
 }
@@ -148,7 +147,7 @@ func headR(z, u []float64) {
 func softmaxR(p, u []float64) {
 	var s float64
 	for k, pk := range p {
-		s += pk * u[k]
+		s += float64(pk * u[k])
 	}
 	for k, pk := range p {
 		u[k] = pk * (u[k] - s)

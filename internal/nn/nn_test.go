@@ -262,7 +262,7 @@ func TestCNNLearnsPrototypes(t *testing.T) {
 		y[i] = float64(c)
 		copy(X.Row(i), protos[c])
 		for j := 0; j < side*side; j++ {
-			X.Row(i)[j] += 0.3 * rng.NormFloat64()
+			X.Row(i)[j] += float64(0.3 * rng.NormFloat64())
 		}
 	}
 	m := NewCNN(side, 3, 3, classes, rng.Split(0))

@@ -44,7 +44,7 @@ func TestClassifierLossNonNegativeProperty(t *testing.T) {
 // constant shift.
 func TestLinRegGradientTranslationProperty(t *testing.T) {
 	f := func(seed int64, cRaw int8) bool {
-		c := float64(cRaw) / 16
+		c := float64(float64(cRaw) / 16)
 		rng := tensor.NewRNG(seed)
 		m := NewLinearRegression(3, true)
 		rng.Normal(m.Params(), 0, 1)
@@ -63,11 +63,11 @@ func TestLinRegGradientTranslationProperty(t *testing.T) {
 		shift := tensor.MatTVec(X, ones)
 		scale := -2 * c / float64(X.Rows)
 		for j := 0; j < 3; j++ {
-			if math.Abs(g2[j]-(g1[j]+scale*shift[j])) > 1e-9 {
+			if math.Abs(g2[j]-(g1[j]+float64(scale*shift[j]))) > 1e-9 {
 				return false
 			}
 		}
-		return math.Abs(g2[3]-(g1[3]+scale*float64(X.Rows))) < 1e-9
+		return math.Abs(g2[3]-(g1[3]+float64(scale*float64(X.Rows)))) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -87,13 +87,13 @@ func TestHVPLinearityProperty(t *testing.T) {
 		a, b := 1.5, -0.5
 		comb := make([]float64, 5)
 		for i := range comb {
-			comb[i] = a*u[i] + b*v[i]
+			comb[i] = float64(a*u[i]) + float64(b*v[i])
 		}
 		lhs := m.HVP(X, y, comb)
 		hu := m.HVP(X, y, u)
 		hv := m.HVP(X, y, v)
 		for i := range lhs {
-			if math.Abs(lhs[i]-(a*hu[i]+b*hv[i])) > 1e-9 {
+			if math.Abs(lhs[i]-(float64(a*hu[i])+float64(b*hv[i]))) > 1e-9 {
 				return false
 			}
 		}

@@ -45,9 +45,9 @@ func refLogSumExp(z []float64) float64 {
 	}
 	var s float64
 	for _, v := range z {
-		s += math.Exp(v - m)
+		s += tensor.Exp(v - m)
 	}
-	return m + math.Log(s)
+	return m + tensor.Log(s)
 }
 
 // refLinear is the shared body of the two generalized linear models: z = Xw
@@ -98,7 +98,7 @@ func (m refLinReg) residuals(X *tensor.Matrix, y []float64) []float64 {
 func (m refLinReg) Loss(X *tensor.Matrix, y []float64) float64 {
 	var s float64
 	for _, v := range m.residuals(X, y) {
-		s += v * v
+		s += float64(v * v)
 	}
 	return s / float64(X.Rows)
 }
@@ -119,9 +119,9 @@ func (m refLogReg) Loss(X *tensor.Matrix, y []float64) float64 {
 	var s float64
 	for i, zi := range m.z(X, m.Params()) {
 		if zi >= 0 {
-			s += math.Log1p(math.Exp(-zi)) + (1-y[i])*zi
+			s += tensor.Log1p(tensor.Exp(-zi)) + float64((1-y[i])*zi)
 		} else {
-			s += math.Log1p(math.Exp(zi)) - y[i]*zi
+			s += tensor.Log1p(tensor.Exp(zi)) - float64(y[i]*zi)
 		}
 	}
 	return s / float64(len(y))
@@ -178,7 +178,7 @@ func refDz(z []float64, label int) []float64 {
 	lse := refLogSumExp(z)
 	dz := make([]float64, len(z))
 	for k := range z {
-		dz[k] = math.Exp(z[k] - lse)
+		dz[k] = tensor.Exp(z[k] - lse)
 		if k == label {
 			dz[k]--
 		}
@@ -224,11 +224,11 @@ func (m refSoftmax) HVP(X *tensor.Matrix, y, v []float64) []float64 {
 		lse := refLogSumExp(p)
 		var s float64
 		for k := range p {
-			p[k] = math.Exp(p[k] - lse)
-			s += p[k] * u[k]
+			p[k] = tensor.Exp(p[k] - lse)
+			s += float64(p[k] * u[k])
 		}
 		for k, pk := range p {
-			r := pk * (u[k] - s)
+			r := float64(pk * (u[k] - s))
 			tensor.AXPY(r, x, out[k*m.d:(k+1)*m.d])
 			ob[k] += r
 		}
@@ -245,7 +245,7 @@ func (m refMLP) forward(x []float64) (a, z []float64) {
 	w1, b1, w2, b2 := m.slices()
 	a, z = make([]float64, m.h), make([]float64, m.c)
 	for j := range a {
-		a[j] = math.Tanh(refDot(w1[j*m.d:(j+1)*m.d], x) + b1[j])
+		a[j] = tensor.Tanh(refDot(w1[j*m.d:(j+1)*m.d], x) + b1[j])
 	}
 	for k := range z {
 		z[k] = refDot(w2[k*m.h:(k+1)*m.h], a) + b2[k]
@@ -277,7 +277,7 @@ func (m refMLP) Grad(X *tensor.Matrix, y []float64) []float64 {
 			tensor.AXPY(dzk, w2[k*m.h:(k+1)*m.h], da)
 		}
 		for j := 0; j < m.h; j++ {
-			dh := da[j] * (1 - a[j]*a[j])
+			dh := float64(da[j] * (1 - float64(a[j]*a[j])))
 			tensor.AXPY(dh, x, gw1[j*m.d:(j+1)*m.d])
 			gb1[j] += dh
 		}
@@ -341,7 +341,7 @@ func (m refCNN) Grad(X *tensor.Matrix, y []float64) []float64 {
 				xrow := x[(r+kr)*m.side+cIdx:]
 				grow := gker[kr*m.k:]
 				for kc := 0; kc < m.k; kc++ {
-					grow[kc] += dv * xrow[kc]
+					grow[kc] += float64(dv * xrow[kc])
 				}
 			}
 			gfb[fi] += dv

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"digfl/internal/tensor"
-)
+import "digfl/internal/tensor"
 
 // SoftmaxRegression is multinomial logistic regression: a linear map to C
 // logits followed by softmax cross-entropy. Labels are class indices stored
@@ -80,7 +76,7 @@ func (m *SoftmaxRegression) blockLogits(X *tensor.Matrix, i int, w, z []float64)
 // softmax p_k = exp(z_k − lse), in place: an eight-row block through
 // tensor.LogSumExp8 and two tensor.ExpShift4 calls, a four-row block
 // through tensor.LogSumExp4 and one, their rows the lanes, a single row
-// through LogSumExp and math.Exp, with the same bits.
+// through LogSumExp and Exp, with the same bits.
 func (m *SoftmaxRegression) blockSoftmax(z []float64, n int) {
 	c := m.c
 	switch n {
@@ -97,7 +93,7 @@ func (m *SoftmaxRegression) blockSoftmax(z []float64, n int) {
 		zr := z[:c]
 		lse := tensor.LogSumExp(zr)
 		for k, zk := range zr {
-			zr[k] = math.Exp(zk - lse)
+			zr[k] = tensor.Exp(zk - lse)
 		}
 	}
 }

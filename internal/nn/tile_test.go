@@ -11,10 +11,9 @@ import (
 )
 
 // useAVX512 and useAVX2 are tensor's switches between Dot8xN's AVX-512 tile
-// (with LogSumExp8's kernel), Dot4xN's AVX2 tile and its portable loop, and
-// expPath its choice between the exp kernels (1 or 2, the exp sequence
-// math.Exp runs) and math.Exp one value at a time (0), reached here so that
-// the model's own calls can be run on each.
+// (with LogSumExp8's kernel), Dot4xN's AVX2 tile (with the exp kernels of
+// LogSumExp4 and ExpShift4) and the portable loops, reached here so that the
+// model's own calls can be run on each.
 //
 //go:linkname useAVX2 digfl/internal/tensor.useAVX2
 var useAVX2 bool
@@ -22,30 +21,24 @@ var useAVX2 bool
 //go:linkname useAVX512 digfl/internal/tensor.useAVX512
 var useAVX512 bool
 
-//go:linkname expPath digfl/internal/tensor.expPath
-var expPath uint8
-
 // onTilePaths runs f with the kernels tensor chose at init, where the host
 // has them: "avx512" with all of them, "avx2" with the AVX2 ones (Dot8xN
-// and LogSumExp8 as two four-row calls), "avx2-scalar-exp" with the AVX2
-// logit tile and math.Exp; and "portable" with none.
+// and LogSumExp8 as two four-row calls), and "portable" with none.
 func onTilePaths(t testing.TB, f func(path string)) {
-	tile, wide, exp := useAVX2, useAVX512, expPath
-	defer func() { useAVX2, useAVX512, expPath = tile, wide, exp }()
+	tile, wide := useAVX2, useAVX512
+	defer func() { useAVX2, useAVX512 = tile, wide }()
 	if wide {
 		f("avx512")
 	} else {
 		t.Log("no AVX-512F on this host: the AVX-512 path skipped")
 	}
 	useAVX512 = false
-	if tile && exp != 0 {
+	if tile {
 		f("avx2")
-		expPath = 0
-		f("avx2-scalar-exp")
 	} else {
 		t.Log("no AVX2 on this host: the portable path only")
 	}
-	useAVX2, expPath = false, 0
+	useAVX2 = false
 	f("portable")
 }
 

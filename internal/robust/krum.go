@@ -113,7 +113,7 @@ func krumSelect(ep *hfl.Epoch, f, m int) ([]int, error) {
 			var d2 float64
 			for c, v := range ep.Deltas[i] {
 				diff := v - ep.Deltas[j][c]
-				d2 += diff * diff
+				d2 += float64(diff * diff)
 			}
 			dists = append(dists, d2)
 		}

@@ -126,7 +126,7 @@ func (q *Quarantine) Weights(ep *hfl.Epoch) []float64 {
 		if !q.seen[i] {
 			q.ewma[i], q.seen[i] = phi[k], true
 		} else {
-			q.ewma[i] = (1-quarantineLambda)*q.ewma[i] + quarantineLambda*phi[k]
+			q.ewma[i] = float64((1-quarantineLambda)*q.ewma[i]) + float64(quarantineLambda*phi[k])
 		}
 	}
 	// Federation health: median EWMA over this epoch's reporters.

@@ -62,7 +62,7 @@ func (s *ascentSource) Round(_ context.Context, spec *hfl.RoundSpec) (*hfl.Round
 		rng := tensor.NewRNG(s.seed*7919 + int64(spec.T)*31 + int64(i))
 		d := make([]float64, len(g))
 		for j, v := range g {
-			d[j] = -spec.LR * v * (1 + rng.Float64()/2)
+			d[j] = -spec.LR * v * (1 + float64(rng.Float64()/2))
 		}
 		res.Deltas = append(res.Deltas, d)
 	}

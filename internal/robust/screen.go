@@ -79,7 +79,7 @@ func (s *UpdateScreen) Screen(ep *hfl.Epoch, reported []int) ([]int, error) {
 				finite = false
 				break
 			}
-			n2 += v * v
+			n2 += float64(v * v)
 		}
 		if !finite || math.IsInf(n2, 0) {
 			drop = append(drop, k)
@@ -100,7 +100,7 @@ func (s *UpdateScreen) Screen(ep *hfl.Epoch, reported []int) ([]int, error) {
 	if !s.ok {
 		s.med, s.ok = med, true
 	} else {
-		s.med = (1-screenLambda)*s.med + screenLambda*med
+		s.med = float64((1-screenLambda)*s.med) + float64(screenLambda*med)
 	}
 	threshold := s.cfg.ClipFactor * s.med
 	if threshold <= 0 {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"digfl/internal/faults"
+	"digfl/internal/tensor"
 )
 
 // cohortSum fingerprints a cohort (FNV-1a over its members, little-endian).
@@ -148,7 +149,7 @@ func refCohort(cfg Config, epoch int, pop []int) []int {
 			if w == 0 {
 				key = math.Inf(1)
 			} else {
-				key = -math.Log1p(-key) / w
+				key = -tensor.Log1p(-key) / w
 			}
 		}
 		cs[p] = cand{key, i, p}

@@ -30,6 +30,7 @@ import (
 	"sort"
 
 	"digfl/internal/faults"
+	"digfl/internal/tensor"
 )
 
 // Domain is the faults.Uniform hash domain the sampler draws its keys from,
@@ -119,7 +120,7 @@ func weightedKey(u float64, weights []float64, part int) float64 {
 	if w == 0 {
 		return math.Inf(1)
 	}
-	return -math.Log1p(-u) / w
+	return -tensor.Log1p(-u) / w
 }
 
 // cohortHeap is a bounded max-heap over (key, participant, position)

@@ -16,8 +16,8 @@ import (
 func quadLoss(theta []float64) float64 {
 	var s float64
 	for j, v := range theta {
-		d := v - 0.1*float64(j%5) - 0.05
-		s += d * d
+		d := v - float64(0.1*float64(j%5)) - 0.05
+		s += float64(d * d)
 	}
 	return s
 }

@@ -32,7 +32,7 @@ func exactPhi(g game) []float64 {
 	// w[s] = s!·(n−s−1)!/n! computed in log space for stability.
 	w := make([]float64, n)
 	for s := 0; s < n; s++ {
-		w[s] = math.Exp(lnFact(s) + lnFact(n-s-1) - lnFact(n))
+		w[s] = tensor.Exp(lnFact(s) + lnFact(n-s-1) - lnFact(n))
 	}
 	phi := make([]float64, n)
 	total := uint64(1) << uint(n)
@@ -44,7 +44,7 @@ func exactPhi(g game) []float64 {
 			if mask&bit != 0 {
 				continue
 			}
-			phi[i] += w[size] * (g.value(mask|bit) - vS)
+			phi[i] += float64(w[size] * (g.value(mask|bit) - vS))
 		}
 	}
 	return phi
@@ -53,7 +53,7 @@ func exactPhi(g game) []float64 {
 func lnFact(k int) float64 {
 	var s float64
 	for i := 2; i <= k; i++ {
-		s += math.Log(float64(i))
+		s += tensor.Log(float64(i))
 	}
 	return s
 }
@@ -161,7 +161,7 @@ func gtPhi(g game, samples int, rng *tensor.RNG) []float64 {
 				if mask&(1<<uint(j)) != 0 {
 					bj = 1
 				}
-				diff[i][j] += val * (bi - bj)
+				diff[i][j] += float64(val * (bi - bj))
 			}
 		}
 	}
@@ -174,7 +174,7 @@ func gtPhi(g game, samples int, rng *tensor.RNG) []float64 {
 	for i := 0; i < n; i++ {
 		var s float64
 		for j := 0; j < n; j++ {
-			s += scale * diff[i][j]
+			s += float64(scale * diff[i][j])
 		}
 		phi[i] = total/float64(n) + s/float64(n)
 	}

@@ -2,7 +2,6 @@ package shapley
 
 import (
 	"fmt"
-	"math"
 
 	"digfl/internal/tensor"
 )
@@ -37,7 +36,7 @@ func GT(n int, u Utility, cfg GTConfig) ([]float64, int64) {
 
 // BudgetTMC returns the paper's TMC retraining budget n²·log n (at least n).
 func BudgetTMC(n int) int64 {
-	b := int64(float64(n*n) * math.Log(float64(n)))
+	b := int64(float64(n*n) * tensor.Log(float64(n)))
 	if b < int64(n) {
 		b = int64(n)
 	}
@@ -46,7 +45,7 @@ func BudgetTMC(n int) int64 {
 
 // BudgetGT returns the paper's GT sampling budget n·(log n)² (at least n).
 func BudgetGT(n int) int {
-	b := int(float64(n) * math.Log(float64(n)) * math.Log(float64(n)))
+	b := int(float64(n) * tensor.Log(float64(n)) * tensor.Log(float64(n)))
 	if b < n {
 		b = n
 	}

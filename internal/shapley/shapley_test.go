@@ -142,12 +142,12 @@ func TestExactLinearityProperty(t *testing.T) {
 		u := randomGame(4, seed)
 		w := randomGame(4, seed+1)
 		a, b := 2.0, -0.5
-		comb := func(s []int) float64 { return a*u(s) + b*w(s) }
+		comb := func(s []int) float64 { return float64(a*u(s)) + float64(b*w(s)) }
 		pu := Exact(4, u)
 		pw := Exact(4, w)
 		pc := Exact(4, comb)
 		for i := range pc {
-			if math.Abs(pc[i]-(a*pu[i]+b*pw[i])) > 1e-9 {
+			if math.Abs(pc[i]-(float64(a*pu[i])+float64(b*pw[i]))) > 1e-9 {
 				return false
 			}
 		}
@@ -262,10 +262,10 @@ func TestGTEfficiencyHoldsByConstruction(t *testing.T) {
 }
 
 func TestBudgets(t *testing.T) {
-	if BudgetTMC(10) != int64(100*math.Log(10)) {
+	if BudgetTMC(10) != int64(100*tensor.Log(10)) {
 		t.Fatalf("BudgetTMC(10) = %d", BudgetTMC(10))
 	}
-	if BudgetGT(10) != int(10*math.Log(10)*math.Log(10)) {
+	if BudgetGT(10) != int(10*tensor.Log(10)*tensor.Log(10)) {
 		t.Fatalf("BudgetGT(10) = %d", BudgetGT(10))
 	}
 	if BudgetTMC(1) != 1 || BudgetGT(1) != 1 {

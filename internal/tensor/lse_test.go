@@ -6,15 +6,14 @@ import (
 )
 
 // onExpPaths runs f once on each path LogSumExp4, LogSumExp8 and ExpShift4
-// can take here: the AVX-512 and AVX2 kernels in the exp variant calibrated
-// at init, where there are, then math.Exp and math.Log one value at a time,
-// forced by clearing useAVX512 and setting expPath.
+// can take here: the AVX-512 and AVX2 kernels, where there are, then Exp and
+// Log one value at a time, forced by clearing useAVX512 and useAVX2.
 func onExpPaths(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
-	path, avx512 := expPath, useAVX512
-	defer func() { expPath, useAVX512 = path, avx512 }()
+	avx2, avx512 := useAVX2, useAVX512
+	defer func() { useAVX2, useAVX512 = avx2, avx512 }()
 	switch {
-	case path == expScalar:
+	case !avx2:
 		t.Log("no AVX2 exp kernel on this host: the scalar path only")
 	case !avx512:
 		t.Log("no AVX-512F on this host: the AVX-512 path skipped")
@@ -24,7 +23,7 @@ func onExpPaths(t *testing.T, f func(t *testing.T)) {
 		useAVX512 = false
 		t.Run("avx2", f)
 	}
-	expPath = expScalar
+	useAVX2, useAVX512 = false, false
 	t.Run("scalar", f)
 }
 
@@ -56,7 +55,7 @@ func expBlock(rng *RNG, rows, c int, scale float64, special []float64) []float64
 	z := make([]float64, rows*c)
 	for r := 0; r < rows; r++ {
 		row := z[r*c : (r+1)*c]
-		rng.Normal(row, 0, scale*math.Pow(10, float64(r%4-1)))
+		rng.Normal(row, 0, scale*math.Pow10(r%4-1))
 		for i, v := range special {
 			if i < c {
 				row[(r+i)%c] = v
@@ -79,7 +78,7 @@ func sameOrBothNaN(got, want float64, twoNaNs bool) bool {
 
 // checkLogSumExp4 runs LogSumExp4 on the block z (four rows of c) and then
 // ExpShift4 by its result, on a copy followed by a sentinel, and wants each
-// lse[r] to be LogSumExp of row r and each p to be math.Exp(z − lse[r]) bit
+// lse[r] to be LogSumExp of row r and each p to be Exp(z − lse[r]) bit
 // for bit, and nothing past the block written.
 func checkLogSumExp4(t *testing.T, what string, z []float64) {
 	t.Helper()
@@ -98,9 +97,9 @@ func checkLogSumExp4(t *testing.T, what string, z []float64) {
 	for r := range lse {
 		for k := 0; k < c; k++ {
 			v := z[r*c+k]
-			got, want := buf[r*c+k], math.Exp(v-lse[r])
+			got, want := buf[r*c+k], Exp(v-lse[r])
 			if !sameOrBothNaN(got, want, v != v && lse[r] != lse[r]) {
-				t.Fatalf("%s C=%d: ExpShift4 z[%d·C+%d] = %v (%#x), math.Exp(%v − %v) %v (%#x)", what, c, r, k,
+				t.Fatalf("%s C=%d: ExpShift4 z[%d·C+%d] = %v (%#x), Exp(%v − %v) %v (%#x)", what, c, r, k,
 					got, math.Float64bits(got), v, lse[r], want, math.Float64bits(want))
 			}
 		}
@@ -112,7 +111,7 @@ func checkLogSumExp4(t *testing.T, what string, z []float64) {
 
 // TestLogSumExp4MatchesScalar: on every path of onExpPaths,
 // every row of a four-row block gets LogSumExp's bits, and its softmax
-// math.Exp(z − lse)'s — for 1…17 classes, rows at scales 10⁻³…10³, and
+// Exp(z − lse)'s — for 1…17 classes, rows at scales 10⁻³…10³, and
 // every special case of expSpecials.
 func TestLogSumExp4MatchesScalar(t *testing.T) {
 	onExpPaths(t, func(t *testing.T) {
@@ -152,12 +151,12 @@ func checkLogSumExp8(t *testing.T, what string, z []float64) {
 // eight-row block gets LogSumExp's bits — for 1…17 classes, rows at scales
 // 10⁻³…10³, and every special case of expSpecials.
 func TestLogSumExp8MatchesScalar(t *testing.T) {
-	if useAVX512 && expPath != expScalar {
+	if useAVX512 {
 		// A finite block of spread logits stays on the kernel: no row is
 		// retaken.
 		z := expBlock(NewRNG(42), 8, 10, 0.3, nil)
 		var lse [8]float64
-		if retake := logSumExp8AVX512(&lse, &z[0], 10, expPath == expFused); retake != 0 {
+		if retake := logSumExp8AVX512(&lse, &z[0], 10); retake != 0 {
 			t.Fatalf("the eight-lane kernel retakes rows %#x of a finite block", retake)
 		}
 	}
@@ -173,32 +172,32 @@ func TestLogSumExp8MatchesScalar(t *testing.T) {
 	})
 }
 
-// TestExpShift4Overflow: a shift that leaves a difference above archExp's
-// Overflow, or a non-finite one, hands the rest of the block to math.Exp;
-// every value still gets math.Exp's bits.
+// TestExpShift4Overflow: a shift that leaves a difference above Exp's
+// overflow bound, or a non-finite one, hands the rest of the block to Exp;
+// every value still gets Exp's bits.
 func TestExpShift4Overflow(t *testing.T) {
 	onExpPaths(t, func(t *testing.T) {
 		for _, shift := range [][4]float64{{0, 0, 0, 0}, {-1, 0, 1, 2}, {math.Inf(1), 0, 0, 0}, {0, math.NaN(), 0, 0}} {
 			z := []float64{1, 709.7, 709.8, 710, -3, 2, 0.5, -0.5, 3, 1e300, -1e300, 7, 0, 1, 2, 3}
 			want := make([]float64, len(z))
 			for i, v := range z {
-				want[i] = math.Exp(v - shift[i/4])
+				want[i] = Exp(v - shift[i/4])
 			}
 			ExpShift4(z, &shift)
 			for i := range z {
 				if math.Float64bits(z[i]) != math.Float64bits(want[i]) {
-					t.Errorf("shift %v: ExpShift4 value %d = %v, math.Exp %v", shift, i, z[i], want[i])
+					t.Errorf("shift %v: ExpShift4 value %d = %v, Exp %v", shift, i, z[i], want[i])
 				}
 			}
 		}
 	})
 }
 
-// TestExpTableMatchesMathExp: the kernel's exp has math.Exp's bits at every
+// TestExpTableMatchesMathExp: the kernel's exp has Exp's bits at every
 // 1/256 over [−746, 0], and the kernel itself computes each block of it
-// that lies wholly on archExp's fast path.
+// that lies wholly on Exp's fast path.
 func TestExpTableMatchesMathExp(t *testing.T) {
-	if expPath == expScalar {
+	if !useAVX2 {
 		t.Skip("no AVX2 exp kernel on this host")
 	}
 	const c = 16
@@ -209,24 +208,24 @@ func TestExpTableMatchesMathExp(t *testing.T) {
 			z[i] = float64(at-i) / 256
 		}
 		x := z
-		done := expShift4AVX2(&z[0], c, &zero, expPath == expFused)
+		done := expShift4AVX2(&z[0], c, &zero)
 		if x[len(x)-1] > -708.7 && done != c {
 			t.Fatalf("block from %v: the kernel did %d of %d columns on the fast path", x[0], done, c)
 		}
 		for k := 0; k < done; k++ {
 			for r := 0; r < 4; r++ {
-				if got, want := z[r*c+k], math.Exp(x[r*c+k]); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("exp(%v) = %v (%#x), math.Exp %v (%#x)", x[r*c+k], got, math.Float64bits(got), want, math.Float64bits(want))
+				if got, want := z[r*c+k], Exp(x[r*c+k]); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("exp(%v) = %v (%#x), Exp %v (%#x)", x[r*c+k], got, math.Float64bits(got), want, math.Float64bits(want))
 				}
 			}
 		}
 	}
 }
 
-// TestLogTableMatchesMathLog: the kernel's log has math.Log's bits on sums s
+// TestLogTableMatchesMathLog: the kernel's log has Log's bits on sums s
 // across [1, 64] — rows of j zeros and one d < 0 sum to s = j + exp(d), and
 // with their maximum 0 their log-sum-exp is log(s) — √2 included, where
-// archLog's mantissa meets its √2/2 threshold exactly.
+// Log's mantissa meets its √2/2 threshold exactly.
 func TestLogTableMatchesMathLog(t *testing.T) {
 	onExpPaths(t, func(t *testing.T) {
 		for j := 1; j <= 63; j++ {
@@ -234,7 +233,7 @@ func TestLogTableMatchesMathLog(t *testing.T) {
 			z := make([]float64, 4*c)
 			for i := 0; i < 1024; i += 4 {
 				for r := 0; r < 4; r++ {
-					z[r*c+j] = math.Log((float64(i+r) + 0.5) / 1024)
+					z[r*c+j] = Log((float64(i+r) + 0.5) / 1024)
 				}
 				if j == 1 && i == 0 {
 					z[j] = -0.8813735870195429 // 1 + exp(d) is √2 exactly
@@ -242,12 +241,12 @@ func TestLogTableMatchesMathLog(t *testing.T) {
 				var lse [4]float64
 				LogSumExp4(&lse, z)
 				for r := range lse {
-					s := float64(j) + math.Exp(z[r*c+j])
+					s := float64(j) + Exp(z[r*c+j])
 					if j == 1 && i == 0 && r == 0 && s != math.Sqrt2 {
 						t.Fatalf("the √2 probe sums to %v", s)
 					}
-					if want := math.Log(s); math.Float64bits(lse[r]) != math.Float64bits(want) {
-						t.Fatalf("log(%v) = %v (%#x), math.Log %v (%#x)", s, lse[r], math.Float64bits(lse[r]), want, math.Float64bits(want))
+					if want := Log(s); math.Float64bits(lse[r]) != math.Float64bits(want) {
+						t.Fatalf("log(%v) = %v (%#x), Log %v (%#x)", s, lse[r], math.Float64bits(lse[r]), want, math.Float64bits(want))
 					}
 				}
 			}
@@ -255,7 +254,7 @@ func TestLogTableMatchesMathLog(t *testing.T) {
 	})
 }
 
-// FuzzLogSumExp4 holds both paths to LogSumExp and math.Exp on random
+// FuzzLogSumExp4 holds every path to LogSumExp and Exp on random
 // blocks at a fuzzed scale with two arbitrary bit patterns planted.
 func FuzzLogSumExp4(f *testing.F) {
 	f.Add(uint8(10), int64(1), 1.0, uint64(0x7ff8000000000001), uint64(0xfff8000000000002))
@@ -337,17 +336,17 @@ func TestLogSumExp4ShapeMismatchPanics(t *testing.T) {
 // the AVX2 kernel and on the scalar path, each checked against LogSumExp.
 func BenchmarkLogSumExp4(b *testing.B) {
 	z := NewRNG(10).NormalVec(40, 0, 3)
-	saved := expPath
-	defer func() { expPath = saved }()
+	saved := useAVX2
+	defer func() { useAVX2 = saved }()
 	for _, p := range []struct {
 		name string
-		path uint8
-	}{{"avx2", saved}, {"portable", expScalar}} {
-		if p.name == "avx2" && saved == expScalar {
+		avx2 bool
+	}{{"avx2", true}, {"portable", false}} {
+		if p.avx2 && !saved {
 			b.Log("no AVX2 exp kernel on this host: the portable path only")
 			continue
 		}
-		expPath = p.path
+		useAVX2 = p.avx2
 		b.Run("4x10/"+p.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var lse [4]float64

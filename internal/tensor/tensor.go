@@ -8,9 +8,14 @@
 // and LogSumExp8, LogSumExp4 and ExpShift4, its normaliser and softmax —
 // have three paths, chosen once at init from CPUID and XCR0: AVX-512F
 // assembly on eight rows, AVX2 assembly on four, and portable loops. No
-// path fuses a multiply-add that the function whose bits it carries does
-// not, and a lane that ends NaN or leaves exp's fast path is taken again
-// through Dot or LogSumExp, so every path gives the same bits.
+// path fuses a multiply-add, and a lane that ends NaN or leaves exp's fast
+// path is taken again through Dot or LogSumExp, so every path gives the
+// same bits.
+//
+// Exp, Log, Log1p and Tanh are the repository's one exp, log, log1p and
+// tanh: amd64's plain math.Exp sequence and math.Log's in Go, each product
+// rounded, which the exp kernels reproduce lane for lane and every other
+// package calls instead of math's, so no bit depends on the host's FMA.
 package tensor
 
 import "fmt"

@@ -90,7 +90,7 @@ func TestMatTMatIsGramMatrix(t *testing.T) {
 		for j := 0; j < 4; j++ {
 			var want float64
 			for r := 0; r < 6; r++ {
-				want += 0.5 * a.At(r, i) * a.At(r, j)
+				want += float64(0.5 * a.At(r, i) * a.At(r, j))
 			}
 			if !almostEq(g.At(i, j), want, 1e-12) {
 				t.Fatalf("Gram(%d,%d) = %v, want %v", i, j, g.At(i, j), want)

@@ -1,14 +1,12 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
-// useAVX2 selects Dot4xN's assembly tile and useAVX512 Dot8xN's, and with
-// it LogSumExp8's kernel. Each is set once, at init from CPUID and XGETBV on
-// amd64, and is false elsewhere; the tests clear them to run the narrower
-// kernels and the portable loops on the same inputs.
+// useAVX2 selects Dot4xN's assembly tile and the exp kernels of LogSumExp4
+// and ExpShift4, and useAVX512 Dot8xN's tile and LogSumExp8's kernel. Each
+// is set once, at init from CPUID and XGETBV on amd64, and is false
+// elsewhere; the tests clear them to run the narrower kernels and the
+// portable loops on the same inputs.
 var useAVX2, useAVX512 bool
 
 // Dot4xN computes the products of a four-row block x, row-major 4×n, with
@@ -84,18 +82,6 @@ func Dot8xN(z, x, w []float64) {
 	}
 }
 
-// expPath is the exp sequence LogSumExp4, LogSumExp8 and ExpShift4 run. It
-// is set once, at init on amd64, to the variant of archExp that math.Exp is
-// found to run in this process, and is expScalar elsewhere; the tests set it
-// to run each path on the same inputs.
-var expPath uint8
-
-const (
-	expScalar uint8 = iota // math.Exp and math.Log, one value at a time
-	expPlain               // archExp four lanes wide, each product rounded
-	expFused               // archExp's FMA sequence four lanes wide
-)
-
 // LogSumExp returns log Σ exp(z_k) computed stably. The maximum's own term
 // is exp(0) = 1 and is added as such, at its place in the sum; the test is on
 // the difference, so an all-+Inf row still sums exp(NaN).
@@ -111,10 +97,10 @@ func LogSumExp(z []float64) float64 {
 		if d := v - m; d == 0 {
 			s++
 		} else {
-			s += math.Exp(d)
+			s += Exp(d)
 		}
 	}
-	return m + math.Log(s)
+	return m + Log(s)
 }
 
 // LogSumExp4 sets lse[r] = LogSumExp(z[r·C:(r+1)·C]) for the four rows of
@@ -123,21 +109,20 @@ func LogSumExp(z []float64) float64 {
 //
 // On amd64 with AVX2 one assembly kernel takes the four rows as the lanes of
 // a ymm register: each lane's maximum in class order, then its sum of
-// exp(z_k − m) from zero in class order, then one log, with math.Exp's and
-// math.Log's own operations in their own order (math/exp_amd64.s, in the
-// variant math.Exp runs, and math/log_amd64.s), so every lane has
-// LogSumExp's bits. A row whose exps leave archExp's fast path — a
-// non-finite difference, one above its Overflow, or one below about
-// −708.75, where it takes its denormal branch — or whose sum is not a
-// positive normal number is taken again through LogSumExp.
+// exp(z_k − m) from zero in class order, then one log, with Exp's and Log's
+// own operations in their own order, so every lane has LogSumExp's bits. A
+// row whose exps leave Exp's fast path — a non-finite difference, one above
+// its overflow bound, or one below about −708.75, where it takes its
+// denormal branch — or whose sum is not a positive normal number is taken
+// again through LogSumExp.
 func LogSumExp4(lse *[4]float64, z []float64) {
 	c := len(z) / 4
 	if c == 0 || len(z) != 4*c {
 		panic(fmt.Sprintf("tensor: LogSumExp4 of %d values, not four rows of C ≥ 1", len(z)))
 	}
 	retake := 0xf
-	if expPath != expScalar {
-		retake = logSumExp4AVX2(lse, &z[0], c, expPath == expFused)
+	if useAVX2 {
+		retake = logSumExp4AVX2(lse, &z[0], c)
 	}
 	retakeRows(lse[:], z, retake)
 }
@@ -157,41 +142,40 @@ func retakeRows(lse, z []float64, retake int) {
 // the block z, row-major 8×C: LogSumExp4 for Dot8xN's block.
 //
 // On amd64 with AVX-512F one assembly kernel runs LogSumExp4's over eight
-// lanes: the same maxima, exps and log — math.Exp's and math.Log's own
-// operations, in the variant math.Exp runs — and the same rows retaken
-// through LogSumExp. Elsewhere, and on the scalar exp path, it is two
+// lanes: the same maxima, exps and log — Exp's and Log's own operations —
+// and the same rows retaken through LogSumExp. Elsewhere it is two
 // LogSumExp4 calls.
 func LogSumExp8(lse *[8]float64, z []float64) {
 	c := len(z) / 8
 	if c == 0 || len(z) != 8*c {
 		panic(fmt.Sprintf("tensor: LogSumExp8 of %d values, not eight rows of C ≥ 1", len(z)))
 	}
-	if !useAVX512 || expPath == expScalar {
+	if !useAVX512 {
 		LogSumExp4((*[4]float64)(lse[:4]), z[:4*c])
 		LogSumExp4((*[4]float64)(lse[4:]), z[4*c:])
 		return
 	}
-	retakeRows(lse[:], z, logSumExp8AVX512(lse, &z[0], c, expPath == expFused))
+	retakeRows(lse[:], z, logSumExp8AVX512(lse, &z[0], c))
 }
 
 // ExpShift4 replaces every value of the block z, row-major 4×C, by
-// math.Exp(z[r·C+k] − shift[r]): with shift the rows' LogSumExp4, the
-// block's softmax. The AVX2 kernel runs LogSumExp4's exp a column of four
-// lanes at a time and stops at the first column with a lane off archExp's
-// fast path; math.Exp finishes the block from there.
+// Exp(z[r·C+k] − shift[r]): with shift the rows' LogSumExp4, the block's
+// softmax. The AVX2 kernel runs LogSumExp4's exp a column of four lanes at a
+// time and stops at the first column with a lane off Exp's fast path; Exp
+// finishes the block from there.
 func ExpShift4(z []float64, shift *[4]float64) {
 	c := len(z) / 4
 	if c == 0 || len(z) != 4*c {
 		panic(fmt.Sprintf("tensor: ExpShift4 of %d values, not four rows of C ≥ 1", len(z)))
 	}
 	done := 0
-	if expPath != expScalar {
-		done = expShift4AVX2(&z[0], c, shift, expPath == expFused)
+	if useAVX2 {
+		done = expShift4AVX2(&z[0], c, shift)
 	}
 	for r, sr := range shift {
 		row := z[r*c+done : (r+1)*c]
 		for k, v := range row {
-			row[k] = math.Exp(v - sr)
+			row[k] = Exp(v - sr)
 		}
 	}
 }

@@ -185,9 +185,9 @@ next:
 	RET
 
 // The constants of LogSumExp4's and ExpShift4's exp and log, each splatted
-// across the four lanes of a ymm memory operand: archExp's (math/exp_amd64.s)
-// and archLog's (math/log_amd64.s) own literals, so that the assembler rounds
-// them to the same bits, and the bit masks their sequences use.
+// across the four lanes of a ymm memory operand: Exp's and Log's own
+// literals (transcendental.go), so that the assembler rounds them to the
+// same bits, and the bit masks their sequences use.
 #define SPLAT(off, v) \
 	DATA expk<>+off+0(SB)/8, v; \
 	DATA expk<>+off+8(SB)/8, v; \
@@ -207,26 +207,25 @@ SPLAT(288, $1.6666666666666666667e-1)
 SPLAT(320, $0.5)
 SPLAT(352, $1.0)
 SPLAT(384, $2.0)
-SPLAT(416, $7.09782712893384e+02)                              // Overflow
-SPLAT(448, $0xFFF0000000000000)                                // -Inf
+SPLAT(416, $-1022.5)                                           // the fast path's bounds on x·LOG2E
+SPLAT(448, $1023.5)
 SPLAT(480, $0x000003FF000003FF)                                // exponent bias, as int32s
-SPLAT(512, $0x000007FF000007FF)                                // a biased exponent's bound
-SPLAT(544, $7.07106781186547524401e-01)                        // HSqrt2
-SPLAT(576, $6.93147180369123816490e-01)                        // Ln2Hi
-SPLAT(608, $1.90821492927058770002e-10)                        // Ln2Lo
-SPLAT(640, $6.666666666666735130e-01)                          // L1
-SPLAT(672, $3.999999999940941908e-01)                          // L2
-SPLAT(704, $2.857142874366239149e-01)                          // L3
-SPLAT(736, $2.222219843214978396e-01)                          // L4
-SPLAT(768, $1.818357216161805012e-01)                          // L5
-SPLAT(800, $1.531383769920937332e-01)                          // L6
-SPLAT(832, $1.479819860511658591e-01)                          // L7
-SPLAT(864, $0x000FFFFFFFFFFFFF)                                // mantissa
-SPLAT(896, $0x4330000000000000)                                // 2⁵²
-SPLAT(928, $0x43300000000003FE)                                // 2⁵² + 1022
-SPLAT(960, $0x0010000000000000)                                // smallest normal
-SPLAT(992, $0x7FF0000000000000)                                // +Inf
-GLOBL expk<>(SB), RODATA|NOPTR, $1024
+SPLAT(512, $7.07106781186547524401e-01)                        // HSqrt2
+SPLAT(544, $6.93147180369123816490e-01)                        // Ln2Hi
+SPLAT(576, $1.90821492927058770002e-10)                        // Ln2Lo
+SPLAT(608, $6.666666666666735130e-01)                          // L1
+SPLAT(640, $3.999999999940941908e-01)                          // L2
+SPLAT(672, $2.857142874366239149e-01)                          // L3
+SPLAT(704, $2.222219843214978396e-01)                          // L4
+SPLAT(736, $1.818357216161805012e-01)                          // L5
+SPLAT(768, $1.531383769920937332e-01)                          // L6
+SPLAT(800, $1.479819860511658591e-01)                          // L7
+SPLAT(832, $0x000FFFFFFFFFFFFF)                                // mantissa
+SPLAT(864, $0x4330000000000000)                                // 2⁵²
+SPLAT(896, $0x43300000000003FE)                                // 2⁵² + 1022
+SPLAT(928, $0x0010000000000000)                                // smallest normal
+SPLAT(960, $0x7FF0000000000000)                                // +Inf
+GLOBL expk<>(SB), RODATA|NOPTR, $992
 
 // LANES loads column k of a four-row block into the lanes of Y0, row r in
 // lane r: ptr is the column's row-0 address, CX a row in bytes, DX three.
@@ -237,32 +236,26 @@ GLOBL expk<>(SB), RODATA|NOPTR, $1024
 	VMOVHPD     (ptr)(DX*1), X1, X1; \
 	VINSERTF128 $1, X1, Y0, Y0
 
-// EXPHEAD starts archExp on the four lanes of Y0: it sets Y2 to the lanes
-// on its fast path — finite, at most Overflow, and n = round(x·LOG2E) with
-// n+0x3FF in (0, 0x7FF), so that neither the overflow nor the denormal
-// branch is taken — Y1 to float64(n) and Y4 to 2ⁿ. Y3, Y5 and Y6 are
-// scratch.
+// EXPHEAD starts Exp on the four lanes of Y0: it sets Y2 to the lanes on
+// its fast path, Y1 to float64(n) for n = round(x·LOG2E), and Y4 to 2ⁿ. A
+// lane is on the fast path when n+0x3FF is in (0, 0x7FF), so that neither
+// the overflow nor the denormal branch is taken: when −1022.5 ≤ x·LOG2E <
+// 1023.5, n rounding half to even, which no NaN, infinity or x above
+// Overflow meets. Y3 is scratch.
 #define EXPHEAD \
-	VCMPPD     $0x12, expk<>+416(SB), Y0, Y2; \
-	VCMPPD     $0x1e, expk<>+448(SB), Y0, Y3; \
-	VANDPD     Y3, Y2, Y2; \
 	VMULPD     expk<>+0(SB), Y0, Y1; \
+	VCMPPD     $0x1d, expk<>+416(SB), Y1, Y2; \
+	VCMPPD     $0x11, expk<>+448(SB), Y1, Y3; \
+	VANDPD     Y3, Y2, Y2; \
 	VCVTPD2DQY Y1, X4; \
 	VCVTDQ2PD  X4, Y1; \
 	VPADDD     expk<>+480(SB), X4, X4; \
-	VPXOR      X5, X5, X5; \
-	VPCMPGTD   X5, X4, X5; \
-	VMOVDQU    expk<>+512(SB), X6; \
-	VPCMPGTD   X4, X6, X6; \
-	VPAND      X6, X5, X5; \
-	VPMOVSXDQ  X5, Y5; \
-	VANDPD     Y5, Y2, Y2; \
 	VPMOVSXDQ  X4, Y4; \
 	VPSLLQ     $52, Y4, Y4
 
-// EXPPLAIN finishes exp(Y0) into Y0 with archExp's sequence when math.useFMA
-// is false: every product rounded before its add.
-#define EXPPLAIN \
+// EXP finishes Exp(Y0) into Y0 with Exp's sequence: every product rounded
+// before its add.
+#define EXP \
 	EXPHEAD; \
 	VMULPD expk<>+32(SB), Y1, Y3; \
 	VSUBPD Y3, Y0, Y0; \
@@ -295,49 +288,22 @@ GLOBL expk<>(SB), RODATA|NOPTR, $1024
 	VADDPD expk<>+352(SB), Y0, Y0; \
 	VMULPD Y4, Y0, Y0
 
-// EXPFUSED is EXPPLAIN with math.useFMA true: fused exactly where archExp's
-// avxfma branch fuses — the two reduction steps, the seven Horner steps and
-// the last step — and nowhere else.
-#define EXPFUSED \
-	EXPHEAD; \
-	VFNMADD231PD expk<>+32(SB), Y1, Y0; \
-	VFNMADD231PD expk<>+64(SB), Y1, Y0; \
-	VMULPD       expk<>+96(SB), Y0, Y0; \
-	VMOVUPD      expk<>+128(SB), Y1; \
-	VFMADD213PD  expk<>+160(SB), Y0, Y1; \
-	VFMADD213PD  expk<>+192(SB), Y0, Y1; \
-	VFMADD213PD  expk<>+224(SB), Y0, Y1; \
-	VFMADD213PD  expk<>+256(SB), Y0, Y1; \
-	VFMADD213PD  expk<>+288(SB), Y0, Y1; \
-	VFMADD213PD  expk<>+320(SB), Y0, Y1; \
-	VFMADD213PD  expk<>+352(SB), Y0, Y1; \
-	VMULPD       Y1, Y0, Y0; \
-	VADDPD       expk<>+384(SB), Y0, Y1; \
-	VMULPD       Y1, Y0, Y0; \
-	VADDPD       expk<>+384(SB), Y0, Y1; \
-	VMULPD       Y1, Y0, Y0; \
-	VADDPD       expk<>+384(SB), Y0, Y1; \
-	VMULPD       Y1, Y0, Y0; \
-	VADDPD       expk<>+384(SB), Y0, Y1; \
-	VFMADD213PD  expk<>+352(SB), Y1, Y0; \
-	VMULPD       Y4, Y0, Y0
-
 // SUMSTEP adds exp(z_k − m) of the column at DI to the sums in Y13 and
-// clears in Y15 the lanes off exp's fast path; exp is EXPPLAIN or EXPFUSED.
-#define SUMSTEP(exp) \
+// clears in Y15 the lanes off exp's fast path.
+#define SUMSTEP \
 	LANES(DI); \
 	VSUBPD Y14, Y0, Y0; \
-	exp; \
+	EXP; \
 	VANDPD Y2, Y15, Y15; \
 	VADDPD Y0, Y13, Y13
 
-// func logSumExp4AVX2(lse *[4]float64, z *float64, c int, fused bool) (retake int)
+// func logSumExp4AVX2(lse *[4]float64, z *float64, c int) (retake int)
 //
 // Registers: SI the block z (four rows of c), DI the walk along its columns,
 // CX a row in bytes, DX three rows, AX the columns left, Y14 the row maxima,
 // Y13 the sums, Y15 the lanes whose every exp, and whose sum, stayed on the
 // fast path.
-TEXT ·logSumExp4AVX2(SB), NOSPLIT, $0-40
+TEXT ·logSumExp4AVX2(SB), NOSPLIT, $0-32
 	MOVQ z+8(FP), SI
 	MOVQ c+16(FP), CX
 	SHLQ $3, CX
@@ -365,40 +331,29 @@ sum:
 	VPCMPEQQ Y15, Y15, Y15
 	MOVQ     SI, DI
 	MOVQ     c+16(FP), AX
-	CMPB     fused+24(FP), $0
-	JNE      sumfused
 	PCALIGN  $32
 
-sumplain:
-	SUMSTEP(EXPPLAIN)
+sumstep:
+	SUMSTEP
 	ADDQ $8, DI
 	DECQ AX
-	JNE  sumplain
-	JMP  log
-	PCALIGN $32
+	JNE  sumstep
 
-sumfused:
-	SUMSTEP(EXPFUSED)
-	ADDQ $8, DI
-	DECQ AX
-	JNE  sumfused
-
-log:
-	// A sum that is not a positive normal number leaves archLog's main
-	// path; the lane is retaken.
-	VCMPPD $0x1d, expk<>+960(SB), Y13, Y2
-	VCMPPD $0x11, expk<>+992(SB), Y13, Y3
+	// A sum that is not a positive normal number leaves Log's main path;
+	// the lane is retaken.
+	VCMPPD $0x1d, expk<>+928(SB), Y13, Y2
+	VCMPPD $0x11, expk<>+960(SB), Y13, Y3
 	VANDPD Y3, Y2, Y2
 	VANDPD Y2, Y15, Y15
 
-	// archLog(s), its operations in its order: f1 and k from the bits, the
-	// √2/2 adjustment, then the two polynomials.
-	VANDPD  expk<>+864(SB), Y13, Y2
+	// Log(s), its operations in its order: f1 and k from the bits, the √2/2
+	// adjustment, then the two polynomials.
+	VANDPD  expk<>+832(SB), Y13, Y2
 	VORPD   expk<>+320(SB), Y2, Y2
 	VPSRLQ  $52, Y13, Y1
-	VPOR    expk<>+896(SB), Y1, Y1
-	VSUBPD  expk<>+928(SB), Y1, Y1
-	VCMPPD  $0x12, expk<>+544(SB), Y2, Y0
+	VPOR    expk<>+864(SB), Y1, Y1
+	VSUBPD  expk<>+896(SB), Y1, Y1
+	VCMPPD  $0x12, expk<>+512(SB), Y2, Y0
 	VANDPD  expk<>+352(SB), Y0, Y3
 	VSUBPD  Y3, Y1, Y1
 	VADDPD  expk<>+352(SB), Y3, Y3
@@ -408,28 +363,28 @@ log:
 	VDIVPD  Y0, Y2, Y3
 	VMULPD  Y3, Y3, Y4
 	VMULPD  Y4, Y4, Y5
-	VMULPD  expk<>+832(SB), Y5, Y6
-	VADDPD  expk<>+768(SB), Y6, Y6
-	VMULPD  Y5, Y6, Y6
-	VADDPD  expk<>+704(SB), Y6, Y6
-	VMULPD  Y5, Y6, Y6
-	VADDPD  expk<>+640(SB), Y6, Y6
-	VMULPD  Y6, Y4, Y4
 	VMULPD  expk<>+800(SB), Y5, Y6
 	VADDPD  expk<>+736(SB), Y6, Y6
 	VMULPD  Y5, Y6, Y6
 	VADDPD  expk<>+672(SB), Y6, Y6
+	VMULPD  Y5, Y6, Y6
+	VADDPD  expk<>+608(SB), Y6, Y6
+	VMULPD  Y6, Y4, Y4
+	VMULPD  expk<>+768(SB), Y5, Y6
+	VADDPD  expk<>+704(SB), Y6, Y6
+	VMULPD  Y5, Y6, Y6
+	VADDPD  expk<>+640(SB), Y6, Y6
 	VMULPD  Y6, Y5, Y5
 	VADDPD  Y5, Y4, Y4
 	VMULPD  expk<>+320(SB), Y2, Y0
 	VMULPD  Y2, Y0, Y0
 	VADDPD  Y0, Y4, Y4
 	VMULPD  Y4, Y3, Y3
-	VMULPD  expk<>+608(SB), Y1, Y4
+	VMULPD  expk<>+576(SB), Y1, Y4
 	VADDPD  Y4, Y3, Y3
 	VSUBPD  Y3, Y0, Y0
 	VSUBPD  Y2, Y0, Y0
-	VMULPD  expk<>+576(SB), Y1, Y1
+	VMULPD  expk<>+544(SB), Y1, Y1
 	VSUBPD  Y0, Y1, Y1
 
 	VADDPD    Y1, Y14, Y1
@@ -437,18 +392,17 @@ log:
 	VMOVUPD   Y1, (DI)
 	VMOVMSKPD Y15, AX
 	XORQ      $15, AX
-	MOVQ      AX, retake+32(FP)
+	MOVQ      AX, retake+24(FP)
 	VZEROUPPER
 	RET
 
 // SHIFTSTEP replaces the column at DI by exp(z_k − shift) when all four of
 // its lanes are on exp's fast path, and otherwise leaves it and the rest of
-// the block as they are and returns the columns done; exp is EXPPLAIN or
-// EXPFUSED.
-#define SHIFTSTEP(exp) \
+// the block as they are and returns the columns done.
+#define SHIFTSTEP \
 	LANES(DI); \
 	VSUBPD       Y14, Y0, Y0; \
-	exp; \
+	EXP; \
 	VMOVMSKPD    Y2, BX; \
 	CMPL         BX, $15; \
 	JNE          done; \
@@ -458,11 +412,11 @@ log:
 	VMOVSD       X1, (DI)(CX*2); \
 	VMOVHPD      X1, (DI)(DX*1)
 
-// func expShift4AVX2(z *float64, c int, shift *[4]float64, fused bool) (done int)
+// func expShift4AVX2(z *float64, c int, shift *[4]float64) (done int)
 //
 // Registers: DI the walk along the columns of the block z, CX a row in
 // bytes, DX three rows, AX the columns done, R8 c, Y14 the shifts.
-TEXT ·expShift4AVX2(SB), NOSPLIT, $0-40
+TEXT ·expShift4AVX2(SB), NOSPLIT, $0-32
 	MOVQ    z+0(FP), DI
 	MOVQ    c+8(FP), R8
 	MOVQ    R8, CX
@@ -471,28 +425,17 @@ TEXT ·expShift4AVX2(SB), NOSPLIT, $0-40
 	MOVQ    shift+16(FP), SI
 	VMOVUPD (SI), Y14
 	XORQ    AX, AX
-	CMPB    fused+24(FP), $0
-	JNE     shiftfused
 	PCALIGN $32
 
-shiftplain:
-	SHIFTSTEP(EXPPLAIN)
+shift:
+	SHIFTSTEP
 	ADDQ $8, DI
 	INCQ AX
 	CMPQ AX, R8
-	JLT  shiftplain
-	JMP  done
-	PCALIGN $32
-
-shiftfused:
-	SHIFTSTEP(EXPFUSED)
-	ADDQ $8, DI
-	INCQ AX
-	CMPQ AX, R8
-	JLT  shiftfused
+	JLT  shift
 
 done:
-	MOVQ AX, done+32(FP)
+	MOVQ AX, done+24(FP)
 	VZEROUPPER
 	RET
 
@@ -711,28 +654,20 @@ next:
 	VINSERTF64X4 $1, Y1, Z0, Z0
 
 // EXPHEAD8 is EXPHEAD on the eight lanes of Z0: it sets K2 to the lanes on
-// archExp's fast path, Z1 to float64(n) and Z4 to 2ⁿ, with the same
-// operations, the integer ones on n's eight int32s in Y4. Z3, Z5 and Z6 are
-// scratch.
+// Exp's fast path, Z1 to float64(n) and Z4 to 2ⁿ, with the same
+// operations, the integer ones on n's eight int32s in Y4.
 #define EXPHEAD8 \
-	VCMPPD.BCST  $0x12, expk<>+416(SB), Z0, K2; \
-	VCMPPD.BCST  $0x1e, expk<>+448(SB), Z0, K2, K2; \
 	VMULPD.BCST  expk<>+0(SB), Z0, Z1; \
+	VCMPPD.BCST  $0x1d, expk<>+416(SB), Z1, K2; \
+	VCMPPD.BCST  $0x11, expk<>+448(SB), Z1, K2, K2; \
 	VCVTPD2DQ    Z1, Y4; \
 	VCVTDQ2PD    Y4, Z1; \
 	VPADDD       expk<>+480(SB), Y4, Y4; \
-	VPXOR        Y5, Y5, Y5; \
-	VPCMPGTD     Y5, Y4, Y5; \
-	VMOVDQU      expk<>+512(SB), Y6; \
-	VPCMPGTD     Y4, Y6, Y6; \
-	VPAND        Y6, Y5, Y5; \
-	VPMOVSXDQ    Y5, Z5; \
-	VPTESTMQ     Z5, Z5, K2, K2; \
 	VPMOVSXDQ    Y4, Z4; \
 	VPSLLQ       $52, Z4, Z4
 
-// EXPPLAIN8 is EXPPLAIN on the eight lanes of Z0.
-#define EXPPLAIN8 \
+// EXP8 is EXP on the eight lanes of Z0.
+#define EXP8 \
 	EXPHEAD8; \
 	VMULPD.BCST expk<>+32(SB), Z1, Z3; \
 	VSUBPD      Z3, Z0, Z0; \
@@ -765,48 +700,22 @@ next:
 	VADDPD.BCST expk<>+352(SB), Z0, Z0; \
 	VMULPD      Z4, Z0, Z0
 
-// EXPFUSED8 is EXPFUSED on the eight lanes of Z0.
-#define EXPFUSED8 \
-	EXPHEAD8; \
-	VFNMADD231PD.BCST expk<>+32(SB), Z1, Z0; \
-	VFNMADD231PD.BCST expk<>+64(SB), Z1, Z0; \
-	VMULPD.BCST       expk<>+96(SB), Z0, Z0; \
-	VBROADCASTSD      expk<>+128(SB), Z1; \
-	VFMADD213PD.BCST  expk<>+160(SB), Z0, Z1; \
-	VFMADD213PD.BCST  expk<>+192(SB), Z0, Z1; \
-	VFMADD213PD.BCST  expk<>+224(SB), Z0, Z1; \
-	VFMADD213PD.BCST  expk<>+256(SB), Z0, Z1; \
-	VFMADD213PD.BCST  expk<>+288(SB), Z0, Z1; \
-	VFMADD213PD.BCST  expk<>+320(SB), Z0, Z1; \
-	VFMADD213PD.BCST  expk<>+352(SB), Z0, Z1; \
-	VMULPD            Z1, Z0, Z0; \
-	VADDPD.BCST       expk<>+384(SB), Z0, Z1; \
-	VMULPD            Z1, Z0, Z0; \
-	VADDPD.BCST       expk<>+384(SB), Z0, Z1; \
-	VMULPD            Z1, Z0, Z0; \
-	VADDPD.BCST       expk<>+384(SB), Z0, Z1; \
-	VMULPD            Z1, Z0, Z0; \
-	VADDPD.BCST       expk<>+384(SB), Z0, Z1; \
-	VFMADD213PD.BCST  expk<>+352(SB), Z1, Z0; \
-	VMULPD            Z4, Z0, Z0
-
 // SUMSTEP8 adds exp(z_k − m) of the column at DI and R8 to the sums in Z13
-// and clears in K7 the lanes off exp's fast path; exp is EXPPLAIN8 or
-// EXPFUSED8.
-#define SUMSTEP8(exp) \
+// and clears in K7 the lanes off exp's fast path.
+#define SUMSTEP8 \
 	LANES8(DI, R8); \
 	VSUBPD Z14, Z0, Z0; \
-	exp; \
+	EXP8; \
 	KANDW  K2, K7, K7; \
 	VADDPD Z0, Z13, Z13
 
-// func logSumExp8AVX512(lse *[8]float64, z *float64, c int, fused bool) (retake int)
+// func logSumExp8AVX512(lse *[8]float64, z *float64, c int) (retake int)
 //
 // Registers: DI and R8 the walk along the columns of rows 0 and 4 of the
 // block z (eight rows of c), CX a row in bytes, DX three rows, AX the
 // columns left, Z14 the row maxima, Z13 the sums, K7 the lanes whose every
 // exp, and whose sum, stayed on the fast path.
-TEXT ·logSumExp8AVX512(SB), NOSPLIT, $0-40
+TEXT ·logSumExp8AVX512(SB), NOSPLIT, $0-32
 	MOVQ z+8(FP), DI
 	MOVQ c+16(FP), CX
 	SHLQ $3, CX
@@ -835,38 +744,26 @@ sum:
 	MOVQ   z+8(FP), DI
 	LEAQ   (DI)(CX*4), R8
 	MOVQ   c+16(FP), AX
-	CMPB   fused+24(FP), $0
-	JNE    sumfused
 	PCALIGN $32
 
-sumplain:
-	SUMSTEP8(EXPPLAIN8)
+sumstep:
+	SUMSTEP8
 	ADDQ $8, DI
 	ADDQ $8, R8
 	DECQ AX
-	JNE  sumplain
-	JMP  log
-	PCALIGN $32
+	JNE  sumstep
 
-sumfused:
-	SUMSTEP8(EXPFUSED8)
-	ADDQ $8, DI
-	ADDQ $8, R8
-	DECQ AX
-	JNE  sumfused
-
-log:
 	// A sum that is not a positive normal number is retaken, as in
-	// logSumExp4AVX2; then archLog(s) on the eight lanes, the same
+	// logSumExp4AVX2; then Log(s) on the eight lanes, the same
 	// operations in the same order.
-	VCMPPD.BCST  $0x1d, expk<>+960(SB), Z13, K7, K7
-	VCMPPD.BCST  $0x11, expk<>+992(SB), Z13, K7, K7
-	VPANDQ.BCST  expk<>+864(SB), Z13, Z2
+	VCMPPD.BCST  $0x1d, expk<>+928(SB), Z13, K7, K7
+	VCMPPD.BCST  $0x11, expk<>+960(SB), Z13, K7, K7
+	VPANDQ.BCST  expk<>+832(SB), Z13, Z2
 	VPORQ.BCST   expk<>+320(SB), Z2, Z2
 	VPSRLQ       $52, Z13, Z1
-	VPORQ.BCST   expk<>+896(SB), Z1, Z1
-	VSUBPD.BCST  expk<>+928(SB), Z1, Z1
-	VCMPPD.BCST  $0x12, expk<>+544(SB), Z2, K3
+	VPORQ.BCST   expk<>+864(SB), Z1, Z1
+	VSUBPD.BCST  expk<>+896(SB), Z1, Z1
+	VCMPPD.BCST  $0x12, expk<>+512(SB), Z2, K3
 	VPXORQ       Z3, Z3, Z3
 	VBROADCASTSD expk<>+352(SB), K3, Z3
 	VSUBPD       Z3, Z1, Z1
@@ -877,28 +774,28 @@ log:
 	VDIVPD       Z0, Z2, Z3
 	VMULPD       Z3, Z3, Z4
 	VMULPD       Z4, Z4, Z5
-	VMULPD.BCST  expk<>+832(SB), Z5, Z6
-	VADDPD.BCST  expk<>+768(SB), Z6, Z6
-	VMULPD       Z5, Z6, Z6
-	VADDPD.BCST  expk<>+704(SB), Z6, Z6
-	VMULPD       Z5, Z6, Z6
-	VADDPD.BCST  expk<>+640(SB), Z6, Z6
-	VMULPD       Z6, Z4, Z4
 	VMULPD.BCST  expk<>+800(SB), Z5, Z6
 	VADDPD.BCST  expk<>+736(SB), Z6, Z6
 	VMULPD       Z5, Z6, Z6
 	VADDPD.BCST  expk<>+672(SB), Z6, Z6
+	VMULPD       Z5, Z6, Z6
+	VADDPD.BCST  expk<>+608(SB), Z6, Z6
+	VMULPD       Z6, Z4, Z4
+	VMULPD.BCST  expk<>+768(SB), Z5, Z6
+	VADDPD.BCST  expk<>+704(SB), Z6, Z6
+	VMULPD       Z5, Z6, Z6
+	VADDPD.BCST  expk<>+640(SB), Z6, Z6
 	VMULPD       Z6, Z5, Z5
 	VADDPD       Z5, Z4, Z4
 	VMULPD.BCST  expk<>+320(SB), Z2, Z0
 	VMULPD       Z2, Z0, Z0
 	VADDPD       Z0, Z4, Z4
 	VMULPD       Z4, Z3, Z3
-	VMULPD.BCST  expk<>+608(SB), Z1, Z4
+	VMULPD.BCST  expk<>+576(SB), Z1, Z4
 	VADDPD       Z4, Z3, Z3
 	VSUBPD       Z3, Z0, Z0
 	VSUBPD       Z2, Z0, Z0
-	VMULPD.BCST  expk<>+576(SB), Z1, Z1
+	VMULPD.BCST  expk<>+544(SB), Z1, Z1
 	VSUBPD       Z0, Z1, Z1
 
 	VADDPD  Z1, Z14, Z1
@@ -907,29 +804,6 @@ log:
 	KMOVW   K7, AX
 	NOTQ    AX
 	ANDQ    $0xff, AX
-	MOVQ    AX, retake+32(FP)
-	VZEROUPPER
-	RET
-
-// func exp8AVX512(z *[8]float64, fused bool) (fast int)
-//
-// exp8AVX512 replaces the eight values of z by their exp in LogSumExp8's
-// sequence and returns the lanes on archExp's fast path as a bit mask, lane
-// r at bit r: the eight-lane kernel's exp, on its own for the calibration.
-TEXT ·exp8AVX512(SB), NOSPLIT, $0-24
-	MOVQ    z+0(FP), DI
-	VMOVUPD (DI), Z0
-	CMPB    fused+8(FP), $0
-	JNE     fused
-	EXPPLAIN8
-	JMP     done
-
-fused:
-	EXPFUSED8
-
-done:
-	VMOVUPD Z0, (DI)
-	KMOVW   K2, AX
-	MOVQ    AX, fast+16(FP)
+	MOVQ    AX, retake+24(FP)
 	VZEROUPPER
 	RET

@@ -6,16 +6,14 @@ func dot4xNAVX2(z, x, w *float64, n, c int) bool { panic("tensor: no AVX2 tile o
 
 func dot8xNAVX512(z, x, w *float64, n, c int) bool { panic("tensor: no AVX-512 tile on this GOARCH") }
 
-func logSumExp4AVX2(lse *[4]float64, z *float64, c int, fused bool) int {
+func logSumExp4AVX2(lse *[4]float64, z *float64, c int) int {
 	panic("tensor: no AVX2 log-sum-exp on this GOARCH")
 }
 
-func logSumExp8AVX512(lse *[8]float64, z *float64, c int, fused bool) int {
+func logSumExp8AVX512(lse *[8]float64, z *float64, c int) int {
 	panic("tensor: no AVX-512 log-sum-exp on this GOARCH")
 }
 
-func exp8AVX512(z *[8]float64, fused bool) int { panic("tensor: no AVX-512 exp on this GOARCH") }
-
-func expShift4AVX2(z *float64, c int, shift *[4]float64, fused bool) int {
+func expShift4AVX2(z *float64, c int, shift *[4]float64) int {
 	panic("tensor: no AVX2 exp on this GOARCH")
 }

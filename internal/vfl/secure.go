@@ -115,7 +115,7 @@ func specFor(kind ModelKind) residualSpec {
 		}
 	}
 	return residualSpec{
-		p1Res:   func(u1, y float64) float64 { return 0.25*u1 - 0.5*(2*y-1) },
+		p1Res:   func(u1, y float64) float64 { return float64(0.25*u1) - float64(0.5*(float64(2*y)-1)) },
 		u2Coeff: 0.25,
 		scale:   func(m int) float64 { return 1 / float64(m) },
 	}
@@ -229,7 +229,7 @@ func RunSecureN(prob *Problem, cfg SecureConfig) (*SecureNResult, error) {
 		// G_t = α·∇loss and reports the scalar to the third party.
 		phis := make([]float64, len(parties))
 		for i := range parties {
-			phis[i] = cfg.LR * tensor.Dot(vals[i], grads[i])
+			phis[i] = float64(cfg.LR * tensor.Dot(vals[i], grads[i]))
 			res.Shapley[i] += phis[i]
 		}
 		res.PerEpoch = append(res.PerEpoch, phis)
@@ -330,7 +330,7 @@ func secureGradientN(sk *paillier.PrivateKey, parties []*secureParty, tab *paill
 				cols[j*m+i] = k
 				k1 += math.Abs(k)
 			}
-			sumBound[j] = dBound*k1 + math.Abs(masks[j])
+			sumBound[j] = float64(dBound*k1) + math.Abs(masks[j])
 		}
 		if err := checkEncodable(pk, "scaled feature", 1, cols); err != nil {
 			return nil, 0, err

@@ -37,7 +37,7 @@ func TestSecureNMatchesPlaintext(t *testing.T) {
 		for i, b := range prob.Blocks {
 			var want float64
 			for j := b.Lo; j < b.Hi; j++ {
-				want += ep.ValGrad[j] * ep.Grad[j]
+				want += float64(ep.ValGrad[j] * ep.Grad[j])
 			}
 			if got := sec.PerEpoch[ti][i]; math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {
 				t.Fatalf("epoch %d party %d: secure φ %v vs plaintext %v", ti+1, i, got, want)

@@ -40,7 +40,7 @@ func TestSecureMatchesPlaintext(t *testing.T) {
 		for i, b := range prob.Blocks {
 			var want float64
 			for j := b.Lo; j < b.Hi; j++ {
-				want += ep.ValGrad[j] * ep.Grad[j]
+				want += float64(ep.ValGrad[j] * ep.Grad[j])
 			}
 			if got := sec.PerEpoch[ti][i]; math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {
 				t.Fatalf("epoch %d party %d: secure φ %v vs plaintext %v", ti+1, i, got, want)
@@ -113,7 +113,7 @@ func twoPartyLogRegProblem(seed int64, rows, d int) *Problem {
 func taylorLogGrad(x *tensor.Matrix, y, theta []float64) []float64 {
 	z := tensor.MatVec(x, theta)
 	for i := range z {
-		z[i] = 0.25*z[i] - 0.5*(2*y[i]-1)
+		z[i] = float64(0.25*z[i]) - float64(0.5*(float64(2*y[i])-1))
 	}
 	g := tensor.MatTVec(x, z)
 	tensor.Scale(1/float64(x.Rows), g)
@@ -164,7 +164,7 @@ func TestSecureLogRegLearns(t *testing.T) {
 		for i, b := range prob.Blocks {
 			var want float64
 			for j := b.Lo; j < b.Hi; j++ {
-				want += v[j] * lr * g[j]
+				want += float64(v[j] * lr * g[j])
 			}
 			if got := sec.PerEpoch[e][i]; math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {
 				t.Fatalf("epoch %d party %d: secure φ %v vs plaintext %v", e+1, i, got, want)

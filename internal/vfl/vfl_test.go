@@ -139,7 +139,7 @@ func TestReweighterScalesUpdate(t *testing.T) {
 	a := plain.Run().Model.Params()
 	b := weighted.Run().Model.Params()
 	for j := range a {
-		if math.Abs(b[j]-a[j]/2) > 1e-12 {
+		if math.Abs(b[j]-float64(a[j]/2)) > 1e-12 {
 			t.Fatal("half weights must halve the first update")
 		}
 	}
