@@ -29,8 +29,10 @@ loc:
 # verify is the full pre-submit recipe referenced by README.md: vet every
 # package, check the formatting, exercise every concurrent path under the
 # race detector, and run every test again under GODEBUG=cpu.fma=off — where
-# amd64's math.Exp takes its other sequence — against the same pins: no bit
-# the repository computes may follow the host's FMA.
+# amd64's math.Exp takes its other sequence and math.FMA runs in software —
+# and as GOARCH=386 compiles it — a 32-bit int, portable math, software
+# math.FMA and another compiler backend — against the same pins: no bit the
+# repository computes may follow the host's FMA or GOARCH.
 # Note: the -race run takes several minutes on small machines; scope it to
 # touched packages while iterating ($(GO) test -race ./internal/<pkg>/).
 verify:
@@ -39,6 +41,8 @@ verify:
 	$(MAKE) verify-runs
 	$(GO) test -race ./...
 	GODEBUG=cpu.fma=off $(GO) test -count=1 ./...
+	GOARCH=386 $(GO) vet ./...
+	GOARCH=386 $(GO) test -count=1 ./...
 	$(MAKE) verify-faults
 	$(MAKE) verify-net
 	$(MAKE) verify-adv
@@ -57,42 +61,45 @@ verify:
 # checks every alternative of each regex against the tests, fuzz targets,
 # benchmarks and examples `go test -list` finds in that gate's packages: an
 # alternative that names nothing runs nothing, and passes silently.
-FAULTS_RUN = Fault|Crash|Dropout|Retr|Survivor|Checkpoint|Resume|Backoff
+FAULTS_RUN = .*Fault.*|.*Crash.*|.*Dropout.*|.*Retr.*|.*Survivor.*|.*Checkpoint.*|.*Resume.*|.*Backoff.*
 FAULTS_PKGS = ./internal/faults/ ./internal/hfl/ ./internal/vfl/ ./internal/logio/ ./internal/robust/ ./internal/experiments/
-NET_RUN = Loopback|LocalSource|Straggler|Retry|Cancel|Wire|Score|Composition|ModeOnly
+NET_RUN = .*Loopback.*|.*LocalSource.*|.*Straggler.*|.*Retry.*|.*Cancel.*|.*Wire.*|.*Score.*|.*Composition.*|.*ModeOnly.*
 NET_PKGS = ./internal/fednet/
-SCALE_RUN = Sample|Sampled|Cohort|Stream|MeanFold|Scale100k|Retain|Reclaim|TotalsOnly|LongPoll|RoundCloses|Lookahead
+SCALE_RUN = .*Sample.*|.*Sampled.*|.*Cohort.*|.*Stream.*|.*MeanFold.*|.*Scale100k.*|.*Retain.*|.*Reclaim.*|.*TotalsOnly.*|.*LongPoll.*|.*RoundCloses.*|.*Lookahead.*
 SCALE_PKGS = ./internal/sampling/ ./internal/hfl/ ./internal/core/ ./internal/fednet/ ./internal/vfl/
-WIRE_RUN = Codec|Frame|BenchDriverRequestShapes|Pool|SizeClass|WireCodec|WireDeterministic|FiniteVec|DotAdd|HandlerAllocs|ReplyBytes|RoundQuery|InstanceHeader|ArchiveFlippedByte|ArchiveTornTail|FuzzReadHFL|WrittenFormat|NonFiniteBits|NilVersusEmpty|LogioImportsNoJSON
-WIRE_PKGS = ./internal/fednet/ ./internal/tensor/ ./internal/experiments/ ./internal/logio/
-ASYNC_RUN = Async|PolyWeight|Stale|Buffered|FedProx
+WIRE_RUN = .*Codec.*|.*Frame.*|.*BenchDriverRequestShapes.*|.*Pool.*|.*SizeClass.*|.*WireCodec.*|.*WireDeterministic.*|.*FiniteVec.*|.*DotAdd.*|.*HandlerAllocs.*|.*ReplyBytes.*|.*RoundQuery.*|.*InstanceHeader.*|.*ArchiveFlippedByte.*|.*ArchiveTornTail.*|FuzzReadHFL|.*WrittenFormat.*|.*NonFiniteBits.*|.*NilVersusEmpty.*|.*LogioImportsNoJSON.*|TestNextLengthBounds|TestNextTorn|TestU32
+WIRE_PKGS = ./internal/fednet/ ./internal/tensor/ ./internal/experiments/ ./internal/logio/ ./internal/framing/
+ASYNC_RUN = .*Async.*|.*PolyWeight.*|.*Stale.*|.*Buffered.*|.*FedProx.*
 ASYNC_PKGS = ./internal/hfl/ ./internal/fednet/ ./internal/experiments/ ./internal/robust/
-SECURE_RUN = Secure|Encrypt|Decrypt|DotPlain|AddPlain|MaskedGradient|FixedBase|CRT|MulMod|DecryptVec
+SECURE_RUN = .*Secure.*|.*Encrypt.*|.*Decrypt.*|.*DotPlain.*|.*AddPlain.*|.*MaskedGradient.*|.*FixedBase.*|.*CRT.*|.*MulMod.*|.*DecryptVec.*
 SECURE_PKGS = ./internal/paillier/ ./internal/vfl/
-ENGINES_RUN = Engine|Truncation|Reported|AllDropped|Sampler|Golden|MRMatchesExact|Kendall|Volatility|RunWrappers
+ENGINES_RUN = .*Engine.*|.*Truncation.*|.*Reported.*|.*AllDropped.*|.*Sampler.*|.*Golden.*|.*MRMatchesExact.*|.*Kendall.*|.*Volatility.*|.*RunWrappers.*
 ENGINES_PKGS = ./internal/shapley/ ./internal/baselines/ ./internal/experiments/ ./internal/fednet/ ./internal/metrics/ ./internal/hfl/ ./internal/vfl/
-CRASH_RUN = WAL|Recover|Chaos|DomainsUnique
+CRASH_RUN = .*WAL.*|.*Recover.*|.*Chaos.*|.*DomainsUnique.*
 CRASH_PKGS = ./internal/fednet/ ./internal/experiments/ ./internal/faults/
-ADV_RUN = Adversar|Tamper|Quarantine|Reweight|PluginShape|Screen|Krum|NormBound|Mutate|Poison|Fires|NonFinite|Reject|AXPY4|AXPYRows|DotRows|DotAdd4|MatTVec|RowKernels|RoundSums
+ADV_RUN = .*Adversar.*|.*Tamper.*|.*Quarantine.*|.*Reweight.*|.*PluginShape.*|.*Screen.*|.*Krum.*|.*NormBound.*|.*Mutate.*|.*Poison.*|.*Fires.*|.*NonFinite.*|.*Reject.*|.*AXPY4.*|.*AXPYRows.*|.*DotRows.*|.*DotAdd4.*|.*MatTVec.*|.*RowKernels.*|.*RoundSums.*
 ADV_PKGS = ./internal/adversary/ ./internal/robust/ ./internal/core/ ./internal/hfl/ ./internal/vfl/ ./internal/fednet/ ./internal/experiments/ ./internal/tensor/
-REWEIGHT_RUN = TestReweighted|TestBannedAtCloseAddsNothing|TestStreamedReweight|TestStreamedQuarantine|TestCompositionStreamedIsOnePredicate|TestAdversarialEfficacyGate
+REWEIGHT_RUN = TestReweighted.*|TestBannedAtCloseAddsNothing|TestStreamedReweight.*|TestStreamedQuarantine.*|TestCompositionStreamedIsOnePredicate|TestAdversarialEfficacyGate
 REWEIGHT_PKGS = ./internal/hfl/ ./internal/robust/ ./internal/fednet/ ./internal/experiments/
 HVP_RUN = TestHVPMatchesExplicitHessian|TestHVPMatchesFDOracle|TestHVPSymmetric|TestHVPSharedModelReadOnly|TestSoftmaxHVPAllocs|TestClassLabelsChecked|TestProvidersUseExactHVP|TestLocalHVPConcurrentUse
 HVP_PKGS = ./internal/nn/ ./internal/core/
-KERNELS_RUN = TestDot4xNMatchesDot|FuzzDot4xN|TestDot4xNShapeMismatchPanics|TestDot8xNMatchesDot|FuzzDot8xN|TestDot8xNShapeMismatchPanics|TestLogSumExp4MatchesScalar|TestLogSumExp8MatchesScalar|FuzzLogSumExp8|TestLogSumExp8ShapeMismatchPanics|TestExpShift4Overflow|TestExpTableMatchesMathExp|TestLogTableMatchesMathLog|FuzzLogSumExp4|TestLogSumExp4ShapeMismatchPanics|TestExpMatchesMathExp|TestLogMatchesMathLog|TestLogSubnormal|TestLog1pMatchesMathLog1p|TestTanhMatchesMathTanh|FuzzExp|FuzzLog|TestOneExpSource|TestLogSumExpMatchesExpOfZero|TestSoftmaxTilePathsSameBits|TestSoftmaxHVPAllocs|TestLossScratchStaysOffTheHeap|TestModelsMatchTermByTerm
+KERNELS_RUN = TestDot4xNMatchesDot|FuzzDot4xN|TestDot4xNShapeMismatchPanics|TestDot8xNMatchesDot|FuzzDot8xN|TestDot8xNShapeMismatchPanics|TestLogSumExp4MatchesScalar|TestLogSumExp8MatchesScalar|FuzzLogSumExp8|TestLogSumExp8ShapeMismatchPanics|TestExpShift4Overflow|TestExpShift8Overflow|TestExpTableMatchesMathExp|TestLogTableMatchesMathLog|FuzzLogSumExp4|TestLogSumExp4ShapeMismatchPanics|TestExpMatchesMathExp|TestExpNearOverflow|TestSpecialInputsTable|TestLogMatchesMathLog|TestLogSubnormal|TestLog1pMatchesMathLog1p|TestTanhMatchesMathTanh|FuzzExp|FuzzLog|TestOneExpSource|TestLogSumExpMatchesExpOfZero|TestSoftmaxTilePathsSameBits|TestSoftmaxHVPAllocs|TestLossScratchStaysOffTheHeap|TestModelsMatchTermByTerm
 KERNELS_PKGS = ./internal/tensor/ ./internal/nn/
 RUN_GATES = FAULTS NET SCALE WIRE ASYNC SECURE ENGINES CRASH ADV REWEIGHT HVP KERNELS
 
 # check_runs is the shell that fails when an alternative of the -run regex
-# $(1) names nothing in packages $(2).
-check_runs = names=$$($(GO) test -list . $(2) | grep -E '^(Test|Fuzz|Benchmark|Example)') || exit 1; \
+# $(1) matches no whole test name in packages $(2): an alternative meant to
+# match a family of tests says so with .*, and one naming a test that is
+# gone fails even where another test's name contains it (FuzzLog and
+# FuzzLogSumExp4).
+check_runs = set -f; names=$$($(GO) test -list . $(2) | grep -E '^(Test|Fuzz|Benchmark|Example)') || exit 1; \
 	for alt in $$(echo '$(1)' | tr '|' ' '); do \
-		echo "$$names" | grep -qE -- "$$alt" || { echo "verify-runs: -run alternative '$$alt' names nothing in $(2)"; exit 1; }; \
+		echo "$$names" | grep -qE -- "^($$alt)$$" || { echo "verify-runs: -run alternative '$$alt' matches no whole test name in $(2)"; exit 1; }; \
 	done;
 
 verify-runs:
 	@$(foreach g,$(RUN_GATES),$(call check_runs,$($(g)_RUN),$($(g)_PKGS)))
-	@echo "verify-runs: every -run alternative names a test"
+	@echo "verify-runs: every -run alternative matches a whole test name"
 
 # verify-fmt fails when gofmt would reformat any Go file, the benchmark's
 # (bench/, only read) included.
@@ -343,31 +350,57 @@ verify-hvp:
 	$(GO) test -race -count=1 -run '$(HVP_RUN)' $(HVP_PKGS)
 
 # verify-kernels runs the gate of the repository's assembly kernels, all
-# under the softmax model: tensor.Dot8xN and Dot4xN, its logit blocks, and
-# LogSumExp8, LogSumExp4 and ExpShift4, its normaliser and softmax, on three
-# paths — the AVX-512F kernels (eight rows), the AVX2 ones (four rows) and
-# the portable loops, forced by the tests themselves. Every path is held bit
-# for bit to Dot (lengths 0–70, 1–12 classes for four rows and 1–17 for
-# eight, ±0, subnormals, ±Inf, Inf−Inf, NaN payloads) and to LogSumExp and
-# tensor.Exp (1–17 classes; ±0, subnormal and underflowing exps, ±Inf,
-# Inf−Inf, NaN payloads; exp over [−746, 0] and log over [1, 64]); the
-# softmax Loss, Grad, HVP and Predict give the same bits on every path for
-# 1–17 rows (0 and 1 allocations) — under the race detector. tensor's own
-# Exp, Log, Log1p and Tanh are held to math's: Log and Log1p bit for bit on
-# amd64, Exp and Tanh bit for bit where math.Exp runs the plain sequence and
-# within two ulps elsewhere, subnormal logs scaled first, and no file but
-# theirs calls math's (TestOneExpSource). Then 5 s fuzz passes of each
-# kernel and of Exp and Log; go vet (asmdecl) on amd64 and of the portable
-# build for arm64 and 386; and no fused multiply-add in any function of the
-# module — every package and its tests, digfl-bench's and the experiments,
-# fednet, shapley and hfl test binaries' code among them, read from the
-# compiled packages (go list -export) — as arm64, ppc64le, riscv64 and s390x
-# compile them, which their float64(x*y) roundings forbid. FUSED_OPS is a
-# fused multiply-add or -subtract as go tool objdump prints it: FMADDD on
-# arm64 and riscv64, FMADD on ppc64le, MADBR or WFMADB on s390x. -count=1
-# defeats the test cache.
+# under the softmax model: tensor.Dot8xN and Dot4xN, its logit blocks with
+# their biases, and LogSumExp8, LogSumExp4, ExpShift8 and ExpShift4, its
+# normaliser and softmax, every block class-major, on three paths — the
+# AVX-512F kernels (eight rows), the AVX2+FMA3 ones (four rows) and the
+# portable loops, forced by the tests themselves. Every path is held bit for
+# bit to Dot plus the bias (lengths 0–70, 1–12 classes for four rows and
+# 1–17 for eight, ±0, subnormals, ±Inf, Inf−Inf, NaN payloads, in the
+# operands and the biases) and to LogSumExp and tensor.Exp (1–17 classes;
+# ±0, subnormal and underflowing exps, ±Inf, Inf−Inf, NaN payloads; exp over
+# [−746, 709.75] on four lanes and eight, log over [1, 64]); the softmax
+# Loss, Grad, HVP and Predict give the same bits on every path for 1–17 rows
+# (0 and 1 allocations) — under the race detector. tensor's own Exp, Log,
+# Log1p and Tanh are held to math's on finite arguments (Log's and Log1p's
+# in their domain): Log and Log1p bit for bit on amd64, Exp and Tanh bit for
+# bit where math.Exp runs the FMA sequence and within two ulps elsewhere,
+# subnormal logs scaled first; Exp within an ulp of eˣ where math.Exp
+# overflows early; NaNs, ±0, ±Inf and out-of-domain arguments against a
+# table of the documented results; and no file but theirs calls math's
+# (TestOneExpSource). Then 5 s fuzz passes of each kernel and of Exp and
+# Log; go vet (asmdecl) on amd64 and of the portable build for arm64 and
+# 386; and no fused multiply-add in any function of the module but the
+# math.FMA calls of its source — every package and its tests,
+# digfl-bench's and the experiments, fednet, shapley and hfl test binaries'
+# code among them, read from the compiled packages (go list -export) — as
+# arm64, ppc64le, riscv64 and s390x compile them: each compiled copy of a
+# function has exactly as many as its source has math.FMA calls (FMA_CALLS;
+# tensor.Exp's ten), and every other function none, which the float64(x*y)
+# roundings forbid. FUSED_OPS is a fused multiply-add or -subtract as go
+# tool objdump prints it: FMADDD on arm64 and riscv64, FMADD on ppc64le,
+# MADBR or WFMADB on s390x. -count=1 defeats the test cache.
 FUSED_OPS = [[:space:]](FN?M(ADD|SUB)[DS]?|M[AS][DE]BR?|[VW]FN?M[AS][DS]B)[[:space:]]
 FUSED_ARCHES = arm64 ppc64le riscv64 s390x
+# FMA_CALLS prints "digfl/<package>.<function> <n>" for every function
+# (methods are not named so, and fail the scan) whose source, comments
+# aside, calls math.FMA n times.
+FMA_CALLS = find . -name '*.go' -not -path './bench/*' -not -path './.bench_build/*' | while read -r f; do \
+		d=$$(dirname "$$f"); \
+		awk -v pkg="digfl$${d\#.}" '{ sub(/\/\/.*/, "") } \
+			/^func / { fn = $$0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[[(].*/, "", fn) } \
+			{ n = gsub(/math\.FMA\(/, "&"); if (n) c[fn] += n } \
+			END { for (f in c) print pkg "." f, c[f] }' "$$f"; \
+	done
+# FUSED_SCAN reads the allowed counts, then go tool objdump's listing, and
+# prints each function copy whose fused multiply-adds are not its allowed
+# count, then "functions fused-multiply-adds mismatches".
+FUSED_SCAN = awk -v re='$(FUSED_OPS)' ' \
+	function check() { if (fn != "" && n != allow[fn] + 0) { print fn ": " n " fused multiply-adds, " allow[fn] + 0 " math.FMA calls"; bad++ } } \
+	NR == FNR { allow[$$1] = $$2; next } \
+	/^TEXT / { check(); fn = $$2; sub(/\(SB\)$$/, "", fn); n = 0; syms++; next } \
+	$$0 ~ re { n++; fused++ } \
+	END { check(); print syms + 0, fused + 0, bad + 0 }'
 verify-kernels:
 	$(GO) vet ./internal/tensor/ ./internal/nn/
 	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/nn/
@@ -380,15 +413,17 @@ verify-kernels:
 	$(GO) test -count=1 -run '^$$' -fuzz '^FuzzExp$$' -fuzztime 5s ./internal/tensor/
 	$(GO) test -count=1 -run '^$$' -fuzz '^FuzzLog$$' -fuzztime 5s ./internal/tensor/
 	@dir=$$(mktemp -d) && trap 'rm -rf '"$$dir" EXIT && \
+	{ $(FMA_CALLS); } > $$dir/allow || exit 1; \
 	for arch in $(FUSED_ARCHES); do \
 		pkgs=$$(GOARCH=$$arch $(GO) list -export -test -f '{{if .Export}}{{.Export}}{{end}}' ./...) || exit 1; \
 		for a in $$pkgs; do $(GO) tool objdump -s '^digfl' $$a || exit 1; done > $$dir/dis || exit 1; \
-		syms=$$(grep -c '^TEXT digfl' $$dir/dis); fused=$$(grep -cE '$(FUSED_OPS)' $$dir/dis); \
-		if [ "$$syms" -lt 1000 ] || [ "$$fused" -ne 0 ]; then \
-			echo "verify-kernels: $$arch: $$syms functions, $$fused fused multiply-adds (want ≥ 1000, 0)"; \
-			grep -E '$(FUSED_OPS)' $$dir/dis | head; exit 1; \
+		$(FUSED_SCAN) $$dir/allow $$dir/dis > $$dir/scan || exit 1; \
+		set -- $$(tail -n 1 $$dir/scan); syms=$$1; fused=$$2; bad=$$3; \
+		if [ "$$syms" -lt 1000 ] || [ "$$fused" -eq 0 ] || [ "$$bad" -ne 0 ]; then \
+			echo "verify-kernels: $$arch: $$syms functions, $$fused fused multiply-adds, $$bad functions off their math.FMA count (want ≥ 1000, > 0, 0)"; \
+			head -n -1 $$dir/scan | head; exit 1; \
 		fi; \
-		echo "verify-kernels: $$arch: $$syms functions, tests included, no fused multiply-add"; \
+		echo "verify-kernels: $$arch: $$syms functions, tests included; $$fused fused multiply-adds, each a math.FMA call of the source ($$(tr '\n' ' ' < $$dir/allow))"; \
 	done
 
 # verify-reweight runs the gate of the quarantine as a fold admission, under

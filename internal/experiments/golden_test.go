@@ -22,10 +22,10 @@ import (
 // order (sum, then one scale by 1/Σ r), and again when the reweighted
 // aggregate took its canonical form (weights w_k = ∇loss^v·δ_k without φ̂'s
 // 1/|S|, held slots summed last; |S| = 10 is not a power of two): their
-// losses and φ moved in the last digits. They moved again, by an ulp here
-// and there, when every exp became tensor.Exp: the values are what the
-// previous code printed under GODEBUG=cpu.fma=off, where math.Exp ran the
-// sequence tensor.Exp now runs on every host.
+// losses and φ moved in the last digits. They moved by an ulp here and
+// there when every exp became tensor.Exp on amd64's plain sequence, and
+// back when tensor.Exp took the FMA sequence with math.FMA: they are the
+// literals of commit fdf370f, which math.Exp's FMA sequence printed.
 
 // checkGoldenRows compares a study's rows, formatted by its test, with
 // their golden.
@@ -89,23 +89,23 @@ var goldenAdversarial = []advResult{
 		cleanLoss: 0.1563669388837278, undefendedLoss: 4.57342267680852, defendedLoss: 0.15954558164041213,
 		undefendedRatio: 29.24801565764008, defendedRatio: 1.0203280999127822,
 		attacksInjected: 15, updatesRejected: 0, updatesClipped: 0, quarantined: []int{0, 1, 2},
-		totals:     []float64{-0.8148930671563247, -0.7808494116223303, -0.7934520209033494, 0.2920949720533604, 0.26604413194032644, 0.253411156118902, 0.2771850097388755, 0.26435887352342435, 0.2510303218151943, 0.2416308631383591},
+		totals:     []float64{-0.8148930671563247, -0.7808494116223303, -0.7934520209033493, 0.2920949720533604, 0.26604413194032644, 0.253411156118902, 0.27718500973887544, 0.26435887352342435, 0.2510303218151943, 0.24163086313835905},
 		rankedLast: true, bitIdenticalNoAttack: true,
 	},
 	{
 		epochs: 5, attackers: []int{0, 1, 2},
-		cleanLoss: 0.14825828784494197, undefendedLoss: 4.523117657416474, defendedLoss: 0.15650734082919596,
-		undefendedRatio: 30.50836296010002, defendedRatio: 1.0556397426691004,
+		cleanLoss: 0.14825828784494197, undefendedLoss: 4.523117657416474, defendedLoss: 0.156507340829196,
+		undefendedRatio: 30.50836296010002, defendedRatio: 1.0556397426691009,
 		attacksInjected: 15, updatesRejected: 0, updatesClipped: 0, quarantined: []int{0, 1, 2},
-		totals:     []float64{-0.7978168756031596, -0.8651599762519594, -0.82446606177331, 0.3009016224379665, 0.23578172290914198, 0.2634844498864919, 0.2723790923229329, 0.23590925225079137, 0.2709979411861725, 0.3001293285652631},
+		totals:     []float64{-0.7978168756031597, -0.8651599762519594, -0.82446606177331, 0.3009016224379665, 0.23578172290914198, 0.2634844498864919, 0.2723790923229329, 0.2359092522507914, 0.2709979411861725, 0.3001293285652631},
 		rankedLast: true, bitIdenticalNoAttack: true,
 	},
 	{
 		epochs: 5, attackers: []int{0, 1, 2},
-		cleanLoss: 0.12503335116368772, undefendedLoss: 4.872334330903086, defendedLoss: 0.12993013116169888,
-		undefendedRatio: 38.968277547999634, defendedRatio: 1.0391637907201299,
+		cleanLoss: 0.12503335116368772, undefendedLoss: 4.872334330903086, defendedLoss: 0.12993013116169885,
+		undefendedRatio: 38.968277547999634, defendedRatio: 1.0391637907201297,
 		attacksInjected: 15, updatesRejected: 0, updatesClipped: 1, quarantined: []int{0, 1, 2},
-		totals:     []float64{-0.9385443901975226, -0.7576554041340251, -0.8438126018713492, 0.2733009937309209, 0.3145543191683715, 0.24522271602095164, 0.2742116846712355, 0.24179810221842193, 0.2588670508499268, 0.2738279350388465},
+		totals:     []float64{-0.9385443901975226, -0.7576554041340251, -0.8438126018713493, 0.2733009937309209, 0.3145543191683715, 0.24522271602095164, 0.2742116846712355, 0.24179810221842196, 0.2588670508499268, 0.2738279350388465},
 		rankedLast: true, bitIdenticalNoAttack: true,
 	},
 }

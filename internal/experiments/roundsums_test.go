@@ -28,9 +28,10 @@ import (
 // the fold's order — Σ r_k·δ_k from zero, then one scale by 1/Σ r — and the
 // linear-model sweep once the softmax HVP became exact and joined it; the
 // rest were left as the loops printed them. The linear-model and gtg/tmc
-// pins were printed a third time when every exp and log became tensor's
-// own: each is what the previous code printed under GODEBUG=cpu.fma=off,
-// where math.Exp ran the sequence tensor.Exp now runs on every host.
+// pins moved once when every exp and log became tensor's own on amd64's
+// plain exp sequence, and back when tensor.Exp took the FMA sequence with
+// math.FMA: each is the hash of commit fdf370f, which math.Exp's FMA
+// sequence printed.
 func TestRoundSumsPinned(t *testing.T) {
 	for _, pin := range []struct {
 		name string
@@ -48,14 +49,14 @@ func TestRoundSumsPinned(t *testing.T) {
 			"6c97f88907bad5b8c5b42cb39a977f8e425c7840c2033549a1f1f102c5a91857",
 		}},
 		{"linear models", pinModelSweep, [3]string{
-			"5c2dfc1ba9bd7aa88693cf54951ca1b0305114a709469ac155641635d3f4279c",
-			"5855abfebd9a98f7770be26f978281eed448d3fe0adcbea19cb688d60229ce6b",
-			"3ac732257e9e9877cbf5a6d222843d7b1e8b1ce2d704a46b4f307ba4172d0ee3",
+			"fd08a035b16bf9ba3fc97fe7514845d0b8351781b6091e7864d05a09d4aa0b96",
+			"07ed4098bb8cb140d730311bb2b98f3fd25295f6b2a891de061f110c2e2a6ff1",
+			"3f99fb4678b19144ab26d5489b30927dd4b31442c91a11a65dafd9224598fb9b",
 		}},
 		{"gtg/tmc softmax", pinEngineTotals, [3]string{
-			"cec867bc5406a458244c3ba9c3a0dd712fb01137fc59f68b12622ec8cb189047",
-			"b8205fba05bfce4f7cd4a644a9d15b1b0b43f09c6555616e2c67f511820f0625",
-			"179b0a299b7b48bc50c6ca90c6217aba88232f530cfc8c9122de82b5fadbb696",
+			"68d636e272cd58571581667f7c4787941ca2f15fd3a9ef2c1ad38c40ee100629",
+			"d9d07cdfbf82fa5ef0d4e556682652b767797f7e45063c3ab415e5884e2901d6",
+			"f1e434d3e532c4d11ff7ce0fb0e3d74115f1dc70e647528388e29460ab727c1d",
 		}},
 	} {
 		for s, want := range pin.want {

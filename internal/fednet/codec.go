@@ -80,8 +80,8 @@ const updateHdrLen = 4 + 4 + 4 + 4 // magic, t, index, d
 
 // EncodeUpdate builds the /v1/update body for one local update.
 func (binCodec) EncodeUpdate(t, index int, delta []float64) ([]byte, error) {
-	if t < 0 || index < 0 {
-		return nil, fmt.Errorf("fednet: negative round or index in update frame")
+	if t < 0 || index < 0 || t > math.MaxInt32 || index > math.MaxInt32 {
+		return nil, fmt.Errorf("fednet: round or index outside [0, 2³¹) in update frame")
 	}
 	buf := tensor.GetBytes(updateHdrLen + 8*len(delta))
 	copy(buf, magicUpdate[:])
@@ -154,7 +154,8 @@ func badFrame(format string, args ...any) error {
 }
 
 // decodeUpdateHeader validates an update frame's envelope and returns its
-// header fields; the delta bytes are untouched until decodeFrameVec.
+// header fields; the delta bytes are untouched until decodeFrameVec. A u32
+// field above math.MaxInt32, which no int holds on every host, is refused.
 func decodeUpdateHeader(b []byte) (t, index, d int, err error) {
 	if len(b) < updateHdrLen {
 		return 0, 0, 0, badFrame("update frame truncated at %d bytes", len(b))
@@ -162,11 +163,9 @@ func decodeUpdateHeader(b []byte) (t, index, d int, err error) {
 	if [4]byte(b[:4]) != magicUpdate {
 		return 0, 0, 0, badFrame("update frame has wrong magic %q", b[:4])
 	}
-	t = int(binary.LittleEndian.Uint32(b[4:]))
-	index = int(binary.LittleEndian.Uint32(b[8:]))
-	d = int(binary.LittleEndian.Uint32(b[12:]))
-	if d > maxFrameDim {
-		return 0, 0, 0, badFrame("update frame declares %d params", d)
+	t, index, d = framing.U32(b[4:]), framing.U32(b[8:]), framing.U32(b[12:])
+	if min(t, index) < 0 || uint(d) > maxFrameDim {
+		return 0, 0, 0, badFrame("update frame declares t=%d index=%d and %d params", t, index, d)
 	}
 	if want := updateHdrLen + 8*d; len(b) != want {
 		return 0, 0, 0, badFrame("update frame has %d bytes, header implies %d", len(b), want)
@@ -176,7 +175,8 @@ func decodeUpdateHeader(b []byte) (t, index, d int, err error) {
 
 // decodeRoundFrame parses a binary open-round broadcast into the reply
 // shape the JSON markers share; theta is a pooled vector owned by the
-// caller.
+// caller. A u32 field above math.MaxInt32 is refused, as in
+// decodeUpdateHeader.
 func decodeRoundFrame(b []byte) (*roundReply, error) {
 	if len(b) < roundHdrLen {
 		return nil, badFrame("round frame truncated at %d bytes", len(b))
@@ -185,16 +185,15 @@ func decodeRoundFrame(b []byte) (*roundReply, error) {
 		return nil, badFrame("round frame has wrong magic %q", b[:4])
 	}
 	r := &roundReply{State: StateOpen}
-	r.T = int(binary.LittleEndian.Uint32(b[4:]))
+	r.T = framing.U32(b[4:])
 	r.LR = jsonf.F64(math.Float64frombits(binary.LittleEndian.Uint64(b[8:])))
 	r.DeadlineMS = int64(binary.LittleEndian.Uint64(b[roundDeadlineOff:]))
-	flags := int(binary.LittleEndian.Uint32(b[24:]))
-	d := int(binary.LittleEndian.Uint32(b[28:]))
+	flags, d := framing.U32(b[24:]), framing.U32(b[28:])
 	if flags&^(roundFlagTheta|roundFlagAsync) != 0 {
 		return nil, badFrame("round frame has unknown flags %#x", flags)
 	}
-	if d > maxFrameDim {
-		return nil, badFrame("round frame declares %d params", d)
+	if r.T < 0 || uint(d) > maxFrameDim {
+		return nil, badFrame("round frame declares t=%d and %d params", r.T, d)
 	}
 	want := roundHdrLen
 	if flags&roundFlagAsync != 0 {
@@ -208,8 +207,10 @@ func decodeRoundFrame(b []byte) (*roundReply, error) {
 	}
 	off := roundHdrLen
 	if flags&roundFlagAsync != 0 {
-		r.Quorum = int(binary.LittleEndian.Uint32(b[off:]))
-		r.MaxStale = int(binary.LittleEndian.Uint32(b[off+4:]))
+		r.Quorum, r.MaxStale = framing.U32(b[off:]), framing.U32(b[off+4:])
+		if min(r.Quorum, r.MaxStale) < 0 {
+			return nil, badFrame("round frame declares quorum %d, max staleness %d", r.Quorum, r.MaxStale)
+		}
 		off += roundAsyncExtLen
 	}
 	if flags&roundFlagTheta != 0 {

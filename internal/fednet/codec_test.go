@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -105,6 +106,10 @@ func TestBinaryFrameRejection(t *testing.T) {
 	declares[12] = 200 // header promises 200 floats the body lacks
 	huge := append([]byte{}, valid...)
 	huge[12], huge[13], huge[14], huge[15] = 0xFF, 0xFF, 0xFF, 0xFF
+	lateRound := append([]byte{}, valid...)
+	le.PutUint32(lateRound[4:], 1<<31)
+	farIndex := append([]byte{}, valid...)
+	le.PutUint32(farIndex[8:], 1<<31)
 
 	cases := []struct {
 		name     string
@@ -117,6 +122,8 @@ func TestBinaryFrameRejection(t *testing.T) {
 		{"wrong-magic", bytes.Replace(valid, []byte("D2UP"), []byte("JUNK"), 1), CodeBadFrame},
 		{"dim-contradiction", declares, CodeBadFrame},
 		{"dim-overflow", huge, CodeBadFrame},
+		{"round-2^31", lateRound, CodeBadFrame},
+		{"index-2^31", farIndex, CodeBadFrame},
 		{"nan-payload", nan, CodeNonFinite},
 	}
 
@@ -163,6 +170,36 @@ func TestBinaryFrameRejection(t *testing.T) {
 				t.Errorf("coordinator status = %d, want 422", cresp.StatusCode)
 			}
 		})
+	}
+}
+
+// TestFrameFieldsAboveMaxInt32Refused: a u32 header field above
+// math.MaxInt32 — t, index or d of an update frame; T, flags, d, quorum or
+// maxStale of a round frame — is refused as a bad frame on every host, not
+// read as a negative int on a 32-bit one.
+func TestFrameFieldsAboveMaxInt32Refused(t *testing.T) {
+	update, _ := CodecV2.EncodeUpdate(3, 1, []float64{1, 2})
+	for _, off := range []int{4, 8, 12} {
+		for _, v := range []uint32{1 << 31, 1<<32 - 1} {
+			b := append([]byte{}, update...)
+			le.PutUint32(b[off:], v)
+			var fe *frameError
+			if _, _, _, err := decodeUpdateHeader(b); !errors.As(err, &fe) {
+				t.Errorf("update frame with %d at offset %d: %v, want a bad frame", v, off, err)
+			}
+		}
+	}
+	round := encodeRoundFrame(2, 0.1, 0, []float64{1}, 3, 4)
+	for _, off := range []int{4, 24, 28, roundHdrLen, roundHdrLen + 4} {
+		b := append([]byte{}, round...)
+		le.PutUint32(b[off:], 1<<31)
+		var fe *frameError
+		if _, err := decodeRoundFrame(b); !errors.As(err, &fe) {
+			t.Errorf("round frame with 2³¹ at offset %d: %v, want a bad frame", off, err)
+		}
+	}
+	if _, err := decodeRoundFrame(round); err != nil {
+		t.Fatalf("the unaltered round frame: %v", err)
 	}
 }
 

@@ -132,24 +132,24 @@ func scriptedJournal(t *testing.T, mode string, seed int64) []byte {
 // the SHA-256 the parent of the journal-what-arrived change (5d9da17) wrote
 // for the same scripted run. The buffered rows were printed again when the
 // buffered aggregate took the fold's order (sum, then scale once): its
-// epoch-close θ moved by an ulp, its record layout did not. Every row was
-// printed again when every exp became tensor.Exp: each hash is what the
-// previous code wrote under GODEBUG=cpu.fma=off, where math.Exp ran the
-// sequence tensor.Exp now runs on every host.
+// epoch-close θ moved by an ulp, its record layout did not. Every row
+// moved once when every exp became tensor.Exp on amd64's plain sequence,
+// and back when tensor.Exp took the FMA sequence with math.FMA: each hash
+// is the one commit fdf370f wrote, with math.Exp's FMA sequence.
 func TestWALBytesPinned(t *testing.T) {
 	want := map[string][3]string{
 		"buffered": {
-			"1250e6d92d8d8bbb71735d42248ba5dfdefd0e2b4b6adf27640414c335797b5a",
-			"1ad67b8a37109eedb042d1b444a4f881c8427cdff37a7564395e79ffd629129b",
-			"f1332c0ef665e0c8864908eb1632677f5dfd0d5a06188536d1cc489ff87749c4"},
+			"8fb17cd3ad80b69a80cf733f26c7203f414d5c6a069d96c276488f7419181ed0",
+			"9654e6f4cbf8d9caf03700e372ddc3091a561884fc6c2536be38e8821958f3b2",
+			"5f134fd5c445e8091a113a6a9a9335e213b6a55fc5371d2aa46c79b0825cdcd9"},
 		"streamed": {
-			"e66254e7104c7a916eb85355e0c30ef6d17d87fc66f9aed6b38ad1e8ac0b4cce",
-			"7abbc79389127bfce3ddd05eba99b0154c15880a3e14c5beb4a58201dbfb602f",
-			"c98a9cf945e73f5f9d2bd1f21ab433678f86ee362103700bb28976cf7b9ee3ee"},
+			"e7af17df8d739fbf10c9597132018f3039ea1c3669953ee12dc5494f5ae97946",
+			"c48697c282bd92a045ab098657dc24c36d6206cef2cc3fcff0df2fa03450f7bd",
+			"dbea6e8f938a8a0fbc19795f47f5e22d32c027d01e7d5f4afa50f0001ff4e569"},
 		"async": {
-			"f43674f5efca5ceb970f29b1970cdbd5b22d72e0398f0e8e0ac545b409639b46",
-			"5a98b9233453c00599dfed084cc6c97e4fb44d47b60ad74d30f9d39e76acafbb",
-			"55df55bfd30567754066ec67fea466e5f7d8181fe8b251ca0fde3126654f63aa"},
+			"133800abb84781f48caa433bda8e6944b151c5c55f4dcbfd79b422fcbfd32039",
+			"2eb5c3d4c0a7f11c7f6dc734d13a443111ad4be87dd92ff25b98aaf874312fa2",
+			"cbd3805adc8f40854a6561d64d40c95085db74a34b17240db99a14604422c158"},
 	}
 	// A quarantine whose rounds stream journals exactly what the buffered
 	// one does: the commits, and closes built from the same state.

@@ -416,7 +416,7 @@ func (rep *walReplay) applyClose(p []byte) error {
 	case !rep.sawRunOpen || t != rep.lastClosed+1 || t != rep.openT:
 		return fmt.Errorf("fednet: WAL closes epoch %d (open %d, last closed %d)", t, rep.openT, rep.lastClosed)
 	case flags&^(closeEst|closeDense|closeTotalsOnly|closeDeltaG) != 0, !est && flags != 0,
-		max(d, n, q, b) > maxFrameDim, k > n, dense && k != n,
+		min(d, c, n, k, q, b) < 0, max(d, n, q, b) > maxFrameDim, k > n, dense && k != n,
 		len(p) != closeSize(flags, d, c, n, k, q, b):
 		return fmt.Errorf("fednet: WAL close frame %d is malformed: %d bytes, flags %#x, d=%d c=%d n=%d k=%d q=%d b=%d",
 			t, len(p), flags, d, c, n, k, q, b)
@@ -448,7 +448,7 @@ func (rep *walReplay) applyClose(p []byte) error {
 		for j := 0; j < k; j++ {
 			i := j
 			if !dense {
-				if i = r.U32(); i >= n {
+				if i = r.U32(); i < 0 || i >= n {
 					return fmt.Errorf("fednet: WAL close frame %d reports participant %d of %d", t, i, n)
 				}
 			}
@@ -473,6 +473,9 @@ func (rep *walReplay) applyClose(p []byte) error {
 		for i := 0; i < q; i++ {
 			rep.quar.Ewma[i] = r.F64()
 			packed := r.U32()
+			if packed < 0 {
+				return fmt.Errorf("fednet: WAL close frame %d has a quarantine streak above 2²⁹", t)
+			}
 			rep.quar.Streak[i], rep.quar.Banned[i], rep.quar.Seen[i] = packed>>2, packed&2 != 0, packed&1 != 0
 		}
 	}
@@ -486,6 +489,9 @@ func (rep *walReplay) applyClose(p []byte) error {
 	}
 	for j := 0; j < b; j++ {
 		part, origin, due := r.U32(), r.U32(), r.U32()
+		if min(part, origin, due) < 0 {
+			return fmt.Errorf("fednet: WAL close frame %d buffers an update with a field above 2³¹−1", t)
+		}
 		delta := rep.updates[part]
 		if delta == nil {
 			delta = rep.lateAdmits[part].delta

@@ -54,6 +54,8 @@ func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 // the following call; io.EOF when no byte follows the last record. A record
 // the input ends inside returns ErrTorn; a length outside (0, limit] or a
 // checksum mismatch, a corrupt-record error. The caller names the record.
+// The length is compared as the unsigned value it is: on a 32-bit host an
+// int of one with the top bit set is negative.
 func (fr *Reader) Next(limit int) ([]byte, error) {
 	if m, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		if err == io.EOF && m == 0 {
@@ -61,10 +63,11 @@ func (fr *Reader) Next(limit int) ([]byte, error) {
 		}
 		return nil, readErr(err)
 	}
-	n := int(le.Uint32(fr.hdr[:]))
-	if n == 0 || n > limit {
-		return nil, fmt.Errorf("declares %d bytes, outside (0, %d]", n, limit)
+	u := le.Uint32(fr.hdr[:])
+	if u == 0 || uint64(u) > uint64(limit) {
+		return nil, fmt.Errorf("declares %d bytes, outside (0, %d]", u, limit)
 	}
+	n := int(u)
 	for have := 0; have < n; {
 		want := min(n, max(cap(fr.buf), 2*have, readChunk))
 		if want > cap(fr.buf) {
@@ -99,9 +102,17 @@ func (c *Cursor) Next(n int) []byte { b := (*c)[:n:n]; *c = (*c)[n:]; return b }
 func (c *Cursor) PutU32(v int)                      { le.PutUint32(c.Next(4), uint32(v)) }
 func (c *Cursor) PutF64(v float64)                  { le.PutUint64(c.Next(8), math.Float64bits(v)) }
 func (c *Cursor) PutVec(v []float64)                { PutVec(c.Next(8*len(v)), v) }
-func (c *Cursor) U32() int                          { return int(le.Uint32(c.Next(4))) }
+func (c *Cursor) U32() int                          { return U32(c.Next(4)) }
 func (c *Cursor) F64() float64                      { return math.Float64frombits(le.Uint64(c.Next(8))) }
 func (c *Cursor) ReadVec(v []float64) (finite bool) { return ReadVec(c.Next(8*len(v)), v) }
+
+// U32 reads the little-endian u32 at the front of b as an int, and one
+// above math.MaxInt32 as −1: a 32-bit int cannot hold it, so every host
+// reads the same value, and a field that must not be negative refuses it.
+func U32(b []byte) int {
+	v := le.Uint32(b)
+	return int(v) | int(int32(v))>>31
+}
 
 // Vec reads the cursor's next n floats into a new vector.
 func (c *Cursor) Vec(n int) []float64 {

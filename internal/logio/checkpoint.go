@@ -144,7 +144,7 @@ func readMeta(b []byte, p int) (*ckptMeta, error) {
 	e, flags, last, n, rows, logLen := c.U32(), c.U32(), c.U32(), c.U32(), c.U32(), c.U32()
 	m := &ckptMeta{Epoch: e, LogLen: logLen}
 	est := flags&hasEstimator != 0
-	if rest := uint64(len(c)) / 8; flags&^(hasEstimator|hasDeltaG) != 0 || !est && (flags != 0 || last|n|rows != 0) ||
+	if rest := uint64(len(c)) / 8; flags&^(hasEstimator|hasDeltaG) != 0 || !est && (flags != 0 || last|n|rows != 0) || min(last, logLen) < 0 ||
 		uint64(m.Epoch) > rest || uint64(n) > rest || uint64(rows) > rest ||
 		metaSize(flags, uint64(p), uint64(m.Epoch), uint64(n), uint64(rows)) != uint64(len(b)) {
 		return nil, fmt.Errorf("malformed meta: %d bytes, flags %#x, epoch %d, n=%d rows=%d",

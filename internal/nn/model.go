@@ -9,9 +9,12 @@
 //
 // SoftmaxRegression takes its validation rows in blocks of eight, then one
 // of four, then single rows, each block one call of tensor's row-block
-// kernels (Dot8xN / Dot4xN, LogSumExp8 / LogSumExp4, ExpShift4), with the
-// same bits on every path those kernels take; the block's scratch stays on
-// the stack up to sixteen classes.
+// kernels (Dot8xN / Dot4xN with the biases, LogSumExp8 / LogSumExp4,
+// ExpShift8 / ExpShift4), with the same bits on every path those kernels
+// take. A block is class-major, the kernels' own layout — row r's logit of
+// class k at z[k·n+r] — so a class is one vector load or store and its
+// backward pass one contiguous slice; its scratch stays on the stack up to
+// sixteen classes.
 package nn
 
 import (
@@ -133,24 +136,32 @@ func scratch(buf *[scratchLen]float64, n int) []float64 {
 // derivative u along a direction into the softmax cross-entropy's
 // R{dz} = (diag p − p pᵀ)·u, r_k = p_k·(u_k − Σ_j p_j·u_j): the head's share
 // of the MLP's and the CNN's Hessian-vector products. The softmax model
-// takes p four rows at a time and runs softmaxR on each.
+// takes p a row block at a time and runs softmaxR on the block.
 func headR(z, u []float64) {
 	lse := tensor.LogSumExp(z)
 	for k, zk := range z {
 		z[k] = tensor.Exp(zk - lse)
 	}
-	softmaxR(z, u)
+	softmaxR(z, u, 1)
 }
 
 // softmaxR is headR after the softmax: it turns u into
-// r_k = p_k·(u_k − Σ_j p_j·u_j) for the row's probabilities p.
-func softmaxR(p, u []float64) {
-	var s float64
-	for k, pk := range p {
-		s += float64(pk * u[k])
+// r_k = p_k·(u_k − Σ_j p_j·u_j) for each of the n ≤ 8 rows of
+// probabilities p, class-major like u — row r's class k at [k·n+r] — each
+// row's sum in class order.
+func softmaxR(p, u []float64, n int) {
+	var s [8]float64
+	for k, r := 0, 0; k < len(p); k, r = k+1, r+1 {
+		if r == n {
+			r = 0
+		}
+		s[r] += float64(p[k] * u[k])
 	}
-	for k, pk := range p {
-		u[k] = pk * (u[k] - s)
+	for k, r := 0, 0; k < len(u); k, r = k+1, r+1 {
+		if r == n {
+			r = 0
+		}
+		u[k] = p[k] * (u[k] - s[r])
 	}
 }
 

@@ -41,41 +41,35 @@ func (m *SoftmaxRegression) Clone() Model {
 }
 
 // blockLogits computes the logits of the next rows of X from row i on into
-// z, row i+r's at z[r·C:(r+1)·C], and returns how many rows it took, under
-// the vector w laid out like the parameters — W row-major, then the C
-// biases: the model's own for the logits, the direction v for their
-// derivative u = V·x + v_b in the HVP. Eight rows are a block and one
-// tensor.Dot8xN call — the rows are its lanes, every class row taken
-// against all eight, so that a class count that is no multiple of the
-// block leaves no class on a chain of its own; four rows short of eight are
-// one tensor.Dot4xN call; the last rows, short of four, are taken one at a
-// time with the classes as lanes.
+// z and returns how many rows n it took, class-major — row i+r's logit of
+// class k at z[k·n+r] — under the vector w laid out like the parameters — W
+// row-major, then the C biases: the model's own for the logits, the
+// direction v for their derivative u = V·x + v_b in the HVP. Eight rows are
+// a block and one tensor.Dot8xN call — the rows are its lanes, every class
+// row taken against all eight, so that a class count that is no multiple of
+// the block leaves no class on a chain of its own; four rows short of eight
+// are one tensor.Dot4xN call; the last rows, short of four, are taken one at
+// a time with the classes as lanes. Each adds the biases itself.
 func (m *SoftmaxRegression) blockLogits(X *tensor.Matrix, i int, w, z []float64) int {
-	c, cd := m.c, m.c*m.d
-	n := 8
+	c, b := m.c, w[m.c*m.d:]
+	w = w[:m.c*m.d]
 	switch {
 	case i+8 <= X.Rows:
-		tensor.Dot8xN(z[:8*c], X.Data[i*X.Cols:(i+8)*X.Cols], w[:cd])
+		tensor.Dot8xN(z[:8*c], X.Data[i*X.Cols:(i+8)*X.Cols], w, b)
+		return 8
 	case i+4 <= X.Rows:
-		n = 4
-		tensor.Dot4xN(z[:4*c], X.Data[i*X.Cols:(i+4)*X.Cols], w[:cd])
+		tensor.Dot4xN(z[:4*c], X.Data[i*X.Cols:(i+4)*X.Cols], w, b)
+		return 4
 	default:
-		affine(z[:c], w[:cd], w[cd:], X.Row(i))
+		affine(z[:c], w, b, X.Row(i))
 		return 1
 	}
-	for r := range n {
-		zr := z[r*c : (r+1)*c]
-		for k, bk := range w[cd:] {
-			zr[k] += bk
-		}
-	}
-	return n
 }
 
 // blockSoftmax turns the n rows of logits blockLogits left in z into their
 // softmax p_k = exp(z_k − lse), in place: an eight-row block through
-// tensor.LogSumExp8 and two tensor.ExpShift4 calls, a four-row block
-// through tensor.LogSumExp4 and one, their rows the lanes, a single row
+// tensor.LogSumExp8 and tensor.ExpShift8, a four-row block through
+// tensor.LogSumExp4 and tensor.ExpShift4, their rows the lanes, a single row
 // through LogSumExp and Exp, with the same bits.
 func (m *SoftmaxRegression) blockSoftmax(z []float64, n int) {
 	c := m.c
@@ -83,8 +77,7 @@ func (m *SoftmaxRegression) blockSoftmax(z []float64, n int) {
 	case 8:
 		var lse [8]float64
 		tensor.LogSumExp8(&lse, z[:8*c])
-		tensor.ExpShift4(z[:4*c], (*[4]float64)(lse[:4]))
-		tensor.ExpShift4(z[4*c:8*c], (*[4]float64)(lse[4:]))
+		tensor.ExpShift8(z[:8*c], &lse)
 	case 4:
 		var lse [4]float64
 		tensor.LogSumExp4(&lse, z[:4*c])
@@ -117,7 +110,7 @@ func (m *SoftmaxRegression) Loss(X *tensor.Matrix, y []float64) float64 {
 			lse[0] = tensor.LogSumExp(z[:m.c])
 		}
 		for r := 0; r < n; r++ {
-			s += lse[r] - z[r*m.c+classOf(y[i+r], i+r, m.c)]
+			s += lse[r] - z[classOf(y[i+r], i+r, m.c)*n+r]
 		}
 	}
 	return s / float64(X.Rows)
@@ -134,7 +127,7 @@ func (m *SoftmaxRegression) Grad(X *tensor.Matrix, y []float64) []float64 {
 		// The block's dz = softmax(z) − onehot(y) first, over its logits …
 		m.blockSoftmax(z, n)
 		for r := 0; r < n; r++ {
-			z[r*m.c+classOf(y[i+r], i+r, m.c)]--
+			z[classOf(y[i+r], i+r, m.c)*n+r]--
 		}
 		m.blockBackward(X, i, n, z, g)
 	}
@@ -160,8 +153,8 @@ func (m *SoftmaxRegression) HVP(X *tensor.Matrix, y []float64, v []float64) []fl
 		m.blockSoftmax(z, n)
 		for r := 0; r < n; r++ {
 			classOf(y[i+r], i+r, m.c)
-			softmaxR(z[r*m.c:(r+1)*m.c], u[r*m.c:(r+1)*m.c])
 		}
+		softmaxR(z[:n*m.c], u[:n*m.c], n)
 		m.blockBackward(X, i, n, u, out)
 	}
 	tensor.Scale(1/float64(X.Rows), out)
@@ -169,21 +162,21 @@ func (m *SoftmaxRegression) HVP(X *tensor.Matrix, y []float64, v []float64) []fl
 }
 
 // blockBackward adds Σ_r dz_r ⊗ [x_r, 1] over the n rows of X from row i on
-// to g, row r's C values at dz[r·C:(r+1)·C]: each class takes the block's
-// rows in one pass.
+// to g, the block's dz class-major as blockLogits leaves it: each class
+// takes its n values, one per row, in one pass.
 func (m *SoftmaxRegression) blockBackward(X *tensor.Matrix, i, n int, dz, g []float64) {
 	gb := g[m.c*m.d:]
 	var xs [8][]float64
-	var pk [8]float64
 	for r := 0; r < n; r++ {
 		xs[r] = X.Row(i + r)
 	}
-	for k := 0; k < m.c; k++ {
-		for r := 0; r < n; r++ {
-			pk[r] = dz[r*m.c+k]
-			gb[k] += pk[r]
+	for k, b := range gb {
+		dk := dz[k*n : (k+1)*n]
+		for _, v := range dk {
+			b += v
 		}
-		tensor.AXPYRows(pk[:n], xs[:n], g[k*m.d:(k+1)*m.d])
+		gb[k] = b
+		tensor.AXPYRows(dk, xs[:n], g[k*m.d:(k+1)*m.d])
 	}
 }
 
@@ -194,8 +187,14 @@ func (m *SoftmaxRegression) Predict(X *tensor.Matrix) []int {
 	z := scratch(&buf, 8*m.c)
 	for i, n := 0, 0; i < X.Rows; i += n {
 		n = m.blockLogits(X, i, m.params, z)
-		for r := 0; r < n; r++ {
-			out[i+r] = tensor.Argmax(z[r*m.c : (r+1)*m.c])
+		// tensor.Argmax of each row: the first of its largest logits.
+		best := out[i : i+n]
+		for k := 1; k < m.c; k++ {
+			for r, b := range best {
+				if z[k*n+r] > z[b*n+r] {
+					best[r] = k
+				}
+			}
 		}
 	}
 	return out

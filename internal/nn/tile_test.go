@@ -11,9 +11,9 @@ import (
 )
 
 // useAVX512 and useAVX2 are tensor's switches between Dot8xN's AVX-512 tile
-// (with LogSumExp8's kernel), Dot4xN's AVX2 tile (with the exp kernels of
-// LogSumExp4 and ExpShift4) and the portable loops, reached here so that the
-// model's own calls can be run on each.
+// (with the kernels of LogSumExp8 and ExpShift8), Dot4xN's AVX2 tile (with
+// the exp kernels of LogSumExp4 and ExpShift4) and the portable loops,
+// reached here so that the model's own calls can be run on each.
 //
 //go:linkname useAVX2 digfl/internal/tensor.useAVX2
 var useAVX2 bool
@@ -22,8 +22,9 @@ var useAVX2 bool
 var useAVX512 bool
 
 // onTilePaths runs f with the kernels tensor chose at init, where the host
-// has them: "avx512" with all of them, "avx2" with the AVX2 ones (Dot8xN
-// and LogSumExp8 as two four-row calls), and "portable" with none.
+// has them: "avx512" with all of them, "avx2" with the AVX2 ones (Dot8xN,
+// LogSumExp8 and ExpShift8 as two four-row kernels), and "portable" with
+// none.
 func onTilePaths(t testing.TB, f func(path string)) {
 	tile, wide := useAVX2, useAVX512
 	defer func() { useAVX2, useAVX512 = tile, wide }()

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// onExpPaths runs f once on each path LogSumExp4, LogSumExp8 and ExpShift4
-// can take here: the AVX-512 and AVX2 kernels, where there are, then Exp and
+// onExpPaths runs f once on each path LogSumExp4, LogSumExp8, ExpShift4 and
+// ExpShift8 can take here: the AVX-512 and AVX2 kernels, where there are, then Exp and
 // Log one value at a time, forced by clearing useAVX512 and useAVX2.
 func onExpPaths(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
@@ -65,6 +65,23 @@ func expBlock(rng *RNG, rows, c int, scale float64, special []float64) []float64
 	return z
 }
 
+// classMajor returns the row-major block z of rows × C in the kernels'
+// class-major layout, row r's class k at [k·rows+r], followed by a sentinel.
+func classMajor(z []float64, rows int) []float64 {
+	c := len(z) / rows
+	out := make([]float64, rows*c+1)
+	for r := 0; r < rows; r++ {
+		for k := 0; k < c; k++ {
+			out[k*rows+r] = z[r*c+k]
+		}
+	}
+	out[rows*c] = math.Float64frombits(blockSentinel)
+	return out
+}
+
+// blockSentinel follows every block the tests hand a kernel.
+const blockSentinel = 0x7ff8dead0000beef
+
 // sameOrBothNaN compares got with want bit for bit, except that where the
 // want came from a difference of two NaNs — whose payload is the
 // subtraction's operand order, a register-allocation accident — any NaN
@@ -76,35 +93,46 @@ func sameOrBothNaN(got, want float64, twoNaNs bool) bool {
 	return math.Float64bits(got) == math.Float64bits(want)
 }
 
-// checkLogSumExp4 runs LogSumExp4 on the block z (four rows of c) and then
-// ExpShift4 by its result, on a copy followed by a sentinel, and wants each
-// lse[r] to be LogSumExp of row r and each p to be Exp(z − lse[r]) bit
-// for bit, and nothing past the block written.
-func checkLogSumExp4(t *testing.T, what string, z []float64) {
+// checkLogSumExp runs LogSumExp4 or LogSumExp8, as rows is 4 or 8, on the
+// block z (rows × c, row-major) laid out class-major and followed by a
+// sentinel, then ExpShift4 or ExpShift8 by its result, and wants each lse[r]
+// to be LogSumExp of row r and each p to be Exp(z − lse[r]) bit for bit,
+// and nothing past the block written.
+func checkLogSumExp(t *testing.T, what string, rows int, z []float64) {
 	t.Helper()
-	const sentinel = 0x7ff8dead0000beef
-	c := len(z) / 4
-	buf := append(append([]float64(nil), z...), math.Float64frombits(sentinel))
-	var lse [4]float64
-	LogSumExp4(&lse, buf[:4*c])
+	c := len(z) / rows
+	buf := classMajor(z, rows)
+	lse := make([]float64, rows)
+	if rows == 8 {
+		LogSumExp8((*[8]float64)(lse), buf[:8*c])
+	} else {
+		LogSumExp4((*[4]float64)(lse), buf[:4*c])
+	}
 	for r := range lse {
 		if want := LogSumExp(z[r*c : (r+1)*c]); math.Float64bits(lse[r]) != math.Float64bits(want) {
-			t.Fatalf("%s C=%d: LogSumExp4 row %d = %v (%#x), LogSumExp %v (%#x)", what, c, r,
+			t.Fatalf("%s C=%d: LogSumExp%d row %d = %v (%#x), LogSumExp %v (%#x)", what, c, rows, r,
 				lse[r], math.Float64bits(lse[r]), want, math.Float64bits(want))
 		}
 	}
-	ExpShift4(buf[:4*c], &lse)
+	if !sameBits(buf, classMajor(z, rows)) {
+		t.Fatalf("%s C=%d: LogSumExp%d wrote to its block or past it", what, c, rows)
+	}
+	if rows == 8 {
+		ExpShift8(buf[:8*c], (*[8]float64)(lse))
+	} else {
+		ExpShift4(buf[:4*c], (*[4]float64)(lse))
+	}
 	for r := range lse {
 		for k := 0; k < c; k++ {
 			v := z[r*c+k]
-			got, want := buf[r*c+k], Exp(v-lse[r])
+			got, want := buf[k*rows+r], Exp(v-lse[r])
 			if !sameOrBothNaN(got, want, v != v && lse[r] != lse[r]) {
-				t.Fatalf("%s C=%d: ExpShift4 z[%d·C+%d] = %v (%#x), Exp(%v − %v) %v (%#x)", what, c, r, k,
+				t.Fatalf("%s C=%d: ExpShift%d z[%d·%d+%d] = %v (%#x), Exp(%v − %v) %v (%#x)", what, c, rows, k, rows, r,
 					got, math.Float64bits(got), v, lse[r], want, math.Float64bits(want))
 			}
 		}
 	}
-	if math.Float64bits(buf[4*c]) != sentinel {
+	if math.Float64bits(buf[rows*c]) != blockSentinel {
 		t.Fatalf("%s C=%d: the block's kernels wrote past it", what, c)
 	}
 }
@@ -119,37 +147,17 @@ func TestLogSumExp4MatchesScalar(t *testing.T) {
 		for name, special := range expSpecials {
 			for c := 1; c <= 17; c++ {
 				for _, scale := range []float64{1e-2, 1, 30} {
-					checkLogSumExp4(t, name, expBlock(rng, 4, c, scale, special))
+					checkLogSumExp(t, name, 4, expBlock(rng, 4, c, scale, special))
 				}
 			}
 		}
 	})
 }
 
-// checkLogSumExp8 runs LogSumExp8 on the block z (eight rows of c), on a
-// copy followed by a sentinel, and wants each lse[r] to be LogSumExp of row r
-// bit for bit, and the block and the sentinel left as they were.
-func checkLogSumExp8(t *testing.T, what string, z []float64) {
-	t.Helper()
-	const sentinel = 0x7ff8dead0000beef
-	c := len(z) / 8
-	buf := append(append([]float64(nil), z...), math.Float64frombits(sentinel))
-	var lse [8]float64
-	LogSumExp8(&lse, buf[:8*c])
-	for r := range lse {
-		if want := LogSumExp(z[r*c : (r+1)*c]); math.Float64bits(lse[r]) != math.Float64bits(want) {
-			t.Fatalf("%s C=%d: LogSumExp8 row %d = %v (%#x), LogSumExp %v (%#x)", what, c, r,
-				lse[r], math.Float64bits(lse[r]), want, math.Float64bits(want))
-		}
-	}
-	if !sameBits(buf[:8*c], z) || math.Float64bits(buf[8*c]) != sentinel {
-		t.Fatalf("%s C=%d: LogSumExp8 wrote to its block or past it", what, c)
-	}
-}
-
 // TestLogSumExp8MatchesScalar: on every path of onExpPaths, every row of an
-// eight-row block gets LogSumExp's bits — for 1…17 classes, rows at scales
-// 10⁻³…10³, and every special case of expSpecials.
+// eight-row block gets LogSumExp's bits, and its softmax Exp(z − lse)'s —
+// for 1…17 classes, rows at scales 10⁻³…10³, and every special case of
+// expSpecials.
 func TestLogSumExp8MatchesScalar(t *testing.T) {
 	if useAVX512 {
 		// A finite block of spread logits stays on the kernel: no row is
@@ -165,7 +173,7 @@ func TestLogSumExp8MatchesScalar(t *testing.T) {
 		for name, special := range expSpecials {
 			for c := 1; c <= 17; c++ {
 				for _, scale := range []float64{1e-2, 1, 30} {
-					checkLogSumExp8(t, name, expBlock(rng, 8, c, scale, special))
+					checkLogSumExp(t, name, 8, expBlock(rng, 8, c, scale, special))
 				}
 			}
 		}
@@ -181,7 +189,7 @@ func TestExpShift4Overflow(t *testing.T) {
 			z := []float64{1, 709.7, 709.8, 710, -3, 2, 0.5, -0.5, 3, 1e300, -1e300, 7, 0, 1, 2, 3}
 			want := make([]float64, len(z))
 			for i, v := range z {
-				want[i] = Exp(v - shift[i/4])
+				want[i] = Exp(v - shift[i%4])
 			}
 			ExpShift4(z, &shift)
 			for i := range z {
@@ -193,29 +201,59 @@ func TestExpShift4Overflow(t *testing.T) {
 	})
 }
 
-// TestExpTableMatchesMathExp: the kernel's exp has Exp's bits at every
-// 1/256 over [−746, 0], and the kernel itself computes each block of it
-// that lies wholly on Exp's fast path.
+// TestExpShift8Overflow is TestExpShift4Overflow for ExpShift8: a class with
+// a lane off Exp's fast path, first or last, hands the rest of the block to
+// Exp with the same bits.
+func TestExpShift8Overflow(t *testing.T) {
+	onExpPaths(t, func(t *testing.T) {
+		for _, shift := range [][8]float64{{}, {-1, 0, 1, 2, 3, 4, 5, 6}, {math.Inf(1)}, {0, 0, 0, 0, 0, 0, 0, math.NaN()}} {
+			z := []float64{1, -3, 3, 0, 2, 0.5, -0.5, 7, 709.7, 2, 1e300, 1, 0.25, -2, -1, 4, 709.8, 0.5, -1e300, 2, -7, 3, 710, 3}
+			want := make([]float64, len(z))
+			for i, v := range z {
+				want[i] = Exp(v - shift[i%8])
+			}
+			ExpShift8(z, &shift)
+			for i := range z {
+				if math.Float64bits(z[i]) != math.Float64bits(want[i]) {
+					t.Errorf("shift %v: ExpShift8 value %d = %v, Exp %v", shift, i, z[i], want[i])
+				}
+			}
+		}
+	})
+}
+
+// TestExpTableMatchesMathExp: the kernels' exp, four lanes and eight, has
+// Exp's bits at every 1/256 over [−746, 709.75], and each kernel itself
+// computes each block of it that lies wholly on Exp's fast path.
 func TestExpTableMatchesMathExp(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no AVX2 exp kernel on this host")
 	}
 	const c = 16
-	var zero [4]float64
-	for at := 0; at > -746*256; at -= 4 * c {
-		var z [4 * c]float64
-		for i := range z {
-			z[i] = float64(at-i) / 256
+	var zero [8]float64
+	for _, lanes := range []int{4, 8} {
+		if lanes == 8 && !useAVX512 {
+			t.Log("no AVX-512F on this host: the eight-lane kernel skipped")
+			continue
 		}
-		x := z
-		done := expShift4AVX2(&z[0], c, &zero)
-		if x[len(x)-1] > -708.7 && done != c {
-			t.Fatalf("block from %v: the kernel did %d of %d columns on the fast path", x[0], done, c)
-		}
-		for k := 0; k < done; k++ {
-			for r := 0; r < 4; r++ {
-				if got, want := z[r*c+k], Exp(x[r*c+k]); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("exp(%v) = %v (%#x), Exp %v (%#x)", x[r*c+k], got, math.Float64bits(got), want, math.Float64bits(want))
+		for at := 709*256 + 192; at > -746*256; at -= 8 * c {
+			var z [8 * c]float64
+			for i := range z {
+				z[i] = float64(at-i) / 256
+			}
+			x := z
+			var done int
+			if lanes == 8 {
+				done = expShift8AVX512(&z[0], c, &zero)
+			} else {
+				done = expShift4AVX2(&z[0], 2*c, 4, (*[4]float64)(zero[:4]))
+			}
+			if x[0] < 709.43 && x[len(x)-1] > -708.7 && done != len(z)/lanes {
+				t.Fatalf("block from %v: the %d-lane kernel did %d of %d classes on the fast path", x[0], lanes, done, len(z)/lanes)
+			}
+			for i := 0; i < done*lanes; i++ {
+				if got, want := z[i], Exp(x[i]); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%d lanes: exp(%v) = %v (%#x), Exp %v (%#x)", lanes, x[i], got, math.Float64bits(got), want, math.Float64bits(want))
 				}
 			}
 		}
@@ -230,18 +268,18 @@ func TestLogTableMatchesMathLog(t *testing.T) {
 	onExpPaths(t, func(t *testing.T) {
 		for j := 1; j <= 63; j++ {
 			c := j + 1
-			z := make([]float64, 4*c)
+			z := make([]float64, 4*c) // class-major: row r's class k at z[k·4+r]
 			for i := 0; i < 1024; i += 4 {
 				for r := 0; r < 4; r++ {
-					z[r*c+j] = Log((float64(i+r) + 0.5) / 1024)
+					z[j*4+r] = Log((float64(i+r) + 0.5) / 1024)
 				}
 				if j == 1 && i == 0 {
-					z[j] = -0.8813735870195429 // 1 + exp(d) is √2 exactly
+					z[j*4] = -0.8813735870195429 // 1 + exp(d) is √2 exactly
 				}
 				var lse [4]float64
 				LogSumExp4(&lse, z)
 				for r := range lse {
-					s := float64(j) + Exp(z[r*c+j])
+					s := float64(j) + Exp(z[j*4+r])
 					if j == 1 && i == 0 && r == 0 && s != math.Sqrt2 {
 						t.Fatalf("the √2 probe sums to %v", s)
 					}
@@ -270,12 +308,12 @@ func FuzzLogSumExp4(f *testing.F) {
 		at := rng.Intn(4 * classes)
 		z[at] = math.Float64frombits(p)
 		z[(at+1+rng.Intn(4*classes))%(4*classes)] = math.Float64frombits(q)
-		onExpPaths(t, func(t *testing.T) { checkLogSumExp4(t, "fuzz", z) })
+		onExpPaths(t, func(t *testing.T) { checkLogSumExp(t, "fuzz", 4, z) })
 	})
 }
 
-// FuzzLogSumExp8 holds every path to LogSumExp on random eight-row blocks
-// at a fuzzed scale with two arbitrary bit patterns planted.
+// FuzzLogSumExp8 holds every path to LogSumExp and Exp on random eight-row
+// blocks at a fuzzed scale with two arbitrary bit patterns planted.
 func FuzzLogSumExp8(f *testing.F) {
 	f.Add(uint8(10), int64(1), 1.0, uint64(0x7ff8000000000001), uint64(0xfff8000000000002))
 	f.Add(uint8(3), int64(2), 300.0, math.Float64bits(math.Inf(1)), math.Float64bits(math.Inf(-1)))
@@ -290,7 +328,7 @@ func FuzzLogSumExp8(f *testing.F) {
 		at := rng.Intn(8 * classes)
 		z[at] = math.Float64frombits(p)
 		z[(at+1+rng.Intn(8*classes))%(8*classes)] = math.Float64frombits(q)
-		onExpPaths(t, func(t *testing.T) { checkLogSumExp8(t, "fuzz", z) })
+		onExpPaths(t, func(t *testing.T) { checkLogSumExp(t, "fuzz", 8, z) })
 	})
 }
 
@@ -304,6 +342,15 @@ func TestLogSumExp8ShapeMismatchPanics(t *testing.T) {
 			}()
 			var lse [8]float64
 			LogSumExp8(&lse, make([]float64, n))
+		}()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ExpShift8 of %d values did not panic", n)
+				}
+			}()
+			var shift [8]float64
+			ExpShift8(make([]float64, n), &shift)
 		}()
 	}
 }
@@ -332,8 +379,9 @@ func TestLogSumExp4ShapeMismatchPanics(t *testing.T) {
 }
 
 // BenchmarkLogSumExp4 is one four-row block's normaliser at the audit's
-// class count, 4 × 10 logits spread as a fitted model's are (N(0, 3²)), on
-// the AVX2 kernel and on the scalar path, each checked against LogSumExp.
+// class count, 4 × 10 logits (class-major) spread as a fitted model's are
+// (N(0, 3²)), on the AVX2 kernel and on the scalar path, each checked
+// against LogSumExp of its row.
 func BenchmarkLogSumExp4(b *testing.B) {
 	z := NewRNG(10).NormalVec(40, 0, 3)
 	saved := useAVX2
@@ -354,7 +402,7 @@ func BenchmarkLogSumExp4(b *testing.B) {
 				LogSumExp4(&lse, z)
 			}
 			for r, v := range lse {
-				if want := LogSumExp(z[r*10 : (r+1)*10]); math.Float64bits(v) != math.Float64bits(want) {
+				if want := logSumExp(z[r:], 10, 4); math.Float64bits(v) != math.Float64bits(want) {
 					b.Fatalf("row %d: LogSumExp4 %v, LogSumExp %v", r, v, want)
 				}
 			}

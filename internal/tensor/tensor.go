@@ -4,18 +4,20 @@
 // needs. Everything is deterministic and allocation-conscious; there is no
 // hidden parallelism so experiment timings are stable.
 //
-// The softmax model's row-block kernels — Dot8xN and Dot4xN, its logits,
-// and LogSumExp8, LogSumExp4 and ExpShift4, its normaliser and softmax —
-// have three paths, chosen once at init from CPUID and XCR0: AVX-512F
-// assembly on eight rows, AVX2 assembly on four, and portable loops. No
-// path fuses a multiply-add, and a lane that ends NaN or leaves exp's fast
-// path is taken again through Dot or LogSumExp, so every path gives the
-// same bits.
+// The softmax model's row-block kernels — Dot8xN and Dot4xN, its logits
+// with their biases, and LogSumExp8, LogSumExp4, ExpShift8 and ExpShift4,
+// its normaliser and softmax — share one class-major block layout and have
+// three paths, chosen once at init from CPUID and XCR0: AVX-512F assembly
+// on eight rows, AVX2 and FMA3 assembly on four, and portable loops. No
+// path fuses a multiply-add but where Exp does, and a lane that ends NaN
+// or leaves exp's fast path is taken again through Dot or LogSumExp, so
+// every path gives the same bits.
 //
 // Exp, Log, Log1p and Tanh are the repository's one exp, log, log1p and
-// tanh: amd64's plain math.Exp sequence and math.Log's in Go, each product
-// rounded, which the exp kernels reproduce lane for lane and every other
-// package calls instead of math's, so no bit depends on the host's FMA.
+// tanh: amd64's FMA math.Exp sequence in Go with math.FMA at its fused
+// steps, and math.Log's with each product rounded, which the exp kernels
+// reproduce lane for lane and every other package calls instead of math's,
+// so no bit depends on the host's FMA or GOARCH.
 package tensor
 
 import "fmt"

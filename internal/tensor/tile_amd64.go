@@ -5,15 +5,16 @@ func init() {
 	useAVX512 = useAVX2 && hasAVX512F()
 }
 
-// hasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
-// registers across context switches (CPUID.1:ECX OSXSAVE and AVX, XCR0's
-// SSE and AVX state bits, CPUID.7.0:EBX AVX2).
+// hasAVX2 reports whether the CPU has AVX2 and FMA3 and the OS saves the
+// YMM registers across context switches (CPUID.1:ECX OSXSAVE, AVX and FMA,
+// XCR0's SSE and AVX state bits, CPUID.7.0:EBX AVX2): the exp kernels fuse
+// where Exp calls math.FMA, so a CPU without FMA3 takes the portable loops.
 func hasAVX2() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return false
 	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
+	const osxsave, avx, fma = 1 << 27, 1 << 28, 1 << 12
+	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx|fma) != osxsave|avx|fma {
 		return false
 	}
 	if xcr0 := xgetbv(); xcr0&6 != 6 {
@@ -38,31 +39,37 @@ func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 // OSXSAVE.
 func xgetbv() uint32
 
-// dot4xNAVX2 is Dot4xN's tile over n ≥ 1 columns and c ≥ 1 classes. It
-// reports whether a logit may be NaN: false means none is.
+// dot4xNAVX2 is dot4xN's tile over n ≥ 1 columns and c ≥ 1 classes, a
+// class every s values of z. It reports whether a logit may be NaN: false
+// means none is.
 //
 //go:noescape
-func dot4xNAVX2(z, x, w *float64, n, c int) (nan bool)
+func dot4xNAVX2(z, x, w, b *float64, n, c, s int) (nan bool)
 
 // dot8xNAVX512 is Dot8xN's tile over n ≥ 1 columns and c ≥ 1 classes. It
 // reports whether a logit may be NaN: false means none is.
 //
 //go:noescape
-func dot8xNAVX512(z, x, w *float64, n, c int) (nan bool)
+func dot8xNAVX512(z, x, w, b *float64, n, c int) (nan bool)
 
-// logSumExp4AVX2 is LogSumExp4's kernel over c ≥ 1 classes. It returns the
-// rows to retake as a bit mask, row r at bit r.
+// logSumExp4AVX2 is logSumExp4's kernel over c ≥ 1 classes, a class every s
+// values of z. It returns the rows to retake as a bit mask, row r at bit r.
 //
 //go:noescape
-func logSumExp4AVX2(lse *[4]float64, z *float64, c int) (retake int)
+func logSumExp4AVX2(lse *[4]float64, z *float64, c, s int) (retake int)
 
 // logSumExp8AVX512 is LogSumExp8's kernel, logSumExp4AVX2 over eight lanes.
 //
 //go:noescape
 func logSumExp8AVX512(lse *[8]float64, z *float64, c int) (retake int)
 
-// expShift4AVX2 is ExpShift4's kernel over c ≥ 1 classes. It returns the
-// number of leading columns it replaced.
+// expShift4AVX2 is expShift4's kernel over c ≥ 1 classes, a class every s
+// values of z. It returns the number of leading classes it replaced.
 //
 //go:noescape
-func expShift4AVX2(z *float64, c int, shift *[4]float64) (done int)
+func expShift4AVX2(z *float64, c, s int, shift *[4]float64) (done int)
+
+// expShift8AVX512 is ExpShift8's kernel, expShift4AVX2 over eight lanes.
+//
+//go:noescape
+func expShift8AVX512(z *float64, c int, shift *[8]float64) (done int)

@@ -36,22 +36,33 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-4
 	VMULPD       Y13, col, Y13; \
 	VADDPD       Y13, Y3, Y3
 
-// func dot4xNAVX2(z, x, w *float64, n, c int) (nan bool)
+// BIAS4 adds class k+j's bias, at boff(R14), to its accumulator — one
+// rounded add after the last product — adds the logits to Y14 and stores
+// the four lanes, rows 0–3 of the class, at dst.
+#define BIAS4(acc, boff, dst) \
+	VBROADCASTSD boff(R14), Y4; \
+	VADDPD       Y4, acc, acc; \
+	VADDPD       acc, Y14, Y14; \
+	VMOVUPD      acc, dst
+
+// func dot4xNAVX2(z, x, w, b *float64, n, c, s int) (nan bool)
 //
-// Registers: DI the pass's first logit z[k], DX its first class row w_k, BX
-// and SI the walk along w_k and along row 0 of x, AX the columns left, R8
-// the classes left, R9–R11 the byte offsets of classes k+1…k+3 from w_k, R12
-// a row of x or w in bytes (n·8), R13 three of them, CX a row of z (c·8),
-// Y14 the sum of every accumulator, NaN once any lane is.
-TEXT ·dot4xNAVX2(SB), NOSPLIT, $0-41
+// Registers: DI the pass's first logit z[k·s], DX its first class row w_k,
+// R14 its bias b_k, BX and SI the walk along w_k and along row 0 of x, AX
+// the columns left, R8 the classes left, R9–R11 the byte offsets of classes
+// k+1…k+3 from w_k, R12 a row of x or w in bytes (n·8), R13 three of them,
+// CX a class of z (s·8), Y14 the sum of every stored logit, NaN once any
+// lane is.
+TEXT ·dot4xNAVX2(SB), NOSPLIT, $0-57
 	VXORPD Y14, Y14, Y14
 	MOVQ   z+0(FP), DI
 	MOVQ   w+16(FP), DX
-	MOVQ   n+24(FP), R12
+	MOVQ   b+24(FP), R14
+	MOVQ   n+32(FP), R12
 	SHLQ   $3, R12
 	LEAQ   (R12)(R12*2), R13
-	MOVQ   c+32(FP), R8
-	MOVQ   R8, CX
+	MOVQ   c+40(FP), R8
+	MOVQ   s+48(FP), CX
 	SHLQ   $3, CX
 
 pass:
@@ -76,7 +87,7 @@ start:
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
-	MOVQ   n+24(FP), AX
+	MOVQ   n+32(FP), AX
 	CMPQ   AX, $4
 	JLT    tail
 
@@ -124,53 +135,22 @@ one:
 	JNE         one
 
 store:
-	VADDPD Y0, Y14, Y14
-	VADDPD Y1, Y14, Y14
-	VADDPD Y2, Y14, Y14
-	VADDPD Y3, Y14, Y14
-
-	// Transpose the accumulators back to rows: X4/X8 hold rows 0/2 of
-	// classes k, k+1, X5/X9 rows 1/3, and X6, X10, X7, X11 the same of
-	// classes k+2, k+3.
-	VUNPCKLPD    Y1, Y0, Y4
-	VUNPCKHPD    Y1, Y0, Y5
-	VUNPCKLPD    Y3, Y2, Y6
-	VUNPCKHPD    Y3, Y2, Y7
-	VEXTRACTF128 $1, Y4, X8
-	VEXTRACTF128 $1, Y5, X9
-	VEXTRACTF128 $1, Y6, X10
-	VEXTRACTF128 $1, Y7, X11
-	LEAQ         (CX)(CX*2), AX
-	CMPQ         R8, $2
-	JLT          store1
-	VMOVUPD      X4, (DI)
-	VMOVUPD      X5, (DI)(CX*1)
-	VMOVUPD      X8, (DI)(CX*2)
-	VMOVUPD      X9, (DI)(AX*1)
-	CMPQ         R8, $3
-	JLT          next
-	JEQ          store3
-	VMOVUPD      X6, 16(DI)
-	VMOVUPD      X7, 16(DI)(CX*1)
-	VMOVUPD      X10, 16(DI)(CX*2)
-	VMOVUPD      X11, 16(DI)(AX*1)
-	JMP          next
-
-store3:
-	VMOVSD X6, 16(DI)
-	VMOVSD X7, 16(DI)(CX*1)
-	VMOVSD X10, 16(DI)(CX*2)
-	VMOVSD X11, 16(DI)(AX*1)
-	JMP    next
-
-store1:
-	VMOVSD X4, (DI)
-	VMOVSD X5, (DI)(CX*1)
-	VMOVSD X8, (DI)(CX*2)
-	VMOVSD X9, (DI)(AX*1)
+	// Each class's four rows are one store, class k+j at DI + j·CX.
+	LEAQ  (CX)(CX*2), AX
+	BIAS4(Y0, 0, (DI))
+	CMPQ  R8, $2
+	JLT   next
+	BIAS4(Y1, 8, (DI)(CX*1))
+	CMPQ  R8, $3
+	JLT   next
+	BIAS4(Y2, 16, (DI)(CX*2))
+	CMPQ  R8, $4
+	JLT   next
+	BIAS4(Y3, 24, (DI)(AX*1))
 
 next:
-	ADDQ $32, DI
+	LEAQ (DI)(CX*4), DI
+	ADDQ $32, R14
 	LEAQ (DX)(R12*4), DX
 	SUBQ $4, R8
 	JGT  pass
@@ -180,7 +160,7 @@ next:
 	VCMPPD    $3, Y14, Y14, Y14
 	VMOVMSKPD Y14, AX
 	TESTL     AX, AX
-	SETNE     nan+40(FP)
+	SETNE     nan+56(FP)
 	VZEROUPPER
 	RET
 
@@ -227,15 +207,6 @@ SPLAT(928, $0x0010000000000000)                                // smallest norma
 SPLAT(960, $0x7FF0000000000000)                                // +Inf
 GLOBL expk<>(SB), RODATA|NOPTR, $992
 
-// LANES loads column k of a four-row block into the lanes of Y0, row r in
-// lane r: ptr is the column's row-0 address, CX a row in bytes, DX three.
-#define LANES(ptr) \
-	VMOVSD      (ptr), X0; \
-	VMOVHPD     (ptr)(CX*1), X0, X0; \
-	VMOVSD      (ptr)(CX*2), X1; \
-	VMOVHPD     (ptr)(DX*1), X1, X1; \
-	VINSERTF128 $1, X1, Y0, Y0
-
 // EXPHEAD starts Exp on the four lanes of Y0: it sets Y2 to the lanes on
 // its fast path, Y1 to float64(n) for n = round(x·LOG2E), and Y4 to 2ⁿ. A
 // lane is on the fast path when n+0x3FF is in (0, 0x7FF), so that neither
@@ -253,78 +224,59 @@ GLOBL expk<>(SB), RODATA|NOPTR, $992
 	VPMOVSXDQ  X4, Y4; \
 	VPSLLQ     $52, Y4, Y4
 
-// EXP finishes Exp(Y0) into Y0 with Exp's sequence: every product rounded
-// before its add.
+// EXP finishes Exp(Y0) into Y0 with Exp's sequence: fused exactly where it
+// calls math.FMA — the two reduction steps, the seven Horner steps and the
+// last squaring's +1 — and every other product rounded before its add.
 #define EXP \
 	EXPHEAD; \
-	VMULPD expk<>+32(SB), Y1, Y3; \
-	VSUBPD Y3, Y0, Y0; \
-	VMULPD expk<>+64(SB), Y1, Y3; \
-	VSUBPD Y3, Y0, Y0; \
-	VMULPD expk<>+96(SB), Y0, Y0; \
-	VMULPD expk<>+128(SB), Y0, Y1; \
-	VADDPD expk<>+160(SB), Y1, Y1; \
-	VMULPD Y0, Y1, Y1; \
-	VADDPD expk<>+192(SB), Y1, Y1; \
-	VMULPD Y0, Y1, Y1; \
-	VADDPD expk<>+224(SB), Y1, Y1; \
-	VMULPD Y0, Y1, Y1; \
-	VADDPD expk<>+256(SB), Y1, Y1; \
-	VMULPD Y0, Y1, Y1; \
-	VADDPD expk<>+288(SB), Y1, Y1; \
-	VMULPD Y0, Y1, Y1; \
-	VADDPD expk<>+320(SB), Y1, Y1; \
-	VMULPD Y0, Y1, Y1; \
-	VADDPD expk<>+352(SB), Y1, Y1; \
-	VMULPD Y1, Y0, Y0; \
-	VADDPD expk<>+384(SB), Y0, Y1; \
-	VMULPD Y1, Y0, Y0; \
-	VADDPD expk<>+384(SB), Y0, Y1; \
-	VMULPD Y1, Y0, Y0; \
-	VADDPD expk<>+384(SB), Y0, Y1; \
-	VMULPD Y1, Y0, Y0; \
-	VADDPD expk<>+384(SB), Y0, Y1; \
-	VMULPD Y1, Y0, Y0; \
-	VADDPD expk<>+352(SB), Y0, Y0; \
-	VMULPD Y4, Y0, Y0
+	VFNMADD231PD expk<>+32(SB), Y1, Y0; \
+	VFNMADD231PD expk<>+64(SB), Y1, Y0; \
+	VMULPD       expk<>+96(SB), Y0, Y0; \
+	VMOVUPD      expk<>+128(SB), Y1; \
+	VFMADD213PD  expk<>+160(SB), Y0, Y1; \
+	VFMADD213PD  expk<>+192(SB), Y0, Y1; \
+	VFMADD213PD  expk<>+224(SB), Y0, Y1; \
+	VFMADD213PD  expk<>+256(SB), Y0, Y1; \
+	VFMADD213PD  expk<>+288(SB), Y0, Y1; \
+	VFMADD213PD  expk<>+320(SB), Y0, Y1; \
+	VFMADD213PD  expk<>+352(SB), Y0, Y1; \
+	VMULPD       Y1, Y0, Y0; \
+	VADDPD       expk<>+384(SB), Y0, Y1; \
+	VMULPD       Y1, Y0, Y0; \
+	VADDPD       expk<>+384(SB), Y0, Y1; \
+	VMULPD       Y1, Y0, Y0; \
+	VADDPD       expk<>+384(SB), Y0, Y1; \
+	VMULPD       Y1, Y0, Y0; \
+	VADDPD       expk<>+384(SB), Y0, Y1; \
+	VFMADD213PD  expk<>+352(SB), Y1, Y0; \
+	VMULPD       Y4, Y0, Y0
 
-// SUMSTEP adds exp(z_k − m) of the column at DI to the sums in Y13 and
-// clears in Y15 the lanes off exp's fast path.
-#define SUMSTEP \
-	LANES(DI); \
-	VSUBPD Y14, Y0, Y0; \
-	EXP; \
-	VANDPD Y2, Y15, Y15; \
-	VADDPD Y0, Y13, Y13
-
-// func logSumExp4AVX2(lse *[4]float64, z *float64, c int) (retake int)
+// func logSumExp4AVX2(lse *[4]float64, z *float64, c, s int) (retake int)
 //
-// Registers: SI the block z (four rows of c), DI the walk along its columns,
-// CX a row in bytes, DX three rows, AX the columns left, Y14 the row maxima,
-// Y13 the sums, Y15 the lanes whose every exp, and whose sum, stayed on the
-// fast path.
-TEXT ·logSumExp4AVX2(SB), NOSPLIT, $0-32
+// Registers: SI the block z (c classes of four rows, a class every s
+// values), DI the walk along its classes, CX a class in bytes, AX the
+// classes left, Y14 the row maxima, Y13 the sums, Y15 the lanes whose every
+// exp, and whose sum, stayed on the fast path.
+TEXT ·logSumExp4AVX2(SB), NOSPLIT, $0-40
 	MOVQ z+8(FP), SI
-	MOVQ c+16(FP), CX
+	MOVQ s+24(FP), CX
 	SHLQ $3, CX
-	LEAQ (CX)(CX*2), DX
 
 	// Each row's maximum in class order: VMAXPD's first source wins only
 	// when it is greater, as `if v > m { m = v }` does, NaN included.
-	LANES(SI)
-	VMOVAPD Y0, Y14
-	LEAQ    8(SI), DI
+	VMOVUPD (SI), Y14
+	LEAQ    (SI)(CX*1), DI
 	MOVQ    c+16(FP), AX
 	DECQ    AX
 	JEQ     sum
 	PCALIGN $32
 
 max:
-	LANES(DI)
-	VMAXPD Y14, Y0, Y14
-	ADDQ   $8, DI
-	DECQ   AX
-	JNE    max
+	VMOVUPD (DI), Y0
+	VMAXPD  Y14, Y0, Y14
+	ADDQ    CX, DI
+	DECQ    AX
+	JNE     max
 
 sum:
 	VXORPD   Y13, Y13, Y13
@@ -334,10 +286,14 @@ sum:
 	PCALIGN  $32
 
 sumstep:
-	SUMSTEP
-	ADDQ $8, DI
-	DECQ AX
-	JNE  sumstep
+	VMOVUPD (DI), Y0
+	VSUBPD  Y14, Y0, Y0
+	EXP
+	VANDPD  Y2, Y15, Y15
+	VADDPD  Y0, Y13, Y13
+	ADDQ    CX, DI
+	DECQ    AX
+	JNE     sumstep
 
 	// A sum that is not a positive normal number leaves Log's main path;
 	// the lane is retaken.
@@ -392,96 +348,88 @@ sumstep:
 	VMOVUPD   Y1, (DI)
 	VMOVMSKPD Y15, AX
 	XORQ      $15, AX
-	MOVQ      AX, retake+24(FP)
+	MOVQ      AX, retake+32(FP)
 	VZEROUPPER
 	RET
 
-// SHIFTSTEP replaces the column at DI by exp(z_k − shift) when all four of
-// its lanes are on exp's fast path, and otherwise leaves it and the rest of
-// the block as they are and returns the columns done.
-#define SHIFTSTEP \
-	LANES(DI); \
-	VSUBPD       Y14, Y0, Y0; \
-	EXP; \
-	VMOVMSKPD    Y2, BX; \
-	CMPL         BX, $15; \
-	JNE          done; \
-	VEXTRACTF128 $1, Y0, X1; \
-	VMOVSD       X0, (DI); \
-	VMOVHPD      X0, (DI)(CX*1); \
-	VMOVSD       X1, (DI)(CX*2); \
-	VMOVHPD      X1, (DI)(DX*1)
-
-// func expShift4AVX2(z *float64, c int, shift *[4]float64) (done int)
+// func expShift4AVX2(z *float64, c, s int, shift *[4]float64) (done int)
 //
-// Registers: DI the walk along the columns of the block z, CX a row in
-// bytes, DX three rows, AX the columns done, R8 c, Y14 the shifts.
-TEXT ·expShift4AVX2(SB), NOSPLIT, $0-32
+// Registers: DI the walk along the classes of the block z, a class every
+// s values, CX a class in bytes, AX the classes done, R8 c, Y14 the shifts.
+TEXT ·expShift4AVX2(SB), NOSPLIT, $0-40
 	MOVQ    z+0(FP), DI
 	MOVQ    c+8(FP), R8
-	MOVQ    R8, CX
+	MOVQ    s+16(FP), CX
 	SHLQ    $3, CX
-	LEAQ    (CX)(CX*2), DX
-	MOVQ    shift+16(FP), SI
+	MOVQ    shift+24(FP), SI
 	VMOVUPD (SI), Y14
 	XORQ    AX, AX
 	PCALIGN $32
 
 shift:
-	SHIFTSTEP
-	ADDQ $8, DI
-	INCQ AX
-	CMPQ AX, R8
-	JLT  shift
+	// A class is replaced by exp(z_k − shift) when all four of its lanes
+	// are on exp's fast path; otherwise it and the rest of the block are
+	// left as they are.
+	VMOVUPD   (DI), Y0
+	VSUBPD    Y14, Y0, Y0
+	EXP
+	VMOVMSKPD Y2, BX
+	CMPL      BX, $15
+	JNE       done
+	VMOVUPD   Y0, (DI)
+	ADDQ      CX, DI
+	INCQ      AX
+	CMPQ      AX, R8
+	JLT       shift
 
 done:
-	MOVQ AX, done+24(FP)
+	MOVQ AX, done+32(FP)
 	VZEROUPPER
 	RET
 
 // CLASSES runs op on each class of an eight-row pass, in class order, and
 // jumps to done after the last of the R14 classes left (a pass takes at
-// most sixteen). op gets the class's accumulator as a zmm and an xmm, its
-// column in w — class k's row k·n from BX for k < 8 and from R13 for the
-// rest, R9, R10, R11 and R12 holding 1, 3, 5 and 7 rows in bytes — and its
-// byte offset in a row of z.
+// most sixteen). op gets the class's accumulator, its column in w — class
+// k's row k·n from BX for k < 8 and from R13 for the rest, R9, R10, R11 and
+// R12 holding 1, 3, 5 and 7 rows in bytes — and its index in the pass in
+// bytes, j·8.
 #define CLASSES(op, done) \
-	op(Z16, X16, (BX), 0); \
+	op(Z16, (BX), 0); \
 	CMPQ R14, $1; JEQ done; \
-	op(Z17, X17, (BX)(R9*1), 8); \
+	op(Z17, (BX)(R9*1), 8); \
 	CMPQ R14, $2; JEQ done; \
-	op(Z18, X18, (BX)(R9*2), 16); \
+	op(Z18, (BX)(R9*2), 16); \
 	CMPQ R14, $3; JEQ done; \
-	op(Z19, X19, (BX)(R10*1), 24); \
+	op(Z19, (BX)(R10*1), 24); \
 	CMPQ R14, $4; JEQ done; \
-	op(Z20, X20, (BX)(R9*4), 32); \
+	op(Z20, (BX)(R9*4), 32); \
 	CMPQ R14, $5; JEQ done; \
-	op(Z21, X21, (BX)(R11*1), 40); \
+	op(Z21, (BX)(R11*1), 40); \
 	CMPQ R14, $6; JEQ done; \
-	op(Z22, X22, (BX)(R10*2), 48); \
+	op(Z22, (BX)(R10*2), 48); \
 	CMPQ R14, $7; JEQ done; \
-	op(Z23, X23, (BX)(R12*1), 56); \
+	op(Z23, (BX)(R12*1), 56); \
 	CMPQ R14, $8; JEQ done; \
-	op(Z24, X24, (R13), 64); \
+	op(Z24, (R13), 64); \
 	CMPQ R14, $9; JEQ done; \
-	op(Z25, X25, (R13)(R9*1), 72); \
+	op(Z25, (R13)(R9*1), 72); \
 	CMPQ R14, $10; JEQ done; \
-	op(Z26, X26, (R13)(R9*2), 80); \
+	op(Z26, (R13)(R9*2), 80); \
 	CMPQ R14, $11; JEQ done; \
-	op(Z27, X27, (R13)(R10*1), 88); \
+	op(Z27, (R13)(R10*1), 88); \
 	CMPQ R14, $12; JEQ done; \
-	op(Z28, X28, (R13)(R9*4), 96); \
+	op(Z28, (R13)(R9*4), 96); \
 	CMPQ R14, $13; JEQ done; \
-	op(Z29, X29, (R13)(R11*1), 104); \
+	op(Z29, (R13)(R11*1), 104); \
 	CMPQ R14, $14; JEQ done; \
-	op(Z30, X30, (R13)(R10*2), 112); \
+	op(Z30, (R13)(R10*2), 112); \
 	CMPQ R14, $15; JEQ done; \
-	op(Z31, X31, (R13)(R12*1), 120)
+	op(Z31, (R13)(R12*1), 120)
 
 // MUL4 adds the four columns in Z0–Z3 times w_k[i…i+3], each broadcast to
 // the eight lanes, to the class's accumulator in column order. Each product
 // is rounded before its add: no fused multiply-add.
-#define MUL4(acc, x, w, zoff) \
+#define MUL4(acc, w, j8) \
 	VMULPD.BCST 0 w, Z0, Z12; \
 	VADDPD      Z12, acc, acc; \
 	VMULPD.BCST 8 w, Z1, Z13; \
@@ -492,47 +440,38 @@ done:
 	VADDPD      Z13, acc, acc
 
 // MUL1 adds the column in Z0 times w_k[i] to the class's accumulator.
-#define MUL1(acc, x, w, zoff) \
+#define MUL1(acc, w, j8) \
 	VMULPD.BCST w, Z0, Z12; \
 	VADDPD      Z12, acc, acc
 
-// STORE8 writes the class's accumulator, lane r, to row r of z at zoff:
-// rows 0–3 from DI, 4–7 from SI, CX a row in bytes, AX three. Z15 sums
-// every accumulator, NaN once any lane is.
-#define STORE8(acc, x, w, zoff) \
-	VADDPD        acc, Z15, Z15; \
-	VMOVSD        x, zoff(DI); \
-	VMOVHPD       x, zoff(DI)(CX*1); \
-	VEXTRACTF32X4 $1, acc, X4; \
-	VMOVSD        X4, zoff(DI)(CX*2); \
-	VMOVHPD       X4, zoff(DI)(AX*1); \
-	VEXTRACTF32X4 $2, acc, X5; \
-	VMOVSD        X5, zoff(SI); \
-	VMOVHPD       X5, zoff(SI)(CX*1); \
-	VEXTRACTF32X4 $3, acc, X6; \
-	VMOVSD        X6, zoff(SI)(CX*2); \
-	VMOVHPD       X6, zoff(SI)(AX*1)
+// STORE8 adds the class's bias, b_k at j8(CX), to its accumulator — one
+// rounded add after the last product — adds the logits to Z15, NaN once
+// any lane is, and stores the eight lanes, rows 0–7 of the class, as one:
+// class k+j at DI + j·64.
+#define STORE8(acc, w, j8) \
+	VADDPD.BCST j8(CX), acc, acc; \
+	VADDPD      acc, Z15, Z15; \
+	VMOVUPD     acc, j8*8(DI)
 
-// func dot8xNAVX512(z, x, w *float64, n, c int) (nan bool)
+// func dot8xNAVX512(z, x, w, b *float64, n, c int) (nan bool)
 //
-// Registers: DI the pass's first logit z[k], DX its first class row w_k, BX
-// and R13 the walk along classes k…k+7 and k+8…k+15, SI and R8 the walk
-// along rows 0 and 4 of x, AX the columns left, R14 the classes left, R9–R12
-// one, three, five and seven rows of x or w in bytes (n·8), CX a row of z
-// (c·8), Z16–Z31 the pass's accumulators, one class each with the eight rows
-// as lanes, Z15 the sum of every accumulator.
-TEXT ·dot8xNAVX512(SB), NOSPLIT, $0-41
+// Registers: DI the pass's first logit z[8k], DX its first class row w_k, CX
+// its bias b_k, BX and R13 the walk along classes k…k+7 and k+8…k+15, SI
+// and R8 the walk along rows 0 and 4 of x, AX the columns left, R14 the
+// classes left, R9–R12 one, three, five and seven rows of x or w in bytes
+// (n·8), Z16–Z31 the pass's accumulators, one class each with the eight rows
+// as lanes, Z15 the sum of every stored logit.
+TEXT ·dot8xNAVX512(SB), NOSPLIT, $0-49
 	VPXORQ Z15, Z15, Z15
 	MOVQ   z+0(FP), DI
 	MOVQ   w+16(FP), DX
-	MOVQ   n+24(FP), R9
+	MOVQ   b+24(FP), CX
+	MOVQ   n+32(FP), R9
 	SHLQ   $3, R9
 	LEAQ   (R9)(R9*2), R10
 	LEAQ   (R9)(R9*4), R11
 	LEAQ   (R10)(R9*4), R12
-	MOVQ   c+32(FP), R14
-	MOVQ   R14, CX
-	SHLQ   $3, CX
+	MOVQ   c+40(FP), R14
 
 pass:
 	VPXORQ Z16, Z16, Z16
@@ -555,7 +494,7 @@ pass:
 	LEAQ   (SI)(R9*4), R8
 	MOVQ   DX, BX
 	LEAQ   (DX)(R9*8), R13
-	MOVQ   n+24(FP), AX
+	MOVQ   n+32(FP), AX
 	CMPQ   AX, $4
 	JLT    tail
 	PCALIGN $64
@@ -618,12 +557,11 @@ onedone:
 	JNE  one
 
 store:
-	LEAQ (CX)(CX*2), AX
-	LEAQ (DI)(CX*4), SI
 	CLASSES(STORE8, next)
 
 next:
-	ADDQ $128, DI
+	ADDQ $1024, DI
+	ADDQ $128, CX
 	LEAQ (DX)(R9*8), DX
 	LEAQ (DX)(R9*8), DX
 	SUBQ $16, R14
@@ -633,25 +571,9 @@ next:
 	// look at z costs only time.
 	VCMPPD   $3, Z15, Z15, K1
 	KORTESTW K1, K1
-	SETNE    nan+40(FP)
+	SETNE    nan+48(FP)
 	VZEROUPPER
 	RET
-
-// LANES8 loads column k of an eight-row block into the lanes of Z0, row r
-// in lane r: p0 and p4 are the column's row-0 and row-4 addresses, CX a row
-// in bytes, DX three. X1 and X2 are scratch.
-#define LANES8(p0, p4) \
-	VMOVSD       (p0), X0; \
-	VMOVHPD      (p0)(CX*1), X0, X0; \
-	VMOVSD       (p0)(CX*2), X1; \
-	VMOVHPD      (p0)(DX*1), X1, X1; \
-	VINSERTF128  $1, X1, Y0, Y0; \
-	VMOVSD       (p4), X1; \
-	VMOVHPD      (p4)(CX*1), X1, X1; \
-	VMOVSD       (p4)(CX*2), X2; \
-	VMOVHPD      (p4)(DX*1), X2, X2; \
-	VINSERTF128  $1, X2, Y1, Y1; \
-	VINSERTF64X4 $1, Y1, Z0, Z0
 
 // EXPHEAD8 is EXPHEAD on the eight lanes of Z0: it sets K2 to the lanes on
 // Exp's fast path, Z1 to float64(n) and Z4 to 2ⁿ, with the same
@@ -669,89 +591,67 @@ next:
 // EXP8 is EXP on the eight lanes of Z0.
 #define EXP8 \
 	EXPHEAD8; \
-	VMULPD.BCST expk<>+32(SB), Z1, Z3; \
-	VSUBPD      Z3, Z0, Z0; \
-	VMULPD.BCST expk<>+64(SB), Z1, Z3; \
-	VSUBPD      Z3, Z0, Z0; \
-	VMULPD.BCST expk<>+96(SB), Z0, Z0; \
-	VMULPD.BCST expk<>+128(SB), Z0, Z1; \
-	VADDPD.BCST expk<>+160(SB), Z1, Z1; \
-	VMULPD      Z0, Z1, Z1; \
-	VADDPD.BCST expk<>+192(SB), Z1, Z1; \
-	VMULPD      Z0, Z1, Z1; \
-	VADDPD.BCST expk<>+224(SB), Z1, Z1; \
-	VMULPD      Z0, Z1, Z1; \
-	VADDPD.BCST expk<>+256(SB), Z1, Z1; \
-	VMULPD      Z0, Z1, Z1; \
-	VADDPD.BCST expk<>+288(SB), Z1, Z1; \
-	VMULPD      Z0, Z1, Z1; \
-	VADDPD.BCST expk<>+320(SB), Z1, Z1; \
-	VMULPD      Z0, Z1, Z1; \
-	VADDPD.BCST expk<>+352(SB), Z1, Z1; \
-	VMULPD      Z1, Z0, Z0; \
-	VADDPD.BCST expk<>+384(SB), Z0, Z1; \
-	VMULPD      Z1, Z0, Z0; \
-	VADDPD.BCST expk<>+384(SB), Z0, Z1; \
-	VMULPD      Z1, Z0, Z0; \
-	VADDPD.BCST expk<>+384(SB), Z0, Z1; \
-	VMULPD      Z1, Z0, Z0; \
-	VADDPD.BCST expk<>+384(SB), Z0, Z1; \
-	VMULPD      Z1, Z0, Z0; \
-	VADDPD.BCST expk<>+352(SB), Z0, Z0; \
-	VMULPD      Z4, Z0, Z0
-
-// SUMSTEP8 adds exp(z_k − m) of the column at DI and R8 to the sums in Z13
-// and clears in K7 the lanes off exp's fast path.
-#define SUMSTEP8 \
-	LANES8(DI, R8); \
-	VSUBPD Z14, Z0, Z0; \
-	EXP8; \
-	KANDW  K2, K7, K7; \
-	VADDPD Z0, Z13, Z13
+	VFNMADD231PD.BCST expk<>+32(SB), Z1, Z0; \
+	VFNMADD231PD.BCST expk<>+64(SB), Z1, Z0; \
+	VMULPD.BCST       expk<>+96(SB), Z0, Z0; \
+	VBROADCASTSD      expk<>+128(SB), Z1; \
+	VFMADD213PD.BCST  expk<>+160(SB), Z0, Z1; \
+	VFMADD213PD.BCST  expk<>+192(SB), Z0, Z1; \
+	VFMADD213PD.BCST  expk<>+224(SB), Z0, Z1; \
+	VFMADD213PD.BCST  expk<>+256(SB), Z0, Z1; \
+	VFMADD213PD.BCST  expk<>+288(SB), Z0, Z1; \
+	VFMADD213PD.BCST  expk<>+320(SB), Z0, Z1; \
+	VFMADD213PD.BCST  expk<>+352(SB), Z0, Z1; \
+	VMULPD            Z1, Z0, Z0; \
+	VADDPD.BCST       expk<>+384(SB), Z0, Z1; \
+	VMULPD            Z1, Z0, Z0; \
+	VADDPD.BCST       expk<>+384(SB), Z0, Z1; \
+	VMULPD            Z1, Z0, Z0; \
+	VADDPD.BCST       expk<>+384(SB), Z0, Z1; \
+	VMULPD            Z1, Z0, Z0; \
+	VADDPD.BCST       expk<>+384(SB), Z0, Z1; \
+	VFMADD213PD.BCST  expk<>+352(SB), Z1, Z0; \
+	VMULPD            Z4, Z0, Z0
 
 // func logSumExp8AVX512(lse *[8]float64, z *float64, c int) (retake int)
 //
-// Registers: DI and R8 the walk along the columns of rows 0 and 4 of the
-// block z (eight rows of c), CX a row in bytes, DX three rows, AX the
-// columns left, Z14 the row maxima, Z13 the sums, K7 the lanes whose every
-// exp, and whose sum, stayed on the fast path.
+// Registers: SI the block z (c classes of eight rows), DI the walk along
+// its classes, AX the classes left, Z14 the row maxima, Z13 the sums, K7
+// the lanes whose every exp, and whose sum, stayed on the fast path.
 TEXT ·logSumExp8AVX512(SB), NOSPLIT, $0-32
-	MOVQ z+8(FP), DI
-	MOVQ c+16(FP), CX
-	SHLQ $3, CX
-	LEAQ (CX)(CX*2), DX
-	LEAQ (DI)(CX*4), R8
+	MOVQ z+8(FP), SI
 
 	// Each row's maximum in class order, as in logSumExp4AVX2.
-	LANES8(DI, R8)
-	VMOVAPD Z0, Z14
+	VMOVUPD (SI), Z14
+	LEAQ    64(SI), DI
 	MOVQ    c+16(FP), AX
 	DECQ    AX
 	JEQ     sum
 	PCALIGN $32
 
 max:
-	ADDQ   $8, DI
-	ADDQ   $8, R8
-	LANES8(DI, R8)
-	VMAXPD Z14, Z0, Z14
-	DECQ   AX
-	JNE    max
+	VMOVUPD (DI), Z0
+	VMAXPD  Z14, Z0, Z14
+	ADDQ    $64, DI
+	DECQ    AX
+	JNE     max
 
 sum:
-	VPXORQ Z13, Z13, Z13
-	KXNORW K7, K7, K7
-	MOVQ   z+8(FP), DI
-	LEAQ   (DI)(CX*4), R8
-	MOVQ   c+16(FP), AX
+	VPXORQ  Z13, Z13, Z13
+	KXNORW  K7, K7, K7
+	MOVQ    SI, DI
+	MOVQ    c+16(FP), AX
 	PCALIGN $32
 
 sumstep:
-	SUMSTEP8
-	ADDQ $8, DI
-	ADDQ $8, R8
-	DECQ AX
-	JNE  sumstep
+	VMOVUPD (DI), Z0
+	VSUBPD  Z14, Z0, Z0
+	EXP8
+	KANDW   K2, K7, K7
+	VADDPD  Z0, Z13, Z13
+	ADDQ    $64, DI
+	DECQ    AX
+	JNE     sumstep
 
 	// A sum that is not a positive normal number is retaken, as in
 	// logSumExp4AVX2; then Log(s) on the eight lanes, the same
@@ -805,5 +705,35 @@ sumstep:
 	NOTQ    AX
 	ANDQ    $0xff, AX
 	MOVQ    AX, retake+24(FP)
+	VZEROUPPER
+	RET
+
+// func expShift8AVX512(z *float64, c int, shift *[8]float64) (done int)
+//
+// expShift4AVX2 over eight lanes. Registers: DI the walk along the classes
+// of the block z, AX the classes done, R8 c, Z14 the shifts.
+TEXT ·expShift8AVX512(SB), NOSPLIT, $0-32
+	MOVQ    z+0(FP), DI
+	MOVQ    c+8(FP), R8
+	MOVQ    shift+16(FP), SI
+	VMOVUPD (SI), Z14
+	XORQ    AX, AX
+	PCALIGN $64
+
+shift:
+	VMOVUPD (DI), Z0
+	VSUBPD  Z14, Z0, Z0
+	EXP8
+	KMOVW   K2, BX
+	CMPL    BX, $0xff
+	JNE     done
+	VMOVUPD Z0, (DI)
+	ADDQ    $64, DI
+	INCQ    AX
+	CMPQ    AX, R8
+	JLT     shift
+
+done:
+	MOVQ AX, done+24(FP)
 	VZEROUPPER
 	RET

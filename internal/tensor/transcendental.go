@@ -4,18 +4,23 @@ import "math"
 
 // The repository's exp, log, log1p and tanh. Every exp and log the
 // repository computes is one of these, or a kernel lane held to them bit
-// for bit (LogSumExp4, LogSumExp8, ExpShift4), so φ has the same bits on
-// every host: math.Exp runs one of two sequences on amd64, as the CPU has
-// FMA or not, and every GOARCH may fuse the products of math's Go code.
-// Each product here that meets an add is rounded first with float64(x*y),
+// for bit (LogSumExp4, LogSumExp8, ExpShift4, ExpShift8), so φ has the same
+// bits on every host: math.Exp runs one of two sequences on amd64, as the
+// CPU has FMA or not, and every GOARCH may fuse the products of math's Go
+// code. Exp fuses exactly where amd64's FMA sequence does, with math.FMA,
+// which rounds once on every GOARCH, in hardware or in software; every
+// other product here that meets an add is rounded first with float64(x*y),
 // which forbids the fusion. A source test holds every other file of the
 // repository to calling these rather than math's.
 
-// Exp returns eˣ by the sequence of amd64's math.Exp without FMA
-// (math/exp_amd64.s with math.useFMA false): n = round(x·log₂e), the
-// reduction x − n·ln2 in two rounded steps, a ×1/16, a Horner polynomial
-// and four squarings (r+2)·r, then the scale 2ⁿ — in two steps, through
-// 2⁻¹⁰²², where the result is subnormal. NaN keeps its payload.
+// Exp returns eˣ by the sequence of amd64's math.Exp with FMA
+// (math/exp_amd64.s with math.useFMA true): n = round(x·log₂e), the
+// reduction x − n·ln2 in two fused steps, a ×1/16, a fused Horner
+// polynomial and four squarings (r+2)·r, the last fused with its +1, then
+// the scale 2ⁿ — in two steps, through 2⁻¹⁰²², where the result is
+// subnormal, and through 2¹⁰²³ where n is 1024, which math.Exp sends to
+// +Inf although eˣ is finite up to the overflow bound. NaN keeps its
+// payload.
 func Exp(x float64) float64 {
 	const (
 		log2e    = 1.4426950408889634073599246810018920
@@ -35,27 +40,26 @@ func Exp(x float64) float64 {
 	if n < -1075 {
 		return 0 // n+0x3FF < −52: the denormal branch's underflow
 	}
-	r := x - float64(ln2U*n)
-	r -= float64(ln2L * n)
+	r := math.FMA(-n, ln2U, x)
+	r = math.FMA(-n, ln2L, r)
 	r = float64(r * 0.0625)
-	p := float64(2.4801587301587301587e-5*r) + 1.9841269841269841270e-4
-	p = float64(p*r) + 1.3888888888888888889e-3
-	p = float64(p*r) + 8.3333333333333333333e-3
-	p = float64(p*r) + 4.1666666666666666667e-2
-	p = float64(p*r) + 1.6666666666666666667e-1
-	p = float64(p*r) + 0.5
-	p = float64(p*r) + 1
+	p := math.FMA(2.4801587301587301587e-5, r, 1.9841269841269841270e-4)
+	p = math.FMA(p, r, 1.3888888888888888889e-3)
+	p = math.FMA(p, r, 8.3333333333333333333e-3)
+	p = math.FMA(p, r, 4.1666666666666666667e-2)
+	p = math.FMA(p, r, 1.6666666666666666667e-1)
+	p = math.FMA(p, r, 0.5)
+	p = math.FMA(p, r, 1)
 	r = float64(r * p)
 	r = float64(r * (r + 2))
 	r = float64(r * (r + 2))
 	r = float64(r * (r + 2))
-	r = float64(r * (r + 2))
-	r++
+	r = math.FMA(r, r+2, 1)
 	switch e := int(n) + 0x3FF; {
 	case e <= 0:
 		return float64(float64(r*math.Float64frombits(uint64(e+0x3FE)<<52)) * 0x1p-1022)
-	case e >= 0x7FF:
-		return math.Inf(1)
+	case e == 0x7FF:
+		return float64(r*0x1p1023) * 2
 	default:
 		return float64(r * math.Float64frombits(uint64(e)<<52))
 	}

@@ -2,6 +2,6 @@
 
 package tensor
 
-// mathExpPlain reports whether math.Exp runs amd64's plain sequence, the one
+// mathExpFused reports whether math.Exp runs amd64's FMA sequence, the one
 // Exp reproduces: never off amd64.
-func mathExpPlain() bool { return false }
+func mathExpFused() bool { return false }
