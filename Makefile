@@ -32,7 +32,10 @@ loc:
 # amd64's math.Exp takes its other sequence and math.FMA runs in software —
 # and as GOARCH=386 compiles it — a 32-bit int, portable math, software
 # math.FMA and another compiler backend — against the same pins: no bit the
-# repository computes may follow the host's FMA or GOARCH.
+# repository computes may follow the host's FMA or GOARCH. The 386 build also
+# takes a 5 s fuzz pass over each decoder of untrusted bytes — the archive
+# reader, the journal replay, the update and round frame decoders and
+# Handler() — where a 32-bit int meets a u32 length.
 # Note: the -race run takes several minutes on small machines; scope it to
 # touched packages while iterating ($(GO) test -race ./internal/<pkg>/).
 verify:
@@ -43,6 +46,11 @@ verify:
 	GODEBUG=cpu.fma=off $(GO) test -count=1 ./...
 	GOARCH=386 $(GO) vet ./...
 	GOARCH=386 $(GO) test -count=1 ./...
+	GOARCH=386 $(GO) test -count=1 -run '^$$' -fuzz '^FuzzReadHFL$$' -fuzztime 5s ./internal/logio/
+	GOARCH=386 $(GO) test -count=1 -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 5s ./internal/fednet/
+	GOARCH=386 $(GO) test -count=1 -run '^$$' -fuzz '^FuzzDecodeUpdateFrame$$' -fuzztime 5s ./internal/fednet/
+	GOARCH=386 $(GO) test -count=1 -run '^$$' -fuzz '^FuzzDecodeRoundFrame$$' -fuzztime 5s ./internal/fednet/
+	GOARCH=386 $(GO) test -count=1 -run '^$$' -fuzz '^FuzzCoordinatorHandler$$' -fuzztime 5s ./internal/fednet/
 	$(MAKE) verify-faults
 	$(MAKE) verify-net
 	$(MAKE) verify-adv
@@ -69,7 +77,7 @@ SCALE_RUN = .*Sample.*|.*Sampled.*|.*Cohort.*|.*Stream.*|.*MeanFold.*|.*Scale100
 SCALE_PKGS = ./internal/sampling/ ./internal/hfl/ ./internal/core/ ./internal/fednet/ ./internal/vfl/
 WIRE_RUN = .*Codec.*|.*Frame.*|.*BenchDriverRequestShapes.*|.*Pool.*|.*SizeClass.*|.*WireCodec.*|.*WireDeterministic.*|.*FiniteVec.*|.*DotAdd.*|.*HandlerAllocs.*|.*ReplyBytes.*|.*RoundQuery.*|.*InstanceHeader.*|.*ArchiveFlippedByte.*|.*ArchiveTornTail.*|FuzzReadHFL|.*WrittenFormat.*|.*NonFiniteBits.*|.*NilVersusEmpty.*|.*LogioImportsNoJSON.*|TestNextLengthBounds|TestNextTorn|TestU32
 WIRE_PKGS = ./internal/fednet/ ./internal/tensor/ ./internal/experiments/ ./internal/logio/ ./internal/framing/
-ASYNC_RUN = .*Async.*|.*PolyWeight.*|.*Stale.*|.*Buffered.*|.*FedProx.*
+ASYNC_RUN = .*Async.*|.*PolyWeight.*|.*Stale.*|.*Buffered.*
 ASYNC_PKGS = ./internal/hfl/ ./internal/fednet/ ./internal/experiments/ ./internal/robust/
 SECURE_RUN = .*Secure.*|.*Encrypt.*|.*Decrypt.*|.*DotPlain.*|.*AddPlain.*|.*MaskedGradient.*|.*FixedBase.*|.*CRT.*|.*MulMod.*|.*DecryptVec.*
 SECURE_PKGS = ./internal/paillier/ ./internal/vfl/
@@ -77,13 +85,13 @@ ENGINES_RUN = .*Engine.*|.*Truncation.*|.*Reported.*|.*AllDropped.*|.*Sampler.*|
 ENGINES_PKGS = ./internal/shapley/ ./internal/baselines/ ./internal/experiments/ ./internal/fednet/ ./internal/metrics/ ./internal/hfl/ ./internal/vfl/
 CRASH_RUN = .*WAL.*|.*Recover.*|.*Chaos.*|.*DomainsUnique.*
 CRASH_PKGS = ./internal/fednet/ ./internal/experiments/ ./internal/faults/
-ADV_RUN = .*Adversar.*|.*Tamper.*|.*Quarantine.*|.*Reweight.*|.*PluginShape.*|.*Screen.*|.*Krum.*|.*NormBound.*|.*Mutate.*|.*Poison.*|.*Fires.*|.*NonFinite.*|.*Reject.*|.*AXPY4.*|.*AXPYRows.*|.*DotRows.*|.*DotAdd4.*|.*MatTVec.*|.*RowKernels.*|.*RoundSums.*
+ADV_RUN = .*Adversar.*|.*Tamper.*|.*Quarantine.*|.*Reweight.*|.*PluginShape.*|.*Screen.*|.*Mutate.*|.*Poison.*|.*Fires.*|.*NonFinite.*|.*Reject.*|.*AXPY4.*|.*AXPYRows.*|.*DotRows.*|.*DotAdd4.*|.*MatTVec.*|.*RowKernels.*|.*RoundSums.*
 ADV_PKGS = ./internal/adversary/ ./internal/robust/ ./internal/core/ ./internal/hfl/ ./internal/vfl/ ./internal/fednet/ ./internal/experiments/ ./internal/tensor/
 REWEIGHT_RUN = TestReweighted.*|TestBannedAtCloseAddsNothing|TestStreamedReweight.*|TestStreamedQuarantine.*|TestCompositionStreamedIsOnePredicate|TestAdversarialEfficacyGate
 REWEIGHT_PKGS = ./internal/hfl/ ./internal/robust/ ./internal/fednet/ ./internal/experiments/
 HVP_RUN = TestHVPMatchesExplicitHessian|TestHVPMatchesFDOracle|TestHVPSymmetric|TestHVPSharedModelReadOnly|TestSoftmaxHVPAllocs|TestClassLabelsChecked|TestProvidersUseExactHVP|TestLocalHVPConcurrentUse
 HVP_PKGS = ./internal/nn/ ./internal/core/
-KERNELS_RUN = TestDot4xNMatchesDot|FuzzDot4xN|TestDot4xNShapeMismatchPanics|TestDot8xNMatchesDot|FuzzDot8xN|TestDot8xNShapeMismatchPanics|TestLogSumExp4MatchesScalar|TestLogSumExp8MatchesScalar|FuzzLogSumExp8|TestLogSumExp8ShapeMismatchPanics|TestExpShift4Overflow|TestExpShift8Overflow|TestExpTableMatchesMathExp|TestLogTableMatchesMathLog|FuzzLogSumExp4|TestLogSumExp4ShapeMismatchPanics|TestExpMatchesMathExp|TestExpNearOverflow|TestSpecialInputsTable|TestLogMatchesMathLog|TestLogSubnormal|TestLog1pMatchesMathLog1p|TestTanhMatchesMathTanh|FuzzExp|FuzzLog|TestOneExpSource|TestLogSumExpMatchesExpOfZero|TestSoftmaxTilePathsSameBits|TestSoftmaxHVPAllocs|TestLossScratchStaysOffTheHeap|TestModelsMatchTermByTerm
+KERNELS_RUN = TestDot4xNMatchesDot|FuzzDot4xN|TestDot4xNShapeMismatchPanics|TestDot8xNMatchesDot|FuzzDot8xN|TestDot8xNShapeMismatchPanics|TestLogSumExp4MatchesScalar|TestLogSumExp8MatchesScalar|FuzzLogSumExp8|TestLogSumExp8ShapeMismatchPanics|TestExpShift4Overflow|TestExpShift8Overflow|TestExpTableMatchesMathExp|TestLogTableMatchesMathLog|FuzzLogSumExp4|TestLogSumExp4ShapeMismatchPanics|TestExpMatchesMathExp|TestExpNearOverflow|TestSpecialInputsTable|TestLogMatchesMathLog|TestLogSubnormal|TestLog1pMatchesMathLog1p|FuzzExp|FuzzLog|TestOneExpSource|TestLogSumExpMatchesExpOfZero|TestSoftmaxTilePathsSameBits|TestSoftmaxHVPAllocs|TestLossScratchStaysOffTheHeap|TestModelsMatchTermByTerm
 KERNELS_PKGS = ./internal/tensor/ ./internal/nn/
 RUN_GATES = FAULTS NET SCALE WIRE ASYNC SECURE ENGINES CRASH ADV REWEIGHT HVP KERNELS
 
@@ -323,7 +331,7 @@ verify-crash:
 # the defended run stays within 10% of clean, attackers rank below every
 # honest participant by total phi, quarantine bans exactly the attackers,
 # and the no-attack defended run is bit-identical to the baseline), the
-# attack-simulator determinism tests, the screen/quarantine/Krum unit
+# attack-simulator determinism tests, the screen/quarantine unit
 # tests, the Σ r contract of the reweighters (Quarantine…/Reweight…: the
 # trainer alone divides, every reporter banned freezes θ, Σ r = 0 is the
 # MeanStream{} fold over the non-banned, recorded weights = core.Weights(φ),
@@ -339,8 +347,8 @@ verify-adv:
 	$(GO) test -count=1 -run '^$$' -fuzz FuzzAXPYRows -fuzztime 5s ./internal/tensor/
 
 # verify-hvp runs the gate of the exact Hessian-vector products Algorithm 1
-# consumes, under the race detector: the softmax closed form and the MLP and
-# CNN R-operator passes against an explicit Hessian from central differences
+# consumes, under the race detector: the softmax closed form and the CNN
+# R-operator pass against an explicit Hessian from central differences
 # of Grad and against the finite-difference oracle, symmetry uᵀ(Hv) =
 # vᵀ(Hu), eight goroutines on one shared model leaving its parameters
 # bit-unchanged, the softmax product's one allocation, the class-label
@@ -361,10 +369,10 @@ verify-hvp:
 # ±0, subnormal and underflowing exps, ±Inf, Inf−Inf, NaN payloads; exp over
 # [−746, 709.75] on four lanes and eight, log over [1, 64]); the softmax
 # Loss, Grad, HVP and Predict give the same bits on every path for 1–17 rows
-# (0 and 1 allocations) — under the race detector. tensor's own Exp, Log,
-# Log1p and Tanh are held to math's on finite arguments (Log's and Log1p's
-# in their domain): Log and Log1p bit for bit on amd64, Exp and Tanh bit for
-# bit where math.Exp runs the FMA sequence and within two ulps elsewhere,
+# (0 and 1 allocations) — under the race detector. tensor's own Exp, Log
+# and Log1p are held to math's on finite arguments (Log's and Log1p's in
+# their domain): Log and Log1p bit for bit on amd64, Exp bit for bit where
+# math.Exp runs the FMA sequence and within two ulps elsewhere,
 # subnormal logs scaled first; Exp within an ulp of eˣ where math.Exp
 # overflows early; NaNs, ±0, ±Inf and out-of-domain arguments against a
 # table of the documented results; and no file but theirs calls math's

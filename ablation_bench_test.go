@@ -3,9 +3,13 @@ package digfl_test
 // Ablation benchmarks for the design choices DESIGN.md calls out: local
 // training depth (client drift vs estimate quality), TMC truncation, the
 // GT sampling budget, the exact HVP's cost, and Paillier key size. These are not paper artifacts; they justify the defaults the
-// reproduction uses.
+// reproduction uses. The robust-aggregation ablation keeps its two
+// classical rules (coordinate-wise median, trimmed mean) here, unexported:
+// nothing else aggregates with them.
 
 import (
+	"math"
+	"sort"
 	"testing"
 
 	"digfl/internal/core"
@@ -14,7 +18,6 @@ import (
 	"digfl/internal/hfl"
 	"digfl/internal/metrics"
 	"digfl/internal/nn"
-	"digfl/internal/robust"
 	"digfl/internal/shapley"
 	"digfl/internal/tensor"
 	"digfl/internal/vfl"
@@ -132,46 +135,157 @@ func BenchmarkAblationPaillierKeyBits(b *testing.B) {
 	}
 }
 
+// medianRule aggregates local updates by coordinate-wise median, the
+// classical Byzantine-robust rule with breakdown point 1/2.
+type medianRule struct{}
+
+func (medianRule) Aggregate(ep *hfl.Epoch) ([]float64, error) {
+	return coordinatewise(ep, func(vals []float64) float64 {
+		sort.Float64s(vals)
+		n := len(vals)
+		if n%2 == 1 {
+			return vals[n/2]
+		}
+		return (vals[n/2-1] + vals[n/2]) / 2
+	}), nil
+}
+
+// trimmedMean aggregates by coordinate-wise mean after discarding the trim
+// largest and trim smallest values; 2·trim must be below the participant
+// count.
+type trimmedMean struct{ trim int }
+
+func (t trimmedMean) Aggregate(ep *hfl.Epoch) ([]float64, error) {
+	return coordinatewise(ep, func(vals []float64) float64 {
+		sort.Float64s(vals)
+		kept := vals[t.trim : len(vals)-t.trim]
+		var s float64
+		for _, v := range kept {
+			s += v
+		}
+		return s / float64(len(kept))
+	}), nil
+}
+
+// coordinatewise applies a per-coordinate statistic over the epoch's
+// updates; the statistic receives a scratch slice it may reorder.
+func coordinatewise(ep *hfl.Epoch, stat func([]float64) float64) []float64 {
+	out := make([]float64, len(ep.Deltas[0]))
+	scratch := make([]float64, len(ep.Deltas))
+	for j := range out {
+		for k, d := range ep.Deltas {
+			scratch[k] = d[j]
+		}
+		out[j] = stat(scratch)
+	}
+	return out
+}
+
+// corruptedFederation builds an n-participant task where the last bad of
+// them hold 90% mislabeled data.
+func corruptedFederation(seed int64, n, bad int) (parts []dataset.Dataset, train, val dataset.Dataset) {
+	rng := tensor.NewRNG(seed)
+	full := dataset.SynthImages(dataset.ImageConfig{
+		Name: "rob", N: 1500, Side: 8, Classes: 10, Noise: 1.6, Seed: seed,
+	})
+	train, val = full.Split(0.2, rng)
+	parts = dataset.PartitionIID(train, n, rng)
+	for i := n - bad; i < n; i++ {
+		parts[i] = dataset.Mislabel(parts[i], 0.9, rng.Split(int64(i)))
+	}
+	return parts, train, val
+}
+
+// accuracyWith trains a softmax model over parts for 20 epochs with the
+// given aggregation rule and reweighter (nil: plain averaging) and returns
+// its validation accuracy.
+func accuracyWith(parts []dataset.Dataset, train, val dataset.Dataset, agg hfl.Aggregator, rw hfl.Reweighter) float64 {
+	tr := &hfl.Trainer{
+		Model:      nn.NewSoftmaxRegression(train.Dim(), train.Classes),
+		Parts:      parts,
+		Val:        val,
+		Cfg:        hfl.Config{Epochs: 20, LR: 0.3},
+		Aggregator: agg,
+		Reweighter: rw,
+	}
+	return hfl.Accuracy(tr.Run().Model, val)
+}
+
+func TestMedianHandComputed(t *testing.T) {
+	got, _ := medianRule{}.Aggregate(&hfl.Epoch{Deltas: [][]float64{{1, 10}, {2, 20}, {100, 30}}})
+	if got[0] != 2 || got[1] != 20 {
+		t.Fatalf("median = %v", got)
+	}
+	// Even count: average of middle two.
+	got, _ = medianRule{}.Aggregate(&hfl.Epoch{Deltas: [][]float64{{1}, {2}, {3}, {100}}})
+	if got[0] != 2.5 {
+		t.Fatalf("even median = %v", got)
+	}
+}
+
+func TestTrimmedMeanHandComputed(t *testing.T) {
+	got, _ := trimmedMean{trim: 1}.Aggregate(&hfl.Epoch{Deltas: [][]float64{{1}, {2}, {3}, {4}, {1000}}})
+	if got[0] != 3 { // mean of {2,3,4}
+		t.Fatalf("trimmed mean = %v", got)
+	}
+}
+
+func TestTrimmedMeanResistsOutlier(t *testing.T) {
+	got, _ := trimmedMean{trim: 1}.Aggregate(&hfl.Epoch{Deltas: [][]float64{{1, 1}, {1, 1}, {1, 1}, {1e9, -1e9}}})
+	if math.Abs(got[0]-1) > 1e-12 || math.Abs(got[1]-1) > 1e-12 {
+		t.Fatalf("outlier leaked through trimmed mean: %v", got)
+	}
+}
+
+// With a corrupted minority, the robust rules and DIG-FL reweighting all
+// beat plain averaging.
+func TestRobustRulesHelpAgainstMinorityCorruption(t *testing.T) {
+	parts, train, val := corruptedFederation(5, 5, 2)
+	plain := accuracyWith(parts, train, val, nil, nil)
+	median := accuracyWith(parts, train, val, medianRule{}, nil)
+	trimmed := accuracyWith(parts, train, val, trimmedMean{trim: 1}, nil)
+	digfl := accuracyWith(parts, train, val, nil, &core.HFLReweighter{})
+	for name, acc := range map[string]float64{"median": median, "trimmed": trimmed, "DIG-FL": digfl} {
+		if acc < plain-0.02 {
+			t.Errorf("%s (%.3f) should not trail plain averaging (%.3f)", name, acc, plain)
+		}
+	}
+}
+
+// Past the 1/2 breakdown point (4 of 5 corrupted) the median follows the
+// corrupted majority while DIG-FL's validation anchor keeps working — the
+// extension result motivating the reweight mechanism.
+func TestDIGFLSurvivesMajorityCorruptionWhereMedianFails(t *testing.T) {
+	parts, train, val := corruptedFederation(6, 5, 4)
+	median := accuracyWith(parts, train, val, medianRule{}, nil)
+	digfl := accuracyWith(parts, train, val, nil, &core.HFLReweighter{})
+	if digfl < median+0.1 {
+		t.Fatalf("DIG-FL (%.3f) should clearly beat median (%.3f) beyond the breakdown point",
+			digfl, median)
+	}
+}
+
 // BenchmarkAblationRobustAggregation contrasts the DIG-FL reweight
 // mechanism with classical Byzantine-robust rules under majority corruption
 // (4 of 5 participants with 90% mislabeled data): median and trimmed mean
 // assume an honest majority and follow the corrupted crowd, while DIG-FL's
 // validation anchor keeps working — the Fig. 7 regime.
 func BenchmarkAblationRobustAggregation(b *testing.B) {
-	rng := tensor.NewRNG(5)
-	full := dataset.SynthImages(dataset.ImageConfig{
-		Name: "rob", N: 1500, Side: 8, Classes: 10, Noise: 1.6, Seed: 5,
-	})
-	train, val := full.Split(0.2, rng)
-	parts := dataset.PartitionIID(train, 5, rng)
-	for i := 1; i < 5; i++ {
-		parts[i] = dataset.Mislabel(parts[i], 0.9, rng.Split(int64(i)))
-	}
-	run := func(agg hfl.Aggregator, rw hfl.Reweighter) float64 {
-		tr := &hfl.Trainer{
-			Model:      nn.NewSoftmaxRegression(train.Dim(), train.Classes),
-			Parts:      parts,
-			Val:        val,
-			Cfg:        hfl.Config{Epochs: 20, LR: 0.3},
-			Aggregator: agg,
-			Reweighter: rw,
-		}
-		return hfl.Accuracy(tr.Run().Model, val)
-	}
+	parts, train, val := corruptedFederation(5, 5, 4)
 	cases := []struct {
 		name string
 		agg  hfl.Aggregator
 		rw   hfl.Reweighter
 	}{
 		{"plain", nil, nil},
-		{"median", robust.Median{}, nil},
-		{"trimmed", robust.TrimmedMean{Trim: 1}, nil},
+		{"median", medianRule{}, nil},
+		{"trimmed", trimmedMean{trim: 1}, nil},
 		{"digfl", nil, &core.HFLReweighter{}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				b.ReportMetric(run(c.agg, c.rw), "accuracy")
+				b.ReportMetric(accuracyWith(parts, train, val, c.agg, c.rw), "accuracy")
 			}
 		})
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // benchLog captures a training log heavy enough that the interactive HVP
-// loop dominates estimator time: 8 participants, an MLP whose HVP is a
+// loop dominates estimator time: 8 participants, a CNN whose HVP is a
 // forward and a backward R-operator pass per row.
 func benchLog(b *testing.B) ([]*hfl.Epoch, []dataset.Dataset, nn.Model) {
 	b.Helper()
@@ -18,7 +18,7 @@ func benchLog(b *testing.B) ([]*hfl.Epoch, []dataset.Dataset, nn.Model) {
 	full := dataset.MNISTLike(1200, 95)
 	train, val := full.Split(0.1, rng)
 	parts := dataset.PartitionIID(train, 8, rng)
-	model := nn.NewMLP(train.Dim(), 16, train.Classes, tensor.NewRNG(95))
+	model := nn.NewCNN(8, 3, 4, train.Classes, tensor.NewRNG(95))
 	tr := &hfl.Trainer{
 		Model: model, Parts: parts, Val: val,
 		Cfg: hfl.Config{Epochs: 3, LR: 0.1, KeepLog: true},

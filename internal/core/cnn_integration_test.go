@@ -60,30 +60,3 @@ func TestCNNFederationEndToEnd(t *testing.T) {
 		t.Fatalf("CNN DIG-FL vs actual PCC %.3f (est %v, actual %v)", pcc, rs.Totals, actual)
 	}
 }
-
-// MLP variant of the same pipeline, cheaper, always runs.
-func TestMLPFederationEndToEnd(t *testing.T) {
-	rng := tensor.NewRNG(77)
-	full := dataset.MNISTLike(600, 77)
-	train, val := full.Split(0.2, rng)
-	parts := dataset.PartitionIID(train, 4, rng)
-	parts[0] = dataset.Mislabel(parts[0], 0.8, rng)
-
-	tr := &hfl.Trainer{
-		Model: nn.NewMLP(train.Dim(), 16, train.Classes, rng.Split(1)),
-		Parts: parts,
-		Val:   val,
-		Cfg:   hfl.Config{Epochs: 10, LR: 0.3, KeepLog: true},
-	}
-	res := tr.Run()
-	rs := EstimateHFL(res.Log, 4, ResourceSaving, nil)
-	for i := 1; i < 4; i++ {
-		if rs.Totals[0] >= rs.Totals[i] {
-			t.Fatalf("mislabeled participant should rank last: %v", rs.Totals)
-		}
-	}
-	actual := shapley.Exact(4, func(s []int) float64 { return tr.Utility(s) })
-	if pcc := metrics.Pearson(rs.Totals, actual); pcc < 0.7 {
-		t.Fatalf("MLP DIG-FL vs actual PCC %.3f", pcc)
-	}
-}

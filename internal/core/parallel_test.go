@@ -68,13 +68,13 @@ func TestLocalHVPConcurrentUse(t *testing.T) {
 }
 
 // LocalHVP and TrainHVP hand back the model's own exact product at θ, bit
-// for bit, for the softmax, the MLP and the CNN alike, and leave the
-// prototype they clone as it was.
+// for bit, for the softmax and the CNN alike, and leave the prototype they
+// clone as it was.
 func TestProvidersUseExactHVP(t *testing.T) {
 	parts, _, softmax := parSetup(t, 3, 72)
-	d, c := parts[0].Dim(), softmax.(*nn.SoftmaxRegression).Classes()
+	c := softmax.(*nn.SoftmaxRegression).Classes()
 	rng := tensor.NewRNG(72)
-	for _, model := range []nn.Model{softmax, nn.NewMLP(d, 6, c, rng.Split(1)), nn.NewCNN(8, 3, 2, c, rng.Split(2))} {
+	for _, model := range []nn.Model{softmax, nn.NewCNN(8, 3, 2, c, rng.Split(2))} {
 		before := tensor.Clone(model.Params())
 		theta := rng.NormalVec(model.NumParams(), 0, 0.3)
 		v := rng.NormalVec(model.NumParams(), 0, 1)

@@ -5,10 +5,12 @@ import (
 	"reflect"
 	"testing"
 
+	"digfl/internal/dataset"
 	"digfl/internal/faults"
 	"digfl/internal/fednet"
 	"digfl/internal/hfl"
 	"digfl/internal/obs"
+	"digfl/internal/tensor"
 )
 
 // asyncN is the federation size of the async study, asyncMaxStaleness the
@@ -21,6 +23,23 @@ const (
 )
 
 var asyncRates = []float64{0, 0.2, 0.4}
+
+// classDisjoint gives participant i exactly classes {k·i, …, k·i+k−1},
+// k = Classes/asyncN, so a shard that never reaches the aggregate leaves its
+// classes untrained. It draws nothing from the RNG.
+func classDisjoint(train dataset.Dataset, _ *tensor.RNG) []dataset.Dataset {
+	idx := make([][]int, asyncN)
+	for r, y := range train.Y {
+		if i := int(y) / (train.Classes / asyncN); i < asyncN {
+			idx[i] = append(idx[i], r)
+		}
+	}
+	parts := make([]dataset.Dataset, asyncN)
+	for i := range parts {
+		parts[i] = train.Subset(idx[i])
+	}
+	return parts
+}
 
 // asyncArm is one (topology, straggler-rate) cell of the comparison.
 type asyncArm struct {
@@ -110,8 +129,7 @@ func epochsToTarget(curve []float64, target float64) int {
 func asyncStudy(o Opts) *asyncResult {
 	refEpochs := o.epochs(12)
 	epochs := 3 * refEpochs
-	fed := newFederation(HFLSetting{Dataset: "MNIST", N: asyncN, Corruption: ClassDisjoint,
-		Samples: o.samples(2500), Seed: o.Seed})
+	fed := newFederation(HFLSetting{Dataset: "MNIST", Samples: o.samples(2500), Seed: o.Seed}, classDisjoint)
 	ref := asyncRun(fed, epochs, faults.Config{Seed: o.Seed}, false)
 	target := ref.res.ValLossCurve[refEpochs]
 

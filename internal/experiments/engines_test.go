@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"digfl/internal/baselines"
+	"digfl/internal/dataset"
 	"digfl/internal/faults"
 	"digfl/internal/hfl"
 	"digfl/internal/metrics"
@@ -19,12 +20,24 @@ import (
 // enumeration stays cheap.
 const engineN = 8
 
+// gradedMislabel shards train IID and has participant i mislabel i/n of its
+// shard, so the ground-truth contribution ranking is well separated and
+// rank agreement measures estimator quality rather than coin flips between
+// near-tied honest participants.
+func gradedMislabel(train dataset.Dataset, rng *tensor.RNG) []dataset.Dataset {
+	parts := dataset.PartitionIID(train, engineN, rng)
+	for i := 1; i < engineN; i++ {
+		parts[i] = dataset.Mislabel(parts[i], float64(i)/float64(engineN), rng.Split(int64(i)))
+	}
+	return parts
+}
+
 // engineRun trains the federation the engine studies evaluate — engineN
 // participants with graded label corruption on a 0.2 validation split —
 // and returns its log and the engines' validation-loss oracle.
 func engineRun(o Opts) ([]*hfl.Epoch, shapley.ValLoss) {
-	tr := BuildHFL(HFLSetting{Dataset: "MNIST", N: engineN, Corruption: GradedMislabel, ValFrac: 0.2,
-		Samples: o.samples(2000), Epochs: o.epochs(10), LR: 0.3, Seed: o.Seed})
+	fed := newFederation(HFLSetting{Dataset: "MNIST", ValFrac: 0.2, Samples: o.samples(2000), Seed: o.Seed}, gradedMislabel)
+	tr := fed.trainer(hfl.Config{Epochs: o.epochs(10), LR: 0.3, KeepLog: true})
 	log := tr.Run().Log
 	return log, baselines.NewValLoss(tr.Model, tr.Val.X, tr.Val.Y)
 }

@@ -72,9 +72,8 @@ func (o Opts) epochs(base int) int {
 	return e
 }
 
-// Corruption identifies how an HFLSetting's shards depart from clean IID
-// data: the two low-quality participant types of Sec. V-C1, and the two
-// shapes the runtime studies train on.
+// Corruption identifies how an HFLSetting's low-quality shards depart from
+// clean IID data: the two low-quality participant types of Sec. V-C1.
 type Corruption int
 
 const (
@@ -82,19 +81,10 @@ const (
 	Mislabeled Corruption = iota
 	// NonIID participants hold an incomplete subset of the classes.
 	NonIID
-	// GradedMislabel has participant i mislabel i/N of its IID shard, so the
-	// ground-truth contribution ranking is well separated and rank agreement
-	// measures estimator quality rather than coin flips between near-tied
-	// honest participants.
-	GradedMislabel
-	// ClassDisjoint gives participant i exactly classes {k·i, …, k·i+k−1},
-	// k = Classes/N, so a shard that never reaches the aggregate leaves its
-	// classes untrained.
-	ClassDisjoint
 )
 
 func (c Corruption) String() string {
-	names := [...]string{"mislabeled", "non-IID", "graded-mislabel", "class-disjoint"}
+	names := [...]string{"mislabeled", "non-IID"}
 	if c < 0 || int(c) >= len(names) {
 		return fmt.Sprintf("Corruption(%d)", int(c))
 	}
@@ -105,8 +95,8 @@ func (c Corruption) String() string {
 type HFLSetting struct {
 	// Dataset name: MNIST, CIFAR10, MOTOR or REAL (synthetic stand-ins).
 	Dataset string
-	// N is the number of participants, M how many are low quality (the last
-	// M; ignored by GradedMislabel and ClassDisjoint).
+	// N is the number of participants, M how many are low quality (the
+	// last M).
 	N, M int
 	// Corruption selects the low-quality type.
 	Corruption Corruption
@@ -154,8 +144,9 @@ type federation struct {
 }
 
 // newFederation materializes an HFLSetting's data: one seeded draw, one
-// train/validation split, one partition.
-func newFederation(s HFLSetting) *federation {
+// train/validation split, then partition's shards of the training part,
+// which may draw from the same RNG.
+func newFederation(s HFLSetting, partition func(train dataset.Dataset, rng *tensor.RNG) []dataset.Dataset) *federation {
 	rng := tensor.NewRNG(s.Seed)
 	full := imageData(s.Dataset, s.Samples, s.Seed, s.NoiseBoost)
 	valFrac := s.ValFrac
@@ -163,36 +154,24 @@ func newFederation(s HFLSetting) *federation {
 		valFrac = 0.1
 	}
 	train, val := full.Split(valFrac, rng)
-	var parts []dataset.Dataset
+	return &federation{model: nn.NewSoftmaxRegression(train.Dim(), train.Classes), parts: partition(train, rng), val: val}
+}
+
+// partition shards train into the setting's N participants, the last M of
+// them low quality by its Corruption.
+func (s HFLSetting) partition(train dataset.Dataset, rng *tensor.RNG) []dataset.Dataset {
 	switch s.Corruption {
 	case NonIID:
-		parts = dataset.PartitionNonIID(train,
+		return dataset.PartitionNonIID(train,
 			dataset.NonIIDConfig{N: s.N, M: s.M, MaxClasses: s.MaxClasses}, rng)
 	case Mislabeled:
-		parts = dataset.PartitionIID(train, s.N, rng)
+		parts := dataset.PartitionIID(train, s.N, rng)
 		for i := s.N - s.M; i < s.N; i++ {
 			parts[i] = dataset.Mislabel(parts[i], s.MislabelFrac, rng.Split(int64(i)))
 		}
-	case GradedMislabel:
-		parts = dataset.PartitionIID(train, s.N, rng)
-		for i := 1; i < s.N; i++ {
-			parts[i] = dataset.Mislabel(parts[i], float64(i)/float64(s.N), rng.Split(int64(i)))
-		}
-	case ClassDisjoint:
-		idx := make([][]int, s.N)
-		for r, y := range train.Y {
-			if i := int(y) / (train.Classes / s.N); i < s.N {
-				idx[i] = append(idx[i], r)
-			}
-		}
-		parts = make([]dataset.Dataset, s.N)
-		for i := range parts {
-			parts[i] = train.Subset(idx[i])
-		}
-	default:
-		panic(fmt.Sprintf("experiments: unknown corruption %d", s.Corruption))
+		return parts
 	}
-	return &federation{model: nn.NewSoftmaxRegression(train.Dim(), train.Classes), parts: parts, val: val}
+	panic(fmt.Sprintf("experiments: unknown corruption %d", s.Corruption))
 }
 
 // trainer is the in-process trainer over the federation's shards.
@@ -204,7 +183,7 @@ func (f *federation) trainer(cfg hfl.Config) *hfl.Trainer {
 // federation plus the setting's training configuration. The last M
 // participants are the low-quality ones.
 func BuildHFL(s HFLSetting) *hfl.Trainer {
-	return newFederation(s).trainer(hfl.Config{Epochs: s.Epochs, LR: s.LR, LocalSteps: s.LocalSteps,
+	return newFederation(s, s.partition).trainer(hfl.Config{Epochs: s.Epochs, LR: s.LR, LocalSteps: s.LocalSteps,
 		KeepLog: true, Runtime: obs.Runtime{Sink: s.Sink}})
 }
 

@@ -65,7 +65,7 @@ func SecondTerm(o Opts) *SecondTermResult {
 		rs := core.EstimateHFL(run.Log, s.N, core.ResourceSaving, nil)
 		phi, phiHat := tensor.Sum(in.Totals), tensor.Sum(rs.Totals)
 		res.Rows = append(res.Rows, SecondTermRow{
-			Model: "HFL-CNN-" + name, Dataset: name,
+			Model: "HFL-Softmax-" + name, Dataset: name,
 			Phi: phi, PhiHat: phiHat, RelErr: metrics.RelErr(phi, phiHat),
 		})
 		res.HFLSeries[name] = epochSeries(in, rs)
@@ -115,9 +115,9 @@ func (r *SecondTermResult) seriesOrder(m map[string]Series) []string {
 // Render writes the Table II rows and a compact Fig. 2 summary.
 func (r *SecondTermResult) Render(w io.Writer) {
 	writeHeader(w, "Table II — error of ignoring the second term")
-	fmt.Fprintf(w, "%-14s %-14s %10s %10s %8s\n", "Model", "Dataset", "phi", "phi_hat", "err")
+	fmt.Fprintf(w, "%-19s %-14s %10s %10s %8s\n", "Model", "Dataset", "phi", "phi_hat", "err")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-14s %-14s %10.4f %10.4f %7.2f%%\n",
+		fmt.Fprintf(w, "%-19s %-14s %10.4f %10.4f %7.2f%%\n",
 			row.Model, row.Dataset, row.Phi, row.PhiHat, 100*row.RelErr)
 	}
 	writeHeader(w, "Fig. 2 — per-epoch contribution with/without second term")

@@ -10,7 +10,8 @@ import (
 // iidFederation is the clean IID federation the runtime studies share: n
 // participants on the MNIST stand-in.
 func iidFederation(n, samples int, seed int64) *federation {
-	return newFederation(HFLSetting{Dataset: "MNIST", N: n, Samples: samples, Seed: seed})
+	s := HFLSetting{Dataset: "MNIST", N: n, Samples: samples, Seed: seed}
+	return newFederation(s, s.partition)
 }
 
 // estimator returns a fresh resource-saving DIG-FL estimator sized for the

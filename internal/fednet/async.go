@@ -59,7 +59,7 @@ func (s *AsyncLocalSource) Round(ctx context.Context, spec *hfl.RoundSpec) (*hfl
 	sched := s.plan.Schedule(spec.T, spec.Active)
 	deltas := make(map[int][]float64, len(sched.Fresh))
 	for _, i := range sched.Fresh {
-		deltas[i] = localDelta(s.Model, s.Parts[i], spec.Theta, spec.LR, spec.LocalSteps, spec.Prox)
+		deltas[i] = localDelta(s.Model, s.Parts[i], spec.Theta, spec.LR, spec.LocalSteps)
 	}
 	stream := s.Stream
 	if stream == nil {

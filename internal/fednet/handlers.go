@@ -82,6 +82,10 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, "participant index %d outside [0,%d)", jr.Index, c.N)
 		return
 	}
+	steps := c.Cfg.LocalSteps
+	if steps < 1 {
+		steps = 1
+	}
 	c.mu.Lock()
 	c.initLocked()
 	inst := c.instance
@@ -93,13 +97,8 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, req *http.Request) {
 		c.bcastLocked()
 	}
 	c.mu.Unlock()
-	steps := c.Cfg.LocalSteps
-	if steps < 1 {
-		steps = 1
-	}
 	writeJSON(w, http.StatusOK, joinReply{
-		Protocol: Protocol, N: c.N, Epochs: c.Cfg.Epochs, LocalSteps: steps,
-		Instance: inst, Prox: c.Cfg.Prox,
+		Protocol: Protocol, N: c.N, Epochs: c.Cfg.Epochs, LocalSteps: steps, Instance: inst,
 	})
 }
 

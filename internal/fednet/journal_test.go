@@ -107,7 +107,7 @@ func scriptedJournal(t *testing.T, mode string, seed int64) []byte {
 			if rr == nil {
 				continue // excluded: an async update of i's is still in flight
 			}
-			delta := localDelta(model, parts[i], rr.Theta, float64(rr.LR), 1, 0)
+			delta := localDelta(model, parts[i], rr.Theta, float64(rr.LR), 1)
 			if (mode == "buffered" || mode == "quarantine") && i == 3 {
 				tensor.Scale(-1, delta)
 			}

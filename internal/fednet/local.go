@@ -47,13 +47,12 @@ func (s *LocalSource) Round(ctx context.Context, spec *hfl.RoundSpec) (*hfl.Roun
 }
 
 func (s *LocalSource) update(spec *hfl.RoundSpec, i int) []float64 {
-	return localDelta(s.Model, s.Parts[i], spec.Theta, spec.LR, spec.LocalSteps, spec.Prox)
+	return localDelta(s.Model, s.Parts[i], spec.Theta, spec.LR, spec.LocalSteps)
 }
 
 // localDelta computes one participant's update with exactly the trainer's
-// arithmetic (including the FedProx proximal term), so source-computed and
-// in-process updates are bit-identical.
-func localDelta(proto nn.Model, part dataset.Dataset, theta []float64, lr float64, steps int, mu float64) []float64 {
+// arithmetic, so source-computed and in-process updates are bit-identical.
+func localDelta(proto nn.Model, part dataset.Dataset, theta []float64, lr float64, steps int) []float64 {
 	model := proto.Clone()
 	model.SetParams(tensor.Clone(theta))
 	if steps <= 1 {
@@ -64,7 +63,6 @@ func localDelta(proto nn.Model, part dataset.Dataset, theta []float64, lr float6
 	local := model.Clone()
 	for st := 0; st < steps; st++ {
 		g := local.Grad(part.X, part.Y)
-		hfl.ProxAdd(mu, g, local.Params(), model.Params())
 		tensor.AXPY(-lr, g, local.Params())
 	}
 	return tensor.Sub(model.Params(), local.Params())

@@ -139,9 +139,9 @@ func (p *Participant) Run(ctx context.Context) error {
 		if p.Delay != nil {
 			p.Delay(round.T)
 		}
-		// localDelta is the trainer's exact arithmetic (with the join-negotiated
-		// FedProx term), so a loopback run is bit-identical to the in-process one.
-		delta := localDelta(p.Model, p.Data, round.Theta, float64(round.LR), join.LocalSteps, join.Prox)
+		// localDelta is the trainer's exact arithmetic, so a loopback run is
+		// bit-identical to the in-process one.
+		delta := localDelta(p.Model, p.Data, round.Theta, float64(round.LR), join.LocalSteps)
 		if p.Tamper != nil {
 			p.Tamper(round.T, delta)
 		}

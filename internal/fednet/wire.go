@@ -67,10 +67,6 @@ type joinReply struct {
 	// before continuing, because a restarted coordinator forgot its join
 	// barrier. Additive: old coordinators send 0.
 	Instance int `json:"instance,omitempty"`
-	// Prox is the FedProx proximal coefficient μ the run trains with; the
-	// participant adds μ·(w − θ_{t-1}) to every multi-step local gradient.
-	// Additive: absent means 0 (plain FedSGD/FedAvg local update).
-	Prox float64 `json:"prox,omitempty"`
 }
 
 // roundReply is the /v1/round long-poll response. On the wire it is JSON

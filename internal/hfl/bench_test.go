@@ -11,14 +11,14 @@ import (
 )
 
 // benchTrainer builds a moderately heavy local-update workload: multi-step
-// local training on an MLP, where per-participant gradient computation
+// local training on a CNN, where per-participant gradient computation
 // dominates the round and the bounded pool can actually help.
 func benchTrainer(workers int) *Trainer {
 	rng := tensor.NewRNG(91)
 	full := dataset.MNISTLike(1600, 91)
 	train, val := full.Split(0.1, rng)
 	return &Trainer{
-		Model: nn.NewMLP(train.Dim(), 24, train.Classes, tensor.NewRNG(91)),
+		Model: nn.NewCNN(8, 3, 4, train.Classes, tensor.NewRNG(91)),
 		Parts: dataset.PartitionIID(train, 8, rng),
 		Val:   val,
 		Cfg: Config{

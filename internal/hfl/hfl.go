@@ -53,14 +53,6 @@ type Config struct {
 	// model"). 0 or 1 is classic one-step FedSGD; larger values give
 	// FedAvg-style local training, where non-IID client drift appears.
 	LocalSteps int
-	// Prox is the FedProx proximal coefficient μ: each local gradient step
-	// adds μ·(w − θ_{t-1}) to the gradient, penalizing drift from the
-	// broadcast model — the standard heterogeneity defense for multi-step
-	// local training (robust.FedProx installs it). 0 disables the term and
-	// is bit-identical to builds without it. With LocalSteps ≤ 1 the local
-	// model never leaves θ_{t-1}, the term is identically zero, and the
-	// single-step fast path is untouched.
-	Prox float64
 	// KeepLog retains the per-epoch training log in the result. Retraining
 	// sweeps (actual Shapley) disable it to save memory.
 	KeepLog bool
@@ -159,9 +151,6 @@ func (c Config) validate(n int) error {
 	if n == 0 {
 		return fmt.Errorf("hfl: no participants")
 	}
-	if c.Prox < 0 {
-		return fmt.Errorf("hfl: Prox must be non-negative, got %v", c.Prox)
-	}
 	return nil
 }
 
@@ -226,11 +215,11 @@ type Admitter interface {
 }
 
 // Aggregator replaces the server's weighted-sum combination of local updates
-// entirely — the hook robust aggregation rules (coordinate median, trimmed
-// mean) plug into. It receives the epoch record after Weights are fixed and
-// returns the global update G_t the server subtracts from θ_{t-1}; an error
-// fails the run through the RunContext contract instead of panicking
-// mid-epoch.
+// entirely — the hook a robust aggregation rule (a coordinate-wise median,
+// say) plugs into; the repository ships none. It receives the epoch record
+// after Weights are fixed and returns the global update G_t the server
+// subtracts from θ_{t-1}; an error fails the run through the RunContext
+// contract instead of panicking mid-epoch.
 type Aggregator interface {
 	Aggregate(ep *Epoch) ([]float64, error)
 }
@@ -269,9 +258,6 @@ type RoundSpec struct {
 	Active []int
 	// LocalSteps is the number of local gradient steps per round.
 	LocalSteps int
-	// Prox is the FedProx proximal coefficient μ applied during multi-step
-	// local training (see Config.Prox); 0 disables the term.
-	Prox float64
 	// ValGrad, when non-nil, is ∇loss^v(θ_{T-1}) and signals a streaming
 	// round: the trainer wants the source to fold updates on arrival and
 	// return the aggregate plus per-update validation dot products instead
@@ -555,8 +541,7 @@ func (tr *Trainer) RunSubsetContext(ctx context.Context, subset []int) (*Result,
 		}
 		if tr.Rounds != nil {
 			spec := &RoundSpec{
-				T: t, LR: lr, Theta: theta, Active: active, LocalSteps: steps,
-				Prox: tr.Cfg.Prox, ValGrad: valGrad,
+				T: t, LR: lr, Theta: theta, Active: active, LocalSteps: steps, ValGrad: valGrad,
 			}
 			if tr.Stream != nil && adm != nil {
 				class, ok := admit(active)
@@ -627,7 +612,6 @@ func (tr *Trainer) RunSubsetContext(ctx context.Context, subset []int) (*Result,
 					local := model.Clone()
 					for s := 0; s < steps; s++ {
 						g := local.Grad(part.X, part.Y)
-						ProxAdd(tr.Cfg.Prox, g, local.Params(), theta)
 						tensor.AXPY(-lr, g, local.Params())
 					}
 					deltas[k] = tensor.Sub(theta, local.Params())
@@ -825,21 +809,6 @@ func (tr *Trainer) RunSubsetContext(ctx context.Context, subset []int) (*Result,
 	}
 	res.FinalLoss = res.ValLossCurve[len(res.ValLossCurve)-1]
 	return res, nil
-}
-
-// ProxAdd adds the FedProx proximal gradient μ·(w − θ) to g in place, where
-// w is the drifting local model and θ the round's broadcast model. Every
-// local-update site (the in-process trainer, fednet's participant and local
-// sources) calls this one helper with the same operand order, so networked
-// and in-process FedProx runs stay bit-identical. μ = 0 returns without
-// touching g.
-func ProxAdd(mu float64, g, w, theta []float64) {
-	if mu == 0 {
-		return
-	}
-	for j := range g {
-		g[j] += float64(mu * (w[j] - theta[j]))
-	}
 }
 
 // Utility is the coalition utility function V(S) (Eq. 2) computed by full

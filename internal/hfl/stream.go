@@ -50,9 +50,9 @@ type FoldResult struct {
 }
 
 // StreamAggregator supplies per-round Folds — the streaming aggregation
-// seam. An Aggregator (coordinate median, trimmed mean, the Krum family)
-// consumes the materialized round buffer instead, so it runs on buffered
-// rounds only; the trainer refuses it beside Stream.
+// seam. An Aggregator (a coordinate-wise median, say) consumes the
+// materialized round buffer instead, so it runs on buffered rounds only;
+// the trainer refuses it beside Stream.
 type StreamAggregator interface {
 	// NewFold opens one round's accumulator for k active slots of dimension
 	// p. valGrad, when non-nil, is ∇loss^v(θ_{t-1}); the fold then reports

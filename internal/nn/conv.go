@@ -7,11 +7,13 @@ import (
 	"digfl/internal/tensor"
 )
 
-// CNN is the small convolutional classifier standing in for the paper's
-// HFL-CNN-* models: one valid-padding convolution (F filters of size k×k on
-// a single-channel side×side image), ReLU, 2×2 max-pooling with stride 2,
-// and a dense softmax head. All gradients are hand-derived, including the
-// arg-max routing through the pooling layer.
+// CNN is a small convolutional classifier in the shape of the paper's HFL
+// models: one valid-padding convolution (F filters of size k×k on a
+// single-channel side×side image), ReLU, 2×2 max-pooling with stride 2, and
+// a dense softmax head. All gradients are hand-derived, including the
+// arg-max routing through the pooling layer. Table II's HFL-Softmax-* rows
+// train softmax regression, not this model; the DIG-FL estimators run on it
+// in core's CNN federation test.
 //
 // Parameter layout: filters (F×k×k) ‖ filter biases (F) ‖ dense W (C×flat)
 // ‖ dense biases (C), where flat = F·(pool side)².
@@ -252,7 +254,7 @@ func (m *CNN) HVP(X *tensor.Matrix, y []float64, v []float64) []float64 {
 			fi, rc := idx/(co*co), idx%(co*co)
 			rPooled[cell] = m.convAt(vf[fi*m.k*m.k:(fi+1)*m.k*m.k], vfb[fi], x, rc/co, rc%co)
 		}
-		denseHeadR(st.pooled, rPooled, w, vw, vb, st.logits, classOf(y[i], i, m.c), ow, ob, nil, rdPooled)
+		denseHeadR(st.pooled, rPooled, w, vw, vb, st.logits, classOf(y[i], i, m.c), ow, ob, rdPooled)
 		m.route(x, st.argmax, rdPooled, of, ofb)
 	}
 	tensor.Scale(1/float64(X.Rows), out)

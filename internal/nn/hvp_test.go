@@ -48,22 +48,19 @@ type hvpCase struct {
 	y     []float64
 }
 
-// hvpCases are the three models whose HVP is hand-derived here — the
-// softmax closed form and the MLP and CNN R-operator passes — at small
-// shapes: 7 rows (one four-row block and a three-row tail), 3 classes.
+// hvpCases are the two models whose HVP is hand-derived here — the
+// softmax closed form and the CNN R-operator pass — at small shapes: 7 rows
+// (one four-row block and a three-row tail), 3 classes.
 func hvpCases(seed int64) []hvpCase {
 	rng := tensor.NewRNG(seed)
 	const rows, c = 7, 3
 	sm := NewSoftmaxRegression(5, c)
 	rng.Normal(sm.Params(), 0, 0.7)
-	mlp := NewMLP(5, 4, c, rng.Split(1))
-	rng.Normal(mlp.Params(), 0, 0.7)
 	cnn := NewCNN(6, 3, 2, c, rng.Split(2))
 	Xs, ys := randClassBatch(rng, rows, 5, c)
 	Xc, yc := randClassBatch(rng, rows, 36, c)
 	return []hvpCase{
 		{"softmax", sm, Xs, ys},
-		{"mlp", mlp, Xs, ys},
 		{"cnn", cnn, Xc, yc},
 	}
 }
@@ -215,16 +212,15 @@ func TestClassLabelsChecked(t *testing.T) {
 
 // BenchmarkHVP times each hand-derived product against the fdHVP oracle it
 // replaced, checking the two agree first: the softmax at the audit's shard
-// shape (250 rows × 64 features × 10 classes), the MLP with 16 hidden units
-// on the same rows, the CNN on 8×8 images with four 3×3 filters.
+// shape (250 rows × 64 features × 10 classes), the CNN on the same rows as
+// 8×8 images with four 3×3 filters.
 func BenchmarkHVP(b *testing.B) {
 	rng := tensor.NewRNG(500)
 	sm := NewSoftmaxRegression(64, 10)
 	rng.Normal(sm.Params(), 0, 0.3)
-	mlp := NewMLP(64, 16, 10, rng.Split(1))
 	cnn := NewCNN(8, 3, 4, 10, rng.Split(2))
 	X, y := randClassBatch(rng, 250, 64, 10)
-	for _, c := range []hvpCase{{"softmax", sm, X, y}, {"mlp", mlp, X, y}, {"cnn", cnn, X, y}} {
+	for _, c := range []hvpCase{{"softmax", sm, X, y}, {"cnn", cnn, X, y}} {
 		v := rng.NormalVec(c.model.NumParams(), 0, 1)
 		if i, ok := closeTo(c.model.HVP(c.X, c.y, v), fdHVP(c.model, c.X, c.y, v), 1e-5); !ok {
 			b.Fatalf("%s: exact HVP disagrees with the oracle at %d", c.name, i)

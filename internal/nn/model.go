@@ -5,7 +5,7 @@
 // Hessian-vector product (HVP) that DIG-FL's interactive estimator
 // (Algorithm 1) consumes: a closed form for the three generalized linear
 // models, Pearlmutter's R-operator on the hand-derived backward pass for the
-// MLP and the CNN. None of them writes to the model.
+// CNN. None of them writes to the model.
 //
 // SoftmaxRegression takes its validation rows in blocks of eight, then one
 // of four, then single rows, each block one call of tensor's row-block
@@ -135,8 +135,8 @@ func scratch(buf *[scratchLen]float64, n int) []float64 {
 // headR turns a row's logits z into p = softmax(z), in place, and their
 // derivative u along a direction into the softmax cross-entropy's
 // R{dz} = (diag p − p pᵀ)·u, r_k = p_k·(u_k − Σ_j p_j·u_j): the head's share
-// of the MLP's and the CNN's Hessian-vector products. The softmax model
-// takes p a row block at a time and runs softmaxR on the block.
+// of the CNN's Hessian-vector product. The softmax model takes p a row
+// block at a time and runs softmaxR on the block.
 func headR(z, u []float64) {
 	lse := tensor.LogSumExp(z)
 	for k, zk := range z {
@@ -165,14 +165,14 @@ func softmaxR(p, u []float64, n int) {
 	}
 }
 
-// denseHeadR is the R-operator pass through a dense softmax head z = W·act +
-// b, shared by the MLP and the CNN. Along the direction (V, v_b) and with
-// act's own derivative rAct, it forms R{z} = V·act + v_b + W·rAct, turns
-// logits (the forward pass's z) into p and R{z} into R{dz} (headR), and
-// adds the head weights' products R{dz} ⊗ act + dz ⊗ rAct to ow and R{dz}
-// to ob, with dz = p − onehot(label). It sets rdAct = Wᵀ·R{dz} + Vᵀ·dz for
-// the layer below, and dAct = Wᵀ·dz when dAct is not nil.
-func denseHeadR(act, rAct, w, vw, vb, logits []float64, label int, ow, ob, dAct, rdAct []float64) {
+// denseHeadR is the R-operator pass through the CNN's dense softmax head
+// z = W·act + b. Along the direction (V, v_b) and with act's own derivative
+// rAct, it forms R{z} = V·act + v_b + W·rAct, turns logits (the forward
+// pass's z) into p and R{z} into R{dz} (headR), and adds the head weights'
+// products R{dz} ⊗ act + dz ⊗ rAct to ow and R{dz} to ob, with
+// dz = p − onehot(label). It sets rdAct = Wᵀ·R{dz} + Vᵀ·dz for the layer
+// below.
+func denseHeadR(act, rAct, w, vw, vb, logits []float64, label int, ow, ob, rdAct []float64) {
 	var bufRZ, bufDZ [scratchLen]float64
 	c, n := len(logits), len(act)
 	rz, dz := scratch(&bufRZ, c), scratch(&bufDZ, c)
@@ -184,16 +184,12 @@ func denseHeadR(act, rAct, w, vw, vb, logits []float64, label int, ow, ob, dAct,
 	headR(logits, rz)
 	copy(dz, logits)
 	dz[label]--
-	tensor.Zero(dAct)
 	tensor.Zero(rdAct)
 	for k := 0; k < c; k++ {
 		wk, vwk, owk := w[k*n:(k+1)*n], vw[k*n:(k+1)*n], ow[k*n:(k+1)*n]
 		tensor.AXPY(rz[k], act, owk)
 		tensor.AXPY(dz[k], rAct, owk)
 		ob[k] += rz[k]
-		if dAct != nil {
-			tensor.AXPY(dz[k], wk, dAct)
-		}
 		tensor.AXPY(rz[k], wk, rdAct)
 		tensor.AXPY(dz[k], vwk, rdAct)
 	}

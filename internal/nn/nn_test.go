@@ -68,13 +68,6 @@ func TestSoftmaxRegressionGradient(t *testing.T) {
 	checkGrad(t, m, X, y, 1e-5)
 }
 
-func TestMLPGradient(t *testing.T) {
-	rng := tensor.NewRNG(4)
-	m := NewMLP(5, 6, 3, rng.Split(0))
-	X, y := randClassBatch(rng, 8, 5, 3)
-	checkGrad(t, m, X, y, 1e-4)
-}
-
 func TestCNNGradient(t *testing.T) {
 	rng := tensor.NewRNG(5)
 	m := NewCNN(8, 3, 2, 3, rng.Split(0))
@@ -121,7 +114,6 @@ func TestHVPDispatch(t *testing.T) {
 		NewLinearRegression(4, false),
 		NewLogisticRegression(4, true),
 		NewSoftmaxRegression(4, 2),
-		NewMLP(4, 3, 2, rng.Split(1)),
 		NewCNN(2, 1, 2, 2, rng.Split(2)),
 	} {
 		rng.Normal(m.Params(), 0, 1)
@@ -137,12 +129,13 @@ func TestHVPDispatch(t *testing.T) {
 	}
 }
 
-// The fdHVP oracle on the MLP must agree with the symmetric quadratic form
-// identity
+// The fdHVP oracle on the softmax model must agree with the symmetric
+// quadratic form identity
 // vᵀHv ≈ (L(θ+rv) − 2L(θ) + L(θ−rv))/r².
 func TestFDHVPQuadraticForm(t *testing.T) {
 	rng := tensor.NewRNG(9)
-	m := NewMLP(4, 5, 2, rng.Split(0))
+	m := NewSoftmaxRegression(4, 2)
+	rng.Normal(m.Params(), 0, 0.5)
 	X, y := randClassBatch(rng, 10, 4, 2)
 	v := rng.NormalVec(m.NumParams(), 0, 1)
 	hv := fdHVP(m, X, y, v)
@@ -168,7 +161,8 @@ func TestFDHVPQuadraticForm(t *testing.T) {
 
 func TestFDHVPRestoresParams(t *testing.T) {
 	rng := tensor.NewRNG(10)
-	m := NewMLP(3, 4, 2, rng.Split(0))
+	m := NewSoftmaxRegression(3, 2)
+	rng.Normal(m.Params(), 0, 0.5)
 	X, y := randClassBatch(rng, 5, 3, 2)
 	before := tensor.Clone(m.Params())
 	fdHVP(m, X, y, rng.NormalVec(m.NumParams(), 0, 1))
@@ -186,7 +180,6 @@ func TestCloneIndependence(t *testing.T) {
 		NewLinearRegression(3, true),
 		NewLogisticRegression(3, true),
 		NewSoftmaxRegression(3, 2),
-		NewMLP(3, 4, 2, rng.Split(0)),
 		NewCNN(6, 3, 2, 2, rng.Split(1)),
 	}
 	for _, m := range models {
@@ -242,10 +235,6 @@ func TestModelsLearnSeparableData(t *testing.T) {
 	sm := NewSoftmaxRegression(d, 2)
 	train(sm, 0.5, 300)
 	check("softmax", sm)
-
-	mlp := NewMLP(d, 8, 2, rng.Split(2))
-	train(mlp, 0.3, 500)
-	check("mlp", mlp)
 }
 
 func TestCNNLearnsPrototypes(t *testing.T) {

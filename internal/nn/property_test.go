@@ -15,7 +15,7 @@ func TestClassifierLossNonNegativeProperty(t *testing.T) {
 		models := []Model{
 			NewLogisticRegression(4, true),
 			NewSoftmaxRegression(4, 3),
-			NewMLP(4, 5, 3, rng.Split(0)),
+			NewCNN(2, 1, 2, 3, rng.Split(0)),
 		}
 		X, _ := randBatch(rng, 9, 4)
 		for _, m := range models {
@@ -128,7 +128,7 @@ func TestPredictRangeProperty(t *testing.T) {
 func TestParamRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := tensor.NewRNG(seed)
-		m := NewMLP(3, 4, 2, rng.Split(0))
+		m := NewCNN(3, 2, 2, 2, rng.Split(0))
 		rng.Normal(m.Params(), 0, 1)
 		saved := tensor.Clone(m.Params())
 		m.SetParams(saved)

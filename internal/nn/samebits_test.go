@@ -15,9 +15,9 @@ import (
 // and one class at a time, scratch from make. TestModelsMatchTermByTerm holds
 // Loss, Grad and Predict of the five models to their bits, and the HVP of
 // the three closed forms (linear, logistic, softmax); what the change did
-// not touch (AXPY, MatTVec, the convolution) is shared. The MLP and CNN
-// products, R-operator passes with no earlier loop to match, are held to
-// the Hessian by hvp_test.go.
+// not touch (AXPY, MatTVec, the convolution) is shared. The CNN's product,
+// an R-operator pass with no earlier loop to match, is held to the Hessian
+// by hvp_test.go.
 
 // refDot rounds each product before its add, as tensor.Dot does.
 func refDot(a, b []float64) float64 {
@@ -155,7 +155,7 @@ func (m refLogReg) predict(X *tensor.Matrix) any {
 }
 
 // refHeadLoss is the softmax cross-entropy on top of a per-row logit
-// function, as SoftmaxRegression, MLP and CNN each spelled it out.
+// function, as SoftmaxRegression and CNN each spelled it out.
 func refHeadLoss(X *tensor.Matrix, y []float64, logits func(x []float64) []float64) float64 {
 	var s float64
 	for i := 0; i < X.Rows; i++ {
@@ -239,55 +239,6 @@ func (m refSoftmax) HVP(X *tensor.Matrix, y, v []float64) []float64 {
 
 func (m refSoftmax) predict(X *tensor.Matrix) any { return refHeadPredict(X, m.logits) }
 
-type refMLP struct{ *MLP }
-
-func (m refMLP) forward(x []float64) (a, z []float64) {
-	w1, b1, w2, b2 := m.slices()
-	a, z = make([]float64, m.h), make([]float64, m.c)
-	for j := range a {
-		a[j] = tensor.Tanh(refDot(w1[j*m.d:(j+1)*m.d], x) + b1[j])
-	}
-	for k := range z {
-		z[k] = refDot(w2[k*m.h:(k+1)*m.h], a) + b2[k]
-	}
-	return a, z
-}
-
-func (m refMLP) logits(x []float64) []float64 { _, z := m.forward(x); return z }
-
-func (m refMLP) Loss(X *tensor.Matrix, y []float64) float64 {
-	return refHeadLoss(X, y, m.logits)
-}
-
-func (m refMLP) Grad(X *tensor.Matrix, y []float64) []float64 {
-	_, _, w2, _ := m.slices()
-	g := make([]float64, m.NumParams())
-	gw1 := g[:m.h*m.d]
-	gb1 := g[m.h*m.d : m.h*m.d+m.h]
-	gw2 := g[m.h*m.d+m.h : m.h*m.d+m.h+m.c*m.h]
-	gb2 := g[m.h*m.d+m.h+m.c*m.h:]
-	da := make([]float64, m.h)
-	for i := 0; i < X.Rows; i++ {
-		x := X.Row(i)
-		a, z := m.forward(x)
-		tensor.Zero(da)
-		for k, dzk := range refDz(z, int(y[i])) {
-			tensor.AXPY(dzk, a, gw2[k*m.h:(k+1)*m.h])
-			gb2[k] += dzk
-			tensor.AXPY(dzk, w2[k*m.h:(k+1)*m.h], da)
-		}
-		for j := 0; j < m.h; j++ {
-			dh := float64(da[j] * (1 - float64(a[j]*a[j])))
-			tensor.AXPY(dh, x, gw1[j*m.d:(j+1)*m.d])
-			gb1[j] += dh
-		}
-	}
-	tensor.Scale(1/float64(X.Rows), g)
-	return g
-}
-
-func (m refMLP) predict(X *tensor.Matrix) any { return refHeadPredict(X, m.logits) }
-
 // refCNN shares the convolution and pooling with the model (CNN.forward
 // fills them) and recomputes the dense head — the layer that moved — term by
 // term.
@@ -353,8 +304,8 @@ func (m refCNN) Grad(X *tensor.Matrix, y []float64) []float64 {
 
 func (m refCNN) predict(X *tensor.Matrix) any { return refHeadPredict(X, m.logits) }
 
-// refModel is a reference: a Model (refMLP and refCNN take their HVP from
-// the model they embed) with the model's Predict under one signature.
+// refModel is a reference: a Model (refCNN takes its HVP from the model it
+// embeds) with the model's Predict under one signature.
 type refModel interface {
 	Model
 	predict(X *tensor.Matrix) any
@@ -373,9 +324,8 @@ func sameBits(a, b []float64) bool {
 }
 
 // TestModelsMatchTermByTerm: batches of 1…9 rows cover every split into
-// four-row blocks and a tail; 2, 3 and 10 classes (and 5 / 7 hidden units)
-// every split of the class lanes; 17 classes and 65 hidden units the scratch
-// that no longer fits the stack array.
+// four-row blocks and a tail; 2, 3 and 10 classes every split of the class
+// lanes; 17 classes the scratch that no longer fits the stack array.
 func TestModelsMatchTermByTerm(t *testing.T) {
 	const d = 9 // 3×3 images for the CNN
 	rng := tensor.NewRNG(22)
@@ -400,11 +350,6 @@ func TestModelsMatchTermByTerm(t *testing.T) {
 		sm := NewSoftmaxRegression(d, c)
 		subjects = append(subjects, subject{fmt.Sprintf("softmax c=%d", c), sm,
 			refSoftmax{sm}, func(X *tensor.Matrix) any { return sm.Predict(X) }, c, true})
-		for _, h := range []int{5, 7, 65} {
-			mlp := NewMLP(d, h, c, rng)
-			subjects = append(subjects, subject{fmt.Sprintf("mlp h=%d c=%d", h, c), mlp,
-				refMLP{mlp}, func(X *tensor.Matrix) any { return mlp.Predict(X) }, c, false})
-		}
 		cnn := NewCNN(3, 2, 3, c, rng)
 		subjects = append(subjects, subject{fmt.Sprintf("cnn c=%d", c), cnn,
 			refCNN{cnn}, func(X *tensor.Matrix) any { return cnn.Predict(X) }, c, false})
@@ -469,7 +414,6 @@ func TestLossScratchStaysOffTheHeap(t *testing.T) {
 	for name, m := range map[string]Model{
 		"softmax":            NewSoftmaxRegression(6, 10),
 		"softmax 16 classes": NewSoftmaxRegression(6, 16),
-		"mlp":                NewMLP(6, 16, 10, rng),
 	} {
 		rng.Normal(m.Params(), 0, 0.5)
 		if a := testing.AllocsPerRun(20, func() { m.Loss(X, y) }); a != 0 {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 
 	"digfl/internal/core"
@@ -14,124 +13,9 @@ import (
 	"digfl/internal/tensor"
 )
 
-// TestAggregateErrors checks the error contract: empty epochs, ragged
-// shapes, and bad configs return errors from Aggregate on every rule.
-func TestAggregateErrors(t *testing.T) {
-	ragged := epoch([]float64{1, 2}, []float64{3})
-	empty := &hfl.Epoch{}
-	cases := map[string]struct {
-		agg  hfl.Aggregator
-		ep   *hfl.Epoch
-		want string
-	}{
-		"median empty":     {Median{}, empty, "no participant"},
-		"median ragged":    {Median{}, ragged, "ragged"},
-		"trimmed ragged":   {TrimmedMean{}, ragged, "ragged"},
-		"trimmed invalid":  {TrimmedMean{Trim: 2}, epoch([]float64{1}, []float64{2}, []float64{3}), "invalid"},
-		"krum ragged":      {Krum{}, ragged, "ragged"},
-		"krum infeasible":  {Krum{F: 1}, epoch([]float64{1}, []float64{2}, []float64{3}), "infeasible"},
-		"krum negative F":  {Krum{F: -1}, epoch([]float64{1}, []float64{2}, []float64{3}), "negative"},
-		"multikrum bad M":  {MultiKrum{F: 0, M: 0}, epoch([]float64{1}, []float64{2}, []float64{3}), "positive"},
-		"normbound cfg":    {NormBound{}, epoch([]float64{1}), "positive"},
-		"normbound ragged": {NormBound{MaxNorm: 1}, ragged, "ragged"},
-	}
-	for name, c := range cases {
-		out, err := c.agg.Aggregate(c.ep)
-		if err == nil {
-			t.Errorf("%s: Aggregate returned %v, want error", name, out)
-		} else if !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: error %q missing %q", name, err, c.want)
-		}
-	}
-}
-
-// TestKrumSelectsHonestCenter: 4 clustered honest updates + 1 far outlier;
-// Krum must pick a cluster member, never the outlier.
-func TestKrumSelectsHonestCenter(t *testing.T) {
-	ep := epoch(
-		[]float64{1.0, 1.0},
-		[]float64{1.1, 0.9},
-		[]float64{0.9, 1.1},
-		[]float64{1.05, 1.0},
-		[]float64{-50, 80},
-	)
-	got, err := Krum{F: 1}.Aggregate(ep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got[0]-1) > 0.2 || math.Abs(got[1]-1) > 0.2 {
-		t.Fatalf("Krum selected the outlier: %v", got)
-	}
-	// Multi-Krum with M=3 averages cluster members only.
-	mk, err := MultiKrum{F: 1, M: 3}.Aggregate(ep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(mk[0]-1) > 0.2 || math.Abs(mk[1]-1) > 0.2 {
-		t.Fatalf("Multi-Krum leaked the outlier: %v", mk)
-	}
-}
-
-// TestKrumRejectsNaNUpdate: a NaN update must never win selection.
-func TestKrumRejectsNaNUpdate(t *testing.T) {
-	ep := epoch(
-		[]float64{1, 1},
-		[]float64{1.1, 1},
-		[]float64{0.9, 1},
-		[]float64{math.NaN(), 1},
-		[]float64{1, 0.9},
-	)
-	got, err := Krum{F: 1}.Aggregate(ep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsNaN(got[0]) {
-		t.Fatal("Krum selected the NaN update")
-	}
-}
-
-// TestKrumDegradedSurvivors: an infeasible F on a survivor epoch degrades
-// instead of erroring; a single survivor is returned as-is.
-func TestKrumDegradedSurvivors(t *testing.T) {
-	ep := epoch([]float64{2, 4})
-	ep.Reported = []int{3}
-	got, err := Krum{F: 2}.Aggregate(ep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 2 || got[1] != 4 {
-		t.Fatalf("single-survivor Krum = %v", got)
-	}
-	// Three survivors, F=2 infeasible for n=3: still aggregates.
-	ep = epoch([]float64{1}, []float64{2}, []float64{3})
-	ep.Reported = []int{0, 2, 4}
-	if _, err := (MultiKrum{F: 2, M: 5}).Aggregate(ep); err != nil {
-		t.Fatalf("degraded Multi-Krum errored: %v", err)
-	}
-}
-
-// TestNormBound clips only over-norm updates.
-func TestNormBound(t *testing.T) {
-	ep := epoch([]float64{3, 4}, []float64{30, 40}) // norms 5 and 50
-	got, err := NormBound{MaxNorm: 5}.Aggregate(ep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Second update rescaled to norm 5 → (3,4); mean of (3,4),(3,4).
-	if math.Abs(got[0]-3) > 1e-12 || math.Abs(got[1]-4) > 1e-12 {
-		t.Fatalf("NormBound = %v, want [3 4]", got)
-	}
-	// Epoch deltas must not be mutated.
-	if ep.Deltas[1][0] != 30 {
-		t.Fatal("NormBound mutated the epoch record")
-	}
-}
-
 // screenEpoch builds an epoch with Theta sized to the deltas.
 func screenEpoch(deltas ...[]float64) *hfl.Epoch {
-	ep := epoch(deltas...)
-	ep.Theta = make([]float64, len(deltas[0]))
-	return ep
+	return &hfl.Epoch{T: 1, Deltas: deltas, Theta: make([]float64, len(deltas[0]))}
 }
 
 // TestScreenDropsBadUpdates: wrong shape and non-finite coordinates are

@@ -1,80 +1,9 @@
 package robust
 
 import (
-	"math"
-	"testing"
-
-	"digfl/internal/core"
 	"digfl/internal/dataset"
-	"digfl/internal/hfl"
-	"digfl/internal/nn"
 	"digfl/internal/tensor"
 )
-
-func epoch(deltas ...[]float64) *hfl.Epoch {
-	return &hfl.Epoch{T: 1, Deltas: deltas}
-}
-
-// mustAgg unwraps an Aggregate call the test expects to succeed.
-func mustAgg(t *testing.T, a hfl.Aggregator, ep *hfl.Epoch) []float64 {
-	t.Helper()
-	out, err := a.Aggregate(ep)
-	if err != nil {
-		t.Fatalf("aggregate: %v", err)
-	}
-	return out
-}
-
-func TestMedianHandComputed(t *testing.T) {
-	ep := epoch(
-		[]float64{1, 10},
-		[]float64{2, 20},
-		[]float64{100, 30},
-	)
-	got := mustAgg(t, Median{}, ep)
-	if got[0] != 2 || got[1] != 20 {
-		t.Fatalf("median = %v", got)
-	}
-	// Even count: average of middle two.
-	ep = epoch([]float64{1}, []float64{2}, []float64{3}, []float64{100})
-	if got := mustAgg(t, Median{}, ep); got[0] != 2.5 {
-		t.Fatalf("even median = %v", got)
-	}
-}
-
-func TestTrimmedMeanHandComputed(t *testing.T) {
-	ep := epoch([]float64{1}, []float64{2}, []float64{3}, []float64{4}, []float64{1000})
-	got := mustAgg(t, TrimmedMean{Trim: 1}, ep)
-	if got[0] != 3 { // mean of {2,3,4}
-		t.Fatalf("trimmed mean = %v", got)
-	}
-}
-
-func TestTrimmedMeanResistsOutlier(t *testing.T) {
-	ep := epoch([]float64{1, 1}, []float64{1, 1}, []float64{1, 1}, []float64{1e9, -1e9})
-	got := mustAgg(t, TrimmedMean{Trim: 1}, ep)
-	if math.Abs(got[0]-1) > 1e-12 || math.Abs(got[1]-1) > 1e-12 {
-		t.Fatalf("outlier leaked through trimmed mean: %v", got)
-	}
-}
-
-func TestAggregateConfigErrors(t *testing.T) {
-	cases := []hfl.Aggregator{
-		Median{},
-		TrimmedMean{Trim: 2},
-		TrimmedMean{Trim: -1},
-	}
-	eps := []*hfl.Epoch{
-		{},
-		epoch([]float64{1}, []float64{2}, []float64{3}),
-		epoch([]float64{1}, []float64{2}, []float64{3}),
-	}
-	for i, a := range cases {
-		if out, err := a.Aggregate(eps[i]); err == nil {
-			t.Fatalf("case %d: Aggregate returned %v, want error", i, out)
-		}
-	}
-}
 
 // corruptedFederation builds an n-participant task where bad of them hold
 // 90% mislabeled data.
@@ -89,44 +18,4 @@ func corruptedFederation(seed int64, n, bad int) (parts []dataset.Dataset, train
 		parts[i] = dataset.Mislabel(parts[i], 0.9, rng.Split(int64(i)))
 	}
 	return parts, train, val
-}
-
-func accuracyWith(parts []dataset.Dataset, train, val dataset.Dataset, agg hfl.Aggregator, rw hfl.Reweighter) float64 {
-	tr := &hfl.Trainer{
-		Model:      nn.NewSoftmaxRegression(train.Dim(), train.Classes),
-		Parts:      parts,
-		Val:        val,
-		Cfg:        hfl.Config{Epochs: 20, LR: 0.3},
-		Aggregator: agg,
-		Reweighter: rw,
-	}
-	return hfl.Accuracy(tr.Run().Model, val)
-}
-
-// With a corrupted minority, the robust rules and DIG-FL reweighting all
-// beat plain averaging.
-func TestRobustRulesHelpAgainstMinorityCorruption(t *testing.T) {
-	parts, train, val := corruptedFederation(5, 5, 2)
-	plain := accuracyWith(parts, train, val, nil, nil)
-	median := accuracyWith(parts, train, val, Median{}, nil)
-	trimmed := accuracyWith(parts, train, val, TrimmedMean{Trim: 1}, nil)
-	digfl := accuracyWith(parts, train, val, nil, &core.HFLReweighter{})
-	for name, acc := range map[string]float64{"median": median, "trimmed": trimmed, "DIG-FL": digfl} {
-		if acc < plain-0.02 {
-			t.Errorf("%s (%.3f) should not trail plain averaging (%.3f)", name, acc, plain)
-		}
-	}
-}
-
-// Past the 1/2 breakdown point (4 of 5 corrupted) the median follows the
-// corrupted majority while DIG-FL's validation anchor keeps working — the
-// extension result motivating the reweight mechanism.
-func TestDIGFLSurvivesMajorityCorruptionWhereMedianFails(t *testing.T) {
-	parts, train, val := corruptedFederation(6, 5, 4)
-	median := accuracyWith(parts, train, val, Median{}, nil)
-	digfl := accuracyWith(parts, train, val, nil, &core.HFLReweighter{})
-	if digfl < median+0.1 {
-		t.Fatalf("DIG-FL (%.3f) should clearly beat median (%.3f) beyond the breakdown point",
-			digfl, median)
-	}
 }

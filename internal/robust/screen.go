@@ -1,3 +1,11 @@
+// Package robust implements the server-side defenses of the adversarial
+// runtime: a pre-aggregation update screen (UpdateScreen: shape and
+// finiteness checks, median-based norm clipping) and a contribution-guided
+// quarantine (Quarantine) that turns the live DIG-FL φ stream into a ban
+// list and gives a banned participant zero aggregation weight. The screen
+// plugs into the trainer as its hfl.Screener, the quarantine as its
+// hfl.Reweighter and hfl.Admitter, so a streamed round folds only what the
+// quarantine admits.
 package robust
 
 import (

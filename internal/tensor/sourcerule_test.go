@@ -22,8 +22,8 @@ var hostMath = map[string]bool{
 
 // TestOneExpSource: no Go file of the module — internal/, cmd/, examples/
 // and the root package, tests included — calls one of hostMath but
-// transcendental.go, which holds the repository's Exp, Log, Log1p and Tanh,
-// and its test, which holds them to math's. The one exception is
+// transcendental.go, which holds the repository's Exp, Log and Log1p, and
+// its test, which holds them to math's. The one exception is
 // math.Pow(x, -0.5), which math computes as 1/Sqrt(x) and which hfl's tests
 // hold the staleness weight to.
 //

@@ -13,8 +13,8 @@
 // or leaves exp's fast path is taken again through Dot or LogSumExp, so
 // every path gives the same bits.
 //
-// Exp, Log, Log1p and Tanh are the repository's one exp, log, log1p and
-// tanh: amd64's FMA math.Exp sequence in Go with math.FMA at its fused
+// Exp, Log and Log1p are the repository's one exp, log and log1p: amd64's
+// FMA math.Exp sequence in Go with math.FMA at its fused
 // steps, and math.Log's with each product rounded, which the exp kernels
 // reproduce lane for lane and every other package calls instead of math's,
 // so no bit depends on the host's FMA or GOARCH.

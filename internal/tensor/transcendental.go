@@ -2,7 +2,7 @@ package tensor
 
 import "math"
 
-// The repository's exp, log, log1p and tanh. Every exp and log the
+// The repository's exp, log and log1p. Every exp and log the
 // repository computes is one of these, or a kernel lane held to them bit
 // for bit (LogSumExp4, LogSumExp8, ExpShift4, ExpShift8), so φ has the same
 // bits on every host: math.Exp runs one of two sequences on amd64, as the
@@ -215,42 +215,4 @@ func Log1p(x float64) float64 {
 		return f - (hfsq - float64(s*(hfsq+R)))
 	}
 	return float64(float64(k)*ln2Hi) - ((hfsq - (float64(s*(hfsq+R)) + (float64(float64(k)*ln2Lo) + c))) - f)
-}
-
-// Tanh returns the hyperbolic tangent of x: math's Go tanh (math/tanh.go),
-// which amd64 runs, with each product rounded before its add and Exp for
-// math.Exp.
-func Tanh(x float64) float64 {
-	const (
-		maxLog = 8.8029691931113054295988e+01 // ln 2¹²⁷
-		p0     = -9.64399179425052238628e-1
-		p1     = -9.92877231001918586564e1
-		p2     = -1.61468768441708447952e3
-		q0     = 1.12811678491632931402e2
-		q1     = 2.23548839060100448583e3
-		q2     = 4.84406305325125486048e3
-	)
-	z := math.Abs(x)
-	switch {
-	case z > 0.5*maxLog:
-		if x < 0 {
-			return -1
-		}
-		return 1
-	case z >= 0.625:
-		s := Exp(2 * z)
-		z = 1 - 2/(s+1)
-		if x < 0 {
-			z = -z
-		}
-	default:
-		if x == 0 {
-			return x
-		}
-		s := float64(x * x)
-		p := float64(float64(float64(p0*s)+p1)*s) + p2
-		q := float64(float64(float64((s+q0)*s)+q1)*s) + q2
-		z = x + float64(x*s*p)/q
-	}
-	return z
 }

@@ -56,7 +56,6 @@ var (
 	negNaN    = math.Float64frombits(0xfff8000000000001)
 	sigNaN    = math.Float64frombits(0x7ff0000000000123)
 	negSig    = math.Float64frombits(0xfff0000000000456)
-	anyNaN    = math.Float64frombits(0x7ff8dead0000dead) // the table's "some NaN"
 	inf, ninf = math.Inf(1), math.Inf(-1)
 )
 
@@ -64,7 +63,7 @@ var (
 // NaNs of either sign, ±0, ±Inf and negative arguments are not compared with
 // the host's math, whose results for them differ between GOARCHes (386's
 // math.Log returns a NaN argument itself whatever its sign, amd64's a NaN
-// with the sign bit set math.NaN()). anyNaN stands for a NaN of any payload.
+// with the sign bit set math.NaN()).
 var specialTable = []struct {
 	name string
 	f    func(float64) float64
@@ -82,19 +81,14 @@ var specialTable = []struct {
 	{"Log1p", Log1p, 0, 0}, {"Log1p", Log1p, negZero, negZero}, {"Log1p", Log1p, inf, inf}, {"Log1p", Log1p, ninf, math.NaN()},
 	{"Log1p", Log1p, -1, ninf}, {"Log1p", Log1p, math.Nextafter(-1, -2), math.NaN()}, {"Log1p", Log1p, -1e300, math.NaN()},
 	{"Log1p", Log1p, posNaN, math.NaN()}, {"Log1p", Log1p, negNaN, math.NaN()}, {"Log1p", Log1p, sigNaN, math.NaN()},
-	{"Tanh", Tanh, 0, 0}, {"Tanh", Tanh, negZero, negZero}, {"Tanh", Tanh, inf, 1}, {"Tanh", Tanh, ninf, -1},
-	{"Tanh", Tanh, -math.MaxFloat64, -1}, {"Tanh", Tanh, posNaN, anyNaN}, {"Tanh", Tanh, negNaN, anyNaN},
 }
 
-// TestSpecialInputsTable: Exp, Log, Log1p and Tanh return their documented
+// TestSpecialInputsTable: Exp, Log and Log1p return their documented
 // result, bit for bit, at every special input of specialTable, on every
 // GOARCH.
 func TestSpecialInputsTable(t *testing.T) {
 	for _, c := range specialTable {
 		got := c.f(c.x)
-		if c.want != c.want && math.Float64bits(c.want) == math.Float64bits(anyNaN) && got != got {
-			continue
-		}
 		if math.Float64bits(got) != math.Float64bits(c.want) {
 			t.Errorf("%s(%v, %#x) = %v (%#x), documented %v (%#x)", c.name, c.x, math.Float64bits(c.x),
 				got, math.Float64bits(got), c.want, math.Float64bits(c.want))
@@ -260,20 +254,6 @@ func TestLog1pMatchesMathLog1p(t *testing.T) {
 		if got, want := Log1p(x), math.Log1p(x); !withinULP(got, want, exact) {
 			t.Fatalf("Log1p(%v) = %v (%#x), math.Log1p %v (%#x)", x, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
-	}
-}
-
-// TestTanhMatchesMathTanh: Tanh has math.Tanh's bits where math.Exp runs the
-// FMA sequence (amd64 runs math's Go tanh, which calls math.Exp) and is
-// within two ulps elsewhere: at every 1/1024 over [−50, 50], near the
-// ±0.625 switch to Exp and the ±44 saturation, and at every finite special
-// input.
-func TestTanhMatchesMathTanh(t *testing.T) {
-	exact := mathExpFused()
-	checkAgainstMath(t, "Tanh", Tanh, math.Tanh, exact, finiteInputs...)
-	checkAgainstMath(t, "Tanh", Tanh, math.Tanh, exact, grid(-50, 50, 1.0/1024)...)
-	for _, x := range []float64{0.625, 44.014845965556525, 1e-300} {
-		checkAgainstMath(t, "Tanh", Tanh, math.Tanh, exact, x, -x, math.Nextafter(x, 0), -math.Nextafter(x, 0))
 	}
 }
 
